@@ -6,6 +6,7 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 ./check.sh
+./benchmark_build.sh
 ./docs.sh
 ./proptest_seeds.sh
 ./bench_gate.sh

@@ -25,8 +25,9 @@ use kalstream_bench::table::Table;
 use kalstream_bench::MetricsOut;
 use kalstream_core::{
     IngestPipeline, IngestResult, ProtocolConfig, SequentialIngest, ServerEndpoint, SessionSpec,
+    ShardAssignment,
 };
-use kalstream_durable::{DurableIngest, DurableStore};
+use kalstream_durable::{Durability, DurableStore};
 use kalstream_net::workload;
 use kalstream_sim::{
     run_fleet_ingest, run_lockstep, run_lockstep_with_crashes, IngestSink, LockstepStream,
@@ -125,14 +126,22 @@ fn crash_cycle(
     // Phase 1: durable batched pipeline, killed after `kill` ticks —
     // dropped mid-flight, no checkpoint.
     let store = DurableStore::open(&dir).expect("open store");
-    let pipeline = IngestPipeline::start_batched(SEED_SHARDS, workload::server_endpoints(STREAMS));
-    let mut durable = DurableIngest::new(pipeline, store, SNAPSHOT_EVERY).expect("genesis");
+    let mut pipeline = IngestPipeline::start_with(
+        ShardAssignment::modulo(SEED_SHARDS),
+        workload::server_endpoints(STREAMS),
+        true,
+        None,
+    );
+    let mut durable =
+        Durability::start(store, SNAPSHOT_EVERY, 0, &pipeline.snapshot_states()).expect("genesis");
     for wire in &traffic[..kill as usize] {
-        durable.try_ingest_tick(wire).expect("append+apply");
+        durable
+            .ingest_tick(&mut pipeline, wire)
+            .expect("append+apply");
     }
     let writer_stats = durable.store().stats().clone();
     metrics.record(&format!("kill_{kill}.writer"), &writer_stats);
-    drop(durable);
+    drop((durable, pipeline));
 
     // Phase 2: recover into a *different* shard count and finish the run.
     let recover_shards = (kill as usize % 3) + 1;
@@ -147,13 +156,14 @@ fn crash_cycle(
     let recovery_wall_ms = store.stats().recovery_wall_ms.get();
     let mut recovered = IngestPipeline::start(recover_shards, recovery.endpoints().expect("state"));
     recovery.replay_into(&mut recovered);
-    let mut resumed =
-        DurableIngest::resume(recovered, store, SNAPSHOT_EVERY, kill).expect("resume");
+    let mut resumed = Durability::start(store, SNAPSHOT_EVERY, kill, &recovered.snapshot_states())
+        .expect("resume");
     for wire in &traffic[kill as usize..] {
-        resumed.try_ingest_tick(wire).expect("append+apply");
+        resumed
+            .ingest_tick(&mut recovered, wire)
+            .expect("append+apply");
     }
     metrics.record(&format!("kill_{kill}.recovery"), resumed.store().stats());
-    let (recovered, _) = resumed.into_parts();
     let result = recovered.finish();
     let syncs: u64 = result
         .endpoints

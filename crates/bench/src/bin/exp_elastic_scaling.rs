@@ -27,9 +27,9 @@ use kalstream_bench::MetricsOut;
 use kalstream_core::frame::FrameBatch;
 use kalstream_core::{
     IngestPipeline, IngestResult, ProtocolConfig, SequentialIngest, ServerEndpoint, SessionSpec,
-    StreamSession, TickIngest,
+    StreamSession,
 };
-use kalstream_elastic::{ControllerConfig, ElasticConfig, ElasticIngest, ResizeKind};
+use kalstream_elastic::{ControllerConfig, ElasticConfig, ElasticDriver, ResizeKind};
 use kalstream_sim::{run_lockstep, LoadPhase, LoadSwing, LockstepStream, Producer, SessionConfig};
 
 const STREAMS: u32 = 16;
@@ -158,10 +158,13 @@ fn elastic_run(
     want_bits: &[(u32, Vec<u64>, Vec<u64>, u64)],
     metrics: &mut MetricsOut,
 ) -> Run {
-    let pipeline = IngestPipeline::start(start_shards, servers.to_vec());
-    let mut elastic = ElasticIngest::new(pipeline, elastic_config());
+    let mut pipeline = IngestPipeline::start(start_shards, servers.to_vec());
+    let mut elastic = ElasticDriver::new(elastic_config(), &mut pipeline);
     for tick in log {
-        elastic.ingest_tick(tick);
+        pipeline.ingest_tick(tick);
+        elastic
+            .after_tick(&mut pipeline, |pipeline, to| Ok(pipeline.reassign(to)))
+            .expect("plain reassign cannot fail");
     }
     metrics.record(&format!("start_{start_shards}"), &elastic);
     let stats = elastic.controller().stats().clone();
@@ -172,8 +175,8 @@ fn elastic_run(
         .collect();
     let resizes = elastic.events().len() as u64;
     let max_stall_ms = elastic.max_stall_ms();
-    let final_shards = elastic.inner().assignment().shards;
-    let result = elastic.into_inner().finish();
+    let final_shards = pipeline.shards();
+    let result = pipeline.finish();
     Run {
         start_shards,
         grows: stats.grows,

@@ -3,15 +3,15 @@
 //!
 //! The plain ingest path advances every [`ServerEndpoint`]'s filter one at a
 //! time — correct, but at fleet scale the per-stream predict dominates the
-//! tick. [`BatchShardEngine`] interposes a dispatch layer: at construction
-//! it groups endpoints whose filters run the **same model** at a supported
-//! `(state_dim, measurement_dim)` shape (see [`DynFleetBatch::supported`])
-//! with the default Joseph covariance form, moves each group's per-stream
-//! state into [`DynFleetBatch`] lanes, and from then on advances whole
-//! groups with one `predict_all` per tick. Everything else about the
-//! endpoint — sequence bookkeeping, pending queues, counters, feedback —
-//! keeps running through the [`ServerEndpoint`] exactly as before; only the
-//! filter arithmetic moves.
+//! tick. [`BatchLanes`] interposes a dispatch layer in front of a shard's
+//! endpoints: at construction it groups endpoints whose filters run the
+//! **same model** at a supported `(state_dim, measurement_dim)` shape (see
+//! [`DynFleetBatch::supported`]) with the default Joseph covariance form,
+//! copies each group's per-stream state into [`DynFleetBatch`] lanes, and
+//! from then on advances whole groups with one `predict_all` per tick.
+//! Everything else about the endpoint — sequence bookkeeping, pending
+//! queues, counters, feedback — keeps running through the
+//! [`ServerEndpoint`] exactly as before; only the filter arithmetic moves.
 //!
 //! ## Equivalence and demotion
 //!
@@ -35,140 +35,97 @@
 //! Demotion swaps the group's last lane into the vacated slot
 //! ([`DynFleetBatch::swap_remove_lane`]), so lanes stay dense.
 
-use std::collections::HashMap;
-
-use kalstream_obs::{Histogram, SpanTimer};
-
 use kalstream_filter::{CovarianceUpdate, DynFleetBatch, KalmanFilter};
 
-use crate::frame::FrameDecoder;
-use crate::ingest::{IngestResult, ShardReport, TickIngest};
-use crate::server::ServerEndpoint;
-use crate::wire::{SyncMessage, WireMessage};
+use crate::ingest::{IngestResult, Shard, TickIngest};
+use crate::server::{EndpointState, ServerEndpoint};
+use crate::wire::SyncMessage;
 
 /// One same-model lane group.
 struct BatchGroup {
     batch: DynFleetBatch,
-    /// `streams[lane]` is the stream id owning that lane.
-    streams: Vec<u32>,
+    /// `slots[lane]` is the position (in the shard's endpoint slice) of the
+    /// endpoint owning that lane.
+    slots: Vec<usize>,
 }
 
-/// Where a stream's filter arithmetic runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Route {
-    /// The endpoint's own [`KalmanFilter`] (via [`ServerEndpoint::advance`]).
-    Scalar,
-    /// A fleet-batch lane; the endpoint's filter is dormant until demotion.
-    Batched,
-}
-
-/// A shard's endpoint map with fleet-batch dispatch in front of the filter
-/// arithmetic — drop-in for the plain `stream_id → endpoint` map inside a
-/// shard worker or a single-threaded ingester.
-pub struct BatchShardEngine {
-    endpoints: HashMap<u32, ServerEndpoint>,
+/// The fleet-batch lanes in front of one shard's endpoints. Endpoints are
+/// addressed by their position in the shard's id-sorted slice, which every
+/// method takes by reference — the shard owns the endpoints, the lanes only
+/// carry the batched ones' filter arithmetic.
+pub(crate) struct BatchLanes {
     groups: Vec<BatchGroup>,
-    /// Scalar-routed ids in ascending order, maintained across demotions so
-    /// the per-tick advance loop needs no re-sort.
-    scalar_ids: Vec<u32>,
+    /// Positions of the scalar-routed endpoints (their own
+    /// [`KalmanFilter`] steps, via [`ServerEndpoint::advance`]), ascending
+    /// and maintained across demotions so the per-tick advance loop needs
+    /// no re-sort. Every other endpoint's filter is dormant until demotion.
+    scalar: Vec<usize>,
 }
 
-impl BatchShardEngine {
-    /// Builds the engine, grouping every endpoint that qualifies for the
-    /// batch path (supported dims, Joseph covariance form, model shared
-    /// with the group) and leaving the rest scalar.
-    pub fn new(endpoints: Vec<(u32, ServerEndpoint)>) -> Self {
-        let mut engine = BatchShardEngine {
-            endpoints: HashMap::with_capacity(endpoints.len()),
+impl BatchLanes {
+    /// Groups every endpoint that qualifies for the batch path (supported
+    /// dims, Joseph covariance form, model shared with the group) and
+    /// leaves the rest scalar.
+    pub(crate) fn new(endpoints: &[(u32, ServerEndpoint)]) -> Self {
+        let mut lanes = BatchLanes {
             groups: Vec::new(),
-            scalar_ids: Vec::new(),
+            scalar: Vec::new(),
         };
-        for (id, ep) in endpoints {
+        for (slot, (_, ep)) in endpoints.iter().enumerate() {
             let filter = ep.filter();
             let model = filter.model();
-            let route = if filter.covariance_update() == CovarianceUpdate::Joseph
-                && DynFleetBatch::supported(model.state_dim(), model.measurement_dim())
+            if filter.covariance_update() != CovarianceUpdate::Joseph
+                || !DynFleetBatch::supported(model.state_dim(), model.measurement_dim())
             {
-                let group = match engine.groups.iter().position(|g| g.batch.model() == model) {
-                    Some(g) => g,
-                    None => {
-                        let batch = DynFleetBatch::for_model(model)
-                            .expect("supported dims have a batch kernel");
-                        engine.groups.push(BatchGroup {
-                            batch,
-                            streams: Vec::new(),
-                        });
-                        engine.groups.len() - 1
-                    }
-                };
-                let g = &mut engine.groups[group];
-                g.batch
-                    .push(
-                        filter.state(),
-                        filter.covariance(),
-                        filter.steps_since_update(),
-                    )
-                    .expect("endpoint filter shape matches its own model");
-                g.streams.push(id);
-                Route::Batched
-            } else {
-                Route::Scalar
-            };
-            if route == Route::Scalar {
-                engine.scalar_ids.push(id);
+                lanes.scalar.push(slot);
+                continue;
             }
-            engine.endpoints.insert(id, ep);
+            let group = match lanes.groups.iter().position(|g| g.batch.model() == model) {
+                Some(g) => g,
+                None => {
+                    let batch = DynFleetBatch::for_model(model)
+                        .expect("supported dims have a batch kernel");
+                    lanes.groups.push(BatchGroup {
+                        batch,
+                        slots: Vec::new(),
+                    });
+                    lanes.groups.len() - 1
+                }
+            };
+            let g = &mut lanes.groups[group];
+            g.batch
+                .push(
+                    filter.state(),
+                    filter.covariance(),
+                    filter.steps_since_update(),
+                )
+                .expect("endpoint filter shape matches its own model");
+            g.slots.push(slot);
         }
-        engine.scalar_ids.sort_unstable();
-        engine
-    }
-
-    /// Number of endpoints.
-    pub fn len(&self) -> usize {
-        self.endpoints.len()
-    }
-
-    /// Whether the engine holds no endpoints.
-    pub fn is_empty(&self) -> bool {
-        self.endpoints.is_empty()
+        lanes
     }
 
     /// `(batched, scalar)` stream counts — the dispatcher's coverage, worth
     /// watching next to the `linalg.heap_fallbacks` counter.
-    pub fn coverage(&self) -> (usize, usize) {
-        let batched: usize = self.groups.iter().map(|g| g.streams.len()).sum();
-        (batched, self.endpoints.len() - batched)
-    }
-
-    /// Enqueues one decoded wire message, running the endpoint's usual
-    /// sequence bookkeeping. Returns `false` for unknown streams.
-    pub fn enqueue_wire(&mut self, stream_id: u32, msg: WireMessage) -> bool {
-        match self.endpoints.get_mut(&stream_id) {
-            Some(ep) => {
-                ep.enqueue_wire(msg);
-                true
-            }
-            None => false,
-        }
+    pub(crate) fn coverage(&self) -> (usize, usize) {
+        let batched = self.groups.iter().map(|g| g.slots.len()).sum();
+        (batched, self.scalar.len())
     }
 
     /// Advances every endpoint one tick — the batch twin of calling
     /// [`ServerEndpoint::advance`] on each: batched groups predict as one
     /// fleet, scalar endpoints predict individually, then every endpoint's
     /// pending syncs apply in arrival order.
-    pub fn advance_tick(&mut self) {
+    pub(crate) fn advance_tick(&mut self, endpoints: &mut [(u32, ServerEndpoint)]) {
         // Phase 1: batched predicts. Lanes that come out non-finite get the
         // scalar path's per-tick `predict_failures` bookkeeping here;
         // whether they *stay* non-finite (→ demotion) is decided after the
         // pending sweep, since a queued state sync may resynchronise them.
         for group in self.groups.iter_mut() {
             if group.batch.predict_all() > 0 {
-                for (lane, id) in group.streams.iter().enumerate() {
+                for (lane, &slot) in group.slots.iter().enumerate() {
                     if !group.batch.lane_is_finite(lane) {
-                        self.endpoints
-                            .get_mut(id)
-                            .expect("grouped stream has an endpoint")
-                            .note_predict_failure();
+                        endpoints[slot].1.note_predict_failure();
                     }
                 }
             }
@@ -176,21 +133,17 @@ impl BatchShardEngine {
         // Phase 2: scalar endpoints take their normal advance. Streams
         // demoted during phase 3 below join this loop from the *next* tick —
         // their predict for this tick already ran in the batch.
-        for id in self.scalar_ids.iter() {
-            self.endpoints
-                .get_mut(id)
-                .expect("scalar stream has an endpoint")
-                .advance();
+        for &slot in self.scalar.iter() {
+            endpoints[slot].1.advance();
         }
         // Phase 3: batched endpoints drain pending onto their lanes. After a
         // demotion the swapped-in lane re-runs at the same index, so no lane
         // is skipped.
         for g in 0..self.groups.len() {
             let mut lane = 0;
-            while lane < self.groups[g].streams.len() {
-                let id = self.groups[g].streams[lane];
-                let demoted = self.drain_pending_onto_lane(g, lane, id);
-                if !demoted {
+            while lane < self.groups[g].slots.len() {
+                let slot = self.groups[g].slots[lane];
+                if !self.drain_pending_onto_lane(g, lane, &mut endpoints[slot].1) {
                     lane += 1;
                 }
             }
@@ -201,11 +154,12 @@ impl BatchShardEngine {
     /// operations, same order as [`ServerEndpoint::advance`]'s drain).
     /// Returns `true` when the stream was demoted (its lane is gone and the
     /// swapped-in lane, if any, now sits at `lane`).
-    fn drain_pending_onto_lane(&mut self, group: usize, lane: usize, id: u32) -> bool {
-        let ep = self
-            .endpoints
-            .get_mut(&id)
-            .expect("grouped stream has an endpoint");
+    fn drain_pending_onto_lane(
+        &mut self,
+        group: usize,
+        lane: usize,
+        ep: &mut ServerEndpoint,
+    ) -> bool {
         let batch = &mut self.groups[group].batch;
         let mut model_swapped = false;
         while let Some(msg) = ep.pop_pending() {
@@ -241,190 +195,86 @@ impl BatchShardEngine {
                 }
             }
         }
-        if model_swapped {
-            self.demote(group, lane, id, false);
-            true
-        } else if !self.groups[group].batch.lane_is_finite(lane) {
-            self.demote(group, lane, id, true);
-            true
-        } else {
-            false
+        // A model sync already installed a replacement filter; a diverged
+        // lane hands its state back to the endpoint's own.
+        let diverged = !model_swapped && !batch.lane_is_finite(lane);
+        if diverged {
+            restore_lane(batch, lane, ep);
         }
+        if model_swapped || diverged {
+            self.demote(group, lane);
+        }
+        model_swapped || diverged
     }
 
-    /// Removes `id`'s lane and routes it scalar. `restore_state` hands the
-    /// lane's state back to the endpoint filter (skipped after a model
-    /// sync, which already installed a replacement filter).
-    fn demote(&mut self, group: usize, lane: usize, id: u32, restore_state: bool) {
-        if restore_state {
-            let (x, p, steps) = self.groups[group].batch.lane_state(lane);
-            self.endpoints
-                .get_mut(&id)
-                .expect("grouped stream has an endpoint")
-                .filter_mut()
-                .restore(x, p, steps)
-                .expect("lane shape matches its endpoint's model");
-        }
+    /// Removes a lane and routes its endpoint scalar.
+    fn demote(&mut self, group: usize, lane: usize) {
         let g = &mut self.groups[group];
         g.batch.swap_remove_lane(lane);
-        let moved = g.streams.pop().expect("demoted lane existed");
-        if lane < g.streams.len() {
-            g.streams[lane] = moved;
-        }
-        let at = self.scalar_ids.partition_point(|&s| s < id);
-        self.scalar_ids.insert(at, id);
+        let slot = g.slots.swap_remove(lane);
+        let at = self.scalar.partition_point(|&s| s < slot);
+        self.scalar.insert(at, slot);
     }
 
-    /// Every stream id this engine owns (batched and scalar), in map order —
-    /// callers needing determinism sort the collected ids.
-    pub(crate) fn stream_ids(&self) -> impl Iterator<Item = u32> + '_ {
-        self.endpoints.keys().copied()
-    }
-
-    /// Mutable access to one stream's endpoint (feedback polling touches
-    /// only ack/bound bookkeeping, which lives on the endpoint whether its
-    /// filter state currently sits scalar or on a batch lane).
-    pub(crate) fn endpoint_mut(&mut self, id: u32) -> Option<&mut ServerEndpoint> {
-        self.endpoints.get_mut(&id)
-    }
-
-    /// Captures every endpoint's protocol state without consuming the
-    /// engine — the durability layer's mid-run snapshot hook. For scalar
-    /// streams the endpoint filter already holds the live state; for
-    /// batched streams the live `x`/`p`/staleness sit on a fleet-batch
-    /// lane, so the captured state is the endpoint's bookkeeping overlaid
-    /// with the lane's triplet — exactly the bits [`BatchShardEngine::finish`]
-    /// would restore, but copied instead of moved.
-    pub fn snapshot_states(&self) -> Vec<(u32, crate::server::EndpointState)> {
-        let mut lane_overlay: HashMap<
-            u32,
-            (kalstream_linalg::Vector, kalstream_linalg::Matrix, u64),
-        > = HashMap::new();
+    /// Overlays every live lane's `x`/`p`/staleness onto `states` (one per
+    /// endpoint, in endpoint order) — for batched streams the endpoint's own
+    /// filter is dormant, so its captured triplet is stale until overlaid.
+    pub(crate) fn overlay(&self, states: &mut [(u32, EndpointState)]) {
         for group in self.groups.iter() {
-            for (lane, id) in group.streams.iter().enumerate() {
-                lane_overlay.insert(*id, group.batch.lane_state(lane));
+            for (lane, &slot) in group.slots.iter().enumerate() {
+                let state = &mut states[slot].1;
+                (state.x, state.p, state.steps_since_update) = group.batch.lane_state(lane);
             }
         }
-        let mut states: Vec<(u32, crate::server::EndpointState)> = self
-            .endpoints
-            .iter()
-            .map(|(id, ep)| {
-                let mut state = ep.state();
-                if let Some((x, p, steps)) = lane_overlay.remove(id) {
-                    state.x = x;
-                    state.p = p;
-                    state.steps_since_update = steps;
-                }
-                (*id, state)
-            })
-            .collect();
-        states.sort_by_key(|(id, _)| *id);
-        states
     }
 
-    /// Hands every remaining lane's state back to its endpoint filter and
-    /// returns the endpoints sorted by stream id — the same shape (and, for
-    /// the same traffic, the same bits) the plain path produces.
-    pub fn finish(mut self) -> Vec<(u32, ServerEndpoint)> {
+    /// Hands every remaining lane's state back to its endpoint filter, so
+    /// the endpoints hold the same shape (and, for the same traffic, the
+    /// same bits) the plain path produces.
+    pub(crate) fn restore(&self, endpoints: &mut [(u32, ServerEndpoint)]) {
         for group in self.groups.iter() {
-            for (lane, id) in group.streams.iter().enumerate() {
-                let (x, p, steps) = group.batch.lane_state(lane);
-                self.endpoints
-                    .get_mut(id)
-                    .expect("grouped stream has an endpoint")
-                    .filter_mut()
-                    .restore(x, p, steps)
-                    .expect("lane shape matches its endpoint's model");
+            for (lane, &slot) in group.slots.iter().enumerate() {
+                restore_lane(&group.batch, lane, &mut endpoints[slot].1);
             }
         }
-        let mut endpoints: Vec<(u32, ServerEndpoint)> = self.endpoints.into_iter().collect();
-        endpoints.sort_by_key(|(id, _)| *id);
-        endpoints
     }
 }
 
-/// Single-threaded ingester over a [`BatchShardEngine`] — the batch twin of
-/// [`crate::SequentialIngest`], and the engine behind
-/// [`crate::IngestPipeline::start_batched`]'s per-shard workers. Same tick
-/// semantics, same [`IngestResult`] shape (one pseudo-shard).
-pub struct BatchedIngest {
-    engine: BatchShardEngine,
-    decoder: FrameDecoder,
-    ticks: u64,
-    messages: u64,
-    bytes_in: u64,
-    unknown_streams: u64,
-    busy: std::time::Duration,
-    tick_ns: Histogram,
+/// Copies one lane's state into its endpoint's own filter.
+fn restore_lane(batch: &DynFleetBatch, lane: usize, ep: &mut ServerEndpoint) {
+    let (x, p, steps) = batch.lane_state(lane);
+    ep.filter_mut()
+        .restore(x, p, steps)
+        .expect("lane shape matches its endpoint's model");
 }
+
+/// Single-threaded ingester over one batched inline `Shard` — the batch
+/// twin of [`crate::SequentialIngest`], stepping exactly what a batched
+/// [`crate::IngestPipeline`]'s workers step. Same tick semantics, same
+/// [`IngestResult`] shape (one pseudo-shard).
+pub struct BatchedIngest(Shard);
 
 impl BatchedIngest {
     /// Builds the ingester over `endpoints`, batch-grouping the eligible
-    /// ones (see [`BatchShardEngine::new`]).
+    /// ones.
     pub fn new(endpoints: Vec<(u32, ServerEndpoint)>) -> Self {
-        BatchedIngest {
-            engine: BatchShardEngine::new(endpoints),
-            decoder: FrameDecoder::new(),
-            ticks: 0,
-            messages: 0,
-            bytes_in: 0,
-            unknown_streams: 0,
-            busy: std::time::Duration::ZERO,
-            tick_ns: Histogram::new(),
-        }
+        BatchedIngest(Shard::new(0, endpoints, true, None))
     }
 
-    /// `(batched, scalar)` stream counts; see [`BatchShardEngine::coverage`].
+    /// `(batched, scalar)` stream counts.
     pub fn coverage(&self) -> (usize, usize) {
-        self.engine.coverage()
+        self.0.coverage().expect("a batched shard has lanes")
     }
 
     /// Drains one tick's batch and advances every endpoint, synchronously.
     pub fn ingest_tick(&mut self, wire: &[u8]) {
-        let span = SpanTimer::start();
-        self.bytes_in += wire.len() as u64;
-        let engine = &mut self.engine;
-        let messages = &mut self.messages;
-        let unknown = &mut self.unknown_streams;
-        self.decoder.for_each_wire_message(wire, |id, msg| {
-            if engine.enqueue_wire(id, msg) {
-                *messages += 1;
-            } else {
-                *unknown += 1;
-            }
-        });
-        engine.advance_tick();
-        self.ticks += 1;
-        self.busy += std::time::Duration::from_nanos(span.stop(&mut self.tick_ns));
+        self.0.tick(wire, |_| true);
     }
 
     /// Collects the run into the same shape as the sharded pipeline (one
     /// pseudo-shard), restoring every lane into its endpoint filter.
     pub fn finish(self) -> IngestResult {
-        let endpoints = self.engine.finish();
-        let stale_drops = endpoints
-            .iter()
-            .map(|(_, ep)| ep.delivery().stale_drops)
-            .sum();
-        IngestResult {
-            shards: vec![ShardReport {
-                shard: 0,
-                streams: endpoints.len(),
-                ticks: self.ticks,
-                messages: self.messages,
-                bytes_in: self.bytes_in,
-                decode_failures: self.decoder.decode_failures(),
-                unknown_streams: self.unknown_streams,
-                stale_drops,
-                busy_secs: self.busy.as_secs_f64(),
-                recycle_drops: 0,
-                feedback_out: 0,
-                feedback_drops: 0,
-                queue_high_water: 0,
-                tick_ns: self.tick_ns,
-            }],
-            endpoints,
-        }
+        self.0.finish(None)
     }
 }
 
@@ -439,61 +289,10 @@ mod tests {
     use super::*;
     use crate::frame::FrameBatch;
     use crate::ingest::SequentialIngest;
-    use crate::{ProtocolConfig, SessionSpec, StreamSession};
+    use crate::test_support::{filter_bits, record_log};
+    use crate::wire::WireMessage;
     use kalstream_filter::models;
     use kalstream_linalg::{Matrix, Vector};
-    use kalstream_sim::Producer;
-
-    /// `n_cv` constant-velocity sessions (batch-eligible: 2-state) followed
-    /// by `n_scalar` default scalar sessions (1-state random walk — below
-    /// the batch shape table, stays scalar), plus a recorded framed log of
-    /// deterministic per-stream sinusoid traffic.
-    fn record_log(
-        n_cv: u32,
-        n_scalar: u32,
-        ticks: usize,
-    ) -> (Vec<(u32, ServerEndpoint)>, Vec<Vec<u8>>) {
-        let mut sources = Vec::new();
-        let mut servers = Vec::new();
-        for id in 0..(n_cv + n_scalar) {
-            let config = ProtocolConfig::new(0.25).unwrap();
-            let spec = if id < n_cv {
-                SessionSpec::fixed(
-                    models::constant_velocity(1.0, 0.05, 0.1),
-                    Vector::zeros(2),
-                    1.0,
-                    config,
-                )
-                .unwrap()
-            } else {
-                SessionSpec::default_scalar(0.0, config).unwrap()
-            };
-            let StreamSession { source, server } = spec.build();
-            sources.push((id, source));
-            servers.push((id, server));
-        }
-        let mut log = Vec::with_capacity(ticks);
-        for t in 0..ticks {
-            let mut batch = FrameBatch::new();
-            for (id, source) in sources.iter_mut() {
-                let v = (t as f64 * 0.1 + *id as f64).sin() * (1.0 + *id as f64 * 0.01);
-                if let Some(payload) = source.observe(t as u64, &[v]) {
-                    batch.push_raw(*id, &payload);
-                }
-            }
-            log.push(batch.as_bytes().to_vec());
-        }
-        (servers, log)
-    }
-
-    fn filter_bits(ep: &ServerEndpoint) -> Vec<u64> {
-        let f = ep.filter();
-        f.state()
-            .iter()
-            .map(|v| v.to_bits())
-            .chain(f.covariance().as_slice().iter().map(|v| v.to_bits()))
-            .collect()
-    }
 
     fn assert_same_endpoints(a: &[(u32, ServerEndpoint)], b: &[(u32, ServerEndpoint)], what: &str) {
         assert_eq!(a.len(), b.len());
@@ -542,10 +341,10 @@ mod tests {
         .unwrap();
         kf.set_covariance_update(CovarianceUpdate::Simple);
         endpoints.push((8, ServerEndpoint::new(kf)));
-        let engine = BatchShardEngine::new(endpoints);
-        assert_eq!(engine.coverage(), (5, 4));
-        assert_eq!(engine.groups.len(), 1);
-        assert_eq!(engine.scalar_ids, vec![0, 1, 2, 8]);
+        let lanes = BatchLanes::new(&endpoints);
+        assert_eq!(lanes.coverage(), (5, 4));
+        assert_eq!(lanes.groups.len(), 1);
+        assert_eq!(lanes.scalar, vec![0, 1, 2, 8]);
     }
 
     #[test]
@@ -673,17 +472,19 @@ mod tests {
     }
 
     #[test]
-    fn unknown_stream_enqueue_reports_false() {
+    fn unknown_streams_are_counted_on_the_batch_path() {
         let (servers, _) = record_log(1, 1, 0);
-        let mut engine = BatchShardEngine::new(servers);
-        let msg = WireMessage::Sync {
-            seq: None,
-            msg: SyncMessage::Measurement {
-                z: Vector::from_slice(&[1.0]),
-            },
+        let measurement = SyncMessage::Measurement {
+            z: Vector::from_slice(&[1.0]),
         };
-        assert!(engine.enqueue_wire(0, msg.clone()));
-        assert!(!engine.enqueue_wire(99, msg));
+        let mut batch = FrameBatch::new();
+        batch.push(0, &measurement);
+        batch.push(99, &measurement); // no such stream
+        let mut batched = BatchedIngest::new(servers);
+        batched.ingest_tick(batch.as_bytes());
+        let report = &batched.finish().shards[0];
+        assert_eq!(report.messages, 1);
+        assert_eq!(report.unknown_streams, 1);
     }
 
     #[test]

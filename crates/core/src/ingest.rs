@@ -1,34 +1,45 @@
-//! Sharded multi-stream ingest: per-shard worker threads draining framed
-//! batches into server endpoints.
+//! Multi-stream ingest: one tick loop (the private `Shard`), run inline or on
+//! per-shard worker threads.
 //!
-//! The paper's server answers queries for *millions* of streams; after PR 1
-//! made a single filter tick allocation-free, the bottleneck moved to the
-//! server's ingest path, which drove one endpoint at a time from one
-//! thread. This module multiplexes it:
+//! The paper's server is one loop — apply this tick's syncs to the cached
+//! per-stream filters, then predict every stream one step. That loop exists
+//! once, in `Shard::tick`; the public ingesters differ only in *where* it
+//! runs:
 //!
 //! ```text
-//!                 ┌── bounded channel ──▶ shard 0: {id % S == 0} endpoints
-//!  tick batch ────┤── bounded channel ──▶ shard 1: {id % S == 1} endpoints
-//!  (FrameBatch)   └── bounded channel ──▶ …          each owns its map
+//!  inline shard (zero workers) — SequentialIngest, BatchedIngest
+//!
+//!  tick batch ──▶ Shard::tick: decode ▶ enqueue ▶ advance ▶ poll feedback
+//!                 on the caller's thread; no routing, no queues
+//!
+//!  worker shards — IngestPipeline
+//!
+//!                 ┌── bounded queue ──▶ worker 0: Shard::tick  {route(id) == 0}
+//!  tick batch ────┤── bounded queue ──▶ worker 1: Shard::tick  {route(id) == 1}
+//!  (router)       └── …                 each owns its endpoints
 //!                        ◀──────────── recycled buffers ─────────────
 //! ```
 //!
-//! Each worker **owns** its `stream_id → ServerEndpoint` map — no locks on
-//! the hot path, in the spirit of share-nothing per-core stream engines.
-//! Determinism falls out of three facts: the `stream_id % shards` route is
-//! stable, each shard's channel is FIFO so a stream's ticks arrive in order,
-//! and endpoints are independent so cross-endpoint interleaving cannot
-//! change any filter's arithmetic. The sharded pipeline is therefore
-//! bit-identical to [`SequentialIngest`] for any shard count — a property
-//! the proptests and `bench_ingest` both enforce.
+//! Each worker **owns** its endpoints — no locks on the hot path, in the
+//! spirit of share-nothing per-core stream engines. Determinism falls out of
+//! three facts: the [`ShardAssignment`] route is stable between barriers,
+//! each shard's queue is FIFO so a stream's ticks arrive in order, and
+//! endpoints are independent so cross-endpoint interleaving cannot change
+//! any filter's arithmetic. The sharded pipeline is therefore bit-identical
+//! to [`SequentialIngest`] for any shard count — a property the proptests
+//! and `bench_ingest` both enforce.
 //!
-//! Tick semantics match the simulator exactly: one [`IngestPipeline::ingest_tick`]
-//! call advances **every** endpoint one predict step (via
+//! Tick semantics match the simulator exactly: one `ingest_tick` call
+//! advances **every** endpoint one predict step (via
 //! [`ServerEndpoint::advance`]) after enqueueing that tick's messages, just
 //! like [`kalstream_sim::Consumer::estimate`]. [`IngestPipeline::flush`] is
-//! the barrier that makes "all ticks sent so far are applied" observable.
+//! the barrier that makes "all ticks sent so far are applied" observable;
+//! durability and elasticity are hooks that act at that barrier
+//! (`kalstream-durable`'s `Durability`, `kalstream-elastic`'s
+//! `ElasticDriver`), handed the pipeline by reference.
 
 use std::collections::HashMap;
+use std::ops::Deref;
 use std::thread::JoinHandle;
 
 use bytes::{Bytes, BytesMut};
@@ -37,7 +48,7 @@ use kalstream_sim::Consumer;
 
 use kalstream_obs::{Histogram, Instrument, Scope, SpanTimer};
 
-use crate::batch_ingest::BatchShardEngine;
+use crate::batch_ingest::BatchLanes;
 use crate::frame::{BufferPool, FrameBatch, FrameDecoder};
 use crate::server::{EndpointState, ServerEndpoint};
 
@@ -73,8 +84,7 @@ impl ShardAssignment {
     /// # Panics
     /// Panics when `shards` is 0.
     pub fn modulo(shards: usize) -> Self {
-        assert!(shards > 0, "assignment needs at least one shard");
-        ShardAssignment { shards, salt: 0 }
+        ShardAssignment::salted(shards, 0)
     }
 
     /// A salted-hash route: same shard count, different placement per salt.
@@ -106,7 +116,7 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// What one [`ResizableIngest::reassign`] did: the assignment it moved
+/// What one [`IngestPipeline::reassign`] did: the assignment it moved
 /// from/to and how long ingest was stalled at the drain barrier.
 #[derive(Debug, Clone, Copy)]
 pub struct ResizeTransition {
@@ -133,110 +143,8 @@ enum ShardJob {
     Snapshot(Sender<Vec<(u32, EndpointState)>>),
 }
 
-/// What a shard worker steps each tick: the plain per-endpoint map, or the
-/// fleet-batch dispatch engine. Both expose identical tick semantics, so
-/// the worker loop is shared — and for the same traffic both produce
-/// bit-identical endpoints (the batch engine's contract).
-pub(crate) enum ShardEngine {
-    /// One [`ServerEndpoint::advance`] per stream per tick.
-    Plain(HashMap<u32, ServerEndpoint>),
-    /// Same-model groups advanced through structure-of-arrays kernels.
-    Batched(BatchShardEngine),
-}
-
-impl ShardEngine {
-    fn len(&self) -> usize {
-        match self {
-            ShardEngine::Plain(map) => map.len(),
-            ShardEngine::Batched(engine) => engine.len(),
-        }
-    }
-
-    /// Enqueues one decoded message; `false` for unknown streams.
-    fn enqueue_wire(&mut self, stream_id: u32, msg: crate::wire::WireMessage) -> bool {
-        match self {
-            ShardEngine::Plain(map) => match map.get_mut(&stream_id) {
-                Some(ep) => {
-                    ep.enqueue_wire(msg);
-                    true
-                }
-                None => false,
-            },
-            ShardEngine::Batched(engine) => engine.enqueue_wire(stream_id, msg),
-        }
-    }
-
-    /// Advances every endpoint one tick.
-    fn advance_tick(&mut self) {
-        match self {
-            ShardEngine::Plain(map) => {
-                for ep in map.values_mut() {
-                    ep.advance();
-                }
-            }
-            ShardEngine::Batched(engine) => engine.advance_tick(),
-        }
-    }
-
-    /// Stream ids owned by this engine, ascending — the deterministic poll
-    /// order for feedback (cross-stream feedback order must not depend on
-    /// `HashMap` iteration).
-    fn sorted_ids(&self) -> Vec<u32> {
-        let mut ids: Vec<u32> = match self {
-            ShardEngine::Plain(map) => map.keys().copied().collect(),
-            ShardEngine::Batched(engine) => engine.stream_ids().collect(),
-        };
-        ids.sort_unstable();
-        ids
-    }
-
-    /// Drains one stream's due feedback (acks, then bound directives) into
-    /// `sink` — the ingest-mode twin of the session loop's
-    /// `while let Some(fb) = consumer.poll_feedback(now)`.
-    fn poll_stream_feedback(&mut self, id: u32, now: u64, sink: &mut dyn FnMut(Bytes)) {
-        let ep = match self {
-            ShardEngine::Plain(map) => map.get_mut(&id),
-            ShardEngine::Batched(engine) => engine.endpoint_mut(id),
-        };
-        if let Some(ep) = ep {
-            while let Some(payload) = ep.poll_feedback(now) {
-                sink(payload);
-            }
-        }
-    }
-
-    /// Captures every endpoint's protocol state, sorted by stream id,
-    /// without consuming the engine (batched lanes are overlaid onto their
-    /// endpoints' captured filter state — see
-    /// [`BatchShardEngine::snapshot_states`]).
-    fn snapshot_states(&self) -> Vec<(u32, EndpointState)> {
-        match self {
-            ShardEngine::Plain(map) => {
-                let mut states: Vec<(u32, EndpointState)> =
-                    map.iter().map(|(id, ep)| (*id, ep.state())).collect();
-                states.sort_by_key(|(id, _)| *id);
-                states
-            }
-            ShardEngine::Batched(engine) => engine.snapshot_states(),
-        }
-    }
-
-    /// Tears down into endpoints sorted by stream id (batched lanes are
-    /// restored into their endpoint filters first).
-    fn finish(self) -> Vec<(u32, ServerEndpoint)> {
-        match self {
-            ShardEngine::Plain(map) => {
-                let mut endpoints: Vec<(u32, ServerEndpoint)> = map.into_iter().collect();
-                endpoints.sort_by_key(|(id, _)| *id);
-                endpoints
-            }
-            ShardEngine::Batched(engine) => engine.finish(),
-        }
-    }
-}
-
-/// What one shard worker did, reported at [`IngestPipeline::finish`].
-#[derive(Debug, Clone)]
+/// What one shard did, reported at `finish`.
+#[derive(Debug, Clone, Default)]
 pub struct ShardReport {
     /// Report index within the run: the shard index for a fixed-shape run,
     /// or the worker-lifetime index (retired generations first) after
@@ -257,14 +165,15 @@ pub struct ShardReport {
     /// Sequenced syncs dropped as stale/duplicate across this shard's
     /// endpoints (the v3 delivery layer's gap/duplicate detection).
     pub stale_drops: u64,
-    /// Seconds this shard's worker spent *on CPU* (decoding + advancing
-    /// endpoints), excluding time blocked on its queue — per-thread CPU time
-    /// from `/proc/thread-self/schedstat` where the kernel exposes it (wall
-    /// clock inside jobs otherwise, which over-counts when workers are
-    /// preempted). The maximum across shards is the pipeline's critical
-    /// path: on a machine with one core per shard, wall time converges to
-    /// it, so `total_messages / max(busy_secs)` is the capacity throughput
-    /// `bench_ingest` reports next to measured wall-clock throughput.
+    /// Seconds this shard spent *on CPU* (decoding + advancing endpoints),
+    /// excluding time blocked on its queue — per-thread CPU time from
+    /// `/proc/thread-self/schedstat` where the kernel exposes it (wall clock
+    /// inside ticks otherwise, and for inline shards, which over-counts when
+    /// the thread is preempted). The maximum across shards is the pipeline's
+    /// critical path: on a machine with one core per shard, wall time
+    /// converges to it, so `total_messages / max(busy_secs)` is the capacity
+    /// throughput `bench_ingest` reports next to measured wall-clock
+    /// throughput.
     pub busy_secs: f64,
     /// Recycled-buffer hand-backs that failed because the router side of
     /// the recycle channel was already gone. Pre-fix this was a silent
@@ -273,17 +182,17 @@ pub struct ShardReport {
     pub recycle_drops: u64,
     /// Feedback payloads (acks, bound directives) polled off this shard's
     /// endpoints onto the feedback channel. Zero unless the pipeline was
-    /// started with [`IngestPipeline::start_with_feedback`].
+    /// started with a feedback sender ([`IngestPipeline::start_with`]).
     pub feedback_out: u64,
     /// Feedback payloads dropped because the feedback receiver was already
     /// gone. Like `recycle_drops`, counted rather than swallowed: during a
     /// drain, a non-zero count here is lost acks/bounds, not clean teardown.
     pub feedback_drops: u64,
     /// Deepest this shard's job queue ever got, in jobs, *including* the
-    /// one being processed. The aggregated number already existed implicitly
-    /// (QUEUE_DEPTH bounds it); exporting it per shard is what lets the
-    /// elastic controller — and a dashboard — see the imbalance a rebalance
-    /// fixes rather than just "some shard was busy".
+    /// one being processed (0 for inline shards, which have no queue).
+    /// Exported per shard so the elastic controller — and a dashboard — can
+    /// see the imbalance a rebalance fixes rather than just "some shard was
+    /// busy".
     pub queue_high_water: u64,
     /// Per-tick processing span (decode + endpoint advance) in log₂-
     /// bucketed nanoseconds. Wall-clock, so reported in snapshots but never
@@ -307,17 +216,6 @@ impl Instrument for ShardReport {
         scope.gauge("queue_high_water", self.queue_high_water as f64);
         scope.histogram("tick_ns", &self.tick_ns);
     }
-}
-
-struct ShardResult {
-    report: ShardReport,
-    endpoints: Vec<(u32, ServerEndpoint)>,
-}
-
-struct ShardHandle {
-    tx: Sender<ShardJob>,
-    ack_rx: Receiver<()>,
-    handle: JoinHandle<ShardResult>,
 }
 
 /// Aggregate outcome of an ingest run.
@@ -358,6 +256,159 @@ impl Instrument for IngestResult {
     }
 }
 
+/// One shard: a set of endpoints and the only copy of the tick loop that
+/// steps them. A worker thread owns one behind a queue; the inline
+/// ingesters ([`SequentialIngest`], [`crate::BatchedIngest`]) own one
+/// directly.
+pub(crate) struct Shard {
+    /// Sorted by stream id, so feedback poll order, snapshots and teardown
+    /// are deterministic without sorting (and never depend on `HashMap`
+    /// iteration). Membership is fixed for the shard's lifetime.
+    endpoints: Vec<(u32, ServerEndpoint)>,
+    /// Stream id → position in `endpoints`.
+    index: HashMap<u32, usize>,
+    /// Fleet-batch lanes carrying the eligible endpoints' filter arithmetic,
+    /// for a batched shard. Either way the tick semantics — and, for the
+    /// same traffic, the resulting bits — are identical.
+    lanes: Option<BatchLanes>,
+    decoder: FrameDecoder,
+    feedback: Option<Sender<(u32, Bytes)>>,
+    report: ShardReport,
+}
+
+impl Shard {
+    pub(crate) fn new(
+        shard: usize,
+        mut endpoints: Vec<(u32, ServerEndpoint)>,
+        batched: bool,
+        feedback: Option<Sender<(u32, Bytes)>>,
+    ) -> Self {
+        endpoints.sort_by_key(|(id, _)| *id);
+        let index = endpoints
+            .iter()
+            .enumerate()
+            .map(|(i, (id, _))| (*id, i))
+            .collect();
+        Shard {
+            lanes: batched.then(|| BatchLanes::new(&endpoints)),
+            report: ShardReport {
+                shard,
+                streams: endpoints.len(),
+                ..ShardReport::default()
+            },
+            endpoints,
+            index,
+            decoder: FrameDecoder::new(),
+            feedback,
+        }
+    }
+
+    /// `(batched, scalar)` stream counts; `None` for a plain shard.
+    pub(crate) fn coverage(&self) -> Option<(usize, usize)> {
+        self.lanes.as_ref().map(BatchLanes::coverage)
+    }
+
+    /// One tick: decode `buf` and enqueue its messages, hand `buf` to
+    /// `recycle`, advance every endpoint one step, then poll feedback
+    /// (acks before bounds per stream, streams in ascending id order — the
+    /// ingest-mode twin of the session loop's
+    /// `while let Some(fb) = consumer.poll_feedback(now)`).
+    ///
+    /// `recycle` runs *before* the compute phase so a worker's router can
+    /// reuse the buffer while the filters advance; it returns whether the
+    /// hand-back succeeded.
+    pub(crate) fn tick<B: Deref<Target = [u8]>>(
+        &mut self,
+        buf: B,
+        recycle: impl FnOnce(B) -> bool,
+    ) {
+        let span = SpanTimer::start();
+        let Shard {
+            endpoints,
+            index,
+            report,
+            ..
+        } = self;
+        report.bytes_in += buf.len() as u64;
+        self.decoder
+            .for_each_wire_message(&buf, |id, msg| match index.get(&id) {
+                Some(&i) => {
+                    endpoints[i].1.enqueue_wire(msg);
+                    report.messages += 1;
+                }
+                None => report.unknown_streams += 1,
+            });
+        // A failed hand-back (router gone) must be counted, not swallowed:
+        // in steady state it means the pool is leaking capacity.
+        if !recycle(buf) {
+            report.recycle_drops += 1;
+        }
+        match &mut self.lanes {
+            Some(lanes) => lanes.advance_tick(endpoints),
+            None => endpoints.iter_mut().for_each(|(_, ep)| ep.advance()),
+        }
+        if let Some(tx) = &self.feedback {
+            for (id, ep) in endpoints.iter_mut() {
+                while let Some(payload) = ep.poll_feedback(report.ticks) {
+                    // A closed receiver during drain is lost feedback —
+                    // count it, never `let _` it away.
+                    match tx.send((*id, payload)) {
+                        Ok(()) => report.feedback_out += 1,
+                        Err(_) => report.feedback_drops += 1,
+                    }
+                }
+            }
+        }
+        report.ticks += 1;
+        span.stop(&mut report.tick_ns);
+    }
+
+    /// Captures every endpoint's protocol state, sorted by stream id,
+    /// without consuming the shard. For batched streams the live
+    /// `x`/`p`/staleness sit on a fleet-batch lane, so the captured state is
+    /// the endpoint's bookkeeping overlaid with the lane's triplet — exactly
+    /// the bits [`Shard::finish`] would restore, but copied instead of moved.
+    pub(crate) fn snapshot_states(&self) -> Vec<(u32, EndpointState)> {
+        let mut states: Vec<(u32, EndpointState)> = self
+            .endpoints
+            .iter()
+            .map(|(id, ep)| (*id, ep.state()))
+            .collect();
+        if let Some(lanes) = &self.lanes {
+            lanes.overlay(&mut states);
+        }
+        states
+    }
+
+    /// Tears down into a one-shard [`IngestResult`] (batched lanes are
+    /// restored into their endpoint filters first). `cpu_secs` is the
+    /// owning worker thread's on-CPU time, when it has one and the kernel
+    /// exposes it; the summed tick spans stand in otherwise.
+    pub(crate) fn finish(mut self, cpu_secs: Option<f64>) -> IngestResult {
+        if let Some(lanes) = &self.lanes {
+            lanes.restore(&mut self.endpoints);
+        }
+        let mut report = self.report;
+        report.decode_failures = self.decoder.decode_failures();
+        report.stale_drops = self
+            .endpoints
+            .iter()
+            .map(|(_, ep)| ep.delivery().stale_drops)
+            .sum();
+        report.busy_secs = cpu_secs.unwrap_or(report.tick_ns.sum() as f64 / 1e9);
+        IngestResult {
+            shards: vec![report],
+            endpoints: self.endpoints,
+        }
+    }
+}
+
+struct ShardHandle {
+    tx: Sender<ShardJob>,
+    ack_rx: Receiver<()>,
+    handle: JoinHandle<IngestResult>,
+}
+
 /// The sharded ingest pipeline: spawns one worker thread per shard, routes
 /// framed tick batches to them, and joins them back into an [`IngestResult`].
 pub struct IngestPipeline {
@@ -379,6 +430,11 @@ pub struct IngestPipeline {
     /// sequential reference across any resize history.
     retired: Vec<ShardReport>,
     router: FrameDecoder,
+    /// Frames routed to each live shard since the last
+    /// [`IngestPipeline::take_offered`] — the elastic controller's
+    /// deterministic load signal, counted where every frame is routed
+    /// anyway.
+    offered: Vec<u64>,
     /// Buffers minted so far. Capped at [`IngestPipeline::buffer_cap`]: once
     /// the population covers every queue slot plus in-progress batches, the
     /// router *waits* for a recycled buffer instead of minting a fresh
@@ -391,97 +447,56 @@ pub struct IngestPipeline {
     /// the whole population converges within one rotation instead of
     /// stragglers paying growth reallocs arbitrarily late.
     high_water: usize,
-    /// `(batched, scalar)` stream counts, recorded at start for batched
-    /// pipelines (`None` for plain ones).
+    /// `(batched, scalar)` stream counts across the live shards (`None` for
+    /// plain pipelines).
     coverage: Option<(usize, usize)>,
 }
 
 impl IngestPipeline {
-    /// Spawns `shards` workers and distributes `endpoints` among them by
-    /// `stream_id % shards`.
+    /// Spawns `shards` plain workers and distributes `endpoints` among them
+    /// by `stream_id % shards`, without a feedback channel.
     ///
     /// # Panics
     /// Panics when `shards` is 0.
     pub fn start(shards: usize, endpoints: Vec<(u32, ServerEndpoint)>) -> Self {
-        IngestPipeline::start_with(shards, endpoints, false)
+        IngestPipeline::start_with(ShardAssignment::modulo(shards), endpoints, false, None)
     }
 
-    /// Like [`IngestPipeline::start`], but each shard steps its eligible
-    /// endpoints through the fleet-batch dispatch engine
-    /// ([`crate::BatchShardEngine`]) — bit-identical output, one
-    /// structure-of-arrays predict per same-model group per tick instead of
-    /// one filter call per stream. [`IngestPipeline::coverage`] reports how
-    /// many streams took the batch path.
+    /// The fully specified constructor.
     ///
-    /// # Panics
-    /// Panics when `shards` is 0.
-    pub fn start_batched(shards: usize, endpoints: Vec<(u32, ServerEndpoint)>) -> Self {
-        IngestPipeline::start_with(shards, endpoints, true)
-    }
-
-    /// Like [`IngestPipeline::start`]/[`IngestPipeline::start_batched`],
-    /// but each shard also polls its endpoints' feedback (acks, bound
-    /// directives) after every tick's advance and ships `(stream_id,
-    /// payload)` pairs out the returned channel — the hook a network server
-    /// uses to route acks back to source connections.
-    ///
-    /// Ordering: within one stream, feedback arrives in poll order (acks
-    /// before bounds, per [`ServerEndpoint`]'s contract); across streams of
-    /// one shard, ascending stream id per tick; across shards, unordered
-    /// (streams never span shards, so no consumer can observe it). The
-    /// channel is unbounded so a slow drain can never deadlock the flush
-    /// barrier; [`IngestPipeline::flush`] guarantees all feedback for
-    /// flushed ticks is in the channel when it returns.
-    ///
-    /// # Panics
-    /// Panics when `shards` is 0.
-    pub fn start_with_feedback(
-        shards: usize,
-        endpoints: Vec<(u32, ServerEndpoint)>,
-        batched: bool,
-    ) -> (Self, Receiver<(u32, Bytes)>) {
-        let (tx, rx) = unbounded();
-        let pipe = IngestPipeline::start_inner(
-            ShardAssignment::modulo(shards),
-            endpoints,
-            batched,
-            Some(tx),
-        );
-        (pipe, rx)
-    }
-
-    /// Spawns a pipeline in an exact [`ShardAssignment`] — shard count *and*
-    /// placement salt. This is how a restarted process re-enters the shape
-    /// an elastic run resized into: recovery hands it the assignment the
-    /// crashed run last held, and routing resumes byte-for-byte.
-    ///
-    /// # Panics
-    /// Panics when `assignment.shards` is 0.
-    pub fn start_assigned(
-        assignment: ShardAssignment,
-        endpoints: Vec<(u32, ServerEndpoint)>,
-    ) -> Self {
-        IngestPipeline::start_inner(assignment, endpoints, false, None)
-    }
-
-    fn start_with(shards: usize, endpoints: Vec<(u32, ServerEndpoint)>, batched: bool) -> Self {
-        IngestPipeline::start_inner(ShardAssignment::modulo(shards), endpoints, batched, None)
-    }
-
-    fn start_inner(
+    /// * `assignment` — shard count *and* placement salt. This is how a
+    ///   restarted process re-enters the shape an elastic run resized into:
+    ///   recovery hands it the assignment the crashed run last held, and
+    ///   routing resumes byte-for-byte.
+    /// * `batched` — each shard steps its eligible endpoints through the
+    ///   fleet-batch lanes (see [`crate::BatchedIngest`]): bit-identical
+    ///   output, one structure-of-arrays predict per same-model group per
+    ///   tick instead of one filter call per stream.
+    ///   [`IngestPipeline::coverage`] reports how many streams took the
+    ///   batch path.
+    /// * `feedback` — when set, each shard polls its endpoints' feedback
+    ///   (acks, bound directives) after every tick's advance and sends
+    ///   `(stream_id, payload)` pairs into it — the hook a network server
+    ///   uses to route acks back to source connections. The channel **must
+    ///   be unbounded**, so a slow drain can never deadlock the flush
+    ///   barrier. Ordering: within one stream, poll order (acks before
+    ///   bounds, per [`ServerEndpoint`]'s contract); across streams of one
+    ///   shard, ascending stream id per tick; across shards, unordered
+    ///   (streams never span shards, so no consumer can observe it).
+    ///   [`IngestPipeline::flush`] guarantees all feedback for flushed
+    ///   ticks is in the channel when it returns.
+    pub fn start_with(
         assignment: ShardAssignment,
         endpoints: Vec<(u32, ServerEndpoint)>,
         batched: bool,
         feedback: Option<Sender<(u32, Bytes)>>,
     ) -> Self {
-        let shards = assignment.shards;
-        assert!(shards > 0, "ingest needs at least one shard");
         let (recycle_tx, recycle_rx) = unbounded();
-        let (handles, coverage) =
+        let (shards, coverage) =
             spawn_workers(assignment, endpoints, batched, &feedback, &recycle_tx);
         IngestPipeline {
-            shards: handles,
-            batches: (0..shards).map(|_| FrameBatch::new()).collect(),
+            shards,
+            batches: (0..assignment.shards).map(|_| FrameBatch::new()).collect(),
             pool: BufferPool::new(),
             recycle_rx,
             recycle_tx,
@@ -490,15 +505,15 @@ impl IngestPipeline {
             feedback,
             retired: Vec::new(),
             router: FrameDecoder::new(),
+            offered: vec![0; assignment.shards],
             outstanding: 0,
             high_water: 0,
             coverage,
         }
     }
 
-    /// `(batched, scalar)` stream counts across shards for a pipeline
-    /// started with [`IngestPipeline::start_batched`]; `None` for the plain
-    /// pipeline.
+    /// `(batched, scalar)` stream counts across shards for a batched
+    /// pipeline; `None` for the plain pipeline.
     pub fn coverage(&self) -> Option<(usize, usize)> {
         self.coverage
     }
@@ -553,17 +568,11 @@ impl IngestPipeline {
         self.shards.iter().map(|shard| shard.tx.len()).collect()
     }
 
-    /// Changes the shard count, keeping the current salt — the controller's
-    /// grow/shrink primitive. See [`IngestPipeline::reassign`].
-    ///
-    /// # Panics
-    /// Panics when `shards` is 0 or a worker panicked.
-    pub fn resize(&mut self, shards: usize) -> ResizeTransition {
-        assert!(shards > 0, "ingest needs at least one shard");
-        self.reassign(ShardAssignment {
-            shards,
-            salt: self.assignment.salt,
-        })
+    /// Frames routed to each live shard since the previous call (or the
+    /// last [`IngestPipeline::reassign`]), resetting the counts — a pure
+    /// function of the traffic and the live assignment, no clocks.
+    pub fn take_offered(&mut self) -> Vec<u64> {
+        std::mem::replace(&mut self.offered, vec![0; self.assignment.shards])
     }
 
     /// Moves the pipeline to a new stream→shard assignment at a drain
@@ -592,23 +601,18 @@ impl IngestPipeline {
         }
         let start = std::time::Instant::now();
         let mut endpoints = Vec::new();
-        for shard in self.shards.drain(..) {
-            drop(shard.tx); // closes the queue; the worker drains, then exits
-            let result = shard.handle.join().expect("ingest shard worker panicked");
-            self.retired.push(result.report);
-            endpoints.extend(result.endpoints);
-        }
-        endpoints.sort_by_key(|(id, _)| *id);
-        let (handles, coverage) = spawn_workers(
+        self.join_workers(&mut endpoints);
+        let (shards, coverage) = spawn_workers(
             to,
             endpoints,
             self.batched,
             &self.feedback,
             &self.recycle_tx,
         );
-        self.shards = handles;
+        self.shards = shards;
         self.coverage = coverage;
         self.assignment = to;
+        self.offered = vec![0; to.shards];
         // Match the router-side batch set to the new shard count. Shrinks
         // park the spare buffers in the pool (they keep their high-water
         // capacity); grows start empty like at pipeline start.
@@ -616,13 +620,22 @@ impl IngestPipeline {
             let batch = self.batches.pop().expect("length checked above");
             self.pool.put(batch.into_buffer());
         }
-        while self.batches.len() < to.shards {
-            self.batches.push(FrameBatch::new());
-        }
+        self.batches.resize_with(to.shards, FrameBatch::new);
         ResizeTransition {
             from,
             to,
             stall: start.elapsed(),
+        }
+    }
+
+    /// Closes every live shard's queue (the worker drains, then exits),
+    /// joins it, retires its report and collects its endpoints.
+    fn join_workers(&mut self, endpoints: &mut Vec<(u32, ServerEndpoint)>) {
+        for shard in self.shards.drain(..) {
+            drop(shard.tx);
+            let result = shard.handle.join().expect("ingest shard worker panicked");
+            self.retired.extend(result.shards);
+            endpoints.extend(result.endpoints);
         }
     }
 
@@ -641,9 +654,12 @@ impl IngestPipeline {
     pub fn ingest_tick(&mut self, wire: &[u8]) {
         let shards = self.shards.len();
         let batches = &mut self.batches;
+        let offered = &mut self.offered;
         let assignment = self.assignment;
         self.router.for_each_frame(wire, |frame| {
-            batches[assignment.route(frame.stream_id)].push_raw(frame.stream_id, frame.body);
+            let shard = assignment.route(frame.stream_id);
+            offered[shard] += 1;
+            batches[shard].push_raw(frame.stream_id, frame.body);
         });
         for shard in 0..shards {
             let fresh = FrameBatch::from_buffer(self.next_buffer());
@@ -704,22 +720,14 @@ impl IngestPipeline {
     /// unique.
     pub fn finish(mut self) -> IngestResult {
         self.flush();
-        let mut reports = std::mem::take(&mut self.retired);
         let mut endpoints = Vec::new();
-        for shard in self.shards.drain(..) {
-            drop(shard.tx); // closes the channel; the worker's recv loop ends
-            let result = shard.handle.join().expect("ingest shard worker panicked");
-            reports.push(result.report);
-            endpoints.extend(result.endpoints);
-        }
-        for (i, report) in reports.iter_mut().enumerate() {
+        self.join_workers(&mut endpoints);
+        let mut shards = std::mem::take(&mut self.retired);
+        for (i, report) in shards.iter_mut().enumerate() {
             report.shard = i;
         }
         endpoints.sort_by_key(|(id, _)| *id);
-        IngestResult {
-            shards: reports,
-            endpoints,
-        }
+        IngestResult { shards, endpoints }
     }
 }
 
@@ -739,34 +747,22 @@ fn spawn_workers(
     for (id, ep) in endpoints {
         groups[assignment.route(id)].push((id, ep));
     }
-    let mut coverage = batched.then_some((0usize, 0usize));
-    let engines: Vec<ShardEngine> = groups
-        .into_iter()
-        .map(|group| {
-            if batched {
-                let engine = BatchShardEngine::new(group);
-                if let Some(c) = coverage.as_mut() {
-                    let (b, s) = engine.coverage();
-                    c.0 += b;
-                    c.1 += s;
-                }
-                ShardEngine::Batched(engine)
-            } else {
-                ShardEngine::Plain(group.into_iter().collect())
-            }
-        })
-        .collect();
-    let handles = engines
+    let mut coverage = batched.then_some((0, 0));
+    let handles = groups
         .into_iter()
         .enumerate()
-        .map(|(shard, engine)| {
+        .map(|(i, group)| {
+            let shard = Shard::new(i, group, batched, feedback.clone());
+            if let (Some(total), Some((b, s))) = (coverage.as_mut(), shard.coverage()) {
+                total.0 += b;
+                total.1 += s;
+            }
             let (tx, rx) = bounded(QUEUE_DEPTH);
             let (ack_tx, ack_rx) = bounded(1);
             let recycle = recycle_tx.clone();
-            let feedback = feedback.clone();
             let handle = std::thread::Builder::new()
-                .name(format!("ingest-shard-{shard}"))
-                .spawn(move || shard_worker(shard, rx, ack_tx, recycle, feedback, engine))
+                .name(format!("ingest-shard-{i}"))
+                .spawn(move || shard_worker(shard, rx, ack_tx, recycle))
                 .expect("failed to spawn shard worker");
             ShardHandle { tx, ack_rx, handle }
         })
@@ -784,213 +780,68 @@ fn thread_cpu_ns() -> Option<u64> {
     stat.split_whitespace().next()?.parse().ok()
 }
 
+/// A worker thread: [`Shard::tick`] behind a job queue, until the queue
+/// closes.
 fn shard_worker(
-    shard: usize,
+    mut shard: Shard,
     rx: Receiver<ShardJob>,
     ack_tx: Sender<()>,
     recycle: Sender<BytesMut>,
-    feedback: Option<Sender<(u32, Bytes)>>,
-    mut engine: ShardEngine,
-) -> ShardResult {
-    let mut decoder = FrameDecoder::new();
-    let streams = engine.len();
-    // Cached once: poll order must be deterministic and the per-tick loop
-    // allocation-free. Shard membership never changes after start.
-    let feedback_ids = feedback.as_ref().map(|_| engine.sorted_ids());
-    let mut ticks = 0u64;
-    let mut messages = 0u64;
-    let mut bytes_in = 0u64;
-    let mut unknown_streams = 0u64;
-    let mut recycle_drops = 0u64;
-    let mut feedback_out = 0u64;
-    let mut feedback_drops = 0u64;
-    let mut tick_ns = Histogram::new();
-    let mut queue_high_water = 0u64;
+) -> IngestResult {
     let cpu_start = thread_cpu_ns();
-    let mut busy = std::time::Duration::ZERO;
     while let Ok(job) = rx.recv() {
         // Depth including the job just taken: what the router saw stacked
         // against this shard when it was deepest.
-        queue_high_water = queue_high_water.max(rx.len() as u64 + 1);
+        shard.report.queue_high_water = shard.report.queue_high_water.max(rx.len() as u64 + 1);
         match job {
-            ShardJob::Tick(buf) => {
-                let span = SpanTimer::start();
-                bytes_in += buf.len() as u64;
-                decoder.for_each_wire_message(&buf, |id, msg| {
-                    if engine.enqueue_wire(id, msg) {
-                        messages += 1;
-                    } else {
-                        unknown_streams += 1;
-                    }
-                });
-                // Hand the buffer back before the compute phase so the
-                // router can reuse it while we advance filters. A failed
-                // hand-back (router gone) must be counted, not swallowed:
-                // in steady state it means the pool is leaking capacity.
-                if recycle.send(buf).is_err() {
-                    recycle_drops += 1;
-                }
-                engine.advance_tick();
-                if let (Some(tx), Some(ids)) = (&feedback, &feedback_ids) {
-                    for &id in ids {
-                        engine.poll_stream_feedback(id, ticks, &mut |payload| {
-                            // A closed receiver during drain is lost
-                            // feedback — count it, never `let _` it away.
-                            match tx.send((id, payload)) {
-                                Ok(()) => feedback_out += 1,
-                                Err(_) => feedback_drops += 1,
-                            }
-                        });
-                    }
-                }
-                ticks += 1;
-                busy += std::time::Duration::from_nanos(span.stop(&mut tick_ns));
-            }
-            ShardJob::Flush => {
-                ack_tx
-                    .send(())
-                    .expect("ingest pipeline dropped its ack receiver");
-            }
-            ShardJob::Snapshot(reply) => {
-                reply
-                    .send(engine.snapshot_states())
-                    .expect("ingest pipeline dropped its snapshot receiver");
-            }
+            ShardJob::Tick(buf) => shard.tick(buf, |buf| recycle.send(buf).is_ok()),
+            ShardJob::Flush => ack_tx
+                .send(())
+                .expect("ingest pipeline dropped its ack receiver"),
+            ShardJob::Snapshot(reply) => reply
+                .send(shard.snapshot_states())
+                .expect("ingest pipeline dropped its snapshot receiver"),
         }
     }
-    let busy_secs = match (cpu_start, thread_cpu_ns()) {
-        (Some(start), Some(end)) => (end - start) as f64 / 1e9,
-        _ => busy.as_secs_f64(),
-    };
-    let endpoints = engine.finish();
-    let stale_drops = endpoints
-        .iter()
-        .map(|(_, ep)| ep.delivery().stale_drops)
-        .sum();
-    ShardResult {
-        report: ShardReport {
-            shard,
-            streams,
-            ticks,
-            messages,
-            bytes_in,
-            decode_failures: decoder.decode_failures(),
-            unknown_streams,
-            stale_drops,
-            busy_secs,
-            recycle_drops,
-            feedback_out,
-            feedback_drops,
-            queue_high_water,
-            tick_ns,
-        },
-        endpoints,
-    }
+    let cpu_secs = cpu_start
+        .zip(thread_cpu_ns())
+        .map(|(start, end)| (end - start) as f64 / 1e9);
+    shard.finish(cpu_secs)
 }
 
-/// The single-threaded reference: identical tick semantics to
-/// [`IngestPipeline`], applied inline on the caller's thread. The sharded
-/// pipeline must match this bit for bit — `bench_ingest` exits non-zero if
+/// The single-threaded reference: one plain inline `Shard` — no threads,
+/// no routing, no queues — stepping on the caller's thread. The sharded
+/// pipeline must match this bit for bit; `bench_ingest` exits non-zero if
 /// it ever doesn't.
-pub struct SequentialIngest {
-    endpoints: Vec<(u32, ServerEndpoint)>,
-    index: HashMap<u32, usize>,
-    decoder: FrameDecoder,
-    ticks: u64,
-    messages: u64,
-    bytes_in: u64,
-    unknown_streams: u64,
-    busy: std::time::Duration,
-    tick_ns: Histogram,
-}
+pub struct SequentialIngest(Shard);
 
 impl SequentialIngest {
     /// Builds the reference ingester over `endpoints`.
-    pub fn new(mut endpoints: Vec<(u32, ServerEndpoint)>) -> Self {
-        endpoints.sort_by_key(|(id, _)| *id);
-        let index = endpoints
-            .iter()
-            .enumerate()
-            .map(|(i, (id, _))| (*id, i))
-            .collect();
-        SequentialIngest {
-            endpoints,
-            index,
-            decoder: FrameDecoder::new(),
-            ticks: 0,
-            messages: 0,
-            bytes_in: 0,
-            unknown_streams: 0,
-            busy: std::time::Duration::ZERO,
-            tick_ns: Histogram::new(),
-        }
+    pub fn new(endpoints: Vec<(u32, ServerEndpoint)>) -> Self {
+        SequentialIngest(Shard::new(0, endpoints, false, None))
     }
 
     /// Drains one tick's batch and advances every endpoint, synchronously.
     pub fn ingest_tick(&mut self, wire: &[u8]) {
-        let span = SpanTimer::start();
-        self.bytes_in += wire.len() as u64;
-        let endpoints = &mut self.endpoints;
-        let index = &self.index;
-        let messages = &mut self.messages;
-        let unknown = &mut self.unknown_streams;
-        self.decoder
-            .for_each_wire_message(wire, |id, msg| match index.get(&id) {
-                Some(&i) => {
-                    endpoints[i].1.enqueue_wire(msg);
-                    *messages += 1;
-                }
-                None => *unknown += 1,
-            });
-        for (_, ep) in self.endpoints.iter_mut() {
-            ep.advance();
-        }
-        self.ticks += 1;
-        self.busy += std::time::Duration::from_nanos(span.stop(&mut self.tick_ns));
+        self.0.tick(wire, |_| true);
     }
 
     /// Captures every endpoint's [`EndpointState`], sorted by stream id —
     /// trivially a barrier, since this ingester applies ticks inline.
     pub fn snapshot_states(&self) -> Vec<(u32, EndpointState)> {
-        self.endpoints
-            .iter()
-            .map(|(id, ep)| (*id, ep.state()))
-            .collect()
+        self.0.snapshot_states()
     }
 
     /// Collects the run into the same shape as the sharded pipeline
     /// (one pseudo-shard).
     pub fn finish(self) -> IngestResult {
-        let stale_drops = self
-            .endpoints
-            .iter()
-            .map(|(_, ep)| ep.delivery().stale_drops)
-            .sum();
-        IngestResult {
-            shards: vec![ShardReport {
-                shard: 0,
-                streams: self.endpoints.len(),
-                ticks: self.ticks,
-                messages: self.messages,
-                bytes_in: self.bytes_in,
-                decode_failures: self.decoder.decode_failures(),
-                unknown_streams: self.unknown_streams,
-                stale_drops,
-                busy_secs: self.busy.as_secs_f64(),
-                recycle_drops: 0,
-                feedback_out: 0,
-                feedback_drops: 0,
-                queue_high_water: 0,
-                tick_ns: self.tick_ns,
-            }],
-            endpoints: self.endpoints,
-        }
+        self.0.finish(None)
     }
 }
 
-/// Anything that can drain one tick's framed batch — implemented by both
-/// the sharded pipeline and the sequential reference so callers (the sim
-/// bridge, `bench_ingest`) can swap them behind one shape.
+/// Anything that can drain one tick's framed batch — implemented by the
+/// sharded pipeline and both inline ingesters so callers (the sim bridge,
+/// WAL replay, `bench_ingest`) can swap them behind one shape.
 pub trait TickIngest {
     /// Drains one tick's batch and advances every endpoint one tick.
     fn ingest_tick(&mut self, wire: &[u8]);
@@ -1005,83 +856,6 @@ impl TickIngest for IngestPipeline {
 impl TickIngest for SequentialIngest {
     fn ingest_tick(&mut self, wire: &[u8]) {
         SequentialIngest::ingest_tick(self, wire);
-    }
-}
-
-/// Anything whose endpoint fleet can be captured as plain
-/// [`EndpointState`] values at a tick boundary — the hook the durability
-/// layer snapshots through. Both ingesters implement it with identical
-/// semantics: states sorted by stream id, observing exactly the ticks
-/// ingested so far.
-pub trait SnapshotSource {
-    /// Captures every endpoint's state at the current tick boundary,
-    /// sorted by stream id. For the sharded pipeline this is also a flush
-    /// barrier.
-    fn snapshot_states(&mut self) -> Vec<(u32, EndpointState)>;
-}
-
-impl SnapshotSource for IngestPipeline {
-    fn snapshot_states(&mut self) -> Vec<(u32, EndpointState)> {
-        IngestPipeline::snapshot_states(self)
-    }
-}
-
-impl SnapshotSource for SequentialIngest {
-    fn snapshot_states(&mut self) -> Vec<(u32, EndpointState)> {
-        SequentialIngest::snapshot_states(self)
-    }
-}
-
-/// Anything whose stream→shard assignment can be changed at a tick barrier
-/// — the hook the elastic controller resizes through. Implementations must
-/// guarantee the move is invisible to filter arithmetic: after any sequence
-/// of `reassign` calls, final endpoint state is bit-identical to a run that
-/// never resized.
-pub trait ResizableIngest: TickIngest {
-    /// The live stream→shard assignment.
-    fn assignment(&self) -> ShardAssignment;
-
-    /// Quiesces at a tick barrier and moves to `to`. Returns what actually
-    /// happened — implementations that cannot resize (the sequential
-    /// reference) report an unchanged assignment.
-    fn reassign(&mut self, to: ShardAssignment) -> ResizeTransition;
-
-    /// Live per-shard job-queue depths, when the implementation has worker
-    /// queues to measure — the controller's timing-dependent pressure
-    /// signal. Empty for inline ingesters. Snapshot semantics.
-    fn queue_depths(&self) -> Vec<usize> {
-        Vec::new()
-    }
-}
-
-impl ResizableIngest for IngestPipeline {
-    fn assignment(&self) -> ShardAssignment {
-        IngestPipeline::assignment(self)
-    }
-
-    fn reassign(&mut self, to: ShardAssignment) -> ResizeTransition {
-        IngestPipeline::reassign(self, to)
-    }
-
-    fn queue_depths(&self) -> Vec<usize> {
-        IngestPipeline::queue_depths(self)
-    }
-}
-
-impl ResizableIngest for SequentialIngest {
-    fn assignment(&self) -> ShardAssignment {
-        ShardAssignment::modulo(1)
-    }
-
-    /// The sequential reference has no workers to restart; reassigning it
-    /// is a no-op that stays at one pseudo-shard.
-    fn reassign(&mut self, _to: ShardAssignment) -> ResizeTransition {
-        let unchanged = ShardAssignment::modulo(1);
-        ResizeTransition {
-            from: unchanged,
-            to: unchanged,
-            stall: std::time::Duration::ZERO,
-        }
     }
 }
 
@@ -1123,44 +897,10 @@ impl<I: TickIngest> kalstream_sim::IngestSink for FramingSink<I> {
 mod tests {
     use super::*;
     use crate::frame::FrameBatch;
+    use crate::test_support::{filter_bits, record_log};
     use crate::wire::SyncMessage;
     use crate::{ProtocolConfig, SessionSpec, StreamSession};
     use kalstream_sim::Producer;
-
-    /// Builds `n` scalar sessions and a recorded framed log of `ticks`
-    /// ticks driven by deterministic per-stream sinusoids.
-    fn record_log(n: u32, ticks: usize) -> (Vec<(u32, ServerEndpoint)>, Vec<Vec<u8>>) {
-        let mut sources = Vec::new();
-        let mut servers = Vec::new();
-        for id in 0..n {
-            let config = ProtocolConfig::new(0.25).unwrap();
-            let StreamSession { source, server } =
-                SessionSpec::default_scalar(0.0, config).unwrap().build();
-            sources.push((id, source));
-            servers.push((id, server));
-        }
-        let mut log = Vec::with_capacity(ticks);
-        for t in 0..ticks {
-            let mut batch = FrameBatch::new();
-            for (id, source) in sources.iter_mut() {
-                let v = (t as f64 * 0.1 + *id as f64).sin() * (1.0 + *id as f64 * 0.01);
-                if let Some(payload) = source.observe(t as u64, &[v]) {
-                    batch.push_raw(*id, &payload);
-                }
-            }
-            log.push(batch.as_bytes().to_vec());
-        }
-        (servers, log)
-    }
-
-    fn filter_bits(ep: &ServerEndpoint) -> Vec<u64> {
-        let f = ep.filter();
-        f.state()
-            .iter()
-            .map(|v| v.to_bits())
-            .chain(f.covariance().as_slice().iter().map(|v| v.to_bits()))
-            .collect()
-    }
 
     #[test]
     fn failed_recycle_handback_is_counted_not_swallowed() {
@@ -1173,22 +913,16 @@ mod tests {
         tx.send(ShardJob::Tick(BytesMut::new())).unwrap();
         tx.send(ShardJob::Tick(BytesMut::new())).unwrap();
         drop(tx);
-        let result = shard_worker(
-            0,
-            rx,
-            ack_tx,
-            recycle_tx,
-            None,
-            ShardEngine::Plain(HashMap::new()),
-        );
-        assert_eq!(result.report.recycle_drops, 2);
-        assert_eq!(result.report.ticks, 2);
-        assert_eq!(result.report.tick_ns.count(), 2, "every tick span recorded");
+        let shard = Shard::new(0, Vec::new(), false, None);
+        let report = &shard_worker(shard, rx, ack_tx, recycle_tx).shards[0];
+        assert_eq!(report.recycle_drops, 2);
+        assert_eq!(report.ticks, 2);
+        assert_eq!(report.tick_ns.count(), 2, "every tick span recorded");
     }
 
     #[test]
     fn sharded_matches_sequential_bit_for_bit() {
-        let (servers, log) = record_log(12, 60);
+        let (servers, log) = record_log(0, 12, 60);
         let mut seq = SequentialIngest::new(servers.clone());
         for tick in &log {
             seq.ingest_tick(tick);
@@ -1257,7 +991,12 @@ mod tests {
         assert!(seq_result.total_messages() > 0);
 
         for shards in [1, 2, 3, 5] {
-            let mut pipe = IngestPipeline::start_batched(shards, servers.clone());
+            let mut pipe = IngestPipeline::start_with(
+                ShardAssignment::modulo(shards),
+                servers.clone(),
+                true,
+                None,
+            );
             assert_eq!(pipe.coverage(), Some((12, 0)));
             for tick in &log {
                 pipe.ingest_tick(tick);
@@ -1278,7 +1017,7 @@ mod tests {
 
     #[test]
     fn plain_pipeline_reports_no_coverage() {
-        let (servers, _) = record_log(2, 0);
+        let (servers, _) = record_log(0, 2, 0);
         let pipe = IngestPipeline::start(2, servers);
         assert_eq!(pipe.coverage(), None);
         pipe.finish();
@@ -1309,7 +1048,7 @@ mod tests {
 
     #[test]
     fn resizes_at_tick_barriers_are_bit_identical_to_unresized() {
-        let (servers, log) = record_log(12, 60);
+        let (servers, log) = record_log(0, 12, 60);
         let mut seq = SequentialIngest::new(servers.clone());
         for tick in &log {
             seq.ingest_tick(tick);
@@ -1327,11 +1066,12 @@ mod tests {
                 (40, ShardAssignment::salted(2, 3)),
                 (50, ShardAssignment::modulo(1)),
             ];
-            let mut pipe = if batched {
-                IngestPipeline::start_batched(1, servers.clone())
-            } else {
-                IngestPipeline::start(1, servers.clone())
-            };
+            let mut pipe = IngestPipeline::start_with(
+                ShardAssignment::modulo(1),
+                servers.clone(),
+                batched,
+                None,
+            );
             for (t, tick) in log.iter().enumerate() {
                 if let Some((_, to)) = schedule.iter().find(|(at, _)| *at == t) {
                     let transition = pipe.reassign(*to);
@@ -1363,7 +1103,7 @@ mod tests {
 
     #[test]
     fn same_assignment_reassign_is_a_noop() {
-        let (servers, log) = record_log(4, 10);
+        let (servers, log) = record_log(0, 4, 10);
         let mut pipe = IngestPipeline::start(2, servers);
         for tick in &log {
             pipe.ingest_tick(tick);
@@ -1377,7 +1117,7 @@ mod tests {
 
     #[test]
     fn queue_depths_and_high_water_are_reported() {
-        let (servers, log) = record_log(6, 30);
+        let (servers, log) = record_log(0, 6, 30);
         let mut pipe = IngestPipeline::start(3, servers);
         assert_eq!(pipe.queue_depths().len(), 3);
         for tick in &log {
@@ -1401,7 +1141,7 @@ mod tests {
 
     #[test]
     fn flush_makes_applied_work_observable() {
-        let (servers, log) = record_log(4, 20);
+        let (servers, log) = record_log(0, 4, 20);
         let expected: u64 = {
             let mut seq = SequentialIngest::new(servers.clone());
             for tick in &log {
@@ -1425,7 +1165,7 @@ mod tests {
 
     #[test]
     fn unknown_streams_are_counted_not_fatal() {
-        let (servers, _) = record_log(2, 1);
+        let (servers, _) = record_log(0, 2, 1);
         let mut batch = FrameBatch::new();
         batch.push(
             999, // no such stream
@@ -1512,7 +1252,7 @@ mod tests {
             }
             .encode()
         };
-        let (servers, _) = record_log(6, 0);
+        let (servers, _) = record_log(0, 6, 0);
         let mut seq = SequentialIngest::new(servers.clone());
         let mut log = Vec::new();
         for t in 0..4u64 {
@@ -1530,8 +1270,13 @@ mod tests {
         let seq_result = seq.finish();
 
         for batched in [false, true] {
-            let (mut pipe, fb_rx) =
-                IngestPipeline::start_with_feedback(3, servers.clone(), batched);
+            let (fb_tx, fb_rx) = unbounded();
+            let mut pipe = IngestPipeline::start_with(
+                ShardAssignment::modulo(3),
+                servers.clone(),
+                batched,
+                Some(fb_tx),
+            );
             for tick in &log {
                 pipe.ingest_tick(tick);
             }
@@ -1563,8 +1308,10 @@ mod tests {
     #[test]
     fn dropped_feedback_receiver_is_counted_not_swallowed() {
         use crate::wire::WireMessage;
-        let (servers, _) = record_log(2, 0);
-        let (mut pipe, fb_rx) = IngestPipeline::start_with_feedback(2, servers, false);
+        let (servers, _) = record_log(0, 2, 0);
+        let (fb_tx, fb_rx) = unbounded();
+        let mut pipe =
+            IngestPipeline::start_with(ShardAssignment::modulo(2), servers, false, Some(fb_tx));
         drop(fb_rx); // consumer gone mid-drain: sheds must still be counted
         let mut batch = FrameBatch::new();
         batch.push_raw(
@@ -1587,7 +1334,7 @@ mod tests {
 
     #[test]
     fn corrupt_frames_do_not_stall_the_pipeline() {
-        let (servers, _) = record_log(2, 1);
+        let (servers, _) = record_log(0, 2, 1);
         let mut batch = FrameBatch::new();
         batch.push_raw(0, b"\xFF\xFF"); // garbage body for a real stream
         batch.push(
@@ -1637,7 +1384,7 @@ mod tests {
                 }
             }
         };
-        let (servers, _) = record_log(2, 0);
+        let (servers, _) = record_log(0, 2, 0);
         for result in [run(servers.clone(), None), run(servers, Some(2))] {
             let stale: u64 = result.shards.iter().map(|s| s.stale_drops).sum();
             assert_eq!(stale, 2, "duplicate + stale must both be dropped");

@@ -22,13 +22,13 @@
 //!   explicit byte accounting for experiment T3.
 //! * [`frame`] — the length-prefixed frame layer that batches many messages
 //!   from many streams into one pooled buffer for ingest.
-//! * [`ingest`] — the sharded ingest pipeline: per-shard worker threads each
-//!   owning a `stream_id → ServerEndpoint` map, bit-identical to sequential
-//!   apply for any shard count.
-//! * [`BatchShardEngine`] / [`BatchedIngest`] — the fleet-batch dispatch
-//!   layer: same-model streams stepped through structure-of-arrays kernels
+//! * [`ingest`] — the one ingest tick loop, run inline
+//!   ([`SequentialIngest`]) or on per-shard worker threads each owning its
+//!   endpoints ([`IngestPipeline`]), bit-identical for any shard count.
+//! * [`BatchedIngest`] — the fleet-batch dispatch layer: same-model streams
+//!   stepped through structure-of-arrays kernels
 //!   (`kalstream_filter::FleetBatch`), bit-identical to the scalar path and
-//!   pluggable into the pipeline via [`IngestPipeline::start_batched`].
+//!   selectable per pipeline via [`IngestPipeline::start_with`].
 //! * [`SourceEndpoint`] / [`ServerEndpoint`] — the two ends of the protocol,
 //!   implementing the simulator's `Producer`/`Consumer` traits.
 //! * [`StreamSession`] — constructs a matched endpoint pair from a
@@ -66,10 +66,12 @@ mod rate;
 mod server;
 mod session;
 mod source;
+#[cfg(test)]
+mod test_support;
 pub mod wire;
 
 pub use alloc::{AllocationResult, BudgetAllocator, StreamDemand};
-pub use batch_ingest::{BatchShardEngine, BatchedIngest};
+pub use batch_ingest::BatchedIngest;
 pub use config::{ProtocolConfig, ResyncPayload};
 pub use controller::FleetController;
 pub use error::CoreError;
@@ -79,8 +81,8 @@ pub use frame::{
     MAX_FRAME_BYTES,
 };
 pub use ingest::{
-    FramingSink, IngestPipeline, IngestResult, ResizableIngest, ResizeTransition, SequentialIngest,
-    ShardAssignment, ShardReport, SnapshotSource, TickIngest,
+    FramingSink, IngestPipeline, IngestResult, ResizeTransition, SequentialIngest, ShardAssignment,
+    ShardReport, TickIngest,
 };
 pub use protocol::{pin_to_measurement, AckTracker};
 pub use rate::RateEstimator;

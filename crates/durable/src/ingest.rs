@@ -1,100 +1,108 @@
-//! [`DurableIngest`]: the durability discipline wrapped around any
-//! ingester — WAL-append before apply, periodic snapshot barriers.
+//! [`Durability`]: the durability discipline as a barrier hook — WAL-append
+//! before apply, snapshots at tick barriers.
 //!
-//! Generic over [`TickIngest`] + [`SnapshotSource`], so the same wrapper
-//! drives the sequential reference, the sharded pipeline, and the batched
-//! engines identically — which is exactly what the crash-recovery
-//! proptests exploit: kill a durable *pipeline*, recover, and compare
-//! against an uncrashed *sequential* run bit for bit.
+//! The hook holds the store, never the ingester: the caller appends, applies
+//! the tick to whatever it ingests with, then reports the tick applied. The
+//! same three calls therefore drive the sequential reference and the
+//! sharded (plain or batched) pipeline identically — which is exactly what
+//! the crash-recovery proptests exploit: kill a durable *pipeline*,
+//! recover, and compare against an uncrashed *sequential* run bit for bit.
 
 use std::io;
 
-use kalstream_core::{
-    ResizableIngest, ResizeTransition, ShardAssignment, SnapshotSource, TickIngest,
-};
+use kalstream_core::{EndpointState, IngestPipeline, ResizeTransition, ShardAssignment};
 
 use crate::store::DurableStore;
 
-/// An ingester whose state survives process death. Every tick is appended
-/// to the WAL before it is applied; every `snapshot_every` ticks the
-/// fleet's state is captured at the barrier and written atomically.
-pub struct DurableIngest<I: TickIngest + SnapshotSource> {
-    inner: I,
+/// What makes an ingest run survive process death. Every tick is appended
+/// to the WAL before it is applied ([`Durability::append`]); every
+/// `snapshot_every` applied ticks the fleet's state is captured at the
+/// barrier and written atomically ([`Durability::applied`]).
+pub struct Durability {
     store: DurableStore,
     snapshot_every: u64,
     ticks_applied: u64,
 }
 
-impl<I: TickIngest + SnapshotSource> DurableIngest<I> {
-    /// Wraps a fresh ingester: writes the genesis snapshot (tick 0) so
-    /// recovery always has a barrier to start from, even before the first
-    /// cadence snapshot.
+impl Durability {
+    /// Starts the discipline over a fleet that has already applied
+    /// `ticks_applied` ticks and is in `states`: 0 for a fresh run, the
+    /// recovered tick count after a WAL replay. Writes a snapshot at that
+    /// barrier — the genesis snapshot, so recovery always has a barrier to
+    /// start from, or a compaction snapshot, so recovery work done once is
+    /// not paid again by the *next* crash.
     ///
     /// # Errors
     /// Propagates store I/O errors.
-    pub fn new(inner: I, store: DurableStore, snapshot_every: u64) -> io::Result<Self> {
-        DurableIngest::resume(inner, store, snapshot_every, 0)
-    }
-
-    /// Wraps an ingester that has already applied `ticks_applied` ticks
-    /// (a recovered one, after WAL replay). Writes a compaction snapshot
-    /// at the resume barrier — recovery work done once should not be paid
-    /// again by the *next* crash.
     ///
-    /// # Errors
-    /// Propagates store I/O errors.
-    pub fn resume(
-        mut inner: I,
+    /// # Panics
+    /// Panics when `snapshot_every` is 0.
+    pub fn start(
         mut store: DurableStore,
         snapshot_every: u64,
         ticks_applied: u64,
+        states: &[(u32, EndpointState)],
     ) -> io::Result<Self> {
         assert!(snapshot_every >= 1, "snapshot cadence must be at least 1");
-        let states = inner.snapshot_states();
-        store.write_snapshot(ticks_applied, &states)?;
-        Ok(DurableIngest {
-            inner,
+        store.write_snapshot(ticks_applied, states)?;
+        Ok(Durability {
             store,
             snapshot_every,
             ticks_applied,
         })
     }
 
-    /// Appends the tick to the WAL, applies it, and snapshots when the
-    /// cadence comes due.
+    /// Appends the next tick to the WAL. Call *before* applying it —
+    /// durability before visibility.
     ///
     /// # Errors
-    /// Propagates store I/O errors (the tick is **not** applied when the
-    /// WAL append fails — durability before visibility).
-    pub fn try_ingest_tick(&mut self, wire: &[u8]) -> io::Result<()> {
-        self.store.append_tick(self.ticks_applied, wire)?;
-        self.inner.ingest_tick(wire);
+    /// Propagates store I/O errors; the caller must then **not** apply the
+    /// tick.
+    pub fn append(&mut self, wire: &[u8]) -> io::Result<()> {
+        self.store.append_tick(self.ticks_applied, wire)
+    }
+
+    /// Records that the appended tick has been applied, and snapshots the
+    /// fleet (captured through `snapshot`) when the cadence comes due.
+    ///
+    /// # Errors
+    /// Propagates store I/O errors.
+    pub fn applied(
+        &mut self,
+        snapshot: impl FnOnce() -> Vec<(u32, EndpointState)>,
+    ) -> io::Result<()> {
         self.ticks_applied += 1;
         if self.ticks_applied.is_multiple_of(self.snapshot_every) {
-            let states = self.inner.snapshot_states();
-            self.store.write_snapshot(self.ticks_applied, &states)?;
+            self.checkpoint(&snapshot())?;
         }
         Ok(())
     }
 
-    /// Writes a snapshot at the current barrier regardless of cadence — a
-    /// clean shutdown checkpoints so the next start replays nothing.
+    /// The whole discipline for one pipeline tick: [`Durability::append`],
+    /// apply, [`Durability::applied`].
+    ///
+    /// # Errors
+    /// Propagates store I/O errors (the tick is **not** applied when the
+    /// WAL append fails).
+    pub fn ingest_tick(&mut self, pipeline: &mut IngestPipeline, wire: &[u8]) -> io::Result<()> {
+        self.append(wire)?;
+        pipeline.ingest_tick(wire);
+        self.applied(|| pipeline.snapshot_states())
+    }
+
+    /// Writes a snapshot of `states` at the current barrier regardless of
+    /// cadence — a clean shutdown checkpoints so the next start replays
+    /// nothing.
     ///
     /// # Errors
     /// Propagates store I/O errors.
-    pub fn checkpoint(&mut self) -> io::Result<()> {
-        let states = self.inner.snapshot_states();
-        self.store.write_snapshot(self.ticks_applied, &states)
+    pub fn checkpoint(&mut self, states: &[(u32, EndpointState)]) -> io::Result<()> {
+        self.store.write_snapshot(self.ticks_applied, states)
     }
 
-    /// Ticks applied through this wrapper (including any pre-resume count).
-    pub fn ticks_applied(&self) -> u64 {
-        self.ticks_applied
-    }
-
-    /// Checkpoints at the resize barrier, then moves the inner ingester to
-    /// `to` — the *shape-change checkpoint reuse* that makes elastic
-    /// resizing safe: snapshots are pipeline-shape-independent (sorted
+    /// Checkpoints at the resize barrier, then moves `pipeline` to `to` —
+    /// the *shape-change checkpoint reuse* that makes elastic resizing
+    /// safe: snapshots are pipeline-shape-independent (sorted
     /// `(stream_id, state)` pairs), so the checkpoint written here recovers
     /// into **any** shard count. A crash at any point around the resize
     /// replays from this barrier (or an earlier one) into the post-resize
@@ -102,66 +110,17 @@ impl<I: TickIngest + SnapshotSource> DurableIngest<I> {
     ///
     /// # Errors
     /// Propagates store I/O errors; on error the resize is not executed.
-    pub fn try_reassign(&mut self, to: ShardAssignment) -> io::Result<ResizeTransition>
-    where
-        I: ResizableIngest,
-    {
-        self.checkpoint()?;
-        Ok(self.inner.reassign(to))
+    pub fn reassign(
+        &mut self,
+        pipeline: &mut IngestPipeline,
+        to: ShardAssignment,
+    ) -> io::Result<ResizeTransition> {
+        self.checkpoint(&pipeline.snapshot_states())?;
+        Ok(pipeline.reassign(to))
     }
 
-    /// The wrapped store (stats, directory).
+    /// The store (stats, directory).
     pub fn store(&self) -> &DurableStore {
         &self.store
-    }
-
-    /// Unwraps into the inner ingester and the store.
-    pub fn into_parts(self) -> (I, DurableStore) {
-        (self.inner, self.store)
-    }
-
-    /// The inner ingester.
-    pub fn inner(&self) -> &I {
-        &self.inner
-    }
-
-    /// Mutable access to the inner ingester (snapshot hooks, feedback).
-    pub fn inner_mut(&mut self) -> &mut I {
-        &mut self.inner
-    }
-}
-
-impl<I: TickIngest + SnapshotSource> TickIngest for DurableIngest<I> {
-    /// [`TickIngest`] is infallible by contract; a store I/O error here is
-    /// an environment failure (disk gone), not a protocol condition, so it
-    /// panics like the pipeline does when a shard worker dies.
-    fn ingest_tick(&mut self, wire: &[u8]) {
-        self.try_ingest_tick(wire)
-            .expect("durable store append failed");
-    }
-}
-
-impl<I: TickIngest + SnapshotSource> SnapshotSource for DurableIngest<I> {
-    fn snapshot_states(&mut self) -> Vec<(u32, kalstream_core::EndpointState)> {
-        self.inner.snapshot_states()
-    }
-}
-
-impl<I: TickIngest + SnapshotSource + ResizableIngest> ResizableIngest for DurableIngest<I> {
-    fn assignment(&self) -> ShardAssignment {
-        self.inner.assignment()
-    }
-
-    /// Like [`TickIngest::ingest_tick`], infallible by contract: a store
-    /// I/O error while writing the resize-barrier checkpoint is an
-    /// environment failure and panics. Use
-    /// [`DurableIngest::try_reassign`] to handle it instead.
-    fn reassign(&mut self, to: ShardAssignment) -> ResizeTransition {
-        self.try_reassign(to)
-            .expect("durable checkpoint failed at resize barrier")
-    }
-
-    fn queue_depths(&self) -> Vec<usize> {
-        self.inner.queue_depths()
     }
 }

@@ -21,9 +21,10 @@
 //!   rotation at snapshot barriers, retention of one fallback snapshot,
 //!   and [`store::DurableStore::recover`] — newest valid snapshot plus the
 //!   contiguous intact WAL suffix.
-//! * **The wrapper** ([`ingest::DurableIngest`]): the append-before-apply
-//!   discipline around any [`kalstream_core::TickIngest`] +
-//!   [`kalstream_core::SnapshotSource`].
+//! * **The hook** ([`ingest::Durability`]): the append-before-apply
+//!   discipline as three calls around whatever applies the tick — `append`,
+//!   apply, `applied` — plus the checkpoint-before-reassign step an elastic
+//!   resize goes through. It holds the store, not the ingester.
 //!
 //! The contract, pinned by this crate's tests and the workspace
 //! `crash_recovery` proptests: kill the process after *any* tick, recover,
@@ -40,7 +41,7 @@ pub mod snapshot;
 pub mod store;
 pub mod wal;
 
-pub use ingest::DurableIngest;
+pub use ingest::Durability;
 pub use snapshot::{
     crc32, decode_snapshot, encode_snapshot, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };

@@ -5,7 +5,7 @@
 use kalstream_core::frame::FrameBatch;
 use kalstream_core::wire::{SyncMessage, WireMessage};
 use kalstream_core::{ProtocolConfig, SequentialIngest, ServerEndpoint, SessionSpec};
-use kalstream_durable::{DurableIngest, DurableStore};
+use kalstream_durable::{Durability, DurableStore};
 use kalstream_linalg::{Matrix, Vector};
 
 const STREAMS: u32 = 6;
@@ -99,17 +99,31 @@ fn tmp_dir(name: &str) -> std::path::PathBuf {
     dir
 }
 
+/// Starts the durability hook over `inner`, which has applied `at` ticks.
+fn durable_at(store: DurableStore, inner: &SequentialIngest, at: u64) -> Durability {
+    Durability::start(store, SNAPSHOT_EVERY, at, &inner.snapshot_states()).expect("start snapshot")
+}
+
+/// The append-before-apply discipline over `ticks`.
+fn run_durable(durable: &mut Durability, inner: &mut SequentialIngest, ticks: &[Vec<u8>]) {
+    for wire in ticks {
+        durable.append(wire).expect("append");
+        inner.ingest_tick(wire);
+        durable
+            .applied(|| inner.snapshot_states())
+            .expect("cadence snapshot");
+    }
+}
+
 /// Runs a durable ingester up to `kill_tick`, drops it cold (process-death
 /// stand-in: all in-memory state gone), recovers from the directory alone,
 /// finishes the run, and returns the final fleet bits.
 fn crash_recover_finish(dir: &std::path::Path, ticks: &[Vec<u8>], kill_tick: u64) -> FleetBits {
     let store = DurableStore::open(dir).expect("open store");
-    let mut durable = DurableIngest::new(SequentialIngest::new(endpoints()), store, SNAPSHOT_EVERY)
-        .expect("genesis snapshot");
-    for wire in &ticks[..kill_tick as usize] {
-        durable.try_ingest_tick(wire).expect("append + apply");
-    }
-    drop(durable); // crash: every in-memory endpoint is gone
+    let mut inner = SequentialIngest::new(endpoints());
+    let mut durable = durable_at(store, &inner, 0);
+    run_durable(&mut durable, &mut inner, &ticks[..kill_tick as usize]);
+    drop((durable, inner)); // crash: every in-memory endpoint is gone
 
     let mut store = DurableStore::open(dir).expect("reopen store");
     let rec = store
@@ -123,12 +137,8 @@ fn crash_recover_finish(dir: &std::path::Path, ticks: &[Vec<u8>], kill_tick: u64
     let mut inner = SequentialIngest::new(rec.endpoints().expect("rebuild endpoints"));
     rec.replay_into(&mut inner);
     assert_eq!(rec.next_tick(), kill_tick, "replay reaches the kill point");
-    let mut durable = DurableIngest::resume(inner, store, SNAPSHOT_EVERY, rec.next_tick())
-        .expect("compaction snapshot");
-    for wire in &ticks[kill_tick as usize..] {
-        durable.try_ingest_tick(wire).expect("append + apply");
-    }
-    let (inner, _store) = durable.into_parts();
+    let mut durable = durable_at(store, &inner, rec.next_tick());
+    run_durable(&mut durable, &mut inner, &ticks[kill_tick as usize..]);
     fleet_bits(&inner.finish().endpoints)
 }
 
@@ -157,23 +167,18 @@ fn double_crash_recovers_bit_identically() {
     let _ = std::fs::remove_dir_all(&dir);
 
     let store = DurableStore::open(&dir).expect("open");
-    let mut durable = DurableIngest::new(SequentialIngest::new(endpoints()), store, SNAPSHOT_EVERY)
-        .expect("genesis");
-    for wire in &ticks[..13] {
-        durable.try_ingest_tick(wire).expect("tick");
-    }
-    drop(durable); // first crash
+    let mut inner = SequentialIngest::new(endpoints());
+    let mut durable = durable_at(store, &inner, 0);
+    run_durable(&mut durable, &mut inner, &ticks[..13]);
+    drop((durable, inner)); // first crash
 
     let mut store = DurableStore::open(&dir).expect("reopen");
     let rec = store.recover().expect("io").expect("snapshot");
     let mut inner = SequentialIngest::new(rec.endpoints().expect("rebuild"));
     rec.replay_into(&mut inner);
-    let mut durable =
-        DurableIngest::resume(inner, store, SNAPSHOT_EVERY, rec.next_tick()).expect("resume");
-    for wire in &ticks[13..17] {
-        durable.try_ingest_tick(wire).expect("tick");
-    }
-    drop(durable); // second crash
+    let mut durable = durable_at(store, &inner, rec.next_tick());
+    run_durable(&mut durable, &mut inner, &ticks[13..17]);
+    drop((durable, inner)); // second crash
 
     let mut store = DurableStore::open(&dir).expect("reopen 2");
     let rec = store.recover().expect("io").expect("snapshot");
@@ -195,12 +200,10 @@ fn torn_wal_tail_is_discarded_and_refed_ticks_reconverge() {
     let _ = std::fs::remove_dir_all(&dir);
 
     let store = DurableStore::open(&dir).expect("open");
-    let mut durable = DurableIngest::new(SequentialIngest::new(endpoints()), store, SNAPSHOT_EVERY)
-        .expect("genesis");
-    for wire in &ticks[..13] {
-        durable.try_ingest_tick(wire).expect("tick");
-    }
-    drop(durable);
+    let mut inner = SequentialIngest::new(endpoints());
+    let mut durable = durable_at(store, &inner, 0);
+    run_durable(&mut durable, &mut inner, &ticks[..13]);
+    drop((durable, inner));
 
     // Tear the open segment's tail: chop bytes off the last record, as a
     // crash mid-write would.
@@ -222,13 +225,9 @@ fn torn_wal_tail_is_discarded_and_refed_ticks_reconverge() {
     assert_eq!(store.stats().torn_records.get(), 1);
     let mut inner = SequentialIngest::new(rec.endpoints().expect("rebuild"));
     rec.replay_into(&mut inner);
-    let mut durable =
-        DurableIngest::resume(inner, store, SNAPSHOT_EVERY, rec.next_tick()).expect("resume");
+    let mut durable = durable_at(store, &inner, rec.next_tick());
     // The client re-sends from tick 12 (ack/timeout recovery): re-feed it.
-    for wire in &ticks[12..] {
-        durable.try_ingest_tick(wire).expect("tick");
-    }
-    let (inner, _store) = durable.into_parts();
+    run_durable(&mut durable, &mut inner, &ticks[12..]);
     assert_eq!(fleet_bits(&inner.finish().endpoints), reference);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -241,12 +240,10 @@ fn corrupt_snapshot_falls_back_to_the_previous_barrier() {
     let _ = std::fs::remove_dir_all(&dir);
 
     let store = DurableStore::open(&dir).expect("open");
-    let mut durable = DurableIngest::new(SequentialIngest::new(endpoints()), store, SNAPSHOT_EVERY)
-        .expect("genesis");
-    for wire in &ticks[..12] {
-        durable.try_ingest_tick(wire).expect("tick");
-    }
-    drop(durable);
+    let mut inner = SequentialIngest::new(endpoints());
+    let mut durable = durable_at(store, &inner, 0);
+    run_durable(&mut durable, &mut inner, &ticks[..12]);
+    drop((durable, inner));
 
     // Corrupt the newest snapshot (snap at tick 10); recovery must fall
     // back to the previous one (tick 5) and replay twice as far.
@@ -288,13 +285,10 @@ fn retention_keeps_two_snapshots_and_their_wal() {
     let dir = tmp_dir("retention");
     let _ = std::fs::remove_dir_all(&dir);
     let store = DurableStore::open(&dir).expect("open");
-    let mut durable = DurableIngest::new(SequentialIngest::new(endpoints()), store, SNAPSHOT_EVERY)
-        .expect("genesis");
-    for wire in &ticks {
-        durable.try_ingest_tick(wire).expect("tick");
-    }
-    let (_, store) = durable.into_parts();
-    let names: Vec<String> = std::fs::read_dir(store.dir())
+    let mut inner = SequentialIngest::new(endpoints());
+    let mut durable = durable_at(store, &inner, 0);
+    run_durable(&mut durable, &mut inner, &ticks);
+    let names: Vec<String> = std::fs::read_dir(durable.store().dir())
         .unwrap()
         .map(|e| e.unwrap().file_name().to_str().unwrap().to_string())
         .collect();
@@ -321,15 +315,15 @@ fn sharded_pipeline_crash_recovers_into_sequential_reference() {
     for kill_tick in [1u64, 7, 13, 23] {
         let _ = std::fs::remove_dir_all(&dir);
         let store = DurableStore::open(&dir).expect("open");
-        let pipeline = IngestPipeline::start(3, endpoints());
-        let mut durable = DurableIngest::new(pipeline, store, SNAPSHOT_EVERY).expect("genesis");
+        let mut pipeline = IngestPipeline::start(3, endpoints());
+        let mut durable = Durability::start(store, SNAPSHOT_EVERY, 0, &pipeline.snapshot_states())
+            .expect("genesis");
         for wire in &ticks[..kill_tick as usize] {
-            durable.try_ingest_tick(wire).expect("tick");
+            durable.ingest_tick(&mut pipeline, wire).expect("tick");
         }
         // Crash: finish() is never called — shard threads are dropped with
         // their engines, exactly the state loss a kill -9 causes.
-        let (pipeline, _store) = durable.into_parts();
-        drop(pipeline);
+        drop((durable, pipeline));
 
         let mut store = DurableStore::open(&dir).expect("reopen");
         let rec = store.recover().expect("io").expect("snapshot");

@@ -1,21 +1,24 @@
-//! [`ElasticIngest`]: the loop closure between the controller and a
-//! resizable ingester.
+//! [`ElasticDriver`]: the loop closure between the controller and the
+//! ingest pipeline, as a barrier hook.
 //!
-//! The driver sits on the tick path. Each tick it counts the offered
-//! frames per shard (a pure function of the traffic and the live
-//! assignment — no clocks), forwards the tick, and every `sample_every`
-//! ticks hands the controller a [`LoadSample`]. Non-hold decisions are
-//! executed immediately through [`ResizableIngest::reassign`], which
-//! quiesces at the tick barrier — so a resize can only ever land *between*
-//! ticks, never inside one, and the run stays bit-identical to an
-//! unresized one.
+//! The driver is handed the pipeline by reference after each tick. Every
+//! `sample_every` ticks it takes the frames the pipeline's router offered
+//! each shard over the window (a pure function of the traffic and the live
+//! assignment — no clocks) and hands the controller a [`LoadSample`].
+//! Non-hold decisions are executed immediately through the caller's
+//! `reassign` — [`IngestPipeline::reassign`], behind a checkpoint when the
+//! run is durable — which quiesces at the tick barrier, so a resize can only
+//! ever land *between* ticks, never inside one, and the run stays
+//! bit-identical to an unresized one.
 
-use kalstream_core::{FrameDecoder, ResizableIngest, ShardAssignment, SnapshotSource, TickIngest};
+use std::io;
+
+use kalstream_core::{IngestPipeline, ResizeTransition, ShardAssignment};
 use kalstream_obs::{Instrument, Scope};
 
 use crate::controller::{ControllerConfig, Decision, ElasticController, LoadSample};
 
-/// Tuning for [`ElasticIngest`].
+/// Tuning for [`ElasticDriver`].
 #[derive(Debug, Clone)]
 pub struct ElasticConfig {
     /// The controller policy.
@@ -71,15 +74,11 @@ pub struct ResizeEvent {
     pub stall: std::time::Duration,
 }
 
-/// A resizable ingester with the controller loop closed around it.
-pub struct ElasticIngest<I: ResizableIngest> {
-    inner: I,
+/// The controller loop, closed around a pipeline it is lent after each tick.
+pub struct ElasticDriver {
     controller: ElasticController,
     sample_every: u64,
     use_queue_signal: bool,
-    decoder: FrameDecoder,
-    /// Offered frames per live shard, accumulated over the open window.
-    offered: Vec<u64>,
     window_ticks: u64,
     ticks: u64,
     /// Last salt handed out for a rebalance, so each reshuffle is new.
@@ -87,37 +86,31 @@ pub struct ElasticIngest<I: ResizableIngest> {
     events: Vec<ResizeEvent>,
 }
 
-impl<I: ResizableIngest> ElasticIngest<I> {
-    /// Closes the loop around `inner`. The controller starts believing
-    /// whatever shape `inner` is actually in.
+impl ElasticDriver {
+    /// Attaches to `pipeline`. The controller starts believing whatever
+    /// shape the pipeline is actually in, and the first observation window
+    /// opens now: load routed before the driver attached (a WAL replay) is
+    /// discarded.
     ///
     /// # Panics
-    /// Panics when `inner`'s shard count lies outside the controller's
-    /// `[min_shards, max_shards]` range.
-    pub fn new(inner: I, config: ElasticConfig) -> Self {
+    /// Panics when `config.sample_every` is 0 or the pipeline's shard count
+    /// lies outside the controller's `[min_shards, max_shards]` range.
+    pub fn new(config: ElasticConfig, pipeline: &mut IngestPipeline) -> Self {
         assert!(
             config.sample_every >= 1,
             "sample window must cover at least 1 tick"
         );
-        let assignment = inner.assignment();
-        let controller = ElasticController::new(config.controller, assignment.shards);
-        ElasticIngest {
-            inner,
-            controller,
+        let assignment = pipeline.assignment();
+        pipeline.take_offered();
+        ElasticDriver {
+            controller: ElasticController::new(config.controller, assignment.shards),
             sample_every: config.sample_every,
             use_queue_signal: config.use_queue_signal,
-            decoder: FrameDecoder::new(),
-            offered: vec![0; assignment.shards],
             window_ticks: 0,
             ticks: 0,
             salt_epoch: assignment.salt,
             events: Vec::new(),
         }
-    }
-
-    /// Ticks ingested through the driver.
-    pub fn ticks(&self) -> u64 {
-        self.ticks
     }
 
     /// The controller (stats, believed shape).
@@ -139,112 +132,70 @@ impl<I: ResizableIngest> ElasticIngest<I> {
             .fold(0.0, f64::max)
     }
 
-    /// The wrapped ingester.
-    pub fn inner(&self) -> &I {
-        &self.inner
-    }
-
-    /// Mutable access to the wrapped ingester (flush, snapshot hooks).
-    pub fn inner_mut(&mut self) -> &mut I {
-        &mut self.inner
-    }
-
-    /// Unwraps the ingester (to call its `finish`).
-    pub fn into_inner(self) -> I {
-        self.inner
-    }
-
-    /// Closes the observation window: samples the controller and executes
-    /// its decision at the current tick barrier.
-    fn sample_and_act(&mut self) {
+    /// The barrier hook: call after each `pipeline.ingest_tick`. When the
+    /// observation window closes it samples the controller and executes its
+    /// decision at this tick barrier through `reassign` — plain
+    /// `|pipeline, to| Ok(pipeline.reassign(to))`, or
+    /// `kalstream_durable::Durability::reassign` (checkpoint first) when the
+    /// run is durable.
+    ///
+    /// # Errors
+    /// Propagates `reassign`'s error (a failed resize-barrier checkpoint).
+    pub fn after_tick(
+        &mut self,
+        pipeline: &mut IngestPipeline,
+        reassign: impl FnOnce(&mut IngestPipeline, ShardAssignment) -> io::Result<ResizeTransition>,
+    ) -> io::Result<()> {
+        self.ticks += 1;
+        self.window_ticks += 1;
+        if self.window_ticks < self.sample_every {
+            return Ok(());
+        }
         let depths = if self.use_queue_signal {
-            self.inner.queue_depths()
+            pipeline.queue_depths()
         } else {
             Vec::new()
         };
         let decision = self.controller.observe(&LoadSample {
-            per_shard_offered: &self.offered,
+            per_shard_offered: &pipeline.take_offered(),
             ticks: self.window_ticks,
             queue_depths: &depths,
             busy_frac: None,
         });
-        let from = self.inner.assignment();
-        let target = match decision {
-            Decision::Hold => None,
-            Decision::Grow { to } => Some((
-                ResizeKind::Grow,
-                ShardAssignment {
-                    shards: to,
-                    salt: from.salt,
-                },
-            )),
-            Decision::Shrink { to } => Some((
-                ResizeKind::Shrink,
-                ShardAssignment {
-                    shards: to,
-                    salt: from.salt,
-                },
-            )),
+        self.window_ticks = 0;
+        let from = pipeline.assignment();
+        let (kind, to) = match decision {
+            Decision::Hold => return Ok(()),
+            Decision::Grow { to } => (ResizeKind::Grow, ShardAssignment::salted(to, from.salt)),
+            Decision::Shrink { to } => (ResizeKind::Shrink, ShardAssignment::salted(to, from.salt)),
             Decision::Rebalance => {
                 self.salt_epoch += 1;
-                Some((
-                    ResizeKind::Rebalance,
-                    ShardAssignment {
-                        shards: from.shards,
-                        salt: self.salt_epoch,
-                    },
-                ))
+                let to = ShardAssignment::salted(from.shards, self.salt_epoch);
+                (ResizeKind::Rebalance, to)
             }
         };
-        if let Some((kind, to)) = target {
-            let transition = self.inner.reassign(to);
-            // The executor has the final word (the sequential reference
-            // refuses); believe what actually happened.
-            let live = self.inner.assignment();
-            self.controller.sync_shards(live.shards);
-            self.events.push(ResizeEvent {
-                tick: self.ticks,
-                kind,
-                from: transition.from,
-                to: transition.to,
-                stall: transition.stall,
-            });
-        }
-        let live_shards = self.inner.assignment().shards;
-        self.offered.clear();
-        self.offered.resize(live_shards, 0);
-        self.window_ticks = 0;
-    }
-}
-
-impl<I: ResizableIngest> TickIngest for ElasticIngest<I> {
-    fn ingest_tick(&mut self, wire: &[u8]) {
-        let assignment = self.inner.assignment();
-        let offered = &mut self.offered;
-        self.decoder.for_each_frame(wire, |frame| {
-            offered[assignment.route(frame.stream_id)] += 1;
+        let result = reassign(pipeline, to);
+        // Believe what actually happened: a failed checkpoint leaves the
+        // pipeline in its old shape.
+        self.controller.sync_shards(pipeline.assignment().shards);
+        let transition = result?;
+        self.events.push(ResizeEvent {
+            tick: self.ticks,
+            kind,
+            from: transition.from,
+            to: transition.to,
+            stall: transition.stall,
         });
-        self.inner.ingest_tick(wire);
-        self.ticks += 1;
-        self.window_ticks += 1;
-        if self.window_ticks >= self.sample_every {
-            self.sample_and_act();
-        }
+        Ok(())
     }
 }
 
-impl<I: ResizableIngest + SnapshotSource> SnapshotSource for ElasticIngest<I> {
-    fn snapshot_states(&mut self) -> Vec<(u32, kalstream_core::EndpointState)> {
-        self.inner.snapshot_states()
-    }
-}
-
-impl<I: ResizableIngest> Instrument for ElasticIngest<I> {
+impl Instrument for ElasticDriver {
     fn export(&self, scope: &mut Scope<'_>) {
         scope.observe("controller", self.controller.stats());
         scope.counter("resizes", self.events.len() as u64);
         scope.gauge("max_stall_ms", self.max_stall_ms());
-        scope.gauge("shards", self.inner.assignment().shards as f64);
+        scope.gauge("shards", self.controller.shards() as f64);
     }
 }
 
@@ -252,8 +203,7 @@ impl<I: ResizableIngest> Instrument for ElasticIngest<I> {
 mod tests {
     use super::*;
     use kalstream_core::{
-        FrameBatch, IngestPipeline, ProtocolConfig, SequentialIngest, ServerEndpoint, SessionSpec,
-        StreamSession,
+        FrameBatch, ProtocolConfig, SequentialIngest, ServerEndpoint, SessionSpec, StreamSession,
     };
     use kalstream_sim::Producer;
 
@@ -314,6 +264,23 @@ mod tests {
         config
     }
 
+    /// A one-shard pipeline driven through `log` with the driver hooked in
+    /// after every tick.
+    fn run_elastic(
+        servers: Vec<(u32, ServerEndpoint)>,
+        log: &[Vec<u8>],
+    ) -> (IngestPipeline, ElasticDriver) {
+        let mut pipe = IngestPipeline::start(1, servers);
+        let mut elastic = ElasticDriver::new(elastic_config(), &mut pipe);
+        for tick in log {
+            pipe.ingest_tick(tick);
+            elastic
+                .after_tick(&mut pipe, |pipe, to| Ok(pipe.reassign(to)))
+                .unwrap();
+        }
+        (pipe, elastic)
+    }
+
     #[test]
     fn controller_tracks_a_load_swing_and_stays_bit_identical() {
         // Step load: quiet → all 12 streams hot → quiet again.
@@ -332,15 +299,11 @@ mod tests {
         let seq_result = seq.finish();
         assert!(seq_result.total_messages() > 0);
 
-        let mut elastic =
-            ElasticIngest::new(IngestPipeline::start(1, servers.clone()), elastic_config());
-        for tick in &log {
-            elastic.ingest_tick(tick);
-        }
-        let stats = elastic.controller().stats().clone();
+        let (pipe, elastic) = run_elastic(servers, &log);
+        let stats = elastic.controller().stats();
         assert!(stats.grows >= 1, "hot phase must grow: {stats:?}");
         assert!(stats.shrinks >= 1, "quiet tail must shrink: {stats:?}");
-        let result = elastic.into_inner().finish();
+        let result = pipe.finish();
         assert_eq!(result.total_messages(), seq_result.total_messages());
         for ((id_a, a), (id_b, b)) in result.endpoints.iter().zip(seq_result.endpoints.iter()) {
             assert_eq!(id_a, id_b);
@@ -359,18 +322,13 @@ mod tests {
         };
         let run = || {
             let (servers, log) = record_swing_log(12, 90, active);
-            let mut elastic =
-                ElasticIngest::new(IngestPipeline::start(1, servers), elastic_config());
-            for tick in &log {
-                elastic.ingest_tick(tick);
-            }
-            let events: Vec<(u64, usize, usize)> = elastic
+            let (pipe, elastic) = run_elastic(servers, &log);
+            pipe.finish();
+            elastic
                 .events()
                 .iter()
                 .map(|e| (e.tick, e.from.shards, e.to.shards))
-                .collect();
-            elastic.into_inner().finish();
-            events
+                .collect::<Vec<(u64, usize, usize)>>()
         };
         let first = run();
         assert!(!first.is_empty());
@@ -378,31 +336,15 @@ mod tests {
     }
 
     #[test]
-    fn sequential_reference_refuses_resizes_gracefully() {
-        let active = |_t: u64| -> u32 { 6 };
-        let (servers, log) = record_swing_log(6, 40, active);
-        let mut elastic = ElasticIngest::new(SequentialIngest::new(servers), elastic_config());
-        for tick in &log {
-            elastic.ingest_tick(tick);
-        }
-        // Decisions may fire, but the executor stays at one pseudo-shard
-        // and the controller's belief follows it.
-        assert_eq!(elastic.controller().shards(), 1);
-        for event in elastic.events() {
-            assert_eq!(event.from.shards, event.to.shards);
-        }
-    }
-
-    #[test]
     fn obs_export_names_are_stable() {
         let (servers, _) = record_swing_log(2, 0, |_| 0);
-        let elastic = ElasticIngest::new(IngestPipeline::start(1, servers), elastic_config());
+        let (pipe, elastic) = run_elastic(servers, &[]);
         let mut registry = kalstream_obs::Registry::new();
         registry.observe("elastic", &elastic);
         let snap = registry.snapshot();
         assert!(snap.counter("elastic.controller.grows").is_some());
         assert!(snap.counter("elastic.resizes").is_some());
         assert!(snap.gauge("elastic.shards").is_some());
-        elastic.into_inner().finish();
+        pipe.finish();
     }
 }

@@ -12,11 +12,13 @@
 //!   [`Decision`]s: grow, shrink, rebalance, or hold. A target-utilization
 //!   band with hysteresis (consecutive-sample runs) and a post-action
 //!   cooldown keeps it from thrashing under sawtooth load.
-//! * [`ElasticIngest`] — the driver that closes the loop around any
-//!   [`kalstream_core::ResizableIngest`]: it counts each tick's offered
-//!   frames per shard, samples the controller on a cadence, and executes
-//!   its decisions through `reassign` — which quiesces at a tick barrier,
-//!   so every resize is provably invisible to filter arithmetic.
+//! * [`ElasticDriver`] — the barrier hook that closes the loop: lent the
+//!   [`kalstream_core::IngestPipeline`] after each tick, it reads the
+//!   frames the pipeline's router offered each shard, samples the
+//!   controller on a cadence, and executes its decisions through
+//!   the caller's `reassign` (behind a `kalstream_durable::Durability`
+//!   checkpoint when the run is durable) — which quiesces at a tick barrier, so every
+//!   resize is provably invisible to filter arithmetic.
 //!
 //! Determinism: decisions driven purely by offered load are a function of
 //! the traffic, so experiment canaries can gate exact decision counts.
@@ -30,4 +32,4 @@ mod controller;
 mod driver;
 
 pub use controller::{ControllerConfig, ControllerStats, Decision, ElasticController, LoadSample};
-pub use driver::{ElasticConfig, ElasticIngest, ResizeEvent, ResizeKind};
+pub use driver::{ElasticConfig, ElasticDriver, ResizeEvent, ResizeKind};

@@ -42,11 +42,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
+use crossbeam::channel::Receiver;
 use kalstream_core::{
-    IngestPipeline, IngestResult, ResizableIngest, ServerEndpoint, StreamDecoder, TickIngest,
+    IngestPipeline, IngestResult, ServerEndpoint, ShardAssignment, StreamDecoder,
 };
-use kalstream_durable::{DurableConfig, DurableIngest, DurableStats, DurableStore};
-use kalstream_elastic::{ElasticConfig, ElasticIngest, ResizeKind};
+use kalstream_durable::{Durability, DurableConfig, DurableStats, DurableStore};
+use kalstream_elastic::{ElasticConfig, ElasticDriver, ResizeKind};
 use kalstream_obs::{Instrument, Registry, Scope, Snapshot};
 use tokio::net::{OwnedWriteHalf, TcpListener, TcpStream};
 use tokio::runtime::Builder;
@@ -99,9 +100,9 @@ pub struct NetServerConfig {
     /// mid-flight. With `durable` set, the next start on the same
     /// directory must recover everything the aborted run applied.
     pub crash_after_ticks: Option<u64>,
-    /// Elasticity: when set, the ingest pipeline is wrapped in the
-    /// closed-loop [`ElasticIngest`] controller, which grows/shrinks the
-    /// shard fleet from observed load. Resizes execute on the router's
+    /// Elasticity: when set, the closed-loop [`ElasticDriver`] is hooked in
+    /// after every tick and grows/shrinks the shard fleet from observed
+    /// load. Resizes execute on the router's
     /// thread between global ticks — readers, writers, and their sockets
     /// are untouched, so no connection ever drops across a resize. `shards`
     /// becomes the *initial* count and must lie inside the controller's
@@ -303,11 +304,33 @@ pub struct NetServer {
 
 impl NetServer {
     /// Binds `127.0.0.1:0` (or `addr`) and starts serving `endpoints`.
+    ///
+    /// # Errors
+    /// `InvalidInput` for a configuration the ingest engine would reject
+    /// (zero shards, a zero snapshot cadence, an initial shard count outside
+    /// the elastic controller's range) — before anything is bound; bind and
+    /// runtime errors otherwise.
     pub fn start(
         addr: &str,
         endpoints: Vec<(u32, ServerEndpoint)>,
         config: NetServerConfig,
     ) -> io::Result<NetServer> {
+        let invalid = |what: &str| Err(io::Error::new(io::ErrorKind::InvalidInput, what));
+        if config.shards == 0 {
+            return invalid("shards must be at least 1");
+        }
+        if config
+            .durable
+            .as_ref()
+            .is_some_and(|d| d.snapshot_every == 0)
+        {
+            return invalid("durable.snapshot_every must be at least 1");
+        }
+        if config.elastic.as_ref().is_some_and(|e| {
+            !(e.controller.min_shards..=e.controller.max_shards).contains(&config.shards)
+        }) {
+            return invalid("shards lies outside elastic [min_shards, max_shards]");
+        }
         let rt = Builder::new_multi_thread().enable_all().build()?;
         let listener = rt.block_on(TcpListener::bind(addr))?;
         let local = listener.local_addr()?;
@@ -335,85 +358,133 @@ impl NetServer {
     }
 }
 
-/// The router's ingest seam: a plain pipeline, optionally wrapped in the
-/// durability discipline (WAL-append before apply, cadence snapshots),
-/// optionally with the elastic controller loop closed around either.
-enum Ingester {
-    Plain(IngestPipeline),
-    Durable(DurableIngest<IngestPipeline>),
-    Elastic(ElasticIngest<IngestPipeline>),
-    ElasticDurable(ElasticIngest<DurableIngest<IngestPipeline>>),
+/// The router's ingest engine: the pipeline plus whichever barrier hooks
+/// the server was configured with. The hooks hold no ingester — each tick
+/// lends them the pipeline.
+struct Engine {
+    pipeline: IngestPipeline,
+    /// WAL-append before apply, cadence snapshots after.
+    durable: Option<Durability>,
+    /// Controller loop, run at the barrier after each tick.
+    elastic: Option<ElasticDriver>,
+    feedback: Receiver<(u32, Bytes)>,
+    /// First tick the recovered state has *not* applied (0 when nothing was
+    /// recovered).
+    resume_at: u64,
+    replayed_ticks: u64,
+    replay_feedback_discarded: u64,
 }
 
-/// Snapshots the controller-loop counters before the driver is unwrapped.
-fn elastic_stats<I: ResizableIngest>(elastic: &ElasticIngest<I>) -> ElasticNetStats {
-    let count =
-        |kind: ResizeKind| elastic.events().iter().filter(|e| e.kind == kind).count() as u64;
-    ElasticNetStats {
-        resizes: elastic.events().len() as u64,
-        grows: count(ResizeKind::Grow),
-        shrinks: count(ResizeKind::Shrink),
-        rebalances: count(ResizeKind::Rebalance),
-        final_shards: elastic.inner().assignment().shards,
-        max_stall_ms: elastic.max_stall_ms(),
+impl Engine {
+    /// Builds the pipeline and attaches the configured hooks. A durable
+    /// server first rebuilds the fleet from its newest valid snapshot and
+    /// re-applies the intact WAL suffix through the *same* pipeline
+    /// configuration the crashed run started with — bit-identical state,
+    /// then a compaction snapshot so this recovery is never paid twice.
+    fn start(endpoints: Vec<(u32, ServerEndpoint)>, config: &NetServerConfig) -> io::Result<Self> {
+        let (store, recovery) = match &config.durable {
+            Some(durable) => {
+                let mut store = DurableStore::open(&durable.dir)?;
+                let recovery = store.recover()?;
+                (Some((store, durable.snapshot_every)), recovery)
+            }
+            None => (None, None),
+        };
+        let (initial, resume_at) = match &recovery {
+            Some(rec) => {
+                let rebuilt = rec.endpoints().map_err(|err| {
+                    io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("recovered snapshot rejected by filter: {err}"),
+                    )
+                })?;
+                (rebuilt, rec.next_tick())
+            }
+            None => (endpoints, 0),
+        };
+        let (feedback_tx, feedback) = crossbeam::channel::unbounded();
+        let mut pipeline = IngestPipeline::start_with(
+            ShardAssignment::modulo(config.shards),
+            initial,
+            config.batched,
+            Some(feedback_tx),
+        );
+        let mut replay_feedback_discarded = 0;
+        if let Some(rec) = &recovery {
+            rec.replay_into(&mut pipeline);
+            pipeline.flush();
+            // Feedback from replayed ticks already reached its clients
+            // before the crash: discard, but never silently.
+            while feedback.try_recv().is_ok() {
+                replay_feedback_discarded += 1;
+            }
+        }
+        let durable = match store {
+            Some((store, snapshot_every)) => Some(Durability::start(
+                store,
+                snapshot_every,
+                resume_at,
+                &pipeline.snapshot_states(),
+            )?),
+            None => None,
+        };
+        let elastic = config
+            .elastic
+            .clone()
+            .map(|elastic| ElasticDriver::new(elastic, &mut pipeline));
+        Ok(Engine {
+            pipeline,
+            durable,
+            elastic,
+            feedback,
+            resume_at,
+            replayed_ticks: recovery.map_or(0, |rec| rec.wal.len() as u64),
+            replay_feedback_discarded,
+        })
     }
-}
 
-impl Ingester {
-    /// The elastic variants go through the infallible [`TickIngest`] path:
-    /// a store I/O error at a WAL append or a resize-barrier checkpoint
-    /// panics the router thread (environment failure), matching the
-    /// pipeline's own worker-death behavior.
+    /// One tick through the hooks: WAL-append, apply, cadence snapshot,
+    /// then the elastic barrier. A store I/O error is returned, never
+    /// panicked on; after a failed append the tick is **not** applied.
     fn ingest_tick(&mut self, wire: &[u8]) -> io::Result<()> {
-        match self {
-            Ingester::Plain(pipeline) => {
-                pipeline.ingest_tick(wire);
-                Ok(())
-            }
-            Ingester::Durable(durable) => durable.try_ingest_tick(wire),
-            Ingester::Elastic(elastic) => {
-                elastic.ingest_tick(wire);
-                Ok(())
-            }
-            Ingester::ElasticDurable(elastic) => {
-                elastic.ingest_tick(wire);
-                Ok(())
-            }
+        match &mut self.durable {
+            Some(durable) => durable.ingest_tick(&mut self.pipeline, wire)?,
+            None => self.pipeline.ingest_tick(wire),
         }
-    }
-
-    fn flush(&mut self) {
-        match self {
-            Ingester::Plain(pipeline) => pipeline.flush(),
-            Ingester::Durable(durable) => durable.inner_mut().flush(),
-            Ingester::Elastic(elastic) => elastic.inner_mut().flush(),
-            Ingester::ElasticDurable(elastic) => elastic.inner_mut().inner_mut().flush(),
+        if let Some(elastic) = &mut self.elastic {
+            let durable = &mut self.durable;
+            elastic.after_tick(&mut self.pipeline, |pipeline, to| match durable {
+                Some(durable) => durable.reassign(pipeline, to),
+                None => Ok(pipeline.reassign(to)),
+            })?;
         }
+        Ok(())
     }
 
     /// Clean teardown: a durable server checkpoints at the final barrier
     /// (so the next start replays nothing), an elastic one reports its
-    /// controller counters, then every variant finishes the pipeline.
-    fn finish(self) -> io::Result<(IngestResult, Option<DurableStats>, Option<ElasticNetStats>)> {
-        match self {
-            Ingester::Plain(pipeline) => Ok((pipeline.finish(), None, None)),
-            Ingester::Durable(mut durable) => {
-                durable.checkpoint()?;
-                let (pipeline, store) = durable.into_parts();
-                Ok((pipeline.finish(), Some(store.stats().clone()), None))
+    /// controller counters, then the pipeline finishes.
+    fn finish(
+        mut self,
+    ) -> io::Result<(IngestResult, Option<DurableStats>, Option<ElasticNetStats>)> {
+        let elastic = self.elastic.map(|elastic| {
+            let count = |kind: ResizeKind| {
+                elastic.events().iter().filter(|e| e.kind == kind).count() as u64
+            };
+            ElasticNetStats {
+                resizes: elastic.events().len() as u64,
+                grows: count(ResizeKind::Grow),
+                shrinks: count(ResizeKind::Shrink),
+                rebalances: count(ResizeKind::Rebalance),
+                final_shards: self.pipeline.shards(),
+                max_stall_ms: elastic.max_stall_ms(),
             }
-            Ingester::Elastic(elastic) => {
-                let stats = elastic_stats(&elastic);
-                Ok((elastic.into_inner().finish(), None, Some(stats)))
-            }
-            Ingester::ElasticDurable(elastic) => {
-                let stats = elastic_stats(&elastic);
-                let mut durable = elastic.into_inner();
-                durable.checkpoint()?;
-                let (pipeline, store) = durable.into_parts();
-                Ok((pipeline.finish(), Some(store.stats().clone()), Some(stats)))
-            }
+        });
+        if let Some(durable) = &mut self.durable {
+            durable.checkpoint(&self.pipeline.snapshot_states())?;
         }
+        let durable = self.durable.map(|durable| durable.store().stats().clone());
+        Ok((self.pipeline.finish(), durable, elastic))
     }
 }
 
@@ -428,68 +499,11 @@ async fn serve(
     let dropped_router_msgs = Arc::new(AtomicU64::new(0));
     let shutdown_errors = Arc::new(AtomicU64::new(0));
 
-    // ---- recovery (before any connection is admitted) -------------------
-    // A durable server rebuilds the fleet from its newest valid snapshot
-    // and re-applies the intact WAL suffix through the *same* pipeline
-    // configuration the crashed run used — bit-identical state, then a
-    // compaction snapshot so this recovery is never paid twice.
-    let mut replayed_ticks = 0u64;
-    let mut replay_feedback_discarded = 0u64;
-    let mut status = HelloStatus::Ready;
-    let (mut ingester, fb_rx) = match &config.durable {
-        Some(durable_config) => {
-            let mut store = DurableStore::open(&durable_config.dir)?;
-            let recovery = store.recover()?;
-            let (initial, resume_at) = match &recovery {
-                Some(rec) => {
-                    let rebuilt = rec.endpoints().map_err(|err| {
-                        io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("recovered snapshot rejected by filter: {err}"),
-                        )
-                    })?;
-                    (rebuilt, rec.next_tick())
-                }
-                None => (endpoints, 0),
-            };
-            let (mut pipeline, fb_rx) =
-                IngestPipeline::start_with_feedback(config.shards, initial, config.batched);
-            if let Some(rec) = &recovery {
-                rec.replay_into(&mut pipeline);
-                pipeline.flush();
-                // Feedback from replayed ticks already reached its clients
-                // before the crash: discard, but never silently.
-                while fb_rx.try_recv().is_ok() {
-                    replay_feedback_discarded += 1;
-                }
-                replayed_ticks = rec.wal.len() as u64;
-                if resume_at > 0 {
-                    status = HelloStatus::Recovering {
-                        next_tick: resume_at,
-                    };
-                }
-            }
-            let durable =
-                DurableIngest::resume(pipeline, store, durable_config.snapshot_every, resume_at)?;
-            let ingester = match &config.elastic {
-                Some(elastic_config) => {
-                    Ingester::ElasticDurable(ElasticIngest::new(durable, elastic_config.clone()))
-                }
-                None => Ingester::Durable(durable),
-            };
-            (ingester, fb_rx)
-        }
-        None => {
-            let (pipeline, fb_rx) =
-                IngestPipeline::start_with_feedback(config.shards, endpoints, config.batched);
-            let ingester = match &config.elastic {
-                Some(elastic_config) => {
-                    Ingester::Elastic(ElasticIngest::new(pipeline, elastic_config.clone()))
-                }
-                None => Ingester::Plain(pipeline),
-            };
-            (ingester, fb_rx)
-        }
+    // Recovery happens in here, before any connection is admitted.
+    let mut engine = Engine::start(endpoints, &config)?;
+    let status = match engine.resume_at {
+        0 => HelloStatus::Ready,
+        next_tick => HelloStatus::Recovering { next_tick },
     };
     // Status reply appended to each admitted connection's (empty) writer
     // queue — only when durability is on; volatile clients don't expect it.
@@ -583,12 +597,12 @@ async fn serve(
                     state.ticks += 1;
                 }
             }
-            ingester.ingest_tick(&tick_wire)?;
+            engine.ingest_tick(&tick_wire)?;
             if config.lockstep {
                 // Applied-before-acknowledged: flush, route *all* feedback
                 // for this tick, then send every live conn its marker.
-                ingester.flush();
-                route_feedback(&mut conns, &route, &fb_rx);
+                engine.pipeline.flush();
+                route_feedback(&mut conns, &route, &engine.feedback);
                 for state in conns.iter_mut() {
                     let Some(writer) = &state.writer else {
                         continue;
@@ -603,12 +617,12 @@ async fn serve(
                     }
                 }
             } else {
-                route_feedback(&mut conns, &route, &fb_rx);
+                route_feedback(&mut conns, &route, &engine.feedback);
             }
             ticks += 1;
             if config.crash_after_ticks == Some(ticks) {
                 // Injected crash: abort with no drain, no checkpoint —
-                // `ingester` drops mid-flight exactly as a killed process
+                // `engine` drops mid-flight exactly as a killed process
                 // would lose it. The WAL already holds this tick (appended
                 // before apply), which is what recovery tests rely on.
                 return Err(io::Error::new(
@@ -678,8 +692,8 @@ async fn serve(
     }
 
     // ---- drain ----------------------------------------------------------
-    ingester.flush();
-    route_feedback(&mut conns, &route, &fb_rx);
+    engine.pipeline.flush();
+    route_feedback(&mut conns, &route, &engine.feedback);
     // Dropping each writer sender closes its queue; the writer task
     // drains remaining payloads, flushes, and shuts the socket down.
     for state in conns.iter_mut() {
@@ -691,9 +705,11 @@ async fn serve(
     let _ = accept_task.await;
     // Late feedback (none expected after the final flush, but a shard
     // worker could still be mid-poll): count as shed, never drop silently.
-    route_feedback(&mut conns, &route, &fb_rx);
+    route_feedback(&mut conns, &route, &engine.feedback);
 
-    let (ingest, durable, elastic) = ingester.finish()?;
+    let (replayed_ticks, replay_feedback_discarded) =
+        (engine.replayed_ticks, engine.replay_feedback_discarded);
+    let (ingest, durable, elastic) = engine.finish()?;
     let conn_reports = conns
         .iter()
         .enumerate()
@@ -836,5 +852,94 @@ async fn writer_task(
     }
     if write.shutdown().await.is_err() {
         shutdown_errors.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::workload;
+    use kalstream_core::wire::SyncMessage;
+    use kalstream_core::FrameBatch;
+    use kalstream_elastic::ControllerConfig;
+
+    fn tmp_dir(tag: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("kalstream-server-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn invalid_configs_are_rejected_before_binding() {
+        let cases = [
+            (
+                "zero shards",
+                NetServerConfig {
+                    shards: 0,
+                    ..NetServerConfig::default()
+                },
+            ),
+            (
+                "zero snapshot cadence",
+                NetServerConfig {
+                    durable: Some(DurableConfig {
+                        dir: tmp_dir("invalid"),
+                        snapshot_every: 0,
+                    }),
+                    ..NetServerConfig::default()
+                },
+            ),
+            (
+                "shards above the elastic range",
+                NetServerConfig {
+                    shards: 5,
+                    elastic: Some(ElasticConfig::new(ControllerConfig::new(1, 4, 1.0), 5)),
+                    ..NetServerConfig::default()
+                },
+            ),
+        ];
+        for (what, config) in cases {
+            let err = NetServer::start("127.0.0.1:0", workload::server_endpoints(2), config)
+                .err()
+                .unwrap_or_else(|| panic!("{what}: accepted"));
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{what}");
+        }
+    }
+
+    /// A store that stops accepting snapshots (its directory is gone; the
+    /// already-open WAL segment still takes appends) must surface as `Err`
+    /// from the tick that needed the snapshot — at the cadence barrier
+    /// without the elastic hook, at the first resize-barrier checkpoint
+    /// with it.
+    #[test]
+    fn store_failure_is_an_error_not_a_panic() {
+        let mut hot = FrameBatch::new();
+        for id in 0..4 {
+            let z = kalstream_linalg::Vector::from_slice(&[1.0]);
+            hot.push(id, &SyncMessage::Measurement { z });
+        }
+        // Four frames a tick against capacity 1: grows at the first sample.
+        let mut controller = ControllerConfig::new(1, 4, 1.0);
+        controller.grow_after = 1;
+        for (snapshot_every, elastic) in
+            [(2, None), (1000, Some(ElasticConfig::new(controller, 2)))]
+        {
+            let dir = tmp_dir("store-failure");
+            let config = NetServerConfig {
+                durable: Some(DurableConfig {
+                    dir: dir.clone(),
+                    snapshot_every,
+                }),
+                elastic,
+                ..NetServerConfig::default()
+            };
+            let mut engine = Engine::start(workload::server_endpoints(4), &config).unwrap();
+            engine.ingest_tick(hot.as_bytes()).expect("WAL append");
+            std::fs::remove_dir_all(&dir).unwrap();
+            let err = engine.ingest_tick(hot.as_bytes()).expect_err("snapshot");
+            assert_eq!(err.kind(), io::ErrorKind::NotFound);
+            assert_eq!(engine.pipeline.shards(), 1, "failed resize not executed");
+        }
     }
 }

@@ -20,9 +20,9 @@ use std::net::TcpStream;
 use bytes::Bytes;
 use kalstream::core::frame::FrameBatch;
 use kalstream::core::{
-    IngestPipeline, ProtocolConfig, SequentialIngest, ServerEndpoint, SessionSpec,
+    IngestPipeline, ProtocolConfig, SequentialIngest, ServerEndpoint, SessionSpec, ShardAssignment,
 };
-use kalstream::durable::{DurableConfig, DurableIngest, DurableStore};
+use kalstream::durable::{Durability, DurableConfig, DurableStore};
 use kalstream::net::codec::{decode_status, encode_hello, push_marker, STATUS_BYTES};
 use kalstream::net::{workload, HelloStatus, NetServer, NetServerConfig};
 use kalstream::sim::{
@@ -86,11 +86,7 @@ fn pipeline_for(
     batched: bool,
     endpoints: Vec<(u32, ServerEndpoint)>,
 ) -> IngestPipeline {
-    if batched {
-        IngestPipeline::start_batched(shards, endpoints)
-    } else {
-        IngestPipeline::start(shards, endpoints)
-    }
+    IngestPipeline::start_with(ShardAssignment::modulo(shards), endpoints, batched, None)
 }
 
 proptest! {
@@ -123,12 +119,13 @@ proptest! {
         // no finish, no final snapshot).
         let dir = tempdir("kill_arbitrary");
         let store = DurableStore::open(&dir).unwrap();
-        let pipeline = pipeline_for(shards, batched, workload::server_endpoints(streams));
-        let mut durable = DurableIngest::new(pipeline, store, snapshot_every).unwrap();
+        let mut pipeline = pipeline_for(shards, batched, workload::server_endpoints(streams));
+        let mut durable =
+            Durability::start(store, snapshot_every, 0, &pipeline.snapshot_states()).unwrap();
         for wire in &traffic[..kill as usize] {
-            durable.try_ingest_tick(wire).unwrap();
+            durable.ingest_tick(&mut pipeline, wire).unwrap();
         }
-        drop(durable);
+        drop((durable, pipeline));
 
         // Recover — into a different shard count than the run that died.
         let mut store = DurableStore::open(&dir).unwrap();
@@ -136,11 +133,11 @@ proptest! {
         prop_assert_eq!(recovery.next_tick(), kill);
         let mut recovered = pipeline_for(recover_shards, batched, recovery.endpoints().unwrap());
         recovery.replay_into(&mut recovered);
-        let mut resumed = DurableIngest::resume(recovered, store, snapshot_every, kill).unwrap();
+        let mut resumed =
+            Durability::start(store, snapshot_every, kill, &recovered.snapshot_states()).unwrap();
         for wire in &traffic[kill as usize..] {
-            resumed.try_ingest_tick(wire).unwrap();
+            resumed.ingest_tick(&mut recovered, wire).unwrap();
         }
-        let (recovered, _) = resumed.into_parts();
         prop_assert_eq!(fleet_bits(&recovered.finish()), want);
         let _ = std::fs::remove_dir_all(&dir);
     }

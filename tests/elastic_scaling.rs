@@ -8,10 +8,10 @@ use bytes::Bytes;
 use kalstream::core::frame::FrameBatch;
 use kalstream::core::{
     IngestPipeline, ProtocolConfig, SequentialIngest, ServerEndpoint, SessionSpec, ShardAssignment,
-    StreamSession, TickIngest,
+    StreamSession,
 };
-use kalstream::durable::{DurableIngest, DurableStore};
-use kalstream::elastic::{ControllerConfig, ElasticConfig, ElasticIngest, ResizeKind};
+use kalstream::durable::{Durability, DurableStore};
+use kalstream::elastic::{ControllerConfig, ElasticConfig, ElasticDriver, ResizeKind};
 use kalstream::net::workload;
 use kalstream::sim::{run_fleet_ingest, IngestSink};
 
@@ -115,6 +115,24 @@ fn elastic_config(min: usize, max: usize) -> ElasticConfig {
     config
 }
 
+/// A `shards`-shard pipeline driven through `log` with the `[1, 4]`
+/// controller hooked in after every tick.
+fn run_elastic(
+    shards: usize,
+    servers: Vec<(u32, ServerEndpoint)>,
+    log: &[Vec<u8>],
+) -> (IngestPipeline, ElasticDriver) {
+    let mut pipeline = IngestPipeline::start(shards, servers);
+    let mut elastic = ElasticDriver::new(elastic_config(1, 4), &mut pipeline);
+    for tick in log {
+        pipeline.ingest_tick(tick);
+        elastic
+            .after_tick(&mut pipeline, |pipeline, to| Ok(pipeline.reassign(to)))
+            .unwrap();
+    }
+    (pipeline, elastic)
+}
+
 /// A resize issued with ticks still queued to the shard workers (no flush)
 /// must wait at the drain barrier: every in-flight tick is applied before
 /// the old workers exit, none is dropped, and the final state is
@@ -160,10 +178,7 @@ fn controller_shrinks_to_the_single_shard_floor_on_quiet_load() {
     let (servers, log) = record_swing_log(8, 80, active);
     let want = sequential_bits(servers.clone(), &log);
 
-    let mut elastic = ElasticIngest::new(IngestPipeline::start(4, servers), elastic_config(1, 4));
-    for tick in &log {
-        elastic.ingest_tick(tick);
-    }
+    let (pipeline, elastic) = run_elastic(4, servers, &log);
     assert!(
         elastic
             .events()
@@ -172,9 +187,9 @@ fn controller_shrinks_to_the_single_shard_floor_on_quiet_load() {
         "quiet load must shrink: {:?}",
         elastic.events()
     );
-    assert_eq!(elastic.inner().assignment().shards, 1, "floor is one shard");
+    assert_eq!(pipeline.shards(), 1, "floor is one shard");
     assert_eq!(elastic.controller().shards(), 1);
-    assert_eq!(fleet_bits(&elastic.into_inner().finish()), want);
+    assert_eq!(fleet_bits(&pipeline.finish()), want);
 }
 
 /// Sawtooth load that alternates hot/quiet every sample window never
@@ -193,17 +208,14 @@ fn sawtooth_load_never_resizes_through_the_driver() {
     let (servers, log) = record_swing_log(12, 100, active);
     let want = sequential_bits(servers.clone(), &log);
 
-    let mut elastic = ElasticIngest::new(IngestPipeline::start(2, servers), elastic_config(1, 4));
-    for tick in &log {
-        elastic.ingest_tick(tick);
-    }
+    let (pipeline, elastic) = run_elastic(2, servers, &log);
     assert!(
         elastic.events().is_empty(),
         "hysteresis must absorb the sawtooth: {:?}",
         elastic.events()
     );
-    assert_eq!(elastic.inner().assignment().shards, 2);
-    assert_eq!(fleet_bits(&elastic.into_inner().finish()), want);
+    assert_eq!(pipeline.shards(), 2);
+    assert_eq!(fleet_bits(&pipeline.finish()), want);
 }
 
 /// A crash racing a resize: the resize checkpoints at its barrier, a few
@@ -225,17 +237,19 @@ fn resize_racing_a_crash_recovers_into_the_post_resize_shape() {
 
     // Durable pipeline: run, resize at a barrier, run a little, die.
     let store = DurableStore::open(&dir).unwrap();
-    let pipeline = IngestPipeline::start(2, workload::server_endpoints(streams));
-    let mut durable = DurableIngest::new(pipeline, store, 1000).unwrap();
+    let mut pipeline = IngestPipeline::start(2, workload::server_endpoints(streams));
+    let mut durable = Durability::start(store, 1000, 0, &pipeline.snapshot_states()).unwrap();
     for wire in &traffic[..resize_at] {
-        durable.try_ingest_tick(wire).unwrap();
+        durable.ingest_tick(&mut pipeline, wire).unwrap();
     }
-    let transition = durable.try_reassign(ShardAssignment::salted(3, 7)).unwrap();
+    let transition = durable
+        .reassign(&mut pipeline, ShardAssignment::salted(3, 7))
+        .unwrap();
     assert_eq!(transition.to.shards, 3);
     for wire in &traffic[resize_at..kill] {
-        durable.try_ingest_tick(wire).unwrap();
+        durable.ingest_tick(&mut pipeline, wire).unwrap();
     }
-    drop(durable); // crash: no checkpoint, no finish, state dropped mid-flight
+    drop((durable, pipeline)); // crash: no checkpoint, no finish, state dropped mid-flight
 
     // Recover into the post-resize shape. The newest snapshot is the
     // resize-barrier checkpoint (cadence 1000 never fired), so the WAL
@@ -244,16 +258,18 @@ fn resize_racing_a_crash_recovers_into_the_post_resize_shape() {
     let recovery = store.recover().unwrap().expect("resize checkpoint exists");
     assert_eq!(recovery.next_tick(), kill as u64);
     assert_eq!(recovery.wal.len(), kill - resize_at);
-    let mut recovered = IngestPipeline::start_assigned(
+    let mut recovered = IngestPipeline::start_with(
         ShardAssignment::salted(3, 7),
         recovery.endpoints().unwrap(),
+        false,
+        None,
     );
     recovery.replay_into(&mut recovered);
-    let mut resumed = DurableIngest::resume(recovered, store, 1000, kill as u64).unwrap();
+    let mut resumed =
+        Durability::start(store, 1000, kill as u64, &recovered.snapshot_states()).unwrap();
     for wire in &traffic[kill..] {
-        resumed.try_ingest_tick(wire).unwrap();
+        resumed.ingest_tick(&mut recovered, wire).unwrap();
     }
-    let (recovered, _) = resumed.into_parts();
     assert_eq!(fleet_bits(&recovered.finish()), want);
     let _ = std::fs::remove_dir_all(&dir);
 }
