@@ -43,35 +43,23 @@ cargo run --release -q -p kalstream-bench --bin check_regression -- \
     --kind ingest --baseline BENCH_ingest.json --current "$ART/bench_ingest.json" \
     ${SUMMARY[@]+"${SUMMARY[@]}"}
 
-echo "==> exp_q1_query_bounds (precision propagation, deterministic)"
-cargo run --release -q -p kalstream-bench --bin exp_q1_query_bounds -- \
-    --metrics-out "$ART/exp_q1_query_bounds.metrics.json" > /dev/null
+# The three query experiments share one engine (QueryGraph) and one gate
+# stanza: run, then check the exact canaries against the committed baseline.
+for gate in \
+    "Q1:exp_q1_query_bounds:precision propagation" \
+    "Q2:exp_q2_budget_realloc:epoch budget re-allocation" \
+    "Q3:exp_q3_query_graph:cascaded DAG + punctuation feedback"; do
+    IFS=: read -r tag exp what <<<"$gate"
+    echo "==> $exp ($what, deterministic)"
+    cargo run --release -q -p kalstream-bench --bin "$exp" -- \
+        --metrics-out "$ART/$exp.metrics.json" > /dev/null
 
-echo "==> check_regression --kind query (Q1)"
-cargo run --release -q -p kalstream-bench --bin check_regression -- \
-    --kind query --baseline BENCH_q1_query_bounds.json \
-    --current "$ART/exp_q1_query_bounds.metrics.json" \
-    ${SUMMARY[@]+"${SUMMARY[@]}"}
-
-echo "==> exp_q2_budget_realloc (epoch budget re-allocation, deterministic)"
-cargo run --release -q -p kalstream-bench --bin exp_q2_budget_realloc -- \
-    --metrics-out "$ART/exp_q2_budget_realloc.metrics.json" > /dev/null
-
-echo "==> check_regression --kind query (Q2)"
-cargo run --release -q -p kalstream-bench --bin check_regression -- \
-    --kind query --baseline BENCH_q2_budget_realloc.json \
-    --current "$ART/exp_q2_budget_realloc.metrics.json" \
-    ${SUMMARY[@]+"${SUMMARY[@]}"}
-
-echo "==> exp_q3_query_graph (cascaded DAG + punctuation feedback, deterministic)"
-cargo run --release -q -p kalstream-bench --bin exp_q3_query_graph -- \
-    --metrics-out "$ART/exp_q3_query_graph.metrics.json" > /dev/null
-
-echo "==> check_regression --kind query (Q3)"
-cargo run --release -q -p kalstream-bench --bin check_regression -- \
-    --kind query --baseline BENCH_q3_query_graph.json \
-    --current "$ART/exp_q3_query_graph.metrics.json" \
-    ${SUMMARY[@]+"${SUMMARY[@]}"}
+    echo "==> check_regression --kind query ($tag)"
+    cargo run --release -q -p kalstream-bench --bin check_regression -- \
+        --kind query --baseline "BENCH_${exp#exp_}.json" \
+        --current "$ART/$exp.metrics.json" \
+        ${SUMMARY[@]+"${SUMMARY[@]}"}
+done
 
 # Headline numbers on the run page, next to the gate verdicts.
 if [[ -n "${GITHUB_STEP_SUMMARY:-}" ]]; then

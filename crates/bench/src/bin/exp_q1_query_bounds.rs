@@ -2,7 +2,7 @@
 //! bound, naive per-stream bounds vs. interval-arithmetic propagation.
 //!
 //! Claim exercised: a precision contract attaches to the **query**, and the
-//! runtime propagates it down to per-stream suppression bounds. An AVG over
+//! query graph propagates it down to per-stream suppression bounds. An AVG over
 //! `k` streams with answer bound ε is satisfied by any member deltas with
 //! mean ≤ ε (interval arithmetic over the mean), so the members share a
 //! total imprecision budget of `ε·k`.
@@ -18,8 +18,8 @@
 //!   (messages are expensive) take the slack — same `ε·k` budget, same
 //!   answer bound.
 //!
-//! Every run drives the full [`QueryRuntime`] against live
-//! source/server endpoint fleets in lockstep — a sliding window and a
+//! Every run drives a [`QueryGraph`] (feedback off) against live
+//! source/server endpoint fleets in lockstep — two sliding windows and a
 //! threshold alert ride along on the member streams — and verifies every
 //! answer against the observed signal each tick. Expected shape: propagated
 //! beats naive by a wide margin at every ε; the weighted split beats the
@@ -27,14 +27,13 @@
 //! cost) and loses at tight ε (where over-tightening calm streams buys
 //! nothing); violations 0 everywhere.
 
+use kalstream_bench::query_drive::{drive_graph, QueryStream};
 use kalstream_bench::table::{fmt_f, Table};
 use kalstream_bench::MetricsOut;
 use kalstream_core::{ProtocolConfig, SessionSpec};
 use kalstream_gen::{synthetic::RandomWalk, Stream};
-use kalstream_query::{
-    split_budget_weighted, AggKind, QueryRuntime, StreamId, StreamView, WindowSpec,
-};
-use kalstream_sim::{run_lockstep, LockstepStream, SessionConfig};
+use kalstream_query::{split_budget_weighted, AggKind, QueryGraph, StreamId, WindowSpec};
+use kalstream_sim::{LockstepStream, SessionConfig};
 
 const STREAMS: usize = 10;
 const MEASURE_TICKS: u64 = 6_000;
@@ -58,7 +57,7 @@ fn make_walk(i: usize, phase: u64) -> Box<dyn Stream + Send> {
 /// registered; returns (total forward messages, total query violations).
 fn measure(deltas: &[f64], epsilon: f64, phase: u64) -> (u64, u64) {
     let deltas: Vec<f64> = deltas.iter().map(|d| d.max(1e-4)).collect();
-    let mut streams: Vec<LockstepStream<'_, _, _>> = deltas
+    let mut streams: Vec<QueryStream<'_>> = deltas
         .iter()
         .enumerate()
         .map(|(i, &delta)| {
@@ -76,50 +75,35 @@ fn measure(deltas: &[f64], epsilon: f64, phase: u64) -> (u64, u64) {
         })
         .collect();
 
-    let mut rt = QueryRuntime::new(STREAMS);
-    rt.register_aggregate(
-        "fleet_avg",
-        AggKind::Avg,
-        (0..STREAMS).map(StreamId).collect(),
-        epsilon,
-    )
-    .unwrap();
+    let ids: Vec<String> = (0..STREAMS).map(|i| format!("s{i}")).collect();
+    let mut graph = QueryGraph::new();
+    for (i, id) in ids.iter().enumerate() {
+        graph.add_raw(id, StreamId(i)).unwrap();
+    }
+    let members: Vec<&str> = ids.iter().map(String::as_str).collect();
+    graph
+        .add_aggregate("fleet_avg", AggKind::Avg, &members, Some(epsilon))
+        .unwrap();
     // Satellite queries riding on member streams, bounded by the deltas
     // actually in force there.
-    rt.register_window(
-        "calm_win",
-        StreamId(0),
-        WindowSpec::Avg { window: 64 },
-        deltas[0],
-    )
-    .unwrap();
-    rt.register_window(
-        "calm_count",
-        StreamId(0),
-        WindowSpec::CountAbove {
-            window: 64,
-            threshold: 0.0,
-        },
-        deltas[0],
-    )
-    .unwrap();
-    rt.register_alert("hot_alert", StreamId(STREAMS - 1), 0.0, deltas[STREAMS - 1])
+    let (calm, hot) = (members[0], members[STREAMS - 1]);
+    graph
+        .add_sliding("calm_win", calm, WindowSpec::Avg { window: 64 }, deltas[0])
+        .unwrap();
+    let count = WindowSpec::CountAbove {
+        window: 64,
+        threshold: 0.0,
+    };
+    graph
+        .add_sliding("calm_count", calm, count, deltas[0])
+        .unwrap();
+    graph
+        .add_alert("hot_alert", hot, 0.0, deltas[STREAMS - 1])
         .unwrap();
 
     let config = SessionConfig::instant(MEASURE_TICKS, epsilon);
-    let report = run_lockstep(&config, &mut streams, |_now, tick, streams| {
-        let views: Vec<StreamView> = (0..STREAMS)
-            .map(|i| StreamView {
-                value: tick.estimates[i][0],
-                delta: deltas[i],
-                staleness: streams[i].consumer.staleness(),
-            })
-            .collect();
-        rt.observe_tick(&views);
-        let truth: Vec<f64> = (0..STREAMS).map(|i| tick.observed[i][0]).collect();
-        rt.verify_tick(&truth);
-    });
-    (report.total_traffic.messages(), rt.total_violations())
+    let report = drive_graph(&config, &mut streams, &mut graph, |_, _, _| {});
+    (report.total_traffic.messages(), graph.violations())
 }
 
 fn main() {

@@ -1,16 +1,18 @@
 //! Q2 — epoch budget re-allocation: a standing AVG query served at the same
-//! aggregate precision for fewer messages when the runtime redistributes the
+//! aggregate precision for fewer messages when the server redistributes the
 //! per-stream imprecision budget from observed error contribution.
 //!
 //! Claim exercised: precision propagation gives a *static* sound split
 //! (uniform δᵢ = ε discharges AVG WITHIN ε), but streams differ wildly in
 //! volatility — a calm stream wastes budget it never spends, a hot stream
-//! burns messages a looser bound would suppress. [`QueryRuntime`] with a
-//! budget attached closes the loop: every epoch the [`FleetController`]
-//! rebuilds per-stream demand curves from each source's recent prediction
-//! errors, solves for the cost-optimal allocation, clamps it by the
-//! propagated query caps (a query guarantee always wins over budget
-//! savings), and ships the result as `Bound` directives over the ack link.
+//! burns messages a looser bound would suppress. The realloc arm closes the
+//! loop by composing two existing pieces next to its [`QueryGraph`]: every
+//! epoch the [`FleetController`] rebuilds per-stream demand curves from each
+//! source's recent prediction errors and solves for the cost-optimal
+//! allocation; [`split_budget`] over the same curves gives the query's caps
+//! (its `ε·k` imprecision budget — a query guarantee always wins over budget
+//! savings); the clamped result ships as `Bound` directives over the ack
+//! link.
 //!
 //! Both arms drive live source/server endpoint fleets in lockstep and verify
 //! the served AVG against the observed signal every tick:
@@ -27,12 +29,13 @@
 //!
 //! [`FleetController`]: kalstream_core::FleetController
 
+use kalstream_bench::query_drive::{drive_graph, QueryStream};
 use kalstream_bench::table::{fmt_f, Table};
 use kalstream_bench::MetricsOut;
-use kalstream_core::{ProtocolConfig, SessionSpec};
+use kalstream_core::{FleetController, ProtocolConfig, SessionSpec, StreamDemand};
 use kalstream_gen::{synthetic::RandomWalk, Stream};
-use kalstream_query::{AggKind, QueryRuntime, StreamId, StreamView};
-use kalstream_sim::{run_lockstep, LockstepStream, SessionConfig};
+use kalstream_query::{split_budget, split_budget_uniform, AggKind, QueryGraph, StreamId};
+use kalstream_sim::{LockstepStream, SessionConfig};
 
 const STREAMS: usize = 20;
 const MEASURE_TICKS: u64 = 10_000;
@@ -64,9 +67,9 @@ struct ArmResult {
 }
 
 /// Runs one arm: every stream starts at δ = ε; when `realloc` is set the
-/// runtime re-tunes the fleet each epoch through bound directives.
+/// allocator re-tunes the fleet each epoch through bound directives.
 fn run_arm(epsilon: f64, realloc: bool) -> ArmResult {
-    let mut streams: Vec<LockstepStream<'_, _, _>> = (0..STREAMS)
+    let mut streams: Vec<QueryStream<'_>> = (0..STREAMS)
         .map(|i| {
             let spec =
                 SessionSpec::default_scalar(0.0, ProtocolConfig::new(epsilon).unwrap()).unwrap();
@@ -82,61 +85,60 @@ fn run_arm(epsilon: f64, realloc: bool) -> ArmResult {
         })
         .collect();
 
-    let mut rt = QueryRuntime::new(STREAMS);
-    if realloc {
-        rt = rt.with_budget(EPOCH, BUDGET_RATE).unwrap();
+    let ids: Vec<String> = (0..STREAMS).map(|i| format!("s{i}")).collect();
+    let mut graph = QueryGraph::new();
+    for (i, id) in ids.iter().enumerate() {
+        graph.add_raw(id, StreamId(i)).unwrap();
     }
-    rt.register_aggregate(
-        "fleet_avg",
-        AggKind::Avg,
-        (0..STREAMS).map(StreamId).collect(),
-        epsilon,
-    )
-    .unwrap();
+    let members: Vec<&str> = ids.iter().map(String::as_str).collect();
+    graph
+        .add_aggregate("fleet_avg", AggKind::Avg, &members, Some(epsilon))
+        .unwrap();
+    let mut controller =
+        realloc.then(|| FleetController::new(STREAMS, EPOCH, BUDGET_RATE).unwrap());
+    // AVG WITHIN ε over k members: any deltas with Σ δᵢ ≤ ε·k discharge it.
+    let query_budget = epsilon * STREAMS as f64;
 
-    // The delta each stream's *decision* at tick t is governed by: the value
-    // producer.delta() held at the end of hook t-1 (a directive polled at t
-    // applies after t's decision). Serving answers against these is what
-    // keeps verification sound while bounds move.
-    let mut deltas_in_force = [epsilon; STREAMS];
     let mut max_answer_bound = 0.0f64;
+    let mut directives = 0u64;
     let config = SessionConfig::instant(MEASURE_TICKS, epsilon);
-    let report = run_lockstep(&config, &mut streams, |now, tick, streams| {
-        let views: Vec<StreamView> = (0..STREAMS)
-            .map(|i| StreamView {
-                value: tick.estimates[i][0],
-                delta: deltas_in_force[i],
-                staleness: streams[i].consumer.staleness(),
-            })
+    let report = drive_graph(&config, &mut streams, &mut graph, |now, graph, streams| {
+        if let Some(answer) = graph.answer("fleet_avg") {
+            max_answer_bound = max_answer_bound.max(answer.bound);
+        }
+        let Some(controller) = controller.as_mut() else {
+            return;
+        };
+        // The controller counts its own ticks, so it must be fed every
+        // tick; the (cheap) sample harvest only matters on epoch
+        // boundaries, where the allocator actually fires.
+        let samples: Vec<Vec<f64>> = if (now + 1).is_multiple_of(EPOCH) {
+            streams
+                .iter()
+                .map(|s| s.producer.rate_estimator().samples())
+                .collect()
+        } else {
+            vec![Vec::new(); STREAMS]
+        };
+        let Some(allocated) = controller.tick_demands(&samples) else {
+            return;
+        };
+        // Clamp by the query's caps: split its budget cost-optimally against
+        // the same demand curves, uniformly while any member is still cold.
+        let demands: Option<Vec<StreamDemand>> = samples
+            .iter()
+            .map(|window| StreamDemand::new(window.clone(), 1.0).ok())
             .collect();
-        rt.observe_tick(&views);
-        if let Ok(answers) = rt.aggregate_answers() {
-            max_answer_bound = max_answer_bound.max(answers[0].1.bound);
-        }
-        let truth: Vec<f64> = (0..STREAMS).map(|i| tick.observed[i][0]).collect();
-        rt.verify_tick(&truth);
-        if realloc {
-            // The controller counts its own ticks, so it must be fed every
-            // tick; the (cheap) sample harvest only matters on epoch
-            // boundaries, where the allocator actually fires.
-            let samples: Vec<Vec<f64>> = if (now + 1).is_multiple_of(EPOCH) {
-                streams
-                    .iter()
-                    .map(|s| s.producer.rate_estimator().samples())
-                    .collect()
-            } else {
-                vec![Vec::new(); STREAMS]
-            };
-            if let Some(directives) = rt.epoch_directives(&samples) {
-                for (i, d) in directives.iter().enumerate() {
-                    if let Some(d) = d {
-                        streams[i].consumer.push_bound_directive(d.max(DELTA_FLOOR));
-                    }
-                }
+        let caps = match demands {
+            Some(d) => split_budget(&d, query_budget, None),
+            None => split_budget_uniform(STREAMS, query_budget, None),
+        };
+        for ((stream, alloc), cap) in streams.iter_mut().zip(allocated).zip(caps) {
+            if let Some(delta) = alloc {
+                let directive = delta.min(cap).max(DELTA_FLOOR);
+                stream.consumer.push_bound_directive(directive);
+                directives += 1;
             }
-        }
-        for (slot, stream) in deltas_in_force.iter_mut().zip(streams.iter()) {
-            *slot = stream.producer.delta();
         }
     });
     let ack_messages = report
@@ -147,9 +149,9 @@ fn run_arm(epsilon: f64, realloc: bool) -> ArmResult {
     ArmResult {
         messages: report.total_traffic.messages(),
         ack_messages,
-        violations: rt.total_violations(),
+        violations: graph.violations(),
         max_answer_bound,
-        directives: rt.directives_issued(),
+        directives,
     }
 }
 

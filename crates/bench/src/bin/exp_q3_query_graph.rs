@@ -2,7 +2,7 @@
 //! operators relaxes upstream suppression deltas, and every derived stream
 //! serves a calibrated distributional answer next to its worst-case bound.
 //!
-//! Claim exercised: the PR 5 propagation is *static* — every contract on a
+//! Claim exercised: plain propagation is *static* — every contract on a
 //! stream pins its delta forever, so an alert whose input is 40 bounds away
 //! from the threshold still holds its members at the alert margin. The
 //! [`QueryGraph`] closes the loop: each tick, downstream operators emit
@@ -34,14 +34,15 @@
 //! the 95% intervals ≥ 0.90 (suppression truncates the error distribution,
 //! so coverage lands *above* nominal — conservative, never optimistic).
 
+use kalstream_bench::query_drive::{drive_graph, QueryStream};
 use kalstream_bench::table::{fmt_f, Table};
 use kalstream_bench::MetricsOut;
 use kalstream_core::{ProtocolConfig, SessionSpec};
 use kalstream_filter::models;
 use kalstream_gen::{synthetic::RandomWalk, Stream};
 use kalstream_linalg::Vector;
-use kalstream_query::{AggKind, QueryGraph, StreamId, StreamView};
-use kalstream_sim::{run_lockstep, LockstepStream, SessionConfig};
+use kalstream_query::{AggKind, QueryGraph, StreamId};
+use kalstream_sim::{LockstepStream, SessionConfig};
 
 const STREAMS: usize = 12;
 const GROUP: usize = 6;
@@ -145,7 +146,7 @@ struct ArmResult {
 /// only the feedback arm pushes the graph's per-tick grants as directives.
 fn run_arm(feedback: bool) -> ArmResult {
     let static_req = build_graph(false).required_deltas();
-    let mut streams: Vec<LockstepStream<'_, _, _>> = (0..STREAMS)
+    let mut streams: Vec<QueryStream<'_>> = (0..STREAMS)
         .map(|i| {
             let delta = static_req[&StreamId(i)].max(DELTA_FLOOR);
             // Exactly-matched model (the generator is a random walk with
@@ -171,32 +172,15 @@ fn run_arm(feedback: bool) -> ArmResult {
         .collect();
 
     let mut g = build_graph(feedback);
-    // The delta each stream's decision at tick t is governed by (see Q2):
-    // a directive pushed at t is polled at t+1 and applies from t+2 —
+    // A directive pushed at t is in force from t+2 (see `drive_graph`) —
     // exactly the GRANT_LAG the pane's budget reservation holds back.
-    let mut deltas_in_force: Vec<f64> = (0..STREAMS)
-        .map(|i| static_req[&StreamId(i)].max(DELTA_FLOOR))
-        .collect();
-    let mut last_pushed = deltas_in_force.clone();
+    let mut last_pushed: Vec<f64> = streams.iter().map(|s| s.producer.delta()).collect();
     let mut directives = 0u64;
     let mut interval_sum = 0.0f64;
     let mut worst_sum = 0.0f64;
     let mut answer_ticks = 0u64;
     let config = SessionConfig::instant(MEASURE_TICKS, AVG_CONTRACT);
-    let report = run_lockstep(&config, &mut streams, |_now, tick, streams| {
-        let views: Vec<StreamView> = (0..STREAMS)
-            .map(|i| StreamView {
-                value: tick.estimates[i][0],
-                delta: deltas_in_force[i],
-                staleness: streams[i].consumer.staleness(),
-            })
-            .collect();
-        let vars: Vec<f64> = (0..STREAMS)
-            .map(|i| tick.variances[i].unwrap_or(0.0))
-            .collect();
-        g.observe_tick(&views, &vars);
-        let truth: Vec<f64> = (0..STREAMS).map(|i| tick.observed[i][0]).collect();
-        g.verify_tick(&truth);
+    let report = drive_graph(&config, &mut streams, &mut g, |_now, g, streams| {
         if let Some(d) = g.distributional("fleet", LEVEL) {
             interval_sum += d.interval;
             worst_sum += d.worst_case;
@@ -215,9 +199,6 @@ fn run_arm(feedback: bool) -> ArmResult {
                     directives += 1;
                 }
             }
-        }
-        for (slot, stream) in deltas_in_force.iter_mut().zip(streams.iter()) {
-            *slot = stream.producer.delta();
         }
     });
     let ack_messages = report

@@ -6,6 +6,8 @@
 //!   evaluation), method runners, and δ-sweep drivers. Every experiment
 //!   binary builds on these so that methods always face identical data
 //!   (same family, same seed) and identical accounting.
+//! * [`query_drive`] — the lockstep fleet-under-a-`QueryGraph` loop the
+//!   `exp_q*` binaries share.
 //! * [`table`] — fixed-width table + CSV emission, so each `exp_*` binary
 //!   prints the human-readable rows the paper-style table/figure needs plus
 //!   a machine-readable block for plotting.
@@ -29,6 +31,7 @@ pub mod alloc_count;
 pub mod fleet_batch;
 pub mod harness;
 pub mod metrics_out;
+pub mod query_drive;
 pub mod regression;
 pub mod table;
 

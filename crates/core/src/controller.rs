@@ -161,8 +161,9 @@ impl FleetController {
     /// directives over the feedback link (via
     /// [`crate::ServerEndpoint::push_bound_directive`]).
     ///
-    /// This is the path the query runtime uses: the sources live on the far
-    /// side of a lossy link, so the controller cannot call
+    /// This is the path budget re-allocation under a standing query uses
+    /// (experiment Q2): the sources live on the far side of a lossy link,
+    /// so the controller cannot call
     /// [`crate::SourceEndpoint::set_delta`] directly. `samples[i]` is the
     /// recent error-magnitude window for stream `i` (any origin — server
     /// residuals, mirrored rate estimates); a stream with too few samples is

@@ -172,7 +172,7 @@ impl ServerEndpoint {
     /// Queues a precision-bound directive for the paired source; it rides
     /// the next [`Consumer::poll_feedback`] as a [`WireMessage::Bound`].
     ///
-    /// This is the hook the query runtime's precision propagation and the
+    /// This is the hook the query graph's precision propagation and the
     /// epoch budget allocator use to steer producers from the consumer side.
     /// Non-finite or non-positive bounds are ignored (the wire format would
     /// reject them anyway); a newer directive replaces an unsent older one,

@@ -79,7 +79,7 @@ const TAG_SEQ: u8 = 4;
 /// v3: a cumulative acknowledgement — `seq:u64`, travelling server→source.
 const TAG_ACK: u8 = 5;
 /// v3: a precision-bound directive — `delta:f64`, travelling server→source
-/// on the feedback link (the query runtime's downstream-bound propagation).
+/// on the feedback link (the query graph's downstream-bound propagation).
 const TAG_BOUND: u8 = 6;
 
 /// Flags bit 0: the model's `F` is upper-triangular and triangle-packed.
@@ -283,7 +283,7 @@ pub enum WireMessage {
         seq: u64,
     },
     /// Precision-bound directive, travelling server→source on the feedback
-    /// link: the consumer side (query runtime / fleet allocator) instructs
+    /// link: the consumer side (query graph / fleet allocator) instructs
     /// the producer to adopt a new suppression bound `δ`. Last writer wins;
     /// a lost directive leaves the previous (by construction still sound)
     /// bound in force, so no retransmission machinery is needed.

@@ -1,21 +1,33 @@
-//! Cascaded query graphs: derived streams, punctuation feedback, and
-//! distributional answers.
+//! The standing-query engine: a DAG of derived streams with punctuation
+//! feedback and distributional answers.
 //!
-//! The PR 5 runtime ([`crate::QueryRuntime`]) is one flat layer of standing
-//! queries over raw streams. [`QueryGraph`] generalizes it to a DAG:
+//! [`QueryGraph`] is the one place standing queries are registered,
+//! evaluated, verified against ground truth, and propagated down to
+//! per-stream deltas. Its node kinds:
 //!
-//! * **Derived streams.** A query's output is a first-class stream other
-//!   queries subscribe to — `AVG(avg_lo, avg_hi)` composes aggregates over
-//!   aggregates. Registration keeps the graph acyclic (typed
-//!   [`QueryError::Cycle`]) and evaluation runs in topological order, so
-//!   every node sees its inputs' fresh values each tick.
+//! * **Raw aliases** ([`QueryGraph::add_raw`]) name the suppressed streams.
+//! * **Aggregates** ([`QueryGraph::add_aggregate`], and the 1-ary
+//!   [`QueryGraph::add_point`]) are *value* nodes: a query's output is a
+//!   first-class stream other queries subscribe to — `AVG(avg_lo, avg_hi)`
+//!   composes aggregates over aggregates. Registration keeps the graph
+//!   acyclic (typed [`QueryError::Cycle`]) and evaluation runs in
+//!   topological order, so every node sees its inputs' fresh values each
+//!   tick.
+//! * **Sinks** read one value node and feed nothing: threshold alerts
+//!   ([`QueryGraph::add_alert`]), tumbling panes
+//!   ([`QueryGraph::add_tumbling_avg`]) and sliding windows
+//!   ([`QueryGraph::add_sliding`]: AVG / MIN / MAX / COUNT-above over the
+//!   last `W` ticks, on the [`crate::window`] aggregators).
+//!
+//! Two things ride on the DAG:
+//!
 //! * **Punctuation feedback.** Downstream operators know things the static
 //!   propagation cannot: a threshold alert whose input is far from the
 //!   threshold, or a tumbling pane that under-spent its imprecision budget,
 //!   can *relax* the deltas they demand upstream without weakening any
 //!   served guarantee. [`QueryGraph::required_deltas`] recomputes the
-//!   per-stream grants every tick; with feedback off it reproduces the
-//!   static PR 5 propagation exactly.
+//!   per-stream grants every tick; with feedback off it is the static
+//!   interval-arithmetic propagation, the same every tick.
 //! * **Distributional answers.** Every server-side estimate carries a Kalman
 //!   innovation variance; the graph propagates it through aggregates and
 //!   serves a calibrated `value ± z·σ` interval
@@ -31,6 +43,7 @@ use std::collections::HashMap;
 
 use kalstream_obs::{Instrument, Scope};
 
+use crate::window::{WindowAgg, WindowAnswer, WindowSpec};
 use crate::{evaluate_threshold, AggKind, AlertState, Answer, QueryError, StreamId, StreamView};
 
 /// Transport lag, in ticks, the pane budget guard assumes between issuing a
@@ -60,6 +73,28 @@ const ALERT_RELAX_DIV: f64 = 4.0;
 /// float noise never counts as a broken guarantee.
 fn violates(err: f64, bound: f64) -> bool {
     err > bound * (1.0 + 1e-9) + 1e-12
+}
+
+/// Every contract, margin and delta a query registers must be a usable
+/// precision bound.
+fn check_positive(what: &str, x: f64) -> Result<(), QueryError> {
+    if x > 0.0 && x.is_finite() {
+        return Ok(());
+    }
+    Err(QueryError::Invalid {
+        reason: format!("{what} must be positive and finite, got {x}"),
+    })
+}
+
+/// A per-tick slice too short for a registered raw alias's stream index is a
+/// panic, not a skipped node: a node that is never fed is never verified, and
+/// the graph would report zero violations for answers it never produced.
+#[cold]
+fn unfed_alias(alias: &str, stream: StreamId, passed: usize, what: &str) -> ! {
+    panic!(
+        "raw alias {alias:?} reads stream {} but only {passed} {what} were passed",
+        stream.0
+    )
 }
 
 /// Inverse standard-normal CDF (Acklam's rational approximation, max
@@ -197,6 +232,16 @@ enum NodeKind {
         state: AlertState,
         transitions: u64,
     },
+    /// Sliding-window aggregate over one value node: `served` slides over
+    /// the input's `(value, bound)`, `mirror` over its ground truth with
+    /// bound 0 — so the mirror's answer *is* the true window aggregate.
+    /// Boxed so the window deques do not widen every node of the graph.
+    Sliding {
+        input: usize,
+        contract: f64,
+        served: Box<WindowAgg>,
+        mirror: Box<WindowAgg>,
+    },
 }
 
 #[derive(Debug)]
@@ -218,9 +263,9 @@ impl Node {
         match &self.kind {
             NodeKind::Raw { .. } => &[],
             NodeKind::Aggregate { inputs, .. } => inputs,
-            NodeKind::Tumbling { input, .. } | NodeKind::Alert { input, .. } => {
-                std::slice::from_ref(input)
-            }
+            NodeKind::Tumbling { input, .. }
+            | NodeKind::Alert { input, .. }
+            | NodeKind::Sliding { input, .. } => std::slice::from_ref(input),
         }
     }
 
@@ -232,7 +277,7 @@ impl Node {
 /// A DAG of continuous queries over precision-bounded streams: raw-stream
 /// aliases and derived streams share one id namespace, evaluation is
 /// topological, and per-stream delta requirements flow *up* the graph every
-/// tick — statically (PR 5 semantics) or with punctuation feedback.
+/// tick — statically or with punctuation feedback.
 ///
 /// Driving loop, once per tick:
 ///
@@ -282,7 +327,7 @@ impl QueryGraph {
     }
 
     /// Enables or disables punctuation feedback. Off (the default),
-    /// [`QueryGraph::required_deltas`] computes exactly the static PR 5
+    /// [`QueryGraph::required_deltas`] computes exactly the static
     /// propagation; on, alerts and panes may relax their grants.
     pub fn set_feedback(&mut self, on: bool) {
         self.feedback = on;
@@ -310,17 +355,16 @@ impl QueryGraph {
         self.nodes.is_empty()
     }
 
-    /// Claims `id` in the single raw+derived namespace.
-    fn claim_id(&mut self, id: &str) -> Result<(), QueryError> {
+    /// Rejects an id already taken in the single raw+derived namespace.
+    fn check_fresh(&self, id: &str) -> Result<(), QueryError> {
         if self.by_id.contains_key(id) {
             return Err(QueryError::DuplicateId { id: id.to_string() });
         }
-        self.by_id.insert(id.to_string(), self.nodes.len());
         Ok(())
     }
 
     /// Resolves input ids to node indices, insisting each is a *value* node
-    /// (raw or aggregate — alerts and panes are sinks).
+    /// (raw or aggregate — alerts, panes and windows are sinks).
     fn resolve_inputs(&self, of: &str, inputs: &[&str]) -> Result<Vec<usize>, QueryError> {
         if inputs.is_empty() {
             return Err(QueryError::Invalid {
@@ -331,8 +375,7 @@ impl QueryGraph {
             .iter()
             .map(|&input| {
                 if input == of {
-                    // The id is claimed before inputs resolve, so a node can
-                    // name itself — the smallest possible cycle.
+                    // A node naming itself is the smallest possible cycle.
                     return Err(QueryError::Cycle { id: of.to_string() });
                 }
                 let &idx = self
@@ -351,7 +394,9 @@ impl QueryGraph {
             .collect()
     }
 
+    /// Appends a node under an id [`QueryGraph::check_fresh`] accepted.
     fn push_node(&mut self, id: &str, kind: NodeKind) {
+        self.by_id.insert(id.to_string(), self.nodes.len());
         self.topo.push(self.nodes.len());
         self.nodes.push(Node {
             id: id.to_string(),
@@ -364,13 +409,28 @@ impl QueryGraph {
         });
     }
 
+    /// Registers a derived node: fresh id, every input an existing value
+    /// node, then whatever `kind` builds from the resolved inputs. A failed
+    /// registration claims nothing.
+    fn add_derived(
+        &mut self,
+        id: &str,
+        inputs: &[&str],
+        kind: impl FnOnce(Vec<usize>) -> NodeKind,
+    ) -> Result<(), QueryError> {
+        self.check_fresh(id)?;
+        let inputs = self.resolve_inputs(id, inputs)?;
+        self.push_node(id, kind(inputs));
+        Ok(())
+    }
+
     /// Registers a raw-stream alias: the graph-side name of `stream`.
     ///
     /// # Errors
     /// [`QueryError::DuplicateId`] when the id is taken — by *either* a raw
     /// alias or a derived stream; the namespace is shared.
     pub fn add_raw(&mut self, id: &str, stream: StreamId) -> Result<(), QueryError> {
-        self.claim_id(id)?;
+        self.check_fresh(id)?;
         self.push_node(id, NodeKind::Raw { stream });
         Ok(())
     }
@@ -394,26 +454,13 @@ impl QueryGraph {
         contract: Option<f64>,
     ) -> Result<(), QueryError> {
         if let Some(c) = contract {
-            if !(c > 0.0 && c.is_finite()) {
-                return Err(QueryError::Invalid {
-                    reason: format!("contract must be positive and finite, got {c}"),
-                });
-            }
+            check_positive("contract", c)?;
         }
-        if self.by_id.contains_key(id) {
-            return Err(QueryError::DuplicateId { id: id.to_string() });
-        }
-        let inputs = self.resolve_inputs(id, inputs)?;
-        self.claim_id(id).expect("checked above");
-        self.push_node(
-            id,
-            NodeKind::Aggregate {
-                kind,
-                inputs,
-                contract,
-            },
-        );
-        Ok(())
+        self.add_derived(id, inputs, |inputs| NodeKind::Aggregate {
+            kind,
+            inputs,
+            contract,
+        })
     }
 
     /// Registers a point query: the identity 1-ary aggregate with contract
@@ -446,37 +493,56 @@ impl QueryGraph {
                 reason: "pane length must be at least 1".into(),
             });
         }
-        if !(contract > 0.0 && contract.is_finite()) {
-            return Err(QueryError::Invalid {
-                reason: format!("contract must be positive and finite, got {contract}"),
-            });
-        }
-        if self.by_id.contains_key(id) {
-            return Err(QueryError::DuplicateId { id: id.to_string() });
-        }
-        let input = self.resolve_inputs(id, &[input])?[0];
-        self.claim_id(id).expect("checked above");
-        self.push_node(
-            id,
-            NodeKind::Tumbling {
-                input,
-                pane,
-                contract,
-                sum_value: 0.0,
-                sum_bound: 0.0,
-                sum_sigma: 0.0,
-                max_staleness: 0,
-                filled: 0,
-                just_closed: false,
-                truth_sum: 0.0,
-                truth_filled: 0,
-                truth_closed: None,
-                last_grant: contract,
-                recent_grants: [contract; GRANT_LAG],
-                panes_closed: 0,
-            },
-        );
-        Ok(())
+        check_positive("contract", contract)?;
+        self.add_derived(id, &[input], |inputs| NodeKind::Tumbling {
+            input: inputs[0],
+            pane,
+            contract,
+            sum_value: 0.0,
+            sum_bound: 0.0,
+            sum_sigma: 0.0,
+            max_staleness: 0,
+            filled: 0,
+            just_closed: false,
+            truth_sum: 0.0,
+            truth_filled: 0,
+            truth_closed: None,
+            last_grant: contract,
+            recent_grants: [contract; GRANT_LAG],
+            panes_closed: 0,
+        })
+    }
+
+    /// Registers a sliding-window aggregate over one value node: every tick
+    /// it answers AVG / MIN / MAX (value ± bound) or COUNT-above (a
+    /// guaranteed interval) over the input's last `W` served values, and
+    /// [`QueryGraph::verify_tick`] checks that answer against the same
+    /// window over ground truth. The static propagation grants `contract`
+    /// to the input: per-tick deltas ≤ ε keep every window aggregate's
+    /// bound ≤ ε (AVG: mean of bounds; MIN/MAX: max of bounds). For
+    /// [`WindowSpec::CountAbove`] the contract only controls how many ticks
+    /// classify as uncertain, not the interval's soundness. Feedback never
+    /// relaxes a sliding grant.
+    ///
+    /// # Errors
+    /// As [`QueryGraph::add_aggregate`], plus [`QueryError::Invalid`] on a
+    /// zero window or a non-finite count threshold.
+    pub fn add_sliding(
+        &mut self,
+        id: &str,
+        input: &str,
+        spec: WindowSpec,
+        contract: f64,
+    ) -> Result<(), QueryError> {
+        check_positive("contract", contract)?;
+        let served = Box::new(WindowAgg::build(spec)?);
+        let mirror = served.clone();
+        self.add_derived(id, &[input], |inputs| NodeKind::Sliding {
+            input: inputs[0],
+            contract,
+            served,
+            mirror,
+        })
     }
 
     /// Registers a tri-state threshold alert over one value node. The
@@ -495,32 +561,19 @@ impl QueryGraph {
         threshold: f64,
         margin: f64,
     ) -> Result<(), QueryError> {
-        if !(margin > 0.0 && margin.is_finite()) {
-            return Err(QueryError::Invalid {
-                reason: format!("margin must be positive and finite, got {margin}"),
-            });
-        }
+        check_positive("margin", margin)?;
         if !threshold.is_finite() {
             return Err(QueryError::Invalid {
                 reason: format!("threshold must be finite, got {threshold}"),
             });
         }
-        if self.by_id.contains_key(id) {
-            return Err(QueryError::DuplicateId { id: id.to_string() });
-        }
-        let input = self.resolve_inputs(id, &[input])?[0];
-        self.claim_id(id).expect("checked above");
-        self.push_node(
-            id,
-            NodeKind::Alert {
-                input,
-                threshold,
-                margin,
-                state: AlertState::Uncertain,
-                transitions: 0,
-            },
-        );
-        Ok(())
+        self.add_derived(id, &[input], |inputs| NodeKind::Alert {
+            input: inputs[0],
+            threshold,
+            margin,
+            state: AlertState::Uncertain,
+            transitions: 0,
+        })
     }
 
     /// Replaces an aggregate node's inputs, re-checking acyclicity — the
@@ -591,6 +644,10 @@ impl QueryGraph {
     /// force* (that is what makes every published bound honest, whatever
     /// the feedback grants are doing); `variances[s]` the matching
     /// predictive variance (missing entries default to 0).
+    ///
+    /// # Panics
+    /// Panics, naming the alias, when a registered raw stream has no entry
+    /// in `views`.
     pub fn observe_tick(&mut self, views: &[StreamView], variances: &[f64]) {
         self.ticks += 1;
         let mut outs: Vec<Option<NodeOut>> = self.nodes.iter().map(|n| n.out).collect();
@@ -602,15 +659,17 @@ impl QueryGraph {
             // so the `node.kind` borrow has ended.
             let mut ratio = None;
             let new_out = match &mut node.kind {
-                NodeKind::Raw { stream } => views
-                    .get(stream.0)
-                    .map(|v| NodeOut {
+                NodeKind::Raw { stream } => {
+                    let Some(v) = views.get(stream.0) else {
+                        unfed_alias(&node.id, *stream, views.len(), "views");
+                    };
+                    Some(NodeOut {
                         value: v.value,
                         bound: v.delta,
                         variance: variances.get(stream.0).copied().unwrap_or(0.0),
                         staleness: v.staleness,
                     })
-                    .or(prev),
+                }
                 NodeKind::Aggregate {
                     kind,
                     inputs,
@@ -696,16 +755,23 @@ impl QueryGraph {
                         }
                         *state = next;
                     }
-                    None
+                    // Alerts and sliding windows publish no `NodeOut`:
+                    // theirs stays `None`, which keeps them out of
+                    // `answer()`.
+                    continue;
+                }
+                NodeKind::Sliding { input, served, .. } => {
+                    if let Some(v) = outs[*input] {
+                        served.push(v.value, v.bound);
+                    }
+                    continue;
                 }
             };
             if let Some(r) = ratio {
                 node.max_ratio = node.max_ratio.max(r);
             }
-            if !matches!(node.kind, NodeKind::Alert { .. }) {
-                node.out = new_out;
-                outs[i] = new_out;
-            }
+            node.out = new_out;
+            outs[i] = new_out;
         }
     }
 
@@ -713,8 +779,14 @@ impl QueryGraph {
     /// with the raw streams), mirroring the DAG arithmetic over the truth
     /// values. Counts worst-case-bound violations (returned for this tick)
     /// and distributional coverage at the configured level; resolved alert
-    /// verdicts are checked against the truth of their input. Call once per
-    /// tick, after [`QueryGraph::observe_tick`].
+    /// verdicts are checked against the truth of their input, sliding-window
+    /// answers against the same window over that truth (violations only, no
+    /// coverage). Call once per tick, after [`QueryGraph::observe_tick`].
+    ///
+    /// # Panics
+    /// Panics, naming the alias, when a registered raw stream has no entry
+    /// in `truth`. A stream whose truth is unknown this tick is passed as
+    /// `NaN` and skipped.
     pub fn verify_tick(&mut self, truth: &[f64]) -> u64 {
         let mut tv = vec![f64::NAN; self.nodes.len()];
         let outs: Vec<Option<NodeOut>> = self.nodes.iter().map(|n| n.out).collect();
@@ -726,10 +798,14 @@ impl QueryGraph {
             // Served-vs-truth pair to check, filled in by the match and
             // applied after it (so the `node.kind` borrow has ended).
             let mut check: Option<(NodeOut, f64)> = None;
-            let mut lied = false;
+            // An alert verdict or a window answer the truth contradicts.
+            let mut broken = false;
             match &mut node.kind {
                 NodeKind::Raw { stream } => {
-                    tv[i] = truth.get(stream.0).copied().unwrap_or(f64::NAN);
+                    let Some(&t) = truth.get(stream.0) else {
+                        unfed_alias(&node.id, *stream, truth.len(), "truths");
+                    };
+                    tv[i] = t;
                 }
                 NodeKind::Aggregate { kind, inputs, .. } => {
                     let vals: Vec<f64> = inputs.iter().map(|&j| tv[j]).collect();
@@ -771,11 +847,22 @@ impl QueryGraph {
                 } => {
                     let t_in = tv[*input];
                     if t_in.is_finite() {
-                        lied = match state {
+                        broken = match state {
                             AlertState::Firing => t_in <= *threshold,
                             AlertState::Quiet => t_in > *threshold,
                             AlertState::Uncertain => false,
                         };
+                    }
+                }
+                NodeKind::Sliding {
+                    input,
+                    served,
+                    mirror,
+                    ..
+                } => {
+                    let t_in = tv[*input];
+                    if t_in.is_finite() {
+                        broken = window_contradicts(served, mirror, t_in);
                     }
                 }
             }
@@ -797,7 +884,7 @@ impl QueryGraph {
                     node.covered += 1;
                 }
             }
-            if lied {
+            if broken {
                 node.violations += 1;
                 new_violations += 1;
             }
@@ -812,7 +899,8 @@ impl QueryGraph {
     ///
     /// * an aggregate's effective bound is `min(own contract, tightest
     ///   consumer grant)`; it grants AVG/MIN/MAX inputs that bound and SUM
-    ///   inputs `bound / k` — exactly the PR 5 uniform split;
+    ///   inputs `bound / k` — the uniform split of
+    ///   [`crate::QueryRegistry::required_deltas`];
     /// * an alert grants its margin — or, under feedback, a relaxed grant
     ///   while its input is guaranteed far from the threshold (the verdict
     ///   stays sound regardless, because served bounds come from deltas in
@@ -821,7 +909,8 @@ impl QueryGraph {
     ///   contract itself; under feedback the unspent pane budget spread
     ///   over the pane's remaining ticks, with `GRANT_LAG` ticks of
     ///   budget held back at the recent grant level so in-flight
-    ///   directives cannot overrun the pane contract.
+    ///   directives cannot overrun the pane contract;
+    /// * a sliding window grants its contract, feedback or not.
     ///
     /// Call once per tick, after [`QueryGraph::observe_tick`]. Streams no
     /// registered query constrains are absent from the result. With
@@ -927,6 +1016,11 @@ impl QueryGraph {
                     }
                     granted[*input] = granted[*input].min(g);
                 }
+                NodeKind::Sliding {
+                    input, contract, ..
+                } => {
+                    granted[*input] = granted[*input].min(*contract);
+                }
             }
         }
         self.relaxations += relaxations;
@@ -935,7 +1029,8 @@ impl QueryGraph {
 
     /// The latest answer of a value node (or the last closed pane of a
     /// tumbling node): value, worst-case bound, staleness. `None` before
-    /// the first evaluation, for alerts, and for unknown ids.
+    /// the first evaluation, for alerts and sliding windows (see
+    /// [`QueryGraph::window_answer`]), and for unknown ids.
     pub fn answer(&self, id: &str) -> Option<Answer> {
         let node = &self.nodes[*self.by_id.get(id)?];
         node.out.map(|o| Answer {
@@ -962,6 +1057,15 @@ impl QueryGraph {
         })
     }
 
+    /// The latest answer of a sliding-window node. `None` before its first
+    /// tick, for every other node kind, and for unknown ids.
+    pub fn window_answer(&self, id: &str) -> Option<WindowAnswer> {
+        match &self.nodes[*self.by_id.get(id)?].kind {
+            NodeKind::Sliding { served, .. } => served.answer(),
+            _ => None,
+        }
+    }
+
     /// Current verdict of an alert node.
     pub fn alert_state(&self, id: &str) -> Option<AlertState> {
         match &self.nodes[*self.by_id.get(id)?].kind {
@@ -971,7 +1075,8 @@ impl QueryGraph {
     }
 
     /// Total guarantee violations counted by [`QueryGraph::verify_tick`]
-    /// (worst-case bounds and resolved alert verdicts).
+    /// (worst-case bounds, sliding-window answers and resolved alert
+    /// verdicts).
     pub fn violations(&self) -> u64 {
         self.violations
     }
@@ -1046,6 +1151,25 @@ fn aggregate_outs(kind: AggKind, member: &[NodeOut]) -> NodeOut {
         bound,
         variance,
         staleness,
+    }
+}
+
+/// Slides `truth` into the mirror (bound 0, so the mirror's answer *is* the
+/// true window aggregate) and reports whether the served answer breaks its
+/// guarantee against it. Out of line for the reason [`WindowAgg::push`] is.
+#[inline(never)]
+fn window_contradicts(served: &WindowAgg, mirror: &mut WindowAgg, truth: f64) -> bool {
+    mirror.push(truth, 0.0);
+    match (served.answer(), mirror.answer()) {
+        (
+            Some(WindowAnswer::Value { value, bound }),
+            Some(WindowAnswer::Value { value: t, .. }),
+        ) => violates((value - t).abs(), bound),
+        // Mirror bound 0 ⇒ its lo == hi == true count.
+        (Some(WindowAnswer::Count { lo, hi }), Some(WindowAnswer::Count { lo: t, .. })) => {
+            !(lo..=hi).contains(&t)
+        }
+        _ => false,
     }
 }
 
@@ -1183,14 +1307,71 @@ mod tests {
         g.add_raw("s0", StreamId(0)).unwrap();
         g.add_alert("al", "s0", 1.0, 0.1).unwrap();
         g.add_tumbling_avg("pane", "s0", 4, 0.5).unwrap();
-        assert!(matches!(
-            g.add_aggregate("d", AggKind::Avg, &["al"], None),
-            Err(QueryError::Invalid { .. })
-        ));
-        assert!(matches!(
-            g.add_aggregate("d", AggKind::Avg, &["pane"], None),
-            Err(QueryError::Invalid { .. })
-        ));
+        g.add_sliding("win", "s0", WindowSpec::Avg { window: 4 }, 0.5)
+            .unwrap();
+        for sink in ["al", "pane", "win"] {
+            assert!(matches!(
+                g.add_aggregate("d", AggKind::Avg, &[sink], None),
+                Err(QueryError::Invalid { .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn sliding_registration_validates_shape_bound_and_id() {
+        let mut g = QueryGraph::new();
+        g.add_raw("s0", StreamId(0)).unwrap();
+        g.add_point("p0", "s0", 0.5).unwrap();
+        let avg4 = WindowSpec::Avg { window: 4 };
+        assert_eq!(
+            g.add_sliding("p0", "s0", avg4, 0.5),
+            Err(QueryError::DuplicateId { id: "p0".into() }),
+            "uniqueness spans node kinds"
+        );
+        assert_eq!(
+            g.add_alert("p0", "s0", 1.0, 0.1),
+            Err(QueryError::DuplicateId { id: "p0".into() })
+        );
+        assert!(g
+            .add_sliding("w", "s0", WindowSpec::Avg { window: 0 }, 0.5)
+            .is_err());
+        let nan_count = WindowSpec::CountAbove {
+            window: 4,
+            threshold: f64::NAN,
+        };
+        assert!(g.add_sliding("w", "s0", nan_count, 0.5).is_err());
+        assert!(g.add_sliding("w", "s0", avg4, -1.0).is_err());
+        assert!(g.add_sliding("w", "s0", avg4, f64::INFINITY).is_err());
+        assert_eq!(
+            g.add_sliding("w", "nope", avg4, 0.5),
+            Err(QueryError::UnknownNode { id: "nope".into() })
+        );
+        assert_eq!(g.len(), 2, "failed registrations must not leak nodes");
+        g.add_sliding("w", "s0", avg4, 0.5).unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "raw alias \"s1\" reads stream 1 but only 1 views")]
+    fn observe_tick_rejects_an_unfed_raw_alias() {
+        // At the parent commit this returned silently: s1, the aggregate and
+        // the alert stayed unevaluated forever and `violations()` read 0.
+        let mut g = QueryGraph::new();
+        g.add_raw("s0", StreamId(0)).unwrap();
+        g.add_raw("s1", StreamId(1)).unwrap();
+        g.add_aggregate("avg", AggKind::Avg, &["s0", "s1"], Some(0.5))
+            .unwrap();
+        g.add_alert("al", "avg", 1.0, 0.1).unwrap();
+        g.observe_tick(&[view(0.0, 0.1)], &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "raw alias \"s1\" reads stream 1 but only 1 truths")]
+    fn verify_tick_rejects_a_raw_alias_without_truth() {
+        let mut g = QueryGraph::new();
+        g.add_raw("s0", StreamId(0)).unwrap();
+        g.add_raw("s1", StreamId(1)).unwrap();
+        g.observe_tick(&[view(0.0, 0.1), view(0.0, 0.1)], &[]);
+        g.verify_tick(&[0.0]);
     }
 
     #[test]
@@ -1353,6 +1534,63 @@ mod tests {
         // verify also counts (hence 2, not 1).
         g.observe_tick(&[view(2.0, 0.1)], &[0.0]);
         assert_eq!(g.verify_tick(&[0.5]), 2);
+    }
+
+    #[test]
+    fn alert_states_resolve_and_flip() {
+        let mut g = QueryGraph::new();
+        g.add_raw("s0", StreamId(0)).unwrap();
+        g.add_alert("a", "s0", 10.0, 0.5).unwrap();
+        for (served, state) in [
+            (12.0, AlertState::Firing),
+            (10.2, AlertState::Uncertain),
+            (8.0, AlertState::Quiet),
+        ] {
+            g.observe_tick(&[view(served, 0.5)], &[]);
+            assert_eq!(g.alert_state("a"), Some(state));
+        }
+    }
+
+    #[test]
+    fn windowed_count_answers_as_interval() {
+        let mut g = QueryGraph::new();
+        g.add_raw("s0", StreamId(0)).unwrap();
+        let spec = WindowSpec::CountAbove {
+            window: 3,
+            threshold: 0.0,
+        };
+        g.add_sliding("c", "s0", spec, 0.5).unwrap();
+        assert_eq!(g.window_answer("c"), None);
+        g.observe_tick(&[view(2.0, 0.5)], &[]); // certainly above
+        g.observe_tick(&[view(-2.0, 0.5)], &[]); // certainly below
+        g.observe_tick(&[view(0.2, 0.5)], &[]); // uncertain
+        assert_eq!(
+            g.window_answer("c"),
+            Some(WindowAnswer::Count { lo: 1, hi: 2 })
+        );
+        assert_eq!(g.answer("c"), None, "windows answer as WindowAnswer only");
+    }
+
+    #[test]
+    fn verify_catches_broken_window_guarantees() {
+        let mut g = QueryGraph::new();
+        g.add_raw("s0", StreamId(0)).unwrap();
+        g.add_sliding("avg", "s0", WindowSpec::Avg { window: 2 }, 0.1)
+            .unwrap();
+        let count = WindowSpec::CountAbove {
+            window: 2,
+            threshold: 0.0,
+        };
+        g.add_sliding("cnt", "s0", count, 0.1).unwrap();
+        // Honest tick: truth inside served ± δ, nothing counted.
+        g.observe_tick(&[view(5.0, 0.1)], &[]);
+        assert_eq!(g.verify_tick(&[5.05]), 0);
+        // Truth far outside: the raw bound, the window average (4.5 off
+        // with bound 0.1) and the count (certainly 2 above, truly 1) all
+        // break — one violation each.
+        g.observe_tick(&[view(5.0, 0.1)], &[]);
+        assert_eq!(g.verify_tick(&[-4.0]), 3);
+        assert_eq!(g.violations(), 3);
     }
 
     #[test]

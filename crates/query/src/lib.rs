@@ -15,22 +15,23 @@
 //!   comparison).
 //! * [`window`] — sliding-window aggregates over served values, with the
 //!   bound propagated through the window (monotonic-deque MIN/MAX, running
-//!   AVG).
-//! * [`QueryRegistry`] — holds live queries, computes each stream's
-//!   *effective* required bound (the tightest implied by any query on it),
-//!   and answers every query from the latest [`StreamView`] snapshots.
+//!   AVG, COUNT-above as a guaranteed interval).
 //! * [`parse_query`] — the textual form applications register queries in
 //!   (`"AVG(s1, s2) WITHIN 0.25"`).
-//! * [`QueryRuntime`] — the budget-aware continuous query runtime: standing
-//!   queries (including windows and [`evaluate_threshold`] alerts) whose
-//!   bounds are *propagated down* to per-stream deltas, with an optional
-//!   epoch allocator redistributing the fleet message budget.
-//! * [`QueryGraph`] — the cascaded query DAG: query outputs are first-class
-//!   derived streams other queries subscribe to, evaluation is topological
-//!   (cycles rejected at registration with [`QueryError::Cycle`]),
-//!   punctuation feedback from downstream operators dynamically relaxes
-//!   upstream suppression deltas, and every value node serves a calibrated
-//!   [`DistributionalAnswer`] next to its worst-case δ bound.
+//! * [`QueryGraph`] — the standing-query engine, and the only one: raw
+//!   aliases, aggregates whose outputs are first-class derived streams,
+//!   and alert / tumbling-pane / sliding-window sinks in one DAG
+//!   (cycles rejected at registration with [`QueryError::Cycle`]). Each
+//!   tick it evaluates topologically, verifies every answer against ground
+//!   truth, and propagates every contract *down* to per-stream deltas —
+//!   statically, or with punctuation feedback from downstream operators
+//!   relaxing upstream suppression — and every value node serves a
+//!   calibrated [`DistributionalAnswer`] next to its worst-case δ bound.
+//! * [`QueryRegistry`] — the flat reference: point and aggregate queries
+//!   answered from the latest [`StreamView`] snapshots, and each stream's
+//!   *effective* required bound (the tightest implied by any query on it,
+//!   split uniformly or against measured demand curves). The graph's
+//!   static propagation is property-tested against it.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -40,7 +41,6 @@ mod eval;
 mod graph;
 mod parse;
 mod registry;
-mod runtime;
 mod spec;
 pub mod window;
 
@@ -49,5 +49,5 @@ pub use eval::{answer_aggregate, answer_point, evaluate_threshold, AlertState, A
 pub use graph::{z_quantile, DistributionalAnswer, QueryGraph};
 pub use parse::{parse_query, ParsedQuery};
 pub use registry::{QueryRegistry, StreamView};
-pub use runtime::{QueryRuntime, WindowAnswer, WindowSpec};
 pub use spec::{AggKind, AggregateQuery, PointQuery, QueryError, StreamId};
+pub use window::{WindowAnswer, WindowSpec};

@@ -35,13 +35,9 @@ pub struct StreamView {
 ///    (`SourceEndpoint::set_delta`).
 #[derive(Debug, Default)]
 pub struct QueryRegistry {
-    points: Vec<(String, PointQuery)>,
-    aggregates: Vec<(String, AggregateQuery)>,
+    points: Vec<PointQuery>,
+    aggregates: Vec<AggregateQuery>,
     views: HashMap<StreamId, StreamView>,
-    /// Registered ids across both query kinds — the uniqueness invariant.
-    ids: std::collections::HashSet<String>,
-    /// Monotone counter behind the auto-generated `__anon<N>` ids.
-    next_anon: usize,
 }
 
 impl QueryRegistry {
@@ -50,72 +46,14 @@ impl QueryRegistry {
         QueryRegistry::default()
     }
 
-    /// Claims `id`, rejecting collisions. Pre-fix the registry had no id
-    /// concept at all: duplicate registrations were silently accepted and
-    /// lifecycle operations on "the" query under an id were ambiguous.
-    fn claim_id(&mut self, id: &str) -> Result<(), QueryError> {
-        if !self.ids.insert(id.to_string()) {
-            return Err(QueryError::DuplicateId { id: id.to_string() });
-        }
-        Ok(())
-    }
-
-    /// Next free auto-generated id (used by the id-less `add_*` veneers).
-    fn anon_id(&mut self) -> String {
-        loop {
-            let id = format!("__anon{}", self.next_anon);
-            self.next_anon += 1;
-            if !self.ids.contains(&id) {
-                return id;
-            }
-        }
-    }
-
-    /// Registers a point query under a caller-chosen id.
-    ///
-    /// # Errors
-    /// [`QueryError::DuplicateId`] when a query with this id already exists.
-    pub fn register_point(&mut self, id: &str, q: PointQuery) -> Result<(), QueryError> {
-        self.claim_id(id)?;
-        self.points.push((id.to_string(), q));
-        Ok(())
-    }
-
-    /// Registers an aggregate query under a caller-chosen id.
-    ///
-    /// # Errors
-    /// [`QueryError::DuplicateId`] when a query with this id already exists.
-    pub fn register_aggregate(&mut self, id: &str, q: AggregateQuery) -> Result<(), QueryError> {
-        self.claim_id(id)?;
-        self.aggregates.push((id.to_string(), q));
-        Ok(())
-    }
-
-    /// Registers a point query under a fresh auto-generated id.
+    /// Registers a point query.
     pub fn add_point(&mut self, q: PointQuery) {
-        let id = self.anon_id();
-        self.register_point(&id, q).expect("anon id is fresh");
+        self.points.push(q);
     }
 
-    /// Registers an aggregate query under a fresh auto-generated id.
+    /// Registers an aggregate query.
     pub fn add_aggregate(&mut self, q: AggregateQuery) {
-        let id = self.anon_id();
-        self.register_aggregate(&id, q).expect("anon id is fresh");
-    }
-
-    /// Unregisters the query with this id; returns whether one existed.
-    pub fn remove(&mut self, id: &str) -> bool {
-        if !self.ids.remove(id) {
-            return false;
-        }
-        self.points.retain(|(qid, _)| qid != id);
-        self.aggregates.retain(|(qid, _)| qid != id);
-        true
-    }
-
-    /// `true` when a query with this id is registered.
-    pub fn contains(&self, id: &str) -> bool {
-        self.ids.contains(id)
+        self.aggregates.push(q);
     }
 
     /// Number of registered queries.
@@ -131,23 +69,6 @@ impl QueryRegistry {
     /// Pushes the latest view of a stream.
     pub fn update_view(&mut self, id: StreamId, view: StreamView) {
         self.views.insert(id, view);
-    }
-
-    /// Every stream any query references.
-    pub fn referenced_streams(&self) -> Vec<StreamId> {
-        let mut ids: Vec<StreamId> = self
-            .points
-            .iter()
-            .map(|(_, p)| p.stream)
-            .chain(
-                self.aggregates
-                    .iter()
-                    .flat_map(|(_, a)| a.streams.iter().copied()),
-            )
-            .collect();
-        ids.sort();
-        ids.dedup();
-        ids
     }
 
     /// Computes the per-stream precision bound required to satisfy *every*
@@ -168,10 +89,10 @@ impl QueryRegistry {
                 .and_modify(|d| *d = d.min(delta))
                 .or_insert(delta);
         };
-        for (_, p) in &self.points {
+        for p in &self.points {
             tighten(p.stream, p.delta);
         }
-        for (_, a) in &self.aggregates {
+        for a in &self.aggregates {
             let budget = a.imprecision_budget();
             let cap = a.per_stream_cap();
             let member_demands: Option<Vec<StreamDemand>> = a
@@ -197,7 +118,7 @@ impl QueryRegistry {
     pub fn answer_point_queries(&self) -> Result<Vec<Answer>, QueryError> {
         self.points
             .iter()
-            .map(|(_, p)| {
+            .map(|p| {
                 self.views
                     .get(&p.stream)
                     .map(answer_point)
@@ -213,7 +134,7 @@ impl QueryRegistry {
     pub fn answer_aggregates(&self) -> Result<Vec<Answer>, QueryError> {
         self.aggregates
             .iter()
-            .map(|(_, a)| {
+            .map(|a| {
                 let views: Result<Vec<_>, _> = a
                     .streams
                     .iter()
@@ -252,16 +173,10 @@ mod tests {
     }
 
     #[test]
-    fn referenced_streams_deduplicated() {
-        let r = registry_with_queries();
-        assert_eq!(r.referenced_streams(), vec![StreamId(0), StreamId(1)]);
-        assert_eq!(r.len(), 3);
-        assert!(!r.is_empty());
-    }
-
-    #[test]
     fn required_deltas_take_tightest() {
         let r = registry_with_queries();
+        assert_eq!(r.len(), 3);
+        assert!(!r.is_empty());
         let req = r.required_deltas(&HashMap::new());
         // Stream 0: min(0.5, 0.2, avg-split 1.0) = 0.2.
         assert_eq!(req[&StreamId(0)], 0.2);
@@ -324,67 +239,6 @@ mod tests {
         assert_eq!(aggs.len(), 1);
         assert!((aggs[0].value - 2.0).abs() < 1e-12);
         assert_eq!(aggs[0].max_staleness, 4);
-    }
-
-    #[test]
-    fn duplicate_ids_are_rejected_with_typed_error() {
-        // Pre-fix regression: the registry silently accepted duplicate
-        // query ids, leaving removal and per-id answering ambiguous.
-        let mut r = QueryRegistry::new();
-        let q = PointQuery {
-            stream: StreamId(0),
-            delta: 0.5,
-        };
-        r.register_point("q1", q.clone()).unwrap();
-        assert_eq!(
-            r.register_point("q1", q.clone()),
-            Err(QueryError::DuplicateId { id: "q1".into() })
-        );
-        // Collisions are rejected across query kinds, too.
-        assert_eq!(
-            r.register_aggregate(
-                "q1",
-                AggregateQuery::new(AggKind::Avg, vec![StreamId(0)], 1.0).unwrap()
-            ),
-            Err(QueryError::DuplicateId { id: "q1".into() })
-        );
-        assert_eq!(r.len(), 1);
-    }
-
-    #[test]
-    fn remove_frees_the_id_for_reuse() {
-        let mut r = QueryRegistry::new();
-        let q = PointQuery {
-            stream: StreamId(0),
-            delta: 0.5,
-        };
-        r.register_point("q1", q.clone()).unwrap();
-        assert!(r.contains("q1"));
-        assert!(r.remove("q1"));
-        assert!(!r.contains("q1"));
-        assert!(!r.remove("q1"), "second remove is a no-op");
-        assert!(r.is_empty());
-        r.register_point("q1", q).unwrap();
-        assert_eq!(r.len(), 1);
-    }
-
-    #[test]
-    fn anon_ids_skip_explicitly_claimed_names() {
-        let mut r = QueryRegistry::new();
-        r.register_point(
-            "__anon0",
-            PointQuery {
-                stream: StreamId(0),
-                delta: 0.5,
-            },
-        )
-        .unwrap();
-        // The id-less veneer must not collide with the claimed name.
-        r.add_point(PointQuery {
-            stream: StreamId(1),
-            delta: 0.5,
-        });
-        assert_eq!(r.len(), 2);
     }
 
     #[test]

@@ -99,9 +99,7 @@ pub enum QueryError {
     },
     /// A referenced stream is not registered / has no view yet.
     UnknownStream(StreamId),
-    /// A query with this id is already registered. Pre-fix the registry
-    /// silently accepted the collision, so removing or answering "the" query
-    /// under that id was ambiguous. In a [`crate::QueryGraph`] the same
+    /// A [`crate::QueryGraph`] node with this id is already registered. One
     /// namespace covers raw-stream aliases *and* derived streams, so a
     /// derived id can never shadow a raw id (or vice versa).
     DuplicateId {

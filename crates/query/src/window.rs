@@ -8,6 +8,8 @@
 
 use std::collections::VecDeque;
 
+use crate::QueryError;
+
 /// Sliding-window average with propagated bound.
 #[derive(Debug, Clone)]
 pub struct SlidingAvg {
@@ -311,6 +313,115 @@ impl SlidingCountAbove {
             return None;
         }
         Some((self.above, self.above + self.uncertain))
+    }
+}
+
+/// Shape of a sliding-window standing query.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum WindowSpec {
+    /// Sliding average over `window` ticks.
+    Avg {
+        /// Window length in ticks.
+        window: usize,
+    },
+    /// Sliding minimum over `window` ticks.
+    Min {
+        /// Window length in ticks.
+        window: usize,
+    },
+    /// Sliding maximum over `window` ticks.
+    Max {
+        /// Window length in ticks.
+        window: usize,
+    },
+    /// Sliding count of ticks above `threshold` over `window` ticks,
+    /// answered as a guaranteed interval.
+    CountAbove {
+        /// Window length in ticks.
+        window: usize,
+        /// The count's threshold.
+        threshold: f64,
+    },
+}
+
+/// Answer of a windowed standing query.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum WindowAnswer {
+    /// A value-shaped window aggregate with its guaranteed half-width.
+    Value {
+        /// The aggregate of served values.
+        value: f64,
+        /// Guaranteed bound: the true aggregate is within `value ± bound`.
+        bound: f64,
+    },
+    /// A COUNT interval: the true count lies in `[lo, hi]`.
+    Count {
+        /// Certain lower end.
+        lo: u64,
+        /// Certain upper end.
+        hi: u64,
+    },
+}
+
+/// The live aggregator behind one windowed query (served side or truth
+/// mirror).
+#[derive(Debug, Clone)]
+pub(crate) enum WindowAgg {
+    Avg(SlidingAvg),
+    Min(SlidingExtremum),
+    Max(SlidingExtremum),
+    Count(SlidingCountAbove),
+}
+
+impl WindowAgg {
+    /// Builds the aggregator for `spec`, rejecting the shapes the
+    /// `Sliding*` constructors would panic on.
+    pub(crate) fn build(spec: WindowSpec) -> Result<Self, QueryError> {
+        let (WindowSpec::Avg { window }
+        | WindowSpec::Min { window }
+        | WindowSpec::Max { window }
+        | WindowSpec::CountAbove { window, .. }) = spec;
+        if window == 0 {
+            return Err(QueryError::Invalid {
+                reason: "window must be positive".into(),
+            });
+        }
+        Ok(match spec {
+            WindowSpec::Avg { window } => WindowAgg::Avg(SlidingAvg::new(window)),
+            WindowSpec::Min { window } => WindowAgg::Min(SlidingExtremum::min(window)),
+            WindowSpec::Max { window } => WindowAgg::Max(SlidingExtremum::max(window)),
+            WindowSpec::CountAbove { window, threshold } => {
+                if !threshold.is_finite() {
+                    return Err(QueryError::Invalid {
+                        reason: "count threshold must be finite".into(),
+                    });
+                }
+                WindowAgg::Count(SlidingCountAbove::new(window, threshold))
+            }
+        })
+    }
+
+    // Out of line: `QueryGraph`'s per-node loops call this from one arm of
+    // a hot `match`, and three inlined deque pushes there slow every arm.
+    #[inline(never)]
+    pub(crate) fn push(&mut self, value: f64, bound: f64) {
+        match self {
+            WindowAgg::Avg(w) => w.push(value, bound),
+            WindowAgg::Min(w) | WindowAgg::Max(w) => w.push(value, bound),
+            WindowAgg::Count(w) => w.push(value, bound),
+        }
+    }
+
+    pub(crate) fn answer(&self) -> Option<WindowAnswer> {
+        match self {
+            WindowAgg::Avg(w) => w
+                .answer()
+                .map(|(value, bound)| WindowAnswer::Value { value, bound }),
+            WindowAgg::Min(w) | WindowAgg::Max(w) => w
+                .answer()
+                .map(|(value, bound)| WindowAnswer::Value { value, bound }),
+            WindowAgg::Count(w) => w.answer().map(|(lo, hi)| WindowAnswer::Count { lo, hi }),
+        }
     }
 }
 

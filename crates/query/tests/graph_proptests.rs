@@ -11,11 +11,16 @@
 //!    graph of aggregates over raw aliases answers identically to
 //!    hand-composed flat queries and derives the same per-stream deltas as
 //!    [`QueryRegistry::required_deltas`]'s uniform split.
+//! 3. **A sliding sink is the `window.rs` aggregator.** Its answer is
+//!    bit-identical to a stand-alone aggregator fed the same served
+//!    sequence, and it grants its input exactly its contract.
 
 use std::collections::{HashMap, VecDeque};
 
+use kalstream_query::window::{SlidingAvg, SlidingCountAbove, SlidingExtremum};
 use kalstream_query::{
-    answer_aggregate, AggKind, AggregateQuery, QueryGraph, QueryRegistry, StreamId, StreamView,
+    answer_aggregate, AggKind, AggregateQuery, PointQuery, QueryGraph, QueryRegistry, StreamId,
+    StreamView, WindowAnswer, WindowSpec,
 };
 use proptest::prelude::*;
 
@@ -199,16 +204,10 @@ proptest! {
         let dag_req = g.required_deltas();
 
         let mut flat = QueryRegistry::new();
-        flat.register_aggregate(
-            "agg",
+        flat.add_aggregate(
             AggregateQuery::new(agg_kind(kind), (0..n).map(StreamId).collect(), bound).unwrap(),
-        )
-        .unwrap();
-        flat.register_point(
-            "p0",
-            kalstream_query::PointQuery { stream: StreamId(0), delta: point_delta },
-        )
-        .unwrap();
+        );
+        flat.add_point(PointQuery { stream: StreamId(0), delta: point_delta });
         let flat_req = flat.required_deltas(&HashMap::new());
 
         for s in 0..n {
@@ -220,5 +219,55 @@ proptest! {
                 s, d, f
             );
         }
+    }
+
+    /// Property 3: a sliding node over a raw alias answers bit-identically
+    /// to the stand-alone `window.rs` aggregator of its shape fed the same
+    /// served `(value, bound)` sequence, tick by tick, and the static
+    /// propagation grants its input exactly its contract.
+    #[test]
+    fn sliding_node_is_the_standalone_window_aggregator(
+        shape in 0usize..4,
+        window in 1usize..12,
+        threshold in -5.0f64..5.0,
+        contract in 0.05f64..1.0,
+        served in prop::collection::vec((-10.0f64..10.0, 0.0f64..1.0), 1..60),
+    ) {
+        let spec = match shape {
+            0 => WindowSpec::Avg { window },
+            1 => WindowSpec::Min { window },
+            2 => WindowSpec::Max { window },
+            _ => WindowSpec::CountAbove { window, threshold },
+        };
+        let mut g = QueryGraph::new();
+        g.add_raw("s0", StreamId(0)).unwrap();
+        g.add_sliding("w", "s0", spec, contract).unwrap();
+        prop_assert_eq!(g.required_deltas()[&StreamId(0)].to_bits(), contract.to_bits());
+
+        let mut avg = SlidingAvg::new(window);
+        let mut ext = match spec {
+            WindowSpec::Min { .. } => SlidingExtremum::min(window),
+            _ => SlidingExtremum::max(window),
+        };
+        let mut count = SlidingCountAbove::new(window, threshold);
+        for &(value, delta) in &served {
+            g.observe_tick(&[StreamView { value, delta, staleness: 0 }], &[]);
+            avg.push(value, delta);
+            ext.push(value, delta);
+            count.push(value, delta);
+            let alone = match spec {
+                WindowSpec::Avg { .. } => avg.answer().map(|(v, b)| (v.to_bits(), b.to_bits())),
+                WindowSpec::Min { .. } | WindowSpec::Max { .. } => {
+                    ext.answer().map(|(v, b)| (v.to_bits(), b.to_bits()))
+                }
+                WindowSpec::CountAbove { .. } => count.answer(),
+            };
+            let node = g.window_answer("w").map(|a| match a {
+                WindowAnswer::Value { value, bound } => (value.to_bits(), bound.to_bits()),
+                WindowAnswer::Count { lo, hi } => (lo, hi),
+            });
+            prop_assert_eq!(node, alone);
+        }
+        prop_assert_eq!(g.required_deltas()[&StreamId(0)].to_bits(), contract.to_bits());
     }
 }

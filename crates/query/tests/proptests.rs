@@ -1,12 +1,10 @@
 //! Property-based tests of precision propagation: for arbitrary query
 //! workloads, as long as every stream honors the per-stream delta the
-//! runtime derived for it, no reconstructed answer ever violates its
+//! graph derived for it, no reconstructed answer ever violates its
 //! query-level bound.
 
-use std::collections::HashMap;
-
 use kalstream_query::{
-    split_budget_weighted, AggKind, QueryRuntime, StreamId, StreamView, WindowSpec,
+    split_budget_weighted, AggKind, AlertState, QueryGraph, StreamId, StreamView, WindowSpec,
 };
 use proptest::prelude::*;
 
@@ -30,8 +28,8 @@ fn agg_kind(idx: usize) -> AggKind {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The headline soundness property: register a random mix of standing
-    /// queries (plain aggregate, weighted aggregate, sliding window,
+    /// The headline soundness property: register a standing query of every
+    /// sink and aggregate kind (aggregate, sliding AVG / MAX / COUNT-above,
     /// threshold alert), derive per-stream deltas via precision
     /// propagation, then serve adversarial values that deviate from the
     /// truth by *exactly* the derived delta (scaled by an arbitrary
@@ -40,7 +38,6 @@ proptest! {
     fn propagated_deltas_keep_every_answer_sound(
         shape in (2usize..5, 0usize..4, 1usize..12),
         bounds in (0.05..2.0f64, 0.05..1.0f64, -5.0..5.0f64, 0.05..1.0f64),
-        weights in prop::collection::vec(0.1..10.0f64, 4),
         truths in prop::collection::vec(
             prop::collection::vec(-10.0..10.0f64, 4),
             1..40,
@@ -52,56 +49,35 @@ proptest! {
     ) {
         let (n, kind_idx, window) = shape;
         let (bound, window_bound, threshold, margin) = bounds;
-        let mut rt = QueryRuntime::new(n);
-        let members: Vec<StreamId> = (0..n).map(StreamId).collect();
-        rt.register_aggregate("agg", agg_kind(kind_idx), members.clone(), bound)
+        let ids: Vec<String> = (0..n).map(|s| format!("s{s}")).collect();
+        let mut g = QueryGraph::new();
+        for (s, id) in ids.iter().enumerate() {
+            g.add_raw(id, StreamId(s)).unwrap();
+        }
+        let members: Vec<&str> = ids.iter().map(String::as_str).collect();
+        g.add_aggregate("agg", agg_kind(kind_idx), &members, Some(bound)).unwrap();
+        g.add_sliding("win", "s0", WindowSpec::Avg { window }, window_bound).unwrap();
+        g.add_sliding("ext", &ids[1 % n], WindowSpec::Max { window }, window_bound).unwrap();
+        g.add_sliding("cnt", "s0", WindowSpec::CountAbove { window, threshold }, window_bound)
             .unwrap();
-        rt.register_aggregate_weighted(
-            "wagg",
-            agg_kind(kind_idx + 1),
-            members,
-            bound,
-            weights[..n].to_vec(),
-        )
-        .unwrap();
-        rt.register_window(
-            "win",
-            StreamId(0),
-            WindowSpec::Avg { window },
-            window_bound,
-        )
-        .unwrap();
-        rt.register_window(
-            "ext",
-            StreamId(1 % n),
-            WindowSpec::Max { window },
-            window_bound,
-        )
-        .unwrap();
-        rt.register_window(
-            "cnt",
-            StreamId(0),
-            WindowSpec::CountAbove { window, threshold },
-            window_bound,
-        )
-        .unwrap();
-        rt.register_alert("alert", StreamId(0), threshold, margin).unwrap();
+        g.add_alert("alert", "s0", threshold, margin).unwrap();
 
-        let required = rt.required_deltas(&HashMap::new());
+        let required = g.required_deltas();
         for (truth_row, frac_row) in truths.iter().zip(&fracs) {
             // Every stream honors its derived delta: the served value
             // deviates from truth by delta·frac with |frac| ≤ 1.
             let served: Vec<StreamView> = (0..n)
                 .map(|i| {
-                    let delta = required.get(&StreamId(i)).copied().unwrap_or(0.5);
+                    let delta = required[&StreamId(i)];
                     view(truth_row[i] + delta * frac_row[i], delta)
                 })
                 .collect();
-            rt.observe_tick(&served);
-            let violations = rt.verify_tick(&truth_row[..n]);
+            g.observe_tick(&served, &[]);
+            let violations = g.verify_tick(&truth_row[..n]);
             prop_assert_eq!(violations, 0, "required deltas {:?}", required);
         }
-        prop_assert_eq!(rt.total_violations(), 0);
+        prop_assert_eq!(g.violations(), 0);
+        prop_assert!(g.max_contract_ratio() <= 1.0 + 1e-9);
     }
 
     /// The weighted split never overspends the aggregate's imprecision
@@ -144,19 +120,20 @@ proptest! {
         offsets in prop::collection::vec(-4.0..4.0f64, 1..30),
         fracs in prop::collection::vec(-1.0..1.0f64, 1..30),
     ) {
-        let mut rt = QueryRuntime::new(1);
-        rt.register_alert("a", StreamId(0), threshold, margin).unwrap();
-        let delta = rt.required_deltas(&HashMap::new())[&StreamId(0)];
+        let mut g = QueryGraph::new();
+        g.add_raw("s0", StreamId(0)).unwrap();
+        g.add_alert("a", "s0", threshold, margin).unwrap();
+        let delta = g.required_deltas()[&StreamId(0)];
         prop_assert!(delta <= margin);
         for (offset, frac) in offsets.iter().zip(&fracs) {
             let truth = threshold + offset;
-            rt.observe_tick(&[view(truth + delta * frac, delta)]);
-            prop_assert_eq!(rt.verify_tick(&[truth]), 0);
-            let state = rt.alert_states()[0].1;
+            g.observe_tick(&[view(truth + delta * frac, delta)], &[]);
+            prop_assert_eq!(g.verify_tick(&[truth]), 0);
+            let state = g.alert_state("a").unwrap();
             if offset.abs() > 2.0 * margin {
                 prop_assert_ne!(
                     state,
-                    kalstream_query::AlertState::Uncertain,
+                    AlertState::Uncertain,
                     "truth {} threshold {} margin {}",
                     truth,
                     threshold,

@@ -404,7 +404,7 @@ pub struct LockstepTick<'t> {
 /// deliver → score), so with a no-op hook a lockstep stream is
 /// bit-identical to the same endpoints run through `Session::run` alone.
 /// The hook then sees the whole fleet at once — this is where a consumer-side
-/// controller (e.g. a query runtime allocating message budget) reads every
+/// controller (e.g. a query graph re-granting deltas) reads every
 /// server's state and pushes per-stream control back into the endpoints;
 /// feedback queued by the hook at tick `t` rides the reverse link when it is
 /// next polled, at tick `t + 1`.
