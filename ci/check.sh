@@ -4,6 +4,16 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "==> no async runtime: vendor/tokio stays deleted, no manifest names tokio"
+if [[ -e vendor/tokio ]]; then
+    echo "vendor/tokio exists" >&2
+    exit 1
+fi
+if grep -n tokio --include=Cargo.toml -r . --exclude-dir=benchmark --exclude-dir=target; then
+    echo "a Cargo.toml outside benchmark/ names tokio" >&2
+    exit 1
+fi
+
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 

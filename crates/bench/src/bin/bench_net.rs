@@ -95,10 +95,6 @@ fn over_tcp(conns: usize, ticks: u64, shards: usize) -> NetRun {
         .map(|conn| {
             let addr = addr.clone();
             std::thread::spawn(move || {
-                let rt = tokio::runtime::Builder::new_current_thread()
-                    .enable_all()
-                    .build()
-                    .expect("client runtime");
                 let base = conn as u64 * STREAMS_PER_CONN as u64;
                 let ids: Vec<u32> = (0..STREAMS_PER_CONN).map(|k| base as u32 + k).collect();
                 let mut fleet = workload::source_streams(&ids);
@@ -109,10 +105,8 @@ fn over_tcp(conns: usize, ticks: u64, shards: usize) -> NetRun {
                     lockstep: false,
                     expect_status: false,
                 };
-                rt.block_on(kalstream_net::drive_connection(
-                    &addr, &mut fleet, base, &config,
-                ))
-                .expect("connection")
+                kalstream_net::drive_connection(&addr, &mut fleet, base, &config)
+                    .expect("connection")
             })
         })
         .collect();

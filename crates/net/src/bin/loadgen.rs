@@ -52,9 +52,8 @@ fn main() {
     };
 
     let start = std::time::Instant::now();
-    // One OS thread per connection, each with its own current-thread
-    // runtime: producers are not Send, so each connection's streams are
-    // built and driven entirely on its own thread.
+    // One OS thread per connection: producers are not Send, so each
+    // connection's streams are built and driven entirely on its own thread.
     let handles: Vec<_> = (0..conns)
         .map(|conn| {
             let addr = addr.clone();
@@ -66,18 +65,10 @@ fn main() {
                 expect_status: false,
             };
             std::thread::spawn(move || {
-                let rt = tokio::runtime::Builder::new_current_thread()
-                    .enable_all()
-                    .build()?;
                 let base = conn as u64 * per_conn as u64;
                 let ids: Vec<u32> = (0..per_conn).map(|k| base as u32 + k).collect();
                 let mut streams = workload::source_streams(&ids);
-                rt.block_on(kalstream_net::drive_connection(
-                    &addr,
-                    &mut streams,
-                    base,
-                    &config,
-                ))
+                kalstream_net::drive_connection(&addr, &mut streams, base, &config)
             })
         })
         .collect();

@@ -8,14 +8,17 @@
 //! tick — so a fleet driven over sockets is bit-comparable, stream for
 //! stream, against the same fleet run through the simulator into a
 //! [`kalstream_core::SequentialIngest`] reference.
+//!
+//! Everything here is blocking `std::net` on the caller's thread; the one
+//! extra thread is throughput mode's `net-drain`, scoped to the call.
 
-use std::io;
+use std::io::{self, Read, Write};
+use std::net::{Shutdown, TcpStream};
+use std::thread;
 
-use bytes::Bytes;
 use kalstream_core::wire::WireMessage;
 use kalstream_core::StreamDecoder;
 use kalstream_sim::{FaultCounters, IngestStream, Link, LinkFaults, TrafficMetrics};
-use tokio::net::{OwnedReadHalf, OwnedWriteHalf, TcpStream};
 
 use crate::codec::{
     decode_status, encode_hello, push_frame, push_marker, HelloStatus, STATUS_BYTES,
@@ -33,7 +36,7 @@ pub struct ClientConfig {
     pub faults: LinkFaults,
     /// Wait for the server's return marker each tick (deterministic
     /// feedback delivery — requires the server's lockstep mode). When
-    /// `false` a detached task drains feedback asynchronously instead.
+    /// `false` a second thread drains feedback concurrently instead.
     pub lockstep: bool,
     /// Read the server's 13-byte [`HelloStatus`] reply right after the
     /// hello. Must match the server: durable servers always send it,
@@ -104,10 +107,10 @@ impl<'s, 'a> Driver<'s, 'a> {
 
     /// One tick: sample every stream, pass what ships through its fault
     /// link, frame what the link delivers, close with a marker.
-    async fn write_tick(
+    fn write_tick(
         &mut self,
         now: u64,
-        write: &mut OwnedWriteHalf,
+        mut write: &TcpStream,
         report: &mut ClientReport,
     ) -> io::Result<()> {
         self.wire.clear();
@@ -122,7 +125,7 @@ impl<'s, 'a> Driver<'s, 'a> {
         }
         push_marker(&mut self.wire);
         report.socket_bytes_out += self.wire.len() as u64;
-        write.write_all(&self.wire).await
+        write.write_all(&self.wire)
     }
 
     fn finish(self, report: &mut ClientReport) {
@@ -133,18 +136,13 @@ impl<'s, 'a> Driver<'s, 'a> {
     }
 }
 
-async fn open(
-    addr: &str,
-    ids: &[u32],
-    report: &mut ClientReport,
-) -> io::Result<(OwnedReadHalf, OwnedWriteHalf)> {
-    let stream = TcpStream::connect(addr).await?;
+fn open(addr: &str, ids: &[u32], report: &mut ClientReport) -> io::Result<TcpStream> {
+    let mut stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true)?;
-    let (read, mut write) = stream.into_split();
     let hello = encode_hello(ids);
-    write.write_all(&hello).await?;
+    stream.write_all(&hello)?;
     report.socket_bytes_out += hello.len() as u64;
-    Ok((read, write))
+    Ok(stream)
 }
 
 /// Connects, says hello for the streams' ids, and drives every tick.
@@ -153,8 +151,13 @@ async fn open(
 /// per *fleet* stream index, matching the sim reference). The write side
 /// shuts down after the last tick. In lockstep mode each tick blocks on
 /// the server's return marker (reading that tick's feedback); otherwise a
-/// detached drain task reads feedback until the server closes.
-pub async fn drive_connection(
+/// scoped `net-drain` thread reads feedback until the server closes.
+///
+/// # Errors
+/// Socket errors on connect, hello and write; `InvalidData` when the server
+/// sends a malformed status reply or an oversized feedback frame — in
+/// either mode, the drain thread's result is part of this one.
+pub fn drive_connection(
     addr: &str,
     streams: &mut [IngestStream<'_>],
     global_base: u64,
@@ -162,10 +165,11 @@ pub async fn drive_connection(
 ) -> io::Result<ClientReport> {
     let ids: Vec<u32> = streams.iter().map(|s| s.stream_id).collect();
     let mut report = ClientReport::default();
-    let (mut read, mut write) = open(addr, &ids, &mut report).await?;
+    let stream = open(addr, &ids, &mut report)?;
+    let mut read = &stream;
     if config.expect_status {
         let mut buf = [0u8; STATUS_BYTES];
-        read.read_exact(&mut buf).await?;
+        read.read_exact(&mut buf)?;
         let status =
             decode_status(&buf).map_err(|err| io::Error::new(io::ErrorKind::InvalidData, err))?;
         report.status = Some(status);
@@ -174,27 +178,32 @@ pub async fn drive_connection(
 
     if config.lockstep {
         let mut decoder = StreamDecoder::new();
-        let mut chunk = [0u8; 4096];
         for now in 0..config.ticks {
-            driver.write_tick(now, &mut write, &mut report).await?;
-            read_feedback_tick(&mut read, &mut decoder, &mut chunk, &mut report).await;
+            driver.write_tick(now, &stream, &mut report)?;
+            read_feedback(read, &mut decoder, &mut report, true)?;
         }
-        write.shutdown().await?;
+        stream.shutdown(Shutdown::Write)?;
         // Late feedback until the server closes its side.
-        loop {
-            let n = match read.read(&mut chunk).await {
-                Ok(0) | Err(_) => break,
-                Ok(n) => n,
-            };
-            count_feedback(&mut decoder, &chunk[..n], &mut report);
-        }
+        read_feedback(read, &mut decoder, &mut report, false)?;
     } else {
-        let drain = tokio::spawn(discard_feedback(read));
-        for now in 0..config.ticks {
-            driver.write_tick(now, &mut write, &mut report).await?;
-        }
-        write.shutdown().await?;
-        let (acks, bounds) = drain.await.unwrap_or((0, 0));
+        let (acks, bounds) = thread::scope(|scope| {
+            let drain = thread::Builder::new()
+                .name("net-drain".into())
+                .spawn_scoped(scope, || discard_feedback(&stream))?;
+            let sent = (0..config.ticks)
+                .try_for_each(|now| driver.write_tick(now, &stream, &mut report))
+                .and_then(|()| stream.shutdown(Shutdown::Write));
+            if sent.is_err() {
+                // The server may never close its side now; closing ours
+                // entirely is what lets the drain thread (and so the
+                // scope) finish.
+                let _ = stream.shutdown(Shutdown::Both);
+            }
+            let drained = drain
+                .join()
+                .unwrap_or_else(|_| Err(io::Error::other("feedback drain thread panicked")));
+            sent.and(drained)
+        })?;
         report.acks = acks;
         report.bounds = bounds;
     }
@@ -202,26 +211,35 @@ pub async fn drive_connection(
     Ok(report)
 }
 
-async fn read_feedback_tick(
-    read: &mut OwnedReadHalf,
+/// Reads and counts feedback until the connection ends or — with
+/// `until_marker` — the server's return marker for this tick arrives. A
+/// server that is gone (EOF, read error) ends the tick like a marker does.
+fn read_feedback(
+    mut read: &TcpStream,
     decoder: &mut StreamDecoder,
-    chunk: &mut [u8],
     report: &mut ClientReport,
-) {
+    until_marker: bool,
+) -> io::Result<()> {
+    let mut chunk = [0u8; 4096];
     loop {
-        let n = match read.read(chunk).await {
-            Ok(0) | Err(_) => return, // server gone: treat as end of tick
+        let n = match read.read(&mut chunk) {
+            Ok(0) | Err(_) => return Ok(()),
             Ok(n) => n,
         };
-        if count_feedback(decoder, &chunk[..n], report) {
-            return;
+        if count_feedback(decoder, &chunk[..n], report)? && until_marker {
+            return Ok(());
         }
     }
 }
 
 /// Feeds a feedback chunk, counting acks/bounds; `true` once a tick
-/// marker was seen.
-fn count_feedback(decoder: &mut StreamDecoder, chunk: &[u8], report: &mut ClientReport) -> bool {
+/// marker was seen. The bytes come from the peer: a length prefix over the
+/// frame cap is `InvalidData`, never a panic.
+fn count_feedback(
+    decoder: &mut StreamDecoder,
+    chunk: &[u8],
+    report: &mut ClientReport,
+) -> io::Result<bool> {
     let mut marker = false;
     decoder
         .feed(chunk, |stream_id, body| {
@@ -235,34 +253,64 @@ fn count_feedback(decoder: &mut StreamDecoder, chunk: &[u8], report: &mut Client
                 _ => {}
             }
         })
-        .expect("server sent an oversized feedback frame");
-    marker
+        .map_err(|err| io::Error::new(io::ErrorKind::InvalidData, err))?;
+    Ok(marker)
 }
 
 /// Reads and discards feedback until EOF, counting payloads — the
 /// throughput-mode companion that keeps the server's per-connection queue
 /// drained (zero sheds) while the write side blasts ticks. Returns
 /// `(acks, bounds)` read before the server closed.
-pub async fn discard_feedback(mut read: OwnedReadHalf) -> (u64, u64) {
-    let mut decoder = StreamDecoder::new();
-    let mut chunk = [0u8; 4096];
+fn discard_feedback(read: &TcpStream) -> io::Result<(u64, u64)> {
     let mut report = ClientReport::default();
-    loop {
-        let n = match read.read(&mut chunk).await {
-            Ok(0) | Err(_) => break,
-            Ok(n) => n,
-        };
-        count_feedback(&mut decoder, &chunk[..n], &mut report);
-    }
-    (report.acks, report.bounds)
+    read_feedback(read, &mut StreamDecoder::new(), &mut report, false)?;
+    Ok((report.acks, report.bounds))
 }
 
-/// Raw feedback payloads of one lockstep connection tick, for callers
-/// that need the decoded directives rather than counts (the
-/// loss-recovery tests).
-pub fn decode_feedback(frames: &[(u32, Bytes)]) -> Vec<(u32, WireMessage)> {
-    frames
-        .iter()
-        .filter_map(|(id, p)| WireMessage::decode(p).ok().map(|m| (*id, m)))
-        .collect()
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::workload;
+    use kalstream_core::MAX_FRAME_BYTES;
+    use std::net::TcpListener;
+
+    /// A server that answers the hello with a frame header whose length
+    /// prefix is over the cap, then holds the socket until the client closes.
+    /// Either mode must surface that as `InvalidData` from
+    /// `drive_connection` — not a panicked thread (lockstep), and not a
+    /// report claiming the server sent zero acks (throughput).
+    #[test]
+    fn oversized_feedback_frame_is_invalid_data_not_a_panic_or_a_zero() {
+        const IDS: [u32; 2] = [0, 1];
+        for lockstep in [true, false] {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap().to_string();
+            let fake = thread::spawn(move || {
+                let (mut conn, _) = listener.accept().unwrap();
+                let mut hello = [0u8; 8 + 4 * IDS.len()];
+                conn.read_exact(&mut hello).unwrap();
+                let mut header = Vec::new();
+                header.extend_from_slice(&0u32.to_le_bytes());
+                header.extend_from_slice(&(MAX_FRAME_BYTES as u32 + 1).to_le_bytes());
+                conn.write_all(&header).unwrap();
+                let _ = io::copy(&mut conn, &mut io::sink());
+            });
+            let config = ClientConfig {
+                ticks: 3,
+                overhead_bytes: 8,
+                faults: LinkFaults::default(),
+                lockstep,
+                expect_status: false,
+            };
+            let mut streams = workload::source_streams(&IDS);
+            let err = drive_connection(&addr, &mut streams, 0, &config)
+                .expect_err("oversized feedback frame accepted");
+            assert_eq!(
+                err.kind(),
+                io::ErrorKind::InvalidData,
+                "lockstep={lockstep}"
+            );
+            fake.join().unwrap();
+        }
+    }
 }

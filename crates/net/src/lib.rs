@@ -2,7 +2,8 @@
 //!
 //! Real network transport for the suppression protocol: wire-v3 frames
 //! over TCP sockets, behind the same [`kalstream_sim::Transport`]
-//! abstraction the deterministic simulator implements.
+//! abstraction the deterministic simulator implements. Plain OS threads,
+//! blocking `std::net` sockets and bounded channels — no async runtime.
 //!
 //! Three layers:
 //!
@@ -16,10 +17,11 @@
 //!   socket adds real framing, reassembly, and (via
 //!   [`TcpTransport::kill_at`]) connection death — without perturbing the
 //!   deterministic schedule the proptests compare against.
-//! * [`NetServer`] / [`drive_connection`] — the fleet path: a
-//!   multi-threaded accept/read/route server feeding the sharded
-//!   [`kalstream_core::IngestPipeline`], and the matching source-side
-//!   connection driver. Per-connection feedback queues are bounded; sheds
+//! * [`NetServer`] / [`drive_connection`] — the fleet path: an
+//!   accept/read/route server (a reader and a writer thread per
+//!   connection) feeding the sharded [`kalstream_core::IngestPipeline`],
+//!   and the matching source-side connection driver (a blocking call on
+//!   the caller's thread). Per-connection feedback queues are bounded; sheds
 //!   are counted (including during drain) and exported through
 //!   `kalstream-obs` snapshots. With `NetServerConfig::durable` set the
 //!   server runs behind `kalstream-durable`'s WAL-append-before-apply
@@ -38,7 +40,7 @@ mod server;
 mod transport;
 pub mod workload;
 
-pub use client::{decode_feedback, discard_feedback, drive_connection, ClientConfig, ClientReport};
+pub use client::{drive_connection, ClientConfig, ClientReport};
 pub use codec::HelloStatus;
 pub use server::{
     ConnReport, ElasticNetStats, NetReport, NetServer, NetServerConfig, FEEDBACK_QUEUE_DEPTH,

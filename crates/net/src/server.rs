@@ -2,16 +2,20 @@
 //! [`IngestPipeline`].
 //!
 //! ```text
-//!  conn 0 ──reader task──┐                       ┌─▶ shard 0
-//!  conn 1 ──reader task──┼──▶ router ─ ingest ───┼─▶ shard 1
-//!  conn N ──reader task──┘      │      pipeline  └─▶ …
-//!            ▲                  └─ feedback ──▶ per-conn writer tasks
-//!            └──────────── bounded send queues ◀─────────┘
+//!  conn 0 ──reader thread──┐                       ┌─▶ shard 0
+//!  conn 1 ──reader thread──┼──▶ router ─ ingest ───┼─▶ shard 1
+//!  conn N ──reader thread──┘      │      pipeline  └─▶ …
+//!            ▲                    └─ feedback ──▶ per-conn writer threads
+//!            └───────────── bounded send queues ◀─────────┘
 //! ```
 //!
-//! Every task is a tokio task (one thread each under the thread-per-task
-//! runtime): an accept loop admitting connections, one reader and one
-//! writer task per connection, and the router on the server's own thread.
+//! **Thread model.** Plain OS threads on blocking `std::net` sockets,
+//! joined by bounded [`crossbeam::channel`] queues: the router
+//! (`net-server`, which also runs the ingest barrier hooks), one accept
+//! loop (`net-accept`), a reader and a writer per connection
+//! (`net-reader-<n>` / `net-writer-<n>`, `n` in accept order), and the
+//! pipeline's shard workers — `2 + 2·conns + shards` in all. That is the
+//! benchmark's `host.threads` minus the benchmark's own client threads.
 //!
 //! **Tick discipline.** Clients delimit ticks with marker frames
 //! ([`crate::codec::TICK_MARKER_STREAM`]). The router advances the global
@@ -36,22 +40,20 @@
 //! by a sentinel connection to the server's own port.
 
 use std::collections::HashMap;
-use std::io;
-use std::net::SocketAddr;
+use std::io::{self, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread;
 
 use bytes::Bytes;
-use crossbeam::channel::Receiver;
+use crossbeam::channel::{bounded, Receiver, Sender};
 use kalstream_core::{
     IngestPipeline, IngestResult, ServerEndpoint, ShardAssignment, StreamDecoder,
 };
 use kalstream_durable::{Durability, DurableConfig, DurableStats, DurableStore};
 use kalstream_elastic::{ElasticConfig, ElasticDriver, ResizeKind};
 use kalstream_obs::{Instrument, Registry, Scope, Snapshot};
-use tokio::net::{OwnedWriteHalf, TcpListener, TcpStream};
-use tokio::runtime::Builder;
-use tokio::sync::mpsc;
 
 use crate::codec::{
     decode_hello_ids, decode_hello_prefix, encode_status, feed_ticks, push_frame, push_marker,
@@ -131,7 +133,7 @@ impl Default for NetServerConfig {
 }
 
 /// What one connection did, reported at server teardown.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ConnReport {
     /// Admission index (order of hello arrival).
     pub conn: usize,
@@ -208,7 +210,7 @@ pub struct NetReport {
     /// `let _` drops; now every one is accounted.
     pub dropped_router_msgs: u64,
     /// Socket shutdowns that returned an error in the per-connection
-    /// writer tasks (formerly a silent `let _`).
+    /// writer threads (formerly a silent `let _`).
     pub shutdown_errors: u64,
     /// Ticks re-applied from the WAL during startup recovery.
     pub replayed_ticks: u64,
@@ -265,9 +267,9 @@ impl NetReport {
 enum RouterMsg {
     Hello {
         streams: Vec<u32>,
-        writer: mpsc::Sender<Bytes>,
+        writer: Sender<Bytes>,
         /// Resolved by the router with the admission index.
-        conn_slot: crossbeam::channel::Sender<usize>,
+        conn_slot: Sender<usize>,
     },
     HelloRejected,
     Tick {
@@ -283,15 +285,11 @@ enum RouterMsg {
 
 /// Router-side connection state.
 struct ConnState {
-    writer: Option<mpsc::Sender<Bytes>>,
-    streams: usize,
+    writer: Option<Sender<Bytes>>,
     pending: std::collections::VecDeque<Vec<u8>>,
     eof: bool,
-    ticks: u64,
-    bytes_in: u64,
-    feedback_sent: u64,
-    shed: u64,
-    queue_high_water: u64,
+    /// The connection's counters, updated in place and handed out as is.
+    report: ConnReport,
 }
 
 /// A running TCP ingest server. [`NetServer::start`] binds and serves on a
@@ -299,7 +297,7 @@ struct ConnState {
 /// and returns the [`NetReport`].
 pub struct NetServer {
     addr: SocketAddr,
-    handle: std::thread::JoinHandle<io::Result<NetReport>>,
+    handle: thread::JoinHandle<io::Result<NetReport>>,
 }
 
 impl NetServer {
@@ -309,7 +307,7 @@ impl NetServer {
     /// `InvalidInput` for a configuration the ingest engine would reject
     /// (zero shards, a zero snapshot cadence, an initial shard count outside
     /// the elastic controller's range) — before anything is bound; bind and
-    /// runtime errors otherwise.
+    /// thread-spawn errors otherwise.
     pub fn start(
         addr: &str,
         endpoints: Vec<(u32, ServerEndpoint)>,
@@ -331,13 +329,11 @@ impl NetServer {
         }) {
             return invalid("shards lies outside elastic [min_shards, max_shards]");
         }
-        let rt = Builder::new_multi_thread().enable_all().build()?;
-        let listener = rt.block_on(TcpListener::bind(addr))?;
+        let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let handle = std::thread::Builder::new()
+        let handle = thread::Builder::new()
             .name("net-server".into())
-            .spawn(move || rt.block_on(serve(listener, endpoints, config)))
-            .expect("failed to spawn server thread");
+            .spawn(move || serve(listener, endpoints, config))?;
         Ok(NetServer {
             addr: local,
             handle,
@@ -488,13 +484,15 @@ impl Engine {
     }
 }
 
-async fn serve(
+/// The router: admits connections, cuts the fleet's traffic into global
+/// ticks, drives the engine, and routes feedback. Runs on `net-server`.
+fn serve(
     listener: TcpListener,
     endpoints: Vec<(u32, ServerEndpoint)>,
     config: NetServerConfig,
 ) -> io::Result<NetReport> {
     let addr = listener.local_addr()?;
-    let (router_tx, mut router_rx) = mpsc::channel::<RouterMsg>(config.expected_conns.max(16));
+    let (router_tx, router_rx) = bounded::<RouterMsg>(config.expected_conns.max(16));
     let closing = Arc::new(AtomicBool::new(false));
     let dropped_router_msgs = Arc::new(AtomicU64::new(0));
     let shutdown_errors = Arc::new(AtomicU64::new(0));
@@ -519,23 +517,35 @@ async fn serve(
     let accept_dropped = dropped_router_msgs.clone();
     let accept_shutdown_errors = shutdown_errors.clone();
     let max_hello_streams = config.max_hello_streams;
-    let accept_task = tokio::spawn(async move {
-        loop {
-            let (stream, _) = match listener.accept().await {
-                Ok(pair) => pair,
-                Err(_) => break,
-            };
-            if accept_closing.load(Ordering::SeqCst) {
-                break; // the sentinel itself: drop it and stop accepting
+    let accept_thread = thread::Builder::new()
+        .name("net-accept".into())
+        .spawn(move || {
+            for seq in 0usize.. {
+                let Ok((stream, _)) = listener.accept() else {
+                    break;
+                };
+                if accept_closing.load(Ordering::SeqCst) {
+                    break; // the sentinel itself: drop it and stop accepting
+                }
+                let tx = accept_tx.clone();
+                let dropped = accept_dropped.clone();
+                let shutdown_errs = accept_shutdown_errors.clone();
+                // Detached on purpose: a reader may sit in `read` on a peer
+                // that never speaks, and teardown must not wait for it.
+                // Everything a reader has to report travels through the
+                // router queue and the shared counters.
+                let spawned = thread::Builder::new()
+                    .name(format!("net-reader-{seq}"))
+                    .spawn(move || {
+                        reader_thread(seq, stream, tx, max_hello_streams, dropped, shutdown_errs)
+                    });
+                // Out of threads: the socket closed with the unspawned
+                // closure, so the peer sees EOF; count it as a refusal.
+                if spawned.is_err() && accept_tx.send(RouterMsg::HelloRejected).is_err() {
+                    accept_dropped.fetch_add(1, Ordering::Relaxed);
+                }
             }
-            let tx = accept_tx.clone();
-            let dropped = accept_dropped.clone();
-            let shutdown_errs = accept_shutdown_errors.clone();
-            tokio::spawn(async move {
-                reader_task(stream, tx, max_hello_streams, dropped, shutdown_errs).await
-            });
-        }
-    });
+        })?;
     drop(router_tx);
 
     // ---- router ---------------------------------------------------------
@@ -555,21 +565,21 @@ async fn serve(
                 let Some(&conn) = route.get(&stream_id) else {
                     continue; // stream not owned by any connection (local fleet)
                 };
-                let state = &mut conns[conn];
+                let ConnState { writer, report, .. } = &mut conns[conn];
                 let mut frame = Vec::with_capacity(payload.len() + MARKER_BYTES);
                 push_frame(&mut frame, stream_id, &payload);
-                match &state.writer {
+                match writer {
                     Some(writer) => match writer.try_send(Bytes::from(frame)) {
                         Ok(()) => {
-                            state.feedback_sent += 1;
-                            state.queue_high_water =
-                                state.queue_high_water.max(writer.queued() as u64);
+                            report.feedback_sent += 1;
+                            report.queue_high_water =
+                                report.queue_high_water.max(writer.len() as u64);
                         }
-                        Err(_) => state.shed += 1, // full or closed: count, don't block
+                        Err(_) => report.shed += 1, // full or closed: count, don't block
                     },
                     // Writer already torn down (connection drained): the ack
                     // is lost — count it instead of `let _`-dropping it.
-                    None => state.shed += 1,
+                    None => report.shed += 1,
                 }
             }
         };
@@ -594,7 +604,7 @@ async fn serve(
             for state in conns.iter_mut() {
                 if let Some(frames) = state.pending.pop_front() {
                     tick_wire.extend_from_slice(&frames);
-                    state.ticks += 1;
+                    state.report.ticks += 1;
                 }
             }
             engine.ingest_tick(&tick_wire)?;
@@ -613,7 +623,7 @@ async fn serve(
                     let mut marker = Vec::with_capacity(MARKER_BYTES);
                     push_marker(&mut marker);
                     if writer.try_send(Bytes::from(marker)).is_err() {
-                        state.shed += 1;
+                        state.report.shed += 1;
                     }
                 }
             } else {
@@ -634,7 +644,7 @@ async fn serve(
         }
 
         // Not tick-ready: wait for reader traffic.
-        let Some(msg) = router_rx.recv().await else {
+        let Ok(msg) = router_rx.recv() else {
             break; // accept loop and all readers gone
         };
         match msg {
@@ -657,14 +667,13 @@ async fn serve(
                 }
                 conns.push(ConnState {
                     writer: Some(writer),
-                    streams: streams.len(),
                     pending: Default::default(),
                     eof: false,
-                    ticks: 0,
-                    bytes_in: 0,
-                    feedback_sent: 0,
-                    shed: 0,
-                    queue_high_water: 0,
+                    report: ConnReport {
+                        conn,
+                        streams: streams.len(),
+                        ..ConnReport::default()
+                    },
                 });
                 if conn_slot.send(conn).is_err() {
                     // Reader died before learning its slot: the connection
@@ -682,7 +691,7 @@ async fn serve(
                 bytes_in,
             } => {
                 let state = &mut conns[conn];
-                state.bytes_in += bytes_in;
+                state.report.bytes_in += bytes_in;
                 state.pending.push_back(frames);
             }
             RouterMsg::Eof { conn } => {
@@ -694,15 +703,15 @@ async fn serve(
     // ---- drain ----------------------------------------------------------
     engine.pipeline.flush();
     route_feedback(&mut conns, &route, &engine.feedback);
-    // Dropping each writer sender closes its queue; the writer task
-    // drains remaining payloads, flushes, and shuts the socket down.
+    // Dropping each writer sender closes its queue; the writer thread
+    // drains remaining payloads and shuts the socket's write side down.
     for state in conns.iter_mut() {
         state.writer = None;
     }
     // Unblock the accept loop with a sentinel dial, then join it.
     closing.store(true, Ordering::SeqCst);
-    let _ = TcpStream::connect(addr).await;
-    let _ = accept_task.await;
+    let _ = TcpStream::connect(addr);
+    let _ = accept_thread.join();
     // Late feedback (none expected after the final flush, but a shard
     // worker could still be mid-poll): count as shed, never drop silently.
     route_feedback(&mut conns, &route, &engine.feedback);
@@ -710,22 +719,9 @@ async fn serve(
     let (replayed_ticks, replay_feedback_discarded) =
         (engine.replayed_ticks, engine.replay_feedback_discarded);
     let (ingest, durable, elastic) = engine.finish()?;
-    let conn_reports = conns
-        .iter()
-        .enumerate()
-        .map(|(i, c)| ConnReport {
-            conn: i,
-            streams: c.streams,
-            ticks: c.ticks,
-            bytes_in: c.bytes_in,
-            feedback_sent: c.feedback_sent,
-            shed: c.shed,
-            queue_high_water: c.queue_high_water,
-        })
-        .collect();
     Ok(NetReport {
         ingest,
-        conns: conn_reports,
+        conns: conns.into_iter().map(|c| c.report).collect(),
         ticks,
         rejected_hellos,
         dropped_router_msgs: dropped_router_msgs.load(Ordering::Relaxed),
@@ -738,76 +734,76 @@ async fn serve(
 }
 
 /// Per-connection reader: hello, then marker-delimited tick segments.
-/// Spawns the connection's writer task once the hello is accepted.
-async fn reader_task(
+/// Spawns the connection's writer thread once the hello is admitted.
+/// `seq` is the accept order, used only to name the two threads.
+fn reader_thread(
+    seq: usize,
     stream: TcpStream,
-    router: mpsc::Sender<RouterMsg>,
+    router: Sender<RouterMsg>,
     max_hello_streams: usize,
     dropped_router_msgs: Arc<AtomicU64>,
     shutdown_errors: Arc<AtomicU64>,
 ) {
     let _ = stream.set_nodelay(true);
-    let (mut read, write) = stream.into_split();
+    // One socket, two directions: the reader reads and the writer writes
+    // through `&TcpStream`, so neither needs its own descriptor.
+    let stream = Arc::new(stream);
+    let mut read = &*stream;
 
     // A send to a closed router is a real loss of accounting, not noise.
-    let report_or_count = |msg: RouterMsg, dropped: Arc<AtomicU64>| {
-        let router = router.clone();
-        async move {
-            if router.send(msg).await.is_err() {
-                dropped.fetch_add(1, Ordering::Relaxed);
-            }
+    let report_or_count = |msg: RouterMsg| {
+        if router.send(msg).is_err() {
+            dropped_router_msgs.fetch_add(1, Ordering::Relaxed);
         }
     };
 
     // Hello.
     let mut prefix = [0u8; 8];
-    if read.read_exact(&mut prefix).await.is_err() {
+    if read.read_exact(&mut prefix).is_err() {
         return; // sentinel or portscan: vanish quietly
     }
     let streams = match decode_hello_prefix(&prefix, max_hello_streams) {
         Ok(count) => {
             let mut body = vec![0u8; count * 4];
-            if read.read_exact(&mut body).await.is_err() {
+            if read.read_exact(&mut body).is_err() {
                 return;
             }
-            match decode_hello_ids(&body) {
-                Ok(ids) => ids,
-                Err(_) => {
-                    report_or_count(RouterMsg::HelloRejected, dropped_router_msgs.clone()).await;
-                    return;
-                }
-            }
+            decode_hello_ids(&body)
         }
-        Err(_) => {
-            report_or_count(RouterMsg::HelloRejected, dropped_router_msgs.clone()).await;
-            return;
-        }
+        Err(err) => Err(err),
+    };
+    let Ok(streams) = streams else {
+        report_or_count(RouterMsg::HelloRejected);
+        return;
     };
 
-    let (writer_tx, writer_rx) = mpsc::channel::<Bytes>(FEEDBACK_QUEUE_DEPTH);
-    let (slot_tx, slot_rx) = crossbeam::channel::bounded(1);
-    if router
-        .send(RouterMsg::Hello {
-            streams,
-            writer: writer_tx,
-            conn_slot: slot_tx,
-        })
-        .await
-        .is_err()
-    {
-        dropped_router_msgs.fetch_add(1, Ordering::Relaxed);
+    let (writer_tx, writer_rx) = bounded::<Bytes>(FEEDBACK_QUEUE_DEPTH);
+    let (slot_tx, slot_rx) = bounded(1);
+    report_or_count(RouterMsg::Hello {
+        streams,
+        writer: writer_tx,
+        conn_slot: slot_tx,
+    });
+    // Also fails when the hello could not be sent: its slot sender is gone.
+    let Ok(conn) = slot_rx.recv() else { return };
+    let write = Arc::clone(&stream);
+    // Detached like the reader; it exits when the router drops the queue.
+    let spawned = thread::Builder::new()
+        .name(format!("net-writer-{seq}"))
+        .spawn(move || writer_thread(&write, writer_rx, shutdown_errors));
+    if spawned.is_err() {
+        // Out of threads: close the admitted connection rather than serve
+        // it with no feedback direction.
+        report_or_count(RouterMsg::Eof { conn });
         return;
     }
-    let Ok(conn) = slot_rx.recv() else { return };
-    let writer_shutdown_errors = shutdown_errors.clone();
-    tokio::spawn(async move { writer_task(write, writer_rx, writer_shutdown_errors).await });
 
     // Data: accumulate frames, cut at markers.
     let mut decoder = StreamDecoder::new();
     let mut tick_buf: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 16 * 1024];
     loop {
-        let n = match read.read(&mut chunk).await {
+        let n = match read.read(&mut chunk) {
             Ok(0) | Err(_) => break,
             Ok(n) => n,
         };
@@ -824,7 +820,6 @@ async fn reader_task(
                     frames,
                     bytes_in,
                 })
-                .await
                 .is_err()
             {
                 return;
@@ -833,24 +828,18 @@ async fn reader_task(
     }
     // An undeliverable EOF means the router tore down first; its barrier
     // no longer waits on this conn, but the loss is still counted.
-    report_or_count(RouterMsg::Eof { conn }, dropped_router_msgs.clone()).await;
+    report_or_count(RouterMsg::Eof { conn });
 }
 
 /// Per-connection writer: drains the bounded feedback queue onto the
-/// socket; on queue close, flushes and shuts the write side down.
-async fn writer_task(
-    mut write: OwnedWriteHalf,
-    mut rx: mpsc::Receiver<Bytes>,
-    shutdown_errors: Arc<AtomicU64>,
-) {
-    while let Some(frame) = rx.recv().await {
-        if write.write_all(&frame).await.is_err() {
-            // Peer gone: keep draining so the router's try_sends see a
-            // live (then closed) queue rather than a wedged one.
-            continue;
-        }
+/// socket; on queue close, shuts the write side down.
+fn writer_thread(mut write: &TcpStream, rx: Receiver<Bytes>, shutdown_errors: Arc<AtomicU64>) {
+    for frame in &rx {
+        // Peer gone: keep draining so the router's try_sends see a live
+        // (then closed) queue rather than a wedged one.
+        let _ = write.write_all(&frame);
     }
-    if write.shutdown().await.is_err() {
+    if write.shutdown(Shutdown::Write).is_err() {
         shutdown_errors.fetch_add(1, Ordering::Relaxed);
     }
 }

@@ -23,33 +23,28 @@
 //! transparently reconnects. The seq/ack layer above must then detect the
 //! gap and resync, which `tests/loss_recovery.rs` (root package) asserts.
 
-use bytes::Bytes;
-use tokio::net::{OwnedReadHalf, OwnedWriteHalf, TcpListener, TcpStream};
-use tokio::runtime::{Builder, Runtime};
+use std::io::{Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
 
+use bytes::Bytes;
 use kalstream_core::StreamDecoder;
 use kalstream_sim::{Link, LinkFaults, Tick, Transport, TransportStats, ACK_SEED_OFFSET};
 
 use crate::codec::{feed_ticks, push_frame, push_marker, TICK_MARKER_STREAM};
 
-/// The four socket halves of one established producer↔consumer pair.
-struct Halves {
-    /// Producer side: forward frames out.
-    client_write: OwnedWriteHalf,
-    /// Producer side: feedback frames in.
-    client_read: OwnedReadHalf,
-    /// Consumer side: forward frames in.
-    server_read: OwnedReadHalf,
-    /// Consumer side: feedback frames out.
-    server_write: OwnedWriteHalf,
+/// The two ends of one established producer↔consumer connection.
+struct Pair {
+    /// Producer side: forward frames out, feedback frames in.
+    client: TcpStream,
+    /// Consumer side: forward frames in, feedback frames out.
+    server: TcpStream,
 }
 
 /// A [`Transport`] over a real loopback TCP connection, with sim-identical
 /// fault scheduling in front of the socket. See the module docs.
 pub struct TcpTransport {
-    rt: Runtime,
     listener: TcpListener,
-    halves: Halves,
+    pair: Pair,
     forward: Link,
     feedback: Link,
     fwd_decoder: StreamDecoder,
@@ -80,13 +75,11 @@ impl TcpTransport {
         overhead_bytes: usize,
         faults: LinkFaults,
     ) -> std::io::Result<Self> {
-        let rt = Builder::new_current_thread().enable_all().build()?;
-        let listener = rt.block_on(TcpListener::bind("127.0.0.1:0"))?;
-        let halves = establish(&rt, &listener)?;
+        let listener = TcpListener::bind("127.0.0.1:0")?;
+        let pair = establish(&listener)?;
         Ok(TcpTransport {
-            rt,
             listener,
-            halves,
+            pair,
             forward: Link::with_faults(latency, overhead_bytes, faults),
             feedback: Link::with_faults(
                 latency,
@@ -125,8 +118,8 @@ impl TcpTransport {
     /// even when the first fails (the second's result is reported only if
     /// the first succeeded), so one dead direction never strands the other.
     pub fn close(&mut self) -> std::io::Result<()> {
-        let client = self.rt.block_on(self.halves.client_write.shutdown());
-        let server = self.rt.block_on(self.halves.server_write.shutdown());
+        let client = self.pair.client.shutdown(Shutdown::Write);
+        let server = self.pair.server.shutdown(Shutdown::Write);
         client.and(server)
     }
 
@@ -150,8 +143,7 @@ impl TcpTransport {
     /// non-marker frame. EOF before the marker means the connection died
     /// mid-tick: whatever arrived is delivered, the rest is lost.
     fn read_tick(
-        rt: &Runtime,
-        read: &mut OwnedReadHalf,
+        mut read: &TcpStream,
         decoder: &mut StreamDecoder,
         bytes_in: &mut u64,
         sink: &mut dyn FnMut(u32, Bytes),
@@ -159,7 +151,7 @@ impl TcpTransport {
         let mut chunk = [0u8; 4096];
         let mut tick_buf: Vec<u8> = Vec::new();
         loop {
-            let n = match rt.block_on(read.read(&mut chunk)) {
+            let n = match read.read(&mut chunk) {
                 Ok(0) | Err(_) => break, // dead connection: lose the tail
                 Ok(n) => n,
             };
@@ -199,33 +191,27 @@ impl TcpTransport {
         }
         push_marker(&mut self.write_buf);
         self.socket_bytes_out += self.write_buf.len() as u64;
-        let write = if forward {
-            &mut self.halves.client_write
+        let mut write = if forward {
+            &self.pair.client
         } else {
-            &mut self.halves.server_write
+            &self.pair.server
         };
-        self.rt
-            .block_on(write.write_all(&self.write_buf))
+        write
+            .write_all(&self.write_buf)
             .expect("loopback write failed");
     }
 }
 
 /// Dials the listener and accepts the peer — one established pair.
-fn establish(rt: &Runtime, listener: &TcpListener) -> std::io::Result<Halves> {
+fn establish(listener: &TcpListener) -> std::io::Result<Pair> {
     let addr = listener.local_addr()?;
     // Loopback connect completes from the listener's backlog, so a single
     // thread can dial then accept without deadlock.
-    let client = rt.block_on(TcpStream::connect(addr))?;
+    let client = TcpStream::connect(addr)?;
     client.set_nodelay(true)?;
-    let (server, _) = rt.block_on(listener.accept())?;
-    let (client_read, client_write) = client.into_split();
-    let (server_read, server_write) = server.into_split();
-    Ok(Halves {
-        client_write,
-        client_read,
-        server_read,
-        server_write,
-    })
+    let (server, _) = listener.accept()?;
+    server.set_nodelay(true)?;
+    Ok(Pair { client, server })
 }
 
 impl Transport for TcpTransport {
@@ -236,8 +222,7 @@ impl Transport for TcpTransport {
     fn recv(&mut self, now: Tick, sink: &mut dyn FnMut(u32, Bytes)) {
         let _ = now;
         TcpTransport::read_tick(
-            &self.rt,
-            &mut self.halves.server_read,
+            &self.pair.server,
             &mut self.fwd_decoder,
             &mut self.socket_bytes_in,
             sink,
@@ -254,8 +239,7 @@ impl Transport for TcpTransport {
         // — within one tick, matching the sim's same-tick ack delivery.
         self.write_due(now, false);
         TcpTransport::read_tick(
-            &self.rt,
-            &mut self.halves.client_read,
+            &self.pair.client,
             &mut self.fb_decoder,
             &mut self.socket_bytes_in,
             sink,
@@ -271,10 +255,10 @@ impl Transport for TcpTransport {
             // and survive, like any buffered-but-unsent data would.
             let lost: usize = self.forward.deliver(now).count();
             let _ = lost;
-            let fresh = establish(&self.rt, &self.listener).expect("reconnect failed");
-            // Old halves drop here: write directions shut down, reader
-            // sides vanish with them — unread bytes are gone for good.
-            self.halves = fresh;
+            let fresh = establish(&self.listener).expect("reconnect failed");
+            // The old pair drops here: both sockets close, and unread
+            // bytes are gone for good.
+            self.pair = fresh;
             self.fwd_decoder = StreamDecoder::new();
             self.fb_decoder = StreamDecoder::new();
             self.reconnects += 1;

@@ -68,17 +68,11 @@ fn serve_fleet(config: NetServerConfig) -> NetReport {
                 expect_status,
             };
             std::thread::spawn(move || {
-                let rt = tokio::runtime::Builder::new_current_thread()
-                    .enable_all()
-                    .build()
-                    .expect("runtime");
                 let base = (conn * per_conn) as u64;
                 let ids: Vec<u32> = (0..per_conn).map(|k| base as u32 + k as u32).collect();
                 let mut fleet = workload::source_streams(&ids);
-                rt.block_on(kalstream_net::drive_connection(
-                    &addr, &mut fleet, base, &config,
-                ))
-                .expect("connection survives every resize")
+                kalstream_net::drive_connection(&addr, &mut fleet, base, &config)
+                    .expect("connection survives every resize")
             })
         })
         .collect();

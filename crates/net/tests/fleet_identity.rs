@@ -96,20 +96,14 @@ fn over_tcp_inner(
                 expect_status: false,
             };
             std::thread::spawn(move || {
-                let rt = tokio::runtime::Builder::new_current_thread()
-                    .enable_all()
-                    .build()
-                    .expect("runtime");
                 let base = (conn * per_conn) as u64;
                 let ids: Vec<u32> = (0..per_conn).map(|k| base as u32 + k as u32).collect();
                 let mut fleet = match ack_timeout {
                     Some(t) => workload::source_streams_acked(&ids, t),
                     None => workload::source_streams(&ids),
                 };
-                rt.block_on(kalstream_net::drive_connection(
-                    &addr, &mut fleet, base, &config,
-                ))
-                .expect("connection")
+                kalstream_net::drive_connection(&addr, &mut fleet, base, &config)
+                    .expect("connection")
             })
         })
         .collect();
