@@ -14,6 +14,14 @@ if grep -n tokio --include=Cargo.toml -r . --exclude-dir=benchmark --exclude-dir
     exit 1
 fi
 
+echo "==> adaptive filter keeps an O(1) footprint: no per-entry matrices, no per-update model rebuild"
+# Non-test code of adaptive.rs only (everything above its #[cfg(test)]).
+if sed '/#\[cfg(test)\]/,$d' crates/filter/src/adaptive.rs |
+    grep -nE 'VecDeque|with_measurement_noise|with_process_noise|with_scaled_q|set_model'; then
+    echo "crates/filter/src/adaptive.rs is back to per-entry windows or rebuilding the model per update" >&2
+    exit 1
+fi
+
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 

@@ -30,7 +30,7 @@ use kalstream_bench::fleet_batch::run_fleet_batch;
 use kalstream_bench::harness::{run_method, StreamFamily};
 use kalstream_bench::MetricsOut;
 use kalstream_core::{ProtocolConfig, SessionSpec, SourceEndpoint};
-use kalstream_filter::{models, KalmanFilter};
+use kalstream_filter::{models, AdaptiveConfig, AdaptiveKalmanFilter, KalmanFilter};
 use kalstream_linalg::Vector;
 use kalstream_sim::run_fleet;
 
@@ -57,11 +57,108 @@ fn quiet_source(delta: f64) -> SourceEndpoint {
     .0
 }
 
+/// Streams in the fleet-footprint probe: the end-to-end benchmark's fleet.
+const PROBE_STREAMS: usize = 512;
+const PROBE_WARMUP_ROUNDS: u64 = 64;
+const PROBE_ROUNDS: u64 = 400;
+
+/// Per-operation cost over [`PROBE_STREAMS`] default-scalar streams visited
+/// round-robin, in ns. Informational: printed and recorded, never gated.
+///
+/// The single-hot-filter rows above (`suppression_decision_ns` and friends)
+/// time one endpoint in a tight loop, so everything it touches stays in
+/// L1 — which is how a 220 ns `decide` row sat next to a 2.8 µs per-`decide`
+/// cost in the 512-stream fleet for five PRs: the fleet's working set
+/// (then ≈ 35 KB of window matrices per stream) never fit any cache, and a
+/// one-filter loop cannot see that. These rows can.
+struct FleetProbe {
+    adaptive_step_ns: f64,
+    source_decide_suppressed_ns: f64,
+    source_decide_sent_ns: f64,
+    shadow_predict_ns: f64,
+}
+
+/// The probe's per-stream signal: a slow sinusoid plus a per-stream offset.
+fn probe_signal(stream: usize, round: u64) -> f64 {
+    (round as f64 * 0.05 + stream as f64 * 0.37).sin() * 2.0 + stream as f64 * 0.01
+}
+
+/// Visits every item once per round and returns ns per visit over the
+/// timed rounds (after the warm-up rounds have filled every window).
+fn round_robin_ns<T>(items: &mut [T], mut visit: impl FnMut(&mut T, usize, u64)) -> f64 {
+    for round in 0..PROBE_WARMUP_ROUNDS {
+        for (i, item) in items.iter_mut().enumerate() {
+            visit(item, i, round);
+        }
+    }
+    let start = Instant::now();
+    for round in PROBE_WARMUP_ROUNDS..PROBE_WARMUP_ROUNDS + PROBE_ROUNDS {
+        for (i, item) in items.iter_mut().enumerate() {
+            visit(item, i, round);
+        }
+    }
+    start.elapsed().as_secs_f64() * 1e9 / (PROBE_ROUNDS * items.len() as u64) as f64
+}
+
+fn default_scalar_sources(delta: f64) -> Vec<SourceEndpoint> {
+    (0..PROBE_STREAMS)
+        .map(|i| {
+            let config = ProtocolConfig::new(delta).expect("valid delta");
+            // Off the signal, so even the first observation moves.
+            SessionSpec::default_scalar(probe_signal(i, 0) - 1.0, config)
+                .expect("valid spec")
+                .build()
+                .split()
+                .0
+        })
+        .collect()
+}
+
+fn fleet_probe() -> FleetProbe {
+    let walk =
+        || KalmanFilter::new(models::random_walk(0.01, 0.01), Vector::zeros(1), 1.0).expect("kf");
+    let mut adaptive: Vec<AdaptiveKalmanFilter> = (0..PROBE_STREAMS)
+        .map(|_| AdaptiveKalmanFilter::new(walk(), AdaptiveConfig::default()))
+        .collect();
+    let mut z = Vector::zeros(1);
+    let adaptive_step_ns = round_robin_ns(&mut adaptive, |akf, i, round| {
+        z[0] = probe_signal(i, round);
+        std::hint::black_box(akf.step_lean(&z).expect("step").nis);
+    });
+
+    // A bound nothing exceeds / a bound everything exceeds: each fleet
+    // takes one branch of `decide` on every observation.
+    let mut quiet = default_scalar_sources(1e9);
+    let source_decide_suppressed_ns = round_robin_ns(&mut quiet, |source, i, round| {
+        let sent = source.decide(&[probe_signal(i, round)]).is_some();
+        assert!(!sent, "the quiet fleet must suppress");
+    });
+    let mut loud = default_scalar_sources(1e-9);
+    let source_decide_sent_ns = round_robin_ns(&mut loud, |source, i, round| {
+        let sent = std::hint::black_box(source.decide(&[probe_signal(i, round)])).is_some();
+        assert!(sent, "the loud fleet must sync");
+    });
+
+    let mut shadows: Vec<KalmanFilter> = (0..PROBE_STREAMS).map(|_| walk()).collect();
+    let shadow_predict_ns = round_robin_ns(&mut shadows, |kf, _, _| {
+        kf.predict().expect("predict");
+        std::hint::black_box(kf.state());
+    });
+
+    FleetProbe {
+        adaptive_step_ns,
+        source_decide_suppressed_ns,
+        source_decide_sent_ns,
+        shadow_predict_ns,
+    }
+}
+
 struct Measurements {
     available_parallelism: usize,
     predict_ns: f64,
     update_ns: f64,
     decide_ns: f64,
+    probe: FleetProbe,
     allocs_per_tick: f64,
     allocs_per_filter_step: f64,
     fleet_wall_ms: f64,
@@ -115,6 +212,9 @@ fn measure(quick: bool) -> Measurements {
     let predict_ns = ns("predict_cv2");
     let update_ns = ns("update_cv2");
     let decide_ns = ns("suppression_decision_quiet");
+
+    // --- fleet-footprint probe (informational) ---------------------------
+    let probe = fleet_probe();
 
     // --- allocs/tick in protocol steady state ----------------------------
     let mut source = quiet_source(0.5);
@@ -182,6 +282,7 @@ fn measure(quick: bool) -> Measurements {
         predict_ns,
         update_ns,
         decide_ns,
+        probe,
         allocs_per_tick,
         allocs_per_filter_step,
         fleet_wall_ms,
@@ -198,11 +299,16 @@ fn measure(quick: bool) -> Measurements {
 
 fn to_json(m: &Measurements) -> String {
     format!(
-        "{{\n  \"available_parallelism\": {},\n  \"predict_ns\": {:.1},\n  \"update_ns\": {:.1},\n  \"suppression_decision_ns\": {:.1},\n  \"allocs_per_tick\": {:.3},\n  \"allocs_per_filter_step\": {:.3},\n  \"fleet_streams\": {},\n  \"fleet_ticks\": {},\n  \"fleet_wall_ms\": {:.1},\n  \"fleet_total_messages\": {},\n  \"batch_fleet_streams\": {},\n  \"batch_fleet_ticks\": {},\n  \"batch_fleet_scalar_wall_ms\": {:.1},\n  \"batch_fleet_wall_ms\": {:.1},\n  \"batch_fleet_speedup\": {:.2},\n  \"batch_predict_ns\": {:.1},\n  \"batch_update_ns\": {:.1},\n  \"batch_matches_scalar\": {}\n}}",
+        "{{\n  \"available_parallelism\": {},\n  \"predict_ns\": {:.1},\n  \"update_ns\": {:.1},\n  \"suppression_decision_ns\": {:.1},\n  \"fleet_probe_streams\": {},\n  \"fleet_adaptive_step_ns\": {:.1},\n  \"fleet_source_decide_suppressed_ns\": {:.1},\n  \"fleet_source_decide_sent_ns\": {:.1},\n  \"fleet_shadow_predict_ns\": {:.1},\n  \"allocs_per_tick\": {:.3},\n  \"allocs_per_filter_step\": {:.3},\n  \"fleet_streams\": {},\n  \"fleet_ticks\": {},\n  \"fleet_wall_ms\": {:.1},\n  \"fleet_total_messages\": {},\n  \"batch_fleet_streams\": {},\n  \"batch_fleet_ticks\": {},\n  \"batch_fleet_scalar_wall_ms\": {:.1},\n  \"batch_fleet_wall_ms\": {:.1},\n  \"batch_fleet_speedup\": {:.2},\n  \"batch_predict_ns\": {:.1},\n  \"batch_update_ns\": {:.1},\n  \"batch_matches_scalar\": {}\n}}",
         m.available_parallelism,
         m.predict_ns,
         m.update_ns,
         m.decide_ns,
+        PROBE_STREAMS,
+        m.probe.adaptive_step_ns,
+        m.probe.source_decide_suppressed_ns,
+        m.probe.source_decide_sent_ns,
+        m.probe.shadow_predict_ns,
         m.allocs_per_tick,
         m.allocs_per_filter_step,
         FLEET_STREAMS,
@@ -283,6 +389,14 @@ fn main() {
         m.predict_ns, m.update_ns, m.decide_ns, m.allocs_per_tick, m.fleet_wall_ms
     );
     println!(
+        "fleet probe, {} round-robin default-scalar streams: adaptive step {:.0} ns | decide suppressed {:.0} ns | decide sent {:.0} ns | shadow predict {:.0} ns",
+        PROBE_STREAMS,
+        m.probe.adaptive_step_ns,
+        m.probe.source_decide_suppressed_ns,
+        m.probe.source_decide_sent_ns,
+        m.probe.shadow_predict_ns,
+    );
+    println!(
         "batch fleet {}x{}: scalar {:.0} ms vs batch {:.0} ms ({:.2}x, bit-identical: {})",
         BATCH_FLEET_STREAMS,
         m.batch_fleet_ticks,
@@ -300,6 +414,17 @@ fn main() {
         s.gauge("suppression_decision_ns", m.decide_ns);
         s.gauge("allocs_per_tick", m.allocs_per_tick);
         s.gauge("allocs_per_filter_step", m.allocs_per_filter_step);
+    }
+    {
+        let mut s = metrics.scope("fleet_probe");
+        s.counter("streams", PROBE_STREAMS as u64);
+        s.gauge("adaptive_step_ns", m.probe.adaptive_step_ns);
+        s.gauge(
+            "source_decide_suppressed_ns",
+            m.probe.source_decide_suppressed_ns,
+        );
+        s.gauge("source_decide_sent_ns", m.probe.source_decide_sent_ns);
+        s.gauge("shadow_predict_ns", m.probe.shadow_predict_ns);
     }
     {
         let mut s = metrics.scope("fleet");

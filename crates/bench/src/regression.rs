@@ -37,7 +37,12 @@ pub const NET_SPEEDUP_MIN_CORES: f64 = 4.0;
 /// lanes ever drops below this multiple of the scalar path, the layout (or
 /// a dispatch change on top of it) has regressed and the gate fails — no
 /// host tolerance, since the ratio is measured on one machine in one run.
-pub const MIN_BATCH_SPEEDUP: f64 = 4.0;
+///
+/// The scalar side is `KalmanFilter::predict`/`update`, which since the
+/// shape dispatch run the same monomorphized kernel the lanes do: the
+/// ratio now prices the layout alone (4–5.5× measured, against ≈ 15× when
+/// the scalar side was the shape-generic code and the floor was 4.0).
+pub const MIN_BATCH_SPEEDUP: f64 = 2.5;
 
 /// Floor on the measured offered-load swing (`swing_factor` in
 /// `BENCH_elastic.json`): the hot phase must offer at least this multiple

@@ -289,7 +289,7 @@ mod tests {
     use super::*;
     use crate::frame::FrameBatch;
     use crate::ingest::SequentialIngest;
-    use crate::test_support::{filter_bits, record_log};
+    use crate::test_support::{filter_bits, record_log, record_log_of};
     use crate::wire::WireMessage;
     use kalstream_filter::models;
     use kalstream_linalg::{Matrix, Vector};
@@ -316,10 +316,15 @@ mod tests {
     #[test]
     fn groups_same_model_streams_and_leaves_ineligible_ones_scalar() {
         let mut endpoints = Vec::new();
-        // 1-state random walks: below the batch shape table, stay scalar.
+        // 3-state constant acceleration: outside the batch shape table,
+        // stays scalar.
         for id in 0..3u32 {
-            let kf =
-                KalmanFilter::new(models::random_walk(0.01, 0.25), Vector::zeros(1), 1.0).unwrap();
+            let kf = KalmanFilter::new(
+                models::constant_acceleration(1.0, 0.02, 0.1),
+                Vector::zeros(3),
+                1.0,
+            )
+            .unwrap();
             endpoints.push((id, ServerEndpoint::new(kf)));
         }
         // 2-state constant velocity: batched, one shared group.
@@ -348,8 +353,39 @@ mod tests {
     }
 
     #[test]
+    fn default_scalar_fleet_is_fully_batched() {
+        // The benchmark's own fleet: 1-state adaptive random walks. Before
+        // the table had a 1×1 row they all fell back to the scalar path.
+        let (servers, _) = record_log(0, 16, 0);
+        let lanes = BatchLanes::new(&servers);
+        assert_eq!(lanes.coverage(), (16, 0));
+        assert_eq!(lanes.groups.len(), 1);
+    }
+
+    #[test]
     fn batched_ingest_matches_sequential_bit_for_bit() {
-        let (servers, log) = record_log(12, 4, 80);
+        // 12 CV (2×1) and 4 default scalar (1×1) sessions batch in two
+        // groups; 4 constant-acceleration (3×1) sessions stay scalar.
+        let config = || crate::ProtocolConfig::new(0.25).unwrap();
+        let specs = (0..20)
+            .map(|id| match id {
+                0..12 => crate::SessionSpec::fixed(
+                    models::constant_velocity(1.0, 0.05, 0.1),
+                    Vector::zeros(2),
+                    1.0,
+                    config(),
+                ),
+                12..16 => crate::SessionSpec::default_scalar(0.0, config()),
+                _ => crate::SessionSpec::fixed(
+                    models::constant_acceleration(1.0, 0.02, 0.1),
+                    Vector::zeros(3),
+                    1.0,
+                    config(),
+                ),
+            })
+            .collect::<crate::Result<Vec<_>>>()
+            .unwrap();
+        let (servers, log) = record_log_of(specs, 80);
         let mut seq = SequentialIngest::new(servers.clone());
         for tick in &log {
             seq.ingest_tick(tick);
@@ -358,7 +394,7 @@ mod tests {
         assert!(seq_result.total_messages() > 0, "log recorded no syncs");
 
         let mut batched = BatchedIngest::new(servers);
-        assert_eq!(batched.coverage(), (12, 4));
+        assert_eq!(batched.coverage(), (16, 4));
         for tick in &log {
             TickIngest::ingest_tick(&mut batched, tick);
         }

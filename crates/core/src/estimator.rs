@@ -32,10 +32,10 @@ impl Estimator {
     pub fn step(&mut self, z: &Vector) -> Result<()> {
         match self {
             Estimator::Fixed(kf) => {
-                kf.step(z)?;
+                kf.step_lean(z)?;
             }
             Estimator::Adaptive(akf) => {
-                akf.step(z)?;
+                akf.step_lean(z)?;
             }
             Estimator::Bank(bank) => {
                 bank.step(z)?;

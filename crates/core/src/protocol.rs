@@ -88,12 +88,6 @@ impl AckTracker {
     }
 }
 
-/// Max-norm distance between a predicted measurement and an observation —
-/// the norm the precision contract `|served − observed| ≤ δ` is defined in.
-pub(crate) fn precision_norm(a: &Vector, b: &Vector) -> f64 {
-    a.max_abs_diff(b)
-}
-
 /// Projects a state so that its measurement image equals `z` exactly, moving
 /// the state as little as possible (minimum-norm correction):
 ///
@@ -178,13 +172,6 @@ mod tests {
         let z = Vector::from_slice(&[3.0]);
         let pinned = pin_to_measurement(&x, &h, &z).unwrap();
         assert!(pinned.max_abs_diff(&x) < 1e-12);
-    }
-
-    #[test]
-    fn precision_norm_is_max_norm() {
-        let a = Vector::from_slice(&[1.0, 5.0]);
-        let b = Vector::from_slice(&[1.5, 3.0]);
-        assert_eq!(precision_norm(&a, &b), 2.0);
     }
 
     #[test]

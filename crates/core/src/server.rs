@@ -357,7 +357,7 @@ fn apply_to_filter(filter: &mut KalmanFilter, msg: SyncMessage) -> bool {
             }
             Err(_) => false,
         },
-        SyncMessage::Measurement { z } => filter.update(&z).is_ok(),
+        SyncMessage::Measurement { z } => filter.update_lean(&z).is_ok(),
     }
 }
 

@@ -5,7 +5,7 @@ use kalstream_filter::{
 };
 use kalstream_linalg::Vector;
 
-use crate::{Estimator, ProtocolConfig, Result, ServerEndpoint, SourceEndpoint};
+use crate::{CoreError, Estimator, ProtocolConfig, Result, ServerEndpoint, SourceEndpoint};
 
 /// Declarative description of one protocol session: which estimator runs at
 /// the source, and the protocol contract. Building the spec yields a matched
@@ -32,7 +32,9 @@ impl SessionSpec {
     /// A session whose source adapts `Q`/`R` online.
     ///
     /// # Errors
-    /// Propagates filter-construction errors.
+    /// [`CoreError::BadConfig`] when `adapt.window` is zero (an adaptive
+    /// session that can never adapt is a mis-configured [`SessionSpec::fixed`]);
+    /// otherwise propagates filter-construction errors.
     pub fn adaptive(
         model: StateModel,
         x0: Vector,
@@ -40,6 +42,12 @@ impl SessionSpec {
         adapt: AdaptiveConfig,
         config: ProtocolConfig,
     ) -> Result<Self> {
+        if adapt.window == 0 {
+            return Err(CoreError::BadConfig {
+                what: "adaptive window",
+                reason: "must hold at least 1 update".into(),
+            });
+        }
         let kf = KalmanFilter::new(model, x0, p0)?;
         Ok(SessionSpec {
             estimator: Estimator::Adaptive(AdaptiveKalmanFilter::new(kf, adapt)),
@@ -157,6 +165,30 @@ mod tests {
             .split();
         assert_eq!(server.filter().state()[0], 7.0);
         assert_eq!(source.delta(), 1.0);
+    }
+
+    #[test]
+    fn adaptive_spec_rejects_a_zero_window() {
+        let adapt = AdaptiveConfig {
+            window: 0,
+            ..Default::default()
+        };
+        let err = SessionSpec::adaptive(
+            models::random_walk(0.01, 0.01),
+            Vector::zeros(1),
+            1.0,
+            adapt,
+            config(1.0),
+        )
+        .err()
+        .expect("window 0 must be refused");
+        assert!(matches!(
+            err,
+            CoreError::BadConfig {
+                what: "adaptive window",
+                ..
+            }
+        ));
     }
 
     #[test]

@@ -6,7 +6,7 @@ use kalstream_linalg::Vector;
 use kalstream_obs::{Counter, Instrument, Scope};
 use kalstream_sim::{Producer, Tick};
 
-use crate::protocol::{pin_to_measurement, precision_norm, AckTracker};
+use crate::protocol::{pin_to_measurement, AckTracker};
 use crate::wire::{SyncMessage, WireMessage};
 use crate::{Estimator, ProtocolConfig, RateEstimator, ResyncPayload};
 
@@ -192,7 +192,7 @@ impl SourceEndpoint {
 
         // 0. Reject unusable observations — a short slice or a non-finite
         //    value — before they touch any filter. A NaN fed through would
-        //    make `precision_norm` NaN, the suppression test permanently
+        //    make the innovation norm NaN, the suppression test permanently
         //    false, and the source would then sync NaN state every tick.
         //    The shadow still predicts (the server predicts every tick
         //    regardless of what the source observed) so the pair stays in
@@ -231,7 +231,7 @@ impl SourceEndpoint {
             .config
             .ack_timeout
             .is_some_and(|t| self.acks.overdue(t));
-        let err = precision_norm(&self.shadow.predicted_measurement(), &self.z);
+        let err = self.shadow.innovation_norm(&self.z);
         self.rate.record(err);
         let heartbeat_due = self
             .config
@@ -275,13 +275,7 @@ impl SourceEndpoint {
         // is 0.9·δ: as close to the smoothed estimate as the guarantee
         // allows, with a 10% margin against rounding.
         let posterior = active.state();
-        let resid = precision_norm(
-            &model
-                .h()
-                .mul_vec(posterior)
-                .expect("validated model: H·x is always well-shaped"),
-            &self.z,
-        );
+        let resid = active.innovation_norm(&self.z);
         // Partial pinning assumes the smoothed posterior is a *better*
         // anchor than the raw measurement. When syncs come back to back the
         // posterior is demonstrably lagging (e.g. an unmodelled trend with a
@@ -335,7 +329,7 @@ impl SourceEndpoint {
     fn apply_to_shadow(&mut self, msg: &SyncMessage) {
         match msg {
             SyncMessage::State { x, p } => {
-                let _ = self.shadow.set_state(x.clone(), p.clone());
+                let _ = self.shadow.set_state_from(x, p);
             }
             SyncMessage::Model { model, x, p } => {
                 if let Ok(kf) = KalmanFilter::with_covariance(model.clone(), x.clone(), p.clone()) {
@@ -343,7 +337,7 @@ impl SourceEndpoint {
                 }
             }
             SyncMessage::Measurement { z } => {
-                let _ = self.shadow.update(z);
+                let _ = self.shadow.update_lean(z);
             }
         }
     }

@@ -7,33 +7,46 @@ use kalstream_sim::Producer;
 use crate::frame::FrameBatch;
 use crate::{ProtocolConfig, ServerEndpoint, SessionSpec, StreamSession};
 
-/// `n_cv` constant-velocity sessions (batch-eligible: 2-state) followed
-/// by `n_scalar` default scalar sessions (1-state random walk — below
-/// the batch shape table, stays scalar), plus a recorded framed log of
-/// `ticks` ticks of deterministic per-stream sinusoid traffic.
+/// `n_cv` constant-velocity sessions (2-state) followed by `n_scalar`
+/// default scalar sessions (1-state adaptive random walk) — both shapes
+/// are in the batch table — plus a recorded framed log of `ticks` ticks of
+/// deterministic per-stream sinusoid traffic.
 pub(crate) fn record_log(
     n_cv: u32,
     n_scalar: u32,
     ticks: usize,
 ) -> (Vec<(u32, ServerEndpoint)>, Vec<Vec<u8>>) {
+    let specs = (0..n_cv + n_scalar)
+        .map(|id| {
+            let config = ProtocolConfig::new(0.25).unwrap();
+            if id < n_cv {
+                SessionSpec::fixed(
+                    models::constant_velocity(1.0, 0.05, 0.1),
+                    Vector::zeros(2),
+                    1.0,
+                    config,
+                )
+                .unwrap()
+            } else {
+                SessionSpec::default_scalar(0.0, config).unwrap()
+            }
+        })
+        .collect();
+    record_log_of(specs, ticks)
+}
+
+/// [`record_log`] over caller-chosen sessions; stream ids are the specs'
+/// positions.
+pub(crate) fn record_log_of(
+    specs: Vec<SessionSpec>,
+    ticks: usize,
+) -> (Vec<(u32, ServerEndpoint)>, Vec<Vec<u8>>) {
     let mut sources = Vec::new();
     let mut servers = Vec::new();
-    for id in 0..(n_cv + n_scalar) {
-        let config = ProtocolConfig::new(0.25).unwrap();
-        let spec = if id < n_cv {
-            SessionSpec::fixed(
-                models::constant_velocity(1.0, 0.05, 0.1),
-                Vector::zeros(2),
-                1.0,
-                config,
-            )
-            .unwrap()
-        } else {
-            SessionSpec::default_scalar(0.0, config).unwrap()
-        };
+    for (id, spec) in specs.into_iter().enumerate() {
         let StreamSession { source, server } = spec.build();
-        sources.push((id, source));
-        servers.push((id, server));
+        sources.push((id as u32, source));
+        servers.push((id as u32, server));
     }
     let mut log = Vec::with_capacity(ticks);
     for t in 0..ticks {

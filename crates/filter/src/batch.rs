@@ -1,10 +1,11 @@
 //! Structure-of-arrays fleet stepping: thousands of same-model filters
 //! advanced in tight columnar loops.
 //!
-//! The scalar path ([`KalmanFilter`]) steps one stream at a time through
-//! dynamically-shaped `Vector`/`Matrix` values — fine for a handful of
-//! streams, but at fleet scale the per-stream dispatch and the tiny
-//! (n ≤ 8) loop bodies leave the SIMD units idle. [`FleetBatch`] transposes
+//! The scalar path ([`KalmanFilter`]) steps one stream at a time, its
+//! state loaded from and stored back to `Vector`/`Matrix` values around
+//! every step — fine for a handful of streams, but at fleet scale the
+//! per-stream dispatch and the tiny (n ≤ 8) loop bodies leave the SIMD
+//! units idle. [`FleetBatch`] transposes
 //! the layout: each scalar *slot* of the state (`x[r]`, `P[r][c]`, …)
 //! becomes a contiguous **plane** of `len` lane values, and every filter
 //! operation becomes a handful of plane-wise fused loops the compiler

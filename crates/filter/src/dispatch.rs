@@ -3,14 +3,17 @@
 //! The batch kernels are const-generic, but stream dimensions arrive at
 //! runtime (from wire-decoded models). [`DynFleetBatch`] closes the gap: an
 //! enum with one variant per supported `(state_dim, measurement_dim)` pair —
-//! the workspace's dominant shapes, state ∈ {2, 4, 8} × measurement
+//! the workspace's dominant shapes, state ∈ {1, 2, 4, 8} × measurement
 //! ∈ {1, 2, 3, 4} (measurement ≤ state) — each wrapping the matching
 //! `FleetBatch<N, M>`. Dispatch happens once per *batch operation*, not per
 //! lane, so the enum match is amortized over thousands of streams.
 //!
 //! Streams whose dimensions fall outside the table (or whose filters use a
 //! non-default covariance form) simply stay on the scalar [`KalmanFilter`]
-//! path — [`DynFleetBatch::supported`] is the routing predicate.
+//! path — [`DynFleetBatch::supported`] is the routing predicate. The same
+//! table (`for_each_shape!`) routes a lone [`KalmanFilter`]'s own
+//! `predict`/`update` onto the monomorphized kernel, so "which shapes are
+//! static" has one answer in the workspace.
 //!
 //! [`KalmanFilter`]: crate::KalmanFilter
 
@@ -18,20 +21,29 @@ use kalstream_linalg::{Matrix, Vector};
 
 use crate::{FleetBatch, Result, StateModel};
 
-/// Expands the variant table once per use site. Order: state dim major,
-/// measurement dim minor, measurement ≤ state.
+/// The workspace's one shape table: every `(state_dim, measurement_dim)`
+/// pair with a monomorphized kernel. `for_each_shape!(mac, args…)` expands
+/// to `mac! { [args…] (Variant, n, m), … }`, so [`DynFleetBatch`]'s
+/// variants, its delegation match and [`KalmanFilter`]'s scalar dispatch
+/// all read the same list. Order: state dim major, measurement dim minor,
+/// measurement ≤ state.
+///
+/// [`KalmanFilter`]: crate::KalmanFilter
 macro_rules! for_each_shape {
-    ($mac:ident) => {
+    ($mac:ident $(, $($args:tt)*)?) => {
         $mac! {
+            [$($($args)*)?]
+            (B1x1, 1, 1),
             (B2x1, 2, 1), (B2x2, 2, 2),
             (B4x1, 4, 1), (B4x2, 4, 2), (B4x3, 4, 3), (B4x4, 4, 4),
             (B8x1, 8, 1), (B8x2, 8, 2), (B8x3, 8, 3), (B8x4, 8, 4)
         }
     };
 }
+pub(crate) use for_each_shape;
 
 macro_rules! define_enum {
-    ($(($variant:ident, $n:literal, $m:literal)),+) => {
+    ([] $(($variant:ident, $n:literal, $m:literal)),+) => {
         /// A [`FleetBatch`] of runtime-selected dimensions. See the module
         /// docs for the shape table.
         #[derive(Debug)]
@@ -45,28 +57,23 @@ macro_rules! define_enum {
 }
 for_each_shape!(define_enum);
 
-/// Delegates a method body through the variant match. The variant list
-/// mirrors `for_each_shape!` (macro_rules cannot nest a definition over the
-/// shared table without unstable `$$` escaping).
+/// Delegates a method body through the variant match.
 macro_rules! delegate {
     ($self:ident, $batch:ident => $body:expr) => {
+        for_each_shape!(delegate_arms, $self, $batch => $body)
+    };
+}
+
+macro_rules! delegate_arms {
+    ([$self:ident, $batch:ident => $body:expr] $(($variant:ident, $n:literal, $m:literal)),+) => {
         match $self {
-            DynFleetBatch::B2x1($batch) => $body,
-            DynFleetBatch::B2x2($batch) => $body,
-            DynFleetBatch::B4x1($batch) => $body,
-            DynFleetBatch::B4x2($batch) => $body,
-            DynFleetBatch::B4x3($batch) => $body,
-            DynFleetBatch::B4x4($batch) => $body,
-            DynFleetBatch::B8x1($batch) => $body,
-            DynFleetBatch::B8x2($batch) => $body,
-            DynFleetBatch::B8x3($batch) => $body,
-            DynFleetBatch::B8x4($batch) => $body,
+            $(DynFleetBatch::$variant($batch) => $body,)+
         }
     };
 }
 
 macro_rules! define_constructors {
-    ($(($variant:ident, $n:literal, $m:literal)),+) => {
+    ([] $(($variant:ident, $n:literal, $m:literal)),+) => {
         impl DynFleetBatch {
             /// Whether a `(state_dim, measurement_dim)` pair has a
             /// monomorphized batch kernel.
@@ -208,7 +215,7 @@ mod tests {
     fn shape_table_matches_supported() {
         for n in 0..10 {
             for m in 0..6 {
-                let expect = matches!(n, 2 | 4 | 8) && (1..=4).contains(&m) && m <= n;
+                let expect = matches!(n, 1 | 2 | 4 | 8) && (1..=4).contains(&m) && m <= n;
                 assert_eq!(DynFleetBatch::supported(n, m), expect, "({n}, {m})");
             }
         }
@@ -221,6 +228,11 @@ mod tests {
         assert!(matches!(batch, DynFleetBatch::B2x1(_)));
         assert_eq!(batch.state_dim(), 2);
         assert_eq!(batch.measurement_dim(), 1);
+        let walk = models::random_walk(0.01, 0.01); // (1, 1): the default scalar session
+        assert!(matches!(
+            DynFleetBatch::for_model(&walk),
+            Some(DynFleetBatch::B1x1(_))
+        ));
         let ca = models::constant_acceleration(1.0, 0.05, 0.1); // (3, 1)
         assert!(DynFleetBatch::for_model(&ca).is_none());
     }

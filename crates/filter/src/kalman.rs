@@ -2,16 +2,38 @@
 
 use std::fmt;
 
-use kalstream_linalg::{Cholesky, Matrix, Vector};
+use kalstream_linalg::{Cholesky, Matrix, StaticKernel, Vector};
 
+use crate::dispatch::for_each_shape;
 use crate::{FilterError, Result, StateModel};
 
-/// Reusable working storage for the filter hot path.
+/// Routes one filter operation by shape: `$static_fn::<N, M, …>` for the
+/// `(state_dim, measurement_dim)` pairs of the workspace shape table
+/// (`for_each_shape!`), `$dynamic_fn` for everything else. `$infer` is the
+/// bracketed tail of the turbofish (`[, _]` per further type parameter).
+macro_rules! dispatch_by_shape {
+    ([$kf:ident, $static_fn:ident $infer:tt, $dynamic_fn:ident $args:tt]
+     $(($variant:ident, $n:literal, $m:literal)),+) => {
+        match $kf.static_shape() {
+            $(Some(($n, $m)) => call_static!($kf, $static_fn, $n, $m, $infer, $args),)+
+            _ => $kf.$dynamic_fn $args,
+        }
+    };
+}
+
+macro_rules! call_static {
+    ($kf:ident, $static_fn:ident, $n:literal, $m:literal, [$($infer:tt)*], $args:tt) => {
+        $kf.$static_fn::<$n, $m $($infer)*> $args
+    };
+}
+
+/// Reusable working storage for the shape-generic filter route.
 ///
-/// `predict`/`update` write every intermediate (innovation, gain, Joseph
-/// terms, Cholesky factor, …) into these buffers through the `*_into`
-/// kernels of `kalstream-linalg`, so a steady-state filter tick performs
-/// **zero heap allocations** and no redundant zero-fills. Each
+/// Off the static-kernel shape table, `predict`/`update` write every
+/// intermediate (innovation, gain, Joseph terms, Cholesky factor, …) into
+/// these buffers through the `*_into` kernels of `kalstream-linalg`, so a
+/// steady-state filter tick performs **zero heap allocations** and no
+/// redundant zero-fills (the static kernels keep theirs on the stack). Each
 /// [`KalmanFilter`] owns one; the buffers are pure scratch — every field is
 /// fully overwritten before it is read, so scratch contents never influence
 /// results (cloning a filter resets its scratch to empty for exactly that
@@ -128,6 +150,48 @@ pub struct UpdateOutcome {
     pub log_likelihood: f64,
 }
 
+/// The scalar half of an [`UpdateOutcome`] — what
+/// [`KalmanFilter::update_lean`] returns to callers that do not read `ν`
+/// and `S` (the source's per-tick estimator step, the server's measurement
+/// syncs), so those are not copied out for them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct UpdateStats {
+    /// Normalised innovation squared `νᵀ S⁻¹ ν`.
+    pub nis: f64,
+    /// Gaussian log-likelihood of the measurement under `N(Hx⁻, S)`.
+    pub log_likelihood: f64,
+}
+
+/// What a measurement update shows its caller before it returns: borrowed
+/// from wherever the route that ran keeps them (the static kernel's stack,
+/// the shape-generic scratch), so nothing is copied unless the reader
+/// copies it. Matrices are row-major `m × m`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Innovation<'a> {
+    /// Innovation `ν`.
+    pub nu: &'a [f64],
+    /// Innovation covariance `S`.
+    pub cov: &'a [f64],
+    /// The measurement noise `R` the update ran with (`S − R = H P⁻ Hᵀ`).
+    pub r: &'a [f64],
+    /// NIS and log-likelihood.
+    pub stats: UpdateStats,
+}
+
+impl UpdateOutcome {
+    pub(crate) fn copied_from(seen: Innovation<'_>) -> Self {
+        let m = seen.nu.len();
+        let mut innovation_cov = Matrix::zeros(m, m);
+        innovation_cov.as_mut_slice().copy_from_slice(seen.cov);
+        UpdateOutcome {
+            innovation: Vector::from_slice(seen.nu),
+            innovation_cov,
+            nis: seen.stats.nis,
+            log_likelihood: seen.stats.log_likelihood,
+        }
+    }
+}
+
 /// The discrete linear Kalman filter over a [`StateModel`].
 ///
 /// The filter is `Clone` and bit-deterministic: the stream-source side of the
@@ -135,6 +199,18 @@ pub struct UpdateOutcome {
 /// operations to know precisely what the server believes. Any hidden state or
 /// platform-dependent arithmetic here would silently break the precision
 /// guarantee, so the implementation is plain `f64` over `kalstream-linalg`.
+///
+/// **One kernel for supported shapes.** [`KalmanFilter::predict`] and
+/// [`KalmanFilter::update`] step Joseph-form filters whose
+/// `(state_dim, measurement_dim)` is in the workspace shape table (state
+/// ∈ {1, 2, 4, 8} × measurement ∈ {1..4}, measurement ≤ state — the table
+/// [`crate::DynFleetBatch`] is built from) through the monomorphized
+/// [`StaticKernel`], which performs the same floating-point operations in
+/// the same order as the shape-generic code; every other shape, and the
+/// `Simple` covariance form, runs the shape-generic code. The route is a
+/// function of the filter's own shape — no caller, flag or feature selects
+/// it — and the equivalence proptests hold the two bit-identical for every
+/// table shape, error paths included.
 #[derive(Debug, Clone)]
 pub struct KalmanFilter {
     model: StateModel,
@@ -232,8 +308,7 @@ impl KalmanFilter {
         &self.model
     }
 
-    /// Replaces the model in place, keeping state and covariance. Used by
-    /// the adaptive layer when it re-estimates `Q`/`R`.
+    /// Replaces the model, keeping state and covariance.
     ///
     /// # Errors
     /// [`FilterError::BadModel`] when the new model's state dimension
@@ -248,6 +323,24 @@ impl KalmanFilter {
         }
         self.model = model;
         Ok(())
+    }
+
+    /// Overwrites the model's process noise `Q` in place — what the
+    /// adaptive layer calls when it rescales `Q`.
+    ///
+    /// # Errors
+    /// [`FilterError::BadModel`] when `q` is not `n × n`.
+    pub fn set_process_noise(&mut self, q: &Matrix) -> Result<()> {
+        self.model.set_process_noise(q)
+    }
+
+    /// Overwrites the model's measurement noise `R` in place — what the
+    /// adaptive layer calls when it adopts a re-estimated `R`.
+    ///
+    /// # Errors
+    /// [`FilterError::BadModel`] when `r` is not `m × m`.
+    pub fn set_measurement_noise(&mut self, r: &Matrix) -> Result<()> {
+        self.model.set_measurement_noise(r)
     }
 
     /// Current state estimate.
@@ -272,6 +365,17 @@ impl KalmanFilter {
     /// # Errors
     /// [`FilterError::BadModel`] on shape mismatch.
     pub fn set_state(&mut self, x: Vector, p: Matrix) -> Result<()> {
+        self.set_state_from(&x, &p)
+    }
+
+    /// [`KalmanFilter::set_state`] from borrowed values: copies the live
+    /// `n + n²` elements into the filter's own storage, so a caller that
+    /// keeps `x`/`P` (the source mirroring a sync it is about to encode)
+    /// clones nothing.
+    ///
+    /// # Errors
+    /// [`FilterError::BadModel`] on shape mismatch.
+    pub fn set_state_from(&mut self, x: &Vector, p: &Matrix) -> Result<()> {
         let n = self.model.state_dim();
         if x.dim() != n {
             return Err(FilterError::BadModel {
@@ -287,8 +391,8 @@ impl KalmanFilter {
                 actual: p.shape(),
             });
         }
-        self.x = x;
-        self.p = p;
+        self.x.copy_from(x);
+        self.p.copy_from(p);
         self.steps_since_update = 0;
         Ok(())
     }
@@ -308,16 +412,65 @@ impl KalmanFilter {
         Ok(())
     }
 
+    /// `Some((state_dim, measurement_dim))` when this filter may run on a
+    /// [`StaticKernel`]: the kernels implement the Joseph form only, so a
+    /// `Simple`-form filter always takes the shape-generic code.
+    fn static_shape(&self) -> Option<(usize, usize)> {
+        (self.cov_update == CovarianceUpdate::Joseph)
+            .then(|| (self.model.state_dim(), self.model.measurement_dim()))
+    }
+
+    /// The model as a monomorphized kernel. Built per call from the inline
+    /// model matrices (a few loads at these sizes) rather than cached, so
+    /// an in-place `Q`/`R` replacement can never leave a stale copy behind
+    /// and construction and `clone` cost what they did.
+    fn kernel<const N: usize, const M: usize>(&self) -> StaticKernel<N, M> {
+        let m = &self.model;
+        StaticKernel::from_matrices(m.f(), m.q(), m.h(), m.r())
+            .expect("dispatch matched the validated model's shape")
+    }
+
+    fn load_state<const N: usize>(&self) -> ([f64; N], [[f64; N]; N]) {
+        let x = <[f64; N]>::try_from(self.x.as_slice()).expect("x is n-dimensional");
+        let mut p = [[0.0; N]; N];
+        p.as_flattened_mut().copy_from_slice(self.p.as_slice());
+        (x, p)
+    }
+
+    fn store_state<const N: usize>(&mut self, x: &[f64; N], p: &[[f64; N]; N]) {
+        self.x.as_mut_slice().copy_from_slice(x);
+        self.p.as_mut_slice().copy_from_slice(p.as_flattened());
+    }
+
     /// Time update: `x ← F x`, `P ← F P Fᵀ + Q`.
     ///
-    /// Runs entirely through the scratch buffers — no allocation, and
-    /// bit-identical to the textbook allocating formulation (the `*_into`
-    /// kernels guarantee identical operation order).
+    /// Allocation-free on either route (see the type docs for the shape
+    /// dispatch), and bit-identical to the textbook allocating formulation.
     ///
     /// # Errors
     /// [`FilterError::Diverged`] when the state or covariance leaves finite
     /// range.
     pub fn predict(&mut self) -> Result<()> {
+        for_each_shape!(dispatch_by_shape, self, predict_static [], predict_dynamic())
+    }
+
+    fn predict_static<const N: usize, const M: usize>(&mut self) -> Result<()> {
+        let (mut x, mut p) = self.load_state::<N>();
+        self.kernel::<N, M>().predict(&mut x, &mut p);
+        self.store_state(&x, &p);
+        self.steps_since_update += 1;
+        self.check_finite()
+    }
+
+    /// The shape-generic time update: the route [`KalmanFilter::predict`]
+    /// takes for shapes outside the table. Public only so the equivalence
+    /// proptests can hold the dispatched route against it on the *same*
+    /// shape; nothing else calls it.
+    ///
+    /// # Errors
+    /// As [`KalmanFilter::predict`].
+    #[doc(hidden)]
+    pub fn predict_dynamic(&mut self) -> Result<()> {
         let sc = &mut self.scratch;
         let f = self.model.f();
         // x ← F x.
@@ -344,6 +497,25 @@ impl KalmanFilter {
             .expect("validated model: H·x is always well-shaped")
     }
 
+    /// `‖H x − z‖∞`: how far the filter's predicted measurement is from
+    /// `z` in the max-norm the precision contract is stated in. Equal, bit
+    /// for bit, to `predicted_measurement().max_abs_diff(z)` without
+    /// materialising the prediction; `∞` when `z` has the wrong dimension.
+    pub fn innovation_norm(&self, z: &Vector) -> f64 {
+        let h = self.model.h();
+        if z.dim() != h.rows() {
+            return f64::INFINITY;
+        }
+        let x = self.x.as_slice();
+        z.iter().enumerate().fold(0.0_f64, |worst, (j, zj)| {
+            let mut acc = 0.0;
+            for (a, b) in h.row(j).iter().zip(x) {
+                acc += a * b;
+            }
+            worst.max((acc - zj).abs())
+        })
+    }
+
     /// Predictive measurement covariance `S = H P Hᵀ + R`.
     pub fn predicted_measurement_cov(&self) -> Matrix {
         let mut s = &self
@@ -367,6 +539,78 @@ impl KalmanFilter {
     /// * [`FilterError::Linalg`] when `S` is not positive definite.
     /// * [`FilterError::Diverged`] when the posterior is non-finite.
     pub fn update(&mut self, z: &Vector) -> Result<UpdateOutcome> {
+        self.update_with(z, UpdateOutcome::copied_from)
+    }
+
+    /// [`KalmanFilter::update`] for callers that read at most the scalar
+    /// diagnostics: the same update, without copying `ν` and `S` out.
+    ///
+    /// # Errors
+    /// As [`KalmanFilter::update`].
+    pub fn update_lean(&mut self, z: &Vector) -> Result<UpdateStats> {
+        self.update_with(z, |seen| seen.stats)
+    }
+
+    /// The measurement update; `read` sees `ν`, `S` and the diagnostics of
+    /// a successful update and decides what, if anything, to keep of them.
+    pub(crate) fn update_with<T>(
+        &mut self,
+        z: &Vector,
+        read: impl FnOnce(Innovation<'_>) -> T,
+    ) -> Result<T> {
+        for_each_shape!(
+            dispatch_by_shape,
+            self,
+            update_static [, _],
+            update_dynamic_with(z, read)
+        )
+    }
+
+    fn update_static<const N: usize, const M: usize, T>(
+        &mut self,
+        z: &Vector,
+        read: impl FnOnce(Innovation<'_>) -> T,
+    ) -> Result<T> {
+        let z = <[f64; M]>::try_from(z.as_slice()).map_err(|_| FilterError::BadMeasurement {
+            expected: M,
+            actual: z.dim(),
+        })?;
+        let (mut x, mut p) = self.load_state::<N>();
+        let kernel = self.kernel::<N, M>();
+        // On error nothing has been stored: state and covariance untouched.
+        let out = kernel.update(&mut x, &mut p, &z)?;
+        self.store_state(&x, &p);
+        self.steps_since_update = 0;
+        self.check_finite()?;
+        Ok(read(Innovation {
+            nu: &out.innovation,
+            cov: out.innovation_cov.as_flattened(),
+            r: kernel.r().as_flattened(),
+            stats: UpdateStats {
+                nis: out.nis,
+                log_likelihood: out.log_likelihood,
+            },
+        }))
+    }
+
+    /// The shape-generic measurement update: the route
+    /// [`KalmanFilter::update`] takes for shapes outside the table and for
+    /// the `Simple` covariance form. Public only so the equivalence
+    /// proptests can hold the dispatched route against it on the *same*
+    /// shape; nothing else calls it.
+    ///
+    /// # Errors
+    /// As [`KalmanFilter::update`].
+    #[doc(hidden)]
+    pub fn update_dynamic(&mut self, z: &Vector) -> Result<UpdateOutcome> {
+        self.update_dynamic_with(z, UpdateOutcome::copied_from)
+    }
+
+    fn update_dynamic_with<T>(
+        &mut self,
+        z: &Vector,
+        read: impl FnOnce(Innovation<'_>) -> T,
+    ) -> Result<T> {
         let m = self.model.measurement_dim();
         if z.dim() != m {
             return Err(FilterError::BadMeasurement {
@@ -421,12 +665,15 @@ impl KalmanFilter {
         let nis = sc.innovation.dot(&sc.s_inv_nu)?;
         let log_likelihood =
             -0.5 * (nis + sc.chol.log_det() + (m as f64) * core::f64::consts::TAU.ln());
-        Ok(UpdateOutcome {
-            innovation: sc.innovation.clone(),
-            innovation_cov: sc.s.clone(),
-            nis,
-            log_likelihood,
-        })
+        Ok(read(Innovation {
+            nu: sc.innovation.as_slice(),
+            cov: sc.s.as_slice(),
+            r: self.model.r().as_slice(),
+            stats: UpdateStats {
+                nis,
+                log_likelihood,
+            },
+        }))
     }
 
     /// Convenience: one predict followed by one update.
@@ -437,6 +684,15 @@ impl KalmanFilter {
     pub fn step(&mut self, z: &Vector) -> Result<UpdateOutcome> {
         self.predict()?;
         self.update(z)
+    }
+
+    /// [`KalmanFilter::step`] over [`KalmanFilter::update_lean`].
+    ///
+    /// # Errors
+    /// As [`KalmanFilter::step`].
+    pub fn step_lean(&mut self, z: &Vector) -> Result<UpdateStats> {
+        self.predict()?;
+        self.update_lean(z)
     }
 
     /// Non-destructively predicts the measurement `k` steps ahead of the
@@ -651,6 +907,22 @@ mod tests {
         );
         kf.predict().unwrap();
         assert!((kf.predicted_measurement()[0] - 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn innovation_norm_is_the_max_norm_of_the_prediction_error() {
+        let model = models::constant_velocity_2d(1.0, 0.05, 0.5);
+        let x = Vector::from_slice(&[1.0, 0.5, 5.0, -0.25]);
+        let mut kf = KalmanFilter::new(model, x, 1.0).unwrap();
+        kf.predict().unwrap();
+        // Predicted measurement (1.5, 4.75): errors 0.5 and 2.0.
+        let z = Vector::from_slice(&[2.0, 2.75]);
+        assert_eq!(kf.innovation_norm(&z), 2.0);
+        assert_eq!(
+            kf.innovation_norm(&z),
+            kf.predicted_measurement().max_abs_diff(&z)
+        );
+        assert_eq!(kf.innovation_norm(&Vector::zeros(1)), f64::INFINITY);
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub use batch::FleetBatch;
 pub use dispatch::DynFleetBatch;
 pub use ekf::{ExtendedKalmanFilter, NonlinearModel};
 pub use error::FilterError;
-pub use kalman::{CovarianceUpdate, KalmanFilter, KalmanScratch, UpdateOutcome};
+pub use kalman::{CovarianceUpdate, KalmanFilter, KalmanScratch, UpdateOutcome, UpdateStats};
 pub use model::StateModel;
 pub use smoother::{rts_smooth, Smoothed};
 pub use ukf::{UkfConfig, UnscentedKalmanFilter};

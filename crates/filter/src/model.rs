@@ -13,17 +13,22 @@ use crate::{FilterError, Result};
 /// z_t     = H x_t + v_t,   v_t ~ N(0, R)
 /// ```
 ///
-/// `StateModel` is immutable after validation; adaptive filters that rescale
-/// `Q`/`R` do so through [`StateModel::with_process_noise`] /
-/// [`StateModel::with_measurement_noise`], producing a new validated model.
+/// Shapes are validated once, at construction, and no method can change
+/// them afterwards: `F` and `H` are fixed for the model's lifetime, and the
+/// two noise covariances can only be overwritten by same-shape matrices
+/// ([`StateModel::set_process_noise`] /
+/// [`StateModel::set_measurement_noise`] — what the adaptive filter does
+/// when it re-estimates `Q`/`R`, once per adopted estimate, in place). The
+/// `with_*` builders derive a new validated model from an existing one.
 /// The dual-filter protocol serialises models in sync messages, so the type
 /// derives `serde` traits behind the default feature.
 #[derive(Debug, Clone, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StateModel {
     /// Human-readable model name (used by the model bank and experiment
-    /// logs). `Arc<str>` so the adaptive layer's per-update model rebuilds
-    /// share the name instead of reallocating it.
+    /// logs). `Arc<str>` so cloning a model — every session clones its
+    /// model into the shadow, the server filter and Model syncs — shares
+    /// the name instead of reallocating it.
     name: Arc<str>,
     /// State-transition matrix `F` (`n × n`).
     f: Matrix,
@@ -122,8 +127,42 @@ impl StateModel {
         &self.r
     }
 
+    /// Overwrites the process-noise covariance in place.
+    ///
+    /// # Errors
+    /// [`FilterError::BadModel`] when `q`'s shape differs from `n × n`
+    /// (the model is unchanged).
+    pub fn set_process_noise(&mut self, q: &Matrix) -> Result<()> {
+        if q.shape() != self.q.shape() {
+            return Err(FilterError::BadModel {
+                what: "Q",
+                expected: self.q.shape(),
+                actual: q.shape(),
+            });
+        }
+        self.q.copy_from(q);
+        Ok(())
+    }
+
+    /// Overwrites the measurement-noise covariance in place.
+    ///
+    /// # Errors
+    /// [`FilterError::BadModel`] when `r`'s shape differs from `m × m`
+    /// (the model is unchanged).
+    pub fn set_measurement_noise(&mut self, r: &Matrix) -> Result<()> {
+        if r.shape() != self.r.shape() {
+            return Err(FilterError::BadModel {
+                what: "R",
+                expected: self.r.shape(),
+                actual: r.shape(),
+            });
+        }
+        self.r.copy_from(r);
+        Ok(())
+    }
+
     /// Returns a copy of this model with a different process-noise
-    /// covariance (used by NIS-driven `Q` adaptation).
+    /// covariance.
     ///
     /// # Errors
     /// [`FilterError::BadModel`] when `q`'s shape differs from `n × n`.
@@ -138,7 +177,7 @@ impl StateModel {
     }
 
     /// Returns a copy of this model with a different measurement-noise
-    /// covariance (used by innovation-based `R` estimation).
+    /// covariance.
     ///
     /// # Errors
     /// [`FilterError::BadModel`] when `r`'s shape differs from `m × m`.
@@ -223,5 +262,30 @@ mod tests {
         assert!(m.with_measurement_noise(Matrix::scalar(2, 2.0)).is_err());
         let m3 = m.with_scaled_q(10.0).unwrap();
         assert!((m3.q().get(0, 0) - 0.1).abs() < 1e-12);
+    }
+
+    #[test]
+    fn in_place_noise_setters_are_shape_checked() {
+        let (f, q, h, r) = valid_parts();
+        let mut m = StateModel::new("cv", f, q, h, r).unwrap();
+        let before = m.clone();
+        let err = m
+            .set_measurement_noise(&Matrix::scalar(2, 2.0))
+            .unwrap_err();
+        assert!(matches!(err, FilterError::BadModel { what: "R", .. }));
+        let err = m.set_process_noise(&Matrix::scalar(3, 2.0)).unwrap_err();
+        assert!(matches!(err, FilterError::BadModel { what: "Q", .. }));
+        assert_eq!(m, before, "a rejected setter leaves the model untouched");
+        m.set_measurement_noise(&Matrix::scalar(1, 2.0)).unwrap();
+        m.set_process_noise(&Matrix::scalar(2, 0.5)).unwrap();
+        assert_eq!(
+            m,
+            before
+                .with_measurement_noise(Matrix::scalar(1, 2.0))
+                .unwrap()
+                .with_process_noise(Matrix::scalar(2, 0.5))
+                .unwrap(),
+            "in-place replacement equals the rebuilt model"
+        );
     }
 }

@@ -2,9 +2,11 @@
 //! for *any* well-formed model and measurement sequence, not just the
 //! hand-picked unit-test cases.
 
+use std::collections::VecDeque;
+
 use kalstream_filter::{
     models, rts_smooth, AdaptiveConfig, AdaptiveKalmanFilter, KalmanFilter, ModelBank,
-    NonlinearModel, StateModel, UnscentedKalmanFilter,
+    NonlinearModel, StateModel, UnscentedKalmanFilter, UpdateOutcome,
 };
 use kalstream_linalg::{Matrix, Vector};
 use proptest::prelude::*;
@@ -226,5 +228,293 @@ proptest! {
             kf.state().max_abs_diff(ukf.state()) < 1e-6,
             "UKF diverged from KF on a linear model"
         );
+    }
+}
+
+/// The adaptive filter as it was first written, kept as the oracle the
+/// flat-ring implementation is held against: one heap `Matrix` per window
+/// entry in three `VecDeque`s, `H P⁻ Hᵀ` through
+/// `predicted_measurement_cov() − R`, and a whole validated `StateModel`
+/// rebuilt for every adopted `R̂` and every `Q` rescale. It steps its inner
+/// filter through the shape-generic `*_dynamic` code, so the comparison also
+/// spans the static-kernel dispatch underneath the real filter.
+struct OracleAdaptive {
+    inner: KalmanFilter,
+    config: AdaptiveConfig,
+    base: StateModel,
+    q_scale: f64,
+    innov_outer: VecDeque<Matrix>,
+    prior_cov: VecDeque<Matrix>,
+    nis: VecDeque<f64>,
+    /// `R̂` estimates refused by the positive-definiteness test.
+    rejected_r: u32,
+    /// `Q` rescales (each clears every window).
+    rescales: u32,
+}
+
+impl OracleAdaptive {
+    fn new(inner: KalmanFilter, config: AdaptiveConfig) -> Self {
+        OracleAdaptive {
+            base: inner.model().clone(),
+            inner,
+            config,
+            q_scale: 1.0,
+            innov_outer: VecDeque::new(),
+            prior_cov: VecDeque::new(),
+            nis: VecDeque::new(),
+            rejected_r: 0,
+            rescales: 0,
+        }
+    }
+
+    fn mean_nis(&self) -> f64 {
+        if self.nis.is_empty() {
+            0.0
+        } else {
+            self.nis.iter().sum::<f64>() / self.nis.len() as f64
+        }
+    }
+
+    fn step(&mut self, z: &Vector) -> UpdateOutcome {
+        self.inner.predict_dynamic().expect("oracle predict");
+        let prior_s = self.inner.predicted_measurement_cov();
+        let prior_hph = &prior_s - self.inner.model().r();
+        let outcome = self.inner.update_dynamic(z).expect("oracle update");
+
+        let m = outcome.innovation.dim();
+        let mut outer = Matrix::zeros(m, m);
+        for i in 0..m {
+            for j in 0..m {
+                outer.set(i, j, outcome.innovation[i] * outcome.innovation[j]);
+            }
+        }
+        let cap = self.config.window;
+        push_window(&mut self.innov_outer, outer, cap);
+        push_window(&mut self.prior_cov, prior_hph, cap);
+        push_window(&mut self.nis, outcome.nis, cap);
+
+        if self.innov_outer.len() >= cap {
+            if self.config.adapt_r {
+                self.adapt_r();
+            }
+            if self.config.adapt_q {
+                self.adapt_q(m);
+            }
+        }
+        outcome
+    }
+
+    fn adapt_r(&mut self) {
+        let m = self.inner.model().measurement_dim();
+        let count = self.innov_outer.len() as f64;
+        let mut c = Matrix::zeros(m, m);
+        for o in &self.innov_outer {
+            c += o;
+        }
+        c.scale_mut(1.0 / count);
+        let mut hph = Matrix::zeros(m, m);
+        for p in &self.prior_cov {
+            hph += p;
+        }
+        hph.scale_mut(1.0 / count);
+        let mut r_hat = &c - &hph;
+        for i in 0..m {
+            let d = r_hat.get(i, i).max(self.config.r_floor);
+            r_hat.set(i, i, d);
+        }
+        r_hat.symmetrize_mut();
+        if r_hat.cholesky().is_ok() {
+            let model = self
+                .inner
+                .model()
+                .with_measurement_noise(r_hat)
+                .expect("shape");
+            self.inner.set_model(model).expect("shape");
+        } else {
+            self.rejected_r += 1;
+        }
+    }
+
+    fn adapt_q(&mut self, m: usize) {
+        let mean_nis = self.mean_nis() / m as f64;
+        let (lo, hi) = self.config.nis_band;
+        let (smin, smax) = self.config.q_scale_bounds;
+        let mut new_scale = self.q_scale;
+        if mean_nis > hi {
+            new_scale = (self.q_scale * self.config.q_step).min(smax);
+        } else if mean_nis < lo {
+            new_scale = (self.q_scale / self.config.q_step).max(smin);
+        }
+        if new_scale != self.q_scale {
+            self.q_scale = new_scale;
+            self.rescales += 1;
+            let scaled = self.base.with_scaled_q(self.q_scale).expect("shape");
+            let model = scaled
+                .with_measurement_noise(self.inner.model().r().clone())
+                .expect("shape");
+            self.inner.set_model(model).expect("shape");
+            self.nis.clear();
+            self.innov_outer.clear();
+            self.prior_cov.clear();
+        }
+    }
+}
+
+fn push_window<T>(dq: &mut VecDeque<T>, v: T, cap: usize) {
+    dq.push_back(v);
+    while dq.len() > cap {
+        dq.pop_front();
+    }
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// xorshift64* uniform in `[-1, 1)`.
+fn next_unit(state: &mut u64) -> f64 {
+    let mut x = *state;
+    x ^= x >> 12;
+    x ^= x << 25;
+    x ^= x >> 27;
+    *state = x;
+    (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+}
+
+/// Steps the real adaptive filter and the oracle through a three-regime
+/// stream and requires bit-equality of everything observable at every
+/// step. The regimes are chosen so that every case crosses the two
+/// bookkeeping events that could plausibly break equivalence:
+///
+/// 1. noise far above the modelled `R`, `Q` — mean NIS leaves the band and
+///    `Q` is rescaled, clearing all three windows mid-run;
+/// 2. a flat line — innovations collapse under a by-now inflated `P`, so
+///    `mean(ν νᵀ) − mean(H P⁻ Hᵀ)` goes negative, the diagonal is floored
+///    to `r_floor` and the estimate fails the PD test (for `m = 1` the
+///    floor is 0 here; for `m = 2` the surviving off-diagonal does it);
+/// 3. noise again, so adoption resumes after the rejections.
+fn assert_adaptive_matches_oracle(
+    model: StateModel,
+    window: usize,
+    r_floor: f64,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    const STEPS: usize = 600;
+    let (n, m) = (model.state_dim(), model.measurement_dim());
+    let config = AdaptiveConfig {
+        window,
+        r_floor,
+        ..Default::default()
+    };
+    let kf = KalmanFilter::new(model, Vector::zeros(n), 1.0).unwrap();
+    let mut real = AdaptiveKalmanFilter::new(kf.clone(), config.clone());
+    let mut oracle = OracleAdaptive::new(kf, config);
+    let mut rng = seed | 1;
+    for t in 0..STEPS {
+        let common = next_unit(&mut rng);
+        let z = Vector::from_vec(
+            (0..m)
+                .map(|j| match t {
+                    0..200 => 40.0 * (common + 0.1 * next_unit(&mut rng)),
+                    200..400 => 3.0 + j as f64,
+                    _ => 5.0 * next_unit(&mut rng),
+                })
+                .collect(),
+        );
+        let got = real.step(&z).unwrap();
+        let want = oracle.step(&z);
+        prop_assert_eq!(
+            bits(real.inner().state().as_slice()),
+            bits(oracle.inner.state().as_slice()),
+            "x, step {}",
+            t
+        );
+        prop_assert_eq!(
+            bits(real.inner().covariance().as_slice()),
+            bits(oracle.inner.covariance().as_slice()),
+            "P, step {}",
+            t
+        );
+        prop_assert_eq!(
+            bits(real.estimated_r().as_slice()),
+            bits(oracle.inner.model().r().as_slice()),
+            "R, step {}",
+            t
+        );
+        prop_assert_eq!(
+            real.inner().model(),
+            oracle.inner.model(),
+            "model, step {}",
+            t
+        );
+        prop_assert_eq!(
+            real.q_scale().to_bits(),
+            oracle.q_scale.to_bits(),
+            "q_scale, step {}",
+            t
+        );
+        prop_assert_eq!(
+            real.mean_nis().to_bits(),
+            oracle.mean_nis().to_bits(),
+            "mean NIS, step {}",
+            t
+        );
+        prop_assert_eq!(
+            bits(got.innovation.as_slice()),
+            bits(want.innovation.as_slice()),
+            "innovation, step {}",
+            t
+        );
+        prop_assert_eq!(
+            bits(got.innovation_cov.as_slice()),
+            bits(want.innovation_cov.as_slice()),
+            "S, step {}",
+            t
+        );
+        prop_assert_eq!(got.innovation_cov.shape(), want.innovation_cov.shape());
+        prop_assert_eq!(got.nis.to_bits(), want.nis.to_bits(), "NIS, step {}", t);
+        prop_assert_eq!(
+            got.log_likelihood.to_bits(),
+            want.log_likelihood.to_bits(),
+            "log-likelihood, step {}",
+            t
+        );
+    }
+    prop_assert!(
+        oracle.rescales >= 1,
+        "no Q rescale (window clear) in the run"
+    );
+    prop_assert!(oracle.rejected_r >= 1, "no non-PD R̂ rejected in the run");
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn adaptive_scalar_matches_vecdeque_oracle(
+        q in 1e-3..0.1f64,
+        r in 1e-3..0.5f64,
+        window in 2usize..48,
+        seed in any::<u64>(),
+    ) {
+        // The benchmark fleet's shape (1×1).
+        assert_adaptive_matches_oracle(models::random_walk(q, r), window, 0.0, seed)?;
+    }
+
+    #[test]
+    fn adaptive_planar_matches_vecdeque_oracle(
+        q in 1e-3..0.1f64,
+        r in 1e-3..0.5f64,
+        window in 2usize..48,
+        seed in any::<u64>(),
+    ) {
+        // m = 2: matrix-valued windows, R̂ with off-diagonals (4×2).
+        assert_adaptive_matches_oracle(
+            models::constant_velocity_2d(1.0, q, r),
+            window,
+            1e-9,
+            seed,
+        )?;
     }
 }

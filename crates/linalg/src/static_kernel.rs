@@ -43,6 +43,8 @@ use crate::{LinalgError, Matrix, Result};
 pub struct StaticUpdateOutcome<const M: usize> {
     /// Innovation `ν = z − H x⁻`.
     pub innovation: [f64; M],
+    /// Innovation covariance `S = H P⁻ Hᵀ + R`, symmetrised.
+    pub innovation_cov: [[f64; M]; M],
     /// Normalised innovation squared `νᵀ S⁻¹ ν`.
     pub nis: f64,
     /// Gaussian log-likelihood of `z` under `N(Hx⁻, S)`.
@@ -249,6 +251,7 @@ impl<const N: usize, const M: usize> StaticKernel<N, M> {
         let log_likelihood = -0.5 * (nis + log_det + (M as f64) * core::f64::consts::TAU.ln());
         Ok(StaticUpdateOutcome {
             innovation,
+            innovation_cov: s,
             nis,
             log_likelihood,
         })
@@ -422,14 +425,14 @@ mod tests {
     }
 
     /// Replays the dynamic-path Joseph update on `Matrix`/`Vector` values,
-    /// returning (nis, log_likelihood).
+    /// returning (S, nis, log_likelihood).
     fn dyn_update(
         h: &Matrix,
         r: &Matrix,
         x: &mut Vector,
         p: &mut Matrix,
         z: &Vector,
-    ) -> (f64, f64) {
+    ) -> (Matrix, f64, f64) {
         let m = h.rows();
         let n = h.cols();
         let mut predicted = Vector::zeros(0);
@@ -468,7 +471,7 @@ mod tests {
         chol.solve_vec_into(&innovation, &mut s_inv_nu).unwrap();
         let nis = innovation.dot(&s_inv_nu).unwrap();
         let ll = -0.5 * (nis + chol.log_det() + (m as f64) * core::f64::consts::TAU.ln());
-        (nis, ll)
+        (s, nis, ll)
     }
 
     #[test]
@@ -498,7 +501,13 @@ mod tests {
             dyn_predict(&f, &q, &mut xd, &mut pd);
             let z = (t as f64 * 0.13).sin() * 2.0 + (t as f64 * 0.011).cos();
             let out_s = kernel.update(&mut xs, &mut ps, &[z]).unwrap();
-            let (nis_d, ll_d) = dyn_update(&h, &r, &mut xd, &mut pd, &Vector::from_slice(&[z]));
+            let (s_d, nis_d, ll_d) =
+                dyn_update(&h, &r, &mut xd, &mut pd, &Vector::from_slice(&[z]));
+            assert_eq!(
+                out_s.innovation_cov[0][0].to_bits(),
+                s_d.get(0, 0).to_bits(),
+                "S tick {t}"
+            );
             for i in 0..2 {
                 assert_eq!(xs[i].to_bits(), xd[i].to_bits(), "x[{i}] tick {t}");
                 for j in 0..2 {

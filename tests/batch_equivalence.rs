@@ -1,9 +1,13 @@
-//! Workspace proptests for the tentpole equivalence claim: the scalar
-//! [`KalmanFilter`], the monomorphized [`StaticKernel`], and the
+//! Workspace proptests for the tentpole equivalence claim: the
+//! shape-generic filter code ([`KalmanFilter::predict_dynamic`] /
+//! [`KalmanFilter::update_dynamic`]), the shape-dispatched [`KalmanFilter`]
+//! the system actually steps, the monomorphized [`StaticKernel`], and the
 //! structure-of-arrays [`FleetBatch`] are **bit-identical** — same state
-//! bits, same covariance bits, same suppression verdicts — on any
-//! well-conditioned model, for every supported dimension pair, over
-//! 1000-tick runs.
+//! bits, same covariance bits, same update diagnostics, same suppression
+//! verdicts — on any well-conditioned model, for every shape of the
+//! workspace table, over 1000-tick runs; and the dispatched filter fails
+//! exactly as the shape-generic code does (same error, same state left
+//! behind) when `S` is indefinite or the state overflows.
 //!
 //! Models and measurement streams are derived from a proptest-chosen seed
 //! via a local xorshift generator, so each case explores a different
@@ -13,7 +17,7 @@
 // clearest way to compare the three paths element by element.
 #![allow(clippy::needless_range_loop)]
 
-use kalstream_filter::{FleetBatch, KalmanFilter, StateModel};
+use kalstream_filter::{CovarianceUpdate, FilterError, FleetBatch, KalmanFilter, StateModel};
 use kalstream_linalg::{Matrix, StaticKernel, Vector};
 use proptest::prelude::*;
 
@@ -85,10 +89,25 @@ fn random_model(rng: &mut Rng64, n: usize, m: usize) -> StateModel {
     .expect("shapes are consistent by construction")
 }
 
-/// Steps `LANES` streams for `TICKS` ticks through all three paths and
-/// proves per-tick bit-identity of state, covariance, and suppression
-/// verdict.
-fn assert_three_way<const N: usize, const M: usize>(
+/// Raw bits of a slice, for exact comparison (NaN-safe, sign-of-zero-safe).
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// A filter's observable state as raw bits.
+fn filter_bits(kf: &KalmanFilter) -> (Vec<u64>, Vec<u64>, u64) {
+    (
+        bits(kf.state().as_slice()),
+        bits(kf.covariance().as_slice()),
+        kf.steps_since_update(),
+    )
+}
+
+/// Steps `LANES` streams for `TICKS` ticks through all four paths and
+/// proves per-tick bit-identity of state, covariance, update diagnostics
+/// and suppression verdict. "Scalar" below is the dispatched
+/// [`KalmanFilter`]; `dynamics` holds its shape-generic reference twins.
+fn assert_all_paths<const N: usize, const M: usize>(
     seed: u64,
     delta: f64,
 ) -> Result<(), TestCaseError> {
@@ -99,6 +118,7 @@ fn assert_three_way<const N: usize, const M: usize>(
     let mut batch = FleetBatch::<N, M>::new(&model).expect("batch");
 
     let mut scalars = Vec::with_capacity(LANES);
+    let mut dynamics = Vec::with_capacity(LANES);
     let mut xs = [[0.0f64; N]; LANES];
     let mut ps = [[[0.0f64; N]; N]; LANES];
     for lane in 0..LANES {
@@ -107,6 +127,7 @@ fn assert_three_way<const N: usize, const M: usize>(
         scalars.push(
             KalmanFilter::with_covariance(model.clone(), x0.clone(), p0.clone()).expect("kf"),
         );
+        dynamics.push(scalars[lane].clone());
         for i in 0..N {
             xs[lane][i] = x0[i];
             for j in 0..N {
@@ -142,7 +163,37 @@ fn assert_three_way<const N: usize, const M: usize>(
             kf.predict().expect("predict");
             let z_vec = Vector::from_slice(&z_arrs[lane]);
             let scalar_verdict = kf.predicted_measurement().max_abs_diff(&z_vec) <= delta;
-            kf.update(&z_vec).expect("scalar update");
+            prop_assert_eq!(
+                kf.innovation_norm(&z_vec).to_bits(),
+                kf.predicted_measurement().max_abs_diff(&z_vec).to_bits()
+            );
+            let out = kf.update(&z_vec).expect("scalar update");
+
+            // Shape-generic reference: the code the dispatch bypasses.
+            let reference = &mut dynamics[lane];
+            reference.predict_dynamic().expect("dynamic predict");
+            let ref_out = reference.update_dynamic(&z_vec).expect("dynamic update");
+            prop_assert_eq!(
+                filter_bits(kf),
+                filter_bits(reference),
+                "dispatched vs dynamic, lane {} tick {}",
+                lane,
+                t
+            );
+            prop_assert_eq!(
+                bits(out.innovation.as_slice()),
+                bits(ref_out.innovation.as_slice())
+            );
+            prop_assert_eq!(
+                bits(out.innovation_cov.as_slice()),
+                bits(ref_out.innovation_cov.as_slice())
+            );
+            prop_assert_eq!(out.innovation_cov.shape(), (M, M));
+            prop_assert_eq!(out.nis.to_bits(), ref_out.nis.to_bits());
+            prop_assert_eq!(
+                out.log_likelihood.to_bits(),
+                ref_out.log_likelihood.to_bits()
+            );
 
             // Static-kernel path.
             kernel.predict(&mut xs[lane], &mut ps[lane]);
@@ -223,42 +274,183 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
+    fn dims_1x1(seed in any::<u64>(), delta in 0.01..2.0f64) {
+        assert_all_paths::<1, 1>(seed, delta)?;
+    }
+
+    #[test]
     fn dims_2x1(seed in any::<u64>(), delta in 0.01..2.0f64) {
-        assert_three_way::<2, 1>(seed, delta)?;
+        assert_all_paths::<2, 1>(seed, delta)?;
     }
 
     #[test]
     fn dims_2x2(seed in any::<u64>(), delta in 0.01..2.0f64) {
-        assert_three_way::<2, 2>(seed, delta)?;
+        assert_all_paths::<2, 2>(seed, delta)?;
     }
 
     #[test]
     fn dims_4x1(seed in any::<u64>(), delta in 0.01..2.0f64) {
-        assert_three_way::<4, 1>(seed, delta)?;
+        assert_all_paths::<4, 1>(seed, delta)?;
     }
 
     #[test]
     fn dims_4x2(seed in any::<u64>(), delta in 0.01..2.0f64) {
-        assert_three_way::<4, 2>(seed, delta)?;
+        assert_all_paths::<4, 2>(seed, delta)?;
+    }
+
+    #[test]
+    fn dims_4x3(seed in any::<u64>(), delta in 0.01..2.0f64) {
+        assert_all_paths::<4, 3>(seed, delta)?;
     }
 
     #[test]
     fn dims_4x4(seed in any::<u64>(), delta in 0.01..2.0f64) {
-        assert_three_way::<4, 4>(seed, delta)?;
+        assert_all_paths::<4, 4>(seed, delta)?;
     }
 
     #[test]
     fn dims_8x1(seed in any::<u64>(), delta in 0.01..2.0f64) {
-        assert_three_way::<8, 1>(seed, delta)?;
+        assert_all_paths::<8, 1>(seed, delta)?;
+    }
+
+    #[test]
+    fn dims_8x2(seed in any::<u64>(), delta in 0.01..2.0f64) {
+        assert_all_paths::<8, 2>(seed, delta)?;
     }
 
     #[test]
     fn dims_8x3(seed in any::<u64>(), delta in 0.01..2.0f64) {
-        assert_three_way::<8, 3>(seed, delta)?;
+        assert_all_paths::<8, 3>(seed, delta)?;
     }
 
     #[test]
     fn dims_8x4(seed in any::<u64>(), delta in 0.01..2.0f64) {
-        assert_three_way::<8, 4>(seed, delta)?;
+        assert_all_paths::<8, 4>(seed, delta)?;
+    }
+}
+
+/// A dispatched filter and its shape-generic twin over one random model,
+/// warmed up a few ticks so `P` is a genuine posterior.
+fn warmed_pair(rng: &mut Rng64, n: usize, m: usize) -> (KalmanFilter, KalmanFilter) {
+    let model = random_model(rng, n, m);
+    let x0 = Vector::from_vec((0..n).map(|_| rng.range(-5.0, 5.0)).collect());
+    let mut kf = KalmanFilter::new(model, x0, rng.range(0.5, 2.0)).expect("kf");
+    let mut reference = kf.clone();
+    for _ in 0..5 {
+        let z = Vector::from_vec((0..m).map(|_| rng.range(-10.0, 10.0)).collect());
+        kf.step(&z).expect("step");
+        reference.predict_dynamic().expect("dynamic predict");
+        reference.update_dynamic(&z).expect("dynamic update");
+    }
+    (kf, reference)
+}
+
+/// The failure modes of one shape: the dispatched filter must return the
+/// error the shape-generic code returns and leave the same bits behind.
+fn assert_error_paths(seed: u64, n: usize, m: usize) -> Result<(), TestCaseError> {
+    let mut rng = Rng64::new(seed);
+
+    // Indefinite S (R far below −H P Hᵀ): NotPositiveDefinite with the
+    // same pivot and value, state and covariance untouched on both routes.
+    let (mut kf, mut reference) = warmed_pair(&mut rng, n, m);
+    let r_bad = Matrix::scalar(m, -1e6);
+    kf.set_measurement_noise(&r_bad).expect("shape");
+    reference.set_measurement_noise(&r_bad).expect("shape");
+    kf.predict().expect("predict");
+    reference.predict_dynamic().expect("dynamic predict");
+    let before = filter_bits(&kf);
+    let z = Vector::from_vec((0..m).map(|_| rng.range(-10.0, 10.0)).collect());
+    let err = kf.update(&z).expect_err("indefinite S");
+    let ref_err = reference.update_dynamic(&z).expect_err("indefinite S");
+    prop_assert!(
+        matches!(err, FilterError::Linalg(_)),
+        "({}, {}): {:?}",
+        n,
+        m,
+        err
+    );
+    prop_assert_eq!(&err, &ref_err, "({}, {}) indefinite S", n, m);
+    prop_assert_eq!(filter_bits(&kf), before.clone(), "untouched on error");
+    prop_assert_eq!(filter_bits(&reference), before);
+
+    // A wrong-sized measurement is refused the same way.
+    let short = Vector::zeros(m + 1);
+    prop_assert_eq!(
+        kf.update(&short).expect_err("bad dim"),
+        reference.update_dynamic(&short).expect_err("bad dim")
+    );
+
+    // Overflow in the update: state and observation at opposite ends of
+    // the f64 range make the innovation infinite. Diverged on both, same
+    // non-finite bits left in place.
+    let (mut kf, mut reference) = warmed_pair(&mut rng, n, m);
+    let h0 = kf.model().h().row(0).to_vec();
+    let x_far = Vector::from_vec(h0.iter().map(|h| -1e308 * h.signum()).collect());
+    let p = kf.covariance().clone();
+    kf.set_state_from(&x_far, &p).expect("shape");
+    reference.set_state_from(&x_far, &p).expect("shape");
+    let far = Vector::filled(m, f64::MAX);
+    let err = kf.update(&far).expect_err("overflowing update");
+    let ref_err = reference
+        .update_dynamic(&far)
+        .expect_err("overflowing update");
+    prop_assert!(
+        matches!(err, FilterError::Diverged { .. }),
+        "({}, {}): {:?}",
+        n,
+        m,
+        err
+    );
+    prop_assert_eq!(err, ref_err);
+    prop_assert_eq!(filter_bits(&kf), filter_bits(&reference));
+
+    // Overflow in the predict, from the poisoned state.
+    let err = kf.predict().expect_err("poisoned predict");
+    let ref_err = reference.predict_dynamic().expect_err("poisoned predict");
+    prop_assert_eq!(err, ref_err);
+    prop_assert_eq!(filter_bits(&kf), filter_bits(&reference));
+
+    // The Simple covariance form has no static kernel: its public
+    // predict/update are the shape-generic code, and it really is a
+    // different formula (its bits part ways with the Joseph twin).
+    let (joseph, _) = warmed_pair(&mut rng, n, m);
+    let mut simple = joseph.clone();
+    simple.set_covariance_update(CovarianceUpdate::Simple);
+    let mut simple_reference = simple.clone();
+    let mut joseph = joseph;
+    let mut forms_differ = false;
+    for _ in 0..50 {
+        let z = Vector::from_vec((0..m).map(|_| rng.range(-10.0, 10.0)).collect());
+        let out = simple.step(&z).expect("simple step");
+        simple_reference.predict_dynamic().expect("dynamic predict");
+        let ref_out = simple_reference.update_dynamic(&z).expect("dynamic update");
+        prop_assert_eq!(filter_bits(&simple), filter_bits(&simple_reference));
+        prop_assert_eq!(out.nis.to_bits(), ref_out.nis.to_bits());
+        joseph.step(&z).expect("joseph step");
+        forms_differ |= filter_bits(&simple).1 != filter_bits(&joseph).1;
+    }
+    prop_assert!(
+        forms_differ,
+        "({}, {}): Simple and Joseph covariance never parted ways",
+        n,
+        m
+    );
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn dispatched_error_paths_match_dynamic(seed in any::<u64>()) {
+        for (n, m) in [
+            (1, 1),
+            (2, 1), (2, 2),
+            (4, 1), (4, 2), (4, 3), (4, 4),
+            (8, 1), (8, 2), (8, 3), (8, 4),
+        ] {
+            prop_assert!(kalstream_filter::DynFleetBatch::supported(n, m));
+            assert_error_paths(seed, n, m)?;
+        }
     }
 }
