@@ -22,6 +22,19 @@ if sed '/#\[cfg(test)\]/,$d' crates/filter/src/adaptive.rs |
     exit 1
 fi
 
+echo "==> a sync travels as a view: no owned message, allocating pin or cloned P on the endpoint paths"
+# Non-test code of the two endpoints only. The two lines let through are the
+# snapshot value type (`EndpointState`, captured at durability barriers): its
+# `pending` field and the `P` it copies out of the filter.
+for endpoint in source server; do
+    if sed '/#\[cfg(test)\]/,$d' "crates/core/src/$endpoint.rs" |
+        grep -nE 'pin_to_measurement\(|\.covariance\(\)\.clone\(\)|Vec<SyncMessage>' |
+        grep -vE '^[0-9]+: +(pub pending: Vec<SyncMessage>|p: self\.filter\.covariance\(\)\.clone\(\)),$'; then
+        echo "crates/core/src/$endpoint.rs builds owned syncs on the hot path again" >&2
+        exit 1
+    fi
+done
+
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 

@@ -40,7 +40,7 @@ fn bench_wire_codec(c: &mut Criterion) {
         p: Matrix::scalar(2, 0.3),
     };
     let model = SyncMessage::Model {
-        model: models::constant_velocity(1.0, 0.01, 0.1),
+        model: Box::new(models::constant_velocity(1.0, 0.01, 0.1)),
         x: Vector::from_slice(&[1.0, 0.5]),
         p: Matrix::scalar(2, 0.3),
     };

@@ -23,16 +23,18 @@
 
 use std::time::Instant;
 
+use bytes::Bytes;
 use criterion::Criterion;
 use kalstream_baselines::PolicyKind;
 use kalstream_bench::alloc_count::{self, CountingAllocator};
 use kalstream_bench::fleet_batch::run_fleet_batch;
 use kalstream_bench::harness::{run_method, StreamFamily};
 use kalstream_bench::MetricsOut;
-use kalstream_core::{ProtocolConfig, SessionSpec, SourceEndpoint};
+use kalstream_core::wire::WireRef;
+use kalstream_core::{ProtocolConfig, ServerEndpoint, SessionSpec, SourceEndpoint};
 use kalstream_filter::{models, AdaptiveConfig, AdaptiveKalmanFilter, KalmanFilter};
 use kalstream_linalg::Vector;
-use kalstream_sim::run_fleet;
+use kalstream_sim::{run_fleet, Consumer, Producer};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -75,7 +77,16 @@ struct FleetProbe {
     adaptive_step_ns: f64,
     source_decide_suppressed_ns: f64,
     source_decide_sent_ns: f64,
+    /// `Producer::observe` on the loud fleet: the sent branch as the fleet
+    /// runs it, payload allocation included and no owned message built.
+    source_observe_sent_ns: f64,
     shadow_predict_ns: f64,
+    /// `WireRef::parse` of each stream's own recorded State sync.
+    wire_parse_ns: f64,
+    /// `receive` + `advance` on each stream's server endpoint: one sync
+    /// validated, queued, and applied from the queue after the predict
+    /// (`shadow_predict_ns` is that predict alone).
+    server_apply_ns: f64,
 }
 
 /// The probe's per-stream signal: a slow sinusoid plus a per-stream offset.
@@ -100,7 +111,7 @@ fn round_robin_ns<T>(items: &mut [T], mut visit: impl FnMut(&mut T, usize, u64))
     start.elapsed().as_secs_f64() * 1e9 / (PROBE_ROUNDS * items.len() as u64) as f64
 }
 
-fn default_scalar_sources(delta: f64) -> Vec<SourceEndpoint> {
+fn default_scalar_sessions(delta: f64) -> Vec<(SourceEndpoint, ServerEndpoint)> {
     (0..PROBE_STREAMS)
         .map(|i| {
             let config = ProtocolConfig::new(delta).expect("valid delta");
@@ -109,8 +120,14 @@ fn default_scalar_sources(delta: f64) -> Vec<SourceEndpoint> {
                 .expect("valid spec")
                 .build()
                 .split()
-                .0
         })
+        .collect()
+}
+
+fn default_scalar_sources(delta: f64) -> Vec<SourceEndpoint> {
+    default_scalar_sessions(delta)
+        .into_iter()
+        .map(|(source, _)| source)
         .collect()
 }
 
@@ -139,17 +156,48 @@ fn fleet_probe() -> FleetProbe {
         assert!(sent, "the loud fleet must sync");
     });
 
+    let mut loud = default_scalar_sources(1e-9);
+    let source_observe_sent_ns = round_robin_ns(&mut loud, |source, i, round| {
+        let payload = std::hint::black_box(source.observe(round, &[probe_signal(i, round)]));
+        assert!(payload.is_some(), "the loud fleet must sync");
+    });
+
     let mut shadows: Vec<KalmanFilter> = (0..PROBE_STREAMS).map(|_| walk()).collect();
     let shadow_predict_ns = round_robin_ns(&mut shadows, |kf, _, _| {
         kf.predict().expect("predict");
         std::hint::black_box(kf.state());
     });
 
+    // The server half: every stream's own State sync, parsed alone, then
+    // received and applied by its endpoint.
+    let mut servers: Vec<(Bytes, ServerEndpoint)> = default_scalar_sessions(1e-9)
+        .into_iter()
+        .enumerate()
+        .map(|(i, (mut source, server))| {
+            let payload = source.observe(0, &[probe_signal(i, 0)]);
+            (payload.expect("the loud fleet must sync"), server)
+        })
+        .collect();
+    let wire_parse_ns = round_robin_ns(&mut servers, |(payload, _), _, _| {
+        std::hint::black_box(WireRef::parse(payload).expect("recorded sync parses"));
+    });
+    let server_apply_ns = round_robin_ns(&mut servers, |(payload, server), _, round| {
+        server.receive(round, payload);
+        server.advance();
+        std::hint::black_box(server.filter().state());
+    });
+    let applied = (PROBE_WARMUP_ROUNDS + PROBE_ROUNDS) * PROBE_STREAMS as u64;
+    let total: u64 = servers.iter().map(|(_, s)| s.syncs_applied()).sum();
+    assert_eq!(total, applied, "every received sync must be applied");
+
     FleetProbe {
         adaptive_step_ns,
         source_decide_suppressed_ns,
         source_decide_sent_ns,
+        source_observe_sent_ns,
         shadow_predict_ns,
+        wire_parse_ns,
+        server_apply_ns,
     }
 }
 
@@ -299,7 +347,7 @@ fn measure(quick: bool) -> Measurements {
 
 fn to_json(m: &Measurements) -> String {
     format!(
-        "{{\n  \"available_parallelism\": {},\n  \"predict_ns\": {:.1},\n  \"update_ns\": {:.1},\n  \"suppression_decision_ns\": {:.1},\n  \"fleet_probe_streams\": {},\n  \"fleet_adaptive_step_ns\": {:.1},\n  \"fleet_source_decide_suppressed_ns\": {:.1},\n  \"fleet_source_decide_sent_ns\": {:.1},\n  \"fleet_shadow_predict_ns\": {:.1},\n  \"allocs_per_tick\": {:.3},\n  \"allocs_per_filter_step\": {:.3},\n  \"fleet_streams\": {},\n  \"fleet_ticks\": {},\n  \"fleet_wall_ms\": {:.1},\n  \"fleet_total_messages\": {},\n  \"batch_fleet_streams\": {},\n  \"batch_fleet_ticks\": {},\n  \"batch_fleet_scalar_wall_ms\": {:.1},\n  \"batch_fleet_wall_ms\": {:.1},\n  \"batch_fleet_speedup\": {:.2},\n  \"batch_predict_ns\": {:.1},\n  \"batch_update_ns\": {:.1},\n  \"batch_matches_scalar\": {}\n}}",
+        "{{\n  \"available_parallelism\": {},\n  \"predict_ns\": {:.1},\n  \"update_ns\": {:.1},\n  \"suppression_decision_ns\": {:.1},\n  \"fleet_probe_streams\": {},\n  \"fleet_adaptive_step_ns\": {:.1},\n  \"fleet_source_decide_suppressed_ns\": {:.1},\n  \"fleet_source_decide_sent_ns\": {:.1},\n  \"fleet_source_observe_sent_ns\": {:.1},\n  \"fleet_shadow_predict_ns\": {:.1},\n  \"fleet_wire_parse_ns\": {:.1},\n  \"fleet_server_apply_ns\": {:.1},\n  \"allocs_per_tick\": {:.3},\n  \"allocs_per_filter_step\": {:.3},\n  \"fleet_streams\": {},\n  \"fleet_ticks\": {},\n  \"fleet_wall_ms\": {:.1},\n  \"fleet_total_messages\": {},\n  \"batch_fleet_streams\": {},\n  \"batch_fleet_ticks\": {},\n  \"batch_fleet_scalar_wall_ms\": {:.1},\n  \"batch_fleet_wall_ms\": {:.1},\n  \"batch_fleet_speedup\": {:.2},\n  \"batch_predict_ns\": {:.1},\n  \"batch_update_ns\": {:.1},\n  \"batch_matches_scalar\": {}\n}}",
         m.available_parallelism,
         m.predict_ns,
         m.update_ns,
@@ -308,7 +356,10 @@ fn to_json(m: &Measurements) -> String {
         m.probe.adaptive_step_ns,
         m.probe.source_decide_suppressed_ns,
         m.probe.source_decide_sent_ns,
+        m.probe.source_observe_sent_ns,
         m.probe.shadow_predict_ns,
+        m.probe.wire_parse_ns,
+        m.probe.server_apply_ns,
         m.allocs_per_tick,
         m.allocs_per_filter_step,
         FLEET_STREAMS,
@@ -389,12 +440,15 @@ fn main() {
         m.predict_ns, m.update_ns, m.decide_ns, m.allocs_per_tick, m.fleet_wall_ms
     );
     println!(
-        "fleet probe, {} round-robin default-scalar streams: adaptive step {:.0} ns | decide suppressed {:.0} ns | decide sent {:.0} ns | shadow predict {:.0} ns",
+        "fleet probe, {} round-robin default-scalar streams: adaptive step {:.0} ns | decide suppressed {:.0} ns | decide sent {:.0} ns | observe sent {:.0} ns | shadow predict {:.0} ns | wire parse {:.0} ns | server receive+advance {:.0} ns",
         PROBE_STREAMS,
         m.probe.adaptive_step_ns,
         m.probe.source_decide_suppressed_ns,
         m.probe.source_decide_sent_ns,
+        m.probe.source_observe_sent_ns,
         m.probe.shadow_predict_ns,
+        m.probe.wire_parse_ns,
+        m.probe.server_apply_ns,
     );
     println!(
         "batch fleet {}x{}: scalar {:.0} ms vs batch {:.0} ms ({:.2}x, bit-identical: {})",
@@ -424,7 +478,10 @@ fn main() {
             m.probe.source_decide_suppressed_ns,
         );
         s.gauge("source_decide_sent_ns", m.probe.source_decide_sent_ns);
+        s.gauge("source_observe_sent_ns", m.probe.source_observe_sent_ns);
         s.gauge("shadow_predict_ns", m.probe.shadow_predict_ns);
+        s.gauge("wire_parse_ns", m.probe.wire_parse_ns);
+        s.gauge("server_apply_ns", m.probe.server_apply_ns);
     }
     {
         let mut s = metrics.scope("fleet");

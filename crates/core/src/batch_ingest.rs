@@ -21,8 +21,8 @@
 //! per-stream order, so a batched ingest run produces **bit-identical
 //! endpoints** to the plain path — the invariant this module's tests and
 //! the workspace proptests pin down. Streams leave the batch path (are
-//! *demoted* to scalar, state handed back via [`KalmanFilter::restore`])
-//! when:
+//! *demoted* to scalar, state handed back via
+//! [`kalstream_filter::KalmanFilter::restore`]) when:
 //!
 //! * a **model sync** arrives — the replacement filter may have any shape,
 //!   so the stream finishes the run scalar (re-promotion would buy little:
@@ -35,11 +35,12 @@
 //! Demotion swaps the group's last lane into the vacated slot
 //! ([`DynFleetBatch::swap_remove_lane`]), so lanes stay dense.
 
-use kalstream_filter::{CovarianceUpdate, DynFleetBatch, KalmanFilter};
+use kalstream_filter::{CovarianceUpdate, DynFleetBatch};
+use kalstream_linalg::VECTOR_INLINE_CAP;
 
 use crate::ingest::{IngestResult, Shard, TickIngest};
 use crate::server::{EndpointState, ServerEndpoint};
-use crate::wire::SyncMessage;
+use crate::wire::SyncRef;
 
 /// One same-model lane group.
 struct BatchGroup {
@@ -56,9 +57,9 @@ struct BatchGroup {
 pub(crate) struct BatchLanes {
     groups: Vec<BatchGroup>,
     /// Positions of the scalar-routed endpoints (their own
-    /// [`KalmanFilter`] steps, via [`ServerEndpoint::advance`]), ascending
-    /// and maintained across demotions so the per-tick advance loop needs
-    /// no re-sort. Every other endpoint's filter is dormant until demotion.
+    /// [`kalstream_filter::KalmanFilter`] steps, via
+    /// [`ServerEndpoint::advance`]), ascending and maintained across
+    /// demotions so the per-tick advance loop needs no re-sort. Every other endpoint's filter is dormant until demotion.
     scalar: Vec<usize>,
 }
 
@@ -162,39 +163,35 @@ impl BatchLanes {
     ) -> bool {
         let batch = &mut self.groups[group].batch;
         let mut model_swapped = false;
-        while let Some(msg) = ep.pop_pending() {
-            match msg {
-                SyncMessage::State { x, p } => {
-                    if batch.set_lane(lane, &x, &p).is_ok() {
-                        ep.note_sync_applied();
-                    }
-                }
-                SyncMessage::Measurement { z } => {
-                    // On `Diverged` the lane keeps the non-finite posterior —
-                    // exactly what the scalar filter leaves behind — and the
-                    // finite check below demotes it. Other errors leave the
-                    // lane untouched; either way the sync is not counted.
-                    if batch.update_lane(lane, &z).is_ok() {
-                        ep.note_sync_applied();
-                    }
-                }
-                SyncMessage::Model { model, x, p } => {
-                    // On rejection the stream simply stays batched.
-                    if let Ok(kf) = KalmanFilter::with_covariance(model, x, p) {
-                        *ep.filter_mut() = kf;
-                        ep.note_sync_applied();
-                        model_swapped = true;
-                        // The stream is scalar from here: the rest of
-                        // its queue applies to the replacement filter,
-                        // exactly as the scalar drain would.
-                        while let Some(rest) = ep.pop_pending() {
-                            ep.apply(rest);
-                        }
-                        break;
-                    }
+        ep.drain_pending(|ep, msg| match msg {
+            // A model sync earlier in this queue made the stream scalar:
+            // the rest applies to the replacement filter, exactly as the
+            // scalar drain would.
+            _ if model_swapped => {
+                ep.apply_view(msg);
+            }
+            SyncRef::State { x, p } => {
+                if batch.set_lane_packed(lane, x.iter(), p.iter()).is_ok() {
+                    ep.note_sync_applied();
                 }
             }
-        }
+            SyncRef::Measurement { z } => {
+                // On `Diverged` the lane keeps the non-finite posterior —
+                // exactly what the scalar filter leaves behind — and the
+                // finite check below demotes it. Other errors leave the
+                // lane untouched; either way the sync is not counted.
+                let applied = z
+                    .read_into(&mut [0.0; VECTOR_INLINE_CAP])
+                    .is_some_and(|z| batch.update_lane(lane, z).is_ok());
+                if applied {
+                    ep.note_sync_applied();
+                }
+            }
+            // The replacement filter may have any shape, so it is installed
+            // in the endpoint and the stream leaves the batch. On rejection
+            // the stream simply stays batched.
+            SyncRef::Model(_) => model_swapped = ep.apply_view(msg),
+        });
         // A model sync already installed a replacement filter; a diverged
         // lane hands its state back to the endpoint's own.
         let diverged = !model_swapped && !batch.lane_is_finite(lane);
@@ -290,8 +287,8 @@ mod tests {
     use crate::frame::FrameBatch;
     use crate::ingest::SequentialIngest;
     use crate::test_support::{filter_bits, record_log, record_log_of};
-    use crate::wire::WireMessage;
-    use kalstream_filter::models;
+    use crate::wire::{SyncMessage, WireMessage};
+    use kalstream_filter::{models, KalmanFilter};
     use kalstream_linalg::{Matrix, Vector};
 
     fn assert_same_endpoints(a: &[(u32, ServerEndpoint)], b: &[(u32, ServerEndpoint)], what: &str) {
@@ -413,7 +410,7 @@ mod tests {
         extra.push(
             1,
             &SyncMessage::Model {
-                model: models::constant_acceleration(1.0, 0.02, 0.1),
+                model: Box::new(models::constant_acceleration(1.0, 0.02, 0.1)),
                 x: Vector::from_slice(&[0.5, 0.1, 0.0]),
                 p: Matrix::scalar(3, 1.0),
             },

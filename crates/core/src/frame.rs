@@ -23,7 +23,7 @@
 
 use bytes::{BufMut, BytesMut};
 
-use crate::wire::{SyncMessage, WireMessage};
+use crate::wire::{SyncMessage, WireRef};
 
 /// Bytes of framing overhead per message: `stream_id:u32 len:u32`.
 pub const FRAME_HEADER_BYTES: usize = 8;
@@ -162,10 +162,10 @@ impl FrameDecoder {
         }
     }
 
-    /// Walks `wire` and decodes each frame's body into a [`SyncMessage`] —
-    /// the shard worker's path. A body that fails to decode counts one
-    /// failure and the walk **continues** with the next frame: the length
-    /// prefix, not the body, carries the framing.
+    /// Walks `wire` and decodes each frame's body into an owned
+    /// [`SyncMessage`] — for tests and tools that want values. A body that
+    /// fails to decode counts one failure and the walk **continues** with
+    /// the next frame: the length prefix, not the body, carries the framing.
     pub fn for_each_message(&mut self, wire: &[u8], mut f: impl FnMut(u32, SyncMessage)) {
         let mut body_failures = 0;
         self.for_each_frame(wire, |frame| match SyncMessage::decode(frame.body) {
@@ -175,12 +175,14 @@ impl FrameDecoder {
         self.decode_failures += body_failures;
     }
 
-    /// Like [`FrameDecoder::for_each_message`] but decodes bodies as v3
-    /// [`WireMessage`]s, accepting sequenced syncs and acks alongside legacy
-    /// v2 bodies — the loss-tolerant ingest path.
-    pub fn for_each_wire_message(&mut self, wire: &[u8], mut f: impl FnMut(u32, WireMessage)) {
+    /// Walks `wire` and hands each frame's body to `f` as a validated
+    /// [`WireRef`] view of the batch buffer — the shard worker's path:
+    /// sequenced syncs, acks and bound directives alongside legacy v2
+    /// bodies, none of them copied out of `wire`. Bad bodies are skipped and
+    /// counted as in [`FrameDecoder::for_each_message`].
+    pub fn for_each_wire_message(&mut self, wire: &[u8], mut f: impl FnMut(u32, WireRef<'_>)) {
         let mut body_failures = 0;
-        self.for_each_frame(wire, |frame| match WireMessage::decode(frame.body) {
+        self.for_each_frame(wire, |frame| match WireRef::parse(frame.body) {
             Ok(msg) => f(frame.stream_id, msg),
             Err(_) => body_failures += 1,
         });
@@ -418,6 +420,7 @@ impl BufferPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::WireMessage;
     use kalstream_linalg::{Matrix, Vector};
 
     fn msg(v: f64) -> SyncMessage {
@@ -589,7 +592,7 @@ mod tests {
 
         let mut dec = FrameDecoder::new();
         let mut got = Vec::new();
-        dec.for_each_wire_message(batch.as_bytes(), |id, m| got.push((id, m)));
+        dec.for_each_wire_message(batch.as_bytes(), |id, m| got.push((id, m.to_owned())));
         assert_eq!(dec.decode_failures(), 0);
         assert_eq!(
             got,

@@ -333,7 +333,7 @@ impl Shard {
         self.decoder
             .for_each_wire_message(&buf, |id, msg| match index.get(&id) {
                 Some(&i) => {
-                    endpoints[i].1.enqueue_wire(msg);
+                    endpoints[i].1.enqueue_view(msg);
                     report.messages += 1;
                 }
                 None => report.unknown_streams += 1,

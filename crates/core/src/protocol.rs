@@ -1,7 +1,8 @@
 //! Shared protocol primitives: the measurement-pinning projection, the
 //! precision norm, and the delivery ack tracker.
 
-use kalstream_linalg::{Matrix, Vector};
+use kalstream_filter::FilterError;
+use kalstream_linalg::{LinalgError, Matrix, Vector};
 
 use crate::Result;
 
@@ -106,22 +107,139 @@ impl AckTracker {
 /// observation matrix without full row rank — rejected models never have
 /// this).
 pub fn pin_to_measurement(x: &Vector, h: &Matrix, z: &Vector) -> Result<Vector> {
-    let hx = h.mul_vec(x).map_err(kalstream_filter::FilterError::from)?;
+    let hx = h.mul_vec(x).map_err(FilterError::from)?;
     let residual = z - &hx;
-    let hht = h
-        .matmul(&h.transpose())
-        .map_err(kalstream_filter::FilterError::from)?;
-    let chol = hht
-        .cholesky()
-        .map_err(kalstream_filter::FilterError::from)?;
-    let w = chol
-        .solve_vec(&residual)
-        .map_err(kalstream_filter::FilterError::from)?;
-    let correction = h
-        .transpose()
-        .mul_vec(&w)
-        .map_err(kalstream_filter::FilterError::from)?;
+    let hht = h.matmul(&h.transpose()).map_err(FilterError::from)?;
+    let chol = hht.cholesky().map_err(FilterError::from)?;
+    let w = chol.solve_vec(&residual).map_err(FilterError::from)?;
+    let correction = h.transpose().mul_vec(&w).map_err(FilterError::from)?;
     Ok(&(x.clone()) + &correction)
+}
+
+/// [`pin_to_measurement`] for the sync path: the same floating-point
+/// operations in the same order — so the same `x'`, bit for bit, and the
+/// same error — on borrowed slices, with every intermediate (`H Hᵀ`, its
+/// Cholesky factor, the solve) in `m`-sized stack arrays instead of ten
+/// zero-filled 544-byte `Matrix` temporaries. `out` receives `x'`; on error
+/// it is untouched. The allocating function above is this one's proptest
+/// oracle.
+///
+/// # Errors
+/// As [`pin_to_measurement`].
+///
+/// # Panics
+/// Like the oracle's `z − H x`, panics when `z` is not `h.rows()` long.
+pub(crate) fn pin_into(x: &[f64], h: &Matrix, z: &[f64], out: &mut [f64]) -> Result<()> {
+    if h.cols() != x.len() {
+        return Err(linalg_err(LinalgError::DimensionMismatch {
+            op: "mul_vec",
+            lhs: h.shape(),
+            rhs: (x.len(), 1),
+        }));
+    }
+    assert_eq!(z.len(), h.rows(), "pin: measurement dimension mismatch");
+    match h.rows() {
+        0 => Err(linalg_err(LinalgError::Empty { op: "cholesky" })),
+        1 => pin_static::<1>(x, h, z, out),
+        2 => pin_static::<2>(x, h, z, out),
+        3 => pin_static::<3>(x, h, z, out),
+        4 => pin_static::<4>(x, h, z, out),
+        5 => pin_static::<5>(x, h, z, out),
+        6 => pin_static::<6>(x, h, z, out),
+        7 => pin_static::<7>(x, h, z, out),
+        8 => pin_static::<8>(x, h, z, out),
+        // Wider than any filter's measurement (the inline cap is 8).
+        _ => {
+            let pinned = pin_to_measurement(&Vector::from_slice(x), h, &Vector::from_slice(z))?;
+            out.copy_from_slice(pinned.as_slice());
+            Ok(())
+        }
+    }
+}
+
+fn linalg_err(e: LinalgError) -> crate::CoreError {
+    FilterError::from(e).into()
+}
+
+// Index loops, as in `Cholesky::factor_into` / `solve_in_place`: the two
+// are meant to be read side by side.
+#[allow(clippy::needless_range_loop)]
+fn pin_static<const M: usize>(x: &[f64], h: &Matrix, z: &[f64], out: &mut [f64]) -> Result<()> {
+    // Residual z − H x (`mul_vec`, then the elementwise difference).
+    let mut w = [0.0; M];
+    for (r, w_r) in w.iter_mut().enumerate() {
+        let mut acc = 0.0;
+        for (a, b) in h.row(r).iter().zip(x) {
+            acc += a * b;
+        }
+        *w_r = z[r] - acc;
+    }
+    // H Hᵀ, accumulated as `h.matmul(&h.transpose())` does: k-major per
+    // output row, skipping zero left factors.
+    let mut hht = [[0.0; M]; M];
+    for (r, hht_r) in hht.iter_mut().enumerate() {
+        for (k, &a) in h.row(r).iter().enumerate() {
+            if a == 0.0 {
+                continue;
+            }
+            for (c, o) in hht_r.iter_mut().enumerate() {
+                *o += a * h.get(c, k);
+            }
+        }
+    }
+    // `Cholesky::factor_into`.
+    let tol = 1e-13
+        * hht
+            .as_flattened()
+            .iter()
+            .fold(0.0_f64, |m, v| m.max(v.abs()))
+            .max(1.0);
+    let mut l = [[0.0; M]; M];
+    for j in 0..M {
+        let mut d = hht[j][j];
+        for k in 0..j {
+            d -= l[j][k] * l[j][k];
+        }
+        if d <= tol {
+            return Err(linalg_err(LinalgError::NotPositiveDefinite {
+                pivot: j,
+                value: d,
+            }));
+        }
+        let dsqrt = d.sqrt();
+        l[j][j] = dsqrt;
+        for i in (j + 1)..M {
+            let mut v = hht[i][j];
+            for k in 0..j {
+                v -= l[i][k] * l[j][k];
+            }
+            l[i][j] = v / dsqrt;
+        }
+    }
+    // `Cholesky::solve_in_place`: L y = residual, then Lᵀ w = y.
+    for i in 0..M {
+        let mut v = w[i];
+        for k in 0..i {
+            v -= l[i][k] * w[k];
+        }
+        w[i] = v / l[i][i];
+    }
+    for i in (0..M).rev() {
+        let mut v = w[i];
+        for k in (i + 1)..M {
+            v -= l[k][i] * w[k];
+        }
+        w[i] = v / l[i][i];
+    }
+    // x' = x + Hᵀ w.
+    for (r, (o, x_r)) in out.iter_mut().zip(x).enumerate() {
+        let mut acc = 0.0;
+        for (k, w_k) in w.iter().enumerate() {
+            acc += h.get(k, r) * w_k;
+        }
+        *o = x_r + acc;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -234,5 +352,96 @@ mod tests {
         t.tick();
         assert!(!t.overdue(2));
         assert!(t.overdue(1));
+    }
+
+    /// The workspace shape table (`for_each_shape!` in `kalstream-filter`).
+    const SHAPES: [(usize, usize); 11] = [
+        (1, 1),
+        (2, 1),
+        (2, 2),
+        (4, 1),
+        (4, 2),
+        (4, 3),
+        (4, 4),
+        (8, 1),
+        (8, 2),
+        (8, 3),
+        (8, 4),
+    ];
+
+    /// `pin_into` against its oracle: the same bits on success, the same
+    /// error (and an untouched `out`) on failure.
+    fn assert_pin_matches_oracle(x: &[f64], h: &Matrix, z: &[f64]) {
+        let oracle = pin_to_measurement(&Vector::from_slice(x), h, &Vector::from_slice(z));
+        let mut out = vec![f64::from_bits(0xDEAD_BEEF); x.len()];
+        match (pin_into(x, h, z, &mut out), oracle) {
+            (Ok(()), Ok(pinned)) => {
+                let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&out), bits(pinned.as_slice()), "H = {h}");
+            }
+            (Err(a), Err(b)) => {
+                assert_eq!(a, b);
+                assert!(out.iter().all(|v| v.to_bits() == 0xDEAD_BEEF));
+            }
+            (a, b) => panic!("pin_into {a:?}, oracle {b:?}"),
+        }
+    }
+
+    #[test]
+    fn pin_into_matches_the_oracle_on_structured_observation_matrices() {
+        for (n, m) in SHAPES {
+            // Selector rows (the kinematic models' H), with exact zeros.
+            let mut h = Matrix::zeros(m, n);
+            for j in 0..m {
+                h.set(j, (j * n) / m, 1.0);
+            }
+            let x: Vec<f64> = (0..n).map(|i| 0.5 - i as f64 * 0.37).collect();
+            let z: Vec<f64> = (0..m).map(|j| 2.0 + j as f64 * 1.25).collect();
+            assert_pin_matches_oracle(&x, &h, &z);
+            // Already exact: the correction is all zeros, signs included.
+            let hx = h.mul_vec(&Vector::from_slice(&x)).unwrap();
+            assert_pin_matches_oracle(&x, &h, hx.as_slice());
+            // Rank-deficient H: a repeated row (m ≥ 2) or a zero row.
+            let mut deficient = h.clone();
+            for k in 0..n {
+                let v = if m >= 2 { h.get(0, k) } else { 0.0 };
+                deficient.set(m - 1, k, v);
+            }
+            assert!(pin_into(&x, &deficient, &z, &mut vec![0.0; n]).is_err());
+            assert_pin_matches_oracle(&x, &deficient, &z);
+        }
+        // Shape errors are the oracle's too.
+        let h = Matrix::from_rows(&[&[1.0, 0.0]]);
+        assert_pin_matches_oracle(&[1.0, 2.0, 3.0], &h, &[1.0]);
+        // A measurement wider than any filter's takes the allocating route.
+        let wide = Matrix::identity(9);
+        assert_pin_matches_oracle(&[0.25; 9], &wide, &[1.5; 9]);
+    }
+
+    mod pin_fuzz {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #[test]
+            fn pin_into_matches_the_oracle_on_dense_matrices(
+                shape in 0usize..SHAPES.len(),
+                entries in proptest::collection::vec(-3.0..3.0f64, 32),
+                zeroed in proptest::collection::vec(0usize..32, 0..12),
+                x in proptest::collection::vec(-50.0..50.0f64, 8),
+                z in proptest::collection::vec(-50.0..50.0f64, 4),
+            ) {
+                let (n, m) = SHAPES[shape];
+                let mut entries = entries;
+                for at in zeroed {
+                    // Exact zeros exercise the product's zero-skips; enough
+                    // of them make H rank-deficient, which must fail alike.
+                    entries[at] = if at % 2 == 0 { 0.0 } else { -0.0 };
+                }
+                let mut h = Matrix::zeros(m, n);
+                h.as_mut_slice().copy_from_slice(&entries[..m * n]);
+                assert_pin_matches_oracle(&x[..n], &h, &z[..m]);
+            }
+        }
     }
 }

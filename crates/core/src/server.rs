@@ -2,11 +2,11 @@
 
 use bytes::Bytes;
 use kalstream_filter::{CovarianceUpdate, FilterError, KalmanFilter, StateModel};
-use kalstream_linalg::{Matrix, Vector};
+use kalstream_linalg::{Matrix, Vector, VECTOR_INLINE_CAP};
 use kalstream_obs::{Counter, Instrument, Scope};
 use kalstream_sim::{Consumer, DeliveryStats, Tick};
 
-use crate::wire::{SyncMessage, WireMessage};
+use crate::wire::{self, SyncMessage, SyncRef, WireMessage, WireRef};
 
 /// Cap on queued-but-unapplied syncs. In every supported driver the queue
 /// drains once per tick, so depth beyond a handful means `receive` is
@@ -26,9 +26,15 @@ const PENDING_CAP: usize = 256;
 #[derive(Debug, Clone)]
 pub struct ServerEndpoint {
     filter: KalmanFilter,
-    /// Messages delivered this tick, applied inside [`Consumer::estimate`]
-    /// *after* the predict step so server and shadow stay in lock-step.
-    pending: Vec<SyncMessage>,
+    /// Syncs delivered this tick, applied inside [`Consumer::estimate`]
+    /// *after* the predict step so server and shadow stay in lock-step. The
+    /// queue is bytes — each entry `len:u32` then the validated wire body,
+    /// oldest first, the framing a durability snapshot writes for it — so a
+    /// queued sync costs its wire size, and a drained queue keeps its
+    /// capacity.
+    pending: Vec<u8>,
+    /// Entries in `pending`.
+    pending_len: usize,
     syncs_applied: Counter,
     decode_failures: Counter,
     predict_failures: Counter,
@@ -53,6 +59,7 @@ impl ServerEndpoint {
         ServerEndpoint {
             filter,
             pending: Vec::new(),
+            pending_len: 0,
             syncs_applied: Counter::new(),
             decode_failures: Counter::new(),
             predict_failures: Counter::new(),
@@ -96,35 +103,70 @@ impl ServerEndpoint {
     /// component): the innovation covariance `S = H P Hᵀ + R` of the cached
     /// filter, which grows with staleness as suppressed ticks accumulate
     /// process noise. This is the per-stream uncertainty the query graph
-    /// propagates into distributional answers.
+    /// propagates into distributional answers — read once per stream per
+    /// tick, so it is computed as the one number it is
+    /// ([`KalmanFilter::predicted_measurement_var`]), not read off a built `S`.
     pub fn served_variance(&self) -> f64 {
-        self.filter.predicted_measurement_cov().get(0, 0)
+        self.filter.predicted_measurement_var(0)
     }
 
-    /// Applies one decoded sync message immediately (test/query-layer hook;
+    /// Applies one owned sync message immediately (test/query-layer hook;
     /// the simulator path goes through [`Consumer::receive`], the ingest
-    /// path through [`ServerEndpoint::enqueue`]).
+    /// path through [`ServerEndpoint::enqueue_view`]).
     pub fn apply(&mut self, msg: SyncMessage) {
-        if apply_to_filter(&mut self.filter, msg) {
+        // A hand-built message whose parts disagree does not parse back;
+        // like any sync the filter refuses, it is dropped uncounted.
+        if let Ok(view) = SyncRef::parse(&msg.encode()) {
+            self.apply_view(view);
+        }
+    }
+
+    /// Applies one sync view to the endpoint's own filter; returns whether
+    /// the filter accepted it (and counts it when it did).
+    pub(crate) fn apply_view(&mut self, msg: SyncRef<'_>) -> bool {
+        let applied = apply_sync(&mut self.filter, msg);
+        if applied {
             self.syncs_applied += 1;
         }
+        applied
     }
 
-    /// Queues one decoded sync message for the next [`ServerEndpoint::advance`].
-    /// At the cap the **oldest** queued sync is shed (and counted): under
-    /// full-state semantics a newer sync subsumes older ones, so dropping
-    /// from the front preserves the freshest state.
+    /// Queues one owned sync message for the next
+    /// [`ServerEndpoint::advance`] — the value-type twin of the view path,
+    /// for tests and snapshot restore. At the cap the **oldest** queued sync
+    /// is shed (and counted): under full-state semantics a newer sync
+    /// subsumes older ones, so dropping from the front preserves the
+    /// freshest state.
     pub fn enqueue(&mut self, msg: SyncMessage) {
-        if self.pending.len() >= PENDING_CAP {
-            self.pending.remove(0);
+        self.shed_at_cap();
+        self.push_pending(|queue| msg.encode_into(queue));
+    }
+
+    /// Makes room for one more entry: at [`PENDING_CAP`] the oldest is
+    /// dropped and counted.
+    fn shed_at_cap(&mut self) {
+        if self.pending_len >= PENDING_CAP {
+            if let Some((oldest, _)) = split_entry(&self.pending) {
+                let entry = ENTRY_PREFIX_BYTES + oldest.len();
+                self.pending.drain(..entry);
+                self.pending_len -= 1;
+            }
             self.delivery.shed += 1;
         }
-        self.pending.push(msg);
     }
 
-    /// Queues one decoded v3 wire message, running sequence bookkeeping —
-    /// the loss-tolerant entry point for both the simulator path
-    /// ([`Consumer::receive`]) and the ingest pipeline.
+    /// Appends one entry whose body `write_body` appends to the queue.
+    fn push_pending(&mut self, write_body: impl FnOnce(&mut Vec<u8>)) {
+        let at = self.pending.len();
+        self.pending.extend_from_slice(&[0; ENTRY_PREFIX_BYTES]);
+        write_body(&mut self.pending);
+        let len = (self.pending.len() - at - ENTRY_PREFIX_BYTES) as u32;
+        self.pending[at..at + ENTRY_PREFIX_BYTES].copy_from_slice(&len.to_le_bytes());
+        self.pending_len += 1;
+    }
+
+    /// Sequence bookkeeping for one arriving sync; `true` when it is to be
+    /// queued.
     ///
     /// A sequenced sync at or below the highest sequence already accepted is
     /// **stale** (a duplicate, or delivered after a newer overwrite) and is
@@ -132,24 +174,49 @@ impl ServerEndpoint {
     /// counted as gaps (messages lost *or* still in flight behind a newer
     /// one). Every sequenced arrival — stale included — re-arms the ack, so
     /// a lost ack is healed by the next arrival of anything.
-    pub fn enqueue_wire(&mut self, msg: WireMessage) {
+    fn admit(&mut self, seq: Option<u64>) -> bool {
+        let Some(seq) = seq else {
+            return true;
+        };
+        self.ack_due = true;
+        if seq <= self.last_seq {
+            self.delivery.stale_drops += 1;
+            false
+        } else {
+            self.delivery.seq_gaps += seq - self.last_seq - 1;
+            self.last_seq = seq;
+            true
+        }
+    }
+
+    /// Queues one validated v3 wire message, running sequence bookkeeping
+    /// (stale and duplicate drops, gap counting, ack re-arming) — the entry
+    /// point of both the simulator path ([`Consumer::receive`]) and the
+    /// ingest pipeline. What is queued is the viewed body itself: no owned
+    /// message exists between the socket and the filter.
+    pub fn enqueue_view(&mut self, msg: WireRef<'_>) {
         match msg {
-            WireMessage::Sync { seq: None, msg } => self.enqueue(msg),
-            WireMessage::Sync {
-                seq: Some(seq),
-                msg,
-            } => {
-                self.ack_due = true;
-                if seq <= self.last_seq {
-                    self.delivery.stale_drops += 1;
-                } else {
-                    self.delivery.seq_gaps += seq - self.last_seq - 1;
-                    self.last_seq = seq;
-                    self.enqueue(msg);
+            WireRef::Sync { seq, body, .. } => {
+                if self.admit(seq) {
+                    self.shed_at_cap();
+                    self.push_pending(|queue| queue.extend_from_slice(body));
                 }
             }
             // An ack or bound directive on the forward channel is a protocol
             // violation by the peer; drop and count like any unusable message.
+            WireRef::Ack { .. } | WireRef::Bound { .. } => self.decode_failures += 1,
+        }
+    }
+
+    /// [`ServerEndpoint::enqueue_view`] for an owned message — same
+    /// bookkeeping, the body encoded into the queue.
+    pub fn enqueue_wire(&mut self, msg: WireMessage) {
+        match msg {
+            WireMessage::Sync { seq, msg } => {
+                if self.admit(seq) {
+                    self.enqueue(msg);
+                }
+            }
             WireMessage::Ack { .. } | WireMessage::Bound { .. } => self.decode_failures += 1,
         }
     }
@@ -166,7 +233,7 @@ impl ServerEndpoint {
 
     /// Syncs currently queued for the next advance.
     pub fn pending_len(&self) -> usize {
-        self.pending.len()
+        self.pending_len
     }
 
     /// Queues a precision-bound directive for the paired source; it rides
@@ -188,17 +255,26 @@ impl ServerEndpoint {
         self.bounds_sent.get()
     }
 
-    /// Pops the oldest queued sync, if any — the batch ingest engine drains
-    /// pending through this (front-to-back, like [`ServerEndpoint::advance`])
-    /// while applying syncs to a fleet-batch lane instead of the endpoint's
-    /// own filter. `Vec::remove(0)` keeps the buffer's capacity, and the
-    /// queue is a handful of messages at most (see [`PENDING_CAP`]).
-    pub(crate) fn pop_pending(&mut self) -> Option<SyncMessage> {
-        if self.pending.is_empty() {
-            None
-        } else {
-            Some(self.pending.remove(0))
+    /// Hands every queued sync, oldest first, to `apply` (with the endpoint
+    /// itself, for its counters and filter) and leaves the queue empty with
+    /// its capacity kept — steady-state ticks must not allocate.
+    /// [`ServerEndpoint::advance`] applies them to the endpoint's filter; the
+    /// batch ingest engine applies them to a fleet-batch lane.
+    pub(crate) fn drain_pending(&mut self, mut apply: impl FnMut(&mut Self, SyncRef<'_>)) {
+        if self.pending_len == 0 {
+            return;
         }
+        let mut queue = std::mem::take(&mut self.pending);
+        for body in entries(&queue) {
+            // Bodies arriving as views were validated on the way in; an
+            // owned message that does not parse back is dropped uncounted.
+            if let Ok(msg) = SyncRef::parse(body) {
+                apply(self, msg);
+            }
+        }
+        queue.clear();
+        self.pending = queue;
+        self.pending_len = 0;
     }
 
     /// Counts one applied sync — the batch engine's twin of the bookkeeping
@@ -233,7 +309,10 @@ impl ServerEndpoint {
             p: self.filter.covariance().clone(),
             steps_since_update: self.filter.steps_since_update(),
             cov_update: self.filter.covariance_update(),
-            pending: self.pending.clone(),
+            pending: entries(&self.pending)
+                .filter_map(|body| SyncRef::parse(body).ok())
+                .map(|msg| msg.to_owned())
+                .collect(),
             syncs_applied: self.syncs_applied.get(),
             decode_failures: self.decode_failures.get(),
             predict_failures: self.predict_failures.get(),
@@ -274,9 +353,10 @@ impl ServerEndpoint {
         let mut filter = KalmanFilter::with_covariance(model, x.clone(), p.clone())?;
         filter.set_covariance_update(cov_update);
         filter.restore(x, p, steps_since_update)?;
-        Ok(ServerEndpoint {
+        let mut endpoint = ServerEndpoint {
             filter,
-            pending,
+            pending: Vec::new(),
+            pending_len: 0,
             syncs_applied: Counter::from(syncs_applied),
             decode_failures: Counter::from(decode_failures),
             predict_failures: Counter::from(predict_failures),
@@ -285,7 +365,12 @@ impl ServerEndpoint {
             bound_due,
             bounds_sent: Counter::from(bounds_sent),
             delivery,
-        })
+        };
+        // Straight into the queue: a restore sheds nothing.
+        for msg in &pending {
+            endpoint.push_pending(|queue| msg.encode_into(queue));
+        }
+        Ok(endpoint)
     }
 
     /// Advances one tick: predict, then apply every queued sync — exactly
@@ -296,13 +381,9 @@ impl ServerEndpoint {
         if self.filter.predict().is_err() {
             self.predict_failures += 1;
         }
-        // Drain in place so `pending` keeps its capacity (steady-state
-        // ingest ticks must not allocate).
-        for msg in self.pending.drain(..) {
-            if apply_to_filter(&mut self.filter, msg) {
-                self.syncs_applied += 1;
-            }
-        }
+        self.drain_pending(|endpoint, msg| {
+            endpoint.apply_view(msg);
+        });
     }
 }
 
@@ -344,20 +425,48 @@ pub struct EndpointState {
     pub delivery: DeliveryStats,
 }
 
-/// Applies a sync to a filter, returning whether it was accepted. Free
-/// function (not a method) so [`ServerEndpoint::advance`] can drain
-/// `pending` while mutating the filter — disjoint field borrows.
-fn apply_to_filter(filter: &mut KalmanFilter, msg: SyncMessage) -> bool {
+/// Bytes of the `len:u32` in front of each pending-queue entry.
+const ENTRY_PREFIX_BYTES: usize = 4;
+
+/// Splits the first `len:u32 body` entry off a pending queue.
+fn split_entry(queue: &[u8]) -> Option<(&[u8], &[u8])> {
+    let (len, rest) = queue.split_first_chunk::<ENTRY_PREFIX_BYTES>()?;
+    rest.split_at_checked(u32::from_le_bytes(*len) as usize)
+}
+
+/// The bodies queued in `queue`, oldest first.
+fn entries(queue: &[u8]) -> impl Iterator<Item = &[u8]> {
+    let mut rest = queue;
+    std::iter::from_fn(move || {
+        let (body, tail) = split_entry(rest)?;
+        rest = tail;
+        Some(body)
+    })
+}
+
+/// Applies a sync to a filter, returning whether it was accepted — the one
+/// definition of what a sync *does*, shared by the server's filter and the
+/// source's shadow of it (which is what keeps the two bit-identical). State
+/// and Measurement syncs go from the viewed bytes into the filter's own
+/// storage; only a Model sync, which replaces the filter, builds values.
+pub(crate) fn apply_sync(filter: &mut KalmanFilter, msg: SyncRef<'_>) -> bool {
     match msg {
-        SyncMessage::State { x, p } => filter.set_state(x, p).is_ok(),
-        SyncMessage::Model { model, x, p } => match KalmanFilter::with_covariance(model, x, p) {
-            Ok(kf) => {
-                *filter = kf;
-                true
+        SyncRef::State { x, p } => filter.set_state_packed(x.iter(), p.iter()).is_ok(),
+        SyncRef::Model(model) => {
+            let (model, x, p) = model.to_owned();
+            match KalmanFilter::with_covariance(model, x, p) {
+                Ok(kf) => {
+                    *filter = kf;
+                    true
+                }
+                Err(_) => false,
             }
-            Err(_) => false,
-        },
-        SyncMessage::Measurement { z } => filter.update_lean(&z).is_ok(),
+        }
+        // A filter's measurement is within the inline cap, so a `z` too
+        // long for the stack is one the update would refuse anyway.
+        SyncRef::Measurement { z } => z
+            .read_into(&mut [0.0; VECTOR_INLINE_CAP])
+            .is_some_and(|z| filter.update_lean_slice(z).is_ok()),
     }
 }
 
@@ -367,8 +476,8 @@ impl Consumer for ServerEndpoint {
     }
 
     fn receive(&mut self, _now: Tick, payload: &Bytes) {
-        match WireMessage::decode(payload) {
-            Ok(msg) => self.enqueue_wire(msg),
+        match WireRef::parse(payload) {
+            Ok(msg) => self.enqueue_view(msg),
             Err(_) => self.decode_failures += 1,
         }
     }
@@ -387,10 +496,10 @@ impl Consumer for ServerEndpoint {
         // one message) — the bound stays queued for the next poll.
         if self.ack_due {
             self.ack_due = false;
-            Some(WireMessage::Ack { seq: self.last_seq }.encode())
+            Some(Bytes::copy_from_slice(&wire::ack_bytes(self.last_seq)))
         } else if let Some(delta) = self.bound_due.take() {
             self.bounds_sent += 1;
-            Some(WireMessage::Bound { delta }.encode())
+            Some(Bytes::copy_from_slice(&wire::bound_bytes(delta)))
         } else {
             None
         }
@@ -421,7 +530,6 @@ impl Instrument for ServerEndpoint {
 mod tests {
     use super::*;
     use kalstream_filter::models;
-    use kalstream_linalg::{Matrix, Vector};
 
     fn server() -> ServerEndpoint {
         let model = models::random_walk(0.01, 0.01);
@@ -458,7 +566,7 @@ mod tests {
     fn model_sync_replaces_filter() {
         let mut s = server();
         let msg = SyncMessage::Model {
-            model: models::constant_velocity(1.0, 0.01, 0.1),
+            model: Box::new(models::constant_velocity(1.0, 0.01, 0.1)),
             x: Vector::from_slice(&[2.0, 0.5]),
             p: Matrix::scalar(2, 1.0),
         };
@@ -720,5 +828,271 @@ mod tests {
         assert_eq!(s.decode_failures(), r.decode_failures());
         assert_eq!(s.last_seq(), r.last_seq());
         assert_eq!(s.staleness(), r.staleness());
+    }
+
+    #[test]
+    fn endpoint_stays_small() {
+        // Footprint guard: one endpoint per stream, walked every tick.
+        assert!(
+            std::mem::size_of::<ServerEndpoint>() <= 3200,
+            "ServerEndpoint grew to {} bytes",
+            std::mem::size_of::<ServerEndpoint>()
+        );
+    }
+
+    #[test]
+    fn served_variance_is_the_first_diagonal_of_s_bit_for_bit() {
+        // Every table shape, a few predicts and syncs in.
+        let shapes = [1usize, 2, 4, 8]
+            .into_iter()
+            .flat_map(|n| (1..=n.min(4)).map(move |m| (n, m)));
+        for (n, m) in shapes {
+            let mut h = Matrix::zeros(m, n);
+            for j in 0..m {
+                for k in 0..n {
+                    h.set(
+                        j,
+                        k,
+                        if k == j {
+                            1.0
+                        } else {
+                            0.25 / (1 + j + k) as f64
+                        },
+                    );
+                }
+            }
+            let mut f = Matrix::identity(n);
+            for r in 0..n.saturating_sub(1) {
+                f.set(r, r + 1, 0.5);
+            }
+            let model = StateModel::new(
+                "dense",
+                f,
+                Matrix::scalar(n, 0.02),
+                h,
+                Matrix::scalar(m, 0.3),
+            )
+            .unwrap();
+            let mut s =
+                ServerEndpoint::new(KalmanFilter::new(model, Vector::zeros(n), 0.9).unwrap());
+            for t in 0..6u64 {
+                if t % 3 == 1 {
+                    s.enqueue(SyncMessage::Measurement {
+                        z: Vector::filled(m, t as f64),
+                    });
+                }
+                s.advance();
+                assert_eq!(
+                    s.served_variance().to_bits(),
+                    s.filter().predicted_measurement_cov().get(0, 0).to_bits(),
+                    "{n}x{m} tick {t}"
+                );
+            }
+        }
+    }
+
+    /// The transition an endpoint makes on an accepted sync, written on
+    /// owned values against the filter's value-taking API — what
+    /// `apply_to_filter` was before syncs were applied from views.
+    fn apply_owned(filter: &mut KalmanFilter, msg: SyncMessage) -> bool {
+        match msg {
+            SyncMessage::State { x, p } => filter.set_state(x, p).is_ok(),
+            SyncMessage::Model { model, x, p } => {
+                match KalmanFilter::with_covariance(*model, x, p) {
+                    Ok(kf) => {
+                        *filter = kf;
+                        true
+                    }
+                    Err(_) => false,
+                }
+            }
+            SyncMessage::Measurement { z } => filter.update_lean(&z).is_ok(),
+        }
+    }
+
+    /// Four ticks of traffic covering every queue behaviour: mixed kinds in
+    /// one tick, stale/duplicate/gapped sequence numbers, more than
+    /// `PENDING_CAP` arrivals in one tick, and syncs the filter refuses.
+    fn scripted_traffic() -> Vec<Vec<WireMessage>> {
+        let sync = |seq, msg| WireMessage::Sync { seq, msg };
+        let state2 = |a: f64, b: f64| SyncMessage::State {
+            x: Vector::from_slice(&[a, b]),
+            p: Matrix::from_rows(&[&[0.5, 0.125], &[0.125, 0.75]]),
+        };
+        let state3 = |a: f64| SyncMessage::State {
+            x: Vector::from_slice(&[a, 0.5, -0.25]),
+            p: Matrix::scalar(3, 0.4),
+        };
+        let measurement = |v: f64| SyncMessage::Measurement {
+            z: Vector::from_slice(&[v]),
+        };
+        let model = SyncMessage::Model {
+            model: Box::new(models::constant_acceleration(1.0, 0.02, 0.1)),
+            x: Vector::from_slice(&[2.0, 0.5, 0.1]),
+            p: Matrix::scalar(3, 1.0),
+        };
+        vec![
+            vec![
+                sync(Some(1), state2(1.0, 0.1)),
+                sync(Some(2), measurement(1.4)),
+                sync(Some(3), model),
+                sync(Some(4), state3(2.5)),
+                sync(Some(5), measurement(2.75)),
+            ],
+            vec![
+                sync(Some(5), state3(99.0)), // duplicate
+                sync(Some(3), state3(98.0)), // stale
+                sync(Some(9), state3(3.0)),  // gap of 3
+                sync(None, measurement(3.1)),
+                WireMessage::Ack { seq: 9 }, // protocol violation
+            ],
+            (0..PENDING_CAP + 44)
+                .map(|i| sync(None, state3(i as f64 * 0.01)))
+                .chain([sync(Some(10), measurement(3.3))])
+                .collect(),
+            vec![
+                sync(Some(11), state2(7.0, 7.0)), // wrong dimension now
+                sync(
+                    Some(12),
+                    SyncMessage::Measurement {
+                        z: Vector::from_slice(&[1.0, 2.0]),
+                    },
+                ),
+                sync(Some(13), state3(4.0)),
+            ],
+        ]
+    }
+
+    fn cv_server() -> ServerEndpoint {
+        let model = models::constant_velocity(1.0, 0.05, 0.1);
+        ServerEndpoint::new(KalmanFilter::new(model, Vector::zeros(2), 1.0).unwrap())
+    }
+
+    #[test]
+    fn view_path_matches_owned_application_in_bits_and_counters() {
+        let mut viewed = cv_server(); // wire bytes in, applied from the queue
+        let mut owned = cv_server(); // owned messages through `enqueue_wire`
+        let mut applied = cv_server(); // accepted messages through `apply`
+        let mut reference = cv_server().filter().clone(); // owned values, no endpoint
+        let (mut last_seq, mut stale, mut gaps, mut shed, mut failures, mut syncs) =
+            (0u64, 0u64, 0u64, 0u64, 0u64, 0u64);
+        let mut out = [0.0];
+        for (t, tick) in scripted_traffic().into_iter().enumerate() {
+            let t = t as u64;
+            // What the sequence layer and the cap let through, by hand.
+            let mut accepted = Vec::new();
+            for wire in &tick {
+                match wire {
+                    WireMessage::Sync { seq: None, msg } => accepted.push(msg.clone()),
+                    WireMessage::Sync {
+                        seq: Some(seq),
+                        msg,
+                    } => {
+                        if *seq <= last_seq {
+                            stale += 1;
+                        } else {
+                            gaps += seq - last_seq - 1;
+                            last_seq = *seq;
+                            accepted.push(msg.clone());
+                        }
+                    }
+                    _ => failures += 1,
+                }
+            }
+            if accepted.len() > PENDING_CAP {
+                shed += (accepted.len() - PENDING_CAP) as u64;
+                accepted.drain(..accepted.len() - PENDING_CAP);
+            }
+            for wire in tick {
+                viewed.receive(t, &wire.encode());
+                owned.enqueue_wire(wire);
+            }
+            if t == 2 {
+                // A payload that does not parse is counted, not queued.
+                viewed.receive(t, &Bytes::from_static(b"\x01\x02garbage"));
+                owned.decode_failures += 1;
+                failures += 1;
+            }
+            assert_eq!(viewed.pending_len(), accepted.len());
+            assert_eq!(viewed.state(), owned.state(), "tick {t}, queued");
+
+            viewed.estimate(t, &mut out);
+            owned.advance();
+            applied.advance();
+            let _ = reference.predict();
+            for msg in accepted {
+                applied.apply(msg.clone());
+                syncs += u64::from(apply_owned(&mut reference, msg));
+            }
+            assert_eq!(viewed.state(), owned.state(), "tick {t}, advanced");
+            assert_eq!(bits(viewed.filter()), bits(&reference), "tick {t}");
+            assert_eq!(bits(viewed.filter()), bits(applied.filter()), "tick {t}");
+            assert_eq!(viewed.filter().model(), reference.model());
+            assert_eq!(viewed.staleness(), reference.steps_since_update());
+            assert_eq!(viewed.syncs_applied(), syncs);
+            assert_eq!(applied.syncs_applied(), syncs);
+            assert_eq!(viewed.poll_feedback(t), owned.poll_feedback(t));
+        }
+        assert_eq!(viewed.last_seq(), last_seq);
+        assert_eq!(viewed.decode_failures(), failures);
+        let delivery = viewed.delivery();
+        assert_eq!(
+            (delivery.stale_drops, delivery.seq_gaps, delivery.shed),
+            (stale, gaps, shed)
+        );
+        // The script really did exercise each behaviour.
+        assert!(stale == 2 && gaps == 3 && shed == 45 && failures == 2);
+        assert_eq!(viewed.filter().model().name(), "constant_acceleration");
+        assert!(
+            syncs < 5 + 2 + PENDING_CAP as u64 + 3,
+            "refused syncs counted"
+        );
+    }
+
+    #[test]
+    fn mid_tick_snapshot_of_a_view_fed_queue_resumes_bit_identically() {
+        let traffic = scripted_traffic();
+        let mut live = cv_server();
+        for wire in &traffic[0] {
+            live.receive(0, &wire.encode());
+        }
+        // Five syncs of three kinds queued, none applied: snapshot here.
+        let snap = live.state();
+        assert_eq!(snap.pending.len(), 5);
+        let mut restored = ServerEndpoint::from_state(snap.clone()).expect("rebuild");
+        assert_eq!(restored.state(), snap, "re-capture reproduces the snapshot");
+        assert_eq!(restored.pending, live.pending, "same queue bytes");
+        let mut out = [[0.0]; 2];
+        for (t, tick) in traffic.iter().enumerate() {
+            if t > 0 {
+                for wire in tick {
+                    live.receive(t as u64, &wire.encode());
+                    restored.receive(t as u64, &wire.encode());
+                }
+            }
+            live.estimate(t as u64, &mut out[0]);
+            restored.estimate(t as u64, &mut out[1]);
+            assert_eq!(out[0][0].to_bits(), out[1][0].to_bits());
+            assert_eq!(live.state(), restored.state(), "tick {t}");
+        }
+    }
+
+    #[test]
+    fn disagreeing_owned_message_is_dropped_uncounted() {
+        // Hand-built: a 2-state `x` with a 3×3 `P` encodes to bytes no
+        // decoder accepts. Like any sync the filter would refuse, it is not
+        // applied — through `apply` or through the queue.
+        let bad = || SyncMessage::State {
+            x: Vector::zeros(2),
+            p: Matrix::scalar(3, 1.0),
+        };
+        let mut s = cv_server();
+        s.apply(bad());
+        s.enqueue(bad());
+        s.enqueue(state(1.0)); // 1-state: refused by the 2-state filter
+        assert_eq!(s.pending_len(), 2);
+        s.advance();
+        assert_eq!(s.syncs_applied(), 0);
+        assert_eq!(s.pending_len(), 0);
     }
 }

@@ -2,12 +2,13 @@
 
 use bytes::Bytes;
 use kalstream_filter::KalmanFilter;
-use kalstream_linalg::Vector;
+use kalstream_linalg::{Vector, VECTOR_INLINE_CAP};
 use kalstream_obs::{Counter, Instrument, Scope};
 use kalstream_sim::{Producer, Tick};
 
-use crate::protocol::{pin_to_measurement, AckTracker};
-use crate::wire::{SyncMessage, WireMessage};
+use crate::protocol::{pin_into, AckTracker};
+use crate::server::apply_sync;
+use crate::wire::{self, SyncMessage, SyncRef, WireRef, SEQ_HEADER_BYTES};
 use crate::{Estimator, ProtocolConfig, RateEstimator, ResyncPayload};
 
 /// Fraction of δ a sync's shipped state may leave as measurement residual:
@@ -68,6 +69,12 @@ pub struct SourceEndpoint {
     bound_directives: Counter,
     /// Scratch measurement vector (hot-path allocation avoidance).
     z: Vector,
+    /// The sync being sent, as wire bytes: [`SEQ_HEADER_BYTES`] kept free
+    /// for a sequence header, then the body `build_sync` encoded this tick.
+    /// The shadow is corrected from a view of these bytes and the payload
+    /// is a copy of them, so what the server will apply is what the shadow
+    /// applied. Capacity is kept: a sent tick allocates its payload only.
+    wire: Vec<u8>,
 }
 
 impl SourceEndpoint {
@@ -98,6 +105,7 @@ impl SourceEndpoint {
             feedback_failures: Counter::new(),
             bound_directives: Counter::new(),
             z: Vector::zeros(m),
+            wire: Vec::new(),
         }
     }
 
@@ -185,9 +193,17 @@ impl SourceEndpoint {
         }
     }
 
-    /// One suppression decision. Exposed for protocol-level tests; the
-    /// simulator calls it through the [`Producer`] impl.
+    /// One suppression decision, returning the sync (if one was cut) as an
+    /// owned value. Exposed for protocol-level tests; the simulator calls the
+    /// same decision through the [`Producer`] impl, which never builds the
+    /// value.
     pub fn decide(&mut self, observed: &[f64]) -> Option<SyncMessage> {
+        self.decide_view(observed).map(|sync| sync.to_owned())
+    }
+
+    /// One suppression decision. A sync, when one is cut, is encoded into
+    /// `self.wire` and returned as a view of it.
+    fn decide_view(&mut self, observed: &[f64]) -> Option<SyncRef<'_>> {
         let m = self.z.dim();
 
         // 0. Reject unusable observations — a short slice or a non-finite
@@ -211,9 +227,16 @@ impl SourceEndpoint {
         //    measurement rather than poisoning the session.
         if self.estimator.step(&self.z).is_err() {
             self.estimator_failures += 1;
-            let model = self.estimator.active_model().clone();
-            let pinned = pin_to_measurement(&Vector::zeros(model.state_dim()), model.h(), &self.z)
-                .unwrap_or_else(|_| Vector::zeros(model.state_dim()));
+            let h = self.estimator.active_model().h();
+            let origin = [0.0; VECTOR_INLINE_CAP];
+            let mut pinned = Vector::zeros(h.cols());
+            // An unpinnable model (rank-deficient H) resets to the origin.
+            let _ = pin_into(
+                &origin[..h.cols()],
+                h,
+                self.z.as_slice(),
+                pinned.as_mut_slice(),
+            );
             let _ = self.estimator.reset_to(pinned, 1.0);
         }
 
@@ -250,17 +273,26 @@ impl SourceEndpoint {
         if resync_due {
             self.resyncs += 1;
         }
-        let msg = self.build_sync(resync_due || self.unconfirmed_model_seq.is_some());
-        self.apply_to_shadow(&msg);
+        self.build_sync(resync_due || self.unconfirmed_model_seq.is_some());
+        let sync = SyncRef::parse(&self.wire[SEQ_HEADER_BYTES..])
+            .expect("build_sync encodes a well-formed body");
+        apply_sync(&mut self.shadow, sync);
         self.ticks_since_sync = 0;
         self.synced_last_tick = true;
         self.syncs += 1;
-        Some(msg)
+        Some(sync)
     }
 
-    fn build_sync(&mut self, force_model: bool) -> SyncMessage {
+    /// Encodes this tick's sync body into `self.wire`, behind the bytes
+    /// reserved for a sequence header: the state pinned on the stack, `P`
+    /// (and, for a Model sync, the model) read where the estimator keeps
+    /// them.
+    fn build_sync(&mut self, force_model: bool) {
+        self.wire.clear();
+        self.wire.resize(SEQ_HEADER_BYTES, 0);
         if self.config.resync == ResyncPayload::MeasurementOnly {
-            return SyncMessage::Measurement { z: self.z.clone() };
+            wire::put_measurement(&mut self.wire, self.z.as_slice());
+            return;
         }
         let active = self.estimator.active();
         let model = active.model();
@@ -274,7 +306,7 @@ impl SourceEndpoint {
         // along the minimum-norm correction to reach the target. The target
         // is 0.9·δ: as close to the smoothed estimate as the guarantee
         // allows, with a 10% margin against rounding.
-        let posterior = active.state();
+        let posterior = active.state().as_slice();
         let resid = active.innovation_norm(&self.z);
         // Partial pinning assumes the smoothed posterior is a *better*
         // anchor than the raw measurement. When syncs come back to back the
@@ -287,24 +319,20 @@ impl SourceEndpoint {
         } else {
             PIN_FRACTION * self.config.delta
         };
-        let x = if resid <= target {
-            posterior.clone()
-        } else {
-            match pin_to_measurement(posterior, model.h(), &self.z) {
-                Ok(full_pin) if target == 0.0 => full_pin,
-                Ok(full_pin) => {
-                    // The pinned residual is 0 and the correction is linear,
-                    // so blending with weight α leaves residual (1−α)·resid.
-                    let alpha = 1.0 - target / resid;
-                    let mut x = posterior.clone();
-                    let delta_x = &full_pin - posterior;
-                    x.axpy(alpha, &delta_x).expect("same dimension");
-                    x
-                }
-                Err(_) => posterior.clone(),
+        // A filter's state is within the inline cap, so `x` fits the stack.
+        let mut x = [0.0; VECTOR_INLINE_CAP];
+        let x = &mut x[..posterior.len()];
+        if resid <= target || pin_into(posterior, model.h(), self.z.as_slice(), x).is_err() {
+            x.copy_from_slice(posterior);
+        } else if target != 0.0 {
+            // The pinned residual is 0 and the correction is linear, so
+            // blending with weight α leaves residual (1−α)·resid.
+            let alpha = 1.0 - target / resid;
+            for (x_i, posterior_i) in x.iter_mut().zip(posterior) {
+                let delta_x = *x_i - posterior_i;
+                *x_i = posterior_i + alpha * delta_x;
             }
-        };
-        let p = active.covariance().clone();
+        }
         // A Model sync is several times the size of a State sync, so it is
         // sent only on *structural* change (F or H): the served value is
         // `H Fᵏ x`, which never reads Q or R. Adaptive Q/R re-estimates
@@ -316,29 +344,9 @@ impl SourceEndpoint {
             || model.h() != self.synced_model_fingerprint.h();
         if structural_change || force_model {
             self.synced_model_fingerprint = model.clone();
-            SyncMessage::Model {
-                model: model.clone(),
-                x,
-                p,
-            }
+            wire::put_model(&mut self.wire, model, x, active.covariance());
         } else {
-            SyncMessage::State { x, p }
-        }
-    }
-
-    fn apply_to_shadow(&mut self, msg: &SyncMessage) {
-        match msg {
-            SyncMessage::State { x, p } => {
-                let _ = self.shadow.set_state_from(x, p);
-            }
-            SyncMessage::Model { model, x, p } => {
-                if let Ok(kf) = KalmanFilter::with_covariance(model.clone(), x.clone(), p.clone()) {
-                    self.shadow = kf;
-                }
-            }
-            SyncMessage::Measurement { z } => {
-                let _ = self.shadow.update_lean(z);
-            }
+            wire::put_state(&mut self.wire, x, active.covariance());
         }
     }
 }
@@ -349,27 +357,23 @@ impl Producer for SourceEndpoint {
     }
 
     fn observe(&mut self, _now: Tick, observed: &[f64]) -> Option<Bytes> {
-        let msg = self.decide(observed)?;
-        if self.config.ack_timeout.is_some() {
+        let is_model = matches!(self.decide_view(observed)?, SyncRef::Model(_));
+        let payload = if self.config.ack_timeout.is_some() {
             let seq = self.acks.on_send();
-            if matches!(msg, SyncMessage::Model { .. }) && self.unconfirmed_model_seq.is_none() {
+            if is_model && self.unconfirmed_model_seq.is_none() {
                 self.unconfirmed_model_seq = Some(seq);
             }
-            Some(
-                WireMessage::Sync {
-                    seq: Some(seq),
-                    msg,
-                }
-                .encode(),
-            )
+            self.wire[..SEQ_HEADER_BYTES].copy_from_slice(&wire::seq_header(seq));
+            &self.wire[..]
         } else {
-            Some(msg.encode())
-        }
+            &self.wire[SEQ_HEADER_BYTES..]
+        };
+        Some(Bytes::copy_from_slice(payload))
     }
 
     fn feedback(&mut self, _now: Tick, payload: &Bytes) {
-        match WireMessage::decode(payload) {
-            Ok(WireMessage::Ack { seq }) => {
+        match WireRef::parse(payload) {
+            Ok(WireRef::Ack { seq }) => {
                 self.acks.on_ack(seq);
                 // Every sync sent since `unconfirmed_model_seq` carried the
                 // model, so an ack at or past it proves the server applied
@@ -384,7 +388,7 @@ impl Producer for SourceEndpoint {
             // A downstream-propagated precision bound: the decoder already
             // guarantees `delta` is finite and positive, so `set_delta`
             // always accepts it.
-            Ok(WireMessage::Bound { delta }) => {
+            Ok(WireRef::Bound { delta }) => {
                 self.set_delta(delta);
                 self.bound_directives += 1;
             }
@@ -409,6 +413,7 @@ impl Instrument for SourceEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::WireMessage;
     use kalstream_filter::models;
 
     fn source(delta: f64) -> SourceEndpoint {
@@ -814,5 +819,227 @@ mod tests {
         let mut s = source(0.5);
         let bytes = s.observe(0, &[9.0]).expect("jump syncs");
         assert!(SyncMessage::decode(&bytes).is_ok(), "must stay plain v2");
+    }
+
+    /// A dense, full-row-rank `n`-state, `m`-measurement model: every
+    /// component leaks into the next so all of `x` and `P` move.
+    fn dense_model(n: usize, m: usize) -> kalstream_filter::StateModel {
+        use kalstream_linalg::Matrix;
+        let mut f = Matrix::identity(n);
+        for r in 0..n.saturating_sub(1) {
+            f.set(r, r + 1, 0.5);
+        }
+        let mut h = Matrix::zeros(m, n);
+        for j in 0..m {
+            for k in 0..n {
+                h.set(
+                    j,
+                    k,
+                    if k == j {
+                        1.0
+                    } else {
+                        0.125 / (1 + j + k) as f64
+                    },
+                );
+            }
+        }
+        kalstream_filter::StateModel::new(
+            "dense",
+            f,
+            Matrix::scalar(n, 0.02),
+            h,
+            Matrix::scalar(m, 0.05),
+        )
+        .unwrap()
+    }
+
+    /// The sync state as `build_sync` computed it before it pinned in
+    /// place: allocating pin, `Vector` blend.
+    fn oracle_sync_state(
+        posterior: &Vector,
+        h: &kalstream_linalg::Matrix,
+        z: &Vector,
+        resid: f64,
+        target: f64,
+    ) -> Vector {
+        if resid <= target {
+            return posterior.clone();
+        }
+        match crate::pin_to_measurement(posterior, h, z) {
+            Ok(full_pin) if target == 0.0 => full_pin,
+            Ok(full_pin) => {
+                let alpha = 1.0 - target / resid;
+                let mut x = posterior.clone();
+                let delta_x = &full_pin - posterior;
+                x.axpy(alpha, &delta_x).expect("same dimension");
+                x
+            }
+            Err(_) => posterior.clone(),
+        }
+    }
+
+    #[test]
+    fn shipped_state_matches_the_allocating_pin_on_every_shape_and_branch() {
+        let shapes = (1..=8usize)
+            .filter(|n| n.is_power_of_two())
+            .flat_map(|n| (1..=n.min(4)).map(move |m| (n, m)));
+        let (mut unpinned, mut partial, mut full) = (0, 0, 0);
+        for (n, m) in shapes {
+            let kf = KalmanFilter::new(dense_model(n, m), Vector::zeros(n), 1.0).unwrap();
+            let delta = 0.5;
+            let mut s = SourceEndpoint::new(
+                Estimator::Fixed(kf.clone()),
+                kf,
+                ProtocolConfig::new(delta).unwrap(),
+            );
+            let mut observed = vec![0.0; m];
+            for t in 0..400u64 {
+                // Slow drift (unpinned syncs), jumps (partial pins) and a
+                // ramp too steep to track (back-to-back syncs, full pins).
+                for (j, o) in observed.iter_mut().enumerate() {
+                    let phase = t as f64 * 0.05 + j as f64;
+                    *o = 0.6 * phase.sin()
+                        + if t % 97 == 50 { 4.0 } else { 0.0 }
+                        + if (200..260).contains(&t) {
+                            (t - 200) as f64 * 0.9
+                        } else {
+                            0.0
+                        };
+                }
+                // Replay the estimator on a clone to see what the sync was
+                // cut from.
+                let mut probe = s.clone();
+                let z = Vector::from_slice(&observed);
+                probe.estimator.step(&z).expect("healthy estimator");
+                let Some(msg) = s.decide(&observed) else {
+                    continue;
+                };
+                let active = probe.estimator.active();
+                let resid = active.innovation_norm(&z);
+                let target = if probe.synced_last_tick {
+                    full += 1;
+                    0.0
+                } else {
+                    if resid <= PIN_FRACTION * delta {
+                        unpinned += 1;
+                    } else {
+                        partial += 1;
+                    }
+                    PIN_FRACTION * delta
+                };
+                let expected =
+                    oracle_sync_state(active.state(), active.model().h(), &z, resid, target);
+                match msg {
+                    SyncMessage::State { x, p } => {
+                        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(
+                            bits(x.as_slice()),
+                            bits(expected.as_slice()),
+                            "{n}x{m} tick {t}"
+                        );
+                        assert_eq!(
+                            bits(p.as_slice()),
+                            bits(active.covariance().as_slice()),
+                            "{n}x{m} tick {t}: P is the estimator's, mirrored"
+                        );
+                    }
+                    other => panic!("fixed model ships State syncs, got {other:?}"),
+                }
+            }
+        }
+        assert!(
+            unpinned > 0 && partial > 0 && full > 0,
+            "branches hit: unpinned {unpinned}, partial {partial}, full {full}"
+        );
+    }
+
+    #[test]
+    fn rank_deficient_observation_ships_the_posterior() {
+        // H with a zero row cannot be pinned: the sync carries the
+        // estimator's posterior, as the allocating path's `Err` arm did.
+        use kalstream_linalg::Matrix;
+        let model = kalstream_filter::StateModel::new(
+            "blind",
+            Matrix::identity(2),
+            Matrix::scalar(2, 0.01),
+            Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 0.0]]),
+            Matrix::scalar(2, 0.05),
+        )
+        .unwrap();
+        let kf = KalmanFilter::new(model, Vector::zeros(2), 1.0).unwrap();
+        let mut s = SourceEndpoint::new(
+            Estimator::Fixed(kf.clone()),
+            kf,
+            ProtocolConfig::new(0.5).unwrap(),
+        );
+        let mut probe = s.clone();
+        probe
+            .estimator
+            .step(&Vector::from_slice(&[9.0, 3.0]))
+            .unwrap();
+        match s.decide(&[9.0, 3.0]).expect("jump syncs") {
+            SyncMessage::State { x, .. } => assert_eq!(&x, probe.estimator.active().state()),
+            other => panic!("expected State sync, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn decide_and_observe_emit_identical_bytes() {
+        // Two identical sources, one asked for owned messages, one for
+        // payloads: same decisions, and the owned message encodes to the
+        // payload's bytes — over an adaptive session and a model bank (whose
+        // switch ships Model syncs).
+        let specs = || {
+            let config = ProtocolConfig::new(0.3).unwrap();
+            [
+                crate::SessionSpec::default_scalar(0.0, config.clone()).unwrap(),
+                crate::SessionSpec::standard_bank(0.0, 0.05, config).unwrap(),
+            ]
+        };
+        for (owned, borrowed) in specs().into_iter().zip(specs()) {
+            let (mut owned, mut borrowed) = (owned.build().source, borrowed.build().source);
+            let (mut sent, mut models) = (0, 0);
+            for t in 0..2000u64 {
+                let phase = t as f64 * 0.03;
+                let v = 2.0 * phase.sin()
+                    + if t > 1000 {
+                        (t - 1000) as f64 * 0.4
+                    } else {
+                        0.0
+                    };
+                let msg = owned.decide(&[v]);
+                let payload = borrowed.observe(t, &[v]);
+                assert_eq!(msg.is_some(), payload.is_some(), "tick {t}");
+                if let (Some(msg), Some(payload)) = (msg, payload) {
+                    assert_eq!(&msg.encode()[..], &payload[..], "tick {t}");
+                    sent += 1;
+                    models += usize::from(matches!(msg, SyncMessage::Model { .. }));
+                }
+            }
+            assert!(sent > 100, "only {sent} syncs in 2000 ticks");
+            if matches!(owned.estimator, Estimator::Bank(_)) {
+                assert!(models > 0, "bank never switched");
+            }
+            assert_eq!(owned.syncs(), borrowed.syncs());
+        }
+    }
+
+    #[test]
+    fn sequenced_payload_is_the_header_plus_the_unsequenced_body() {
+        let mut plain = source(0.5);
+        let mut sequenced = recovering_source(0.5, 50);
+        for (t, v) in [9.0, 9.0, 20.0, 21.5].into_iter().enumerate() {
+            let a = plain.observe(t as u64, &[v]);
+            let b = sequenced.observe(t as u64, &[v]);
+            assert_eq!(a.is_some(), b.is_some());
+            if let (Some(a), Some(b)) = (a, b) {
+                assert_eq!(b.len(), SEQ_HEADER_BYTES + a.len());
+                assert_eq!(&b[SEQ_HEADER_BYTES..], &a[..]);
+                assert_eq!(
+                    &b[..SEQ_HEADER_BYTES],
+                    &wire::seq_header(sequenced.acks.newest_seq())
+                );
+            }
+        }
     }
 }

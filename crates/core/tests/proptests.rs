@@ -100,7 +100,7 @@ proptest! {
         };
         prop_assert_eq!(msg.encode().len(), msg.encoded_len());
         let model_msg = SyncMessage::Model {
-            model: models::random_walk(0.1, 0.1),
+            model: Box::new(models::random_walk(0.1, 0.1)),
             x: Vector::from_slice(&xs[..1]),
             p: Matrix::identity(1),
         };

@@ -31,7 +31,7 @@
 //! matrix codec.
 
 use bytes::BufMut;
-use kalstream_core::wire::SyncMessage;
+use kalstream_core::wire::{SyncMessage, SyncRef};
 use kalstream_core::EndpointState;
 use kalstream_filter::CovarianceUpdate;
 use kalstream_sim::DeliveryStats;
@@ -108,7 +108,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 fn push_endpoint_state(buf: &mut Vec<u8>, state: &EndpointState) {
     // The filter triplet as a Model sync — wire-v3 does the heavy lifting.
     let filter = SyncMessage::Model {
-        model: state.model.clone(),
+        model: Box::new(state.model.clone()),
         x: state.x.clone(),
         p: state.p.clone(),
     }
@@ -215,8 +215,8 @@ impl<'a> Cursor<'a> {
 fn read_endpoint_state(cur: &mut Cursor<'_>) -> Result<EndpointState, SnapshotError> {
     let filter_len = cur.u32()? as usize;
     let filter_wire = cur.take(filter_len)?;
-    let (model, x, p) = match SyncMessage::decode(filter_wire) {
-        Ok(SyncMessage::Model { model, x, p }) => (model, x, p),
+    let (model, x, p) = match SyncRef::parse(filter_wire) {
+        Ok(SyncRef::Model(filter)) => filter.to_owned(),
         _ => return Err(SnapshotError::BadEntry),
     };
     let steps_since_update = cur.u64()?;
@@ -359,6 +359,75 @@ mod tests {
         let (ticks, decoded) = decode_snapshot(&wire).expect("decode");
         assert_eq!(ticks, 42);
         assert_eq!(decoded, states);
+    }
+
+    #[test]
+    fn mid_tick_queue_fed_from_wire_bytes_survives_the_snapshot_file() {
+        // Syncs of all three kinds arrive as wire bytes and sit in the
+        // endpoint's byte queue (nothing applied yet) when the snapshot is
+        // cut. The endpoint rebuilt from the *file* must drain the same
+        // queue into the same bits, and keep matching afterwards.
+        use kalstream_core::wire::WireMessage;
+        use kalstream_filter::models;
+        use kalstream_linalg::Matrix;
+        use kalstream_sim::Consumer;
+        let mut live = endpoint();
+        let sync = |seq: u64, msg| WireMessage::Sync {
+            seq: Some(seq),
+            msg,
+        };
+        let mid_tick = [
+            sync(
+                6,
+                SyncMessage::State {
+                    x: Vector::from_slice(&[0.75]),
+                    p: Matrix::scalar(1, 0.3),
+                },
+            ),
+            sync(
+                8,
+                SyncMessage::Model {
+                    model: Box::new(models::constant_velocity(1.0, 0.05, 0.1)),
+                    x: Vector::from_slice(&[1.0, 0.25]),
+                    p: Matrix::from_rows(&[&[0.5, 0.125], &[0.125, 0.75]]),
+                },
+            ),
+            sync(
+                9,
+                SyncMessage::Measurement {
+                    z: Vector::from_slice(&[1.25]),
+                },
+            ),
+        ];
+        for wire in &mid_tick {
+            live.receive(5, &wire.encode());
+        }
+        let captured = live.state();
+        assert_eq!(captured.pending.len(), 4, "one owned + three viewed");
+        let file = encode_snapshot(5, &[(0, captured.clone())]);
+        let (_, mut decoded) = decode_snapshot(&file).expect("decode");
+        let (_, state) = decoded.pop().expect("one endpoint");
+        assert_eq!(state, captured);
+        let mut restored = ServerEndpoint::from_state(state).expect("rebuild");
+        let mut out = [[0.0]; 2];
+        for tick in 5..9u64 {
+            live.estimate(tick, &mut out[0]);
+            restored.estimate(tick, &mut out[1]);
+            assert_eq!(out[0][0].to_bits(), out[1][0].to_bits(), "tick {tick}");
+            assert_eq!(live.state(), restored.state(), "tick {tick}");
+            assert_eq!(live.poll_feedback(tick), restored.poll_feedback(tick));
+            let next = sync(
+                10 + tick,
+                SyncMessage::Measurement {
+                    z: Vector::from_slice(&[tick as f64 * 0.5]),
+                },
+            )
+            .encode();
+            live.receive(tick, &next);
+            restored.receive(tick, &next);
+        }
+        assert_eq!(live.filter().model().name(), "constant_velocity");
+        assert_eq!(live.syncs_applied(), 5 + 4 + 3);
     }
 
     #[test]

@@ -244,7 +244,7 @@ impl AdaptiveKalmanFilter {
 
     fn update_with<T>(&mut self, z: &Vector, read: impl FnOnce(Innovation<'_>) -> T) -> Result<T> {
         let windows = &mut self.windows;
-        let out = self.inner.update_with(z, |seen| {
+        let out = self.inner.update_with(z.as_slice(), |seen| {
             windows.push(seen.nu, seen.cov, seen.r, seen.stats.nis);
             read(seen)
         })?;

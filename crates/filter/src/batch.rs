@@ -229,32 +229,31 @@ impl<const N: usize, const M: usize> FleetBatch<N, M> {
     }
 
     /// Overwrites lane `lane`'s state and covariance and resets its
-    /// staleness to zero — the batch twin of [`KalmanFilter::set_state`]
-    /// (a protocol resynchronisation).
+    /// staleness to zero — the batch twin of
+    /// [`KalmanFilter::set_state_packed`] (a protocol resynchronisation,
+    /// straight off the wire): `x`, then the row-major upper triangle of `P`,
+    /// mirrored to both halves.
     ///
     /// # Errors
-    /// [`FilterError::BadModel`] on shape mismatch.
+    /// [`FilterError::BadModel`] on length mismatch (the lane is untouched).
     ///
-    /// [`KalmanFilter::set_state`]: crate::KalmanFilter::set_state
-    pub fn set_lane(&mut self, lane: usize, x: &Vector, p: &Matrix) -> Result<()> {
-        if x.dim() != N {
-            return Err(FilterError::BadModel {
-                what: "x0",
-                expected: (N, 1),
-                actual: (x.dim(), 1),
-            });
+    /// [`KalmanFilter::set_state_packed`]: crate::KalmanFilter::set_state_packed
+    pub fn set_lane_packed(
+        &mut self,
+        lane: usize,
+        x: impl ExactSizeIterator<Item = f64>,
+        p_upper: impl ExactSizeIterator<Item = f64>,
+    ) -> Result<()> {
+        crate::kalman::check_packed_lens(N, x.len(), p_upper.len())?;
+        for (plane, v) in self.x.iter_mut().zip(x) {
+            plane[lane] = v;
         }
-        if p.shape() != (N, N) {
-            return Err(FilterError::BadModel {
-                what: "P0",
-                expected: (N, N),
-                actual: p.shape(),
-            });
-        }
+        let mut p_upper = p_upper;
         for r in 0..N {
-            self.x[r][lane] = x[r];
-            for c in 0..N {
-                self.p[r * N + c][lane] = p.get(r, c);
+            for c in r..N {
+                let v = p_upper.next().expect("length checked above");
+                self.p[r * N + c][lane] = v;
+                self.p[c * N + r][lane] = v;
             }
         }
         self.steps_since_update[lane] = 0;
@@ -680,13 +679,11 @@ impl<const N: usize, const M: usize> FleetBatch<N, M> {
     ///   untouched).
     /// * [`FilterError::Diverged`] when the posterior is non-finite (the
     ///   non-finite values stay in place, like the scalar path).
-    pub fn update_lane(&mut self, lane: usize, z: &Vector) -> Result<()> {
-        if z.dim() != M {
-            return Err(FilterError::BadMeasurement {
-                expected: M,
-                actual: z.dim(),
-            });
-        }
+    pub fn update_lane(&mut self, lane: usize, z: &[f64]) -> Result<()> {
+        let zs = <[f64; M]>::try_from(z).map_err(|_| FilterError::BadMeasurement {
+            expected: M,
+            actual: z.len(),
+        })?;
         let mut x = [0.0; N];
         for r in 0..N {
             x[r] = self.x[r][lane];
@@ -697,8 +694,6 @@ impl<const N: usize, const M: usize> FleetBatch<N, M> {
                 p[r][c] = self.p[r * N + c][lane];
             }
         }
-        let mut zs = [0.0; M];
-        zs.copy_from_slice(z.as_slice());
         self.kernel.update(&mut x, &mut p, &zs)?;
         for r in 0..N {
             self.x[r][lane] = x[r];
@@ -921,7 +916,7 @@ mod tests {
             kf.predict().unwrap();
             if t % 7 == 3 {
                 let z = Vector::from_slice(&[z_at(0, t)]);
-                batch.update_lane(0, &z).unwrap();
+                batch.update_lane(0, z.as_slice()).unwrap();
                 kf.update(&z).unwrap();
             }
             let (x, p, steps) = batch.lane_state(0);
@@ -932,24 +927,37 @@ mod tests {
     }
 
     #[test]
-    fn set_lane_matches_set_state() {
+    fn set_lane_packed_matches_set_state_packed() {
         let model = cv2();
         let mut batch = FleetBatch::<2, 1>::new(&model).unwrap();
         batch
             .push(&Vector::zeros(2), &Matrix::scalar(2, 1.0), 0)
             .unwrap();
+        let mut kf = KalmanFilter::new(model, Vector::zeros(2), 1.0).unwrap();
         batch.predict_all();
         batch.predict_all();
         assert_eq!(batch.steps_since_update(0), 2);
-        let x = Vector::from_slice(&[3.0, -1.0]);
-        let p = Matrix::scalar(2, 0.25);
-        batch.set_lane(0, &x, &p).unwrap();
+        let x = [3.0, -1.0];
+        let p_upper = [0.25, 0.125, 0.5];
+        let packed = |v: &'static [f64]| v.iter().copied();
+        batch
+            .set_lane_packed(0, x.iter().copied(), p_upper.iter().copied())
+            .unwrap();
+        kf.set_state_packed(x.iter().copied(), p_upper.iter().copied())
+            .unwrap();
         let (xs, ps, steps) = batch.lane_state(0);
-        assert_eq!(xs, x);
-        assert_eq!(ps, p);
+        assert_eq!(&xs, kf.state());
+        assert_eq!(&ps, kf.covariance());
+        assert_eq!(ps, Matrix::from_rows(&[&[0.25, 0.125], &[0.125, 0.5]]));
         assert_eq!(steps, 0);
-        assert!(batch.set_lane(0, &Vector::zeros(3), &p).is_err());
-        assert!(batch.set_lane(0, &x, &Matrix::zeros(3, 3)).is_err());
+        // Wrong lengths are rejected before anything is written.
+        assert!(batch
+            .set_lane_packed(0, packed(&[0.0; 3]), packed(&[0.0; 3]))
+            .is_err());
+        assert!(batch
+            .set_lane_packed(0, packed(&[0.0; 2]), packed(&[0.0; 4]))
+            .is_err());
+        assert_eq!(batch.lane_state(0).0, xs);
     }
 
     #[test]

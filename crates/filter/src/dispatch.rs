@@ -151,17 +151,22 @@ impl DynFleetBatch {
     ///
     /// # Errors
     /// See [`FleetBatch::update_lane`].
-    pub fn update_lane(&mut self, lane: usize, z: &Vector) -> Result<()> {
+    pub fn update_lane(&mut self, lane: usize, z: &[f64]) -> Result<()> {
         delegate!(self, b => b.update_lane(lane, z))
     }
 
-    /// Overwrites a lane's state (protocol resync); see
-    /// [`FleetBatch::set_lane`].
+    /// Overwrites a lane's state (protocol resync) from `x` and the packed
+    /// upper triangle of `P`; see [`FleetBatch::set_lane_packed`].
     ///
     /// # Errors
-    /// [`crate::FilterError::BadModel`] on shape mismatch.
-    pub fn set_lane(&mut self, lane: usize, x: &Vector, p: &Matrix) -> Result<()> {
-        delegate!(self, b => b.set_lane(lane, x, p))
+    /// [`crate::FilterError::BadModel`] on length mismatch.
+    pub fn set_lane_packed(
+        &mut self,
+        lane: usize,
+        x: impl ExactSizeIterator<Item = f64>,
+        p_upper: impl ExactSizeIterator<Item = f64>,
+    ) -> Result<()> {
+        delegate!(self, b => b.set_lane_packed(lane, x, p_upper))
     }
 
     /// Gathers a lane back into dynamic values; see
@@ -258,7 +263,7 @@ mod tests {
                 .max_abs_diff(&Vector::from_slice(&[z]))
                 <= 0.4;
             assert_eq!(verdicts[0], scalar_verdict, "tick {t}");
-            batch.update_lane(lane, &Vector::from_slice(&[z])).unwrap();
+            batch.update_lane(lane, &[z]).unwrap();
             kf.update(&Vector::from_slice(&[z])).unwrap();
         }
         let (x, p, steps) = batch.lane_state(lane);

@@ -33,11 +33,13 @@ macro_rules! call_static {
 /// intermediate (innovation, gain, Joseph terms, Cholesky factor, …) into
 /// these buffers through the `*_into` kernels of `kalstream-linalg`, so a
 /// steady-state filter tick performs **zero heap allocations** and no
-/// redundant zero-fills (the static kernels keep theirs on the stack). Each
-/// [`KalmanFilter`] owns one; the buffers are pure scratch — every field is
-/// fully overwritten before it is read, so scratch contents never influence
-/// results (cloning a filter resets its scratch to empty for exactly that
-/// reason).
+/// redundant zero-fills (the static kernels keep theirs on the stack). A
+/// [`KalmanFilter`] boxes one on its first shape-generic step and keeps it —
+/// a filter on the static route never has one, so it does not carry (or
+/// drag through the cache) 5.9 KB it never touches. The buffers are pure
+/// scratch — every field is fully overwritten before it is read, so scratch
+/// contents never influence results (cloning a filter drops its scratch for
+/// exactly that reason).
 pub struct KalmanScratch {
     /// Predicted state `F x`.
     pub(crate) xt: Vector,
@@ -115,6 +117,33 @@ impl Clone for KalmanScratch {
 impl fmt::Debug for KalmanScratch {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str("KalmanScratch { .. }")
+    }
+}
+
+/// A [`KalmanFilter`]'s scratch slot: empty until the shape-generic route
+/// first runs, and empty again in every clone.
+#[derive(Default)]
+struct LazyScratch(Option<Box<KalmanScratch>>);
+
+impl LazyScratch {
+    fn get(&mut self) -> &mut KalmanScratch {
+        self.0.get_or_insert_with(Box::default)
+    }
+}
+
+impl Clone for LazyScratch {
+    fn clone(&self) -> Self {
+        LazyScratch(None)
+    }
+}
+
+impl fmt::Debug for LazyScratch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(if self.0.is_some() {
+            "Scratch(allocated)"
+        } else {
+            "Scratch(unused)"
+        })
     }
 }
 
@@ -223,8 +252,8 @@ pub struct KalmanFilter {
     /// Number of predict steps since the last measurement update; the
     /// suppression protocol reads this as "cache age".
     steps_since_update: u64,
-    /// Reusable hot-path buffers (see [`KalmanScratch`]).
-    scratch: KalmanScratch,
+    /// Reusable buffers of the shape-generic route (see [`KalmanScratch`]).
+    scratch: LazyScratch,
 }
 
 impl KalmanFilter {
@@ -287,7 +316,7 @@ impl KalmanFilter {
             p: p0,
             cov_update: CovarianceUpdate::Joseph,
             steps_since_update: 0,
-            scratch: KalmanScratch::new(),
+            scratch: LazyScratch::default(),
         })
     }
 
@@ -397,6 +426,38 @@ impl KalmanFilter {
         Ok(())
     }
 
+    /// [`KalmanFilter::set_state`] straight off the wire: `x` and the
+    /// row-major **upper triangle** of `P` (`n(n+1)/2` values, row `i`
+    /// contributing columns `i..n` — the sync message's own packing) are
+    /// written into the filter's storage, the triangle mirrored to both
+    /// halves. Nothing is staged in a `Vector`/`Matrix` on the way.
+    ///
+    /// # Errors
+    /// [`FilterError::BadModel`] on length mismatch (the filter is
+    /// untouched).
+    pub fn set_state_packed(
+        &mut self,
+        x: impl ExactSizeIterator<Item = f64>,
+        p_upper: impl ExactSizeIterator<Item = f64>,
+    ) -> Result<()> {
+        let n = self.model.state_dim();
+        check_packed_lens(n, x.len(), p_upper.len())?;
+        for (dst, v) in self.x.as_mut_slice().iter_mut().zip(x) {
+            *dst = v;
+        }
+        let p = self.p.as_mut_slice();
+        let mut p_upper = p_upper;
+        for r in 0..n {
+            for c in r..n {
+                let v = p_upper.next().expect("length checked above");
+                p[r * n + c] = v;
+                p[c * n + r] = v;
+            }
+        }
+        self.steps_since_update = 0;
+        Ok(())
+    }
+
     /// Overwrites state, covariance **and** the staleness counter — the
     /// handoff primitive for moving a stream between the scalar and batch
     /// stepping paths. Unlike [`KalmanFilter::set_state`] (a protocol
@@ -471,7 +532,7 @@ impl KalmanFilter {
     /// As [`KalmanFilter::predict`].
     #[doc(hidden)]
     pub fn predict_dynamic(&mut self) -> Result<()> {
-        let sc = &mut self.scratch;
+        let sc = self.scratch.get();
         let f = self.model.f();
         // x ← F x.
         f.mul_vec_into(&self.x, &mut sc.xt)?;
@@ -528,6 +589,41 @@ impl KalmanFilter {
         s
     }
 
+    /// Diagonal element `j` of [`KalmanFilter::predicted_measurement_cov`]
+    /// — `hⱼ P hⱼᵀ + Rⱼⱼ` — bit for bit, without building `H P`, `H P Hᵀ`
+    /// or `S`: the same products accumulated in the same order with the
+    /// same zero-skips as `sandwich` → `+ R` (symmetrisation never touches
+    /// the diagonal). The per-stream variance a query graph reads once per
+    /// stream per tick.
+    ///
+    /// # Panics
+    /// Panics when `j` is not a measurement component.
+    pub fn predicted_measurement_var(&self, j: usize) -> f64 {
+        let h = self.model.h().row(j);
+        let n = h.len();
+        let p = self.p.as_slice();
+        // Row j of H·P, as `matmul_into` accumulates it.
+        let mut hp = [0.0; kalstream_linalg::VECTOR_INLINE_CAP];
+        let hp = &mut hp[..n];
+        for (k, &a) in h.iter().enumerate() {
+            if a == 0.0 {
+                continue;
+            }
+            for (o, b) in hp.iter_mut().zip(&p[k * n..(k + 1) * n]) {
+                *o += a * b;
+            }
+        }
+        // Element (j, j) of (H·P)·Hᵀ, as `matmul_transpose_into` does.
+        let mut s = 0.0;
+        for (&a, &b) in hp.iter().zip(h) {
+            if a == 0.0 {
+                continue;
+            }
+            s += a * b;
+        }
+        s + self.model.r().get(j, j)
+    }
+
     /// Measurement update with observation `z`.
     ///
     /// Uses the innovation form with a Cholesky solve of
@@ -539,7 +635,7 @@ impl KalmanFilter {
     /// * [`FilterError::Linalg`] when `S` is not positive definite.
     /// * [`FilterError::Diverged`] when the posterior is non-finite.
     pub fn update(&mut self, z: &Vector) -> Result<UpdateOutcome> {
-        self.update_with(z, UpdateOutcome::copied_from)
+        self.update_with(z.as_slice(), UpdateOutcome::copied_from)
     }
 
     /// [`KalmanFilter::update`] for callers that read at most the scalar
@@ -548,6 +644,15 @@ impl KalmanFilter {
     /// # Errors
     /// As [`KalmanFilter::update`].
     pub fn update_lean(&mut self, z: &Vector) -> Result<UpdateStats> {
+        self.update_lean_slice(z.as_slice())
+    }
+
+    /// [`KalmanFilter::update_lean`] on a borrowed measurement — what a
+    /// Measurement sync applies, without a `Vector` in between.
+    ///
+    /// # Errors
+    /// As [`KalmanFilter::update`].
+    pub fn update_lean_slice(&mut self, z: &[f64]) -> Result<UpdateStats> {
         self.update_with(z, |seen| seen.stats)
     }
 
@@ -555,7 +660,7 @@ impl KalmanFilter {
     /// a successful update and decides what, if anything, to keep of them.
     pub(crate) fn update_with<T>(
         &mut self,
-        z: &Vector,
+        z: &[f64],
         read: impl FnOnce(Innovation<'_>) -> T,
     ) -> Result<T> {
         for_each_shape!(
@@ -568,12 +673,12 @@ impl KalmanFilter {
 
     fn update_static<const N: usize, const M: usize, T>(
         &mut self,
-        z: &Vector,
+        z: &[f64],
         read: impl FnOnce(Innovation<'_>) -> T,
     ) -> Result<T> {
-        let z = <[f64; M]>::try_from(z.as_slice()).map_err(|_| FilterError::BadMeasurement {
+        let z = <[f64; M]>::try_from(z).map_err(|_| FilterError::BadMeasurement {
             expected: M,
-            actual: z.dim(),
+            actual: z.len(),
         })?;
         let (mut x, mut p) = self.load_state::<N>();
         let kernel = self.kernel::<N, M>();
@@ -603,26 +708,26 @@ impl KalmanFilter {
     /// As [`KalmanFilter::update`].
     #[doc(hidden)]
     pub fn update_dynamic(&mut self, z: &Vector) -> Result<UpdateOutcome> {
-        self.update_dynamic_with(z, UpdateOutcome::copied_from)
+        self.update_dynamic_with(z.as_slice(), UpdateOutcome::copied_from)
     }
 
     fn update_dynamic_with<T>(
         &mut self,
-        z: &Vector,
+        z: &[f64],
         read: impl FnOnce(Innovation<'_>) -> T,
     ) -> Result<T> {
         let m = self.model.measurement_dim();
-        if z.dim() != m {
+        if z.len() != m {
             return Err(FilterError::BadMeasurement {
                 expected: m,
-                actual: z.dim(),
+                actual: z.len(),
             });
         }
-        let sc = &mut self.scratch;
+        let sc = self.scratch.get();
         let h = self.model.h();
         // Innovation ν = z − H x.
         h.mul_vec_into(&self.x, &mut sc.predicted)?;
-        sc.innovation.copy_from(z);
+        sc.innovation.copy_from_slice(z);
         sc.innovation -= &sc.predicted;
         // S = H P Hᵀ + R.
         h.sandwich_into(&self.p, &mut sc.tmp, &mut sc.s)?;
@@ -660,7 +765,7 @@ impl KalmanFilter {
         self.check_finite()?;
 
         // Diagnostics: NIS = νᵀ S⁻¹ ν and Gaussian log-likelihood.
-        let sc = &mut self.scratch;
+        let sc = self.scratch.get();
         sc.chol.solve_vec_into(&sc.innovation, &mut sc.s_inv_nu)?;
         let nis = sc.innovation.dot(&sc.s_inv_nu)?;
         let log_likelihood =
@@ -717,6 +822,26 @@ impl KalmanFilter {
         }
         Ok(())
     }
+}
+
+/// Length check shared by the packed-state setters: `x_len` values of state
+/// and the `n(n+1)/2` values of `P`'s upper triangle.
+pub(crate) fn check_packed_lens(n: usize, x_len: usize, p_len: usize) -> Result<()> {
+    if x_len != n {
+        return Err(FilterError::BadModel {
+            what: "x0",
+            expected: (n, 1),
+            actual: (x_len, 1),
+        });
+    }
+    if p_len != n * (n + 1) / 2 {
+        return Err(FilterError::BadModel {
+            what: "P0 (packed upper triangle)",
+            expected: (n * (n + 1) / 2, 1),
+            actual: (p_len, 1),
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -872,6 +997,110 @@ mod tests {
                 cap: VECTOR_INLINE_CAP
             }
         );
+    }
+
+    #[test]
+    fn set_state_packed_mirrors_the_upper_triangle() {
+        let model = models::constant_velocity(1.0, 0.01, 0.5);
+        let mut packed = KalmanFilter::new(model.clone(), Vector::zeros(2), 1.0).unwrap();
+        let mut owned = KalmanFilter::new(model, Vector::zeros(2), 1.0).unwrap();
+        packed.predict().unwrap();
+        owned.predict().unwrap();
+        let (x, p_upper) = ([1.5, -2.5], [1.0, 0.1, 2.0]);
+        packed
+            .set_state_packed(x.iter().copied(), p_upper.iter().copied())
+            .unwrap();
+        owned
+            .set_state(
+                Vector::from_slice(&x),
+                Matrix::from_rows(&[&[1.0, 0.1], &[0.1, 2.0]]),
+            )
+            .unwrap();
+        assert_eq!(packed.state(), owned.state());
+        assert_eq!(packed.covariance(), owned.covariance());
+        assert_eq!(packed.steps_since_update(), 0);
+        // Wrong lengths leave the filter untouched.
+        assert!(packed
+            .set_state_packed([0.0; 3].into_iter(), p_upper.iter().copied())
+            .is_err());
+        assert!(packed
+            .set_state_packed(x.iter().copied(), [0.0; 4].into_iter())
+            .is_err());
+        assert_eq!(packed.state(), owned.state());
+    }
+
+    #[test]
+    fn scratch_is_allocated_on_first_generic_use_and_never_cloned() {
+        // Footprint guard: the inline scratch made a filter 8.7 KB, most of
+        // it never touched on the static route.
+        assert!(
+            std::mem::size_of::<KalmanFilter>() <= 3072,
+            "KalmanFilter grew to {} bytes",
+            std::mem::size_of::<KalmanFilter>()
+        );
+        let mut table = scalar_walk_filter();
+        table.step(&Vector::from_slice(&[1.0])).unwrap();
+        assert!(table.scratch.0.is_none(), "static route took scratch");
+        // A 3-state model is off the shape table.
+        let model = models::constant_acceleration(1.0, 0.02, 0.1);
+        let mut generic = KalmanFilter::new(model, Vector::zeros(3), 1.0).unwrap();
+        assert!(generic.scratch.0.is_none());
+        generic.step(&Vector::from_slice(&[1.0])).unwrap();
+        assert!(generic.scratch.0.is_some());
+        let mut replica = generic.clone();
+        assert!(replica.scratch.0.is_none(), "clone copied scratch");
+        let z = Vector::from_slice(&[0.5]);
+        generic.step(&z).unwrap();
+        replica.step(&z).unwrap();
+        assert_eq!(generic.state(), replica.state());
+        assert_eq!(generic.covariance(), replica.covariance());
+    }
+
+    #[test]
+    fn predicted_measurement_var_equals_the_cov_diagonal_bit_for_bit() {
+        // Every table shape plus one off it, with a dense H (zeros included,
+        // so the zero-skips are exercised) and a filter a few steps in.
+        let shapes = (1..=8usize).flat_map(|n| (1..=n.min(4)).map(move |m| (n, m)));
+        for (n, m) in shapes {
+            let mut f = Matrix::identity(n);
+            let mut h = Matrix::zeros(m, n);
+            for r in 0..n {
+                for c in (r + 1)..n {
+                    f.set(r, c, 0.03 * (1 + r + c) as f64);
+                }
+            }
+            for j in 0..m {
+                for k in 0..n {
+                    if (j + k) % 3 != 2 {
+                        h.set(j, k, 1.0 / (1 + j + 2 * k) as f64 - 0.4);
+                    }
+                }
+                h.set(j, j, 1.0);
+            }
+            let model = StateModel::new(
+                "dense",
+                f,
+                Matrix::scalar(n, 0.013),
+                h,
+                Matrix::scalar(m, 0.37),
+            )
+            .unwrap();
+            let mut kf = KalmanFilter::new(model, Vector::filled(n, 0.3), 0.7).unwrap();
+            for t in 0..5 {
+                kf.predict().unwrap();
+                if t % 2 == 0 {
+                    kf.update(&Vector::filled(m, 0.1 * t as f64)).unwrap();
+                }
+                let cov = kf.predicted_measurement_cov();
+                for j in 0..m {
+                    assert_eq!(
+                        kf.predicted_measurement_var(j).to_bits(),
+                        cov.get(j, j).to_bits(),
+                        "{n}x{m} component {j} tick {t}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
