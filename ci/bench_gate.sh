@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Bench-regression lane: run the allocation smoke gate plus the kernel and
-# ingest benchmarks in CI-sized configurations, then gate every fresh
-# measurement against the committed baselines with check_regression
-# (tolerance documented in the baseline JSONs themselves). All outputs land
-# in ci-artifacts/ for upload.
+# ingest checks in CI-sized configurations, then hold every fresh artifact
+# to the committed baseline with check_regression (exact canaries, zero
+# counters, identities, absolute floors — no tolerance, no wall clock; the
+# gate table is picked by the artifacts' own "schema"). Throughput and
+# latency are the BENCHMARK.json workloads' job, not this lane's. All
+# outputs land in ci-artifacts/ for upload.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -29,18 +31,18 @@ echo "==> bench_kernels --quick (canary fleet still full scale; batch fleet shor
 cargo run --release -q -p kalstream-bench --bin bench_kernels -- \
     --quick --out "$ART/bench_kernels.json" --metrics-out "$ART/bench_kernels.metrics.json"
 
-echo "==> check_regression --kind kernels"
+echo "==> check_regression BENCH_kernels.json"
 cargo run --release -q -p kalstream-bench --bin check_regression -- \
-    --kind kernels --baseline BENCH_kernels.json --current "$ART/bench_kernels.json" \
+    --baseline BENCH_kernels.json --current "$ART/bench_kernels.json" \
     ${SUMMARY[@]+"${SUMMARY[@]}"}
 
 echo "==> bench_ingest --quick (reduced scale, full gates)"
 cargo run --release -q -p kalstream-bench --bin bench_ingest -- \
     --quick --out "$ART/bench_ingest.json" --metrics-out "$ART/bench_ingest.metrics.json"
 
-echo "==> check_regression --kind ingest"
+echo "==> check_regression BENCH_ingest.json (quick_shape canaries)"
 cargo run --release -q -p kalstream-bench --bin check_regression -- \
-    --kind ingest --baseline BENCH_ingest.json --current "$ART/bench_ingest.json" \
+    --baseline BENCH_ingest.json --current "$ART/bench_ingest.json" \
     ${SUMMARY[@]+"${SUMMARY[@]}"}
 
 # The three query experiments share one engine (QueryGraph) and one gate
@@ -54,24 +56,24 @@ for gate in \
     cargo run --release -q -p kalstream-bench --bin "$exp" -- \
         --metrics-out "$ART/$exp.metrics.json" > /dev/null
 
-    echo "==> check_regression --kind query ($tag)"
+    echo "==> check_regression BENCH_${exp#exp_}.json ($tag)"
     cargo run --release -q -p kalstream-bench --bin check_regression -- \
-        --kind query --baseline "BENCH_${exp#exp_}.json" \
+        --baseline "BENCH_${exp#exp_}.json" \
         --current "$ART/$exp.metrics.json" \
         ${SUMMARY[@]+"${SUMMARY[@]}"}
 done
 
-# Headline numbers on the run page, next to the gate verdicts.
+# The canaries on the run page, next to the gate verdicts.
 if [[ -n "${GITHUB_STEP_SUMMARY:-}" ]]; then
     {
-        echo "### Headline bench numbers"
+        echo "### Headline canaries"
         echo ""
         echo "| metric | value |"
         echo "|---|---:|"
-        echo "| predict_ns | $(json_num "$ART/bench_kernels.json" predict_ns) |"
-        echo "| update_ns | $(json_num "$ART/bench_kernels.json" update_ns) |"
-        echo "| batch_fleet_speedup | $(json_num "$ART/bench_kernels.json" batch_fleet_speedup) |"
-        echo "| sequential msgs_per_sec | $(json_num "$ART/bench_ingest.json" msgs_per_sec) |"
+        echo "| fleet_total_messages | $(json_num "$ART/bench_kernels.json" fleet_total_messages) |"
+        echo "| batch_fleet_speedup (same-run ratio) | $(json_num "$ART/bench_kernels.json" batch_fleet_speedup) |"
+        echo "| ingest messages (quick shape) | $(json_num "$ART/bench_ingest.json" messages) |"
+        echo "| ingest packed_bytes (quick shape) | $(json_num "$ART/bench_ingest.json" packed_bytes) |"
         echo "| q3 savings_fraction | $(json_num "$ART/exp_q3_query_graph.metrics.json" gate.savings_fraction) |"
         echo "| q3 coverage | $(json_num "$ART/exp_q3_query_graph.metrics.json" gate.coverage) |"
         echo ""

@@ -9,10 +9,9 @@
 #     a real TCP server mid-serve; each must recover **bit-identical** to
 #     an uncrashed reference with zero post-recovery violations;
 #   * exp_crash_recovery — the recorded kill/recover sweep, re-measured;
-#   * check_regression --kind durable — the fresh measurement against the
-#     committed BENCH_durable.json baseline (bit-identity and the
-#     replay/byte determinism canaries gate everywhere; recovery wall
-#     clock scopes itself to equal-core hosts above the timing floor).
+#   * check_regression — the fresh artifact against the committed
+#     BENCH_durable.json (bit-identity, zero post-recovery violations and
+#     the exact replay/byte determinism canaries).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -35,9 +34,9 @@ echo "==> exp_crash_recovery (kill/recover sweep: bit-identity + replay canaries
 cargo run --release -q -p kalstream-bench --bin exp_crash_recovery -- \
     --out "$ART/BENCH_durable.json" --metrics-out "$ART/exp_crash_recovery.metrics.json"
 
-echo "==> check_regression --kind durable"
+echo "==> check_regression BENCH_durable.json"
 cargo run --release -q -p kalstream-bench --bin check_regression -- \
-    --kind durable --baseline BENCH_durable.json --current "$ART/BENCH_durable.json" \
+    --baseline BENCH_durable.json --current "$ART/BENCH_durable.json" \
     ${SUMMARY[@]+"${SUMMARY[@]}"}
 
 echo "ci/chaos_smoke.sh: OK"

@@ -35,6 +35,16 @@ for endpoint in source server; do
     fi
 done
 
+echo "==> gates are counts and identities: no --kind, no tolerance, no capacity or speed-up column"
+if grep -rnE -e '--kind|--tolerance|regression_tolerance' crates/bench/src; then
+    echo "crates/bench/src names a deleted check_regression knob" >&2
+    exit 1
+fi
+if grep -nE 'regression_tolerance|capacity|speedup_' BENCH_*.json; then
+    echo "a committed BENCH_*.json carries a tolerance, capacity or speed-up column again" >&2
+    exit 1
+fi
+
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 

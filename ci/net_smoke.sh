@@ -8,9 +8,9 @@
 #   * bench_net --quick — a 64-connection loopback fleet that must end
 #     bit-identical with zero shed feedback, zero rejected hellos, and
 #     zero decode failures (the binary exits non-zero otherwise);
-#   * check_regression --kind net — the fresh measurement against the
-#     committed BENCH_net.json baseline (wall-clock gates scope themselves
-#     to equal-core hosts; correctness canaries gate everywhere).
+#   * check_regression — the fresh artifact against the committed
+#     BENCH_net.json: the identity and zero-counter rows again, plus the
+#     exact total_messages canary of the baseline's quick_shape record.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,9 +30,9 @@ echo "==> bench_net --quick (loopback fleet: bit-identity + zero-shed gates)"
 cargo run --release -q -p kalstream-bench --bin bench_net -- \
     --quick --out "$ART/bench_net.json" --metrics-out "$ART/bench_net.metrics.json"
 
-echo "==> check_regression --kind net"
+echo "==> check_regression BENCH_net.json (quick_shape canary)"
 cargo run --release -q -p kalstream-bench --bin check_regression -- \
-    --kind net --baseline BENCH_net.json --current "$ART/bench_net.json" \
+    --baseline BENCH_net.json --current "$ART/bench_net.json" \
     ${SUMMARY[@]+"${SUMMARY[@]}"}
 
 echo "ci/net_smoke.sh: OK"

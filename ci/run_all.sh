@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Local dry-run of the full CI pipeline — the same scripts the workflow
-# jobs execute, in the same order. Green here means green in CI (modulo
-# runner wall-clock, which the regression tolerances absorb).
+# jobs execute, in the same order. Green here means green in CI: the gates
+# compare counts and identities, never a runner's wall clock.
 set -euo pipefail
 cd "$(dirname "$0")"
 

@@ -1,25 +1,28 @@
-//! Kernel-level perf baseline: ns/op for the filter hot path, allocs/tick
-//! in protocol steady state, and a fixed 100-stream fleet macro-run.
+//! Kernel-level check: allocs/tick in protocol steady state, a fixed
+//! 100-stream fleet macro-run, and the scalar-vs-batch fleet identity, with
+//! ns/op for the filter hot path printed alongside.
+//!
+//! This binary checks counts and identities (plus one same-run ratio, the
+//! batch-layout floor). Throughput and latency are measured by the four
+//! `BENCHMARK.json` workloads (`benchmark/`), recorded in EXPERIMENTS.md T5
+//! on a stated core count; the ns/op rows here are diagnostics — printed,
+//! written to `--out`, compared with nothing.
 //!
 //! Writes the measurements as JSON (schema documented in EXPERIMENTS.md,
-//! "BENCH_kernels.json"). Usage:
+//! "BENCH_kernels.json") to `--out`, by default `target/bench_kernels.json`
+//! — not over the committed `BENCH_kernels.json`. Usage:
 //!
 //! ```text
 //! cargo run --release -p kalstream-bench --bin bench_kernels -- \
-//!     [--out PATH] [--before PATH] [--metrics-out PATH] [--quick]
+//!     [--out PATH] [--metrics-out PATH] [--quick]
 //! ```
-//!
-//! Without `--before`, writes a bare measurement object to `--out`
-//! (default `BENCH_kernels.json`). With `--before PATH`, embeds the JSON
-//! object previously recorded at PATH verbatim under `"before"` and the
-//! fresh measurements under `"after"`, producing the committed
-//! before/after baseline.
 //!
 //! `--quick` shortens the scalar-vs-batch fleet comparison (fewer ticks,
 //! same stream count) for CI. The 100-stream protocol fleet — whose
 //! `fleet_total_messages` count is the bit-identity canary — always runs
 //! at full scale, so quick output is still gateable by `check_regression`.
-//! Never regenerate the committed baseline with `--quick`.
+//! The committed `BENCH_kernels.json` keeps only the gated keys of a full
+//! run.
 
 use std::time::Instant;
 
@@ -347,7 +350,7 @@ fn measure(quick: bool) -> Measurements {
 
 fn to_json(m: &Measurements) -> String {
     format!(
-        "{{\n  \"available_parallelism\": {},\n  \"predict_ns\": {:.1},\n  \"update_ns\": {:.1},\n  \"suppression_decision_ns\": {:.1},\n  \"fleet_probe_streams\": {},\n  \"fleet_adaptive_step_ns\": {:.1},\n  \"fleet_source_decide_suppressed_ns\": {:.1},\n  \"fleet_source_decide_sent_ns\": {:.1},\n  \"fleet_source_observe_sent_ns\": {:.1},\n  \"fleet_shadow_predict_ns\": {:.1},\n  \"fleet_wire_parse_ns\": {:.1},\n  \"fleet_server_apply_ns\": {:.1},\n  \"allocs_per_tick\": {:.3},\n  \"allocs_per_filter_step\": {:.3},\n  \"fleet_streams\": {},\n  \"fleet_ticks\": {},\n  \"fleet_wall_ms\": {:.1},\n  \"fleet_total_messages\": {},\n  \"batch_fleet_streams\": {},\n  \"batch_fleet_ticks\": {},\n  \"batch_fleet_scalar_wall_ms\": {:.1},\n  \"batch_fleet_wall_ms\": {:.1},\n  \"batch_fleet_speedup\": {:.2},\n  \"batch_predict_ns\": {:.1},\n  \"batch_update_ns\": {:.1},\n  \"batch_matches_scalar\": {}\n}}",
+        "{{\n  \"schema\": \"bench_kernels/v1\",\n  \"available_parallelism\": {},\n  \"predict_ns\": {:.1},\n  \"update_ns\": {:.1},\n  \"suppression_decision_ns\": {:.1},\n  \"fleet_probe_streams\": {},\n  \"fleet_adaptive_step_ns\": {:.1},\n  \"fleet_source_decide_suppressed_ns\": {:.1},\n  \"fleet_source_decide_sent_ns\": {:.1},\n  \"fleet_source_observe_sent_ns\": {:.1},\n  \"fleet_shadow_predict_ns\": {:.1},\n  \"fleet_wire_parse_ns\": {:.1},\n  \"fleet_server_apply_ns\": {:.1},\n  \"allocs_per_tick\": {:.3},\n  \"allocs_per_filter_step\": {:.3},\n  \"fleet_streams\": {},\n  \"fleet_ticks\": {},\n  \"fleet_wall_ms\": {:.1},\n  \"fleet_total_messages\": {},\n  \"batch_fleet_streams\": {},\n  \"batch_fleet_ticks\": {},\n  \"batch_fleet_scalar_wall_ms\": {:.1},\n  \"batch_fleet_wall_ms\": {:.1},\n  \"batch_fleet_speedup\": {:.2},\n  \"batch_predict_ns\": {:.1},\n  \"batch_update_ns\": {:.1},\n  \"batch_matches_scalar\": {}\n}}\n",
         m.available_parallelism,
         m.predict_ns,
         m.update_ns,
@@ -377,31 +380,14 @@ fn to_json(m: &Measurements) -> String {
     )
 }
 
-fn indent(json: &str, spaces: usize) -> String {
-    let pad = " ".repeat(spaces);
-    json.lines()
-        .enumerate()
-        .map(|(i, l)| {
-            if i == 0 {
-                l.to_string()
-            } else {
-                format!("{pad}{l}")
-            }
-        })
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
 fn main() {
-    let mut out_path = String::from("BENCH_kernels.json");
-    let mut before_path: Option<String> = None;
+    let mut out_path = String::from("target/bench_kernels.json");
     let mut metrics_path = None;
     let mut quick = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--out" => out_path = args.next().expect("--out needs a path"),
-            "--before" => before_path = Some(args.next().expect("--before needs a path")),
             "--metrics-out" => {
                 metrics_path = Some(std::path::PathBuf::from(
                     args.next().expect("--metrics-out needs a path"),
@@ -411,27 +397,10 @@ fn main() {
             other => panic!("unknown argument: {other}"),
         }
     }
-    assert!(
-        !(quick && before_path.is_some()),
-        "--quick runs must not regenerate the committed baseline"
-    );
     let mut metrics = MetricsOut::from_path(metrics_path);
 
     let m = measure(quick);
-    let after = to_json(&m);
-
-    let doc = match before_path {
-        Some(path) => {
-            let before = std::fs::read_to_string(&path)
-                .unwrap_or_else(|e| panic!("cannot read --before {path}: {e}"));
-            format!(
-                "{{\n  \"schema\": \"bench_kernels/v1\",\n  \"regression_tolerance\": 0.25,\n  \"before\": {},\n  \"after\": {}\n}}\n",
-                indent(before.trim(), 2),
-                indent(&after, 2),
-            )
-        }
-        None => format!("{after}\n"),
-    };
+    let doc = to_json(&m);
 
     std::fs::write(&out_path, &doc).expect("write output");
     println!("\nwrote {out_path}");

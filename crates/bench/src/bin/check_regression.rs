@@ -1,121 +1,57 @@
 //! CI bench-regression gate.
 //!
 //! ```text
-//! check_regression --kind kernels --baseline BENCH_kernels.json --current /tmp/kernels.json
-//! check_regression --kind ingest  --baseline BENCH_ingest.json  --current /tmp/ingest.json \
-//!                  [--tolerance 0.25]
-//! check_regression --kind query   --baseline BENCH_q1_query_bounds.json --current /tmp/q1.json
-//! check_regression --kind net     --baseline BENCH_net.json      --current /tmp/net.json
-//! check_regression --kind durable --baseline BENCH_durable.json  --current /tmp/durable.json
-//! check_regression --kind elastic --baseline BENCH_elastic.json  --current /tmp/elastic.json \
+//! check_regression --baseline BENCH_net.json --current ci-artifacts/bench_net.json \
 //!                  [--summary-out "$GITHUB_STEP_SUMMARY"]
 //! ```
 //!
-//! Prints an aligned comparison table and exits non-zero when any check
-//! fails. The tolerance defaults to the baseline's own
-//! `regression_tolerance` field (see `kalstream_bench::regression`).
+//! The gate table is chosen by the two documents' own `"schema"` string
+//! (see `kalstream_bench::regression`); documents that carry none, disagree,
+//! or name a schema without a table are a usage error (exit 2), never a
+//! pass. Prints an aligned comparison table and exits 1 when any row fails.
 //! `--summary-out <path>` additionally *appends* the report as a markdown
 //! section — pass `$GITHUB_STEP_SUMMARY` to surface the gate on the CI
 //! run page (appending, because every gate in the job shares that file).
 
 use std::process::ExitCode;
 
-use kalstream_bench::regression::{
-    check_durable, check_elastic, check_ingest, check_kernels, check_net, check_query,
-};
-
-enum Kind {
-    Kernels,
-    Ingest,
-    Query,
-    Net,
-    Durable,
-    Elastic,
-}
-
-impl Kind {
-    fn name(&self) -> &'static str {
-        match self {
-            Kind::Kernels => "kernels",
-            Kind::Ingest => "ingest",
-            Kind::Query => "query",
-            Kind::Net => "net",
-            Kind::Durable => "durable",
-            Kind::Elastic => "elastic",
-        }
-    }
-}
+use kalstream_bench::regression::evaluate;
 
 struct Args {
-    kind: Kind,
     baseline: String,
     current: String,
-    tolerance: Option<f64>,
     summary_out: Option<String>,
 }
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: check_regression --kind kernels|ingest|query|net|durable|elastic \
-         --baseline <json> --current <json> [--tolerance <frac>] [--summary-out <path>]"
-    );
+    eprintln!("usage: check_regression --baseline <json> --current <json> [--summary-out <path>]");
     std::process::exit(2);
 }
 
 fn parse_args() -> Args {
-    let mut kind = None;
     let mut baseline = None;
     let mut current = None;
-    let mut tolerance = None;
     let mut summary_out = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value = |flag: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("{flag} requires a value");
-                usage()
-            })
-        };
-        match arg.as_str() {
-            "--kind" => {
-                kind = Some(match value("--kind").as_str() {
-                    "kernels" => Kind::Kernels,
-                    "ingest" => Kind::Ingest,
-                    "query" => Kind::Query,
-                    "net" => Kind::Net,
-                    "durable" => Kind::Durable,
-                    "elastic" => Kind::Elastic,
-                    other => {
-                        eprintln!(
-                            "unknown --kind {other:?} \
-                             (expected kernels|ingest|query|net|durable|elastic)"
-                        );
-                        usage()
-                    }
-                });
-            }
-            "--baseline" => baseline = Some(value("--baseline")),
-            "--current" => current = Some(value("--current")),
-            "--summary-out" => summary_out = Some(value("--summary-out")),
-            "--tolerance" => {
-                let v = value("--tolerance");
-                tolerance = Some(v.parse().unwrap_or_else(|_| {
-                    eprintln!("--tolerance must be a fraction, got {v:?}");
-                    usage()
-                }));
-            }
+        let slot = match arg.as_str() {
+            "--baseline" => &mut baseline,
+            "--current" => &mut current,
+            "--summary-out" => &mut summary_out,
             _ => {
                 eprintln!("unknown argument {arg:?}");
                 usage()
             }
-        }
+        };
+        *slot = Some(args.next().unwrap_or_else(|| {
+            eprintln!("{arg} requires a value");
+            usage()
+        }));
     }
-    match (kind, baseline, current) {
-        (Some(kind), Some(baseline), Some(current)) => Args {
-            kind,
+    match (baseline, current) {
+        (Some(baseline), Some(current)) => Args {
             baseline,
             current,
-            tolerance,
             summary_out,
         },
         _ => usage(),
@@ -131,21 +67,17 @@ fn read(path: &str) -> String {
 
 fn main() -> ExitCode {
     let args = parse_args();
-    let baseline = read(&args.baseline);
-    let current = read(&args.current);
-    let report = match args.kind {
-        Kind::Kernels => check_kernels(&baseline, &current, args.tolerance),
-        Kind::Ingest => check_ingest(&baseline, &current, args.tolerance),
-        Kind::Query => check_query(&baseline, &current),
-        Kind::Net => check_net(&baseline, &current, args.tolerance),
-        Kind::Durable => check_durable(&baseline, &current, args.tolerance),
-        Kind::Elastic => check_elastic(&baseline, &current, args.tolerance),
+    let report = match evaluate(&read(&args.baseline), &read(&args.current)) {
+        Ok(report) => report,
+        Err(why) => {
+            eprintln!("{} vs {}: {why}", args.baseline, args.current);
+            return ExitCode::from(2);
+        }
     };
     print!("{}", report.render());
     if let Some(path) = &args.summary_out {
         use std::io::Write as _;
-        let section =
-            report.render_markdown(&format!("check-regression --kind {}", args.kind.name()));
+        let section = report.render_markdown(&format!("check-regression {}", args.baseline));
         let appended = std::fs::OpenOptions::new()
             .create(true)
             .append(true)

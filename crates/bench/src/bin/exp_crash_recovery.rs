@@ -17,7 +17,7 @@
 //! Expected shape: `identical` is true on every row, replay length is
 //! `kill_tick − base_snapshot` (the cadence bounds it), and the crash
 //! sweep's byte/replay totals are exact run-to-run — they gate as
-//! determinism canaries in `check_regression --kind durable`. Recovery
+//! determinism canaries in `check_regression`. Recovery
 //! wall time is host noise, so it goes to the `--out` artifact only,
 //! never stdout (the recorded table must be byte-stable).
 
@@ -363,8 +363,7 @@ fn main() {
             .collect::<Vec<_>>()
             .join(",\n");
         let doc = format!(
-            "{{\n  \"schema\": \"durable/v1\",\n  \"regression_tolerance\": 0.25,\n  \
-             \"available_parallelism\": {parallelism},\n  \
+            "{{\n  \"schema\": \"durable/v1\",\n  \"available_parallelism\": {parallelism},\n  \
              \"streams\": {STREAMS},\n  \"ticks\": {TICKS},\n  \
              \"snapshot_every\": {SNAPSHOT_EVERY},\n  \"kill_count\": {},\n  \
              \"kills\": [\n{kills}\n  ],\n  \

@@ -18,7 +18,7 @@
 //! the max during the hot phase and shrinks back to the floor on the quiet
 //! tail; `identical` is true on every row. Decision counts are exact
 //! run-to-run (the experiment disables the timing-dependent queue signal)
-//! and gate as determinism canaries in `check_regression --kind elastic`.
+//! and gate as determinism canaries in `check_regression`.
 //! Resize stall is wall clock, so it goes to the `--out` artifact only,
 //! never stdout (the recorded table must be byte-stable).
 
@@ -414,8 +414,7 @@ fn main() {
             .collect::<Vec<_>>()
             .join(",\n");
         let doc = format!(
-            "{{\n  \"schema\": \"elastic/v1\",\n  \"regression_tolerance\": 0.25,\n  \
-             \"available_parallelism\": {parallelism},\n  \
+            "{{\n  \"schema\": \"elastic/v1\",\n  \"available_parallelism\": {parallelism},\n  \
              \"streams\": {STREAMS},\n  \"ticks\": {TICKS},\n  \
              \"sample_every\": {SAMPLE_EVERY},\n  \
              \"min_shards\": {MIN_SHARDS},\n  \"max_shards\": {MAX_SHARDS},\n  \

@@ -30,9 +30,8 @@
 //! is triangle-packed too when (and only when) its sub-diagonal entries are
 //! bitwise `+0.0`, signalled by a flags bit. Matrix dimensions implied by
 //! context (P's by `x`, the model's by one `n:u16 m:u16` pair) are not
-//! re-sent. Experiment T3 and `bench_ingest` report the measured savings;
-//! [`SyncMessage::encoded_len_unpacked`] preserves the naive-format cost
-//! for that accounting.
+//! re-sent. Experiment T3 recorded the measured savings when packing landed
+//! (EXPERIMENTS.md); `bench_ingest` pins the packed byte total exactly.
 //!
 //! **Two representations, one validator.** A sync on the move is a
 //! [`SyncRef`]: a *view* of validated wire bytes (`x`, the packed triangle of
@@ -251,27 +250,6 @@ impl SyncMessage {
                     + 2 // n
                     + 2 // m
                     + 8 * (f_elems + tri_elems(n) + m * n + tri_elems(m) + x.dim() + tri_elems(p.rows()))
-            }
-            SyncMessage::Measurement { z } => 1 + vec_len(z),
-        }
-    }
-
-    /// What this message would cost in the pre-packing format (full `n²`
-    /// matrices, each with its own `rows:u32 cols:u32` header) — kept so T3
-    /// and `bench_ingest` can report measured savings without re-encoding.
-    pub fn encoded_len_unpacked(&self) -> usize {
-        let mat = |m: &Matrix| 8 + 8 * m.rows() * m.cols();
-        match self {
-            SyncMessage::State { x, p } => 1 + vec_len(x) + mat(p),
-            SyncMessage::Model { model, x, p } => {
-                1 + 2
-                    + model.name().len()
-                    + mat(model.f())
-                    + mat(model.q())
-                    + mat(model.h())
-                    + mat(model.r())
-                    + vec_len(x)
-                    + mat(p)
             }
             SyncMessage::Measurement { z } => 1 + vec_len(z),
         }
@@ -915,20 +893,20 @@ mod tests {
             p: Matrix::scalar(4, 1.0),
         };
         assert_eq!(msg.encoded_len(), 1 + (4 + 32) + 80);
-        assert_eq!(msg.encoded_len_unpacked(), 1 + (4 + 32) + (8 + 128));
-        // Model sync on the scalar walk: ≥ 30% below the unpacked format.
+        // Model sync on the scalar walk: tag, name, flags + `n m`, and the
+        // six scalars F Q H R x P — no per-matrix header, no length for x.
+        let model = models::random_walk(0.1, 0.1);
+        let name = model.name().len();
         let model_msg = SyncMessage::Model {
-            model: Box::new(models::random_walk(0.1, 0.1)),
+            model: Box::new(model),
             x: Vector::zeros(1),
             p: Matrix::scalar(1, 1.0),
         };
-        let packed = model_msg.encoded_len() as f64;
-        let unpacked = model_msg.encoded_len_unpacked() as f64;
-        assert!(
-            packed / unpacked < 0.7,
-            "model sync only shrank to {:.0}% ({packed} / {unpacked})",
-            100.0 * packed / unpacked
+        assert_eq!(
+            model_msg.encoded_len(),
+            1 + (2 + name) + (1 + 2 + 2) + 8 * 6
         );
+        assert_eq!(model_msg.encode().len(), model_msg.encoded_len());
     }
 
     #[test]

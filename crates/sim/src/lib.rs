@@ -50,10 +50,7 @@ pub use fleet::{
     LockstepStream, LockstepTick,
 };
 pub use link::{Link, LinkFaults, Message};
-pub use metrics::{
-    BytesAccounting, DeliveryStats, ErrorMetrics, FaultCounters, IngestRunReport, SessionReport,
-    ShardThroughput, TrafficMetrics,
-};
+pub use metrics::{DeliveryStats, ErrorMetrics, FaultCounters, SessionReport, TrafficMetrics};
 pub use node::{Consumer, Producer};
 pub use runner::{ErrorSeries, IngestSink, Session, SessionConfig, TickObserver};
 pub use transport::{SimTransport, Transport, TransportStats, ACK_SEED_OFFSET};

@@ -107,138 +107,6 @@ impl Instrument for DeliveryStats {
     }
 }
 
-/// Packed-vs-naive wire-size accounting for the triangle-packed encoding.
-///
-/// Fed a `(packed, unpacked)` byte pair per message — the actual encoded
-/// size next to what the same message would cost in the naive format (full
-/// `n²` matrices, per-matrix headers) — so experiment T3 and `bench_ingest`
-/// can report measured savings rather than a formula.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BytesAccounting {
-    messages: Counter,
-    packed_bytes: Counter,
-    unpacked_bytes: Counter,
-}
-
-impl BytesAccounting {
-    /// Records one message's packed and would-be-unpacked sizes.
-    pub fn record(&mut self, packed: usize, unpacked: usize) {
-        self.messages.inc();
-        self.packed_bytes += packed as u64;
-        self.unpacked_bytes += unpacked as u64;
-    }
-
-    /// Messages recorded.
-    pub fn messages(&self) -> u64 {
-        self.messages.get()
-    }
-
-    /// Total bytes in the packed (actual) encoding.
-    pub fn packed_bytes(&self) -> u64 {
-        self.packed_bytes.get()
-    }
-
-    /// Total bytes the naive encoding would have cost.
-    pub fn unpacked_bytes(&self) -> u64 {
-        self.unpacked_bytes.get()
-    }
-
-    /// Fraction of bytes saved by packing: `1 − packed/unpacked`.
-    pub fn savings_fraction(&self) -> f64 {
-        if self.unpacked_bytes.get() == 0 {
-            0.0
-        } else {
-            1.0 - self.packed_bytes.get() as f64 / self.unpacked_bytes.get() as f64
-        }
-    }
-
-    /// Folds another accounting into this one.
-    pub fn merge(&mut self, other: &BytesAccounting) {
-        self.messages.merge(other.messages);
-        self.packed_bytes.merge(other.packed_bytes);
-        self.unpacked_bytes.merge(other.unpacked_bytes);
-    }
-}
-
-impl Instrument for BytesAccounting {
-    fn export(&self, scope: &mut Scope<'_>) {
-        scope.counter("messages", self.messages);
-        scope.counter("packed_bytes", self.packed_bytes);
-        scope.counter("unpacked_bytes", self.unpacked_bytes);
-        scope.gauge("savings_fraction", self.savings_fraction());
-    }
-}
-
-/// What one ingest shard drained over a timed run.
-#[derive(Debug, Clone)]
-pub struct ShardThroughput {
-    /// Shard index.
-    pub shard: usize,
-    /// Endpoints owned by the shard.
-    pub streams: usize,
-    /// Messages applied.
-    pub messages: u64,
-    /// Wire bytes drained (frame headers + bodies).
-    pub bytes: u64,
-}
-
-/// Aggregate report of one ingest-mode run — per-shard throughput plus the
-/// packing savings, the record `bench_ingest` serialises.
-#[derive(Debug, Clone)]
-pub struct IngestRunReport {
-    /// Per-shard breakdown, in shard order.
-    pub shards: Vec<ShardThroughput>,
-    /// Ticks ingested.
-    pub ticks: u64,
-    /// Wall-clock seconds for the timed span.
-    pub elapsed_secs: f64,
-    /// Packed-vs-naive byte accounting over the ingested messages.
-    pub bytes: BytesAccounting,
-}
-
-impl IngestRunReport {
-    /// Messages applied across all shards.
-    pub fn total_messages(&self) -> u64 {
-        self.shards.iter().map(|s| s.messages).sum()
-    }
-
-    /// Wire bytes drained across all shards.
-    pub fn total_bytes(&self) -> u64 {
-        self.shards.iter().map(|s| s.bytes).sum()
-    }
-
-    /// Headline throughput: messages applied per wall-clock second.
-    pub fn msgs_per_sec(&self) -> f64 {
-        if self.elapsed_secs <= 0.0 {
-            0.0
-        } else {
-            self.total_messages() as f64 / self.elapsed_secs
-        }
-    }
-}
-
-impl Instrument for ShardThroughput {
-    fn export(&self, scope: &mut Scope<'_>) {
-        scope.counter("streams", self.streams as u64);
-        scope.counter("messages", self.messages);
-        scope.counter("bytes", self.bytes);
-    }
-}
-
-impl Instrument for IngestRunReport {
-    fn export(&self, scope: &mut Scope<'_>) {
-        scope.counter("ticks", self.ticks);
-        scope.counter("messages", self.total_messages());
-        scope.counter("bytes", self.total_bytes());
-        scope.gauge("elapsed_secs", self.elapsed_secs);
-        scope.gauge("msgs_per_sec", self.msgs_per_sec());
-        scope.observe("wire", &self.bytes);
-        for shard in &self.shards {
-            scope.observe(&format!("shard.{}", shard.shard), shard);
-        }
-    }
-}
-
 /// Server-side error accounting against ground truth.
 ///
 /// `violations` counts ticks where the error exceeded the precision bound
