@@ -192,65 +192,62 @@ struct NodeOut {
     staleness: u64,
 }
 
-#[derive(Debug)]
-enum NodeKind {
+/// What a slot computes. The value operators are held inline; a sink names
+/// its entry in the state array of its kind.
+#[derive(Debug, Clone, Copy)]
+enum Op {
     /// Alias for a raw stream: reads [`StreamView`]s pushed by the harness.
     Raw { stream: StreamId },
     /// AVG / SUM / MIN / MAX over value nodes (raw or derived), optionally
     /// carrying its own precision contract.
     Aggregate {
         kind: AggKind,
-        inputs: Vec<usize>,
         contract: Option<f64>,
     },
-    /// Tumbling-window average over one value node: accumulates `pane`
-    /// ticks, publishes the pane average at close, then starts fresh. The
-    /// pane's imprecision budget (`contract · pane`) is what the
-    /// punctuation feedback carries forward within a pane.
-    Tumbling {
-        input: usize,
-        pane: usize,
-        contract: f64,
-        sum_value: f64,
-        sum_bound: f64,
-        sum_sigma: f64,
-        max_staleness: u64,
-        filled: usize,
-        just_closed: bool,
-        truth_sum: f64,
-        truth_filled: usize,
-        truth_closed: Option<f64>,
-        last_grant: f64,
-        recent_grants: [f64; GRANT_LAG],
-        panes_closed: u64,
-    },
-    /// Tri-state threshold alert over one value node.
-    Alert {
-        input: usize,
-        threshold: f64,
-        margin: f64,
-        state: AlertState,
-        transitions: u64,
-    },
-    /// Sliding-window aggregate over one value node: `served` slides over
-    /// the input's `(value, bound)`, `mirror` over its ground truth with
-    /// bound 0 — so the mirror's answer *is* the true window aggregate.
-    /// Boxed so the window deques do not widen every node of the graph.
-    Sliding {
-        input: usize,
-        contract: f64,
-        served: Box<WindowAgg>,
-        mirror: Box<WindowAgg>,
-    },
+    /// Tumbling-window average over one value node: `panes[pane]`.
+    Tumbling { pane: u32 },
+    /// Tri-state threshold alert over one value node: `alerts[alert]`.
+    Alert { alert: u32 },
+    /// Sliding-window aggregate over one value node: `windows[window]`.
+    Sliding { window: u32 },
 }
 
-#[derive(Debug)]
-struct Node {
-    id: String,
-    kind: NodeKind,
-    /// Latest published output (value nodes and closed panes; `None` for
-    /// alerts and never-evaluated nodes).
-    out: Option<NodeOut>,
+impl Op {
+    /// Raw aliases and aggregates publish a value other nodes can read;
+    /// the rest are sinks.
+    fn is_value(self) -> bool {
+        matches!(self, Op::Raw { .. } | Op::Aggregate { .. })
+    }
+}
+
+/// One node as a tick sees it — 32 bytes, stored in evaluation order, so
+/// the forward and reverse walks read memory front to back and back to
+/// front. Everything a tick does not touch (the id, the registration
+/// index) lives in [`QueryGraph`]'s registration-order arrays.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    op: Op,
+    /// `inputs[lo..hi]` are the slots this one reads, in registered order:
+    /// none for a raw alias, exactly one for a sink.
+    lo: u32,
+    hi: u32,
+}
+
+/// Slots and input edges are addressed with `u32` (half the index traffic
+/// of `usize`); a graph past 2³² of either could not be held in memory.
+fn index(n: usize) -> u32 {
+    u32::try_from(n).expect("a query graph addresses its nodes and edges with u32")
+}
+
+/// Files a sink's state in the array of its kind.
+fn file<T>(states: &mut Vec<T>, state: T) -> u32 {
+    states.push(state);
+    index(states.len() - 1)
+}
+
+/// Per-node verification counters.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tally {
     violations: u64,
     covered: u64,
     checked: u64,
@@ -258,20 +255,191 @@ struct Node {
     max_ratio: f64,
 }
 
-impl Node {
-    fn inputs(&self) -> &[usize] {
-        match &self.kind {
-            NodeKind::Raw { .. } => &[],
-            NodeKind::Aggregate { inputs, .. } => inputs,
-            NodeKind::Tumbling { input, .. }
-            | NodeKind::Alert { input, .. }
-            | NodeKind::Sliding { input, .. } => std::slice::from_ref(input),
+/// A tumbling pane: accumulates `len` ticks, publishes the pane average at
+/// close, then starts fresh. The pane's imprecision budget
+/// (`contract · len`) is what the punctuation feedback carries forward
+/// within a pane.
+#[derive(Debug)]
+struct Pane {
+    len: usize,
+    contract: f64,
+    sum_value: f64,
+    sum_bound: f64,
+    sum_sigma: f64,
+    max_staleness: u64,
+    filled: usize,
+    just_closed: bool,
+    truth_sum: f64,
+    truth_filled: usize,
+    truth_closed: Option<f64>,
+    last_grant: f64,
+    recent_grants: [f64; GRANT_LAG],
+    closed: u64,
+}
+
+impl Pane {
+    fn new(len: usize, contract: f64) -> Self {
+        Pane {
+            len,
+            contract,
+            sum_value: 0.0,
+            sum_bound: 0.0,
+            sum_sigma: 0.0,
+            max_staleness: 0,
+            filled: 0,
+            just_closed: false,
+            truth_sum: 0.0,
+            truth_filled: 0,
+            truth_closed: None,
+            last_grant: contract,
+            recent_grants: [contract; GRANT_LAG],
+            closed: 0,
         }
     }
 
-    fn is_value(&self) -> bool {
-        matches!(self.kind, NodeKind::Raw { .. } | NodeKind::Aggregate { .. })
+    /// Accumulates one tick of the input; `Some` is the pane this tick
+    /// closed (until the next close, the last one stays published).
+    fn observe(&mut self, v: NodeOut) -> Option<NodeOut> {
+        self.sum_value += v.value;
+        self.sum_bound += v.bound;
+        self.sum_sigma += v.variance.max(0.0).sqrt();
+        self.max_staleness = self.max_staleness.max(v.staleness);
+        self.filled += 1;
+        if self.filled != self.len {
+            return None;
+        }
+        let w = self.len as f64;
+        let closed = NodeOut {
+            value: self.sum_value / w,
+            bound: self.sum_bound / w,
+            // Serial correlation across the pane's ticks breaks
+            // independence, so the pane variance is the conservative
+            // full-correlation bound ((Σσ)/W)².
+            variance: (self.sum_sigma / w) * (self.sum_sigma / w),
+            staleness: self.max_staleness,
+        };
+        self.sum_value = 0.0;
+        self.sum_bound = 0.0;
+        self.sum_sigma = 0.0;
+        self.max_staleness = 0;
+        self.filled = 0;
+        self.just_closed = true;
+        self.closed += 1;
+        Some(closed)
     }
+
+    /// Accumulates one tick of the input's truth; on the tick the served
+    /// pane closed, returns it with the true pane average to check against.
+    fn verify(&mut self, t_in: f64, published: Option<NodeOut>) -> Option<(NodeOut, f64)> {
+        if t_in.is_finite() {
+            self.truth_sum += t_in;
+            self.truth_filled += 1;
+            if self.truth_filled == self.len {
+                self.truth_closed = Some(self.truth_sum / self.len as f64);
+                self.truth_sum = 0.0;
+                self.truth_filled = 0;
+            }
+        }
+        if !self.just_closed {
+            return None;
+        }
+        self.just_closed = false;
+        published.zip(self.truth_closed)
+    }
+
+    /// This tick's per-tick allowance: the contract, or under feedback the
+    /// unspent pane budget spread over the pane's remaining ticks.
+    fn grant(&mut self, feedback: bool) -> f64 {
+        let g = if feedback {
+            let budget = self.contract * self.len as f64;
+            let remaining = self.len - self.filled;
+            let max_recent = self
+                .recent_grants
+                .iter()
+                .fold(self.last_grant, |a, &b| a.max(b));
+            let g = if remaining > GRANT_LAG {
+                // Unspent budget spread over the remaining ticks, minus
+                // GRANT_LAG ticks reserved at the recent grant level: even
+                // if every in-flight directive lands late, the pane-average
+                // bound stays ≤ contract.
+                (budget - self.sum_bound - GRANT_LAG as f64 * max_recent)
+                    / (remaining - GRANT_LAG) as f64
+            } else {
+                // Final lag window of the pane: no new decision can land in
+                // time, hold the last grant.
+                self.last_grant
+            };
+            g.clamp(0.0, PANE_RELAX_CAP * self.contract)
+        } else {
+            self.contract
+        };
+        self.recent_grants.rotate_left(1);
+        self.recent_grants[GRANT_LAG - 1] = g;
+        self.last_grant = g;
+        g
+    }
+}
+
+/// A tri-state threshold alert.
+#[derive(Debug)]
+struct Alert {
+    threshold: f64,
+    margin: f64,
+    state: AlertState,
+    transitions: u64,
+}
+
+impl Alert {
+    fn observe(&mut self, v: NodeOut) {
+        let next = evaluate_threshold(
+            &Answer {
+                value: v.value,
+                bound: v.bound,
+                max_staleness: v.staleness,
+            },
+            self.threshold,
+        );
+        if next != self.state {
+            self.transitions += 1;
+        }
+        self.state = next;
+    }
+
+    /// `true` when the current verdict is resolved and the input's truth
+    /// says otherwise.
+    fn contradicted_by(&self, t_in: f64) -> bool {
+        match self.state {
+            AlertState::Firing => t_in <= self.threshold,
+            AlertState::Quiet => t_in > self.threshold,
+            AlertState::Uncertain => false,
+        }
+    }
+
+    /// The margin — or, under feedback, a relaxed grant while the input is
+    /// guaranteed far from the threshold.
+    fn grant(&self, feedback: bool, input: Option<NodeOut>) -> f64 {
+        match input {
+            Some(v) if feedback => {
+                let dist = (v.value - self.threshold).abs() - v.bound;
+                if dist > ALERT_RELAX_AT * self.margin {
+                    (dist / ALERT_RELAX_DIV).max(self.margin)
+                } else {
+                    self.margin
+                }
+            }
+            _ => self.margin,
+        }
+    }
+}
+
+/// A sliding-window aggregate: `served` slides over the input's
+/// `(value, bound)`, `mirror` over its ground truth with bound 0 — so the
+/// mirror's answer *is* the true window aggregate.
+#[derive(Debug)]
+struct Window {
+    contract: f64,
+    served: WindowAgg,
+    mirror: WindowAgg,
 }
 
 /// A DAG of continuous queries over precision-bounded streams: raw-stream
@@ -287,12 +455,40 @@ impl Node {
 ///    guarantee violations and distributional coverage;
 /// 3. [`QueryGraph::required_deltas`] → push the grants to the sources
 ///    (e.g. `ServerEndpoint::push_bound_directive`).
+///
+/// Everything a tick reads or writes is a flat array the graph owns,
+/// indexed by *slot* — a node's position in evaluation order — so a tick
+/// allocates nothing and walks memory sequentially. Registration appends
+/// (registration order is topological: inputs must already exist); only
+/// [`QueryGraph::rewire`] can reorder, and it rebuilds the arrays then.
 #[derive(Debug)]
 pub struct QueryGraph {
-    nodes: Vec<Node>,
+    /// Node ids in registration order (the order `export` reports them in).
+    ids: Vec<String>,
+    /// Registration index of each id.
     by_id: HashMap<String, usize>,
-    /// Evaluation order: every node after all of its inputs.
-    topo: Vec<usize>,
+    /// Slot of each node, by registration index.
+    slot_of: Vec<u32>,
+    /// The nodes in evaluation order: every slot after all of its inputs.
+    slots: Vec<Slot>,
+    /// Every slot's input slots, back to back ([`Slot::lo`], [`Slot::hi`]).
+    inputs: Vec<u32>,
+    /// Latest published output per slot — the only copy (value nodes and
+    /// closed panes; `None` for alerts, windows and never-evaluated nodes).
+    outs: Vec<Option<NodeOut>>,
+    tallies: Vec<Tally>,
+    panes: Vec<Pane>,
+    alerts: Vec<Alert>,
+    windows: Vec<Window>,
+    /// [`QueryGraph::verify_tick`]'s scratch: this tick's ground truth per
+    /// value slot (`NaN` = unknown). A slot is written before any consumer
+    /// reads it, so nothing carries over between ticks.
+    mirror: Vec<f64>,
+    /// [`QueryGraph::required_deltas`]' scratch: the tightest grant any
+    /// consumer has issued to each slot. All `∞` between calls.
+    granted: Vec<f64>,
+    /// Number of raw aliases: sizes the map `required_deltas` returns.
+    raws: usize,
     /// Punctuation feedback on/off; off reproduces static propagation.
     feedback: bool,
     /// `z` used for coverage accounting in [`QueryGraph::verify_tick`].
@@ -314,9 +510,19 @@ impl QueryGraph {
     /// Creates an empty graph (feedback off, coverage level 0.95).
     pub fn new() -> Self {
         QueryGraph {
-            nodes: Vec::new(),
+            ids: Vec::new(),
             by_id: HashMap::new(),
-            topo: Vec::new(),
+            slot_of: Vec::new(),
+            slots: Vec::new(),
+            inputs: Vec::new(),
+            outs: Vec::new(),
+            tallies: Vec::new(),
+            panes: Vec::new(),
+            alerts: Vec::new(),
+            windows: Vec::new(),
+            mirror: Vec::new(),
+            granted: Vec::new(),
+            raws: 0,
             feedback: false,
             z: z_quantile(0.95),
             level: 0.95,
@@ -347,12 +553,17 @@ impl QueryGraph {
 
     /// Number of registered nodes.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.slots.len()
     }
 
     /// `true` when no node is registered.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.slots.is_empty()
+    }
+
+    /// The slot of the node registered under `id`.
+    fn slot(&self, id: &str) -> Option<usize> {
+        Some(self.slot_of[*self.by_id.get(id)?] as usize)
     }
 
     /// Rejects an id already taken in the single raw+derived namespace.
@@ -363,9 +574,9 @@ impl QueryGraph {
         Ok(())
     }
 
-    /// Resolves input ids to node indices, insisting each is a *value* node
-    /// (raw or aggregate — alerts, panes and windows are sinks).
-    fn resolve_inputs(&self, of: &str, inputs: &[&str]) -> Result<Vec<usize>, QueryError> {
+    /// Resolves input ids to slots, insisting each is a *value* node (raw
+    /// or aggregate — alerts, panes and windows are sinks).
+    fn resolve_inputs(&self, of: &str, inputs: &[&str]) -> Result<Vec<u32>, QueryError> {
         if inputs.is_empty() {
             return Err(QueryError::Invalid {
                 reason: format!("node {of:?} needs at least one input"),
@@ -378,49 +589,51 @@ impl QueryGraph {
                     // A node naming itself is the smallest possible cycle.
                     return Err(QueryError::Cycle { id: of.to_string() });
                 }
-                let &idx = self
-                    .by_id
-                    .get(input)
-                    .ok_or_else(|| QueryError::UnknownNode {
-                        id: input.to_string(),
-                    })?;
-                if !self.nodes[idx].is_value() {
+                let slot = self.slot(input).ok_or_else(|| QueryError::UnknownNode {
+                    id: input.to_string(),
+                })?;
+                if !self.slots[slot].op.is_value() {
                     return Err(QueryError::Invalid {
                         reason: format!("input {input:?} of {of:?} is not a value node"),
                     });
                 }
-                Ok(idx)
+                Ok(index(slot))
             })
             .collect()
     }
 
-    /// Appends a node under an id [`QueryGraph::check_fresh`] accepted.
-    fn push_node(&mut self, id: &str, kind: NodeKind) {
-        self.by_id.insert(id.to_string(), self.nodes.len());
-        self.topo.push(self.nodes.len());
-        self.nodes.push(Node {
-            id: id.to_string(),
-            kind,
-            out: None,
-            violations: 0,
-            covered: 0,
-            checked: 0,
-            max_ratio: 0.0,
+    /// Appends a node under an id [`QueryGraph::check_fresh`] accepted. Its
+    /// inputs are registered already, so the last slot is a valid place.
+    fn push_node(&mut self, id: &str, op: Op, inputs: &[u32]) {
+        self.by_id.insert(id.to_string(), self.ids.len());
+        self.ids.push(id.to_string());
+        self.slot_of.push(index(self.slots.len()));
+        let lo = index(self.inputs.len());
+        self.inputs.extend_from_slice(inputs);
+        self.slots.push(Slot {
+            op,
+            lo,
+            hi: index(self.inputs.len()),
         });
+        self.outs.push(None);
+        self.tallies.push(Tally::default());
+        self.mirror.push(f64::NAN);
+        self.granted.push(f64::INFINITY);
     }
 
     /// Registers a derived node: fresh id, every input an existing value
-    /// node, then whatever `kind` builds from the resolved inputs. A failed
-    /// registration claims nothing.
+    /// node, then whatever `op` files for it. A failed registration claims
+    /// nothing.
     fn add_derived(
         &mut self,
         id: &str,
         inputs: &[&str],
-        kind: impl FnOnce(Vec<usize>) -> NodeKind,
+        op: impl FnOnce(&mut Self) -> Op,
     ) -> Result<(), QueryError> {
         self.check_fresh(id)?;
         let inputs = self.resolve_inputs(id, inputs)?;
-        self.push_node(id, kind(inputs));
+        let op = op(self);
+        self.push_node(id, op, &inputs);
         Ok(())
     }
 
@@ -431,7 +644,8 @@ impl QueryGraph {
     /// alias or a derived stream; the namespace is shared.
     pub fn add_raw(&mut self, id: &str, stream: StreamId) -> Result<(), QueryError> {
         self.check_fresh(id)?;
-        self.push_node(id, NodeKind::Raw { stream });
+        self.push_node(id, Op::Raw { stream }, &[]);
+        self.raws += 1;
         Ok(())
     }
 
@@ -456,11 +670,7 @@ impl QueryGraph {
         if let Some(c) = contract {
             check_positive("contract", c)?;
         }
-        self.add_derived(id, inputs, |inputs| NodeKind::Aggregate {
-            kind,
-            inputs,
-            contract,
-        })
+        self.add_derived(id, inputs, |_| Op::Aggregate { kind, contract })
     }
 
     /// Registers a point query: the identity 1-ary aggregate with contract
@@ -494,22 +704,8 @@ impl QueryGraph {
             });
         }
         check_positive("contract", contract)?;
-        self.add_derived(id, &[input], |inputs| NodeKind::Tumbling {
-            input: inputs[0],
-            pane,
-            contract,
-            sum_value: 0.0,
-            sum_bound: 0.0,
-            sum_sigma: 0.0,
-            max_staleness: 0,
-            filled: 0,
-            just_closed: false,
-            truth_sum: 0.0,
-            truth_filled: 0,
-            truth_closed: None,
-            last_grant: contract,
-            recent_grants: [contract; GRANT_LAG],
-            panes_closed: 0,
+        self.add_derived(id, &[input], |g| Op::Tumbling {
+            pane: file(&mut g.panes, Pane::new(pane, contract)),
         })
     }
 
@@ -535,13 +731,17 @@ impl QueryGraph {
         contract: f64,
     ) -> Result<(), QueryError> {
         check_positive("contract", contract)?;
-        let served = Box::new(WindowAgg::build(spec)?);
+        let served = WindowAgg::build(spec)?;
         let mirror = served.clone();
-        self.add_derived(id, &[input], |inputs| NodeKind::Sliding {
-            input: inputs[0],
-            contract,
-            served,
-            mirror,
+        self.add_derived(id, &[input], |g| Op::Sliding {
+            window: file(
+                &mut g.windows,
+                Window {
+                    contract,
+                    served,
+                    mirror,
+                },
+            ),
         })
     }
 
@@ -567,12 +767,16 @@ impl QueryGraph {
                 reason: format!("threshold must be finite, got {threshold}"),
             });
         }
-        self.add_derived(id, &[input], |inputs| NodeKind::Alert {
-            input: inputs[0],
-            threshold,
-            margin,
-            state: AlertState::Uncertain,
-            transitions: 0,
+        self.add_derived(id, &[input], |g| Op::Alert {
+            alert: file(
+                &mut g.alerts,
+                Alert {
+                    threshold,
+                    margin,
+                    state: AlertState::Uncertain,
+                    transitions: 0,
+                },
+            ),
         })
     }
 
@@ -584,59 +788,124 @@ impl QueryGraph {
     /// # Errors
     /// [`QueryError::UnknownNode`] when `id` or an input is missing,
     /// [`QueryError::Invalid`] when `id` is not an aggregate or an input is
-    /// not a value node, [`QueryError::Cycle`] when the new wiring is
-    /// cyclic.
+    /// not a value node, [`QueryError::Cycle`] (naming `id`) when the new
+    /// wiring is cyclic.
     pub fn rewire(&mut self, id: &str, inputs: &[&str]) -> Result<(), QueryError> {
-        let &idx = self
-            .by_id
-            .get(id)
+        let target = self
+            .slot(id)
             .ok_or_else(|| QueryError::UnknownNode { id: id.to_string() })?;
-        let resolved = self.resolve_inputs(id, inputs)?;
-        let old = match &mut self.nodes[idx].kind {
-            NodeKind::Aggregate { inputs, .. } => std::mem::replace(inputs, resolved),
-            _ => {
-                return Err(QueryError::Invalid {
-                    reason: format!("only aggregate nodes can be rewired, {id:?} is not one"),
-                })
-            }
-        };
-        match self.recompute_topo() {
-            Ok(topo) => {
-                self.topo = topo;
-                Ok(())
-            }
-            Err(e) => {
-                if let NodeKind::Aggregate { inputs, .. } = &mut self.nodes[idx].kind {
-                    *inputs = old;
-                }
-                Err(e)
-            }
+        let rewired = self.resolve_inputs(id, inputs)?;
+        if !matches!(self.slots[target].op, Op::Aggregate { .. }) {
+            return Err(QueryError::Invalid {
+                reason: format!("only aggregate nodes can be rewired, {id:?} is not one"),
+            });
         }
+        // The graph was acyclic before this call, so any cycle in the new
+        // wiring runs through the one node whose inputs changed.
+        let order = self
+            .evaluation_order(target, &rewired)
+            .ok_or_else(|| QueryError::Cycle { id: id.to_string() })?;
+        self.lay_out(&order, target, &rewired);
+        Ok(())
     }
 
-    /// Kahn's algorithm, deterministic (registration order among ready
-    /// nodes). `Err` names a node on a cycle.
-    fn recompute_topo(&self) -> Result<Vec<usize>, QueryError> {
-        let n = self.nodes.len();
-        let mut placed = vec![false; n];
+    /// The inputs of `slot` with `target` rewired to `rewired` — the wiring
+    /// [`QueryGraph::rewire`] is about to adopt, before it is committed.
+    fn inputs_with<'a>(&'a self, slot: usize, target: usize, rewired: &'a [u32]) -> &'a [u32] {
+        if slot == target {
+            return rewired;
+        }
+        let Slot { lo, hi, .. } = self.slots[slot];
+        &self.inputs[lo as usize..hi as usize]
+    }
+
+    /// An evaluation order (current slots, each after all of its inputs)
+    /// for the wiring with `target` rewired, or `None` when that wiring is
+    /// cyclic. Depth-first post-order from the slots in their current
+    /// order, O(V + E): a node whose inputs all sit earlier keeps its place
+    /// relative to them, so an already-valid layout comes back unchanged.
+    fn evaluation_order(&self, target: usize, rewired: &[u32]) -> Option<Vec<u32>> {
+        const UNSEEN: u8 = 0;
+        const ON_PATH: u8 = 1;
+        const PLACED: u8 = 2;
+        let n = self.slots.len();
+        let mut mark = vec![UNSEEN; n];
         let mut order = Vec::with_capacity(n);
-        while order.len() < n {
-            let mut progressed = false;
-            for i in 0..n {
-                if !placed[i] && self.nodes[i].inputs().iter().all(|&j| placed[j]) {
-                    placed[i] = true;
-                    order.push(i);
-                    progressed = true;
+        // (slot, how many of its inputs have been descended into)
+        let mut path: Vec<(usize, usize)> = Vec::new();
+        for root in 0..n {
+            if mark[root] != UNSEEN {
+                continue;
+            }
+            mark[root] = ON_PATH;
+            path.push((root, 0));
+            while let Some((slot, next)) = path.last_mut() {
+                match self.inputs_with(*slot, target, rewired).get(*next) {
+                    Some(&input) => {
+                        *next += 1;
+                        let input = input as usize;
+                        match mark[input] {
+                            UNSEEN => {
+                                mark[input] = ON_PATH;
+                                path.push((input, 0));
+                            }
+                            ON_PATH => return None,
+                            _ => {}
+                        }
+                    }
+                    None => {
+                        mark[*slot] = PLACED;
+                        order.push(index(*slot));
+                        path.pop();
+                    }
                 }
             }
-            if !progressed {
-                let stuck = (0..n).find(|&i| !placed[i]).expect("cycle exists");
-                return Err(QueryError::Cycle {
-                    id: self.nodes[stuck].id.clone(),
-                });
-            }
         }
-        Ok(order)
+        Some(order)
+    }
+
+    /// Rebuilds the per-slot arrays in `order` (new slot → current slot),
+    /// with `target`'s inputs replaced by `rewired`. Sink state stays where
+    /// it is filed; the two scratch arrays hold nothing between calls.
+    fn lay_out(&mut self, order: &[u32], target: usize, rewired: &[u32]) {
+        let mut new_of = vec![0u32; order.len()];
+        for (new, &old) in order.iter().enumerate() {
+            new_of[old as usize] = index(new);
+        }
+        let mut inputs = Vec::with_capacity(self.inputs.len());
+        let slots = order
+            .iter()
+            .map(|&old| {
+                let lo = index(inputs.len());
+                let moved = self.inputs_with(old as usize, target, rewired);
+                inputs.extend(moved.iter().map(|&j| new_of[j as usize]));
+                Slot {
+                    op: self.slots[old as usize].op,
+                    lo,
+                    hi: index(inputs.len()),
+                }
+            })
+            .collect();
+        self.outs = order.iter().map(|&old| self.outs[old as usize]).collect();
+        self.tallies = order
+            .iter()
+            .map(|&old| self.tallies[old as usize])
+            .collect();
+        for slot in &mut self.slot_of {
+            *slot = new_of[*slot as usize];
+        }
+        self.slots = slots;
+        self.inputs = inputs;
+    }
+
+    /// The id behind a slot — the panic messages' reverse lookup.
+    fn id_of(&self, slot: usize) -> &str {
+        let node = self
+            .slot_of
+            .iter()
+            .position(|&s| s as usize == slot)
+            .expect("every slot holds a registered node");
+        &self.ids[node]
     }
 
     /// Evaluates the whole graph for one tick, topologically. `views[s]`
@@ -650,128 +919,53 @@ impl QueryGraph {
     /// in `views`.
     pub fn observe_tick(&mut self, views: &[StreamView], variances: &[f64]) {
         self.ticks += 1;
-        let mut outs: Vec<Option<NodeOut>> = self.nodes.iter().map(|n| n.out).collect();
-        for k in 0..self.topo.len() {
-            let i = self.topo[k];
-            let prev = outs[i];
-            let node = &mut self.nodes[i];
-            // Ratio of served bound to contract, recorded after the match
-            // so the `node.kind` borrow has ended.
-            let mut ratio = None;
-            let new_out = match &mut node.kind {
-                NodeKind::Raw { stream } => {
+        for slot in 0..self.slots.len() {
+            let Slot { op, lo, hi } = self.slots[slot];
+            let ins = &self.inputs[lo as usize..hi as usize];
+            match op {
+                Op::Raw { stream } => {
                     let Some(v) = views.get(stream.0) else {
-                        unfed_alias(&node.id, *stream, views.len(), "views");
+                        unfed_alias(self.id_of(slot), stream, views.len(), "views");
                     };
-                    Some(NodeOut {
+                    self.outs[slot] = Some(NodeOut {
                         value: v.value,
                         bound: v.delta,
                         variance: variances.get(stream.0).copied().unwrap_or(0.0),
                         staleness: v.staleness,
-                    })
+                    });
                 }
-                NodeKind::Aggregate {
-                    kind,
-                    inputs,
-                    contract,
-                } => {
-                    let member: Option<Vec<NodeOut>> = inputs.iter().map(|&j| outs[j]).collect();
-                    match member {
-                        Some(m) => {
-                            let out = aggregate_outs(*kind, &m);
-                            if let Some(c) = contract {
-                                ratio = Some(out.bound / *c);
-                            }
-                            Some(out)
+                Op::Aggregate { kind, contract } => {
+                    // An unpublished input leaves the last output standing.
+                    if let Some(out) = aggregate_outs(kind, ins, &self.outs) {
+                        if let Some(c) = contract {
+                            let tally = &mut self.tallies[slot];
+                            tally.max_ratio = tally.max_ratio.max(out.bound / c);
                         }
-                        None => prev,
+                        self.outs[slot] = Some(out);
                     }
                 }
-                NodeKind::Tumbling {
-                    input,
-                    pane,
-                    contract,
-                    sum_value,
-                    sum_bound,
-                    sum_sigma,
-                    max_staleness,
-                    filled,
-                    just_closed,
-                    panes_closed,
-                    ..
-                } => {
-                    if let Some(v) = outs[*input] {
-                        *sum_value += v.value;
-                        *sum_bound += v.bound;
-                        *sum_sigma += v.variance.max(0.0).sqrt();
-                        *max_staleness = (*max_staleness).max(v.staleness);
-                        *filled += 1;
-                        if *filled == *pane {
-                            let w = *pane as f64;
-                            let closed = NodeOut {
-                                value: *sum_value / w,
-                                bound: *sum_bound / w,
-                                // Serial correlation across the pane's ticks
-                                // breaks independence, so the pane variance
-                                // is the conservative full-correlation
-                                // bound ((Σσ)/W)².
-                                variance: (*sum_sigma / w) * (*sum_sigma / w),
-                                staleness: *max_staleness,
-                            };
-                            ratio = Some(closed.bound / *contract);
-                            *sum_value = 0.0;
-                            *sum_bound = 0.0;
-                            *sum_sigma = 0.0;
-                            *max_staleness = 0;
-                            *filled = 0;
-                            *just_closed = true;
-                            *panes_closed += 1;
-                            Some(closed)
-                        } else {
-                            prev // last closed pane stays published
-                        }
-                    } else {
-                        prev
+                Op::Tumbling { pane } => {
+                    let pane = &mut self.panes[pane as usize];
+                    let closed = self.outs[ins[0] as usize].and_then(|v| pane.observe(v));
+                    if let Some(closed) = closed {
+                        let tally = &mut self.tallies[slot];
+                        tally.max_ratio = tally.max_ratio.max(closed.bound / pane.contract);
+                        self.outs[slot] = Some(closed);
                     }
                 }
-                NodeKind::Alert {
-                    input,
-                    threshold,
-                    state,
-                    transitions,
-                    ..
-                } => {
-                    if let Some(v) = outs[*input] {
-                        let next = evaluate_threshold(
-                            &Answer {
-                                value: v.value,
-                                bound: v.bound,
-                                max_staleness: v.staleness,
-                            },
-                            *threshold,
-                        );
-                        if next != *state {
-                            *transitions += 1;
-                        }
-                        *state = next;
+                // Alerts and sliding windows publish no `NodeOut`: theirs
+                // stays `None`, which keeps them out of `answer()`.
+                Op::Alert { alert } => {
+                    if let Some(v) = self.outs[ins[0] as usize] {
+                        self.alerts[alert as usize].observe(v);
                     }
-                    // Alerts and sliding windows publish no `NodeOut`:
-                    // theirs stays `None`, which keeps them out of
-                    // `answer()`.
-                    continue;
                 }
-                NodeKind::Sliding { input, served, .. } => {
-                    if let Some(v) = outs[*input] {
-                        served.push(v.value, v.bound);
+                Op::Sliding { window } => {
+                    if let Some(v) = self.outs[ins[0] as usize] {
+                        self.windows[window as usize].served.push(v.value, v.bound);
                     }
-                    continue;
                 }
-            };
-            if let Some(r) = ratio {
-                node.max_ratio = node.max_ratio.max(r);
             }
-            node.out = new_out;
-            outs[i] = new_out;
         }
     }
 
@@ -788,104 +982,59 @@ impl QueryGraph {
     /// in `truth`. A stream whose truth is unknown this tick is passed as
     /// `NaN` and skipped.
     pub fn verify_tick(&mut self, truth: &[f64]) -> u64 {
-        let mut tv = vec![f64::NAN; self.nodes.len()];
-        let outs: Vec<Option<NodeOut>> = self.nodes.iter().map(|n| n.out).collect();
         let z = self.z;
         let mut new_violations = 0u64;
-        for k in 0..self.topo.len() {
-            let i = self.topo[k];
-            let node = &mut self.nodes[i];
-            // Served-vs-truth pair to check, filled in by the match and
-            // applied after it (so the `node.kind` borrow has ended).
+        for slot in 0..self.slots.len() {
+            let Slot { op, lo, hi } = self.slots[slot];
+            let ins = &self.inputs[lo as usize..hi as usize];
+            // Served-vs-truth pair to check against the worst-case bound
+            // and the distributional interval.
             let mut check: Option<(NodeOut, f64)> = None;
             // An alert verdict or a window answer the truth contradicts.
             let mut broken = false;
-            match &mut node.kind {
-                NodeKind::Raw { stream } => {
+            match op {
+                Op::Raw { stream } => {
                     let Some(&t) = truth.get(stream.0) else {
-                        unfed_alias(&node.id, *stream, truth.len(), "truths");
+                        unfed_alias(self.id_of(slot), stream, truth.len(), "truths");
                     };
-                    tv[i] = t;
+                    self.mirror[slot] = t;
                 }
-                NodeKind::Aggregate { kind, inputs, .. } => {
-                    let vals: Vec<f64> = inputs.iter().map(|&j| tv[j]).collect();
-                    if vals.iter().all(|v| v.is_finite()) {
-                        tv[i] = aggregate_values(*kind, &vals);
-                    }
+                Op::Aggregate { kind, .. } => {
+                    self.mirror[slot] = aggregate_values(kind, ins, &self.mirror);
                 }
-                NodeKind::Tumbling {
-                    input,
-                    pane,
-                    just_closed,
-                    truth_sum,
-                    truth_filled,
-                    truth_closed,
-                    ..
-                } => {
-                    let t_in = tv[*input];
+                Op::Tumbling { pane } => {
+                    check = self.panes[pane as usize]
+                        .verify(self.mirror[ins[0] as usize], self.outs[slot]);
+                }
+                Op::Alert { alert } => {
+                    let t_in = self.mirror[ins[0] as usize];
+                    broken = t_in.is_finite() && self.alerts[alert as usize].contradicted_by(t_in);
+                }
+                Op::Sliding { window } => {
+                    let t_in = self.mirror[ins[0] as usize];
                     if t_in.is_finite() {
-                        *truth_sum += t_in;
-                        *truth_filled += 1;
-                        if *truth_filled == *pane {
-                            *truth_closed = Some(*truth_sum / *pane as f64);
-                            *truth_sum = 0.0;
-                            *truth_filled = 0;
-                        }
-                    }
-                    if *just_closed {
-                        *just_closed = false;
-                        if let (Some(out), Some(t)) = (outs[i], *truth_closed) {
-                            check = Some((out, t));
-                        }
-                    }
-                }
-                NodeKind::Alert {
-                    input,
-                    threshold,
-                    state,
-                    ..
-                } => {
-                    let t_in = tv[*input];
-                    if t_in.is_finite() {
-                        broken = match state {
-                            AlertState::Firing => t_in <= *threshold,
-                            AlertState::Quiet => t_in > *threshold,
-                            AlertState::Uncertain => false,
-                        };
-                    }
-                }
-                NodeKind::Sliding {
-                    input,
-                    served,
-                    mirror,
-                    ..
-                } => {
-                    let t_in = tv[*input];
-                    if t_in.is_finite() {
-                        broken = window_contradicts(served, mirror, t_in);
+                        let w = &mut self.windows[window as usize];
+                        broken = window_contradicts(&w.served, &mut w.mirror, t_in);
                     }
                 }
             }
-            if node.is_value() {
-                if let (Some(out), t) = (outs[i], tv[i]) {
-                    if t.is_finite() {
-                        check = Some((out, t));
-                    }
-                }
+            if op.is_value() && self.mirror[slot].is_finite() {
+                check = self.outs[slot].map(|out| (out, self.mirror[slot]));
             }
+            let tally = &mut self.tallies[slot];
             if let Some((out, t)) = check {
                 let err = (out.value - t).abs();
                 if violates(err, out.bound) {
-                    node.violations += 1;
+                    tally.violations += 1;
                     new_violations += 1;
                 }
-                node.checked += 1;
+                tally.checked += 1;
                 if !violates(err, z * out.variance.max(0.0).sqrt()) {
-                    node.covered += 1;
+                    tally.covered += 1;
                 }
             }
             if broken {
-                node.violations += 1;
+                tally.violations += 1;
                 new_violations += 1;
             }
         }
@@ -916,111 +1065,56 @@ impl QueryGraph {
     /// registered query constrains are absent from the result. With
     /// feedback off the result is tick-invariant (the static propagation).
     pub fn required_deltas(&mut self) -> HashMap<StreamId, f64> {
-        let n = self.nodes.len();
-        let outs: Vec<Option<NodeOut>> = self.nodes.iter().map(|n| n.out).collect();
-        let mut granted = vec![f64::INFINITY; n];
-        let mut required: HashMap<StreamId, f64> = HashMap::new();
+        // Sized once: at most one entry per raw alias.
+        let mut required: HashMap<StreamId, f64> = HashMap::with_capacity(self.raws);
         let feedback = self.feedback;
         let mut relaxations = 0u64;
-        for k in (0..self.topo.len()).rev() {
-            let i = self.topo[k];
-            let node = &mut self.nodes[i];
-            match &mut node.kind {
-                NodeKind::Raw { stream } => {
-                    let g = granted[i];
-                    if g.is_finite() {
+        for slot in (0..self.slots.len()).rev() {
+            let Slot { op, lo, hi } = self.slots[slot];
+            let ins = &self.inputs[lo as usize..hi as usize];
+            // Every consumer sits later in the order and has been walked,
+            // so this slot's grant is final; taking it leaves the scratch
+            // all-∞ for the next call.
+            let granted = std::mem::replace(&mut self.granted[slot], f64::INFINITY);
+            // What this slot grants each of its inputs (∞: nothing).
+            let per = match op {
+                Op::Raw { stream } => {
+                    if granted.is_finite() {
                         required
-                            .entry(*stream)
-                            .and_modify(|d| *d = d.min(g))
-                            .or_insert(g);
+                            .entry(stream)
+                            .and_modify(|d| *d = d.min(granted))
+                            .or_insert(granted);
+                    }
+                    continue;
+                }
+                Op::Aggregate { kind, contract } => {
+                    let eff = contract.unwrap_or(f64::INFINITY).min(granted);
+                    match kind {
+                        AggKind::Avg | AggKind::Min | AggKind::Max => eff,
+                        AggKind::Sum => eff / ins.len() as f64,
                     }
                 }
-                NodeKind::Aggregate {
-                    kind,
-                    inputs,
-                    contract,
-                } => {
-                    let eff = contract.unwrap_or(f64::INFINITY).min(granted[i]);
-                    if eff.is_finite() {
-                        let per = match kind {
-                            AggKind::Avg | AggKind::Min | AggKind::Max => eff,
-                            AggKind::Sum => eff / inputs.len() as f64,
-                        };
-                        for &j in inputs.iter() {
-                            granted[j] = granted[j].min(per);
-                        }
-                    }
-                }
-                NodeKind::Tumbling {
-                    input,
-                    pane,
-                    contract,
-                    sum_bound,
-                    filled,
-                    last_grant,
-                    recent_grants,
-                    ..
-                } => {
-                    let g = if feedback {
-                        let budget = *contract * *pane as f64;
-                        let remaining = *pane - *filled;
-                        let max_recent = recent_grants.iter().fold(*last_grant, |a, &b| a.max(b));
-                        let g = if remaining > GRANT_LAG {
-                            // Unspent budget spread over the remaining
-                            // ticks, minus GRANT_LAG ticks reserved at the
-                            // recent grant level: even if every in-flight
-                            // directive lands late, the pane-average bound
-                            // stays ≤ contract.
-                            (budget - *sum_bound - GRANT_LAG as f64 * max_recent)
-                                / (remaining - GRANT_LAG) as f64
-                        } else {
-                            // Final lag window of the pane: no new decision
-                            // can land in time, hold the last grant.
-                            *last_grant
-                        };
-                        g.clamp(0.0, PANE_RELAX_CAP * *contract)
-                    } else {
-                        *contract
-                    };
-                    if g > *contract * (1.0 + 1e-9) {
+                Op::Tumbling { pane } => {
+                    let pane = &mut self.panes[pane as usize];
+                    let g = pane.grant(feedback);
+                    if g > pane.contract * (1.0 + 1e-9) {
                         relaxations += 1;
                     }
-                    recent_grants.rotate_left(1);
-                    recent_grants[GRANT_LAG - 1] = g;
-                    *last_grant = g;
-                    granted[*input] = granted[*input].min(g);
+                    g
                 }
-                NodeKind::Alert {
-                    input,
-                    threshold,
-                    margin,
-                    ..
-                } => {
-                    let g = if feedback {
-                        match outs[*input] {
-                            Some(v) => {
-                                let dist = (v.value - *threshold).abs() - v.bound;
-                                if dist > ALERT_RELAX_AT * *margin {
-                                    (dist / ALERT_RELAX_DIV).max(*margin)
-                                } else {
-                                    *margin
-                                }
-                            }
-                            None => *margin,
-                        }
-                    } else {
-                        *margin
-                    };
-                    if g > *margin * (1.0 + 1e-9) {
+                Op::Alert { alert } => {
+                    let alert = &self.alerts[alert as usize];
+                    let g = alert.grant(feedback, self.outs[ins[0] as usize]);
+                    if g > alert.margin * (1.0 + 1e-9) {
                         relaxations += 1;
                     }
-                    granted[*input] = granted[*input].min(g);
+                    g
                 }
-                NodeKind::Sliding {
-                    input, contract, ..
-                } => {
-                    granted[*input] = granted[*input].min(*contract);
-                }
+                Op::Sliding { window } => self.windows[window as usize].contract,
+            };
+            for &j in ins {
+                let g = &mut self.granted[j as usize];
+                *g = g.min(per);
             }
         }
         self.relaxations += relaxations;
@@ -1032,8 +1126,7 @@ impl QueryGraph {
     /// the first evaluation, for alerts and sliding windows (see
     /// [`QueryGraph::window_answer`]), and for unknown ids.
     pub fn answer(&self, id: &str) -> Option<Answer> {
-        let node = &self.nodes[*self.by_id.get(id)?];
-        node.out.map(|o| Answer {
+        self.outs[self.slot(id)?].map(|o| Answer {
             value: o.value,
             bound: o.bound,
             max_staleness: o.staleness,
@@ -1044,8 +1137,7 @@ impl QueryGraph {
     /// vocabularies: the worst-case δ bound and a calibrated `± z·σ`
     /// interval at two-sided coverage `level`.
     pub fn distributional(&self, id: &str, level: f64) -> Option<DistributionalAnswer> {
-        let node = &self.nodes[*self.by_id.get(id)?];
-        node.out.map(|o| {
+        self.outs[self.slot(id)?].map(|o| {
             let stddev = o.variance.max(0.0).sqrt();
             DistributionalAnswer {
                 value: o.value,
@@ -1060,16 +1152,16 @@ impl QueryGraph {
     /// The latest answer of a sliding-window node. `None` before its first
     /// tick, for every other node kind, and for unknown ids.
     pub fn window_answer(&self, id: &str) -> Option<WindowAnswer> {
-        match &self.nodes[*self.by_id.get(id)?].kind {
-            NodeKind::Sliding { served, .. } => served.answer(),
+        match self.slots[self.slot(id)?].op {
+            Op::Sliding { window } => self.windows[window as usize].served.answer(),
             _ => None,
         }
     }
 
     /// Current verdict of an alert node.
     pub fn alert_state(&self, id: &str) -> Option<AlertState> {
-        match &self.nodes[*self.by_id.get(id)?].kind {
-            NodeKind::Alert { state, .. } => Some(*state),
+        match self.slots[self.slot(id)?].op {
+            Op::Alert { alert } => Some(self.alerts[alert as usize].state),
             _ => None,
         }
     }
@@ -1086,7 +1178,7 @@ impl QueryGraph {
     /// node and pane close. `None` before any check.
     pub fn coverage(&self) -> Option<f64> {
         let (cov, chk) = self
-            .nodes
+            .tallies
             .iter()
             .fold((0u64, 0u64), |(c, t), n| (c + n.covered, t + n.checked));
         (chk > 0).then(|| cov as f64 / chk as f64)
@@ -1094,8 +1186,8 @@ impl QueryGraph {
 
     /// Per-node `(covered, checked)` distributional-coverage counts.
     pub fn node_coverage(&self, id: &str) -> Option<(u64, u64)> {
-        let node = &self.nodes[*self.by_id.get(id)?];
-        Some((node.covered, node.checked))
+        let tally = &self.tallies[self.slot(id)?];
+        Some((tally.covered, tally.checked))
     }
 
     /// Ticks × operators on which punctuation relaxed a grant above its
@@ -1108,50 +1200,88 @@ impl QueryGraph {
     /// nodes — ≤ 1 means every published answer honored its registered
     /// contract, punctuation or not.
     pub fn max_contract_ratio(&self) -> f64 {
-        self.nodes.iter().fold(0.0, |a, n| a.max(n.max_ratio))
+        self.tallies.iter().fold(0.0, |a, n| a.max(n.max_ratio))
     }
 }
 
-/// Aggregate value/bound/variance arithmetic over member outputs. Value and
-/// bound follow [`crate::answer_aggregate`]'s interval arithmetic exactly
-/// (AVG: mean of bounds, SUM: sum, MIN/MAX: max); variance propagates as
-/// Σσ²/k² (AVG, independent members), Σσ² (SUM), and max σ² (MIN/MAX — a
-/// heuristic, not a true extreme-value quantile; experiment Q3's coverage
-/// gate is the empirical check).
-fn aggregate_outs(kind: AggKind, member: &[NodeOut]) -> NodeOut {
-    let k = member.len() as f64;
-    let staleness = member.iter().map(|m| m.staleness).max().unwrap_or(0);
-    let (value, bound, variance) = match kind {
-        AggKind::Avg => (
-            member.iter().map(|m| m.value).sum::<f64>() / k,
-            member.iter().map(|m| m.bound).sum::<f64>() / k,
-            member.iter().map(|m| m.variance).sum::<f64>() / (k * k),
-        ),
-        AggKind::Sum => (
-            member.iter().map(|m| m.value).sum::<f64>(),
-            member.iter().map(|m| m.bound).sum::<f64>(),
-            member.iter().map(|m| m.variance).sum::<f64>(),
-        ),
-        AggKind::Min => (
-            member.iter().map(|m| m.value).fold(f64::INFINITY, f64::min),
-            member.iter().map(|m| m.bound).fold(0.0, f64::max),
-            member.iter().map(|m| m.variance).fold(0.0, f64::max),
-        ),
-        AggKind::Max => (
-            member
-                .iter()
-                .map(|m| m.value)
-                .fold(f64::NEG_INFINITY, f64::max),
-            member.iter().map(|m| m.bound).fold(0.0, f64::max),
-            member.iter().map(|m| m.variance).fold(0.0, f64::max),
-        ),
-    };
-    NodeOut {
-        value,
-        bound,
-        variance,
-        staleness,
+/// What `Iterator::sum::<f64>()` starts from. The folds below start their
+/// sums here too, so that an aggregate publishes the bits the
+/// `Vec`-per-aggregate formulation (`tests/graph_proptests.rs`) sums to —
+/// including the sign of an all-`-0.0` input.
+const SUM_START: f64 = -0.0;
+
+/// Where the in-place fold of an aggregate's member values starts …
+fn fold_start(kind: AggKind) -> f64 {
+    match kind {
+        AggKind::Avg | AggKind::Sum => SUM_START,
+        AggKind::Min => f64::INFINITY,
+        AggKind::Max => f64::NEG_INFINITY,
     }
+}
+
+/// … and how it takes in the next member, in input order (AVG divides by
+/// the member count once, at the end).
+fn fold_step(kind: AggKind, acc: f64, x: f64) -> f64 {
+    match kind {
+        AggKind::Avg | AggKind::Sum => acc + x,
+        AggKind::Min => acc.min(x),
+        AggKind::Max => acc.max(x),
+    }
+}
+
+/// Aggregate value/bound/variance arithmetic over the published outputs of
+/// the slots `ins`, folded in input order; `None` when one of them has
+/// published nothing yet. Value and bound follow
+/// [`crate::answer_aggregate`]'s interval arithmetic exactly (AVG: mean of
+/// bounds, SUM: sum, MIN/MAX: max); variance propagates as Σσ²/k² (AVG,
+/// independent members), Σσ² (SUM), and max σ² (MIN/MAX — a heuristic, not
+/// a true extreme-value quantile; experiment Q3's coverage gate is the
+/// empirical check).
+fn aggregate_outs(kind: AggKind, ins: &[u32], outs: &[Option<NodeOut>]) -> Option<NodeOut> {
+    let sums = matches!(kind, AggKind::Avg | AggKind::Sum);
+    let spread = if sums { SUM_START } else { 0.0 };
+    let mut acc = NodeOut {
+        value: fold_start(kind),
+        bound: spread,
+        variance: spread,
+        staleness: 0,
+    };
+    for &j in ins {
+        let m = outs[j as usize]?;
+        acc.value = fold_step(kind, acc.value, m.value);
+        if sums {
+            acc.bound += m.bound;
+            acc.variance += m.variance;
+        } else {
+            acc.bound = acc.bound.max(m.bound);
+            acc.variance = acc.variance.max(m.variance);
+        }
+        acc.staleness = acc.staleness.max(m.staleness);
+    }
+    if kind == AggKind::Avg {
+        let k = ins.len() as f64;
+        acc.value /= k;
+        acc.bound /= k;
+        acc.variance /= k * k;
+    }
+    Some(acc)
+}
+
+/// The same aggregate arithmetic over the truth mirror's plain values;
+/// `NaN` when an input's truth is unknown this tick.
+fn aggregate_values(kind: AggKind, ins: &[u32], mirror: &[f64]) -> f64 {
+    let mut acc = fold_start(kind);
+    for &j in ins {
+        let t = mirror[j as usize];
+        if !t.is_finite() {
+            return f64::NAN;
+        }
+        acc = fold_step(kind, acc, t);
+    }
+    if kind == AggKind::Avg {
+        acc /= ins.len() as f64;
+    }
+    acc
 }
 
 /// Slides `truth` into the mirror (bound 0, so the mirror's answer *is* the
@@ -1173,40 +1303,30 @@ fn window_contradicts(served: &WindowAgg, mirror: &mut WindowAgg, truth: f64) ->
     }
 }
 
-/// The same aggregate arithmetic over plain values (the truth mirror).
-fn aggregate_values(kind: AggKind, vals: &[f64]) -> f64 {
-    let k = vals.len() as f64;
-    match kind {
-        AggKind::Avg => vals.iter().sum::<f64>() / k,
-        AggKind::Sum => vals.iter().sum::<f64>(),
-        AggKind::Min => vals.iter().copied().fold(f64::INFINITY, f64::min),
-        AggKind::Max => vals.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-    }
-}
-
 impl Instrument for QueryGraph {
     fn export(&self, scope: &mut Scope<'_>) {
         scope.counter("ticks", self.ticks);
         scope.counter("violations", self.violations);
         scope.counter("relaxations", self.relaxations);
-        scope.counter("nodes", self.nodes.len() as u64);
+        scope.counter("nodes", self.slots.len() as u64);
         if let Some(c) = self.coverage() {
             scope.gauge("coverage", c);
         }
         scope.gauge("max_contract_ratio", self.max_contract_ratio());
         let mut nodes = scope.scope("node");
-        for n in &self.nodes {
-            let mut s = nodes.scope(&n.id);
-            s.counter("violations", n.violations);
-            if n.checked > 0 {
-                s.gauge("coverage", n.covered as f64 / n.checked as f64);
+        for (id, &slot) in self.ids.iter().zip(&self.slot_of) {
+            let tally = &self.tallies[slot as usize];
+            let mut s = nodes.scope(id);
+            s.counter("violations", tally.violations);
+            if tally.checked > 0 {
+                s.gauge("coverage", tally.covered as f64 / tally.checked as f64);
             }
-            match &n.kind {
-                NodeKind::Tumbling { panes_closed, .. } => {
-                    s.counter("panes_closed", *panes_closed);
+            match self.slots[slot as usize].op {
+                Op::Tumbling { pane } => {
+                    s.counter("panes_closed", self.panes[pane as usize].closed);
                 }
-                NodeKind::Alert { transitions, .. } => {
-                    s.counter("transitions", *transitions);
+                Op::Alert { alert } => {
+                    s.counter("transitions", self.alerts[alert as usize].transitions);
                 }
                 _ => {}
             }
@@ -1299,6 +1419,34 @@ mod tests {
         g.rewire("a", &["s0", "s1"]).unwrap();
         g.observe_tick(&[view(2.0, 0.1), view(4.0, 0.1)], &[0.0, 0.0]);
         assert_eq!(g.answer("a").unwrap().value, 3.0);
+    }
+
+    #[test]
+    fn cycle_error_names_the_rewired_node_not_a_downstream_one() {
+        let mut g = QueryGraph::new();
+        g.add_raw("r", StreamId(0)).unwrap();
+        for id in ["p", "q", "s"] {
+            g.add_aggregate(id, AggKind::Avg, &["r"], None).unwrap();
+        }
+        // r → s → q → p: evaluation order is now the reverse of
+        // registration order for the three aggregates.
+        g.rewire("p", &["q"]).unwrap();
+        g.rewire("q", &["s"]).unwrap();
+        // s ← q closes s → q → s; p only hangs off the loop. The first
+        // unplaced node in registration order is p, which is what the
+        // sweep-until-stuck ordering used to report.
+        assert_eq!(
+            g.rewire("s", &["q"]),
+            Err(QueryError::Cycle { id: "s".into() })
+        );
+        // Rolled back: the chain still evaluates end to end in one tick.
+        g.observe_tick(&[view(7.0, 0.25)], &[0.0]);
+        for id in ["s", "q", "p"] {
+            let a = g.answer(id).unwrap();
+            assert_eq!((a.value, a.bound), (7.0, 0.25), "{id}");
+        }
+        assert_eq!(g.verify_tick(&[7.0]), 0);
+        assert_eq!(g.node_coverage("p"), Some((1, 1)));
     }
 
     #[test]

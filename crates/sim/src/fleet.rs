@@ -509,8 +509,7 @@ where
             if let Some(payload) = stream.producer.observe(now, &observed[i]) {
                 links[i].send(now, payload);
             }
-            let due: Vec<_> = links[i].deliver(now).collect();
-            for msg in due {
+            for msg in links[i].deliver(now) {
                 stream.consumer.receive(now, &msg.payload);
             }
             stream.consumer.estimate(now, &mut estimates[i]);
@@ -518,8 +517,7 @@ where
             while let Some(fb) = stream.consumer.poll_feedback(now) {
                 ack_links[i].send(now, fb);
             }
-            let due: Vec<_> = ack_links[i].deliver(now).collect();
-            for msg in due {
+            for msg in ack_links[i].deliver(now) {
                 stream.producer.feedback(now, &msg.payload);
             }
             err_obs[i].record(max_norm_diff(&estimates[i], &observed[i]));

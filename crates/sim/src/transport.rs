@@ -138,10 +138,9 @@ impl Transport for SimTransport {
     }
 
     fn recv(&mut self, now: Tick, sink: &mut dyn FnMut(u32, Bytes)) {
-        // Collect first: the deliver iterator borrows the link, and sinks
-        // routinely re-enter protocol state (tiny: usually 0 or 1 due).
-        let due: Vec<_> = self.forward.deliver(now).collect();
-        for msg in due {
+        // The deliver iterator borrows the link only, so a sink is free to
+        // re-enter protocol state while it runs.
+        for msg in self.forward.deliver(now) {
             sink(msg.stream_id, msg.payload);
         }
     }
@@ -151,8 +150,7 @@ impl Transport for SimTransport {
     }
 
     fn recv_feedback(&mut self, now: Tick, sink: &mut dyn FnMut(u32, Bytes)) {
-        let due: Vec<_> = self.feedback.deliver(now).collect();
-        for msg in due {
+        for msg in self.feedback.deliver(now) {
             sink(msg.stream_id, msg.payload);
         }
     }
