@@ -71,7 +71,6 @@ if [[ -n "${GITHUB_STEP_SUMMARY:-}" ]]; then
         echo "| metric | value |"
         echo "|---|---:|"
         echo "| fleet_total_messages | $(json_num "$ART/bench_kernels.json" fleet_total_messages) |"
-        echo "| batch_fleet_speedup (same-run ratio) | $(json_num "$ART/bench_kernels.json" batch_fleet_speedup) |"
         echo "| ingest messages (quick shape) | $(json_num "$ART/bench_ingest.json" messages) |"
         echo "| ingest packed_bytes (quick shape) | $(json_num "$ART/bench_ingest.json" packed_bytes) |"
         echo "| q3 savings_fraction | $(json_num "$ART/exp_q3_query_graph.metrics.json" gate.savings_fraction) |"

@@ -45,6 +45,19 @@ if grep -nE 'regression_tolerance|capacity|speedup_' BENCH_*.json; then
     exit 1
 fi
 
+echo "==> one static Kalman step: the batch lanes load, call the kernel and store; no wall-clock gate"
+# Non-test code of batch.rs only: the factorisation and the products live
+# in crates/linalg/src/static_kernel.rs and nowhere else.
+if sed '/#\[cfg(test)\]/,$d' crates/filter/src/batch.rs |
+    grep -nE 'sqrt|split_at_mut|reset_planes'; then
+    echo "crates/filter/src/batch.rs spells kernel arithmetic over planes again" >&2
+    exit 1
+fi
+if grep -n 'MIN_BATCH_SPEEDUP' crates/bench/src/regression.rs; then
+    echo "crates/bench/src/regression.rs gates a wall-clock ratio again" >&2
+    exit 1
+fi
+
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 

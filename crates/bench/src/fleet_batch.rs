@@ -1,11 +1,15 @@
 //! Fleet-scale filter stepping: scalar per-stream filters vs the
 //! structure-of-arrays batch kernels, on identical deterministic workloads.
 //!
-//! The tentpole claim this module measures is the one `BENCH_kernels.json`
-//! gates: packing same-model streams into `FleetBatch` lanes and stepping
-//! predict → update → suppression-decision in plane loops is **multiple
-//! times faster** than stepping each `KalmanFilter` individually — at
-//! bit-identical output. Both runners:
+//! What this module checks is the identity `BENCH_kernels.json` gates:
+//! packing same-model streams into `FleetBatch` lanes and stepping
+//! predict → update → suppression-decision a chunk of lanes at a time
+//! leaves **bit-identical output** to stepping each `KalmanFilter`
+//! individually. It also times both sides; the ratio is printed, not
+//! gated (a wall-clock ratio on a shared host is noise — the pinned
+//! `filter.batch.step_ns_per_lane` / `linalg.static_kernel.step_ns` pair of
+//! the `benchmark/` crate's traced run is the speed evidence). Both
+//! runners:
 //!
 //! * build one constant-velocity filter per stream with deterministic
 //!   per-stream initial state,
@@ -16,11 +20,10 @@
 //!   count bit-for-bit.
 //!
 //! Threading is identical on both sides — streams are chunked across the
-//! same number of worker threads — so the measured ratio isolates the
+//! same number of worker threads — so the printed ratio isolates the
 //! kernel layout, not parallelism. The digests must match exactly
 //! ([`FleetBatchRun::matches`]); `check_regression` fails the build if they
-//! ever don't, or if the speedup falls below
-//! [`crate::regression::MIN_BATCH_SPEEDUP`].
+//! ever don't.
 
 use std::time::{Duration, Instant};
 

@@ -14,19 +14,6 @@
 
 use std::borrow::Cow;
 
-/// Floor on the scalar-vs-batch fleet speedup (`batch_fleet_speedup` in
-/// `BENCH_kernels.json`). The structure-of-arrays kernels are the point of
-/// the batch layer; if packing 1 000 same-model streams into `FleetBatch`
-/// lanes ever drops below this multiple of the scalar path, the layout (or
-/// a dispatch change on top of it) has regressed and the gate fails — no
-/// host tolerance, since the ratio is measured on one machine in one run.
-///
-/// The scalar side is `KalmanFilter::predict`/`update`, which since the
-/// shape dispatch run the same monomorphized kernel the lanes do: the
-/// ratio now prices the layout alone (4–5.5× measured, against ≈ 15× when
-/// the scalar side was the shape-generic code and the floor was 4.0).
-pub const MIN_BATCH_SPEEDUP: f64 = 2.5;
-
 /// Floor on the measured offered-load swing (`swing_factor` in
 /// `BENCH_elastic.json`): the hot phase must offer at least this multiple
 /// of the quiet phases' frames per tick, or the elastic experiment is no
@@ -71,8 +58,6 @@ const KERNELS: &[Row] = &[
     ("allocs_per_tick", Rule::Exact(&[])),
     ("allocs_per_filter_step", Rule::Exact(&[])),
     ("fleet_total_messages", Rule::Exact(KERNELS_FLEET)),
-    // A same-run, same-host ratio: the one timing a row may hold.
-    ("batch_fleet_speedup", Rule::Floor(MIN_BATCH_SPEEDUP)),
     ("batch_matches_scalar", Rule::AllTrue),
 ];
 

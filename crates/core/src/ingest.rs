@@ -226,6 +226,12 @@ pub struct IngestResult {
     /// Every endpoint, sorted by stream id — the state a caller compares
     /// bit-for-bit against the sequential reference.
     pub endpoints: Vec<(u32, ServerEndpoint)>,
+    /// Frames whose *header* was malformed where a sharded pipeline splits
+    /// the tick between its shards: a truncated header or an overrunning
+    /// length ends that tick's walk, and no shard ever sees the frame. Zero
+    /// for the inline engines, whose one shard meets the same fault in its
+    /// own decoder and counts it in its report.
+    pub router_decode_failures: u64,
 }
 
 impl IngestResult {
@@ -239,9 +245,9 @@ impl IngestResult {
         self.shards.iter().map(|s| s.bytes_in).sum()
     }
 
-    /// Total decode failures across shards.
+    /// Total decode failures: every shard's, and the router's.
     pub fn total_decode_failures(&self) -> u64 {
-        self.shards.iter().map(|s| s.decode_failures).sum()
+        self.shards.iter().map(|s| s.decode_failures).sum::<u64>() + self.router_decode_failures
     }
 }
 
@@ -399,6 +405,7 @@ impl Shard {
         IngestResult {
             shards: vec![report],
             endpoints: self.endpoints,
+            router_decode_failures: 0,
         }
     }
 }
@@ -639,12 +646,6 @@ impl IngestPipeline {
         }
     }
 
-    /// Frames whose *headers* were malformed at the router (body failures
-    /// are counted by the shard that owned the frame).
-    pub fn router_decode_failures(&self) -> u64 {
-        self.router.decode_failures()
-    }
-
     /// Routes one tick's framed traffic to the shards and advances every
     /// endpoint one tick. `wire` is a batch as assembled by
     /// [`FrameBatch`]; it may be empty (a quiet tick still predicts).
@@ -727,7 +728,11 @@ impl IngestPipeline {
             report.shard = i;
         }
         endpoints.sort_by_key(|(id, _)| *id);
-        IngestResult { shards, endpoints }
+        IngestResult {
+            shards,
+            endpoints,
+            router_decode_failures: self.router.decode_failures(),
+        }
     }
 }
 
@@ -1348,6 +1353,38 @@ mod tests {
         let result = pipe.finish();
         assert_eq!(result.total_messages(), 1);
         assert_eq!(result.total_decode_failures(), 1);
+    }
+
+    #[test]
+    fn a_tick_truncated_mid_header_is_counted_by_every_engine() {
+        // One good frame, then three bytes of a second frame's eight-byte
+        // header: the sequential decoder and the pipeline's router both end
+        // the walk there, and both must say so in the result.
+        let measurement = SyncMessage::Measurement {
+            z: kalstream_linalg::Vector::from_slice(&[2.0]),
+        };
+        let mut batch = FrameBatch::new();
+        batch.push(0, &measurement);
+        let whole = batch.wire_len();
+        batch.push(1, &measurement);
+        let wire = &batch.as_bytes()[..whole + 3];
+
+        let (servers, _) = record_log(0, 2, 1);
+        let mut sequential = SequentialIngest::new(servers);
+        sequential.ingest_tick(wire);
+        let sequential = sequential.finish();
+        let (servers, _) = record_log(0, 2, 1);
+        let mut pipe = IngestPipeline::start(2, servers);
+        pipe.ingest_tick(wire);
+        let sharded = pipe.finish();
+
+        assert_eq!(sequential.total_messages(), 1);
+        assert_eq!(sharded.total_messages(), 1);
+        assert_eq!(sequential.total_decode_failures(), 1);
+        assert_eq!(
+            sharded.total_decode_failures(),
+            sequential.total_decode_failures()
+        );
     }
 
     #[test]

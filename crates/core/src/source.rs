@@ -36,8 +36,6 @@ pub struct SourceEndpoint {
     estimator: Estimator,
     shadow: KalmanFilter,
     config: ProtocolConfig,
-    /// Model the server currently runs (last one shipped in a Model sync).
-    synced_model_fingerprint: kalstream_filter::StateModel,
     rate: RateEstimator,
     ticks_since_sync: u64,
     /// `true` when the previous tick also synced — the signal that the
@@ -87,12 +85,10 @@ impl SourceEndpoint {
         config: ProtocolConfig,
     ) -> Self {
         let m = server_filter.model().measurement_dim();
-        let synced_model_fingerprint = server_filter.model().clone();
         SourceEndpoint {
             estimator,
             shadow: server_filter,
             config,
-            synced_model_fingerprint,
             rate: RateEstimator::new(512),
             ticks_since_sync: 0,
             synced_last_tick: false,
@@ -339,11 +335,11 @@ impl SourceEndpoint {
         // therefore ride along in ordinary State syncs implicitly — the
         // server's Q/R go stale, which affects only its uncertainty
         // metadata, not the values it serves (and the shadow mirrors the
-        // same staleness, so determinism holds).
-        let structural_change = model.f() != self.synced_model_fingerprint.f()
-            || model.h() != self.synced_model_fingerprint.h();
+        // same staleness, so determinism holds). The model the server runs
+        // is the shadow's: a Model sync hands both the same one.
+        let synced = self.shadow.model();
+        let structural_change = model.f() != synced.f() || model.h() != synced.h();
         if structural_change || force_model {
-            self.synced_model_fingerprint = model.clone();
             wire::put_model(&mut self.wire, model, x, active.covariance());
         } else {
             wire::put_state(&mut self.wire, x, active.covariance());
@@ -539,6 +535,18 @@ mod tests {
         let mut s = SourceEndpoint::new(Estimator::Fixed(kf.clone()), kf, config);
         let msg = s.decide(&[7.0]).expect("jump must sync");
         assert!(matches!(msg, SyncMessage::Measurement { .. }));
+    }
+
+    #[test]
+    fn endpoint_stays_small() {
+        // Footprint guard: 512 of these are walked every tick. The source
+        // holds the estimator and the shadow and nothing else model-sized —
+        // the model the server runs is the shadow's own, not a third copy.
+        assert!(
+            std::mem::size_of::<SourceEndpoint>() <= 7168,
+            "SourceEndpoint grew to {} bytes",
+            std::mem::size_of::<SourceEndpoint>()
+        );
     }
 
     #[test]

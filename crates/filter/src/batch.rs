@@ -1,121 +1,136 @@
 //! Structure-of-arrays fleet stepping: thousands of same-model filters
-//! advanced in tight columnar loops.
+//! advanced a few lanes at a time by the scalar filter's own kernel.
 //!
 //! The scalar path ([`KalmanFilter`]) steps one stream at a time, its
 //! state loaded from and stored back to `Vector`/`Matrix` values around
 //! every step — fine for a handful of streams, but at fleet scale the
 //! per-stream dispatch and the tiny (n ≤ 8) loop bodies leave the SIMD
-//! units idle. [`FleetBatch`] transposes
-//! the layout: each scalar *slot* of the state (`x[r]`, `P[r][c]`, …)
-//! becomes a contiguous **plane** of `len` lane values, and every filter
-//! operation becomes a handful of plane-wise fused loops the compiler
-//! auto-vectorizes across lanes. The model matrices are shared by all lanes
-//! through a [`StaticKernel`], so per-lane work is pure arithmetic.
+//! units idle. [`FleetBatch`] transposes the layout: each scalar *slot* of
+//! the state (`x[r]`, `P[r][c]`, …) becomes a contiguous **plane** of `len`
+//! lane values, so `W` neighbouring filters' copies of a slot are one
+//! contiguous load. A batch operation is then "for each chunk of `W`
+//! lanes: load the planes into [`Pack`]s, call the [`StaticKernel`], store"
+//! — the model matrices are shared by all lanes through the kernel, and
+//! every element-wise operation on a pack is one the compiler vectorizes.
 //!
-//! ## Equivalence contract
+//! ## Lanes run the scalar kernel
 //!
-//! For lanes whose state stays finite, stepping a lane through
-//! [`FleetBatch::predict_all`] / [`FleetBatch::update_all`] is
-//! **bit-identical** to stepping a scalar [`KalmanFilter`] (Joseph form)
-//! through `predict` / `update` with the same inputs — including suppression
-//! verdicts, which are pure functions of the (identical) state. Two facts
-//! make this work:
-//!
-//! 1. every plane loop performs the scalar kernel's floating-point
-//!    operations in the scalar kernel's order, per lane;
-//! 2. the scalar kernels' *zero-skip* (`matmul_into` skips `a == 0.0`
-//!    terms) is kept where the skipped factor comes from a **shared** model
-//!    matrix (uniform across lanes) and dropped where it is per-lane data.
-//!    Dropping it is bit-neutral for finite data: a skipped term is
-//!    `±0.0 · b = ±0.0`, accumulators here are never `-0.0` (they start at
-//!    `+0.0`, and IEEE-754 round-to-nearest addition never produces `-0.0`
-//!    from inputs that aren't both negative-signed), and `acc + ±0.0 == acc`
-//!    bit-for-bit for every such accumulator value.
+//! There is no batch arithmetic in this module. [`StaticKernel`]'s step
+//! is generic over the width it runs at (`kalstream_linalg::Lane`): a lone
+//! [`KalmanFilter`] instantiates it at `f64`, a chunk here at `Pack<W>`.
+//! Stepping a lane through [`FleetBatch::predict_all`] /
+//! [`FleetBatch::update_all`] is therefore **bit-identical** to stepping a
+//! scalar Joseph-form filter through `predict` / `update` with the same
+//! inputs — suppression verdicts included, which are pure functions of the
+//! (identical) state — because both *are* the same function. The one
+//! width-dependent rule, the products' zero-skip, is `Lane::is_zero`, whose
+//! docs carry the argument that it changes no bit of a finite lane.
 //!
 //! A lane that leaves finite range (counted by [`FleetBatch::predict_all`],
 //! flagged by [`FleetBatch::lane_is_finite`]) is outside the contract — the
 //! dispatcher demotes such lanes back to the scalar path, which owns the
-//! divergence bookkeeping.
+//! divergence bookkeeping. It cannot disturb its chunk neighbours: no pack
+//! operation mixes filters.
+//!
+//! [`KalmanFilter`]: crate::KalmanFilter
 
-// Explicit `0..N` index loops are kept throughout: each loop transcribes a
-// scalar kernel whose operation order is the bit-identity contract, and the
-// indices mirror that kernel's subscripts.
+// Explicit `0..N` index loops are kept: `r` and `c` are the subscripts of
+// `x_r` and `P[r][c]`, and each loop indexes a plane list and a pack array
+// by the same pair.
 #![allow(clippy::needless_range_loop)]
 
-use kalstream_linalg::{Matrix, StaticKernel, Vector};
+use kalstream_linalg::{Lane, Matrix, Pack, StaticKernel, Vector};
 
 use crate::{FilterError, Result, StateModel};
 
-/// Reusable plane-sized scratch for [`FleetBatch`] stepping.
-///
-/// Like [`crate::KalmanScratch`], every buffer is fully overwritten before
-/// it is read; contents never carry information between ticks.
-struct BatchScratch<const N: usize, const M: usize> {
-    /// Predicted state planes (`N`).
-    xt: Vec<Vec<f64>>,
-    /// Shared `N × N`-plane intermediate (`F P`, `(I−KH) P`).
-    tmp: Vec<Vec<f64>>,
-    /// Predicted / posterior covariance planes (`N · N`).
-    pt: Vec<Vec<f64>>,
-    /// `H P` planes (`M · N`), reused as the gain solve's right-hand side.
-    hp: Vec<Vec<f64>>,
-    /// Innovation planes (`M`).
-    innovation: Vec<Vec<f64>>,
-    /// Innovation covariance planes (`M · M`).
-    s: Vec<Vec<f64>>,
-    /// Cholesky factor planes (`M · M`).
-    l: Vec<Vec<f64>>,
-    /// Per-lane pivot tolerance.
-    tol: Vec<f64>,
-    /// Substitution column planes (`M`).
-    col: Vec<Vec<f64>>,
-    /// `S⁻¹ H P` planes (`M · N`); the gain `K` is its transpose view.
-    s_inv_hp: Vec<Vec<f64>>,
-    /// `K H` planes (`N · N`).
-    kh: Vec<Vec<f64>>,
-    /// `K R` planes (`N · M`).
-    kr: Vec<Vec<f64>>,
-    /// `K R Kᵀ` planes (`N · N`).
-    krk: Vec<Vec<f64>>,
-    /// Posterior state planes (`N`).
-    x_new: Vec<Vec<f64>>,
-}
+/// Lanes per kernel call: a constant picked by measurement, not a
+/// parameter (EXPERIMENTS.md T5, PR 22 addendum). At 2 the per-chunk
+/// loads, stores and bounds checks are paid twice as often; at 8 even a
+/// 2 × 1 chunk outgrows x86-64's sixteen vector registers; 4 was fastest
+/// or tied on every shape from 1 × 1 to 8 × 4.
+const W: usize = 4;
 
-impl<const N: usize, const M: usize> BatchScratch<N, M> {
-    fn new() -> Self {
-        let planes = |count: usize| (0..count).map(|_| Vec::new()).collect();
-        BatchScratch {
-            xt: planes(N),
-            tmp: planes(N * N),
-            pt: planes(N * N),
-            hp: planes(M * N),
-            innovation: planes(M),
-            s: planes(M * M),
-            l: planes(M * M),
-            tol: Vec::new(),
-            col: planes(M),
-            s_inv_hp: planes(M * N),
-            kh: planes(N * N),
-            kr: planes(N * M),
-            krk: planes(N * N),
-            x_new: planes(N),
+// The helpers below are `inline(always)`: left to its own cost model the
+// compiler keeps them as calls, every pack then crosses the call through
+// memory, and a 2 × 1 step costs half as much again (same addendum).
+
+/// One chunk's state and covariance, a [`Pack`] per slot.
+type Chunk<const N: usize> = ([Pack<W>; N], [[Pack<W>; N]; N]);
+
+/// `W` consecutive lanes of `plane` from `at`. A chunk that runs past the
+/// plane's end repeats the last lane: a copy of a real filter fails a
+/// pivot only where that filter does, and nothing past the end is ever
+/// stored or counted.
+#[inline(always)]
+fn load(plane: &[f64], at: usize) -> Pack<W> {
+    match plane[at..].first_chunk::<W>() {
+        Some(chunk) => Pack(*chunk),
+        None => {
+            let mut tail = Pack([plane[plane.len() - 1]; W]);
+            tail.0[..plane.len() - at].copy_from_slice(&plane[at..]);
+            tail
         }
     }
 }
 
-/// Zeroes every plane in `planes` to `len` lanes.
-fn reset_planes(planes: &mut [Vec<f64>], len: usize) {
-    for plane in planes.iter_mut() {
-        plane.clear();
-        plane.resize(len, 0.0);
+/// [`load`] for each of the `M` planes of a plane-major measurement batch.
+#[inline(always)]
+fn load_measurements<const M: usize>(z: &[f64], len: usize, at: usize) -> [Pack<W>; M] {
+    let mut zs = [Pack([0.0; W]); M];
+    for j in 0..M {
+        zs[j] = load(&z[j * len..(j + 1) * len], at);
     }
+    zs
+}
+
+/// Writes `v`'s lanes to `plane` from `at`, dropping those past its end.
+#[inline(always)]
+fn store(plane: &mut [f64], at: usize, v: Pack<W>) {
+    match plane[at..].first_chunk_mut::<W>() {
+        Some(chunk) => *chunk = v.0,
+        None => {
+            let n = plane.len() - at;
+            plane[at..].copy_from_slice(&v.0[..n]);
+        }
+    }
+}
+
+/// [`store`] for every slot of a chunk.
+#[inline(always)]
+fn store_chunk<const N: usize>(
+    x_planes: &mut [Vec<f64>],
+    p_planes: &mut [Vec<f64>],
+    at: usize,
+    (x, p): &Chunk<N>,
+) {
+    for r in 0..N {
+        store(&mut x_planes[r], at, x[r]);
+        for c in 0..N {
+            store(&mut p_planes[r * N + c], at, p[r][c]);
+        }
+    }
+}
+
+/// How many of a chunk's first `n` lanes hold a non-finite value: `v · 0.0`
+/// is `0.0` for finite `v` and NaN otherwise, so one fused sum over the
+/// slots decides every lane at once.
+#[inline(always)]
+fn count_nonfinite<const N: usize>((x, p): &Chunk<N>, n: usize) -> usize {
+    let mut acc = Pack::splat(0.0);
+    for r in 0..N {
+        acc += x[r] * Pack::splat(0.0);
+        for c in 0..N {
+            acc += p[r][c] * Pack::splat(0.0);
+        }
+    }
+    acc.0.iter().take(n).filter(|a| **a != 0.0).count()
 }
 
 /// A structure-of-arrays batch of same-model Joseph-form Kalman filters.
 ///
 /// All lanes share one [`StateModel`] (and hence one [`StaticKernel`]);
 /// per-lane state lives in columnar planes. See the module docs for the
-/// layout and the bit-equivalence contract with the scalar path.
+/// layout and why a lane is bit-identical to a scalar filter.
 pub struct FleetBatch<const N: usize, const M: usize> {
     kernel: StaticKernel<N, M>,
     model: StateModel,
@@ -126,7 +141,10 @@ pub struct FleetBatch<const N: usize, const M: usize> {
     p: Vec<Vec<f64>>,
     /// Per-lane predict steps since the last measurement update.
     steps_since_update: Vec<u64>,
-    scratch: BatchScratch<N, M>,
+    /// [`FleetBatch::update_all`]'s posterior until every chunk has
+    /// factored: planes shaped like `x` and `p`, fully overwritten before
+    /// they are swapped in, carrying nothing between calls.
+    posterior: (Vec<Vec<f64>>, Vec<Vec<f64>>),
 }
 
 impl<const N: usize, const M: usize> FleetBatch<N, M> {
@@ -145,14 +163,15 @@ impl<const N: usize, const M: usize> FleetBatch<N, M> {
         }
         let kernel =
             StaticKernel::<N, M>::from_matrices(model.f(), model.q(), model.h(), model.r())?;
+        let planes = |count: usize| -> Vec<Vec<f64>> { vec![Vec::new(); count] };
         Ok(FleetBatch {
             kernel,
             model: model.clone(),
             len: 0,
-            x: (0..N).map(|_| Vec::new()).collect(),
-            p: (0..N * N).map(|_| Vec::new()).collect(),
+            x: planes(N),
+            p: planes(N * N),
             steps_since_update: Vec::new(),
-            scratch: BatchScratch::new(),
+            posterior: (planes(N), planes(N * N)),
         })
     }
 
@@ -206,21 +225,39 @@ impl<const N: usize, const M: usize> FleetBatch<N, M> {
         Ok(lane)
     }
 
+    /// Lane `lane`'s state and covariance as the scalar kernel takes them.
+    fn lane(&self, lane: usize) -> ([f64; N], [[f64; N]; N]) {
+        let (mut x, mut p) = ([0.0; N], [[0.0; N]; N]);
+        for r in 0..N {
+            x[r] = self.x[r][lane];
+            for c in 0..N {
+                p[r][c] = self.p[r * N + c][lane];
+            }
+        }
+        (x, p)
+    }
+
+    /// The `W` lanes from `at` (see [`load`] for a short last chunk).
+    #[inline(always)]
+    fn chunk(&self, at: usize) -> Chunk<N> {
+        let (mut x, mut p) = ([Pack([0.0; W]); N], [[Pack([0.0; W]); N]; N]);
+        for r in 0..N {
+            x[r] = load(&self.x[r], at);
+            for c in 0..N {
+                p[r][c] = load(&self.p[r * N + c], at);
+            }
+        }
+        (x, p)
+    }
+
     /// Lane `lane`'s state, covariance and staleness, gathered back into
     /// row-major dynamic values — the handoff payload for demoting a lane to
     /// the scalar path.
     pub fn lane_state(&self, lane: usize) -> (Vector, Matrix, u64) {
-        let mut x = Vector::zeros(N);
-        for r in 0..N {
-            x[r] = self.x[r][lane];
-        }
-        let mut p = Matrix::zeros(N, N);
-        for r in 0..N {
-            for c in 0..N {
-                p.set(r, c, self.p[r * N + c][lane]);
-            }
-        }
-        (x, p, self.steps_since_update[lane])
+        let (x, p) = self.lane(lane);
+        let mut p_out = Matrix::zeros(N, N);
+        p_out.as_mut_slice().copy_from_slice(p.as_flattened());
+        (Vector::from_slice(&x), p_out, self.steps_since_update[lane])
     }
 
     /// Lane `lane`'s staleness counter.
@@ -288,92 +325,35 @@ impl<const N: usize, const M: usize> FleetBatch<N, M> {
     ///
     /// [`KalmanFilter::predict`]: crate::KalmanFilter::predict
     pub fn predict_all(&mut self) -> usize {
-        let len = self.len;
-        let f = self.kernel.f();
-        let q = self.kernel.q();
-        let sc = &mut self.scratch;
-        // x ← F x: plane accumulation in `mul_vec_into` order (k ascending,
-        // no zero-skip).
-        reset_planes(&mut sc.xt, len);
-        for r in 0..N {
-            let out = &mut sc.xt[r];
-            for (k, x_plane) in self.x.iter().enumerate() {
-                let a = f[r][k];
-                for (o, &v) in out.iter_mut().zip(x_plane.iter()) {
-                    *o += a * v;
-                }
-            }
+        let mut nonfinite = 0;
+        for at in (0..self.len).step_by(W) {
+            let mut chunk = self.chunk(at);
+            self.kernel.predict(&mut chunk.0, &mut chunk.1);
+            nonfinite += count_nonfinite(&chunk, self.len - at);
+            store_chunk(&mut self.x, &mut self.p, at, &chunk);
         }
-        for r in 0..N {
-            std::mem::swap(&mut self.x[r], &mut sc.xt[r]);
-        }
-        // tmp ← F P: `matmul_into` order with its zero-skip kept (F is
-        // shared across lanes, so the skip is uniform).
-        reset_planes(&mut sc.tmp, len);
-        for r in 0..N {
-            for k in 0..N {
-                let a = f[r][k];
-                if a == 0.0 {
-                    continue;
-                }
-                for c in 0..N {
-                    let out = &mut sc.tmp[r * N + c];
-                    let rhs = &self.p[k * N + c];
-                    for (o, &v) in out.iter_mut().zip(rhs.iter()) {
-                        *o += a * v;
-                    }
-                }
-            }
-        }
-        // pt ← tmp Fᵀ: `matmul_transpose_into` order; the scalar skip is on
-        // per-lane `tmp` values, dropped here (bit-neutral for finite data —
-        // see module docs).
-        reset_planes(&mut sc.pt, len);
-        for r in 0..N {
-            for k in 0..N {
-                let tmp_plane = &sc.tmp[r * N + k];
-                for c in 0..N {
-                    let b = f[c][k];
-                    let out = &mut sc.pt[r * N + c];
-                    for (o, &v) in out.iter_mut().zip(tmp_plane.iter()) {
-                        *o += v * b;
-                    }
-                }
-            }
-        }
-        // P ← pt + Q, then symmetrize (averaging matches `symmetrize_mut`).
-        for r in 0..N {
-            for c in 0..N {
-                let qv = q[r][c];
-                let src = &sc.pt[r * N + c];
-                let dst = &mut self.p[r * N + c];
-                for (d, &v) in dst.iter_mut().zip(src.iter()) {
-                    *d = v + qv;
-                }
-            }
-        }
-        self.symmetrize_p();
         for steps in self.steps_since_update.iter_mut() {
             *steps += 1;
         }
-        self.count_nonfinite()
+        nonfinite
     }
 
     /// Joseph-form measurement update for every lane with observations `z`
     /// in plane-major layout (`z[j * len + s]` is lane `s`'s `z_j`),
     /// per-lane bit-identical to [`KalmanFilter::update`].
     ///
-    /// All-or-nothing: results are computed into scratch and only written
-    /// back when every lane's innovation covariance factors, so an `Err`
-    /// leaves the batch untouched. (The sporadic-update ingest path uses
-    /// [`FleetBatch::update_lane`] instead, which fails per lane exactly
-    /// like the scalar filter.) Returns the number of non-finite lanes
-    /// after the update, like [`FleetBatch::predict_all`].
+    /// All-or-nothing: chunk posteriors are written to planes of their own
+    /// and only swapped in when every chunk's innovation covariances
+    /// factor, so an `Err` leaves the batch untouched. (The sporadic-update
+    /// ingest path uses [`FleetBatch::update_lane`] instead, which fails
+    /// per lane exactly like the scalar filter.) Returns the number of
+    /// non-finite lanes after the update, like [`FleetBatch::predict_all`].
     ///
     /// # Errors
     /// * [`FilterError::BadMeasurement`] when `z.len() != M · len`.
-    /// * [`FilterError::Linalg`] naming the first lane whose `S` is not
-    ///   positive definite.
+    /// * [`FilterError::Linalg`] when some lane's `S` is not positive
+    ///   definite, naming the failed pivot of a lane in the first chunk of
+    ///   `W` lanes that holds one.
     ///
     /// [`KalmanFilter::update`]: crate::KalmanFilter::update
     pub fn update_all(&mut self, z: &[f64]) -> Result<usize> {
@@ -384,288 +364,23 @@ impl<const N: usize, const M: usize> FleetBatch<N, M> {
                 actual: z.len(),
             });
         }
-        let h = self.kernel.h();
-        let r_mat = self.kernel.r();
-        let sc = &mut self.scratch;
-        // Innovation ν = z − H x (predicted in `mul_vec_into` order).
-        reset_planes(&mut sc.innovation, len);
-        for j in 0..M {
-            let out = &mut sc.innovation[j];
-            for (k, x_plane) in self.x.iter().enumerate() {
-                let a = h[j][k];
-                for (o, &v) in out.iter_mut().zip(x_plane.iter()) {
-                    *o += a * v;
-                }
-            }
-            let zs = &z[j * len..(j + 1) * len];
-            for (o, &zv) in out.iter_mut().zip(zs.iter()) {
-                *o = zv - *o;
-            }
+        let (x_post, p_post) = &mut self.posterior;
+        for plane in x_post.iter_mut().chain(p_post.iter_mut()) {
+            plane.resize(len, 0.0);
         }
-        // hp ← H P (`matmul_into`, shared-H zero-skip kept). The scalar path
-        // computes H·P twice (once inside the S sandwich, once for the gain);
-        // both runs are the same operations, so one plane pass serves both.
-        reset_planes(&mut sc.hp, len);
-        for j in 0..M {
-            for k in 0..N {
-                let a = h[j][k];
-                if a == 0.0 {
-                    continue;
-                }
-                for c in 0..N {
-                    let out = &mut sc.hp[j * N + c];
-                    let rhs = &self.p[k * N + c];
-                    for (o, &v) in out.iter_mut().zip(rhs.iter()) {
-                        *o += a * v;
-                    }
-                }
-            }
+        let mut nonfinite = 0;
+        for at in (0..len).step_by(W) {
+            let mut chunk = self.chunk(at);
+            let zs = load_measurements(z, len, at);
+            self.kernel.update_state(&mut chunk.0, &mut chunk.1, &zs)?;
+            nonfinite += count_nonfinite(&chunk, len - at);
+            let (x_post, p_post) = &mut self.posterior;
+            store_chunk(x_post, p_post, at, &chunk);
         }
-        // S ← hp Hᵀ + R, symmetrized (per-lane skip dropped).
-        reset_planes(&mut sc.s, len);
-        for i in 0..M {
-            for k in 0..N {
-                let hp_plane = &sc.hp[i * N + k];
-                for j in 0..M {
-                    let b = h[j][k];
-                    let out = &mut sc.s[i * M + j];
-                    for (o, &v) in out.iter_mut().zip(hp_plane.iter()) {
-                        *o += v * b;
-                    }
-                }
-            }
-        }
-        for i in 0..M {
-            for j in 0..M {
-                let rv = r_mat[i][j];
-                for o in sc.s[i * M + j].iter_mut() {
-                    *o += rv;
-                }
-            }
-        }
-        for i in 0..M {
-            for j in (i + 1)..M {
-                let (lo, hi) = (i * M + j, j * M + i);
-                for s_idx in 0..len {
-                    let avg = 0.5 * (sc.s[lo][s_idx] + sc.s[hi][s_idx]);
-                    sc.s[lo][s_idx] = avg;
-                    sc.s[hi][s_idx] = avg;
-                }
-            }
-        }
-        // Per-lane Cholesky of S, vectorized across lanes; tolerance rule
-        // and failure predicate (`d <= tol`) match `Cholesky::factor_into`.
-        sc.tol.clear();
-        sc.tol.resize(len, 0.0);
-        for plane in sc.s.iter() {
-            for (t, &v) in sc.tol.iter_mut().zip(plane.iter()) {
-                *t = t.max(v.abs());
-            }
-        }
-        for t in sc.tol.iter_mut() {
-            *t = 1e-13 * t.max(1.0);
-        }
-        reset_planes(&mut sc.l, len);
-        for j in 0..M {
-            // d = S[j][j] − Σ_{k<j} L[j][k]², reusing the diagonal plane of L
-            // as the accumulator.
-            let (before, rest) = sc.l.split_at_mut(j * M + j);
-            let d_plane = &mut rest[0];
-            d_plane.copy_from_slice(&sc.s[j * M + j]);
-            for k in 0..j {
-                let ljk = &before[j * M + k];
-                for (d, &l) in d_plane.iter_mut().zip(ljk.iter()) {
-                    *d -= l * l;
-                }
-            }
-            if let Some(lane) = d_plane
-                .iter()
-                .zip(sc.tol.iter())
-                .position(|(&d, &tol)| d <= tol)
-            {
-                return Err(FilterError::Linalg(
-                    kalstream_linalg::LinalgError::NotPositiveDefinite {
-                        pivot: j,
-                        value: d_plane[lane],
-                    },
-                ));
-            }
-            for d in d_plane.iter_mut() {
-                *d = d.sqrt();
-            }
-            for i in (j + 1)..M {
-                let (head, tail) = sc.l.split_at_mut(i * M + j);
-                let v_plane = &mut tail[0];
-                v_plane.copy_from_slice(&sc.s[i * M + j]);
-                for k in 0..j {
-                    let lik = &head[i * M + k];
-                    let ljk = &head[j * M + k];
-                    for ((v, &a), &b) in v_plane.iter_mut().zip(lik.iter()).zip(ljk.iter()) {
-                        *v -= a * b;
-                    }
-                }
-                let diag = &head[j * M + j];
-                for (v, &d) in v_plane.iter_mut().zip(diag.iter()) {
-                    *v /= d;
-                }
-            }
-        }
-        // s_inv_hp ← S⁻¹ (H P): per state-column forward/back substitution
-        // in `solve_mat_into` order.
-        reset_planes(&mut sc.s_inv_hp, len);
-        for c in 0..N {
-            for j in 0..M {
-                sc.col[j].clear();
-                sc.col[j].extend_from_slice(&sc.hp[j * N + c]);
-            }
-            // Forward: x[i] = (x[i] − Σ_{k<i} L[i][k] x[k]) / L[i][i].
-            for i in 0..M {
-                let (head, rest) = sc.col.split_at_mut(i);
-                let xi = &mut rest[0];
-                for (k, xk) in head.iter().enumerate() {
-                    let lik = &sc.l[i * M + k];
-                    for ((x, &l), &v) in xi.iter_mut().zip(lik.iter()).zip(xk.iter()) {
-                        *x -= l * v;
-                    }
-                }
-                let diag = &sc.l[i * M + i];
-                for (x, &d) in xi.iter_mut().zip(diag.iter()) {
-                    *x /= d;
-                }
-            }
-            // Back: x[i] = (x[i] − Σ_{k>i} L[k][i] x[k]) / L[i][i].
-            for i in (0..M).rev() {
-                let (head, rest) = sc.col.split_at_mut(i + 1);
-                let xi = &mut head[i];
-                for (off, xk) in rest.iter().enumerate() {
-                    let k = i + 1 + off;
-                    let lki = &sc.l[k * M + i];
-                    for ((x, &l), &v) in xi.iter_mut().zip(lki.iter()).zip(xk.iter()) {
-                        *x -= l * v;
-                    }
-                }
-                let diag = &sc.l[i * M + i];
-                for (x, &d) in xi.iter_mut().zip(diag.iter()) {
-                    *x /= d;
-                }
-            }
-            for j in 0..M {
-                sc.s_inv_hp[j * N + c].copy_from_slice(&sc.col[j]);
-            }
-        }
-        // Gain K = (S⁻¹ H P)ᵀ: K[r][j] is the plane s_inv_hp[j * N + r].
-        // State: x ← x + K ν (`mul_vec_into` order, j ascending).
-        reset_planes(&mut sc.x_new, len);
-        for r in 0..N {
-            let out = &mut sc.x_new[r];
-            for j in 0..M {
-                let k_plane = &sc.s_inv_hp[j * N + r];
-                let nu = &sc.innovation[j];
-                for ((o, &kv), &nv) in out.iter_mut().zip(k_plane.iter()).zip(nu.iter()) {
-                    *o += kv * nv;
-                }
-            }
-            let x_plane = &self.x[r];
-            for (o, &xv) in out.iter_mut().zip(x_plane.iter()) {
-                *o += xv;
-            }
-        }
-        // kh ← K H (per-lane skip dropped).
-        reset_planes(&mut sc.kh, len);
-        for r in 0..N {
-            for j in 0..M {
-                let k_plane = &sc.s_inv_hp[j * N + r];
-                for c in 0..N {
-                    let b = h[j][c];
-                    let out = &mut sc.kh[r * N + c];
-                    for (o, &v) in out.iter_mut().zip(k_plane.iter()) {
-                        *o += v * b;
-                    }
-                }
-            }
-        }
-        // i_kh ← I − K H, in place (subtraction from the identity matches
-        // `resize_identity` + `-=`, preserving the sign of zero).
-        for r in 0..N {
-            for c in 0..N {
-                let id = if r == c { 1.0 } else { 0.0 };
-                for o in sc.kh[r * N + c].iter_mut() {
-                    *o = id - *o;
-                }
-            }
-        }
-        let i_kh = &sc.kh;
-        // tmp ← (I − KH) P, pt ← tmp (I − KH)ᵀ (Joseph left term).
-        reset_planes(&mut sc.tmp, len);
-        for r in 0..N {
-            for k in 0..N {
-                let a_plane = &i_kh[r * N + k];
-                for c in 0..N {
-                    let rhs = &self.p[k * N + c];
-                    let out = &mut sc.tmp[r * N + c];
-                    for ((o, &a), &v) in out.iter_mut().zip(a_plane.iter()).zip(rhs.iter()) {
-                        *o += a * v;
-                    }
-                }
-            }
-        }
-        reset_planes(&mut sc.pt, len);
-        for r in 0..N {
-            for k in 0..N {
-                let tmp_plane = &sc.tmp[r * N + k];
-                for c in 0..N {
-                    let b_plane = &i_kh[c * N + k];
-                    let out = &mut sc.pt[r * N + c];
-                    for ((o, &v), &b) in out.iter_mut().zip(tmp_plane.iter()).zip(b_plane.iter()) {
-                        *o += v * b;
-                    }
-                }
-            }
-        }
-        // kr ← K R, krk ← kr Kᵀ (Joseph right term).
-        reset_planes(&mut sc.kr, len);
-        for r in 0..N {
-            for q in 0..M {
-                let k_plane = &sc.s_inv_hp[q * N + r];
-                for j in 0..M {
-                    let b = r_mat[q][j];
-                    let out = &mut sc.kr[r * M + j];
-                    for (o, &v) in out.iter_mut().zip(k_plane.iter()) {
-                        *o += v * b;
-                    }
-                }
-            }
-        }
-        reset_planes(&mut sc.krk, len);
-        for r in 0..N {
-            for j in 0..M {
-                let kr_plane = &sc.kr[r * M + j];
-                for c in 0..N {
-                    let b_plane = &sc.s_inv_hp[j * N + c];
-                    let out = &mut sc.krk[r * N + c];
-                    for ((o, &v), &b) in out.iter_mut().zip(kr_plane.iter()).zip(b_plane.iter()) {
-                        *o += v * b;
-                    }
-                }
-            }
-        }
-        // Commit: x, P ← posterior, symmetrize, staleness reset.
-        for r in 0..N {
-            std::mem::swap(&mut self.x[r], &mut sc.x_new[r]);
-        }
-        for idx in 0..N * N {
-            let dst = &mut self.p[idx];
-            dst.copy_from_slice(&sc.pt[idx]);
-            let src = &sc.krk[idx];
-            for (d, &v) in dst.iter_mut().zip(src.iter()) {
-                *d += v;
-            }
-        }
-        self.symmetrize_p();
-        for steps in self.steps_since_update.iter_mut() {
-            *steps = 0;
-        }
-        Ok(self.count_nonfinite())
+        std::mem::swap(&mut self.x, &mut self.posterior.0);
+        std::mem::swap(&mut self.p, &mut self.posterior.1);
+        self.steps_since_update.fill(0);
+        Ok(nonfinite)
     }
 
     /// Measurement update for a single lane, bit-identical to the scalar
@@ -684,16 +399,7 @@ impl<const N: usize, const M: usize> FleetBatch<N, M> {
             expected: M,
             actual: z.len(),
         })?;
-        let mut x = [0.0; N];
-        for r in 0..N {
-            x[r] = self.x[r][lane];
-        }
-        let mut p = [[0.0; N]; N];
-        for r in 0..N {
-            for c in 0..N {
-                p[r][c] = self.p[r * N + c][lane];
-            }
-        }
+        let (mut x, mut p) = self.lane(lane);
         self.kernel.update(&mut x, &mut p, &zs)?;
         for r in 0..N {
             self.x[r][lane] = x[r];
@@ -711,15 +417,7 @@ impl<const N: usize, const M: usize> FleetBatch<N, M> {
     /// Lane `lane`'s predicted measurement `H x` (scalar
     /// `predicted_measurement` order).
     pub fn predicted_measurement(&self, lane: usize) -> Vector {
-        let mut out = Vector::zeros(M);
-        for j in 0..M {
-            let mut acc = 0.0;
-            for (k, x_plane) in self.x.iter().enumerate() {
-                acc += self.kernel.h()[j][k] * x_plane[lane];
-            }
-            out[j] = acc;
-        }
-        out
+        Vector::from_slice(&self.kernel.predicted_measurement(&self.lane(lane).0))
     }
 
     /// Suppression verdicts for the whole batch: `out[s]` is `true` when
@@ -751,58 +449,18 @@ impl<const N: usize, const M: usize> FleetBatch<N, M> {
                 actual: out.len(),
             });
         }
-        let h = self.kernel.h();
-        let sc = &mut self.scratch;
-        // ẑ = H x into the innovation planes, then fold the max-norm error.
-        reset_planes(&mut sc.innovation, len);
-        sc.tol.clear();
-        sc.tol.resize(len, 0.0);
-        for j in 0..M {
-            let plane = &mut sc.innovation[j];
-            for (k, x_plane) in self.x.iter().enumerate() {
-                let a = h[j][k];
-                for (o, &v) in plane.iter_mut().zip(x_plane.iter()) {
-                    *o += a * v;
-                }
+        for at in (0..len).step_by(W) {
+            let mut x = [Pack([0.0; W]); N];
+            for r in 0..N {
+                x[r] = load(&self.x[r], at);
             }
-            let zs = &z[j * len..(j + 1) * len];
-            for ((err, &zhat), &zv) in sc.tol.iter_mut().zip(plane.iter()).zip(zs.iter()) {
-                *err = err.max((zhat - zv).abs());
+            let zs = load_measurements(z, len, at);
+            let err = self.kernel.innovation_norm(&x, &zs);
+            for (verdict, e) in out[at..].iter_mut().zip(err.0) {
+                *verdict = e <= delta;
             }
-        }
-        for (o, &err) in out.iter_mut().zip(sc.tol.iter()) {
-            *o = err <= delta;
         }
         Ok(())
-    }
-
-    fn symmetrize_p(&mut self) {
-        for r in 0..N {
-            for c in (r + 1)..N {
-                let (lo, hi) = (r * N + c, c * N + r);
-                for s_idx in 0..self.len {
-                    let avg = 0.5 * (self.p[lo][s_idx] + self.p[hi][s_idx]);
-                    self.p[lo][s_idx] = avg;
-                    self.p[hi][s_idx] = avg;
-                }
-            }
-        }
-    }
-
-    /// Counts non-finite lanes via a plane-wise NaN-propagation sweep: a
-    /// single fused pass accumulates `v · 0.0` over every plane, which is
-    /// `0.0` for finite `v` and NaN otherwise, so most ticks conclude
-    /// "everything finite" without a per-lane scan.
-    fn count_nonfinite(&mut self) -> usize {
-        let sc = &mut self.scratch;
-        sc.tol.clear();
-        sc.tol.resize(self.len, 0.0);
-        for plane in self.x.iter().chain(self.p.iter()) {
-            for (acc, &v) in sc.tol.iter_mut().zip(plane.iter()) {
-                *acc += v * 0.0;
-            }
-        }
-        sc.tol.iter().filter(|acc| **acc != 0.0).count()
     }
 }
 
@@ -1095,6 +753,155 @@ mod tests {
             let (x, p, _) = batch.lane_state(lane);
             assert_eq!(&x, kf.state(), "final x lane {lane}");
             assert_eq!(&p, kf.covariance(), "final P lane {lane}");
+        }
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Steps `lanes` filters of `model` both ways — predict, verdicts, full
+    /// update — and holds every lane to its scalar twin, bit for bit, every
+    /// tick; nothing may be stored or counted past `lanes`.
+    fn assert_lanes_match_scalar<const N: usize, const M: usize>(
+        model: &StateModel,
+        lanes: usize,
+        ticks: usize,
+    ) {
+        let mut batch = FleetBatch::<N, M>::new(model).unwrap();
+        let mut scalars = Vec::new();
+        for lane in 0..lanes {
+            let mut x0 = Vector::zeros(N);
+            x0[0] = lane as f64 * 0.1;
+            x0[N - 1] = -0.2;
+            let p0 = Matrix::scalar(N, 1.0 + lane as f64 * 0.01);
+            batch.push(&x0, &p0, 0).unwrap();
+            scalars.push(KalmanFilter::with_covariance(model.clone(), x0, p0).unwrap());
+        }
+        let mut z = vec![0.0; M * lanes];
+        let mut verdicts = vec![false; lanes];
+        for t in 0..ticks {
+            assert_eq!(batch.predict_all(), 0, "{lanes} lanes tick {t}");
+            for (lane, kf) in scalars.iter_mut().enumerate() {
+                kf.predict().unwrap();
+                for j in 0..M {
+                    z[j * lanes + lane] = z_at(lane + 100 * j, t);
+                }
+            }
+            batch
+                .suppression_verdicts_into(&z, 0.5, &mut verdicts)
+                .unwrap();
+            assert_eq!(batch.update_all(&z).unwrap(), 0, "{lanes} lanes tick {t}");
+            for (lane, kf) in scalars.iter_mut().enumerate() {
+                let zs: Vec<f64> = (0..M).map(|j| z[j * lanes + lane]).collect();
+                let zs = Vector::from_slice(&zs);
+                assert_eq!(
+                    verdicts[lane],
+                    kf.innovation_norm(&zs) <= 0.5,
+                    "verdict, {lanes} lanes, lane {lane} tick {t}"
+                );
+                kf.update(&zs).unwrap();
+                let (x, p, steps) = batch.lane_state(lane);
+                assert_eq!(bits(x.as_slice()), bits(kf.state().as_slice()));
+                assert_eq!(bits(p.as_slice()), bits(kf.covariance().as_slice()));
+                assert_eq!(steps, kf.steps_since_update());
+            }
+            let (x_post, p_post) = &batch.posterior;
+            for plane in batch.x.iter().chain(&batch.p).chain(x_post).chain(p_post) {
+                assert_eq!(plane.len(), lanes);
+            }
+        }
+    }
+
+    #[test]
+    fn every_tail_length_matches_scalar() {
+        let cv4 = models::constant_velocity_2d(1.0, 0.05, 0.2);
+        for lanes in [1, W - 1, W, W + 1, 3 * W + 2] {
+            assert_lanes_match_scalar::<2, 1>(&cv2(), lanes, 200);
+            assert_lanes_match_scalar::<4, 2>(&cv4, lanes, 200);
+        }
+    }
+
+    #[test]
+    fn chol_failure_in_a_later_chunk_commits_nothing() {
+        // S = P₀₀ + 0.1 fails its pivot only in the lanes pushed with a
+        // negative covariance: two in the second chunk, one in the third.
+        let mut batch = FleetBatch::<2, 1>::new(&cv2()).unwrap();
+        let bad = [(W + 1, -1.0), (W + 2, -3.0), (2 * W + 2, -2.0)];
+        for lane in 0..3 * W {
+            let p00 = bad
+                .iter()
+                .find(|(l, _)| *l == lane)
+                .map_or(1.0, |(_, v)| *v);
+            batch
+                .push(
+                    &Vector::from_slice(&[lane as f64, 0.5]),
+                    &Matrix::scalar(2, p00),
+                    3,
+                )
+                .unwrap();
+        }
+        let before: Vec<_> = (0..batch.len())
+            .map(|lane| batch.lane_state(lane))
+            .collect();
+        match batch.update_all(&[0.3; 3 * W]) {
+            // The first bad lane of the first failing chunk: −1 + 0.1.
+            Err(FilterError::Linalg(kalstream_linalg::LinalgError::NotPositiveDefinite {
+                pivot: 0,
+                value,
+            })) => assert_eq!(value, -1.0 + 0.1),
+            other => panic!("expected a failed pivot, got {other:?}"),
+        }
+        // The first chunk factored and was computed, but not committed.
+        let after: Vec<_> = (0..batch.len())
+            .map(|lane| batch.lane_state(lane))
+            .collect();
+        assert_eq!(before, after);
+    }
+
+    #[test]
+    fn nonfinite_lane_leaves_chunk_neighbours_bits_alone_and_counts_once() {
+        // Lane 1 sits mid-chunk; lane W is alone in a tail chunk that pads
+        // itself with copies of it. An all-NaN covariance keeps the sick
+        // pack's zero-skip from firing where its healthy neighbours'
+        // diagonal covariance holds exact zeros.
+        let model = cv2();
+        let nan = f64::NAN;
+        let mut batch = FleetBatch::<2, 1>::new(&model).unwrap();
+        let mut scalars = Vec::new();
+        for lane in 0..=W {
+            let x0 = Vector::from_slice(&[lane as f64, 0.5]);
+            if lane == 1 || lane == W {
+                let p0 = Matrix::from_rows(&[&[nan, nan], &[nan, nan]]);
+                batch.push(&x0, &p0, 0).unwrap();
+            } else {
+                let p0 = Matrix::scalar(2, 1.0);
+                batch.push(&x0, &p0, 0).unwrap();
+                scalars.push((
+                    lane,
+                    KalmanFilter::with_covariance(model.clone(), x0, p0).unwrap(),
+                ));
+            }
+        }
+        for t in 0..50 {
+            let z: Vec<f64> = (0..=W).map(|lane| z_at(lane, t)).collect();
+            assert_eq!(batch.predict_all(), 2, "tick {t}");
+            assert_eq!(batch.update_all(&z).unwrap(), 2, "tick {t}");
+            for (lane, kf) in scalars.iter_mut() {
+                kf.predict().unwrap();
+                kf.update(&Vector::from_slice(&[z[*lane]])).unwrap();
+                let (x, p, _) = batch.lane_state(*lane);
+                assert_eq!(
+                    bits(x.as_slice()),
+                    bits(kf.state().as_slice()),
+                    "lane {lane} tick {t}"
+                );
+                assert_eq!(
+                    bits(p.as_slice()),
+                    bits(kf.covariance().as_slice()),
+                    "lane {lane} tick {t}"
+                );
+            }
         }
     }
 }

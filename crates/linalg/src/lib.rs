@@ -6,13 +6,17 @@
 //! symmetric-positive-definite solves (via Cholesky) and general solves
 //! (via partially-pivoted LU).
 //!
-//! The crate deliberately avoids generic scalar types, SIMD, and expression
-//! templates: at Kalman sizes the dominant costs elsewhere in the system
-//! (stream generation, simulation bookkeeping) dwarf the arithmetic, and a
-//! simple row-major representation keeps the code auditable and the
+//! The crate deliberately avoids generic scalar types, SIMD intrinsics, and
+//! expression templates: at Kalman sizes the dominant costs elsewhere in the
+//! system (stream generation, simulation bookkeeping) dwarf the arithmetic,
+//! and a simple row-major representation keeps the code auditable and the
 //! behaviour bit-deterministic across platforms — a hard requirement for
 //! the dual-filter suppression protocol in `kalstream-core`, where source and
-//! server must compute *identical* predictions from identical inputs.
+//! server must compute *identical* predictions from identical inputs. (The
+//! one generic in the crate is [`Lane`], and it varies the *width*, not the
+//! scalar: [`StaticKernel`]'s step runs over one `f64` or over `W` of them
+//! side by side, element by element, so a filter's bits never depend on
+//! which.)
 //!
 //! Storage is **inline-first**: vectors up to [`VECTOR_INLINE_CAP`] elements
 //! and matrices up to [`MATRIX_INLINE_CAP`] elements live in fixed stack
@@ -54,7 +58,7 @@ mod vector;
 pub use decomp::{Cholesky, Lu};
 pub use error::LinalgError;
 pub use matrix::{Matrix, MATRIX_INLINE_CAP};
-pub use static_kernel::{StaticKernel, StaticUpdateOutcome};
+pub use static_kernel::{Innovation, Lane, Pack, StaticKernel, StaticUpdateOutcome};
 pub use vector::{Vector, VECTOR_INLINE_CAP};
 
 /// Process-wide count of inline→heap storage fallbacks.

@@ -10,6 +10,14 @@
 //! compile-time bounds, and the optimizer fully unrolls and
 //! auto-vectorizes the arithmetic.
 //!
+//! **One step, any width.** The arithmetic is written once, over a
+//! [`Lane`]: an `f64` steps one filter, a [`Pack<W>`] steps `W` same-model
+//! filters side by side, element by element. Both are instances of the
+//! same functions, so a filter in a pack performs the floating-point
+//! operations of a filter on its own, in the same order. The one place the
+//! widths differ is the zero-skip below; [`Lane::is_zero`] carries the
+//! argument that the difference changes no bit.
+//!
 //! **Bit-identity contract.** Every kernel here performs the *exact*
 //! floating-point operations of its dynamic twin in the same order:
 //!
@@ -35,7 +43,141 @@
 // rewrites obscure both without changing the generated arithmetic.
 #![allow(clippy::needless_range_loop)]
 
+use core::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
+
 use crate::{LinalgError, Matrix, Result};
+
+/// What the kernel's arithmetic runs over: one filter's number (`f64`) or
+/// the same number in `W` filters stepped side by side ([`Pack<W>`]). The
+/// operators and `sqrt` / `abs` / `max` act filter by filter, so no
+/// filter's value ever depends on a neighbour's.
+pub trait Lane:
+    Copy
+    + Add<Output = Self>
+    + Sub<Output = Self>
+    + Mul<Output = Self>
+    + Div<Output = Self>
+    + AddAssign
+    + SubAssign
+{
+    /// `v` in every filter: how the shared model matrices and the
+    /// kernel's constants enter the arithmetic.
+    fn splat(v: f64) -> Self;
+
+    /// The products' zero-skip test: `true` when **every** filter's value
+    /// is `0.0`, so the term `self · b` may be left out of a sum.
+    ///
+    /// For `f64` this is the dynamic path's `a == 0.0`. A pack skips less
+    /// often — a filter whose value is `±0.0` still adds its term when a
+    /// neighbour's is not — and that is bit-neutral for finite data: the
+    /// extra term is `±0.0 · b = ±0.0`, the accumulators are never `-0.0`
+    /// (they start at `+0.0`, and IEEE-754 round-to-nearest addition only
+    /// produces `-0.0` from two negative-signed zeros), and
+    /// `acc + ±0.0 == acc` bit for bit for every such `acc`. A splatted
+    /// model matrix is uniform, so its skip is exactly the scalar one. (A
+    /// filter holding `∞`/NaN can see `0 · ∞`; it is already outside the
+    /// contract and is reported as non-finite by the layer above.)
+    fn is_zero(self) -> bool;
+
+    /// Square root, filter by filter.
+    fn sqrt(self) -> Self;
+
+    /// Absolute value, filter by filter.
+    fn abs(self) -> Self;
+
+    /// `f64::max`, filter by filter.
+    fn max(self, other: Self) -> Self;
+
+    /// The value of the first filter that is `<= bound` — the Cholesky
+    /// pivot test, which fails the whole lane on its first bad filter.
+    fn first_at_most(self, bound: Self) -> Option<f64>;
+}
+
+impl Lane for f64 {
+    #[inline]
+    fn splat(v: f64) -> Self {
+        v
+    }
+    #[inline]
+    fn is_zero(self) -> bool {
+        self == 0.0
+    }
+    #[inline]
+    fn sqrt(self) -> Self {
+        f64::sqrt(self)
+    }
+    #[inline]
+    fn abs(self) -> Self {
+        f64::abs(self)
+    }
+    #[inline]
+    fn max(self, other: Self) -> Self {
+        f64::max(self, other)
+    }
+    #[inline]
+    fn first_at_most(self, bound: Self) -> Option<f64> {
+        (self <= bound).then_some(self)
+    }
+}
+
+/// One number in each of `W` filters stepped side by side; see [`Lane`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Pack<const W: usize>(pub [f64; W]);
+
+macro_rules! pack_operator {
+    ($op:ident, $method:ident, $assign:tt $(, $op_assign:ident, $method_assign:ident)?) => {
+        impl<const W: usize> $op for Pack<W> {
+            type Output = Self;
+            #[inline]
+            fn $method(mut self, other: Self) -> Self {
+                for i in 0..W {
+                    self.0[i] $assign other.0[i];
+                }
+                self
+            }
+        }
+        $(impl<const W: usize> $op_assign for Pack<W> {
+            #[inline]
+            fn $method_assign(&mut self, other: Self) {
+                *self = $op::$method(*self, other);
+            }
+        })?
+    };
+}
+pack_operator!(Add, add, +=, AddAssign, add_assign);
+pack_operator!(Sub, sub, -=, SubAssign, sub_assign);
+pack_operator!(Mul, mul, *=);
+pack_operator!(Div, div, /=);
+
+impl<const W: usize> Lane for Pack<W> {
+    #[inline]
+    fn splat(v: f64) -> Self {
+        Pack([v; W])
+    }
+    #[inline]
+    fn is_zero(self) -> bool {
+        self.0.iter().all(|v| *v == 0.0)
+    }
+    #[inline]
+    fn sqrt(self) -> Self {
+        Pack(self.0.map(f64::sqrt))
+    }
+    #[inline]
+    fn abs(self) -> Self {
+        Pack(self.0.map(f64::abs))
+    }
+    #[inline]
+    fn max(mut self, other: Self) -> Self {
+        for i in 0..W {
+            self.0[i] = self.0[i].max(other.0[i]);
+        }
+        self
+    }
+    #[inline]
+    fn first_at_most(self, bound: Self) -> Option<f64> {
+        (0..W).find(|&i| self.0[i] <= bound.0[i]).map(|i| self.0[i])
+    }
+}
 
 /// Diagnostics of one static-kernel measurement update — the same numbers
 /// `KalmanFilter::update` reports in its `UpdateOutcome`.
@@ -50,6 +192,11 @@ pub struct StaticUpdateOutcome<const M: usize> {
     /// Gaussian log-likelihood of `z` under `N(Hx⁻, S)`.
     pub log_likelihood: f64,
 }
+
+/// What [`StaticKernel::update_state`] leaves for the diagnostics, at any
+/// lane width: the innovation `ν`, its covariance `S` (symmetrised) and
+/// `S`'s lower Cholesky factor.
+pub type Innovation<L, const M: usize> = ([L; M], [[L; M]; M], [[L; M]; M]);
 
 /// Monomorphized Kalman kernel for an `N`-state / `M`-measurement model.
 ///
@@ -144,15 +291,16 @@ impl<const N: usize, const M: usize> StaticKernel<N, M> {
 
     /// Time update: `x ← F x`, `P ← F P Fᵀ + Q`, re-symmetrised — the exact
     /// operation sequence of the dynamic predict step.
-    pub fn predict(&self, x: &mut [f64; N], p: &mut [[f64; N]; N]) {
+    pub fn predict<L: Lane>(&self, x: &mut [L; N], p: &mut [[L; N]; N]) {
+        let f = splat(&self.f);
         // x ← F x (plain row-dot accumulation, like `mul_vec_into`).
-        *x = mul_vec(&self.f, x);
+        *x = mul_vec(&f, x);
         // P ← F P Fᵀ + Q via the same sandwich: F·P then (F·P)·Fᵀ.
-        let tmp = matmul(&self.f, p);
-        let mut pt = matmul_transpose(&tmp, &self.f);
+        let tmp = matmul(&f, p);
+        let mut pt = matmul_transpose(&tmp, &f);
         for row in 0..N {
             for col in 0..N {
-                pt[row][col] += self.q[row][col];
+                pt[row][col] += L::splat(self.q[row][col]);
             }
         }
         symmetrize(&mut pt);
@@ -178,68 +326,7 @@ impl<const N: usize, const M: usize> StaticKernel<N, M> {
         p: &mut [[f64; N]; N],
         z: &[f64; M],
     ) -> Result<StaticUpdateOutcome<M>> {
-        // Innovation ν = z − H x.
-        let predicted = mul_vec(&self.h, x);
-        let mut innovation = *z;
-        for j in 0..M {
-            innovation[j] -= predicted[j];
-        }
-        // S = H P Hᵀ + R, symmetrised.
-        let hp = matmul(&self.h, p); // M × N, reused below as the gain's H·P
-        let mut s = matmul_transpose(&hp, &self.h);
-        for row in 0..M {
-            for col in 0..M {
-                s[row][col] += self.r[row][col];
-            }
-        }
-        symmetrize(&mut s);
-        let l = cholesky_factor(&s)?;
-        // Gain K = P Hᵀ S⁻¹, computed as (S⁻¹ H P)ᵀ via per-column solves.
-        let mut s_inv_hp = [[0.0; N]; M];
-        for c in 0..N {
-            let mut col = [0.0; M];
-            for row in 0..M {
-                col[row] = hp[row][c];
-            }
-            cholesky_solve_in_place(&l, &mut col);
-            for row in 0..M {
-                s_inv_hp[row][c] = col[row];
-            }
-        }
-        let mut k = [[0.0; M]; N];
-        for row in 0..N {
-            for j in 0..M {
-                k[row][j] = s_inv_hp[j][row];
-            }
-        }
-        // State: x ← x + K ν.
-        let correction = mul_vec(&k, &innovation);
-        for row in 0..N {
-            x[row] += correction[row];
-        }
-        // Covariance (Joseph): P ← (I − KH) P (I − KH)ᵀ + K R Kᵀ.
-        let kh = matmul(&k, &self.h);
-        let mut i_kh = [[0.0; N]; N];
-        for row in 0..N {
-            i_kh[row][row] = 1.0;
-        }
-        for row in 0..N {
-            for col in 0..N {
-                i_kh[row][col] -= kh[row][col];
-            }
-        }
-        let tmp = matmul(&i_kh, p);
-        let pt = matmul_transpose(&tmp, &i_kh);
-        let kr = matmul(&k, &self.r);
-        let krk = matmul_transpose(&kr, &k);
-        let mut posterior = pt;
-        for row in 0..N {
-            for col in 0..N {
-                posterior[row][col] += krk[row][col];
-            }
-        }
-        symmetrize(&mut posterior);
-        *p = posterior;
+        let (innovation, s, l) = self.update_state(x, p, z)?;
         // Diagnostics: NIS = νᵀ S⁻¹ ν and Gaussian log-likelihood.
         let mut s_inv_nu = innovation;
         cholesky_solve_in_place(&l, &mut s_inv_nu);
@@ -257,11 +344,81 @@ impl<const N: usize, const M: usize> StaticKernel<N, M> {
         })
     }
 
+    /// The state/covariance half of [`StaticKernel::update`], at any lane
+    /// width: everything but the diagnostics, and what those are made of.
+    ///
+    /// # Errors
+    /// As [`StaticKernel::update`]; in a pack, one filter's failed pivot
+    /// fails the call ([`Lane::first_at_most`] names it) and leaves every
+    /// filter's state and covariance untouched.
+    pub fn update_state<L: Lane>(
+        &self,
+        x: &mut [L; N],
+        p: &mut [[L; N]; N],
+        z: &[L; M],
+    ) -> Result<Innovation<L, M>> {
+        let (h, r) = (splat(&self.h), splat(&self.r));
+        // Innovation ν = z − H x.
+        let predicted = mul_vec(&h, x);
+        let mut innovation = *z;
+        for j in 0..M {
+            innovation[j] -= predicted[j];
+        }
+        // S = H P Hᵀ + R, symmetrised.
+        let hp = matmul(&h, p); // M × N, reused below as the gain's H·P
+        let mut s = matmul_transpose(&hp, &h);
+        for row in 0..M {
+            for col in 0..M {
+                s[row][col] += r[row][col];
+            }
+        }
+        symmetrize(&mut s);
+        let l = cholesky_factor(&s)?;
+        // Gain K = P Hᵀ S⁻¹, computed as (S⁻¹ H P)ᵀ via per-column solves.
+        let mut k = [[L::splat(0.0); M]; N];
+        for c in 0..N {
+            let mut col = [L::splat(0.0); M];
+            for row in 0..M {
+                col[row] = hp[row][c];
+            }
+            cholesky_solve_in_place(&l, &mut col);
+            k[c] = col;
+        }
+        // State: x ← x + K ν.
+        let correction = mul_vec(&k, &innovation);
+        for row in 0..N {
+            x[row] += correction[row];
+        }
+        // Covariance (Joseph): P ← (I − KH) P (I − KH)ᵀ + K R Kᵀ.
+        let kh = matmul(&k, &h);
+        let mut i_kh = [[L::splat(0.0); N]; N];
+        for row in 0..N {
+            i_kh[row][row] = L::splat(1.0);
+        }
+        for row in 0..N {
+            for col in 0..N {
+                i_kh[row][col] -= kh[row][col];
+            }
+        }
+        let tmp = matmul(&i_kh, p);
+        let mut posterior = matmul_transpose(&tmp, &i_kh);
+        let kr = matmul(&k, &r);
+        let krk = matmul_transpose(&kr, &k);
+        for row in 0..N {
+            for col in 0..N {
+                posterior[row][col] += krk[row][col];
+            }
+        }
+        symmetrize(&mut posterior);
+        *p = posterior;
+        Ok((innovation, s, l))
+    }
+
     /// Max-norm innovation `‖z − H x‖∞` — the norm the suppression
     /// protocol's precision contract is defined in.
-    pub fn innovation_norm(&self, x: &[f64; N], z: &[f64; M]) -> f64 {
-        let predicted = mul_vec(&self.h, x);
-        let mut worst = 0.0f64;
+    pub fn innovation_norm<L: Lane>(&self, x: &[L; N], z: &[L; M]) -> L {
+        let predicted = mul_vec(&splat(&self.h), x);
+        let mut worst = L::splat(0.0);
         for j in 0..M {
             worst = worst.max((predicted[j] - z[j]).abs());
         }
@@ -275,17 +432,35 @@ impl<const N: usize, const M: usize> StaticKernel<N, M> {
     }
 }
 
+// The helpers below are `inline(always)`: a pack is `W` values wide, and a
+// helper left as a call takes and returns its matrices through memory
+// instead of registers — measured at half as much again on a 2 × 1 batch
+// step (EXPERIMENTS.md T5, PR 22 addendum). The `f64` instances are small
+// enough that they were always inlined.
+
+/// A shared model matrix as lanes: the same value in every filter.
+#[inline(always)]
+fn splat<L: Lane, const R: usize, const C: usize>(m: &[[f64; C]; R]) -> [[L; C]; R] {
+    let mut out = [[L::splat(0.0); C]; R];
+    for row in 0..R {
+        for col in 0..C {
+            out[row][col] = L::splat(m[row][col]);
+        }
+    }
+    out
+}
+
 /// `a · b` with the dynamic path's zero-skip on `a`'s elements.
-#[inline]
-fn matmul<const R: usize, const K: usize, const C: usize>(
-    a: &[[f64; K]; R],
-    b: &[[f64; C]; K],
-) -> [[f64; C]; R] {
-    let mut out = [[0.0; C]; R];
+#[inline(always)]
+fn matmul<L: Lane, const R: usize, const K: usize, const C: usize>(
+    a: &[[L; K]; R],
+    b: &[[L; C]; K],
+) -> [[L; C]; R] {
+    let mut out = [[L::splat(0.0); C]; R];
     for row in 0..R {
         for k in 0..K {
             let av = a[row][k];
-            if av == 0.0 {
+            if av.is_zero() {
                 continue;
             }
             for col in 0..C {
@@ -297,16 +472,16 @@ fn matmul<const R: usize, const K: usize, const C: usize>(
 }
 
 /// `a · bᵀ` with the dynamic path's zero-skip on `a`'s elements.
-#[inline]
-fn matmul_transpose<const R: usize, const K: usize, const C: usize>(
-    a: &[[f64; K]; R],
-    b: &[[f64; K]; C],
-) -> [[f64; C]; R] {
-    let mut out = [[0.0; C]; R];
+#[inline(always)]
+fn matmul_transpose<L: Lane, const R: usize, const K: usize, const C: usize>(
+    a: &[[L; K]; R],
+    b: &[[L; K]; C],
+) -> [[L; C]; R] {
+    let mut out = [[L::splat(0.0); C]; R];
     for row in 0..R {
         for k in 0..K {
             let av = a[row][k];
-            if av == 0.0 {
+            if av.is_zero() {
                 continue;
             }
             for col in 0..C {
@@ -319,11 +494,11 @@ fn matmul_transpose<const R: usize, const K: usize, const C: usize>(
 
 /// `a · v` with plain row-dot accumulation (no zero-skip), matching
 /// [`Matrix::mul_vec_into`].
-#[inline]
-fn mul_vec<const R: usize, const K: usize>(a: &[[f64; K]; R], v: &[f64; K]) -> [f64; R] {
-    let mut out = [0.0; R];
+#[inline(always)]
+fn mul_vec<L: Lane, const R: usize, const K: usize>(a: &[[L; K]; R], v: &[L; K]) -> [L; R] {
+    let mut out = [L::splat(0.0); R];
     for (row, o) in out.iter_mut().enumerate() {
-        let mut acc = 0.0;
+        let mut acc = L::splat(0.0);
         for k in 0..K {
             acc += a[row][k] * v[k];
         }
@@ -333,11 +508,11 @@ fn mul_vec<const R: usize, const K: usize>(a: &[[f64; K]; R], v: &[f64; K]) -> [
 }
 
 /// Upper/lower averaging, matching [`Matrix::symmetrize_mut`].
-#[inline]
-fn symmetrize<const N: usize>(p: &mut [[f64; N]; N]) {
+#[inline(always)]
+fn symmetrize<L: Lane, const N: usize>(p: &mut [[L; N]; N]) {
     for row in 0..N {
         for col in (row + 1)..N {
-            let avg = 0.5 * (p[row][col] + p[col][row]);
+            let avg = L::splat(0.5) * (p[row][col] + p[col][row]);
             p[row][col] = avg;
             p[col][row] = avg;
         }
@@ -346,24 +521,24 @@ fn symmetrize<const N: usize>(p: &mut [[f64; N]; N]) {
 
 /// Cholesky factor `L` of `a`, replicating [`crate::Cholesky::factor_into`]
 /// including its relative pivot tolerance.
-#[inline]
-fn cholesky_factor<const M: usize>(a: &[[f64; M]; M]) -> Result<[[f64; M]; M]> {
-    let mut norm = 0.0f64;
+#[inline(always)]
+fn cholesky_factor<L: Lane, const M: usize>(a: &[[L; M]; M]) -> Result<[[L; M]; M]> {
+    let mut norm = L::splat(0.0);
     for row in a.iter() {
         for v in row.iter() {
             norm = norm.max(v.abs());
         }
     }
-    let tol = 1e-13 * norm.max(1.0);
-    let mut l = [[0.0; M]; M];
+    let tol = L::splat(1e-13) * norm.max(L::splat(1.0));
+    let mut l = [[L::splat(0.0); M]; M];
     for j in 0..M {
         let mut d = a[j][j];
         for k in 0..j {
             let ljk = l[j][k];
             d -= ljk * ljk;
         }
-        if d <= tol {
-            return Err(LinalgError::NotPositiveDefinite { pivot: j, value: d });
+        if let Some(value) = d.first_at_most(tol) {
+            return Err(LinalgError::NotPositiveDefinite { pivot: j, value });
         }
         let dsqrt = d.sqrt();
         l[j][j] = dsqrt;
@@ -379,8 +554,8 @@ fn cholesky_factor<const M: usize>(a: &[[f64; M]; M]) -> Result<[[f64; M]; M]> {
 }
 
 /// Forward/back substitution, replicating [`crate::Cholesky::solve_in_place`].
-#[inline]
-fn cholesky_solve_in_place<const M: usize>(l: &[[f64; M]; M], x: &mut [f64; M]) {
+#[inline(always)]
+fn cholesky_solve_in_place<L: Lane, const M: usize>(l: &[[L; M]; M], x: &mut [L; M]) {
     for i in 0..M {
         let mut v = x[i];
         for k in 0..i {

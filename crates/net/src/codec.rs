@@ -17,7 +17,7 @@
 //! to one tick, so the server can preserve the simulator's
 //! "deliver-then-advance" order exactly and stay bit-identical to it.
 
-use bytes::{BufMut, Bytes};
+use bytes::BufMut;
 use kalstream_core::{OversizedFrame, StreamDecoder, FRAME_HEADER_BYTES};
 
 /// First bytes of every connection, little protection against port scans
@@ -227,26 +227,21 @@ pub fn feed_ticks(
     Ok(markers)
 }
 
-/// Splits `payloads` framed as `(stream_id, payload)` pairs into wire bytes
-/// terminated by a marker — one tick's worth of traffic for a connection.
-pub fn encode_tick(payloads: &[(u32, Bytes)]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(
-        payloads
-            .iter()
-            .map(|(_, p)| FRAME_HEADER_BYTES + p.len())
-            .sum::<usize>()
-            + MARKER_BYTES,
-    );
-    for (id, payload) in payloads {
-        push_frame(&mut buf, *id, payload);
-    }
-    push_marker(&mut buf);
-    buf
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
+
+    /// Splits `payloads` framed as `(stream_id, payload)` pairs into wire bytes
+    /// terminated by a marker — one tick's worth of traffic for a connection.
+    fn encode_tick(payloads: &[(u32, Bytes)]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        for (id, payload) in payloads {
+            push_frame(&mut buf, *id, payload);
+        }
+        push_marker(&mut buf);
+        buf
+    }
 
     fn prefix_claiming(count: u32) -> [u8; 8] {
         let mut prefix = [0u8; 8];

@@ -114,22 +114,6 @@ impl SimTransport {
             ),
         }
     }
-
-    /// Wraps an explicit link pair (fleet drivers seed per-stream links
-    /// themselves).
-    pub fn from_links(forward: Link, feedback: Link) -> Self {
-        SimTransport { forward, feedback }
-    }
-
-    /// The forward link (read access for in-flight/latency introspection).
-    pub fn forward_link(&self) -> &Link {
-        &self.forward
-    }
-
-    /// The feedback link.
-    pub fn feedback_link(&self) -> &Link {
-        &self.feedback
-    }
 }
 
 impl Transport for SimTransport {

@@ -22,7 +22,9 @@ use kalstream_linalg::{Matrix, StaticKernel, Vector};
 use proptest::prelude::*;
 
 const TICKS: usize = 1_000;
-const LANES: usize = 3;
+/// One full chunk of the batch's kernel width (4) and a one-lane tail, so
+/// every random model runs through both a whole pack and a padded one.
+const LANES: usize = 5;
 
 /// xorshift64* — deterministic model/measurement material from one seed.
 struct Rng64(u64);
