@@ -8,6 +8,9 @@
 #     an arbitrary tick (proptest), crash every lockstep server, and kill
 #     a real TCP server mid-serve; each must recover **bit-identical** to
 #     an uncrashed reference with zero post-recovery violations;
+#   * elastic_identity — the only test of durable + elastic together: every
+#     resize barrier checkpointed (or sharing a cadence snapshot), and the
+#     crashed durable + elastic TCP server restarting bit-identical;
 #   * exp_crash_recovery — the recorded kill/recover sweep, re-measured;
 #   * check_regression — the fresh artifact against the committed
 #     BENCH_durable.json (bit-identity, zero post-recovery violations and
@@ -29,6 +32,9 @@ cargo test --release -q -p kalstream-durable
 
 echo "==> crash_recovery suite (kill at arbitrary tick, recover, diverge never)"
 cargo test --release -q --test crash_recovery
+
+echo "==> elastic_identity (durable + elastic over TCP: resize checkpoints, crash/restart)"
+cargo test --release -q -p kalstream-net --test elastic_identity
 
 echo "==> exp_crash_recovery (kill/recover sweep: bit-identity + replay canaries)"
 cargo run --release -q -p kalstream-bench --bin exp_crash_recovery -- \

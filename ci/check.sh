@@ -58,6 +58,16 @@ if grep -n 'MIN_BATCH_SPEEDUP' crates/bench/src/regression.rs; then
     exit 1
 fi
 
+echo "==> one sliced CRC, fed in place: no copied CRC input, no lazily built table"
+# Non-test code of the two durable format files only.
+for format in wal snapshot; do
+    if sed '/#\[cfg(test)\]/,$d' "crates/durable/src/$format.rs" |
+        grep -nE 'crc_input|OnceLock'; then
+        echo "crates/durable/src/$format.rs copies CRC input or builds a CRC table at run time again" >&2
+        exit 1
+    fi
+done
+
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 

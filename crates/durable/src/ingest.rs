@@ -22,6 +22,8 @@ pub struct Durability {
     store: DurableStore,
     snapshot_every: u64,
     ticks_applied: u64,
+    /// The barrier of the last snapshot written through this hook.
+    snapshotted_at: u64,
 }
 
 impl Durability {
@@ -49,6 +51,7 @@ impl Durability {
             store,
             snapshot_every,
             ticks_applied,
+            snapshotted_at: ticks_applied,
         })
     }
 
@@ -73,7 +76,7 @@ impl Durability {
     ) -> io::Result<()> {
         self.ticks_applied += 1;
         if self.ticks_applied.is_multiple_of(self.snapshot_every) {
-            self.checkpoint(&snapshot())?;
+            self.checkpoint(snapshot)?;
         }
         Ok(())
     }
@@ -90,14 +93,26 @@ impl Durability {
         self.applied(|| pipeline.snapshot_states())
     }
 
-    /// Writes a snapshot of `states` at the current barrier regardless of
-    /// cadence — a clean shutdown checkpoints so the next start replays
-    /// nothing.
+    /// Makes sure the current barrier has a snapshot, regardless of cadence
+    /// — a clean shutdown checkpoints so the next start replays nothing.
+    /// The fleet is captured through `snapshot` and written only when this
+    /// hook has not already snapshotted this barrier: endpoint state changes
+    /// only by applying a tick, so a second snapshot at the same barrier
+    /// would rewrite the same bytes. Skipping it skips the capture (a shard
+    /// barrier and a clone of every endpoint) as well.
     ///
     /// # Errors
     /// Propagates store I/O errors.
-    pub fn checkpoint(&mut self, states: &[(u32, EndpointState)]) -> io::Result<()> {
-        self.store.write_snapshot(self.ticks_applied, states)
+    pub fn checkpoint(
+        &mut self,
+        snapshot: impl FnOnce() -> Vec<(u32, EndpointState)>,
+    ) -> io::Result<()> {
+        if self.snapshotted_at == self.ticks_applied {
+            return Ok(());
+        }
+        self.store.write_snapshot(self.ticks_applied, &snapshot())?;
+        self.snapshotted_at = self.ticks_applied;
+        Ok(())
     }
 
     /// Checkpoints at the resize barrier, then moves `pipeline` to `to` —
@@ -106,7 +121,8 @@ impl Durability {
     /// `(stream_id, state)` pairs), so the checkpoint written here recovers
     /// into **any** shard count. A crash at any point around the resize
     /// replays from this barrier (or an earlier one) into the post-resize
-    /// shape with zero extra machinery.
+    /// shape with zero extra machinery. A resize at a barrier that already
+    /// has its snapshot (a cadence barrier) reuses it.
     ///
     /// # Errors
     /// Propagates store I/O errors; on error the resize is not executed.
@@ -115,7 +131,7 @@ impl Durability {
         pipeline: &mut IngestPipeline,
         to: ShardAssignment,
     ) -> io::Result<ResizeTransition> {
-        self.checkpoint(&pipeline.snapshot_states())?;
+        self.checkpoint(|| pipeline.snapshot_states())?;
         Ok(pipeline.reassign(to))
     }
 

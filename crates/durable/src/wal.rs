@@ -29,6 +29,12 @@
 //! **never applied** by the crashed process, so discarding it is not data
 //! loss — the client's ack/timeout machinery re-sends anything the server
 //! never saw (the PR 7 loss-recovery path, unchanged).
+//!
+//! Both directions checksum in place: [`Crc32`] is fed the tick's eight
+//! bytes and then the payload where they lie, so neither the writer nor
+//! the reader copies a record to check it. The writer builds each record
+//! in one buffer it owns and reuses across appends, so a steady stream of
+//! ticks allocates nothing per append.
 
 use std::fs::File;
 use std::io::{self, Read, Write};
@@ -36,7 +42,7 @@ use std::path::{Path, PathBuf};
 
 use bytes::BufMut;
 
-use crate::snapshot::crc32;
+use crate::snapshot::Crc32;
 
 /// First bytes of every WAL segment ("KalStream WAL").
 pub const WAL_MAGIC: [u8; 4] = *b"KSWL";
@@ -55,6 +61,21 @@ pub struct WalWriter {
     path: PathBuf,
     records: u64,
     bytes: u64,
+    /// The record being written, reused across appends.
+    record: Vec<u8>,
+}
+
+/// `len` as a record's `payload_len` field. A payload too long for it is
+/// refused rather than truncated: a truncated length reads back as a torn
+/// record, and recovery would discard it and every tick after it, all of
+/// which were applied.
+fn payload_len(len: usize) -> io::Result<u32> {
+    u32::try_from(len).map_err(|_| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("a {len}-byte WAL payload overflows the record's u32 length field"),
+        )
+    })
 }
 
 impl WalWriter {
@@ -71,20 +92,28 @@ impl WalWriter {
             path: path.to_path_buf(),
             records: 0,
             bytes: header.len() as u64,
+            record: Vec::new(),
         })
     }
 
     /// Appends one tick's wire batch as a single record.
+    ///
+    /// # Errors
+    /// `InvalidInput`, with nothing written, for a payload longer than
+    /// `u32::MAX` bytes; otherwise the file's write error.
     pub fn append(&mut self, tick: u64, payload: &[u8]) -> io::Result<()> {
-        let mut record = Vec::with_capacity(RECORD_HEADER_BYTES + payload.len());
-        record.put_u32_le(payload.len() as u32);
-        record.put_u64_le(tick);
-        let mut crc_input = Vec::with_capacity(8 + payload.len());
-        crc_input.put_u64_le(tick);
-        crc_input.put_slice(payload);
-        record.put_u32_le(crc32(&crc_input));
+        let len = payload_len(payload.len())?;
+        let tick_bytes = tick.to_le_bytes();
+        let mut crc = Crc32::new();
+        crc.update(&tick_bytes);
+        crc.update(payload);
+        let record = &mut self.record;
+        record.clear();
+        record.put_u32_le(len);
+        record.put_slice(&tick_bytes);
+        record.put_u32_le(crc.finish());
         record.put_slice(payload);
-        self.file.write_all(&record)?;
+        self.file.write_all(record)?;
         self.records += 1;
         self.bytes += record.len() as u64;
         Ok(())
@@ -143,16 +172,7 @@ pub fn read_segment(path: &Path) -> io::Result<SegmentRead> {
             break;
         }
         let len = u32::from_le_bytes([buf[pos], buf[pos + 1], buf[pos + 2], buf[pos + 3]]) as usize;
-        let tick = u64::from_le_bytes([
-            buf[pos + 4],
-            buf[pos + 5],
-            buf[pos + 6],
-            buf[pos + 7],
-            buf[pos + 8],
-            buf[pos + 9],
-            buf[pos + 10],
-            buf[pos + 11],
-        ]);
+        let tick_bytes: [u8; 8] = buf[pos + 4..pos + 12].try_into().expect("8-byte slice");
         let stored_crc =
             u32::from_le_bytes([buf[pos + 12], buf[pos + 13], buf[pos + 14], buf[pos + 15]]);
         let body_start = pos + RECORD_HEADER_BYTES;
@@ -161,14 +181,14 @@ pub fn read_segment(path: &Path) -> io::Result<SegmentRead> {
             break;
         }
         let payload = &buf[body_start..body_start + len];
-        let mut crc_input = Vec::with_capacity(8 + len);
-        crc_input.put_u64_le(tick);
-        crc_input.put_slice(payload);
-        if crc32(&crc_input) != stored_crc {
+        let mut crc = Crc32::new();
+        crc.update(&tick_bytes);
+        crc.update(payload);
+        if crc.finish() != stored_crc {
             torn = 1;
             break;
         }
-        records.push((tick, payload.to_vec()));
+        records.push((u64::from_le_bytes(tick_bytes), payload.to_vec()));
         pos = body_start + len;
     }
     Ok(SegmentRead { records, torn })
@@ -270,6 +290,51 @@ mod tests {
             1,
             "only the record before the corruption survives"
         );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn payload_len_refuses_what_the_u32_field_cannot_hold() {
+        assert_eq!(payload_len(u32::MAX as usize).unwrap(), u32::MAX);
+        let err = payload_len(u32::MAX as usize + 1).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+    }
+
+    /// `WalWriter::append` as it was before the record buffer was reused
+    /// and the CRC sliced and fed in place: the golden oracle for the bytes
+    /// on disk.
+    fn append_oracle(segment: &mut Vec<u8>, tick: u64, payload: &[u8]) {
+        let mut record = Vec::with_capacity(RECORD_HEADER_BYTES + payload.len());
+        record.put_u32_le(payload.len() as u32);
+        record.put_u64_le(tick);
+        let mut crc_input = Vec::with_capacity(8 + payload.len());
+        crc_input.put_u64_le(tick);
+        crc_input.put_slice(payload);
+        record.put_u32_le(crate::snapshot::tests::crc32_bytewise(&crc_input));
+        record.put_slice(payload);
+        segment.extend_from_slice(&record);
+    }
+
+    #[test]
+    fn segment_bytes_match_the_old_append() {
+        let dir = tmp_dir("golden");
+        let path = dir.join("wal-0.log");
+        let mut w = WalWriter::create(&path).unwrap();
+        let mut want = Vec::new();
+        want.put_slice(&WAL_MAGIC);
+        want.put_u16_le(WAL_VERSION);
+        want.put_u16_le(0);
+        // Shorter records after longer ones too: the reused buffer must
+        // carry nothing over.
+        for (i, len) in [0usize, 1, 7, 8, 9, 6_319, 9, 0].into_iter().enumerate() {
+            let tick = 40 + i as u64;
+            let payload: Vec<u8> = (0..len).map(|k| (k * 31 + i) as u8).collect();
+            w.append(tick, &payload).unwrap();
+            append_oracle(&mut want, tick, &payload);
+        }
+        assert_eq!(w.bytes(), want.len() as u64);
+        drop(w);
+        assert!(std::fs::read(&path).unwrap() == want, "segment bytes moved");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

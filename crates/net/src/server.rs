@@ -458,7 +458,8 @@ impl Engine {
     }
 
     /// Clean teardown: a durable server checkpoints at the final barrier
-    /// (so the next start replays nothing), an elastic one reports its
+    /// (so the next start replays nothing; a no-op when the cadence or a
+    /// resize already snapshotted it), an elastic one reports its
     /// controller counters, then the pipeline finishes.
     fn finish(
         mut self,
@@ -477,7 +478,7 @@ impl Engine {
             }
         });
         if let Some(durable) = &mut self.durable {
-            durable.checkpoint(&self.pipeline.snapshot_states())?;
+            durable.checkpoint(|| self.pipeline.snapshot_states())?;
         }
         let durable = self.durable.map(|durable| durable.store().stats().clone());
         Ok((self.pipeline.finish(), durable, elastic))

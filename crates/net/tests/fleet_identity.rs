@@ -1,10 +1,16 @@
 //! Fleet-level bit-identity: a fleet driven over real TCP connections
 //! through [`NetServer`]'s sharded pipeline converges to exactly the
 //! filter state the simulator's ingest mode produces through the
-//! sequential reference — reliable or lossy, lockstep or throughput mode.
+//! sequential reference — reliable or lossy, lockstep or throughput mode —
+//! and a durable server restarted after a clean shutdown resumes that
+//! state without replaying anything.
+
+use std::io::{Read as _, Write as _};
 
 use kalstream_core::{FramingSink, IngestResult, SequentialIngest};
-use kalstream_net::{workload, ClientConfig, NetServer, NetServerConfig};
+use kalstream_durable::DurableConfig;
+use kalstream_net::codec::{decode_status, encode_hello, STATUS_BYTES};
+use kalstream_net::{workload, ClientConfig, HelloStatus, NetServer, NetServerConfig};
 use kalstream_sim::{run_fleet_ingest_faulty, LinkFaults};
 
 const OVERHEAD: usize = 8;
@@ -146,6 +152,85 @@ fn lossy_fleet_over_tcp_is_bit_identical_to_sim() {
         let report = over_tcp(12, 3, 80, faults, lockstep, 3, false);
         assert_clean_and_identical(&report, &reference);
     }
+}
+
+/// A durable run of exactly two snapshot intervals ends on a cadence
+/// barrier, so teardown's checkpoint has nothing to add: genesis plus the
+/// two cadence snapshots. The server restarted on that directory resumes at
+/// the barrier with nothing to replay and the fleet bit for bit.
+#[test]
+fn clean_shutdown_on_a_cadence_barrier_snapshots_it_once() {
+    let (streams, snapshot_every) = (4u32, 5u64);
+    let dir = std::env::temp_dir().join(format!("kalstream-net-cadence-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = NetServerConfig {
+        shards: 2,
+        expected_conns: 1,
+        lockstep: true,
+        durable: Some(DurableConfig {
+            dir: dir.clone(),
+            snapshot_every,
+        }),
+        ..NetServerConfig::default()
+    };
+    let start = || {
+        NetServer::start(
+            "127.0.0.1:0",
+            workload::server_endpoints(streams),
+            config.clone(),
+        )
+        .expect("bind")
+    };
+
+    let server = start();
+    let ids: Vec<u32> = (0..streams).collect();
+    let client = ClientConfig {
+        ticks: 2 * snapshot_every,
+        overhead_bytes: OVERHEAD,
+        faults: LinkFaults::default(),
+        lockstep: true,
+        expect_status: true,
+    };
+    kalstream_net::drive_connection(
+        &server.addr().to_string(),
+        &mut workload::source_streams(&ids),
+        0,
+        &client,
+    )
+    .expect("connection");
+    let first = server.join().expect("server");
+    assert_eq!(first.ticks, 2 * snapshot_every);
+    let durable = first.durable.as_ref().expect("durable stats");
+    let written = durable.snapshots_written.get();
+    assert_eq!(written, 1 + 2, "genesis + 2 cadence");
+
+    let server = start();
+    {
+        let mut conn = std::net::TcpStream::connect(server.addr()).expect("dial");
+        conn.write_all(&encode_hello(&ids)).expect("hello");
+        let mut status = [0u8; STATUS_BYTES];
+        conn.read_exact(&mut status).expect("status");
+        assert_eq!(
+            decode_status(&status),
+            Ok(HelloStatus::Recovering {
+                next_tick: 2 * snapshot_every
+            })
+        );
+    }
+    let restarted = server.join().expect("restarted server");
+    assert_eq!((restarted.ticks, restarted.replayed_ticks), (0, 0));
+    let (got, want) = (&restarted.ingest.endpoints, &first.ingest.endpoints);
+    assert_eq!(got.len(), want.len());
+    for ((ia, ea), (ib, eb)) in got.iter().zip(want) {
+        assert_eq!(ia, ib);
+        assert_eq!(ea.syncs_applied(), eb.syncs_applied(), "stream {ia}");
+        assert_eq!(
+            workload::endpoint_bits(ea),
+            workload::endpoint_bits(eb),
+            "stream {ia} changed across the restart"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
