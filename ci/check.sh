@@ -14,11 +14,18 @@ if grep -n tokio --include=Cargo.toml -r . --exclude-dir=benchmark --exclude-dir
     exit 1
 fi
 
-echo "==> adaptive filter keeps an O(1) footprint: no per-entry matrices, no per-update model rebuild"
+echo "==> adaptive filter keeps an O(1) footprint: no per-entry matrices, no per-update model rebuild, one walk per update"
 # Non-test code of adaptive.rs only (everything above its #[cfg(test)]).
 if sed '/#\[cfg(test)\]/,$d' crates/filter/src/adaptive.rs |
     grep -nE 'VecDeque|with_measurement_noise|with_process_noise|with_scaled_q|set_model'; then
     echo "crates/filter/src/adaptive.rs is back to per-entry windows or rebuilding the model per update" >&2
+    exit 1
+fi
+# `adapt` reads every mean off one lane-blocked pass over the ring; a
+# separate R or Q estimator would walk the window again.
+if sed '/#\[cfg(test)\]/,$d' crates/filter/src/adaptive.rs |
+    grep -nE 'fn adapt_(r|q)\b'; then
+    echo "crates/filter/src/adaptive.rs walks the window more than once per update (fn adapt_r / fn adapt_q)" >&2
     exit 1
 fi
 

@@ -71,13 +71,21 @@ const PROBE_ROUNDS: u64 = 400;
 /// round-robin, in ns. Informational: printed and recorded, never gated.
 ///
 /// The single-hot-filter rows above (`suppression_decision_ns` and friends)
-/// time one endpoint in a tight loop, so everything it touches stays in
-/// L1 — which is how a 220 ns `decide` row sat next to a 2.8 µs per-`decide`
-/// cost in the 512-stream fleet for five PRs: the fleet's working set
-/// (then ≈ 35 KB of window matrices per stream) never fit any cache, and a
-/// one-filter loop cannot see that. These rows can.
+/// time one endpoint in a tight loop with warm branch predictors and every
+/// byte it touches in L1 — which is how a 220 ns `decide` row once sat next
+/// to a 2.8 µs per-`decide` cost in the 512-stream fleet, when each stream
+/// still walked ≈ 35 KB of window matrices per update. These rows time the
+/// operations as the fleet runs them, one stream after another. Since the
+/// windows became one small flat ring, `observe` costs the same per
+/// observation over 16 streams (which fit in L2) as over 512, so what these
+/// rows price is arithmetic, such as the adaptation's window sums
+/// (`adaptive_step_ns` against `adaptive_fixed_step_ns`), not cache misses.
 struct FleetProbe {
     adaptive_step_ns: f64,
+    /// The same adaptive filters with `adapt_r` and `adapt_q` off: the
+    /// wrapper and the inner step without the window sums, so that
+    /// `adaptive_step_ns` minus this row prices the adaptation.
+    adaptive_fixed_step_ns: f64,
     source_decide_suppressed_ns: f64,
     source_decide_sent_ns: f64,
     /// `Producer::observe` on the loud fleet: the sent branch as the fleet
@@ -137,13 +145,21 @@ fn default_scalar_sources(delta: f64) -> Vec<SourceEndpoint> {
 fn fleet_probe() -> FleetProbe {
     let walk =
         || KalmanFilter::new(models::random_walk(0.01, 0.01), Vector::zeros(1), 1.0).expect("kf");
-    let mut adaptive: Vec<AdaptiveKalmanFilter> = (0..PROBE_STREAMS)
-        .map(|_| AdaptiveKalmanFilter::new(walk(), AdaptiveConfig::default()))
-        .collect();
     let mut z = Vector::zeros(1);
-    let adaptive_step_ns = round_robin_ns(&mut adaptive, |akf, i, round| {
-        z[0] = probe_signal(i, round);
-        std::hint::black_box(akf.step_lean(&z).expect("step").nis);
+    let mut adaptive_fleet_ns = |config: AdaptiveConfig| {
+        let mut adaptive: Vec<AdaptiveKalmanFilter> = (0..PROBE_STREAMS)
+            .map(|_| AdaptiveKalmanFilter::new(walk(), config.clone()))
+            .collect();
+        round_robin_ns(&mut adaptive, |akf, i, round| {
+            z[0] = probe_signal(i, round);
+            std::hint::black_box(akf.step_lean(&z).expect("step").nis);
+        })
+    };
+    let adaptive_step_ns = adaptive_fleet_ns(AdaptiveConfig::default());
+    let adaptive_fixed_step_ns = adaptive_fleet_ns(AdaptiveConfig {
+        adapt_r: false,
+        adapt_q: false,
+        ..AdaptiveConfig::default()
     });
 
     // A bound nothing exceeds / a bound everything exceeds: each fleet
@@ -195,6 +211,7 @@ fn fleet_probe() -> FleetProbe {
 
     FleetProbe {
         adaptive_step_ns,
+        adaptive_fixed_step_ns,
         source_decide_suppressed_ns,
         source_decide_sent_ns,
         source_observe_sent_ns,
@@ -350,13 +367,14 @@ fn measure(quick: bool) -> Measurements {
 
 fn to_json(m: &Measurements) -> String {
     format!(
-        "{{\n  \"schema\": \"bench_kernels/v1\",\n  \"available_parallelism\": {},\n  \"predict_ns\": {:.1},\n  \"update_ns\": {:.1},\n  \"suppression_decision_ns\": {:.1},\n  \"fleet_probe_streams\": {},\n  \"fleet_adaptive_step_ns\": {:.1},\n  \"fleet_source_decide_suppressed_ns\": {:.1},\n  \"fleet_source_decide_sent_ns\": {:.1},\n  \"fleet_source_observe_sent_ns\": {:.1},\n  \"fleet_shadow_predict_ns\": {:.1},\n  \"fleet_wire_parse_ns\": {:.1},\n  \"fleet_server_apply_ns\": {:.1},\n  \"allocs_per_tick\": {:.3},\n  \"allocs_per_filter_step\": {:.3},\n  \"fleet_streams\": {},\n  \"fleet_ticks\": {},\n  \"fleet_wall_ms\": {:.1},\n  \"fleet_total_messages\": {},\n  \"batch_fleet_streams\": {},\n  \"batch_fleet_ticks\": {},\n  \"batch_fleet_scalar_wall_ms\": {:.1},\n  \"batch_fleet_wall_ms\": {:.1},\n  \"batch_fleet_speedup\": {:.2},\n  \"batch_predict_ns\": {:.1},\n  \"batch_update_ns\": {:.1},\n  \"batch_matches_scalar\": {}\n}}\n",
+        "{{\n  \"schema\": \"bench_kernels/v1\",\n  \"available_parallelism\": {},\n  \"predict_ns\": {:.1},\n  \"update_ns\": {:.1},\n  \"suppression_decision_ns\": {:.1},\n  \"fleet_probe_streams\": {},\n  \"fleet_adaptive_step_ns\": {:.1},\n  \"fleet_adaptive_fixed_step_ns\": {:.1},\n  \"fleet_source_decide_suppressed_ns\": {:.1},\n  \"fleet_source_decide_sent_ns\": {:.1},\n  \"fleet_source_observe_sent_ns\": {:.1},\n  \"fleet_shadow_predict_ns\": {:.1},\n  \"fleet_wire_parse_ns\": {:.1},\n  \"fleet_server_apply_ns\": {:.1},\n  \"allocs_per_tick\": {:.3},\n  \"allocs_per_filter_step\": {:.3},\n  \"fleet_streams\": {},\n  \"fleet_ticks\": {},\n  \"fleet_wall_ms\": {:.1},\n  \"fleet_total_messages\": {},\n  \"batch_fleet_streams\": {},\n  \"batch_fleet_ticks\": {},\n  \"batch_fleet_scalar_wall_ms\": {:.1},\n  \"batch_fleet_wall_ms\": {:.1},\n  \"batch_fleet_speedup\": {:.2},\n  \"batch_predict_ns\": {:.1},\n  \"batch_update_ns\": {:.1},\n  \"batch_matches_scalar\": {}\n}}\n",
         m.available_parallelism,
         m.predict_ns,
         m.update_ns,
         m.decide_ns,
         PROBE_STREAMS,
         m.probe.adaptive_step_ns,
+        m.probe.adaptive_fixed_step_ns,
         m.probe.source_decide_suppressed_ns,
         m.probe.source_decide_sent_ns,
         m.probe.source_observe_sent_ns,
@@ -409,9 +427,10 @@ fn main() {
         m.predict_ns, m.update_ns, m.decide_ns, m.allocs_per_tick, m.fleet_wall_ms
     );
     println!(
-        "fleet probe, {} round-robin default-scalar streams: adaptive step {:.0} ns | decide suppressed {:.0} ns | decide sent {:.0} ns | observe sent {:.0} ns | shadow predict {:.0} ns | wire parse {:.0} ns | server receive+advance {:.0} ns",
+        "fleet probe, {} round-robin default-scalar streams: adaptive step {:.0} ns | adaptive step, both switches off {:.0} ns | decide suppressed {:.0} ns | decide sent {:.0} ns | observe sent {:.0} ns | shadow predict {:.0} ns | wire parse {:.0} ns | server receive+advance {:.0} ns",
         PROBE_STREAMS,
         m.probe.adaptive_step_ns,
+        m.probe.adaptive_fixed_step_ns,
         m.probe.source_decide_suppressed_ns,
         m.probe.source_decide_sent_ns,
         m.probe.source_observe_sent_ns,
@@ -442,6 +461,7 @@ fn main() {
         let mut s = metrics.scope("fleet_probe");
         s.counter("streams", PROBE_STREAMS as u64);
         s.gauge("adaptive_step_ns", m.probe.adaptive_step_ns);
+        s.gauge("adaptive_fixed_step_ns", m.probe.adaptive_fixed_step_ns);
         s.gauge(
             "source_decide_suppressed_ns",
             m.probe.source_decide_suppressed_ns,

@@ -44,6 +44,21 @@ impl Estimator {
         Ok(())
     }
 
+    /// Advances the estimator one tick without a measurement (a tick whose
+    /// observation was unusable), so it stays on the stream's clock. A bank
+    /// predicts every member.
+    ///
+    /// # Errors
+    /// Propagates filter errors (divergence).
+    pub fn predict(&mut self) -> Result<()> {
+        match self {
+            Estimator::Fixed(kf) => kf.predict()?,
+            Estimator::Adaptive(akf) => akf.predict()?,
+            Estimator::Bank(bank) => bank.predict()?,
+        }
+        Ok(())
+    }
+
     /// The filter whose state a sync message would ship right now.
     pub fn active(&self) -> &KalmanFilter {
         match self {
@@ -129,6 +144,30 @@ mod tests {
             e.step(&z(t as f64)).unwrap();
         }
         assert_eq!(e.active_model().name(), "constant_velocity");
+    }
+
+    #[test]
+    fn predict_advances_every_kind_one_step() {
+        let kf = KalmanFilter::new(
+            models::constant_velocity(1.0, 0.01, 0.05),
+            Vector::from_slice(&[0.0, 1.0]),
+            1.0,
+        )
+        .unwrap();
+        let mut want = kf.clone();
+        want.predict().unwrap();
+        for mut e in [
+            Estimator::Fixed(kf.clone()),
+            Estimator::Adaptive(AdaptiveKalmanFilter::new(
+                kf.clone(),
+                AdaptiveConfig::default(),
+            )),
+            Estimator::Bank(ModelBank::new(vec![kf.clone()], BankConfig::default()).unwrap()),
+        ] {
+            e.predict().unwrap();
+            assert_eq!(e.active().state(), want.state());
+            assert_eq!(e.active().covariance(), want.covariance());
+        }
     }
 
     #[test]

@@ -110,8 +110,9 @@ impl SourceEndpoint {
         self.syncs.get()
     }
 
-    /// Times the local estimator diverged and was reset (should be 0 in
-    /// healthy runs; failure-injection tests exercise it).
+    /// Times the local estimator diverged: a failed step, after which it
+    /// was reset, or a failed predict through a rejected observation
+    /// (should be 0 in healthy runs; failure-injection tests exercise it).
     pub fn estimator_failures(&self) -> u64 {
         self.estimator_failures.get()
     }
@@ -206,11 +207,15 @@ impl SourceEndpoint {
         //    value — before they touch any filter. A NaN fed through would
         //    make the innovation norm NaN, the suppression test permanently
         //    false, and the source would then sync NaN state every tick.
-        //    The shadow still predicts (the server predicts every tick
-        //    regardless of what the source observed) so the pair stays in
-        //    lock-step.
+        //    Both filters still predict: the shadow because the server
+        //    predicts every tick regardless of what the source observed, so
+        //    the pair stays in lock-step; the estimator so that it stays on
+        //    the stream's clock instead of falling a step behind.
         if observed.len() < m || observed[..m].iter().any(|v| !v.is_finite()) {
             self.rejected_measurements += 1;
+            if self.estimator.predict().is_err() {
+                self.estimator_failures += 1;
+            }
             let _ = self.shadow.predict();
             self.ticks_since_sync += 1;
             self.synced_last_tick = false;
@@ -678,6 +683,43 @@ mod tests {
             server.predicted_measurement().as_slice(),
             "shadow must predict through a rejected tick"
         );
+    }
+
+    #[test]
+    fn rejected_tick_keeps_the_estimator_on_the_stream_clock() {
+        // Pre-fix regression: a rejected observation predicted the shadow
+        // but not the estimator, which then ran a step behind the stream —
+        // at t = 51 it read x = [50, 1] against [51, 1], at t = 52
+        // [51.36, 1.08] against [52, 1] — and cut its next syncs from that.
+        let cv = KalmanFilter::new(
+            models::constant_velocity(1.0, 0.01, 0.05),
+            Vector::from_slice(&[0.0, 1.0]),
+            1.0,
+        )
+        .unwrap();
+        let mut s = SourceEndpoint::new(
+            Estimator::Fixed(cv.clone()),
+            cv.clone(),
+            ProtocolConfig::new(0.5).unwrap(),
+        );
+        let mut reference = cv;
+        for t in 0..=60 {
+            if t == 51 {
+                assert_eq!(s.decide(&[f64::NAN]), None);
+                reference.predict().unwrap();
+            } else {
+                s.decide(&[t as f64]);
+                reference.step(&Vector::from_slice(&[t as f64])).unwrap();
+            }
+            assert_eq!(s.estimator().active().state(), reference.state(), "t = {t}");
+            assert_eq!(
+                s.estimator().active().covariance(),
+                reference.covariance(),
+                "t = {t}"
+            );
+        }
+        assert_eq!(s.rejected_measurements(), 1);
+        assert_eq!(s.estimator_failures(), 0);
     }
 
     #[test]

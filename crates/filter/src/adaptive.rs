@@ -60,22 +60,35 @@ impl Default for AdaptiveConfig {
     }
 }
 
+/// Values summed side by side: a ring entry is padded to a whole number of
+/// these blocks so that one block's sums can live in registers.
+const LANES: usize = 4;
+
 /// The three estimation windows — `ν νᵀ`, `H P⁻ Hᵀ` and NIS — as one flat
-/// ring of `window` entries of `2m² + 1` values each, allocated once.
+/// ring of `window` entries, allocated once. An entry holds `2m² + 1`
+/// values padded with zeros to a multiple of [`LANES`] (4 at `m = 1`, so
+/// 1 KB at the default `window = 32`).
 ///
 /// The windows always fill and clear together, so they share one cursor.
-/// The means are re-summed oldest → newest from `0.0` on every read (a
-/// running sum would round differently and change `R̂`'s bits), which at
-/// `m = 1` is a walk over 768 contiguous bytes.
+/// The means are re-summed oldest → newest on every read (a running sum
+/// would round differently and change `R̂`'s bits), one block of
+/// [`LANES`] values at a time: the accumulators are a fixed-width local
+/// array, so they stay in registers instead of waiting on a store and a
+/// load per add, as a run-time-width accumulator does.
 #[derive(Debug, Clone)]
 struct Windows {
     /// Entries the ring holds; `0` makes every method a no-op.
     window: usize,
     /// `m²`: values per matrix in an entry.
     mm: usize,
-    /// Entry `e` is `buf[e·stride..][..stride]` = `[ν νᵀ | H P⁻ Hᵀ | NIS]`,
-    /// `stride = 2m² + 1`; `buf.len() = window · stride`.
+    /// Values per entry: `2m² + 1` rounded up to a multiple of [`LANES`].
+    stride: usize,
+    /// Entry `e` is `buf[e·stride..][..stride]` =
+    /// `[ν νᵀ | H P⁻ Hᵀ | NIS | zero padding]`; `buf.len() = window · stride`.
     buf: Vec<f64>,
+    /// Per-value sums over the live entries, laid out like an entry; what
+    /// [`Windows::sums`] last wrote.
+    sums: Vec<f64>,
     /// Live entries.
     len: usize,
     /// Slot of the oldest entry (non-zero only once the ring is full).
@@ -85,17 +98,16 @@ struct Windows {
 impl Windows {
     fn new(window: usize, m: usize) -> Self {
         let mm = m * m;
+        let stride = (2 * mm + 1).next_multiple_of(LANES);
         Windows {
             window,
             mm,
-            buf: vec![0.0; window * (2 * mm + 1)],
+            stride,
+            buf: vec![0.0; window * stride],
+            sums: vec![0.0; stride],
             len: 0,
             head: 0,
         }
-    }
-
-    fn stride(&self) -> usize {
-        2 * self.mm + 1
     }
 
     /// `true` once `window` entries are live — never, for a zero window.
@@ -116,7 +128,7 @@ impl Windows {
         if self.window == 0 {
             return;
         }
-        let (mm, stride) = (self.mm, self.stride());
+        let (mm, stride) = (self.mm, self.stride);
         let slot = if self.is_full() {
             let oldest = self.head;
             self.head = (self.head + 1) % self.window;
@@ -138,13 +150,45 @@ impl Windows {
         rest[mm] = nis;
     }
 
-    /// The live entries, oldest first.
-    fn entries(&self) -> impl Iterator<Item = &[f64]> {
-        let stride = self.stride();
-        let (wrapped, oldest) = self.buf[..self.len * stride].split_at(self.head * stride);
-        oldest
-            .chunks_exact(stride)
-            .chain(wrapped.chunks_exact(stride))
+    /// Sums values `block·LANES..` of every live entry, oldest → newest.
+    ///
+    /// Each sum starts where the per-entry formulation's did: `+0.0` for
+    /// the matrix values (the `Matrix::zeros` they were added into) and
+    /// `-0.0` for the NIS (where `Iterator::sum` starts), so every sum has
+    /// the same bits, signed zeros included.
+    fn block_sum(&self, block: usize) -> [f64; LANES] {
+        let mut acc = [0.0; LANES];
+        let nis = 2 * self.mm;
+        if nis / LANES == block {
+            acc[nis % LANES] = -0.0;
+        }
+        let offset = block * LANES;
+        // Oldest first: the slots from `head` on, then the wrapped ones.
+        for slots in [self.head..self.len, 0..self.head] {
+            for slot in slots {
+                let values = &self.buf[slot * self.stride + offset..][..LANES];
+                for (a, v) in acc.iter_mut().zip(values) {
+                    *a += v;
+                }
+            }
+        }
+        acc
+    }
+
+    /// The per-value sums of the live entries, laid out like an entry: one
+    /// pass over the ring per block of [`LANES`] values.
+    fn sums(&mut self) -> &[f64] {
+        for block in 0..self.stride / LANES {
+            let acc = self.block_sum(block);
+            self.sums[block * LANES..][..LANES].copy_from_slice(&acc);
+        }
+        &self.sums
+    }
+
+    /// The NIS sum alone: one pass over its block.
+    fn nis_sum(&self) -> f64 {
+        let nis = 2 * self.mm;
+        self.block_sum(nis / LANES)[nis % LANES]
     }
 }
 
@@ -211,8 +255,7 @@ impl AdaptiveKalmanFilter {
         if self.windows.len == 0 {
             0.0
         } else {
-            let last = self.windows.stride() - 1;
-            self.windows.entries().map(|e| e[last]).sum::<f64>() / self.windows.len as f64
+            self.windows.nis_sum() / self.windows.len as f64
         }
     }
 
@@ -248,13 +291,8 @@ impl AdaptiveKalmanFilter {
             windows.push(seen.nu, seen.cov, seen.r, seen.stats.nis);
             read(seen)
         })?;
-        if self.windows.is_full() {
-            if self.config.adapt_r {
-                self.adapt_r();
-            }
-            if self.config.adapt_q {
-                self.adapt_q();
-            }
+        if self.windows.is_full() && (self.config.adapt_r || self.config.adapt_q) {
+            self.adapt();
         }
         Ok(out)
     }
@@ -278,41 +316,38 @@ impl AdaptiveKalmanFilter {
         self.update_lean(z)
     }
 
-    fn adapt_r(&mut self) {
+    /// Re-estimates `R` and rescales `Q`, as configured, from one pass over
+    /// the full windows.
+    fn adapt(&mut self) {
         let m = self.inner.model().measurement_dim();
         let mm = self.windows.mm;
-        let mut c = Matrix::zeros(m, m);
-        let mut hph = Matrix::zeros(m, m);
-        for entry in self.windows.entries() {
-            for (acc, v) in c.as_mut_slice().iter_mut().zip(&entry[..mm]) {
-                *acc += v;
+        let count = self.windows.len as f64;
+        let sums = self.windows.sums();
+        // Per measurement dimension, as the NIS band is stated.
+        let mean_nis = sums[2 * mm] / count / m as f64;
+        if self.config.adapt_r {
+            // R̂ = mean(ν νᵀ) − mean(H P⁻ Hᵀ), floored on the diagonal.
+            let inv_count = 1.0 / count;
+            let mut r_hat = Matrix::zeros(m, m);
+            let (outer, hph) = sums[..2 * mm].split_at(mm);
+            for ((r, c), h) in r_hat.as_mut_slice().iter_mut().zip(outer).zip(hph) {
+                *r = c * inv_count - h * inv_count;
             }
-            for (acc, v) in hph.as_mut_slice().iter_mut().zip(&entry[mm..2 * mm]) {
-                *acc += v;
+            for i in 0..m {
+                let d = r_hat.get(i, i).max(self.config.r_floor);
+                r_hat.set(i, i, d);
+            }
+            r_hat.symmetrize_mut();
+            // Only adopt estimates that are positive definite; otherwise
+            // keep the current R (a window straddling a regime change can
+            // go indefinite transiently).
+            if r_hat.cholesky().is_ok() {
+                let _ = self.inner.set_measurement_noise(&r_hat);
             }
         }
-        let inv_count = 1.0 / self.windows.len as f64;
-        c.scale_mut(inv_count);
-        hph.scale_mut(inv_count);
-        // R̂ = mean(ν νᵀ) − mean(H P⁻ Hᵀ), floored on the diagonal.
-        let mut r_hat = c;
-        r_hat -= &hph;
-        for i in 0..m {
-            let d = r_hat.get(i, i).max(self.config.r_floor);
-            r_hat.set(i, i, d);
+        if !self.config.adapt_q {
+            return;
         }
-        r_hat.symmetrize_mut();
-        // Only adopt estimates that are positive definite; otherwise keep
-        // the current R (a window straddling a regime change can go
-        // indefinite transiently).
-        if r_hat.cholesky().is_ok() {
-            let _ = self.inner.set_measurement_noise(&r_hat);
-        }
-    }
-
-    fn adapt_q(&mut self) {
-        let m = self.inner.model().measurement_dim();
-        let mean_nis = self.mean_nis() / m as f64;
         let (lo, hi) = self.config.nis_band;
         let (smin, smax) = self.config.q_scale_bounds;
         let mut new_scale = self.q_scale;
@@ -348,6 +383,17 @@ mod tests {
         let u1: f64 = rng.random::<f64>().max(1e-12);
         let u2: f64 = rng.random();
         (-2.0 * u1.ln()).sqrt() * (core::f64::consts::TAU * u2).cos()
+    }
+
+    impl Windows {
+        /// The live entries, oldest first (padding included).
+        fn entries(&self) -> impl Iterator<Item = &[f64]> {
+            let stride = self.stride;
+            let (wrapped, oldest) = self.buf[..self.len * stride].split_at(self.head * stride);
+            oldest
+                .chunks_exact(stride)
+                .chain(wrapped.chunks_exact(stride))
+        }
     }
 
     fn adaptive_walk(r0: f64, config: AdaptiveConfig) -> AdaptiveKalmanFilter {
@@ -466,8 +512,16 @@ mod tests {
         .unwrap();
         let mut planar = AdaptiveKalmanFilter::new(cv2d, config);
         let (len1, len2) = (scalar.windows.buf.len(), planar.windows.buf.len());
-        assert_eq!(len1, 4 * 3, "m = 1: 4 entries of 2·1 + 1 values");
-        assert_eq!(len2, 4 * 9, "m = 2: 4 entries of 2·4 + 1 values");
+        assert_eq!(
+            len1,
+            4 * 4,
+            "m = 1: 4 entries of 2·1 + 1 values, padded to 4"
+        );
+        assert_eq!(
+            len2,
+            4 * 12,
+            "m = 2: 4 entries of 2·4 + 1 values, padded to 12"
+        );
         for t in 0..50 {
             let v = t as f64 * 0.01;
             scalar.step(&Vector::from_slice(&[v])).unwrap();
@@ -485,7 +539,7 @@ mod tests {
         let mut w = Windows::new(3, 1);
         for k in 1..=5 {
             let k = k as f64;
-            // ν = k, S = 10k, R = k  →  entry [k², 9k, k].
+            // ν = k, S = 10k, R = k  →  entry [k², 9k, k, 0 (padding)].
             w.push(&[k], &[10.0 * k], &[k], k);
             let got: Vec<f64> = w.entries().map(|e| e[2]).collect();
             let want: Vec<f64> = (1..=5)
@@ -494,11 +548,68 @@ mod tests {
                 .collect();
             assert_eq!(got, want, "after push {k}");
         }
-        assert_eq!(w.entries().next().unwrap(), &[9.0, 27.0, 3.0]);
+        assert_eq!(w.entries().next().unwrap(), &[9.0, 27.0, 3.0, 0.0]);
         w.clear();
         assert_eq!(w.entries().count(), 0);
         w.push(&[2.0], &[1.0], &[0.5], 7.0);
-        assert_eq!(w.entries().next().unwrap(), &[4.0, 0.5, 7.0]);
+        assert_eq!(w.entries().next().unwrap(), &[4.0, 0.5, 7.0, 0.0]);
+    }
+
+    #[test]
+    fn lane_blocked_sums_match_a_per_value_walk() {
+        // The oracle sums each value on its own, oldest entry first, from
+        // where the per-entry formulation started: `+0.0` for the matrix
+        // means, `Iterator::sum`'s start for the NIS.
+        fn walk(w: &Windows) -> Vec<u64> {
+            let nis = 2 * w.mm;
+            let mut sums: Vec<f64> = (0..nis)
+                .map(|i| w.entries().fold(0.0, |acc, e| acc + e[i]))
+                .collect();
+            sums.push(w.entries().map(|e| e[nis]).sum::<f64>());
+            sums.iter().map(|v| v.to_bits()).collect()
+        }
+        fn lanes(w: &mut Windows) -> Vec<u64> {
+            let live = 2 * w.mm + 1;
+            w.sums()[..live].iter().map(|v| v.to_bits()).collect()
+        }
+        let mut rng = SmallRng::seed_from_u64(45);
+        for m in 1..=4 {
+            let mut w = Windows::new(5, m);
+            assert_eq!(w.stride, [4, 12, 20, 36][m - 1], "2m² + 1 padded to lanes");
+            let mut nu = vec![0.0; m];
+            let mut s = vec![0.0; m * m];
+            let mut r = vec![0.0; m * m];
+            // Five entries: nine pushes wrap the ring, a clear, then eight
+            // more wrap it again.
+            for step in 0..17 {
+                if step == 9 {
+                    w.clear();
+                    assert_eq!(lanes(&mut w), walk(&w), "m = {m}, cleared");
+                }
+                for v in nu.iter_mut().chain(&mut s).chain(&mut r) {
+                    *v = gaussian(&mut rng) * 1e3;
+                }
+                // The first entry after the clear is all negative zeros,
+                // so the start of each sum shows in its sign.
+                let nis = if step == 9 {
+                    nu.fill(-0.0);
+                    s.fill(-0.0);
+                    r.fill(0.0);
+                    -0.0
+                } else {
+                    gaussian(&mut rng).abs()
+                };
+                w.push(&nu, &s, &r, nis);
+                let want = walk(&w);
+                assert_eq!(lanes(&mut w), want, "m = {m}, step {step}");
+                assert_eq!(
+                    w.nis_sum().to_bits(),
+                    want[2 * m * m],
+                    "m = {m}, step {step}"
+                );
+            }
+            assert_eq!(w.head, 3, "m = {m}: the ring wrapped after the clear");
+        }
     }
 
     #[test]

@@ -161,6 +161,24 @@ impl ModelBank {
         active_outcome.expect("active index is always in range")
     }
 
+    /// Advances every model one time step without a measurement, so the
+    /// whole bank stays on the stream's clock through a tick with nothing
+    /// to update on. Scores and the active model are left as they are.
+    ///
+    /// # Errors
+    /// Returns an error only when the *active* model itself fails; a failed
+    /// candidate is penalised at its next [`ModelBank::step`].
+    pub fn predict(&mut self) -> Result<()> {
+        let mut active = Ok(());
+        for (i, f) in self.filters.iter_mut().enumerate() {
+            let result = f.predict();
+            if i == self.active {
+                active = result;
+            }
+        }
+        active
+    }
+
     fn maybe_switch(&mut self) {
         if self.steps_since_switch < self.config.min_dwell {
             return;
@@ -292,6 +310,23 @@ mod tests {
         }
         assert_eq!(a.active_index(), b.active_index());
         assert_eq!(a.active().state(), b.active().state());
+    }
+
+    #[test]
+    fn predict_advances_every_member_and_keeps_the_scores() {
+        let mut bank = bank_walk_cv();
+        for t in 0..20 {
+            bank.step(&Vector::from_slice(&[t as f64])).unwrap();
+        }
+        let mut members = bank.filters.clone();
+        let scores = bank.scores().to_vec();
+        bank.predict().unwrap();
+        for (member, kf) in members.iter_mut().zip(&bank.filters) {
+            member.predict().unwrap();
+            assert_eq!(member.state(), kf.state());
+            assert_eq!(member.covariance(), kf.covariance());
+        }
+        assert_eq!(bank.scores(), &scores[..]);
     }
 
     #[test]

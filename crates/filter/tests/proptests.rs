@@ -383,15 +383,17 @@ fn next_unit(state: &mut u64) -> f64 {
 
 /// Steps the real adaptive filter and the oracle through a three-regime
 /// stream and requires bit-equality of everything observable at every
-/// step. The regimes are chosen so that every case crosses the two
-/// bookkeeping events that could plausibly break equivalence:
+/// step, with both estimators on and with each one alone (the recorded
+/// F4/F5 runs and the 2-D policies adapt `R` only). The regimes are chosen
+/// so that every case crosses the bookkeeping events that could plausibly
+/// break equivalence, wherever the estimator behind them is on:
 ///
 /// 1. noise far above the modelled `R`, `Q` — mean NIS leaves the band and
 ///    `Q` is rescaled, clearing all three windows mid-run;
-/// 2. a flat line — innovations collapse under a by-now inflated `P`, so
+/// 2. a flat line — innovations collapse under `P`, so
 ///    `mean(ν νᵀ) − mean(H P⁻ Hᵀ)` goes negative, the diagonal is floored
 ///    to `r_floor` and the estimate fails the PD test (for `m = 1` the
-///    floor is 0 here; for `m = 2` the surviving off-diagonal does it);
+///    floor is 0 here; for `m ≥ 2` the surviving off-diagonals do it);
 /// 3. noise again, so adoption resumes after the rejections.
 fn assert_adaptive_matches_oracle(
     model: StateModel,
@@ -399,13 +401,27 @@ fn assert_adaptive_matches_oracle(
     r_floor: f64,
     seed: u64,
 ) -> Result<(), TestCaseError> {
+    for (adapt_r, adapt_q) in [(true, true), (true, false), (false, true)] {
+        let config = AdaptiveConfig {
+            window,
+            r_floor,
+            adapt_r,
+            adapt_q,
+            ..Default::default()
+        };
+        assert_config_matches_oracle(model.clone(), config, seed)?;
+    }
+    Ok(())
+}
+
+fn assert_config_matches_oracle(
+    model: StateModel,
+    config: AdaptiveConfig,
+    seed: u64,
+) -> Result<(), TestCaseError> {
     const STEPS: usize = 600;
     let (n, m) = (model.state_dim(), model.measurement_dim());
-    let config = AdaptiveConfig {
-        window,
-        r_floor,
-        ..Default::default()
-    };
+    let (adapt_r, adapt_q) = (config.adapt_r, config.adapt_q);
     let kf = KalmanFilter::new(model, Vector::zeros(n), 1.0).unwrap();
     let mut real = AdaptiveKalmanFilter::new(kf.clone(), config.clone());
     let mut oracle = OracleAdaptive::new(kf, config);
@@ -481,11 +497,36 @@ fn assert_adaptive_matches_oracle(
         );
     }
     prop_assert!(
-        oracle.rescales >= 1,
+        !adapt_q || oracle.rescales >= 1,
         "no Q rescale (window clear) in the run"
     );
-    prop_assert!(oracle.rejected_r >= 1, "no non-PD R̂ rejected in the run");
+    prop_assert!(
+        !adapt_r || oracle.rejected_r >= 1,
+        "no non-PD R̂ rejected in the run"
+    );
     Ok(())
+}
+
+/// A dense, full-row-rank `n`-state, `m`-measurement model: every
+/// component leaks into the next and every measurement sees every state,
+/// so `ν νᵀ`, `H P⁻ Hᵀ` and `R̂` have no structural zeros.
+fn dense_model(n: usize, m: usize, q: f64, r: f64) -> StateModel {
+    let mut f = Matrix::identity(n);
+    for row in 0..n - 1 {
+        f.set(row, row + 1, 0.5);
+    }
+    let mut h = Matrix::zeros(m, n);
+    for j in 0..m {
+        for k in 0..n {
+            let v = if k == j {
+                1.0
+            } else {
+                0.125 / (1 + j + k) as f64
+            };
+            h.set(j, k, v);
+        }
+    }
+    StateModel::new("dense", f, Matrix::scalar(n, q), h, Matrix::scalar(m, r)).unwrap()
 }
 
 proptest! {
@@ -516,5 +557,18 @@ proptest! {
             1e-9,
             seed,
         )?;
+    }
+
+    #[test]
+    fn adaptive_dense_matches_vecdeque_oracle(
+        m in 3usize..=4,
+        q in 1e-3..0.1f64,
+        r in 1e-3..0.5f64,
+        window in 2usize..48,
+        seed in any::<u64>(),
+    ) {
+        // m = 3, 4: entries of 19 and 33 values padded to 20 and 36, so
+        // the lane blocks end in padding (4×3, 4×4).
+        assert_adaptive_matches_oracle(dense_model(4, m, q, r), window, 1e-9, seed)?;
     }
 }
