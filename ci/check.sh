@@ -42,6 +42,18 @@ for endpoint in source server; do
     fi
 done
 
+echo "==> the shard applies in place: no sync queued or drained on the ingest tick"
+# Non-test code only. `Shard::tick` admits each sync and applies it where it
+# lies in the tick buffer; the endpoint's byte queue is the simulator's.
+if sed '/#\[cfg(test)\]/,$d' crates/core/src/ingest.rs | grep -n 'enqueue_view'; then
+    echo "crates/core/src/ingest.rs queues syncs on the shard path again (enqueue_view)" >&2
+    exit 1
+fi
+if sed '/#\[cfg(test)\]/,$d' crates/core/src/batch_ingest.rs | grep -n 'drain_pending'; then
+    echo "crates/core/src/batch_ingest.rs drains a queue onto the lanes again (drain_pending)" >&2
+    exit 1
+fi
+
 echo "==> gates are counts and identities: no --kind, no tolerance, no capacity or speed-up column"
 if grep -rnE -e '--kind|--tolerance|regression_tolerance' crates/bench/src; then
     echo "crates/bench/src names a deleted check_regression knob" >&2

@@ -9,31 +9,39 @@
 //! [`DynFleetBatch::supported`]) with the default Joseph covariance form,
 //! copies each group's per-stream state into [`DynFleetBatch`] lanes, and
 //! from then on advances whole groups with one `predict_all` per tick.
-//! Everything else about the endpoint — sequence bookkeeping, pending
-//! queues, counters, feedback — keeps running through the
-//! [`ServerEndpoint`] exactly as before; only the filter arithmetic moves.
+//! Everything else about the endpoint — sequence bookkeeping, counters,
+//! feedback — keeps running through the [`ServerEndpoint`] exactly as
+//! before; only the filter arithmetic moves.
 //!
 //! ## Equivalence and demotion
 //!
 //! For every lane the batch kernels replicate the scalar filter's
-//! floating-point operation order (see `kalstream_filter::FleetBatch`), and
-//! syncs are applied to lanes through the same operations in the same
-//! per-stream order, so a batched ingest run produces **bit-identical
-//! endpoints** to the plain path — the invariant this module's tests and
-//! the workspace proptests pin down. Streams leave the batch path (are
-//! *demoted* to scalar, state handed back via
-//! [`kalstream_filter::KalmanFilter::restore`]) when:
+//! floating-point operation order (see `kalstream_filter::FleetBatch`). The
+//! shard predicts every lane, then walks the tick's frames once and hands
+//! each admitted sync to [`BatchLanes::apply`], which applies it to the
+//! stream's lane (or, for a scalar-routed stream, its own filter) through
+//! the same operations in the same per-stream order as the plain path. A
+//! batched ingest run therefore produces **bit-identical endpoints** to the
+//! plain path — the invariant this module's tests and the workspace
+//! proptests pin down. Streams leave the batch path (are *demoted* to
+//! scalar) when:
 //!
 //! * a **model sync** arrives — the replacement filter may have any shape,
-//!   so the stream finishes the run scalar (re-promotion would buy little:
-//!   model syncs are rare and grouping is a construction-time decision);
-//! * the lane's state ends a tick **non-finite** — the scalar path owns the
-//!   divergence bookkeeping from there. The check runs *after* the pending
-//!   sweep, so a queued state sync can resynchronise a diverged lane and
-//!   keep it batched, exactly as it would heal a scalar filter.
+//!   so it is installed in the endpoint at once and the stream finishes the
+//!   run scalar; the tick's later syncs for it go to that filter
+//!   (re-promotion would buy little: model syncs are rare and grouping is a
+//!   construction-time decision);
+//! * the lane's state ends a tick **non-finite** — its state goes back via
+//!   [`kalstream_filter::KalmanFilter::restore`] and the scalar path owns
+//!   the divergence bookkeeping from there. The check runs *after* the
+//!   tick's whole apply walk ([`BatchLanes::settle`]), so a later state sync
+//!   can resynchronise a diverged lane and keep it batched, exactly as it
+//!   would heal a scalar filter.
 //!
 //! Demotion swaps the group's last lane into the vacated slot
-//! ([`DynFleetBatch::swap_remove_lane`]), so lanes stay dense.
+//! ([`DynFleetBatch::swap_remove_lane`]), so lanes stay dense; the
+//! endpoint → lane map follows the moved lane, so its later syncs in the
+//! same walk still find it.
 
 use kalstream_filter::{CovarianceUpdate, DynFleetBatch};
 use kalstream_linalg::VECTOR_INLINE_CAP;
@@ -56,10 +64,14 @@ struct BatchGroup {
 /// carry the batched ones' filter arithmetic.
 pub(crate) struct BatchLanes {
     groups: Vec<BatchGroup>,
+    /// `lane_of[slot]` is the `(group, lane)` carrying endpoint `slot`'s
+    /// filter, `None` for a scalar-routed endpoint — the inverse of the
+    /// groups' `slots`, kept in step across every `swap_remove`.
+    lane_of: Vec<Option<(u32, u32)>>,
     /// Positions of the scalar-routed endpoints (their own
-    /// [`kalstream_filter::KalmanFilter`] steps, via
-    /// [`ServerEndpoint::advance`]), ascending and maintained across
-    /// demotions so the per-tick advance loop needs no re-sort. Every other endpoint's filter is dormant until demotion.
+    /// [`kalstream_filter::KalmanFilter`] steps), ascending and maintained
+    /// across demotions so the per-tick predict loop needs no re-sort.
+    /// Every other endpoint's filter is dormant until demotion.
     scalar: Vec<usize>,
 }
 
@@ -70,6 +82,7 @@ impl BatchLanes {
     pub(crate) fn new(endpoints: &[(u32, ServerEndpoint)]) -> Self {
         let mut lanes = BatchLanes {
             groups: Vec::new(),
+            lane_of: vec![None; endpoints.len()],
             scalar: Vec::new(),
         };
         for (slot, (_, ep)) in endpoints.iter().enumerate() {
@@ -101,6 +114,7 @@ impl BatchLanes {
                     filter.steps_since_update(),
                 )
                 .expect("endpoint filter shape matches its own model");
+            lanes.lane_of[slot] = Some((group as u32, g.slots.len() as u32));
             g.slots.push(slot);
         }
         lanes
@@ -113,15 +127,14 @@ impl BatchLanes {
         (batched, self.scalar.len())
     }
 
-    /// Advances every endpoint one tick — the batch twin of calling
-    /// [`ServerEndpoint::advance`] on each: batched groups predict as one
-    /// fleet, scalar endpoints predict individually, then every endpoint's
-    /// pending syncs apply in arrival order.
-    pub(crate) fn advance_tick(&mut self, endpoints: &mut [(u32, ServerEndpoint)]) {
-        // Phase 1: batched predicts. Lanes that come out non-finite get the
-        // scalar path's per-tick `predict_failures` bookkeeping here;
-        // whether they *stay* non-finite (→ demotion) is decided after the
-        // pending sweep, since a queued state sync may resynchronise them.
+    /// The predict phase of a tick — the batch twin of calling
+    /// `ServerEndpoint::predict` on each endpoint: batched groups predict as
+    /// one fleet, then scalar endpoints predict individually. Lanes that
+    /// come out non-finite get the scalar path's per-tick
+    /// `predict_failures` bookkeeping here; whether they *stay* non-finite
+    /// (→ demotion) is decided by [`BatchLanes::settle`], since a sync later
+    /// in the tick may resynchronise them.
+    pub(crate) fn predict(&mut self, endpoints: &mut [(u32, ServerEndpoint)]) {
         for group in self.groups.iter_mut() {
             if group.batch.predict_all() > 0 {
                 for (lane, &slot) in group.slots.iter().enumerate() {
@@ -131,84 +144,75 @@ impl BatchLanes {
                 }
             }
         }
-        // Phase 2: scalar endpoints take their normal advance. Streams
-        // demoted during phase 3 below join this loop from the *next* tick —
-        // their predict for this tick already ran in the batch.
         for &slot in self.scalar.iter() {
-            endpoints[slot].1.advance();
-        }
-        // Phase 3: batched endpoints drain pending onto their lanes. After a
-        // demotion the swapped-in lane re-runs at the same index, so no lane
-        // is skipped.
-        for g in 0..self.groups.len() {
-            let mut lane = 0;
-            while lane < self.groups[g].slots.len() {
-                let slot = self.groups[g].slots[lane];
-                if !self.drain_pending_onto_lane(g, lane, &mut endpoints[slot].1) {
-                    lane += 1;
-                }
-            }
+            endpoints[slot].1.predict();
         }
     }
 
-    /// Applies one batched stream's queued syncs to its lane (same
-    /// operations, same order as [`ServerEndpoint::advance`]'s drain).
-    /// Returns `true` when the stream was demoted (its lane is gone and the
-    /// swapped-in lane, if any, now sits at `lane`).
-    fn drain_pending_onto_lane(
-        &mut self,
-        group: usize,
-        lane: usize,
-        ep: &mut ServerEndpoint,
-    ) -> bool {
+    /// Applies one admitted sync for endpoint `slot` (`ep`): to its lane
+    /// when it has one — the same operations `apply_sync` runs on a filter —
+    /// and to its own filter otherwise.
+    pub(crate) fn apply(&mut self, slot: usize, ep: &mut ServerEndpoint, msg: SyncRef<'_>) {
+        let Some((group, lane)) = self.lane_of[slot] else {
+            ep.apply_view(msg);
+            return;
+        };
+        let (group, lane) = (group as usize, lane as usize);
         let batch = &mut self.groups[group].batch;
-        let mut model_swapped = false;
-        ep.drain_pending(|ep, msg| match msg {
-            // A model sync earlier in this queue made the stream scalar:
-            // the rest applies to the replacement filter, exactly as the
-            // scalar drain would.
-            _ if model_swapped => {
-                ep.apply_view(msg);
-            }
-            SyncRef::State { x, p } => {
-                if batch.set_lane_packed(lane, x.iter(), p.iter()).is_ok() {
-                    ep.note_sync_applied();
-                }
-            }
-            SyncRef::Measurement { z } => {
-                // On `Diverged` the lane keeps the non-finite posterior —
-                // exactly what the scalar filter leaves behind — and the
-                // finite check below demotes it. Other errors leave the
-                // lane untouched; either way the sync is not counted.
-                let applied = z
-                    .read_into(&mut [0.0; VECTOR_INLINE_CAP])
-                    .is_some_and(|z| batch.update_lane(lane, z).is_ok());
-                if applied {
-                    ep.note_sync_applied();
-                }
-            }
+        let applied = match msg {
+            SyncRef::State { x, p } => batch.set_lane_packed(lane, x.iter(), p.iter()).is_ok(),
+            // On `Diverged` the lane keeps the non-finite posterior —
+            // exactly what the scalar filter leaves behind — and `settle`
+            // demotes it. Other errors leave the lane untouched; either way
+            // the sync is not counted.
+            SyncRef::Measurement { z } => z
+                .read_into(&mut [0.0; VECTOR_INLINE_CAP])
+                .is_some_and(|z| batch.update_lane(lane, z).is_ok()),
             // The replacement filter may have any shape, so it is installed
-            // in the endpoint and the stream leaves the batch. On rejection
-            // the stream simply stays batched.
-            SyncRef::Model(_) => model_swapped = ep.apply_view(msg),
-        });
-        // A model sync already installed a replacement filter; a diverged
-        // lane hands its state back to the endpoint's own.
-        let diverged = !model_swapped && !batch.lane_is_finite(lane);
-        if diverged {
-            restore_lane(batch, lane, ep);
+            // in the endpoint and the stream leaves the batch now: the
+            // tick's later syncs for it find no lane. On rejection the
+            // stream simply stays batched.
+            SyncRef::Model(_) => {
+                if ep.apply_view(msg) {
+                    self.demote(group, lane);
+                }
+                return;
+            }
+        };
+        if applied {
+            ep.note_sync_applied();
         }
-        if model_swapped || diverged {
-            self.demote(group, lane);
-        }
-        model_swapped || diverged
     }
 
-    /// Removes a lane and routes its endpoint scalar.
+    /// Demotes every lane the tick left non-finite, handing its state back
+    /// to its endpoint's own filter. Runs after the tick's whole apply walk.
+    /// After a demotion the swapped-in lane is checked at the same index, so
+    /// no lane is skipped.
+    pub(crate) fn settle(&mut self, endpoints: &mut [(u32, ServerEndpoint)]) {
+        for group in 0..self.groups.len() {
+            let mut lane = 0;
+            while lane < self.groups[group].slots.len() {
+                let g = &self.groups[group];
+                if g.batch.lane_is_finite(lane) {
+                    lane += 1;
+                    continue;
+                }
+                restore_lane(&g.batch, lane, &mut endpoints[g.slots[lane]].1);
+                self.demote(group, lane);
+            }
+        }
+    }
+
+    /// Removes a lane and routes its endpoint scalar; the group's last lane
+    /// moves into the vacated index, and its endpoint's map entry with it.
     fn demote(&mut self, group: usize, lane: usize) {
         let g = &mut self.groups[group];
         g.batch.swap_remove_lane(lane);
         let slot = g.slots.swap_remove(lane);
+        if let Some(&moved) = g.slots.get(lane) {
+            self.lane_of[moved] = Some((group as u32, lane as u32));
+        }
+        self.lane_of[slot] = None;
         let at = self.scalar.partition_point(|&s| s < slot);
         self.scalar.insert(at, slot);
     }
@@ -437,6 +441,84 @@ mod tests {
         let result = batched.finish();
         assert_same_endpoints(&result.endpoints, &seq_result.endpoints, "model-sync");
         let (_, ep1) = &result.endpoints[1];
+        assert_eq!(ep1.filter().model().name(), "constant_acceleration");
+    }
+
+    /// `lane_of` is exactly the inverse of the groups' `slots`, and every
+    /// other endpoint is scalar-routed.
+    fn assert_lane_map_holds(lanes: &BatchLanes) {
+        let mut mapped = 0;
+        for (g, group) in lanes.groups.iter().enumerate() {
+            for (lane, &slot) in group.slots.iter().enumerate() {
+                assert_eq!(lanes.lane_of[slot], Some((g as u32, lane as u32)));
+                mapped += 1;
+            }
+        }
+        for &slot in &lanes.scalar {
+            assert_eq!(lanes.lane_of[slot], None);
+        }
+        assert_eq!(mapped + lanes.scalar.len(), lanes.lane_of.len());
+    }
+
+    #[test]
+    fn model_sync_mid_walk_demotes_at_once_and_the_moved_lane_keeps_its_frames() {
+        // Four CV streams batch as lanes 0..4 of one group. In one tick
+        // stream 1 gets State → Measurement → Model → State: the Model
+        // installs a replacement filter and demotes the stream mid-walk,
+        // stream 3's lane is swapped into lane 1, and stream 3 has frames
+        // later in that tick, as does stream 1 (on its new filter).
+        let (servers, mut log) = record_log(4, 0, 30);
+        let state = |a: f64, b: f64| SyncMessage::State {
+            x: Vector::from_slice(&[a, b]),
+            p: Matrix::from_rows(&[&[0.5, 0.125], &[0.125, 0.75]]),
+        };
+        let measurement = |v: f64| SyncMessage::Measurement {
+            z: Vector::from_slice(&[v]),
+        };
+        let mut extra = FrameBatch::new();
+        extra.push(1, &state(0.5, 0.1));
+        extra.push(1, &measurement(0.6));
+        extra.push(
+            1,
+            &SyncMessage::Model {
+                model: Box::new(models::constant_acceleration(1.0, 0.02, 0.1)),
+                x: Vector::from_slice(&[0.5, 0.1, 0.0]),
+                p: Matrix::scalar(3, 1.0),
+            },
+        );
+        extra.push(3, &measurement(-0.2));
+        extra.push(
+            1,
+            &SyncMessage::State {
+                x: Vector::from_slice(&[0.55, 0.1, 0.01]),
+                p: Matrix::scalar(3, 0.5),
+            },
+        );
+        extra.push(3, &state(-0.3, 0.05));
+        extra.push(3, &measurement(-0.25));
+        let demote_at = 10;
+        let mut merged = extra.as_bytes().to_vec();
+        merged.extend_from_slice(&log[demote_at]);
+        log[demote_at] = merged;
+
+        let mut seq = SequentialIngest::new(servers.clone());
+        let mut batched = BatchedIngest::new(servers);
+        for (t, tick) in log.iter().enumerate() {
+            seq.ingest_tick(tick);
+            batched.ingest_tick(tick);
+            let lanes = batched.0.lanes().expect("a batched shard has lanes");
+            assert_lane_map_holds(lanes);
+            if t == demote_at {
+                assert_eq!(lanes.lane_of[1], None, "stream 1 demoted");
+                assert_eq!(lanes.lane_of[3], Some((0, 1)), "stream 3 moved");
+                assert_eq!(lanes.groups[0].slots, vec![0, 3, 2]);
+            }
+        }
+        assert_eq!(batched.coverage(), (3, 1));
+        let a = seq.finish();
+        let b = batched.finish();
+        assert_same_endpoints(&b.endpoints, &a.endpoints, "mid-walk demotion");
+        let (_, ep1) = &b.endpoints[1];
         assert_eq!(ep1.filter().model().name(), "constant_acceleration");
     }
 

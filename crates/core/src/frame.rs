@@ -118,6 +118,25 @@ pub struct Frame<'a> {
     pub body: &'a [u8],
 }
 
+/// The structurally valid frames of a batch, in order, counting nothing:
+/// iteration ends at the end of the batch or at the first malformed header
+/// (a truncated header or a length prefix overrunning the buffer), which
+/// it leaves unconsumed in `.0`.
+pub(crate) struct Frames<'a>(pub(crate) &'a [u8]);
+
+impl<'a> Iterator for Frames<'a> {
+    type Item = Frame<'a>;
+
+    fn next(&mut self) -> Option<Frame<'a>> {
+        let (header, rest) = self.0.split_first_chunk::<FRAME_HEADER_BYTES>()?;
+        let stream_id = u32::from_le_bytes(header[0..4].try_into().unwrap());
+        let len = u32::from_le_bytes(header[4..8].try_into().unwrap()) as usize;
+        let (body, rest) = rest.split_at_checked(len)?;
+        self.0 = rest;
+        Some(Frame { stream_id, body })
+    }
+}
+
 /// Stateful frame-batch decoder: walks batches and counts malformed input
 /// instead of failing, mirroring [`crate::ServerEndpoint`]'s
 /// drop-and-count policy for unparseable traffic.
@@ -141,24 +160,11 @@ impl FrameDecoder {
     /// bodies — the shard router's path. A truncated header or a length
     /// prefix overrunning the buffer counts one failure and ends the walk
     /// (past that point there is no reliable frame boundary).
-    pub fn for_each_frame(&mut self, mut wire: &[u8], mut f: impl FnMut(Frame<'_>)) {
-        while !wire.is_empty() {
-            if wire.len() < FRAME_HEADER_BYTES {
-                self.decode_failures += 1;
-                return;
-            }
-            let stream_id = u32::from_le_bytes(wire[0..4].try_into().unwrap());
-            let len = u32::from_le_bytes(wire[4..8].try_into().unwrap()) as usize;
-            let rest = &wire[FRAME_HEADER_BYTES..];
-            if rest.len() < len {
-                self.decode_failures += 1;
-                return;
-            }
-            f(Frame {
-                stream_id,
-                body: &rest[..len],
-            });
-            wire = &rest[len..];
+    pub fn for_each_frame(&mut self, wire: &[u8], f: impl FnMut(Frame<'_>)) {
+        let mut frames = Frames(wire);
+        frames.by_ref().for_each(f);
+        if !frames.0.is_empty() {
+            self.decode_failures += 1;
         }
     }
 
@@ -358,7 +364,10 @@ impl BufferPool {
         BufferPool::default()
     }
 
-    /// Creates an empty pool holding at most `cap` buffers.
+    /// Creates an empty pool holding at most `cap` buffers. Room for all
+    /// `cap` is reserved up front, so [`BufferPool::put`] never allocates:
+    /// a free list grown on demand reallocates the first time more buffers
+    /// than ever before are pooled at once, which can fall late in a run.
     ///
     /// # Panics
     /// Panics when `cap` is zero (a pool that can hold nothing is a bug at
@@ -366,7 +375,7 @@ impl BufferPool {
     pub fn bounded(cap: usize) -> Self {
         assert!(cap > 0, "pool cap must be positive");
         BufferPool {
-            free: Vec::new(),
+            free: Vec::with_capacity(cap),
             cap,
             shed: 0,
         }
@@ -568,6 +577,21 @@ mod tests {
         }
         assert_eq!(pool.len(), DEFAULT_POOL_CAP);
         assert_eq!(pool.shed(), 10);
+    }
+
+    #[test]
+    fn pooling_up_to_the_cap_never_grows_the_free_list() {
+        // Pre-fix, the free list grew on demand: the first time nine
+        // buffers sat pooled at once it reallocated, which `bench_ingest`'s
+        // steady-state gate counted whenever that fell in its window.
+        let mut pool = BufferPool::bounded(12);
+        let reserved = pool.free.capacity();
+        assert!(reserved >= 12);
+        for i in 0..40usize {
+            pool.put(BytesMut::with_capacity(i + 1));
+        }
+        assert_eq!(pool.len(), 12);
+        assert_eq!(pool.free.capacity(), reserved);
     }
 
     #[test]

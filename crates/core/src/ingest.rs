@@ -1,15 +1,16 @@
 //! Multi-stream ingest: one tick loop (the private `Shard`), run inline or on
 //! per-shard worker threads.
 //!
-//! The paper's server is one loop — apply this tick's syncs to the cached
-//! per-stream filters, then predict every stream one step. That loop exists
-//! once, in `Shard::tick`; the public ingesters differ only in *where* it
-//! runs:
+//! The paper's server is one loop — predict every cached per-stream filter
+//! one step, then apply this tick's syncs to them. That loop exists once,
+//! in `Shard::tick`; the public ingesters differ only in *where* it runs:
 //!
 //! ```text
 //!  inline shard (zero workers) — SequentialIngest, BatchedIngest
 //!
-//!  tick batch ──▶ Shard::tick: decode ▶ enqueue ▶ advance ▶ poll feedback
+//!  tick batch ──▶ Shard::tick: predict every endpoint
+//!                             ▶ walk the frames once: parse ▶ admit ▶ apply in place
+//!                             ▶ poll feedback
 //!                 on the caller's thread; no routing, no queues
 //!
 //!  worker shards — IngestPipeline
@@ -29,10 +30,13 @@
 //! to [`SequentialIngest`] for any shard count — a property the proptests
 //! and `bench_ingest` both enforce.
 //!
-//! Tick semantics match the simulator exactly: one `ingest_tick` call
-//! advances **every** endpoint one predict step (via
-//! [`ServerEndpoint::advance`]) after enqueueing that tick's messages, just
-//! like [`kalstream_sim::Consumer::estimate`]. [`IngestPipeline::flush`] is
+//! Tick semantics match the simulator exactly: one `ingest_tick` call takes
+//! **every** endpoint one predict step, then applies that tick's syncs in
+//! arrival order — the transition [`ServerEndpoint::advance`] and
+//! [`kalstream_sim::Consumer::estimate`] make from their queue, made here
+//! with each sync applied where it lies in the tick buffer, parsed once.
+//! Per stream the newest `PENDING_CAP` syncs of a tick apply and older ones
+//! are shed, as the queue would. [`IngestPipeline::flush`] is
 //! the barrier that makes "all ticks sent so far are applied" observable;
 //! durability and elasticity are hooks that act at that barrier
 //! (`kalstream-durable`'s `Durability`, `kalstream-elastic`'s
@@ -49,8 +53,9 @@ use kalstream_sim::Consumer;
 use kalstream_obs::{Histogram, Instrument, Scope, SpanTimer};
 
 use crate::batch_ingest::BatchLanes;
-use crate::frame::{BufferPool, FrameBatch, FrameDecoder};
-use crate::server::{EndpointState, ServerEndpoint};
+use crate::frame::{BufferPool, FrameBatch, FrameDecoder, Frames};
+use crate::server::{is_fresh, EndpointState, ServerEndpoint, PENDING_CAP};
+use crate::wire::{SyncRef, WireRef};
 
 /// Per-shard job queue depth. Deep enough that the router can run ahead of
 /// a momentarily slow shard, small enough to bound memory and exert
@@ -154,7 +159,7 @@ pub struct ShardReport {
     pub streams: usize,
     /// Ticks processed.
     pub ticks: u64,
-    /// Messages decoded and enqueued to endpoints.
+    /// Messages decoded and handed to endpoints.
     pub messages: u64,
     /// Wire bytes drained (frame headers + bodies).
     pub bytes_in: u64,
@@ -277,6 +282,15 @@ pub(crate) struct Shard {
     /// for a batched shard. Either way the tick semantics — and, for the
     /// same traffic, the resulting bits — are identical.
     lanes: Option<BatchLanes>,
+    /// Per endpoint, how many of the current tick's oldest syncs are still
+    /// to be shed so that only its newest [`PENDING_CAP`] apply. All zero
+    /// except on a tick `plan_shed` found overflowing a stream.
+    shed: Vec<usize>,
+    /// Whether some endpoint arrived with syncs already queued (restored
+    /// from a mid-tick snapshot, or fed through `enqueue` before the
+    /// hand-over). The first tick applies them ahead of its own frames, as
+    /// the oldest syncs of that tick; after it, no queue is ever filled.
+    carried: bool,
     decoder: FrameDecoder,
     feedback: Option<Sender<(u32, Bytes)>>,
     report: ShardReport,
@@ -297,6 +311,8 @@ impl Shard {
             .collect();
         Shard {
             lanes: batched.then(|| BatchLanes::new(&endpoints)),
+            shed: vec![0; endpoints.len()],
+            carried: endpoints.iter().any(|(_, ep)| ep.pending_len() > 0),
             report: ShardReport {
                 shard,
                 streams: endpoints.len(),
@@ -314,44 +330,63 @@ impl Shard {
         self.lanes.as_ref().map(BatchLanes::coverage)
     }
 
-    /// One tick: decode `buf` and enqueue its messages, hand `buf` to
-    /// `recycle`, advance every endpoint one step, then poll feedback
-    /// (acks before bounds per stream, streams in ascending id order — the
+    /// One tick: predict every endpoint (on a batched shard, every lane,
+    /// then the scalar endpoints); walk `buf`'s frames once, each sync
+    /// parsed, admitted (`ServerEndpoint::admit_view`) and applied where it
+    /// lies to its endpoint's filter or lane; hand `buf` to `recycle`;
+    /// demote the lanes the tick left non-finite; then poll feedback (acks
+    /// before bounds per stream, streams in ascending id order — the
     /// ingest-mode twin of the session loop's
     /// `while let Some(fb) = consumer.poll_feedback(now)`).
     ///
-    /// `recycle` runs *before* the compute phase so a worker's router can
-    /// reuse the buffer while the filters advance; it returns whether the
-    /// hand-back succeeded.
+    /// The apply walk reads the syncs out of `buf` itself, so the buffer is
+    /// held through it and recycled right after, before the lanes settle
+    /// and feedback is polled; `recycle` returns whether the hand-back
+    /// succeeded.
     pub(crate) fn tick<B: Deref<Target = [u8]>>(
         &mut self,
         buf: B,
         recycle: impl FnOnce(B) -> bool,
     ) {
         let span = SpanTimer::start();
+        match &mut self.lanes {
+            Some(lanes) => lanes.predict(&mut self.endpoints),
+            None => self.endpoints.iter_mut().for_each(|(_, ep)| ep.predict()),
+        }
+        let carried = std::mem::take(&mut self.carried);
+        self.plan_shed(&buf, carried);
         let Shard {
             endpoints,
             index,
+            lanes,
+            shed,
+            decoder,
             report,
             ..
         } = self;
         report.bytes_in += buf.len() as u64;
-        self.decoder
-            .for_each_wire_message(&buf, |id, msg| match index.get(&id) {
-                Some(&i) => {
-                    endpoints[i].1.enqueue_view(msg);
-                    report.messages += 1;
+        if carried {
+            for (slot, (_, ep)) in endpoints.iter_mut().enumerate() {
+                ep.drain_pending(|ep, msg| deliver(lanes, shed, slot, ep, msg));
+            }
+        }
+        decoder.for_each_wire_message(&buf, |id, msg| match index.get(&id) {
+            Some(&slot) => {
+                report.messages += 1;
+                let ep = &mut endpoints[slot].1;
+                if let Some(sync) = ep.admit_view(msg) {
+                    deliver(lanes, shed, slot, ep, Some(sync));
                 }
-                None => report.unknown_streams += 1,
-            });
+            }
+            None => report.unknown_streams += 1,
+        });
         // A failed hand-back (router gone) must be counted, not swallowed:
         // in steady state it means the pool is leaking capacity.
         if !recycle(buf) {
             report.recycle_drops += 1;
         }
-        match &mut self.lanes {
-            Some(lanes) => lanes.advance_tick(endpoints),
-            None => endpoints.iter_mut().for_each(|(_, ep)| ep.advance()),
+        if let Some(lanes) = lanes {
+            lanes.settle(endpoints);
         }
         if let Some(tx) = &self.feedback {
             for (id, ep) in endpoints.iter_mut() {
@@ -367,6 +402,68 @@ impl Shard {
         }
         report.ticks += 1;
         span.stop(&mut report.tick_ns);
+    }
+
+    /// Fills `shed` for a tick that could overflow some stream's cap. Per
+    /// stream, the newest [`PENDING_CAP`] of a tick's syncs apply — those
+    /// `carried` in first, then the admitted ones in arrival order — and
+    /// the older ones are shed: what the endpoint's queue would keep and
+    /// shed. A tick of at most `PENDING_CAP` frames cannot overflow any
+    /// stream and costs a header-only count; a larger one counts frames per
+    /// stream, and only a stream with more than `PENDING_CAP` frames has its
+    /// bodies parsed ahead of the walk, to count the ones admission will let
+    /// through.
+    fn plan_shed(&mut self, wire: &[u8], carried: bool) {
+        let Shard {
+            endpoints,
+            index,
+            shed,
+            ..
+        } = self;
+        let queued = |ep: &ServerEndpoint| if carried { ep.pending_len() } else { 0 };
+        let carried_syncs: usize = if carried {
+            endpoints.iter().map(|(_, ep)| queued(ep)).sum()
+        } else {
+            0
+        };
+        if carried_syncs + Frames(wire).take(PENDING_CAP + 1).count() <= PENDING_CAP {
+            return;
+        }
+        for (n, (_, ep)) in shed.iter_mut().zip(endpoints.iter()) {
+            *n = queued(ep);
+        }
+        for frame in Frames(wire) {
+            if let Some(&slot) = index.get(&frame.stream_id) {
+                shed[slot] += 1;
+            }
+        }
+        // Every stream over the cap, with its running highest sequence.
+        let mut over: Vec<(usize, u64)> = Vec::new();
+        for (slot, n) in shed.iter_mut().enumerate() {
+            if *n > PENDING_CAP {
+                over.push((slot, endpoints[slot].1.last_seq()));
+                *n = queued(&endpoints[slot].1);
+            } else {
+                *n = 0;
+            }
+        }
+        for frame in Frames(wire) {
+            let Some(&slot) = index.get(&frame.stream_id) else {
+                continue;
+            };
+            let Some((_, last_seq)) = over.iter_mut().find(|(s, _)| *s == slot) else {
+                continue;
+            };
+            if let Ok(WireRef::Sync { seq, .. }) = WireRef::parse(frame.body) {
+                if is_fresh(seq, *last_seq) {
+                    *last_seq = seq.unwrap_or(*last_seq);
+                    shed[slot] += 1;
+                }
+            }
+        }
+        for (slot, _) in over {
+            shed[slot] -= PENDING_CAP.min(shed[slot]);
+        }
     }
 
     /// Captures every endpoint's protocol state, sorted by stream id,
@@ -407,6 +504,31 @@ impl Shard {
             endpoints: self.endpoints,
             router_decode_failures: 0,
         }
+    }
+}
+
+/// Hands one admitted sync to endpoint `slot` (`msg` is `None` for a
+/// carried queue entry that does not parse): shed and counted while the
+/// stream still has tick-old syncs over the cap to shed, otherwise applied —
+/// to its batch lane when it has one, to its own filter else.
+fn deliver(
+    lanes: &mut Option<BatchLanes>,
+    shed: &mut [usize],
+    slot: usize,
+    ep: &mut ServerEndpoint,
+    msg: Option<SyncRef<'_>>,
+) {
+    if shed[slot] > 0 {
+        shed[slot] -= 1;
+        ep.note_shed();
+        return;
+    }
+    match (lanes, msg) {
+        (Some(lanes), Some(msg)) => lanes.apply(slot, ep, msg),
+        (None, Some(msg)) => {
+            ep.apply_view(msg);
+        }
+        (_, None) => {}
     }
 }
 
@@ -537,8 +659,8 @@ impl IngestPipeline {
 
     /// A cleared buffer for the next batch: pooled if available, freshly
     /// minted while under the population cap, otherwise recycled — blocking
-    /// until a worker hands one back (bounded, since workers always recycle
-    /// their tick buffers before advancing endpoints).
+    /// until a worker hands one back (bounded, since a worker recycles each
+    /// tick buffer as soon as its apply walk is done).
     fn next_buffer(&mut self) -> BytesMut {
         while let Ok(buf) = self.recycle_rx.try_recv() {
             self.pool.put(buf);
@@ -895,6 +1017,14 @@ impl<I: TickIngest> kalstream_sim::IngestSink for FramingSink<I> {
     fn end_tick(&mut self) {
         self.inner.ingest_tick(self.batch.as_bytes());
         self.batch.clear();
+    }
+}
+
+#[cfg(test)]
+impl Shard {
+    /// The batch lanes of a batched shard, for the batch engine's tests.
+    pub(crate) fn lanes(&self) -> Option<&BatchLanes> {
+        self.lanes.as_ref()
     }
 }
 
@@ -1385,6 +1515,135 @@ mod tests {
             sharded.total_decode_failures(),
             sequential.total_decode_failures()
         );
+    }
+
+    /// Runs `log` through every shard engine — sequential, batched, a
+    /// 2-shard pipeline — and through each endpoint's own queue
+    /// (`enqueue_view` per frame, then `advance`), and asserts all four end
+    /// identical: filter bits, applied syncs, delivery counters and decode
+    /// failures. Returns the queue-fed endpoints.
+    fn assert_shards_match_the_queue(
+        servers: Vec<(u32, ServerEndpoint)>,
+        log: &[Vec<u8>],
+    ) -> Vec<(u32, ServerEndpoint)> {
+        let mut queued = servers.clone();
+        for tick in log {
+            FrameDecoder::new()
+                .for_each_wire_message(tick, |id, msg| queued[id as usize].1.enqueue_view(msg));
+            queued.iter_mut().for_each(|(_, ep)| ep.advance());
+        }
+        let mut sequential = SequentialIngest::new(servers.clone());
+        let mut batched = crate::BatchedIngest::new(servers.clone());
+        let mut pipeline = IngestPipeline::start(2, servers);
+        for tick in log {
+            sequential.ingest_tick(tick);
+            batched.ingest_tick(tick);
+            pipeline.ingest_tick(tick);
+        }
+        let delivery = |ep: &ServerEndpoint| {
+            let d = ep.delivery();
+            (d.stale_drops, d.seq_gaps, d.shed)
+        };
+        for (engine, result) in [
+            ("sequential", sequential.finish()),
+            ("batched", batched.finish()),
+            ("pipeline", pipeline.finish()),
+        ] {
+            assert_eq!(result.total_decode_failures(), 0, "{engine}");
+            for ((id, a), (_, b)) in result.endpoints.iter().zip(&queued) {
+                assert_eq!(filter_bits(a), filter_bits(b), "{engine}: stream {id}");
+                assert_eq!(a.syncs_applied(), b.syncs_applied(), "{engine}: {id}");
+                assert_eq!(delivery(a), delivery(b), "{engine}: {id}");
+                assert_eq!(a.decode_failures(), b.decode_failures(), "{engine}: {id}");
+                assert_eq!(a.pending_len(), 0, "{engine}: {id}");
+            }
+        }
+        queued
+    }
+
+    /// A sequenced 1-state sync: every third a State, the rest Measurements
+    /// (so how many apply shows in the filter bits, not just the counters).
+    fn scalar_sync(seq: u64, i: usize) -> Bytes {
+        crate::wire::WireMessage::Sync {
+            seq: Some(seq),
+            msg: scalar_msg(i),
+        }
+        .encode()
+    }
+
+    fn scalar_msg(i: usize) -> SyncMessage {
+        if i.is_multiple_of(3) {
+            SyncMessage::State {
+                x: kalstream_linalg::Vector::from_slice(&[i as f64 * 0.01]),
+                p: kalstream_linalg::Matrix::scalar(1, 0.5),
+            }
+        } else {
+            SyncMessage::Measurement {
+                z: kalstream_linalg::Vector::from_slice(&[(i as f64 * 0.37).sin()]),
+            }
+        }
+    }
+
+    #[test]
+    fn a_tick_over_the_cap_sheds_exactly_what_the_endpoint_queue_sheds() {
+        use crate::server::PENDING_CAP;
+        use crate::wire::WireMessage;
+        // Stream 1 gets PENDING_CAP + 10 fresh syncs in one tick, with a
+        // stale duplicate and a forward-channel ack among them (frames over
+        // the cap that admission does not let through); streams 0 and 2 get
+        // one sync each. The next tick is ordinary.
+        let mut first = FrameBatch::new();
+        first.push_raw(0, &scalar_sync(1, 1));
+        for i in 1..=PENDING_CAP + 10 {
+            first.push_raw(1, &scalar_sync(i as u64, i));
+            if i == 40 {
+                first.push_raw(1, &scalar_sync(5, 999));
+                first.push_raw(1, &WireMessage::Ack { seq: 3 }.encode());
+            }
+        }
+        first.push_raw(2, &scalar_sync(1, 2));
+        let mut second = FrameBatch::new();
+        for id in 0..3u32 {
+            second.push_raw(id, &scalar_sync(PENDING_CAP as u64 + 11, 7 + id as usize));
+        }
+        let (servers, _) = record_log(0, 3, 0);
+        let queued = assert_shards_match_the_queue(
+            servers,
+            &[first.as_bytes().to_vec(), second.as_bytes().to_vec()],
+        );
+        let (_, hot) = &queued[1];
+        let d = hot.delivery();
+        assert_eq!((d.stale_drops, d.shed), (1, 10), "the oldest 10 are shed");
+        assert_eq!(hot.decode_failures(), 1, "the forward-channel ack");
+        assert_eq!(hot.syncs_applied(), PENDING_CAP as u64 + 1);
+    }
+
+    #[test]
+    fn syncs_queued_before_the_hand_over_apply_first_and_count_toward_the_cap() {
+        use crate::server::PENDING_CAP;
+        // Stream 0 reaches the shard with PENDING_CAP - 4 syncs already
+        // queued; its first tick brings 10 more, so the 6 oldest queued
+        // ones are shed. Stream 1 carries a few and gets one.
+        let (mut servers, _) = record_log(0, 2, 0);
+        for i in 0..PENDING_CAP - 4 {
+            servers[0].1.enqueue(scalar_msg(i));
+        }
+        for i in 0..3 {
+            servers[1].1.enqueue(scalar_msg(i + 1));
+        }
+        let mut tick = FrameBatch::new();
+        for i in 0..10 {
+            tick.push_raw(0, &scalar_sync(i as u64 + 1, i + 1));
+        }
+        tick.push_raw(1, &scalar_sync(1, 4));
+        let quiet = FrameBatch::new();
+        let queued = assert_shards_match_the_queue(
+            servers,
+            &[tick.as_bytes().to_vec(), quiet.as_bytes().to_vec()],
+        );
+        assert_eq!(queued[0].1.delivery().shed, 6);
+        assert_eq!(queued[1].1.delivery().shed, 0);
+        assert_eq!(queued[1].1.syncs_applied(), 4);
     }
 
     #[test]

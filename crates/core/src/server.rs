@@ -8,12 +8,13 @@ use kalstream_sim::{Consumer, DeliveryStats, Tick};
 
 use crate::wire::{self, SyncMessage, SyncRef, WireMessage, WireRef};
 
-/// Cap on queued-but-unapplied syncs. In every supported driver the queue
-/// drains once per tick, so depth beyond a handful means `receive` is
-/// outpacing `estimate` (a stalled or missing drain); shedding the oldest
-/// entries bounds memory and — under full-state sync semantics — loses
-/// nothing once a newer sync lands.
-const PENDING_CAP: usize = 256;
+/// Per stream, the most syncs one tick applies: the newest `PENDING_CAP`
+/// apply and the older ones are shed, counted in `delivery.shed`. In the
+/// queue this bounds memory when `receive` outpaces `estimate` (a stalled
+/// or missing drain); the ingest shard, which has no queue, sheds the same
+/// syncs. Under full-state sync semantics that loses nothing once a newer
+/// sync lands.
+pub(crate) const PENDING_CAP: usize = 256;
 
 /// The server side of the suppression protocol.
 ///
@@ -27,11 +28,14 @@ const PENDING_CAP: usize = 256;
 pub struct ServerEndpoint {
     filter: KalmanFilter,
     /// Syncs delivered this tick, applied inside [`Consumer::estimate`]
-    /// *after* the predict step so server and shadow stay in lock-step. The
-    /// queue is bytes — each entry `len:u32` then the validated wire body,
-    /// oldest first, the framing a durability snapshot writes for it — so a
-    /// queued sync costs its wire size, and a drained queue keeps its
-    /// capacity.
+    /// *after* the predict step so server and shadow stay in lock-step.
+    /// Filled by [`Consumer::receive`] (the simulator's receive → estimate
+    /// split), by `enqueue`/`enqueue_wire`, and by snapshot restore; the
+    /// ingest shard predicts first and applies each sync where it lies in
+    /// the tick buffer, so it never queues. The queue is bytes — each entry
+    /// `len:u32` then the validated wire body, oldest first, the framing a
+    /// durability snapshot writes for it — so a queued sync costs its wire
+    /// size, and a drained queue keeps its capacity.
     pending: Vec<u8>,
     /// Entries in `pending`.
     pending_len: usize,
@@ -112,7 +116,7 @@ impl ServerEndpoint {
 
     /// Applies one owned sync message immediately (test/query-layer hook;
     /// the simulator path goes through [`Consumer::receive`], the ingest
-    /// path through [`ServerEndpoint::enqueue_view`]).
+    /// shard admits and applies views in place).
     pub fn apply(&mut self, msg: SyncMessage) {
         // A hand-built message whose parts disagree does not parse back;
         // like any sync the filter refuses, it is dropped uncounted.
@@ -166,7 +170,7 @@ impl ServerEndpoint {
     }
 
     /// Sequence bookkeeping for one arriving sync; `true` when it is to be
-    /// queued.
+    /// applied.
     ///
     /// A sequenced sync at or below the highest sequence already accepted is
     /// **stale** (a duplicate, or delivered after a newer overwrite) and is
@@ -179,7 +183,7 @@ impl ServerEndpoint {
             return true;
         };
         self.ack_due = true;
-        if seq <= self.last_seq {
+        if !is_fresh(Some(seq), self.last_seq) {
             self.delivery.stale_drops += 1;
             false
         } else {
@@ -189,23 +193,39 @@ impl ServerEndpoint {
         }
     }
 
-    /// Queues one validated v3 wire message, running sequence bookkeeping
-    /// (stale and duplicate drops, gap counting, ack re-arming) — the entry
-    /// point of both the simulator path ([`Consumer::receive`]) and the
-    /// ingest pipeline. What is queued is the viewed body itself: no owned
-    /// message exists between the socket and the filter.
-    pub fn enqueue_view(&mut self, msg: WireRef<'_>) {
+    /// Runs one validated v3 wire message through sequence bookkeeping
+    /// (stale and duplicate drops, gap counting, ack re-arming) and returns
+    /// the sync to apply, if any — the admission both the queue
+    /// ([`ServerEndpoint::enqueue_view`]) and the ingest shard's in-place
+    /// apply go through.
+    pub(crate) fn admit_view<'a>(&mut self, msg: WireRef<'a>) -> Option<SyncRef<'a>> {
         match msg {
-            WireRef::Sync { seq, body, .. } => {
-                if self.admit(seq) {
-                    self.shed_at_cap();
-                    self.push_pending(|queue| queue.extend_from_slice(body));
-                }
-            }
+            WireRef::Sync { seq, msg, .. } => self.admit(seq).then_some(msg),
             // An ack or bound directive on the forward channel is a protocol
             // violation by the peer; drop and count like any unusable message.
-            WireRef::Ack { .. } | WireRef::Bound { .. } => self.decode_failures += 1,
+            WireRef::Ack { .. } | WireRef::Bound { .. } => {
+                self.decode_failures += 1;
+                None
+            }
         }
+    }
+
+    /// Queues one validated v3 wire message for the next
+    /// [`ServerEndpoint::advance`], after sequence bookkeeping (stale and
+    /// duplicate drops, gap counting, ack re-arming) — the simulator path's
+    /// entry ([`Consumer::receive`]). What is queued is the viewed body
+    /// itself: no owned message exists between the socket and the filter.
+    pub fn enqueue_view(&mut self, msg: WireRef<'_>) {
+        if let (Some(_), WireRef::Sync { body, .. }) = (self.admit_view(msg), msg) {
+            self.shed_at_cap();
+            self.push_pending(|queue| queue.extend_from_slice(body));
+        }
+    }
+
+    /// Counts one sync shed at [`PENDING_CAP`] — the ingest shard's twin of
+    /// the queue's own shedding.
+    pub(crate) fn note_shed(&mut self) {
+        self.delivery.shed += 1;
     }
 
     /// [`ServerEndpoint::enqueue_view`] for an owned message — same
@@ -255,22 +275,21 @@ impl ServerEndpoint {
         self.bounds_sent.get()
     }
 
-    /// Hands every queued sync, oldest first, to `apply` (with the endpoint
+    /// Hands every queued entry, oldest first, to `apply` (with the endpoint
     /// itself, for its counters and filter) and leaves the queue empty with
-    /// its capacity kept — steady-state ticks must not allocate.
-    /// [`ServerEndpoint::advance`] applies them to the endpoint's filter; the
-    /// batch ingest engine applies them to a fleet-batch lane.
-    pub(crate) fn drain_pending(&mut self, mut apply: impl FnMut(&mut Self, SyncRef<'_>)) {
+    /// its capacity kept — steady-state ticks must not allocate. Bodies
+    /// arriving as views were validated on the way in; an owned message
+    /// that does not parse back is handed over as `None`, to be dropped
+    /// uncounted. [`ServerEndpoint::advance`] applies the entries to the
+    /// endpoint's filter; an ingest shard drains once, on its first tick,
+    /// what an endpoint brought queued into it.
+    pub(crate) fn drain_pending(&mut self, mut apply: impl FnMut(&mut Self, Option<SyncRef<'_>>)) {
         if self.pending_len == 0 {
             return;
         }
         let mut queue = std::mem::take(&mut self.pending);
         for body in entries(&queue) {
-            // Bodies arriving as views were validated on the way in; an
-            // owned message that does not parse back is dropped uncounted.
-            if let Ok(msg) = SyncRef::parse(body) {
-                apply(self, msg);
-            }
+            apply(self, SyncRef::parse(body).ok());
         }
         queue.clear();
         self.pending = queue;
@@ -278,13 +297,13 @@ impl ServerEndpoint {
     }
 
     /// Counts one applied sync — the batch engine's twin of the bookkeeping
-    /// inside [`ServerEndpoint::advance`].
+    /// inside `apply_view`.
     pub(crate) fn note_sync_applied(&mut self) {
         self.syncs_applied += 1;
     }
 
     /// Counts one failed predict step — the batch engine's twin of the
-    /// bookkeeping inside [`ServerEndpoint::advance`].
+    /// bookkeeping inside `predict`.
     pub(crate) fn note_predict_failure(&mut self) {
         self.predict_failures += 1;
     }
@@ -374,16 +393,25 @@ impl ServerEndpoint {
     }
 
     /// Advances one tick: predict, then apply every queued sync — exactly
-    /// [`Consumer::estimate`]'s transition without serving a value. Shard
-    /// workers call this once per endpoint per tick; because the order is
-    /// identical to the simulator path, ingest stays bit-compatible with it.
+    /// [`Consumer::estimate`]'s transition without serving a value. An
+    /// ingest shard makes the same transition without the queue: it
+    /// predicts every endpoint, then applies the tick's syncs in arrival
+    /// order, so ingest stays bit-compatible with the simulator path.
     pub fn advance(&mut self) {
+        self.predict();
+        self.drain_pending(|endpoint, msg| {
+            if let Some(msg) = msg {
+                endpoint.apply_view(msg);
+            }
+        });
+    }
+
+    /// The predict half of [`ServerEndpoint::advance`]: one filter predict
+    /// step, a failure counted.
+    pub(crate) fn predict(&mut self) {
         if self.filter.predict().is_err() {
             self.predict_failures += 1;
         }
-        self.drain_pending(|endpoint, msg| {
-            endpoint.apply_view(msg);
-        });
     }
 }
 
@@ -423,6 +451,13 @@ pub struct EndpointState {
     pub bounds_sent: u64,
     /// Receiver-side delivery accounting (stale drops, gaps, shed).
     pub delivery: DeliveryStats,
+}
+
+/// Whether sequence admission lets a sync carrying `seq` through behind the
+/// highest accepted sequence `last_seq`: unsequenced syncs always pass,
+/// sequenced ones only above it.
+pub(crate) fn is_fresh(seq: Option<u64>, last_seq: u64) -> bool {
+    seq.is_none_or(|seq| seq > last_seq)
 }
 
 /// Bytes of the `len:u32` in front of each pending-queue entry.

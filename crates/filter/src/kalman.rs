@@ -520,7 +520,11 @@ impl KalmanFilter {
         self.kernel::<N, M>().predict(&mut x, &mut p);
         self.store_state(&x, &p);
         self.steps_since_update += 1;
-        self.check_finite()
+        if all_finite(&x, &p) {
+            Ok(())
+        } else {
+            self.check_finite()
+        }
     }
 
     /// The shape-generic time update: the route [`KalmanFilter::predict`]
@@ -686,7 +690,9 @@ impl KalmanFilter {
         let out = kernel.update(&mut x, &mut p, &z)?;
         self.store_state(&x, &p);
         self.steps_since_update = 0;
-        self.check_finite()?;
+        if !all_finite(&x, &p) {
+            self.check_finite()?;
+        }
         Ok(read(Innovation {
             nu: &out.innovation,
             cov: out.innovation_cov.as_flattened(),
@@ -822,6 +828,14 @@ impl KalmanFilter {
         }
         Ok(())
     }
+}
+
+/// Whether every value of a static step's output is finite, read off the
+/// kernel's own arrays — the values the step just stored — rather than the
+/// filter's storage. Only on `false` does the step call
+/// [`KalmanFilter::check_finite`], to build its `Diverged` error.
+fn all_finite<const N: usize>(x: &[f64; N], p: &[[f64; N]; N]) -> bool {
+    x.iter().chain(p.as_flattened()).all(|v| v.is_finite())
 }
 
 /// Length check shared by the packed-state setters: `x_len` values of state

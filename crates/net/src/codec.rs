@@ -205,7 +205,10 @@ pub const MARKER_BYTES: usize = FRAME_HEADER_BYTES;
 /// Re-frames one socket read: feeds `chunk` into `decoder` and splits the
 /// result at tick boundaries. Frames accumulate into `tick_buf` as raw
 /// wire bytes (header + body, ready for `ingest_tick`); each completed
-/// tick is taken out of `tick_buf` and handed to `on_tick`.
+/// tick is taken out of `tick_buf` and handed to `on_tick`, and `tick_buf`
+/// starts the next tick pre-sized to the one just handed out, so a steady
+/// stream of similar ticks fills each with one allocation instead of
+/// regrowing it from empty.
 ///
 /// Returns the number of markers seen, or the decoder's poison error
 /// (oversized frame — the caller closes the connection).
@@ -219,7 +222,8 @@ pub fn feed_ticks(
     decoder.feed(chunk, |stream_id, body| {
         if stream_id == TICK_MARKER_STREAM {
             markers += 1;
-            on_tick(std::mem::take(tick_buf));
+            let next = Vec::with_capacity(tick_buf.len());
+            on_tick(std::mem::replace(tick_buf, next));
         } else {
             push_frame(tick_buf, stream_id, body);
         }
@@ -354,6 +358,35 @@ mod tests {
             assert_eq!(ticks[0], tick1[..tick1.len() - MARKER_BYTES]);
             assert!(ticks[1].is_empty());
             assert_eq!(ticks[2], tick3[..tick3.len() - MARKER_BYTES]);
+        }
+    }
+
+    #[test]
+    fn feed_ticks_hands_out_each_tick_presized_to_the_previous_one() {
+        // A long tick, then shorter ones: each handed-out buffer was
+        // reserved at the previous tick's length before its first frame,
+        // not regrown from empty to fit only itself.
+        let long: Vec<(u32, Bytes)> = (0..64).map(|id| (id, Bytes::from(vec![7u8; 24]))).collect();
+        let short = [(1, Bytes::from_static(b"abc"))];
+        let wire: Vec<u8> = [
+            encode_tick(&long),
+            encode_tick(&short),
+            encode_tick(&long),
+            encode_tick(&short),
+        ]
+        .concat();
+        let mut dec = StreamDecoder::new();
+        let mut tick_buf = Vec::new();
+        let mut ticks: Vec<Vec<u8>> = Vec::new();
+        feed_ticks(&mut dec, &wire, &mut tick_buf, |t| ticks.push(t)).unwrap();
+        assert_eq!(ticks.len(), 4);
+        for pair in ticks.windows(2) {
+            assert!(
+                pair[1].capacity() >= pair[0].len(),
+                "capacity {} after a {}-byte tick",
+                pair[1].capacity(),
+                pair[0].len()
+            );
         }
     }
 }
