@@ -87,6 +87,16 @@ for format in wal snapshot; do
     fi
 done
 
+echo "==> overlapping aggregates fold once: no whole-list aggregate fold in the query graph"
+# Non-test code of graph.rs only. An aggregate folds from a start it is
+# given (`fold_outs`, `fold_values`): `fold_start`, or the accumulator of
+# the prefix it extends. A whole-list fold would re-add shared prefixes.
+if sed '/#\[cfg(test)\]/,$d' crates/query/src/graph.rs |
+    grep -nE 'fn (aggregate_outs|aggregate_values)\b'; then
+    echo "crates/query/src/graph.rs folds whole input lists again (fn aggregate_outs / fn aggregate_values)" >&2
+    exit 1
+fi
+
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 

@@ -41,9 +41,9 @@ fn gate(metrics: &mut MetricsOut, scope: &str, what: &str, allocs: u64, allowed:
 const GRAPH_STREAMS: usize = 16;
 const GRAPH_PANE: usize = 32;
 
-/// Experiment Q3's shape plus Q1's windows: two group averages, a fleet
-/// average over them, a tumbling pane, two alerts, a sliding average and a
-/// sliding count, feedback on.
+/// Experiment Q3's shape plus Q1's windows: two group averages, one of them
+/// extended by a stream, a fleet average over the two, a tumbling pane, two
+/// alerts, a sliding average and a sliding count, feedback on.
 fn smoke_graph() -> QueryGraph {
     let mut g = QueryGraph::new();
     let ids: Vec<String> = (0..GRAPH_STREAMS).map(|i| format!("s{i}")).collect();
@@ -54,6 +54,11 @@ fn smoke_graph() -> QueryGraph {
     let (lo, hi) = ids.split_at(GRAPH_STREAMS / 2);
     g.add_aggregate("lo_avg", AggKind::Avg, lo, Some(0.4))
         .expect("lo_avg");
+    // `lo_avg` plus one stream: it resumes `lo_avg`'s fold, so the gate
+    // below covers the shared fold too.
+    let wide = [lo, &hi[..1]].concat();
+    g.add_aggregate("lo_wide", AggKind::Avg, &wide, Some(0.4))
+        .expect("lo_wide");
     g.add_aggregate("hi_avg", AggKind::Avg, hi, Some(0.4))
         .expect("hi_avg");
     g.add_aggregate("fleet", AggKind::Avg, &["lo_avg", "hi_avg"], Some(0.5))

@@ -40,6 +40,7 @@
 //! intact by construction — see [`QueryGraph::required_deltas`].
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use kalstream_obs::{Instrument, Scope};
 
@@ -199,10 +200,14 @@ enum Op {
     /// Alias for a raw stream: reads [`StreamView`]s pushed by the harness.
     Raw { stream: StreamId },
     /// AVG / SUM / MIN / MAX over value nodes (raw or derived), optionally
-    /// carrying its own precision contract.
+    /// carrying its own precision contract. `prefix` is the plan's link:
+    /// an earlier aggregate of the same kind reading exactly these inputs
+    /// but the last, whose running fold this one resumes ([`UNSHARED`]
+    /// when there is none; see [`QueryGraph::link`]).
     Aggregate {
         kind: AggKind,
         contract: Option<f64>,
+        prefix: u32,
     },
     /// Tumbling-window average over one value node: `panes[pane]`.
     Tumbling { pane: u32 },
@@ -233,11 +238,64 @@ struct Slot {
     hi: u32,
 }
 
+// The aggregate's `prefix` fits in `Op`'s padding; a tick walks the slots.
+const _: () = assert!(std::mem::size_of::<Slot>() == 32);
+
 /// Slots and input edges are addressed with `u32` (half the index traffic
 /// of `usize`); a graph past 2³² of either could not be held in memory.
 fn index(n: usize) -> u32 {
     u32::try_from(n).expect("a query graph addresses its nodes and edges with u32")
 }
+
+/// The prefix of an aggregate that extends no other one.
+const UNSHARED: u32 = u32::MAX;
+
+/// Where an aggregate's own fold starts in `inputs`: at its first input, or
+/// — when it extends a prefix — at its last, the one input the prefix lacks.
+fn own_inputs(prefix: u32, lo: u32, hi: u32) -> usize {
+    if prefix == UNSHARED {
+        lo as usize
+    } else {
+        hi as usize - 1
+    }
+}
+
+/// One step of the rolling hash over an aggregate's input slots.
+fn mix(h: u64, input: u32) -> u64 {
+    let h = (h ^ u64::from(input)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    h ^ (h >> 29)
+}
+
+/// The rolling hash of an aggregate's kind and inputs: `(all inputs but
+/// the last, all inputs)` — the key it looks its prefix up under, and the
+/// key it is filed under for aggregates extending it.
+fn input_hashes(kind: AggKind, ins: &[u32]) -> (u64, u64) {
+    let (&last, head) = ins.split_last().expect("an aggregate has inputs");
+    let head = head.iter().fold(mix(0, kind as u32), |h, &j| mix(h, j));
+    (head, mix(head, last))
+}
+
+/// A [`Hasher`] for keys that are hashes already: it passes the `u64`
+/// through.
+#[derive(Debug, Default)]
+struct Premixed(u64);
+
+impl Hasher for Premixed {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("prefix keys are u64 hashes")
+    }
+
+    fn write_u64(&mut self, h: u64) {
+        self.0 = h;
+    }
+}
+
+/// Aggregates by the rolling hash of their kind and full input list.
+type PrefixMap = HashMap<u64, u32, BuildHasherDefault<Premixed>>;
 
 /// Files a sink's state in the array of its kind.
 fn file<T>(states: &mut Vec<T>, state: T) -> u32 {
@@ -269,7 +327,8 @@ struct Pane {
     max_staleness: u64,
     filled: usize,
     just_closed: bool,
-    truth_sum: f64,
+    /// The truth pane so far; `None` once a tick of it was unknown.
+    truth_sum: Option<f64>,
     truth_filled: usize,
     truth_closed: Option<f64>,
     last_grant: f64,
@@ -288,7 +347,7 @@ impl Pane {
             max_staleness: 0,
             filled: 0,
             just_closed: false,
-            truth_sum: 0.0,
+            truth_sum: Some(0.0),
             truth_filled: 0,
             truth_closed: None,
             last_grant: contract,
@@ -330,15 +389,16 @@ impl Pane {
 
     /// Accumulates one tick of the input's truth; on the tick the served
     /// pane closed, returns it with the true pane average to check against.
-    fn verify(&mut self, t_in: f64, published: Option<NodeOut>) -> Option<(NodeOut, f64)> {
-        if t_in.is_finite() {
-            self.truth_sum += t_in;
-            self.truth_filled += 1;
-            if self.truth_filled == self.len {
-                self.truth_closed = Some(self.truth_sum / self.len as f64);
-                self.truth_sum = 0.0;
-                self.truth_filled = 0;
-            }
+    /// An unknown tick leaves its whole pane's truth unknown — that pane is
+    /// not checked — but still counts, so the truth panes close in step
+    /// with the served ones.
+    fn verify(&mut self, t_in: Option<f64>, published: Option<NodeOut>) -> Option<(NodeOut, f64)> {
+        self.truth_sum = self.truth_sum.zip(t_in).map(|(sum, t)| sum + t);
+        self.truth_filled += 1;
+        if self.truth_filled == self.len {
+            self.truth_closed = self.truth_sum.map(|sum| sum / self.len as f64);
+            self.truth_sum = Some(0.0);
+            self.truth_filled = 0;
         }
         if !self.just_closed {
             return None;
@@ -440,6 +500,11 @@ struct Window {
     contract: f64,
     served: WindowAgg,
     mirror: WindowAgg,
+    /// Window length in ticks.
+    span: usize,
+    /// Ticks until the last unknown truth has slid out of the mirror; the
+    /// window is not checked before then.
+    blind: usize,
 }
 
 /// A DAG of continuous queries over precision-bounded streams: raw-stream
@@ -480,13 +545,28 @@ pub struct QueryGraph {
     panes: Vec<Pane>,
     alerts: Vec<Alert>,
     windows: Vec<Window>,
-    /// [`QueryGraph::verify_tick`]'s scratch: this tick's ground truth per
-    /// value slot (`NaN` = unknown). A slot is written before any consumer
-    /// reads it, so nothing carries over between ticks.
-    mirror: Vec<f64>,
+    /// Aggregates by the hash of their kind and inputs: the registration-
+    /// time index [`QueryGraph::link`] finds prefixes in.
+    prefixes: PrefixMap,
+    /// [`QueryGraph::observe_tick`]'s scratch: this tick's accumulator of
+    /// each aggregate slot, before the AVG division (`None`: an input has
+    /// published nothing). A prefix sits earlier than its sharers, so it
+    /// is written before any of them reads it, and nothing carries over
+    /// between ticks — as in the next two arrays.
+    folds: Vec<Option<NodeOut>>,
+    /// [`QueryGraph::verify_tick`]'s scratch: the same accumulator over the
+    /// truth (`None`: an input's truth is unknown) …
+    truth_folds: Vec<Option<f64>>,
+    /// … and this tick's ground truth per value slot (`None`: unknown or
+    /// not finite).
+    mirror: Vec<Option<f64>>,
     /// [`QueryGraph::required_deltas`]' scratch: the tightest grant any
-    /// consumer has issued to each slot. All `∞` between calls.
+    /// consumer has issued to each slot …
     granted: Vec<f64>,
+    /// … and the tightest any sharer has issued to the inputs it shares
+    /// with each prefix, which the prefix hands on. Both all `∞` between
+    /// calls.
+    pass: Vec<f64>,
     /// Number of raw aliases: sizes the map `required_deltas` returns.
     raws: usize,
     /// Punctuation feedback on/off; off reproduces static propagation.
@@ -520,8 +600,12 @@ impl QueryGraph {
             panes: Vec::new(),
             alerts: Vec::new(),
             windows: Vec::new(),
+            prefixes: PrefixMap::default(),
+            folds: Vec::new(),
+            truth_folds: Vec::new(),
             mirror: Vec::new(),
             granted: Vec::new(),
+            pass: Vec::new(),
             raws: 0,
             feedback: false,
             z: z_quantile(0.95),
@@ -607,7 +691,8 @@ impl QueryGraph {
     fn push_node(&mut self, id: &str, op: Op, inputs: &[u32]) {
         self.by_id.insert(id.to_string(), self.ids.len());
         self.ids.push(id.to_string());
-        self.slot_of.push(index(self.slots.len()));
+        let slot = self.slots.len();
+        self.slot_of.push(index(slot));
         let lo = index(self.inputs.len());
         self.inputs.extend_from_slice(inputs);
         self.slots.push(Slot {
@@ -617,8 +702,40 @@ impl QueryGraph {
         });
         self.outs.push(None);
         self.tallies.push(Tally::default());
-        self.mirror.push(f64::NAN);
+        self.folds.push(None);
+        self.truth_folds.push(None);
+        self.mirror.push(None);
         self.granted.push(f64::INFINITY);
+        self.pass.push(f64::INFINITY);
+        self.link(slot);
+    }
+
+    /// The plan for the aggregate in `slot` (a no-op for other nodes),
+    /// given every slot before it is planned: links it to its prefix — an
+    /// earlier aggregate of the same kind whose inputs are exactly its own
+    /// but the last — if there is one, and files it as a prefix for the
+    /// aggregates after it. A hash hit is confirmed on the input lists, so
+    /// a collision only costs a missed link.
+    fn link(&mut self, slot: usize) {
+        let Slot {
+            op: Op::Aggregate { kind, .. },
+            lo,
+            hi,
+        } = self.slots[slot]
+        else {
+            return;
+        };
+        let ins = &self.inputs[lo as usize..hi as usize];
+        let (head, all) = input_hashes(kind, ins);
+        let found = self.prefixes.get(&head).copied().filter(|&p| {
+            let Slot { op, lo, hi } = self.slots[p as usize];
+            matches!(op, Op::Aggregate { kind: k, .. } if k == kind)
+                && self.inputs[lo as usize..hi as usize] == ins[..ins.len() - 1]
+        });
+        self.prefixes.entry(all).or_insert(index(slot));
+        if let Op::Aggregate { prefix, .. } = &mut self.slots[slot].op {
+            *prefix = found.unwrap_or(UNSHARED);
+        }
     }
 
     /// Registers a derived node: fresh id, every input an existing value
@@ -670,7 +787,11 @@ impl QueryGraph {
         if let Some(c) = contract {
             check_positive("contract", c)?;
         }
-        self.add_derived(id, inputs, |_| Op::Aggregate { kind, contract })
+        self.add_derived(id, inputs, |_| Op::Aggregate {
+            kind,
+            contract,
+            prefix: UNSHARED,
+        })
     }
 
     /// Registers a point query: the identity 1-ary aggregate with contract
@@ -733,6 +854,10 @@ impl QueryGraph {
         check_positive("contract", contract)?;
         let served = WindowAgg::build(spec)?;
         let mirror = served.clone();
+        let (WindowSpec::Avg { window: span }
+        | WindowSpec::Min { window: span }
+        | WindowSpec::Max { window: span }
+        | WindowSpec::CountAbove { window: span, .. }) = spec;
         self.add_derived(id, &[input], |g| Op::Sliding {
             window: file(
                 &mut g.windows,
@@ -740,6 +865,8 @@ impl QueryGraph {
                     contract,
                     served,
                     mirror,
+                    span,
+                    blind: 0,
                 },
             ),
         })
@@ -865,8 +992,11 @@ impl QueryGraph {
     }
 
     /// Rebuilds the per-slot arrays in `order` (new slot → current slot),
-    /// with `target`'s inputs replaced by `rewired`. Sink state stays where
-    /// it is filed; the two scratch arrays hold nothing between calls.
+    /// with `target`'s inputs replaced by `rewired`, and plans the new
+    /// layout from scratch: a link only ever points at an earlier slot, so
+    /// a sharer now laid out before its prefix folds all of its inputs.
+    /// Sink state stays where it is filed; the scratch arrays hold nothing
+    /// between calls.
     fn lay_out(&mut self, order: &[u32], target: usize, rewired: &[u32]) {
         let mut new_of = vec![0u32; order.len()];
         for (new, &old) in order.iter().enumerate() {
@@ -896,6 +1026,10 @@ impl QueryGraph {
         }
         self.slots = slots;
         self.inputs = inputs;
+        self.prefixes.clear();
+        for slot in 0..self.slots.len() {
+            self.link(slot);
+        }
     }
 
     /// The id behind a slot — the panic messages' reverse lookup.
@@ -934,9 +1068,24 @@ impl QueryGraph {
                         staleness: v.staleness,
                     });
                 }
-                Op::Aggregate { kind, contract } => {
+                Op::Aggregate {
+                    kind,
+                    contract,
+                    prefix,
+                } => {
+                    // A sharer resumes from the fold its prefix left this
+                    // tick: the same additions in the same order.
+                    let start = if prefix == UNSHARED {
+                        Some(fold_start(kind))
+                    } else {
+                        self.folds[prefix as usize]
+                    };
+                    let own = &self.inputs[own_inputs(prefix, lo, hi)..hi as usize];
+                    let fold = start.and_then(|acc| fold_outs(kind, acc, own, &self.outs));
+                    self.folds[slot] = fold;
                     // An unpublished input leaves the last output standing.
-                    if let Some(out) = aggregate_outs(kind, ins, &self.outs) {
+                    if let Some(fold) = fold {
+                        let out = finish(kind, fold, hi - lo);
                         if let Some(c) = contract {
                             let tally = &mut self.tallies[slot];
                             tally.max_ratio = tally.max_ratio.max(out.bound / c);
@@ -980,7 +1129,9 @@ impl QueryGraph {
     /// # Panics
     /// Panics, naming the alias, when a registered raw stream has no entry
     /// in `truth`. A stream whose truth is unknown this tick is passed as
-    /// `NaN` and skipped.
+    /// `NaN` (any non-finite truth counts as unknown): nothing that depends
+    /// on it is checked this tick, neither is the tumbling pane it falls
+    /// in, nor a sliding window for the `W` ticks it stays in the window.
     pub fn verify_tick(&mut self, truth: &[f64]) -> u64 {
         let z = self.z;
         let mut new_violations = 0u64;
@@ -997,29 +1148,38 @@ impl QueryGraph {
                     let Some(&t) = truth.get(stream.0) else {
                         unfed_alias(self.id_of(slot), stream, truth.len(), "truths");
                     };
-                    self.mirror[slot] = t;
+                    self.mirror[slot] = t.is_finite().then_some(t);
                 }
-                Op::Aggregate { kind, .. } => {
-                    self.mirror[slot] = aggregate_values(kind, ins, &self.mirror);
+                Op::Aggregate { kind, prefix, .. } => {
+                    let start = if prefix == UNSHARED {
+                        Some(fold_start(kind).value)
+                    } else {
+                        self.truth_folds[prefix as usize]
+                    };
+                    let own = &self.inputs[own_inputs(prefix, lo, hi)..hi as usize];
+                    let fold = start.and_then(|acc| fold_values(kind, acc, own, &self.mirror));
+                    self.truth_folds[slot] = fold;
+                    self.mirror[slot] = fold
+                        .map(|t| finish_value(kind, t, hi - lo))
+                        .filter(|t| t.is_finite());
                 }
                 Op::Tumbling { pane } => {
                     check = self.panes[pane as usize]
                         .verify(self.mirror[ins[0] as usize], self.outs[slot]);
                 }
                 Op::Alert { alert } => {
-                    let t_in = self.mirror[ins[0] as usize];
-                    broken = t_in.is_finite() && self.alerts[alert as usize].contradicted_by(t_in);
+                    let alert = &self.alerts[alert as usize];
+                    broken = self.mirror[ins[0] as usize].is_some_and(|t| alert.contradicted_by(t));
                 }
                 Op::Sliding { window } => {
-                    let t_in = self.mirror[ins[0] as usize];
-                    if t_in.is_finite() {
-                        let w = &mut self.windows[window as usize];
-                        broken = window_contradicts(&w.served, &mut w.mirror, t_in);
-                    }
+                    broken = window_contradicts(
+                        &mut self.windows[window as usize],
+                        self.mirror[ins[0] as usize],
+                    );
                 }
             }
-            if op.is_value() && self.mirror[slot].is_finite() {
-                check = self.outs[slot].map(|out| (out, self.mirror[slot]));
+            if op.is_value() {
+                check = self.outs[slot].zip(self.mirror[slot]);
             }
             let tally = &mut self.tallies[slot];
             if let Some((out, t)) = check {
@@ -1076,8 +1236,9 @@ impl QueryGraph {
             // so this slot's grant is final; taking it leaves the scratch
             // all-∞ for the next call.
             let granted = std::mem::replace(&mut self.granted[slot], f64::INFINITY);
-            // What this slot grants each of its inputs (∞: nothing).
-            let per = match op {
+            // What this slot grants each of its inputs (∞: nothing), and
+            // from which input on it grants it itself.
+            let (per, own) = match op {
                 Op::Raw { stream } => {
                     if granted.is_finite() {
                         required
@@ -1087,12 +1248,26 @@ impl QueryGraph {
                     }
                     continue;
                 }
-                Op::Aggregate { kind, contract } => {
+                Op::Aggregate {
+                    kind,
+                    contract,
+                    prefix,
+                } => {
                     let eff = contract.unwrap_or(f64::INFINITY).min(granted);
-                    match kind {
+                    let per = match kind {
                         AggKind::Avg | AggKind::Min | AggKind::Max => eff,
                         AggKind::Sum => eff / ins.len() as f64,
+                    };
+                    // Every sharer extending this slot sits later and has
+                    // passed down what it grants the inputs shared with it;
+                    // this slot grants its own inputs that too, and passes
+                    // the lot on to its own prefix for the rest.
+                    let per = per.min(std::mem::replace(&mut self.pass[slot], f64::INFINITY));
+                    if prefix != UNSHARED {
+                        let pass = &mut self.pass[prefix as usize];
+                        *pass = pass.min(per);
                     }
+                    (per, own_inputs(prefix, lo, hi))
                 }
                 Op::Tumbling { pane } => {
                     let pane = &mut self.panes[pane as usize];
@@ -1100,7 +1275,7 @@ impl QueryGraph {
                     if g > pane.contract * (1.0 + 1e-9) {
                         relaxations += 1;
                     }
-                    g
+                    (g, lo as usize)
                 }
                 Op::Alert { alert } => {
                     let alert = &self.alerts[alert as usize];
@@ -1108,11 +1283,11 @@ impl QueryGraph {
                     if g > alert.margin * (1.0 + 1e-9) {
                         relaxations += 1;
                     }
-                    g
+                    (g, lo as usize)
                 }
-                Op::Sliding { window } => self.windows[window as usize].contract,
+                Op::Sliding { window } => (self.windows[window as usize].contract, lo as usize),
             };
-            for &j in ins {
+            for &j in &self.inputs[own..hi as usize] {
                 let g = &mut self.granted[j as usize];
                 *g = g.min(per);
             }
@@ -1210,17 +1385,25 @@ impl QueryGraph {
 /// including the sign of an all-`-0.0` input.
 const SUM_START: f64 = -0.0;
 
-/// Where the in-place fold of an aggregate's member values starts …
-fn fold_start(kind: AggKind) -> f64 {
-    match kind {
-        AggKind::Avg | AggKind::Sum => SUM_START,
-        AggKind::Min => f64::INFINITY,
-        AggKind::Max => f64::NEG_INFINITY,
+/// Where the in-place fold of an aggregate's members starts: the value the
+/// kind's operator starts from, and the bound and variance sums (AVG, SUM)
+/// or maxima (MIN, MAX) …
+fn fold_start(kind: AggKind) -> NodeOut {
+    let (value, spread) = match kind {
+        AggKind::Avg | AggKind::Sum => (SUM_START, SUM_START),
+        AggKind::Min => (f64::INFINITY, 0.0),
+        AggKind::Max => (f64::NEG_INFINITY, 0.0),
+    };
+    NodeOut {
+        value,
+        bound: spread,
+        variance: spread,
+        staleness: 0,
     }
 }
 
-/// … and how it takes in the next member, in input order (AVG divides by
-/// the member count once, at the end).
+/// … and how it takes in the next member's value, in input order (AVG
+/// divides by the member count once, in [`finish`]).
 fn fold_step(kind: AggKind, acc: f64, x: f64) -> f64 {
     match kind {
         AggKind::Avg | AggKind::Sum => acc + x,
@@ -1229,23 +1412,23 @@ fn fold_step(kind: AggKind, acc: f64, x: f64) -> f64 {
     }
 }
 
-/// Aggregate value/bound/variance arithmetic over the published outputs of
-/// the slots `ins`, folded in input order; `None` when one of them has
-/// published nothing yet. Value and bound follow
+/// Folds the published outputs of the slots `ins` into `acc`, in input
+/// order; `None` when one of them has published nothing yet. Started from
+/// [`fold_start`] it folds a whole aggregate; started from a prefix's
+/// accumulator it folds the inputs that prefix lacks, with the same
+/// additions in the same order. Value and bound follow
 /// [`crate::answer_aggregate`]'s interval arithmetic exactly (AVG: mean of
 /// bounds, SUM: sum, MIN/MAX: max); variance propagates as Σσ²/k² (AVG,
 /// independent members), Σσ² (SUM), and max σ² (MIN/MAX — a heuristic, not
 /// a true extreme-value quantile; experiment Q3's coverage gate is the
 /// empirical check).
-fn aggregate_outs(kind: AggKind, ins: &[u32], outs: &[Option<NodeOut>]) -> Option<NodeOut> {
+fn fold_outs(
+    kind: AggKind,
+    mut acc: NodeOut,
+    ins: &[u32],
+    outs: &[Option<NodeOut>],
+) -> Option<NodeOut> {
     let sums = matches!(kind, AggKind::Avg | AggKind::Sum);
-    let spread = if sums { SUM_START } else { 0.0 };
-    let mut acc = NodeOut {
-        value: fold_start(kind),
-        bound: spread,
-        variance: spread,
-        staleness: 0,
-    };
     for &j in ins {
         let m = outs[j as usize]?;
         acc.value = fold_step(kind, acc.value, m.value);
@@ -1258,39 +1441,54 @@ fn aggregate_outs(kind: AggKind, ins: &[u32], outs: &[Option<NodeOut>]) -> Optio
         }
         acc.staleness = acc.staleness.max(m.staleness);
     }
+    Some(acc)
+}
+
+/// An aggregate's answer from its fold over all `k` of its inputs.
+fn finish(kind: AggKind, mut acc: NodeOut, k: u32) -> NodeOut {
     if kind == AggKind::Avg {
-        let k = ins.len() as f64;
+        let k = f64::from(k);
         acc.value /= k;
         acc.bound /= k;
         acc.variance /= k * k;
     }
-    Some(acc)
-}
-
-/// The same aggregate arithmetic over the truth mirror's plain values;
-/// `NaN` when an input's truth is unknown this tick.
-fn aggregate_values(kind: AggKind, ins: &[u32], mirror: &[f64]) -> f64 {
-    let mut acc = fold_start(kind);
-    for &j in ins {
-        let t = mirror[j as usize];
-        if !t.is_finite() {
-            return f64::NAN;
-        }
-        acc = fold_step(kind, acc, t);
-    }
-    if kind == AggKind::Avg {
-        acc /= ins.len() as f64;
-    }
     acc
 }
 
-/// Slides `truth` into the mirror (bound 0, so the mirror's answer *is* the
-/// true window aggregate) and reports whether the served answer breaks its
-/// guarantee against it. Out of line for the reason [`WindowAgg::push`] is.
+/// The same fold over the truth mirror's plain values; `None` when an
+/// input's truth is unknown this tick.
+fn fold_values(kind: AggKind, mut acc: f64, ins: &[u32], mirror: &[Option<f64>]) -> Option<f64> {
+    for &j in ins {
+        acc = fold_step(kind, acc, mirror[j as usize]?);
+    }
+    Some(acc)
+}
+
+/// [`finish`] for a truth fold.
+fn finish_value(kind: AggKind, acc: f64, k: u32) -> f64 {
+    if kind == AggKind::Avg {
+        acc / f64::from(k)
+    } else {
+        acc
+    }
+}
+
+/// Slides this tick's truth into the window's mirror (bound 0, so the
+/// mirror's answer *is* the true window aggregate) and reports whether the
+/// served answer breaks its guarantee against it. An unknown truth slides
+/// in as a placeholder, and the window goes unchecked until that has slid
+/// out again. Out of line for the reason [`WindowAgg::push`] is.
 #[inline(never)]
-fn window_contradicts(served: &WindowAgg, mirror: &mut WindowAgg, truth: f64) -> bool {
-    mirror.push(truth, 0.0);
-    match (served.answer(), mirror.answer()) {
+fn window_contradicts(w: &mut Window, truth: Option<f64>) -> bool {
+    w.mirror.push(truth.unwrap_or(0.0), 0.0);
+    if truth.is_none() {
+        w.blind = w.span;
+    }
+    if w.blind > 0 {
+        w.blind -= 1;
+        return false;
+    }
+    match (w.served.answer(), w.mirror.answer()) {
         (
             Some(WindowAnswer::Value { value, bound }),
             Some(WindowAnswer::Value { value: t, .. }),
@@ -1739,6 +1937,139 @@ mod tests {
         g.observe_tick(&[view(5.0, 0.1)], &[]);
         assert_eq!(g.verify_tick(&[-4.0]), 3);
         assert_eq!(g.violations(), 3);
+    }
+
+    #[test]
+    fn an_unknown_truth_blinds_its_pane_not_the_next_one() {
+        // Served equals truth on a ramp; the truth of tick 1 is unknown.
+        // The first pane cannot be checked; the second must be checked
+        // against its own ticks (the parent compared it with a truth pane
+        // shifted by one tick, and counted a violation).
+        let mut g = QueryGraph::new();
+        g.add_raw("s0", StreamId(0)).unwrap();
+        g.add_tumbling_avg("pane", "s0", 4, 0.5).unwrap();
+        for t in 0..8 {
+            let v = t as f64;
+            g.observe_tick(&[view(v, 0.1)], &[0.01]);
+            let truth = if t == 1 { f64::NAN } else { v };
+            assert_eq!(g.verify_tick(&[truth]), 0, "tick {t}");
+        }
+        assert_eq!(g.node_coverage("pane"), Some((1, 1)));
+        assert_eq!(g.violations(), 0);
+    }
+
+    #[test]
+    fn an_unknown_truth_blinds_a_sliding_window_until_it_slides_out() {
+        let mut g = QueryGraph::new();
+        g.add_raw("s0", StreamId(0)).unwrap();
+        g.add_sliding("avg", "s0", WindowSpec::Avg { window: 4 }, 0.1)
+            .unwrap();
+        for t in 0..12 {
+            let v = t as f64;
+            g.observe_tick(&[view(v, 0.1)], &[0.01]);
+            let truth = if t == 1 { f64::NAN } else { v };
+            assert_eq!(g.verify_tick(&[truth]), 0, "tick {t}");
+        }
+        // Checked again from tick 5 on: a truth far off is caught.
+        g.observe_tick(&[view(12.0, 0.1)], &[0.01]);
+        assert_eq!(g.verify_tick(&[-40.0]), 2, "the raw bound and the window");
+    }
+
+    /// The plan: `(sharer, prefix)` ids, in evaluation order.
+    fn links(g: &QueryGraph) -> Vec<(&str, &str)> {
+        (0..g.slots.len())
+            .filter_map(|slot| match g.slots[slot].op {
+                Op::Aggregate { prefix, .. } if prefix != UNSHARED => {
+                    Some((g.id_of(slot), g.id_of(prefix as usize)))
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// `g{w}` averages `s0 … s{w-1}`, registered `g3` to `g16`.
+    fn chain(g: &mut QueryGraph) {
+        for s in 0..16 {
+            g.add_raw(&format!("s{s}"), StreamId(s)).unwrap();
+        }
+        for w in 3..=16 {
+            let ins: Vec<String> = (0..w).map(|s| format!("s{s}")).collect();
+            let ins: Vec<&str> = ins.iter().map(String::as_str).collect();
+            g.add_aggregate(&format!("g{w}"), AggKind::Avg, &ins, Some(0.5))
+                .unwrap();
+        }
+    }
+
+    #[test]
+    fn a_chain_of_widths_links_each_group_to_the_one_before() {
+        let mut g = QueryGraph::new();
+        chain(&mut g);
+        let expected: Vec<(String, String)> = (4..=16)
+            .map(|w| (format!("g{w}"), format!("g{}", w - 1)))
+            .collect();
+        let linked: Vec<(String, String)> = links(&g)
+            .into_iter()
+            .map(|(a, b)| (a.into(), b.into()))
+            .collect();
+        assert_eq!(linked, expected);
+        // The shared folds publish what whole-list folds would.
+        let views: Vec<StreamView> = (0..16).map(|s| view(s as f64, 0.1)).collect();
+        g.observe_tick(&views, &[0.0; 16]);
+        for w in 3..=16 {
+            let a = g.answer(&format!("g{w}")).unwrap();
+            let sum: f64 = (0..w).map(|s| s as f64).sum();
+            assert_eq!(a.value, sum / w as f64, "g{w}");
+        }
+        // A kind never links to another kind.
+        g.add_aggregate("sum4", AggKind::Sum, &["s0", "s1", "s2", "s3"], None)
+            .unwrap();
+        assert_eq!(links(&g).len(), 13);
+    }
+
+    #[test]
+    fn a_rewired_prefix_unlinks_its_sharers_and_relinks_where_legal() {
+        let mut g = QueryGraph::new();
+        for s in 0..4 {
+            g.add_raw(&format!("s{s}"), StreamId(s)).unwrap();
+        }
+        g.add_aggregate("a", AggKind::Sum, &["s0", "s1"], None)
+            .unwrap();
+        g.add_aggregate("b", AggKind::Sum, &["s0", "s1", "s2"], None)
+            .unwrap();
+        g.add_aggregate("c", AggKind::Sum, &["s0", "s1", "s2", "s3"], None)
+            .unwrap();
+        g.add_aggregate("tight", AggKind::Avg, &["c"], Some(0.4))
+            .unwrap();
+        assert_eq!(links(&g), [("b", "a"), ("c", "b")]);
+        // c's grant reaches s0 and s1 through b and a.
+        let grants = |g: &mut QueryGraph| {
+            let req = g.required_deltas();
+            (0..4).map(|s| req[&StreamId(s)]).collect::<Vec<_>>()
+        };
+        assert_eq!(grants(&mut g), [0.1; 4]);
+        let views: Vec<StreamView> = (0..4).map(|s| view(1.0 + s as f64, 0.1)).collect();
+        let answers = |g: &mut QueryGraph| {
+            g.observe_tick(&views, &[0.0; 4]);
+            ["a", "b", "c"].map(|id| g.answer(id).unwrap().value)
+        };
+        // b no longer extends a: c, which extends b no more, unlinks too.
+        g.rewire("b", &["s1", "s2"]).unwrap();
+        assert_eq!(links(&g), []);
+        assert_eq!(answers(&mut g), [3.0, 5.0, 10.0]);
+        // Back again, in place: both links return.
+        g.rewire("b", &["s0", "s1", "s2"]).unwrap();
+        assert_eq!(links(&g), [("b", "a"), ("c", "b")]);
+        assert_eq!(answers(&mut g), [3.0, 6.0, 10.0]);
+        // a reading c lays c out before a, and so before b; back on its old
+        // inputs a stays where it is. b extends a again, but c, now ahead
+        // of its prefix b, folds all four of its inputs.
+        g.rewire("a", &["s0", "c"]).unwrap();
+        assert_eq!(links(&g), []);
+        assert_eq!(answers(&mut g), [11.0, 6.0, 10.0]);
+        g.rewire("a", &["s0", "s1"]).unwrap();
+        assert_eq!(links(&g), [("b", "a")]);
+        assert_eq!(answers(&mut g), [3.0, 6.0, 10.0]);
+        assert_eq!(grants(&mut g), [0.1; 4]);
     }
 
     #[test]

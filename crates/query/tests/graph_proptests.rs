@@ -19,7 +19,11 @@
 //!    every output per call, a `Vec` per aggregate — kept here as the
 //!    oracle: on random DAGs of all five node kinds, through rewires and
 //!    late registrations, every accessor agrees with it to the bit, every
-//!    tick, feedback on and off.
+//!    tick, feedback on and off. The DAGs hold chains of aggregates each
+//!    reading the one before's inputs plus more, which the engine folds
+//!    once and the oracle folds whole.
+//! 5. **Shared folds survive overflow.** SUM chains whose running sums reach
+//!    ±∞ and NaN agree with the oracle the same way.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -76,6 +80,8 @@ fn agg_kind(idx: usize) -> AggKind {
 /// `topo` indirection, a fresh copy of every node's output per call, a
 /// `Vec` of member outputs (or truths) per aggregate folded with
 /// `Iterator::sum`, and a fresh `granted` array per `required_deltas`.
+/// A non-finite truth is unknown: it leaves its tumbling pane unchecked,
+/// and a sliding window unchecked while it is among the last `W` truths.
 /// Registration is assumed valid (the generator only builds valid graphs);
 /// `rewire` reports a cycle as `false` and leaves the wiring as it was.
 mod reference {
@@ -159,6 +165,8 @@ mod reference {
             just_closed: bool,
             truth_sum: f64,
             truth_filled: usize,
+            /// No tick of the current truth pane was unknown.
+            truth_known: bool,
             truth_closed: Option<f64>,
             last_grant: f64,
             recent_grants: [f64; GRANT_LAG],
@@ -174,6 +182,9 @@ mod reference {
             contract: f64,
             served: Window,
             mirror: Window,
+            window: usize,
+            /// Whether each of the last `window` truths was known.
+            known: VecDeque<bool>,
         },
     }
 
@@ -282,6 +293,7 @@ mod reference {
                     just_closed: false,
                     truth_sum: 0.0,
                     truth_filled: 0,
+                    truth_known: true,
                     truth_closed: None,
                     last_grant: contract,
                     recent_grants: [contract; GRANT_LAG],
@@ -306,6 +318,10 @@ mod reference {
             let input = self.index(input);
             let served = Window::build(spec);
             let mirror = served.clone();
+            let (WindowSpec::Avg { window }
+            | WindowSpec::Min { window }
+            | WindowSpec::Max { window }
+            | WindowSpec::CountAbove { window, .. }) = spec;
             self.push(
                 id,
                 Kind::Sliding {
@@ -313,6 +329,8 @@ mod reference {
                     contract,
                     served,
                     mirror,
+                    window,
+                    known: VecDeque::new(),
                 },
             );
         }
@@ -484,18 +502,24 @@ mod reference {
                         just_closed,
                         truth_sum,
                         truth_filled,
+                        truth_known,
                         truth_closed,
                         ..
                     } => {
+                        // A pane with an unknown tick has an unknown truth,
+                        // and is not checked; the tick still counts.
                         let t_in = tv[*input];
                         if t_in.is_finite() {
                             *truth_sum += t_in;
-                            *truth_filled += 1;
-                            if *truth_filled == *pane {
-                                *truth_closed = Some(*truth_sum / *pane as f64);
-                                *truth_sum = 0.0;
-                                *truth_filled = 0;
-                            }
+                        } else {
+                            *truth_known = false;
+                        }
+                        *truth_filled += 1;
+                        if *truth_filled == *pane {
+                            *truth_closed = truth_known.then(|| *truth_sum / *pane as f64);
+                            *truth_sum = 0.0;
+                            *truth_filled = 0;
+                            *truth_known = true;
                         }
                         if *just_closed {
                             *just_closed = false;
@@ -523,11 +547,20 @@ mod reference {
                         input,
                         served,
                         mirror,
+                        window,
+                        known,
                         ..
                     } => {
+                        // An unknown truth keeps its place in the mirror
+                        // (as 0.0) and the window unchecked while it is in.
                         let t_in = tv[*input];
-                        if t_in.is_finite() {
-                            mirror.push(t_in, 0.0);
+                        let is_known = t_in.is_finite();
+                        mirror.push(if is_known { t_in } else { 0.0 }, 0.0);
+                        known.push_back(is_known);
+                        if known.len() > *window {
+                            known.pop_front();
+                        }
+                        if known.iter().all(|&k| k) {
                             broken = match (served.answer(), mirror.answer()) {
                                 (
                                     Some(WindowAnswer::Value { value, bound }),
@@ -759,6 +792,11 @@ struct Twin {
     ids: Vec<String>,
     values: Vec<String>,
     aggregates: Vec<String>,
+    /// Kind and current inputs of every aggregate, by id: what an extend
+    /// move copies.
+    wiring: HashMap<String, (AggKind, Vec<String>)>,
+    /// Aggregates registered as an earlier one's inputs plus more.
+    extensions: u32,
 }
 
 /// Coverage level the twin's graphs account at, and the (different) level
@@ -777,6 +815,8 @@ impl Twin {
             ids: Vec::new(),
             values: Vec::new(),
             aggregates: Vec::new(),
+            wiring: HashMap::new(),
+            extensions: 0,
         }
     }
 
@@ -800,18 +840,44 @@ impl Twin {
             .collect()
     }
 
-    fn add_aggregate(&mut self, rng: &mut Rng) {
+    /// Registers an aggregate over `inputs` on both sides; returns its id.
+    fn register(&mut self, rng: &mut Rng, kind: AggKind, inputs: Vec<String>) -> String {
         let id = self.fresh_id();
-        let inputs = self.draw_inputs(rng);
-        let inputs: Vec<&str> = inputs.iter().map(String::as_str).collect();
-        let kind = agg_kind(rng.below(4));
+        let refs: Vec<&str> = inputs.iter().map(String::as_str).collect();
         let contract = (rng.below(3) > 0).then(|| 0.2 + 1.3 * rng.unit());
         self.engine
-            .add_aggregate(&id, kind, &inputs, contract)
+            .add_aggregate(&id, kind, &refs, contract)
             .unwrap();
-        self.oracle.add_aggregate(&id, kind, &inputs, contract);
+        self.oracle.add_aggregate(&id, kind, &refs, contract);
         self.values.push(id.clone());
-        self.aggregates.push(id);
+        self.aggregates.push(id.clone());
+        self.wiring.insert(id.clone(), (kind, inputs));
+        id
+    }
+
+    fn add_aggregate(&mut self, rng: &mut Rng) {
+        let inputs = self.draw_inputs(rng);
+        let kind = agg_kind(rng.below(4));
+        self.register(rng, kind, inputs);
+    }
+
+    /// An aggregate of `base`'s kind over `base`'s inputs plus `more` draws:
+    /// with one draw, the engine resumes `base`'s fold.
+    fn extend(&mut self, rng: &mut Rng, base: &str, more: usize) -> String {
+        let (kind, mut inputs) = self.wiring[base].clone();
+        inputs.extend((0..more).map(|_| self.values[rng.below(self.values.len())].clone()));
+        self.extensions += 1;
+        self.register(rng, kind, inputs)
+    }
+
+    /// A chain of `links` one-input extensions from a fresh aggregate of
+    /// `kind`.
+    fn add_chain(&mut self, rng: &mut Rng, kind: AggKind, links: usize) {
+        let inputs = self.draw_inputs(rng);
+        let mut id = self.register(rng, kind, inputs);
+        for _ in 0..links {
+            id = self.extend(rng, &id, 1);
+        }
     }
 
     /// `far`: a threshold no walk reaches, so feedback relaxes every tick.
@@ -858,31 +924,63 @@ impl Twin {
     }
 
     fn add_derived(&mut self, rng: &mut Rng) {
-        match rng.below(6) {
-            0..=2 => self.add_aggregate(rng),
+        match rng.below(7) {
+            0..=1 => self.add_aggregate(rng),
+            2 => {
+                let base = self.aggregates[rng.below(self.aggregates.len())].clone();
+                let more = 1 + rng.below(3);
+                self.extend(rng, &base, more);
+            }
             3 => self.add_alert(rng, false),
             4 => self.add_tumbling(rng),
-            _ => self.add_sliding(rng),
+            5 => self.add_sliding(rng),
+            _ => {
+                let (kind, links) = (agg_kind(rng.below(4)), 1 + rng.below(3));
+                self.add_chain(rng, kind, links);
+            }
         }
     }
 
-    /// Points a random aggregate at random value nodes — often later ones,
-    /// which moves it in evaluation order; sometimes itself or its own
-    /// consumers, which both sides must refuse and survive unchanged.
-    /// Returns whether the rewire was adopted.
-    fn rewire(&mut self, rng: &mut Rng) -> Result<bool, TestCaseError> {
-        let id = self.aggregates[rng.below(self.aggregates.len())].clone();
-        let inputs = self.draw_inputs(rng);
-        let inputs: Vec<&str> = inputs.iter().map(String::as_str).collect();
-        let engine = self.engine.rewire(&id, &inputs);
-        let adopted = self.oracle.rewire(&id, &inputs);
+    /// Points aggregate `id` at `inputs` on both sides; returns whether
+    /// the rewire was adopted (both sides refuse a cycle alike).
+    fn rewire_to(&mut self, id: &str, inputs: Vec<String>) -> Result<bool, TestCaseError> {
+        let refs: Vec<&str> = inputs.iter().map(String::as_str).collect();
+        let engine = self.engine.rewire(id, &refs);
+        let adopted = self.oracle.rewire(id, &refs);
         let expected = if adopted {
             Ok(())
         } else {
-            Err(QueryError::Cycle { id: id.clone() })
+            Err(QueryError::Cycle { id: id.into() })
         };
-        prop_assert_eq!(engine, expected, "rewire of {} to {:?}", id, inputs);
+        prop_assert_eq!(engine, expected, "rewire of {} to {:?}", id, refs);
+        if adopted {
+            self.wiring.get_mut(id).expect("an aggregate").1 = inputs;
+        }
         Ok(adopted)
+    }
+
+    /// Points a random aggregate at random value nodes — often later ones,
+    /// which moves it in evaluation order, and breaks any link to or from
+    /// it; sometimes itself or its own consumers, which both sides must
+    /// refuse and survive unchanged. Returns whether the rewire was
+    /// adopted.
+    fn rewire(&mut self, rng: &mut Rng) -> Result<bool, TestCaseError> {
+        let id = self.aggregates[rng.below(self.aggregates.len())].clone();
+        let inputs = self.draw_inputs(rng);
+        self.rewire_to(&id, inputs)
+    }
+
+    /// Rewires a random aggregate to read the newest value node too, then
+    /// back to what it read: it keeps the later place the detour gave it,
+    /// so an aggregate extending it may now sit before it and fold all of
+    /// its own inputs.
+    fn detour(&mut self, rng: &mut Rng) -> Result<bool, TestCaseError> {
+        let id = self.aggregates[rng.below(self.aggregates.len())].clone();
+        let inputs = self.wiring[&id].1.clone();
+        let mut via = inputs.clone();
+        via.push(self.values.last().expect("value nodes").clone());
+        let moved = self.rewire_to(&id, via)?;
+        Ok(moved && self.rewire_to(&id, inputs)?)
     }
 
     /// One tick through both sides; every return value and every accessor
@@ -1201,11 +1299,15 @@ proptest! {
         for r in 0..raws {
             twin.add_raw(StreamId(r % streams));
         }
-        // One of each kind for certain, then whatever the seed draws.
+        // One of each kind for certain, a chain of three extensions of
+        // each aggregate kind, then whatever the seed draws.
         twin.add_aggregate(&mut rng);
         twin.add_alert(&mut rng, true);
         twin.add_tumbling(&mut rng);
         twin.add_sliding(&mut rng);
+        for kind in 0..4 {
+            twin.add_chain(&mut rng, agg_kind(kind), 3);
+        }
         for _ in 0..derived {
             twin.add_derived(&mut rng);
         }
@@ -1218,6 +1320,7 @@ proptest! {
                 for _ in 0..4 {
                     rewires += u32::from(twin.rewire(&mut rng)?);
                 }
+                rewires += u32::from(twin.detour(&mut rng)?);
                 // A registration after a re-layout appends to the new order.
                 twin.add_derived(&mut rng);
                 twin.compare()?;
@@ -1246,7 +1349,70 @@ proptest! {
         prop_assert!(twin.oracle.panes_closed > 0, "no pane ever closed");
         prop_assert!(twin.oracle.violations > 0, "no guarantee was ever broken");
         prop_assert!(rewires > 0, "no rewire was ever adopted");
+        prop_assert!(twin.extensions > 0, "no aggregate extended another");
         prop_assert_eq!(twin.oracle.relaxations > 0, feedback);
+    }
+
+    /// Property 5: SUM chains whose running sums overflow to ±∞ and meet at
+    /// ∞ − ∞ = NaN — on the served side and in the truth — agree with the
+    /// reference bit for bit every tick, with truths unknown in the shared
+    /// prefixes and in the inputs the extensions add.
+    #[test]
+    fn shared_sum_folds_through_infinities_match_the_reference(
+        seed in any::<u64>(),
+        feedback in 0usize..2,
+        ticks in 20usize..60,
+    ) {
+        let mut rng = Rng::new(seed);
+        let mut twin = Twin::new(feedback == 1);
+        for s in 0..4 {
+            twin.add_raw(StreamId(s));
+        }
+        let sum = |twin: &mut Twin, rng: &mut Rng, inputs: &[&str]| {
+            twin.register(rng, AggKind::Sum, inputs.iter().map(|&i| i.to_string()).collect())
+        };
+        // x → x2 → x3 over the raws; y beside them; z → z2 → z3 over x, y
+        // and x3, which is where +∞ meets −∞.
+        let x = sum(&mut twin, &mut rng, &["n0", "n1"]);
+        let x2 = twin.extend(&mut rng, &x, 1);
+        let x3 = twin.extend(&mut rng, &x2, 1);
+        let y = sum(&mut twin, &mut rng, &["n2", "n3"]);
+        let z = sum(&mut twin, &mut rng, &[&x, &y]);
+        let z2 = twin.extend(&mut rng, &z, 1);
+        twin.extend(&mut rng, &z2, 1);
+        twin.engine.add_tumbling_avg("pane", &x3, 3, 0.5).unwrap();
+        twin.oracle.add_tumbling_avg("pane", &x3, 3, 0.5);
+        twin.engine.add_sliding("win", &z2, WindowSpec::Max { window: 3 }, 0.5).unwrap();
+        twin.oracle.add_sliding("win", &z2, WindowSpec::Max { window: 3 }, 0.5);
+        twin.ids.extend(["pane".to_string(), "win".to_string()]);
+
+        let huge = [f64::MAX, -f64::MAX, 1e308, -1e308, 0.5, -0.5];
+        let (mut infinite, mut nan) = (false, false);
+        for t in 0..ticks {
+            let mut views = Vec::new();
+            let mut truth = Vec::new();
+            for s in 0..4 {
+                // The first tick certainly meets +∞ (x) with −∞ (y).
+                let value = match t {
+                    0 if s < 2 => f64::MAX,
+                    0 => -f64::MAX,
+                    _ => huge[rng.below(huge.len())],
+                };
+                views.push(StreamView { value, delta: 0.25, staleness: 0 });
+                truth.push(match rng.below(4) {
+                    0 => f64::NAN,
+                    1 => huge[rng.below(huge.len())],
+                    _ => value,
+                });
+            }
+            twin.tick(&views, &[0.01; 4], &truth)?;
+            for id in &twin.aggregates {
+                let v = twin.engine.answer(id).expect("published").value;
+                infinite |= v.is_infinite();
+                nan |= v.is_nan();
+            }
+        }
+        prop_assert!(infinite && nan, "the chains never overflowed: {} {}", infinite, nan);
     }
 }
 
