@@ -4,13 +4,20 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> no async runtime: vendor/tokio stays deleted, no manifest names tokio"
-if [[ -e vendor/tokio ]]; then
-    echo "vendor/tokio exists" >&2
+echo "==> what nothing ran stays deleted: no async runtime, no serde or parking_lot stand-in, no EKF/UKF/RTS smoother, text query parser, sliding quantile, filter stats or log-normal"
+for stub in tokio parking_lot serde serde_derive; do
+    if [[ -e "vendor/$stub" ]]; then
+        echo "vendor/$stub exists" >&2
+        exit 1
+    fi
+done
+if grep -nE 'tokio|serde|parking_lot' --include=Cargo.toml -r . --exclude-dir=benchmark --exclude-dir=target; then
+    echo "a Cargo.toml outside benchmark/ names tokio, serde or parking_lot" >&2
     exit 1
 fi
-if grep -n tokio --include=Cargo.toml -r . --exclude-dir=benchmark --exclude-dir=target; then
-    echo "a Cargo.toml outside benchmark/ names tokio" >&2
+if grep -rnwE 'ExtendedKalmanFilter|UnscentedKalmanFilter|NonlinearModel|rts_smooth|parse_query|ParsedQuery|SlidingQuantile|RunningStats|LogNormal' \
+    crates src tests examples; then
+    echo "a deleted item is back: bring it back with its first caller, not ahead of one" >&2
     exit 1
 fi
 
@@ -102,6 +109,11 @@ cargo build --release --workspace
 
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
+
+echo "==> every example runs once in release and asserts its own claims"
+for example in examples/*.rs; do
+    cargo run --release -q --example "$(basename "$example" .rs)" >/dev/null
+done
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -9,8 +9,8 @@
 //! documents' own `"schema"` string; the tests below doctor every row of
 //! every committed baseline and are the spec.
 //!
-//! The vendored `serde` stand-in has no deserializer, so the module carries
-//! its own extractor for the flat `"key": value` shapes the writers emit.
+//! The build has no JSON crate, so the module carries its own extractor for
+//! the flat `"key": value` shapes the writers emit.
 
 use std::borrow::Cow;
 

@@ -81,33 +81,6 @@ impl RateEstimator {
     pub fn samples(&self) -> Vec<f64> {
         self.errors.iter().copied().collect()
     }
-
-    /// Mean error magnitude over the window — the per-stream *error
-    /// contribution* the epoch budget allocator weights streams by when
-    /// redistributing the message budget. Returns `0.0` when empty.
-    pub fn mean_abs_error(&self) -> f64 {
-        if self.errors.is_empty() {
-            return 0.0;
-        }
-        self.errors.iter().sum::<f64>() / self.errors.len() as f64
-    }
-
-    /// The smallest `δ` whose estimated rate is ≤ `target_rate`: the
-    /// `(1 − target_rate)`-quantile of the window errors. Returns `0.0`
-    /// when the window is empty.
-    pub fn delta_for_rate(&self, target_rate: f64) -> f64 {
-        if self.errors.is_empty() {
-            return 0.0;
-        }
-        let mut sorted: Vec<f64> = self.errors.iter().copied().collect();
-        sorted.sort_by(f64::total_cmp);
-        let keep = ((1.0 - target_rate.clamp(0.0, 1.0)) * sorted.len() as f64).ceil() as usize;
-        if keep == 0 {
-            0.0
-        } else {
-            sorted[keep.min(sorted.len()) - 1]
-        }
-    }
 }
 
 #[cfg(test)]
@@ -156,34 +129,6 @@ mod tests {
         let r = RateEstimator::new(4);
         assert!(r.is_empty());
         assert_eq!(r.rate_at(1.0), 0.0);
-        assert_eq!(r.delta_for_rate(0.5), 0.0);
-    }
-
-    #[test]
-    fn delta_for_rate_inverts_rate_at() {
-        let r = filled(&[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]);
-        // Ask for 30% rate: delta must keep exactly the top 30% above it.
-        let d = r.delta_for_rate(0.3);
-        assert!(
-            r.rate_at(d) <= 0.3 + 1e-12,
-            "rate {} at delta {d}",
-            r.rate_at(d)
-        );
-        // And the next-smaller sample would exceed the target.
-        assert!(r.rate_at(d * 0.99) > 0.3);
-    }
-
-    #[test]
-    fn delta_for_zero_rate_is_max_error() {
-        let r = filled(&[0.5, 2.0, 1.0]);
-        assert_eq!(r.delta_for_rate(0.0), 2.0);
-    }
-
-    #[test]
-    fn mean_abs_error_averages_the_window() {
-        let r = filled(&[0.0, 1.0, 2.0, 3.0]);
-        assert_eq!(r.mean_abs_error(), 1.5);
-        assert_eq!(RateEstimator::new(4).mean_abs_error(), 0.0);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Binary wire format for sync messages.
 //!
-//! A hand-rolled little-endian codec rather than a serde format: the
-//! sanctioned crate set has no serde *format* crate, and experiment T3
-//! reports exact bytes-on-the-wire per policy, so the encoding must be
-//! explicit and minimal. Layout (all integers little-endian):
+//! A hand-rolled little-endian codec: the build has no serialisation
+//! crate, and experiment T3 reports exact bytes-on-the-wire per policy, so
+//! the encoding must be explicit and minimal. Layout (all integers
+//! little-endian):
 //!
 //! ```text
 //! message   := tag:u8 body

@@ -155,7 +155,6 @@ impl fmt::Debug for LazyScratch {
 /// (`abl_joseph`): on long suppressed runs it slowly drifts asymmetric and
 /// eventually breaks Cholesky.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum CovarianceUpdate {
     /// Numerically robust Joseph-stabilised update (the default).
     Joseph,

@@ -11,11 +11,6 @@
 //! * [`KalmanFilter`] — the discrete linear Kalman filter, with the
 //!   numerically robust Joseph-form covariance update (ablation
 //!   [`JosephForm`] in the benches).
-//! * [`ExtendedKalmanFilter`] — first-order EKF for nonlinear stream
-//!   dynamics (e.g. GPS heading models).
-//! * [`UnscentedKalmanFilter`] — derivative-free sigma-point filter over
-//!   the same [`NonlinearModel`] trait, for models whose Jacobians are
-//!   error-prone.
 //! * [`AdaptiveKalmanFilter`] — innovation-based online estimation of the
 //!   measurement noise `R` and NIS-driven scaling of the process noise `Q`
 //!   ("the Kalman Filter has the ability to adapt to ... sensor noise").
@@ -53,26 +48,19 @@ mod adaptive;
 mod bank;
 mod batch;
 mod dispatch;
-mod ekf;
 mod error;
 pub mod fit;
 mod kalman;
 mod model;
 pub mod models;
-mod smoother;
-pub mod stats;
-mod ukf;
 
 pub use adaptive::{AdaptiveConfig, AdaptiveKalmanFilter};
 pub use bank::{BankConfig, ModelBank};
 pub use batch::FleetBatch;
 pub use dispatch::DynFleetBatch;
-pub use ekf::{ExtendedKalmanFilter, NonlinearModel};
 pub use error::FilterError;
 pub use kalman::{CovarianceUpdate, KalmanFilter, KalmanScratch, UpdateOutcome, UpdateStats};
 pub use model::StateModel;
-pub use smoother::{rts_smooth, Smoothed};
-pub use ukf::{UkfConfig, UnscentedKalmanFilter};
 
 /// Convenience alias for results in this crate.
 pub type Result<T> = std::result::Result<T, FilterError>;

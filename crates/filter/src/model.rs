@@ -20,10 +20,9 @@ use crate::{FilterError, Result};
 /// [`StateModel::set_measurement_noise`] — what the adaptive filter does
 /// when it re-estimates `Q`/`R`, once per adopted estimate, in place). The
 /// `with_*` builders derive a new validated model from an existing one.
-/// The dual-filter protocol serialises models in sync messages, so the type
-/// derives `serde` traits behind the default feature.
+/// The dual-filter protocol carries models in sync messages through the
+/// `kalstream-core` wire codec.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StateModel {
     /// Human-readable model name (used by the model bank and experiment
     /// logs). `Arc<str>` so cloning a model — every session clones its

@@ -5,8 +5,8 @@
 use std::collections::VecDeque;
 
 use kalstream_filter::{
-    models, rts_smooth, AdaptiveConfig, AdaptiveKalmanFilter, KalmanFilter, ModelBank,
-    NonlinearModel, StateModel, UnscentedKalmanFilter, UpdateOutcome,
+    models, AdaptiveConfig, AdaptiveKalmanFilter, KalmanFilter, ModelBank, StateModel,
+    UpdateOutcome,
 };
 use kalstream_linalg::{Matrix, Vector};
 use proptest::prelude::*;
@@ -148,87 +148,6 @@ proptest! {
         }
     }
 
-    #[test]
-    fn smoother_agrees_with_filter_at_the_end(
-        model in cv_model(),
-        zs in measurements(30),
-    ) {
-        let z_vecs: Vec<Vector> = zs.iter().map(|&z| Vector::from_slice(&[z])).collect();
-        let smoothed = rts_smooth(&model, Vector::zeros(2), 1.0, &z_vecs).unwrap();
-        let mut kf = KalmanFilter::new(model, Vector::zeros(2), 1.0).unwrap();
-        for z in &z_vecs {
-            kf.step(z).unwrap();
-        }
-        prop_assert!(smoothed.states.last().unwrap().max_abs_diff(kf.state()) < 1e-9);
-    }
-}
-
-/// A linear model behind the nonlinear trait, with proptest-chosen
-/// parameters: the UKF must track the KF on it.
-#[derive(Debug, Clone)]
-struct LinearAsNonlinear {
-    f: Matrix,
-    h: Matrix,
-    q: Matrix,
-    r: Matrix,
-}
-
-impl NonlinearModel for LinearAsNonlinear {
-    fn state_dim(&self) -> usize {
-        2
-    }
-    fn measurement_dim(&self) -> usize {
-        1
-    }
-    fn f(&self, x: &Vector) -> Vector {
-        self.f.mul_vec(x).unwrap()
-    }
-    fn f_jacobian(&self, _x: &Vector) -> Matrix {
-        self.f.clone()
-    }
-    fn h(&self, x: &Vector) -> Vector {
-        self.h.mul_vec(x).unwrap()
-    }
-    fn h_jacobian(&self, _x: &Vector) -> Matrix {
-        self.h.clone()
-    }
-    fn q(&self) -> &Matrix {
-        &self.q
-    }
-    fn r(&self) -> &Matrix {
-        &self.r
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn ukf_matches_kf_on_linear_models(
-        dt in 0.2..2.0f64,
-        q in 1e-3..0.2f64,
-        r in 1e-2..0.5f64,
-        zs in measurements(40),
-    ) {
-        let linear = models::constant_velocity(dt, q, r);
-        let nl = LinearAsNonlinear {
-            f: linear.f().clone(),
-            h: linear.h().clone(),
-            q: linear.q().clone(),
-            r: linear.r().clone(),
-        };
-        let mut kf = KalmanFilter::new(linear, Vector::zeros(2), 1.0).unwrap();
-        let mut ukf = UnscentedKalmanFilter::new(nl, Vector::zeros(2), 1.0).unwrap();
-        for &z in &zs {
-            let v = Vector::from_slice(&[z]);
-            kf.step(&v).unwrap();
-            ukf.step(&v).unwrap();
-        }
-        prop_assert!(
-            kf.state().max_abs_diff(ukf.state()) < 1e-6,
-            "UKF diverged from KF on a linear model"
-        );
-    }
 }
 
 /// The adaptive filter as it was first written, kept as the oracle the

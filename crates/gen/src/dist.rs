@@ -2,8 +2,8 @@
 //!
 //! The sanctioned dependency set contains `rand` but not `rand_distr`, so the
 //! non-uniform samplers the workloads need are implemented here: Gaussian
-//! (Marsaglia polar method), exponential and Pareto (inverse CDF), and
-//! log-normal (via the Gaussian). All samplers consume a generic
+//! (Marsaglia polar method), and exponential and Pareto (inverse CDF). All
+//! samplers consume a generic
 //! [`rand::Rng`], are deterministic given the RNG, and are validated by
 //! moment tests.
 
@@ -158,30 +158,6 @@ impl Pareto {
     }
 }
 
-/// Log-normal distribution: `exp(N(mu, sigma²))`. Used for trade sizes and
-/// multiplicative shocks in the stock workload.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LogNormal {
-    normal: Normal,
-}
-
-impl LogNormal {
-    /// Creates a log-normal whose logarithm is `N(mu, sigma²)`.
-    ///
-    /// # Panics
-    /// Panics when `sigma < 0` or parameters are non-finite.
-    pub fn new(mu: f64, sigma: f64) -> Self {
-        LogNormal {
-            normal: Normal::new(mu, sigma),
-        }
-    }
-
-    /// Draws one sample.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        self.normal.sample(rng).exp()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,17 +255,6 @@ mod tests {
     fn pareto_heavy_tail_has_infinite_mean_flag() {
         assert_eq!(Pareto::new(1.0, 1.0).mean(), f64::INFINITY);
         assert_eq!(Pareto::new(2.0, 2.0).mean(), 4.0);
-    }
-
-    #[test]
-    fn lognormal_median() {
-        // Median of LogNormal(mu, sigma) is exp(mu).
-        let d = LogNormal::new(1.0, 0.5);
-        let mut rng = SmallRng::seed_from_u64(6);
-        let mut samples: Vec<f64> = (0..N).map(|_| d.sample(&mut rng)).collect();
-        samples.sort_by(f64::total_cmp);
-        let median = samples[N / 2];
-        assert!((median - 1.0_f64.exp()).abs() < 0.05, "median {median}");
     }
 
     #[test]

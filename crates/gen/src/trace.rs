@@ -4,8 +4,8 @@
 //! traces once and replay them across methods so every method sees the exact
 //! same data. The format is a deliberately tiny self-describing text format
 //! (header line, then one whitespace-separated row per tick) instead of JSON:
-//! the sanctioned crate set has `serde` but no serde format crate, and a flat
-//! numeric format is both human-diffable and fast.
+//! the build has no serialisation crate, and a flat numeric format is both
+//! human-diffable and fast.
 
 use std::fmt;
 use std::io::{BufRead, Write};
@@ -57,7 +57,7 @@ impl From<std::io::Error> for TraceError {
 
 /// A recorded stream: `len` ticks of `dim`-dimensional observed and truth
 /// values, stored flattened row-major.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     name: String,
     dim: usize,

@@ -30,7 +30,6 @@ pub const MATRIX_INLINE_CAP: usize = 64;
 /// same floating-point operations in the exact same order — a hard
 /// requirement for the dual-filter protocol's bit-determinism.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -191,11 +191,6 @@ impl<const CAP: usize> std::fmt::Debug for SmallBuf<CAP> {
     }
 }
 
-#[cfg(feature = "serde")]
-impl<const CAP: usize> serde::Serialize for SmallBuf<CAP> {}
-#[cfg(feature = "serde")]
-impl<'de, const CAP: usize> serde::Deserialize<'de> for SmallBuf<CAP> {}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -20,7 +20,6 @@ pub const VECTOR_INLINE_CAP: usize = 8;
 /// actually uses never touch the heap. Larger vectors transparently fall
 /// back to heap storage with identical semantics.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Vector {
     data: SmallBuf<VECTOR_INLINE_CAP>,
 }

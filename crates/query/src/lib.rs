@@ -16,8 +16,6 @@
 //! * [`window`] — sliding-window aggregates over served values, with the
 //!   bound propagated through the window (monotonic-deque MIN/MAX, running
 //!   AVG, COUNT-above as a guaranteed interval).
-//! * [`parse_query`] — the textual form applications register queries in
-//!   (`"AVG(s1, s2) WITHIN 0.25"`).
 //! * [`QueryGraph`] — the standing-query engine, and the only one: raw
 //!   aliases, aggregates whose outputs are first-class derived streams,
 //!   and alert / tumbling-pane / sliding-window sinks in one DAG
@@ -39,7 +37,6 @@
 mod budget;
 mod eval;
 mod graph;
-mod parse;
 mod registry;
 mod spec;
 pub mod window;
@@ -47,7 +44,6 @@ pub mod window;
 pub use budget::{split_budget, split_budget_uniform, split_budget_weighted};
 pub use eval::{answer_aggregate, answer_point, evaluate_threshold, AlertState, Answer};
 pub use graph::{z_quantile, DistributionalAnswer, QueryGraph};
-pub use parse::{parse_query, ParsedQuery};
 pub use registry::{QueryRegistry, StreamView};
 pub use spec::{AggKind, AggregateQuery, PointQuery, QueryError, StreamId};
 pub use window::{WindowAnswer, WindowSpec};

@@ -146,93 +146,6 @@ impl SlidingExtremum {
     }
 }
 
-/// Sliding-window quantile with propagated bound.
-///
-/// Quantiles are 1-Lipschitz under elementwise perturbation: if every
-/// window element moves by at most `δᵢ`, any order statistic moves by at
-/// most `max δᵢ`. The served per-tick bounds therefore propagate to window
-/// quantiles exactly like MIN/MAX: `bound = max` of the live per-tick
-/// bounds.
-///
-/// The window is kept as a sorted vector (binary-search insert/remove,
-/// O(window) per push) — simple and cache-friendly at the window sizes
-/// continuous queries use (tens to a few thousand).
-#[derive(Debug, Clone)]
-pub struct SlidingQuantile {
-    window: usize,
-    q: f64,
-    /// Arrival-ordered values for eviction.
-    arrivals: VecDeque<f64>,
-    /// The same values, sorted.
-    sorted: Vec<f64>,
-    bounds: VecDeque<f64>,
-}
-
-impl SlidingQuantile {
-    /// Creates a sliding quantile over `window` ticks at level `q ∈ [0, 1]`
-    /// (`0.5` = median).
-    ///
-    /// # Panics
-    /// Panics when `window` is zero or `q` is outside `[0, 1]`.
-    pub fn new(window: usize, q: f64) -> Self {
-        assert!(window > 0, "window must be positive");
-        assert!((0.0..=1.0).contains(&q), "quantile level must be in [0, 1]");
-        SlidingQuantile {
-            window,
-            q,
-            arrivals: VecDeque::with_capacity(window),
-            sorted: Vec::with_capacity(window),
-            bounds: VecDeque::with_capacity(window),
-        }
-    }
-
-    /// Median convenience constructor.
-    pub fn median(window: usize) -> Self {
-        SlidingQuantile::new(window, 0.5)
-    }
-
-    /// Pushes one tick's served value and its precision bound.
-    pub fn push(&mut self, value: f64, bound: f64) {
-        if self.arrivals.len() == self.window {
-            let evicted = self.arrivals.pop_front().expect("non-empty");
-            self.bounds.pop_front();
-            let idx = self
-                .sorted
-                .binary_search_by(|x| x.total_cmp(&evicted))
-                .expect("evicted value is present");
-            self.sorted.remove(idx);
-        }
-        self.arrivals.push_back(value);
-        self.bounds.push_back(bound);
-        let idx = match self.sorted.binary_search_by(|x| x.total_cmp(&value)) {
-            Ok(i) | Err(i) => i,
-        };
-        self.sorted.insert(idx, value);
-    }
-
-    /// Number of ticks currently in the window.
-    pub fn len(&self) -> usize {
-        self.arrivals.len()
-    }
-
-    /// `true` before the first push.
-    pub fn is_empty(&self) -> bool {
-        self.arrivals.is_empty()
-    }
-
-    /// Current quantile (lower order statistic at the level) and its
-    /// guaranteed bound; `None` when empty.
-    pub fn answer(&self) -> Option<(f64, f64)> {
-        if self.sorted.is_empty() {
-            return None;
-        }
-        let n = self.sorted.len();
-        let idx = ((self.q * (n - 1) as f64).floor() as usize).min(n - 1);
-        let bound = self.bounds.iter().copied().fold(0.0, f64::max);
-        Some((self.sorted[idx], bound))
-    }
-}
-
 /// Sliding-window COUNT of ticks whose *true* value exceeds a threshold,
 /// answered as a guaranteed interval.
 ///
@@ -494,96 +407,6 @@ mod tests {
     #[should_panic(expected = "window")]
     fn zero_window_rejected() {
         let _ = SlidingAvg::new(0);
-    }
-
-    #[test]
-    fn sliding_median_known_sequence() {
-        let mut w = SlidingQuantile::median(3);
-        assert!(w.answer().is_none());
-        assert!(w.is_empty());
-        for (v, expect) in [(5.0, 5.0), (1.0, 1.0), (3.0, 3.0), (9.0, 3.0), (2.0, 3.0)] {
-            w.push(v, 0.1);
-            assert_eq!(w.answer().unwrap().0, expect, "after pushing {v}");
-        }
-        assert_eq!(w.len(), 3);
-    }
-
-    #[test]
-    fn quantile_levels_hit_order_statistics() {
-        let mut w = SlidingQuantile::new(5, 0.0);
-        let mut hi = SlidingQuantile::new(5, 1.0);
-        for v in [3.0, 1.0, 4.0, 1.5, 9.0] {
-            w.push(v, 0.0);
-            hi.push(v, 0.0);
-        }
-        assert_eq!(w.answer().unwrap().0, 1.0); // min
-        assert_eq!(hi.answer().unwrap().0, 9.0); // max
-    }
-
-    #[test]
-    fn quantile_handles_duplicates_on_eviction() {
-        let mut w = SlidingQuantile::median(2);
-        w.push(2.0, 0.0);
-        w.push(2.0, 0.0);
-        w.push(2.0, 0.0); // evicts one duplicate, keeps two
-        assert_eq!(w.len(), 2);
-        assert_eq!(w.answer().unwrap().0, 2.0);
-        w.push(7.0, 0.0);
-        w.push(7.0, 0.0);
-        assert_eq!(w.answer().unwrap().0, 7.0);
-    }
-
-    #[test]
-    fn quantile_bound_is_window_max() {
-        let mut w = SlidingQuantile::median(2);
-        w.push(1.0, 0.9);
-        w.push(2.0, 0.1);
-        assert_eq!(w.answer().unwrap().1, 0.9);
-        w.push(3.0, 0.2); // 0.9 expires
-        assert!((w.answer().unwrap().1 - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn median_guarantee_is_sound() {
-        // Perturb each element by up to its bound: the median moves by at
-        // most the max bound (1-Lipschitz property the docs claim).
-        let served = [(1.0, 0.3), (5.0, 0.1), (3.0, 0.2)];
-        let perturbed = [1.3, 4.9, 3.2];
-        let mut w = SlidingQuantile::median(3);
-        for &(v, b) in &served {
-            w.push(v, b);
-        }
-        let (median, bound) = w.answer().unwrap();
-        let mut sorted = perturbed;
-        sorted.sort_by(f64::total_cmp);
-        let true_median = sorted[1];
-        assert!((median - true_median).abs() <= bound + 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "quantile level")]
-    fn bad_quantile_level_rejected() {
-        let _ = SlidingQuantile::new(3, 1.5);
-    }
-
-    #[test]
-    fn brute_force_quantile_cross_check() {
-        let mut w = SlidingQuantile::median(7);
-        let mut history: Vec<f64> = Vec::new();
-        let mut x = 13u64;
-        for _ in 0..300 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let v = (x % 1000) as f64 / 10.0;
-            history.push(v);
-            w.push(v, 0.0);
-            let start = history.len().saturating_sub(7);
-            let mut win: Vec<f64> = history[start..].to_vec();
-            win.sort_by(f64::total_cmp);
-            let idx = ((0.5 * (win.len() - 1) as f64).floor() as usize).min(win.len() - 1);
-            assert_eq!(w.answer().unwrap().0, win[idx]);
-        }
     }
 
     #[test]

@@ -7,14 +7,17 @@
 //! ```
 //!
 //! Three tickers stream through three protocol sessions; a continuous
-//! `AVG(price)` query (an "index") and per-ticker point queries are
-//! answered every tick from server-side predictions, each answer carrying
-//! its guaranteed error bound.
+//! `AVG(price)` query (an "index") and per-ticker point queries stand in a
+//! `QueryGraph` and are answered every tick from server-side predictions,
+//! each answer carrying its guaranteed error bound, which the graph checks
+//! against the quotes.
 
 use kalstream::core::{ProtocolConfig, ServerEndpoint, SessionSpec, SourceEndpoint};
 use kalstream::gen::{domain::StockTicker, Stream};
-use kalstream::query::{parse_query, ParsedQuery, QueryRegistry, StreamId, StreamView};
+use kalstream::query::{AggKind, QueryGraph, StreamId, StreamView};
 use kalstream::sim::{Consumer, Producer};
+
+const TICKERS: [&str; 3] = ["ACME", "GLOBEX", "INITECH"];
 
 struct TickerSession {
     name: &'static str,
@@ -25,8 +28,9 @@ struct TickerSession {
 
 fn main() {
     let delta = 0.25; // each served price within 25 cents of the quote
-    let mut sessions: Vec<TickerSession> = [("ACME", 1u64), ("GLOBEX", 2), ("INITECH", 3)]
+    let mut sessions: Vec<TickerSession> = TICKERS
         .into_iter()
+        .zip(1u64..)
         .map(|(name, seed)| {
             // Minute-bar dynamics: ~0.1% per-tick volatility on a $100
             // stock (the `liquid_default` preset's 1%/tick is daily-bar
@@ -48,26 +52,29 @@ fn main() {
         })
         .collect();
 
-    // Register continuous queries in the textual query language: a point
-    // query per ticker and an index-style AVG across all three.
-    let mut registry = QueryRegistry::new();
-    for text in [
-        "POINT s0 WITHIN 0.25",
-        "POINT s1 WITHIN 0.25",
-        "POINT s2 WITHIN 0.25",
-        "AVG(s0, s1, s2) WITHIN 0.25",
-    ] {
-        match parse_query(text).expect("valid query text") {
-            ParsedQuery::Point(q) => registry.add_point(q),
-            ParsedQuery::Aggregate(q) => registry.add_aggregate(q),
-        }
+    // Register the continuous queries: a raw alias and a point query per
+    // ticker, and an index-style AVG across all three.
+    let mut graph = QueryGraph::new();
+    let raws = ["s0", "s1", "s2"];
+    for (i, (raw, name)) in raws.iter().zip(TICKERS).enumerate() {
+        graph.add_raw(raw, StreamId(i)).expect("fresh alias");
+        graph
+            .add_point(name, raw, delta)
+            .expect("valid point query");
     }
+    graph
+        .add_aggregate("INDEX", AggKind::Avg, &raws, Some(delta))
+        .expect("valid aggregate");
 
     let ticks = 5_000u64;
     let mut obs = [0.0];
     let mut tru = [0.0];
+    let mut views = Vec::with_capacity(sessions.len());
+    let mut quotes = Vec::with_capacity(sessions.len());
     for now in 0..ticks {
-        for (i, s) in sessions.iter_mut().enumerate() {
+        views.clear();
+        quotes.clear();
+        for s in sessions.iter_mut() {
             s.stream.next_into(&mut obs, &mut tru);
             // Source side: suppression decision; wire to server on sync.
             if let Some(payload) = s.source.observe(now, &obs) {
@@ -75,20 +82,19 @@ fn main() {
             }
             let mut est = [0.0];
             s.server.estimate(now, &mut est);
-            registry.update_view(
-                StreamId(i),
-                StreamView {
-                    value: est[0],
-                    delta: s.source.delta(),
-                    staleness: s.server.staleness(),
-                },
-            );
+            views.push(StreamView {
+                value: est[0],
+                delta: s.source.delta(),
+                staleness: s.server.staleness(),
+            });
+            quotes.push(obs[0]);
         }
+        graph.observe_tick(&views, &[]);
+        graph.verify_tick(&quotes);
         if now % 1000 == 999 {
-            let points = registry.answer_point_queries().expect("views present");
-            let index = &registry.answer_aggregates().expect("views present")[0];
             println!("tick {now}:");
-            for (s, a) in sessions.iter().zip(points.iter()) {
+            for s in &sessions {
+                let a = graph.answer(s.name).expect("answered every tick");
                 println!(
                     "  {:8} ${:>8.2} ± {:.2}  (cache age {} ticks, {} msgs so far)",
                     s.name,
@@ -98,6 +104,7 @@ fn main() {
                     s.source.syncs()
                 );
             }
+            let index = graph.answer("INDEX").expect("answered every tick");
             println!("  {:8} ${:>8.2} ± {:.2}", "INDEX", index.value, index.bound);
         }
     }
@@ -108,6 +115,7 @@ fn main() {
         "\n{total_msgs} messages for {shipped_all} quotes ({:.1}% of ship-everything)",
         100.0 * total_msgs as f64 / shipped_all as f64
     );
+    assert_eq!(graph.violations(), 0, "an answer left its bound");
     assert!(
         total_msgs < shipped_all / 2,
         "suppression should save at least half"

@@ -4,7 +4,8 @@
 //! See the crate-level documentation of each member for details:
 //!
 //! * [`core`] — the dual-Kalman precision-bounded suppression protocol.
-//! * [`filter`] — Kalman filter machinery (KF/EKF, adaptive noise, model bank).
+//! * [`filter`] — Kalman filter machinery (KF, adaptive noise, model bank,
+//!   model fitting).
 //! * [`gen`] — stream generators (synthetic processes and domain traces).
 //! * [`sim`] — the discrete-time network simulation substrate.
 //! * [`net`] — real TCP transport and the fleet-scale ingest server.

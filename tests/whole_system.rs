@@ -1,13 +1,13 @@
 //! Integration: the whole system in one loop — a fleet of live protocol
 //! sessions, the closed-loop controller re-allocating precision under a
-//! message budget, and a query registry answering text-registered
-//! continuous queries, tick by tick, with every guarantee checked.
+//! message budget, and a query graph answering continuous queries, tick by
+//! tick, with every guarantee checked.
 
 use std::collections::HashMap;
 
 use kalstream::core::{FleetController, ProtocolConfig, SessionSpec, StreamDemand};
 use kalstream::gen::{synthetic::RandomWalk, Stream};
-use kalstream::query::{parse_query, ParsedQuery, QueryRegistry, StreamId, StreamView};
+use kalstream::query::{AggKind, QueryGraph, StreamId, StreamView};
 use kalstream::sim::{Consumer, Producer};
 
 const STREAMS: usize = 6;
@@ -34,27 +34,29 @@ fn fleet_controller_queries_and_guarantees_compose() {
         .collect();
     let mut controller = FleetController::new(STREAMS, CONTROL_PERIOD, BUDGET).unwrap();
 
-    // Queries registered in the text language: per-stream points plus a
-    // fleet AVG. (The point bounds are deliberately loose so the controller
-    // owns the effective per-stream precision.)
-    let mut registry = QueryRegistry::new();
-    for text in [
-        "POINT s0 WITHIN 50",
-        "POINT s5 WITHIN 50",
-        "AVG(s0,s1,s2,s3,s4,s5) WITHIN 50",
-    ] {
-        match parse_query(text).unwrap() {
-            ParsedQuery::Point(q) => registry.add_point(q),
-            ParsedQuery::Aggregate(q) => registry.add_aggregate(q),
-        }
+    // Per-stream points plus a fleet AVG. (The point bounds are
+    // deliberately loose so the controller owns the effective per-stream
+    // precision.)
+    let mut graph = QueryGraph::new();
+    let raws: Vec<String> = (0..STREAMS).map(|i| format!("s{i}")).collect();
+    for (i, raw) in raws.iter().enumerate() {
+        graph.add_raw(raw, StreamId(i)).unwrap();
     }
+    graph.add_point("p0", "s0", 50.0).unwrap();
+    graph.add_point("p5", "s5", 50.0).unwrap();
+    let members: Vec<&str> = raws.iter().map(String::as_str).collect();
+    graph
+        .add_aggregate("avg", AggKind::Avg, &members, Some(50.0))
+        .unwrap();
 
     let mut obs = [0.0];
     let mut tru = [0.0];
     let mut control_rounds = 0;
     let mut per_tick_violations = 0u64;
+    let mut views = Vec::with_capacity(STREAMS);
     for now in 0..TICKS {
         let mut observations = [0.0; STREAMS];
+        views.clear();
         for (i, (stream, (source, server))) in
             streams.iter_mut().zip(endpoints.iter_mut()).enumerate()
         {
@@ -69,15 +71,14 @@ fn fleet_controller_queries_and_guarantees_compose() {
             if (est[0] - obs[0]).abs() > source.delta() * (1.0 + 1e-9) + 1e-12 {
                 per_tick_violations += 1;
             }
-            registry.update_view(
-                StreamId(i),
-                StreamView {
-                    value: est[0],
-                    delta: source.delta(),
-                    staleness: server.staleness(),
-                },
-            );
+            views.push(StreamView {
+                value: est[0],
+                delta: source.delta(),
+                staleness: server.staleness(),
+            });
         }
+        graph.observe_tick(&views, &[]);
+        graph.verify_tick(&observations);
         // Controller round (reads live rate estimators, retunes sources).
         let mut sources_only: Vec<_> = endpoints.iter_mut().map(|(s, _)| s.clone()).collect();
         if controller.tick(&mut sources_only).is_some() {
@@ -88,17 +89,23 @@ fn fleet_controller_queries_and_guarantees_compose() {
         }
 
         // Query answers stay sound every tick.
-        let answers = registry.answer_aggregates().unwrap();
+        let avg = graph.answer("avg").unwrap();
         let avg_obs = observations.iter().sum::<f64>() / STREAMS as f64;
         assert!(
-            (answers[0].value - avg_obs).abs() <= answers[0].bound * (1.0 + 1e-9) + 1e-12,
+            (avg.value - avg_obs).abs() <= avg.bound * (1.0 + 1e-9) + 1e-12,
             "tick {now}: AVG answer {} ± {} vs true {avg_obs}",
-            answers[0].value,
-            answers[0].bound
+            avg.value,
+            avg.bound
         );
     }
 
     assert_eq!(per_tick_violations, 0, "a per-stream contract was violated");
+    assert_eq!(graph.violations(), 0, "a query answer left its bound");
+    // Not vacuous: the fleet AVG was checked against the truth every tick.
+    assert_eq!(
+        graph.node_coverage("avg").map(|(_, checked)| checked),
+        Some(TICKS)
+    );
     assert!(
         control_rounds >= TICKS / CONTROL_PERIOD - 1,
         "controller barely ran"
