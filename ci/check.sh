@@ -84,6 +84,22 @@ if grep -n 'MIN_BATCH_SPEEDUP' crates/bench/src/regression.rs; then
     exit 1
 fi
 
+echo "==> one spelling of the Kalman step: no shape-generic filter route, no in-place product twins"
+# Non-test code only. Every filter steps on StaticKernel (its exact row or a
+# zero-padded one); linalg's allocating forms are each product's one spelling.
+if sed '/#\[cfg(test)\]/,$d' crates/filter/src/kalman.rs |
+    grep -nE 'predict_dynamic|update_dynamic|KalmanScratch|LazyScratch'; then
+    echo "crates/filter/src/kalman.rs has a shape-generic filter route again" >&2
+    exit 1
+fi
+for src in crates/linalg/src/*.rs; do
+    if sed '/#\[cfg(test)\]/,$d' "$src" |
+        grep -nE 'fn (matmul_into|mul_vec_into|sandwich_into|solve_mat_into|refactor)\b'; then
+        echo "$src defines an in-place twin of an allocating product again" >&2
+        exit 1
+    fi
+done
+
 echo "==> one sliced CRC, fed in place: no copied CRC input, no lazily built table"
 # Non-test code of the two durable format files only.
 for format in wal snapshot; do

@@ -161,7 +161,7 @@ fn linalg_err(e: LinalgError) -> crate::CoreError {
     FilterError::from(e).into()
 }
 
-// Index loops, as in `Cholesky::factor_into` / `solve_in_place`: the two
+// Index loops, as in `Cholesky::new` / `solve_in_place`: the two
 // are meant to be read side by side.
 #[allow(clippy::needless_range_loop)]
 fn pin_static<const M: usize>(x: &[f64], h: &Matrix, z: &[f64], out: &mut [f64]) -> Result<()> {
@@ -187,7 +187,7 @@ fn pin_static<const M: usize>(x: &[f64], h: &Matrix, z: &[f64], out: &mut [f64])
             }
         }
     }
-    // `Cholesky::factor_into`.
+    // `Cholesky::new`.
     let tol = 1e-13
         * hht
             .as_flattened()

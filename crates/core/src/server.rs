@@ -651,6 +651,45 @@ mod tests {
         assert_eq!(s.syncs_applied(), 0);
     }
 
+    #[test]
+    fn an_over_cap_model_sync_is_refused_by_server_and_shadow_alike() {
+        // One state seen through five measurement rows: the wire carries
+        // it, but no filter admits a measurement wider than 4.
+        let wide = StateModel::new(
+            "wide",
+            Matrix::identity(1),
+            Matrix::scalar(1, 0.01),
+            Matrix::from_row_major(5, 1, vec![1.0; 5]),
+            Matrix::scalar(5, 0.25),
+        )
+        .unwrap();
+        let bytes = SyncMessage::Model {
+            model: Box::new(wide),
+            x: Vector::from_slice(&[3.0]),
+            p: Matrix::scalar(1, 0.5),
+        }
+        .encode();
+        let bits = |kf: &KalmanFilter| {
+            let values = kf.state().iter().chain(kf.covariance().as_slice());
+            values.map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+
+        let mut s = server();
+        s.estimate(0, &mut [0.0]);
+        let before = s.filter().clone();
+        let view = SyncRef::parse(&bytes).expect("the wire takes an m = 5 model");
+        assert!(!s.apply_view(view));
+        assert_eq!(s.syncs_applied(), 0);
+        assert_eq!(bits(s.filter()), bits(&before));
+        assert_eq!(s.filter().model(), before.model());
+
+        // The source's shadow applies syncs through the same function.
+        let mut shadow = before.clone();
+        assert!(!apply_sync(&mut shadow, SyncRef::parse(&bytes).unwrap()));
+        assert_eq!(bits(&shadow), bits(&before));
+        assert_eq!(shadow.model(), before.model());
+    }
+
     fn state(v: f64) -> SyncMessage {
         SyncMessage::State {
             x: Vector::from_slice(&[v]),

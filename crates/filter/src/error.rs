@@ -22,17 +22,16 @@ pub enum FilterError {
         /// Actual measurement dimension.
         actual: usize,
     },
-    /// A filter dimension exceeds the inline-storage cap of
-    /// `kalstream-linalg` (`VECTOR_INLINE_CAP`). Beyond the cap every hot-path
-    /// temporary silently falls back to the heap and no batch kernel exists,
-    /// so construction refuses rather than degrade unaccounted (the
-    /// `linalg.heap_fallbacks` counter would drift).
+    /// A filter dimension exceeds its cap: the state the inline-storage cap
+    /// of `kalstream-linalg` (`VECTOR_INLINE_CAP`, 8), the measurement the
+    /// widest static-kernel row (4). Past them no kernel row, exact or
+    /// zero-padded, exists, so construction refuses.
     DimensionTooLarge {
         /// Which dimension is over cap ("state" or "measurement").
         what: &'static str,
         /// The requested dimension.
         dim: usize,
-        /// The inline cap it exceeds.
+        /// The cap it exceeds.
         cap: usize,
     },
     /// The filter state became non-finite (NaN/inf) — numerical divergence.
@@ -72,10 +71,9 @@ impl fmt::Display for FilterError {
                     "bad measurement: expected dimension {expected}, got {actual}"
                 )
             }
-            FilterError::DimensionTooLarge { what, dim, cap } => write!(
-                f,
-                "{what} dimension {dim} exceeds the inline-storage cap {cap}"
-            ),
+            FilterError::DimensionTooLarge { what, dim, cap } => {
+                write!(f, "{what} dimension {dim} exceeds the filter's cap {cap}")
+            }
             FilterError::Diverged { what } => {
                 write!(f, "filter diverged: {what} is no longer finite")
             }
@@ -125,12 +123,12 @@ mod tests {
         assert!(e.to_string().contains("diverged"));
         let e = FilterError::DimensionTooLarge {
             what: "measurement",
-            dim: 9,
-            cap: 8,
+            dim: 5,
+            cap: 4,
         };
         assert!(e
             .to_string()
-            .contains("measurement dimension 9 exceeds the inline-storage cap 8"));
+            .contains("measurement dimension 5 exceeds the filter's cap 4"));
         assert!(FilterError::EmptyBank.to_string().contains("no candidate"));
     }
 

@@ -1,165 +1,44 @@
 //! The discrete linear Kalman filter.
 
-use std::fmt;
-
-use kalstream_linalg::{Cholesky, Matrix, StaticKernel, Vector};
+use kalstream_linalg::{
+    LinalgError, Matrix, StaticKernel, StaticUpdateOutcome, Vector, VECTOR_INLINE_CAP,
+};
 
 use crate::dispatch::for_each_shape;
 use crate::{FilterError, Result, StateModel};
 
-/// Routes one filter operation by shape: `$static_fn::<N, M, …>` for the
-/// `(state_dim, measurement_dim)` pairs of the workspace shape table
-/// (`for_each_shape!`), `$dynamic_fn` for everything else. `$infer` is the
-/// bracketed tail of the turbofish (`[, _]` per further type parameter).
+pub use kalstream_linalg::CovarianceUpdate;
+
+/// The widest measurement a filter takes: the widest row of the shape
+/// table (`for_each_shape!`), so every admitted shape has a kernel.
+const MEASUREMENT_CAP: usize = 4;
+
+/// Routes one filter operation to `$step::<N, M, PAD, …>` by the filter's
+/// `(state_dim, measurement_dim)`. A row of the workspace shape table
+/// (`for_each_shape!`) runs at its exact width (`PAD = false`); any other
+/// admitted shape runs on the row `(max(n, m).next_power_of_two(), m)`
+/// with its state zero-padded (`PAD = true`). [`check_shape`] admits
+/// `1 ≤ n ≤ 8`, `1 ≤ m ≤ 4`, and every such pair has one of the two, so
+/// the last arm is never taken. `$infer` is the bracketed tail of the
+/// turbofish (`[, _]` per further type parameter).
 macro_rules! dispatch_by_shape {
-    ([$kf:ident, $static_fn:ident $infer:tt, $dynamic_fn:ident $args:tt]
-     $(($variant:ident, $n:literal, $m:literal)),+) => {
-        match $kf.static_shape() {
-            $(Some(($n, $m)) => call_static!($kf, $static_fn, $n, $m, $infer, $args),)+
-            _ => $kf.$dynamic_fn $args,
+    ([$kf:ident, $step:ident $infer:tt $args:tt]
+     $(($variant:ident, $n:literal, $m:literal)),+) => {{
+        let (n, m) = ($kf.model.state_dim(), $kf.model.measurement_dim());
+        match (n, m) {
+            $(($n, $m) => call_static!($kf, $step, $n, $m, false, $infer, $args),)+
+            _ => match (n.max(m).next_power_of_two(), m) {
+                $(($n, $m) => call_static!($kf, $step, $n, $m, true, $infer, $args),)+
+                _ => unreachable!("check_shape admitted a {n}x{m} filter"),
+            },
         }
-    };
+    }};
 }
 
 macro_rules! call_static {
-    ($kf:ident, $static_fn:ident, $n:literal, $m:literal, [$($infer:tt)*], $args:tt) => {
-        $kf.$static_fn::<$n, $m $($infer)*> $args
+    ($kf:ident, $step:ident, $n:literal, $m:literal, $pad:literal, [$($infer:tt)*], $args:tt) => {
+        $kf.$step::<$n, $m, $pad $($infer)*> $args
     };
-}
-
-/// Reusable working storage for the shape-generic filter route.
-///
-/// Off the static-kernel shape table, `predict`/`update` write every
-/// intermediate (innovation, gain, Joseph terms, Cholesky factor, …) into
-/// these buffers through the `*_into` kernels of `kalstream-linalg`, so a
-/// steady-state filter tick performs **zero heap allocations** and no
-/// redundant zero-fills (the static kernels keep theirs on the stack). A
-/// [`KalmanFilter`] boxes one on its first shape-generic step and keeps it —
-/// a filter on the static route never has one, so it does not carry (or
-/// drag through the cache) 5.9 KB it never touches. The buffers are pure
-/// scratch — every field is fully overwritten before it is read, so scratch
-/// contents never influence results (cloning a filter drops its scratch for
-/// exactly that reason).
-pub struct KalmanScratch {
-    /// Predicted state `F x`.
-    pub(crate) xt: Vector,
-    /// Shared intermediate for sandwich products (`F P`, `(I−KH) P`, `K R`).
-    pub(crate) tmp: Matrix,
-    /// Predicted covariance / left Joseph term.
-    pub(crate) pt: Matrix,
-    /// Predicted measurement `H x`.
-    pub(crate) predicted: Vector,
-    /// Innovation `ν = z − H x`.
-    pub(crate) innovation: Vector,
-    /// Innovation covariance `S`.
-    pub(crate) s: Matrix,
-    /// Reused Cholesky factorisation of `S`.
-    pub(crate) chol: Cholesky,
-    /// `H P`.
-    pub(crate) hp: Matrix,
-    /// `S⁻¹ H P`.
-    pub(crate) s_inv_hp: Matrix,
-    /// Gain `K`.
-    pub(crate) k: Matrix,
-    /// State correction `K ν`.
-    pub(crate) correction: Vector,
-    /// `K H`.
-    pub(crate) kh: Matrix,
-    /// `I − K H`.
-    pub(crate) i_kh: Matrix,
-    /// Joseph term `K R Kᵀ`.
-    pub(crate) krk: Matrix,
-    /// Column scratch for matrix solves.
-    pub(crate) col: Vector,
-    /// `S⁻¹ ν` for the NIS diagnostic.
-    pub(crate) s_inv_nu: Vector,
-}
-
-impl KalmanScratch {
-    /// Creates empty scratch; buffers grow (inline, stack-backed at Kalman
-    /// sizes) on first use.
-    pub fn new() -> Self {
-        KalmanScratch {
-            xt: Vector::zeros(0),
-            tmp: Matrix::zeros(0, 0),
-            pt: Matrix::zeros(0, 0),
-            predicted: Vector::zeros(0),
-            innovation: Vector::zeros(0),
-            s: Matrix::zeros(0, 0),
-            chol: Cholesky::empty(),
-            hp: Matrix::zeros(0, 0),
-            s_inv_hp: Matrix::zeros(0, 0),
-            k: Matrix::zeros(0, 0),
-            correction: Vector::zeros(0),
-            kh: Matrix::zeros(0, 0),
-            i_kh: Matrix::zeros(0, 0),
-            krk: Matrix::zeros(0, 0),
-            col: Vector::zeros(0),
-            s_inv_nu: Vector::zeros(0),
-        }
-    }
-}
-
-impl Default for KalmanScratch {
-    fn default() -> Self {
-        KalmanScratch::new()
-    }
-}
-
-impl Clone for KalmanScratch {
-    /// Scratch contents never affect results, so a clone starts empty
-    /// instead of copying stale buffers.
-    fn clone(&self) -> Self {
-        KalmanScratch::new()
-    }
-}
-
-impl fmt::Debug for KalmanScratch {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("KalmanScratch { .. }")
-    }
-}
-
-/// A [`KalmanFilter`]'s scratch slot: empty until the shape-generic route
-/// first runs, and empty again in every clone.
-#[derive(Default)]
-struct LazyScratch(Option<Box<KalmanScratch>>);
-
-impl LazyScratch {
-    fn get(&mut self) -> &mut KalmanScratch {
-        self.0.get_or_insert_with(Box::default)
-    }
-}
-
-impl Clone for LazyScratch {
-    fn clone(&self) -> Self {
-        LazyScratch(None)
-    }
-}
-
-impl fmt::Debug for LazyScratch {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(if self.0.is_some() {
-            "Scratch(allocated)"
-        } else {
-            "Scratch(unused)"
-        })
-    }
-}
-
-/// Covariance-update formula used by [`KalmanFilter::update`].
-///
-/// The *Joseph form* `P = (I-KH) P (I-KH)ᵀ + K R Kᵀ` is algebraically equal
-/// to the *simple form* `P = (I-KH) P` but preserves symmetry and positive
-/// definiteness under rounding. The simple form exists for the ablation bench
-/// (`abl_joseph`): on long suppressed runs it slowly drifts asymmetric and
-/// eventually breaks Cholesky.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CovarianceUpdate {
-    /// Numerically robust Joseph-stabilised update (the default).
-    Joseph,
-    /// Textbook `(I - K H) P` update; cheaper, numerically fragile.
-    Simple,
 }
 
 /// Result of a measurement update, exposing the diagnostics that the
@@ -191,9 +70,8 @@ pub struct UpdateStats {
 }
 
 /// What a measurement update shows its caller before it returns: borrowed
-/// from wherever the route that ran keeps them (the static kernel's stack,
-/// the shape-generic scratch), so nothing is copied unless the reader
-/// copies it. Matrices are row-major `m × m`.
+/// from the kernel's stack, so nothing is copied unless the reader copies
+/// it. Matrices are row-major `m × m`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Innovation<'a> {
     /// Innovation `ν`.
@@ -228,17 +106,19 @@ impl UpdateOutcome {
 /// platform-dependent arithmetic here would silently break the precision
 /// guarantee, so the implementation is plain `f64` over `kalstream-linalg`.
 ///
-/// **One kernel for supported shapes.** [`KalmanFilter::predict`] and
-/// [`KalmanFilter::update`] step Joseph-form filters whose
-/// `(state_dim, measurement_dim)` is in the workspace shape table (state
-/// ∈ {1, 2, 4, 8} × measurement ∈ {1..4}, measurement ≤ state — the table
-/// [`crate::DynFleetBatch`] is built from) through the monomorphized
-/// [`StaticKernel`], which performs the same floating-point operations in
-/// the same order as the shape-generic code; every other shape, and the
-/// `Simple` covariance form, runs the shape-generic code. The route is a
-/// function of the filter's own shape — no caller, flag or feature selects
-/// it — and the equivalence proptests hold the two bit-identical for every
-/// table shape, error paths included.
+/// **One kernel.** [`KalmanFilter::predict`] and [`KalmanFilter::update`]
+/// step every filter, in either covariance form, through the monomorphized
+/// [`StaticKernel`]. A shape of the workspace table (state ∈ {1, 2, 4, 8}
+/// × measurement ∈ {1..4}, measurement ≤ state — the table
+/// [`crate::DynFleetBatch`] is built from) runs at its exact width; any
+/// other shape (state ≤ 8, measurement ≤ 4) runs on the table row of state
+/// width `max(n, m).next_power_of_two()`, its state zero-padded on load and
+/// only the real `n × n` block stored back, which changes no bit of it
+/// (`kalstream-linalg`'s `static_kernel` docs). The route is a function of
+/// the filter's own shape — no caller, flag or feature selects it — and
+/// the equivalence proptests hold it bit-identical to a textbook filter
+/// over the allocating `Matrix` API for every admitted shape, error paths
+/// included.
 #[derive(Debug, Clone)]
 pub struct KalmanFilter {
     model: StateModel,
@@ -251,8 +131,6 @@ pub struct KalmanFilter {
     /// Number of predict steps since the last measurement update; the
     /// suppression protocol reads this as "cache age".
     steps_since_update: u64,
-    /// Reusable buffers of the shape-generic route (see [`KalmanScratch`]).
-    scratch: LazyScratch,
 }
 
 impl KalmanFilter {
@@ -272,29 +150,13 @@ impl KalmanFilter {
     /// Creates a filter with an explicit initial covariance.
     ///
     /// # Errors
-    /// [`FilterError::BadModel`] when `x0` or `p0` shapes disagree with the
-    /// model.
+    /// [`FilterError::DimensionTooLarge`] for a state dimension above 8 or a
+    /// measurement dimension above 4, [`FilterError::Linalg`] for a zero
+    /// one; [`FilterError::BadModel`] when `x0` or `p0` shapes disagree
+    /// with the model.
     pub fn with_covariance(model: StateModel, x0: Vector, p0: Matrix) -> Result<Self> {
+        check_shape(&model)?;
         let n = model.state_dim();
-        let m = model.measurement_dim();
-        // Refuse dimensions past the inline-storage cap instead of silently
-        // heap-falling-back on every hot-path temporary (DESIGN.md caps the
-        // workspace at n ≤ 8; the `linalg.heap_fallbacks` counter guards the
-        // invariant at runtime).
-        if n > kalstream_linalg::VECTOR_INLINE_CAP {
-            return Err(FilterError::DimensionTooLarge {
-                what: "state",
-                dim: n,
-                cap: kalstream_linalg::VECTOR_INLINE_CAP,
-            });
-        }
-        if m > kalstream_linalg::VECTOR_INLINE_CAP {
-            return Err(FilterError::DimensionTooLarge {
-                what: "measurement",
-                dim: m,
-                cap: kalstream_linalg::VECTOR_INLINE_CAP,
-            });
-        }
         if x0.dim() != n {
             return Err(FilterError::BadModel {
                 what: "x0",
@@ -315,7 +177,6 @@ impl KalmanFilter {
             p: p0,
             cov_update: CovarianceUpdate::Joseph,
             steps_since_update: 0,
-            scratch: LazyScratch::default(),
         })
     }
 
@@ -326,7 +187,8 @@ impl KalmanFilter {
 
     /// The covariance-update formula currently in effect. The batch
     /// dispatcher reads this: only Joseph-form filters (the default) may be
-    /// routed to the [`crate::FleetBatch`] path, which implements Joseph only.
+    /// routed to the [`crate::FleetBatch`] path, which always updates in
+    /// Joseph form.
     pub fn covariance_update(&self) -> CovarianceUpdate {
         self.cov_update
     }
@@ -339,9 +201,11 @@ impl KalmanFilter {
     /// Replaces the model, keeping state and covariance.
     ///
     /// # Errors
+    /// As [`KalmanFilter::with_covariance`] for the model's dimensions;
     /// [`FilterError::BadModel`] when the new model's state dimension
     /// differs from the current state.
     pub fn set_model(&mut self, model: StateModel) -> Result<()> {
+        check_shape(&model)?;
         if model.state_dim() != self.x.dim() {
             return Err(FilterError::BadModel {
                 what: "F",
@@ -472,81 +336,76 @@ impl KalmanFilter {
         Ok(())
     }
 
-    /// `Some((state_dim, measurement_dim))` when this filter may run on a
-    /// [`StaticKernel`]: the kernels implement the Joseph form only, so a
-    /// `Simple`-form filter always takes the shape-generic code.
-    fn static_shape(&self) -> Option<(usize, usize)> {
-        (self.cov_update == CovarianceUpdate::Joseph)
-            .then(|| (self.model.state_dim(), self.model.measurement_dim()))
-    }
-
-    /// The model as a monomorphized kernel. Built per call from the inline
-    /// model matrices (a few loads at these sizes) rather than cached, so
-    /// an in-place `Q`/`R` replacement can never leave a stale copy behind
-    /// and construction and `clone` cost what they did.
-    fn kernel<const N: usize, const M: usize>(&self) -> StaticKernel<N, M> {
+    /// The model as a monomorphized kernel, exact-width or zero-padded
+    /// past the model's state dimension (`PAD`). Built per call from the
+    /// inline model matrices (a few loads at these sizes) rather than
+    /// cached, so an in-place `Q`/`R` replacement can never leave a stale
+    /// copy behind and construction and `clone` cost what they did. Only
+    /// padded rows pay for run-time loop bounds.
+    fn kernel<const N: usize, const M: usize, const PAD: bool>(&self) -> StaticKernel<N, M> {
         let m = &self.model;
-        StaticKernel::from_matrices(m.f(), m.q(), m.h(), m.r())
-            .expect("dispatch matched the validated model's shape")
+        if PAD {
+            StaticKernel::from_matrices_padded(m.f(), m.q(), m.h(), m.r())
+        } else {
+            StaticKernel::from_matrices(m.f(), m.q(), m.h(), m.r())
+        }
+        .expect("dispatch matched the validated model's shape")
     }
 
-    fn load_state<const N: usize>(&self) -> ([f64; N], [[f64; N]; N]) {
-        let x = <[f64; N]>::try_from(self.x.as_slice()).expect("x is n-dimensional");
+    /// `x` and `P` as kernel arrays, zero past the state dimension when
+    /// `PAD`.
+    fn load_state<const N: usize, const PAD: bool>(&self) -> ([f64; N], [[f64; N]; N]) {
         let mut p = [[0.0; N]; N];
-        p.as_flattened_mut().copy_from_slice(self.p.as_slice());
+        if !PAD {
+            let x = <[f64; N]>::try_from(self.x.as_slice()).expect("x is n-dimensional");
+            p.as_flattened_mut().copy_from_slice(self.p.as_slice());
+            return (x, p);
+        }
+        let n = self.x.dim();
+        let mut x = [0.0; N];
+        x[..n].copy_from_slice(self.x.as_slice());
+        for (row, src) in p.iter_mut().zip(self.p.as_slice().chunks_exact(n)) {
+            row[..n].copy_from_slice(src);
+        }
         (x, p)
     }
 
-    fn store_state<const N: usize>(&mut self, x: &[f64; N], p: &[[f64; N]; N]) {
-        self.x.as_mut_slice().copy_from_slice(x);
-        self.p.as_mut_slice().copy_from_slice(p.as_flattened());
+    /// Stores the real `n`-state block of kernel arrays back.
+    fn store_state<const N: usize, const PAD: bool>(&mut self, x: &[f64; N], p: &[[f64; N]; N]) {
+        if !PAD {
+            self.x.as_mut_slice().copy_from_slice(x);
+            self.p.as_mut_slice().copy_from_slice(p.as_flattened());
+            return;
+        }
+        let n = self.x.dim();
+        self.x.as_mut_slice().copy_from_slice(&x[..n]);
+        for (dst, row) in self.p.as_mut_slice().chunks_exact_mut(n).zip(p) {
+            dst.copy_from_slice(&row[..n]);
+        }
     }
 
     /// Time update: `x ← F x`, `P ← F P Fᵀ + Q`.
     ///
-    /// Allocation-free on either route (see the type docs for the shape
-    /// dispatch), and bit-identical to the textbook allocating formulation.
+    /// Allocation-free (see the type docs for the shape dispatch), and
+    /// bit-identical to the textbook allocating formulation.
     ///
     /// # Errors
     /// [`FilterError::Diverged`] when the state or covariance leaves finite
     /// range.
     pub fn predict(&mut self) -> Result<()> {
-        for_each_shape!(dispatch_by_shape, self, predict_static [], predict_dynamic())
+        for_each_shape!(dispatch_by_shape, self, predict_static [] ())
     }
 
-    fn predict_static<const N: usize, const M: usize>(&mut self) -> Result<()> {
-        let (mut x, mut p) = self.load_state::<N>();
-        self.kernel::<N, M>().predict(&mut x, &mut p);
-        self.store_state(&x, &p);
+    fn predict_static<const N: usize, const M: usize, const PAD: bool>(&mut self) -> Result<()> {
+        let (mut x, mut p) = self.load_state::<N, PAD>();
+        self.kernel::<N, M, PAD>().predict(&mut x, &mut p);
+        self.store_state::<N, PAD>(&x, &p);
         self.steps_since_update += 1;
         if all_finite(&x, &p) {
             Ok(())
         } else {
             self.check_finite()
         }
-    }
-
-    /// The shape-generic time update: the route [`KalmanFilter::predict`]
-    /// takes for shapes outside the table. Public only so the equivalence
-    /// proptests can hold the dispatched route against it on the *same*
-    /// shape; nothing else calls it.
-    ///
-    /// # Errors
-    /// As [`KalmanFilter::predict`].
-    #[doc(hidden)]
-    pub fn predict_dynamic(&mut self) -> Result<()> {
-        let sc = self.scratch.get();
-        let f = self.model.f();
-        // x ← F x.
-        f.mul_vec_into(&self.x, &mut sc.xt)?;
-        self.x.copy_from(&sc.xt);
-        // P ← F P Fᵀ + Q.
-        f.sandwich_into(&self.p, &mut sc.tmp, &mut sc.pt)?;
-        self.p.copy_from(&sc.pt);
-        self.p += self.model.q();
-        self.p.symmetrize_mut();
-        self.steps_since_update += 1;
-        self.check_finite()
     }
 
     /// The measurement the filter expects right now: `ẑ = H x`.
@@ -605,7 +464,7 @@ impl KalmanFilter {
         let h = self.model.h().row(j);
         let n = h.len();
         let p = self.p.as_slice();
-        // Row j of H·P, as `matmul_into` accumulates it.
+        // Row j of H·P, as `matmul` accumulates it.
         let mut hp = [0.0; kalstream_linalg::VECTOR_INLINE_CAP];
         let hp = &mut hp[..n];
         for (k, &a) in h.iter().enumerate() {
@@ -666,36 +525,19 @@ impl KalmanFilter {
         z: &[f64],
         read: impl FnOnce(Innovation<'_>) -> T,
     ) -> Result<T> {
-        for_each_shape!(
-            dispatch_by_shape,
-            self,
-            update_static [, _],
-            update_dynamic_with(z, read)
-        )
+        for_each_shape!(dispatch_by_shape, self, update_static [, _] (z, read))
     }
 
-    fn update_static<const N: usize, const M: usize, T>(
+    fn update_static<const N: usize, const M: usize, const PAD: bool, T>(
         &mut self,
         z: &[f64],
         read: impl FnOnce(Innovation<'_>) -> T,
     ) -> Result<T> {
-        let z = <[f64; M]>::try_from(z).map_err(|_| FilterError::BadMeasurement {
-            expected: M,
-            actual: z.len(),
-        })?;
-        let (mut x, mut p) = self.load_state::<N>();
-        let kernel = self.kernel::<N, M>();
-        // On error nothing has been stored: state and covariance untouched.
-        let out = kernel.update(&mut x, &mut p, &z)?;
-        self.store_state(&x, &p);
-        self.steps_since_update = 0;
-        if !all_finite(&x, &p) {
-            self.check_finite()?;
-        }
+        let (out, r) = self.update_kernel::<N, M, PAD>(z)?;
         Ok(read(Innovation {
             nu: &out.innovation,
             cov: out.innovation_cov.as_flattened(),
-            r: kernel.r().as_flattened(),
+            r: r.as_flattened(),
             stats: UpdateStats {
                 nis: out.nis,
                 log_likelihood: out.log_likelihood,
@@ -703,87 +545,27 @@ impl KalmanFilter {
         }))
     }
 
-    /// The shape-generic measurement update: the route
-    /// [`KalmanFilter::update`] takes for shapes outside the table and for
-    /// the `Simple` covariance form. Public only so the equivalence
-    /// proptests can hold the dispatched route against it on the *same*
-    /// shape; nothing else calls it.
-    ///
-    /// # Errors
-    /// As [`KalmanFilter::update`].
-    #[doc(hidden)]
-    pub fn update_dynamic(&mut self, z: &Vector) -> Result<UpdateOutcome> {
-        self.update_dynamic_with(z.as_slice(), UpdateOutcome::copied_from)
-    }
-
-    fn update_dynamic_with<T>(
+    /// The kernel half of [`KalmanFilter::update_static`], apart so that it
+    /// is built once per shape rather than once per `read`. Returns the
+    /// diagnostics and the `R` the update ran with.
+    fn update_kernel<const N: usize, const M: usize, const PAD: bool>(
         &mut self,
         z: &[f64],
-        read: impl FnOnce(Innovation<'_>) -> T,
-    ) -> Result<T> {
-        let m = self.model.measurement_dim();
-        if z.len() != m {
-            return Err(FilterError::BadMeasurement {
-                expected: m,
-                actual: z.len(),
-            });
-        }
-        let sc = self.scratch.get();
-        let h = self.model.h();
-        // Innovation ν = z − H x.
-        h.mul_vec_into(&self.x, &mut sc.predicted)?;
-        sc.innovation.copy_from_slice(z);
-        sc.innovation -= &sc.predicted;
-        // S = H P Hᵀ + R.
-        h.sandwich_into(&self.p, &mut sc.tmp, &mut sc.s)?;
-        sc.s += self.model.r();
-        sc.s.symmetrize_mut();
-        sc.chol.refactor(&sc.s)?;
-        // Gain K = P Hᵀ S⁻¹, computed as (S⁻¹ H P)ᵀ via solves.
-        h.matmul_into(&self.p, &mut sc.hp)?; // m × n
-        sc.chol
-            .solve_mat_into(&sc.hp, &mut sc.col, &mut sc.s_inv_hp)?; // m × n
-        sc.s_inv_hp.transpose_into(&mut sc.k); // n × m
-                                               // State: x ← x + K ν.
-        sc.k.mul_vec_into(&sc.innovation, &mut sc.correction)?;
-        self.x += &sc.correction;
-        // Covariance.
-        let n = self.model.state_dim();
-        sc.k.matmul_into(h, &mut sc.kh)?;
-        sc.i_kh.resize_identity(n);
-        sc.i_kh -= &sc.kh;
-        match self.cov_update {
-            CovarianceUpdate::Joseph => {
-                sc.i_kh.sandwich_into(&self.p, &mut sc.tmp, &mut sc.pt)?;
-                sc.k.matmul_into(self.model.r(), &mut sc.tmp)?;
-                sc.tmp.matmul_transpose_into(&sc.k, &mut sc.krk)?;
-                self.p.copy_from(&sc.pt);
-                self.p += &sc.krk;
-            }
-            CovarianceUpdate::Simple => {
-                sc.i_kh.matmul_into(&self.p, &mut sc.pt)?;
-                self.p.copy_from(&sc.pt);
-            }
-        }
-        self.p.symmetrize_mut();
+    ) -> Result<(StaticUpdateOutcome<M>, [[f64; M]; M])> {
+        let z = <[f64; M]>::try_from(z).map_err(|_| FilterError::BadMeasurement {
+            expected: M,
+            actual: z.len(),
+        })?;
+        let (mut x, mut p) = self.load_state::<N, PAD>();
+        let kernel = self.kernel::<N, M, PAD>();
+        // On error nothing has been stored: state and covariance untouched.
+        let out = kernel.update_in_form(&mut x, &mut p, &z, self.cov_update)?;
+        self.store_state::<N, PAD>(&x, &p);
         self.steps_since_update = 0;
-        self.check_finite()?;
-
-        // Diagnostics: NIS = νᵀ S⁻¹ ν and Gaussian log-likelihood.
-        let sc = self.scratch.get();
-        sc.chol.solve_vec_into(&sc.innovation, &mut sc.s_inv_nu)?;
-        let nis = sc.innovation.dot(&sc.s_inv_nu)?;
-        let log_likelihood =
-            -0.5 * (nis + sc.chol.log_det() + (m as f64) * core::f64::consts::TAU.ln());
-        Ok(read(Innovation {
-            nu: sc.innovation.as_slice(),
-            cov: sc.s.as_slice(),
-            r: self.model.r().as_slice(),
-            stats: UpdateStats {
-                nis,
-                log_likelihood,
-            },
-        }))
+        if !all_finite(&x, &p) {
+            self.check_finite()?;
+        }
+        Ok((out, *kernel.r()))
     }
 
     /// Convenience: one predict followed by one update.
@@ -830,11 +612,34 @@ impl KalmanFilter {
 }
 
 /// Whether every value of a static step's output is finite, read off the
-/// kernel's own arrays — the values the step just stored — rather than the
-/// filter's storage. Only on `false` does the step call
-/// [`KalmanFilter::check_finite`], to build its `Diverged` error.
+/// kernel's own arrays — the values the step just stored, and zero padding
+/// — rather than the filter's storage. Only on `false` does the step call
+/// [`KalmanFilter::check_finite`], which reads the stored values and builds
+/// the `Diverged` error.
 fn all_finite<const N: usize>(x: &[f64; N], p: &[[f64; N]; N]) -> bool {
     x.iter().chain(p.as_flattened()).all(|v| v.is_finite())
+}
+
+/// The one shape check of every model a filter runs: `1 ≤ n ≤ 8` (the
+/// inline-storage cap) and `1 ≤ m ≤ 4` (the widest kernel row) — exactly
+/// the shapes with an exact or a padded kernel row.
+fn check_shape(model: &StateModel) -> Result<()> {
+    let (n, m) = (model.state_dim(), model.measurement_dim());
+    if n == 0 || m == 0 {
+        return Err(LinalgError::Empty {
+            op: "kalman filter",
+        }
+        .into());
+    }
+    for (what, dim, cap) in [
+        ("state", n, VECTOR_INLINE_CAP),
+        ("measurement", m, MEASUREMENT_CAP),
+    ] {
+        if dim > cap {
+            return Err(FilterError::DimensionTooLarge { what, dim, cap });
+        }
+    }
+    Ok(())
 }
 
 /// Length check shared by the packed-state setters: `x_len` values of state
@@ -970,9 +775,20 @@ mod tests {
             .is_err());
     }
 
+    /// A 2-state model observed through `m` zero rows.
+    fn wide_measurement(m: usize) -> StateModel {
+        StateModel::new(
+            "wide-measurement",
+            Matrix::identity(2),
+            Matrix::scalar(2, 0.01),
+            Matrix::zeros(m, 2),
+            Matrix::scalar(m, 0.25),
+        )
+        .unwrap()
+    }
+
     #[test]
     fn construction_rejects_over_cap_dimensions() {
-        use kalstream_linalg::VECTOR_INLINE_CAP;
         let n = VECTOR_INLINE_CAP + 1;
         // n-state random walk observed in full: both dims over cap.
         let model = StateModel::new(
@@ -992,24 +808,54 @@ mod tests {
                 cap: VECTOR_INLINE_CAP
             }
         );
-        // In-cap state, over-cap measurement.
-        let model = StateModel::new(
-            "wide-measurement",
-            Matrix::identity(2),
-            Matrix::scalar(2, 0.01),
-            Matrix::zeros(n, 2),
-            Matrix::scalar(n, 0.25),
+        // In-cap state, measurement past the widest kernel row.
+        for m in [MEASUREMENT_CAP + 1, n] {
+            let err = KalmanFilter::new(wide_measurement(m), Vector::zeros(2), 1.0).unwrap_err();
+            assert_eq!(
+                err,
+                FilterError::DimensionTooLarge {
+                    what: "measurement",
+                    dim: m,
+                    cap: MEASUREMENT_CAP
+                }
+            );
+        }
+        assert!(
+            KalmanFilter::new(wide_measurement(MEASUREMENT_CAP), Vector::zeros(2), 1.0).is_ok()
+        );
+        // No dimension at all.
+        let empty = StateModel::new(
+            "empty",
+            Matrix::zeros(0, 0),
+            Matrix::zeros(0, 0),
+            Matrix::zeros(0, 0),
+            Matrix::zeros(0, 0),
         )
         .unwrap();
-        let err = KalmanFilter::new(model, Vector::zeros(2), 1.0).unwrap_err();
-        assert_eq!(
-            err,
-            FilterError::DimensionTooLarge {
-                what: "measurement",
-                dim: n,
-                cap: VECTOR_INLINE_CAP
-            }
-        );
+        assert!(matches!(
+            KalmanFilter::new(empty, Vector::zeros(0), 1.0),
+            Err(FilterError::Linalg(LinalgError::Empty { .. }))
+        ));
+    }
+
+    #[test]
+    fn set_model_rejects_what_construction_rejects() {
+        let mut kf = KalmanFilter::new(wide_measurement(1), Vector::zeros(2), 1.0).unwrap();
+        kf.predict().unwrap();
+        let before = kf.clone();
+        for m in [MEASUREMENT_CAP + 1, VECTOR_INLINE_CAP + 1] {
+            assert_eq!(
+                kf.set_model(wide_measurement(m)),
+                Err(FilterError::DimensionTooLarge {
+                    what: "measurement",
+                    dim: m,
+                    cap: MEASUREMENT_CAP
+                })
+            );
+            assert_eq!(kf.model(), before.model(), "a refused model is not adopted");
+        }
+        kf.set_model(wide_measurement(MEASUREMENT_CAP)).unwrap();
+        kf.update(&Vector::zeros(MEASUREMENT_CAP)).unwrap();
     }
 
     #[test]
@@ -1043,30 +889,23 @@ mod tests {
     }
 
     #[test]
-    fn scratch_is_allocated_on_first_generic_use_and_never_cloned() {
-        // Footprint guard: the inline scratch made a filter 8.7 KB, most of
-        // it never touched on the static route.
+    fn footprint_is_bounded_and_a_padded_clone_replays_identically() {
+        // Footprint guard: fleets hold thousands of filters.
         assert!(
             std::mem::size_of::<KalmanFilter>() <= 3072,
             "KalmanFilter grew to {} bytes",
             std::mem::size_of::<KalmanFilter>()
         );
-        let mut table = scalar_walk_filter();
-        table.step(&Vector::from_slice(&[1.0])).unwrap();
-        assert!(table.scratch.0.is_none(), "static route took scratch");
-        // A 3-state model is off the shape table.
+        // A 3-state model is off the shape table: it runs zero-padded.
         let model = models::constant_acceleration(1.0, 0.02, 0.1);
-        let mut generic = KalmanFilter::new(model, Vector::zeros(3), 1.0).unwrap();
-        assert!(generic.scratch.0.is_none());
-        generic.step(&Vector::from_slice(&[1.0])).unwrap();
-        assert!(generic.scratch.0.is_some());
-        let mut replica = generic.clone();
-        assert!(replica.scratch.0.is_none(), "clone copied scratch");
+        let mut padded = KalmanFilter::new(model, Vector::zeros(3), 1.0).unwrap();
+        padded.step(&Vector::from_slice(&[1.0])).unwrap();
+        let mut replica = padded.clone();
         let z = Vector::from_slice(&[0.5]);
-        generic.step(&z).unwrap();
+        padded.step(&z).unwrap();
         replica.step(&z).unwrap();
-        assert_eq!(generic.state(), replica.state());
-        assert_eq!(generic.covariance(), replica.covariance());
+        assert_eq!(padded.state(), replica.state());
+        assert_eq!(padded.covariance(), replica.covariance());
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub use bank::{BankConfig, ModelBank};
 pub use batch::FleetBatch;
 pub use dispatch::DynFleetBatch;
 pub use error::FilterError;
-pub use kalman::{CovarianceUpdate, KalmanFilter, KalmanScratch, UpdateOutcome, UpdateStats};
+pub use kalman::{CovarianceUpdate, KalmanFilter, UpdateOutcome, UpdateStats};
 pub use model::StateModel;
 
 /// Convenience alias for results in this crate.

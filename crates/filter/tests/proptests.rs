@@ -154,9 +154,7 @@ proptest! {
 /// flat-ring implementation is held against: one heap `Matrix` per window
 /// entry in three `VecDeque`s, `H P⁻ Hᵀ` through
 /// `predicted_measurement_cov() − R`, and a whole validated `StateModel`
-/// rebuilt for every adopted `R̂` and every `Q` rescale. It steps its inner
-/// filter through the shape-generic `*_dynamic` code, so the comparison also
-/// spans the static-kernel dispatch underneath the real filter.
+/// rebuilt for every adopted `R̂` and every `Q` rescale.
 struct OracleAdaptive {
     inner: KalmanFilter,
     config: AdaptiveConfig,
@@ -195,10 +193,10 @@ impl OracleAdaptive {
     }
 
     fn step(&mut self, z: &Vector) -> UpdateOutcome {
-        self.inner.predict_dynamic().expect("oracle predict");
+        self.inner.predict().expect("oracle predict");
         let prior_s = self.inner.predicted_measurement_cov();
         let prior_hph = &prior_s - self.inner.model().r();
-        let outcome = self.inner.update_dynamic(z).expect("oracle update");
+        let outcome = self.inner.update(z).expect("oracle update");
 
         let m = outcome.innovation.dim();
         let mut outer = Matrix::zeros(m, m);

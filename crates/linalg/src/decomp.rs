@@ -32,38 +32,6 @@ impl Cholesky {
     /// * [`LinalgError::NotPositiveDefinite`] when a pivot is `<= tol`, where
     ///   `tol` scales with the magnitude of the matrix.
     pub fn new(a: &Matrix) -> Result<Self> {
-        let mut l = Matrix::zeros(0, 0);
-        Self::factor_into(a, &mut l)?;
-        Ok(Cholesky { l })
-    }
-
-    /// A dimension-0 placeholder for later [`Cholesky::refactor`] — lets
-    /// callers hold a reusable factorisation slot (e.g. in per-filter
-    /// scratch) without a valid matrix up front.
-    pub fn empty() -> Self {
-        Cholesky {
-            l: Matrix::zeros(0, 0),
-        }
-    }
-
-    /// Re-factors `a` in place, reusing the existing factor storage
-    /// (allocation-free at inline sizes). Identical numerics to
-    /// [`Cholesky::new`].
-    ///
-    /// # Errors
-    /// As [`Cholesky::new`]. On error the stored factor is invalid and must
-    /// be refactored successfully before further solves.
-    pub fn refactor(&mut self, a: &Matrix) -> Result<()> {
-        Self::factor_into(a, &mut self.l)
-    }
-
-    /// The factorisation kernel: writes `L` into `l` (resized in place).
-    /// [`Cholesky::new`] and [`Cholesky::refactor`] both delegate here, so
-    /// the reusable and allocating paths are bit-identical by construction.
-    ///
-    /// # Errors
-    /// As [`Cholesky::new`].
-    pub fn factor_into(a: &Matrix, l: &mut Matrix) -> Result<()> {
         if !a.is_square() {
             return Err(LinalgError::NotSquare {
                 op: "cholesky",
@@ -77,7 +45,7 @@ impl Cholesky {
         // Relative tolerance: a pivot smaller than this fraction of the
         // largest element means "not PD to working precision".
         let tol = 1e-13 * a.norm_inf_elem().max(1.0);
-        l.resize_zeroed(n, n);
+        let mut l = Matrix::zeros(n, n);
         for j in 0..n {
             // Diagonal entry.
             let mut d = a.get(j, j);
@@ -99,7 +67,7 @@ impl Cholesky {
                 l.set(i, j, v / dsqrt);
             }
         }
-        Ok(())
+        Ok(Cholesky { l })
     }
 
     /// The lower-triangular factor `L`.
@@ -123,8 +91,7 @@ impl Cholesky {
     }
 
     /// Solves `A x = b` in place: on entry `x` holds `b`, on exit the
-    /// solution. No copies, no allocation; bit-identical to
-    /// [`Cholesky::solve_vec`] (which delegates here).
+    /// solution ([`Cholesky::solve_vec`] delegates here).
     ///
     /// # Errors
     /// [`LinalgError::DimensionMismatch`] when `x.dim() != self.dim()`.
@@ -156,33 +123,11 @@ impl Cholesky {
         Ok(())
     }
 
-    /// Solves `A x = b` into a caller-supplied output (resized in place).
-    ///
-    /// # Errors
-    /// [`LinalgError::DimensionMismatch`] when `b.dim() != self.dim()`.
-    pub fn solve_vec_into(&self, b: &Vector, x: &mut Vector) -> Result<()> {
-        x.copy_from(b);
-        self.solve_in_place(x)
-    }
-
     /// Solves `A X = B` column by column.
     ///
     /// # Errors
     /// [`LinalgError::DimensionMismatch`] when `B.rows() != self.dim()`.
     pub fn solve_mat(&self, b: &Matrix) -> Result<Matrix> {
-        let mut col = Vector::zeros(0);
-        let mut out = Matrix::zeros(0, 0);
-        self.solve_mat_into(b, &mut col, &mut out)?;
-        Ok(out)
-    }
-
-    /// Solves `A X = B` into a caller-supplied output, using `col` as
-    /// per-column scratch. Both are resized in place; bit-identical to
-    /// [`Cholesky::solve_mat`] (which delegates here).
-    ///
-    /// # Errors
-    /// [`LinalgError::DimensionMismatch`] when `B.rows() != self.dim()`.
-    pub fn solve_mat_into(&self, b: &Matrix, col: &mut Vector, out: &mut Matrix) -> Result<()> {
         let n = self.dim();
         if b.rows() != n {
             return Err(LinalgError::DimensionMismatch {
@@ -191,15 +136,15 @@ impl Cholesky {
                 rhs: b.shape(),
             });
         }
-        out.resize_zeroed(n, b.cols());
+        let mut out = Matrix::zeros(n, b.cols());
         for c in 0..b.cols() {
-            b.col_into(c, col);
-            self.solve_in_place(col)?;
+            let mut col = b.col(c);
+            self.solve_in_place(&mut col)?;
             for r in 0..n {
                 out.set(r, c, col[r]);
             }
         }
-        Ok(())
+        Ok(out)
     }
 
     /// Inverse of the factored matrix.
@@ -449,35 +394,15 @@ mod tests {
     }
 
     #[test]
-    fn cholesky_refactor_matches_new() {
-        let a = spd3();
-        let fresh = Cholesky::new(&a).unwrap();
-        let mut reused = Cholesky::empty();
-        reused.refactor(&Matrix::identity(2)).unwrap(); // prime with something else
-        reused.refactor(&a).unwrap();
-        assert_eq!(reused.l(), fresh.l());
-    }
-
-    #[test]
     fn cholesky_in_place_solves_match_allocating() {
         let a = spd3();
         let c = a.cholesky().unwrap();
         let b = Vector::from_slice(&[1.0, -2.0, 0.5]);
         let x = c.solve_vec(&b).unwrap();
 
-        let mut in_place = b.clone();
+        let mut in_place = b;
         c.solve_in_place(&mut in_place).unwrap();
         assert_eq!(in_place, x);
-
-        let mut into = Vector::zeros(0);
-        c.solve_vec_into(&b, &mut into).unwrap();
-        assert_eq!(into, x);
-
-        let bm = Matrix::from_rows(&[&[1.0, 0.0], &[-2.0, 1.0], &[0.5, 2.0]]);
-        let xm = c.solve_mat(&bm).unwrap();
-        let (mut col, mut out) = (Vector::zeros(0), Matrix::zeros(0, 0));
-        c.solve_mat_into(&bm, &mut col, &mut out).unwrap();
-        assert_eq!(out, xm);
     }
 
     #[test]

@@ -21,10 +21,10 @@
 //! Storage is **inline-first**: vectors up to [`VECTOR_INLINE_CAP`] elements
 //! and matrices up to [`MATRIX_INLINE_CAP`] elements live in fixed stack
 //! buffers, so at the workspace's capped state dimension (n ≤ 8, DESIGN.md)
-//! the hot path never touches the heap. Every allocating product has an
-//! `*_into` twin that writes into a caller-supplied output and runs the
-//! exact same floating-point operations in the same order, so switching a
-//! call site to the in-place form never changes results bit-for-bit.
+//! the hot path never touches the heap. There is one spelling of each
+//! product: a Kalman step runs on [`StaticKernel`]'s fixed arrays, and the
+//! allocating [`Matrix`]/[`Cholesky`] forms are what its bit-identity
+//! contract is stated against.
 //!
 //! ## Quick tour
 //!
@@ -58,7 +58,9 @@ mod vector;
 pub use decomp::{Cholesky, Lu};
 pub use error::LinalgError;
 pub use matrix::{Matrix, MATRIX_INLINE_CAP};
-pub use static_kernel::{Innovation, Lane, Pack, StaticKernel, StaticUpdateOutcome};
+pub use static_kernel::{
+    CovarianceUpdate, Innovation, Lane, Pack, StaticKernel, StaticUpdateOutcome,
+};
 pub use vector::{Vector, VECTOR_INLINE_CAP};
 
 /// Process-wide count of inline→heap storage fallbacks.

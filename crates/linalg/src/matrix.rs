@@ -22,13 +22,11 @@ pub const MATRIX_INLINE_CAP: usize = 64;
 /// and temporaries at Kalman sizes never allocate. Larger matrices fall back
 /// to the heap with identical semantics.
 ///
-/// For the allocation-free hot path, every allocating product has an
-/// `*_into` twin ([`Matrix::matmul_into`], [`Matrix::mul_vec_into`],
-/// [`Matrix::transpose_into`], [`Matrix::sandwich_into`]) that writes into a
-/// caller-supplied output, resizing it in place. The allocating forms are
-/// thin wrappers over the `_into` primitives, so both paths run the exact
-/// same floating-point operations in the exact same order — a hard
-/// requirement for the dual-filter protocol's bit-determinism.
+/// A filter's step does not run on these products: it runs on
+/// [`crate::StaticKernel`], whose fixed-array products replicate
+/// [`Matrix::matmul`], [`Matrix::matmul_transpose_into`] and
+/// [`Matrix::mul_vec`] operation for operation (zero-skip included), so
+/// these are the textbook reference the kernel is held to bit for bit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
@@ -158,16 +156,10 @@ impl Matrix {
     /// Returns column `c` as a new [`Vector`].
     pub fn col(&self, c: usize) -> Vector {
         let mut out = Vector::zeros(self.rows);
-        self.col_into(c, &mut out);
-        out
-    }
-
-    /// Writes column `c` into `out`, resizing it in place.
-    pub fn col_into(&self, c: usize, out: &mut Vector) {
-        out.resize_zeroed(self.rows);
         for (r, dst) in out.as_mut_slice().iter_mut().enumerate() {
             *dst = self.get(r, c);
         }
+        out
     }
 
     /// Resizes to `rows × cols` zeros in place, reusing storage
@@ -176,14 +168,6 @@ impl Matrix {
         self.rows = rows;
         self.cols = cols;
         self.data.resize_zeroed(rows * cols);
-    }
-
-    /// Resizes to the `n × n` identity in place, reusing storage.
-    pub fn resize_identity(&mut self, n: usize) {
-        self.resize_zeroed(n, n);
-        for i in 0..n {
-            self.data.as_mut_slice()[i * n + i] = 1.0;
-        }
     }
 
     /// Replaces the contents (shape and elements) with a copy of `other`,
@@ -197,44 +181,21 @@ impl Matrix {
     /// Transpose.
     pub fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);
-        self.transpose_write(&mut t);
+        for r in 0..self.rows {
+            for c in 0..self.cols {
+                t.set(c, r, self.get(r, c));
+            }
+        }
         t
     }
 
-    /// Writes the transpose of `self` into `out`, resizing it in place.
-    pub fn transpose_into(&self, out: &mut Matrix) {
-        out.resize_zeroed(self.cols, self.rows);
-        self.transpose_write(out);
-    }
-
-    /// Shared transpose kernel; `out` must already be `cols × rows` zeros.
-    fn transpose_write(&self, out: &mut Matrix) {
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.set(c, r, self.get(r, c));
-            }
-        }
-    }
-
-    /// Matrix product `self · rhs` with explicit shape checking.
+    /// Matrix product `self · rhs` with explicit shape checking. Terms with
+    /// a zero left factor are skipped.
     ///
     /// # Errors
     /// Returns [`LinalgError::DimensionMismatch`] when inner dimensions
     /// disagree.
     pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix> {
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        self.matmul_into(rhs, &mut out)?;
-        Ok(out)
-    }
-
-    /// Matrix product written into `out` (resized in place, allocation-free
-    /// at inline sizes). Bit-identical to [`Matrix::matmul`]: same loop
-    /// order, same zero-skip, same accumulation order.
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::DimensionMismatch`] when inner dimensions
-    /// disagree. `out` must not alias `self` or `rhs` (enforced by borrows).
-    pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) -> Result<()> {
         if self.cols != rhs.rows {
             return Err(LinalgError::DimensionMismatch {
                 op: "matmul",
@@ -242,7 +203,7 @@ impl Matrix {
                 rhs: rhs.shape(),
             });
         }
-        out.resize_zeroed(self.rows, rhs.cols);
+        let mut out = Matrix::zeros(self.rows, rhs.cols);
         for r in 0..self.rows {
             for k in 0..self.cols {
                 let a = self.get(r, k);
@@ -256,7 +217,7 @@ impl Matrix {
                 }
             }
         }
-        Ok(())
+        Ok(out)
     }
 
     /// Product with a transposed right-hand side, `self · rhsᵀ`, written
@@ -296,17 +257,6 @@ impl Matrix {
     /// # Errors
     /// Returns [`LinalgError::DimensionMismatch`] when `self.cols != v.dim()`.
     pub fn mul_vec(&self, v: &Vector) -> Result<Vector> {
-        let mut out = Vector::zeros(self.rows);
-        self.mul_vec_into(v, &mut out)?;
-        Ok(out)
-    }
-
-    /// Matrix–vector product written into `out` (resized in place).
-    /// Bit-identical to [`Matrix::mul_vec`].
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::DimensionMismatch`] when `self.cols != v.dim()`.
-    pub fn mul_vec_into(&self, v: &Vector, out: &mut Vector) -> Result<()> {
         if self.cols != v.dim() {
             return Err(LinalgError::DimensionMismatch {
                 op: "mul_vec",
@@ -314,16 +264,15 @@ impl Matrix {
                 rhs: (v.dim(), 1),
             });
         }
-        out.resize_zeroed(self.rows);
-        let dst = out.as_mut_slice();
-        for (r, d) in dst.iter_mut().enumerate() {
+        let mut out = Vector::zeros(self.rows);
+        for (r, d) in out.as_mut_slice().iter_mut().enumerate() {
             let mut acc = 0.0;
             for (a, b) in self.row(r).iter().zip(v.iter()) {
                 acc += a * b;
             }
             *d = acc;
         }
-        Ok(())
+        Ok(out)
     }
 
     /// `self · rhs · selfᵀ` — the covariance propagation shape `F P Fᵀ`.
@@ -331,21 +280,9 @@ impl Matrix {
     /// # Errors
     /// Propagates shape mismatches from the underlying products.
     pub fn sandwich(&self, inner: &Matrix) -> Result<Matrix> {
-        let mut tmp = Matrix::zeros(0, 0);
         let mut out = Matrix::zeros(0, 0);
-        self.sandwich_into(inner, &mut tmp, &mut out)?;
+        self.matmul(inner)?.matmul_transpose_into(self, &mut out)?;
         Ok(out)
-    }
-
-    /// `self · inner · selfᵀ` written into `out`, using `tmp` as scratch for
-    /// the intermediate product. Both are resized in place; bit-identical to
-    /// [`Matrix::sandwich`] (which delegates here).
-    ///
-    /// # Errors
-    /// Propagates shape mismatches from the underlying products.
-    pub fn sandwich_into(&self, inner: &Matrix, tmp: &mut Matrix, out: &mut Matrix) -> Result<()> {
-        self.matmul_into(inner, tmp)?;
-        tmp.matmul_transpose_into(self, out)
     }
 
     /// Quadratic form `xᵀ · self · x`.
@@ -680,15 +617,6 @@ mod tests {
     }
 
     #[test]
-    fn matmul_into_matches_matmul() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0, 0.0], &[3.0, 4.0, -1.0]]);
-        let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0], &[0.5, -0.5]]);
-        let mut out = Matrix::zeros(9, 9); // wrong shape on purpose: must resize
-        a.matmul_into(&b, &mut out).unwrap();
-        assert_eq!(out, a.matmul(&b).unwrap());
-    }
-
-    #[test]
     fn matmul_transpose_into_matches_explicit_transpose() {
         let a = Matrix::from_rows(&[&[1.0, 2.0, 0.0], &[3.0, -4.0, 1.5]]);
         let b = Matrix::from_rows(&[&[5.0, 0.0, 2.0], &[7.0, 8.0, -1.0]]);
@@ -702,9 +630,6 @@ mod tests {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let v = Vector::from_slice(&[1.0, 1.0]);
         assert_eq!(a.mul_vec(&v).unwrap().as_slice(), &[3.0, 7.0]);
-        let mut out = Vector::zeros(0);
-        a.mul_vec_into(&v, &mut out).unwrap();
-        assert_eq!(out.as_slice(), &[3.0, 7.0]);
     }
 
     #[test]
@@ -714,9 +639,6 @@ mod tests {
         let s = f.sandwich(&p).unwrap();
         let manual = f.matmul(&p).unwrap().matmul(&f.transpose()).unwrap();
         assert_eq!(s, manual);
-        let (mut tmp, mut out) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
-        f.sandwich_into(&p, &mut tmp, &mut out).unwrap();
-        assert_eq!(out, manual);
     }
 
     #[test]

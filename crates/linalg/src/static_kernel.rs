@@ -1,14 +1,12 @@
-//! Monomorphized const-generic Kalman kernels for the dominant dimensions.
+//! Monomorphized const-generic Kalman kernels: the one place a Kalman step
+//! is computed.
 //!
-//! The dynamic [`Matrix`]/[`Vector`] path pays for its flexibility on every
-//! tick: runtime shape checks, `SmallBuf` enum dispatch, and loop bounds the
-//! compiler cannot see through. A fleet of same-model streams spends its
-//! whole life at one `(state_dim, measurement_dim)` pair, so this module
-//! monomorphizes the predict / update / innovation kernels over
-//! `const N, M`: model matrices live in fixed nested arrays
-//! (`[[f64; N]; N]`, stable-Rust's spelling of `[f64; N*N]`), every loop has
-//! compile-time bounds, and the optimizer fully unrolls and
-//! auto-vectorizes the arithmetic.
+//! A fleet of same-model streams spends its whole life at one
+//! `(state_dim, measurement_dim)` pair, so this module monomorphizes the
+//! predict / update / innovation kernels over `const N, M`: model matrices
+//! live in fixed nested arrays (`[[f64; N]; N]`, stable-Rust's spelling of
+//! `[f64; N*N]`), every loop has compile-time bounds, and the optimizer
+//! fully unrolls and auto-vectorizes the arithmetic.
 //!
 //! **One step, any width.** The arithmetic is written once, over a
 //! [`Lane`]: an `f64` steps one filter, a [`Pack<W>`] steps `W` same-model
@@ -18,23 +16,37 @@
 //! widths differ is the zero-skip below; [`Lane::is_zero`] carries the
 //! argument that the difference changes no bit.
 //!
-//! **Bit-identity contract.** Every kernel here performs the *exact*
-//! floating-point operations of its dynamic twin in the same order:
+//! **Any state width up to `N`.** [`StaticKernel::from_matrices_padded`]
+//! runs an `n`-state model (`n ≤ N`) at width `N`: `F`, `Q` and `H` get
+//! zero rows and columns past `n`, and the caller zero-pads `x` and `P`.
+//! Every term a padded index adds to a real entry is either skipped by the
+//! products' zero-skip (a padded column of `F`, `H`, `I − KH`, or of the
+//! intermediate `F P`, `H P`, `(I − KH) P`, which stay `+0.0`) or a
+//! `±0.0` product added to an accumulator that is never `-0.0`, so the
+//! real `n × n` block is bit for bit what an exact-width kernel computes,
+//! and the pad stays `+0.0`. (Either zero — model or state — carries the
+//! argument on its own; the two together keep the pad itself zero. As for
+//! [`Lane::is_zero`], it needs finite model matrices and a finite `P`; a
+//! filter past that is reported as diverged anyway.)
 //!
-//! * products replicate [`Matrix::matmul_into`] / [`Matrix::matmul_transpose_into`]
+//! **Bit-identity contract.** Every kernel here performs the *exact*
+//! floating-point operations of the textbook formulation over the
+//! allocating [`Matrix`] API, in the same order:
+//!
+//! * products replicate [`Matrix::matmul`] / [`Matrix::matmul_transpose_into`]
 //!   including their zero-skip (skipping `a == 0.0` terms), and
-//!   [`Matrix::mul_vec_into`]'s plain accumulation;
-//! * [`StaticKernel::update`] replicates the Joseph-form sequence of
-//!   `kalstream-filter`'s `KalmanFilter::update` step for step;
+//!   [`Matrix::mul_vec`]'s plain accumulation;
+//! * [`StaticKernel::update_state`] runs the innovation, gain and state
+//!   correction, then `P ← (I − KH) P (I − KH)ᵀ + K R Kᵀ` (Joseph) or
+//!   `P ← (I − KH) P` (Simple), re-symmetrised;
 //! * the Cholesky factorisation uses the same relative pivot tolerance
 //!   (`1e-13 · max(‖A‖∞, 1)`) and the same forward/back substitution as
 //!   [`crate::Cholesky`].
 //!
-//! A filter stepped through a `StaticKernel` therefore stays bit-identical
-//! to one stepped through the dynamic path forever — the property the
-//! workspace's equivalence proptests (`tests/batch_equivalence.rs`) pin
-//! down, and the property that lets the fleet batch layer in
-//! `kalstream-filter` swap paths freely under the suppression protocol's
+//! The workspace's equivalence proptests (`tests/batch_equivalence.rs`)
+//! hold `kalstream-filter`'s `KalmanFilter`, this kernel and the fleet
+//! batch layer to such a textbook filter bit for bit, which is what lets
+//! the batch layer swap paths freely under the suppression protocol's
 //! determinism requirement.
 
 // Counted `for i in 0..N` loops are deliberate throughout: they spell out
@@ -67,7 +79,7 @@ pub trait Lane:
     /// The products' zero-skip test: `true` when **every** filter's value
     /// is `0.0`, so the term `self · b` may be left out of a sum.
     ///
-    /// For `f64` this is the dynamic path's `a == 0.0`. A pack skips less
+    /// For `f64` this is [`Matrix::matmul`]'s `a == 0.0`. A pack skips less
     /// often — a filter whose value is `±0.0` still adds its term when a
     /// neighbour's is not — and that is bit-neutral for finite data: the
     /// extra term is `±0.0 · b = ±0.0`, the accumulators are never `-0.0`
@@ -179,6 +191,21 @@ impl<const W: usize> Lane for Pack<W> {
     }
 }
 
+/// Covariance-update formula of [`StaticKernel::update_state`].
+///
+/// The *Joseph form* `P = (I-KH) P (I-KH)ᵀ + K R Kᵀ` is algebraically equal
+/// to the *simple form* `P = (I-KH) P` but preserves symmetry and positive
+/// definiteness under rounding. The simple form exists for the ablation bench
+/// (`abl_joseph`): on long suppressed runs it slowly drifts asymmetric and
+/// eventually breaks Cholesky.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CovarianceUpdate {
+    /// Numerically robust Joseph-stabilised update (the default).
+    Joseph,
+    /// Textbook `(I - K H) P` update; cheaper, numerically fragile.
+    Simple,
+}
+
 /// Diagnostics of one static-kernel measurement update — the same numbers
 /// `KalmanFilter::update` reports in its `UpdateOutcome`.
 #[derive(Debug, Clone, Copy)]
@@ -201,9 +228,9 @@ pub type Innovation<L, const M: usize> = ([L; M], [[L; M]; M], [[L; M]; M]);
 /// Monomorphized Kalman kernel for an `N`-state / `M`-measurement model.
 ///
 /// Holds the model matrices (`F`, `Q`, `H`, `R`) in fixed arrays and steps
-/// caller-owned state through predict / Joseph-form update / suppression
-/// primitives with no allocation and no runtime shape dispatch. See the
-/// module docs for the bit-identity contract with the dynamic path.
+/// caller-owned state through predict / update / suppression primitives
+/// with no allocation and no runtime shape dispatch. See the module docs
+/// for the bit-identity contract and for zero-padded state widths.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StaticKernel<const N: usize, const M: usize> {
     /// State transition `F` (`N × N`).
@@ -229,27 +256,8 @@ impl<const N: usize, const M: usize> StaticKernel<N, M> {
                 op: "static kernel",
             });
         }
-        let check = |m: &Matrix, rows: usize, cols: usize, op: &'static str| {
-            if m.shape() == (rows, cols) {
-                Ok(())
-            } else {
-                Err(LinalgError::DimensionMismatch {
-                    op,
-                    lhs: (rows, cols),
-                    rhs: m.shape(),
-                })
-            }
-        };
-        check(f, N, N, "static kernel F")?;
-        check(q, N, N, "static kernel Q")?;
-        check(h, M, N, "static kernel H")?;
-        check(r, M, M, "static kernel R")?;
-        let mut k = StaticKernel {
-            f: [[0.0; N]; N],
-            q: [[0.0; N]; N],
-            h: [[0.0; N]; M],
-            r: [[0.0; M]; M],
-        };
+        check_shapes(f, q, h, r, N, M)?;
+        let mut k = StaticKernel::zeroed();
         for row in 0..N {
             for col in 0..N {
                 k.f[row][col] = f.get(row, col);
@@ -267,6 +275,57 @@ impl<const N: usize, const M: usize> StaticKernel<N, M> {
             }
         }
         Ok(k)
+    }
+
+    /// Builds a kernel of width `N` for a model of any state dimension
+    /// `1 ≤ n ≤ N`: `F`, `Q` and `H` are zero past `n`, and the caller keeps
+    /// the state it steps zero past `n` too (module docs). An exact-width
+    /// model (`n = N`) gets the same kernel as from
+    /// [`StaticKernel::from_matrices`], through run-time loop bounds.
+    ///
+    /// # Errors
+    /// As [`StaticKernel::from_matrices`], with `n = F.rows()` in place of
+    /// `N`, and [`LinalgError::DimensionMismatch`] when `n` is above `N`.
+    pub fn from_matrices_padded(f: &Matrix, q: &Matrix, h: &Matrix, r: &Matrix) -> Result<Self> {
+        let n = f.rows();
+        if n == 0 || M == 0 {
+            return Err(LinalgError::Empty {
+                op: "static kernel",
+            });
+        }
+        if n > N {
+            return Err(LinalgError::DimensionMismatch {
+                op: "padded static kernel F",
+                lhs: (N, N),
+                rhs: f.shape(),
+            });
+        }
+        check_shapes(f, q, h, r, n, M)?;
+        let mut k = StaticKernel::zeroed();
+        for row in 0..n {
+            for col in 0..n {
+                k.f[row][col] = f.get(row, col);
+                k.q[row][col] = q.get(row, col);
+            }
+        }
+        for row in 0..M {
+            for col in 0..n {
+                k.h[row][col] = h.get(row, col);
+            }
+            for col in 0..M {
+                k.r[row][col] = r.get(row, col);
+            }
+        }
+        Ok(k)
+    }
+
+    fn zeroed() -> Self {
+        StaticKernel {
+            f: [[0.0; N]; N],
+            q: [[0.0; N]; N],
+            h: [[0.0; N]; M],
+            r: [[0.0; M]; M],
+        }
     }
 
     /// State transition matrix `F`.
@@ -289,11 +348,10 @@ impl<const N: usize, const M: usize> StaticKernel<N, M> {
         &self.r
     }
 
-    /// Time update: `x ← F x`, `P ← F P Fᵀ + Q`, re-symmetrised — the exact
-    /// operation sequence of the dynamic predict step.
+    /// Time update: `x ← F x`, `P ← F P Fᵀ + Q`, re-symmetrised.
     pub fn predict<L: Lane>(&self, x: &mut [L; N], p: &mut [[L; N]; N]) {
         let f = splat(&self.f);
-        // x ← F x (plain row-dot accumulation, like `mul_vec_into`).
+        // x ← F x (plain row-dot accumulation, like `mul_vec`).
         *x = mul_vec(&f, x);
         // P ← F P Fᵀ + Q via the same sandwich: F·P then (F·P)·Fᵀ.
         let tmp = matmul(&f, p);
@@ -312,21 +370,36 @@ impl<const N: usize, const M: usize> StaticKernel<N, M> {
         mul_vec(&self.h, x)
     }
 
-    /// Joseph-form measurement update with observation `z` — the exact
-    /// operation sequence of the dynamic `KalmanFilter::update` (its
-    /// default `CovarianceUpdate::Joseph` branch), including diagnostics.
+    /// Joseph-form measurement update with observation `z`, including
+    /// diagnostics: [`StaticKernel::update_in_form`] with
+    /// [`CovarianceUpdate::Joseph`].
     ///
     /// # Errors
-    /// [`LinalgError::NotPositiveDefinite`] when the innovation covariance
-    /// `S = H P Hᵀ + R` fails the Cholesky pivot test. State and covariance
-    /// are untouched on error, matching the dynamic path.
+    /// As [`StaticKernel::update_in_form`].
     pub fn update(
         &self,
         x: &mut [f64; N],
         p: &mut [[f64; N]; N],
         z: &[f64; M],
     ) -> Result<StaticUpdateOutcome<M>> {
-        let (innovation, s, l) = self.update_state(x, p, z)?;
+        self.update_in_form(x, p, z, CovarianceUpdate::Joseph)
+    }
+
+    /// Measurement update with observation `z` and covariance formula
+    /// `form`, including diagnostics — what `KalmanFilter::update` runs.
+    ///
+    /// # Errors
+    /// [`LinalgError::NotPositiveDefinite`] when the innovation covariance
+    /// `S = H P Hᵀ + R` fails the Cholesky pivot test. State and covariance
+    /// are untouched on error.
+    pub fn update_in_form(
+        &self,
+        x: &mut [f64; N],
+        p: &mut [[f64; N]; N],
+        z: &[f64; M],
+        form: CovarianceUpdate,
+    ) -> Result<StaticUpdateOutcome<M>> {
+        let (innovation, s, l) = self.update_state_in_form(x, p, z, form)?;
         // Diagnostics: NIS = νᵀ S⁻¹ ν and Gaussian log-likelihood.
         let mut s_inv_nu = innovation;
         cholesky_solve_in_place(&l, &mut s_inv_nu);
@@ -356,6 +429,21 @@ impl<const N: usize, const M: usize> StaticKernel<N, M> {
         x: &mut [L; N],
         p: &mut [[L; N]; N],
         z: &[L; M],
+    ) -> Result<Innovation<L, M>> {
+        self.update_state_in_form(x, p, z, CovarianceUpdate::Joseph)
+    }
+
+    /// [`StaticKernel::update_state`] with covariance formula `form`: the
+    /// one body of every update. Inlined so that the batch lanes'
+    /// [`StaticKernel::update_state`] compiles with the form fixed and
+    /// without the branch.
+    #[inline(always)]
+    fn update_state_in_form<L: Lane>(
+        &self,
+        x: &mut [L; N],
+        p: &mut [[L; N]; N],
+        z: &[L; M],
+        form: CovarianceUpdate,
     ) -> Result<Innovation<L, M>> {
         let (h, r) = (splat(&self.h), splat(&self.r));
         // Innovation ν = z − H x.
@@ -389,7 +477,8 @@ impl<const N: usize, const M: usize> StaticKernel<N, M> {
         for row in 0..N {
             x[row] += correction[row];
         }
-        // Covariance (Joseph): P ← (I − KH) P (I − KH)ᵀ + K R Kᵀ.
+        // Covariance: Joseph P ← (I − KH) P (I − KH)ᵀ + K R Kᵀ, or
+        // Simple P ← (I − KH) P.
         let kh = matmul(&k, &h);
         let mut i_kh = [[L::splat(0.0); N]; N];
         for row in 0..N {
@@ -401,14 +490,20 @@ impl<const N: usize, const M: usize> StaticKernel<N, M> {
             }
         }
         let tmp = matmul(&i_kh, p);
-        let mut posterior = matmul_transpose(&tmp, &i_kh);
-        let kr = matmul(&k, &r);
-        let krk = matmul_transpose(&kr, &k);
-        for row in 0..N {
-            for col in 0..N {
-                posterior[row][col] += krk[row][col];
+        let mut posterior = match form {
+            CovarianceUpdate::Joseph => {
+                let mut joseph = matmul_transpose(&tmp, &i_kh);
+                let kr = matmul(&k, &r);
+                let krk = matmul_transpose(&kr, &k);
+                for row in 0..N {
+                    for col in 0..N {
+                        joseph[row][col] += krk[row][col];
+                    }
+                }
+                joseph
             }
-        }
+            CovarianceUpdate::Simple => tmp,
+        };
         symmetrize(&mut posterior);
         *p = posterior;
         Ok((innovation, s, l))
@@ -432,6 +527,27 @@ impl<const N: usize, const M: usize> StaticKernel<N, M> {
     }
 }
 
+/// The shape checks of the two constructors: `F`, `Q` are `n × n`, `H` is
+/// `m × n` and `R` is `m × m`.
+#[inline]
+fn check_shapes(f: &Matrix, q: &Matrix, h: &Matrix, r: &Matrix, n: usize, m: usize) -> Result<()> {
+    let check = |mat: &Matrix, rows: usize, cols: usize, op: &'static str| {
+        if mat.shape() == (rows, cols) {
+            Ok(())
+        } else {
+            Err(LinalgError::DimensionMismatch {
+                op,
+                lhs: (rows, cols),
+                rhs: mat.shape(),
+            })
+        }
+    };
+    check(f, n, n, "static kernel F")?;
+    check(q, n, n, "static kernel Q")?;
+    check(h, m, n, "static kernel H")?;
+    check(r, m, m, "static kernel R")
+}
+
 // The helpers below are `inline(always)`: a pack is `W` values wide, and a
 // helper left as a call takes and returns its matrices through memory
 // instead of registers — measured at half as much again on a 2 × 1 batch
@@ -450,7 +566,7 @@ fn splat<L: Lane, const R: usize, const C: usize>(m: &[[f64; C]; R]) -> [[L; C];
     out
 }
 
-/// `a · b` with the dynamic path's zero-skip on `a`'s elements.
+/// `a · b` with [`Matrix::matmul`]'s zero-skip on `a`'s elements.
 #[inline(always)]
 fn matmul<L: Lane, const R: usize, const K: usize, const C: usize>(
     a: &[[L; K]; R],
@@ -471,7 +587,8 @@ fn matmul<L: Lane, const R: usize, const K: usize, const C: usize>(
     out
 }
 
-/// `a · bᵀ` with the dynamic path's zero-skip on `a`'s elements.
+/// `a · bᵀ` with [`Matrix::matmul_transpose_into`]'s zero-skip on `a`'s
+/// elements.
 #[inline(always)]
 fn matmul_transpose<L: Lane, const R: usize, const K: usize, const C: usize>(
     a: &[[L; K]; R],
@@ -493,7 +610,7 @@ fn matmul_transpose<L: Lane, const R: usize, const K: usize, const C: usize>(
 }
 
 /// `a · v` with plain row-dot accumulation (no zero-skip), matching
-/// [`Matrix::mul_vec_into`].
+/// [`Matrix::mul_vec`].
 #[inline(always)]
 fn mul_vec<L: Lane, const R: usize, const K: usize>(a: &[[L; K]; R], v: &[L; K]) -> [L; R] {
     let mut out = [L::splat(0.0); R];
@@ -519,7 +636,7 @@ fn symmetrize<L: Lane, const N: usize>(p: &mut [[L; N]; N]) {
     }
 }
 
-/// Cholesky factor `L` of `a`, replicating [`crate::Cholesky::factor_into`]
+/// Cholesky factor `L` of `a`, replicating [`crate::Cholesky::new`]
 /// including its relative pivot tolerance.
 #[inline(always)]
 fn cholesky_factor<L: Lane, const M: usize>(a: &[[L; M]; M]) -> Result<[[L; M]; M]> {
@@ -575,7 +692,7 @@ fn cholesky_solve_in_place<L: Lane, const M: usize>(l: &[[L; M]; M], x: &mut [L;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Cholesky, Vector};
+    use crate::Vector;
 
     /// A well-conditioned 2-state constant-velocity style model.
     fn cv2() -> (Matrix, Matrix, Matrix, Matrix) {
@@ -586,66 +703,44 @@ mod tests {
         (f, q, h, r)
     }
 
-    /// Replays the dynamic-path predict (the exact `KalmanFilter::predict`
-    /// sequence) on `Matrix`/`Vector` values.
-    fn dyn_predict(f: &Matrix, q: &Matrix, x: &mut Vector, p: &mut Matrix) {
-        let mut xt = Vector::zeros(0);
-        f.mul_vec_into(x, &mut xt).unwrap();
-        x.copy_from(&xt);
-        let (mut tmp, mut pt) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
-        f.sandwich_into(p, &mut tmp, &mut pt).unwrap();
-        p.copy_from(&pt);
-        *p += q;
+    /// The textbook predict on `Matrix`/`Vector` values:
+    /// `x ← F x`, `P ← F P Fᵀ + Q`, re-symmetrised.
+    fn textbook_predict(f: &Matrix, q: &Matrix, x: &mut Vector, p: &mut Matrix) {
+        *x = f.mul_vec(x).unwrap();
+        *p = &f.sandwich(p).unwrap() + q;
         p.symmetrize_mut();
     }
 
-    /// Replays the dynamic-path Joseph update on `Matrix`/`Vector` values,
-    /// returning (S, nis, log_likelihood).
-    fn dyn_update(
+    /// The textbook update on `Matrix`/`Vector` values, returning
+    /// (S, nis, log_likelihood).
+    fn textbook_update(
         h: &Matrix,
         r: &Matrix,
         x: &mut Vector,
         p: &mut Matrix,
         z: &Vector,
+        form: CovarianceUpdate,
     ) -> (Matrix, f64, f64) {
-        let m = h.rows();
-        let n = h.cols();
-        let mut predicted = Vector::zeros(0);
-        h.mul_vec_into(x, &mut predicted).unwrap();
-        let mut innovation = z.clone();
-        innovation -= &predicted;
-        let (mut tmp, mut s) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
-        h.sandwich_into(p, &mut tmp, &mut s).unwrap();
-        s += r;
+        let innovation = z - &h.mul_vec(x).unwrap();
+        let mut s = &h.sandwich(p).unwrap() + r;
         s.symmetrize_mut();
-        let mut chol = Cholesky::empty();
-        chol.refactor(&s).unwrap();
-        let mut hp = Matrix::zeros(0, 0);
-        h.matmul_into(p, &mut hp).unwrap();
-        let (mut col, mut s_inv_hp) = (Vector::zeros(0), Matrix::zeros(0, 0));
-        chol.solve_mat_into(&hp, &mut col, &mut s_inv_hp).unwrap();
-        let mut k = Matrix::zeros(0, 0);
-        s_inv_hp.transpose_into(&mut k);
-        let mut correction = Vector::zeros(0);
-        k.mul_vec_into(&innovation, &mut correction).unwrap();
-        *x += &correction;
-        let mut kh = Matrix::zeros(0, 0);
-        k.matmul_into(h, &mut kh).unwrap();
-        let mut i_kh = Matrix::zeros(0, 0);
-        i_kh.resize_identity(n);
-        i_kh -= &kh;
-        let mut pt = Matrix::zeros(0, 0);
-        i_kh.sandwich_into(p, &mut tmp, &mut pt).unwrap();
-        k.matmul_into(r, &mut tmp).unwrap();
-        let mut krk = Matrix::zeros(0, 0);
-        tmp.matmul_transpose_into(&k, &mut krk).unwrap();
-        p.copy_from(&pt);
-        *p += &krk;
+        let chol = s.cholesky().unwrap();
+        // K = P Hᵀ S⁻¹ = (S⁻¹ H P)ᵀ.
+        let k = chol.solve_mat(&h.matmul(p).unwrap()).unwrap().transpose();
+        *x += &k.mul_vec(&innovation).unwrap();
+        let i_kh = &Matrix::identity(h.cols()) - &k.matmul(h).unwrap();
+        *p = match form {
+            CovarianceUpdate::Joseph => {
+                let krk = k.matmul(r).unwrap().matmul(&k.transpose()).unwrap();
+                &i_kh.sandwich(p).unwrap() + &krk
+            }
+            CovarianceUpdate::Simple => i_kh.matmul(p).unwrap(),
+        };
         p.symmetrize_mut();
-        let mut s_inv_nu = Vector::zeros(0);
-        chol.solve_vec_into(&innovation, &mut s_inv_nu).unwrap();
-        let nis = innovation.dot(&s_inv_nu).unwrap();
-        let ll = -0.5 * (nis + chol.log_det() + (m as f64) * core::f64::consts::TAU.ln());
+        let nis = innovation
+            .dot(&chol.solve_vec(&innovation).unwrap())
+            .unwrap();
+        let ll = -0.5 * (nis + chol.log_det() + (h.rows() as f64) * core::f64::consts::TAU.ln());
         (s, nis, ll)
     }
 
@@ -661,36 +756,40 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn predict_update_bit_identical_to_dynamic_path() {
+    /// Steps `kernel` — the `cv2` model at width `N ≥ 2`, zero-padded past
+    /// 2 — beside the textbook filter for 1 000 ticks, comparing the real
+    /// block and the diagnostics bit for bit every tick, and checking that
+    /// the padding stays zero.
+    fn assert_matches_textbook<const N: usize>(
+        kernel: &StaticKernel<N, 1>,
+        form: CovarianceUpdate,
+    ) {
         let (f, q, h, r) = cv2();
-        let kernel = StaticKernel::<2, 1>::from_matrices(&f, &q, &h, &r).unwrap();
-
-        let mut xs = [0.3, -0.1];
-        let mut ps = [[1.0, 0.2], [0.2, 1.5]];
-        let mut xd = Vector::from_slice(&xs);
-        let mut pd = Matrix::from_rows(&[&ps[0][..], &ps[1][..]]);
+        let (mut xs, mut ps) = ([0.0; N], [[0.0; N]; N]);
+        xs[..2].copy_from_slice(&[0.3, -0.1]);
+        ps[0][..2].copy_from_slice(&[1.0, 0.2]);
+        ps[1][..2].copy_from_slice(&[0.2, 1.5]);
+        let mut xd = Vector::from_slice(&xs[..2]);
+        let mut pd = Matrix::from_rows(&[&ps[0][..2], &ps[1][..2]]);
 
         for t in 0..1_000 {
             kernel.predict(&mut xs, &mut ps);
-            dyn_predict(&f, &q, &mut xd, &mut pd);
+            textbook_predict(&f, &q, &mut xd, &mut pd);
             let z = (t as f64 * 0.13).sin() * 2.0 + (t as f64 * 0.011).cos();
-            let out_s = kernel.update(&mut xs, &mut ps, &[z]).unwrap();
+            let out_s = kernel.update_in_form(&mut xs, &mut ps, &[z], form).unwrap();
             let (s_d, nis_d, ll_d) =
-                dyn_update(&h, &r, &mut xd, &mut pd, &Vector::from_slice(&[z]));
+                textbook_update(&h, &r, &mut xd, &mut pd, &Vector::from_slice(&[z]), form);
             assert_eq!(
                 out_s.innovation_cov[0][0].to_bits(),
                 s_d.get(0, 0).to_bits(),
                 "S tick {t}"
             );
-            for i in 0..2 {
-                assert_eq!(xs[i].to_bits(), xd[i].to_bits(), "x[{i}] tick {t}");
-                for j in 0..2 {
-                    assert_eq!(
-                        ps[i][j].to_bits(),
-                        pd.get(i, j).to_bits(),
-                        "P[{i}][{j}] tick {t}"
-                    );
+            for i in 0..N {
+                let x = if i < 2 { xd[i] } else { 0.0 };
+                assert_eq!(xs[i].to_bits(), x.to_bits(), "x[{i}] tick {t}");
+                for j in 0..N {
+                    let p = if i < 2 && j < 2 { pd.get(i, j) } else { 0.0 };
+                    assert_eq!(ps[i][j].to_bits(), p.to_bits(), "P[{i}][{j}] tick {t}");
                 }
             }
             assert_eq!(out_s.nis.to_bits(), nis_d.to_bits(), "nis tick {t}");
@@ -703,7 +802,39 @@ mod tests {
     }
 
     #[test]
-    fn static_cholesky_matches_dynamic() {
+    fn predict_update_bit_identical_to_the_textbook_filter() {
+        let (f, q, h, r) = cv2();
+        let exact = StaticKernel::<2, 1>::from_matrices(&f, &q, &h, &r).unwrap();
+        assert_eq!(
+            StaticKernel::<2, 1>::from_matrices_padded(&f, &q, &h, &r).unwrap(),
+            exact
+        );
+        let padded = StaticKernel::<4, 1>::from_matrices_padded(&f, &q, &h, &r).unwrap();
+        for form in [CovarianceUpdate::Joseph, CovarianceUpdate::Simple] {
+            assert_matches_textbook(&exact, form);
+            assert_matches_textbook(&padded, form);
+        }
+    }
+
+    #[test]
+    fn padded_constructor_validates_shapes() {
+        let (f, q, h, r) = cv2();
+        assert!(matches!(
+            StaticKernel::<1, 1>::from_matrices_padded(&f, &q, &h, &r),
+            Err(LinalgError::DimensionMismatch { .. })
+        ));
+        assert!(StaticKernel::<4, 2>::from_matrices_padded(&f, &q, &h, &r).is_err());
+        assert!(StaticKernel::<4, 1>::from_matrices_padded(&f, &f, &h, &r).is_ok());
+        assert!(StaticKernel::<4, 1>::from_matrices_padded(&f, &r, &h, &r).is_err());
+        let empty = Matrix::zeros(0, 0);
+        assert!(matches!(
+            StaticKernel::<4, 1>::from_matrices_padded(&empty, &empty, &Matrix::zeros(1, 0), &r),
+            Err(LinalgError::Empty { .. })
+        ));
+    }
+
+    #[test]
+    fn static_cholesky_matches_the_allocating_one() {
         let a = [[4.0, 1.0, 0.5], [1.0, 3.0, -0.5], [0.5, -0.5, 2.0]];
         let l = cholesky_factor(&a).unwrap();
         let ad = Matrix::from_rows(&[&a[0][..], &a[1][..], &a[2][..]]);
@@ -724,7 +855,7 @@ mod tests {
     }
 
     #[test]
-    fn static_cholesky_rejects_indefinite_like_dynamic() {
+    fn static_cholesky_rejects_indefinite_like_the_allocating_one() {
         let a = [[1.0, 2.0], [2.0, 1.0]]; // eigenvalues 3, -1
         match cholesky_factor(&a) {
             Err(LinalgError::NotPositiveDefinite { pivot, value }) => {
@@ -737,7 +868,7 @@ mod tests {
                         assert_eq!(pivot, pd);
                         assert_eq!(value.to_bits(), vd.to_bits());
                     }
-                    other => panic!("dynamic path disagreed: {other:?}"),
+                    other => panic!("Cholesky::new disagreed: {other:?}"),
                 }
             }
             other => panic!("expected NotPositiveDefinite, got {other:?}"),
