@@ -120,6 +120,30 @@ if sed '/#\[cfg(test)\]/,$d' crates/query/src/graph.rs |
     exit 1
 fi
 
+echo "==> one fleet tick loop: every sim entry steps Fleet, the TCP client is its server side"
+# Non-test code only (everything above each file's #[cfg(test)]).
+loops=0
+for src in crates/sim/src/*.rs; do
+    n=$(sed '/#\[cfg(test)\]/,$d' "$src" | grep -c 'for now in 0\.\.' || true)
+    loops=$((loops + n))
+done
+if ((loops > 1)); then
+    echo "crates/sim/src spells $loops tick loops; Session::run, lockstep and ingest mode all step Fleet's one" >&2
+    exit 1
+fi
+if grep -rnw -e run_lockstep_with_crashes -e run_fleet_ingest_faulty crates src tests examples; then
+    echo "a deleted fleet entry is back: a crash is a run_lockstep hook, no faults is LinkFaults::default()" >&2
+    exit 1
+fi
+if sed '/#\[cfg(test)\]/,$d' crates/net/src/client.rs | grep -n 'Link::with_faults'; then
+    echo "crates/net/src/client.rs builds its own links again; its links are SimTransport pairs" >&2
+    exit 1
+fi
+if sed '/#\[cfg(test)\]/,$d' crates/net/src/client.rs | grep -nE 'for now in 0\.\.|0\.\.config\.ticks'; then
+    echo "crates/net/src/client.rs steps ticks itself again; it runs kalstream_sim::run_ingest_over" >&2
+    exit 1
+fi
+
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 

@@ -43,7 +43,7 @@ use kalstream_core::{
 };
 use kalstream_filter::models;
 use kalstream_linalg::Vector;
-use kalstream_sim::{run_fleet_ingest, IngestStream};
+use kalstream_sim::{run_fleet_ingest, IngestStream, LinkFaults};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -167,7 +167,7 @@ fn build_fleet<'a>(n: u32, mixed: bool) -> (Vec<IngestStream<'a>>, Vec<(u32, Ser
 fn record_log(n: u32, ticks: u64, mixed: bool) -> (LogRecorder, Vec<(u32, ServerEndpoint)>) {
     let (mut streams, servers) = build_fleet(n, mixed);
     let mut sink = FramingSink::new(LogRecorder::default());
-    run_fleet_ingest(&mut streams, ticks, 0, &mut sink);
+    run_fleet_ingest(&mut streams, ticks, 0, LinkFaults::default(), &mut sink);
     (sink.into_inner(), servers)
 }
 

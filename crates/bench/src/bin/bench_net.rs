@@ -31,7 +31,7 @@
 use kalstream_bench::MetricsOut;
 use kalstream_core::{FramingSink, IngestResult, SequentialIngest};
 use kalstream_net::{workload, ClientConfig, NetServer, NetServerConfig};
-use kalstream_sim::{run_fleet_ingest_faulty, LinkFaults};
+use kalstream_sim::{run_fleet_ingest, LinkFaults};
 
 const FULL_CONNS: usize = 1024;
 const FULL_TICKS: u64 = 32;
@@ -53,7 +53,7 @@ fn sequential_reference(streams: u32, ticks: u64) -> IngestResult {
     let ids: Vec<u32> = (0..streams).collect();
     let mut fleet = workload::source_streams(&ids);
     let mut sink = FramingSink::new(SequentialIngest::new(workload::server_endpoints(streams)));
-    run_fleet_ingest_faulty(
+    run_fleet_ingest(
         &mut fleet,
         ticks,
         OVERHEAD,

@@ -30,8 +30,7 @@ use kalstream_core::{
 use kalstream_durable::{Durability, DurableStore};
 use kalstream_net::workload;
 use kalstream_sim::{
-    run_fleet_ingest, run_lockstep, run_lockstep_with_crashes, IngestSink, LockstepStream,
-    SessionConfig,
+    run_fleet_ingest, run_lockstep, IngestSink, LinkFaults, LockstepStream, SessionConfig,
 };
 
 use bytes::Bytes;
@@ -91,7 +90,7 @@ fn record_traffic() -> Vec<Vec<u8>> {
     let ids: Vec<u32> = (0..STREAMS).collect();
     let mut fleet = workload::source_streams(&ids);
     let mut recorder = TickRecorder::default();
-    run_fleet_ingest(&mut fleet, TICKS, 0, &mut recorder);
+    run_fleet_ingest(&mut fleet, TICKS, 0, LinkFaults::default(), &mut recorder);
     recorder.ticks
 }
 
@@ -222,16 +221,14 @@ fn lockstep_crashes() -> LockstepOutcome {
 
     let mut crashed = protocol_streams();
     let mut rebuilds = 0u64;
-    let report = run_lockstep_with_crashes(
-        &config,
-        &mut crashed,
-        &LS_CRASHES,
-        |_, _, consumer: &mut ServerEndpoint| {
-            *consumer = ServerEndpoint::from_state(consumer.state()).unwrap();
-            rebuilds += 1;
-        },
-        |_, _, _| {},
-    );
+    let report = run_lockstep(&config, &mut crashed, |now, _, streams| {
+        if LS_CRASHES.contains(&now) {
+            for stream in streams {
+                stream.consumer = ServerEndpoint::from_state(stream.consumer.state()).unwrap();
+                rebuilds += 1;
+            }
+        }
+    });
     let identical = report
         .sessions
         .iter()

@@ -972,11 +972,20 @@ impl SequentialIngest {
 pub trait TickIngest {
     /// Drains one tick's batch and advances every endpoint one tick.
     fn ingest_tick(&mut self, wire: &[u8]);
+
+    /// Barrier: returns once every ingested tick is applied and its
+    /// feedback sent. The inline ingesters apply before returning from
+    /// [`TickIngest::ingest_tick`], so the default does nothing.
+    fn flush(&mut self) {}
 }
 
 impl TickIngest for IngestPipeline {
     fn ingest_tick(&mut self, wire: &[u8]) {
         IngestPipeline::ingest_tick(self, wire);
+    }
+
+    fn flush(&mut self) {
+        IngestPipeline::flush(self);
     }
 }
 
@@ -988,18 +997,32 @@ impl TickIngest for SequentialIngest {
 
 /// Bridges the simulator's ingest mode ([`kalstream_sim::IngestSink`]) onto
 /// a framed ingester: pushes accumulate into a pooled [`FrameBatch`]; the
-/// end-of-tick hook drains the batch into the wrapped ingester.
+/// end-of-tick hook drains the batch into the wrapped ingester; with a
+/// feedback channel, the ingester's acks and bound directives go back to
+/// the fleet loop, which puts each on its stream's reverse link.
 pub struct FramingSink<I: TickIngest> {
     batch: FrameBatch,
     inner: I,
+    feedback: Option<Receiver<(u32, Bytes)>>,
 }
 
 impl<I: TickIngest> FramingSink<I> {
-    /// Wraps an ingester.
+    /// Wraps an ingester whose feedback, if any, is not returned.
     pub fn new(inner: I) -> Self {
         FramingSink {
             batch: FrameBatch::new(),
             inner,
+            feedback: None,
+        }
+    }
+
+    /// Wraps an ingester that sends its feedback into the channel
+    /// `feedback` receives from — [`IngestPipeline::start_with`]'s. Each
+    /// tick's is handed to the fleet loop after a [`TickIngest::flush`].
+    pub fn with_feedback(inner: I, feedback: Receiver<(u32, Bytes)>) -> Self {
+        FramingSink {
+            feedback: Some(feedback),
+            ..FramingSink::new(inner)
         }
     }
 
@@ -1017,6 +1040,16 @@ impl<I: TickIngest> kalstream_sim::IngestSink for FramingSink<I> {
     fn end_tick(&mut self) {
         self.inner.ingest_tick(self.batch.as_bytes());
         self.batch.clear();
+    }
+
+    fn feedback(&mut self, out: &mut dyn FnMut(u32, Bytes)) {
+        let Some(feedback) = &self.feedback else {
+            return;
+        };
+        self.inner.flush();
+        while let Ok((stream_id, payload)) = feedback.try_recv() {
+            out(stream_id, payload);
+        }
     }
 }
 
@@ -1318,7 +1351,7 @@ mod tests {
 
     #[test]
     fn ingest_mode_matches_session_mode_bit_for_bit() {
-        use kalstream_sim::{run_fleet_ingest, IngestStream, Session, SessionConfig};
+        use kalstream_sim::{run_fleet_ingest, IngestStream, LinkFaults, Session, SessionConfig};
         let sampler = |id: u32| {
             let mut t = 0.0f64;
             move |obs: &mut [f64], tru: &mut [f64]| {
@@ -1363,7 +1396,7 @@ mod tests {
             });
         }
         let mut sink = FramingSink::new(SequentialIngest::new(servers));
-        run_fleet_ingest(&mut streams, ticks, 0, &mut sink);
+        run_fleet_ingest(&mut streams, ticks, 0, LinkFaults::default(), &mut sink);
         let result = sink.into_inner().finish();
 
         assert!(result.total_messages() > 0);

@@ -2,12 +2,17 @@
 //! through one TCP connection, with sim-identical client-side fault
 //! injection.
 //!
-//! The driver reproduces [`kalstream_sim::run_fleet_ingest_faulty`]'s
-//! source semantics exactly — per-stream zero-latency [`Link`]s seeded
-//! `faults.seed ^ global_index`, sample → observe → send → deliver each
-//! tick — so a fleet driven over sockets is bit-comparable, stream for
-//! stream, against the same fleet run through the simulator into a
-//! [`kalstream_core::SequentialIngest`] reference.
+//! The connection is the server side of the simulator's one tick loop
+//! ([`kalstream_sim::run_ingest_over`]) over per-stream [`SimTransport`]
+//! link pairs seeded by *fleet* index: the fleet samples, observes and
+//! passes each send through its faulty forward link, and this driver only
+//! frames each delivered payload onto the socket and closes the tick with
+//! a marker. In lockstep mode the server's feedback is read back each
+//! tick and rides its stream's reverse link to the producer, as an
+//! engine's does in [`kalstream_sim::run_fleet_ingest`]. So a fleet driven
+//! over sockets is bit-comparable, stream for stream, against the same
+//! fleet run through the simulator into a [`kalstream_core::FramingSink`]
+//! reference.
 //!
 //! Everything here is blocking `std::net` on the caller's thread; the one
 //! extra thread is throughput mode's `net-drain`, scoped to the call.
@@ -16,9 +21,13 @@ use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::thread;
 
+use bytes::Bytes;
 use kalstream_core::wire::WireMessage;
 use kalstream_core::StreamDecoder;
-use kalstream_sim::{FaultCounters, IngestStream, Link, LinkFaults, TrafficMetrics};
+use kalstream_sim::{
+    run_ingest_over, FaultCounters, IngestSink, IngestStream, LinkFaults, SimTransport,
+    TrafficMetrics,
+};
 
 use crate::codec::{
     decode_status, encode_hello, push_frame, push_marker, HelloStatus, STATUS_BYTES,
@@ -32,11 +41,14 @@ pub struct ClientConfig {
     pub ticks: u64,
     /// Per-message accounted overhead on each stream's link.
     pub overhead_bytes: usize,
-    /// Fault profile; stream `i` (global index) seeds `faults.seed ^ i`.
+    /// Fault profile; stream `i` (global index) draws
+    /// [`LinkFaults::forward`]`(i)` and [`LinkFaults::reverse`]`(i)`.
     pub faults: LinkFaults,
     /// Wait for the server's return marker each tick (deterministic
-    /// feedback delivery — requires the server's lockstep mode). When
-    /// `false` a second thread drains feedback concurrently instead.
+    /// feedback delivery — requires the server's lockstep mode): each
+    /// feedback payload read that tick rides its stream's reverse link to
+    /// the producer. When `false` a second thread drains feedback
+    /// concurrently and only counts it: there is no tick to deliver it at.
     pub lockstep: bool,
     /// Read the server's 13-byte [`HelloStatus`] reply right after the
     /// hello. Must match the server: durable servers always send it,
@@ -68,74 +80,6 @@ pub struct ClientReport {
     pub status: Option<HelloStatus>,
 }
 
-/// The per-connection source state: streams plus their fault links.
-struct Driver<'s, 'a> {
-    streams: &'s mut [IngestStream<'a>],
-    links: Vec<Link>,
-    observed: Vec<Vec<f64>>,
-    truth: Vec<Vec<f64>>,
-    wire: Vec<u8>,
-}
-
-impl<'s, 'a> Driver<'s, 'a> {
-    fn new(streams: &'s mut [IngestStream<'a>], global_base: u64, config: &ClientConfig) -> Self {
-        let links = (0..streams.len())
-            .map(|i| {
-                Link::with_faults(
-                    0,
-                    config.overhead_bytes,
-                    LinkFaults {
-                        seed: config.faults.seed ^ (global_base + i as u64),
-                        ..config.faults
-                    },
-                )
-            })
-            .collect();
-        let observed: Vec<Vec<f64>> = streams
-            .iter()
-            .map(|s| vec![0.0; s.producer.dim()])
-            .collect();
-        let truth = observed.clone();
-        Driver {
-            streams,
-            links,
-            observed,
-            truth,
-            wire: Vec::new(),
-        }
-    }
-
-    /// One tick: sample every stream, pass what ships through its fault
-    /// link, frame what the link delivers, close with a marker.
-    fn write_tick(
-        &mut self,
-        now: u64,
-        mut write: &TcpStream,
-        report: &mut ClientReport,
-    ) -> io::Result<()> {
-        self.wire.clear();
-        for (i, stream) in self.streams.iter_mut().enumerate() {
-            (stream.sampler)(&mut self.observed[i], &mut self.truth[i]);
-            if let Some(payload) = stream.producer.observe(now, &self.observed[i]) {
-                self.links[i].send_tagged(now, stream.stream_id, payload);
-            }
-            for msg in self.links[i].deliver(now) {
-                push_frame(&mut self.wire, msg.stream_id, &msg.payload);
-            }
-        }
-        push_marker(&mut self.wire);
-        report.socket_bytes_out += self.wire.len() as u64;
-        write.write_all(&self.wire)
-    }
-
-    fn finish(self, report: &mut ClientReport) {
-        for link in &self.links {
-            report.traffic.merge(link.traffic());
-            report.faults.merge(&link.fault_counters());
-        }
-    }
-}
-
 fn open(addr: &str, ids: &[u32], report: &mut ClientReport) -> io::Result<TcpStream> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true)?;
@@ -145,13 +89,52 @@ fn open(addr: &str, ids: &[u32], report: &mut ClientReport) -> io::Result<TcpStr
     Ok(stream)
 }
 
+/// The fleet's server side as a socket: delivered payloads are framed onto
+/// it, a marker closes each tick and, in lockstep, the tick's feedback is
+/// read back up to the server's return marker. The first I/O error ends
+/// all socket work; the fleet finishes its ticks, then it is returned.
+struct Socket<'c> {
+    conn: &'c TcpStream,
+    wire: Vec<u8>,
+    /// Lockstep only: reassembles the feedback direction.
+    feedback: Option<StreamDecoder>,
+    report: ClientReport,
+    error: Option<io::Error>,
+}
+
+impl IngestSink for Socket<'_> {
+    fn push(&mut self, stream_id: u32, payload: &Bytes) {
+        push_frame(&mut self.wire, stream_id, payload);
+    }
+
+    fn end_tick(&mut self) {
+        push_marker(&mut self.wire);
+        if self.error.is_none() {
+            self.report.socket_bytes_out += self.wire.len() as u64;
+            self.error = self.conn.write_all(&self.wire).err();
+        }
+        self.wire.clear();
+    }
+
+    fn feedback(&mut self, out: &mut dyn FnMut(u32, Bytes)) {
+        let Some(decoder) = self.feedback.as_mut().filter(|_| self.error.is_none()) else {
+            return;
+        };
+        let read = read_feedback(self.conn, decoder, &mut self.report, true, |id, body| {
+            out(id, Bytes::copy_from_slice(body));
+        });
+        self.error = read.err();
+    }
+}
+
 /// Connects, says hello for the streams' ids, and drives every tick.
 ///
-/// `global_base` is the fleet-wide index of `streams[0]` (fault seeds are
-/// per *fleet* stream index, matching the sim reference). The write side
-/// shuts down after the last tick. In lockstep mode each tick blocks on
-/// the server's return marker (reading that tick's feedback); otherwise a
-/// scoped `net-drain` thread reads feedback until the server closes.
+/// `global_base` is the fleet-wide index of `streams[0]`: stream `i` runs
+/// on the sim link pair of fleet stream `global_base + i`, matching the
+/// sim reference. The write side shuts down after the last tick. In
+/// lockstep mode each tick blocks on the server's return marker, handing
+/// that tick's feedback to the producers; otherwise a scoped `net-drain`
+/// thread reads feedback until the server closes.
 ///
 /// # Errors
 /// Socket errors on connect, hello and write; `InvalidData` when the server
@@ -165,60 +148,69 @@ pub fn drive_connection(
 ) -> io::Result<ClientReport> {
     let ids: Vec<u32> = streams.iter().map(|s| s.stream_id).collect();
     let mut report = ClientReport::default();
-    let stream = open(addr, &ids, &mut report)?;
-    let mut read = &stream;
+    let conn = open(addr, &ids, &mut report)?;
     if config.expect_status {
         let mut buf = [0u8; STATUS_BYTES];
-        read.read_exact(&mut buf)?;
+        (&conn).read_exact(&mut buf)?;
         let status =
             decode_status(&buf).map_err(|err| io::Error::new(io::ErrorKind::InvalidData, err))?;
         report.status = Some(status);
     }
-    let mut driver = Driver::new(streams, global_base, config);
+    let mut links: Vec<SimTransport> = (global_base..global_base + streams.len() as u64)
+        .map(|i| SimTransport::with_faults(0, config.overhead_bytes, config.faults.forward(i)))
+        .collect();
+    let mut socket = Socket {
+        conn: &conn,
+        wire: Vec::new(),
+        feedback: config.lockstep.then(StreamDecoder::new),
+        report,
+        error: None,
+    };
 
-    if config.lockstep {
-        let mut decoder = StreamDecoder::new();
-        for now in 0..config.ticks {
-            driver.write_tick(now, &stream, &mut report)?;
-            read_feedback(read, &mut decoder, &mut report, true)?;
-        }
-        stream.shutdown(Shutdown::Write)?;
+    let fleet = if config.lockstep {
+        let fleet = run_ingest_over(streams, &mut links, config.ticks, &mut socket);
+        socket.error.take().map_or(Ok(()), Err)?;
+        conn.shutdown(Shutdown::Write)?;
         // Late feedback until the server closes its side.
-        read_feedback(read, &mut decoder, &mut report, false)?;
+        let decoder = socket.feedback.as_mut().expect("lockstep reads feedback");
+        read_feedback(&conn, decoder, &mut socket.report, false, |_, _| {})?;
+        fleet
     } else {
-        let (acks, bounds) = thread::scope(|scope| {
+        thread::scope(|scope| {
             let drain = thread::Builder::new()
                 .name("net-drain".into())
-                .spawn_scoped(scope, || discard_feedback(&stream))?;
-            let sent = (0..config.ticks)
-                .try_for_each(|now| driver.write_tick(now, &stream, &mut report))
-                .and_then(|()| stream.shutdown(Shutdown::Write));
+                .spawn_scoped(scope, || discard_feedback(&conn))?;
+            let fleet = run_ingest_over(streams, &mut links, config.ticks, &mut socket);
+            let error = socket.error.take();
+            let sent = error.map_or_else(|| conn.shutdown(Shutdown::Write), Err);
             if sent.is_err() {
                 // The server may never close its side now; closing ours
                 // entirely is what lets the drain thread (and so the
                 // scope) finish.
-                let _ = stream.shutdown(Shutdown::Both);
+                let _ = conn.shutdown(Shutdown::Both);
             }
             let drained = drain
                 .join()
                 .unwrap_or_else(|_| Err(io::Error::other("feedback drain thread panicked")));
-            sent.and(drained)
-        })?;
-        report.acks = acks;
-        report.bounds = bounds;
-    }
-    driver.finish(&mut report);
-    Ok(report)
+            (socket.report.acks, socket.report.bounds) = sent.and(drained)?;
+            io::Result::Ok(fleet)
+        })?
+    };
+    socket.report.traffic = fleet.total_traffic;
+    socket.report.faults = fleet.faults;
+    Ok(socket.report)
 }
 
-/// Reads and counts feedback until the connection ends or — with
-/// `until_marker` — the server's return marker for this tick arrives. A
-/// server that is gone (EOF, read error) ends the tick like a marker does.
+/// Reads and counts feedback, handing each payload to `payload`, until the
+/// connection ends or — with `until_marker` — the server's return marker
+/// for this tick arrives. A server that is gone (EOF, read error) ends the
+/// tick like a marker does.
 fn read_feedback(
     mut read: &TcpStream,
     decoder: &mut StreamDecoder,
     report: &mut ClientReport,
     until_marker: bool,
+    mut payload: impl FnMut(u32, &[u8]),
 ) -> io::Result<()> {
     let mut chunk = [0u8; 4096];
     loop {
@@ -226,19 +218,21 @@ fn read_feedback(
             Ok(0) | Err(_) => return Ok(()),
             Ok(n) => n,
         };
-        if count_feedback(decoder, &chunk[..n], report)? && until_marker {
+        if count_feedback(decoder, &chunk[..n], report, &mut payload)? && until_marker {
             return Ok(());
         }
     }
 }
 
-/// Feeds a feedback chunk, counting acks/bounds; `true` once a tick
-/// marker was seen. The bytes come from the peer: a length prefix over the
-/// frame cap is `InvalidData`, never a panic.
+/// Feeds a feedback chunk, counting acks/bounds and handing every payload
+/// to `payload`; `true` once a tick marker was seen. The bytes come from
+/// the peer: a length prefix over the frame cap is `InvalidData`, never a
+/// panic.
 fn count_feedback(
     decoder: &mut StreamDecoder,
     chunk: &[u8],
     report: &mut ClientReport,
+    payload: &mut impl FnMut(u32, &[u8]),
 ) -> io::Result<bool> {
     let mut marker = false;
     decoder
@@ -252,6 +246,7 @@ fn count_feedback(
                 Ok(WireMessage::Bound { .. }) => report.bounds += 1,
                 _ => {}
             }
+            payload(stream_id, body);
         })
         .map_err(|err| io::Error::new(io::ErrorKind::InvalidData, err))?;
     Ok(marker)
@@ -262,9 +257,9 @@ fn count_feedback(
 /// drained (zero sheds) while the write side blasts ticks. Returns
 /// `(acks, bounds)` read before the server closed.
 fn discard_feedback(read: &TcpStream) -> io::Result<(u64, u64)> {
-    let mut report = ClientReport::default();
-    read_feedback(read, &mut StreamDecoder::new(), &mut report, false)?;
-    Ok((report.acks, report.bounds))
+    let (mut counts, mut decoder) = (ClientReport::default(), StreamDecoder::new());
+    read_feedback(read, &mut decoder, &mut counts, false, |_, _| {})?;
+    Ok((counts.acks, counts.bounds))
 }
 
 #[cfg(test)]

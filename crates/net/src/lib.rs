@@ -21,7 +21,9 @@
 //!   accept/read/route server (a reader and a writer thread per
 //!   connection) feeding the sharded [`kalstream_core::IngestPipeline`],
 //!   and the matching source-side connection driver (a blocking call on
-//!   the caller's thread). Per-connection feedback queues are bounded; sheds
+//!   the caller's thread that frames the simulator's own source half and,
+//!   in lockstep, hands feedback to the producers). Per-connection
+//!   feedback queues are bounded; sheds
 //!   are counted (including during drain) and exported through
 //!   `kalstream-obs` snapshots. With `NetServerConfig::durable` set the
 //!   server runs behind `kalstream-durable`'s WAL-append-before-apply

@@ -3,10 +3,11 @@
 //!
 //! Both ends live in the calling process — the producer writes wire-v3
 //! frames into one loopback socket, the consumer reads them back out of
-//! the accepted peer — so a single [`kalstream_sim::Session`] tick loop
-//! drives real kernel sockets, real framing, and real byte-stream
-//! reassembly ([`StreamDecoder`]) while keeping the deterministic tick
-//! clock the protocol's precision contract is stated in.
+//! the accepted peer — so the simulator's one fleet tick loop
+//! ([`kalstream_sim::run_lockstep_over`]) drives real kernel sockets, real
+//! framing, and real byte-stream reassembly ([`StreamDecoder`]) while
+//! keeping the deterministic tick clock the protocol's precision contract
+//! is stated in.
 //!
 //! Determinism under faults: TCP never loses or reorders bytes, so fault
 //! injection happens *before* the socket, in the exact [`Link`] machinery
@@ -28,7 +29,7 @@ use std::net::{Shutdown, TcpListener, TcpStream};
 
 use bytes::Bytes;
 use kalstream_core::StreamDecoder;
-use kalstream_sim::{Link, LinkFaults, Tick, Transport, TransportStats, ACK_SEED_OFFSET};
+use kalstream_sim::{Link, LinkFaults, Tick, Transport, TransportStats};
 
 use crate::codec::{feed_ticks, push_frame, push_marker, TICK_MARKER_STREAM};
 
@@ -68,7 +69,7 @@ impl TcpTransport {
 
     /// Like [`TcpTransport::connect`], with the given fault profile on the
     /// forward path; the feedback path seeds from
-    /// `faults.seed ^ ACK_SEED_OFFSET`, exactly like
+    /// [`LinkFaults::reverse`]`(0)`, exactly like
     /// [`kalstream_sim::SimTransport::with_faults`].
     pub fn with_faults(
         latency: Tick,
@@ -80,15 +81,8 @@ impl TcpTransport {
         Ok(TcpTransport {
             listener,
             pair,
-            forward: Link::with_faults(latency, overhead_bytes, faults),
-            feedback: Link::with_faults(
-                latency,
-                overhead_bytes,
-                LinkFaults {
-                    seed: faults.seed ^ ACK_SEED_OFFSET,
-                    ..faults
-                },
-            ),
+            forward: Link::with_faults(latency, overhead_bytes, faults.forward(0)),
+            feedback: Link::with_faults(latency, overhead_bytes, faults.reverse(0)),
             fwd_decoder: StreamDecoder::new(),
             fb_decoder: StreamDecoder::new(),
             kill_at: Vec::new(),
@@ -219,13 +213,13 @@ impl Transport for TcpTransport {
         self.forward.send_tagged(now, stream_id, payload);
     }
 
-    fn recv(&mut self, now: Tick, sink: &mut dyn FnMut(u32, Bytes)) {
+    fn recv(&mut self, now: Tick, mut sink: impl FnMut(u32, Bytes)) {
         let _ = now;
         TcpTransport::read_tick(
             &self.pair.server,
             &mut self.fwd_decoder,
             &mut self.socket_bytes_in,
-            sink,
+            &mut sink,
         );
     }
 
@@ -233,7 +227,7 @@ impl Transport for TcpTransport {
         self.feedback.send_tagged(now, stream_id, payload);
     }
 
-    fn recv_feedback(&mut self, now: Tick, sink: &mut dyn FnMut(u32, Bytes)) {
+    fn recv_feedback(&mut self, now: Tick, mut sink: impl FnMut(u32, Bytes)) {
         // The feedback direction flushes lazily: due frames are written
         // here (consumer side), then immediately read back (producer side)
         // — within one tick, matching the sim's same-tick ack delivery.
@@ -242,7 +236,7 @@ impl Transport for TcpTransport {
             &self.pair.client,
             &mut self.fb_decoder,
             &mut self.socket_bytes_in,
-            sink,
+            &mut sink,
         );
     }
 
@@ -297,7 +291,7 @@ mod tests {
 
     /// Drives both transports through the same schedule and collects
     /// per-tick deliveries.
-    fn drive(t: &mut dyn Transport, ticks: Tick) -> (DeliveryLog, DeliveryLog) {
+    fn drive(t: &mut impl Transport, ticks: Tick) -> (DeliveryLog, DeliveryLog) {
         let mut fwd = Vec::new();
         let mut fb = Vec::new();
         for now in 0..ticks {
@@ -305,11 +299,11 @@ mod tests {
                 t.send(now, now as u32, payload(format!("m{now}").as_bytes()));
             }
             t.end_tick(now);
-            t.recv(now, &mut |id, p| fwd.push((now, id, p)));
+            t.recv(now, |id, p| fwd.push((now, id, p)));
             if now % 4 == 1 {
                 t.send_feedback(now, now as u32, payload(b"ack"));
             }
-            t.recv_feedback(now, &mut |id, p| fb.push((now, id, p)));
+            t.recv_feedback(now, |id, p| fb.push((now, id, p)));
         }
         t.shutdown();
         (fwd, fb)
@@ -353,8 +347,8 @@ mod tests {
         for now in 0..10u64 {
             tcp.send(now, now as u32, payload(b"x"));
             tcp.end_tick(now);
-            tcp.recv(now, &mut |id, _| got.push(id));
-            tcp.recv_feedback(now, &mut |_, _| {});
+            tcp.recv(now, |id, _| got.push(id));
+            tcp.recv_feedback(now, |_, _| {});
         }
         assert_eq!(tcp.reconnects(), 1);
         // Tick 5's frame died with the connection; everything else landed.

@@ -12,7 +12,7 @@ use kalstream_gen::{
     synthetic::{OrnsteinUhlenbeck, RandomWalk, Sinusoid},
     Stream,
 };
-use kalstream_sim::IngestStream;
+use kalstream_sim::{BoxedSampler, IngestStream};
 
 /// Precision bound per stream family (≈ one natural step of the process).
 fn delta_for(id: u32) -> f64 {
@@ -80,33 +80,39 @@ pub fn server_endpoints_acked(n: u32, ack_timeout: u64) -> Vec<(u32, ServerEndpo
 /// Source side of the canonical workload: ingest streams for `ids`, each
 /// replaying its first (endpoint-seeding) sample on tick 0.
 pub fn source_streams(ids: &[u32]) -> Vec<IngestStream<'static>> {
-    source_streams_inner(ids, None)
+    sources(ids, None)
+        .into_iter()
+        .map(|(stream_id, source, sampler)| IngestStream {
+            stream_id,
+            producer: Box::new(source),
+            sampler,
+        })
+        .collect()
 }
 
-/// [`source_streams`] with ack-based loss recovery enabled, matching
-/// [`server_endpoints_acked`].
-pub fn source_streams_acked(ids: &[u32], ack_timeout: u64) -> Vec<IngestStream<'static>> {
-    source_streams_inner(ids, Some(ack_timeout))
-}
-
-fn source_streams_inner(ids: &[u32], ack_timeout: Option<u64>) -> Vec<IngestStream<'static>> {
+/// What [`source_streams`] boxes into each [`IngestStream`], unboxed —
+/// `(id, source, sampler)` — so a caller can read every source endpoint
+/// after a run (resyncs, acked seq). `ack_timeout` enables ack-based loss
+/// recovery, matching [`server_endpoints_acked`].
+pub fn sources(
+    ids: &[u32],
+    ack_timeout: Option<u64>,
+) -> Vec<(u32, SourceEndpoint, BoxedSampler<'static>)> {
     ids.iter()
         .map(|&id| {
             let (source, _, mut gen, first) = build_stream(id, ack_timeout);
             let dim = gen.dim();
             let mut first_pending = Some(first);
-            IngestStream {
-                stream_id: id,
-                producer: Box::new(source),
-                sampler: Box::new(move |obs: &mut [f64], tru: &mut [f64]| {
+            let sampler: BoxedSampler<'static> =
+                Box::new(move |obs: &mut [f64], tru: &mut [f64]| {
                     if let Some(f) = first_pending.take() {
                         obs[..dim].copy_from_slice(&f);
                         tru[..dim].copy_from_slice(&f);
                     } else {
                         gen.next_into(obs, tru);
                     }
-                }),
-            }
+                });
+            (id, source, sampler)
         })
         .collect()
 }
@@ -153,7 +159,13 @@ mod tests {
         let endpoints = server_endpoints(6);
         let mut sink =
             kalstream_core::FramingSink::new(kalstream_core::SequentialIngest::new(endpoints));
-        let report = kalstream_sim::run_fleet_ingest(&mut streams, 64, 8, &mut sink);
+        let report = kalstream_sim::run_fleet_ingest(
+            &mut streams,
+            64,
+            8,
+            kalstream_sim::LinkFaults::default(),
+            &mut sink,
+        );
         assert_eq!(report.ticks, 64);
         assert!(report.total_traffic.messages() > 0);
         let result = sink.into_inner().finish();

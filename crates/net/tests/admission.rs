@@ -11,7 +11,7 @@ use std::net::TcpStream;
 use crossbeam::channel::{bounded, TrySendError};
 use kalstream_core::{FramingSink, SequentialIngest};
 use kalstream_net::{workload, ClientConfig, NetServer, NetServerConfig};
-use kalstream_sim::{run_fleet_ingest_faulty, LinkFaults};
+use kalstream_sim::{run_fleet_ingest, LinkFaults};
 
 const STREAMS: u32 = 6;
 const TICKS: u64 = 40;
@@ -21,7 +21,7 @@ const OVERHEAD: usize = 8;
 fn silent_and_bad_magic_connections_do_not_disturb_the_fleet() {
     let ids: Vec<u32> = (0..STREAMS).collect();
     let mut sink = FramingSink::new(SequentialIngest::new(workload::server_endpoints(STREAMS)));
-    run_fleet_ingest_faulty(
+    run_fleet_ingest(
         &mut workload::source_streams(&ids),
         TICKS,
         OVERHEAD,

@@ -8,7 +8,9 @@
 use kalstream_core::{ProtocolConfig, ServerEndpoint, SessionSpec, SourceEndpoint};
 use kalstream_gen::{synthetic::RandomWalk, Stream};
 use kalstream_net::TcpTransport;
-use kalstream_sim::{Session, SessionConfig, SessionReport, SimTransport, Transport};
+use kalstream_sim::{
+    run_lockstep_over, LockstepStream, SessionConfig, SessionReport, SimTransport, Transport,
+};
 use proptest::prelude::*;
 
 /// A boxed sampler filling `(observed, truth)` slices each tick.
@@ -42,22 +44,23 @@ fn build(
 }
 
 fn run_over(
-    transport: &mut dyn Transport,
+    transport: &mut impl Transport,
     config: &SessionConfig,
     seed: u64,
     ack_timeout: Option<u64>,
 ) -> (SessionReport, ServerEndpoint, u64) {
-    let (mut source, mut server, sampler) = build(seed, config.delta, ack_timeout);
-    let report = Session::run_with_transport(
-        config,
-        transport,
+    let (source, server, sampler) = build(seed, config.delta, ack_timeout);
+    let mut fleet = [LockstepStream {
+        producer: source,
+        consumer: server,
         sampler,
-        &mut source,
-        &mut server,
-        &mut (),
-    );
-    let syncs = server.syncs_applied();
-    (report, server, syncs)
+    }];
+    let transport = std::slice::from_mut(transport);
+    let report = run_lockstep_over(config, &mut fleet, transport, |_, _, _| {});
+    let [stream] = fleet;
+    let syncs = stream.consumer.syncs_applied();
+    let session = report.sessions.into_iter().next().expect("a fleet of one");
+    (session, stream.consumer, syncs)
 }
 
 fn filter_bits(ep: &ServerEndpoint) -> Vec<u64> {

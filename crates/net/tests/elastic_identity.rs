@@ -24,7 +24,13 @@ fn reference() -> IngestResult {
     let ids: Vec<u32> = (0..STREAMS).collect();
     let mut fleet = workload::source_streams(&ids);
     let mut sink = FramingSink::new(SequentialIngest::new(workload::server_endpoints(STREAMS)));
-    run_fleet_ingest(&mut fleet, TICKS, OVERHEAD, &mut sink);
+    run_fleet_ingest(
+        &mut fleet,
+        TICKS,
+        OVERHEAD,
+        LinkFaults::default(),
+        &mut sink,
+    );
     sink.into_inner().finish()
 }
 
@@ -207,6 +213,7 @@ fn durable_elastic_server_crash_recovers_bit_identically() {
         &mut workload::source_streams(&ids),
         TICKS,
         OVERHEAD,
+        LinkFaults::default(),
         &mut recorder,
     );
     let traffic = recorder.into_inner().0;

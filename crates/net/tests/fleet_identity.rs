@@ -3,15 +3,23 @@
 //! filter state the simulator's ingest mode produces through the
 //! sequential reference — reliable or lossy, lockstep or throughput mode —
 //! and a durable server restarted after a clean shutdown resumes that
-//! state without replaying anything.
+//! state without replaying anything. With acks on, the feedback both
+//! sides hand back to the sources matches too.
 
 use std::io::{Read as _, Write as _};
 
-use kalstream_core::{FramingSink, IngestResult, SequentialIngest};
+use bytes::Bytes;
+use kalstream_core::{
+    FramingSink, IngestPipeline, IngestResult, SequentialIngest, ShardAssignment, SourceEndpoint,
+};
 use kalstream_durable::DurableConfig;
 use kalstream_net::codec::{decode_status, encode_hello, STATUS_BYTES};
-use kalstream_net::{workload, ClientConfig, HelloStatus, NetServer, NetServerConfig};
-use kalstream_sim::{run_fleet_ingest_faulty, LinkFaults};
+use kalstream_net::{
+    workload, ClientConfig, ClientReport, HelloStatus, NetReport, NetServer, NetServerConfig,
+};
+use kalstream_sim::{
+    run_fleet_ingest, IngestFleetReport, IngestStream, LinkFaults, Producer, TrafficMetrics,
+};
 
 const OVERHEAD: usize = 8;
 
@@ -21,8 +29,54 @@ fn reference(streams: u32, ticks: u64, faults: LinkFaults) -> IngestResult {
     let ids: Vec<u32> = (0..streams).collect();
     let mut fleet = workload::source_streams(&ids);
     let mut sink = FramingSink::new(SequentialIngest::new(workload::server_endpoints(streams)));
-    run_fleet_ingest_faulty(&mut fleet, ticks, OVERHEAD, faults, &mut sink);
+    run_fleet_ingest(&mut fleet, ticks, OVERHEAD, faults, &mut sink);
     sink.into_inner().finish()
+}
+
+/// A source endpoint that counts the feedback it is handed.
+struct Counted<'a> {
+    source: &'a mut SourceEndpoint,
+    feedback: &'a mut u64,
+}
+
+impl Producer for Counted<'_> {
+    fn dim(&self) -> usize {
+        self.source.dim()
+    }
+    fn observe(&mut self, now: u64, observed: &[f64]) -> Option<Bytes> {
+        self.source.observe(now, observed)
+    }
+    fn feedback(&mut self, now: u64, payload: &Bytes) {
+        *self.feedback += 1;
+        self.source.feedback(now, payload);
+    }
+}
+
+/// Per source after a run: `(resyncs, feedback payloads delivered)`.
+type SourceOutcome = Vec<(u64, u64)>;
+
+/// Runs the workload's sources for `ids` through `drive` and reads each
+/// one back afterwards.
+fn with_sources<R>(
+    ids: &[u32],
+    ack_timeout: Option<u64>,
+    drive: impl FnOnce(&mut [IngestStream<'_>]) -> R,
+) -> (R, SourceOutcome) {
+    let mut parts = workload::sources(ids, ack_timeout);
+    let mut delivered = vec![0u64; ids.len()];
+    let mut streams: Vec<IngestStream<'_>> = parts
+        .iter_mut()
+        .zip(&mut delivered)
+        .map(|((id, source, sampler), feedback)| IngestStream {
+            stream_id: *id,
+            producer: Box::new(Counted { source, feedback }),
+            sampler: Box::new(|obs: &mut [f64], tru: &mut [f64]| sampler(obs, tru)),
+        })
+        .collect();
+    let out = drive(&mut streams);
+    drop(streams);
+    let outcome = parts.iter().map(|(_, source, _)| source.resyncs());
+    (out, outcome.zip(delivered).collect())
 }
 
 /// The system under test: the same workload over `conns` real TCP
@@ -35,19 +89,15 @@ fn over_tcp(
     lockstep: bool,
     shards: usize,
     batched: bool,
-) -> kalstream_net::NetReport {
+) -> NetReport {
     over_tcp_inner(
         streams, conns, ticks, faults, lockstep, shards, batched, None,
     )
+    .net
 }
 
 /// [`over_tcp`] with sequenced syncs + ack feedback enabled, lockstep.
-fn over_tcp_acked(
-    streams: u32,
-    conns: usize,
-    ticks: u64,
-    ack_timeout: u64,
-) -> kalstream_net::NetReport {
+fn over_tcp_acked(streams: u32, conns: usize, ticks: u64, ack_timeout: u64) -> TcpRun {
     over_tcp_inner(
         streams,
         conns,
@@ -60,6 +110,15 @@ fn over_tcp_acked(
     )
 }
 
+/// Both ends of one TCP run.
+struct TcpRun {
+    net: NetReport,
+    /// Per connection, in connection order.
+    clients: Vec<ClientReport>,
+    /// Per stream, in id order.
+    sources: SourceOutcome,
+}
+
 #[allow(clippy::too_many_arguments)]
 fn over_tcp_inner(
     streams: u32,
@@ -70,7 +129,7 @@ fn over_tcp_inner(
     shards: usize,
     batched: bool,
     ack_timeout: Option<u64>,
-) -> kalstream_net::NetReport {
+) -> TcpRun {
     assert_eq!(streams as usize % conns, 0);
     let per_conn = streams as usize / conns;
     let endpoints = match ack_timeout {
@@ -104,19 +163,25 @@ fn over_tcp_inner(
             std::thread::spawn(move || {
                 let base = (conn * per_conn) as u64;
                 let ids: Vec<u32> = (0..per_conn).map(|k| base as u32 + k as u32).collect();
-                let mut fleet = match ack_timeout {
-                    Some(t) => workload::source_streams_acked(&ids, t),
-                    None => workload::source_streams(&ids),
-                };
-                kalstream_net::drive_connection(&addr, &mut fleet, base, &config)
-                    .expect("connection")
+                with_sources(&ids, ack_timeout, |fleet| {
+                    kalstream_net::drive_connection(&addr, fleet, base, &config)
+                        .expect("connection")
+                })
             })
         })
         .collect();
+    let mut clients = Vec::new();
+    let mut sources = Vec::new();
     for t in client_threads {
-        t.join().expect("client thread");
+        let (client, outcome) = t.join().expect("client thread");
+        clients.push(client);
+        sources.extend(outcome);
     }
-    server.join().expect("server")
+    TcpRun {
+        net: server.join().expect("server"),
+        clients,
+        sources,
+    }
 }
 
 fn assert_clean_and_identical(report: &kalstream_net::NetReport, reference: &IngestResult) {
@@ -237,7 +302,7 @@ fn clean_shutdown_on_a_cadence_barrier_snapshots_it_once() {
 fn lockstep_fleet_receives_acks() {
     // Sequenced feedback flows back over the sockets: in lockstep mode
     // every ack is routed before the tick is acknowledged, so none shed.
-    let report = over_tcp_acked(6, 2, 40, 8);
+    let report = over_tcp_acked(6, 2, 40, 8).net;
     let sent: u64 = report.conns.iter().map(|c| c.feedback_sent).sum();
     let polled: u64 = report.ingest.shards.iter().map(|s| s.feedback_out).sum();
     assert!(polled > 0, "pipeline polled no feedback");
@@ -248,4 +313,94 @@ fn lockstep_fleet_receives_acks() {
     assert_eq!(snap.counter("net.shed"), Some(0));
     assert_eq!(snap.counter("net.conns"), Some(2));
     assert!(snap.gauge("net.conn.0.queue_high_water").is_some());
+}
+
+/// A reliable acked fleet in lockstep hands every ack to its producer, so
+/// no sync ever goes overdue: zero timeout resyncs. A client that only
+/// counted the acks would resend each sync as a forced Model + State
+/// resync `ack_timeout` ticks after it shipped.
+#[test]
+fn lockstep_client_hands_acks_to_its_producers() {
+    let run = over_tcp_acked(6, 2, 40, 8);
+    assert!(
+        run.sources.iter().all(|&(_, fed)| fed > 0),
+        "{:?}",
+        run.sources
+    );
+    assert_eq!(
+        run.sources
+            .iter()
+            .map(|&(resyncs, _)| resyncs)
+            .collect::<Vec<_>>(),
+        vec![0; 6],
+        "a sync went overdue although its ack came back"
+    );
+}
+
+/// The simulator's ingest mode with feedback: the workload through
+/// per-stream faulty links into a feedback-returning pipeline, whose acks
+/// ride each stream's reverse link back to its producer.
+fn sim_acked(
+    streams: u32,
+    ticks: u64,
+    faults: LinkFaults,
+    ack_timeout: u64,
+    shards: usize,
+) -> (IngestFleetReport, IngestResult, SourceOutcome, u64) {
+    let (tx, rx) = crossbeam::channel::unbounded();
+    let pipeline = IngestPipeline::start_with(
+        ShardAssignment::modulo(shards),
+        workload::server_endpoints_acked(streams, ack_timeout),
+        false,
+        Some(tx),
+    );
+    let mut sink = FramingSink::with_feedback(pipeline, rx);
+    let ids: Vec<u32> = (0..streams).collect();
+    let (report, sources) = with_sources(&ids, Some(ack_timeout), |fleet| {
+        run_fleet_ingest(fleet, ticks, OVERHEAD, faults, &mut sink)
+    });
+    let result = sink.into_inner().finish();
+    let polled = result.shards.iter().map(|s| s.feedback_out).sum();
+    (report, result, sources, polled)
+}
+
+/// Sim-driven ingest with feedback ≡ the same fleet through `NetServer`
+/// over real sockets, with acks on and 10 % loss in both directions: the
+/// same filter bits, forward traffic, feedback delivered and resyncs,
+/// stream for stream.
+#[test]
+fn lossy_acked_sim_ingest_matches_the_fleet_over_tcp() {
+    let (streams, ticks, ack_timeout) = (8u32, 120u64, 6u64);
+    let faults = LinkFaults {
+        loss: 0.1,
+        seed: 31,
+        ..LinkFaults::default()
+    };
+    let (sim, sim_result, sim_sources, polled) = sim_acked(streams, ticks, faults, ack_timeout, 2);
+    let tcp = over_tcp_inner(streams, 2, ticks, faults, true, 2, false, Some(ack_timeout));
+
+    assert_clean_and_identical(&tcp.net, &sim_result);
+    let mut tcp_traffic = TrafficMetrics::default();
+    let mut tcp_dropped = 0;
+    for client in &tcp.clients {
+        tcp_traffic.merge(&client.traffic);
+        tcp_dropped += client.faults.dropped;
+    }
+    assert_eq!(sim.total_traffic, tcp_traffic, "forward messages");
+    assert_eq!(sim.faults.dropped, tcp_dropped);
+    assert_eq!(sim_sources, tcp.sources, "per source (resyncs, feedback)");
+    let routed: u64 = tcp.net.conns.iter().map(|c| c.feedback_sent).sum();
+    assert_eq!(
+        (routed, sim.feedback.messages()),
+        (polled, polled),
+        "feedback sent"
+    );
+
+    // Not vacuous: both directions lost messages, acks still got through,
+    // and the ack timeout fired.
+    assert!(sim.faults.dropped > 0, "no forward message dropped");
+    let delivered: u64 = sim_sources.iter().map(|&(_, fed)| fed).sum();
+    assert!(delivered > 0, "no ack reached a producer");
+    assert!(delivered < polled, "no feedback dropped on a reverse link");
+    assert!(sim_sources.iter().any(|&(resyncs, _)| resyncs > 0));
 }

@@ -1,16 +1,19 @@
-//! Parallel execution of many independent sessions (experiment F7's
-//! 100-stream fleet and every parameter sweep), plus the multiplexed
-//! ingest-mode fleet driver.
+//! The one fleet tick loop and its entries — lockstep fleets of
+//! per-stream consumers, the multiplexed ingest mode — plus parallel
+//! execution of many independent sessions (experiment F7's 100-stream
+//! fleet and every parameter sweep).
 
+use std::collections::HashMap;
+
+use bytes::Bytes;
 use crossbeam::channel;
 use kalstream_obs::{Registry, Snapshot};
 
 use crate::{
     metrics::{DeliveryStats, ErrorMetrics, FaultCounters},
     runner::max_norm_diff,
-    transport::ACK_SEED_OFFSET,
-    Consumer, IngestSink, Link, LinkFaults, Producer, SessionConfig, SessionReport, Tick,
-    TrafficMetrics,
+    Consumer, IngestSink, LinkFaults, Producer, SessionConfig, SessionReport, SimTransport, Tick,
+    TrafficMetrics, Transport,
 };
 
 /// Aggregated result of a fleet run: per-session reports in submission
@@ -28,6 +31,24 @@ pub struct FleetReport {
 }
 
 impl FleetReport {
+    /// Sums the per-session reports into fleet totals.
+    fn new(sessions: Vec<SessionReport>) -> FleetReport {
+        let mut total_traffic = TrafficMetrics::default();
+        let mut total_faults = FaultCounters::default();
+        let mut total_delivery = DeliveryStats::default();
+        for s in &sessions {
+            total_traffic.merge(&s.traffic);
+            total_faults.merge(&s.faults);
+            total_delivery.merge(&s.delivery);
+        }
+        FleetReport {
+            sessions,
+            total_traffic,
+            total_faults,
+            total_delivery,
+        }
+    }
+
     /// Total messages across the fleet.
     pub fn total_messages(&self) -> u64 {
         self.total_traffic.messages()
@@ -125,24 +146,12 @@ where
     while let Ok((idx, report)) = report_rx.recv() {
         slots[idx] = Some(report);
     }
-    let sessions: Vec<SessionReport> = slots
-        .into_iter()
-        .map(|r| r.expect("every job ran"))
-        .collect();
-    let mut total_traffic = TrafficMetrics::default();
-    let mut total_faults = FaultCounters::default();
-    let mut total_delivery = DeliveryStats::default();
-    for s in &sessions {
-        total_traffic.merge(&s.traffic);
-        total_faults.merge(&s.faults);
-        total_delivery.merge(&s.delivery);
-    }
-    FleetReport {
-        sessions,
-        total_traffic,
-        total_faults,
-        total_delivery,
-    }
+    FleetReport::new(
+        slots
+            .into_iter()
+            .map(|r| r.expect("every job ran"))
+            .collect(),
+    )
 }
 
 /// A boxed `(observed, truth)` sampler, as carried by [`IngestStream`].
@@ -247,7 +256,7 @@ pub struct IngestStream<'a> {
 
 /// Traffic outcome of an ingest-mode fleet run (source side; the server
 /// side's per-shard story comes from the sink's own reporting).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct IngestFleetReport {
     /// Ticks simulated.
     pub ticks: u64,
@@ -255,12 +264,28 @@ pub struct IngestFleetReport {
     pub total_traffic: TrafficMetrics,
     /// Per-stream traffic, index-aligned with the submitted streams.
     pub per_stream: Vec<TrafficMetrics>,
-    /// Fault injections summed over every stream's link (all zero for the
-    /// reliable [`run_fleet_ingest`] path).
+    /// Fault injections summed over every stream's forward link.
     pub faults: FaultCounters,
+    /// The sink's feedback summed over every stream's reverse link.
+    pub feedback: TrafficMetrics,
 }
 
 impl IngestFleetReport {
+    /// Sums the links' accounting after `ticks` ticks.
+    fn new<T: Transport>(ticks: u64, links: &[T]) -> IngestFleetReport {
+        let mut report = IngestFleetReport {
+            ticks,
+            ..IngestFleetReport::default()
+        };
+        for stats in links.iter().map(Transport::stats) {
+            report.total_traffic.merge(&stats.forward);
+            report.faults.merge(&stats.faults);
+            report.feedback.merge(&stats.feedback);
+            report.per_stream.push(stats.forward);
+        }
+        report
+    }
+
     /// The fleet-aggregated snapshot (`fleet.*` metrics) of the source
     /// side of an ingest run.
     pub fn snapshot(&self) -> Snapshot {
@@ -270,6 +295,7 @@ impl IngestFleetReport {
         fleet.counter("ticks", self.ticks);
         fleet.observe("traffic", &self.total_traffic);
         fleet.observe("faults", &self.faults);
+        fleet.observe("feedback", &self.feedback);
         reg.snapshot()
     }
 
@@ -282,90 +308,6 @@ impl IngestFleetReport {
             stream.observe("traffic", traffic);
         }
         reg.snapshot()
-    }
-}
-
-/// Drives many streams against one multiplexed [`IngestSink`] — the
-/// server-side ingest mode, where the fleet's traffic converges on a single
-/// batched channel instead of one consumer per session.
-///
-/// Per tick: every stream samples and may transmit (through its own
-/// zero-latency [`Link`], which prices each message with `overhead_bytes`
-/// of framing); every delivered message is pushed into the sink tagged with
-/// its stream id; then [`IngestSink::end_tick`] closes the tick, advancing
-/// all server-side endpoints at once. Zero latency preserves the protocol's
-/// correction-visible-same-tick semantics, so an ingest-mode server is
-/// bit-identical to the same endpoints run through [`crate::Session::run`].
-pub fn run_fleet_ingest<S: IngestSink + ?Sized>(
-    streams: &mut [IngestStream<'_>],
-    ticks: u64,
-    overhead_bytes: usize,
-    sink: &mut S,
-) -> IngestFleetReport {
-    run_fleet_ingest_faulty(streams, ticks, overhead_bytes, LinkFaults::default(), sink)
-}
-
-/// [`run_fleet_ingest`] with fault injection on every stream's link.
-///
-/// Each stream gets its own fault RNG, seeded from `faults.seed` xor'd with
-/// the stream's index, so per-stream fault schedules are independent but the
-/// whole fleet run stays deterministic for a given profile. A no-op profile
-/// (`faults.is_noop()`) degenerates to the reliable path bit-for-bit.
-pub fn run_fleet_ingest_faulty<S: IngestSink + ?Sized>(
-    streams: &mut [IngestStream<'_>],
-    ticks: u64,
-    overhead_bytes: usize,
-    faults: LinkFaults,
-    sink: &mut S,
-) -> IngestFleetReport {
-    let mut links: Vec<Link> = streams
-        .iter()
-        .enumerate()
-        .map(|(i, _)| {
-            Link::with_faults(
-                0,
-                overhead_bytes,
-                LinkFaults {
-                    seed: faults.seed ^ i as u64,
-                    ..faults
-                },
-            )
-        })
-        .collect();
-    let mut observed: Vec<Vec<f64>> = streams
-        .iter()
-        .map(|s| vec![0.0; s.producer.dim()])
-        .collect();
-    let mut truth: Vec<Vec<f64>> = streams
-        .iter()
-        .map(|s| vec![0.0; s.producer.dim()])
-        .collect();
-    for now in 0..ticks {
-        for (i, stream) in streams.iter_mut().enumerate() {
-            (stream.sampler)(&mut observed[i], &mut truth[i]);
-            if let Some(payload) = stream.producer.observe(now, &observed[i]) {
-                links[i].send_tagged(now, stream.stream_id, payload);
-            }
-            for msg in links[i].deliver(now) {
-                sink.push(msg.stream_id, &msg.payload);
-            }
-        }
-        sink.end_tick();
-    }
-    let per_stream: Vec<TrafficMetrics> = links.iter().map(|l| l.traffic().clone()).collect();
-    let mut total_traffic = TrafficMetrics::default();
-    for t in &per_stream {
-        total_traffic.merge(t);
-    }
-    let mut fault_totals = FaultCounters::default();
-    for l in &links {
-        fault_totals.merge(&l.fault_counters());
-    }
-    IngestFleetReport {
-        ticks,
-        total_traffic,
-        per_stream,
-        faults: fault_totals,
     }
 }
 
@@ -394,25 +336,195 @@ pub struct LockstepTick<'t> {
     /// ([`Consumer::served_variance`]), `None` for consumers that track no
     /// uncertainty. Query layers use this to serve distributional answers.
     pub variances: &'t [Option<f64>],
+    /// Per-stream forward messages sent so far (what each link charged).
+    pub sent: &'t [u64],
 }
 
-/// Drives many sessions in lockstep — all streams advance through the same
-/// tick together — and fires a fleet-level hook after each tick.
-///
-/// Per stream, each tick follows [`crate::Session::run`]'s order exactly
-/// (sample → observe → deliver → estimate → feedback poll → feedback
-/// deliver → score), so with a no-op hook a lockstep stream is
-/// bit-identical to the same endpoints run through `Session::run` alone.
-/// The hook then sees the whole fleet at once — this is where a consumer-side
-/// controller (e.g. a query graph re-granting deltas) reads every
-/// server's state and pushes per-stream control back into the endpoints;
-/// feedback queued by the hook at tick `t` rides the reverse link when it is
-/// next polled, at tick `t + 1`.
-///
-/// Fault determinism matches the other fleet drivers: stream `i`'s forward
-/// link seeds from `faults.seed ^ i` and its reverse link from
-/// `(faults.seed ^ ACK_SEED_OFFSET) ^ i`, so per-stream schedules are
-/// independent but the run is reproducible.
+type SamplerMut<'r> = &'r mut (dyn FnMut(&mut [f64], &mut [f64]) + 'r);
+
+/// One stream's source side: the sampler and the producer it lends.
+trait Source {
+    type Producer: Producer + ?Sized;
+    fn parts(&mut self) -> (SamplerMut<'_>, &mut Self::Producer);
+}
+
+impl<P: Producer, C> Source for LockstepStream<'_, P, C> {
+    type Producer = P;
+    fn parts(&mut self) -> (SamplerMut<'_>, &mut P) {
+        (&mut *self.sampler, &mut self.producer)
+    }
+}
+
+impl<'a> Source for IngestStream<'a> {
+    type Producer = dyn Producer + 'a;
+    fn parts(&mut self) -> (SamplerMut<'_>, &mut Self::Producer) {
+        (&mut *self.sampler, &mut *self.producer)
+    }
+}
+
+/// A fleet: `streams[i]` on link `links[i]` (tag `i`), and sample buffers.
+struct Fleet<'s, S, T> {
+    streams: &'s mut [S],
+    links: &'s mut [T],
+    observed: Vec<Vec<f64>>,
+    truth: Vec<Vec<f64>>,
+    sent: Vec<u64>,
+}
+
+impl<'s, S: Source, T: Transport> Fleet<'s, S, T> {
+    /// Puts `streams[i]` on `links[i]`; panics when their lengths differ.
+    fn new(streams: &'s mut [S], links: &'s mut [T]) -> Self {
+        assert_eq!(streams.len(), links.len(), "one link per stream");
+        let dims = streams.iter_mut().map(|s| vec![0.0; s.parts().1.dim()]);
+        let observed: Vec<Vec<f64>> = dims.collect();
+        Fleet {
+            truth: observed.clone(),
+            observed,
+            sent: vec![0; streams.len()],
+            streams,
+            links,
+        }
+    }
+
+    /// The one tick loop behind every entry: `ticks` of [the
+    /// tick](crate#the-tick) against `server`, `after` being step 6.
+    fn run<V: Server<S>>(
+        &mut self,
+        ticks: u64,
+        server: &mut V,
+        mut after: impl FnMut(Tick, &mut Self, &mut V),
+    ) {
+        for now in 0..ticks {
+            let links = self.links.iter_mut();
+            for (i, (stream, link)) in self.streams.iter_mut().zip(links).enumerate() {
+                let (sampler, producer) = stream.parts();
+                sampler(&mut self.observed[i], &mut self.truth[i]);
+                if let Some(payload) = producer.observe(now, &self.observed[i]) {
+                    link.send(now, i as u32, payload);
+                    self.sent[i] += 1;
+                }
+                link.end_tick(now);
+                link.recv(now, |_, payload| server.receive(now, stream, payload));
+            }
+            server.close(now, self);
+            for (stream, link) in self.streams.iter_mut().zip(self.links.iter_mut()) {
+                let producer = stream.parts().1;
+                link.recv_feedback(now, |_, payload| producer.feedback(now, &payload));
+            }
+            after(now, self, server);
+        }
+    }
+}
+
+/// The server side of [the tick](crate#the-tick): `receive` is step 3,
+/// `close` step 4 (feedback onto `fleet`'s reverse links).
+trait Server<S> {
+    fn receive(&mut self, now: Tick, stream: &mut S, payload: Bytes);
+    fn close<T: Transport>(&mut self, now: Tick, fleet: &mut Fleet<'_, S, T>);
+}
+
+/// Ingest mode's server side: the engine, and the stream id → index map
+/// its feedback is routed by (feedback for an id outside the fleet drops).
+struct Engine<'k, K: ?Sized> {
+    sink: &'k mut K,
+    index: HashMap<u32, usize>,
+}
+
+impl<'a, K: IngestSink + ?Sized> Server<IngestStream<'a>> for Engine<'_, K> {
+    fn receive(&mut self, _: Tick, stream: &mut IngestStream<'a>, payload: Bytes) {
+        self.sink.push(stream.stream_id, &payload);
+    }
+    fn close<T: Transport>(&mut self, now: Tick, fleet: &mut Fleet<'_, IngestStream<'a>, T>) {
+        self.sink.end_tick();
+        let (index, links) = (&self.index, &mut *fleet.links);
+        self.sink.feedback(&mut |id, payload| {
+            if let Some(&i) = index.get(&id) {
+                links[i].send_feedback(now, id, payload);
+            }
+        });
+    }
+}
+
+/// Consumer mode's server side: the streams' consumers' estimates, scores.
+struct Consumers {
+    estimates: Vec<Vec<f64>>,
+    variances: Vec<Option<f64>>,
+    /// Per stream: error vs observed, error vs truth.
+    scores: Vec<[ErrorMetrics; 2]>,
+}
+
+impl<'a, P: Producer, C: Consumer> Server<LockstepStream<'a, P, C>> for Consumers {
+    fn receive(&mut self, now: Tick, stream: &mut LockstepStream<'a, P, C>, msg: Bytes) {
+        stream.consumer.receive(now, &msg);
+    }
+    fn close<T: Transport>(
+        &mut self,
+        now: Tick,
+        fleet: &mut Fleet<'_, LockstepStream<'a, P, C>, T>,
+    ) {
+        let links = fleet.links.iter_mut();
+        for (i, (stream, link)) in fleet.streams.iter_mut().zip(links).enumerate() {
+            let estimate = &mut self.estimates[i];
+            stream.consumer.estimate(now, estimate);
+            self.variances[i] = stream.consumer.served_variance();
+            while let Some(fb) = stream.consumer.poll_feedback(now) {
+                link.send_feedback(now, i as u32, fb);
+            }
+            let [obs, truth] = &mut self.scores[i];
+            obs.record(max_norm_diff(estimate, &fleet.observed[i]));
+            truth.record(max_norm_diff(estimate, &fleet.truth[i]));
+        }
+    }
+}
+
+/// Stream `i`'s sim link pair, drawing `faults.forward(i)`/`reverse(i)`.
+fn sim_links(n: usize, latency: Tick, overhead: usize, faults: LinkFaults) -> Vec<SimTransport> {
+    (0..n as u64)
+        .map(|i| SimTransport::with_faults(latency, overhead, faults.forward(i)))
+        .collect()
+}
+
+/// Ingest mode: [the fleet tick](crate#the-tick) with every stream's
+/// traffic converging on one multiplexed [`IngestSink`], whose feedback
+/// rides the reverse links back. Stream `i`'s zero-latency sim links draw
+/// `faults.forward(i)` and price `overhead_bytes` per message; zero latency
+/// keeps the ingest server bit-identical to [`crate::Session::run`]'s.
+pub fn run_fleet_ingest<K: IngestSink + ?Sized>(
+    streams: &mut [IngestStream<'_>],
+    ticks: u64,
+    overhead_bytes: usize,
+    faults: LinkFaults,
+    sink: &mut K,
+) -> IngestFleetReport {
+    let mut links = sim_links(streams.len(), 0, overhead_bytes, faults);
+    run_ingest_over(streams, &mut links, ticks, sink)
+}
+
+/// [`run_fleet_ingest`] with stream `i` on `links[i]`, any [`Transport`]
+/// (panics when the two lengths differ).
+pub fn run_ingest_over<T: Transport, K: IngestSink + ?Sized>(
+    streams: &mut [IngestStream<'_>],
+    links: &mut [T],
+    ticks: u64,
+    sink: &mut K,
+) -> IngestFleetReport {
+    let index = streams.iter().enumerate();
+    let mut engine = Engine {
+        index: index.map(|(i, s)| (s.stream_id, i)).collect(),
+        sink,
+    };
+    Fleet::new(streams, links).run(ticks, &mut engine, |_, _, _| {});
+    IngestFleetReport::new(ticks, links)
+}
+
+/// Drives many sessions through [the fleet tick](crate#the-tick) together
+/// (stream `i` on sim links drawing `config.faults().forward(i)`), with a
+/// fleet-level hook after each tick. The hook sees the whole fleet: a
+/// controller (a query graph re-granting deltas) reads every server and
+/// pushes control back — feedback it queues at `t` rides at `t + 1` — and
+/// a crash is a hook that replaces consumer state, with producers, links
+/// and in-flight messages untouched (`TcpTransport::kill_at` is the
+/// complement).
 ///
 /// # Panics
 /// Panics when a producer/consumer pair disagrees on dimensionality.
@@ -426,147 +538,63 @@ where
     C: Consumer,
     H: FnMut(Tick, &LockstepTick<'_>, &mut [LockstepStream<'a, P, C>]),
 {
-    run_lockstep_with_crashes(config, streams, &[], |_, _, _| {}, hook)
+    let faults = config.faults();
+    let mut links = sim_links(streams.len(), config.latency, config.overhead_bytes, faults);
+    run_lockstep_over(config, streams, &mut links, hook)
 }
 
-/// [`run_lockstep`] with consumer-crash injection: at the end of every tick
-/// listed in `crash_ticks`, `rebuild(now, i, &mut consumer)` fires for each
-/// stream and may replace the consumer's state wholesale — modelling a
-/// server process that died and came back (from a durability layer, from
-/// scratch, from anything the closure encodes).
-///
-/// The schedule models **state** loss with the transport intact: producers,
-/// links, and in-flight messages carry across the crash untouched. That is
-/// the deliberate complement of `TcpTransport::kill_at`, which models
-/// *connection* loss with state intact — together the two span the failure
-/// plane, and the durability proptests drive this axis: a rebuild closure
-/// that restores from snapshot+WAL must keep the fleet bit-identical to an
-/// uncrashed run, while one that resets state visibly diverges.
-///
-/// With an empty schedule (or a no-op closure) this is exactly
-/// [`run_lockstep`] — bit for bit, the tick loop is shared.
+/// [`run_lockstep`] with stream `i` on `links[i]`, any [`Transport`]; of
+/// the config, only `ticks` and `delta` apply.
 ///
 /// # Panics
-/// Panics when a producer/consumer pair disagrees on dimensionality.
-pub fn run_lockstep_with_crashes<'a, P, C, H, R>(
+/// Panics when a producer/consumer pair disagrees on dimensionality, or
+/// when `links` and `streams` differ in length.
+pub fn run_lockstep_over<'a, P, C, T, H>(
     config: &SessionConfig,
     streams: &mut [LockstepStream<'a, P, C>],
-    crash_ticks: &[Tick],
-    mut rebuild: R,
+    links: &mut [T],
     mut hook: H,
 ) -> FleetReport
 where
     P: Producer,
     C: Consumer,
+    T: Transport,
     H: FnMut(Tick, &LockstepTick<'_>, &mut [LockstepStream<'a, P, C>]),
-    R: FnMut(Tick, usize, &mut C),
 {
-    let n = streams.len();
-    let faults = config.faults();
-    let mut links = Vec::with_capacity(n);
-    let mut ack_links = Vec::with_capacity(n);
-    for i in 0..n {
-        links.push(Link::with_faults(
-            config.latency,
-            config.overhead_bytes,
-            LinkFaults {
-                seed: faults.seed ^ i as u64,
-                ..faults
-            },
-        ));
-        ack_links.push(Link::with_faults(
-            config.latency,
-            config.overhead_bytes,
-            LinkFaults {
-                seed: (faults.seed ^ ACK_SEED_OFFSET) ^ i as u64,
-                ..faults
-            },
-        ));
-    }
-    let dims: Vec<usize> = streams
-        .iter()
-        .map(|s| {
-            let dim = s.producer.dim();
-            assert_eq!(
-                dim,
-                s.consumer.dim(),
-                "producer/consumer dimension mismatch"
-            );
-            dim
-        })
-        .collect();
-    let mut observed: Vec<Vec<f64>> = dims.iter().map(|&d| vec![0.0; d]).collect();
-    let mut truth: Vec<Vec<f64>> = dims.iter().map(|&d| vec![0.0; d]).collect();
-    let mut estimates: Vec<Vec<f64>> = dims.iter().map(|&d| vec![0.0; d]).collect();
-    let mut err_obs: Vec<ErrorMetrics> = (0..n).map(|_| ErrorMetrics::new(config.delta)).collect();
-    let mut err_truth: Vec<ErrorMetrics> =
-        (0..n).map(|_| ErrorMetrics::new(config.delta)).collect();
-    let mut variances: Vec<Option<f64>> = vec![None; n];
-
-    for now in 0..config.ticks {
-        for (i, stream) in streams.iter_mut().enumerate() {
-            (stream.sampler)(&mut observed[i], &mut truth[i]);
-            if let Some(payload) = stream.producer.observe(now, &observed[i]) {
-                links[i].send(now, payload);
-            }
-            for msg in links[i].deliver(now) {
-                stream.consumer.receive(now, &msg.payload);
-            }
-            stream.consumer.estimate(now, &mut estimates[i]);
-            variances[i] = stream.consumer.served_variance();
-            while let Some(fb) = stream.consumer.poll_feedback(now) {
-                ack_links[i].send(now, fb);
-            }
-            for msg in ack_links[i].deliver(now) {
-                stream.producer.feedback(now, &msg.payload);
-            }
-            err_obs[i].record(max_norm_diff(&estimates[i], &observed[i]));
-            err_truth[i].record(max_norm_diff(&estimates[i], &truth[i]));
-        }
-        hook(
-            now,
-            &LockstepTick {
-                observed: &observed,
-                truth: &truth,
-                estimates: &estimates,
-                variances: &variances,
-            },
-            streams,
-        );
-        if crash_ticks.contains(&now) {
-            for (i, stream) in streams.iter_mut().enumerate() {
-                rebuild(now, i, &mut stream.consumer);
-            }
-        }
-    }
-
-    let sessions: Vec<SessionReport> = streams
-        .iter()
-        .enumerate()
-        .map(|(i, s)| SessionReport {
+    let matched = streams.iter().all(|s| s.producer.dim() == s.consumer.dim());
+    assert!(matched, "producer/consumer dimension mismatch");
+    let score = ErrorMetrics::new(config.delta);
+    let mut fleet = Fleet::new(streams, links);
+    let mut consumers = Consumers {
+        estimates: fleet.observed.clone(),
+        variances: vec![None; fleet.sent.len()],
+        scores: vec![[score.clone(), score]; fleet.sent.len()],
+    };
+    fleet.run(config.ticks, &mut consumers, |now, fleet, consumers| {
+        let tick = LockstepTick {
+            observed: &fleet.observed,
+            truth: &fleet.truth,
+            estimates: &consumers.estimates,
+            variances: &consumers.variances,
+            sent: &fleet.sent,
+        };
+        hook(now, &tick, fleet.streams);
+    });
+    let scores = consumers.scores;
+    let sessions = fleet.streams.iter().zip(fleet.links.iter()).zip(scores);
+    let sessions = sessions.map(|((stream, link), [error_vs_observed, error_vs_truth])| {
+        let stats = link.stats();
+        SessionReport {
             ticks: config.ticks,
-            traffic: links[i].traffic().clone(),
-            error_vs_observed: err_obs[i].clone(),
-            error_vs_truth: err_truth[i].clone(),
-            faults: links[i].fault_counters(),
-            delivery: s.consumer.delivery_stats(),
-            ack_traffic: ack_links[i].traffic().clone(),
-        })
-        .collect();
-    let mut total_traffic = TrafficMetrics::default();
-    let mut total_faults = FaultCounters::default();
-    let mut total_delivery = DeliveryStats::default();
-    for s in &sessions {
-        total_traffic.merge(&s.traffic);
-        total_faults.merge(&s.faults);
-        total_delivery.merge(&s.delivery);
-    }
-    FleetReport {
-        sessions,
-        total_traffic,
-        total_faults,
-        total_delivery,
-    }
+            traffic: stats.forward,
+            error_vs_observed,
+            error_vs_truth,
+            faults: stats.faults,
+            delivery: stream.consumer.delivery_stats(),
+            ack_traffic: stats.feedback,
+        }
+    });
+    FleetReport::new(sessions.collect())
 }
 
 #[cfg(test)]
@@ -687,7 +715,7 @@ mod tests {
             })
             .collect();
         let mut sink = Recorder::default();
-        let report = run_fleet_ingest(&mut streams, 5, 8, &mut sink);
+        let report = run_fleet_ingest(&mut streams, 5, 8, LinkFaults::default(), &mut sink);
         assert_eq!(report.ticks, 5);
         assert_eq!(sink.ticks_closed, 5);
         // Ship-all: 3 streams × 5 ticks, tagged with their ids, in order.
@@ -699,30 +727,28 @@ mod tests {
         assert_eq!(report.per_stream.len(), 3);
         assert!(report.per_stream.iter().all(|t| t.messages() == 5));
         assert_eq!(report.faults, FaultCounters::default());
+        assert_eq!(report.feedback.messages(), 0, "the recorder sends none");
     }
 
     #[test]
     fn faulty_ingest_fleet_drops_and_counts() {
-        let make_streams = || -> Vec<IngestStream<'_>> {
-            (0..4u32)
-                .map(|id| IngestStream {
-                    stream_id: id,
-                    producer: Box::new(ShipAll),
-                    sampler: Box::new(move |obs: &mut [f64], tru: &mut [f64]| {
-                        obs[0] = id as f64;
-                        tru[0] = id as f64;
-                    }),
-                })
-                .collect()
-        };
-
+        let mut streams: Vec<IngestStream<'_>> = (0..4u32)
+            .map(|id| IngestStream {
+                stream_id: id,
+                producer: Box::new(ShipAll),
+                sampler: Box::new(move |obs: &mut [f64], tru: &mut [f64]| {
+                    obs[0] = id as f64;
+                    tru[0] = id as f64;
+                }),
+            })
+            .collect();
         let mut sink = Recorder::default();
         let faults = LinkFaults {
             loss: 0.5,
             seed: 7,
             ..LinkFaults::default()
         };
-        let report = run_fleet_ingest_faulty(&mut make_streams(), 100, 0, faults, &mut sink);
+        let report = run_fleet_ingest(&mut streams, 100, 0, faults, &mut sink);
         assert!(
             report.faults.dropped > 0,
             "50% loss over 400 sends must drop"
@@ -734,21 +760,64 @@ mod tests {
         );
         // The sender is charged for every send, dropped or not.
         assert_eq!(report.total_traffic.messages(), 400);
+    }
 
-        // A no-op profile is bit-identical to the reliable entry point.
-        let mut sink_a = Recorder::default();
-        let mut sink_b = Recorder::default();
-        let a = run_fleet_ingest(&mut make_streams(), 50, 8, &mut sink_a);
-        let b = run_fleet_ingest_faulty(
-            &mut make_streams(),
-            50,
-            8,
-            LinkFaults::default(),
-            &mut sink_b,
-        );
-        assert_eq!(sink_a.pushes, sink_b.pushes);
-        assert_eq!(a.total_traffic.bytes(), b.total_traffic.bytes());
-        assert_eq!(b.faults, FaultCounters::default());
+    /// Counts the feedback a producer is handed.
+    struct CountFeedback(u64);
+    impl Producer for CountFeedback {
+        fn dim(&self) -> usize {
+            1
+        }
+        fn observe(&mut self, _: Tick, observed: &[f64]) -> Option<Bytes> {
+            Some(Bytes::copy_from_slice(&observed[0].to_le_bytes()))
+        }
+        fn feedback(&mut self, _: Tick, _: &Bytes) {
+            self.0 += 1;
+        }
+    }
+
+    /// Acks every push at the end of its tick, tagged with its stream.
+    #[derive(Default)]
+    struct Acker(Vec<u32>);
+    impl crate::IngestSink for Acker {
+        fn push(&mut self, stream_id: u32, _: &Bytes) {
+            self.0.push(stream_id);
+        }
+        fn end_tick(&mut self) {}
+        fn feedback(&mut self, out: &mut dyn FnMut(u32, Bytes)) {
+            for id in self.0.drain(..) {
+                out(id, Bytes::from_static(b"ack"));
+            }
+        }
+    }
+
+    #[test]
+    fn ingest_feedback_rides_each_streams_reverse_link() {
+        let run = |faults: LinkFaults| {
+            let mut producers = [CountFeedback(0), CountFeedback(0), CountFeedback(0)];
+            let mut streams: Vec<IngestStream<'_>> = producers
+                .iter_mut()
+                .enumerate()
+                .map(|(i, p)| IngestStream {
+                    stream_id: 10 * i as u32,
+                    producer: Box::new(p),
+                    sampler: counting_sampler(1.0),
+                })
+                .collect();
+            let report = run_fleet_ingest(&mut streams, 200, 0, faults, &mut Acker::default());
+            drop(streams);
+            (report, producers.map(|p| p.0))
+        };
+        // Reliable: every push is acked the tick it lands.
+        let (_, acked) = run(LinkFaults::default());
+        assert_eq!(acked, [200; 3]);
+        // Lossy both ways: an ack reaches a producer only if its sync
+        // survived the forward link *and* the ack the reverse one.
+        let (report, acked) = run(LinkFaults::lossy(0.3, 5));
+        let delivered = 600 - report.faults.dropped;
+        let total: u64 = acked.iter().sum();
+        assert!(total < delivered, "reverse links dropped no ack");
+        assert!(acked.iter().all(|&n| n > 0), "{acked:?}");
     }
 
     /// Ships every k-th sample; `k` is adjustable mid-run (what a lockstep
@@ -842,13 +911,11 @@ mod tests {
         let reference = run_lockstep(&config, &mut plain, |_, _, _| {});
         let mut crashed = crash_streams();
         let mut fired = Vec::new();
-        let report = run_lockstep_with_crashes(
-            &config,
-            &mut crashed,
-            &[13, 55, 99],
-            |now, i, _consumer: &mut Hold| fired.push((now, i)),
-            |_, _, _| {},
-        );
+        let report = run_lockstep(&config, &mut crashed, |now, _, streams| {
+            if [13, 55, 99].contains(&now) {
+                fired.extend((0..streams.len()).map(|i| (now, i)));
+            }
+        });
         assert_eq!(
             fired,
             vec![(13, 0), (13, 1), (55, 0), (55, 1), (99, 0), (99, 1)]
@@ -871,13 +938,13 @@ mod tests {
         let mut plain = crash_streams();
         let reference = run_lockstep(&config, &mut plain, |_, _, _| {});
         let mut crashed = crash_streams();
-        let report = run_lockstep_with_crashes(
-            &config,
-            &mut crashed,
-            &[55],
-            |_, _, consumer: &mut Hold| consumer.0 = 0.0,
-            |_, _, _| {},
-        );
+        let report = run_lockstep(&config, &mut crashed, |now, _, streams| {
+            if now == 55 {
+                for stream in streams {
+                    stream.consumer.0 = 0.0;
+                }
+            }
+        });
         // Transport untouched: the producers shipped exactly the same bytes.
         assert_eq!(report.sessions[0].traffic, reference.sessions[0].traffic);
         // But the fleet coasted on zero from tick 56 until the tick-60 ship.
@@ -979,12 +1046,12 @@ mod tests {
         // Samplers self-clock, so running one fleet call per phase measures
         // per-phase traffic without losing schedule position.
         let mut sink = Recorder::default();
-        let high = run_fleet_ingest(&mut streams, 50, 0, &mut sink)
-            .total_traffic
-            .messages();
-        let low = run_fleet_ingest(&mut streams, 50, 0, &mut sink)
-            .total_traffic
-            .messages();
+        let mut phase = || {
+            run_fleet_ingest(&mut streams, 50, 0, LinkFaults::default(), &mut sink)
+                .total_traffic
+                .messages()
+        };
+        let (high, low) = (phase(), phase());
         assert!(
             high >= 4 * low.max(1),
             "high-amplitude phase must offer ≥4× the load: high={high} low={low}"
@@ -1029,7 +1096,7 @@ mod tests {
             })
             .collect();
         let mut sink = Recorder::default();
-        let report = run_fleet_ingest(&mut streams, 5, 8, &mut sink);
+        let report = run_fleet_ingest(&mut streams, 5, 8, LinkFaults::default(), &mut sink);
         let fleet = report.snapshot();
         assert_eq!(fleet.counter("fleet.streams"), Some(2));
         assert_eq!(fleet.counter("fleet.ticks"), Some(5));

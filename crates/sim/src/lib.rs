@@ -17,17 +17,29 @@
 //! benchmark comparisons fair — every method pays for messages through the
 //! same [`Link`] and is scored by the same [`ErrorMetrics`]/[`TrafficMetrics`].
 //!
-//! The per-tick order of operations is fixed and documented in
-//! [`Session::run`]: observe → transmit → deliver → estimate → score. With
-//! zero link latency this gives the suppression protocol its precision
-//! guarantee (a correction sent at tick *t* is visible to queries at tick
-//! *t*); with positive latency, transient violations become measurable —
-//! experiment T2 reports both.
+//! # The tick
 //!
-//! Beyond per-session runs, [`run_fleet_ingest`] drives many streams
-//! against one multiplexed [`IngestSink`] — the server-side **ingest mode**
-//! where a whole fleet's traffic converges on a batched, sharded pipeline
-//! (implemented in `kalstream-core`, measured by `bench_ingest`).
+//! One loop drives N streams, each on its own [`Transport`], against
+//! per-stream [`Consumer`]s or one [`IngestSink`] engine: [`Session::run`]
+//! (a fleet of one), [`run_lockstep`] (with a per-tick hook),
+//! [`run_fleet_ingest`] (**ingest mode**: a fleet into one sharded
+//! pipeline) and the `*_over` entries on caller-built links. Each tick:
+//!
+//! 1. each stream's sampler produces `(observed, truth)`;
+//! 2. its producer sees `observed` and may send on the forward link;
+//! 3. the link closes its tick ([`Transport::end_tick`]) and delivers what
+//!    is due — at zero latency, step 2's send too — to the server side;
+//! 4. each consumer estimates, queues feedback and is scored (max-norm)
+//!    against `observed` and `truth` — or the engine advances every
+//!    endpoint — and the feedback goes on each stream's reverse link;
+//! 5. every reverse link delivers what is due to its producer;
+//! 6. the entry's hook fires.
+//!
+//! Steps 1–3 run stream by stream, then 4, then 5 — a reordering across
+//! streams only, which share no link, seed or endpoint. The order is
+//! load-bearing: at zero latency it gives the precision guarantee (a
+//! correction sent at tick *t* is visible at *t*); with positive latency,
+//! transient violations become measurable — experiment T2 reports both.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -45,12 +57,12 @@ mod transport;
 
 pub use clock::Tick;
 pub use fleet::{
-    run_fleet, run_fleet_ingest, run_fleet_ingest_faulty, run_lockstep, run_lockstep_with_crashes,
-    BoxedSampler, FleetReport, IngestFleetReport, IngestStream, LoadPhase, LoadSwing,
-    LockstepStream, LockstepTick,
+    run_fleet, run_fleet_ingest, run_ingest_over, run_lockstep, run_lockstep_over, BoxedSampler,
+    FleetReport, IngestFleetReport, IngestStream, LoadPhase, LoadSwing, LockstepStream,
+    LockstepTick,
 };
 pub use link::{Link, LinkFaults, Message};
 pub use metrics::{DeliveryStats, ErrorMetrics, FaultCounters, SessionReport, TrafficMetrics};
 pub use node::{Consumer, Producer};
 pub use runner::{ErrorSeries, IngestSink, Session, SessionConfig, TickObserver};
-pub use transport::{SimTransport, Transport, TransportStats, ACK_SEED_OFFSET};
+pub use transport::{SimTransport, Transport, TransportStats};

@@ -60,7 +60,28 @@ impl Default for LinkFaults {
     }
 }
 
+/// Seed offset giving a reverse link a fault schedule of its own.
+const ACK_SEED_OFFSET: u64 = 0x9E37_79B9_7F4A_7C15;
+
 impl LinkFaults {
+    /// Stream `i`'s forward-link profile in a fleet: this one, seeded
+    /// `seed ^ i` (stream 0's is the profile itself).
+    pub fn forward(&self, i: u64) -> LinkFaults {
+        LinkFaults {
+            seed: self.seed ^ i,
+            ..*self
+        }
+    }
+
+    /// Stream `i`'s reverse (feedback) link profile, seeded
+    /// `seed ^ ACK_SEED_OFFSET ^ i`; so `forward(i).reverse(0) == reverse(i)`.
+    pub fn reverse(&self, i: u64) -> LinkFaults {
+        LinkFaults {
+            seed: self.seed ^ ACK_SEED_OFFSET ^ i,
+            ..*self
+        }
+    }
+
     /// Loss-only faults — the profile [`Link::lossy`] has always modelled.
     pub fn lossy(loss: f64, seed: u64) -> Self {
         LinkFaults {

@@ -69,6 +69,41 @@ pub trait Consumer {
     }
 }
 
+/// A borrowed producer drives like an owned one ([`crate::Session::run`]).
+impl<P: Producer + ?Sized> Producer for &mut P {
+    fn dim(&self) -> usize {
+        (**self).dim()
+    }
+    fn observe(&mut self, now: Tick, observed: &[f64]) -> Option<Bytes> {
+        (**self).observe(now, observed)
+    }
+    fn feedback(&mut self, now: Tick, payload: &Bytes) {
+        (**self).feedback(now, payload);
+    }
+}
+
+/// A borrowed consumer serves like an owned one.
+impl<C: Consumer + ?Sized> Consumer for &mut C {
+    fn dim(&self) -> usize {
+        (**self).dim()
+    }
+    fn receive(&mut self, now: Tick, payload: &Bytes) {
+        (**self).receive(now, payload);
+    }
+    fn estimate(&mut self, now: Tick, out: &mut [f64]) {
+        (**self).estimate(now, out);
+    }
+    fn poll_feedback(&mut self, now: Tick) -> Option<Bytes> {
+        (**self).poll_feedback(now)
+    }
+    fn delivery_stats(&self) -> DeliveryStats {
+        (**self).delivery_stats()
+    }
+    fn served_variance(&self) -> Option<f64> {
+        (**self).served_variance()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,8 +1,7 @@
-//! The single-session simulation loop.
+//! The single-session entries (a fleet of one), the session config, and
+//! the ingest-sink and per-tick observer traits.
 
-use crate::{
-    Consumer, ErrorMetrics, LinkFaults, Producer, SessionReport, SimTransport, Tick, Transport,
-};
+use crate::{run_lockstep, Consumer, LinkFaults, LockstepStream, Producer, SessionReport, Tick};
 
 /// Configuration for one simulated source→server session.
 #[derive(Debug, Clone)]
@@ -91,13 +90,20 @@ impl SessionConfig {
 /// [`IngestSink::end_tick`], which must advance **every** stream's
 /// server-side state by one tick — matching [`crate::Consumer::estimate`]'s
 /// predict-then-apply semantics so ingest-mode servers stay bit-identical
-/// to session-mode servers.
+/// to session-mode servers — then one [`IngestSink::feedback`].
 pub trait IngestSink {
     /// Delivers one message for `stream_id` into the current tick's batch.
     fn push(&mut self, stream_id: u32, payload: &bytes::Bytes);
 
     /// Closes the tick: drain the batch and advance every endpoint.
     fn end_tick(&mut self);
+
+    /// Hands the tick's feedback (acks, bound directives) to `out`, tagged
+    /// with its stream and in poll order within one; the fleet loop puts
+    /// each on its stream's reverse link. The default produces none.
+    fn feedback(&mut self, out: &mut dyn FnMut(u32, bytes::Bytes)) {
+        let _ = out;
+    }
 }
 
 /// Per-tick hook for experiments that need time series rather than final
@@ -149,29 +155,13 @@ impl TickObserver for ErrorSeries {
 pub struct Session;
 
 impl Session {
-    /// Runs the session and reports traffic + error metrics.
-    ///
-    /// Per-tick order of operations (load-bearing for the precision
-    /// guarantee):
-    ///
-    /// 1. `sampler` produces `(observed, truth)` for this tick;
-    /// 2. the producer sees `observed` and may transmit;
-    /// 3. the forward link delivers every message due this tick to the
-    ///    consumer (with zero latency this includes the message from step 2);
-    /// 4. the consumer produces its estimate for this tick;
-    /// 5. the consumer's feedback (acks) is sent on the reverse link and
-    ///    everything due is delivered to the producer — with zero latency an
-    ///    ack completes its round trip the same tick;
-    /// 6. the estimate is scored against `observed` and `truth` with the
-    ///    max-norm, and the observer hook fires.
-    ///
-    /// Both links carry the same fault profile; the reverse link derives its
-    /// RNG seed from the forward seed so the two draw independent schedules.
-    /// Endpoints that produce no feedback pay nothing for the reverse link.
+    /// Runs the session and reports traffic + error metrics: a fleet of one
+    /// through [`run_lockstep`] ([the tick](crate#the-tick)), with the
+    /// observer as the hook.
     ///
     /// # Panics
     /// Panics when producer/consumer dimensions disagree with each other.
-    pub fn run<P, C, F, O>(
+    pub fn run<'a, P, C, F, O>(
         config: &SessionConfig,
         sampler: F,
         producer: &mut P,
@@ -181,92 +171,19 @@ impl Session {
     where
         P: Producer + ?Sized,
         C: Consumer + ?Sized,
-        F: FnMut(&mut [f64], &mut [f64]),
+        F: FnMut(&mut [f64], &mut [f64]) + 'a,
         O: TickObserver + ?Sized,
     {
-        let mut transport =
-            SimTransport::with_faults(config.latency, config.overhead_bytes, config.faults());
-        Session::run_with_transport(
-            config,
-            &mut transport,
-            sampler,
+        let mut stream = [LockstepStream {
             producer,
             consumer,
-            observer,
-        )
-    }
-
-    /// [`Session::run`] over an explicit [`Transport`] — the seam that lets
-    /// the same endpoints, sampler, and scoring run over the deterministic
-    /// sim pair or a real socket transport. [`Session::run`] is exactly this
-    /// with a [`SimTransport`] built from the config's latency/fault fields
-    /// (which only the sim consults; a socket transport has physical latency
-    /// and real loss instead).
-    ///
-    /// Untagged single-session traffic travels as stream 0, matching the
-    /// untagged [`crate::Link::send`] the loop used before the trait
-    /// extraction — the refactor is bit-identical.
-    ///
-    /// # Panics
-    /// Panics when producer/consumer dimensions disagree with each other.
-    pub fn run_with_transport<T, P, C, F, O>(
-        config: &SessionConfig,
-        transport: &mut T,
-        mut sampler: F,
-        producer: &mut P,
-        consumer: &mut C,
-        observer: &mut O,
-    ) -> SessionReport
-    where
-        T: Transport + ?Sized,
-        P: Producer + ?Sized,
-        C: Consumer + ?Sized,
-        F: FnMut(&mut [f64], &mut [f64]),
-        O: TickObserver + ?Sized,
-    {
-        let dim = producer.dim();
-        assert_eq!(dim, consumer.dim(), "producer/consumer dimension mismatch");
-        let mut observed = vec![0.0; dim];
-        let mut truth = vec![0.0; dim];
-        let mut estimate = vec![0.0; dim];
-        let mut err_obs = ErrorMetrics::new(config.delta);
-        let mut err_truth = ErrorMetrics::new(config.delta);
-
-        for now in 0..config.ticks {
-            sampler(&mut observed, &mut truth);
-            if let Some(payload) = producer.observe(now, &observed) {
-                transport.send(now, 0, payload);
-            }
-            // Flush before receiving: a batching transport puts this tick's
-            // sends on the wire here (no-op for the eager sim links).
-            transport.end_tick(now);
-            transport.recv(now, &mut |_, payload| consumer.receive(now, &payload));
-            consumer.estimate(now, &mut estimate);
-            while let Some(fb) = consumer.poll_feedback(now) {
-                transport.send_feedback(now, 0, fb);
-            }
-            transport.recv_feedback(now, &mut |_, payload| producer.feedback(now, &payload));
-            err_obs.record(max_norm_diff(&estimate, &observed));
-            err_truth.record(max_norm_diff(&estimate, &truth));
-            observer.on_tick(
-                now,
-                &observed,
-                &truth,
-                &estimate,
-                transport.stats().forward.messages(),
-            );
-        }
-
-        let stats = transport.stats();
-        SessionReport {
-            ticks: config.ticks,
-            traffic: stats.forward,
-            error_vs_observed: err_obs,
-            error_vs_truth: err_truth,
-            faults: stats.faults,
-            delivery: consumer.delivery_stats(),
-            ack_traffic: stats.feedback,
-        }
+            sampler: Box::new(sampler),
+        }];
+        let report = run_lockstep(config, &mut stream, |now, tick, _| {
+            let (observed, truth) = (&tick.observed[0], &tick.truth[0]);
+            observer.on_tick(now, observed, truth, &tick.estimates[0], tick.sent[0]);
+        });
+        report.sessions.into_iter().next().expect("a fleet of one")
     }
 }
 

@@ -26,12 +26,6 @@ use crate::{
     Link, LinkFaults, Tick,
 };
 
-/// Seed offset deriving the reverse (feedback) link's RNG from the forward
-/// seed, so the two directions draw independent fault schedules. Public so
-/// that out-of-crate transports replicating the sim's fault schedule (the
-/// net crate's bit-identity harness) derive identical reverse-link draws.
-pub const ACK_SEED_OFFSET: u64 = 0x9E37_79B9_7F4A_7C15;
-
 /// Traffic snapshot of one transport: both directions plus forward-path
 /// fault injections (the direction the precision contract cares about).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -56,7 +50,7 @@ pub trait Transport {
 
     /// Surfaces every forward payload due at `now` into `sink`, in
     /// delivery order.
-    fn recv(&mut self, now: Tick, sink: &mut dyn FnMut(u32, Bytes));
+    fn recv(&mut self, now: Tick, sink: impl FnMut(u32, Bytes));
 
     /// Queues one feedback payload (ack / bound directive) for `stream_id`
     /// at tick `now`.
@@ -64,7 +58,7 @@ pub trait Transport {
 
     /// Surfaces every feedback payload due at `now` into `sink`, in
     /// delivery order.
-    fn recv_feedback(&mut self, now: Tick, sink: &mut dyn FnMut(u32, Bytes));
+    fn recv_feedback(&mut self, now: Tick, sink: impl FnMut(u32, Bytes));
 
     /// Tick boundary: implementations that batch (a socket transport
     /// assembling frames) flush here. The sim delivers eagerly, so the
@@ -80,9 +74,7 @@ pub trait Transport {
 }
 
 /// The deterministic in-process transport: a forward [`Link`] and a reverse
-/// [`Link`] whose fault RNG seeds from the forward seed via
-/// [`ACK_SEED_OFFSET`] — exactly the pair [`crate::Session::run`] has
-/// always constructed, now behind the trait.
+/// [`Link`], each seeded by its own [`LinkFaults`] derivation.
 #[derive(Debug, Clone)]
 pub struct SimTransport {
     forward: Link,
@@ -97,21 +89,15 @@ impl SimTransport {
     }
 
     /// A transport with the given forward fault profile; the reverse link
-    /// carries the same profile with its seed xor'd by [`ACK_SEED_OFFSET`].
+    /// carries the same profile, seeded [`LinkFaults::reverse`]`(0)`. Built
+    /// from [`LinkFaults::forward`]`(i)`, it is stream `i`'s pair.
     ///
     /// # Panics
     /// Panics when any fault probability is outside `[0, 1)`.
     pub fn with_faults(latency: Tick, overhead_bytes: usize, faults: LinkFaults) -> Self {
         SimTransport {
-            forward: Link::with_faults(latency, overhead_bytes, faults),
-            feedback: Link::with_faults(
-                latency,
-                overhead_bytes,
-                LinkFaults {
-                    seed: faults.seed ^ ACK_SEED_OFFSET,
-                    ..faults
-                },
-            ),
+            forward: Link::with_faults(latency, overhead_bytes, faults.forward(0)),
+            feedback: Link::with_faults(latency, overhead_bytes, faults.reverse(0)),
         }
     }
 }
@@ -121,7 +107,7 @@ impl Transport for SimTransport {
         self.forward.send_tagged(now, stream_id, payload);
     }
 
-    fn recv(&mut self, now: Tick, sink: &mut dyn FnMut(u32, Bytes)) {
+    fn recv(&mut self, now: Tick, mut sink: impl FnMut(u32, Bytes)) {
         // The deliver iterator borrows the link only, so a sink is free to
         // re-enter protocol state while it runs.
         for msg in self.forward.deliver(now) {
@@ -133,7 +119,7 @@ impl Transport for SimTransport {
         self.feedback.send_tagged(now, stream_id, payload);
     }
 
-    fn recv_feedback(&mut self, now: Tick, sink: &mut dyn FnMut(u32, Bytes)) {
+    fn recv_feedback(&mut self, now: Tick, mut sink: impl FnMut(u32, Bytes)) {
         for msg in self.feedback.deliver(now) {
             sink(msg.stream_id, msg.payload);
         }
@@ -163,11 +149,11 @@ mod tests {
         t.send_feedback(0, 1, payload(b"ack"));
 
         let mut fwd = Vec::new();
-        t.recv(0, &mut |id, p| fwd.push((id, p)));
+        t.recv(0, |id, p| fwd.push((id, p)));
         assert_eq!(fwd, vec![(1, payload(b"fwd"))]);
 
         let mut fb = Vec::new();
-        t.recv_feedback(0, &mut |id, p| fb.push((id, p)));
+        t.recv_feedback(0, |id, p| fb.push((id, p)));
         assert_eq!(fb, vec![(1, payload(b"ack"))]);
 
         let stats = t.stats();
@@ -180,9 +166,9 @@ mod tests {
         let mut t = SimTransport::new(2, 0);
         t.send(0, 5, payload(b"x"));
         let mut got = 0;
-        t.recv(1, &mut |_, _| got += 1);
+        t.recv(1, |_, _| got += 1);
         assert_eq!(got, 0);
-        t.recv(2, &mut |id, _| {
+        t.recv(2, |id, _| {
             assert_eq!(id, 5);
             got += 1;
         });
@@ -197,14 +183,7 @@ mod tests {
         let faults = LinkFaults::lossy(0.3, 1234);
         let mut t = SimTransport::with_faults(0, 0, faults);
         let mut fwd = Link::with_faults(0, 0, faults);
-        let mut fb = Link::with_faults(
-            0,
-            0,
-            LinkFaults {
-                seed: faults.seed ^ ACK_SEED_OFFSET,
-                ..faults
-            },
-        );
+        let mut fb = Link::with_faults(0, 0, faults.reverse(0));
         for now in 0..500u64 {
             t.send(now, now as u32, payload(b"p"));
             t.send_feedback(now, now as u32, payload(b"q"));
@@ -212,12 +191,12 @@ mod tests {
             fb.send_tagged(now, now as u32, payload(b"q"));
         }
         let mut via_trait = Vec::new();
-        t.recv(500, &mut |id, _| via_trait.push(id));
+        t.recv(500, |id, _| via_trait.push(id));
         let manual: Vec<u32> = fwd.deliver(500).map(|m| m.stream_id).collect();
         assert_eq!(via_trait, manual);
 
         let mut via_trait_fb = Vec::new();
-        t.recv_feedback(500, &mut |id, _| via_trait_fb.push(id));
+        t.recv_feedback(500, |id, _| via_trait_fb.push(id));
         let manual_fb: Vec<u32> = fb.deliver(500).map(|m| m.stream_id).collect();
         assert_eq!(via_trait_fb, manual_fb);
         assert_eq!(t.stats().faults, fwd.fault_counters());

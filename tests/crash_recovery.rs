@@ -26,8 +26,7 @@ use kalstream::durable::{Durability, DurableConfig, DurableStore};
 use kalstream::net::codec::{decode_status, encode_hello, push_marker, STATUS_BYTES};
 use kalstream::net::{workload, HelloStatus, NetServer, NetServerConfig};
 use kalstream::sim::{
-    run_fleet_ingest, run_lockstep, run_lockstep_with_crashes, IngestSink, LockstepStream,
-    SessionConfig,
+    run_fleet_ingest, run_lockstep, IngestSink, LinkFaults, LockstepStream, SessionConfig,
 };
 use proptest::prelude::*;
 
@@ -77,7 +76,7 @@ fn record_traffic(streams: u32, ticks: u64) -> Vec<Vec<u8>> {
     let ids: Vec<u32> = (0..streams).collect();
     let mut fleet = workload::source_streams(&ids);
     let mut recorder = TickRecorder::default();
-    run_fleet_ingest(&mut fleet, ticks, 0, &mut recorder);
+    run_fleet_ingest(&mut fleet, ticks, 0, LinkFaults::default(), &mut recorder);
     recorder.ticks
 }
 
@@ -190,20 +189,18 @@ fn lockstep_crash_with_snapshot_roundtrip_is_invisible_and_violation_free() {
 
     let mut crashed = protocol_streams(4, delta);
     let mut rebuilds = 0usize;
-    let report = run_lockstep_with_crashes(
-        &config,
-        &mut crashed,
-        &[17, 63, 64, 155],
-        |_, _, consumer: &mut ServerEndpoint| {
-            // A crash is a snapshot round-trip: capture the full protocol
-            // state (filter triplet, pending queue, seq/ack tracker) and
-            // rebuild the endpoint from it — exactly what the durable
-            // store does across a real process death.
-            *consumer = ServerEndpoint::from_state(consumer.state()).unwrap();
-            rebuilds += 1;
-        },
-        |_, _, _| {},
-    );
+    let report = run_lockstep(&config, &mut crashed, |now, _, streams| {
+        if [17, 63, 64, 155].contains(&now) {
+            for stream in streams {
+                // A crash is a snapshot round-trip: capture the full
+                // protocol state (filter triplet, pending queue, seq/ack
+                // tracker) and rebuild the endpoint from it — exactly what
+                // the durable store does across a real process death.
+                stream.consumer = ServerEndpoint::from_state(stream.consumer.state()).unwrap();
+                rebuilds += 1;
+            }
+        }
+    });
     assert_eq!(rebuilds, 4 * 4);
     assert_eq!(
         report.total_violations(),

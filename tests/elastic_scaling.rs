@@ -13,7 +13,7 @@ use kalstream::core::{
 use kalstream::durable::{Durability, DurableStore};
 use kalstream::elastic::{ControllerConfig, ElasticConfig, ElasticDriver, ResizeKind};
 use kalstream::net::workload;
-use kalstream::sim::{run_fleet_ingest, IngestSink};
+use kalstream::sim::{run_fleet_ingest, IngestSink, LinkFaults};
 
 /// State + covariance of every endpoint, as raw bits.
 fn fleet_bits(result: &kalstream::core::IngestResult) -> Vec<(u32, Vec<u64>)> {
@@ -56,7 +56,7 @@ fn record_traffic(streams: u32, ticks: u64) -> Vec<Vec<u8>> {
     let ids: Vec<u32> = (0..streams).collect();
     let mut fleet = workload::source_streams(&ids);
     let mut recorder = TickRecorder::default();
-    run_fleet_ingest(&mut fleet, ticks, 0, &mut recorder);
+    run_fleet_ingest(&mut fleet, ticks, 0, LinkFaults::default(), &mut recorder);
     recorder.ticks
 }
 

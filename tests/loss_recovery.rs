@@ -50,7 +50,8 @@ fn filter_bits(f: &KalmanFilter) -> (Vec<u64>, Vec<u64>) {
 
 /// One zero-latency protocol tick outside the simulator, with the forward
 /// payload passed through `forward` (deliver, drop, or duplicate) and each
-/// ack through `ack_ok`. Mirrors `Session::run`'s per-tick order.
+/// ack through `ack_ok`. Mirrors the fleet tick's order (the crate doc
+/// of `kalstream::sim`, "The tick").
 fn manual_tick(
     now: u64,
     obs: &[f64],
@@ -322,7 +323,7 @@ fn ten_percent_loss_recovery_beats_bare_protocol() {
 #[test]
 fn killed_tcp_connection_resyncs_within_ack_timeout() {
     use kalstream::net::TcpTransport;
-    use kalstream::sim::Transport;
+    use kalstream::sim::{run_lockstep_over, LockstepStream, Transport};
 
     const TIMEOUT: u64 = 6;
     const TICKS: u64 = 120;
@@ -342,29 +343,25 @@ fn killed_tcp_connection_resyncs_within_ack_timeout() {
             -3.0
         }
     };
-    let (mut source, mut server) = endpoints(Some(TIMEOUT));
-    let mut transport = TcpTransport::connect(0, 28)
+    let (source, server) = endpoints(Some(TIMEOUT));
+    let mut tick = 0;
+    let mut fleet = [LockstepStream {
+        producer: source,
+        consumer: server,
+        sampler: Box::new(move |obs: &mut [f64], tru: &mut [f64]| {
+            obs[0] = level(tick);
+            tru[0] = obs[0];
+            tick += 1;
+        }),
+    }];
+    let mut transport = [TcpTransport::connect(0, 28)
         .expect("loopback transport")
-        .kill_at(kills.clone());
+        .kill_at(kills.clone())];
 
-    let mut est = [0.0];
     let mut violation_ticks = Vec::new();
-    for now in 0..TICKS {
-        let obs = [level(now)];
-        // Session::run_with_transport's tick order, inlined so the filter
-        // state is inspectable per tick.
-        if let Some(payload) = source.observe(now, &obs) {
-            transport.send(now, 0, payload);
-        }
-        transport.end_tick(now);
-        transport.recv(now, &mut |_, p| server.receive(now, &p));
-        server.estimate(now, &mut est);
-        while let Some(fb) = server.poll_feedback(now) {
-            transport.send_feedback(now, 0, fb);
-        }
-        transport.recv_feedback(now, &mut |_, p| source.feedback(now, &p));
-
-        if (est[0] - obs[0]).abs() > DELTA {
+    let config = SessionConfig::instant(TICKS, DELTA);
+    run_lockstep_over(&config, &mut fleet, &mut transport, |now, tick, fleet| {
+        if (tick.estimates[0][0] - tick.observed[0][0]).abs() > DELTA {
             violation_ticks.push(now);
         }
         // Bit-identity of the two ends must be restored within the ack
@@ -372,19 +369,20 @@ fn killed_tcp_connection_resyncs_within_ack_timeout() {
         let in_repair_window = kills.iter().any(|&k| now >= k && now <= k + TIMEOUT);
         if !in_repair_window {
             assert_eq!(
-                filter_bits(source.shadow_filter()),
-                filter_bits(server.filter()),
+                filter_bits(fleet[0].producer.shadow_filter()),
+                filter_bits(fleet[0].consumer.filter()),
                 "tick {now}: shadow and server diverged outside a repair window"
             );
         }
-    }
+    });
+    let [transport] = &mut transport;
     transport.shutdown();
 
     assert_eq!(transport.reconnects(), 2, "both scheduled kills happened");
     assert!(
-        source.resyncs() >= 2,
+        fleet[0].producer.resyncs() >= 2,
         "each kill must trigger a timeout resync (got {})",
-        source.resyncs()
+        fleet[0].producer.resyncs()
     );
     // Precision violations only inside the repair windows.
     assert!(
