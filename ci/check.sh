@@ -61,6 +61,19 @@ if sed '/#\[cfg(test)\]/,$d' crates/core/src/batch_ingest.rs | grep -n 'drain_pe
     exit 1
 fi
 
+echo "==> lanes carry every stream: a batched shard has one filter path"
+# Non-test code of batch_ingest.rs only: every endpoint of a batched shard
+# sits on a lane for the whole run; a Model sync moves it, divergence keeps it.
+if sed '/#\[cfg(test)\]/,$d' crates/core/src/batch_ingest.rs | grep -nE 'scalar|demote|settle'; then
+    echo "crates/core/src/batch_ingest.rs keeps a second filter path again (scalar / demote / settle)" >&2
+    exit 1
+fi
+if grep -rnE 'fn supported\b|DynFleetBatch::supported|fn coverage\(&self\) -> (Option<)?\(usize, usize\)|(pipe|pipeline|batched|shard|lanes)\.coverage\(\)' \
+    crates src tests examples; then
+    echo "a batch routing predicate or an ingest coverage() is back: every admitted shape has a lane" >&2
+    exit 1
+fi
+
 echo "==> gates are counts and identities: no --kind, no tolerance, no capacity or speed-up column"
 if grep -rnE -e '--kind|--tolerance|regression_tolerance' crates/bench/src; then
     echo "crates/bench/src names a deleted check_regression knob" >&2

@@ -1,56 +1,45 @@
-//! Batch-dispatched ingest: same-model stream groups stepped through
-//! structure-of-arrays fleet kernels.
+//! Batch-dispatched ingest: a shard's streams stepped as structure-of-arrays
+//! lanes, grouped by model and covariance form.
 //!
 //! The plain ingest path advances every [`ServerEndpoint`]'s filter one at a
 //! time — correct, but at fleet scale the per-stream predict dominates the
-//! tick. [`BatchLanes`] interposes a dispatch layer in front of a shard's
-//! endpoints: at construction it groups endpoints whose filters run the
-//! **same model** at a supported `(state_dim, measurement_dim)` shape (see
-//! [`DynFleetBatch::supported`]) with the default Joseph covariance form,
-//! copies each group's per-stream state into [`DynFleetBatch`] lanes, and
-//! from then on advances whole groups with one `predict_all` per tick.
-//! Everything else about the endpoint — sequence bookkeeping, counters,
-//! feedback — keeps running through the [`ServerEndpoint`] exactly as
-//! before; only the filter arithmetic moves.
+//! tick. [`BatchLanes`] puts **every** endpoint's filter on a
+//! [`DynFleetBatch`] lane, in the group of the filters running the same
+//! model in the same covariance form, and advances whole groups with one
+//! `predict_all` per tick. Every shape a filter admits has a batch row,
+//! exact or zero-padded ([`DynFleetBatch::for_model_in_form`]), so no
+//! stream is stepped any other way. Sequence bookkeeping, counters and
+//! feedback keep running through the [`ServerEndpoint`]; only the filter
+//! arithmetic moves.
 //!
-//! ## Equivalence and demotion
+//! ## Equivalence
 //!
-//! For every lane the batch kernels replicate the scalar filter's
-//! floating-point operation order (see `kalstream_filter::FleetBatch`). The
-//! shard predicts every lane, then walks the tick's frames once and hands
-//! each admitted sync to [`BatchLanes::apply`], which applies it to the
-//! stream's lane (or, for a scalar-routed stream, its own filter) through
-//! the same operations in the same per-stream order as the plain path. A
-//! batched ingest run therefore produces **bit-identical endpoints** to the
-//! plain path — the invariant this module's tests and the workspace
-//! proptests pin down. Streams leave the batch path (are *demoted* to
-//! scalar) when:
+//! A lane runs a lone filter's kernel in the same floating-point order
+//! (see `kalstream_filter::FleetBatch`), and [`BatchLanes::apply`] applies
+//! each admitted sync to it through the operations `apply_sync` runs on a
+//! filter, in the same per-stream order. A batched run therefore produces
+//! **bit-identical endpoints** to the plain path — the invariant this
+//! module's tests and the workspace proptests pin down, including:
 //!
-//! * a **model sync** arrives — the replacement filter may have any shape,
-//!   so it is installed in the endpoint at once and the stream finishes the
-//!   run scalar; the tick's later syncs for it go to that filter
-//!   (re-promotion would buy little: model syncs are rare and grouping is a
-//!   construction-time decision);
-//! * the lane's state ends a tick **non-finite** — its state goes back via
-//!   [`kalstream_filter::KalmanFilter::restore`] and the scalar path owns
-//!   the divergence bookkeeping from there. The check runs *after* the
-//!   tick's whole apply walk ([`BatchLanes::settle`]), so a later state sync
-//!   can resynchronise a diverged lane and keep it batched, exactly as it
-//!   would heal a scalar filter.
-//!
-//! Demotion swaps the group's last lane into the vacated slot
-//! ([`DynFleetBatch::swap_remove_lane`]), so lanes stay dense; the
-//! endpoint → lane map follows the moved lane, so its later syncs in the
-//! same walk still find it.
+//! * a **model sync**, which installs the replacement filter in the
+//!   endpoint and *moves* the stream to a lane, seeded from that filter,
+//!   of the group for its new model and form (created on demand; a group
+//!   left empty is dropped). The tick's later syncs land on the new lane;
+//!   the old group's last lane fills the gap, and the endpoint → lane map
+//!   follows it;
+//! * a **non-finite** lane, which stays where it is: its predict failures
+//!   are counted per tick and a later state sync heals it in place, as for
+//!   a lone filter.
 
-use kalstream_filter::{CovarianceUpdate, DynFleetBatch};
+use kalstream_filter::{DynFleetBatch, KalmanFilter};
 use kalstream_linalg::VECTOR_INLINE_CAP;
 
 use crate::ingest::{IngestResult, Shard, TickIngest};
 use crate::server::{EndpointState, ServerEndpoint};
 use crate::wire::SyncRef;
 
-/// One same-model lane group.
+/// One lane group: the streams whose filters share a model and a
+/// covariance form.
 struct BatchGroup {
     batch: DynFleetBatch,
     /// `slots[lane]` is the position (in the shard's endpoint slice) of the
@@ -60,80 +49,68 @@ struct BatchGroup {
 
 /// The fleet-batch lanes in front of one shard's endpoints. Endpoints are
 /// addressed by their position in the shard's id-sorted slice, which every
-/// method takes by reference — the shard owns the endpoints, the lanes only
-/// carry the batched ones' filter arithmetic.
+/// method takes by reference — the shard owns the endpoints, the lanes
+/// carry their filter arithmetic.
 pub(crate) struct BatchLanes {
     groups: Vec<BatchGroup>,
     /// `lane_of[slot]` is the `(group, lane)` carrying endpoint `slot`'s
-    /// filter, `None` for a scalar-routed endpoint — the inverse of the
-    /// groups' `slots`, kept in step across every `swap_remove`.
-    lane_of: Vec<Option<(u32, u32)>>,
-    /// Positions of the scalar-routed endpoints (their own
-    /// [`kalstream_filter::KalmanFilter`] steps), ascending and maintained
-    /// across demotions so the per-tick predict loop needs no re-sort.
-    /// Every other endpoint's filter is dormant until demotion.
-    scalar: Vec<usize>,
+    /// filter — the inverse of the groups' `slots`, kept in step across
+    /// every move.
+    lane_of: Vec<(u32, u32)>,
 }
 
 impl BatchLanes {
-    /// Groups every endpoint that qualifies for the batch path (supported
-    /// dims, Joseph covariance form, model shared with the group) and
-    /// leaves the rest scalar.
+    /// Puts every endpoint's filter on a lane of its model and form's group.
     pub(crate) fn new(endpoints: &[(u32, ServerEndpoint)]) -> Self {
         let mut lanes = BatchLanes {
             groups: Vec::new(),
-            lane_of: vec![None; endpoints.len()],
-            scalar: Vec::new(),
+            lane_of: Vec::with_capacity(endpoints.len()),
         };
         for (slot, (_, ep)) in endpoints.iter().enumerate() {
-            let filter = ep.filter();
-            let model = filter.model();
-            if filter.covariance_update() != CovarianceUpdate::Joseph
-                || !DynFleetBatch::supported(model.state_dim(), model.measurement_dim())
-            {
-                lanes.scalar.push(slot);
-                continue;
-            }
-            let group = match lanes.groups.iter().position(|g| g.batch.model() == model) {
-                Some(g) => g,
-                None => {
-                    let batch = DynFleetBatch::for_model(model)
-                        .expect("supported dims have a batch kernel");
-                    lanes.groups.push(BatchGroup {
-                        batch,
-                        slots: Vec::new(),
-                    });
-                    lanes.groups.len() - 1
-                }
-            };
-            let g = &mut lanes.groups[group];
-            g.batch
-                .push(
-                    filter.state(),
-                    filter.covariance(),
-                    filter.steps_since_update(),
-                )
-                .expect("endpoint filter shape matches its own model");
-            lanes.lane_of[slot] = Some((group as u32, g.slots.len() as u32));
-            g.slots.push(slot);
+            let at = lanes.push(slot, ep.filter());
+            lanes.lane_of.push(at);
         }
         lanes
     }
 
-    /// `(batched, scalar)` stream counts — the dispatcher's coverage, worth
-    /// watching next to the `linalg.heap_fallbacks` counter.
-    pub(crate) fn coverage(&self) -> (usize, usize) {
-        let batched = self.groups.iter().map(|g| g.slots.len()).sum();
-        (batched, self.scalar.len())
+    /// Appends a lane for endpoint `slot`, seeded from `filter`, to the
+    /// group for `filter`'s model and form (created when there is none);
+    /// returns its `(group, lane)`.
+    fn push(&mut self, slot: usize, filter: &KalmanFilter) -> (u32, u32) {
+        let (model, form) = (filter.model(), filter.covariance_update());
+        let group = match self
+            .groups
+            .iter()
+            .position(|g| g.batch.covariance_update() == form && g.batch.model() == model)
+        {
+            Some(g) => g,
+            None => {
+                let batch = DynFleetBatch::for_model_in_form(model, form)
+                    .expect("every admitted filter shape has a batch row");
+                self.groups.push(BatchGroup {
+                    batch,
+                    slots: Vec::new(),
+                });
+                self.groups.len() - 1
+            }
+        };
+        let g = &mut self.groups[group];
+        let lane = g
+            .batch
+            .push(
+                filter.state(),
+                filter.covariance(),
+                filter.steps_since_update(),
+            )
+            .expect("endpoint filter shape matches its own model");
+        g.slots.push(slot);
+        (group as u32, lane as u32)
     }
 
     /// The predict phase of a tick — the batch twin of calling
-    /// `ServerEndpoint::predict` on each endpoint: batched groups predict as
-    /// one fleet, then scalar endpoints predict individually. Lanes that
-    /// come out non-finite get the scalar path's per-tick
-    /// `predict_failures` bookkeeping here; whether they *stay* non-finite
-    /// (→ demotion) is decided by [`BatchLanes::settle`], since a sync later
-    /// in the tick may resynchronise them.
+    /// `ServerEndpoint::predict` on each endpoint: every group predicts as
+    /// one fleet, and each lane that comes out non-finite gets the plain
+    /// path's per-tick `predict_failures` bookkeeping.
     pub(crate) fn predict(&mut self, endpoints: &mut [(u32, ServerEndpoint)]) {
         for group in self.groups.iter_mut() {
             if group.batch.predict_all() > 0 {
@@ -144,37 +121,27 @@ impl BatchLanes {
                 }
             }
         }
-        for &slot in self.scalar.iter() {
-            endpoints[slot].1.predict();
-        }
     }
 
-    /// Applies one admitted sync for endpoint `slot` (`ep`): to its lane
-    /// when it has one — the same operations `apply_sync` runs on a filter —
-    /// and to its own filter otherwise.
+    /// Applies one admitted sync for endpoint `slot` (`ep`) to its lane —
+    /// the same operations `apply_sync` runs on a filter.
     pub(crate) fn apply(&mut self, slot: usize, ep: &mut ServerEndpoint, msg: SyncRef<'_>) {
-        let Some((group, lane)) = self.lane_of[slot] else {
-            ep.apply_view(msg);
-            return;
-        };
-        let (group, lane) = (group as usize, lane as usize);
-        let batch = &mut self.groups[group].batch;
+        let (group, lane) = self.lane_of[slot];
+        let (batch, lane) = (&mut self.groups[group as usize].batch, lane as usize);
         let applied = match msg {
             SyncRef::State { x, p } => batch.set_lane_packed(lane, x.iter(), p.iter()).is_ok(),
             // On `Diverged` the lane keeps the non-finite posterior —
-            // exactly what the scalar filter leaves behind — and `settle`
-            // demotes it. Other errors leave the lane untouched; either way
-            // the sync is not counted.
+            // exactly what a lone filter leaves behind. Other errors
+            // leave the lane untouched; either way the sync is not counted.
             SyncRef::Measurement { z } => z
                 .read_into(&mut [0.0; VECTOR_INLINE_CAP])
                 .is_some_and(|z| batch.update_lane(lane, z).is_ok()),
-            // The replacement filter may have any shape, so it is installed
-            // in the endpoint and the stream leaves the batch now: the
-            // tick's later syncs for it find no lane. On rejection the
-            // stream simply stays batched.
+            // The replacement filter may have any shape and form: it is
+            // installed in the endpoint, and the stream moves to a lane of
+            // its group. On rejection the stream keeps its lane.
             SyncRef::Model(_) => {
                 if ep.apply_view(msg) {
-                    self.demote(group, lane);
+                    self.relocate(slot, ep.filter());
                 }
                 return;
             }
@@ -184,42 +151,32 @@ impl BatchLanes {
         }
     }
 
-    /// Demotes every lane the tick left non-finite, handing its state back
-    /// to its endpoint's own filter. Runs after the tick's whole apply walk.
-    /// After a demotion the swapped-in lane is checked at the same index, so
-    /// no lane is skipped.
-    pub(crate) fn settle(&mut self, endpoints: &mut [(u32, ServerEndpoint)]) {
-        for group in 0..self.groups.len() {
-            let mut lane = 0;
-            while lane < self.groups[group].slots.len() {
-                let g = &self.groups[group];
-                if g.batch.lane_is_finite(lane) {
-                    lane += 1;
-                    continue;
+    /// Moves endpoint `slot` to a new lane seeded from `filter`, in the
+    /// group for its model and form. The old group's last lane fills the
+    /// gap; a group left empty is dropped, the last group taking its index.
+    fn relocate(&mut self, slot: usize, filter: &KalmanFilter) {
+        let (from, lane) = self.lane_of[slot];
+        let g = &mut self.groups[from as usize];
+        g.batch.swap_remove_lane(lane as usize);
+        g.slots.swap_remove(lane as usize);
+        if let Some(&moved) = g.slots.get(lane as usize) {
+            self.lane_of[moved] = (from, lane);
+        }
+        self.lane_of[slot] = self.push(slot, filter);
+        let from = from as usize;
+        if self.groups[from].slots.is_empty() {
+            self.groups.swap_remove(from);
+            if let Some(g) = self.groups.get(from) {
+                for (lane, &moved) in g.slots.iter().enumerate() {
+                    self.lane_of[moved] = (from as u32, lane as u32);
                 }
-                restore_lane(&g.batch, lane, &mut endpoints[g.slots[lane]].1);
-                self.demote(group, lane);
             }
         }
     }
 
-    /// Removes a lane and routes its endpoint scalar; the group's last lane
-    /// moves into the vacated index, and its endpoint's map entry with it.
-    fn demote(&mut self, group: usize, lane: usize) {
-        let g = &mut self.groups[group];
-        g.batch.swap_remove_lane(lane);
-        let slot = g.slots.swap_remove(lane);
-        if let Some(&moved) = g.slots.get(lane) {
-            self.lane_of[moved] = Some((group as u32, lane as u32));
-        }
-        self.lane_of[slot] = None;
-        let at = self.scalar.partition_point(|&s| s < slot);
-        self.scalar.insert(at, slot);
-    }
-
-    /// Overlays every live lane's `x`/`p`/staleness onto `states` (one per
-    /// endpoint, in endpoint order) — for batched streams the endpoint's own
-    /// filter is dormant, so its captured triplet is stale until overlaid.
+    /// Overlays every lane's `x`/`p`/staleness onto `states` (one per
+    /// endpoint, in endpoint order) — the endpoint's own filter is dormant,
+    /// so its captured triplet is stale until overlaid.
     pub(crate) fn overlay(&self, states: &mut [(u32, EndpointState)]) {
         for group in self.groups.iter() {
             for (lane, &slot) in group.slots.iter().enumerate() {
@@ -229,24 +186,21 @@ impl BatchLanes {
         }
     }
 
-    /// Hands every remaining lane's state back to its endpoint filter, so
-    /// the endpoints hold the same shape (and, for the same traffic, the
-    /// same bits) the plain path produces.
+    /// Hands every lane's state back to its endpoint filter, so the
+    /// endpoints hold the same shape (and, for the same traffic, the same
+    /// bits) the plain path produces.
     pub(crate) fn restore(&self, endpoints: &mut [(u32, ServerEndpoint)]) {
         for group in self.groups.iter() {
             for (lane, &slot) in group.slots.iter().enumerate() {
-                restore_lane(&group.batch, lane, &mut endpoints[slot].1);
+                let (x, p, steps) = group.batch.lane_state(lane);
+                endpoints[slot]
+                    .1
+                    .filter_mut()
+                    .restore(x, p, steps)
+                    .expect("lane shape matches its endpoint's model");
             }
         }
     }
-}
-
-/// Copies one lane's state into its endpoint's own filter.
-fn restore_lane(batch: &DynFleetBatch, lane: usize, ep: &mut ServerEndpoint) {
-    let (x, p, steps) = batch.lane_state(lane);
-    ep.filter_mut()
-        .restore(x, p, steps)
-        .expect("lane shape matches its endpoint's model");
 }
 
 /// Single-threaded ingester over one batched inline `Shard` — the batch
@@ -256,15 +210,9 @@ fn restore_lane(batch: &DynFleetBatch, lane: usize, ep: &mut ServerEndpoint) {
 pub struct BatchedIngest(Shard);
 
 impl BatchedIngest {
-    /// Builds the ingester over `endpoints`, batch-grouping the eligible
-    /// ones.
+    /// Builds the ingester over `endpoints`, every one on a lane.
     pub fn new(endpoints: Vec<(u32, ServerEndpoint)>) -> Self {
         BatchedIngest(Shard::new(0, endpoints, true, None))
-    }
-
-    /// `(batched, scalar)` stream counts.
-    pub fn coverage(&self) -> (usize, usize) {
-        self.0.coverage().expect("a batched shard has lanes")
     }
 
     /// Drains one tick's batch and advances every endpoint, synchronously.
@@ -292,7 +240,7 @@ mod tests {
     use crate::ingest::SequentialIngest;
     use crate::test_support::{filter_bits, record_log, record_log_of};
     use crate::wire::{SyncMessage, WireMessage};
-    use kalstream_filter::{models, KalmanFilter};
+    use kalstream_filter::{models, CovarianceUpdate};
     use kalstream_linalg::{Matrix, Vector};
 
     fn assert_same_endpoints(a: &[(u32, ServerEndpoint)], b: &[(u32, ServerEndpoint)], what: &str) {
@@ -314,11 +262,16 @@ mod tests {
         }
     }
 
+    /// Lane count of every group, in group order.
+    fn group_sizes(lanes: &BatchLanes) -> Vec<usize> {
+        lanes.groups.iter().map(|g| g.batch.len()).collect()
+    }
+
     #[test]
-    fn groups_same_model_streams_and_leaves_ineligible_ones_scalar() {
+    fn groups_streams_by_model_and_form_and_maps_every_endpoint() {
         let mut endpoints = Vec::new();
-        // 3-state constant acceleration: outside the batch shape table,
-        // stays scalar.
+        // 3-state constant acceleration: off the shape table, one group on
+        // the zero-padded 4 × 1 row.
         for id in 0..3u32 {
             let kf = KalmanFilter::new(
                 models::constant_acceleration(1.0, 0.02, 0.1),
@@ -328,7 +281,7 @@ mod tests {
             .unwrap();
             endpoints.push((id, ServerEndpoint::new(kf)));
         }
-        // 2-state constant velocity: batched, one shared group.
+        // 2-state constant velocity: one shared group.
         for id in 3..8u32 {
             let kf = KalmanFilter::new(
                 models::constant_velocity(1.0, 0.05, 0.1),
@@ -338,7 +291,7 @@ mod tests {
             .unwrap();
             endpoints.push((id, ServerEndpoint::new(kf)));
         }
-        // Simple covariance form: stays scalar even at supported dims.
+        // The same model in the Simple covariance form: a group of its own.
         let mut kf = KalmanFilter::new(
             models::constant_velocity(1.0, 0.05, 0.1),
             Vector::zeros(2),
@@ -348,25 +301,28 @@ mod tests {
         kf.set_covariance_update(CovarianceUpdate::Simple);
         endpoints.push((8, ServerEndpoint::new(kf)));
         let lanes = BatchLanes::new(&endpoints);
-        assert_eq!(lanes.coverage(), (5, 4));
-        assert_eq!(lanes.groups.len(), 1);
-        assert_eq!(lanes.scalar, vec![0, 1, 2, 8]);
+        assert_lane_map_holds(&lanes);
+        assert_eq!(group_sizes(&lanes), vec![3, 5, 1]);
+        assert!(matches!(lanes.groups[0].batch, DynFleetBatch::B4x1(_)));
+        assert_eq!(
+            lanes.groups[2].batch.covariance_update(),
+            CovarianceUpdate::Simple
+        );
     }
 
     #[test]
-    fn default_scalar_fleet_is_fully_batched() {
-        // The benchmark's own fleet: 1-state adaptive random walks. Before
-        // the table had a 1×1 row they all fell back to the scalar path.
+    fn default_scalar_fleet_is_one_group() {
+        // The benchmark's own fleet: 1-state adaptive random walks.
         let (servers, _) = record_log(0, 16, 0);
         let lanes = BatchLanes::new(&servers);
-        assert_eq!(lanes.coverage(), (16, 0));
-        assert_eq!(lanes.groups.len(), 1);
+        assert_lane_map_holds(&lanes);
+        assert_eq!(group_sizes(&lanes), vec![16]);
     }
 
     #[test]
     fn batched_ingest_matches_sequential_bit_for_bit() {
-        // 12 CV (2×1) and 4 default scalar (1×1) sessions batch in two
-        // groups; 4 constant-acceleration (3×1) sessions stay scalar.
+        // 12 CV (2×1) and 4 default scalar (1×1) sessions on exact rows, 4
+        // constant-acceleration (3×1) sessions on the padded 4×1 row.
         let config = || crate::ProtocolConfig::new(0.25).unwrap();
         let specs = (0..20)
             .map(|id| match id {
@@ -395,7 +351,7 @@ mod tests {
         assert!(seq_result.total_messages() > 0, "log recorded no syncs");
 
         let mut batched = BatchedIngest::new(servers);
-        assert_eq!(batched.coverage(), (16, 4));
+        assert_eq!(group_sizes(lanes_of(&batched)), vec![12, 4, 4]);
         for tick in &log {
             TickIngest::ingest_tick(&mut batched, tick);
         }
@@ -404,14 +360,25 @@ mod tests {
         assert_same_endpoints(&result.endpoints, &seq_result.endpoints, "batched");
     }
 
+    /// The lanes of a batched ingester.
+    fn lanes_of(batched: &BatchedIngest) -> &BatchLanes {
+        batched.0.lanes().expect("a batched shard has lanes")
+    }
+
     #[test]
-    fn model_sync_demotes_stream_to_scalar_identically() {
-        // Stream 1 (batched) receives a model sync mid-run — trailed by a
-        // measurement in the same tick that must land on the replacement
-        // filter — then keeps receiving ordinary traffic to the end.
+    fn model_sync_moves_the_stream_to_its_new_models_group_and_back() {
+        // Stream 1 receives a model sync mid-run — trailed by a measurement
+        // in the same tick that must land on its new lane — then keeps
+        // receiving ordinary traffic, until a second model sync puts it
+        // back on its first model: the emptied group is dropped.
         let (servers, mut log) = record_log(4, 0, 40);
-        let mut extra = FrameBatch::new();
-        extra.push(
+        let prepend = |tick: &mut Vec<u8>, extra: FrameBatch| {
+            let mut merged = extra.as_bytes().to_vec();
+            merged.extend_from_slice(tick);
+            *tick = merged;
+        };
+        let mut to_ca = FrameBatch::new();
+        to_ca.push(
             1,
             &SyncMessage::Model {
                 model: Box::new(models::constant_acceleration(1.0, 0.02, 0.1)),
@@ -419,54 +386,69 @@ mod tests {
                 p: Matrix::scalar(3, 1.0),
             },
         );
-        extra.push(
+        to_ca.push(
             1,
             &SyncMessage::Measurement {
                 z: Vector::from_slice(&[0.6]),
             },
         );
-        let mut merged = extra.as_bytes().to_vec();
-        merged.extend_from_slice(&log[20]);
-        log[20] = merged;
+        prepend(&mut log[20], to_ca);
+        let mut back = FrameBatch::new();
+        back.push(
+            1,
+            &SyncMessage::Model {
+                model: Box::new(models::constant_velocity(1.0, 0.05, 0.1)),
+                x: Vector::from_slice(&[0.4, 0.1]),
+                p: Matrix::scalar(2, 0.5),
+            },
+        );
+        prepend(&mut log[30], back);
 
         let mut seq = SequentialIngest::new(servers.clone());
         let mut batched = BatchedIngest::new(servers);
-        assert_eq!(batched.coverage(), (4, 0));
-        for tick in &log {
+        assert_eq!(group_sizes(lanes_of(&batched)), vec![4]);
+        for (t, tick) in log.iter().enumerate() {
             seq.ingest_tick(tick);
             batched.ingest_tick(tick);
+            let lanes = lanes_of(&batched);
+            assert_lane_map_holds(lanes);
+            match t {
+                20 => assert_eq!(group_sizes(lanes), vec![3, 1], "stream 1 moved"),
+                30 => assert_eq!(group_sizes(lanes), vec![4], "and back"),
+                _ => {}
+            }
         }
-        assert_eq!(batched.coverage(), (3, 1), "stream 1 demoted");
         let seq_result = seq.finish();
         let result = batched.finish();
         assert_same_endpoints(&result.endpoints, &seq_result.endpoints, "model-sync");
         let (_, ep1) = &result.endpoints[1];
-        assert_eq!(ep1.filter().model().name(), "constant_acceleration");
+        assert_eq!(ep1.filter().model().name(), "constant_velocity");
     }
 
-    /// `lane_of` is exactly the inverse of the groups' `slots`, and every
-    /// other endpoint is scalar-routed.
+    /// Every endpoint is mapped: `lane_of` is exactly the inverse of the
+    /// groups' `slots`, which hold every endpoint once, no group is empty,
+    /// and each group's batch has one lane per slot.
     fn assert_lane_map_holds(lanes: &BatchLanes) {
         let mut mapped = 0;
         for (g, group) in lanes.groups.iter().enumerate() {
+            assert!(!group.slots.is_empty(), "group {g} is empty");
+            assert_eq!(group.batch.len(), group.slots.len());
             for (lane, &slot) in group.slots.iter().enumerate() {
-                assert_eq!(lanes.lane_of[slot], Some((g as u32, lane as u32)));
+                assert_eq!(lanes.lane_of[slot], (g as u32, lane as u32));
                 mapped += 1;
             }
         }
-        for &slot in &lanes.scalar {
-            assert_eq!(lanes.lane_of[slot], None);
-        }
-        assert_eq!(mapped + lanes.scalar.len(), lanes.lane_of.len());
+        assert_eq!(mapped, lanes.lane_of.len(), "every endpoint mapped");
     }
 
     #[test]
-    fn model_sync_mid_walk_demotes_at_once_and_the_moved_lane_keeps_its_frames() {
+    fn model_sync_mid_walk_moves_at_once_and_both_moved_lanes_keep_their_frames() {
         // Four CV streams batch as lanes 0..4 of one group. In one tick
         // stream 1 gets State → Measurement → Model → State: the Model
-        // installs a replacement filter and demotes the stream mid-walk,
-        // stream 3's lane is swapped into lane 1, and stream 3 has frames
-        // later in that tick, as does stream 1 (on its new filter).
+        // installs a replacement filter and moves the stream mid-walk to a
+        // new constant-acceleration group, stream 3's lane is swapped into
+        // lane 1, and stream 3 has frames later in that tick, as does
+        // stream 1 (on its new lane).
         let (servers, mut log) = record_log(4, 0, 30);
         let state = |a: f64, b: f64| SyncMessage::State {
             x: Vector::from_slice(&[a, b]),
@@ -496,39 +478,38 @@ mod tests {
         );
         extra.push(3, &state(-0.3, 0.05));
         extra.push(3, &measurement(-0.25));
-        let demote_at = 10;
+        let move_at = 10;
         let mut merged = extra.as_bytes().to_vec();
-        merged.extend_from_slice(&log[demote_at]);
-        log[demote_at] = merged;
+        merged.extend_from_slice(&log[move_at]);
+        log[move_at] = merged;
 
         let mut seq = SequentialIngest::new(servers.clone());
         let mut batched = BatchedIngest::new(servers);
         for (t, tick) in log.iter().enumerate() {
             seq.ingest_tick(tick);
             batched.ingest_tick(tick);
-            let lanes = batched.0.lanes().expect("a batched shard has lanes");
+            let lanes = lanes_of(&batched);
             assert_lane_map_holds(lanes);
-            if t == demote_at {
-                assert_eq!(lanes.lane_of[1], None, "stream 1 demoted");
-                assert_eq!(lanes.lane_of[3], Some((0, 1)), "stream 3 moved");
+            if t == move_at {
+                assert_eq!(lanes.lane_of[1], (1, 0), "stream 1 moved groups");
+                assert_eq!(lanes.lane_of[3], (0, 1), "stream 3 moved lanes");
                 assert_eq!(lanes.groups[0].slots, vec![0, 3, 2]);
+                assert!(matches!(lanes.groups[1].batch, DynFleetBatch::B4x1(_)));
             }
         }
-        assert_eq!(batched.coverage(), (3, 1));
         let a = seq.finish();
         let b = batched.finish();
-        assert_same_endpoints(&b.endpoints, &a.endpoints, "mid-walk demotion");
+        assert_same_endpoints(&b.endpoints, &a.endpoints, "mid-walk move");
         let (_, ep1) = &b.endpoints[1];
         assert_eq!(ep1.filter().model().name(), "constant_acceleration");
     }
 
     #[test]
-    fn state_sync_heals_a_diverged_lane_without_demotion() {
+    fn state_sync_heals_a_diverged_lane_in_the_same_tick() {
         // Poison a lane with a non-finite state sync — which set_lane
         // accepts (like set_state, it validates shape only) — and heal it
-        // with a later sync *in the same tick*. The demotion check runs
-        // after the whole pending drain, so the healed lane stays batched,
-        // exactly as the scalar filter would simply absorb both syncs.
+        // with a later sync *in the same tick*, exactly as the scalar
+        // filter would simply absorb both syncs.
         let (servers, _) = record_log(2, 0, 0);
         let poison = SyncMessage::State {
             x: Vector::from_slice(&[f64::NAN, 0.0]),
@@ -548,7 +529,6 @@ mod tests {
             seq.ingest_tick(tick);
             batched.ingest_tick(tick);
         }
-        assert_eq!(batched.coverage(), (2, 0), "healed lane stays batched");
         let a = seq.finish();
         let b = batched.finish();
         assert_same_endpoints(&b.endpoints, &a.endpoints, "heal");
@@ -558,7 +538,7 @@ mod tests {
     }
 
     #[test]
-    fn unhealed_diverged_lane_is_demoted_and_keeps_scalar_bookkeeping() {
+    fn unhealed_diverged_lane_stays_on_its_lane_and_keeps_scalar_bookkeeping() {
         let (servers, _) = record_log(2, 0, 0);
         let poison = SyncMessage::State {
             x: Vector::from_slice(&[f64::NAN, 0.0]),
@@ -571,7 +551,6 @@ mod tests {
         let quiet = FrameBatch::new();
         seq.ingest_tick(tick1.as_bytes());
         batched.ingest_tick(tick1.as_bytes());
-        assert_eq!(batched.coverage(), (1, 1), "poisoned lane demoted");
         for _ in 0..3 {
             seq.ingest_tick(quiet.as_bytes());
             batched.ingest_tick(quiet.as_bytes());
@@ -580,10 +559,74 @@ mod tests {
         let b = batched.finish();
         assert_same_endpoints(&b.endpoints, &a.endpoints, "diverged");
         // The poison sync lands *after* tick 1's predict, so only the three
-        // quiet ticks predict on a non-finite state — on the scalar path the
-        // demoted stream took over from tick 2 onward.
+        // quiet ticks predict on a non-finite state, and each counts.
         let (_, ep) = &b.endpoints[0];
         assert_eq!(ep.predict_failures(), 3, "every later tick keeps failing");
+    }
+
+    #[test]
+    fn state_sync_heals_a_poisoned_padded_lane_two_ticks_later() {
+        // Two constant-acceleration (3 × 1) streams share a lane group on
+        // the zero-padded 4 × 1 row. Stream 0's lane is poisoned (NaN in
+        // `x` and `P`), predicts twice on it, and is then healed by a state
+        // sync; measurement syncs follow on both streams. A pad stored on
+        // the lane would have picked up NaN by then and would leak it back
+        // into the healed real block on the next predict.
+        let config = || crate::ProtocolConfig::new(0.25).unwrap();
+        let specs = (0..2)
+            .map(|_| {
+                crate::SessionSpec::fixed(
+                    models::constant_acceleration(1.0, 0.02, 0.1),
+                    Vector::zeros(3),
+                    1.0,
+                    config(),
+                )
+            })
+            .collect::<crate::Result<Vec<_>>>()
+            .unwrap();
+        let (servers, _) = record_log_of(specs, 0);
+        let mut poisoned_p = Matrix::scalar(3, 1.0);
+        poisoned_p.set(0, 1, f64::NAN);
+        poisoned_p.set(1, 0, f64::NAN);
+        let poison = SyncMessage::State {
+            x: Vector::from_slice(&[f64::NAN, 0.0, 0.0]),
+            p: poisoned_p,
+        };
+        let heal = SyncMessage::State {
+            x: Vector::from_slice(&[1.0, -0.5, 0.1]),
+            p: Matrix::scalar(3, 0.5),
+        };
+        let measurement = |v: f64| SyncMessage::Measurement {
+            z: Vector::from_slice(&[v]),
+        };
+        let mut seq = SequentialIngest::new(servers.clone());
+        let mut batched = BatchedIngest::new(servers);
+        assert!(matches!(
+            lanes_of(&batched).groups[0].batch,
+            DynFleetBatch::B4x1(_)
+        ));
+        for t in 0..8 {
+            let mut tick = FrameBatch::new();
+            match t {
+                0 => tick.push(0, &poison),
+                2 => tick.push(0, &heal),
+                _ => {}
+            }
+            if t >= 3 {
+                tick.push(0, &measurement(0.2 * t as f64));
+            }
+            tick.push(1, &measurement(-0.1 * t as f64));
+            seq.ingest_tick(tick.as_bytes());
+            batched.ingest_tick(tick.as_bytes());
+            assert_lane_map_holds(lanes_of(&batched));
+        }
+        let a = seq.finish();
+        let b = batched.finish();
+        assert_same_endpoints(&b.endpoints, &a.endpoints, "padded heal");
+        let (_, ep) = &b.endpoints[0];
+        assert_eq!(ep.predict_failures(), 2, "ticks 1 and 2 predict on NaN");
+        assert!(ep.filter().state().iter().all(|v| v.is_finite()));
+        assert!(ep.filter().covariance().is_finite());
     }
 
     #[test]

@@ -278,9 +278,9 @@ pub(crate) struct Shard {
     endpoints: Vec<(u32, ServerEndpoint)>,
     /// Stream id → position in `endpoints`.
     index: HashMap<u32, usize>,
-    /// Fleet-batch lanes carrying the eligible endpoints' filter arithmetic,
-    /// for a batched shard. Either way the tick semantics — and, for the
-    /// same traffic, the resulting bits — are identical.
+    /// Fleet-batch lanes carrying every endpoint's filter arithmetic, for a
+    /// batched shard. Either way the tick semantics — and, for the same
+    /// traffic, the resulting bits — are identical.
     lanes: Option<BatchLanes>,
     /// Per endpoint, how many of the current tick's oldest syncs are still
     /// to be shed so that only its newest [`PENDING_CAP`] apply. All zero
@@ -325,24 +325,17 @@ impl Shard {
         }
     }
 
-    /// `(batched, scalar)` stream counts; `None` for a plain shard.
-    pub(crate) fn coverage(&self) -> Option<(usize, usize)> {
-        self.lanes.as_ref().map(BatchLanes::coverage)
-    }
-
-    /// One tick: predict every endpoint (on a batched shard, every lane,
-    /// then the scalar endpoints); walk `buf`'s frames once, each sync
-    /// parsed, admitted (`ServerEndpoint::admit_view`) and applied where it
-    /// lies to its endpoint's filter or lane; hand `buf` to `recycle`;
-    /// demote the lanes the tick left non-finite; then poll feedback (acks
-    /// before bounds per stream, streams in ascending id order — the
-    /// ingest-mode twin of the session loop's
+    /// One tick: predict every endpoint (on a batched shard, every lane);
+    /// walk `buf`'s frames once, each sync parsed, admitted
+    /// (`ServerEndpoint::admit_view`) and applied where it lies to its
+    /// endpoint's filter or lane; hand `buf` to `recycle`; then poll
+    /// feedback (acks before bounds per stream, streams in ascending id
+    /// order — the ingest-mode twin of the session loop's
     /// `while let Some(fb) = consumer.poll_feedback(now)`).
     ///
     /// The apply walk reads the syncs out of `buf` itself, so the buffer is
-    /// held through it and recycled right after, before the lanes settle
-    /// and feedback is polled; `recycle` returns whether the hand-back
-    /// succeeded.
+    /// held through it and recycled right after, before feedback is polled;
+    /// `recycle` returns whether the hand-back succeeded.
     pub(crate) fn tick<B: Deref<Target = [u8]>>(
         &mut self,
         buf: B,
@@ -384,9 +377,6 @@ impl Shard {
         // in steady state it means the pool is leaking capacity.
         if !recycle(buf) {
             report.recycle_drops += 1;
-        }
-        if let Some(lanes) = lanes {
-            lanes.settle(endpoints);
         }
         if let Some(tx) = &self.feedback {
             for (id, ep) in endpoints.iter_mut() {
@@ -510,7 +500,7 @@ impl Shard {
 /// Hands one admitted sync to endpoint `slot` (`msg` is `None` for a
 /// carried queue entry that does not parse): shed and counted while the
 /// stream still has tick-old syncs over the cap to shed, otherwise applied —
-/// to its batch lane when it has one, to its own filter else.
+/// to its batch lane on a batched shard, to its own filter else.
 fn deliver(
     lanes: &mut Option<BatchLanes>,
     shed: &mut [usize],
@@ -576,9 +566,6 @@ pub struct IngestPipeline {
     /// the whole population converges within one rotation instead of
     /// stragglers paying growth reallocs arbitrarily late.
     high_water: usize,
-    /// `(batched, scalar)` stream counts across the live shards (`None` for
-    /// plain pipelines).
-    coverage: Option<(usize, usize)>,
 }
 
 impl IngestPipeline {
@@ -597,12 +584,10 @@ impl IngestPipeline {
     ///   restarted process re-enters the shape an elastic run resized into:
     ///   recovery hands it the assignment the crashed run last held, and
     ///   routing resumes byte-for-byte.
-    /// * `batched` — each shard steps its eligible endpoints through the
-    ///   fleet-batch lanes (see [`crate::BatchedIngest`]): bit-identical
-    ///   output, one structure-of-arrays predict per same-model group per
-    ///   tick instead of one filter call per stream.
-    ///   [`IngestPipeline::coverage`] reports how many streams took the
-    ///   batch path.
+    /// * `batched` — each shard steps every endpoint through the fleet-batch
+    ///   lanes (see [`crate::BatchedIngest`]): bit-identical output, one
+    ///   structure-of-arrays predict per model-and-form group per tick
+    ///   instead of one filter call per stream.
     /// * `feedback` — when set, each shard polls its endpoints' feedback
     ///   (acks, bound directives) after every tick's advance and sends
     ///   `(stream_id, payload)` pairs into it — the hook a network server
@@ -621,8 +606,7 @@ impl IngestPipeline {
         feedback: Option<Sender<(u32, Bytes)>>,
     ) -> Self {
         let (recycle_tx, recycle_rx) = unbounded();
-        let (shards, coverage) =
-            spawn_workers(assignment, endpoints, batched, &feedback, &recycle_tx);
+        let shards = spawn_workers(assignment, endpoints, batched, &feedback, &recycle_tx);
         IngestPipeline {
             shards,
             batches: (0..assignment.shards).map(|_| FrameBatch::new()).collect(),
@@ -637,14 +621,7 @@ impl IngestPipeline {
             offered: vec![0; assignment.shards],
             outstanding: 0,
             high_water: 0,
-            coverage,
         }
-    }
-
-    /// `(batched, scalar)` stream counts across shards for a batched
-    /// pipeline; `None` for the plain pipeline.
-    pub fn coverage(&self) -> Option<(usize, usize)> {
-        self.coverage
     }
 
     /// Maximum buffers in circulation. Deliberately small — a few ticks of
@@ -731,15 +708,13 @@ impl IngestPipeline {
         let start = std::time::Instant::now();
         let mut endpoints = Vec::new();
         self.join_workers(&mut endpoints);
-        let (shards, coverage) = spawn_workers(
+        self.shards = spawn_workers(
             to,
             endpoints,
             self.batched,
             &self.feedback,
             &self.recycle_tx,
         );
-        self.shards = shards;
-        self.coverage = coverage;
         self.assignment = to;
         self.offered = vec![0; to.shards];
         // Match the router-side batch set to the new shard count. Shrinks
@@ -860,30 +835,24 @@ impl IngestPipeline {
 
 /// Groups `endpoints` under `assignment` and spawns one worker per shard.
 /// Shared by pipeline start and [`IngestPipeline::reassign`] so both
-/// generations are built by exactly the same code path. Returns the shard
-/// handles and the batch-path coverage (`None` for plain pipelines).
+/// generations are built by exactly the same code path.
 fn spawn_workers(
     assignment: ShardAssignment,
     endpoints: Vec<(u32, ServerEndpoint)>,
     batched: bool,
     feedback: &Option<Sender<(u32, Bytes)>>,
     recycle_tx: &Sender<BytesMut>,
-) -> (Vec<ShardHandle>, Option<(usize, usize)>) {
+) -> Vec<ShardHandle> {
     let mut groups: Vec<Vec<(u32, ServerEndpoint)>> =
         (0..assignment.shards).map(|_| Vec::new()).collect();
     for (id, ep) in endpoints {
         groups[assignment.route(id)].push((id, ep));
     }
-    let mut coverage = batched.then_some((0, 0));
-    let handles = groups
+    groups
         .into_iter()
         .enumerate()
         .map(|(i, group)| {
             let shard = Shard::new(i, group, batched, feedback.clone());
-            if let (Some(total), Some((b, s))) = (coverage.as_mut(), shard.coverage()) {
-                total.0 += b;
-                total.1 += s;
-            }
             let (tx, rx) = bounded(QUEUE_DEPTH);
             let (ack_tx, ack_rx) = bounded(1);
             let recycle = recycle_tx.clone();
@@ -893,8 +862,7 @@ fn spawn_workers(
                 .expect("failed to spawn shard worker");
             ShardHandle { tx, ack_rx, handle }
         })
-        .collect();
-    (handles, coverage)
+        .collect()
 }
 
 /// On-CPU nanoseconds of the calling thread so far — field 1 of
@@ -1120,9 +1088,9 @@ mod tests {
 
     #[test]
     fn batched_pipeline_matches_sequential_bit_for_bit() {
-        // 2-state constant-velocity sessions are batch-eligible; the
-        // batched pipeline must reproduce the sequential reference exactly
-        // at every shard count, like the plain pipeline does.
+        // 2-state constant-velocity sessions on lanes: the batched
+        // pipeline must reproduce the sequential reference exactly at every
+        // shard count, like the plain pipeline does.
         use kalstream_filter::models;
         use kalstream_linalg::Vector;
         let mut sources = Vec::new();
@@ -1165,7 +1133,6 @@ mod tests {
                 true,
                 None,
             );
-            assert_eq!(pipe.coverage(), Some((12, 0)));
             for tick in &log {
                 pipe.ingest_tick(tick);
             }
@@ -1181,14 +1148,6 @@ mod tests {
                 assert_eq!(a.syncs_applied(), b.syncs_applied());
             }
         }
-    }
-
-    #[test]
-    fn plain_pipeline_reports_no_coverage() {
-        let (servers, _) = record_log(0, 2, 0);
-        let pipe = IngestPipeline::start(2, servers);
-        assert_eq!(pipe.coverage(), None);
-        pipe.finish();
     }
 
     #[test]

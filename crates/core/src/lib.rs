@@ -25,9 +25,9 @@
 //! * [`ingest`] — the one ingest tick loop, run inline
 //!   ([`SequentialIngest`]) or on per-shard worker threads each owning its
 //!   endpoints ([`IngestPipeline`]), bit-identical for any shard count.
-//! * [`BatchedIngest`] — the fleet-batch dispatch layer: same-model streams
-//!   stepped through structure-of-arrays kernels
-//!   (`kalstream_filter::FleetBatch`), bit-identical to the scalar path and
+//! * [`BatchedIngest`] — the fleet-batch dispatch layer: every stream on
+//!   a structure-of-arrays lane (`kalstream_filter::FleetBatch`), grouped
+//!   by model and covariance form, bit-identical to the plain path and
 //!   selectable per pipeline via [`IngestPipeline::start_with`].
 //! * [`SourceEndpoint`] / [`ServerEndpoint`] — the two ends of the protocol,
 //!   implementing the simulator's `Producer`/`Consumer` traits.

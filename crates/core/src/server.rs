@@ -308,8 +308,8 @@ impl ServerEndpoint {
         self.predict_failures += 1;
     }
 
-    /// Mutable filter access for the batch engine's lane handoffs (restoring
-    /// a demoted lane's state, installing a model-sync replacement filter).
+    /// Mutable filter access for the batch engine's lane handoff: a lane
+    /// restores its state into the endpoint's filter at teardown.
     pub(crate) fn filter_mut(&mut self) -> &mut KalmanFilter {
         &mut self.filter
     }

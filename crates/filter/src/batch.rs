@@ -20,26 +20,37 @@
 //! [`KalmanFilter`] instantiates it at `f64`, a chunk here at `Pack<W>`.
 //! Stepping a lane through [`FleetBatch::predict_all`] /
 //! [`FleetBatch::update_all`] is therefore **bit-identical** to stepping a
-//! scalar Joseph-form filter through `predict` / `update` with the same
-//! inputs — suppression verdicts included, which are pure functions of the
-//! (identical) state — because both *are* the same function. The one
-//! width-dependent rule, the products' zero-skip, is `Lane::is_zero`, whose
-//! docs carry the argument that it changes no bit of a finite lane.
+//! scalar filter of the batch's covariance form through `predict` /
+//! `update` with the same inputs — suppression verdicts included, which
+//! are pure functions of the (identical) state — because both *are* the
+//! same function. The one width-dependent rule, the products' zero-skip,
+//! is `Lane::is_zero`, whose docs carry the argument that it changes no
+//! bit of a finite lane.
 //!
-//! A lane that leaves finite range (counted by [`FleetBatch::predict_all`],
-//! flagged by [`FleetBatch::lane_is_finite`]) is outside the contract — the
-//! dispatcher demotes such lanes back to the scalar path, which owns the
-//! divergence bookkeeping. It cannot disturb its chunk neighbours: no pack
-//! operation mixes filters.
+//! A batch of width `N` runs any model of `n ≤ N` states on a kernel from
+//! [`StaticKernel::from_matrices_padded`], as a lone filter runs an
+//! off-table shape. Its planes hold only the real `n × n` block and every
+//! chunk loads the pad as zero packs, exactly as the lone filter zero-pads
+//! per step: a stored pad would pick up `NaN · 0` on a diverged lane and
+//! outlive a state write, which covers only the real block. Every loop
+//! runs to the model's own `n`, exact rows included: compile-time bounds
+//! on exact rows measured no faster (EXPERIMENTS.md T5, PR 32 addendum).
+//!
+//! A lane that leaves finite range ([`FleetBatch::lane_is_finite`]) stays,
+//! as a diverged filter keeps its state until a write heals it, and still
+//! matches the lone filter bit for bit: no pack operation mixes filters;
+//! where predict's zero-skip differs between widths, the extra term is the
+//! lane's own `±0.0` times a finite model entry; and
+//! [`FleetBatch::update_lane`] runs at `f64` width.
 //!
 //! [`KalmanFilter`]: crate::KalmanFilter
 
-// Explicit `0..N` index loops are kept: `r` and `c` are the subscripts of
+// Explicit `0..n` index loops are kept: `r` and `c` are the subscripts of
 // `x_r` and `P[r][c]`, and each loop indexes a plane list and a pack array
 // by the same pair.
 #![allow(clippy::needless_range_loop)]
 
-use kalstream_linalg::{Lane, Matrix, Pack, StaticKernel, Vector};
+use kalstream_linalg::{CovarianceUpdate, Lane, Matrix, Pack, StaticKernel, Vector};
 
 use crate::{FilterError, Result, StateModel};
 
@@ -95,49 +106,55 @@ fn store(plane: &mut [f64], at: usize, v: Pack<W>) {
     }
 }
 
-/// [`store`] for every slot of a chunk.
+/// [`store`] for the real `n × n` block of a chunk.
 #[inline(always)]
 fn store_chunk<const N: usize>(
     x_planes: &mut [Vec<f64>],
     p_planes: &mut [Vec<f64>],
+    n: usize,
     at: usize,
     (x, p): &Chunk<N>,
 ) {
-    for r in 0..N {
+    for r in 0..n {
         store(&mut x_planes[r], at, x[r]);
-        for c in 0..N {
-            store(&mut p_planes[r * N + c], at, p[r][c]);
+        for c in 0..n {
+            store(&mut p_planes[r * n + c], at, p[r][c]);
         }
     }
 }
 
-/// How many of a chunk's first `n` lanes hold a non-finite value: `v · 0.0`
-/// is `0.0` for finite `v` and NaN otherwise, so one fused sum over the
-/// slots decides every lane at once.
+/// How many of a chunk's first `lanes` lanes hold a non-finite value in
+/// the real `n × n` block: `v · 0.0` is `0.0` for finite `v` and NaN
+/// otherwise, so one fused sum over the slots decides every lane at once.
 #[inline(always)]
-fn count_nonfinite<const N: usize>((x, p): &Chunk<N>, n: usize) -> usize {
+fn count_nonfinite<const N: usize>((x, p): &Chunk<N>, n: usize, lanes: usize) -> usize {
     let mut acc = Pack::splat(0.0);
-    for r in 0..N {
+    for r in 0..n {
         acc += x[r] * Pack::splat(0.0);
-        for c in 0..N {
+        for c in 0..n {
             acc += p[r][c] * Pack::splat(0.0);
         }
     }
-    acc.0.iter().take(n).filter(|a| **a != 0.0).count()
+    acc.0.iter().take(lanes).filter(|a| **a != 0.0).count()
 }
 
-/// A structure-of-arrays batch of same-model Joseph-form Kalman filters.
+/// A structure-of-arrays batch of same-model Kalman filters of one
+/// covariance form.
 ///
-/// All lanes share one [`StateModel`] (and hence one [`StaticKernel`]);
-/// per-lane state lives in columnar planes. See the module docs for the
-/// layout and why a lane is bit-identical to a scalar filter.
+/// All lanes share one [`StateModel`] (and hence one [`StaticKernel`],
+/// zero-padded when the model has fewer than `N` states); per-lane state
+/// lives in columnar planes. See the module docs for the layout and why a
+/// lane is bit-identical to a scalar filter.
 pub struct FleetBatch<const N: usize, const M: usize> {
     kernel: StaticKernel<N, M>,
     model: StateModel,
+    /// The covariance formula every update runs.
+    form: CovarianceUpdate,
     len: usize,
-    /// State planes: `x[r][s]` is lane `s`'s `x_r`.
+    /// State planes, one per real state: `x[r][s]` is lane `s`'s `x_r`.
     x: Vec<Vec<f64>>,
-    /// Covariance planes: `p[r * N + c][s]` is lane `s`'s `P[r][c]`.
+    /// Covariance planes of the real `n × n` block: `p[r * n + c][s]` is
+    /// lane `s`'s `P[r][c]`.
     p: Vec<Vec<f64>>,
     /// Per-lane predict steps since the last measurement update.
     steps_since_update: Vec<u64>,
@@ -148,36 +165,44 @@ pub struct FleetBatch<const N: usize, const M: usize> {
 }
 
 impl<const N: usize, const M: usize> FleetBatch<N, M> {
-    /// Creates an empty batch over `model`.
+    /// Creates an empty batch over `model` whose updates run the
+    /// covariance formula `form`.
     ///
     /// # Errors
-    /// [`FilterError::BadModel`] when the model's dimensions are not
-    /// `(N, M)`.
-    pub fn new(model: &StateModel) -> Result<Self> {
-        if model.state_dim() != N || model.measurement_dim() != M {
+    /// [`FilterError::BadModel`] when the model's measurement dimension is
+    /// not `M` or its state dimension is above `N`.
+    pub fn new(model: &StateModel, form: CovarianceUpdate) -> Result<Self> {
+        let n = model.state_dim();
+        if n > N || model.measurement_dim() != M {
             return Err(FilterError::BadModel {
                 what: "batch dims",
                 expected: (N, M),
-                actual: (model.state_dim(), model.measurement_dim()),
+                actual: (n, model.measurement_dim()),
             });
         }
         let kernel =
-            StaticKernel::<N, M>::from_matrices(model.f(), model.q(), model.h(), model.r())?;
+            StaticKernel::<N, M>::from_matrices_padded(model.f(), model.q(), model.h(), model.r())?;
         let planes = |count: usize| -> Vec<Vec<f64>> { vec![Vec::new(); count] };
         Ok(FleetBatch {
             kernel,
             model: model.clone(),
+            form,
             len: 0,
-            x: planes(N),
-            p: planes(N * N),
+            x: planes(n),
+            p: planes(n * n),
             steps_since_update: Vec::new(),
-            posterior: (planes(N), planes(N * N)),
+            posterior: (planes(n), planes(n * n)),
         })
     }
 
     /// The shared model all lanes run.
     pub fn model(&self) -> &StateModel {
         &self.model
+    }
+
+    /// The covariance formula every update runs.
+    pub fn covariance_update(&self) -> CovarianceUpdate {
+        self.form
     }
 
     /// Number of lanes.
@@ -199,65 +224,83 @@ impl<const N: usize, const M: usize> FleetBatch<N, M> {
     ///
     /// [`KalmanFilter::restore`]: crate::KalmanFilter::restore
     pub fn push(&mut self, x0: &Vector, p0: &Matrix, steps_since_update: u64) -> Result<usize> {
-        if x0.dim() != N {
-            return Err(FilterError::BadModel {
-                what: "x0",
-                expected: (N, 1),
-                actual: (x0.dim(), 1),
-            });
+        crate::kalman::check_state_shape(self.x.len(), x0, p0)?;
+        for (plane, v) in self.x.iter_mut().zip(x0.as_slice()) {
+            plane.push(*v);
         }
-        if p0.shape() != (N, N) {
-            return Err(FilterError::BadModel {
-                what: "P0",
-                expected: (N, N),
-                actual: p0.shape(),
-            });
-        }
-        let lane = self.len;
-        for r in 0..N {
-            self.x[r].push(x0[r]);
-            for c in 0..N {
-                self.p[r * N + c].push(p0.get(r, c));
-            }
+        for (plane, v) in self.p.iter_mut().zip(p0.as_slice()) {
+            plane.push(*v);
         }
         self.steps_since_update.push(steps_since_update);
         self.len += 1;
-        Ok(lane)
+        Ok(self.len - 1)
     }
 
-    /// Lane `lane`'s state and covariance as the scalar kernel takes them.
+    /// Lane `lane`'s state and covariance as the scalar kernel takes them,
+    /// zero past the real block.
+    #[inline(always)]
     fn lane(&self, lane: usize) -> ([f64; N], [[f64; N]; N]) {
+        let n = self.x.len();
         let (mut x, mut p) = ([0.0; N], [[0.0; N]; N]);
-        for r in 0..N {
+        for r in 0..n {
             x[r] = self.x[r][lane];
-            for c in 0..N {
-                p[r][c] = self.p[r * N + c][lane];
+            for c in 0..n {
+                p[r][c] = self.p[r * n + c][lane];
             }
         }
         (x, p)
     }
 
-    /// The `W` lanes from `at` (see [`load`] for a short last chunk).
+    /// Writes the real block of kernel arrays to lane `lane`.
+    #[inline(always)]
+    fn set_lane(&mut self, lane: usize, x: &[f64; N], p: &[[f64; N]; N]) {
+        let n = self.x.len();
+        for r in 0..n {
+            self.x[r][lane] = x[r];
+            for c in 0..n {
+                self.p[r * n + c][lane] = p[r][c];
+            }
+        }
+    }
+
+    /// The state planes of the `W` lanes from `at` (see [`load`] for a
+    /// short last chunk), zero packs past the real block.
+    #[inline(always)]
+    fn chunk_x(&self, at: usize) -> [Pack<W>; N] {
+        let mut x = [Pack([0.0; W]); N];
+        for r in 0..self.x.len() {
+            x[r] = load(&self.x[r], at);
+        }
+        x
+    }
+
+    /// State and covariance of the `W` lanes from `at`, zero packs past
+    /// the real block.
     #[inline(always)]
     fn chunk(&self, at: usize) -> Chunk<N> {
-        let (mut x, mut p) = ([Pack([0.0; W]); N], [[Pack([0.0; W]); N]; N]);
-        for r in 0..N {
-            x[r] = load(&self.x[r], at);
-            for c in 0..N {
-                p[r][c] = load(&self.p[r * N + c], at);
+        let n = self.x.len();
+        let mut p = [[Pack([0.0; W]); N]; N];
+        for r in 0..n {
+            for c in 0..n {
+                p[r][c] = load(&self.p[r * n + c], at);
             }
         }
-        (x, p)
+        (self.chunk_x(at), p)
     }
 
     /// Lane `lane`'s state, covariance and staleness, gathered back into
-    /// row-major dynamic values — the handoff payload for demoting a lane to
-    /// the scalar path.
+    /// row-major dynamic values of the model's own shape — what a lane
+    /// hands its stream's own filter at teardown.
     pub fn lane_state(&self, lane: usize) -> (Vector, Matrix, u64) {
-        let (x, p) = self.lane(lane);
-        let mut p_out = Matrix::zeros(N, N);
-        p_out.as_mut_slice().copy_from_slice(p.as_flattened());
-        (Vector::from_slice(&x), p_out, self.steps_since_update[lane])
+        let n = self.x.len();
+        let (mut x, mut p) = (Vector::zeros(n), Matrix::zeros(n, n));
+        for (dst, plane) in x.as_mut_slice().iter_mut().zip(&self.x) {
+            *dst = plane[lane];
+        }
+        for (dst, plane) in p.as_mut_slice().iter_mut().zip(&self.p) {
+            *dst = plane[lane];
+        }
+        (x, p, self.steps_since_update[lane])
     }
 
     /// Lane `lane`'s staleness counter.
@@ -281,18 +324,20 @@ impl<const N: usize, const M: usize> FleetBatch<N, M> {
         x: impl ExactSizeIterator<Item = f64>,
         p_upper: impl ExactSizeIterator<Item = f64>,
     ) -> Result<()> {
-        crate::kalman::check_packed_lens(N, x.len(), p_upper.len())?;
-        for (plane, v) in self.x.iter_mut().zip(x) {
-            plane[lane] = v;
+        let n = self.x.len();
+        crate::kalman::check_packed_lens(n, x.len(), p_upper.len())?;
+        let (mut xs, mut ps) = ([0.0; N], [[0.0; N]; N]);
+        for (dst, v) in xs.iter_mut().zip(x) {
+            *dst = v;
         }
         let mut p_upper = p_upper;
-        for r in 0..N {
-            for c in r..N {
-                let v = p_upper.next().expect("length checked above");
-                self.p[r * N + c][lane] = v;
-                self.p[c * N + r][lane] = v;
+        for r in 0..n {
+            for c in r..n {
+                ps[r][c] = p_upper.next().expect("length checked above");
+                ps[c][r] = ps[r][c];
             }
         }
+        self.set_lane(lane, &xs, &ps);
         self.steps_since_update[lane] = 0;
         Ok(())
     }
@@ -301,7 +346,7 @@ impl<const N: usize, const M: usize> FleetBatch<N, M> {
     /// slot (`Vec::swap_remove` per plane). Returns the index of the lane
     /// that moved (the old last lane), or `None` when `lane` was the last —
     /// the caller updates its lane bookkeeping accordingly. Used by the
-    /// ingest dispatcher to demote a stream to the scalar path.
+    /// ingest lanes to move a stream to the group of its new model.
     pub fn swap_remove_lane(&mut self, lane: usize) -> Option<usize> {
         for plane in self.x.iter_mut().chain(self.p.iter_mut()) {
             plane.swap_remove(lane);
@@ -321,16 +366,17 @@ impl<const N: usize, const M: usize> FleetBatch<N, M> {
     /// bit-identical to [`KalmanFilter::predict`]. Returns the number of
     /// lanes whose state or covariance is non-finite afterwards (the scalar
     /// path's `Diverged` error, which likewise leaves the non-finite values
-    /// in place); callers demote such lanes to the scalar path.
+    /// in place).
     ///
     /// [`KalmanFilter::predict`]: crate::KalmanFilter::predict
     pub fn predict_all(&mut self) -> usize {
+        let n = self.x.len();
         let mut nonfinite = 0;
         for at in (0..self.len).step_by(W) {
             let mut chunk = self.chunk(at);
             self.kernel.predict(&mut chunk.0, &mut chunk.1);
-            nonfinite += count_nonfinite(&chunk, self.len - at);
-            store_chunk(&mut self.x, &mut self.p, at, &chunk);
+            nonfinite += count_nonfinite(&chunk, n, self.len - at);
+            store_chunk(&mut self.x, &mut self.p, n, at, &chunk);
         }
         for steps in self.steps_since_update.iter_mut() {
             *steps += 1;
@@ -338,9 +384,9 @@ impl<const N: usize, const M: usize> FleetBatch<N, M> {
         nonfinite
     }
 
-    /// Joseph-form measurement update for every lane with observations `z`
-    /// in plane-major layout (`z[j * len + s]` is lane `s`'s `z_j`),
-    /// per-lane bit-identical to [`KalmanFilter::update`].
+    /// Measurement update for every lane with observations `z` in
+    /// plane-major layout (`z[j * len + s]` is lane `s`'s `z_j`), per-lane
+    /// bit-identical to [`KalmanFilter::update`].
     ///
     /// All-or-nothing: chunk posteriors are written to planes of their own
     /// and only swapped in when every chunk's innovation covariances
@@ -357,7 +403,7 @@ impl<const N: usize, const M: usize> FleetBatch<N, M> {
     ///
     /// [`KalmanFilter::update`]: crate::KalmanFilter::update
     pub fn update_all(&mut self, z: &[f64]) -> Result<usize> {
-        let len = self.len;
+        let (n, len) = (self.x.len(), self.len);
         if z.len() != M * len {
             return Err(FilterError::BadMeasurement {
                 expected: M * len,
@@ -372,10 +418,11 @@ impl<const N: usize, const M: usize> FleetBatch<N, M> {
         for at in (0..len).step_by(W) {
             let mut chunk = self.chunk(at);
             let zs = load_measurements(z, len, at);
-            self.kernel.update_state(&mut chunk.0, &mut chunk.1, &zs)?;
-            nonfinite += count_nonfinite(&chunk, len - at);
+            self.kernel
+                .update_state(&mut chunk.0, &mut chunk.1, &zs, self.form)?;
+            nonfinite += count_nonfinite(&chunk, n, len - at);
             let (x_post, p_post) = &mut self.posterior;
-            store_chunk(x_post, p_post, at, &chunk);
+            store_chunk(x_post, p_post, n, at, &chunk);
         }
         std::mem::swap(&mut self.x, &mut self.posterior.0);
         std::mem::swap(&mut self.p, &mut self.posterior.1);
@@ -400,16 +447,14 @@ impl<const N: usize, const M: usize> FleetBatch<N, M> {
             actual: z.len(),
         })?;
         let (mut x, mut p) = self.lane(lane);
-        self.kernel.update(&mut x, &mut p, &zs)?;
-        for r in 0..N {
-            self.x[r][lane] = x[r];
-            for c in 0..N {
-                self.p[r * N + c][lane] = p[r][c];
-            }
-        }
+        self.kernel.update_in_form(&mut x, &mut p, &zs, self.form)?;
+        self.set_lane(lane, &x, &p);
         self.steps_since_update[lane] = 0;
-        if !self.lane_is_finite(lane) {
+        if !self.x.iter().all(|plane| plane[lane].is_finite()) {
             return Err(FilterError::Diverged { what: "state" });
+        }
+        if !self.p.iter().all(|plane| plane[lane].is_finite()) {
+            return Err(FilterError::Diverged { what: "covariance" });
         }
         Ok(())
     }
@@ -417,7 +462,8 @@ impl<const N: usize, const M: usize> FleetBatch<N, M> {
     /// Lane `lane`'s predicted measurement `H x` (scalar
     /// `predicted_measurement` order).
     pub fn predicted_measurement(&self, lane: usize) -> Vector {
-        Vector::from_slice(&self.kernel.predicted_measurement(&self.lane(lane).0))
+        let x = self.lane(lane).0;
+        Vector::from_slice(&self.kernel.predicted_measurement(&x))
     }
 
     /// Suppression verdicts for the whole batch: `out[s]` is `true` when
@@ -450,12 +496,8 @@ impl<const N: usize, const M: usize> FleetBatch<N, M> {
             });
         }
         for at in (0..len).step_by(W) {
-            let mut x = [Pack([0.0; W]); N];
-            for r in 0..N {
-                x[r] = load(&self.x[r], at);
-            }
             let zs = load_measurements(z, len, at);
-            let err = self.kernel.innovation_norm(&x, &zs);
+            let err = self.kernel.innovation_norm(&self.chunk_x(at), &zs);
             for (verdict, e) in out[at..].iter_mut().zip(err.0) {
                 *verdict = e <= delta;
             }
@@ -467,10 +509,12 @@ impl<const N: usize, const M: usize> FleetBatch<N, M> {
 impl<const N: usize, const M: usize> std::fmt::Debug for FleetBatch<N, M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FleetBatch")
-            .field("n", &N)
+            .field("n", &self.x.len())
+            .field("width", &N)
             .field("m", &M)
             .field("len", &self.len)
             .field("model", &self.model.name())
+            .field("form", &self.form)
             .finish()
     }
 }
@@ -479,6 +523,8 @@ impl<const N: usize, const M: usize> std::fmt::Debug for FleetBatch<N, M> {
 mod tests {
     use super::*;
     use crate::{models, KalmanFilter};
+
+    const JOSEPH: CovarianceUpdate = CovarianceUpdate::Joseph;
 
     fn cv2() -> StateModel {
         models::constant_velocity(1.0, 0.05, 0.1)
@@ -491,16 +537,18 @@ mod tests {
 
     #[test]
     fn new_rejects_mismatched_dims() {
-        assert!(FleetBatch::<2, 1>::new(&cv2()).is_ok());
-        assert!(FleetBatch::<4, 1>::new(&cv2()).is_err());
-        assert!(FleetBatch::<2, 2>::new(&cv2()).is_err());
+        assert!(FleetBatch::<2, 1>::new(&cv2(), JOSEPH).is_ok());
+        // A wider row runs the 2-state model zero-padded.
+        assert!(FleetBatch::<4, 1>::new(&cv2(), JOSEPH).is_ok());
+        assert!(FleetBatch::<1, 1>::new(&cv2(), JOSEPH).is_err());
+        assert!(FleetBatch::<2, 2>::new(&cv2(), JOSEPH).is_err());
     }
 
     #[test]
     fn batch_stepping_bit_identical_to_scalar_filters() {
         let model = cv2();
         let lanes = 37; // odd, larger than any SIMD width
-        let mut batch = FleetBatch::<2, 1>::new(&model).unwrap();
+        let mut batch = FleetBatch::<2, 1>::new(&model, JOSEPH).unwrap();
         let mut scalars = Vec::new();
         for lane in 0..lanes {
             let x0 = Vector::from_slice(&[lane as f64 * 0.1, -0.2]);
@@ -564,7 +612,7 @@ mod tests {
         // Predict every tick, update only on scattered ticks — the ingest
         // workload shape.
         let model = cv2();
-        let mut batch = FleetBatch::<2, 1>::new(&model).unwrap();
+        let mut batch = FleetBatch::<2, 1>::new(&model, JOSEPH).unwrap();
         let x0 = Vector::from_slice(&[0.4, 0.1]);
         let p0 = Matrix::scalar(2, 2.0);
         batch.push(&x0, &p0, 0).unwrap();
@@ -587,7 +635,7 @@ mod tests {
     #[test]
     fn set_lane_packed_matches_set_state_packed() {
         let model = cv2();
-        let mut batch = FleetBatch::<2, 1>::new(&model).unwrap();
+        let mut batch = FleetBatch::<2, 1>::new(&model, JOSEPH).unwrap();
         batch
             .push(&Vector::zeros(2), &Matrix::scalar(2, 1.0), 0)
             .unwrap();
@@ -621,7 +669,7 @@ mod tests {
     #[test]
     fn push_restores_staleness_and_validates() {
         let model = cv2();
-        let mut batch = FleetBatch::<2, 1>::new(&model).unwrap();
+        let mut batch = FleetBatch::<2, 1>::new(&model, JOSEPH).unwrap();
         let lane = batch
             .push(&Vector::zeros(2), &Matrix::scalar(2, 1.0), 5)
             .unwrap();
@@ -637,7 +685,7 @@ mod tests {
     #[test]
     fn swap_remove_lane_moves_last_lane_in() {
         let model = cv2();
-        let mut batch = FleetBatch::<2, 1>::new(&model).unwrap();
+        let mut batch = FleetBatch::<2, 1>::new(&model, JOSEPH).unwrap();
         for lane in 0..4 {
             batch
                 .push(
@@ -661,7 +709,7 @@ mod tests {
     #[test]
     fn nonfinite_lane_detected_and_isolated() {
         let model = cv2();
-        let mut batch = FleetBatch::<2, 1>::new(&model).unwrap();
+        let mut batch = FleetBatch::<2, 1>::new(&model, JOSEPH).unwrap();
         batch
             .push(&Vector::zeros(2), &Matrix::scalar(2, 1.0), 0)
             .unwrap();
@@ -691,7 +739,7 @@ mod tests {
     #[test]
     fn update_all_rejects_bad_layout_and_preserves_state_on_chol_failure() {
         let model = cv2();
-        let mut batch = FleetBatch::<2, 1>::new(&model).unwrap();
+        let mut batch = FleetBatch::<2, 1>::new(&model, JOSEPH).unwrap();
         batch
             .push(&Vector::zeros(2), &Matrix::scalar(2, 1.0), 0)
             .unwrap();
@@ -700,7 +748,7 @@ mod tests {
         let bad = model
             .with_measurement_noise(Matrix::scalar(1, -100.0))
             .unwrap();
-        let mut sick = FleetBatch::<2, 1>::new(&bad).unwrap();
+        let mut sick = FleetBatch::<2, 1>::new(&bad, JOSEPH).unwrap();
         sick.push(&Vector::zeros(2), &Matrix::scalar(2, 1.0), 0)
             .unwrap();
         sick.predict_all();
@@ -727,7 +775,7 @@ mod tests {
         let r = Matrix::scalar(2, 0.2);
         let model = StateModel::new("cv4", f, q, h, r).unwrap();
         let lanes = 9;
-        let mut batch = FleetBatch::<4, 2>::new(&model).unwrap();
+        let mut batch = FleetBatch::<4, 2>::new(&model, JOSEPH).unwrap();
         let mut scalars = Vec::new();
         for lane in 0..lanes {
             let x0 = Vector::from_slice(&[lane as f64, -(lane as f64), 0.1, -0.1]);
@@ -765,19 +813,25 @@ mod tests {
     /// tick; nothing may be stored or counted past `lanes`.
     fn assert_lanes_match_scalar<const N: usize, const M: usize>(
         model: &StateModel,
+        form: CovarianceUpdate,
         lanes: usize,
         ticks: usize,
     ) {
-        let mut batch = FleetBatch::<N, M>::new(model).unwrap();
+        let n = model.state_dim();
+        let mut batch = FleetBatch::<N, M>::new(model, form).unwrap();
         let mut scalars = Vec::new();
         for lane in 0..lanes {
-            let mut x0 = Vector::zeros(N);
+            let mut x0 = Vector::zeros(n);
             x0[0] = lane as f64 * 0.1;
-            x0[N - 1] = -0.2;
-            let p0 = Matrix::scalar(N, 1.0 + lane as f64 * 0.01);
+            x0[n - 1] = -0.2;
+            let p0 = Matrix::scalar(n, 1.0 + lane as f64 * 0.01);
             batch.push(&x0, &p0, 0).unwrap();
-            scalars.push(KalmanFilter::with_covariance(model.clone(), x0, p0).unwrap());
+            let mut kf = KalmanFilter::with_covariance(model.clone(), x0, p0).unwrap();
+            kf.set_covariance_update(form);
+            scalars.push(kf);
         }
+        // Only the real block is stored, whatever the row's width.
+        assert_eq!((batch.x.len(), batch.p.len()), (n, n * n));
         let mut z = vec![0.0; M * lanes];
         let mut verdicts = vec![false; lanes];
         for t in 0..ticks {
@@ -816,9 +870,15 @@ mod tests {
     #[test]
     fn every_tail_length_matches_scalar() {
         let cv4 = models::constant_velocity_2d(1.0, 0.05, 0.2);
+        let ca3 = models::constant_acceleration(1.0, 0.02, 0.1);
         for lanes in [1, W - 1, W, W + 1, 3 * W + 2] {
-            assert_lanes_match_scalar::<2, 1>(&cv2(), lanes, 200);
-            assert_lanes_match_scalar::<4, 2>(&cv4, lanes, 200);
+            assert_lanes_match_scalar::<2, 1>(&cv2(), JOSEPH, lanes, 200);
+            assert_lanes_match_scalar::<4, 2>(&cv4, JOSEPH, lanes, 200);
+            // Padded rows, whole-fleet updates in both forms.
+            for form in [JOSEPH, CovarianceUpdate::Simple] {
+                assert_lanes_match_scalar::<4, 1>(&ca3, form, lanes, 200);
+                assert_lanes_match_scalar::<8, 2>(&cv4, form, lanes, 200);
+            }
         }
     }
 
@@ -826,7 +886,7 @@ mod tests {
     fn chol_failure_in_a_later_chunk_commits_nothing() {
         // S = P₀₀ + 0.1 fails its pivot only in the lanes pushed with a
         // negative covariance: two in the second chunk, one in the third.
-        let mut batch = FleetBatch::<2, 1>::new(&cv2()).unwrap();
+        let mut batch = FleetBatch::<2, 1>::new(&cv2(), JOSEPH).unwrap();
         let bad = [(W + 1, -1.0), (W + 2, -3.0), (2 * W + 2, -2.0)];
         for lane in 0..3 * W {
             let p00 = bad
@@ -867,7 +927,7 @@ mod tests {
         // diagonal covariance holds exact zeros.
         let model = cv2();
         let nan = f64::NAN;
-        let mut batch = FleetBatch::<2, 1>::new(&model).unwrap();
+        let mut batch = FleetBatch::<2, 1>::new(&model, JOSEPH).unwrap();
         let mut scalars = Vec::new();
         for lane in 0..=W {
             let x0 = Vector::from_slice(&[lane as f64, 0.5]);

@@ -2,24 +2,24 @@
 //!
 //! The batch kernels are const-generic, but stream dimensions arrive at
 //! runtime (from wire-decoded models). [`DynFleetBatch`] closes the gap: an
-//! enum with one variant per supported `(state_dim, measurement_dim)` pair —
-//! the workspace's dominant shapes, state ∈ {1, 2, 4, 8} × measurement
-//! ∈ {1, 2, 3, 4} (measurement ≤ state) — each wrapping the matching
-//! `FleetBatch<N, M>`. Dispatch happens once per *batch operation*, not per
-//! lane, so the enum match is amortized over thousands of streams.
+//! enum with one variant per row of the workspace shape table — state
+//! ∈ {1, 2, 4, 8} × measurement ∈ {1, 2, 3, 4} (measurement ≤ state) —
+//! each wrapping the matching `FleetBatch<N, M>`. Dispatch happens once per
+//! *batch operation*, not per lane, so the enum match is amortized over
+//! thousands of streams.
 //!
-//! Streams whose dimensions fall outside the table (or whose filters use a
-//! non-default covariance form) simply stay on the scalar [`KalmanFilter`]
-//! path — [`DynFleetBatch::supported`] is the routing predicate. The same
-//! table (`for_each_shape!`) routes a lone [`KalmanFilter`]'s own
-//! `predict`/`update` onto the monomorphized kernel, so "which shapes are
-//! static" has one answer in the workspace.
+//! Every shape a [`KalmanFilter`] admits (state ≤ 8, measurement ≤ 4) has a
+//! batch: [`DynFleetBatch::for_model_in_form`] puts a model on the row
+//! `(max(n, m).next_power_of_two(), m)` — its own row when it is on the
+//! table, else the zero-padded one, the route a lone filter's
+//! `predict`/`update` takes. The same table (`for_each_shape!`) drives
+//! both, so "which shapes are static" has one answer in the workspace.
 //!
 //! [`KalmanFilter`]: crate::KalmanFilter
 
 use kalstream_linalg::{Matrix, Vector};
 
-use crate::{FleetBatch, Result, StateModel};
+use crate::{CovarianceUpdate, FleetBatch, Result, StateModel};
 
 /// The workspace's one shape table: every `(state_dim, measurement_dim)`
 /// pair with a monomorphized kernel. `for_each_shape!(mac, args…)` expands
@@ -75,21 +75,15 @@ macro_rules! delegate_arms {
 macro_rules! define_constructors {
     ([] $(($variant:ident, $n:literal, $m:literal)),+) => {
         impl DynFleetBatch {
-            /// Whether a `(state_dim, measurement_dim)` pair has a
-            /// monomorphized batch kernel.
-            pub fn supported(state_dim: usize, measurement_dim: usize) -> bool {
-                matches!(
-                    (state_dim, measurement_dim),
-                    $(($n, $m))|+
-                )
-            }
-
-            /// Builds an empty batch for `model`, or `None` when its
-            /// dimensions have no batch kernel (the caller keeps those
-            /// streams on the scalar path).
-            pub fn for_model(model: &StateModel) -> Option<Self> {
-                match (model.state_dim(), model.measurement_dim()) {
-                    $(($n, $m) => FleetBatch::<$n, $m>::new(model)
+            /// Builds an empty batch for `model` whose updates run the
+            /// covariance formula `form`, on the table row
+            /// `(max(n, m).next_power_of_two(), m)` (module docs), or `None`
+            /// when the model is wider than any row (state above 8 or
+            /// measurement above 4: no filter admits it either).
+            pub fn for_model_in_form(model: &StateModel, form: CovarianceUpdate) -> Option<Self> {
+                let (n, m) = (model.state_dim(), model.measurement_dim());
+                match (n.max(m).next_power_of_two(), m) {
+                    $(($n, $m) => FleetBatch::<$n, $m>::new(model, form)
                         .ok()
                         .map(DynFleetBatch::$variant),)+
                     _ => None,
@@ -101,6 +95,11 @@ macro_rules! define_constructors {
 for_each_shape!(define_constructors);
 
 impl DynFleetBatch {
+    /// [`DynFleetBatch::for_model_in_form`] in the default Joseph form.
+    pub fn for_model(model: &StateModel) -> Option<Self> {
+        Self::for_model_in_form(model, CovarianceUpdate::Joseph)
+    }
+
     /// State dimension of every lane.
     pub fn state_dim(&self) -> usize {
         delegate!(self, b => b.model().state_dim())
@@ -114,6 +113,11 @@ impl DynFleetBatch {
     /// The shared model all lanes run.
     pub fn model(&self) -> &StateModel {
         delegate!(self, b => b.model())
+    }
+
+    /// The covariance formula every update runs.
+    pub fn covariance_update(&self) -> CovarianceUpdate {
+        delegate!(self, b => b.covariance_update())
     }
 
     /// Number of lanes.
@@ -217,16 +221,6 @@ mod tests {
     use crate::{models, KalmanFilter};
 
     #[test]
-    fn shape_table_matches_supported() {
-        for n in 0..10 {
-            for m in 0..6 {
-                let expect = matches!(n, 1 | 2 | 4 | 8) && (1..=4).contains(&m) && m <= n;
-                assert_eq!(DynFleetBatch::supported(n, m), expect, "({n}, {m})");
-            }
-        }
-    }
-
-    #[test]
     fn for_model_routes_by_dims() {
         let cv = models::constant_velocity(1.0, 0.05, 0.1); // (2, 1)
         let batch = DynFleetBatch::for_model(&cv).unwrap();
@@ -238,8 +232,26 @@ mod tests {
             DynFleetBatch::for_model(&walk),
             Some(DynFleetBatch::B1x1(_))
         ));
-        let ca = models::constant_acceleration(1.0, 0.05, 0.1); // (3, 1)
-        assert!(DynFleetBatch::for_model(&ca).is_none());
+        // Off the table: (3, 1) runs zero-padded on the 4 × 1 row, and a
+        // measurement wider than the state on the row of its own width.
+        let ca = models::constant_acceleration(1.0, 0.05, 0.1);
+        let padded = DynFleetBatch::for_model_in_form(&ca, CovarianceUpdate::Simple).unwrap();
+        assert!(matches!(padded, DynFleetBatch::B4x1(_)));
+        assert_eq!(padded.state_dim(), 3);
+        assert_eq!(padded.measurement_dim(), 1);
+        assert_eq!(padded.covariance_update(), CovarianceUpdate::Simple);
+        let wide = StateModel::new(
+            "wide",
+            Matrix::scalar(1, 1.0),
+            Matrix::scalar(1, 0.1),
+            Matrix::from_rows(&[&[1.0], &[0.5], &[-1.0]]),
+            Matrix::scalar(3, 0.2),
+        )
+        .unwrap();
+        assert!(matches!(
+            DynFleetBatch::for_model(&wide),
+            Some(DynFleetBatch::B4x3(_))
+        ));
     }
 
     #[test]

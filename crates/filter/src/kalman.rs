@@ -156,21 +156,7 @@ impl KalmanFilter {
     /// with the model.
     pub fn with_covariance(model: StateModel, x0: Vector, p0: Matrix) -> Result<Self> {
         check_shape(&model)?;
-        let n = model.state_dim();
-        if x0.dim() != n {
-            return Err(FilterError::BadModel {
-                what: "x0",
-                expected: (n, 1),
-                actual: (x0.dim(), 1),
-            });
-        }
-        if p0.shape() != (n, n) {
-            return Err(FilterError::BadModel {
-                what: "P0",
-                expected: (n, n),
-                actual: p0.shape(),
-            });
-        }
+        check_state_shape(model.state_dim(), &x0, &p0)?;
         Ok(KalmanFilter {
             model,
             x: x0,
@@ -185,10 +171,9 @@ impl KalmanFilter {
         self.cov_update = cu;
     }
 
-    /// The covariance-update formula currently in effect. The batch
-    /// dispatcher reads this: only Joseph-form filters (the default) may be
-    /// routed to the [`crate::FleetBatch`] path, which always updates in
-    /// Joseph form.
+    /// The covariance-update formula currently in effect. The batch lanes
+    /// read this: a [`crate::FleetBatch`] runs one form, so streams group
+    /// by model *and* form.
     pub fn covariance_update(&self) -> CovarianceUpdate {
         self.cov_update
     }
@@ -268,21 +253,7 @@ impl KalmanFilter {
     /// # Errors
     /// [`FilterError::BadModel`] on shape mismatch.
     pub fn set_state_from(&mut self, x: &Vector, p: &Matrix) -> Result<()> {
-        let n = self.model.state_dim();
-        if x.dim() != n {
-            return Err(FilterError::BadModel {
-                what: "x0",
-                expected: (n, 1),
-                actual: (x.dim(), 1),
-            });
-        }
-        if p.shape() != (n, n) {
-            return Err(FilterError::BadModel {
-                what: "P0",
-                expected: (n, n),
-                actual: p.shape(),
-            });
-        }
+        check_state_shape(self.model.state_dim(), x, p)?;
         self.x.copy_from(x);
         self.p.copy_from(p);
         self.steps_since_update = 0;
@@ -322,11 +293,12 @@ impl KalmanFilter {
     }
 
     /// Overwrites state, covariance **and** the staleness counter — the
-    /// handoff primitive for moving a stream between the scalar and batch
-    /// stepping paths. Unlike [`KalmanFilter::set_state`] (a protocol
-    /// resynchronisation, which legitimately resets cache age to zero), a
-    /// path handoff must not pretend a measurement arrived, so the batch
-    /// lane's `steps_since_update` is carried across verbatim.
+    /// handoff primitive for a stream's state carried elsewhere: a batch
+    /// lane handing it back to the stream's own filter at teardown, or a
+    /// snapshot restoring an endpoint. Unlike [`KalmanFilter::set_state`]
+    /// (a protocol resynchronisation, which legitimately resets cache age
+    /// to zero), a handoff must not pretend a measurement arrived, so the
+    /// carried `steps_since_update` is kept verbatim.
     ///
     /// # Errors
     /// [`FilterError::BadModel`] on shape mismatch.
@@ -638,6 +610,26 @@ fn check_shape(model: &StateModel) -> Result<()> {
         if dim > cap {
             return Err(FilterError::DimensionTooLarge { what, dim, cap });
         }
+    }
+    Ok(())
+}
+
+/// Shape check shared by every state a filter or a batch lane takes: `x`
+/// is `n`-dimensional and `P` is `n × n`.
+pub(crate) fn check_state_shape(n: usize, x: &Vector, p: &Matrix) -> Result<()> {
+    if x.dim() != n {
+        return Err(FilterError::BadModel {
+            what: "x0",
+            expected: (n, 1),
+            actual: (x.dim(), 1),
+        });
+    }
+    if p.shape() != (n, n) {
+        return Err(FilterError::BadModel {
+            what: "P0",
+            expected: (n, n),
+            actual: p.shape(),
+        });
     }
     Ok(())
 }

@@ -399,7 +399,7 @@ impl<const N: usize, const M: usize> StaticKernel<N, M> {
         z: &[f64; M],
         form: CovarianceUpdate,
     ) -> Result<StaticUpdateOutcome<M>> {
-        let (innovation, s, l) = self.update_state_in_form(x, p, z, form)?;
+        let (innovation, s, l) = self.update_state(x, p, z, form)?;
         // Diagnostics: NIS = νᵀ S⁻¹ ν and Gaussian log-likelihood.
         let mut s_inv_nu = innovation;
         cholesky_solve_in_place(&l, &mut s_inv_nu);
@@ -417,28 +417,17 @@ impl<const N: usize, const M: usize> StaticKernel<N, M> {
         })
     }
 
-    /// The state/covariance half of [`StaticKernel::update`], at any lane
-    /// width: everything but the diagnostics, and what those are made of.
+    /// The state/covariance half of [`StaticKernel::update_in_form`], at
+    /// any lane width: everything but the diagnostics, and what those are
+    /// made of. The one body of every update, inlined so that each caller
+    /// compiles it at its own width.
     ///
     /// # Errors
-    /// As [`StaticKernel::update`]; in a pack, one filter's failed pivot
-    /// fails the call ([`Lane::first_at_most`] names it) and leaves every
-    /// filter's state and covariance untouched.
-    pub fn update_state<L: Lane>(
-        &self,
-        x: &mut [L; N],
-        p: &mut [[L; N]; N],
-        z: &[L; M],
-    ) -> Result<Innovation<L, M>> {
-        self.update_state_in_form(x, p, z, CovarianceUpdate::Joseph)
-    }
-
-    /// [`StaticKernel::update_state`] with covariance formula `form`: the
-    /// one body of every update. Inlined so that the batch lanes'
-    /// [`StaticKernel::update_state`] compiles with the form fixed and
-    /// without the branch.
+    /// As [`StaticKernel::update_in_form`]; in a pack, one filter's failed
+    /// pivot fails the call ([`Lane::first_at_most`] names it) and leaves
+    /// every filter's state and covariance untouched.
     #[inline(always)]
-    fn update_state_in_form<L: Lane>(
+    pub fn update_state<L: Lane>(
         &self,
         x: &mut [L; N],
         p: &mut [[L; N]; N],

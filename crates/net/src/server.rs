@@ -70,7 +70,7 @@ pub const FEEDBACK_QUEUE_DEPTH: usize = 256;
 pub struct NetServerConfig {
     /// Shard workers for the ingest pipeline.
     pub shards: usize,
-    /// Step eligible endpoints through the fleet-batch engine.
+    /// Step every endpoint through the fleet-batch lanes.
     pub batched: bool,
     /// Connections to admit before the first tick barrier (and to expect
     /// before finishing). The lockstep tick discipline needs the full

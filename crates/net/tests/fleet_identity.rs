@@ -365,9 +365,11 @@ fn sim_acked(
 }
 
 /// Sim-driven ingest with feedback ≡ the same fleet through `NetServer`
-/// over real sockets, with acks on and 10 % loss in both directions: the
-/// same filter bits, forward traffic, feedback delivered and resyncs,
-/// stream for stream.
+/// over real sockets, with acks on and 10 % loss in both directions, on
+/// plain and on batched shards: the same filter bits, forward traffic,
+/// feedback delivered and resyncs, stream for stream. Every timeout resync
+/// is a Model sync, so the batched arm moves lanes between groups while
+/// the fleet runs.
 #[test]
 fn lossy_acked_sim_ingest_matches_the_fleet_over_tcp() {
     let (streams, ticks, ack_timeout) = (8u32, 120u64, 6u64);
@@ -377,24 +379,35 @@ fn lossy_acked_sim_ingest_matches_the_fleet_over_tcp() {
         ..LinkFaults::default()
     };
     let (sim, sim_result, sim_sources, polled) = sim_acked(streams, ticks, faults, ack_timeout, 2);
-    let tcp = over_tcp_inner(streams, 2, ticks, faults, true, 2, false, Some(ack_timeout));
+    for batched in [false, true] {
+        let tcp = over_tcp_inner(
+            streams,
+            2,
+            ticks,
+            faults,
+            true,
+            2,
+            batched,
+            Some(ack_timeout),
+        );
 
-    assert_clean_and_identical(&tcp.net, &sim_result);
-    let mut tcp_traffic = TrafficMetrics::default();
-    let mut tcp_dropped = 0;
-    for client in &tcp.clients {
-        tcp_traffic.merge(&client.traffic);
-        tcp_dropped += client.faults.dropped;
+        assert_clean_and_identical(&tcp.net, &sim_result);
+        let mut tcp_traffic = TrafficMetrics::default();
+        let mut tcp_dropped = 0;
+        for client in &tcp.clients {
+            tcp_traffic.merge(&client.traffic);
+            tcp_dropped += client.faults.dropped;
+        }
+        assert_eq!(sim.total_traffic, tcp_traffic, "forward messages");
+        assert_eq!(sim.faults.dropped, tcp_dropped);
+        assert_eq!(sim_sources, tcp.sources, "per source (resyncs, feedback)");
+        let routed: u64 = tcp.net.conns.iter().map(|c| c.feedback_sent).sum();
+        assert_eq!(
+            (routed, sim.feedback.messages()),
+            (polled, polled),
+            "feedback sent (batched = {batched})"
+        );
     }
-    assert_eq!(sim.total_traffic, tcp_traffic, "forward messages");
-    assert_eq!(sim.faults.dropped, tcp_dropped);
-    assert_eq!(sim_sources, tcp.sources, "per source (resyncs, feedback)");
-    let routed: u64 = tcp.net.conns.iter().map(|c| c.feedback_sent).sum();
-    assert_eq!(
-        (routed, sim.feedback.messages()),
-        (polled, polled),
-        "feedback sent"
-    );
 
     // Not vacuous: both directions lost messages, acks still got through,
     // and the ack timeout fired.

@@ -9,9 +9,10 @@
 //!
 //! * all four paths, for every shape of the workspace table, over
 //!   1000-tick runs (`dims_*`);
-//! * the dispatched filter, for every shape it admits (state ≤ 8,
-//!   measurement ≤ 4, measurement > state included: exact table rows and
-//!   zero-padded ones alike), in both covariance forms
+//! * the dispatched filter and a [`DynFleetBatch`] lane, for every shape
+//!   a filter admits (state ≤ 8, measurement ≤ 4, measurement > state
+//!   included: exact table rows and zero-padded ones alike), in both
+//!   covariance forms, through predicts, updates and packed state writes
 //!   (`every_runtime_shape_matches_the_textbook_filter`);
 //! * the dispatched filter's failures, on the same shapes: the same error
 //!   and the same bits left behind when `S` is indefinite, `z` has the
@@ -26,7 +27,9 @@
 // clearest way to compare the paths element by element.
 #![allow(clippy::needless_range_loop)]
 
-use kalstream_filter::{CovarianceUpdate, FilterError, FleetBatch, KalmanFilter, StateModel};
+use kalstream_filter::{
+    CovarianceUpdate, DynFleetBatch, FilterError, FleetBatch, KalmanFilter, StateModel,
+};
 use kalstream_linalg::{Matrix, StaticKernel, Vector, VECTOR_INLINE_CAP};
 use proptest::prelude::*;
 
@@ -246,7 +249,7 @@ fn assert_all_paths<const N: usize, const M: usize>(
     let model = random_model(&mut rng, N, M);
     let kernel = StaticKernel::<N, M>::from_matrices(model.f(), model.q(), model.h(), model.r())
         .expect("static kernel");
-    let mut batch = FleetBatch::<N, M>::new(&model).expect("batch");
+    let mut batch = FleetBatch::<N, M>::new(&model, CovarianceUpdate::Joseph).expect("batch");
 
     let mut scalars = Vec::with_capacity(LANES);
     let mut references = Vec::with_capacity(LANES);
@@ -457,12 +460,23 @@ fn admitted_shapes() -> impl Iterator<Item = (usize, usize)> {
 /// Ticks per shape and covariance form of the runtime-shape sweep.
 const SWEEP_TICKS: usize = 200;
 
+/// Lane 0 of a one-lane batch as [`filter_bits`] reads a filter.
+fn lane_bits(batch: &DynFleetBatch) -> (Vec<u64>, Vec<u64>, u64) {
+    let (x, p, steps) = batch.lane_state(0);
+    (bits(x.as_slice()), bits(p.as_slice()), steps)
+}
+
+/// Ticks between the sweep's packed state writes (a protocol resync).
+const RESYNC_EVERY: usize = 50;
+
 /// One shape of the sweep: a random model stepped `SWEEP_TICKS` ticks in
-/// both covariance forms, each form's dispatched filter beside its
-/// [`Textbook`] twin, compared bit for bit every tick (errors included:
-/// a failed step must fail the same way on both and ends that form's
-/// run). Returns whether the Simple form's covariance ever parted from
-/// the Joseph form's.
+/// both covariance forms, each form's dispatched filter and a
+/// [`DynFleetBatch`] lane of the same form beside their [`Textbook`] twin,
+/// compared bit for bit every tick (errors included: a failed step must
+/// fail the same way on all three and ends that form's run). Every
+/// [`RESYNC_EVERY`] ticks all three take the same packed state write.
+/// Returns whether the Simple form's covariance ever parted from the
+/// Joseph form's.
 fn assert_shape_matches_textbook(seed: u64, n: usize, m: usize) -> Result<bool, TestCaseError> {
     let mut rng = Rng64::new(seed);
     let model = random_model(&mut rng, n, m);
@@ -472,26 +486,66 @@ fn assert_shape_matches_textbook(seed: u64, n: usize, m: usize) -> Result<bool, 
     simple.set_covariance_update(CovarianceUpdate::Simple);
     let mut runs = [joseph, simple].map(|kf| {
         let reference = Textbook::of(&kf);
-        Some((kf, reference))
+        let mut lane = DynFleetBatch::for_model_in_form(kf.model(), kf.covariance_update())
+            .expect("every admitted shape has a batch row");
+        lane.push(kf.state(), kf.covariance(), 0).expect("lane");
+        Some((kf, reference, lane))
     });
     let mut forms_differ = false;
     for t in 0..SWEEP_TICKS {
         let z = Vector::from_vec((0..m).map(|_| rng.range(-10.0, 10.0)).collect());
         for run in &mut runs {
-            let Some((kf, reference)) = run else { continue };
+            let Some((kf, reference, lane)) = run else {
+                continue;
+            };
+            if t % RESYNC_EVERY == RESYNC_EVERY / 2 {
+                let x: Vec<f64> = reference.x.iter().map(|v| 0.5 * v).collect();
+                let p_upper: Vec<f64> = (0..n)
+                    .flat_map(|r| (r..n).map(move |c| (r, c)))
+                    .map(|(r, c)| reference.p.get(r, c) * 1.5)
+                    .collect();
+                kf.set_state_packed(x.iter().copied(), p_upper.iter().copied())
+                    .expect("packed lengths");
+                lane.set_lane_packed(0, x.iter().copied(), p_upper.iter().copied())
+                    .expect("packed lengths");
+                reference.x = Vector::from_slice(&x);
+                let mut upper = p_upper.iter();
+                for r in 0..n {
+                    for c in r..n {
+                        let v = *upper.next().expect("n(n+1)/2 values");
+                        reference.p.set(r, c, v);
+                        reference.p.set(c, r, v);
+                    }
+                }
+                reference.steps_since_update = 0;
+            }
             let (got, want) = (kf.predict(), reference.predict());
             prop_assert_eq!(&got, &want, "({}, {}) predict tick {}", n, m, t);
+            lane.predict_all();
+            prop_assert_eq!(lane.lane_is_finite(0), want.is_ok());
             let outcome = if got.is_ok() {
+                prop_assert_eq!(lane.predicted_measurement(0), kf.predicted_measurement());
                 let (got, want) = (kf.update(&z), reference.update(&z));
+                let lane_got = lane.update_lane(0, z.as_slice());
                 match (&got, &want) {
                     (Ok(out), Ok(ref_out)) => assert_same_diagnostics(out, ref_out)?,
                     (Err(e), Err(ref_e)) => prop_assert_eq!(e, ref_e),
                     _ => prop_assert!(false, "({}, {}) tick {}: one update failed", n, m, t),
                 }
+                prop_assert_eq!(lane_got.err(), want.err(), "({}, {}) lane update", n, m);
                 got.map(|_| ())
             } else {
                 got
             };
+            prop_assert_eq!(
+                lane_bits(lane),
+                reference.bits(),
+                "({}, {}) {:?} lane, tick {}",
+                n,
+                m,
+                lane.covariance_update(),
+                t
+            );
             prop_assert_eq!(
                 filter_bits(kf),
                 reference.bits(),
@@ -505,7 +559,7 @@ fn assert_shape_matches_textbook(seed: u64, n: usize, m: usize) -> Result<bool, 
                 *run = None;
             }
         }
-        if let [Some((joseph, _)), Some((simple, _))] = &runs {
+        if let [Some((joseph, ..)), Some((simple, ..))] = &runs {
             forms_differ |= filter_bits(joseph).1 != filter_bits(simple).1;
         }
     }
