@@ -21,6 +21,13 @@ if grep -rnwE 'ExtendedKalmanFilter|UnscentedKalmanFilter|NonlinearModel|rts_smo
     exit 1
 fi
 
+echo "==> one representation of Matrix and Vector: inline, capped at DIM_CAP, checked once at the wire"
+if grep -rnwE 'SmallBuf|heap_fallbacks|MATRIX_INLINE_CAP|VECTOR_INLINE_CAP|MAX_ELEMS' \
+    crates src tests examples; then
+    echo "a heap fallback, its counter or a second size cap is back: Matrix/Vector hold at most DIM_CAP per dimension" >&2
+    exit 1
+fi
+
 echo "==> adaptive filter keeps an O(1) footprint: no per-entry matrices, no per-update model rebuild, one walk per update"
 # Non-test code of adaptive.rs only (everything above its #[cfg(test)]).
 if sed '/#\[cfg(test)\]/,$d' crates/filter/src/adaptive.rs |

@@ -490,9 +490,5 @@ fn main() {
         s.gauge("update_ns", m.batch_update_ns);
         s.counter("matches_scalar", u64::from(m.batch_matches_scalar));
     }
-    {
-        let mut s = metrics.scope("linalg");
-        s.counter("heap_fallbacks", kalstream_linalg::heap_fallbacks());
-    }
     metrics.write();
 }

@@ -2,12 +2,13 @@
 //!
 //! Runs the protocol steady-state loop, the bare filter loop, an adaptive
 //! filter past a full estimation window, a source endpoint syncing on
-//! every observation and a Q3-shaped `QueryGraph` tick under the counting
-//! allocator and **fails (exit 1) if any of them performs a heap allocation
-//! per tick (the graph's `required_deltas` may allocate the one map it
-//! returns), or if any `linalg` value fell back from inline to heap
-//! storage**. Finishes in well under a second; wire it into CI next to the
-//! unit tests. Honours `--metrics-out <path>` for the CI artifact contract.
+//! every observation, a server endpoint taking a sequenced sync every tick
+//! and a Q3-shaped `QueryGraph` tick under the counting allocator and
+//! **fails (exit 1) if any of them performs a heap allocation per tick**
+//! (the server may allocate the ack its `poll_feedback` returns, the
+//! graph's `required_deltas` the one map it returns). Finishes in well
+//! under a second; wire it into CI next to the unit tests. Honours
+//! `--metrics-out <path>` for the CI artifact contract.
 
 use kalstream_bench::alloc_count::{self, CountingAllocator};
 use kalstream_bench::MetricsOut;
@@ -15,6 +16,7 @@ use kalstream_core::{ProtocolConfig, SessionSpec};
 use kalstream_filter::{models, AdaptiveConfig, AdaptiveKalmanFilter, KalmanFilter};
 use kalstream_linalg::Vector;
 use kalstream_query::{AggKind, QueryGraph, StreamId, StreamView, WindowSpec};
+use kalstream_sim::{Consumer, Producer};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -250,18 +252,58 @@ fn main() {
         TICKS,
     );
 
-    let heap_fallbacks = kalstream_linalg::heap_fallbacks();
-    metrics
-        .scope("linalg")
-        .counter("heap_fallbacks", heap_fallbacks);
-    if heap_fallbacks == 0 {
-        println!("OK   linalg.heap_fallbacks: 0");
-    } else {
-        println!(
-            "FAIL linalg.heap_fallbacks: {heap_fallbacks} inline values fell back to the heap"
-        );
-        failures += 1;
+    // Server endpoint driven as a `Consumer`, the way the lockstep runner
+    // drives each stream of a query graph: every tick `receive`s a
+    // sequenced State sync, `estimate`s and polls the feedback link. The
+    // syncs are cut beforehand by an acked source at a bound almost nothing
+    // meets. `poll_feedback` returns each tick's ack as an owned `Bytes`:
+    // that one allocation per tick is the whole allowance.
+    let config = ProtocolConfig::new(1e-9)
+        .expect("valid delta")
+        .with_ack_timeout(1_000_000)
+        .expect("valid ack timeout");
+    let (mut source, mut server) = SessionSpec::fixed(
+        models::constant_velocity(1.0, 0.05, 0.1),
+        Vector::zeros(2),
+        1.0,
+        config,
+    )
+    .expect("valid spec")
+    .build()
+    .split();
+    let syncs: Vec<_> = (0..)
+        .filter_map(|t| source.observe(t, &[signal(t)]))
+        .take(200 + TICKS as usize)
+        .collect();
+    let (warm_up, timed) = syncs.split_at(200);
+    let mut out = [0.0];
+    let mut serve = |t: u64, sync| {
+        server.receive(t, sync);
+        server.estimate(t, &mut out);
+        let mut acks = 0;
+        while let Some(ack) = server.poll_feedback(t) {
+            std::hint::black_box(ack);
+            acks += 1;
+        }
+        acks
+    };
+    for (t, sync) in (0..).zip(warm_up) {
+        serve(t, sync);
     }
+    let (allocs, acks) = alloc_count::count_allocs(|| {
+        (200..)
+            .zip(timed)
+            .map(|(t, sync)| serve(t, sync))
+            .sum::<u64>()
+    });
+    assert_eq!(acks, TICKS, "the server must ack every sequenced sync");
+    failures += gate(
+        &mut metrics,
+        "smoke.server",
+        "server receive + estimate + poll_feedback (the ack it returns)",
+        allocs,
+        TICKS,
+    );
 
     metrics.write();
     if failures > 0 {

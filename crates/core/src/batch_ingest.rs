@@ -32,7 +32,7 @@
 //!   a lone filter.
 
 use kalstream_filter::{DynFleetBatch, KalmanFilter};
-use kalstream_linalg::VECTOR_INLINE_CAP;
+use kalstream_linalg::DIM_CAP;
 
 use crate::ingest::{IngestResult, Shard, TickIngest};
 use crate::server::{EndpointState, ServerEndpoint};
@@ -133,9 +133,9 @@ impl BatchLanes {
             // On `Diverged` the lane keeps the non-finite posterior —
             // exactly what a lone filter leaves behind. Other errors
             // leave the lane untouched; either way the sync is not counted.
-            SyncRef::Measurement { z } => z
-                .read_into(&mut [0.0; VECTOR_INLINE_CAP])
-                .is_some_and(|z| batch.update_lane(lane, z).is_ok()),
+            SyncRef::Measurement { z } => batch
+                .update_lane(lane, z.read_into(&mut [0.0; DIM_CAP]))
+                .is_ok(),
             // The replacement filter may have any shape and form: it is
             // installed in the endpoint, and the stream moves to a lane of
             // its group. On rejection the stream keeps its lane.

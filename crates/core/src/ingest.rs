@@ -1478,6 +1478,24 @@ mod tests {
     }
 
     #[test]
+    fn an_over_cap_model_sync_is_a_decode_failure_not_an_admission() {
+        // A sequenced 9-state Model sync: parse refuses it, so it is counted
+        // and never reaches sequence admission — the sequence stays where it
+        // was and no ack is armed.
+        let [model, _] = crate::wire::tests::over_cap_syncs();
+        let mut batch = FrameBatch::new();
+        batch.push_raw(0, &[&crate::wire::seq_header(7)[..], &model].concat());
+        let (servers, _) = record_log(0, 1, 0);
+        let mut ingest = SequentialIngest::new(servers);
+        ingest.ingest_tick(batch.as_bytes());
+        let mut result = ingest.finish();
+        assert_eq!(result.total_decode_failures(), 1);
+        let (_, ep) = &mut result.endpoints[0];
+        assert_eq!(ep.last_seq(), 0);
+        assert_eq!(ep.poll_feedback(1), None, "no ack is due");
+    }
+
+    #[test]
     fn a_tick_truncated_mid_header_is_counted_by_every_engine() {
         // One good frame, then three bytes of a second frame's eight-byte
         // header: the sequential decoder and the pipeline's router both end

@@ -148,12 +148,7 @@ pub(crate) fn pin_into(x: &[f64], h: &Matrix, z: &[f64], out: &mut [f64]) -> Res
         6 => pin_static::<6>(x, h, z, out),
         7 => pin_static::<7>(x, h, z, out),
         8 => pin_static::<8>(x, h, z, out),
-        // Wider than any filter's measurement (the inline cap is 8).
-        _ => {
-            let pinned = pin_to_measurement(&Vector::from_slice(x), h, &Vector::from_slice(z))?;
-            out.copy_from_slice(pinned.as_slice());
-            Ok(())
-        }
+        _ => unreachable!("a Matrix has at most DIM_CAP = 8 rows"),
     }
 }
 
@@ -245,6 +240,7 @@ fn pin_static<const M: usize>(x: &[f64], h: &Matrix, z: &[f64], out: &mut [f64])
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kalstream_linalg::DIM_CAP;
 
     #[test]
     fn pinned_state_hits_measurement_exactly() {
@@ -413,9 +409,9 @@ mod tests {
         // Shape errors are the oracle's too.
         let h = Matrix::from_rows(&[&[1.0, 0.0]]);
         assert_pin_matches_oracle(&[1.0, 2.0, 3.0], &h, &[1.0]);
-        // A measurement wider than any filter's takes the allocating route.
-        let wide = Matrix::identity(9);
-        assert_pin_matches_oracle(&[0.25; 9], &wide, &[1.5; 9]);
+        // The widest measurement a `Matrix` holds.
+        let wide = Matrix::identity(DIM_CAP);
+        assert_pin_matches_oracle(&[0.25; DIM_CAP], &wide, &[1.5; DIM_CAP]);
     }
 
     mod pin_fuzz {

@@ -2,7 +2,7 @@
 
 use bytes::Bytes;
 use kalstream_filter::{CovarianceUpdate, FilterError, KalmanFilter, StateModel};
-use kalstream_linalg::{Matrix, Vector, VECTOR_INLINE_CAP};
+use kalstream_linalg::{Matrix, Vector, DIM_CAP};
 use kalstream_obs::{Counter, Instrument, Scope};
 use kalstream_sim::{Consumer, DeliveryStats, Tick};
 
@@ -497,11 +497,9 @@ pub(crate) fn apply_sync(filter: &mut KalmanFilter, msg: SyncRef<'_>) -> bool {
                 Err(_) => false,
             }
         }
-        // A filter's measurement is within the inline cap, so a `z` too
-        // long for the stack is one the update would refuse anyway.
-        SyncRef::Measurement { z } => z
-            .read_into(&mut [0.0; VECTOR_INLINE_CAP])
-            .is_some_and(|z| filter.update_lean_slice(z).is_ok()),
+        SyncRef::Measurement { z } => filter
+            .update_lean_slice(z.read_into(&mut [0.0; DIM_CAP]))
+            .is_ok(),
     }
 }
 

@@ -2,7 +2,7 @@
 
 use bytes::Bytes;
 use kalstream_filter::KalmanFilter;
-use kalstream_linalg::{Vector, VECTOR_INLINE_CAP};
+use kalstream_linalg::{Vector, DIM_CAP};
 use kalstream_obs::{Counter, Instrument, Scope};
 use kalstream_sim::{Producer, Tick};
 
@@ -229,7 +229,7 @@ impl SourceEndpoint {
         if self.estimator.step(&self.z).is_err() {
             self.estimator_failures += 1;
             let h = self.estimator.active_model().h();
-            let origin = [0.0; VECTOR_INLINE_CAP];
+            let origin = [0.0; DIM_CAP];
             let mut pinned = Vector::zeros(h.cols());
             // An unpinnable model (rank-deficient H) resets to the origin.
             let _ = pin_into(
@@ -320,8 +320,7 @@ impl SourceEndpoint {
         } else {
             PIN_FRACTION * self.config.delta
         };
-        // A filter's state is within the inline cap, so `x` fits the stack.
-        let mut x = [0.0; VECTOR_INLINE_CAP];
+        let mut x = [0.0; DIM_CAP];
         let x = &mut x[..posterior.len()];
         if resid <= target || pin_into(posterior, model.h(), self.z.as_slice(), x).is_err() {
             x.copy_from_slice(posterior);

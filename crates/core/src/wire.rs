@@ -37,17 +37,22 @@
 //! [`SyncRef`]: a *view* of validated wire bytes (`x`, the packed triangle of
 //! `P`, … as [`F64s`] sub-slices), a few words wide whatever the state
 //! dimension. [`SyncRef::parse`] is the only code that checks a buffer
-//! (truncation, trailing bytes, unknown tag, reserved flags, the element
+//! (truncation, trailing bytes, unknown tag, reserved flags, the dimension
 //! limit); the source encodes into a buffer it owns and hands out views of
 //! it, the frame layer hands views of the tick buffer to the endpoints, the
 //! endpoints queue the viewed bytes and apply them from the queue — nothing
 //! in between builds a `Vector` or a `Matrix`. The owned [`SyncMessage`] /
 //! [`WireMessage`] are the value types tests, snapshots and diagnostics
 //! hold; [`SyncMessage::decode`] is `SyncRef::parse(..)?.to_owned()`.
+//!
+//! **The dimension limit.** No `Vector` or `Matrix` is wider than
+//! [`DIM_CAP`], and `parse` is where bytes from a peer or a snapshot file
+//! meet that cap: a vector length, or a model's `n` or `m`, above it is a
+//! decode error, so every view that parses can be made into owned values.
 
 use bytes::{Buf, BufMut, Bytes};
 use kalstream_filter::StateModel;
-use kalstream_linalg::{Matrix, Vector};
+use kalstream_linalg::{Matrix, Vector, DIM_CAP};
 
 use crate::{CoreError, Result};
 
@@ -290,13 +295,16 @@ impl<'a> F64s<'a> {
 
     /// Reads the values into the front of `buf` and returns that prefix —
     /// how a consumer that needs a `&[f64]` (a measurement update) gets one
-    /// on its stack. `None` when there are more values than `buf` holds.
-    pub(crate) fn read_into(self, buf: &mut [f64]) -> Option<&[f64]> {
-        let buf = buf.get_mut(..self.len())?;
+    /// on its stack.
+    ///
+    /// # Panics
+    /// Panics on more than [`DIM_CAP`] values, which no parsed vector has.
+    pub(crate) fn read_into(self, buf: &mut [f64; DIM_CAP]) -> &[f64] {
+        let buf = &mut buf[..self.len()];
         for (dst, v) in buf.iter_mut().zip(self.iter()) {
             *dst = v;
         }
-        Some(buf)
+        buf
     }
 
     fn to_vector(self) -> Vector {
@@ -430,7 +438,8 @@ impl<'a> SyncRef<'a> {
     ///
     /// # Errors
     /// [`CoreError::Decode`] on truncation, trailing bytes, unknown tags,
-    /// bad UTF-8, reserved flag bits, or lengths past the element limit.
+    /// bad UTF-8, reserved flag bits, or a vector length or model dimension
+    /// above [`DIM_CAP`].
     /// (An embedded model cannot be *inconsistent*: one `n:u16 m:u16` pair
     /// sizes all four matrices, so a wrong dimension shows as truncation or
     /// trailing bytes.)
@@ -457,9 +466,8 @@ impl<'a> SyncRef<'a> {
                 let f_upper = flags & FLAG_F_UPPER_TRIANGULAR != 0;
                 let n = get_u16(&mut buf)?;
                 let m = get_u16(&mut buf)?;
-                let (nn, mm) = (n as usize, m as usize);
-                check_dims(nn, nn)?;
-                check_dims(mm, nn.max(mm))?;
+                let nn = check_dim("model state dimension", n.into())?;
+                let mm = check_dim("model measurement dimension", m.into())?;
                 let values = buf;
                 if f_upper {
                     get_triangle(&mut buf, nn, "triangular matrix")?;
@@ -734,26 +742,22 @@ fn get_u64(buf: &mut &[u8]) -> Result<u64> {
     Ok(buf.get_u64_le())
 }
 
-/// Guard against adversarial length prefixes: no legitimate message in this
-/// system has vectors/matrices beyond a few dozen elements.
-const MAX_ELEMS: u64 = 1 << 16;
-
-/// Rejects matrix dimensions whose full form would exceed [`MAX_ELEMS`]
-/// (matches the old per-matrix-header guard: at most 256 × 256).
-fn check_dims(rows: usize, cols: usize) -> Result<()> {
-    if (rows as u64) * (cols as u64) > MAX_ELEMS {
-        return Err(decode_err(&format!("matrix {rows}x{cols} exceeds limit")));
+/// `dim` as a `usize`, or a decode error when it is above [`DIM_CAP`]:
+/// the one check that keeps outside bytes within what a `Vector` or a
+/// `Matrix` can hold.
+fn check_dim(what: &str, dim: u64) -> Result<usize> {
+    if dim > DIM_CAP as u64 {
+        return Err(decode_err(&format!(
+            "{what} {dim} exceeds the limit {DIM_CAP}"
+        )));
     }
-    Ok(())
+    Ok(dim as usize)
 }
 
 /// Takes a length-prefixed vector (`len:u32 f64[len]`).
 fn get_vec<'a>(buf: &mut &'a [u8]) -> Result<F64s<'a>> {
-    let n = get_u32(buf)? as u64;
-    if n > MAX_ELEMS {
-        return Err(decode_err(&format!("vector length {n} exceeds limit")));
-    }
-    get_f64s(buf, n as usize, "vector")
+    let n = check_dim("vector length", get_u32(buf)?.into())?;
+    get_f64s(buf, n, "vector")
 }
 
 /// Takes `elems` headerless `f64`s; `what` names them in the truncation
@@ -769,15 +773,35 @@ fn get_f64s<'a>(buf: &mut &'a [u8], elems: usize, what: &str) -> Result<F64s<'a>
 
 /// Takes the packed upper triangle of an `n × n` matrix.
 fn get_triangle<'a>(buf: &mut &'a [u8], n: usize, what: &str) -> Result<F64s<'a>> {
-    check_dims(n, n)?;
     get_f64s(buf, tri_elems(n), what)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use bytes::BytesMut;
     use kalstream_filter::models;
+
+    /// Sync bodies one past [`DIM_CAP`] and well-formed otherwise: a 9-state
+    /// Model (`m = 1`, full `F`) and a 9-element State. No source can encode
+    /// either, as neither fits a `Vector` or a `Matrix`.
+    pub(crate) fn over_cap_syncs() -> [Vec<u8>; 2] {
+        let n = DIM_CAP + 1;
+        let zeros = |elems: usize| std::iter::repeat_n(0u8, 8 * elems);
+        let mut model = vec![TAG_MODEL];
+        model.extend_from_slice(&2u16.to_le_bytes());
+        model.extend_from_slice(b"ar");
+        model.push(0);
+        model.extend_from_slice(&(n as u16).to_le_bytes());
+        model.extend_from_slice(&1u16.to_le_bytes());
+        model.extend(zeros(
+            n * n + tri_elems(n) + n + tri_elems(1) + n + tri_elems(n),
+        ));
+        let mut state = vec![TAG_STATE];
+        state.extend_from_slice(&(n as u32).to_le_bytes());
+        state.extend(zeros(n + tri_elems(n)));
+        [model, state]
+    }
 
     fn state_msg() -> SyncMessage {
         SyncMessage::State {
@@ -977,15 +1001,18 @@ mod tests {
 
     #[test]
     fn rejects_huge_symmetric_dim() {
-        // A 1024-dim state would imply a 1024² covariance: over the element
-        // limit, rejected before any allocation.
-        let mut buf = vec![TAG_STATE];
-        buf.extend_from_slice(&1024u32.to_le_bytes());
-        buf.extend(std::iter::repeat_n(0u8, 8 * 1024));
-        assert!(matches!(
-            SyncMessage::decode(&buf),
-            Err(CoreError::Decode { reason }) if reason.contains("limit")
-        ));
+        // A 1024-dim state would imply a 1024² covariance; a 9-state Model
+        // and a 9-element State are one past what a `Matrix` or a `Vector`
+        // holds. Each is refused before any value is built.
+        let mut huge = vec![TAG_STATE];
+        huge.extend_from_slice(&1024u32.to_le_bytes());
+        huge.extend(std::iter::repeat_n(0u8, 8 * 1024));
+        for buf in [huge].into_iter().chain(over_cap_syncs()) {
+            assert!(matches!(
+                SyncRef::parse(&buf),
+                Err(CoreError::Decode { reason }) if reason.contains("limit")
+            ));
+        }
     }
 
     #[test]
@@ -1287,10 +1314,10 @@ mod tests {
                     if flags & !FLAG_F_UPPER_TRIANGULAR != 0 {
                         return Err(decode_err(&format!("reserved flag bits set: {flags:#x}")));
                     }
-                    let n = get_u16(&mut buf)? as usize;
-                    let m = get_u16(&mut buf)? as usize;
-                    check_dims(n, n)?;
-                    check_dims(m, n.max(m))?;
+                    let n = get_u16(&mut buf)?;
+                    let m = get_u16(&mut buf)?;
+                    let n = check_dim("model state dimension", n.into())?;
+                    let m = check_dim("model measurement dimension", m.into())?;
                     let f = if flags & FLAG_F_UPPER_TRIANGULAR != 0 {
                         get_upper_triangular(&mut buf, n)?
                     } else {
@@ -1355,11 +1382,8 @@ mod tests {
         }
 
         fn get_vec(buf: &mut &[u8]) -> Result<Vector> {
-            let n = get_u32(buf)? as u64;
-            if n > MAX_ELEMS {
-                return Err(decode_err(&format!("vector length {n} exceeds limit")));
-            }
-            get_fixed_vec(buf, n as usize)
+            let n = check_dim("vector length", get_u32(buf)?.into())?;
+            get_fixed_vec(buf, n)
         }
 
         fn get_fixed_vec(buf: &mut &[u8], n: usize) -> Result<Vector> {
@@ -1374,7 +1398,6 @@ mod tests {
         }
 
         fn get_symmetric(buf: &mut &[u8], n: usize) -> Result<Matrix> {
-            check_dims(n, n)?;
             if (buf.remaining() as u64) < 8 * tri_elems(n) as u64 {
                 return Err(decode_err("truncated symmetric matrix body"));
             }
@@ -1390,7 +1413,6 @@ mod tests {
         }
 
         fn get_upper_triangular(buf: &mut &[u8], n: usize) -> Result<Matrix> {
-            check_dims(n, n)?;
             if (buf.remaining() as u64) < 8 * tri_elems(n) as u64 {
                 return Err(decode_err("truncated triangular matrix body"));
             }
@@ -1404,7 +1426,6 @@ mod tests {
         }
 
         fn get_full(buf: &mut &[u8], rows: usize, cols: usize) -> Result<Matrix> {
-            check_dims(rows, cols)?;
             if (buf.remaining() as u64) < 8 * (rows * cols) as u64 {
                 return Err(decode_err("truncated matrix body"));
             }

@@ -78,8 +78,8 @@ macro_rules! define_constructors {
             /// Builds an empty batch for `model` whose updates run the
             /// covariance formula `form`, on the table row
             /// `(max(n, m).next_power_of_two(), m)` (module docs), or `None`
-            /// when the model is wider than any row (state above 8 or
-            /// measurement above 4: no filter admits it either).
+            /// when the model is wider than any row (a measurement above 4:
+            /// no filter admits it either).
             pub fn for_model_in_form(model: &StateModel, form: CovarianceUpdate) -> Option<Self> {
                 let (n, m) = (model.state_dim(), model.measurement_dim());
                 match (n.max(m).next_power_of_two(), m) {

@@ -22,12 +22,11 @@ pub enum FilterError {
         /// Actual measurement dimension.
         actual: usize,
     },
-    /// A filter dimension exceeds its cap: the state the inline-storage cap
-    /// of `kalstream-linalg` (`VECTOR_INLINE_CAP`, 8), the measurement the
-    /// widest static-kernel row (4). Past them no kernel row, exact or
-    /// zero-padded, exists, so construction refuses.
+    /// A filter's measurement dimension exceeds the widest static-kernel
+    /// row (4): past it no kernel row, exact or zero-padded, exists, so
+    /// construction refuses.
     DimensionTooLarge {
-        /// Which dimension is over cap ("state" or "measurement").
+        /// The dimension over cap: "measurement".
         what: &'static str,
         /// The requested dimension.
         dim: usize,

@@ -19,7 +19,7 @@
 //! assert!(fitted.model.state_dim() >= 2, "picked {}", fitted.model.name());
 //! ```
 
-use kalstream_linalg::{Matrix, Vector};
+use kalstream_linalg::{Matrix, Vector, DIM_CAP};
 
 use crate::{models, FilterError, KalmanFilter, Result, StateModel};
 
@@ -69,10 +69,11 @@ pub fn estimate_measurement_noise(observed: &[f64]) -> f64 {
 /// Solves the Toeplitz system `R φ = r` with the sample autocovariances.
 ///
 /// # Errors
-/// [`FilterError::BadModel`] when the series is shorter than `p + 1` or the
-/// autocovariance system is singular (constant series).
+/// [`FilterError::BadModel`] when `p` is 0 or above [`DIM_CAP`], the series
+/// is shorter than `p + 1`, or the autocovariance system is singular
+/// (constant series).
 pub fn yule_walker(series: &[f64], p: usize) -> Result<Vec<f64>> {
-    if p == 0 || series.len() <= p {
+    if p == 0 || p > DIM_CAP || series.len() <= p {
         return Err(FilterError::BadModel {
             what: "F",
             expected: (p, p),
@@ -308,6 +309,10 @@ mod tests {
     #[test]
     fn yule_walker_rejects_degenerate_input() {
         assert!(yule_walker(&[1.0, 2.0], 5).is_err());
+        let mut rng = SmallRng::seed_from_u64(5);
+        let noise: Vec<f64> = (0..1000).map(|_| gaussian(&mut rng)).collect();
+        assert!(yule_walker(&noise, DIM_CAP).is_ok());
+        assert!(yule_walker(&noise, DIM_CAP + 1).is_err());
         assert!(yule_walker(&[], 1).is_err());
         // Constant series: zero autocovariance ⇒ singular.
         assert!(yule_walker(&[3.0; 100], 1).is_err());

@@ -1,8 +1,6 @@
 //! The discrete linear Kalman filter.
 
-use kalstream_linalg::{
-    LinalgError, Matrix, StaticKernel, StaticUpdateOutcome, Vector, VECTOR_INLINE_CAP,
-};
+use kalstream_linalg::{LinalgError, Matrix, StaticKernel, StaticUpdateOutcome, Vector, DIM_CAP};
 
 use crate::dispatch::for_each_shape;
 use crate::{FilterError, Result, StateModel};
@@ -150,9 +148,9 @@ impl KalmanFilter {
     /// Creates a filter with an explicit initial covariance.
     ///
     /// # Errors
-    /// [`FilterError::DimensionTooLarge`] for a state dimension above 8 or a
-    /// measurement dimension above 4, [`FilterError::Linalg`] for a zero
-    /// one; [`FilterError::BadModel`] when `x0` or `p0` shapes disagree
+    /// [`FilterError::DimensionTooLarge`] for a measurement dimension above
+    /// 4, [`FilterError::Linalg`] for a zero dimension;
+    /// [`FilterError::BadModel`] when `x0` or `p0` shapes disagree
     /// with the model.
     pub fn with_covariance(model: StateModel, x0: Vector, p0: Matrix) -> Result<Self> {
         check_shape(&model)?;
@@ -437,7 +435,7 @@ impl KalmanFilter {
         let n = h.len();
         let p = self.p.as_slice();
         // Row j of H·P, as `matmul` accumulates it.
-        let mut hp = [0.0; kalstream_linalg::VECTOR_INLINE_CAP];
+        let mut hp = [0.0; DIM_CAP];
         let hp = &mut hp[..n];
         for (k, &a) in h.iter().enumerate() {
             if a == 0.0 {
@@ -592,9 +590,9 @@ fn all_finite<const N: usize>(x: &[f64; N], p: &[[f64; N]; N]) -> bool {
     x.iter().chain(p.as_flattened()).all(|v| v.is_finite())
 }
 
-/// The one shape check of every model a filter runs: `1 ≤ n ≤ 8` (the
-/// inline-storage cap) and `1 ≤ m ≤ 4` (the widest kernel row) — exactly
-/// the shapes with an exact or a padded kernel row.
+/// The one shape check of every model a filter runs: `n ≥ 1` and
+/// `1 ≤ m ≤ 4` (the widest kernel row); `n ≤ 8` holds for every `Matrix`
+/// ([`DIM_CAP`]). Exactly the shapes with an exact or a padded kernel row.
 fn check_shape(model: &StateModel) -> Result<()> {
     let (n, m) = (model.state_dim(), model.measurement_dim());
     if n == 0 || m == 0 {
@@ -603,13 +601,12 @@ fn check_shape(model: &StateModel) -> Result<()> {
         }
         .into());
     }
-    for (what, dim, cap) in [
-        ("state", n, VECTOR_INLINE_CAP),
-        ("measurement", m, MEASUREMENT_CAP),
-    ] {
-        if dim > cap {
-            return Err(FilterError::DimensionTooLarge { what, dim, cap });
-        }
+    if m > MEASUREMENT_CAP {
+        return Err(FilterError::DimensionTooLarge {
+            what: "measurement",
+            dim: m,
+            cap: MEASUREMENT_CAP,
+        });
     }
     Ok(())
 }
@@ -781,27 +778,8 @@ mod tests {
 
     #[test]
     fn construction_rejects_over_cap_dimensions() {
-        let n = VECTOR_INLINE_CAP + 1;
-        // n-state random walk observed in full: both dims over cap.
-        let model = StateModel::new(
-            "over-cap",
-            Matrix::identity(n),
-            Matrix::scalar(n, 0.01),
-            Matrix::identity(n),
-            Matrix::scalar(n, 0.25),
-        )
-        .unwrap();
-        let err = KalmanFilter::new(model, Vector::zeros(n), 1.0).unwrap_err();
-        assert_eq!(
-            err,
-            FilterError::DimensionTooLarge {
-                what: "state",
-                dim: n,
-                cap: VECTOR_INLINE_CAP
-            }
-        );
-        // In-cap state, measurement past the widest kernel row.
-        for m in [MEASUREMENT_CAP + 1, n] {
+        // Measurement past the widest kernel row.
+        for m in MEASUREMENT_CAP + 1..=DIM_CAP {
             let err = KalmanFilter::new(wide_measurement(m), Vector::zeros(2), 1.0).unwrap_err();
             assert_eq!(
                 err,
@@ -835,7 +813,7 @@ mod tests {
         let mut kf = KalmanFilter::new(wide_measurement(1), Vector::zeros(2), 1.0).unwrap();
         kf.predict().unwrap();
         let before = kf.clone();
-        for m in [MEASUREMENT_CAP + 1, VECTOR_INLINE_CAP + 1] {
+        for m in MEASUREMENT_CAP + 1..=DIM_CAP {
             assert_eq!(
                 kf.set_model(wide_measurement(m)),
                 Err(FilterError::DimensionTooLarge {

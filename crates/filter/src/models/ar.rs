@@ -1,6 +1,6 @@
 //! Autoregressive AR(p) model in companion (controllable canonical) form.
 
-use kalstream_linalg::Matrix;
+use kalstream_linalg::{Matrix, DIM_CAP};
 
 use crate::{FilterError, Result, StateModel};
 
@@ -23,14 +23,16 @@ use crate::{FilterError, Result, StateModel};
 /// low-order AR models.
 ///
 /// # Errors
-/// [`FilterError::BadModel`] when `coeffs` is empty.
+/// [`FilterError::BadModel`] when `coeffs` is empty or longer than
+/// [`DIM_CAP`].
 pub fn ar(coeffs: &[f64], q: f64, r: f64) -> Result<StateModel> {
     let p = coeffs.len();
-    if p == 0 {
+    let nearest = p.clamp(1, DIM_CAP);
+    if p != nearest {
         return Err(FilterError::BadModel {
             what: "F",
-            expected: (1, 1),
-            actual: (0, 0),
+            expected: (nearest, nearest),
+            actual: (p, p),
         });
     }
     let mut f = Matrix::zeros(p, p);
@@ -67,8 +69,17 @@ mod tests {
     }
 
     #[test]
-    fn empty_coeffs_rejected() {
+    fn empty_or_over_cap_coeffs_rejected() {
         assert!(ar(&[], 0.1, 0.1).is_err());
+        assert!(ar(&[0.1; DIM_CAP], 0.1, 0.1).is_ok());
+        assert_eq!(
+            ar(&[0.1; DIM_CAP + 1], 0.1, 0.1),
+            Err(FilterError::BadModel {
+                what: "F",
+                expected: (DIM_CAP, DIM_CAP),
+                actual: (DIM_CAP + 1, DIM_CAP + 1),
+            })
+        );
     }
 
     #[test]

@@ -18,13 +18,14 @@
 //! side by side, element by element, so a filter's bits never depend on
 //! which.)
 //!
-//! Storage is **inline-first**: vectors up to [`VECTOR_INLINE_CAP`] elements
-//! and matrices up to [`MATRIX_INLINE_CAP`] elements live in fixed stack
-//! buffers, so at the workspace's capped state dimension (n ≤ 8, DESIGN.md)
-//! the hot path never touches the heap. There is one spelling of each
-//! product: a Kalman step runs on [`StaticKernel`]'s fixed arrays, and the
-//! allocating [`Matrix`]/[`Cholesky`] forms are what its bit-identity
-//! contract is stated against.
+//! Every dimension is capped at [`DIM_CAP`] = 8, the workspace's largest
+//! filter state (DESIGN.md): a [`Vector`] or [`Matrix`] keeps its elements
+//! in a fixed inline array and never touches the heap, and its constructors
+//! panic past the cap. Values that arrive from outside the program are
+//! checked against the cap where they are decoded. There is one spelling
+//! of each product: a Kalman step runs on [`StaticKernel`]'s fixed arrays,
+//! and the [`Matrix`]/[`Cholesky`] forms are what its bit-identity contract
+//! is stated against.
 //!
 //! ## Quick tour
 //!
@@ -52,29 +53,21 @@ mod decomp;
 mod error;
 mod matrix;
 mod static_kernel;
-mod storage;
 mod vector;
 
 pub use decomp::{Cholesky, Lu};
 pub use error::LinalgError;
-pub use matrix::{Matrix, MATRIX_INLINE_CAP};
+pub use matrix::Matrix;
 pub use static_kernel::{
     CovarianceUpdate, Innovation, Lane, Pack, StaticKernel, StaticUpdateOutcome,
 };
-pub use vector::{Vector, VECTOR_INLINE_CAP};
+pub use vector::Vector;
 
-/// Process-wide count of inline→heap storage fallbacks.
-///
-/// Each time a [`Vector`] or [`Matrix`] is built with (or grown to) more
-/// elements than its inline cap ([`VECTOR_INLINE_CAP`] /
-/// [`MATRIX_INLINE_CAP`]), the value silently moves to the heap and this
-/// counter increments. On the capped hot path (n ≤ 8) it should stay flat;
-/// a drifting value means some call site is running over-cap shapes that the
-/// batch dispatcher cannot route to the static kernels. Exported by the
-/// bench binaries as the obs counter `linalg.heap_fallbacks`.
-pub fn heap_fallbacks() -> u64 {
-    storage::heap_fallbacks()
-}
+/// The largest dimension of any [`Vector`] or [`Matrix`]: a vector holds at
+/// most `DIM_CAP` elements and a matrix at most `DIM_CAP` rows and
+/// `DIM_CAP` columns, so products and transposes of valid values stay
+/// valid. It is the workspace's cap on a filter's state (DESIGN.md §7).
+pub const DIM_CAP: usize = 8;
 
 /// Convenience alias for results in this crate.
 pub type Result<T> = std::result::Result<T, LinalgError>;

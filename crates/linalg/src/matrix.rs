@@ -3,72 +3,79 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Sub, SubAssign};
 
-use crate::storage::SmallBuf;
-use crate::{Cholesky, LinalgError, Lu, Result, Vector};
+use crate::{Cholesky, LinalgError, Lu, Result, Vector, DIM_CAP};
 
-/// Inline capacity: with state dimension capped at 8 (DESIGN.md), every
-/// hot-path matrix is at most 8 × 8 = 64 elements and lives on the stack.
-pub const MATRIX_INLINE_CAP: usize = 64;
-
-/// A dense, row-major matrix of `f64` values.
+/// A dense, row-major matrix of `f64` values, at most [`DIM_CAP`] ×
+/// [`DIM_CAP`].
 ///
 /// This is the covariance/transition carrier for the Kalman machinery. All
 /// binary operators panic on shape mismatch (shape bugs are programming
 /// errors); numerically fallible operations ([`Matrix::cholesky`],
 /// [`Matrix::lu`], [`Matrix::inverse`]) return [`Result`] instead.
 ///
-/// Storage is **inline-first**: up to [`MATRIX_INLINE_CAP`] elements live in
-/// a fixed stack buffer (see `storage::SmallBuf`), so construction, clone,
-/// and temporaries at Kalman sizes never allocate. Larger matrices fall back
-/// to the heap with identical semantics.
+/// The elements live in a fixed inline array, so construction, clone and
+/// temporaries never allocate. Every constructor panics on a dimension
+/// above [`DIM_CAP`]; bytes from outside the program are checked against
+/// it where they are decoded, before any `Matrix` is built.
 ///
 /// A filter's step does not run on these products: it runs on
 /// [`crate::StaticKernel`], whose fixed-array products replicate
 /// [`Matrix::matmul`], [`Matrix::matmul_transpose_into`] and
 /// [`Matrix::mul_vec`] operation for operation (zero-skip included), so
 /// these are the textbook reference the kernel is held to bit for bit.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
-    /// Row-major storage: element `(r, c)` lives at `r * cols + c`.
-    data: SmallBuf<MATRIX_INLINE_CAP>,
+    /// Row-major: element `(r, c)` lives at `r * cols + c`; only the first
+    /// `rows * cols` elements are part of the value.
+    data: [f64; DIM_CAP * DIM_CAP],
 }
 
 impl Matrix {
     /// Creates a `rows × cols` matrix of zeros.
+    ///
+    /// # Panics
+    /// Panics if `rows` or `cols` exceeds [`DIM_CAP`].
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        Matrix {
-            rows,
-            cols,
-            data: SmallBuf::zeroed(rows * cols),
-        }
-    }
-
-    /// Creates the `n × n` identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m.data.as_mut_slice()[i * n + i] = 1.0;
-        }
+        let mut m = Matrix {
+            rows: 0,
+            cols: 0,
+            data: [0.0; DIM_CAP * DIM_CAP],
+        };
+        m.set_shape(rows, cols);
         m
     }
 
+    /// Creates the `n × n` identity matrix.
+    ///
+    /// # Panics
+    /// Panics if `n` exceeds [`DIM_CAP`].
+    pub fn identity(n: usize) -> Self {
+        Matrix::scalar(n, 1.0)
+    }
+
     /// Creates a diagonal matrix from `diag`.
+    ///
+    /// # Panics
+    /// Panics if `diag` is longer than [`DIM_CAP`].
     pub fn from_diag(diag: &[f64]) -> Self {
         let n = diag.len();
         let mut m = Matrix::zeros(n, n);
         for (i, &d) in diag.iter().enumerate() {
-            m.data.as_mut_slice()[i * n + i] = d;
+            m.data[i * n + i] = d;
         }
         m
     }
 
     /// Creates an `n × n` scalar matrix `s · I`.
+    ///
+    /// # Panics
+    /// Panics if `n` exceeds [`DIM_CAP`].
     pub fn scalar(n: usize, s: f64) -> Self {
         let mut m = Matrix::zeros(n, n);
         for i in 0..n {
-            m.data.as_mut_slice()[i * n + i] = s;
+            m.data[i * n + i] = s;
         }
         m
     }
@@ -76,34 +83,33 @@ impl Matrix {
     /// Builds a matrix from row slices.
     ///
     /// # Panics
-    /// Panics if rows have inconsistent lengths or `rows` is empty.
+    /// Panics if rows have inconsistent lengths, `rows` is empty, or either
+    /// dimension exceeds [`DIM_CAP`].
     pub fn from_rows(rows: &[&[f64]]) -> Self {
         assert!(!rows.is_empty(), "from_rows: no rows given");
         let cols = rows[0].len();
         let mut m = Matrix::zeros(rows.len(), cols);
         for (i, r) in rows.iter().enumerate() {
             assert_eq!(r.len(), cols, "from_rows: row {i} has inconsistent length");
-            m.data.as_mut_slice()[i * cols..(i + 1) * cols].copy_from_slice(r);
+            m.data[i * cols..(i + 1) * cols].copy_from_slice(r);
         }
         m
     }
 
-    /// Builds a matrix from a flat row-major buffer. Small contents (≤ the
-    /// inline cap) are copied into inline storage.
+    /// Builds a matrix from a flat row-major buffer.
     ///
     /// # Panics
-    /// Panics if `data.len() != rows * cols`.
+    /// Panics if `data.len() != rows * cols` or either dimension exceeds
+    /// [`DIM_CAP`].
     pub fn from_row_major(rows: usize, cols: usize, data: Vec<f64>) -> Self {
         assert_eq!(
             data.len(),
             rows * cols,
             "from_row_major: buffer size mismatch"
         );
-        Matrix {
-            rows,
-            cols,
-            data: SmallBuf::from_vec(data),
-        }
+        let mut m = Matrix::zeros(rows, cols);
+        m.as_mut_slice().copy_from_slice(&data);
+        m
     }
 
     /// Number of rows.
@@ -127,30 +133,33 @@ impl Matrix {
     }
 
     /// Immutable view of the row-major storage.
+    #[inline]
     pub fn as_slice(&self) -> &[f64] {
-        self.data.as_slice()
+        &self.data[..self.rows * self.cols]
     }
 
     /// Mutable view of the row-major storage.
+    #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        self.data.as_mut_slice()
+        &mut self.data[..self.rows * self.cols]
     }
 
     /// Element access with bounds checking built into the slice indexing.
     #[inline]
     pub fn get(&self, r: usize, c: usize) -> f64 {
-        self.data.as_slice()[r * self.cols + c]
+        self.as_slice()[r * self.cols + c]
     }
 
     /// Sets element `(r, c)` to `v`.
     #[inline]
     pub fn set(&mut self, r: usize, c: usize, v: f64) {
-        self.data.as_mut_slice()[r * self.cols + c] = v;
+        let i = r * self.cols + c;
+        self.as_mut_slice()[i] = v;
     }
 
     /// Returns row `r` as a slice.
     pub fn row(&self, r: usize) -> &[f64] {
-        &self.data.as_slice()[r * self.cols..(r + 1) * self.cols]
+        &self.as_slice()[r * self.cols..(r + 1) * self.cols]
     }
 
     /// Returns column `c` as a new [`Vector`].
@@ -162,20 +171,30 @@ impl Matrix {
         out
     }
 
-    /// Resizes to `rows × cols` zeros in place, reusing storage
-    /// (allocation-free for inline-capacity shapes).
+    /// Resizes to `rows × cols` zeros in place.
+    ///
+    /// # Panics
+    /// Panics if `rows` or `cols` exceeds [`DIM_CAP`].
     pub fn resize_zeroed(&mut self, rows: usize, cols: usize) {
-        self.rows = rows;
-        self.cols = cols;
-        self.data.resize_zeroed(rows * cols);
+        self.set_shape(rows, cols);
+        self.as_mut_slice().fill(0.0);
     }
 
-    /// Replaces the contents (shape and elements) with a copy of `other`,
-    /// reusing storage.
+    /// Replaces the contents (shape and elements) with a copy of `other`.
     pub fn copy_from(&mut self, other: &Matrix) {
-        self.rows = other.rows;
-        self.cols = other.cols;
-        self.data.copy_from_slice(other.data.as_slice());
+        self.set_shape(other.rows, other.cols);
+        self.as_mut_slice().copy_from_slice(other.as_slice());
+    }
+
+    /// Sets the shape, leaving the elements as they lie: the one check of
+    /// the cap.
+    fn set_shape(&mut self, rows: usize, cols: usize) {
+        assert!(
+            rows <= DIM_CAP && cols <= DIM_CAP,
+            "{rows}x{cols} matrix exceeds DIM_CAP = {DIM_CAP}"
+        );
+        self.rows = rows;
+        self.cols = cols;
     }
 
     /// Transpose.
@@ -211,7 +230,7 @@ impl Matrix {
                     continue;
                 }
                 let rhs_row = rhs.row(k);
-                let out_row = &mut out.data.as_mut_slice()[r * rhs.cols..(r + 1) * rhs.cols];
+                let out_row = &mut out.as_mut_slice()[r * rhs.cols..(r + 1) * rhs.cols];
                 for (o, b) in out_row.iter_mut().zip(rhs_row.iter()) {
                     *o += a * b;
                 }
@@ -243,7 +262,7 @@ impl Matrix {
                     continue;
                 }
                 // rhsᵀ row k is rhs column k: rhsᵀ(k, c) = rhs(c, k).
-                let out_row = &mut out.data.as_mut_slice()[r * rhs.rows..(r + 1) * rhs.rows];
+                let out_row = &mut out.as_mut_slice()[r * rhs.rows..(r + 1) * rhs.rows];
                 for (c, o) in out_row.iter_mut().enumerate() {
                     *o += a * rhs.get(c, k);
                 }
@@ -296,7 +315,7 @@ impl Matrix {
 
     /// Elementwise scaling in place.
     pub fn scale_mut(&mut self, s: f64) {
-        for v in self.data.as_mut_slice() {
+        for v in self.as_mut_slice() {
             *v *= s;
         }
     }
@@ -304,7 +323,7 @@ impl Matrix {
     /// Returns `self * s` as a new matrix.
     pub fn scaled(&self, s: f64) -> Matrix {
         let mut out = Matrix::zeros(self.rows, self.cols);
-        for (o, v) in out.data.as_mut_slice().iter_mut().zip(self.data.as_slice()) {
+        for (o, v) in out.as_mut_slice().iter_mut().zip(self.as_slice()) {
             *o = v * s;
         }
         out
@@ -322,12 +341,7 @@ impl Matrix {
                 rhs: other.shape(),
             });
         }
-        for (a, b) in self
-            .data
-            .as_mut_slice()
-            .iter_mut()
-            .zip(other.data.as_slice())
-        {
+        for (a, b) in self.as_mut_slice().iter_mut().zip(other.as_slice()) {
             *a += alpha * b;
         }
         Ok(())
@@ -365,15 +379,12 @@ impl Matrix {
 
     /// `true` when every element is finite.
     pub fn is_finite(&self) -> bool {
-        self.data.as_slice().iter().all(|x| x.is_finite())
+        self.as_slice().iter().all(|x| x.is_finite())
     }
 
     /// Maximum absolute element.
     pub fn norm_inf_elem(&self) -> f64 {
-        self.data
-            .as_slice()
-            .iter()
-            .fold(0.0_f64, |m, x| m.max(x.abs()))
+        self.as_slice().iter().fold(0.0_f64, |m, x| m.max(x.abs()))
     }
 
     /// Maximum absolute elementwise difference from `other`; `INFINITY` on
@@ -382,10 +393,9 @@ impl Matrix {
         if self.shape() != other.shape() {
             return f64::INFINITY;
         }
-        self.data
-            .as_slice()
+        self.as_slice()
             .iter()
-            .zip(other.data.as_slice().iter())
+            .zip(other.as_slice().iter())
             .fold(0.0_f64, |m, (a, b)| m.max((a - b).abs()))
     }
 
@@ -433,16 +443,35 @@ impl Matrix {
     }
 }
 
+impl PartialEq for Matrix {
+    /// Value equality: the shapes and the elements of the value, not the
+    /// unused tail of the array.
+    fn eq(&self, other: &Matrix) -> bool {
+        self.shape() == other.shape() && self.as_slice() == other.as_slice()
+    }
+}
+
+impl fmt::Debug for Matrix {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Matrix")
+            .field("rows", &self.rows)
+            .field("cols", &self.cols)
+            .field("data", &self.as_slice())
+            .finish()
+    }
+}
+
 impl Index<(usize, usize)> for Matrix {
     type Output = f64;
     fn index(&self, (r, c): (usize, usize)) -> &f64 {
-        &self.data.as_slice()[r * self.cols + c]
+        &self.as_slice()[r * self.cols + c]
     }
 }
 
 impl IndexMut<(usize, usize)> for Matrix {
     fn index_mut(&mut self, (r, c): (usize, usize)) -> &mut f64 {
-        &mut self.data.as_mut_slice()[r * self.cols + c]
+        let i = r * self.cols + c;
+        &mut self.as_mut_slice()[i]
     }
 }
 
@@ -481,7 +510,7 @@ impl AddAssign<&Matrix> for Matrix {
             rhs.shape(),
             "matrix add_assign: shape mismatch"
         );
-        for (a, b) in self.data.as_mut_slice().iter_mut().zip(rhs.data.as_slice()) {
+        for (a, b) in self.as_mut_slice().iter_mut().zip(rhs.as_slice()) {
             *a += b;
         }
     }
@@ -494,7 +523,7 @@ impl SubAssign<&Matrix> for Matrix {
             rhs.shape(),
             "matrix sub_assign: shape mismatch"
         );
-        for (a, b) in self.data.as_mut_slice().iter_mut().zip(rhs.data.as_slice()) {
+        for (a, b) in self.as_mut_slice().iter_mut().zip(rhs.as_slice()) {
             *a -= b;
         }
     }
@@ -733,11 +762,9 @@ mod tests {
     }
 
     #[test]
-    fn large_matrices_fall_back_to_heap_with_same_semantics() {
-        let m = Matrix::identity(10); // 100 elements > inline cap
-        assert_eq!(m.matmul(&m).unwrap(), m);
-        assert_eq!(m.transpose(), m);
-        assert_eq!(m.clone(), m);
+    #[should_panic(expected = "exceeds DIM_CAP")]
+    fn a_dimension_past_the_cap_panics() {
+        let _ = Matrix::zeros(1, DIM_CAP + 1);
     }
 
     #[test]

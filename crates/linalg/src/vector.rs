@@ -3,55 +3,62 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub, SubAssign};
 
-use crate::storage::SmallBuf;
-use crate::{LinalgError, Result};
+use crate::{LinalgError, Result, DIM_CAP};
 
-/// Inline capacity: the workspace caps state dimension at 8 (DESIGN.md), so
-/// every hot-path vector lives entirely on the stack.
-pub const VECTOR_INLINE_CAP: usize = 8;
-
-/// A dense column vector of `f64` values.
+/// A dense column vector of `f64` values, at most [`DIM_CAP`] long.
 ///
 /// `Vector` is the state/measurement carrier throughout the workspace. It is
 /// deterministic and densely stored (no SIMD, no uninitialised memory;
-/// element order is the storage order), and it is **inline-first**: up to
-/// [`VECTOR_INLINE_CAP`] elements live in a fixed stack buffer, so
-/// construction, clone, and temporaries for the dimensions the Kalman code
-/// actually uses never touch the heap. Larger vectors transparently fall
-/// back to heap storage with identical semantics.
-#[derive(Debug, Clone, PartialEq)]
+/// element order is the storage order). The elements live in a fixed inline
+/// array, so construction, clone and temporaries never allocate; every
+/// constructor panics on a length above [`DIM_CAP`].
+#[derive(Clone)]
 pub struct Vector {
-    data: SmallBuf<VECTOR_INLINE_CAP>,
+    len: usize,
+    /// Only `data[..len]` is part of the value.
+    data: [f64; DIM_CAP],
 }
 
 impl Vector {
     /// Creates a vector of `dim` zeros.
+    ///
+    /// # Panics
+    /// Panics if `dim` exceeds [`DIM_CAP`].
     pub fn zeros(dim: usize) -> Self {
-        Vector {
-            data: SmallBuf::zeroed(dim),
-        }
+        let mut v = Vector {
+            len: 0,
+            data: [0.0; DIM_CAP],
+        };
+        v.set_len(dim);
+        v
     }
 
     /// Creates a vector with every element equal to `value`.
+    ///
+    /// # Panics
+    /// Panics if `dim` exceeds [`DIM_CAP`].
     pub fn filled(dim: usize, value: f64) -> Self {
-        Vector {
-            data: SmallBuf::filled(dim, value),
-        }
+        let mut v = Vector::zeros(dim);
+        v.as_mut_slice().fill(value);
+        v
     }
 
     /// Creates a vector by copying `slice`.
+    ///
+    /// # Panics
+    /// Panics if `slice` is longer than [`DIM_CAP`].
     pub fn from_slice(slice: &[f64]) -> Self {
-        Vector {
-            data: SmallBuf::from_slice(slice),
-        }
+        let mut v = Vector::zeros(slice.len());
+        v.as_mut_slice().copy_from_slice(slice);
+        v
     }
 
-    /// Creates a vector from an existing `Vec`. Small contents (≤ the inline
-    /// cap) are copied into inline storage; larger ones keep the allocation.
+    /// Creates a vector from the elements of `data`.
+    ///
+    /// # Panics
+    /// Panics if `data` is longer than [`DIM_CAP`].
     pub fn from_vec(data: Vec<f64>) -> Self {
-        Vector {
-            data: SmallBuf::from_vec(data),
-        }
+        Vector::from_slice(&data)
     }
 
     /// Creates a standard basis vector `e_i` of dimension `dim`.
@@ -61,55 +68,73 @@ impl Vector {
     pub fn basis(dim: usize, i: usize) -> Self {
         assert!(i < dim, "basis index {i} out of range for dimension {dim}");
         let mut v = Vector::zeros(dim);
-        v.data.as_mut_slice()[i] = 1.0;
+        v[i] = 1.0;
         v
     }
 
     /// Number of elements.
     pub fn dim(&self) -> usize {
-        self.data.len()
+        self.len
     }
 
     /// `true` when the vector has zero elements.
     pub fn is_empty(&self) -> bool {
-        self.data.len() == 0
+        self.len == 0
     }
 
     /// Immutable view of the underlying storage.
+    #[inline]
     pub fn as_slice(&self) -> &[f64] {
-        self.data.as_slice()
+        &self.data[..self.len]
     }
 
     /// Mutable view of the underlying storage.
+    #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        self.data.as_mut_slice()
+        &mut self.data[..self.len]
     }
 
-    /// Consumes the vector and returns the elements as a `Vec` (allocates
-    /// when the vector was stored inline).
+    /// Consumes the vector and returns the elements as a `Vec`.
     pub fn into_vec(self) -> Vec<f64> {
-        self.data.into_vec()
+        self.as_slice().to_vec()
     }
 
     /// Iterator over elements.
     pub fn iter(&self) -> std::slice::Iter<'_, f64> {
-        self.data.as_slice().iter()
+        self.as_slice().iter()
     }
 
-    /// Resizes to `dim` zeros in place, reusing storage (allocation-free
-    /// for inline-capacity dimensions).
+    /// Resizes to `dim` zeros in place.
+    ///
+    /// # Panics
+    /// Panics if `dim` exceeds [`DIM_CAP`].
     pub fn resize_zeroed(&mut self, dim: usize) {
-        self.data.resize_zeroed(dim);
+        self.set_len(dim);
+        self.as_mut_slice().fill(0.0);
     }
 
-    /// Replaces the contents with a copy of `other`, reusing storage.
+    /// Replaces the contents with a copy of `other`.
     pub fn copy_from(&mut self, other: &Vector) {
-        self.data.copy_from_slice(other.as_slice());
+        self.copy_from_slice(other.as_slice());
     }
 
-    /// Replaces the contents with a copy of `slice`, reusing storage.
+    /// Replaces the contents with a copy of `slice`.
+    ///
+    /// # Panics
+    /// Panics if `slice` is longer than [`DIM_CAP`].
     pub fn copy_from_slice(&mut self, slice: &[f64]) {
-        self.data.copy_from_slice(slice);
+        self.set_len(slice.len());
+        self.as_mut_slice().copy_from_slice(slice);
+    }
+
+    /// Sets the length, leaving the elements as they lie: the one check of
+    /// the cap.
+    fn set_len(&mut self, dim: usize) {
+        assert!(
+            dim <= DIM_CAP,
+            "vector of {dim} exceeds DIM_CAP = {DIM_CAP}"
+        );
+        self.len = dim;
     }
 
     /// Dot product `self · other`.
@@ -144,7 +169,7 @@ impl Vector {
 
     /// Elementwise scaling in place: `self *= s`.
     pub fn scale_mut(&mut self, s: f64) {
-        for x in self.data.as_mut_slice() {
+        for x in self.as_mut_slice() {
             *x *= s;
         }
     }
@@ -168,7 +193,7 @@ impl Vector {
                 rhs: (other.dim(), 1),
             });
         }
-        for (a, b) in self.data.as_mut_slice().iter_mut().zip(other.iter()) {
+        for (a, b) in self.as_mut_slice().iter_mut().zip(other.iter()) {
             *a += alpha * b;
         }
         Ok(())
@@ -191,16 +216,32 @@ impl Vector {
     }
 }
 
+impl PartialEq for Vector {
+    /// Value equality over the vector's elements, not the unused tail of
+    /// the array.
+    fn eq(&self, other: &Vector) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl fmt::Debug for Vector {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Vector")
+            .field("data", &self.as_slice())
+            .finish()
+    }
+}
+
 impl Index<usize> for Vector {
     type Output = f64;
     fn index(&self, i: usize) -> &f64 {
-        &self.data.as_slice()[i]
+        &self.as_slice()[i]
     }
 }
 
 impl IndexMut<usize> for Vector {
     fn index_mut(&mut self, i: usize) -> &mut f64 {
-        &mut self.data.as_mut_slice()[i]
+        &mut self.as_mut_slice()[i]
     }
 }
 
@@ -239,7 +280,7 @@ impl AddAssign<&Vector> for Vector {
             rhs.dim(),
             "vector add_assign: dimension mismatch"
         );
-        for (a, b) in self.data.as_mut_slice().iter_mut().zip(rhs.iter()) {
+        for (a, b) in self.as_mut_slice().iter_mut().zip(rhs.iter()) {
             *a += b;
         }
     }
@@ -252,7 +293,7 @@ impl SubAssign<&Vector> for Vector {
             rhs.dim(),
             "vector sub_assign: dimension mismatch"
         );
-        for (a, b) in self.data.as_mut_slice().iter_mut().zip(rhs.iter()) {
+        for (a, b) in self.as_mut_slice().iter_mut().zip(rhs.iter()) {
             *a -= b;
         }
     }
@@ -414,19 +455,15 @@ mod tests {
     }
 
     #[test]
-    fn large_vectors_fall_back_to_heap_with_same_semantics() {
-        let big: Vec<f64> = (0..20).map(|i| i as f64).collect();
-        let v = Vector::from_slice(&big);
-        assert_eq!(v.dim(), 20);
-        assert_eq!(v.as_slice(), big.as_slice());
-        assert_eq!(v.clone(), v);
-        assert_eq!(v.into_vec(), big);
+    #[should_panic(expected = "exceeds DIM_CAP")]
+    fn a_length_past_the_cap_panics() {
+        let _ = Vector::from_slice(&[0.0; DIM_CAP + 1]);
     }
 
     #[test]
-    fn inline_and_heap_compare_equal_by_value() {
+    fn a_shrunk_vector_compares_equal_by_value() {
         let a = Vector::from_slice(&[1.0, 2.0]);
-        let mut b = Vector::zeros(9); // heap (above inline cap)
+        let mut b = Vector::filled(DIM_CAP, 9.0);
         b.resize_zeroed(2);
         b.as_mut_slice().copy_from_slice(&[1.0, 2.0]);
         assert_eq!(a, b);

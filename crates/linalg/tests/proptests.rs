@@ -4,7 +4,7 @@
 //! matrices built as `B Bᵀ + c·I`) and verify algebraic identities that must
 //! hold for *any* input, not just the hand-picked cases in the unit tests.
 
-use kalstream_linalg::{Matrix, Vector};
+use kalstream_linalg::{Matrix, Vector, DIM_CAP};
 use proptest::prelude::*;
 use proptest::strategy::ValueTree;
 
@@ -219,15 +219,14 @@ fn dirty_mat() -> Matrix {
 }
 
 // The products the static kernel replicates must agree with their textbook
-// spelling *bit for bit* (`==` on f64, not an epsilon), also above the
-// inline-storage caps where buffers spill to the heap — hence dimensions up
-// to 10 (matrix cap is 8×8, vector cap is 8).
+// spelling *bit for bit* (`==` on f64, not an epsilon), on every shape a
+// `Matrix` can take — hence dimensions up to `DIM_CAP`.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
     fn matmul_transpose_into_bit_identical(
-        (r, k, c) in (1usize..10, 1usize..10, 1usize..10),
+        (r, k, c) in (1..=DIM_CAP, 1..=DIM_CAP, 1..=DIM_CAP),
         data in prop::collection::vec(-10.0..10.0f64, 200),
     ) {
         prop_assume!(data.len() >= r * k + c * k);
@@ -240,7 +239,7 @@ proptest! {
 
     #[test]
     fn assign_ops_bit_identical(
-        (r, c) in (1usize..10, 1usize..10),
+        (r, c) in (1..=DIM_CAP, 1..=DIM_CAP),
         s in -5.0..5.0f64,
         data in prop::collection::vec(-10.0..10.0f64, 200),
     ) {

@@ -30,7 +30,7 @@
 use kalstream_filter::{
     CovarianceUpdate, DynFleetBatch, FilterError, FleetBatch, KalmanFilter, StateModel,
 };
-use kalstream_linalg::{Matrix, StaticKernel, Vector, VECTOR_INLINE_CAP};
+use kalstream_linalg::{Matrix, StaticKernel, Vector, DIM_CAP};
 use proptest::prelude::*;
 
 const TICKS: usize = 1_000;
@@ -454,7 +454,7 @@ proptest! {
 /// Every `(state_dim, measurement_dim)` a [`KalmanFilter`] admits:
 /// state ≤ 8, measurement ≤ 4, measurement > state included.
 fn admitted_shapes() -> impl Iterator<Item = (usize, usize)> {
-    (1..=VECTOR_INLINE_CAP).flat_map(|n| (1..=4).map(move |m| (n, m)))
+    (1..=DIM_CAP).flat_map(|n| (1..=4).map(move |m| (n, m)))
 }
 
 /// Ticks per shape and covariance form of the runtime-shape sweep.
