@@ -140,6 +140,21 @@ if sed '/#\[cfg(test)\]/,$d' crates/query/src/graph.rs |
     exit 1
 fi
 
+echo "==> an append-only query DAG: a node's slot is its registration index; the hello cap is the served fleet"
+# Non-test code of crates/query/src only: no re-wiring, re-layout or
+# registration-index -> slot map.
+for src in crates/query/src/*.rs; do
+    if sed '/#\[cfg(test)\]/,$d' "$src" |
+        grep -nE 'fn (rewire|lay_out|evaluation_order|inputs_with)\b|slot_of'; then
+        echo "$src re-wires or re-lays out the query graph again (rewire / lay_out / evaluation_order / inputs_with / slot_of)" >&2
+        exit 1
+    fi
+done
+if grep -rn 'max_hello_streams' crates src tests examples; then
+    echo "a configured hello cap is back: a hello may claim at most the streams the server serves" >&2
+    exit 1
+fi
+
 echo "==> one fleet tick loop: every sim entry steps Fleet, the TCP client is its server side"
 # Non-test code only (everything above each file's #[cfg(test)]).
 loops=0

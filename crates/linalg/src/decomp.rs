@@ -5,8 +5,8 @@
 //! * **SPD solves** against innovation covariances `S = H P Hᵀ + R` — these go
 //!   through [`Cholesky`], which doubles as the positive-definiteness check
 //!   that guards filter health.
-//! * **General solves / inverses** for occasional non-symmetric systems —
-//!   these go through [`Lu`].
+//! * **General solves** for occasional non-symmetric systems (the
+//!   Yule–Walker fit) — these go through [`Lu`].
 //!
 //! Both factor once and then solve repeatedly, which is how the filter uses
 //! them (one factorisation per measurement update, several solves).
@@ -147,26 +147,12 @@ impl Cholesky {
         Ok(out)
     }
 
-    /// Inverse of the factored matrix.
-    ///
-    /// # Errors
-    /// Propagates solve errors (none expected for a valid factorisation).
-    pub fn inverse(&self) -> Result<Matrix> {
-        self.solve_mat(&Matrix::identity(self.dim()))
-    }
-
     /// `log(det A)` computed stably from the factor diagonal.
     ///
-    /// Used by the model bank for Gaussian log-likelihoods, where `det S`
-    /// itself would underflow for small innovation covariances.
+    /// The textbook filter oracles' Gaussian log-likelihood reads it, where
+    /// `det S` itself would underflow for small innovation covariances.
     pub fn log_det(&self) -> f64 {
         (0..self.dim()).map(|i| self.l.get(i, i).ln()).sum::<f64>() * 2.0
-    }
-
-    /// `det A = Π lᵢᵢ²`.
-    pub fn det(&self) -> f64 {
-        let prod: f64 = (0..self.dim()).map(|i| self.l.get(i, i)).product();
-        prod * prod
     }
 }
 
@@ -177,8 +163,6 @@ pub struct Lu {
     lu: Matrix,
     /// Row permutation: row `i` of the factorisation came from `perm[i]`.
     perm: Vec<usize>,
-    /// Sign of the permutation (`+1.0` or `-1.0`), for the determinant.
-    sign: f64,
 }
 
 impl Lu {
@@ -201,7 +185,6 @@ impl Lu {
         let tol = 1e-14 * a.norm_inf_elem().max(1.0);
         let mut lu = a.clone();
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut sign = 1.0;
 
         for k in 0..n {
             // Find pivot row.
@@ -225,7 +208,6 @@ impl Lu {
                     lu.set(piv, c, a);
                 }
                 perm.swap(k, piv);
-                sign = -sign;
             }
             // Eliminate below.
             let pivot = lu.get(k, k);
@@ -238,7 +220,7 @@ impl Lu {
                 }
             }
         }
-        Ok(Lu { lu, perm, sign })
+        Ok(Lu { lu, perm })
     }
 
     /// Dimension of the factored matrix.
@@ -281,43 +263,6 @@ impl Lu {
             y[i] = v / self.lu.get(i, i);
         }
         Ok(y)
-    }
-
-    /// Solves `A X = B` column by column.
-    ///
-    /// # Errors
-    /// [`LinalgError::DimensionMismatch`] when `B.rows() != self.dim()`.
-    pub fn solve_mat(&self, b: &Matrix) -> Result<Matrix> {
-        let n = self.dim();
-        if b.rows() != n {
-            return Err(LinalgError::DimensionMismatch {
-                op: "lu solve_mat",
-                lhs: (n, n),
-                rhs: b.shape(),
-            });
-        }
-        let mut out = Matrix::zeros(n, b.cols());
-        for c in 0..b.cols() {
-            let col = self.solve_vec(&b.col(c))?;
-            for r in 0..n {
-                out.set(r, c, col[r]);
-            }
-        }
-        Ok(out)
-    }
-
-    /// Inverse of the factored matrix.
-    ///
-    /// # Errors
-    /// Propagates solve errors (none expected for a valid factorisation).
-    pub fn inverse(&self) -> Result<Matrix> {
-        self.solve_mat(&Matrix::identity(self.dim()))
-    }
-
-    /// Determinant: `sign · Π uᵢᵢ`.
-    pub fn det(&self) -> f64 {
-        let prod: f64 = (0..self.dim()).map(|i| self.lu.get(i, i)).product();
-        self.sign * prod
     }
 }
 
@@ -369,19 +314,10 @@ mod tests {
     }
 
     #[test]
-    fn cholesky_det_and_logdet_agree() {
-        let a = spd3();
-        let c = a.cholesky().unwrap();
-        let det = c.det();
-        assert!((det.ln() - c.log_det()).abs() < 1e-12);
-        assert!((det - a.det().unwrap()).abs() < 1e-10);
-    }
-
-    #[test]
-    fn cholesky_inverse() {
-        let a = spd3();
-        let inv = a.cholesky().unwrap().inverse().unwrap();
-        assert!(a.matmul(&inv).unwrap().max_abs_diff(&Matrix::identity(3)) < 1e-12);
+    fn cholesky_log_det_is_the_log_of_the_determinant() {
+        // det(spd3) = 4·5.75 − 1·2.25 + 0.5·(−2) = 19.75, by cofactors.
+        let c = spd3().cholesky().unwrap();
+        assert!((c.log_det() - 19.75f64.ln()).abs() < 1e-12);
     }
 
     #[test]
@@ -423,24 +359,10 @@ mod tests {
     }
 
     #[test]
-    fn lu_det_sign_from_permutation() {
-        let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]); // det = -1
-        assert!((a.lu().unwrap().det() + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn lu_inverse_random_fixed() {
-        let a = Matrix::from_rows(&[&[2.0, -1.0, 0.0], &[-1.0, 2.0, -1.0], &[0.0, -1.0, 2.0]]);
-        let inv = a.lu().unwrap().inverse().unwrap();
-        assert!(a.matmul(&inv).unwrap().max_abs_diff(&Matrix::identity(3)) < 1e-12);
-    }
-
-    #[test]
     fn lu_solve_dim_mismatch() {
         let a = Matrix::identity(2);
         let lu = a.lu().unwrap();
         assert!(lu.solve_vec(&Vector::zeros(3)).is_err());
-        assert!(lu.solve_mat(&Matrix::zeros(3, 2)).is_err());
     }
 
     #[test]

@@ -95,10 +95,10 @@ mod tests {
     #[test]
     fn display_not_square() {
         let e = LinalgError::NotSquare {
-            op: "inverse",
+            op: "cholesky",
             shape: (2, 3),
         };
-        assert_eq!(e.to_string(), "inverse: requires a square matrix, got 2x3");
+        assert_eq!(e.to_string(), "cholesky: requires a square matrix, got 2x3");
     }
 
     #[test]

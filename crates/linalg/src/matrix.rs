@@ -11,7 +11,7 @@ use crate::{Cholesky, LinalgError, Lu, Result, Vector, DIM_CAP};
 /// This is the covariance/transition carrier for the Kalman machinery. All
 /// binary operators panic on shape mismatch (shape bugs are programming
 /// errors); numerically fallible operations ([`Matrix::cholesky`],
-/// [`Matrix::lu`], [`Matrix::inverse`]) return [`Result`] instead.
+/// [`Matrix::lu`]) return [`Result`] instead.
 ///
 /// The elements live in a fixed inline array, so construction, clone and
 /// temporaries never allocate. Every constructor panics on a dimension
@@ -304,15 +304,6 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Quadratic form `xᵀ · self · x`.
-    ///
-    /// # Errors
-    /// Returns a shape error if `self` is not `n × n` with `n = x.dim()`.
-    pub fn quadratic_form(&self, x: &Vector) -> Result<f64> {
-        let ax = self.mul_vec(x)?;
-        x.dot(&ax)
-    }
-
     /// Elementwise scaling in place.
     pub fn scale_mut(&mut self, s: f64) {
         for v in self.as_mut_slice() {
@@ -345,20 +336,6 @@ impl Matrix {
             *a += alpha * b;
         }
         Ok(())
-    }
-
-    /// Sum of diagonal elements.
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::NotSquare`] for non-square matrices.
-    pub fn trace(&self) -> Result<f64> {
-        if !self.is_square() {
-            return Err(LinalgError::NotSquare {
-                op: "trace",
-                shape: self.shape(),
-            });
-        }
-        Ok((0..self.rows).map(|i| self.get(i, i)).sum())
     }
 
     /// Forces exact symmetry by averaging with the transpose, in place.
@@ -414,32 +391,6 @@ impl Matrix {
     /// [`LinalgError::NotSquare`] or [`LinalgError::Singular`].
     pub fn lu(&self) -> Result<Lu> {
         Lu::new(self)
-    }
-
-    /// Matrix inverse via LU.
-    ///
-    /// # Errors
-    /// [`LinalgError::NotSquare`] or [`LinalgError::Singular`].
-    pub fn inverse(&self) -> Result<Matrix> {
-        self.lu()?.inverse()
-    }
-
-    /// Determinant via LU. Returns `0.0` for singular matrices.
-    ///
-    /// # Errors
-    /// [`LinalgError::NotSquare`] for non-square input.
-    pub fn det(&self) -> Result<f64> {
-        if !self.is_square() {
-            return Err(LinalgError::NotSquare {
-                op: "det",
-                shape: self.shape(),
-            });
-        }
-        match self.lu() {
-            Ok(lu) => Ok(lu.det()),
-            Err(LinalgError::Singular { .. }) => Ok(0.0),
-            Err(e) => Err(e),
-        }
     }
 }
 
@@ -581,10 +532,6 @@ impl fmt::Display for Matrix {
 mod tests {
     use super::*;
 
-    fn approx(a: f64, b: f64) -> bool {
-        (a - b).abs() < 1e-10
-    }
-
     #[test]
     fn identity_and_diag() {
         let i = Matrix::identity(3);
@@ -671,22 +618,6 @@ mod tests {
     }
 
     #[test]
-    fn quadratic_form_spd_positive() {
-        let p = Matrix::from_rows(&[&[2.0, 0.3], &[0.3, 1.0]]);
-        let x = Vector::from_slice(&[1.0, -2.0]);
-        let q = p.quadratic_form(&x).unwrap();
-        // 2*1 + 0.3*(-2) + 0.3*(-2) + 1*4 = 2 - 1.2 + 4 = 4.8
-        assert!(approx(q, 4.8));
-    }
-
-    #[test]
-    fn trace_and_errors() {
-        let m = Matrix::from_rows(&[&[1.0, 9.0], &[9.0, 2.0]]);
-        assert_eq!(m.trace().unwrap(), 3.0);
-        assert!(Matrix::zeros(2, 3).trace().is_err());
-    }
-
-    #[test]
     fn symmetrize_removes_asymmetry() {
         let mut m = Matrix::from_rows(&[&[1.0, 2.0], &[2.0 + 1e-9, 3.0]]);
         m.symmetrize_mut();
@@ -735,22 +666,6 @@ mod tests {
         let mut m = Matrix::zeros(2, 2);
         m[(0, 1)] = 4.0;
         assert_eq!(m[(0, 1)], 4.0);
-    }
-
-    #[test]
-    fn det_known_values() {
-        let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        assert!(approx(m.det().unwrap(), -2.0));
-        let singular = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
-        assert!(approx(singular.det().unwrap(), 0.0));
-    }
-
-    #[test]
-    fn inverse_roundtrip() {
-        let m = Matrix::from_rows(&[&[4.0, 7.0], &[2.0, 6.0]]);
-        let inv = m.inverse().unwrap();
-        let prod = m.matmul(&inv).unwrap();
-        assert!(prod.max_abs_diff(&Matrix::identity(2)) < 1e-12);
     }
 
     #[test]

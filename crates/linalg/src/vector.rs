@@ -61,17 +61,6 @@ impl Vector {
         Vector::from_slice(&data)
     }
 
-    /// Creates a standard basis vector `e_i` of dimension `dim`.
-    ///
-    /// # Panics
-    /// Panics if `i >= dim`.
-    pub fn basis(dim: usize, i: usize) -> Self {
-        assert!(i < dim, "basis index {i} out of range for dimension {dim}");
-        let mut v = Vector::zeros(dim);
-        v[i] = 1.0;
-        v
-    }
-
     /// Number of elements.
     pub fn dim(&self) -> usize {
         self.len
@@ -102,15 +91,6 @@ impl Vector {
     /// Iterator over elements.
     pub fn iter(&self) -> std::slice::Iter<'_, f64> {
         self.as_slice().iter()
-    }
-
-    /// Resizes to `dim` zeros in place.
-    ///
-    /// # Panics
-    /// Panics if `dim` exceeds [`DIM_CAP`].
-    pub fn resize_zeroed(&mut self, dim: usize) {
-        self.set_len(dim);
-        self.as_mut_slice().fill(0.0);
     }
 
     /// Replaces the contents with a copy of `other`.
@@ -155,11 +135,6 @@ impl Vector {
     /// Euclidean (L2) norm.
     pub fn norm(&self) -> f64 {
         self.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
-    /// Infinity norm (maximum absolute element); `0.0` for the empty vector.
-    pub fn norm_inf(&self) -> f64 {
-        self.iter().fold(0.0_f64, |m, x| m.max(x.abs()))
     }
 
     /// Sum of all elements.
@@ -353,18 +328,6 @@ mod tests {
     }
 
     #[test]
-    fn basis_vector() {
-        let e1 = Vector::basis(3, 1);
-        assert_eq!(e1.as_slice(), &[0.0, 1.0, 0.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn basis_out_of_range_panics() {
-        let _ = Vector::basis(2, 2);
-    }
-
-    #[test]
     fn dot_product() {
         let a = Vector::from_slice(&[1.0, 2.0, 3.0]);
         let b = Vector::from_slice(&[4.0, -5.0, 6.0]);
@@ -385,8 +348,6 @@ mod tests {
     fn norms() {
         let v = Vector::from_slice(&[3.0, -4.0]);
         assert_eq!(v.norm(), 5.0);
-        assert_eq!(v.norm_inf(), 4.0);
-        assert_eq!(Vector::zeros(0).norm_inf(), 0.0);
     }
 
     #[test]
@@ -464,16 +425,13 @@ mod tests {
     fn a_shrunk_vector_compares_equal_by_value() {
         let a = Vector::from_slice(&[1.0, 2.0]);
         let mut b = Vector::filled(DIM_CAP, 9.0);
-        b.resize_zeroed(2);
-        b.as_mut_slice().copy_from_slice(&[1.0, 2.0]);
+        b.copy_from_slice(&[1.0, 2.0]);
         assert_eq!(a, b);
     }
 
     #[test]
-    fn resize_and_copy_reuse_storage() {
-        let mut v = Vector::from_slice(&[1.0, 2.0, 3.0]);
-        v.resize_zeroed(2);
-        assert_eq!(v.as_slice(), &[0.0, 0.0]);
+    fn copies_replace_length_and_elements() {
+        let mut v = Vector::from_slice(&[1.0, 2.0]);
         v.copy_from(&Vector::from_slice(&[7.0, 8.0, 9.0]));
         assert_eq!(v.as_slice(), &[7.0, 8.0, 9.0]);
         v.copy_from_slice(&[4.0]);

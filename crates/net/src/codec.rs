@@ -32,9 +32,9 @@ pub const TICK_MARKER_STREAM: u32 = u32::MAX;
 
 /// Hard ceiling on the stream ids one hello may claim (64 Ki) — a
 /// handshake from a confused or hostile peer must not pin server memory.
-/// Servers pass their own (usually much smaller) configured cap to
-/// [`decode_hello_prefix`]; this constant only bounds it from above, so a
-/// misconfigured cap can never re-open the allocation hole.
+/// Servers pass their own (usually much smaller) cap, the number of
+/// streams they serve, to [`decode_hello_prefix`]; this constant only
+/// bounds it from above.
 pub const MAX_HELLO_STREAMS: usize = 1 << 16;
 
 /// Encodes the hello header for a connection owning `stream_ids`.
@@ -53,12 +53,12 @@ pub fn encode_hello(stream_ids: &[u32]) -> Vec<u8> {
 pub enum HelloError {
     /// First four bytes were not [`HELLO_MAGIC`].
     BadMagic,
-    /// The claimed stream count exceeds the server's configured cap.
+    /// The claimed stream count exceeds the server's cap.
     TooManyStreams {
         /// Streams the peer's hello claimed.
         claimed: usize,
-        /// The cap it was checked against (configured, already clamped to
-        /// [`MAX_HELLO_STREAMS`]).
+        /// The cap it was checked against (the streams the server serves,
+        /// clamped to [`MAX_HELLO_STREAMS`]).
         cap: usize,
     },
     /// A claimed id collides with [`TICK_MARKER_STREAM`].
@@ -82,11 +82,11 @@ impl std::error::Error for HelloError {}
 /// Validates the fixed 8-byte hello prefix and returns the stream count.
 ///
 /// The count is the *peer's* claim and sizes the server's id-list read
-/// buffer, so it is checked against the server's configured `max_streams`
-/// before a single byte gets allocated — never trusted outright, and never
-/// checked only against the global [`MAX_HELLO_STREAMS`] ceiling (64 Ki
-/// ids from each of a few thousand connections is still an allocation
-/// attack on a server expecting 8 streams per conn).
+/// buffer, so it is checked against `max_streams` — the streams the server
+/// serves, the most any hello can rightly claim — before a byte gets
+/// allocated: never trusted outright, and never checked only against the
+/// global [`MAX_HELLO_STREAMS`] ceiling (64 Ki ids from each of a few
+/// thousand connections is an allocation attack on a small fleet).
 pub fn decode_hello_prefix(prefix: &[u8; 8], max_streams: usize) -> Result<usize, HelloError> {
     if prefix[..4] != HELLO_MAGIC {
         return Err(HelloError::BadMagic);
@@ -291,18 +291,19 @@ mod tests {
     /// The pre-fix hole: a claim *under* the 64 Ki hard ceiling but far
     /// over what this server expects sailed through the old global-only
     /// check — every such hello pinned `4 * count` bytes before a single
-    /// stream id was validated. The cap must be the server's own.
+    /// stream id was validated. The cap must be the server's own: the
+    /// streams it serves.
     #[test]
-    fn hello_cap_is_the_configured_one_not_just_the_hard_ceiling() {
+    fn hello_cap_is_the_servers_own_not_just_the_hard_ceiling() {
         let claimed = 1 << 12; // 4 Ki streams: fine globally, absurd here
         assert!(claimed < MAX_HELLO_STREAMS);
         assert_eq!(
             decode_hello_prefix(&prefix_claiming(claimed as u32), 8),
             Err(HelloError::TooManyStreams { claimed, cap: 8 })
         );
-        // At or under the configured cap: accepted.
+        // At or under the server's cap: accepted.
         assert_eq!(decode_hello_prefix(&prefix_claiming(8), 8), Ok(8));
-        // A misconfigured cap cannot re-open the hole past the ceiling.
+        // A fleet past the ceiling cannot re-open the hole above it.
         assert_eq!(
             decode_hello_prefix(&prefix_claiming(u32::MAX), usize::MAX),
             Err(HelloError::TooManyStreams {

@@ -57,7 +57,7 @@ use kalstream_obs::{Instrument, Registry, Scope, Snapshot};
 
 use crate::codec::{
     decode_hello_ids, decode_hello_prefix, encode_status, feed_ticks, push_frame, push_marker,
-    HelloStatus, MARKER_BYTES, MAX_HELLO_STREAMS,
+    HelloStatus, MARKER_BYTES,
 };
 
 /// Per-connection feedback queue depth. Small enough to bound server
@@ -84,11 +84,6 @@ pub struct NetServerConfig {
     /// have polled so far and clients read acks asynchronously — the
     /// throughput mode `bench_net` measures.
     pub lockstep: bool,
-    /// Most stream ids one hello may claim before the connection is
-    /// rejected. The peer's claimed count sizes a server-side read buffer,
-    /// so this is checked *before* allocation; it is clamped from above by
-    /// the global [`MAX_HELLO_STREAMS`] ceiling.
-    pub max_hello_streams: usize,
     /// Durability: when set, every tick batch is WAL-appended before it is
     /// applied and the fleet is snapshotted at the configured cadence, so
     /// a restarted server recovers bit-identical filter state. On start
@@ -124,7 +119,6 @@ impl Default for NetServerConfig {
             batched: false,
             expected_conns: 1,
             lockstep: true,
-            max_hello_streams: MAX_HELLO_STREAMS,
             durable: None,
             crash_after_ticks: None,
             elastic: None,
@@ -369,6 +363,9 @@ struct Engine {
     resume_at: u64,
     replayed_ticks: u64,
     replay_feedback_discarded: u64,
+    /// Streams the fleet serves, counted after recovery: the most ids a
+    /// hello may claim (the claim sizes a reader's buffer).
+    streams: usize,
 }
 
 impl Engine {
@@ -398,6 +395,7 @@ impl Engine {
             }
             None => (endpoints, 0),
         };
+        let streams = initial.len();
         let (feedback_tx, feedback) = crossbeam::channel::unbounded();
         let mut pipeline = IngestPipeline::start_with(
             ShardAssignment::modulo(config.shards),
@@ -436,6 +434,7 @@ impl Engine {
             resume_at,
             replayed_ticks: recovery.map_or(0, |rec| rec.wal.len() as u64),
             replay_feedback_discarded,
+            streams,
         })
     }
 
@@ -517,7 +516,7 @@ fn serve(
     let accept_tx = router_tx.clone();
     let accept_dropped = dropped_router_msgs.clone();
     let accept_shutdown_errors = shutdown_errors.clone();
-    let max_hello_streams = config.max_hello_streams;
+    let hello_cap = engine.streams;
     let accept_thread = thread::Builder::new()
         .name("net-accept".into())
         .spawn(move || {
@@ -538,7 +537,7 @@ fn serve(
                 let spawned = thread::Builder::new()
                     .name(format!("net-reader-{seq}"))
                     .spawn(move || {
-                        reader_thread(seq, stream, tx, max_hello_streams, dropped, shutdown_errs)
+                        reader_thread(seq, stream, tx, hello_cap, dropped, shutdown_errs)
                     });
                 // Out of threads: the socket closed with the unspawned
                 // closure, so the peer sees EOF; count it as a refusal.
@@ -741,7 +740,7 @@ fn reader_thread(
     seq: usize,
     stream: TcpStream,
     router: Sender<RouterMsg>,
-    max_hello_streams: usize,
+    hello_cap: usize,
     dropped_router_msgs: Arc<AtomicU64>,
     shutdown_errors: Arc<AtomicU64>,
 ) {
@@ -763,7 +762,7 @@ fn reader_thread(
     if read.read_exact(&mut prefix).is_err() {
         return; // sentinel or portscan: vanish quietly
     }
-    let streams = match decode_hello_prefix(&prefix, max_hello_streams) {
+    let streams = match decode_hello_prefix(&prefix, hello_cap) {
         Ok(count) => {
             let mut body = vec![0u8; count * 4];
             if read.read_exact(&mut body).is_err() {

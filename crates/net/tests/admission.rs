@@ -5,11 +5,13 @@
 //! `crossbeam` stand-in (tested here because `vendor/` is outside the
 //! workspace, so its own `#[cfg(test)]` modules never run in CI).
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
+use std::time::Duration;
 
 use crossbeam::channel::{bounded, TrySendError};
 use kalstream_core::{FramingSink, SequentialIngest};
+use kalstream_net::codec::encode_hello;
 use kalstream_net::{workload, ClientConfig, NetServer, NetServerConfig};
 use kalstream_sim::{run_fleet_ingest, LinkFaults};
 
@@ -18,7 +20,7 @@ const TICKS: u64 = 40;
 const OVERHEAD: usize = 8;
 
 #[test]
-fn silent_and_bad_magic_connections_do_not_disturb_the_fleet() {
+fn silent_bad_magic_and_over_claiming_connections_do_not_disturb_the_fleet() {
     let ids: Vec<u32> = (0..STREAMS).collect();
     let mut sink = FramingSink::new(SequentialIngest::new(workload::server_endpoints(STREAMS)));
     run_fleet_ingest(
@@ -48,6 +50,28 @@ fn silent_and_bad_magic_connections_do_not_disturb_the_fleet() {
     bad.write_all(b"NOPE\x01\0\0\0").expect("write");
     let _ = bad.read_to_end(&mut Vec::new());
 
+    // (c) A well-formed hello claiming one stream more than the server
+    // serves: rejected on its count, before the id list is read, and
+    // reported before the socket closes, like (b). The close may arrive as
+    // a reset, since the id list is left unread; a server that admitted
+    // the hello would leave the connection open instead.
+    let mut greedy = TcpStream::connect(server.addr()).expect("dial");
+    greedy
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    greedy
+        .write_all(&encode_hello(&(0..=STREAMS).collect::<Vec<_>>()))
+        .expect("write");
+    let closed = match greedy.read_to_end(&mut Vec::new()) {
+        Ok(_) => true,
+        Err(err) => err.kind() == ErrorKind::ConnectionReset,
+    };
+    assert!(
+        closed,
+        "a hello claiming {} streams was kept open",
+        STREAMS + 1
+    );
+
     let config = ClientConfig {
         ticks: TICKS,
         overhead_bytes: OVERHEAD,
@@ -64,7 +88,10 @@ fn silent_and_bad_magic_connections_do_not_disturb_the_fleet() {
     .expect("good connection");
     let report = server.join().expect("server");
 
-    assert_eq!(report.rejected_hellos, 1);
+    assert_eq!(
+        report.rejected_hellos, 2,
+        "the bad magic and the over-claim"
+    );
     assert_eq!(report.dropped_router_msgs, 0);
     assert_eq!(report.total_shed(), 0);
     assert_eq!(report.conns.len(), 1, "only the good hello was admitted");

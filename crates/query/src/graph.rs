@@ -9,10 +9,11 @@
 //! * **Aggregates** ([`QueryGraph::add_aggregate`], and the 1-ary
 //!   [`QueryGraph::add_point`]) are *value* nodes: a query's output is a
 //!   first-class stream other queries subscribe to — `AVG(avg_lo, avg_hi)`
-//!   composes aggregates over aggregates. Registration keeps the graph
-//!   acyclic (typed [`QueryError::Cycle`]) and evaluation runs in
-//!   topological order, so every node sees its inputs' fresh values each
-//!   tick.
+//!   composes aggregates over aggregates. The graph is append-only and a
+//!   node's inputs must exist when it registers, so it is acyclic by
+//!   construction (a node naming itself is a typed [`QueryError::Cycle`])
+//!   and registration order is evaluation order: every node sees its
+//!   inputs' fresh values each tick.
 //! * **Sinks** read one value node and feed nothing: threshold alerts
 //!   ([`QueryGraph::add_alert`]), tumbling panes
 //!   ([`QueryGraph::add_tumbling_avg`]) and sliding windows
@@ -227,8 +228,8 @@ impl Op {
 
 /// One node as a tick sees it — 32 bytes, stored in evaluation order, so
 /// the forward and reverse walks read memory front to back and back to
-/// front. Everything a tick does not touch (the id, the registration
-/// index) lives in [`QueryGraph`]'s registration-order arrays.
+/// front. The id, which a tick does not touch, lives in [`QueryGraph`]'s
+/// `ids`, at the same index.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     op: Op,
@@ -523,17 +524,16 @@ struct Window {
 ///
 /// Everything a tick reads or writes is a flat array the graph owns,
 /// indexed by *slot* — a node's position in evaluation order — so a tick
-/// allocates nothing and walks memory sequentially. Registration appends
-/// (registration order is topological: inputs must already exist); only
-/// [`QueryGraph::rewire`] can reorder, and it rebuilds the arrays then.
+/// allocates nothing and walks memory sequentially. The graph is
+/// append-only: a node's inputs must already exist when it registers, so
+/// registration order is evaluation order and a node's slot is its
+/// registration index.
 #[derive(Debug)]
 pub struct QueryGraph {
-    /// Node ids in registration order (the order `export` reports them in).
+    /// Node ids by slot (the order `export` reports them in).
     ids: Vec<String>,
-    /// Registration index of each id.
+    /// Slot of each id.
     by_id: HashMap<String, usize>,
-    /// Slot of each node, by registration index.
-    slot_of: Vec<u32>,
     /// The nodes in evaluation order: every slot after all of its inputs.
     slots: Vec<Slot>,
     /// Every slot's input slots, back to back ([`Slot::lo`], [`Slot::hi`]).
@@ -592,7 +592,6 @@ impl QueryGraph {
         QueryGraph {
             ids: Vec::new(),
             by_id: HashMap::new(),
-            slot_of: Vec::new(),
             slots: Vec::new(),
             inputs: Vec::new(),
             outs: Vec::new(),
@@ -647,7 +646,7 @@ impl QueryGraph {
 
     /// The slot of the node registered under `id`.
     fn slot(&self, id: &str) -> Option<usize> {
-        Some(self.slot_of[*self.by_id.get(id)?] as usize)
+        self.by_id.get(id).copied()
     }
 
     /// Rejects an id already taken in the single raw+derived namespace.
@@ -689,10 +688,9 @@ impl QueryGraph {
     /// Appends a node under an id [`QueryGraph::check_fresh`] accepted. Its
     /// inputs are registered already, so the last slot is a valid place.
     fn push_node(&mut self, id: &str, op: Op, inputs: &[u32]) {
-        self.by_id.insert(id.to_string(), self.ids.len());
-        self.ids.push(id.to_string());
         let slot = self.slots.len();
-        self.slot_of.push(index(slot));
+        self.by_id.insert(id.to_string(), slot);
+        self.ids.push(id.to_string());
         let lo = index(self.inputs.len());
         self.inputs.extend_from_slice(inputs);
         self.slots.push(Slot {
@@ -907,141 +905,6 @@ impl QueryGraph {
         })
     }
 
-    /// Replaces an aggregate node's inputs, re-checking acyclicity — the
-    /// one registration-order escape hatch, and therefore the place a
-    /// genuine cycle can be attempted. On [`QueryError::Cycle`] the graph
-    /// is left exactly as it was.
-    ///
-    /// # Errors
-    /// [`QueryError::UnknownNode`] when `id` or an input is missing,
-    /// [`QueryError::Invalid`] when `id` is not an aggregate or an input is
-    /// not a value node, [`QueryError::Cycle`] (naming `id`) when the new
-    /// wiring is cyclic.
-    pub fn rewire(&mut self, id: &str, inputs: &[&str]) -> Result<(), QueryError> {
-        let target = self
-            .slot(id)
-            .ok_or_else(|| QueryError::UnknownNode { id: id.to_string() })?;
-        let rewired = self.resolve_inputs(id, inputs)?;
-        if !matches!(self.slots[target].op, Op::Aggregate { .. }) {
-            return Err(QueryError::Invalid {
-                reason: format!("only aggregate nodes can be rewired, {id:?} is not one"),
-            });
-        }
-        // The graph was acyclic before this call, so any cycle in the new
-        // wiring runs through the one node whose inputs changed.
-        let order = self
-            .evaluation_order(target, &rewired)
-            .ok_or_else(|| QueryError::Cycle { id: id.to_string() })?;
-        self.lay_out(&order, target, &rewired);
-        Ok(())
-    }
-
-    /// The inputs of `slot` with `target` rewired to `rewired` — the wiring
-    /// [`QueryGraph::rewire`] is about to adopt, before it is committed.
-    fn inputs_with<'a>(&'a self, slot: usize, target: usize, rewired: &'a [u32]) -> &'a [u32] {
-        if slot == target {
-            return rewired;
-        }
-        let Slot { lo, hi, .. } = self.slots[slot];
-        &self.inputs[lo as usize..hi as usize]
-    }
-
-    /// An evaluation order (current slots, each after all of its inputs)
-    /// for the wiring with `target` rewired, or `None` when that wiring is
-    /// cyclic. Depth-first post-order from the slots in their current
-    /// order, O(V + E): a node whose inputs all sit earlier keeps its place
-    /// relative to them, so an already-valid layout comes back unchanged.
-    fn evaluation_order(&self, target: usize, rewired: &[u32]) -> Option<Vec<u32>> {
-        const UNSEEN: u8 = 0;
-        const ON_PATH: u8 = 1;
-        const PLACED: u8 = 2;
-        let n = self.slots.len();
-        let mut mark = vec![UNSEEN; n];
-        let mut order = Vec::with_capacity(n);
-        // (slot, how many of its inputs have been descended into)
-        let mut path: Vec<(usize, usize)> = Vec::new();
-        for root in 0..n {
-            if mark[root] != UNSEEN {
-                continue;
-            }
-            mark[root] = ON_PATH;
-            path.push((root, 0));
-            while let Some((slot, next)) = path.last_mut() {
-                match self.inputs_with(*slot, target, rewired).get(*next) {
-                    Some(&input) => {
-                        *next += 1;
-                        let input = input as usize;
-                        match mark[input] {
-                            UNSEEN => {
-                                mark[input] = ON_PATH;
-                                path.push((input, 0));
-                            }
-                            ON_PATH => return None,
-                            _ => {}
-                        }
-                    }
-                    None => {
-                        mark[*slot] = PLACED;
-                        order.push(index(*slot));
-                        path.pop();
-                    }
-                }
-            }
-        }
-        Some(order)
-    }
-
-    /// Rebuilds the per-slot arrays in `order` (new slot → current slot),
-    /// with `target`'s inputs replaced by `rewired`, and plans the new
-    /// layout from scratch: a link only ever points at an earlier slot, so
-    /// a sharer now laid out before its prefix folds all of its inputs.
-    /// Sink state stays where it is filed; the scratch arrays hold nothing
-    /// between calls.
-    fn lay_out(&mut self, order: &[u32], target: usize, rewired: &[u32]) {
-        let mut new_of = vec![0u32; order.len()];
-        for (new, &old) in order.iter().enumerate() {
-            new_of[old as usize] = index(new);
-        }
-        let mut inputs = Vec::with_capacity(self.inputs.len());
-        let slots = order
-            .iter()
-            .map(|&old| {
-                let lo = index(inputs.len());
-                let moved = self.inputs_with(old as usize, target, rewired);
-                inputs.extend(moved.iter().map(|&j| new_of[j as usize]));
-                Slot {
-                    op: self.slots[old as usize].op,
-                    lo,
-                    hi: index(inputs.len()),
-                }
-            })
-            .collect();
-        self.outs = order.iter().map(|&old| self.outs[old as usize]).collect();
-        self.tallies = order
-            .iter()
-            .map(|&old| self.tallies[old as usize])
-            .collect();
-        for slot in &mut self.slot_of {
-            *slot = new_of[*slot as usize];
-        }
-        self.slots = slots;
-        self.inputs = inputs;
-        self.prefixes.clear();
-        for slot in 0..self.slots.len() {
-            self.link(slot);
-        }
-    }
-
-    /// The id behind a slot — the panic messages' reverse lookup.
-    fn id_of(&self, slot: usize) -> &str {
-        let node = self
-            .slot_of
-            .iter()
-            .position(|&s| s as usize == slot)
-            .expect("every slot holds a registered node");
-        &self.ids[node]
-    }
-
     /// Evaluates the whole graph for one tick, topologically. `views[s]`
     /// is the served view of raw stream `s` with the delta *actually in
     /// force* (that is what makes every published bound honest, whatever
@@ -1059,7 +922,7 @@ impl QueryGraph {
             match op {
                 Op::Raw { stream } => {
                     let Some(v) = views.get(stream.0) else {
-                        unfed_alias(self.id_of(slot), stream, views.len(), "views");
+                        unfed_alias(&self.ids[slot], stream, views.len(), "views");
                     };
                     self.outs[slot] = Some(NodeOut {
                         value: v.value,
@@ -1146,7 +1009,7 @@ impl QueryGraph {
             match op {
                 Op::Raw { stream } => {
                     let Some(&t) = truth.get(stream.0) else {
-                        unfed_alias(self.id_of(slot), stream, truth.len(), "truths");
+                        unfed_alias(&self.ids[slot], stream, truth.len(), "truths");
                     };
                     self.mirror[slot] = t.is_finite().then_some(t);
                 }
@@ -1333,6 +1196,17 @@ impl QueryGraph {
         }
     }
 
+    /// The aggregate whose running fold the aggregate `id` resumes each
+    /// tick: an earlier one of its kind over all of `id`'s inputs but the
+    /// last, found when `id` registered. `None` when it extends none, for
+    /// every other node kind, and for unknown ids.
+    pub fn prefix_of(&self, id: &str) -> Option<&str> {
+        match self.slots[self.slot(id)?].op {
+            Op::Aggregate { prefix, .. } if prefix != UNSHARED => Some(&self.ids[prefix as usize]),
+            _ => None,
+        }
+    }
+
     /// Current verdict of an alert node.
     pub fn alert_state(&self, id: &str) -> Option<AlertState> {
         match self.slots[self.slot(id)?].op {
@@ -1512,14 +1386,14 @@ impl Instrument for QueryGraph {
         }
         scope.gauge("max_contract_ratio", self.max_contract_ratio());
         let mut nodes = scope.scope("node");
-        for (id, &slot) in self.ids.iter().zip(&self.slot_of) {
-            let tally = &self.tallies[slot as usize];
+        for (slot, id) in self.ids.iter().enumerate() {
+            let tally = &self.tallies[slot];
             let mut s = nodes.scope(id);
             s.counter("violations", tally.violations);
             if tally.checked > 0 {
                 s.gauge("coverage", tally.covered as f64 / tally.checked as f64);
             }
-            match self.slots[slot as usize].op {
+            match self.slots[slot].op {
                 Op::Tumbling { pane } => {
                     s.counter("panes_closed", self.panes[pane as usize].closed);
                 }
@@ -1596,55 +1470,6 @@ mod tests {
             Err(QueryError::Cycle { id: "d".into() })
         );
         assert!(!g.contains("d"));
-    }
-
-    #[test]
-    fn rewire_rejects_cycles_and_rolls_back() {
-        let mut g = QueryGraph::new();
-        g.add_raw("s0", StreamId(0)).unwrap();
-        g.add_aggregate("a", AggKind::Avg, &["s0"], None).unwrap();
-        g.add_aggregate("b", AggKind::Avg, &["a"], None).unwrap();
-        // a ← b would close the loop a → b → a.
-        assert!(matches!(
-            g.rewire("a", &["b"]),
-            Err(QueryError::Cycle { .. })
-        ));
-        // The graph still evaluates with the original wiring.
-        g.observe_tick(&[view(2.0, 0.1)], &[0.0]);
-        assert_eq!(g.answer("b").unwrap().value, 2.0);
-        // A legal rewire works and re-evaluates correctly.
-        g.add_raw("s1", StreamId(1)).unwrap();
-        g.rewire("a", &["s0", "s1"]).unwrap();
-        g.observe_tick(&[view(2.0, 0.1), view(4.0, 0.1)], &[0.0, 0.0]);
-        assert_eq!(g.answer("a").unwrap().value, 3.0);
-    }
-
-    #[test]
-    fn cycle_error_names_the_rewired_node_not_a_downstream_one() {
-        let mut g = QueryGraph::new();
-        g.add_raw("r", StreamId(0)).unwrap();
-        for id in ["p", "q", "s"] {
-            g.add_aggregate(id, AggKind::Avg, &["r"], None).unwrap();
-        }
-        // r → s → q → p: evaluation order is now the reverse of
-        // registration order for the three aggregates.
-        g.rewire("p", &["q"]).unwrap();
-        g.rewire("q", &["s"]).unwrap();
-        // s ← q closes s → q → s; p only hangs off the loop. The first
-        // unplaced node in registration order is p, which is what the
-        // sweep-until-stuck ordering used to report.
-        assert_eq!(
-            g.rewire("s", &["q"]),
-            Err(QueryError::Cycle { id: "s".into() })
-        );
-        // Rolled back: the chain still evaluates end to end in one tick.
-        g.observe_tick(&[view(7.0, 0.25)], &[0.0]);
-        for id in ["s", "q", "p"] {
-            let a = g.answer(id).unwrap();
-            assert_eq!((a.value, a.bound), (7.0, 0.25), "{id}");
-        }
-        assert_eq!(g.verify_tick(&[7.0]), 0);
-        assert_eq!(g.node_coverage("p"), Some((1, 1)));
     }
 
     #[test]
@@ -1977,13 +1802,9 @@ mod tests {
 
     /// The plan: `(sharer, prefix)` ids, in evaluation order.
     fn links(g: &QueryGraph) -> Vec<(&str, &str)> {
-        (0..g.slots.len())
-            .filter_map(|slot| match g.slots[slot].op {
-                Op::Aggregate { prefix, .. } if prefix != UNSHARED => {
-                    Some((g.id_of(slot), g.id_of(prefix as usize)))
-                }
-                _ => None,
-            })
+        g.ids
+            .iter()
+            .filter_map(|id| Some((id.as_str(), g.prefix_of(id)?)))
             .collect()
     }
 
@@ -2024,52 +1845,6 @@ mod tests {
         g.add_aggregate("sum4", AggKind::Sum, &["s0", "s1", "s2", "s3"], None)
             .unwrap();
         assert_eq!(links(&g).len(), 13);
-    }
-
-    #[test]
-    fn a_rewired_prefix_unlinks_its_sharers_and_relinks_where_legal() {
-        let mut g = QueryGraph::new();
-        for s in 0..4 {
-            g.add_raw(&format!("s{s}"), StreamId(s)).unwrap();
-        }
-        g.add_aggregate("a", AggKind::Sum, &["s0", "s1"], None)
-            .unwrap();
-        g.add_aggregate("b", AggKind::Sum, &["s0", "s1", "s2"], None)
-            .unwrap();
-        g.add_aggregate("c", AggKind::Sum, &["s0", "s1", "s2", "s3"], None)
-            .unwrap();
-        g.add_aggregate("tight", AggKind::Avg, &["c"], Some(0.4))
-            .unwrap();
-        assert_eq!(links(&g), [("b", "a"), ("c", "b")]);
-        // c's grant reaches s0 and s1 through b and a.
-        let grants = |g: &mut QueryGraph| {
-            let req = g.required_deltas();
-            (0..4).map(|s| req[&StreamId(s)]).collect::<Vec<_>>()
-        };
-        assert_eq!(grants(&mut g), [0.1; 4]);
-        let views: Vec<StreamView> = (0..4).map(|s| view(1.0 + s as f64, 0.1)).collect();
-        let answers = |g: &mut QueryGraph| {
-            g.observe_tick(&views, &[0.0; 4]);
-            ["a", "b", "c"].map(|id| g.answer(id).unwrap().value)
-        };
-        // b no longer extends a: c, which extends b no more, unlinks too.
-        g.rewire("b", &["s1", "s2"]).unwrap();
-        assert_eq!(links(&g), []);
-        assert_eq!(answers(&mut g), [3.0, 5.0, 10.0]);
-        // Back again, in place: both links return.
-        g.rewire("b", &["s0", "s1", "s2"]).unwrap();
-        assert_eq!(links(&g), [("b", "a"), ("c", "b")]);
-        assert_eq!(answers(&mut g), [3.0, 6.0, 10.0]);
-        // a reading c lays c out before a, and so before b; back on its old
-        // inputs a stays where it is. b extends a again, but c, now ahead
-        // of its prefix b, folds all four of its inputs.
-        g.rewire("a", &["s0", "c"]).unwrap();
-        assert_eq!(links(&g), []);
-        assert_eq!(answers(&mut g), [11.0, 6.0, 10.0]);
-        g.rewire("a", &["s0", "s1"]).unwrap();
-        assert_eq!(links(&g), [("b", "a")]);
-        assert_eq!(answers(&mut g), [3.0, 6.0, 10.0]);
-        assert_eq!(grants(&mut g), [0.1; 4]);
     }
 
     #[test]

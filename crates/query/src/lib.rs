@@ -18,9 +18,10 @@
 //!   AVG, COUNT-above as a guaranteed interval).
 //! * [`QueryGraph`] — the standing-query engine, and the only one: raw
 //!   aliases, aggregates whose outputs are first-class derived streams,
-//!   and alert / tumbling-pane / sliding-window sinks in one DAG
-//!   (cycles rejected at registration with [`QueryError::Cycle`]). Each
-//!   tick it evaluates topologically, verifies every answer against ground
+//!   and alert / tumbling-pane / sliding-window sinks in one append-only
+//!   DAG (a node registers after its inputs; one naming itself is a
+//!   [`QueryError::Cycle`]). Each tick it evaluates in registration order,
+//!   which is topological, verifies every answer against ground
 //!   truth, and propagates every contract *down* to per-stream deltas —
 //!   statically, or with punctuation feedback from downstream operators
 //!   relaxing upstream suppression — and every value node serves a

@@ -111,10 +111,10 @@ pub enum QueryError {
         /// The missing node id.
         id: String,
     },
-    /// Registering or rewiring this node would create a dependency cycle —
-    /// the query graph must stay a DAG for topological evaluation to exist.
+    /// A node names itself as an input — the one cycle a registration can
+    /// attempt, since every other input must already be registered.
     Cycle {
-        /// The node whose inputs close the cycle.
+        /// The node that named itself.
         id: String,
     },
 }

@@ -17,8 +17,8 @@
 //! 4. **The flat engine is the naive one.** [`reference::Graph`] is the
 //!    formulation `QueryGraph` used to run — a `Node` per query, a copy of
 //!    every output per call, a `Vec` per aggregate — kept here as the
-//!    oracle: on random DAGs of all five node kinds, through rewires and
-//!    late registrations, every accessor agrees with it to the bit, every
+//!    oracle: on random DAGs of all five node kinds, through late
+//!    registrations, every accessor agrees with it to the bit, every
 //!    tick, feedback on and off. The DAGs hold chains of aggregates each
 //!    reading the one before's inputs plus more, which the engine folds
 //!    once and the oracle folds whole.
@@ -30,8 +30,7 @@ use std::collections::{HashMap, VecDeque};
 use kalstream_query::window::{SlidingAvg, SlidingCountAbove, SlidingExtremum};
 use kalstream_query::{
     answer_aggregate, evaluate_threshold, z_quantile, AggKind, AggregateQuery, AlertState, Answer,
-    PointQuery, QueryError, QueryGraph, QueryRegistry, StreamId, StreamView, WindowAnswer,
-    WindowSpec,
+    PointQuery, QueryGraph, QueryRegistry, StreamId, StreamView, WindowAnswer, WindowSpec,
 };
 use proptest::prelude::*;
 use proptest::test_runner::{TestCaseError, TestCaseResult};
@@ -76,14 +75,13 @@ fn agg_kind(idx: usize) -> AggKind {
 }
 
 /// The evaluation `QueryGraph` ran before its per-tick state went flat,
-/// kept as the oracle for property 4: one `Node` per query walked through a
-/// `topo` indirection, a fresh copy of every node's output per call, a
+/// kept as the oracle for property 4: one `Node` per query walked in
+/// registration order, a fresh copy of every node's output per call, a
 /// `Vec` of member outputs (or truths) per aggregate folded with
 /// `Iterator::sum`, and a fresh `granted` array per `required_deltas`.
 /// A non-finite truth is unknown: it leaves its tumbling pane unchecked,
 /// and a sliding window unchecked while it is among the last `W` truths.
-/// Registration is assumed valid (the generator only builds valid graphs);
-/// `rewire` reports a cycle as `false` and leaves the wiring as it was.
+/// Registration is assumed valid (the generator only builds valid graphs).
 mod reference {
     use super::*;
 
@@ -198,21 +196,8 @@ mod reference {
         max_ratio: f64,
     }
 
-    impl Node {
-        fn inputs(&self) -> &[usize] {
-            match &self.kind {
-                Kind::Raw { .. } => &[],
-                Kind::Aggregate { inputs, .. } => inputs,
-                Kind::Tumbling { input, .. }
-                | Kind::Alert { input, .. }
-                | Kind::Sliding { input, .. } => std::slice::from_ref(input),
-            }
-        }
-    }
-
     pub struct Graph {
         nodes: Vec<Node>,
-        topo: Vec<usize>,
         pub feedback: bool,
         z: f64,
         pub violations: u64,
@@ -226,7 +211,6 @@ mod reference {
         pub fn new(feedback: bool, level: f64) -> Self {
             Graph {
                 nodes: Vec::new(),
-                topo: Vec::new(),
                 feedback,
                 z: z_quantile(level),
                 violations: 0,
@@ -243,7 +227,6 @@ mod reference {
         }
 
         fn push(&mut self, id: &str, kind: Kind) {
-            self.topo.push(self.nodes.len());
             self.nodes.push(Node {
                 id: id.to_string(),
                 kind,
@@ -335,41 +318,9 @@ mod reference {
             );
         }
 
-        /// Swaps in the new inputs and re-sorts by sweeping until every
-        /// node is placed; a sweep that places nothing means a cycle.
-        pub fn rewire(&mut self, id: &str, inputs: &[&str]) -> bool {
-            let idx = self.index(id);
-            let resolved: Vec<usize> = inputs.iter().map(|i| self.index(i)).collect();
-            let Kind::Aggregate { inputs, .. } = &mut self.nodes[idx].kind else {
-                panic!("only aggregates are rewired");
-            };
-            let old = std::mem::replace(inputs, resolved);
-            let n = self.nodes.len();
-            let mut placed = vec![false; n];
-            let mut order = Vec::with_capacity(n);
-            while order.len() < n {
-                let before = order.len();
-                for i in 0..n {
-                    if !placed[i] && self.nodes[i].inputs().iter().all(|&j| placed[j]) {
-                        placed[i] = true;
-                        order.push(i);
-                    }
-                }
-                if order.len() == before {
-                    if let Kind::Aggregate { inputs, .. } = &mut self.nodes[idx].kind {
-                        *inputs = old;
-                    }
-                    return false;
-                }
-            }
-            self.topo = order;
-            true
-        }
-
         pub fn observe_tick(&mut self, views: &[StreamView], variances: &[f64]) {
             let mut outs: Vec<Option<Out>> = self.nodes.iter().map(|n| n.out).collect();
-            for k in 0..self.topo.len() {
-                let i = self.topo[k];
+            for i in 0..self.nodes.len() {
                 let prev = outs[i];
                 let node = &mut self.nodes[i];
                 let mut ratio = None;
@@ -478,8 +429,7 @@ mod reference {
             let mut tv = vec![f64::NAN; self.nodes.len()];
             let outs: Vec<Option<Out>> = self.nodes.iter().map(|n| n.out).collect();
             let mut new_violations = 0u64;
-            for k in 0..self.topo.len() {
-                let i = self.topo[k];
+            for i in 0..self.nodes.len() {
                 let node = &mut self.nodes[i];
                 let mut check: Option<(Out, f64)> = None;
                 let mut broken = false;
@@ -607,8 +557,7 @@ mod reference {
             let mut granted = vec![f64::INFINITY; self.nodes.len()];
             let mut required: HashMap<StreamId, f64> = HashMap::new();
             let feedback = self.feedback;
-            for k in (0..self.topo.len()).rev() {
-                let i = self.topo[k];
+            for i in (0..self.nodes.len()).rev() {
                 match &mut self.nodes[i].kind {
                     Kind::Raw { stream } => {
                         let g = granted[i];
@@ -787,13 +736,13 @@ mod reference {
 struct Twin {
     engine: QueryGraph,
     oracle: reference::Graph,
-    /// Every id, and the subsets the generator draws inputs and rewire
-    /// targets from.
+    /// Every id, and the subsets the generator draws inputs and extension
+    /// bases from.
     ids: Vec<String>,
     values: Vec<String>,
     aggregates: Vec<String>,
-    /// Kind and current inputs of every aggregate, by id: what an extend
-    /// move copies.
+    /// Kind and inputs of every aggregate, by id: what an extend move
+    /// copies.
     wiring: HashMap<String, (AggKind, Vec<String>)>,
     /// Aggregates registered as an earlier one's inputs plus more.
     extensions: u32,
@@ -939,48 +888,6 @@ impl Twin {
                 self.add_chain(rng, kind, links);
             }
         }
-    }
-
-    /// Points aggregate `id` at `inputs` on both sides; returns whether
-    /// the rewire was adopted (both sides refuse a cycle alike).
-    fn rewire_to(&mut self, id: &str, inputs: Vec<String>) -> Result<bool, TestCaseError> {
-        let refs: Vec<&str> = inputs.iter().map(String::as_str).collect();
-        let engine = self.engine.rewire(id, &refs);
-        let adopted = self.oracle.rewire(id, &refs);
-        let expected = if adopted {
-            Ok(())
-        } else {
-            Err(QueryError::Cycle { id: id.into() })
-        };
-        prop_assert_eq!(engine, expected, "rewire of {} to {:?}", id, refs);
-        if adopted {
-            self.wiring.get_mut(id).expect("an aggregate").1 = inputs;
-        }
-        Ok(adopted)
-    }
-
-    /// Points a random aggregate at random value nodes — often later ones,
-    /// which moves it in evaluation order, and breaks any link to or from
-    /// it; sometimes itself or its own consumers, which both sides must
-    /// refuse and survive unchanged. Returns whether the rewire was
-    /// adopted.
-    fn rewire(&mut self, rng: &mut Rng) -> Result<bool, TestCaseError> {
-        let id = self.aggregates[rng.below(self.aggregates.len())].clone();
-        let inputs = self.draw_inputs(rng);
-        self.rewire_to(&id, inputs)
-    }
-
-    /// Rewires a random aggregate to read the newest value node too, then
-    /// back to what it read: it keeps the later place the detour gave it,
-    /// so an aggregate extending it may now sit before it and fold all of
-    /// its own inputs.
-    fn detour(&mut self, rng: &mut Rng) -> Result<bool, TestCaseError> {
-        let id = self.aggregates[rng.below(self.aggregates.len())].clone();
-        let inputs = self.wiring[&id].1.clone();
-        let mut via = inputs.clone();
-        via.push(self.values.last().expect("value nodes").clone());
-        let moved = self.rewire_to(&id, via)?;
-        Ok(moved && self.rewire_to(&id, inputs)?)
     }
 
     /// One tick through both sides; every return value and every accessor
@@ -1280,10 +1187,10 @@ proptest! {
 
     /// Property 4: on a random DAG using all five node kinds — raw aliases
     /// sharing streams, aggregates over aggregates, alerts, panes, windows
-    /// — with rewires (adopted and refused) and late registrations mid-run,
-    /// truths sometimes unknown and served values sometimes outside their
-    /// bound, the flat engine and the naive reference agree on every
-    /// return value and accessor, to the bit, every tick.
+    /// — with late registrations mid-run, truths sometimes unknown and
+    /// served values sometimes outside their bound, the flat engine and the
+    /// naive reference agree on every return value and accessor, to the
+    /// bit, every tick.
     #[test]
     fn flat_engine_matches_the_naive_reference_bit_for_bit(
         seed in any::<u64>(),
@@ -1314,15 +1221,15 @@ proptest! {
 
         let mut truth = vec![0.0f64; streams];
         let mut in_force = vec![0.3f64; streams];
-        let mut rewires = 0u32;
+        let registered = twin.aggregates.len();
         for t in 0..ticks {
             if t > 0 && t % (ticks / 4) == 0 {
-                for _ in 0..4 {
-                    rewires += u32::from(twin.rewire(&mut rng)?);
-                }
-                rewires += u32::from(twin.detour(&mut rng)?);
-                // A registration after a re-layout appends to the new order.
+                // Registrations onto a graph whose scratch arrays are
+                // mid-life: whatever the seed draws, and a chain, whose
+                // extensions link to their prefixes.
                 twin.add_derived(&mut rng);
+                let (kind, links) = (agg_kind(rng.below(4)), 1 + rng.below(3));
+                twin.add_chain(&mut rng, kind, links);
                 twin.compare()?;
             }
             let mut views = Vec::with_capacity(streams);
@@ -1348,8 +1255,13 @@ proptest! {
         // The comparison was not vacuous.
         prop_assert!(twin.oracle.panes_closed > 0, "no pane ever closed");
         prop_assert!(twin.oracle.violations > 0, "no guarantee was ever broken");
-        prop_assert!(rewires > 0, "no rewire was ever adopted");
         prop_assert!(twin.extensions > 0, "no aggregate extended another");
+        prop_assert!(
+            twin.aggregates[registered..]
+                .iter()
+                .any(|id| twin.engine.prefix_of(id).is_some()),
+            "no aggregate registered mid-run linked to a prefix"
+        );
         prop_assert_eq!(twin.oracle.relaxations > 0, feedback);
     }
 
