@@ -68,9 +68,9 @@ if sed '/#\[cfg(test)\]/,$d' crates/core/src/batch_ingest.rs | grep -n 'drain_pe
     exit 1
 fi
 
-echo "==> lanes carry every stream: a batched shard has one filter path"
-# Non-test code of batch_ingest.rs only: every endpoint of a batched shard
-# sits on a lane for the whole run; a Model sync moves it, divergence keeps it.
+echo "==> lanes carry every stream: a shard has one filter path"
+# Non-test code of batch_ingest.rs only: every endpoint of a shard sits on a
+# lane for the whole run; a Model sync rewrites or moves it, divergence keeps it.
 if sed '/#\[cfg(test)\]/,$d' crates/core/src/batch_ingest.rs | grep -nE 'scalar|demote|settle'; then
     echo "crates/core/src/batch_ingest.rs keeps a second filter path again (scalar / demote / settle)" >&2
     exit 1
@@ -78,6 +78,38 @@ fi
 if grep -rnE 'fn supported\b|DynFleetBatch::supported|fn coverage\(&self\) -> (Option<)?\(usize, usize\)|(pipe|pipeline|batched|shard|lanes)\.coverage\(\)' \
     crates src tests examples; then
     echo "a batch routing predicate or an ingest coverage() is back: every admitted shape has a lane" >&2
+    exit 1
+fi
+
+echo "==> lanes are the shard: no plain branch, no batched switch; a plain free list, not a pool"
+# Non-test code of crates/core/src: every shard steps its endpoints as
+# lanes, so neither an optional engine nor a switch selecting it exists.
+for src in crates/core/src/*.rs; do
+    if sed '/#\[cfg(test)\]/,$d' "$src" | grep -nvE '^ *(//|\*)' |
+        grep -E 'Option<BatchLanes>|\bbatched\b'; then
+        echo "$src has a second shard engine or a batched switch again (Option<BatchLanes> / batched)" >&2
+        exit 1
+    fi
+done
+if grep -rn -e '--batched' crates/net/src/bin; then
+    echo "crates/net/src/bin takes --batched again: every shard steps lanes" >&2
+    exit 1
+fi
+# Every pipeline buffer is reserved to the high-water mark, so any free one
+# will do: the capacity-ordered BufferPool is gone.
+if grep -rnwE 'BufferPool|DEFAULT_POOL_CAP' crates src tests examples; then
+    echo "a capacity-ordered buffer pool is back: the pipeline's free list is a plain Vec" >&2
+    exit 1
+fi
+# `NetServerConfig::batched` stays, deprecated and inert, until the
+# benchmark stops naming it: its field and its Default impl are the only
+# code lines left that name it (the one other hit is the recorded
+# exp_crash_recovery table title).
+if grep -rnw 'batched' crates src tests examples --include=*.rs |
+    grep -vE '^[^:]+:[0-9]+: *(//|\*)' |
+    grep -vE '^crates/net/src/server\.rs:[0-9]+: +(pub batched: bool,|batched: false,)$' |
+    grep -vE '^crates/bench/src/bin/exp_crash_recovery\.rs:[0-9]+: +"Crash recovery: .*batched pipeline killed and recovered"$'; then
+    echo "code sets or reads NetServerConfig::batched again, or names a batched switch" >&2
     exit 1
 fi
 

@@ -77,7 +77,6 @@ fn over_tcp(conns: usize, ticks: u64, shards: usize) -> NetRun {
         workload::server_endpoints(streams),
         NetServerConfig {
             shards,
-            batched: false,
             expected_conns: conns,
             lockstep: false,
             ..NetServerConfig::default()

@@ -122,13 +122,12 @@ fn crash_cycle(
 ) -> Cycle {
     let dir = tempdir(kill);
 
-    // Phase 1: durable batched pipeline, killed after `kill` ticks —
+    // Phase 1: durable pipeline, killed after `kill` ticks —
     // dropped mid-flight, no checkpoint.
     let store = DurableStore::open(&dir).expect("open store");
     let mut pipeline = IngestPipeline::start_with(
         ShardAssignment::modulo(SEED_SHARDS),
         workload::server_endpoints(STREAMS),
-        true,
         None,
     );
     let mut durable =

@@ -1,12 +1,13 @@
-//! Batch-dispatched ingest: a shard's streams stepped as structure-of-arrays
-//! lanes, grouped by model and covariance form.
+//! The shard's filter engine: its streams stepped as structure-of-arrays
+//! lanes, grouped by dynamics.
 //!
-//! The plain ingest path advances every [`ServerEndpoint`]'s filter one at a
-//! time — correct, but at fleet scale the per-stream predict dominates the
-//! tick. [`BatchLanes`] puts **every** endpoint's filter on a
-//! [`DynFleetBatch`] lane, in the group of the filters running the same
-//! model in the same covariance form, and advances whole groups with one
-//! `predict_all` per tick. Every shape a filter admits has a batch row,
+//! Every ingest shard ([`crate::SequentialIngest`], each
+//! [`crate::IngestPipeline`] worker, so each `NetServer` shard) puts
+//! **every** endpoint's filter on a [`DynFleetBatch`] lane in the group of
+//! the filters that share its `F`, `H` and covariance form, and advances
+//! whole groups with one `predict_all` per tick. `Q` and `R` are per lane,
+//! so filters that differ only in their noise — adaptive sources each ship
+//! their own — share a group. Every shape a filter admits has a batch row,
 //! exact or zero-padded ([`DynFleetBatch::for_model_in_form`]), so no
 //! stream is stepped any other way. Sequence bookkeeping, counters and
 //! feedback keep running through the [`ServerEndpoint`]; only the filter
@@ -14,17 +15,21 @@
 //!
 //! ## Equivalence
 //!
-//! A lane runs a lone filter's kernel in the same floating-point order
-//! (see `kalstream_filter::FleetBatch`), and [`BatchLanes::apply`] applies
-//! each admitted sync to it through the operations `apply_sync` runs on a
-//! filter, in the same per-stream order. A batched run therefore produces
-//! **bit-identical endpoints** to the plain path — the invariant this
-//! module's tests and the workspace proptests pin down, including:
+//! A lane runs a lone filter's kernel in the same floating-point order,
+//! with that filter's own `Q` and `R` (see `kalstream_filter::FleetBatch`),
+//! and [`BatchLanes::apply`] applies each admitted sync to it through the
+//! operations `apply_sync` runs on a filter, in the same per-stream order.
+//! The lanes therefore leave **bit-identical endpoints** to stepping each
+//! endpoint's own filter — the invariant this module's tests hold against
+//! a plain loop of `ServerEndpoint::predict` / `admit_view` /
+//! `apply_view`, including:
 //!
 //! * a **model sync**, which installs the replacement filter in the
-//!   endpoint and *moves* the stream to a lane, seeded from that filter,
-//!   of the group for its new model and form (created on demand; a group
-//!   left empty is dropped). The tick's later syncs land on the new lane;
+//!   endpoint. One that keeps `F`, `H` and the form — every ack-timeout
+//!   resync of a fixed or adaptive source — rewrites the lane in place
+//!   (`x`, `P`, `Q`, `R`). One that changes them *moves* the stream to a
+//!   lane, seeded from that filter, of the group for its new dynamics
+//!   (created on demand; a group left empty is dropped). The tick's later syncs land on the new lane;
 //!   the old group's last lane fills the gap, and the endpoint → lane map
 //!   follows it;
 //! * a **non-finite** lane, which stays where it is: its predict failures
@@ -34,11 +39,11 @@
 use kalstream_filter::{DynFleetBatch, KalmanFilter};
 use kalstream_linalg::DIM_CAP;
 
-use crate::ingest::{IngestResult, Shard, TickIngest};
+use crate::ingest::SequentialIngest;
 use crate::server::{EndpointState, ServerEndpoint};
 use crate::wire::SyncRef;
 
-/// One lane group: the streams whose filters share a model and a
+/// One lane group: the streams whose filters share `F`, `H` and a
 /// covariance form.
 struct BatchGroup {
     batch: DynFleetBatch,
@@ -60,7 +65,7 @@ pub(crate) struct BatchLanes {
 }
 
 impl BatchLanes {
-    /// Puts every endpoint's filter on a lane of its model and form's group.
+    /// Puts every endpoint's filter on a lane of its dynamics' group.
     pub(crate) fn new(endpoints: &[(u32, ServerEndpoint)]) -> Self {
         let mut lanes = BatchLanes {
             groups: Vec::new(),
@@ -73,35 +78,31 @@ impl BatchLanes {
         lanes
     }
 
-    /// Appends a lane for endpoint `slot`, seeded from `filter`, to the
-    /// group for `filter`'s model and form (created when there is none);
-    /// returns its `(group, lane)`.
-    fn push(&mut self, slot: usize, filter: &KalmanFilter) -> (u32, u32) {
+    /// The index of the group for `filter`'s `(F, H, form)`, created when
+    /// there is none. A shard holds one group per distinct dynamics — one
+    /// for every recorded workload — so a walk is all the lookup needs.
+    fn group_for(&mut self, filter: &KalmanFilter) -> usize {
         let (model, form) = (filter.model(), filter.covariance_update());
-        let group = match self
-            .groups
-            .iter()
-            .position(|g| g.batch.covariance_update() == form && g.batch.model() == model)
-        {
-            Some(g) => g,
-            None => {
-                let batch = DynFleetBatch::for_model_in_form(model, form)
-                    .expect("every admitted filter shape has a batch row");
-                self.groups.push(BatchGroup {
-                    batch,
-                    slots: Vec::new(),
-                });
-                self.groups.len() - 1
-            }
-        };
+        if let Some(g) = self.groups.iter().position(|g| g.batch.runs(model, form)) {
+            return g;
+        }
+        let batch = DynFleetBatch::for_model_in_form(model, form)
+            .expect("every admitted filter shape has a batch row");
+        self.groups.push(BatchGroup {
+            batch,
+            slots: Vec::new(),
+        });
+        self.groups.len() - 1
+    }
+
+    /// Appends a lane for endpoint `slot`, seeded from `filter`, to the
+    /// group for its dynamics; returns its `(group, lane)`.
+    fn push(&mut self, slot: usize, filter: &KalmanFilter) -> (u32, u32) {
+        let group = self.group_for(filter);
         let g = &mut self.groups[group];
         let lane = g
             .batch
-            .push(
-                filter.state(),
-                filter.covariance(),
-                filter.steps_since_update(),
-            )
+            .push_filter(filter)
             .expect("endpoint filter shape matches its own model");
         g.slots.push(slot);
         (group as u32, lane as u32)
@@ -109,8 +110,8 @@ impl BatchLanes {
 
     /// The predict phase of a tick — the batch twin of calling
     /// `ServerEndpoint::predict` on each endpoint: every group predicts as
-    /// one fleet, and each lane that comes out non-finite gets the plain
-    /// path's per-tick `predict_failures` bookkeeping.
+    /// one fleet, and each lane that comes out non-finite gets the lone
+    /// filter's per-tick `predict_failures` bookkeeping.
     pub(crate) fn predict(&mut self, endpoints: &mut [(u32, ServerEndpoint)]) {
         for group in self.groups.iter_mut() {
             if group.batch.predict_all() > 0 {
@@ -137,11 +138,19 @@ impl BatchLanes {
                 .update_lane(lane, z.read_into(&mut [0.0; DIM_CAP]))
                 .is_ok(),
             // The replacement filter may have any shape and form: it is
-            // installed in the endpoint, and the stream moves to a lane of
-            // its group. On rejection the stream keeps its lane.
+            // installed in the endpoint, and rewrites the lane when it
+            // keeps the group's dynamics, else moves the stream to a lane
+            // of its own dynamics' group. On rejection the lane is kept.
             SyncRef::Model(_) => {
                 if ep.apply_view(msg) {
-                    self.relocate(slot, ep.filter());
+                    let filter = ep.filter();
+                    if batch.runs(filter.model(), filter.covariance_update()) {
+                        batch
+                            .set_lane_filter(lane, filter)
+                            .expect("same dynamics, same shape");
+                    } else {
+                        self.relocate(slot, filter);
+                    }
                 }
                 return;
             }
@@ -152,8 +161,8 @@ impl BatchLanes {
     }
 
     /// Moves endpoint `slot` to a new lane seeded from `filter`, in the
-    /// group for its model and form. The old group's last lane fills the
-    /// gap; a group left empty is dropped, the last group taking its index.
+    /// group for its dynamics. The old group's last lane fills the gap; a
+    /// group left empty is dropped, the last group taking its index.
     fn relocate(&mut self, slot: usize, filter: &KalmanFilter) {
         let (from, lane) = self.lane_of[slot];
         let g = &mut self.groups[from as usize];
@@ -163,13 +172,18 @@ impl BatchLanes {
             self.lane_of[moved] = (from, lane);
         }
         self.lane_of[slot] = self.push(slot, filter);
-        let from = from as usize;
-        if self.groups[from].slots.is_empty() {
-            self.groups.swap_remove(from);
-            if let Some(g) = self.groups.get(from) {
-                for (lane, &moved) in g.slots.iter().enumerate() {
-                    self.lane_of[moved] = (from as u32, lane as u32);
-                }
+        if self.groups[from as usize].slots.is_empty() {
+            self.drop_group(from as usize);
+        }
+    }
+
+    /// Drops the empty group `g`: the last group takes its index, and the
+    /// lane map follows it.
+    fn drop_group(&mut self, g: usize) {
+        self.groups.swap_remove(g);
+        if let Some(moved) = self.groups.get(g) {
+            for (lane, &slot) in moved.slots.iter().enumerate() {
+                self.lane_of[slot] = (g as u32, lane as u32);
             }
         }
     }
@@ -187,8 +201,8 @@ impl BatchLanes {
     }
 
     /// Hands every lane's state back to its endpoint filter, so the
-    /// endpoints hold the same shape (and, for the same traffic, the same
-    /// bits) the plain path produces.
+    /// endpoints hold the same shape and, for the same traffic, the same
+    /// bits as endpoints stepped on their own filters.
     pub(crate) fn restore(&self, endpoints: &mut [(u32, ServerEndpoint)]) {
         for group in self.groups.iter() {
             for (lane, &slot) in group.slots.iter().enumerate() {
@@ -203,68 +217,45 @@ impl BatchLanes {
     }
 }
 
-/// Single-threaded ingester over one batched inline `Shard` — the batch
-/// twin of [`crate::SequentialIngest`], stepping exactly what a batched
-/// [`crate::IngestPipeline`]'s workers step. Same tick semantics, same
-/// [`IngestResult`] shape (one pseudo-shard).
-pub struct BatchedIngest(Shard);
-
-impl BatchedIngest {
-    /// Builds the ingester over `endpoints`, every one on a lane.
-    pub fn new(endpoints: Vec<(u32, ServerEndpoint)>) -> Self {
-        BatchedIngest(Shard::new(0, endpoints, true, None))
-    }
-
-    /// Drains one tick's batch and advances every endpoint, synchronously.
-    pub fn ingest_tick(&mut self, wire: &[u8]) {
-        self.0.tick(wire, |_| true);
-    }
-
-    /// Collects the run into the same shape as the sharded pipeline (one
-    /// pseudo-shard), restoring every lane into its endpoint filter.
-    pub fn finish(self) -> IngestResult {
-        self.0.finish(None)
-    }
-}
-
-impl TickIngest for BatchedIngest {
-    fn ingest_tick(&mut self, wire: &[u8]) {
-        BatchedIngest::ingest_tick(self, wire);
-    }
-}
+/// The name the batch engine had while a shard could run without it:
+/// every ingester steps lanes now, so it is [`SequentialIngest`].
+pub type BatchedIngest = SequentialIngest;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::frame::FrameBatch;
-    use crate::ingest::SequentialIngest;
-    use crate::test_support::{filter_bits, record_log, record_log_of};
+    use crate::ingest::{IngestResult, TickIngest};
+    use crate::test_support::{assert_same_endpoints, oracle, record_log, record_log_of};
     use crate::wire::{SyncMessage, WireMessage};
+    use crate::{SessionSpec, StreamSession};
     use kalstream_filter::{models, CovarianceUpdate};
     use kalstream_linalg::{Matrix, Vector};
-
-    fn assert_same_endpoints(a: &[(u32, ServerEndpoint)], b: &[(u32, ServerEndpoint)], what: &str) {
-        assert_eq!(a.len(), b.len());
-        for ((id_a, ea), (id_b, eb)) in a.iter().zip(b.iter()) {
-            assert_eq!(id_a, id_b);
-            assert_eq!(filter_bits(ea), filter_bits(eb), "{what}: stream {id_a}");
-            assert_eq!(ea.syncs_applied(), eb.syncs_applied(), "{what}: {id_a}");
-            assert_eq!(
-                ea.predict_failures(),
-                eb.predict_failures(),
-                "{what}: {id_a}"
-            );
-            assert_eq!(
-                ea.filter().steps_since_update(),
-                eb.filter().steps_since_update(),
-                "{what}: {id_a}"
-            );
-        }
-    }
 
     /// Lane count of every group, in group order.
     fn group_sizes(lanes: &BatchLanes) -> Vec<usize> {
         lanes.groups.iter().map(|g| g.batch.len()).collect()
+    }
+
+    /// Replays `log` through one [`SequentialIngest`], handing `each` the
+    /// tick index and the lanes after every tick (the lane map checked
+    /// first), and holds the result to the [`oracle`].
+    fn replay(
+        servers: Vec<(u32, ServerEndpoint)>,
+        log: &[Vec<u8>],
+        mut each: impl FnMut(usize, &BatchLanes),
+        what: &str,
+    ) -> IngestResult {
+        let want = oracle(servers.clone(), log);
+        let mut ingest = SequentialIngest::new(servers);
+        for (t, tick) in log.iter().enumerate() {
+            ingest.ingest_tick(tick);
+            assert_lane_map_holds(ingest.lanes());
+            each(t, ingest.lanes());
+        }
+        let result = ingest.finish();
+        assert_same_endpoints(&result.endpoints, &want, what);
+        result
     }
 
     #[test]
@@ -281,10 +272,11 @@ mod tests {
             .unwrap();
             endpoints.push((id, ServerEndpoint::new(kf)));
         }
-        // 2-state constant velocity: one shared group.
+        // 2-state constant velocity: one shared group, whatever the noise.
         for id in 3..8u32 {
+            let q = 0.05 * (1 + id % 2) as f64;
             let kf = KalmanFilter::new(
-                models::constant_velocity(1.0, 0.05, 0.1),
+                models::constant_velocity(1.0, q, 0.1),
                 Vector::zeros(2),
                 1.0,
             )
@@ -320,7 +312,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_ingest_matches_sequential_bit_for_bit() {
+    fn lanes_match_the_oracle_bit_for_bit() {
         // 12 CV (2×1) and 4 default scalar (1×1) sessions on exact rows, 4
         // constant-acceleration (3×1) sessions on the padded 4×1 row.
         let config = || crate::ProtocolConfig::new(0.25).unwrap();
@@ -343,26 +335,16 @@ mod tests {
             .collect::<crate::Result<Vec<_>>>()
             .unwrap();
         let (servers, log) = record_log_of(specs, 80);
-        let mut seq = SequentialIngest::new(servers.clone());
-        for tick in &log {
-            seq.ingest_tick(tick);
-        }
-        let seq_result = seq.finish();
-        assert!(seq_result.total_messages() > 0, "log recorded no syncs");
-
-        let mut batched = BatchedIngest::new(servers);
-        assert_eq!(group_sizes(lanes_of(&batched)), vec![12, 4, 4]);
-        for tick in &log {
-            TickIngest::ingest_tick(&mut batched, tick);
-        }
-        let result = batched.finish();
-        assert_eq!(result.total_messages(), seq_result.total_messages());
-        assert_same_endpoints(&result.endpoints, &seq_result.endpoints, "batched");
+        assert_eq!(group_sizes(&BatchLanes::new(&servers)), vec![12, 4, 4]);
+        let result = replay(servers, &log, |_, _| {}, "lanes");
+        assert!(result.total_messages() > 0, "log recorded no syncs");
     }
 
-    /// The lanes of a batched ingester.
-    fn lanes_of(batched: &BatchedIngest) -> &BatchLanes {
-        batched.0.lanes().expect("a batched shard has lanes")
+    /// `tick`, with `extra`'s frames ahead of its own.
+    fn prepend(tick: &mut Vec<u8>, extra: FrameBatch) {
+        let mut merged = extra.as_bytes().to_vec();
+        merged.extend_from_slice(tick);
+        *tick = merged;
     }
 
     #[test]
@@ -370,13 +352,9 @@ mod tests {
         // Stream 1 receives a model sync mid-run — trailed by a measurement
         // in the same tick that must land on its new lane — then keeps
         // receiving ordinary traffic, until a second model sync puts it
-        // back on its first model: the emptied group is dropped.
+        // back on its first dynamics (with a noise of its own): the emptied
+        // group is dropped.
         let (servers, mut log) = record_log(4, 0, 40);
-        let prepend = |tick: &mut Vec<u8>, extra: FrameBatch| {
-            let mut merged = extra.as_bytes().to_vec();
-            merged.extend_from_slice(tick);
-            *tick = merged;
-        };
         let mut to_ca = FrameBatch::new();
         to_ca.push(
             1,
@@ -397,42 +375,43 @@ mod tests {
         back.push(
             1,
             &SyncMessage::Model {
-                model: Box::new(models::constant_velocity(1.0, 0.05, 0.1)),
+                model: Box::new(models::constant_velocity(1.0, 0.08, 0.3)),
                 x: Vector::from_slice(&[0.4, 0.1]),
                 p: Matrix::scalar(2, 0.5),
             },
         );
         prepend(&mut log[30], back);
 
-        let mut seq = SequentialIngest::new(servers.clone());
-        let mut batched = BatchedIngest::new(servers);
-        assert_eq!(group_sizes(lanes_of(&batched)), vec![4]);
-        for (t, tick) in log.iter().enumerate() {
-            seq.ingest_tick(tick);
-            batched.ingest_tick(tick);
-            let lanes = lanes_of(&batched);
-            assert_lane_map_holds(lanes);
-            match t {
+        assert_eq!(group_sizes(&BatchLanes::new(&servers)), vec![4]);
+        let result = replay(
+            servers,
+            &log,
+            |t, lanes| match t {
                 20 => assert_eq!(group_sizes(lanes), vec![3, 1], "stream 1 moved"),
                 30 => assert_eq!(group_sizes(lanes), vec![4], "and back"),
                 _ => {}
-            }
-        }
-        let seq_result = seq.finish();
-        let result = batched.finish();
-        assert_same_endpoints(&result.endpoints, &seq_result.endpoints, "model-sync");
+            },
+            "model-sync",
+        );
         let (_, ep1) = &result.endpoints[1];
         assert_eq!(ep1.filter().model().name(), "constant_velocity");
     }
 
     /// Every endpoint is mapped: `lane_of` is exactly the inverse of the
     /// groups' `slots`, which hold every endpoint once, no group is empty,
-    /// and each group's batch has one lane per slot.
+    /// each group's batch has one lane per slot, and no two groups run the
+    /// same dynamics.
     fn assert_lane_map_holds(lanes: &BatchLanes) {
         let mut mapped = 0;
         for (g, group) in lanes.groups.iter().enumerate() {
             assert!(!group.slots.is_empty(), "group {g} is empty");
             assert_eq!(group.batch.len(), group.slots.len());
+            let (model, form) = (group.batch.model(), group.batch.covariance_update());
+            assert_eq!(
+                lanes.groups.iter().position(|g| g.batch.runs(model, form)),
+                Some(g),
+                "group {g}'s dynamics run on no earlier group"
+            );
             for (lane, &slot) in group.slots.iter().enumerate() {
                 assert_eq!(lanes.lane_of[slot], (g as u32, lane as u32));
                 mapped += 1;
@@ -479,37 +458,167 @@ mod tests {
         extra.push(3, &state(-0.3, 0.05));
         extra.push(3, &measurement(-0.25));
         let move_at = 10;
-        let mut merged = extra.as_bytes().to_vec();
-        merged.extend_from_slice(&log[move_at]);
-        log[move_at] = merged;
+        prepend(&mut log[move_at], extra);
 
-        let mut seq = SequentialIngest::new(servers.clone());
-        let mut batched = BatchedIngest::new(servers);
-        for (t, tick) in log.iter().enumerate() {
-            seq.ingest_tick(tick);
-            batched.ingest_tick(tick);
-            let lanes = lanes_of(&batched);
-            assert_lane_map_holds(lanes);
-            if t == move_at {
-                assert_eq!(lanes.lane_of[1], (1, 0), "stream 1 moved groups");
-                assert_eq!(lanes.lane_of[3], (0, 1), "stream 3 moved lanes");
-                assert_eq!(lanes.groups[0].slots, vec![0, 3, 2]);
-                assert!(matches!(lanes.groups[1].batch, DynFleetBatch::B4x1(_)));
-            }
-        }
-        let a = seq.finish();
-        let b = batched.finish();
-        assert_same_endpoints(&b.endpoints, &a.endpoints, "mid-walk move");
-        let (_, ep1) = &b.endpoints[1];
+        let result = replay(
+            servers,
+            &log,
+            |t, lanes| {
+                if t == move_at {
+                    assert_eq!(lanes.lane_of[1], (1, 0), "stream 1 moved groups");
+                    assert_eq!(lanes.lane_of[3], (0, 1), "stream 3 moved lanes");
+                    assert_eq!(lanes.groups[0].slots, vec![0, 3, 2]);
+                    assert!(matches!(lanes.groups[1].batch, DynFleetBatch::B4x1(_)));
+                }
+            },
+            "mid-walk move",
+        );
+        let (_, ep1) = &result.endpoints[1];
         assert_eq!(ep1.filter().model().name(), "constant_acceleration");
+    }
+
+    #[test]
+    fn model_sync_keeping_the_dynamics_rewrites_the_lane_in_place() {
+        // Stream 2 gets a Model sync with its own F and H but new Q and R —
+        // an adaptive source's resync — then measurements that run with the
+        // new noise: its lane stays where it is, in the one group.
+        let (servers, mut log) = record_log(4, 0, 30);
+        let mut resync = FrameBatch::new();
+        resync.push(
+            2,
+            &SyncMessage::Model {
+                model: Box::new(models::constant_velocity(1.0, 0.11, 0.37)),
+                x: Vector::from_slice(&[0.2, -0.1]),
+                p: Matrix::scalar(2, 0.75),
+            },
+        );
+        resync.push(
+            2,
+            &SyncMessage::Measurement {
+                z: Vector::from_slice(&[0.3]),
+            },
+        );
+        prepend(&mut log[12], resync);
+        let start = BatchLanes::new(&servers).lane_of;
+        let result = replay(
+            servers,
+            &log,
+            |_, lanes| {
+                assert_eq!(group_sizes(lanes), vec![4]);
+                assert_eq!(lanes.lane_of, start, "no lane moved");
+            },
+            "in-place resync",
+        );
+        let q = result.endpoints[2].1.filter().model().q().get(0, 0);
+        assert_ne!(q, result.endpoints[0].1.filter().model().q().get(0, 0));
+    }
+
+    /// A [`TickIngest`] that keeps every tick it forwards.
+    struct Recording<I> {
+        inner: I,
+        log: Vec<Vec<u8>>,
+    }
+
+    impl<I: TickIngest> TickIngest for Recording<I> {
+        fn ingest_tick(&mut self, wire: &[u8]) {
+            self.log.push(wire.to_vec());
+            self.inner.ingest_tick(wire);
+        }
+        fn flush(&mut self) {
+            self.inner.flush();
+        }
+    }
+
+    #[test]
+    fn lossy_acked_adaptive_fleet_stays_in_one_group_without_a_move() {
+        // 48 adaptive default-scalar sources with acks, 10 % loss both
+        // ways and `ack_timeout = 6`: every timeout resync is a Model sync
+        // carrying the source's own adapted noise. Recorded through a
+        // feedback pipeline, then replayed: the lanes end in one group,
+        // no stream ever leaves its lane, and the bits are the oracle's.
+        use kalstream_sim::{run_fleet_ingest, IngestStream, LinkFaults};
+        let (streams, ticks) = (48u32, 300u64);
+        let config = || {
+            crate::ProtocolConfig::new(0.3)
+                .unwrap()
+                .with_ack_timeout(6)
+                .unwrap()
+        };
+        let mut sources = Vec::new();
+        let mut servers = Vec::new();
+        for id in 0..streams {
+            let StreamSession { source, server } =
+                SessionSpec::default_scalar(0.0, config()).unwrap().build();
+            servers.push((id, server));
+            let mut v = 0.0f64;
+            let sampler = move |obs: &mut [f64], tru: &mut [f64]| {
+                v += ((v * 12.9898 + id as f64).sin() * 43758.5453).fract() * 0.4 - 0.2;
+                obs[0] = v;
+                tru[0] = v;
+            };
+            sources.push(IngestStream {
+                stream_id: id,
+                producer: Box::new(source),
+                sampler: Box::new(sampler),
+            });
+        }
+        let (tx, rx) = crossbeam::channel::unbounded();
+        let pipeline = crate::IngestPipeline::start_with(
+            crate::ShardAssignment::modulo(2),
+            servers.clone(),
+            Some(tx),
+        );
+        let recording = Recording {
+            inner: pipeline,
+            log: Vec::new(),
+        };
+        let mut sink = crate::FramingSink::with_feedback(recording, rx);
+        let faults = LinkFaults {
+            loss: 0.1,
+            seed: 31,
+            ..LinkFaults::default()
+        };
+        let report = run_fleet_ingest(&mut sources, ticks, 0, faults, &mut sink);
+        let Recording { inner, log } = sink.into_inner();
+        let live = inner.finish();
+        assert!(report.faults.dropped > 0, "no message lost");
+
+        let mut model_syncs = 0;
+        for tick in &log {
+            crate::FrameDecoder::new().for_each_wire_message(tick, |_, msg| {
+                if let crate::wire::WireRef::Sync {
+                    msg: SyncRef::Model(_),
+                    ..
+                } = msg
+                {
+                    model_syncs += 1;
+                }
+            });
+        }
+        assert!(
+            model_syncs > streams,
+            "only {model_syncs} Model syncs: no timeout resyncs"
+        );
+
+        let start = BatchLanes::new(&servers).lane_of;
+        let replayed = replay(
+            servers,
+            &log,
+            |_, lanes| {
+                assert_eq!(group_sizes(lanes), vec![streams as usize], "one group");
+                assert_eq!(lanes.lane_of, start, "no lane moved");
+            },
+            "lossy adaptive replay",
+        );
+        assert_same_endpoints(&live.endpoints, &replayed.endpoints, "live pipeline");
     }
 
     #[test]
     fn state_sync_heals_a_diverged_lane_in_the_same_tick() {
         // Poison a lane with a non-finite state sync — which set_lane
         // accepts (like set_state, it validates shape only) — and heal it
-        // with a later sync *in the same tick*, exactly as the scalar
-        // filter would simply absorb both syncs.
+        // with a later sync *in the same tick*, exactly as a lone filter
+        // would simply absorb both syncs.
         let (servers, _) = record_log(2, 0, 0);
         let poison = SyncMessage::State {
             x: Vector::from_slice(&[f64::NAN, 0.0]),
@@ -519,20 +628,13 @@ mod tests {
             x: Vector::from_slice(&[1.0, -0.5]),
             p: Matrix::scalar(2, 0.5),
         };
-        let mut seq = SequentialIngest::new(servers.clone());
-        let mut batched = BatchedIngest::new(servers);
         let mut tick1 = FrameBatch::new();
         tick1.push(0, &poison);
         tick1.push(0, &heal);
-        let quiet = FrameBatch::new();
-        for tick in [tick1.as_bytes(), quiet.as_bytes(), quiet.as_bytes()] {
-            seq.ingest_tick(tick);
-            batched.ingest_tick(tick);
-        }
-        let a = seq.finish();
-        let b = batched.finish();
-        assert_same_endpoints(&b.endpoints, &a.endpoints, "heal");
-        let (_, ep) = &b.endpoints[0];
+        let quiet = FrameBatch::new().as_bytes().to_vec();
+        let log = [tick1.as_bytes().to_vec(), quiet.clone(), quiet];
+        let result = replay(servers, &log, |_, _| {}, "heal");
+        let (_, ep) = &result.endpoints[0];
         assert_eq!(ep.predict_failures(), 0);
         assert!(ep.filter().state().iter().all(|v| v.is_finite()));
     }
@@ -544,23 +646,19 @@ mod tests {
             x: Vector::from_slice(&[f64::NAN, 0.0]),
             p: Matrix::scalar(2, 1.0),
         };
-        let mut seq = SequentialIngest::new(servers.clone());
-        let mut batched = BatchedIngest::new(servers);
         let mut tick1 = FrameBatch::new();
         tick1.push(0, &poison);
-        let quiet = FrameBatch::new();
-        seq.ingest_tick(tick1.as_bytes());
-        batched.ingest_tick(tick1.as_bytes());
-        for _ in 0..3 {
-            seq.ingest_tick(quiet.as_bytes());
-            batched.ingest_tick(quiet.as_bytes());
-        }
-        let a = seq.finish();
-        let b = batched.finish();
-        assert_same_endpoints(&b.endpoints, &a.endpoints, "diverged");
+        let quiet = FrameBatch::new().as_bytes().to_vec();
+        let log = [
+            tick1.as_bytes().to_vec(),
+            quiet.clone(),
+            quiet.clone(),
+            quiet,
+        ];
+        let result = replay(servers, &log, |_, _| {}, "diverged");
         // The poison sync lands *after* tick 1's predict, so only the three
         // quiet ticks predict on a non-finite state, and each counts.
-        let (_, ep) = &b.endpoints[0];
+        let (_, ep) = &result.endpoints[0];
         assert_eq!(ep.predict_failures(), 3, "every later tick keeps failing");
     }
 
@@ -599,31 +697,27 @@ mod tests {
         let measurement = |v: f64| SyncMessage::Measurement {
             z: Vector::from_slice(&[v]),
         };
-        let mut seq = SequentialIngest::new(servers.clone());
-        let mut batched = BatchedIngest::new(servers);
         assert!(matches!(
-            lanes_of(&batched).groups[0].batch,
+            BatchLanes::new(&servers).groups[0].batch,
             DynFleetBatch::B4x1(_)
         ));
-        for t in 0..8 {
-            let mut tick = FrameBatch::new();
-            match t {
-                0 => tick.push(0, &poison),
-                2 => tick.push(0, &heal),
-                _ => {}
-            }
-            if t >= 3 {
-                tick.push(0, &measurement(0.2 * t as f64));
-            }
-            tick.push(1, &measurement(-0.1 * t as f64));
-            seq.ingest_tick(tick.as_bytes());
-            batched.ingest_tick(tick.as_bytes());
-            assert_lane_map_holds(lanes_of(&batched));
-        }
-        let a = seq.finish();
-        let b = batched.finish();
-        assert_same_endpoints(&b.endpoints, &a.endpoints, "padded heal");
-        let (_, ep) = &b.endpoints[0];
+        let log: Vec<Vec<u8>> = (0..8)
+            .map(|t| {
+                let mut tick = FrameBatch::new();
+                match t {
+                    0 => tick.push(0, &poison),
+                    2 => tick.push(0, &heal),
+                    _ => {}
+                }
+                if t >= 3 {
+                    tick.push(0, &measurement(0.2 * t as f64));
+                }
+                tick.push(1, &measurement(-0.1 * t as f64));
+                tick.as_bytes().to_vec()
+            })
+            .collect();
+        let result = replay(servers, &log, |_, _| {}, "padded heal");
+        let (_, ep) = &result.endpoints[0];
         assert_eq!(ep.predict_failures(), 2, "ticks 1 and 2 predict on NaN");
         assert!(ep.filter().state().iter().all(|v| v.is_finite()));
         assert!(ep.filter().covariance().is_finite());
@@ -638,9 +732,8 @@ mod tests {
         let mut batch = FrameBatch::new();
         batch.push(0, &measurement);
         batch.push(99, &measurement); // no such stream
-        let mut batched = BatchedIngest::new(servers);
-        batched.ingest_tick(batch.as_bytes());
-        let report = &batched.finish().shards[0];
+        let result = replay(servers, &[batch.as_bytes().to_vec()], |_, _| {}, "unknown");
+        let report = &result.shards[0];
         assert_eq!(report.messages, 1);
         assert_eq!(report.unknown_streams, 1);
     }
@@ -654,8 +747,6 @@ mod tests {
             x: Vector::from_slice(&[v, 0.0]),
             p: Matrix::scalar(2, 0.5),
         };
-        let mut seq_ref = SequentialIngest::new(servers.clone());
-        let mut batched = BatchedIngest::new(servers);
         let mut batch = FrameBatch::new();
         for (seq, v) in [(1, 1.0), (2, 2.0), (2, 9.0), (1, 9.0)] {
             batch.push_raw(
@@ -667,12 +758,8 @@ mod tests {
                 .encode(),
             );
         }
-        seq_ref.ingest_tick(batch.as_bytes());
-        batched.ingest_tick(batch.as_bytes());
-        let a = seq_ref.finish();
-        let b = batched.finish();
-        assert_same_endpoints(&b.endpoints, &a.endpoints, "dedup");
-        let (_, ep) = &b.endpoints[0];
+        let result = replay(servers, &[batch.as_bytes().to_vec()], |_, _| {}, "dedup");
+        let (_, ep) = &result.endpoints[0];
         assert_eq!(ep.delivery().stale_drops, 2);
         assert_eq!(ep.last_seq(), 2);
         assert_eq!(ep.filter().state()[0], 2.0, "stale 9.0 never applied");

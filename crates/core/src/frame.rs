@@ -17,9 +17,10 @@
 //! buffer — ends the walk, because there is no longer a trustworthy
 //! resynchronisation point.
 //!
-//! [`FrameBatch`] owns a [`BytesMut`] so batches can cycle through a
-//! [`BufferPool`]: in steady state every buffer has reached its high-water
-//! capacity and batch assembly performs zero heap allocations.
+//! [`FrameBatch`] owns a [`BytesMut`] so batches can cycle through the
+//! ingest pipeline's free list: in steady state every buffer has reached
+//! its high-water capacity and batch assembly performs zero heap
+//! allocations.
 
 use bytes::{BufMut, BytesMut};
 
@@ -325,107 +326,6 @@ impl StreamDecoder {
     }
 }
 
-/// Default cap on pooled buffers — comfortably above the deepest in-flight
-/// population any configured pipeline produces (`shards × 4` channel slots,
-/// so 32 at the 8-shard maximum) while bounding worst-case retention.
-pub const DEFAULT_POOL_CAP: usize = 64;
-
-/// A capacity-ordered pool of recycled [`BytesMut`] buffers.
-///
-/// Buffers returned to the pool keep their capacity, and [`BufferPool::get`]
-/// always hands out the **largest** one: the working set converges on the
-/// buffers that have already grown to the workload's high-water batch size,
-/// while undersized stragglers sink to the bottom and stop circulating
-/// (instead of cycling in later and paying a growth realloc mid-steady-state).
-/// Once the working set is at high water, batch assembly stops allocating
-/// entirely — the property `bench_ingest`'s allocs-per-batch gate measures.
-///
-/// The pool holds at most `cap` buffers. At the cap, [`BufferPool::put`]
-/// keeps whichever of (incoming buffer, smallest pooled buffer) has more
-/// capacity and sheds the other — retention is bounded while the pool still
-/// converges on the largest buffers seen.
-#[derive(Debug)]
-pub struct BufferPool {
-    /// Sorted by capacity, ascending; `get` pops from the back.
-    free: Vec<BytesMut>,
-    cap: usize,
-    shed: u64,
-}
-
-impl Default for BufferPool {
-    fn default() -> Self {
-        BufferPool::bounded(DEFAULT_POOL_CAP)
-    }
-}
-
-impl BufferPool {
-    /// Creates an empty pool holding at most [`DEFAULT_POOL_CAP`] buffers.
-    pub fn new() -> Self {
-        BufferPool::default()
-    }
-
-    /// Creates an empty pool holding at most `cap` buffers. Room for all
-    /// `cap` is reserved up front, so [`BufferPool::put`] never allocates:
-    /// a free list grown on demand reallocates the first time more buffers
-    /// than ever before are pooled at once, which can fall late in a run.
-    ///
-    /// # Panics
-    /// Panics when `cap` is zero (a pool that can hold nothing is a bug at
-    /// the call site, not a runtime condition).
-    pub fn bounded(cap: usize) -> Self {
-        assert!(cap > 0, "pool cap must be positive");
-        BufferPool {
-            free: Vec::with_capacity(cap),
-            cap,
-            shed: 0,
-        }
-    }
-
-    /// Takes the largest-capacity cleared buffer from the pool, or a fresh
-    /// one if empty.
-    pub fn get(&mut self) -> BytesMut {
-        self.free
-            .pop()
-            .map(|mut b| {
-                b.clear();
-                b
-            })
-            .unwrap_or_default()
-    }
-
-    /// Returns a buffer to the pool for reuse. At the cap, the smaller of
-    /// (incoming, smallest pooled) is dropped and counted instead of growing
-    /// the pool without bound.
-    pub fn put(&mut self, buf: BytesMut) {
-        if self.free.len() >= self.cap {
-            self.shed += 1;
-            if buf.capacity() <= self.free[0].capacity() {
-                return; // incoming is the smallest: drop it
-            }
-            self.free.remove(0); // evict the smallest pooled buffer
-        }
-        let pos = self
-            .free
-            .partition_point(|b| b.capacity() <= buf.capacity());
-        self.free.insert(pos, buf);
-    }
-
-    /// Buffers currently pooled.
-    pub fn len(&self) -> usize {
-        self.free.len()
-    }
-
-    /// `true` when no buffers are pooled.
-    pub fn is_empty(&self) -> bool {
-        self.free.is_empty()
-    }
-
-    /// Buffers dropped at the cap instead of pooled.
-    pub fn shed(&self) -> u64 {
-        self.shed
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -520,84 +420,24 @@ mod tests {
     }
 
     #[test]
-    fn pooled_buffer_reuse_keeps_capacity() {
-        let mut pool = BufferPool::new();
-        let mut batch = FrameBatch::from_buffer(pool.get());
+    fn a_reused_buffer_keeps_its_capacity() {
+        let mut batch = FrameBatch::new();
         for id in 0..8 {
             batch.push(id, &msg(id as f64));
         }
         let high_water = batch.wire_len();
-        let buf = batch.into_buffer();
+        let mut buf = batch.into_buffer();
         let cap = buf.capacity();
         assert!(cap >= high_water);
-        pool.put(buf);
+        buf.clear();
 
         // Second fill of the same shape must not grow the buffer.
-        let mut batch = FrameBatch::from_buffer(pool.get());
+        let mut batch = FrameBatch::from_buffer(buf);
         for id in 0..8 {
             batch.push(id, &msg(id as f64));
         }
         assert_eq!(batch.wire_len(), high_water);
         assert_eq!(batch.into_buffer().capacity(), cap);
-    }
-
-    #[test]
-    fn pool_is_capped_and_counts_shed() {
-        // Pre-fix regression: `put` grew the pool without bound, so a
-        // producer of buffers that never reuses them leaked memory forever.
-        let mut pool = BufferPool::bounded(4);
-        for i in 0..1000usize {
-            pool.put(BytesMut::with_capacity(i + 1));
-        }
-        assert_eq!(pool.len(), 4);
-        assert_eq!(pool.shed(), 996);
-        // The survivors must be the largest capacities seen.
-        for _ in 0..4 {
-            assert!(pool.get().capacity() >= 997);
-        }
-    }
-
-    #[test]
-    fn pool_cap_keeps_larger_of_incoming_and_smallest() {
-        let mut pool = BufferPool::bounded(2);
-        pool.put(BytesMut::with_capacity(100));
-        pool.put(BytesMut::with_capacity(200));
-        // Smaller than everything pooled: dropped, pool unchanged.
-        pool.put(BytesMut::with_capacity(50));
-        assert_eq!(pool.len(), 2);
-        assert_eq!(pool.shed(), 1);
-        assert!(pool.get().capacity() >= 200);
-    }
-
-    #[test]
-    fn default_pool_uses_default_cap() {
-        let mut pool = BufferPool::new();
-        for _ in 0..(DEFAULT_POOL_CAP + 10) {
-            pool.put(BytesMut::with_capacity(8));
-        }
-        assert_eq!(pool.len(), DEFAULT_POOL_CAP);
-        assert_eq!(pool.shed(), 10);
-    }
-
-    #[test]
-    fn pooling_up_to_the_cap_never_grows_the_free_list() {
-        // Pre-fix, the free list grew on demand: the first time nine
-        // buffers sat pooled at once it reallocated, which `bench_ingest`'s
-        // steady-state gate counted whenever that fell in its window.
-        let mut pool = BufferPool::bounded(12);
-        let reserved = pool.free.capacity();
-        assert!(reserved >= 12);
-        for i in 0..40usize {
-            pool.put(BytesMut::with_capacity(i + 1));
-        }
-        assert_eq!(pool.len(), 12);
-        assert_eq!(pool.free.capacity(), reserved);
-    }
-
-    #[test]
-    #[should_panic(expected = "cap")]
-    fn zero_pool_cap_rejected() {
-        let _ = BufferPool::bounded(0);
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! in `Shard::tick`; the public ingesters differ only in *where* it runs:
 //!
 //! ```text
-//!  inline shard (zero workers) — SequentialIngest, BatchedIngest
+//!  inline shard (zero workers) — SequentialIngest
 //!
-//!  tick batch ──▶ Shard::tick: predict every endpoint
+//!  tick batch ──▶ Shard::tick: predict every lane group
 //!                             ▶ walk the frames once: parse ▶ admit ▶ apply in place
 //!                             ▶ poll feedback
 //!                 on the caller's thread; no routing, no queues
@@ -20,6 +20,10 @@
 //!  (router)       └── …                 each owns its endpoints
 //!                        ◀──────────── recycled buffers ─────────────
 //! ```
+//!
+//! Every shard steps its endpoints' filters as structure-of-arrays lanes
+//! (`crate::batch_ingest`): one engine, bit-identical to stepping each
+//! endpoint's own filter.
 //!
 //! Each worker **owns** its endpoints — no locks on the hot path, in the
 //! spirit of share-nothing per-core stream engines. Determinism falls out of
@@ -43,17 +47,18 @@
 //! `ElasticDriver`), handed the pipeline by reference.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Deref;
 use std::thread::JoinHandle;
 
 use bytes::{Bytes, BytesMut};
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Receiver, Sender};
 use kalstream_sim::Consumer;
 
 use kalstream_obs::{Histogram, Instrument, Scope, SpanTimer};
 
 use crate::batch_ingest::BatchLanes;
-use crate::frame::{BufferPool, FrameBatch, FrameDecoder, Frames};
+use crate::frame::{FrameBatch, FrameDecoder, Frames};
 use crate::server::{is_fresh, EndpointState, ServerEndpoint, PENDING_CAP};
 use crate::wire::{SyncRef, WireRef};
 
@@ -119,6 +124,29 @@ fn splitmix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
+}
+
+/// Hashes a stream id for the shard's id → endpoint map, which every frame
+/// looks up: one [`splitmix64`] where the default hasher runs keyed SipHash
+/// rounds. Ids arrive from the wire, but a shard only maps the ids it
+/// serves, so a crafted id costs at most a probe of a map it is not in.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for b in bytes {
+            self.0 = splitmix64(self.0 ^ u64::from(*b));
+        }
+    }
+
+    fn write_u32(&mut self, id: u32) {
+        self.0 = splitmix64(u64::from(id));
+    }
 }
 
 /// What one [`IngestPipeline::reassign`] did: the assignment it moved
@@ -267,21 +295,18 @@ impl Instrument for IngestResult {
     }
 }
 
-/// One shard: a set of endpoints and the only copy of the tick loop that
-/// steps them. A worker thread owns one behind a queue; the inline
-/// ingesters ([`SequentialIngest`], [`crate::BatchedIngest`]) own one
-/// directly.
+/// One shard: a set of endpoints, the lanes that step their filters, and
+/// the only copy of the tick loop. A worker thread owns one behind a
+/// queue; [`SequentialIngest`] owns one directly.
 pub(crate) struct Shard {
     /// Sorted by stream id, so feedback poll order, snapshots and teardown
     /// are deterministic without sorting (and never depend on `HashMap`
     /// iteration). Membership is fixed for the shard's lifetime.
     endpoints: Vec<(u32, ServerEndpoint)>,
     /// Stream id → position in `endpoints`.
-    index: HashMap<u32, usize>,
-    /// Fleet-batch lanes carrying every endpoint's filter arithmetic, for a
-    /// batched shard. Either way the tick semantics — and, for the same
-    /// traffic, the resulting bits — are identical.
-    lanes: Option<BatchLanes>,
+    index: HashMap<u32, usize, BuildHasherDefault<IdHasher>>,
+    /// Fleet-batch lanes carrying every endpoint's filter arithmetic.
+    lanes: BatchLanes,
     /// Per endpoint, how many of the current tick's oldest syncs are still
     /// to be shed so that only its newest [`PENDING_CAP`] apply. All zero
     /// except on a tick `plan_shed` found overflowing a stream.
@@ -291,16 +316,31 @@ pub(crate) struct Shard {
     /// hand-over). The first tick applies them ahead of its own frames, as
     /// the oldest syncs of that tick; after it, no queue is ever filled.
     carried: bool,
+    /// One bit per endpoint that may have feedback to poll after this
+    /// tick: every endpoint on the first tick (one can arrive with an ack
+    /// or a bound armed), then those a frame was addressed to. So a tick
+    /// polls the endpoints it touched, not the whole shard.
+    ///
+    /// Invariant: while the shard owns an endpoint, only a frame addressed
+    /// to it arms its feedback (an ack; nothing pushes a bound directive
+    /// into a shard). Anything that comes to arm feedback another way must
+    /// mark the endpoint here too, or its feedback is never polled; debug
+    /// builds check after every poll that no endpoint is left holding any.
+    due: Vec<u64>,
     decoder: FrameDecoder,
     feedback: Option<Sender<(u32, Bytes)>>,
     report: ShardReport,
+}
+
+/// Marks endpoint `slot` in a [`Shard`]'s `due` bitmap.
+fn mark(due: &mut [u64], slot: usize) {
+    due[slot / 64] |= 1 << (slot % 64);
 }
 
 impl Shard {
     pub(crate) fn new(
         shard: usize,
         mut endpoints: Vec<(u32, ServerEndpoint)>,
-        batched: bool,
         feedback: Option<Sender<(u32, Bytes)>>,
     ) -> Self {
         endpoints.sort_by_key(|(id, _)| *id);
@@ -310,9 +350,14 @@ impl Shard {
             .map(|(i, (id, _))| (*id, i))
             .collect();
         Shard {
-            lanes: batched.then(|| BatchLanes::new(&endpoints)),
+            lanes: BatchLanes::new(&endpoints),
             shed: vec![0; endpoints.len()],
             carried: endpoints.iter().any(|(_, ep)| ep.pending_len() > 0),
+            due: {
+                let mut due = vec![0; endpoints.len().div_ceil(64)];
+                (0..endpoints.len()).for_each(|slot| mark(&mut due, slot));
+                due
+            },
             report: ShardReport {
                 shard,
                 streams: endpoints.len(),
@@ -325,10 +370,9 @@ impl Shard {
         }
     }
 
-    /// One tick: predict every endpoint (on a batched shard, every lane);
-    /// walk `buf`'s frames once, each sync parsed, admitted
-    /// (`ServerEndpoint::admit_view`) and applied where it lies to its
-    /// endpoint's filter or lane; hand `buf` to `recycle`; then poll
+    /// One tick: predict every lane; walk `buf`'s frames once, each sync
+    /// parsed, admitted (`ServerEndpoint::admit_view`) and applied where it
+    /// lies to its endpoint's lane; hand `buf` to `recycle`; then poll
     /// feedback (acks before bounds per stream, streams in ascending id
     /// order — the ingest-mode twin of the session loop's
     /// `while let Some(fb) = consumer.poll_feedback(now)`).
@@ -342,10 +386,7 @@ impl Shard {
         recycle: impl FnOnce(B) -> bool,
     ) {
         let span = SpanTimer::start();
-        match &mut self.lanes {
-            Some(lanes) => lanes.predict(&mut self.endpoints),
-            None => self.endpoints.iter_mut().for_each(|(_, ep)| ep.predict()),
-        }
+        self.lanes.predict(&mut self.endpoints);
         let carried = std::mem::take(&mut self.carried);
         self.plan_shed(&buf, carried);
         let Shard {
@@ -353,6 +394,7 @@ impl Shard {
             index,
             lanes,
             shed,
+            due,
             decoder,
             report,
             ..
@@ -366,6 +408,7 @@ impl Shard {
         decoder.for_each_wire_message(&buf, |id, msg| match index.get(&id) {
             Some(&slot) => {
                 report.messages += 1;
+                mark(due, slot);
                 let ep = &mut endpoints[slot].1;
                 if let Some(sync) = ep.admit_view(msg) {
                     deliver(lanes, shed, slot, ep, Some(sync));
@@ -379,16 +422,25 @@ impl Shard {
             report.recycle_drops += 1;
         }
         if let Some(tx) = &self.feedback {
-            for (id, ep) in endpoints.iter_mut() {
-                while let Some(payload) = ep.poll_feedback(report.ticks) {
-                    // A closed receiver during drain is lost feedback —
-                    // count it, never `let _` it away.
-                    match tx.send((*id, payload)) {
-                        Ok(()) => report.feedback_out += 1,
-                        Err(_) => report.feedback_drops += 1,
+            for (word, bits) in due.iter_mut().enumerate() {
+                let mut bits = std::mem::take(bits);
+                while bits != 0 {
+                    let (id, ep) = &mut endpoints[word * 64 + bits.trailing_zeros() as usize];
+                    bits &= bits - 1;
+                    while let Some(payload) = ep.poll_feedback(report.ticks) {
+                        // A closed receiver during drain is lost feedback —
+                        // count it, never `let _` it away.
+                        match tx.send((*id, payload)) {
+                            Ok(()) => report.feedback_out += 1,
+                            Err(_) => report.feedback_drops += 1,
+                        }
                     }
                 }
             }
+            debug_assert!(
+                endpoints.iter().all(|(_, ep)| !ep.feedback_due()),
+                "an endpoint outside `due` holds feedback"
+            );
         }
         report.ticks += 1;
         span.stop(&mut report.tick_ns);
@@ -457,30 +509,26 @@ impl Shard {
     }
 
     /// Captures every endpoint's protocol state, sorted by stream id,
-    /// without consuming the shard. For batched streams the live
-    /// `x`/`p`/staleness sit on a fleet-batch lane, so the captured state is
-    /// the endpoint's bookkeeping overlaid with the lane's triplet — exactly
-    /// the bits [`Shard::finish`] would restore, but copied instead of moved.
+    /// without consuming the shard. The live `x`/`p`/staleness sit on a
+    /// fleet-batch lane, so the captured state is the endpoint's
+    /// bookkeeping overlaid with the lane's triplet — exactly the bits
+    /// [`Shard::finish`] would restore, but copied instead of moved.
     pub(crate) fn snapshot_states(&self) -> Vec<(u32, EndpointState)> {
         let mut states: Vec<(u32, EndpointState)> = self
             .endpoints
             .iter()
             .map(|(id, ep)| (*id, ep.state()))
             .collect();
-        if let Some(lanes) = &self.lanes {
-            lanes.overlay(&mut states);
-        }
+        self.lanes.overlay(&mut states);
         states
     }
 
-    /// Tears down into a one-shard [`IngestResult`] (batched lanes are
-    /// restored into their endpoint filters first). `cpu_secs` is the
+    /// Tears down into a one-shard [`IngestResult`] (the lanes are restored
+    /// into their endpoint filters first). `cpu_secs` is the
     /// owning worker thread's on-CPU time, when it has one and the kernel
     /// exposes it; the summed tick spans stand in otherwise.
     pub(crate) fn finish(mut self, cpu_secs: Option<f64>) -> IngestResult {
-        if let Some(lanes) = &self.lanes {
-            lanes.restore(&mut self.endpoints);
-        }
+        self.lanes.restore(&mut self.endpoints);
         let mut report = self.report;
         report.decode_failures = self.decoder.decode_failures();
         report.stale_drops = self
@@ -499,10 +547,10 @@ impl Shard {
 
 /// Hands one admitted sync to endpoint `slot` (`msg` is `None` for a
 /// carried queue entry that does not parse): shed and counted while the
-/// stream still has tick-old syncs over the cap to shed, otherwise applied —
-/// to its batch lane on a batched shard, to its own filter else.
+/// stream still has tick-old syncs over the cap to shed, otherwise applied
+/// to its lane.
 fn deliver(
-    lanes: &mut Option<BatchLanes>,
+    lanes: &mut BatchLanes,
     shed: &mut [usize],
     slot: usize,
     ep: &mut ServerEndpoint,
@@ -513,12 +561,8 @@ fn deliver(
         ep.note_shed();
         return;
     }
-    match (lanes, msg) {
-        (Some(lanes), Some(msg)) => lanes.apply(slot, ep, msg),
-        (None, Some(msg)) => {
-            ep.apply_view(msg);
-        }
-        (_, None) => {}
+    if let Some(msg) = msg {
+        lanes.apply(slot, ep, msg);
     }
 }
 
@@ -533,15 +577,24 @@ struct ShardHandle {
 pub struct IngestPipeline {
     shards: Vec<ShardHandle>,
     batches: Vec<FrameBatch>,
-    pool: BufferPool,
+    /// Buffers not in a batch or in flight, each cleared and reserved to
+    /// `high_water`. The whole population is made up front
+    /// ([`IngestPipeline::buffer_cap`], topped up by a grow), so a tick
+    /// never mints one: past the free ones, the router waits for a worker
+    /// to hand one back. That bounds pipeline memory, and lets every buffer
+    /// reach the workload's high-water capacity during warm-up — the
+    /// property that makes steady-state ticks allocation-free.
+    free: Vec<BytesMut>,
+    /// Buffers the workers hand back after their apply walk. Bounded by
+    /// every buffer the pipeline can hold, so a hand-back never blocks
+    /// (while the router waits on that worker's queue) and the queue never
+    /// grows; re-made at each [`IngestPipeline::reassign`], which respawns
+    /// the workers anyway.
     recycle_rx: Receiver<BytesMut>,
-    /// Kept so [`IngestPipeline::reassign`] can hand fresh worker
-    /// generations the same recycle channel the buffer pool drains.
+    /// Cloned into every worker of the live generation.
     recycle_tx: Sender<BytesMut>,
     /// The live stream→shard route, shared by the router and worker spawn.
     assignment: ShardAssignment,
-    /// Whether shards run the fleet-batch engine (preserved across resizes).
-    batched: bool,
     /// Feedback channel handed to every worker generation, when enabled.
     feedback: Option<Sender<(u32, Bytes)>>,
     /// Reports from worker generations retired by earlier resizes; folded
@@ -554,28 +607,20 @@ pub struct IngestPipeline {
     /// deterministic load signal, counted where every frame is routed
     /// anyway.
     offered: Vec<u64>,
-    /// Buffers minted so far. Capped at [`IngestPipeline::buffer_cap`]: once
-    /// the population covers every queue slot plus in-progress batches, the
-    /// router *waits* for a recycled buffer instead of minting a fresh
-    /// (zero-capacity) one. That both bounds pipeline memory and lets every
-    /// buffer in rotation reach the workload's high-water capacity — the
-    /// property that makes steady-state ticks allocation-free.
-    outstanding: usize,
-    /// Largest batch (wire bytes) sent to any shard so far. Every buffer
-    /// handed out is reserved to this size, so after a new high-water tick
-    /// the whole population converges within one rotation instead of
-    /// stragglers paying growth reallocs arbitrarily late.
+    /// Largest batch (wire bytes) sent to any shard so far. Every buffer is
+    /// reserved to this size when it comes back and — free ones — when the
+    /// mark rises, so none grows later on the hot path.
     high_water: usize,
 }
 
 impl IngestPipeline {
-    /// Spawns `shards` plain workers and distributes `endpoints` among them
-    /// by `stream_id % shards`, without a feedback channel.
+    /// Spawns `shards` workers and distributes `endpoints` among them by
+    /// `stream_id % shards`, without a feedback channel.
     ///
     /// # Panics
     /// Panics when `shards` is 0.
     pub fn start(shards: usize, endpoints: Vec<(u32, ServerEndpoint)>) -> Self {
-        IngestPipeline::start_with(ShardAssignment::modulo(shards), endpoints, false, None)
+        IngestPipeline::start_with(ShardAssignment::modulo(shards), endpoints, None)
     }
 
     /// The fully specified constructor.
@@ -584,10 +629,6 @@ impl IngestPipeline {
     ///   restarted process re-enters the shape an elastic run resized into:
     ///   recovery hands it the assignment the crashed run last held, and
     ///   routing resumes byte-for-byte.
-    /// * `batched` — each shard steps every endpoint through the fleet-batch
-    ///   lanes (see [`crate::BatchedIngest`]): bit-identical output, one
-    ///   structure-of-arrays predict per model-and-form group per tick
-    ///   instead of one filter call per stream.
     /// * `feedback` — when set, each shard polls its endpoints' feedback
     ///   (acks, bound directives) after every tick's advance and sends
     ///   `(stream_id, payload)` pairs into it — the hook a network server
@@ -602,58 +643,65 @@ impl IngestPipeline {
     pub fn start_with(
         assignment: ShardAssignment,
         endpoints: Vec<(u32, ServerEndpoint)>,
-        batched: bool,
         feedback: Option<Sender<(u32, Bytes)>>,
     ) -> Self {
-        let (recycle_tx, recycle_rx) = unbounded();
-        let shards = spawn_workers(assignment, endpoints, batched, &feedback, &recycle_tx);
+        let population = IngestPipeline::buffer_cap(assignment.shards);
+        let (recycle_tx, recycle_rx) = bounded(population);
+        let shards = spawn_workers(assignment, endpoints, &feedback, &recycle_tx);
         IngestPipeline {
             shards,
             batches: (0..assignment.shards).map(|_| FrameBatch::new()).collect(),
-            pool: BufferPool::new(),
+            free: (assignment.shards..population)
+                .map(|_| BytesMut::new())
+                .collect(),
             recycle_rx,
             recycle_tx,
             assignment,
-            batched,
             feedback,
             retired: Vec::new(),
             router: FrameDecoder::new(),
             offered: vec![0; assignment.shards],
-            outstanding: 0,
             high_water: 0,
         }
     }
 
-    /// Maximum buffers in circulation. Deliberately small — a few ticks of
-    /// run-ahead per shard: a small population circulates every buffer
-    /// constantly, so all of them reach the workload's high-water capacity
-    /// almost immediately and stay there (a large population leaves
-    /// undersized stragglers parked in queues that surface — and pay a
-    /// growth realloc — arbitrarily late).
-    fn buffer_cap(&self) -> usize {
-        self.shards.len() * 4
+    /// Buffers in circulation over `shards` shards: each shard's batch
+    /// being filled plus four in flight. Deliberately small — a few ticks
+    /// of run-ahead per shard.
+    fn buffer_cap(shards: usize) -> usize {
+        shards * 5
     }
 
-    /// A cleared buffer for the next batch: pooled if available, freshly
-    /// minted while under the population cap, otherwise recycled — blocking
-    /// until a worker hands one back (bounded, since a worker recycles each
-    /// tick buffer as soon as its apply walk is done).
-    fn next_buffer(&mut self) -> BytesMut {
+    /// Moves every buffer the workers have handed back to the free list,
+    /// cleared and reserved to the high-water mark.
+    fn reclaim(&mut self) {
         while let Ok(buf) = self.recycle_rx.try_recv() {
-            self.pool.put(buf);
+            let buf = self.ready(buf);
+            self.free.push(buf);
         }
-        let mut buf = if !self.pool.is_empty() {
-            self.pool.get()
-        } else if self.outstanding < self.buffer_cap() {
-            self.outstanding += 1;
-            BytesMut::new()
-        } else {
-            let mut buf = self.recycle_rx.recv().expect("ingest shard worker died");
-            buf.clear();
-            buf
-        };
+    }
+
+    /// A handed-back buffer made ready for reuse: cleared and reserved to
+    /// the high-water mark. The one place a returned buffer is reserved.
+    fn ready(&self, mut buf: BytesMut) -> BytesMut {
+        buf.clear();
         buf.reserve(self.high_water);
         buf
+    }
+
+    /// A cleared buffer for the next batch: a free one if there is one,
+    /// otherwise recycled — blocking until a worker hands one back
+    /// (bounded, since a worker recycles each tick buffer as soon as its
+    /// apply walk is done).
+    fn next_buffer(&mut self) -> BytesMut {
+        self.reclaim();
+        match self.free.pop() {
+            Some(buf) => buf,
+            None => {
+                let buf = self.recycle_rx.recv().expect("ingest shard worker died");
+                self.ready(buf)
+            }
+        }
     }
 
     /// Number of shards.
@@ -708,23 +756,26 @@ impl IngestPipeline {
         let start = std::time::Instant::now();
         let mut endpoints = Vec::new();
         self.join_workers(&mut endpoints);
-        self.shards = spawn_workers(
-            to,
-            endpoints,
-            self.batched,
-            &self.feedback,
-            &self.recycle_tx,
-        );
-        self.assignment = to;
-        self.offered = vec![0; to.shards];
-        // Match the router-side batch set to the new shard count. Shrinks
-        // park the spare buffers in the pool (they keep their high-water
-        // capacity); grows start empty like at pipeline start.
+        // Every worker is gone and every buffer back. Match the router-side
+        // batch set to the new shard count (a shrink frees the spare
+        // buffers, a grow's new batches start empty), top the free list up
+        // to the new population, reserved to the high-water mark, and
+        // size a new recycle channel for it.
+        self.reclaim();
         while self.batches.len() > to.shards {
             let batch = self.batches.pop().expect("length checked above");
-            self.pool.put(batch.into_buffer());
+            self.free.push(batch.into_buffer());
         }
         self.batches.resize_with(to.shards, FrameBatch::new);
+        let population = (self.free.len() + to.shards).max(IngestPipeline::buffer_cap(to.shards));
+        let high_water = self.high_water;
+        self.free.resize_with(population - to.shards, || {
+            BytesMut::with_capacity(high_water)
+        });
+        (self.recycle_tx, self.recycle_rx) = bounded(population);
+        self.shards = spawn_workers(to, endpoints, &self.feedback, &self.recycle_tx);
+        self.assignment = to;
+        self.offered = vec![0; to.shards];
         ResizeTransition {
             from,
             to,
@@ -762,7 +813,12 @@ impl IngestPipeline {
         for shard in 0..shards {
             let fresh = FrameBatch::from_buffer(self.next_buffer());
             let batch = std::mem::replace(&mut self.batches[shard], fresh);
-            self.high_water = self.high_water.max(batch.wire_len());
+            if batch.wire_len() > self.high_water {
+                self.high_water = batch.wire_len();
+                for buf in self.free.iter_mut() {
+                    buf.reserve(self.high_water);
+                }
+            }
             self.shards[shard]
                 .tx
                 .send(ShardJob::Tick(batch.into_buffer()))
@@ -771,7 +827,8 @@ impl IngestPipeline {
     }
 
     /// Barrier: blocks until every shard has applied all previously
-    /// ingested ticks.
+    /// ingested ticks. Every tick buffer is back by then, and is freed
+    /// here rather than on the next tick.
     pub fn flush(&mut self) {
         for shard in &self.shards {
             shard
@@ -782,6 +839,7 @@ impl IngestPipeline {
         for shard in &self.shards {
             shard.ack_rx.recv().expect("ingest shard worker died");
         }
+        self.reclaim();
     }
 
     /// Captures every endpoint's [`EndpointState`] at the current tick
@@ -839,7 +897,6 @@ impl IngestPipeline {
 fn spawn_workers(
     assignment: ShardAssignment,
     endpoints: Vec<(u32, ServerEndpoint)>,
-    batched: bool,
     feedback: &Option<Sender<(u32, Bytes)>>,
     recycle_tx: &Sender<BytesMut>,
 ) -> Vec<ShardHandle> {
@@ -852,7 +909,7 @@ fn spawn_workers(
         .into_iter()
         .enumerate()
         .map(|(i, group)| {
-            let shard = Shard::new(i, group, batched, feedback.clone());
+            let shard = Shard::new(i, group, feedback.clone());
             let (tx, rx) = bounded(QUEUE_DEPTH);
             let (ack_tx, ack_rx) = bounded(1);
             let recycle = recycle_tx.clone();
@@ -904,16 +961,16 @@ fn shard_worker(
     shard.finish(cpu_secs)
 }
 
-/// The single-threaded reference: one plain inline `Shard` — no threads,
-/// no routing, no queues — stepping on the caller's thread. The sharded
+/// The single-threaded ingester: one inline `Shard` — no threads, no
+/// routing, no queues — stepping on the caller's thread. The sharded
 /// pipeline must match this bit for bit; `bench_ingest` exits non-zero if
 /// it ever doesn't.
 pub struct SequentialIngest(Shard);
 
 impl SequentialIngest {
-    /// Builds the reference ingester over `endpoints`.
+    /// Builds the ingester over `endpoints`, every one on a lane.
     pub fn new(endpoints: Vec<(u32, ServerEndpoint)>) -> Self {
-        SequentialIngest(Shard::new(0, endpoints, false, None))
+        SequentialIngest(Shard::new(0, endpoints, None))
     }
 
     /// Drains one tick's batch and advances every endpoint, synchronously.
@@ -935,7 +992,7 @@ impl SequentialIngest {
 }
 
 /// Anything that can drain one tick's framed batch — implemented by the
-/// sharded pipeline and both inline ingesters so callers (the sim bridge,
+/// sharded pipeline and the inline ingester so callers (the sim bridge,
 /// WAL replay, `bench_ingest`) can swap them behind one shape.
 pub trait TickIngest {
     /// Drains one tick's batch and advances every endpoint one tick.
@@ -1022,10 +1079,10 @@ impl<I: TickIngest> kalstream_sim::IngestSink for FramingSink<I> {
 }
 
 #[cfg(test)]
-impl Shard {
-    /// The batch lanes of a batched shard, for the batch engine's tests.
-    pub(crate) fn lanes(&self) -> Option<&BatchLanes> {
-        self.lanes.as_ref()
+impl SequentialIngest {
+    /// The shard's lanes, for the batch engine's tests.
+    pub(crate) fn lanes(&self) -> &BatchLanes {
+        &self.0.lanes
     }
 }
 
@@ -1033,9 +1090,10 @@ impl Shard {
 mod tests {
     use super::*;
     use crate::frame::FrameBatch;
-    use crate::test_support::{filter_bits, record_log};
+    use crate::test_support::{assert_same_endpoints, filter_bits, oracle, record_log};
     use crate::wire::SyncMessage;
     use crate::{ProtocolConfig, SessionSpec, StreamSession};
+    use crossbeam::channel::unbounded;
     use kalstream_sim::Producer;
 
     #[test]
@@ -1049,48 +1107,49 @@ mod tests {
         tx.send(ShardJob::Tick(BytesMut::new())).unwrap();
         tx.send(ShardJob::Tick(BytesMut::new())).unwrap();
         drop(tx);
-        let shard = Shard::new(0, Vec::new(), false, None);
+        let shard = Shard::new(0, Vec::new(), None);
         let report = &shard_worker(shard, rx, ack_tx, recycle_tx).shards[0];
         assert_eq!(report.recycle_drops, 2);
         assert_eq!(report.ticks, 2);
         assert_eq!(report.tick_ns.count(), 2, "every tick span recorded");
     }
 
-    #[test]
-    fn sharded_matches_sequential_bit_for_bit() {
-        let (servers, log) = record_log(0, 12, 60);
+    /// Runs `log` through a `SequentialIngest` and through a pipeline at
+    /// each of `shard_counts`, and holds every result to the oracle.
+    fn assert_engines_match_the_oracle(
+        servers: Vec<(u32, ServerEndpoint)>,
+        log: &[Vec<u8>],
+        shard_counts: &[usize],
+    ) {
+        let want = oracle(servers.clone(), log);
         let mut seq = SequentialIngest::new(servers.clone());
-        for tick in &log {
+        for tick in log {
             seq.ingest_tick(tick);
         }
         let seq_result = seq.finish();
         assert!(seq_result.total_messages() > 0, "log recorded no syncs");
-
-        for shards in [1, 2, 3, 5, 8] {
+        assert_same_endpoints(&seq_result.endpoints, &want, "sequential");
+        for &shards in shard_counts {
             let mut pipe = IngestPipeline::start(shards, servers.clone());
-            for tick in &log {
+            for tick in log {
                 pipe.ingest_tick(tick);
             }
             let result = pipe.finish();
             assert_eq!(result.total_messages(), seq_result.total_messages());
-            assert_eq!(result.endpoints.len(), seq_result.endpoints.len());
-            for ((id_a, a), (id_b, b)) in result.endpoints.iter().zip(seq_result.endpoints.iter()) {
-                assert_eq!(id_a, id_b);
-                assert_eq!(
-                    filter_bits(a),
-                    filter_bits(b),
-                    "stream {id_a} diverged at {shards} shards"
-                );
-                assert_eq!(a.syncs_applied(), b.syncs_applied());
-            }
+            assert_same_endpoints(&result.endpoints, &want, &format!("{shards} shards"));
         }
     }
 
     #[test]
-    fn batched_pipeline_matches_sequential_bit_for_bit() {
-        // 2-state constant-velocity sessions on lanes: the batched
-        // pipeline must reproduce the sequential reference exactly at every
-        // shard count, like the plain pipeline does.
+    fn sharded_matches_sequential_bit_for_bit() {
+        let (servers, log) = record_log(0, 12, 60);
+        assert_engines_match_the_oracle(servers, &log, &[1, 2, 3, 5, 8]);
+    }
+
+    #[test]
+    fn constant_velocity_pipeline_matches_the_oracle_bit_for_bit() {
+        // 2-state constant-velocity sessions on lanes: the pipeline must
+        // reproduce the oracle exactly at every shard count.
         use kalstream_filter::models;
         use kalstream_linalg::Vector;
         let mut sources = Vec::new();
@@ -1119,35 +1178,40 @@ mod tests {
             }
             log.push(batch.as_bytes().to_vec());
         }
-        let mut seq = SequentialIngest::new(servers.clone());
-        for tick in &log {
-            seq.ingest_tick(tick);
-        }
-        let seq_result = seq.finish();
-        assert!(seq_result.total_messages() > 0);
+        assert_engines_match_the_oracle(servers, &log, &[1, 2, 3, 5]);
+    }
 
-        for shards in [1, 2, 3, 5] {
-            let mut pipe = IngestPipeline::start_with(
-                ShardAssignment::modulo(shards),
-                servers.clone(),
-                true,
-                None,
-            );
-            for tick in &log {
-                pipe.ingest_tick(tick);
+    #[test]
+    fn every_buffer_comes_back_reserved_and_nothing_grows() {
+        // Each phase's last tick raises the high-water mark while buffers
+        // sit free and others are in flight, with a grow and a shrink in
+        // between. After each flush every buffer is back — free or a router
+        // batch — each free one reserved to the mark, and the free list
+        // still has the room it had.
+        let (servers, _) = record_log(0, 8, 0);
+        let mut pipe = IngestPipeline::start(2, servers);
+        for (phase, shards) in [2, 4, 1].into_iter().enumerate() {
+            pipe.reassign(ShardAssignment::modulo(shards));
+            let reserved = pipe.free.capacity();
+            for n in 1..=20 {
+                let frames = if n < 20 { n } else { 60 + 20 * phase };
+                let mut batch = FrameBatch::new();
+                for i in 0..frames {
+                    batch.push(
+                        i as u32 % 8,
+                        &SyncMessage::Measurement {
+                            z: kalstream_linalg::Vector::from_slice(&[i as f64]),
+                        },
+                    );
+                }
+                pipe.ingest_tick(batch.as_bytes());
             }
-            let result = pipe.finish();
-            assert_eq!(result.total_messages(), seq_result.total_messages());
-            for ((id_a, a), (id_b, b)) in result.endpoints.iter().zip(seq_result.endpoints.iter()) {
-                assert_eq!(id_a, id_b);
-                assert_eq!(
-                    filter_bits(a),
-                    filter_bits(b),
-                    "stream {id_a} diverged at {shards} batched shards"
-                );
-                assert_eq!(a.syncs_applied(), b.syncs_applied());
-            }
+            pipe.flush();
+            assert_eq!(pipe.free.capacity(), reserved, "{shards} shards");
+            assert_eq!(pipe.free.len() + shards, [10, 20, 20][phase]);
+            assert!(pipe.free.iter().all(|b| b.capacity() >= pipe.high_water));
         }
+        pipe.finish();
     }
 
     #[test]
@@ -1176,56 +1240,43 @@ mod tests {
     #[test]
     fn resizes_at_tick_barriers_are_bit_identical_to_unresized() {
         let (servers, log) = record_log(0, 12, 60);
-        let mut seq = SequentialIngest::new(servers.clone());
+        let want = oracle(servers.clone(), &log);
+        let servers_again = servers.clone();
+        // Grow, rebalance (same count, new salt), shrink, and shrink to
+        // one — mid-run, at tick barriers. None of it may be visible in
+        // the final filter state.
+        let schedule = [
+            (15usize, ShardAssignment::modulo(4)),
+            (30, ShardAssignment::salted(4, 3)),
+            (40, ShardAssignment::salted(2, 3)),
+            (50, ShardAssignment::modulo(1)),
+        ];
+        let mut pipe = IngestPipeline::start(1, servers);
+        for (t, tick) in log.iter().enumerate() {
+            if let Some((_, to)) = schedule.iter().find(|(at, _)| *at == t) {
+                let transition = pipe.reassign(*to);
+                assert_eq!(transition.to, *to);
+                assert_eq!(pipe.assignment(), *to);
+                assert_eq!(pipe.shards(), to.shards);
+            }
+            pipe.ingest_tick(tick);
+        }
+        let result = pipe.finish();
+        // One report per worker lifetime: 1 + 4 + 4 + 2 + 1.
+        assert_eq!(result.shards.len(), 12);
+        // Every frame is counted by exactly one shard across the resizes.
+        let mut seq = SequentialIngest::new(servers_again);
         for tick in &log {
             seq.ingest_tick(tick);
         }
-        let seq_result = seq.finish();
-        assert!(seq_result.total_messages() > 0);
-
-        for batched in [false, true] {
-            // Grow, rebalance (same count, new salt), shrink, and shrink to
-            // one — mid-run, at tick barriers. None of it may be visible in
-            // the final filter state.
-            let schedule = [
-                (15usize, ShardAssignment::modulo(4)),
-                (30, ShardAssignment::salted(4, 3)),
-                (40, ShardAssignment::salted(2, 3)),
-                (50, ShardAssignment::modulo(1)),
-            ];
-            let mut pipe = IngestPipeline::start_with(
-                ShardAssignment::modulo(1),
-                servers.clone(),
-                batched,
-                None,
-            );
-            for (t, tick) in log.iter().enumerate() {
-                if let Some((_, to)) = schedule.iter().find(|(at, _)| *at == t) {
-                    let transition = pipe.reassign(*to);
-                    assert_eq!(transition.to, *to);
-                    assert_eq!(pipe.assignment(), *to);
-                    assert_eq!(pipe.shards(), to.shards);
-                }
-                pipe.ingest_tick(tick);
-            }
-            let result = pipe.finish();
-            // One report per worker lifetime: 1 + 4 + 4 + 2 + 1.
-            assert_eq!(result.shards.len(), 12);
-            assert_eq!(result.total_messages(), seq_result.total_messages());
-            let ticks: u64 = result.shards.iter().map(|s| s.ticks).sum();
-            // Phase ticks × worker count per phase: 15·1 + 15·4 + 10·4 + 10·2 + 10·1.
-            let expected_ticks: u64 = 15 + 15 * 4 + 10 * 4 + 10 * 2 + 10;
-            assert_eq!(ticks, expected_ticks);
-            for ((id_a, a), (id_b, b)) in result.endpoints.iter().zip(seq_result.endpoints.iter()) {
-                assert_eq!(id_a, id_b);
-                assert_eq!(
-                    filter_bits(a),
-                    filter_bits(b),
-                    "stream {id_a} diverged across resizes (batched={batched})"
-                );
-                assert_eq!(a.syncs_applied(), b.syncs_applied());
-            }
-        }
+        let seq_messages = seq.finish().total_messages();
+        assert!(seq_messages > 0, "log recorded no syncs");
+        assert_eq!(result.total_messages(), seq_messages);
+        let ticks: u64 = result.shards.iter().map(|s| s.ticks).sum();
+        // Phase ticks × worker count per phase: 15·1 + 15·4 + 10·4 + 10·2 + 10·1.
+        let expected_ticks: u64 = 15 + 15 * 4 + 10 * 4 + 10 * 2 + 10;
+        assert_eq!(ticks, expected_ticks);
+        assert_same_endpoints(&result.endpoints, &want, "across resizes");
     }
 
     #[test]
@@ -1380,7 +1431,6 @@ mod tests {
             .encode()
         };
         let (servers, _) = record_log(0, 6, 0);
-        let mut seq = SequentialIngest::new(servers.clone());
         let mut log = Vec::new();
         for t in 0..4u64 {
             let mut batch = FrameBatch::new();
@@ -1391,45 +1441,55 @@ mod tests {
             }
             log.push(batch.as_bytes().to_vec());
         }
-        for tick in &log {
-            seq.ingest_tick(tick);
-        }
-        let seq_result = seq.finish();
+        let want = oracle(servers.clone(), &log);
 
-        for batched in [false, true] {
-            let (fb_tx, fb_rx) = unbounded();
-            let mut pipe = IngestPipeline::start_with(
-                ShardAssignment::modulo(3),
-                servers.clone(),
-                batched,
-                Some(fb_tx),
-            );
-            for tick in &log {
-                pipe.ingest_tick(tick);
-            }
-            pipe.flush();
-            // Every sequenced arrival re-arms exactly one ack, polled the
-            // tick it arrived; flush guarantees they are all in the channel.
-            let mut acks: Vec<(u32, u64)> = Vec::new();
-            while let Ok((id, payload)) = fb_rx.try_recv() {
-                match WireMessage::decode(&payload).unwrap() {
-                    WireMessage::Ack { seq } => acks.push((id, seq)),
-                    other => panic!("unexpected feedback {other:?}"),
-                }
-            }
-            let expected: u64 = 3 * 4; // 3 streams sync per tick, 4 ticks
-            assert_eq!(acks.len() as u64, expected);
-            let result = pipe.finish();
-            let out: u64 = result.shards.iter().map(|s| s.feedback_out).sum();
-            let drops: u64 = result.shards.iter().map(|s| s.feedback_drops).sum();
-            assert_eq!(out, expected);
-            assert_eq!(drops, 0);
-            // Feedback polling must not perturb filter arithmetic.
-            for ((id_a, a), (id_b, b)) in result.endpoints.iter().zip(seq_result.endpoints.iter()) {
-                assert_eq!(id_a, id_b);
-                assert_eq!(filter_bits(a), filter_bits(b));
+        let (fb_tx, fb_rx) = unbounded();
+        let mut pipe = IngestPipeline::start_with(ShardAssignment::modulo(3), servers, Some(fb_tx));
+        for tick in &log {
+            pipe.ingest_tick(tick);
+        }
+        pipe.flush();
+        // Every sequenced arrival re-arms exactly one ack, polled the
+        // tick it arrived; flush guarantees they are all in the channel.
+        let mut acks: Vec<(u32, u64)> = Vec::new();
+        while let Ok((id, payload)) = fb_rx.try_recv() {
+            match WireMessage::decode(&payload).unwrap() {
+                WireMessage::Ack { seq } => acks.push((id, seq)),
+                other => panic!("unexpected feedback {other:?}"),
             }
         }
+        let expected: u64 = 3 * 4; // 3 streams sync per tick, 4 ticks
+        assert_eq!(acks.len() as u64, expected);
+        let result = pipe.finish();
+        let out: u64 = result.shards.iter().map(|s| s.feedback_out).sum();
+        let drops: u64 = result.shards.iter().map(|s| s.feedback_drops).sum();
+        assert_eq!(out, expected);
+        assert_eq!(drops, 0);
+        // Feedback polling must not perturb filter arithmetic.
+        assert_same_endpoints(&result.endpoints, &want, "with feedback");
+    }
+
+    #[test]
+    fn feedback_armed_before_the_hand_over_is_polled_on_the_first_tick() {
+        // Stream 1 reaches the pipeline with a bound directive armed and no
+        // traffic: the first tick polls every endpoint, so the bound goes
+        // out then, once; later ticks poll only the streams they touched.
+        use crate::wire::WireMessage;
+        let (mut servers, _) = record_log(0, 3, 0);
+        servers[1].1.push_bound_directive(0.5);
+        let (fb_tx, fb_rx) = unbounded();
+        let mut pipe = IngestPipeline::start_with(ShardAssignment::modulo(2), servers, Some(fb_tx));
+        let quiet = FrameBatch::new();
+        for _ in 0..3 {
+            pipe.ingest_tick(quiet.as_bytes());
+        }
+        pipe.flush();
+        let mut feedback = Vec::new();
+        while let Ok((id, payload)) = fb_rx.try_recv() {
+            feedback.push((id, WireMessage::decode(&payload).unwrap()));
+        }
+        assert_eq!(feedback, vec![(1, WireMessage::Bound { delta: 0.5 })]);
+        assert_eq!(pipe.finish().endpoints[1].1.bounds_sent(), 1);
     }
 
     #[test]
@@ -1437,8 +1497,7 @@ mod tests {
         use crate::wire::WireMessage;
         let (servers, _) = record_log(0, 2, 0);
         let (fb_tx, fb_rx) = unbounded();
-        let mut pipe =
-            IngestPipeline::start_with(ShardAssignment::modulo(2), servers, false, Some(fb_tx));
+        let mut pipe = IngestPipeline::start_with(ShardAssignment::modulo(2), servers, Some(fb_tx));
         drop(fb_rx); // consumer gone mid-drain: sheds must still be counted
         let mut batch = FrameBatch::new();
         batch.push_raw(
@@ -1527,11 +1586,11 @@ mod tests {
         );
     }
 
-    /// Runs `log` through every shard engine — sequential, batched, a
-    /// 2-shard pipeline — and through each endpoint's own queue
-    /// (`enqueue_view` per frame, then `advance`), and asserts all four end
-    /// identical: filter bits, applied syncs, delivery counters and decode
-    /// failures. Returns the queue-fed endpoints.
+    /// Runs `log` through both shard engines — sequential and a 2-shard
+    /// pipeline — and through each endpoint's own queue (`enqueue_view` per
+    /// frame, then `advance`), and asserts all three end identical: filter
+    /// bits, applied syncs, delivery counters and decode failures. Returns
+    /// the queue-fed endpoints.
     fn assert_shards_match_the_queue(
         servers: Vec<(u32, ServerEndpoint)>,
         log: &[Vec<u8>],
@@ -1543,11 +1602,9 @@ mod tests {
             queued.iter_mut().for_each(|(_, ep)| ep.advance());
         }
         let mut sequential = SequentialIngest::new(servers.clone());
-        let mut batched = crate::BatchedIngest::new(servers.clone());
         let mut pipeline = IngestPipeline::start(2, servers);
         for tick in log {
             sequential.ingest_tick(tick);
-            batched.ingest_tick(tick);
             pipeline.ingest_tick(tick);
         }
         let delivery = |ep: &ServerEndpoint| {
@@ -1556,7 +1613,6 @@ mod tests {
         };
         for (engine, result) in [
             ("sequential", sequential.finish()),
-            ("batched", batched.finish()),
             ("pipeline", pipeline.finish()),
         ] {
             assert_eq!(result.total_decode_failures(), 0, "{engine}");

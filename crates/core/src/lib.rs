@@ -25,10 +25,11 @@
 //! * [`ingest`] — the one ingest tick loop, run inline
 //!   ([`SequentialIngest`]) or on per-shard worker threads each owning its
 //!   endpoints ([`IngestPipeline`]), bit-identical for any shard count.
-//! * [`BatchedIngest`] — the fleet-batch dispatch layer: every stream on
-//!   a structure-of-arrays lane (`kalstream_filter::FleetBatch`), grouped
-//!   by model and covariance form, bit-identical to the plain path and
-//!   selectable per pipeline via [`IngestPipeline::start_with`].
+//!   Every shard steps its streams as structure-of-arrays lanes
+//!   (`kalstream_filter::FleetBatch`), grouped by `F`, `H` and covariance
+//!   form with `Q`/`R` per lane, bit-identical to stepping each endpoint's
+//!   own filter. ([`BatchedIngest`] is the name that engine had while it
+//!   was optional: an alias of [`SequentialIngest`].)
 //! * [`SourceEndpoint`] / [`ServerEndpoint`] — the two ends of the protocol,
 //!   implementing the simulator's `Producer`/`Consumer` traits.
 //! * [`StreamSession`] — constructs a matched endpoint pair from a
@@ -77,7 +78,7 @@ pub use controller::FleetController;
 pub use error::CoreError;
 pub use estimator::Estimator;
 pub use frame::{
-    BufferPool, Frame, FrameBatch, FrameDecoder, OversizedFrame, StreamDecoder, FRAME_HEADER_BYTES,
+    Frame, FrameBatch, FrameDecoder, OversizedFrame, StreamDecoder, FRAME_HEADER_BYTES,
     MAX_FRAME_BYTES,
 };
 pub use ingest::{

@@ -270,6 +270,12 @@ impl ServerEndpoint {
         }
     }
 
+    /// Whether an ack or a bound directive waits for the next feedback
+    /// poll.
+    pub(crate) fn feedback_due(&self) -> bool {
+        self.ack_due || self.bound_due.is_some()
+    }
+
     /// Bound directives actually sent over the feedback link.
     pub fn bounds_sent(&self) -> u64 {
         self.bounds_sent.get()

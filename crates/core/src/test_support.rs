@@ -4,7 +4,7 @@ use kalstream_filter::models;
 use kalstream_linalg::Vector;
 use kalstream_sim::Producer;
 
-use crate::frame::FrameBatch;
+use crate::frame::{FrameBatch, FrameDecoder};
 use crate::{ProtocolConfig, ServerEndpoint, SessionSpec, StreamSession};
 
 /// `n_cv` constant-velocity sessions (2-state) followed by `n_scalar`
@@ -70,4 +70,56 @@ pub(crate) fn filter_bits(ep: &ServerEndpoint) -> Vec<u64> {
         .map(|v| v.to_bits())
         .chain(f.covariance().as_slice().iter().map(|v| v.to_bits()))
         .collect()
+}
+
+/// The oracle every ingest engine is held to: each endpoint on its own
+/// filter. Per tick, `ServerEndpoint::predict` on every endpoint, then each
+/// frame admitted (`admit_view`) and applied (`apply_view`) where it lies.
+/// No lanes, no queue and no shedding: a tick here carries fewer than
+/// `PENDING_CAP` syncs per stream (the shed cases use the endpoint's own
+/// queue as their oracle). Endpoints come back sorted by id.
+pub(crate) fn oracle(
+    mut endpoints: Vec<(u32, ServerEndpoint)>,
+    log: &[Vec<u8>],
+) -> Vec<(u32, ServerEndpoint)> {
+    endpoints.sort_by_key(|(id, _)| *id);
+    let mut decoder = FrameDecoder::new();
+    for tick in log {
+        endpoints.iter_mut().for_each(|(_, ep)| ep.predict());
+        decoder.for_each_wire_message(tick, |id, msg| {
+            if let Ok(i) = endpoints.binary_search_by_key(&id, |(id, _)| *id) {
+                let ep = &mut endpoints[i].1;
+                if let Some(sync) = ep.admit_view(msg) {
+                    ep.apply_view(sync);
+                }
+            }
+        });
+    }
+    endpoints
+}
+
+/// Asserts two endpoint sets end identical: ids, filter bits, applied
+/// syncs, predict failures, staleness and delivery counters.
+pub(crate) fn assert_same_endpoints(
+    a: &[(u32, ServerEndpoint)],
+    b: &[(u32, ServerEndpoint)],
+    what: &str,
+) {
+    assert_eq!(a.len(), b.len(), "{what}: stream count");
+    for ((id_a, ea), (id_b, eb)) in a.iter().zip(b.iter()) {
+        assert_eq!(id_a, id_b, "{what}");
+        assert_eq!(filter_bits(ea), filter_bits(eb), "{what}: stream {id_a}");
+        assert_eq!(ea.syncs_applied(), eb.syncs_applied(), "{what}: {id_a}");
+        assert_eq!(
+            ea.predict_failures(),
+            eb.predict_failures(),
+            "{what}: {id_a}"
+        );
+        assert_eq!(
+            ea.filter().steps_since_update(),
+            eb.filter().steps_since_update(),
+            "{what}: {id_a}"
+        );
+        assert_eq!(ea.delivery(), eb.delivery(), "{what}: {id_a}");
+    }
 }

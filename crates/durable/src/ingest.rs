@@ -3,10 +3,10 @@
 //!
 //! The hook holds the store, never the ingester: the caller appends, applies
 //! the tick to whatever it ingests with, then reports the tick applied. The
-//! same three calls therefore drive the sequential reference and the
-//! sharded (plain or batched) pipeline identically — which is exactly what
+//! same three calls therefore drive the sequential ingester and the
+//! sharded pipeline identically — which is exactly what
 //! the crash-recovery proptests exploit: kill a durable *pipeline*,
-//! recover, and compare against an uncrashed *sequential* run bit for bit.
+//! recover, and compare against an uncrashed run bit for bit.
 
 use std::io;
 

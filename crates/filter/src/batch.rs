@@ -10,8 +10,18 @@
 //! lane values, so `W` neighbouring filters' copies of a slot are one
 //! contiguous load. A batch operation is then "for each chunk of `W`
 //! lanes: load the planes into [`Pack`]s, call the [`StaticKernel`], store"
-//! — the model matrices are shared by all lanes through the kernel, and
-//! every element-wise operation on a pack is one the compiler vectorizes.
+//! — `F` and `H` are shared by all lanes through the kernel, and every
+//! element-wise operation on a pack is one the compiler vectorizes.
+//!
+//! ## Noise per lane
+//!
+//! `Q` and `R` are planes like `P`: each lane carries its own, loaded per
+//! chunk and handed to the kernel's step ([`StaticKernel::predict_with`],
+//! [`StaticKernel::update_state`]). So filters whose models differ only in
+//! their noise — adaptive sources each ship their own estimate of it —
+//! share one batch. A lane pushed with [`FleetBatch::push`] runs the
+//! batch model's `Q`/`R`; [`FleetBatch::push_filter`] and
+//! [`FleetBatch::set_lane_filter`] take a filter's own.
 //!
 //! ## Lanes run the scalar kernel
 //!
@@ -52,7 +62,7 @@
 
 use kalstream_linalg::{CovarianceUpdate, Lane, Matrix, Pack, StaticKernel, Vector};
 
-use crate::{FilterError, Result, StateModel};
+use crate::{FilterError, KalmanFilter, Result, StateModel};
 
 /// Lanes per kernel call: a constant picked by measurement, not a
 /// parameter (EXPERIMENTS.md T5, PR 22 addendum). At 2 the per-chunk
@@ -82,6 +92,19 @@ fn load(plane: &[f64], at: usize) -> Pack<W> {
             tail
         }
     }
+}
+
+/// [`load`] for each plane of an `n × n` block stored row-major (`P`, `Q`,
+/// `R`), zero packs past it in a `K × K` array.
+#[inline(always)]
+fn load_square<const K: usize>(planes: &[Vec<f64>], n: usize, at: usize) -> [[Pack<W>; K]; K] {
+    let mut out = [[Pack([0.0; W]); K]; K];
+    for r in 0..n {
+        for c in 0..n {
+            out[r][c] = load(&planes[r * n + c], at);
+        }
+    }
+    out
 }
 
 /// [`load`] for each of the `M` planes of a plane-major measurement batch.
@@ -138,13 +161,13 @@ fn count_nonfinite<const N: usize>((x, p): &Chunk<N>, n: usize, lanes: usize) ->
     acc.0.iter().take(lanes).filter(|a| **a != 0.0).count()
 }
 
-/// A structure-of-arrays batch of same-model Kalman filters of one
+/// A structure-of-arrays batch of Kalman filters that share `F`, `H` and a
 /// covariance form.
 ///
-/// All lanes share one [`StateModel`] (and hence one [`StaticKernel`],
-/// zero-padded when the model has fewer than `N` states); per-lane state
-/// lives in columnar planes. See the module docs for the layout and why a
-/// lane is bit-identical to a scalar filter.
+/// All lanes share one [`StaticKernel`] (zero-padded when the model has
+/// fewer than `N` states); per-lane state, covariance and noise live in
+/// columnar planes. See the module docs for the layout and why a lane is
+/// bit-identical to a scalar filter.
 pub struct FleetBatch<const N: usize, const M: usize> {
     kernel: StaticKernel<N, M>,
     model: StateModel,
@@ -156,6 +179,10 @@ pub struct FleetBatch<const N: usize, const M: usize> {
     /// Covariance planes of the real `n × n` block: `p[r * n + c][s]` is
     /// lane `s`'s `P[r][c]`.
     p: Vec<Vec<f64>>,
+    /// Process-noise planes, laid out like `p`: lane `s`'s `Q`.
+    q: Vec<Vec<f64>>,
+    /// Measurement-noise planes: `r[i * M + j][s]` is lane `s`'s `R[i][j]`.
+    r: Vec<Vec<f64>>,
     /// Per-lane predict steps since the last measurement update.
     steps_since_update: Vec<u64>,
     /// [`FleetBatch::update_all`]'s posterior until every chunk has
@@ -190,14 +217,31 @@ impl<const N: usize, const M: usize> FleetBatch<N, M> {
             len: 0,
             x: planes(n),
             p: planes(n * n),
+            q: planes(n * n),
+            r: planes(M * M),
             steps_since_update: Vec::new(),
             posterior: (planes(n), planes(n * n)),
         })
     }
 
-    /// The shared model all lanes run.
+    /// The model the batch was built for: its `F` and `H` are every
+    /// lane's, its `Q` and `R` those of lanes added by [`FleetBatch::push`].
     pub fn model(&self) -> &StateModel {
         &self.model
+    }
+
+    /// Whether a filter running `model` in the covariance form `form` can
+    /// step on this batch's lanes: the same form, and `F` and `H` equal bit
+    /// for bit (`Q` and `R` are per lane).
+    pub fn runs(&self, model: &StateModel, form: CovarianceUpdate) -> bool {
+        let same = |a: &Matrix, b: &Matrix| {
+            a.shape() == b.shape()
+                && a.as_slice()
+                    .iter()
+                    .zip(b.as_slice())
+                    .all(|(a, b)| a.to_bits() == b.to_bits())
+        };
+        form == self.form && same(model.f(), self.model.f()) && same(model.h(), self.model.h())
     }
 
     /// The covariance formula every update runs.
@@ -224,16 +268,76 @@ impl<const N: usize, const M: usize> FleetBatch<N, M> {
     ///
     /// [`KalmanFilter::restore`]: crate::KalmanFilter::restore
     pub fn push(&mut self, x0: &Vector, p0: &Matrix, steps_since_update: u64) -> Result<usize> {
+        let (q, r) = (self.model.q().clone(), self.model.r().clone());
+        self.push_lane(x0, p0, steps_since_update, &q, &r)
+    }
+
+    /// Appends a lane seeded from `filter` — its state, covariance,
+    /// staleness and its model's `Q` and `R` — and returns its index. The
+    /// lane steps bit for bit as `filter` would when
+    /// [`FleetBatch::runs`] holds for the filter's model and form, which
+    /// the caller keys its batches by.
+    ///
+    /// # Errors
+    /// [`FilterError::BadModel`] on shape mismatch.
+    pub fn push_filter(&mut self, filter: &KalmanFilter) -> Result<usize> {
+        let model = filter.model();
+        self.push_lane(
+            filter.state(),
+            filter.covariance(),
+            filter.steps_since_update(),
+            model.q(),
+            model.r(),
+        )
+    }
+
+    fn push_lane(
+        &mut self,
+        x0: &Vector,
+        p0: &Matrix,
+        steps_since_update: u64,
+        q: &Matrix,
+        r: &Matrix,
+    ) -> Result<usize> {
         crate::kalman::check_state_shape(self.x.len(), x0, p0)?;
-        for (plane, v) in self.x.iter_mut().zip(x0.as_slice()) {
-            plane.push(*v);
-        }
-        for (plane, v) in self.p.iter_mut().zip(p0.as_slice()) {
-            plane.push(*v);
-        }
+        check_noise_shape::<M>(self.x.len(), q, r)?;
+        let push = |planes: &mut [Vec<f64>], values: &[f64]| {
+            for (plane, v) in planes.iter_mut().zip(values) {
+                plane.push(*v);
+            }
+        };
+        push(&mut self.x, x0.as_slice());
+        push(&mut self.p, p0.as_slice());
+        push(&mut self.q, q.as_slice());
+        push(&mut self.r, r.as_slice());
         self.steps_since_update.push(steps_since_update);
         self.len += 1;
         Ok(self.len - 1)
+    }
+
+    /// Rewrites lane `lane` from `filter` in place — state, covariance,
+    /// staleness, `Q` and `R` — as [`FleetBatch::push_filter`] would seed
+    /// it: a filter replaced by one that keeps `F`, `H` and the form stays
+    /// on its lane.
+    ///
+    /// # Errors
+    /// [`FilterError::BadModel`] on shape mismatch (the lane is untouched).
+    pub fn set_lane_filter(&mut self, lane: usize, filter: &KalmanFilter) -> Result<()> {
+        let model = filter.model();
+        let (x, p) = (filter.state(), filter.covariance());
+        crate::kalman::check_state_shape(self.x.len(), x, p)?;
+        check_noise_shape::<M>(self.x.len(), model.q(), model.r())?;
+        let set = |planes: &mut [Vec<f64>], values: &[f64]| {
+            for (plane, v) in planes.iter_mut().zip(values) {
+                plane[lane] = *v;
+            }
+        };
+        set(&mut self.x, x.as_slice());
+        set(&mut self.p, p.as_slice());
+        set(&mut self.q, model.q().as_slice());
+        set(&mut self.r, model.r().as_slice());
+        self.steps_since_update[lane] = filter.steps_since_update();
+        Ok(())
     }
 
     /// Lane `lane`'s state and covariance as the scalar kernel takes them,
@@ -249,6 +353,18 @@ impl<const N: usize, const M: usize> FleetBatch<N, M> {
             }
         }
         (x, p)
+    }
+
+    /// Lane `lane`'s measurement noise as the scalar kernel takes it.
+    #[inline(always)]
+    fn lane_r(&self, lane: usize) -> [[f64; M]; M] {
+        let mut r = [[0.0; M]; M];
+        for i in 0..M {
+            for j in 0..M {
+                r[i][j] = self.r[i * M + j][lane];
+            }
+        }
+        r
     }
 
     /// Writes the real block of kernel arrays to lane `lane`.
@@ -278,14 +394,7 @@ impl<const N: usize, const M: usize> FleetBatch<N, M> {
     /// the real block.
     #[inline(always)]
     fn chunk(&self, at: usize) -> Chunk<N> {
-        let n = self.x.len();
-        let mut p = [[Pack([0.0; W]); N]; N];
-        for r in 0..n {
-            for c in 0..n {
-                p[r][c] = load(&self.p[r * n + c], at);
-            }
-        }
-        (self.chunk_x(at), p)
+        (self.chunk_x(at), load_square(&self.p, self.x.len(), at))
     }
 
     /// Lane `lane`'s state, covariance and staleness, gathered back into
@@ -348,7 +457,8 @@ impl<const N: usize, const M: usize> FleetBatch<N, M> {
     /// the caller updates its lane bookkeeping accordingly. Used by the
     /// ingest lanes to move a stream to the group of its new model.
     pub fn swap_remove_lane(&mut self, lane: usize) -> Option<usize> {
-        for plane in self.x.iter_mut().chain(self.p.iter_mut()) {
+        let planes = [&mut self.x, &mut self.p, &mut self.q, &mut self.r];
+        for plane in planes.into_iter().flatten() {
             plane.swap_remove(lane);
         }
         self.steps_since_update.swap_remove(lane);
@@ -374,7 +484,8 @@ impl<const N: usize, const M: usize> FleetBatch<N, M> {
         let mut nonfinite = 0;
         for at in (0..self.len).step_by(W) {
             let mut chunk = self.chunk(at);
-            self.kernel.predict(&mut chunk.0, &mut chunk.1);
+            let q = load_square(&self.q, n, at);
+            self.kernel.predict_with(&mut chunk.0, &mut chunk.1, &q);
             nonfinite += count_nonfinite(&chunk, n, self.len - at);
             store_chunk(&mut self.x, &mut self.p, n, at, &chunk);
         }
@@ -418,8 +529,9 @@ impl<const N: usize, const M: usize> FleetBatch<N, M> {
         for at in (0..len).step_by(W) {
             let mut chunk = self.chunk(at);
             let zs = load_measurements(z, len, at);
+            let r = load_square(&self.r, M, at);
             self.kernel
-                .update_state(&mut chunk.0, &mut chunk.1, &zs, self.form)?;
+                .update_state(&mut chunk.0, &mut chunk.1, &zs, &r, self.form)?;
             nonfinite += count_nonfinite(&chunk, n, len - at);
             let (x_post, p_post) = &mut self.posterior;
             store_chunk(x_post, p_post, n, at, &chunk);
@@ -447,7 +559,8 @@ impl<const N: usize, const M: usize> FleetBatch<N, M> {
             actual: z.len(),
         })?;
         let (mut x, mut p) = self.lane(lane);
-        self.kernel.update_in_form(&mut x, &mut p, &zs, self.form)?;
+        self.kernel
+            .update_state(&mut x, &mut p, &zs, &self.lane_r(lane), self.form)?;
         self.set_lane(lane, &x, &p);
         self.steps_since_update[lane] = 0;
         if !self.x.iter().all(|plane| plane[lane].is_finite()) {
@@ -504,6 +617,20 @@ impl<const N: usize, const M: usize> FleetBatch<N, M> {
         }
         Ok(())
     }
+}
+
+/// The shape checks of a lane's noise: `Q` is `n × n`, `R` is `M × M`.
+fn check_noise_shape<const M: usize>(n: usize, q: &Matrix, r: &Matrix) -> Result<()> {
+    for (what, mat, dim) in [("lane Q", q, n), ("lane R", r, M)] {
+        if mat.shape() != (dim, dim) {
+            return Err(FilterError::BadModel {
+                what,
+                expected: (dim, dim),
+                actual: mat.shape(),
+            });
+        }
+    }
+    Ok(())
 }
 
 impl<const N: usize, const M: usize> std::fmt::Debug for FleetBatch<N, M> {
@@ -664,6 +791,73 @@ mod tests {
             .set_lane_packed(0, packed(&[0.0; 2]), packed(&[0.0; 4]))
             .is_err());
         assert_eq!(batch.lane_state(0).0, xs);
+    }
+
+    #[test]
+    fn lanes_with_their_own_noise_match_their_filters() {
+        // One constant-velocity batch (Joseph and Simple) whose lanes carry
+        // four different `Q`/`R` pairs, pushed from filters and, for lane 1,
+        // rewritten mid-run from a filter with yet another pair: every lane
+        // stays bit-identical to its lone filter through whole-fleet and
+        // per-lane updates.
+        let noise = [(0.05, 0.1), (0.2, 0.7), (0.011, 3.0), (1.5, 0.02)];
+        for form in [JOSEPH, CovarianceUpdate::Simple] {
+            let mut batch = FleetBatch::<2, 1>::new(&cv2(), form).unwrap();
+            let mut scalars: Vec<KalmanFilter> = noise
+                .iter()
+                .enumerate()
+                .map(|(lane, &(q, r))| {
+                    let model = models::constant_velocity(1.0, q, r);
+                    let x0 = Vector::from_slice(&[lane as f64, -0.3]);
+                    let mut kf = KalmanFilter::new(model, x0, 1.0 + lane as f64).unwrap();
+                    kf.set_covariance_update(form);
+                    assert!(batch.runs(kf.model(), form));
+                    assert_eq!(batch.push_filter(&kf).unwrap(), lane);
+                    kf
+                })
+                .collect();
+            let mut z = vec![0.0; noise.len()];
+            for t in 0..120 {
+                batch.predict_all();
+                for (lane, kf) in scalars.iter_mut().enumerate() {
+                    kf.predict().unwrap();
+                    z[lane] = z_at(lane, t);
+                }
+                if t % 3 == 0 {
+                    batch.update_all(&z).unwrap();
+                    for (lane, kf) in scalars.iter_mut().enumerate() {
+                        kf.update(&Vector::from_slice(&[z[lane]])).unwrap();
+                    }
+                } else {
+                    batch.update_lane(t % 4, &z[t % 4..=t % 4]).unwrap();
+                    scalars[t % 4]
+                        .update(&Vector::from_slice(&[z[t % 4]]))
+                        .unwrap();
+                }
+                if t == 50 {
+                    let model = models::constant_velocity(1.0, 0.6, 0.45);
+                    let mut kf =
+                        KalmanFilter::new(model, Vector::from_slice(&[0.2, 0.1]), 2.0).unwrap();
+                    kf.set_covariance_update(form);
+                    batch.set_lane_filter(1, &kf).unwrap();
+                    scalars[1] = kf;
+                }
+                for (lane, kf) in scalars.iter().enumerate() {
+                    let (x, p, steps) = batch.lane_state(lane);
+                    assert_eq!(bits(x.as_slice()), bits(kf.state().as_slice()), "{t}");
+                    assert_eq!(bits(p.as_slice()), bits(kf.covariance().as_slice()), "{t}");
+                    assert_eq!(steps, kf.steps_since_update());
+                }
+            }
+            // Other dynamics or another form do not run on these lanes.
+            let other = if form == JOSEPH {
+                CovarianceUpdate::Simple
+            } else {
+                JOSEPH
+            };
+            assert!(!batch.runs(&cv2(), other));
+            assert!(!batch.runs(&models::constant_velocity(2.0, 0.05, 0.1), form));
+        }
     }
 
     #[test]

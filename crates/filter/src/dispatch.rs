@@ -14,12 +14,10 @@
 //! table, else the zero-padded one, the route a lone filter's
 //! `predict`/`update` takes. The same table (`for_each_shape!`) drives
 //! both, so "which shapes are static" has one answer in the workspace.
-//!
-//! [`KalmanFilter`]: crate::KalmanFilter
 
 use kalstream_linalg::{Matrix, Vector};
 
-use crate::{CovarianceUpdate, FleetBatch, Result, StateModel};
+use crate::{CovarianceUpdate, FleetBatch, KalmanFilter, Result, StateModel};
 
 /// The workspace's one shape table: every `(state_dim, measurement_dim)`
 /// pair with a monomorphized kernel. `for_each_shape!(mac, args…)` expands
@@ -27,8 +25,6 @@ use crate::{CovarianceUpdate, FleetBatch, Result, StateModel};
 /// variants, its delegation match and [`KalmanFilter`]'s scalar dispatch
 /// all read the same list. Order: state dim major, measurement dim minor,
 /// measurement ≤ state.
-///
-/// [`KalmanFilter`]: crate::KalmanFilter
 macro_rules! for_each_shape {
     ($mac:ident $(, $($args:tt)*)?) => {
         $mac! {
@@ -110,9 +106,15 @@ impl DynFleetBatch {
         delegate!(self, b => b.model().measurement_dim())
     }
 
-    /// The shared model all lanes run.
+    /// The model the batch was built for; see [`FleetBatch::model`].
     pub fn model(&self) -> &StateModel {
         delegate!(self, b => b.model())
+    }
+
+    /// Whether a filter of `model` and `form` can step on this batch's
+    /// lanes; see [`FleetBatch::runs`].
+    pub fn runs(&self, model: &StateModel, form: CovarianceUpdate) -> bool {
+        delegate!(self, b => b.runs(model, form))
     }
 
     /// The covariance formula every update runs.
@@ -136,6 +138,24 @@ impl DynFleetBatch {
     /// [`crate::FilterError::BadModel`] on shape mismatch.
     pub fn push(&mut self, x0: &Vector, p0: &Matrix, steps_since_update: u64) -> Result<usize> {
         delegate!(self, b => b.push(x0, p0, steps_since_update))
+    }
+
+    /// Appends a lane seeded from a filter, noise included; see
+    /// [`FleetBatch::push_filter`].
+    ///
+    /// # Errors
+    /// [`crate::FilterError::BadModel`] on shape mismatch.
+    pub fn push_filter(&mut self, filter: &KalmanFilter) -> Result<usize> {
+        delegate!(self, b => b.push_filter(filter))
+    }
+
+    /// Rewrites a lane from a filter in place; see
+    /// [`FleetBatch::set_lane_filter`].
+    ///
+    /// # Errors
+    /// [`crate::FilterError::BadModel`] on shape mismatch.
+    pub fn set_lane_filter(&mut self, lane: usize, filter: &KalmanFilter) -> Result<()> {
+        delegate!(self, b => b.set_lane_filter(lane, filter))
     }
 
     /// Batch time update; see [`FleetBatch::predict_all`].

@@ -350,6 +350,15 @@ impl<const N: usize, const M: usize> StaticKernel<N, M> {
 
     /// Time update: `x ← F x`, `P ← F P Fᵀ + Q`, re-symmetrised.
     pub fn predict<L: Lane>(&self, x: &mut [L; N], p: &mut [[L; N]; N]) {
+        self.predict_with(x, p, &splat(&self.q));
+    }
+
+    /// [`StaticKernel::predict`] with the process noise `q` it adds, per
+    /// filter: a batch of filters that share `F` but each carry their own
+    /// `Q` passes theirs. `Q` enters only as that last sum, so a filter
+    /// stepped with its own `Q` here is bit for bit the filter stepped by a
+    /// kernel built with that `Q`.
+    pub fn predict_with<L: Lane>(&self, x: &mut [L; N], p: &mut [[L; N]; N], q: &[[L; N]; N]) {
         let f = splat(&self.f);
         // x ← F x (plain row-dot accumulation, like `mul_vec`).
         *x = mul_vec(&f, x);
@@ -358,7 +367,7 @@ impl<const N: usize, const M: usize> StaticKernel<N, M> {
         let mut pt = matmul_transpose(&tmp, &f);
         for row in 0..N {
             for col in 0..N {
-                pt[row][col] += L::splat(self.q[row][col]);
+                pt[row][col] += q[row][col];
             }
         }
         symmetrize(&mut pt);
@@ -399,7 +408,7 @@ impl<const N: usize, const M: usize> StaticKernel<N, M> {
         z: &[f64; M],
         form: CovarianceUpdate,
     ) -> Result<StaticUpdateOutcome<M>> {
-        let (innovation, s, l) = self.update_state(x, p, z, form)?;
+        let (innovation, s, l) = self.update_state(x, p, z, &self.r, form)?;
         // Diagnostics: NIS = νᵀ S⁻¹ ν and Gaussian log-likelihood.
         let mut s_inv_nu = innovation;
         cholesky_solve_in_place(&l, &mut s_inv_nu);
@@ -418,9 +427,12 @@ impl<const N: usize, const M: usize> StaticKernel<N, M> {
     }
 
     /// The state/covariance half of [`StaticKernel::update_in_form`], at
-    /// any lane width: everything but the diagnostics, and what those are
-    /// made of. The one body of every update, inlined so that each caller
-    /// compiles it at its own width.
+    /// any lane width, with the measurement noise `r` it runs with (the
+    /// kernel's own [`StaticKernel::r`] for a lone filter, each filter's
+    /// own in a batch; `R` enters only as sums and as the right factor of
+    /// `K R`, whose zero-skip reads `K`): everything but the diagnostics,
+    /// and what those are made of. The one body of every update, inlined
+    /// so that each caller compiles it at its own width.
     ///
     /// # Errors
     /// As [`StaticKernel::update_in_form`]; in a pack, one filter's failed
@@ -432,9 +444,10 @@ impl<const N: usize, const M: usize> StaticKernel<N, M> {
         x: &mut [L; N],
         p: &mut [[L; N]; N],
         z: &[L; M],
+        r: &[[L; M]; M],
         form: CovarianceUpdate,
     ) -> Result<Innovation<L, M>> {
-        let (h, r) = (splat(&self.h), splat(&self.r));
+        let h = splat(&self.h);
         // Innovation ν = z − H x.
         let predicted = mul_vec(&h, x);
         let mut innovation = *z;
@@ -482,7 +495,7 @@ impl<const N: usize, const M: usize> StaticKernel<N, M> {
         let mut posterior = match form {
             CovarianceUpdate::Joseph => {
                 let mut joseph = matmul_transpose(&tmp, &i_kh);
-                let kr = matmul(&k, &r);
+                let kr = matmul(&k, r);
                 let krk = matmul_transpose(&kr, &k);
                 for row in 0..N {
                     for col in 0..N {

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! kalstream-server --addr 127.0.0.1:7171 --streams 1024 --shards 8 \
-//!                  --conns 64 [--batched] [--lockstep]
+//!                  --conns 64 [--lockstep]
 //! ```
 //!
 //! Serves stream ids `0..streams` (endpoints derived deterministically —
@@ -33,7 +33,6 @@ fn main() {
     let conns: usize = arg_val(&args, "--conns")
         .map(|v| v.parse().expect("--conns: integer"))
         .unwrap_or(1);
-    let batched = args.iter().any(|a| a == "--batched");
     let lockstep = args.iter().any(|a| a == "--lockstep");
 
     let server = NetServer::start(
@@ -41,7 +40,6 @@ fn main() {
         workload::server_endpoints(streams),
         NetServerConfig {
             shards,
-            batched,
             expected_conns: conns,
             lockstep,
             ..NetServerConfig::default()

@@ -70,7 +70,9 @@ pub const FEEDBACK_QUEUE_DEPTH: usize = 256;
 pub struct NetServerConfig {
     /// Shard workers for the ingest pipeline.
     pub shards: usize,
-    /// Step every endpoint through the fleet-batch lanes.
+    /// Does nothing: every shard steps its endpoints as fleet-batch lanes.
+    /// Kept so configurations that still name it compile.
+    #[deprecated(note = "every shard steps lanes; the field does nothing")]
     pub batched: bool,
     /// Connections to admit before the first tick barrier (and to expect
     /// before finishing). The lockstep tick discipline needs the full
@@ -109,6 +111,7 @@ pub struct NetServerConfig {
     pub elastic: Option<ElasticConfig>,
 }
 
+#[allow(deprecated)] // fills in the deprecated field
 impl Default for NetServerConfig {
     /// Single-shard, volatile, one-connection lockstep server — the
     /// configuration the bit-identity tests run; construction sites
@@ -400,7 +403,6 @@ impl Engine {
         let mut pipeline = IngestPipeline::start_with(
             ShardAssignment::modulo(config.shards),
             initial,
-            config.batched,
             Some(feedback_tx),
         );
         let mut replay_feedback_discarded = 0;

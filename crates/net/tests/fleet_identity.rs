@@ -1,7 +1,8 @@
 //! Fleet-level bit-identity: a fleet driven over real TCP connections
 //! through [`NetServer`]'s sharded pipeline converges to exactly the
-//! filter state the simulator's ingest mode produces through the
-//! sequential reference — reliable or lossy, lockstep or throughput mode —
+//! filter state the simulator's ingest mode produces through the oracle —
+//! every endpoint on its own filter — reliable or lossy, lockstep or
+//! throughput mode —
 //! and a durable server restarted after a clean shutdown resumes that
 //! state without replaying anything. With acks on, the feedback both
 //! sides hand back to the sources matches too.
@@ -9,8 +10,10 @@
 use std::io::{Read as _, Write as _};
 
 use bytes::Bytes;
+use crossbeam::channel::Sender;
 use kalstream_core::{
-    FramingSink, IngestPipeline, IngestResult, SequentialIngest, ShardAssignment, SourceEndpoint,
+    FrameDecoder, FramingSink, IngestResult, ServerEndpoint, ShardReport, SourceEndpoint,
+    TickIngest,
 };
 use kalstream_durable::DurableConfig;
 use kalstream_net::codec::{decode_status, encode_hello, STATUS_BYTES};
@@ -18,17 +21,74 @@ use kalstream_net::{
     workload, ClientConfig, ClientReport, HelloStatus, NetReport, NetServer, NetServerConfig,
 };
 use kalstream_sim::{
-    run_fleet_ingest, IngestFleetReport, IngestStream, LinkFaults, Producer, TrafficMetrics,
+    run_fleet_ingest, Consumer, IngestFleetReport, IngestStream, LinkFaults, Producer,
+    TrafficMetrics,
 };
 
 const OVERHEAD: usize = 8;
 
+/// The oracle every ingest engine is held to: each endpoint on its own
+/// filter. Per tick, every frame is queued on its endpoint
+/// (`enqueue_view`), every endpoint advances (predict, then apply), and
+/// with a feedback channel each endpoint's feedback is polled, streams in
+/// id order — no shard and no lanes.
+struct Oracle {
+    endpoints: Vec<(u32, ServerEndpoint)>,
+    decoder: FrameDecoder,
+    feedback: Option<Sender<(u32, Bytes)>>,
+    report: ShardReport,
+}
+
+impl Oracle {
+    fn new(endpoints: Vec<(u32, ServerEndpoint)>, feedback: Option<Sender<(u32, Bytes)>>) -> Self {
+        Oracle {
+            endpoints,
+            decoder: FrameDecoder::new(),
+            feedback,
+            report: ShardReport::default(),
+        }
+    }
+
+    fn finish(self) -> IngestResult {
+        IngestResult {
+            shards: vec![self.report],
+            endpoints: self.endpoints,
+            router_decode_failures: 0,
+        }
+    }
+}
+
+impl TickIngest for Oracle {
+    fn ingest_tick(&mut self, wire: &[u8]) {
+        let Oracle {
+            endpoints,
+            decoder,
+            feedback,
+            report,
+        } = self;
+        decoder.for_each_wire_message(wire, |id, msg| {
+            report.messages += 1;
+            endpoints[id as usize].1.enqueue_view(msg);
+        });
+        for (id, ep) in endpoints.iter_mut() {
+            ep.advance();
+            if let Some(tx) = feedback {
+                while let Some(payload) = ep.poll_feedback(report.ticks) {
+                    tx.send((*id, payload)).expect("feedback receiver");
+                    report.feedback_out += 1;
+                }
+            }
+        }
+        report.ticks += 1;
+    }
+}
+
 /// The simulator reference: the same workload through per-stream faulty
-/// links into the sequential ingester.
+/// links into the oracle.
 fn reference(streams: u32, ticks: u64, faults: LinkFaults) -> IngestResult {
     let ids: Vec<u32> = (0..streams).collect();
     let mut fleet = workload::source_streams(&ids);
-    let mut sink = FramingSink::new(SequentialIngest::new(workload::server_endpoints(streams)));
+    let mut sink = FramingSink::new(Oracle::new(workload::server_endpoints(streams), None));
     run_fleet_ingest(&mut fleet, ticks, OVERHEAD, faults, &mut sink);
     sink.into_inner().finish()
 }
@@ -88,12 +148,8 @@ fn over_tcp(
     faults: LinkFaults,
     lockstep: bool,
     shards: usize,
-    batched: bool,
 ) -> NetReport {
-    over_tcp_inner(
-        streams, conns, ticks, faults, lockstep, shards, batched, None,
-    )
-    .net
+    over_tcp_inner(streams, conns, ticks, faults, lockstep, shards, None).net
 }
 
 /// [`over_tcp`] with sequenced syncs + ack feedback enabled, lockstep.
@@ -105,7 +161,6 @@ fn over_tcp_acked(streams: u32, conns: usize, ticks: u64, ack_timeout: u64) -> T
         LinkFaults::default(),
         true,
         2,
-        false,
         Some(ack_timeout),
     )
 }
@@ -119,7 +174,6 @@ struct TcpRun {
     sources: SourceOutcome,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn over_tcp_inner(
     streams: u32,
     conns: usize,
@@ -127,7 +181,6 @@ fn over_tcp_inner(
     faults: LinkFaults,
     lockstep: bool,
     shards: usize,
-    batched: bool,
     ack_timeout: Option<u64>,
 ) -> TcpRun {
     assert_eq!(streams as usize % conns, 0);
@@ -141,7 +194,6 @@ fn over_tcp_inner(
         endpoints,
         NetServerConfig {
             shards,
-            batched,
             expected_conns: conns,
             lockstep,
             ..NetServerConfig::default()
@@ -189,15 +241,15 @@ fn assert_clean_and_identical(report: &kalstream_net::NetReport, reference: &Ing
     assert_eq!(report.total_shed(), 0, "feedback shed on a reading fleet");
     assert!(
         workload::ingest_identical(&report.ingest, reference),
-        "TCP fleet state diverged from the sequential sim reference"
+        "TCP fleet state diverged from the sim-driven oracle"
     );
 }
 
 #[test]
 fn reliable_fleet_over_tcp_is_bit_identical_to_sim() {
     let reference = reference(12, 50, LinkFaults::default());
-    for (lockstep, shards, batched) in [(true, 3, false), (false, 3, false), (false, 2, true)] {
-        let report = over_tcp(12, 4, 50, LinkFaults::default(), lockstep, shards, batched);
+    for (lockstep, shards) in [(true, 3), (false, 3), (false, 2)] {
+        let report = over_tcp(12, 4, 50, LinkFaults::default(), lockstep, shards);
         assert_clean_and_identical(&report, &reference);
         assert_eq!(report.ticks, 50);
     }
@@ -214,7 +266,7 @@ fn lossy_fleet_over_tcp_is_bit_identical_to_sim() {
     };
     let reference = reference(12, 80, faults);
     for lockstep in [true, false] {
-        let report = over_tcp(12, 3, 80, faults, lockstep, 3, false);
+        let report = over_tcp(12, 3, 80, faults, lockstep, 3);
         assert_clean_and_identical(&report, &reference);
     }
 }
@@ -338,23 +390,20 @@ fn lockstep_client_hands_acks_to_its_producers() {
 }
 
 /// The simulator's ingest mode with feedback: the workload through
-/// per-stream faulty links into a feedback-returning pipeline, whose acks
+/// per-stream faulty links into the feedback-returning oracle, whose acks
 /// ride each stream's reverse link back to its producer.
 fn sim_acked(
     streams: u32,
     ticks: u64,
     faults: LinkFaults,
     ack_timeout: u64,
-    shards: usize,
 ) -> (IngestFleetReport, IngestResult, SourceOutcome, u64) {
     let (tx, rx) = crossbeam::channel::unbounded();
-    let pipeline = IngestPipeline::start_with(
-        ShardAssignment::modulo(shards),
+    let oracle = Oracle::new(
         workload::server_endpoints_acked(streams, ack_timeout),
-        false,
         Some(tx),
     );
-    let mut sink = FramingSink::with_feedback(pipeline, rx);
+    let mut sink = FramingSink::with_feedback(oracle, rx);
     let ids: Vec<u32> = (0..streams).collect();
     let (report, sources) = with_sources(&ids, Some(ack_timeout), |fleet| {
         run_fleet_ingest(fleet, ticks, OVERHEAD, faults, &mut sink)
@@ -364,12 +413,12 @@ fn sim_acked(
     (report, result, sources, polled)
 }
 
-/// Sim-driven ingest with feedback ≡ the same fleet through `NetServer`
-/// over real sockets, with acks on and 10 % loss in both directions, on
-/// plain and on batched shards: the same filter bits, forward traffic,
-/// feedback delivered and resyncs, stream for stream. Every timeout resync
-/// is a Model sync, so the batched arm moves lanes between groups while
-/// the fleet runs.
+/// Sim-driven ingest with feedback into the oracle ≡ the same fleet
+/// through `NetServer` over real sockets, with acks on and 10 % loss in
+/// both directions: the same filter bits, forward traffic, feedback
+/// delivered and resyncs, stream for stream. Every timeout resync is a
+/// Model sync carrying the source's own adapted noise, which the server's
+/// lanes rewrite in place while the fleet runs.
 #[test]
 fn lossy_acked_sim_ingest_matches_the_fleet_over_tcp() {
     let (streams, ticks, ack_timeout) = (8u32, 120u64, 6u64);
@@ -378,36 +427,25 @@ fn lossy_acked_sim_ingest_matches_the_fleet_over_tcp() {
         seed: 31,
         ..LinkFaults::default()
     };
-    let (sim, sim_result, sim_sources, polled) = sim_acked(streams, ticks, faults, ack_timeout, 2);
-    for batched in [false, true] {
-        let tcp = over_tcp_inner(
-            streams,
-            2,
-            ticks,
-            faults,
-            true,
-            2,
-            batched,
-            Some(ack_timeout),
-        );
+    let (sim, sim_result, sim_sources, polled) = sim_acked(streams, ticks, faults, ack_timeout);
+    let tcp = over_tcp_inner(streams, 2, ticks, faults, true, 2, Some(ack_timeout));
 
-        assert_clean_and_identical(&tcp.net, &sim_result);
-        let mut tcp_traffic = TrafficMetrics::default();
-        let mut tcp_dropped = 0;
-        for client in &tcp.clients {
-            tcp_traffic.merge(&client.traffic);
-            tcp_dropped += client.faults.dropped;
-        }
-        assert_eq!(sim.total_traffic, tcp_traffic, "forward messages");
-        assert_eq!(sim.faults.dropped, tcp_dropped);
-        assert_eq!(sim_sources, tcp.sources, "per source (resyncs, feedback)");
-        let routed: u64 = tcp.net.conns.iter().map(|c| c.feedback_sent).sum();
-        assert_eq!(
-            (routed, sim.feedback.messages()),
-            (polled, polled),
-            "feedback sent (batched = {batched})"
-        );
+    assert_clean_and_identical(&tcp.net, &sim_result);
+    let mut tcp_traffic = TrafficMetrics::default();
+    let mut tcp_dropped = 0;
+    for client in &tcp.clients {
+        tcp_traffic.merge(&client.traffic);
+        tcp_dropped += client.faults.dropped;
     }
+    assert_eq!(sim.total_traffic, tcp_traffic, "forward messages");
+    assert_eq!(sim.faults.dropped, tcp_dropped);
+    assert_eq!(sim_sources, tcp.sources, "per source (resyncs, feedback)");
+    let routed: u64 = tcp.net.conns.iter().map(|c| c.feedback_sent).sum();
+    assert_eq!(
+        (routed, sim.feedback.messages()),
+        (polled, polled),
+        "feedback sent"
+    );
 
     // Not vacuous: both directions lost messages, acks still got through,
     // and the ack timeout fired.

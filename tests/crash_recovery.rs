@@ -7,8 +7,8 @@
 //!
 //! Three layers, matching how state can die:
 //!
-//! * the ingest pipeline (proptest: random shard count, batching, snapshot
-//!   cadence, kill tick — recovery may even change the pipeline shape),
+//! * the ingest pipeline (proptest: random shard count, snapshot cadence,
+//!   kill tick — recovery may even change the pipeline shape),
 //! * the lockstep fleet (crash injected by the sim runner; the rebuild
 //!   closure is exactly a snapshot round-trip),
 //! * the TCP server (injected abort mid-serve, restart on the same
@@ -19,9 +19,7 @@ use std::net::TcpStream;
 
 use bytes::Bytes;
 use kalstream::core::frame::FrameBatch;
-use kalstream::core::{
-    IngestPipeline, ProtocolConfig, SequentialIngest, ServerEndpoint, SessionSpec, ShardAssignment,
-};
+use kalstream::core::{FrameDecoder, IngestPipeline, ProtocolConfig, ServerEndpoint, SessionSpec};
 use kalstream::durable::{Durability, DurableConfig, DurableStore};
 use kalstream::net::codec::{decode_status, encode_hello, push_marker, STATUS_BYTES};
 use kalstream::net::{workload, HelloStatus, NetServer, NetServerConfig};
@@ -31,9 +29,8 @@ use kalstream::sim::{
 use proptest::prelude::*;
 
 /// State + covariance + staleness of every endpoint, as raw bits.
-fn fleet_bits(result: &kalstream::core::IngestResult) -> Vec<(u32, Vec<u64>, Vec<u64>, u64)> {
-    result
-        .endpoints
+fn fleet_bits(endpoints: &[(u32, ServerEndpoint)]) -> Vec<(u32, Vec<u64>, Vec<u64>, u64)> {
+    endpoints
         .iter()
         .map(|(id, ep)| {
             let f = ep.filter();
@@ -80,12 +77,19 @@ fn record_traffic(streams: u32, ticks: u64) -> Vec<Vec<u8>> {
     recorder.ticks
 }
 
-fn pipeline_for(
-    shards: usize,
-    batched: bool,
-    endpoints: Vec<(u32, ServerEndpoint)>,
-) -> IngestPipeline {
-    IngestPipeline::start_with(ShardAssignment::modulo(shards), endpoints, batched, None)
+/// The oracle: every endpoint on its own filter, each tick's frames
+/// queued on their endpoint (`enqueue_view`) and applied by `advance` — no
+/// shard, no lanes. `endpoints` are indexed by stream id.
+fn oracle(
+    mut endpoints: Vec<(u32, ServerEndpoint)>,
+    traffic: &[Vec<u8>],
+) -> Vec<(u32, ServerEndpoint)> {
+    let mut decoder = FrameDecoder::new();
+    for wire in traffic {
+        decoder.for_each_wire_message(wire, |id, msg| endpoints[id as usize].1.enqueue_view(msg));
+        endpoints.iter_mut().for_each(|(_, ep)| ep.advance());
+    }
+    endpoints
 }
 
 proptest! {
@@ -93,12 +97,11 @@ proptest! {
 
     /// Kill at an arbitrary tick; recover into an arbitrarily *different*
     /// pipeline shape; diverge never. The recovered fleet finishes the
-    /// run bit-identical to an uncrashed sequential reference.
+    /// run bit-identical to the uncrashed oracle.
     #[test]
     fn kill_at_arbitrary_tick_recovers_bit_identically(
         streams in 2u32..8,
         shards in 1usize..4,
-        batched in any::<bool>(),
         snapshot_every in 1u64..9,
         kill_frac in 0.0..1.0f64,
         recover_shards in 1usize..4,
@@ -107,18 +110,13 @@ proptest! {
         let kill = (kill_frac * ticks as f64) as u64; // 0..=39
         let traffic = record_traffic(streams, ticks);
 
-        // Uncrashed reference.
-        let mut reference = SequentialIngest::new(workload::server_endpoints(streams));
-        for wire in &traffic {
-            reference.ingest_tick(wire);
-        }
-        let want = fleet_bits(&reference.finish());
+        let want = fleet_bits(&oracle(workload::server_endpoints(streams), &traffic));
 
         // Durable pipeline, killed after `kill` ticks (dropped mid-flight,
         // no finish, no final snapshot).
         let dir = tempdir("kill_arbitrary");
         let store = DurableStore::open(&dir).unwrap();
-        let mut pipeline = pipeline_for(shards, batched, workload::server_endpoints(streams));
+        let mut pipeline = IngestPipeline::start(shards, workload::server_endpoints(streams));
         let mut durable =
             Durability::start(store, snapshot_every, 0, &pipeline.snapshot_states()).unwrap();
         for wire in &traffic[..kill as usize] {
@@ -130,14 +128,14 @@ proptest! {
         let mut store = DurableStore::open(&dir).unwrap();
         let recovery = store.recover().unwrap().expect("genesis snapshot exists");
         prop_assert_eq!(recovery.next_tick(), kill);
-        let mut recovered = pipeline_for(recover_shards, batched, recovery.endpoints().unwrap());
+        let mut recovered = IngestPipeline::start(recover_shards, recovery.endpoints().unwrap());
         recovery.replay_into(&mut recovered);
         let mut resumed =
             Durability::start(store, snapshot_every, kill, &recovered.snapshot_states()).unwrap();
         for wire in &traffic[kill as usize..] {
             resumed.ingest_tick(&mut recovered, wire).unwrap();
         }
-        prop_assert_eq!(fleet_bits(&recovered.finish()), want);
+        prop_assert_eq!(fleet_bits(&recovered.finish().endpoints), want);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -305,17 +303,13 @@ fn killed_net_server_restarts_and_reconverges_bit_identically() {
     let report = server.join().expect("recovered serve");
     assert_eq!(report.ticks, ticks - kill);
 
-    // Bit-identical to the uncrashed sequential reference over all ticks.
-    // (Shard message *counters* legitimately differ — the restarted
-    // pipeline never saw the pre-crash ticks; the recovered endpoint
-    // state, including cumulative protocol counters, must not.)
-    let mut reference = SequentialIngest::new(workload::server_endpoints(streams));
-    for wire in &traffic {
-        reference.ingest_tick(wire);
-    }
-    let want = reference.finish();
-    assert_eq!(fleet_bits(&report.ingest), fleet_bits(&want));
-    for ((ia, ea), (ib, eb)) in report.ingest.endpoints.iter().zip(&want.endpoints) {
+    // Bit-identical to the uncrashed oracle over all ticks. (Shard message
+    // *counters* legitimately differ — the restarted pipeline never saw
+    // the pre-crash ticks; the recovered endpoint state, including
+    // cumulative protocol counters, must not.)
+    let want = oracle(workload::server_endpoints(streams), &traffic);
+    assert_eq!(fleet_bits(&report.ingest.endpoints), fleet_bits(&want));
+    for ((ia, ea), (ib, eb)) in report.ingest.endpoints.iter().zip(&want) {
         assert_eq!(ia, ib);
         assert_eq!(
             ea.syncs_applied(),

@@ -261,7 +261,6 @@ fn resize_racing_a_crash_recovers_into_the_post_resize_shape() {
     let mut recovered = IngestPipeline::start_with(
         ShardAssignment::salted(3, 7),
         recovery.endpoints().unwrap(),
-        false,
         None,
     );
     recovery.replay_into(&mut recovered);
