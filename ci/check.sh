@@ -50,7 +50,7 @@ echo "==> a sync travels as a view: no owned message, allocating pin or cloned P
 for endpoint in source server; do
     if sed '/#\[cfg(test)\]/,$d' "crates/core/src/$endpoint.rs" |
         grep -nE 'pin_to_measurement\(|\.covariance\(\)\.clone\(\)|Vec<SyncMessage>' |
-        grep -vE '^[0-9]+: +(pub pending: Vec<SyncMessage>|p: self\.filter\.covariance\(\)\.clone\(\)),$'; then
+        grep -vE '^[0-9]+: +(pub pending: Vec<SyncMessage>|p: filter\.covariance\(\)\.clone\(\)),$'; then
         echo "crates/core/src/$endpoint.rs builds owned syncs on the hot path again" >&2
         exit 1
     fi
@@ -110,6 +110,29 @@ if grep -rnw 'batched' crates src tests examples --include=*.rs |
     grep -vE '^crates/net/src/server\.rs:[0-9]+: +(pub batched: bool,|batched: false,)$' |
     grep -vE '^crates/bench/src/bin/exp_crash_recovery\.rs:[0-9]+: +"Crash recovery: .*batched pipeline killed and recovered"$'; then
     echo "code sets or reads NetServerConfig::batched again, or names a batched switch" >&2
+    exit 1
+fi
+
+echo "==> the lane is the shard's filter: a shard keeps each stream's protocol half, no dormant filter, no twin hooks"
+# Non-test code of crates/core/src only. Shard::new takes each endpoint
+# apart (protocol half kept, filter put on a lane); finish and
+# snapshot_states put it back together. Nothing keeps a second filter in
+# step with the lane, so no overlay, restore or counting hook exists.
+for src in crates/core/src/*.rs; do
+    if sed '/#\[cfg(test)\]/,$d' "$src" |
+        grep -nE 'fn (overlay|filter_mut)\b|note_(sync_applied|predict_failure|shed)\b|lanes\.restore\('; then
+        echo "$src keeps a second copy of a shard's filters in step again (overlay / filter_mut / note_* / lanes.restore)" >&2
+        exit 1
+    fi
+done
+if sed -n '/^pub(crate) struct Shard {/,/^}/p' crates/core/src/ingest.rs | grep -vE '^ *//' |
+    grep -nw ServerEndpoint; then
+    echo "crates/core/src/ingest.rs: Shard holds ServerEndpoints again; it holds protocol halves and lanes" >&2
+    exit 1
+fi
+if sed '/#\[cfg(test)\]/,$d' crates/core/src/batch_ingest.rs | grep -vE '^ *//' |
+    grep -nw ServerEndpoint; then
+    echo "crates/core/src/batch_ingest.rs takes or returns ServerEndpoints again; its lanes hold filters" >&2
     exit 1
 fi
 

@@ -38,11 +38,12 @@ use kalstream_bench::harness::{make_stream, StreamFamily};
 use kalstream_bench::MetricsOut;
 use kalstream_core::wire::SyncRef;
 use kalstream_core::{
-    FrameDecoder, FramingSink, IngestPipeline, IngestResult, ProtocolConfig, SequentialIngest,
-    ServerEndpoint, SessionSpec, TickIngest,
+    FrameDecoder, FramingSink, IngestPipeline, ProtocolConfig, SequentialIngest, ServerEndpoint,
+    SessionSpec, TickIngest,
 };
 use kalstream_filter::models;
 use kalstream_linalg::Vector;
+use kalstream_net::workload::ingest_identical;
 use kalstream_sim::{run_fleet_ingest, IngestStream, LinkFaults};
 
 #[global_allocator]
@@ -171,30 +172,6 @@ fn record_log(n: u32, ticks: u64, mixed: bool) -> (LogRecorder, Vec<(u32, Server
     (sink.into_inner(), servers)
 }
 
-fn endpoint_bits(ep: &ServerEndpoint) -> Vec<u64> {
-    let f = ep.filter();
-    f.state()
-        .iter()
-        .map(|v| v.to_bits())
-        .chain(f.covariance().as_slice().iter().map(|v| v.to_bits()))
-        .collect()
-}
-
-/// `true` when the two runs ended with identical message totals and
-/// bit-identical filter state on every endpoint.
-fn identical(a: &IngestResult, b: &IngestResult) -> bool {
-    a.total_messages() == b.total_messages()
-        && a.endpoints.len() == b.endpoints.len()
-        && a.endpoints
-            .iter()
-            .zip(b.endpoints.iter())
-            .all(|((ia, ea), (ib, eb))| {
-                ia == ib
-                    && ea.syncs_applied() == eb.syncs_applied()
-                    && endpoint_bits(ea) == endpoint_bits(eb)
-            })
-}
-
 struct ShardedRun {
     shards: usize,
     total_messages: u64,
@@ -256,7 +233,7 @@ fn main() {
         }
         pipe.flush();
         let result = pipe.finish();
-        let bit_identical = identical(&result, &seq_result);
+        let bit_identical = ingest_identical(&result, &seq_result);
         if !bit_identical {
             eprintln!(
                 "GATE FAILURE: {shards}-shard run diverged from sequential \

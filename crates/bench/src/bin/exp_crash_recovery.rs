@@ -24,11 +24,10 @@
 use kalstream_bench::table::Table;
 use kalstream_bench::MetricsOut;
 use kalstream_core::{
-    IngestPipeline, IngestResult, ProtocolConfig, SequentialIngest, ServerEndpoint, SessionSpec,
-    ShardAssignment,
+    IngestPipeline, ProtocolConfig, SequentialIngest, ServerEndpoint, SessionSpec, ShardAssignment,
 };
 use kalstream_durable::{Durability, DurableStore};
-use kalstream_net::workload;
+use kalstream_net::workload::{self, fleet_bits};
 use kalstream_sim::{
     run_fleet_ingest, run_lockstep, IngestSink, LinkFaults, LockstepStream, SessionConfig,
 };
@@ -46,27 +45,6 @@ const LS_STREAMS: usize = 4;
 const LS_TICKS: u64 = 200;
 const LS_DELTA: f64 = 0.75;
 const LS_CRASHES: [u64; 4] = [17, 63, 64, 155];
-
-/// State + covariance + staleness of every endpoint, as raw bits.
-fn fleet_bits(result: &IngestResult) -> Vec<(u32, Vec<u64>, Vec<u64>, u64)> {
-    result
-        .endpoints
-        .iter()
-        .map(|(id, ep)| {
-            let f = ep.filter();
-            (
-                *id,
-                f.state().as_slice().iter().map(|v| v.to_bits()).collect(),
-                f.covariance()
-                    .as_slice()
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect(),
-                ep.staleness(),
-            )
-        })
-        .collect()
-}
 
 /// Records each tick's framed wire batch so every run replays the
 /// identical traffic.
@@ -116,7 +94,7 @@ struct Cycle {
 fn crash_cycle(
     traffic: &[Vec<u8>],
     kill: u64,
-    want_bits: &[(u32, Vec<u64>, Vec<u64>, u64)],
+    want_bits: &[(u32, Vec<u64>)],
     want_syncs: u64,
     metrics: &mut MetricsOut,
 ) -> Cycle {

@@ -26,10 +26,10 @@ use kalstream_bench::table::Table;
 use kalstream_bench::MetricsOut;
 use kalstream_core::frame::FrameBatch;
 use kalstream_core::{
-    IngestPipeline, IngestResult, ProtocolConfig, SequentialIngest, ServerEndpoint, SessionSpec,
-    StreamSession,
+    IngestPipeline, ProtocolConfig, SequentialIngest, ServerEndpoint, SessionSpec, StreamSession,
 };
 use kalstream_elastic::{ControllerConfig, ElasticConfig, ElasticDriver, ResizeKind};
+use kalstream_net::workload::fleet_bits;
 use kalstream_sim::{run_lockstep, LoadPhase, LoadSwing, LockstepStream, Producer, SessionConfig};
 
 const STREAMS: u32 = 16;
@@ -48,27 +48,6 @@ const QUIET_TAIL: u64 = 80;
 
 const LS_STREAMS: usize = 6;
 const LS_DELTA: f64 = 0.5;
-
-/// State + covariance + staleness of every endpoint, as raw bits.
-fn fleet_bits(result: &IngestResult) -> Vec<(u32, Vec<u64>, Vec<u64>, u64)> {
-    result
-        .endpoints
-        .iter()
-        .map(|(id, ep)| {
-            let f = ep.filter();
-            (
-                *id,
-                f.state().as_slice().iter().map(|v| v.to_bits()).collect(),
-                f.covariance()
-                    .as_slice()
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect(),
-                ep.staleness(),
-            )
-        })
-        .collect()
-}
 
 /// Volatile streams at tick `t`: all of them in the hot window, one
 /// otherwise (so the quiet phases still carry a trickle).
@@ -155,7 +134,7 @@ fn elastic_run(
     servers: &[(u32, ServerEndpoint)],
     log: &[Vec<u8>],
     start_shards: usize,
-    want_bits: &[(u32, Vec<u64>, Vec<u64>, u64)],
+    want_bits: &[(u32, Vec<u64>)],
     metrics: &mut MetricsOut,
 ) -> Run {
     let mut pipeline = IngestPipeline::start(start_shards, servers.to_vec());

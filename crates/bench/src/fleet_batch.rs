@@ -158,10 +158,10 @@ fn run_batch_chunk(
     }
     let mut bits = Vec::with_capacity(len * 7);
     for lane in 0..len {
-        let (x, p, steps) = batch.lane_state(lane);
-        bits.extend(x.iter().map(|v| v.to_bits()));
-        bits.extend(p.as_slice().iter().map(|v| v.to_bits()));
-        bits.push(steps);
+        let kf = batch.lane_filter(lane, model.name());
+        bits.extend(kf.state().iter().map(|v| v.to_bits()));
+        bits.extend(kf.covariance().as_slice().iter().map(|v| v.to_bits()));
+        bits.push(kf.steps_since_update());
     }
     (ChunkDigest { bits, suppressed }, predict_time, update_time)
 }

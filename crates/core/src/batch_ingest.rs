@@ -1,17 +1,21 @@
-//! The shard's filter engine: its streams stepped as structure-of-arrays
-//! lanes, grouped by dynamics.
+//! The shard's filters: its streams stepped as structure-of-arrays lanes,
+//! grouped by dynamics.
 //!
 //! Every ingest shard ([`crate::SequentialIngest`], each
-//! [`crate::IngestPipeline`] worker, so each `NetServer` shard) puts
-//! **every** endpoint's filter on a [`DynFleetBatch`] lane in the group of
-//! the filters that share its `F`, `H` and covariance form, and advances
-//! whole groups with one `predict_all` per tick. `Q` and `R` are per lane,
-//! so filters that differ only in their noise — adaptive sources each ship
-//! their own — share a group. Every shape a filter admits has a batch row,
-//! exact or zero-padded ([`DynFleetBatch::for_model_in_form`]), so no
-//! stream is stepped any other way. Sequence bookkeeping, counters and
-//! feedback keep running through the [`ServerEndpoint`]; only the filter
-//! arithmetic moves.
+//! [`crate::IngestPipeline`] worker, so each `NetServer` shard) keeps each
+//! stream's filter on a [`DynFleetBatch`] lane, in the group of the filters
+//! that share its `F`, `H` and covariance form, and advances whole groups
+//! with one `predict_all` per tick. The lane is the only copy of the
+//! filter while the shard owns the stream: a group's batch holds `F`, `H`
+//! and the form, and each lane its stream's `x`, `P`, `Q`, `R`, staleness
+//! and model name. So filters that differ only in their noise — adaptive
+//! sources each ship their own — share a group. Every shape a filter
+//! admits has a batch row, exact or zero-padded
+//! ([`DynFleetBatch::for_model_in_form`]), so no stream is stepped any
+//! other way. Sequence bookkeeping, counters and feedback are the shard's
+//! per-stream protocol half (`crate::server::ProtocolHalf`);
+//! [`BatchLanes::filter`] assembles a lane back into a filter when the
+//! shard snapshots its streams or hands them back.
 //!
 //! ## Equivalence
 //!
@@ -24,58 +28,55 @@
 //! a plain loop of `ServerEndpoint::predict` / `admit_view` /
 //! `apply_view`, including:
 //!
-//! * a **model sync**, which installs the replacement filter in the
-//!   endpoint. One that keeps `F`, `H` and the form — every ack-timeout
-//!   resync of a fixed or adaptive source — rewrites the lane in place
-//!   (`x`, `P`, `Q`, `R`). One that changes them *moves* the stream to a
-//!   lane, seeded from that filter, of the group for its new dynamics
-//!   (created on demand; a group left empty is dropped). The tick's later syncs land on the new lane;
-//!   the old group's last lane fills the gap, and the endpoint → lane map
-//!   follows it;
+//! * a **model sync**, shape-checked once into the filter it installs
+//!   (`crate::server::model_filter`). One that keeps `F`, `H` and the form
+//!   — every ack-timeout resync of a fixed or adaptive source — rewrites
+//!   the lane in place (`x`, `P`, `Q`, `R`, name). One that changes them
+//!   *moves* the stream to a lane, seeded from that filter, of the group
+//!   for its new dynamics (created on demand; a group left empty is
+//!   dropped). The tick's later syncs land on the new lane; the old
+//!   group's last lane fills the gap, and the slot → lane map follows it;
 //! * a **non-finite** lane, which stays where it is: its predict failures
 //!   are counted per tick and a later state sync heals it in place, as for
 //!   a lone filter.
+
+use std::sync::Arc;
 
 use kalstream_filter::{DynFleetBatch, KalmanFilter};
 use kalstream_linalg::DIM_CAP;
 
 use crate::ingest::SequentialIngest;
-use crate::server::{EndpointState, ServerEndpoint};
+use crate::server::model_filter;
 use crate::wire::SyncRef;
 
 /// One lane group: the streams whose filters share `F`, `H` and a
 /// covariance form.
 struct BatchGroup {
     batch: DynFleetBatch,
-    /// `slots[lane]` is the position (in the shard's endpoint slice) of the
-    /// endpoint owning that lane.
+    /// `slots[lane]` is the slot of the stream on that lane.
     slots: Vec<usize>,
 }
 
-/// The fleet-batch lanes in front of one shard's endpoints. Endpoints are
-/// addressed by their position in the shard's id-sorted slice, which every
-/// method takes by reference — the shard owns the endpoints, the lanes
-/// carry their filter arithmetic.
+/// The filters of one shard's streams, as fleet-batch lanes. A stream is
+/// addressed by its *slot*, its position in the shard's id-sorted list.
+#[derive(Default)]
 pub(crate) struct BatchLanes {
     groups: Vec<BatchGroup>,
-    /// `lane_of[slot]` is the `(group, lane)` carrying endpoint `slot`'s
+    /// `lane_of[slot]` is the `(group, lane)` carrying stream `slot`'s
     /// filter — the inverse of the groups' `slots`, kept in step across
     /// every move.
     lane_of: Vec<(u32, u32)>,
+    /// `names[slot]` is stream `slot`'s model name — the one part of its
+    /// model no batch holds.
+    names: Vec<Arc<str>>,
 }
 
 impl BatchLanes {
-    /// Puts every endpoint's filter on a lane of its dynamics' group.
-    pub(crate) fn new(endpoints: &[(u32, ServerEndpoint)]) -> Self {
-        let mut lanes = BatchLanes {
-            groups: Vec::new(),
-            lane_of: Vec::with_capacity(endpoints.len()),
-        };
-        for (slot, (_, ep)) in endpoints.iter().enumerate() {
-            let at = lanes.push(slot, ep.filter());
-            lanes.lane_of.push(at);
-        }
-        lanes
+    /// Puts `filter`, as the next slot's, on a lane of its dynamics' group.
+    pub(crate) fn push(&mut self, filter: &KalmanFilter) {
+        let at = self.add(self.lane_of.len(), filter);
+        self.lane_of.push(at);
+        self.names.push(shared_name(filter, self.names.last()));
     }
 
     /// The index of the group for `filter`'s `(F, H, form)`, created when
@@ -95,72 +96,71 @@ impl BatchLanes {
         self.groups.len() - 1
     }
 
-    /// Appends a lane for endpoint `slot`, seeded from `filter`, to the
+    /// Appends a lane for stream `slot`, seeded from `filter`, to the
     /// group for its dynamics; returns its `(group, lane)`.
-    fn push(&mut self, slot: usize, filter: &KalmanFilter) -> (u32, u32) {
+    fn add(&mut self, slot: usize, filter: &KalmanFilter) -> (u32, u32) {
         let group = self.group_for(filter);
         let g = &mut self.groups[group];
         let lane = g
             .batch
             .push_filter(filter)
-            .expect("endpoint filter shape matches its own model");
+            .expect("a filter's shape matches its own model");
         g.slots.push(slot);
         (group as u32, lane as u32)
     }
 
-    /// The predict phase of a tick — the batch twin of calling
-    /// `ServerEndpoint::predict` on each endpoint: every group predicts as
-    /// one fleet, and each lane that comes out non-finite gets the lone
-    /// filter's per-tick `predict_failures` bookkeeping.
-    pub(crate) fn predict(&mut self, endpoints: &mut [(u32, ServerEndpoint)]) {
+    /// The predict phase of a tick: every group predicts as one fleet, and
+    /// `failed` is handed the slot of each lane that comes out non-finite —
+    /// where a lone filter's predict fails.
+    pub(crate) fn predict(&mut self, mut failed: impl FnMut(usize)) {
         for group in self.groups.iter_mut() {
             if group.batch.predict_all() > 0 {
                 for (lane, &slot) in group.slots.iter().enumerate() {
                     if !group.batch.lane_is_finite(lane) {
-                        endpoints[slot].1.note_predict_failure();
+                        failed(slot);
                     }
                 }
             }
         }
     }
 
-    /// Applies one admitted sync for endpoint `slot` (`ep`) to its lane —
-    /// the same operations `apply_sync` runs on a filter.
-    pub(crate) fn apply(&mut self, slot: usize, ep: &mut ServerEndpoint, msg: SyncRef<'_>) {
+    /// Applies one admitted sync to stream `slot`'s lane — the same
+    /// operations `apply_sync` runs on a filter — and returns whether it
+    /// was accepted.
+    pub(crate) fn apply(&mut self, slot: usize, msg: SyncRef<'_>) -> bool {
         let (group, lane) = self.lane_of[slot];
-        let (batch, lane) = (&mut self.groups[group as usize].batch, lane as usize);
-        let applied = match msg {
-            SyncRef::State { x, p } => batch.set_lane_packed(lane, x.iter(), p.iter()).is_ok(),
+        let (g, lane) = (&mut self.groups[group as usize], lane as usize);
+        match msg {
+            SyncRef::State { x, p } => g.batch.set_lane_packed(lane, x.iter(), p.iter()).is_ok(),
             // On `Diverged` the lane keeps the non-finite posterior —
             // exactly what a lone filter leaves behind. Other errors
             // leave the lane untouched; either way the sync is not counted.
-            SyncRef::Measurement { z } => batch
+            SyncRef::Measurement { z } => g
+                .batch
                 .update_lane(lane, z.read_into(&mut [0.0; DIM_CAP]))
                 .is_ok(),
-            // The replacement filter may have any shape and form: it is
-            // installed in the endpoint, and rewrites the lane when it
-            // keeps the group's dynamics, else moves the stream to a lane
-            // of its own dynamics' group. On rejection the lane is kept.
-            SyncRef::Model(_) => {
-                if ep.apply_view(msg) {
-                    let filter = ep.filter();
-                    if batch.runs(filter.model(), filter.covariance_update()) {
-                        batch
-                            .set_lane_filter(lane, filter)
-                            .expect("same dynamics, same shape");
-                    } else {
-                        self.relocate(slot, filter);
-                    }
+            // The replacement filter may have any shape and form: it
+            // rewrites the lane when it keeps the group's dynamics, else
+            // moves the stream to a lane of its own dynamics' group. A
+            // refused one leaves the lane as it was.
+            SyncRef::Model(model) => {
+                let Some(filter) = model_filter(model) else {
+                    return false;
+                };
+                self.names[slot] = shared_name(&filter, Some(&self.names[slot]));
+                if g.batch.runs(filter.model(), filter.covariance_update()) {
+                    g.batch
+                        .set_lane_filter(lane, &filter)
+                        .expect("same dynamics, same shape");
+                } else {
+                    self.relocate(slot, &filter);
                 }
-                return;
+                true
             }
-        };
-        if applied {
-            ep.note_sync_applied();
         }
     }
 
-    /// Moves endpoint `slot` to a new lane seeded from `filter`, in the
+    /// Moves stream `slot` to a new lane seeded from `filter`, in the
     /// group for its dynamics. The old group's last lane fills the gap; a
     /// group left empty is dropped, the last group taking its index.
     fn relocate(&mut self, slot: usize, filter: &KalmanFilter) {
@@ -171,7 +171,7 @@ impl BatchLanes {
         if let Some(&moved) = g.slots.get(lane as usize) {
             self.lane_of[moved] = (from, lane);
         }
-        self.lane_of[slot] = self.push(slot, filter);
+        self.lane_of[slot] = self.add(slot, filter);
         if self.groups[from as usize].slots.is_empty() {
             self.drop_group(from as usize);
         }
@@ -188,33 +188,26 @@ impl BatchLanes {
         }
     }
 
-    /// Overlays every lane's `x`/`p`/staleness onto `states` (one per
-    /// endpoint, in endpoint order) — the endpoint's own filter is dormant,
-    /// so its captured triplet is stale until overlaid.
-    pub(crate) fn overlay(&self, states: &mut [(u32, EndpointState)]) {
-        for group in self.groups.iter() {
-            for (lane, &slot) in group.slots.iter().enumerate() {
-                let state = &mut states[slot].1;
-                (state.x, state.p, state.steps_since_update) = group.batch.lane_state(lane);
-            }
-        }
+    /// Stream `slot`'s filter, assembled from its lane: the group's `F`,
+    /// `H` and form with the lane's `Q`, `R`, name, state, covariance and
+    /// staleness — bit for bit the filter the stream would have had on its
+    /// own.
+    pub(crate) fn filter(&self, slot: usize) -> KalmanFilter {
+        let (group, lane) = self.lane_of[slot];
+        let name = Arc::clone(&self.names[slot]);
+        self.groups[group as usize]
+            .batch
+            .lane_filter(lane as usize, name)
     }
+}
 
-    /// Hands every lane's state back to its endpoint filter, so the
-    /// endpoints hold the same shape and, for the same traffic, the same
-    /// bits as endpoints stepped on their own filters.
-    pub(crate) fn restore(&self, endpoints: &mut [(u32, ServerEndpoint)]) {
-        for group in self.groups.iter() {
-            for (lane, &slot) in group.slots.iter().enumerate() {
-                let (x, p, steps) = group.batch.lane_state(lane);
-                endpoints[slot]
-                    .1
-                    .filter_mut()
-                    .restore(x, p, steps)
-                    .expect("lane shape matches its endpoint's model");
-            }
-        }
-    }
+/// `filter`'s model name, sharing `near`'s allocation when the two are
+/// equal: neighbouring streams nearly always run one model, and a resync
+/// nearly always keeps the name, so neither allocates.
+fn shared_name(filter: &KalmanFilter, near: Option<&Arc<str>>) -> Arc<str> {
+    let name = filter.model().name();
+    near.filter(|near| near.as_ref() == name)
+        .map_or_else(|| name.into(), Arc::clone)
 }
 
 /// The name the batch engine had while a shard could run without it:
@@ -226,11 +219,20 @@ mod tests {
     use super::*;
     use crate::frame::FrameBatch;
     use crate::ingest::{IngestResult, TickIngest};
-    use crate::test_support::{assert_same_endpoints, oracle, record_log, record_log_of};
+    use crate::test_support::{
+        assert_same_endpoints, assert_same_states, oracle, poll_dry, record_log, record_log_of,
+    };
     use crate::wire::{SyncMessage, WireMessage};
-    use crate::{SessionSpec, StreamSession};
-    use kalstream_filter::{models, CovarianceUpdate};
+    use crate::{ServerEndpoint, SessionSpec, StreamSession};
+    use kalstream_filter::{models, CovarianceUpdate, StateModel};
     use kalstream_linalg::{Matrix, Vector};
+
+    /// The lanes a shard over `endpoints` starts with.
+    fn lanes_of(endpoints: &[(u32, ServerEndpoint)]) -> BatchLanes {
+        let mut lanes = BatchLanes::default();
+        endpoints.iter().for_each(|(_, ep)| lanes.push(ep.filter()));
+        lanes
+    }
 
     /// Lane count of every group, in group order.
     fn group_sizes(lanes: &BatchLanes) -> Vec<usize> {
@@ -292,7 +294,7 @@ mod tests {
         .unwrap();
         kf.set_covariance_update(CovarianceUpdate::Simple);
         endpoints.push((8, ServerEndpoint::new(kf)));
-        let lanes = BatchLanes::new(&endpoints);
+        let lanes = lanes_of(&endpoints);
         assert_lane_map_holds(&lanes);
         assert_eq!(group_sizes(&lanes), vec![3, 5, 1]);
         assert!(matches!(lanes.groups[0].batch, DynFleetBatch::B4x1(_)));
@@ -306,7 +308,7 @@ mod tests {
     fn default_scalar_fleet_is_one_group() {
         // The benchmark's own fleet: 1-state adaptive random walks.
         let (servers, _) = record_log(0, 16, 0);
-        let lanes = BatchLanes::new(&servers);
+        let lanes = lanes_of(&servers);
         assert_lane_map_holds(&lanes);
         assert_eq!(group_sizes(&lanes), vec![16]);
     }
@@ -314,7 +316,9 @@ mod tests {
     #[test]
     fn lanes_match_the_oracle_bit_for_bit() {
         // 12 CV (2×1) and 4 default scalar (1×1) sessions on exact rows, 4
-        // constant-acceleration (3×1) sessions on the padded 4×1 row.
+        // constant-acceleration (3×1) sessions on the padded 4×1 row; 4 of
+        // the CV servers update in the Simple form (a group of their own),
+        // which the endpoints handed back must carry.
         let config = || crate::ProtocolConfig::new(0.25).unwrap();
         let specs = (0..20)
             .map(|id| match id {
@@ -334,10 +338,18 @@ mod tests {
             })
             .collect::<crate::Result<Vec<_>>>()
             .unwrap();
-        let (servers, log) = record_log_of(specs, 80);
-        assert_eq!(group_sizes(&BatchLanes::new(&servers)), vec![12, 4, 4]);
+        let (mut servers, log) = record_log_of(specs, 80);
+        for (_, ep) in &mut servers[4..8] {
+            ep.filter.set_covariance_update(CovarianceUpdate::Simple);
+        }
+        assert_eq!(group_sizes(&lanes_of(&servers)), vec![8, 4, 4, 4]);
         let result = replay(servers, &log, |_, _| {}, "lanes");
         assert!(result.total_messages() > 0, "log recorded no syncs");
+        let form = |id: usize| result.endpoints[id].1.filter().covariance_update();
+        assert_eq!(
+            (form(4), form(8)),
+            (CovarianceUpdate::Simple, CovarianceUpdate::Joseph)
+        );
     }
 
     /// `tick`, with `extra`'s frames ahead of its own.
@@ -382,7 +394,7 @@ mod tests {
         );
         prepend(&mut log[30], back);
 
-        assert_eq!(group_sizes(&BatchLanes::new(&servers)), vec![4]);
+        assert_eq!(group_sizes(&lanes_of(&servers)), vec![4]);
         let result = replay(
             servers,
             &log,
@@ -418,6 +430,7 @@ mod tests {
             }
         }
         assert_eq!(mapped, lanes.lane_of.len(), "every endpoint mapped");
+        assert_eq!(lanes.names.len(), mapped, "every endpoint named");
     }
 
     #[test]
@@ -477,11 +490,32 @@ mod tests {
         assert_eq!(ep1.filter().model().name(), "constant_acceleration");
     }
 
+    /// A Model sync for a constant-velocity stream that keeps its `F`, `H`
+    /// and form but names the model `name` and brings its own `Q` and `R`.
+    fn renamed_cv(name: &str, q: f64, r: f64) -> SyncMessage {
+        let cv = models::constant_velocity(1.0, 0.05, 0.1);
+        let model = StateModel::new(
+            name,
+            cv.f().clone(),
+            Matrix::from_rows(&[&[q, q * 0.5], &[q * 0.5, q]]),
+            cv.h().clone(),
+            Matrix::scalar(1, r),
+        )
+        .unwrap();
+        SyncMessage::Model {
+            model: Box::new(model),
+            x: Vector::from_slice(&[0.1, 0.2]),
+            p: Matrix::scalar(2, 0.6),
+        }
+    }
+
     #[test]
     fn model_sync_keeping_the_dynamics_rewrites_the_lane_in_place() {
         // Stream 2 gets a Model sync with its own F and H but new Q and R —
         // an adaptive source's resync — then measurements that run with the
-        // new noise: its lane stays where it is, in the one group.
+        // new noise; stream 3 gets one that also renames its model. Their
+        // lanes stay where they are, in the one group, and each endpoint
+        // handed back carries its own name and noise.
         let (servers, mut log) = record_log(4, 0, 30);
         let mut resync = FrameBatch::new();
         resync.push(
@@ -499,7 +533,10 @@ mod tests {
             },
         );
         prepend(&mut log[12], resync);
-        let start = BatchLanes::new(&servers).lane_of;
+        let mut renamed = FrameBatch::new();
+        renamed.push(3, &renamed_cv("cv_refit", 0.07, 0.23));
+        prepend(&mut log[15], renamed);
+        let start = lanes_of(&servers).lane_of;
         let result = replay(
             servers,
             &log,
@@ -511,6 +548,71 @@ mod tests {
         );
         let q = result.endpoints[2].1.filter().model().q().get(0, 0);
         assert_ne!(q, result.endpoints[0].1.filter().model().q().get(0, 0));
+        let model = result.endpoints[3].1.filter().model();
+        assert_eq!(model.name(), "cv_refit");
+        assert_eq!(
+            model.q(),
+            &Matrix::from_rows(&[&[0.07, 0.035], &[0.035, 0.07]])
+        );
+        assert_eq!(model.r(), &Matrix::scalar(1, 0.23));
+        assert_eq!(
+            result.endpoints[0].1.filter().model().name(),
+            "constant_velocity"
+        );
+    }
+
+    #[test]
+    fn a_mid_run_snapshot_after_model_syncs_is_the_oracles_state_and_resumes_it() {
+        // Stream 1 moves to a constant-acceleration group at tick 5 and
+        // stream 2 is resynced in place under a new name at tick 8; both
+        // engines are snapshotted at tick 12, with both in effect. The
+        // snapshot is the oracle's state at that tick, and endpoints
+        // rebuilt from it finish the log as the oracle does.
+        let (servers, mut log) = record_log(4, 0, 24);
+        let mut to_ca = FrameBatch::new();
+        to_ca.push(
+            1,
+            &SyncMessage::Model {
+                model: Box::new(models::constant_acceleration(1.0, 0.02, 0.1)),
+                x: Vector::from_slice(&[0.5, 0.1, 0.0]),
+                p: Matrix::scalar(3, 1.0),
+            },
+        );
+        prepend(&mut log[5], to_ca);
+        let mut renamed = FrameBatch::new();
+        renamed.push(2, &renamed_cv("cv_refit", 0.09, 0.3));
+        prepend(&mut log[8], renamed);
+        let (head, tail) = log.split_at(12);
+        let want_mid = oracle(servers.clone(), head);
+        let want_end = oracle(servers.clone(), &log);
+        let want_states: Vec<_> = want_mid.iter().map(|(id, ep)| (*id, ep.state())).collect();
+
+        let mut sequential = SequentialIngest::new(servers.clone());
+        let mut pipeline = crate::IngestPipeline::start(2, servers);
+        for tick in head {
+            sequential.ingest_tick(tick);
+            pipeline.ingest_tick(tick);
+        }
+        assert_eq!(group_sizes(sequential.lanes()), vec![3, 1]);
+        let snapshots = [
+            ("sequential", sequential.snapshot_states()),
+            ("pipeline", pipeline.snapshot_states()),
+        ];
+        pipeline.finish();
+        for (engine, snapshot) in snapshots {
+            assert_same_states(&snapshot, &want_states, engine);
+            assert_eq!(snapshot[2].1.model.name(), "cv_refit");
+            let restored = snapshot
+                .into_iter()
+                .map(|(id, state)| (id, ServerEndpoint::from_state(state).unwrap()))
+                .collect();
+            let mut resumed = SequentialIngest::new(restored);
+            for tick in tail {
+                resumed.ingest_tick(tick);
+            }
+            let what = format!("resumed from the {engine} snapshot");
+            assert_same_endpoints(&resumed.finish().endpoints, &want_end, &what);
+        }
     }
 
     /// A [`TickIngest`] that keeps every tick it forwards.
@@ -600,8 +702,8 @@ mod tests {
             "only {model_syncs} Model syncs: no timeout resyncs"
         );
 
-        let start = BatchLanes::new(&servers).lane_of;
-        let replayed = replay(
+        let start = lanes_of(&servers).lane_of;
+        let mut replayed = replay(
             servers,
             &log,
             |_, lanes| {
@@ -610,6 +712,8 @@ mod tests {
             },
             "lossy adaptive replay",
         );
+        // The live pipeline polled every ack; the replay had no channel.
+        poll_dry(&mut replayed.endpoints);
         assert_same_endpoints(&live.endpoints, &replayed.endpoints, "live pipeline");
     }
 
@@ -698,7 +802,7 @@ mod tests {
             z: Vector::from_slice(&[v]),
         };
         assert!(matches!(
-            BatchLanes::new(&servers).groups[0].batch,
+            lanes_of(&servers).groups[0].batch,
             DynFleetBatch::B4x1(_)
         ));
         let log: Vec<Vec<u8>> = (0..8)

@@ -21,9 +21,9 @@
 //!                        ◀──────────── recycled buffers ─────────────
 //! ```
 //!
-//! Every shard steps its endpoints' filters as structure-of-arrays lanes
-//! (`crate::batch_ingest`): one engine, bit-identical to stepping each
-//! endpoint's own filter.
+//! Every shard keeps each stream's protocol half, and its filter only as a
+//! structure-of-arrays lane (`crate::batch_ingest`): one engine,
+//! bit-identical to stepping each endpoint's own filter.
 //!
 //! Each worker **owns** its endpoints — no locks on the hot path, in the
 //! spirit of share-nothing per-core stream engines. Determinism falls out of
@@ -53,13 +53,12 @@ use std::thread::JoinHandle;
 
 use bytes::{Bytes, BytesMut};
 use crossbeam::channel::{bounded, Receiver, Sender};
-use kalstream_sim::Consumer;
 
 use kalstream_obs::{Histogram, Instrument, Scope, SpanTimer};
 
 use crate::batch_ingest::BatchLanes;
 use crate::frame::{FrameBatch, FrameDecoder, Frames};
-use crate::server::{is_fresh, EndpointState, ServerEndpoint, PENDING_CAP};
+use crate::server::{is_fresh, EndpointState, ProtocolHalf, ServerEndpoint, PENDING_CAP};
 use crate::wire::{SyncRef, WireRef};
 
 /// Per-shard job queue depth. Deep enough that the router can run ahead of
@@ -295,44 +294,47 @@ impl Instrument for IngestResult {
     }
 }
 
-/// One shard: a set of endpoints, the lanes that step their filters, and
-/// the only copy of the tick loop. A worker thread owns one behind a
-/// queue; [`SequentialIngest`] owns one directly.
+/// One shard: a set of streams, and the only copy of the tick loop. It
+/// takes each [`ServerEndpoint`] handed to it apart into its two halves —
+/// the protocol half stays here, the filter goes onto a lane — and puts
+/// them back together only to snapshot or hand the streams back. A worker
+/// thread owns one behind a queue; [`SequentialIngest`] owns one directly.
 pub(crate) struct Shard {
-    /// Sorted by stream id, so feedback poll order, snapshots and teardown
-    /// are deterministic without sorting (and never depend on `HashMap`
-    /// iteration). Membership is fixed for the shard's lifetime.
-    endpoints: Vec<(u32, ServerEndpoint)>,
-    /// Stream id → position in `endpoints`.
+    /// Each stream's protocol half, sorted by stream id, so feedback poll
+    /// order, snapshots and teardown are deterministic without sorting (and
+    /// never depend on `HashMap` iteration). A stream's position here is
+    /// its *slot*. Membership is fixed for the shard's lifetime.
+    streams: Vec<(u32, ProtocolHalf)>,
+    /// Stream id → slot.
     index: HashMap<u32, usize, BuildHasherDefault<IdHasher>>,
-    /// Fleet-batch lanes carrying every endpoint's filter arithmetic.
+    /// Every stream's filter, one lane per slot.
     lanes: BatchLanes,
-    /// Per endpoint, how many of the current tick's oldest syncs are still
+    /// Per stream, how many of the current tick's oldest syncs are still
     /// to be shed so that only its newest [`PENDING_CAP`] apply. All zero
     /// except on a tick `plan_shed` found overflowing a stream.
     shed: Vec<usize>,
-    /// Whether some endpoint arrived with syncs already queued (restored
+    /// Whether some stream arrived with syncs already queued (restored
     /// from a mid-tick snapshot, or fed through `enqueue` before the
     /// hand-over). The first tick applies them ahead of its own frames, as
     /// the oldest syncs of that tick; after it, no queue is ever filled.
     carried: bool,
-    /// One bit per endpoint that may have feedback to poll after this
-    /// tick: every endpoint on the first tick (one can arrive with an ack
+    /// One bit per stream that may have feedback to poll after this
+    /// tick: every stream on the first tick (one can arrive with an ack
     /// or a bound armed), then those a frame was addressed to. So a tick
-    /// polls the endpoints it touched, not the whole shard.
+    /// polls the streams it touched, not the whole shard.
     ///
-    /// Invariant: while the shard owns an endpoint, only a frame addressed
+    /// Invariant: while the shard owns a stream, only a frame addressed
     /// to it arms its feedback (an ack; nothing pushes a bound directive
     /// into a shard). Anything that comes to arm feedback another way must
-    /// mark the endpoint here too, or its feedback is never polled; debug
-    /// builds check after every poll that no endpoint is left holding any.
+    /// mark the stream here too, or its feedback is never polled; debug
+    /// builds check after every poll that no stream is left holding any.
     due: Vec<u64>,
     decoder: FrameDecoder,
     feedback: Option<Sender<(u32, Bytes)>>,
     report: ShardReport,
 }
 
-/// Marks endpoint `slot` in a [`Shard`]'s `due` bitmap.
+/// Marks stream `slot` in a [`Shard`]'s `due` bitmap.
 fn mark(due: &mut [u64], slot: usize) {
     due[slot / 64] |= 1 << (slot % 64);
 }
@@ -344,26 +346,30 @@ impl Shard {
         feedback: Option<Sender<(u32, Bytes)>>,
     ) -> Self {
         endpoints.sort_by_key(|(id, _)| *id);
-        let index = endpoints
-            .iter()
-            .enumerate()
-            .map(|(i, (id, _))| (*id, i))
-            .collect();
+        let n = endpoints.len();
+        let (mut lanes, mut streams) = (BatchLanes::default(), Vec::with_capacity(n));
+        let mut index = HashMap::with_capacity_and_hasher(n, BuildHasherDefault::default());
+        // Taken apart in place: moving each ≈ 2.9 KB endpoint out costs set-up.
+        for (id, ep) in &mut endpoints {
+            index.insert(*id, streams.len());
+            lanes.push(&ep.filter);
+            streams.push((*id, std::mem::take(&mut ep.protocol)));
+        }
         Shard {
-            lanes: BatchLanes::new(&endpoints),
-            shed: vec![0; endpoints.len()],
-            carried: endpoints.iter().any(|(_, ep)| ep.pending_len() > 0),
+            lanes,
+            shed: vec![0; streams.len()],
+            carried: streams.iter().any(|(_, half)| half.pending_len > 0),
             due: {
-                let mut due = vec![0; endpoints.len().div_ceil(64)];
-                (0..endpoints.len()).for_each(|slot| mark(&mut due, slot));
+                let mut due = vec![0; streams.len().div_ceil(64)];
+                (0..streams.len()).for_each(|slot| mark(&mut due, slot));
                 due
             },
             report: ShardReport {
                 shard,
-                streams: endpoints.len(),
+                streams: streams.len(),
                 ..ShardReport::default()
             },
-            endpoints,
+            streams,
             index,
             decoder: FrameDecoder::new(),
             feedback,
@@ -371,8 +377,8 @@ impl Shard {
     }
 
     /// One tick: predict every lane; walk `buf`'s frames once, each sync
-    /// parsed, admitted (`ServerEndpoint::admit_view`) and applied where it
-    /// lies to its endpoint's lane; hand `buf` to `recycle`; then poll
+    /// parsed, admitted (`ProtocolHalf::admit_view`) and applied where it
+    /// lies to its stream's lane; hand `buf` to `recycle`; then poll
     /// feedback (acks before bounds per stream, streams in ascending id
     /// order — the ingest-mode twin of the session loop's
     /// `while let Some(fb) = consumer.poll_feedback(now)`).
@@ -386,11 +392,10 @@ impl Shard {
         recycle: impl FnOnce(B) -> bool,
     ) {
         let span = SpanTimer::start();
-        self.lanes.predict(&mut self.endpoints);
         let carried = std::mem::take(&mut self.carried);
         self.plan_shed(&buf, carried);
         let Shard {
-            endpoints,
+            streams,
             index,
             lanes,
             shed,
@@ -399,19 +404,20 @@ impl Shard {
             report,
             ..
         } = self;
+        lanes.predict(|slot| streams[slot].1.predict_failures += 1);
         report.bytes_in += buf.len() as u64;
         if carried {
-            for (slot, (_, ep)) in endpoints.iter_mut().enumerate() {
-                ep.drain_pending(|ep, msg| deliver(lanes, shed, slot, ep, msg));
+            for (slot, (_, half)) in streams.iter_mut().enumerate() {
+                half.drain_pending(|half, msg| deliver(lanes, shed, slot, half, msg));
             }
         }
         decoder.for_each_wire_message(&buf, |id, msg| match index.get(&id) {
             Some(&slot) => {
                 report.messages += 1;
                 mark(due, slot);
-                let ep = &mut endpoints[slot].1;
-                if let Some(sync) = ep.admit_view(msg) {
-                    deliver(lanes, shed, slot, ep, Some(sync));
+                let half = &mut streams[slot].1;
+                if let Some(sync) = half.admit_view(msg) {
+                    deliver(lanes, shed, slot, half, Some(sync));
                 }
             }
             None => report.unknown_streams += 1,
@@ -425,9 +431,9 @@ impl Shard {
             for (word, bits) in due.iter_mut().enumerate() {
                 let mut bits = std::mem::take(bits);
                 while bits != 0 {
-                    let (id, ep) = &mut endpoints[word * 64 + bits.trailing_zeros() as usize];
+                    let (id, half) = &mut streams[word * 64 + bits.trailing_zeros() as usize];
                     bits &= bits - 1;
-                    while let Some(payload) = ep.poll_feedback(report.ticks) {
+                    while let Some(payload) = half.poll_feedback() {
                         // A closed receiver during drain is lost feedback —
                         // count it, never `let _` it away.
                         match tx.send((*id, payload)) {
@@ -438,8 +444,8 @@ impl Shard {
                 }
             }
             debug_assert!(
-                endpoints.iter().all(|(_, ep)| !ep.feedback_due()),
-                "an endpoint outside `due` holds feedback"
+                streams.iter().all(|(_, half)| !half.feedback_due()),
+                "a stream outside `due` holds feedback"
             );
         }
         report.ticks += 1;
@@ -457,22 +463,22 @@ impl Shard {
     /// through.
     fn plan_shed(&mut self, wire: &[u8], carried: bool) {
         let Shard {
-            endpoints,
+            streams,
             index,
             shed,
             ..
         } = self;
-        let queued = |ep: &ServerEndpoint| if carried { ep.pending_len() } else { 0 };
+        let queued = |half: &ProtocolHalf| if carried { half.pending_len } else { 0 };
         let carried_syncs: usize = if carried {
-            endpoints.iter().map(|(_, ep)| queued(ep)).sum()
+            streams.iter().map(|(_, half)| queued(half)).sum()
         } else {
             0
         };
         if carried_syncs + Frames(wire).take(PENDING_CAP + 1).count() <= PENDING_CAP {
             return;
         }
-        for (n, (_, ep)) in shed.iter_mut().zip(endpoints.iter()) {
-            *n = queued(ep);
+        for (n, (_, half)) in shed.iter_mut().zip(streams.iter()) {
+            *n = queued(half);
         }
         for frame in Frames(wire) {
             if let Some(&slot) = index.get(&frame.stream_id) {
@@ -483,8 +489,8 @@ impl Shard {
         let mut over: Vec<(usize, u64)> = Vec::new();
         for (slot, n) in shed.iter_mut().enumerate() {
             if *n > PENDING_CAP {
-                over.push((slot, endpoints[slot].1.last_seq()));
-                *n = queued(&endpoints[slot].1);
+                over.push((slot, streams[slot].1.last_seq));
+                *n = queued(&streams[slot].1);
             } else {
                 *n = 0;
             }
@@ -508,61 +514,57 @@ impl Shard {
         }
     }
 
-    /// Captures every endpoint's protocol state, sorted by stream id,
-    /// without consuming the shard. The live `x`/`p`/staleness sit on a
-    /// fleet-batch lane, so the captured state is the endpoint's
-    /// bookkeeping overlaid with the lane's triplet — exactly the bits
-    /// [`Shard::finish`] would restore, but copied instead of moved.
+    /// Captures every stream's [`EndpointState`], sorted by stream id,
+    /// without consuming the shard: its protocol half with the filter
+    /// assembled from its lane — the endpoint [`Shard::finish`] would hand
+    /// back, captured.
     pub(crate) fn snapshot_states(&self) -> Vec<(u32, EndpointState)> {
-        let mut states: Vec<(u32, EndpointState)> = self
-            .endpoints
-            .iter()
-            .map(|(id, ep)| (*id, ep.state()))
-            .collect();
-        self.lanes.overlay(&mut states);
-        states
+        let streams = self.streams.iter().enumerate();
+        streams
+            .map(|(slot, (id, half))| (*id, half.state(&self.lanes.filter(slot))))
+            .collect()
     }
 
-    /// Tears down into a one-shard [`IngestResult`] (the lanes are restored
-    /// into their endpoint filters first). `cpu_secs` is the
-    /// owning worker thread's on-CPU time, when it has one and the kernel
-    /// exposes it; the summed tick spans stand in otherwise.
-    pub(crate) fn finish(mut self, cpu_secs: Option<f64>) -> IngestResult {
-        self.lanes.restore(&mut self.endpoints);
+    /// Tears down into a one-shard [`IngestResult`], each stream's protocol
+    /// half and its lane's filter put back together as a
+    /// [`ServerEndpoint`]. `cpu_secs` is the owning worker thread's on-CPU
+    /// time, when it has one and the kernel exposes it; the summed tick
+    /// spans stand in otherwise.
+    pub(crate) fn finish(self, cpu_secs: Option<f64>) -> IngestResult {
         let mut report = self.report;
         report.decode_failures = self.decoder.decode_failures();
-        report.stale_drops = self
-            .endpoints
-            .iter()
-            .map(|(_, ep)| ep.delivery().stale_drops)
-            .sum();
+        let streams = self.streams.iter();
+        report.stale_drops = streams.map(|(_, half)| half.delivery.stale_drops).sum();
         report.busy_secs = cpu_secs.unwrap_or(report.tick_ns.sum() as f64 / 1e9);
+        let streams = self.streams.into_iter().enumerate();
+        let endpoints = streams.map(|(slot, (id, protocol))| {
+            let filter = self.lanes.filter(slot);
+            (id, ServerEndpoint { filter, protocol })
+        });
         IngestResult {
             shards: vec![report],
-            endpoints: self.endpoints,
+            endpoints: endpoints.collect(),
             router_decode_failures: 0,
         }
     }
 }
 
-/// Hands one admitted sync to endpoint `slot` (`msg` is `None` for a
-/// carried queue entry that does not parse): shed and counted while the
+/// Hands one admitted sync to stream `slot` (`half`; `msg` is `None` for
+/// a carried queue entry that does not parse): shed and counted while the
 /// stream still has tick-old syncs over the cap to shed, otherwise applied
-/// to its lane.
+/// to its lane and counted if accepted.
 fn deliver(
     lanes: &mut BatchLanes,
     shed: &mut [usize],
     slot: usize,
-    ep: &mut ServerEndpoint,
+    half: &mut ProtocolHalf,
     msg: Option<SyncRef<'_>>,
 ) {
     if shed[slot] > 0 {
         shed[slot] -= 1;
-        ep.note_shed();
-        return;
-    }
-    if let Some(msg) = msg {
-        lanes.apply(slot, ep, msg);
+        half.delivery.shed += 1;
+    } else if let Some(msg) = msg {
+        half.syncs_applied += u64::from(lanes.apply(slot, msg));
     }
 }
 
@@ -1090,11 +1092,11 @@ impl SequentialIngest {
 mod tests {
     use super::*;
     use crate::frame::FrameBatch;
-    use crate::test_support::{assert_same_endpoints, filter_bits, oracle, record_log};
+    use crate::test_support::{assert_same_endpoints, filter_bits, oracle, poll_dry, record_log};
     use crate::wire::SyncMessage;
     use crate::{ProtocolConfig, SessionSpec, StreamSession};
     use crossbeam::channel::unbounded;
-    use kalstream_sim::Producer;
+    use kalstream_sim::{Consumer, Producer};
 
     #[test]
     fn failed_recycle_handback_is_counted_not_swallowed() {
@@ -1441,7 +1443,8 @@ mod tests {
             }
             log.push(batch.as_bytes().to_vec());
         }
-        let want = oracle(servers.clone(), &log);
+        let mut want = oracle(servers.clone(), &log);
+        poll_dry(&mut want);
 
         let (fb_tx, fb_rx) = unbounded();
         let mut pipe = IngestPipeline::start_with(ShardAssignment::modulo(3), servers, Some(fb_tx));

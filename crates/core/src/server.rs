@@ -6,7 +6,7 @@ use kalstream_linalg::{Matrix, Vector, DIM_CAP};
 use kalstream_obs::{Counter, Instrument, Scope};
 use kalstream_sim::{Consumer, DeliveryStats, Tick};
 
-use crate::wire::{self, SyncMessage, SyncRef, WireMessage, WireRef};
+use crate::wire::{self, ModelRef, SyncMessage, SyncRef, WireMessage, WireRef};
 
 /// Per stream, the most syncs one tick applies: the newest `PENDING_CAP`
 /// apply and the older ones are shed, counted in `delivery.shed`. In the
@@ -24,9 +24,23 @@ pub(crate) const PENDING_CAP: usize = 256;
 /// state (and possibly the model). This is the paper's "caching dynamic
 /// procedures that can predict data reliably at the server without the
 /// clients' involvement".
+///
+/// It is two halves: the filter, and the protocol half that admits,
+/// queues, counts and acknowledges syncs. An ingest shard takes the two
+/// apart for as long as it owns the stream: it keeps the protocol half,
+/// and the filter lives on one of its lanes (`crate::batch_ingest`).
 #[derive(Debug, Clone)]
 pub struct ServerEndpoint {
-    filter: KalmanFilter,
+    pub(crate) filter: KalmanFilter,
+    pub(crate) protocol: ProtocolHalf,
+}
+
+/// Everything a server endpoint keeps about its stream but the filter:
+/// sequence admission, the pending queue, the feedback due and the
+/// counters — the one copy of those rules, for the endpoint and for the
+/// ingest shard alike.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ProtocolHalf {
     /// Syncs delivered this tick, applied inside [`Consumer::estimate`]
     /// *after* the predict step so server and shadow stay in lock-step.
     /// Filled by [`Consumer::receive`] (the simulator's receive → estimate
@@ -38,12 +52,12 @@ pub struct ServerEndpoint {
     /// size, and a drained queue keeps its capacity.
     pending: Vec<u8>,
     /// Entries in `pending`.
-    pending_len: usize,
-    syncs_applied: Counter,
+    pub(crate) pending_len: usize,
+    pub(crate) syncs_applied: Counter,
     decode_failures: Counter,
-    predict_failures: Counter,
+    pub(crate) predict_failures: Counter,
     /// Highest sequence number accepted (0 before the first sequenced sync).
-    last_seq: u64,
+    pub(crate) last_seq: u64,
     /// Set when a sequenced message arrives; cleared when the ack is polled.
     ack_due: bool,
     /// A precision bound queued for the source, set by the query/allocation
@@ -53,99 +67,10 @@ pub struct ServerEndpoint {
     bound_due: Option<f64>,
     /// Bound directives actually polled onto the feedback link.
     bounds_sent: Counter,
-    delivery: DeliveryStats,
+    pub(crate) delivery: DeliveryStats,
 }
 
-impl ServerEndpoint {
-    /// Creates the server side from its initial filter (identical to the
-    /// source's shadow — [`crate::StreamSession`] guarantees the pairing).
-    pub(crate) fn new(filter: KalmanFilter) -> Self {
-        ServerEndpoint {
-            filter,
-            pending: Vec::new(),
-            pending_len: 0,
-            syncs_applied: Counter::new(),
-            decode_failures: Counter::new(),
-            predict_failures: Counter::new(),
-            last_seq: 0,
-            ack_due: false,
-            bound_due: None,
-            bounds_sent: Counter::new(),
-            delivery: DeliveryStats::default(),
-        }
-    }
-
-    /// The cached filter (for query answering beyond plain values:
-    /// covariance, staleness, forecasts).
-    pub fn filter(&self) -> &KalmanFilter {
-        &self.filter
-    }
-
-    /// Sync messages successfully applied.
-    pub fn syncs_applied(&self) -> u64 {
-        self.syncs_applied.get()
-    }
-
-    /// Wire messages that failed to decode (dropped, counted).
-    pub fn decode_failures(&self) -> u64 {
-        self.decode_failures.get()
-    }
-
-    /// Ticks on which the predict step failed numerically (estimate then
-    /// reuses the previous state).
-    pub fn predict_failures(&self) -> u64 {
-        self.predict_failures.get()
-    }
-
-    /// Ticks since the server last heard from the source — the "cache age"
-    /// that experiment F10 profiles.
-    pub fn staleness(&self) -> u64 {
-        self.filter.steps_since_update()
-    }
-
-    /// Predictive variance of the served value (first measurement
-    /// component): the innovation covariance `S = H P Hᵀ + R` of the cached
-    /// filter, which grows with staleness as suppressed ticks accumulate
-    /// process noise. This is the per-stream uncertainty the query graph
-    /// propagates into distributional answers — read once per stream per
-    /// tick, so it is computed as the one number it is
-    /// ([`KalmanFilter::predicted_measurement_var`]), not read off a built `S`.
-    pub fn served_variance(&self) -> f64 {
-        self.filter.predicted_measurement_var(0)
-    }
-
-    /// Applies one owned sync message immediately (test/query-layer hook;
-    /// the simulator path goes through [`Consumer::receive`], the ingest
-    /// shard admits and applies views in place).
-    pub fn apply(&mut self, msg: SyncMessage) {
-        // A hand-built message whose parts disagree does not parse back;
-        // like any sync the filter refuses, it is dropped uncounted.
-        if let Ok(view) = SyncRef::parse(&msg.encode()) {
-            self.apply_view(view);
-        }
-    }
-
-    /// Applies one sync view to the endpoint's own filter; returns whether
-    /// the filter accepted it (and counts it when it did).
-    pub(crate) fn apply_view(&mut self, msg: SyncRef<'_>) -> bool {
-        let applied = apply_sync(&mut self.filter, msg);
-        if applied {
-            self.syncs_applied += 1;
-        }
-        applied
-    }
-
-    /// Queues one owned sync message for the next
-    /// [`ServerEndpoint::advance`] — the value-type twin of the view path,
-    /// for tests and snapshot restore. At the cap the **oldest** queued sync
-    /// is shed (and counted): under full-state semantics a newer sync
-    /// subsumes older ones, so dropping from the front preserves the
-    /// freshest state.
-    pub fn enqueue(&mut self, msg: SyncMessage) {
-        self.shed_at_cap();
-        self.push_pending(|queue| msg.encode_into(queue));
-    }
-
+impl ProtocolHalf {
     /// Makes room for one more entry: at [`PENDING_CAP`] the oldest is
     /// dropped and counted.
     fn shed_at_cap(&mut self) {
@@ -210,80 +135,30 @@ impl ServerEndpoint {
         }
     }
 
-    /// Queues one validated v3 wire message for the next
-    /// [`ServerEndpoint::advance`], after sequence bookkeeping (stale and
-    /// duplicate drops, gap counting, ack re-arming) — the simulator path's
-    /// entry ([`Consumer::receive`]). What is queued is the viewed body
-    /// itself: no owned message exists between the socket and the filter.
-    pub fn enqueue_view(&mut self, msg: WireRef<'_>) {
-        if let (Some(_), WireRef::Sync { body, .. }) = (self.admit_view(msg), msg) {
-            self.shed_at_cap();
-            self.push_pending(|queue| queue.extend_from_slice(body));
-        }
-    }
-
-    /// Counts one sync shed at [`PENDING_CAP`] — the ingest shard's twin of
-    /// the queue's own shedding.
-    pub(crate) fn note_shed(&mut self) {
-        self.delivery.shed += 1;
-    }
-
-    /// [`ServerEndpoint::enqueue_view`] for an owned message — same
-    /// bookkeeping, the body encoded into the queue.
-    pub fn enqueue_wire(&mut self, msg: WireMessage) {
-        match msg {
-            WireMessage::Sync { seq, msg } => {
-                if self.admit(seq) {
-                    self.enqueue(msg);
-                }
-            }
-            WireMessage::Ack { .. } | WireMessage::Bound { .. } => self.decode_failures += 1,
-        }
-    }
-
-    /// Highest sequence number accepted (0 before the first sequenced sync).
-    pub fn last_seq(&self) -> u64 {
-        self.last_seq
-    }
-
-    /// Receiver-side delivery accounting (stale drops, gaps, shed).
-    pub fn delivery(&self) -> DeliveryStats {
-        self.delivery
-    }
-
-    /// Syncs currently queued for the next advance.
-    pub fn pending_len(&self) -> usize {
-        self.pending_len
-    }
-
-    /// Queues a precision-bound directive for the paired source; it rides
-    /// the next [`Consumer::poll_feedback`] as a [`WireMessage::Bound`].
-    ///
-    /// This is the hook the query graph's precision propagation and the
-    /// epoch budget allocator use to steer producers from the consumer side.
-    /// Non-finite or non-positive bounds are ignored (the wire format would
-    /// reject them anyway); a newer directive replaces an unsent older one,
-    /// since only the latest bound is binding.
-    pub fn push_bound_directive(&mut self, delta: f64) {
-        if delta.is_finite() && delta > 0.0 {
-            self.bound_due = Some(delta);
-        }
-    }
-
     /// Whether an ack or a bound directive waits for the next feedback
     /// poll.
     pub(crate) fn feedback_due(&self) -> bool {
         self.ack_due || self.bound_due.is_some()
     }
 
-    /// Bound directives actually sent over the feedback link.
-    pub fn bounds_sent(&self) -> u64 {
-        self.bounds_sent.get()
+    /// One feedback payload, if any is due. Acks win ties (a starved ack
+    /// forces a spurious resync; a bound delayed one tick costs at most one
+    /// message) — the bound stays queued for the next poll.
+    pub(crate) fn poll_feedback(&mut self) -> Option<Bytes> {
+        if self.ack_due {
+            self.ack_due = false;
+            Some(Bytes::copy_from_slice(&wire::ack_bytes(self.last_seq)))
+        } else if let Some(delta) = self.bound_due.take() {
+            self.bounds_sent += 1;
+            Some(Bytes::copy_from_slice(&wire::bound_bytes(delta)))
+        } else {
+            None
+        }
     }
 
-    /// Hands every queued entry, oldest first, to `apply` (with the endpoint
-    /// itself, for its counters and filter) and leaves the queue empty with
-    /// its capacity kept — steady-state ticks must not allocate. Bodies
+    /// Hands every queued entry, oldest first, to `apply` (with the half
+    /// itself, for its counters) and leaves the queue empty with its
+    /// capacity kept — steady-state ticks must not allocate. Bodies
     /// arriving as views were validated on the way in; an owned message
     /// that does not parse back is handed over as `None`, to be dropped
     /// uncounted. [`ServerEndpoint::advance`] applies the entries to the
@@ -302,38 +177,15 @@ impl ServerEndpoint {
         self.pending_len = 0;
     }
 
-    /// Counts one applied sync — the batch engine's twin of the bookkeeping
-    /// inside `apply_view`.
-    pub(crate) fn note_sync_applied(&mut self) {
-        self.syncs_applied += 1;
-    }
-
-    /// Counts one failed predict step — the batch engine's twin of the
-    /// bookkeeping inside `predict`.
-    pub(crate) fn note_predict_failure(&mut self) {
-        self.predict_failures += 1;
-    }
-
-    /// Mutable filter access for the batch engine's lane handoff: a lane
-    /// restores its state into the endpoint's filter at teardown.
-    pub(crate) fn filter_mut(&mut self) -> &mut KalmanFilter {
-        &mut self.filter
-    }
-
-    /// Captures the complete protocol state of this endpoint as a plain
-    /// value — the unit the durability layer snapshots. Everything that
-    /// influences future behaviour is included: the filter triplet (model,
-    /// state, covariance) **and** its staleness/covariance-update mode, the
-    /// undrained pending queue, the seq/ack tracker, the queued bound
-    /// directive, and every counter. [`ServerEndpoint::from_state`] must
-    /// rebuild an endpoint that is bit-identical going forward.
-    pub fn state(&self) -> EndpointState {
+    /// Captures this half and `filter` as one [`EndpointState`]: see
+    /// [`ServerEndpoint::state`].
+    pub(crate) fn state(&self, filter: &KalmanFilter) -> EndpointState {
         EndpointState {
-            model: self.filter.model().clone(),
-            x: self.filter.state().clone(),
-            p: self.filter.covariance().clone(),
-            steps_since_update: self.filter.steps_since_update(),
-            cov_update: self.filter.covariance_update(),
+            model: filter.model().clone(),
+            x: filter.state().clone(),
+            p: filter.covariance().clone(),
+            steps_since_update: filter.steps_since_update(),
+            cov_update: filter.covariance_update(),
             pending: entries(&self.pending)
                 .filter_map(|body| SyncRef::parse(body).ok())
                 .map(|msg| msg.to_owned())
@@ -347,6 +199,159 @@ impl ServerEndpoint {
             bounds_sent: self.bounds_sent.get(),
             delivery: self.delivery,
         }
+    }
+}
+
+impl ServerEndpoint {
+    /// Creates the server side from its initial filter (identical to the
+    /// source's shadow — [`crate::StreamSession`] guarantees the pairing).
+    pub(crate) fn new(filter: KalmanFilter) -> Self {
+        ServerEndpoint {
+            filter,
+            protocol: ProtocolHalf::default(),
+        }
+    }
+
+    /// The cached filter (for query answering beyond plain values:
+    /// covariance, staleness, forecasts).
+    pub fn filter(&self) -> &KalmanFilter {
+        &self.filter
+    }
+
+    /// Sync messages successfully applied.
+    pub fn syncs_applied(&self) -> u64 {
+        self.protocol.syncs_applied.get()
+    }
+
+    /// Wire messages that failed to decode (dropped, counted).
+    pub fn decode_failures(&self) -> u64 {
+        self.protocol.decode_failures.get()
+    }
+
+    /// Ticks on which the predict step failed numerically (estimate then
+    /// reuses the previous state).
+    pub fn predict_failures(&self) -> u64 {
+        self.protocol.predict_failures.get()
+    }
+
+    /// Ticks since the server last heard from the source — the "cache age"
+    /// that experiment F10 profiles.
+    pub fn staleness(&self) -> u64 {
+        self.filter.steps_since_update()
+    }
+
+    /// Predictive variance of the served value (first measurement
+    /// component): the innovation covariance `S = H P Hᵀ + R` of the cached
+    /// filter, which grows with staleness as suppressed ticks accumulate
+    /// process noise. This is the per-stream uncertainty the query graph
+    /// propagates into distributional answers — read once per stream per
+    /// tick, so it is computed as the one number it is
+    /// ([`KalmanFilter::predicted_measurement_var`]), not read off a built `S`.
+    pub fn served_variance(&self) -> f64 {
+        self.filter.predicted_measurement_var(0)
+    }
+
+    /// Applies one owned sync message immediately (test/query-layer hook;
+    /// the simulator path goes through [`Consumer::receive`], the ingest
+    /// shard admits and applies views in place).
+    pub fn apply(&mut self, msg: SyncMessage) {
+        // A hand-built message whose parts disagree does not parse back;
+        // like any sync the filter refuses, it is dropped uncounted.
+        if let Ok(view) = SyncRef::parse(&msg.encode()) {
+            self.apply_view(view);
+        }
+    }
+
+    /// Applies one sync view to the endpoint's own filter; returns whether
+    /// the filter accepted it (and counts it when it did).
+    pub(crate) fn apply_view(&mut self, msg: SyncRef<'_>) -> bool {
+        let applied = apply_sync(&mut self.filter, msg);
+        self.protocol.syncs_applied += u64::from(applied);
+        applied
+    }
+
+    /// Queues one owned sync message for the next
+    /// [`ServerEndpoint::advance`] — the value-type twin of the view path,
+    /// for tests and snapshot restore. At the cap the **oldest** queued sync
+    /// is shed (and counted): under full-state semantics a newer sync
+    /// subsumes older ones, so dropping from the front preserves the
+    /// freshest state.
+    pub fn enqueue(&mut self, msg: SyncMessage) {
+        self.protocol.shed_at_cap();
+        self.protocol.push_pending(|queue| msg.encode_into(queue));
+    }
+
+    /// Queues one validated v3 wire message for the next
+    /// [`ServerEndpoint::advance`], after sequence bookkeeping (stale and
+    /// duplicate drops, gap counting, ack re-arming) — the simulator path's
+    /// entry ([`Consumer::receive`]). What is queued is the viewed body
+    /// itself: no owned message exists between the socket and the filter.
+    pub fn enqueue_view(&mut self, msg: WireRef<'_>) {
+        if let (Some(_), WireRef::Sync { body, .. }) = (self.protocol.admit_view(msg), msg) {
+            self.protocol.shed_at_cap();
+            self.protocol
+                .push_pending(|queue| queue.extend_from_slice(body));
+        }
+    }
+
+    /// [`ServerEndpoint::enqueue_view`] for an owned message — same
+    /// bookkeeping, the body encoded into the queue.
+    pub fn enqueue_wire(&mut self, msg: WireMessage) {
+        match msg {
+            WireMessage::Sync { seq, msg } => {
+                if self.protocol.admit(seq) {
+                    self.enqueue(msg);
+                }
+            }
+            WireMessage::Ack { .. } | WireMessage::Bound { .. } => {
+                self.protocol.decode_failures += 1
+            }
+        }
+    }
+
+    /// Highest sequence number accepted (0 before the first sequenced sync).
+    pub fn last_seq(&self) -> u64 {
+        self.protocol.last_seq
+    }
+
+    /// Receiver-side delivery accounting (stale drops, gaps, shed).
+    pub fn delivery(&self) -> DeliveryStats {
+        self.protocol.delivery
+    }
+
+    /// Syncs currently queued for the next advance.
+    pub fn pending_len(&self) -> usize {
+        self.protocol.pending_len
+    }
+
+    /// Queues a precision-bound directive for the paired source; it rides
+    /// the next [`Consumer::poll_feedback`] as a [`WireMessage::Bound`].
+    ///
+    /// This is the hook the query graph's precision propagation and the
+    /// epoch budget allocator use to steer producers from the consumer side.
+    /// Non-finite or non-positive bounds are ignored (the wire format would
+    /// reject them anyway); a newer directive replaces an unsent older one,
+    /// since only the latest bound is binding.
+    pub fn push_bound_directive(&mut self, delta: f64) {
+        if delta.is_finite() && delta > 0.0 {
+            self.protocol.bound_due = Some(delta);
+        }
+    }
+
+    /// Bound directives actually sent over the feedback link.
+    pub fn bounds_sent(&self) -> u64 {
+        self.protocol.bounds_sent.get()
+    }
+
+    /// Captures the complete protocol state of this endpoint as a plain
+    /// value — the unit the durability layer snapshots. Everything that
+    /// influences future behaviour is included: the filter triplet (model,
+    /// state, covariance) **and** its staleness/covariance-update mode, the
+    /// undrained pending queue, the seq/ack tracker, the queued bound
+    /// directive, and every counter. [`ServerEndpoint::from_state`] must
+    /// rebuild an endpoint that is bit-identical going forward.
+    pub fn state(&self) -> EndpointState {
+        self.protocol.state(&self.filter)
     }
 
     /// Rebuilds an endpoint from a captured [`EndpointState`] — the
@@ -378,10 +383,7 @@ impl ServerEndpoint {
         let mut filter = KalmanFilter::with_covariance(model, x.clone(), p.clone())?;
         filter.set_covariance_update(cov_update);
         filter.restore(x, p, steps_since_update)?;
-        let mut endpoint = ServerEndpoint {
-            filter,
-            pending: Vec::new(),
-            pending_len: 0,
+        let mut protocol = ProtocolHalf {
             syncs_applied: Counter::from(syncs_applied),
             decode_failures: Counter::from(decode_failures),
             predict_failures: Counter::from(predict_failures),
@@ -390,25 +392,26 @@ impl ServerEndpoint {
             bound_due,
             bounds_sent: Counter::from(bounds_sent),
             delivery,
+            ..ProtocolHalf::default()
         };
         // Straight into the queue: a restore sheds nothing.
         for msg in &pending {
-            endpoint.push_pending(|queue| msg.encode_into(queue));
+            protocol.push_pending(|queue| msg.encode_into(queue));
         }
-        Ok(endpoint)
+        Ok(ServerEndpoint { filter, protocol })
     }
 
     /// Advances one tick: predict, then apply every queued sync — exactly
     /// [`Consumer::estimate`]'s transition without serving a value. An
     /// ingest shard makes the same transition without the queue: it
-    /// predicts every endpoint, then applies the tick's syncs in arrival
+    /// predicts every lane, then applies the tick's syncs in arrival
     /// order, so ingest stays bit-compatible with the simulator path.
     pub fn advance(&mut self) {
         self.predict();
-        self.drain_pending(|endpoint, msg| {
-            if let Some(msg) = msg {
-                endpoint.apply_view(msg);
-            }
+        let filter = &mut self.filter;
+        self.protocol.drain_pending(|protocol, msg| {
+            let applied = msg.is_some_and(|msg| apply_sync(filter, msg));
+            protocol.syncs_applied += u64::from(applied);
         });
     }
 
@@ -416,7 +419,7 @@ impl ServerEndpoint {
     /// step, a failure counted.
     pub(crate) fn predict(&mut self) {
         if self.filter.predict().is_err() {
-            self.predict_failures += 1;
+            self.protocol.predict_failures += 1;
         }
     }
 }
@@ -493,20 +496,20 @@ fn entries(queue: &[u8]) -> impl Iterator<Item = &[u8]> {
 pub(crate) fn apply_sync(filter: &mut KalmanFilter, msg: SyncRef<'_>) -> bool {
     match msg {
         SyncRef::State { x, p } => filter.set_state_packed(x.iter(), p.iter()).is_ok(),
-        SyncRef::Model(model) => {
-            let (model, x, p) = model.to_owned();
-            match KalmanFilter::with_covariance(model, x, p) {
-                Ok(kf) => {
-                    *filter = kf;
-                    true
-                }
-                Err(_) => false,
-            }
-        }
+        SyncRef::Model(model) => model_filter(model).map(|kf| *filter = kf).is_some(),
         SyncRef::Measurement { z } => filter
             .update_lean_slice(z.read_into(&mut [0.0; DIM_CAP]))
             .is_ok(),
     }
+}
+
+/// The filter a Model sync installs — its model, state and covariance,
+/// shape-checked once by [`KalmanFilter::with_covariance`], in the default
+/// covariance form — or `None` when they make no filter and the sync is
+/// refused. The ingest shard writes it onto the stream's lane.
+pub(crate) fn model_filter(model: ModelRef<'_>) -> Option<KalmanFilter> {
+    let (model, x, p) = model.to_owned();
+    KalmanFilter::with_covariance(model, x, p).ok()
 }
 
 impl Consumer for ServerEndpoint {
@@ -517,7 +520,7 @@ impl Consumer for ServerEndpoint {
     fn receive(&mut self, _now: Tick, payload: &Bytes) {
         match WireRef::parse(payload) {
             Ok(msg) => self.enqueue_view(msg),
-            Err(_) => self.decode_failures += 1,
+            Err(_) => self.protocol.decode_failures += 1,
         }
     }
 
@@ -530,22 +533,11 @@ impl Consumer for ServerEndpoint {
     }
 
     fn poll_feedback(&mut self, _now: Tick) -> Option<Bytes> {
-        // One feedback payload per tick. Acks win ties (a starved ack
-        // forces a spurious resync; a bound delayed one tick costs at most
-        // one message) — the bound stays queued for the next poll.
-        if self.ack_due {
-            self.ack_due = false;
-            Some(Bytes::copy_from_slice(&wire::ack_bytes(self.last_seq)))
-        } else if let Some(delta) = self.bound_due.take() {
-            self.bounds_sent += 1;
-            Some(Bytes::copy_from_slice(&wire::bound_bytes(delta)))
-        } else {
-            None
-        }
+        self.protocol.poll_feedback()
     }
 
     fn delivery_stats(&self) -> DeliveryStats {
-        self.delivery
+        self.delivery()
     }
 
     fn served_variance(&self) -> Option<f64> {
@@ -555,13 +547,13 @@ impl Consumer for ServerEndpoint {
 
 impl Instrument for ServerEndpoint {
     fn export(&self, scope: &mut Scope<'_>) {
-        scope.counter("syncs_applied", self.syncs_applied);
-        scope.counter("decode_failures", self.decode_failures);
-        scope.counter("predict_failures", self.predict_failures);
-        scope.counter("bounds_sent", self.bounds_sent);
-        scope.counter("last_seq", self.last_seq);
+        scope.counter("syncs_applied", self.protocol.syncs_applied);
+        scope.counter("decode_failures", self.protocol.decode_failures);
+        scope.counter("predict_failures", self.protocol.predict_failures);
+        scope.counter("bounds_sent", self.protocol.bounds_sent);
+        scope.counter("last_seq", self.protocol.last_seq);
         scope.counter("staleness", self.staleness());
-        scope.observe("delivery", &self.delivery);
+        scope.observe("delivery", &self.protocol.delivery);
     }
 }
 
@@ -919,6 +911,17 @@ mod tests {
     }
 
     #[test]
+    fn protocol_half_stays_small() {
+        // Footprint guard: the one record an ingest shard keeps per stream
+        // besides its lane, walked on every admit.
+        assert!(
+            std::mem::size_of::<ProtocolHalf>() <= 160,
+            "ProtocolHalf grew to {} bytes",
+            std::mem::size_of::<ProtocolHalf>()
+        );
+    }
+
+    #[test]
     fn served_variance_is_the_first_diagonal_of_s_bit_for_bit() {
         // Every table shape, a few predicts and syncs in.
         let shapes = [1usize, 2, 4, 8]
@@ -1088,7 +1091,7 @@ mod tests {
             if t == 2 {
                 // A payload that does not parse is counted, not queued.
                 viewed.receive(t, &Bytes::from_static(b"\x01\x02garbage"));
-                owned.decode_failures += 1;
+                owned.protocol.decode_failures += 1;
                 failures += 1;
             }
             assert_eq!(viewed.pending_len(), accepted.len());
@@ -1139,7 +1142,10 @@ mod tests {
         assert_eq!(snap.pending.len(), 5);
         let mut restored = ServerEndpoint::from_state(snap.clone()).expect("rebuild");
         assert_eq!(restored.state(), snap, "re-capture reproduces the snapshot");
-        assert_eq!(restored.pending, live.pending, "same queue bytes");
+        assert_eq!(
+            restored.protocol.pending, live.protocol.pending,
+            "same queue bytes"
+        );
         let mut out = [[0.0]; 2];
         for (t, tick) in traffic.iter().enumerate() {
             if t > 0 {

@@ -2,10 +2,10 @@
 
 use kalstream_filter::models;
 use kalstream_linalg::Vector;
-use kalstream_sim::Producer;
+use kalstream_sim::{Consumer, Producer};
 
 use crate::frame::{FrameBatch, FrameDecoder};
-use crate::{ProtocolConfig, ServerEndpoint, SessionSpec, StreamSession};
+use crate::{EndpointState, ProtocolConfig, ServerEndpoint, SessionSpec, StreamSession};
 
 /// `n_cv` constant-velocity sessions (2-state) followed by `n_scalar`
 /// default scalar sessions (1-state adaptive random walk) — both shapes
@@ -89,7 +89,7 @@ pub(crate) fn oracle(
         decoder.for_each_wire_message(tick, |id, msg| {
             if let Ok(i) = endpoints.binary_search_by_key(&id, |(id, _)| *id) {
                 let ep = &mut endpoints[i].1;
-                if let Some(sync) = ep.admit_view(msg) {
+                if let Some(sync) = ep.protocol.admit_view(msg) {
                     ep.apply_view(sync);
                 }
             }
@@ -98,28 +98,66 @@ pub(crate) fn oracle(
     endpoints
 }
 
-/// Asserts two endpoint sets end identical: ids, filter bits, applied
-/// syncs, predict failures, staleness and delivery counters.
+/// Asserts two endpoint sets end identical, bit for bit: ids, and per
+/// stream everything [`ServerEndpoint::state`] captures (see
+/// [`assert_same_states`]). An endpoint an ingest shard rebuilds from its
+/// protocol half and its lane must match the oracle's in all of it.
 pub(crate) fn assert_same_endpoints(
     a: &[(u32, ServerEndpoint)],
     b: &[(u32, ServerEndpoint)],
     what: &str,
 ) {
+    let states = |eps: &[(u32, ServerEndpoint)]| -> Vec<(u32, EndpointState)> {
+        eps.iter().map(|(id, ep)| (*id, ep.state())).collect()
+    };
+    assert_same_states(&states(a), &states(b), what);
+}
+
+/// Asserts two captured state sets are identical, bit for bit: ids, the
+/// model's name and `F`, `Q`, `H`, `R`, the filter's `x`, `P`, staleness
+/// and covariance form, the pending queue (as wire bytes), and the
+/// protocol half's sequence, feedback due and counters.
+pub(crate) fn assert_same_states(
+    a: &[(u32, EndpointState)],
+    b: &[(u32, EndpointState)],
+    what: &str,
+) {
     assert_eq!(a.len(), b.len(), "{what}: stream count");
-    for ((id_a, ea), (id_b, eb)) in a.iter().zip(b.iter()) {
+    for ((id_a, sa), (id_b, sb)) in a.iter().zip(b.iter()) {
         assert_eq!(id_a, id_b, "{what}");
-        assert_eq!(filter_bits(ea), filter_bits(eb), "{what}: stream {id_a}");
-        assert_eq!(ea.syncs_applied(), eb.syncs_applied(), "{what}: {id_a}");
-        assert_eq!(
-            ea.predict_failures(),
-            eb.predict_failures(),
-            "{what}: {id_a}"
-        );
-        assert_eq!(
-            ea.filter().steps_since_update(),
-            eb.filter().steps_since_update(),
-            "{what}: {id_a}"
-        );
-        assert_eq!(ea.delivery(), eb.delivery(), "{what}: {id_a}");
+        assert_eq!(state_bits(sa), state_bits(sb), "{what}: stream {id_a}");
+    }
+}
+
+/// A captured state with every float as its bits.
+fn state_bits(s: &EndpointState) -> impl PartialEq + std::fmt::Debug {
+    let m = &s.model;
+    let floats: Vec<u64> = [m.f(), m.q(), m.h(), m.r(), &s.p]
+        .into_iter()
+        .flat_map(|mat| mat.as_slice())
+        .chain(s.x.as_slice())
+        .map(|v| v.to_bits())
+        .collect();
+    let pending: Vec<_> = s.pending.iter().map(|msg| msg.encode()).collect();
+    (
+        (
+            m.name().to_owned(),
+            floats,
+            s.steps_since_update,
+            s.cov_update,
+        ),
+        pending,
+        (s.syncs_applied, s.decode_failures, s.predict_failures),
+        (s.last_seq, s.ack_due, s.bound_due.map(f64::to_bits)),
+        (s.bounds_sent, s.delivery),
+    )
+}
+
+/// Polls every endpoint's feedback until none is due — what an engine with
+/// a feedback channel has done by the end of a run, for comparing it with
+/// one that never polls.
+pub(crate) fn poll_dry(endpoints: &mut [(u32, ServerEndpoint)]) {
+    for (_, ep) in endpoints {
+        while ep.poll_feedback(0).is_some() {}
     }
 }

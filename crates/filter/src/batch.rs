@@ -397,19 +397,31 @@ impl<const N: usize, const M: usize> FleetBatch<N, M> {
         (self.chunk_x(at), load_square(&self.p, self.x.len(), at))
     }
 
-    /// Lane `lane`'s state, covariance and staleness, gathered back into
-    /// row-major dynamic values of the model's own shape — what a lane
-    /// hands its stream's own filter at teardown.
-    pub fn lane_state(&self, lane: usize) -> (Vector, Matrix, u64) {
+    /// Lane `lane` as the lone filter it steps like, its model named
+    /// `name`: the batch's `F`, `H` and covariance form with the lane's own
+    /// `Q`, `R`, state, covariance and staleness, gathered back into values
+    /// of the model's own shape — what a lane hands back when its stream
+    /// leaves the batch.
+    pub fn lane_filter(&self, lane: usize, name: impl Into<std::sync::Arc<str>>) -> KalmanFilter {
         let n = self.x.len();
-        let (mut x, mut p) = (Vector::zeros(n), Matrix::zeros(n, n));
-        for (dst, plane) in x.as_mut_slice().iter_mut().zip(&self.x) {
-            *dst = plane[lane];
-        }
-        for (dst, plane) in p.as_mut_slice().iter_mut().zip(&self.p) {
-            *dst = plane[lane];
-        }
-        (x, p, self.steps_since_update[lane])
+        let gather = |planes: &[Vec<f64>], rows, cols| {
+            let mut m = Matrix::zeros(rows, cols);
+            for (v, plane) in m.as_mut_slice().iter_mut().zip(planes) {
+                *v = plane[lane];
+            }
+            m
+        };
+        let (f, h) = (self.model.f().clone(), self.model.h().clone());
+        let model = StateModel::new(name, f, gather(&self.q, n, n), h, gather(&self.r, M, M))
+            .expect("lane noise fits the batch model");
+        let x = Vector::from_slice(gather(&self.x, n, 1).as_slice());
+        let p = gather(&self.p, n, n);
+        let mut filter = KalmanFilter::with_covariance(model, x.clone(), p.clone())
+            .expect("lane state fits the batch model");
+        filter.set_covariance_update(self.form);
+        let steps = self.steps_since_update[lane];
+        filter.restore(x, p, steps).expect("shapes checked above");
+        filter
     }
 
     /// Lane `lane`'s staleness counter.
@@ -653,6 +665,16 @@ mod tests {
 
     const JOSEPH: CovarianceUpdate = CovarianceUpdate::Joseph;
 
+    /// Lane `lane`'s state, covariance and staleness, read off its filter.
+    fn lane_state<const N: usize, const M: usize>(
+        batch: &FleetBatch<N, M>,
+        lane: usize,
+    ) -> (Vector, Matrix, u64) {
+        let kf = batch.lane_filter(lane, "lane");
+        let (x, p) = (kf.state().clone(), kf.covariance().clone());
+        (x, p, kf.steps_since_update())
+    }
+
     fn cv2() -> StateModel {
         models::constant_velocity(1.0, 0.05, 0.1)
     }
@@ -707,7 +729,7 @@ mod tests {
             }
             if t % 97 == 0 {
                 for (lane, kf) in scalars.iter().enumerate() {
-                    let (x, p, steps) = batch.lane_state(lane);
+                    let (x, p, steps) = lane_state(&batch, lane);
                     assert_eq!(steps, kf.steps_since_update());
                     for i in 0..2 {
                         assert_eq!(
@@ -728,7 +750,7 @@ mod tests {
         }
         // Final states bit-identical.
         for (lane, kf) in scalars.iter().enumerate() {
-            let (x, p, _) = batch.lane_state(lane);
+            let (x, p, _) = lane_state(&batch, lane);
             assert_eq!(&x, kf.state(), "final x lane {lane}");
             assert_eq!(&p, kf.covariance(), "final P lane {lane}");
         }
@@ -752,7 +774,7 @@ mod tests {
                 batch.update_lane(0, z.as_slice()).unwrap();
                 kf.update(&z).unwrap();
             }
-            let (x, p, steps) = batch.lane_state(0);
+            let (x, p, steps) = lane_state(&batch, 0);
             assert_eq!(&x, kf.state(), "tick {t}");
             assert_eq!(&p, kf.covariance(), "tick {t}");
             assert_eq!(steps, kf.steps_since_update(), "tick {t}");
@@ -778,7 +800,7 @@ mod tests {
             .unwrap();
         kf.set_state_packed(x.iter().copied(), p_upper.iter().copied())
             .unwrap();
-        let (xs, ps, steps) = batch.lane_state(0);
+        let (xs, ps, steps) = lane_state(&batch, 0);
         assert_eq!(&xs, kf.state());
         assert_eq!(&ps, kf.covariance());
         assert_eq!(ps, Matrix::from_rows(&[&[0.25, 0.125], &[0.125, 0.5]]));
@@ -790,7 +812,7 @@ mod tests {
         assert!(batch
             .set_lane_packed(0, packed(&[0.0; 2]), packed(&[0.0; 4]))
             .is_err());
-        assert_eq!(batch.lane_state(0).0, xs);
+        assert_eq!(lane_state(&batch, 0).0, xs);
     }
 
     #[test]
@@ -843,7 +865,7 @@ mod tests {
                     scalars[1] = kf;
                 }
                 for (lane, kf) in scalars.iter().enumerate() {
-                    let (x, p, steps) = batch.lane_state(lane);
+                    let (x, p, steps) = lane_state(&batch, lane);
                     assert_eq!(bits(x.as_slice()), bits(kf.state().as_slice()), "{t}");
                     assert_eq!(bits(p.as_slice()), bits(kf.covariance().as_slice()), "{t}");
                     assert_eq!(steps, kf.steps_since_update());
@@ -892,7 +914,7 @@ mod tests {
         // Removing lane 1 moves lane 3 into slot 1.
         assert_eq!(batch.swap_remove_lane(1), Some(3));
         assert_eq!(batch.len(), 3);
-        let (x, _, steps) = batch.lane_state(1);
+        let (x, _, steps) = lane_state(&batch, 1);
         assert_eq!(x[0], 3.0);
         assert_eq!(steps, 3);
         // Removing the last lane moves nothing.
@@ -924,8 +946,8 @@ mod tests {
         let mut kf =
             KalmanFilter::with_covariance(model, Vector::zeros(2), Matrix::scalar(2, 1.0)).unwrap();
         kf.predict().unwrap();
-        let (x0, _, _) = batch.lane_state(0);
-        let (x2, _, _) = batch.lane_state(2);
+        let (x0, _, _) = lane_state(&batch, 0);
+        let (x2, _, _) = lane_state(&batch, 2);
         assert_eq!(&x0, kf.state());
         assert_eq!(&x2, kf.state());
     }
@@ -946,9 +968,9 @@ mod tests {
         sick.push(&Vector::zeros(2), &Matrix::scalar(2, 1.0), 0)
             .unwrap();
         sick.predict_all();
-        let (x_before, p_before, steps_before) = sick.lane_state(0);
+        let (x_before, p_before, steps_before) = lane_state(&sick, 0);
         assert!(sick.update_all(&[0.5]).is_err());
-        let (x_after, p_after, steps_after) = sick.lane_state(0);
+        let (x_after, p_after, steps_after) = lane_state(&sick, 0);
         assert_eq!(x_before, x_after);
         assert_eq!(p_before, p_after);
         assert_eq!(steps_before, steps_after);
@@ -992,7 +1014,7 @@ mod tests {
             }
         }
         for (lane, kf) in scalars.iter().enumerate() {
-            let (x, p, _) = batch.lane_state(lane);
+            let (x, p, _) = lane_state(&batch, lane);
             assert_eq!(&x, kf.state(), "final x lane {lane}");
             assert_eq!(&p, kf.covariance(), "final P lane {lane}");
         }
@@ -1049,7 +1071,7 @@ mod tests {
                     "verdict, {lanes} lanes, lane {lane} tick {t}"
                 );
                 kf.update(&zs).unwrap();
-                let (x, p, steps) = batch.lane_state(lane);
+                let (x, p, steps) = lane_state(&batch, lane);
                 assert_eq!(bits(x.as_slice()), bits(kf.state().as_slice()));
                 assert_eq!(bits(p.as_slice()), bits(kf.covariance().as_slice()));
                 assert_eq!(steps, kf.steps_since_update());
@@ -1096,7 +1118,7 @@ mod tests {
                 .unwrap();
         }
         let before: Vec<_> = (0..batch.len())
-            .map(|lane| batch.lane_state(lane))
+            .map(|lane| lane_state(&batch, lane))
             .collect();
         match batch.update_all(&[0.3; 3 * W]) {
             // The first bad lane of the first failing chunk: −1 + 0.1.
@@ -1108,7 +1130,7 @@ mod tests {
         }
         // The first chunk factored and was computed, but not committed.
         let after: Vec<_> = (0..batch.len())
-            .map(|lane| batch.lane_state(lane))
+            .map(|lane| lane_state(&batch, lane))
             .collect();
         assert_eq!(before, after);
     }
@@ -1144,7 +1166,7 @@ mod tests {
             for (lane, kf) in scalars.iter_mut() {
                 kf.predict().unwrap();
                 kf.update(&Vector::from_slice(&[z[*lane]])).unwrap();
-                let (x, p, _) = batch.lane_state(*lane);
+                let (x, p, _) = lane_state(&batch, *lane);
                 assert_eq!(
                     bits(x.as_slice()),
                     bits(kf.state().as_slice()),

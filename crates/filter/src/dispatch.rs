@@ -193,10 +193,9 @@ impl DynFleetBatch {
         delegate!(self, b => b.set_lane_packed(lane, x, p_upper))
     }
 
-    /// Gathers a lane back into dynamic values; see
-    /// [`FleetBatch::lane_state`].
-    pub fn lane_state(&self, lane: usize) -> (Vector, Matrix, u64) {
-        delegate!(self, b => b.lane_state(lane))
+    /// A lane as a filter of its own; see [`FleetBatch::lane_filter`].
+    pub fn lane_filter(&self, lane: usize, name: impl Into<std::sync::Arc<str>>) -> KalmanFilter {
+        delegate!(self, b => b.lane_filter(lane, name))
     }
 
     /// A lane's staleness counter.
@@ -298,10 +297,10 @@ mod tests {
             batch.update_lane(lane, &[z]).unwrap();
             kf.update(&Vector::from_slice(&[z])).unwrap();
         }
-        let (x, p, steps) = batch.lane_state(lane);
-        assert_eq!(&x, kf.state());
-        assert_eq!(&p, kf.covariance());
-        assert_eq!(steps, kf.steps_since_update());
+        let lane_kf = batch.lane_filter(lane, "lane");
+        assert_eq!(lane_kf.state(), kf.state());
+        assert_eq!(lane_kf.covariance(), kf.covariance());
+        assert_eq!(lane_kf.steps_since_update(), kf.steps_since_update());
         assert!(batch.lane_is_finite(lane));
         assert_eq!(
             batch.predicted_measurement(lane),

@@ -117,15 +117,33 @@ pub fn sources(
         .collect()
 }
 
-/// Every filter bit of one server endpoint (state + covariance), the
-/// currency of the transport bit-identity gates.
+/// Every bit of one server endpoint's filter — the model's name, `F`,
+/// `Q`, `H` and `R`, the state, the covariance, the staleness and the
+/// covariance form — the currency of the bit-identity gates. An ingest
+/// shard hands its filters back rebuilt from their lanes, so a wrongly
+/// rebuilt model shows here as surely as a drifted state.
 pub fn endpoint_bits(ep: &ServerEndpoint) -> Vec<u64> {
     let f = ep.filter();
-    f.state()
-        .iter()
-        .map(|v| v.to_bits())
-        .chain(f.covariance().as_slice().iter().map(|v| v.to_bits()))
+    let m = f.model();
+    let name = m.name().bytes().map(u64::from);
+    let floats = [m.f(), m.q(), m.h(), m.r(), f.covariance()]
+        .into_iter()
+        .flat_map(|mat| mat.as_slice())
+        .chain(f.state().as_slice())
+        .map(|v| v.to_bits());
+    let form = f.covariance_update() as u64;
+    std::iter::once(m.name().len() as u64)
+        .chain(name)
+        .chain(floats)
+        .chain([f.steps_since_update(), form])
         .collect()
+}
+
+/// Every endpoint's [`endpoint_bits`], by stream id — what a recovered or
+/// resized fleet must reproduce, whatever its message totals.
+pub fn fleet_bits(result: &kalstream_core::IngestResult) -> Vec<(u32, Vec<u64>)> {
+    let endpoints = result.endpoints.iter();
+    endpoints.map(|(id, ep)| (*id, endpoint_bits(ep))).collect()
 }
 
 /// Bit-identity between two ingest outcomes: same applied messages, same

@@ -340,7 +340,12 @@ fn assert_all_paths<const N: usize, const M: usize>(
             );
             total_suppressed += u64::from(scalar_verdict);
 
-            let (bx, bp, bsteps) = batch.lane_state(lane);
+            let lane_kf = batch.lane_filter(lane, "lane");
+            let (bx, bp, bsteps) = (
+                lane_kf.state(),
+                lane_kf.covariance(),
+                lane_kf.steps_since_update(),
+            );
             prop_assert_eq!(bsteps, kf.steps_since_update());
             for i in 0..N {
                 prop_assert_eq!(
@@ -462,8 +467,13 @@ const SWEEP_TICKS: usize = 200;
 
 /// Lane 0 of a one-lane batch as [`filter_bits`] reads a filter.
 fn lane_bits(batch: &DynFleetBatch) -> (Vec<u64>, Vec<u64>, u64) {
-    let (x, p, steps) = batch.lane_state(0);
-    (bits(x.as_slice()), bits(p.as_slice()), steps)
+    let kf = batch.lane_filter(0, "lane");
+    let (x, p) = (kf.state(), kf.covariance());
+    (
+        bits(x.as_slice()),
+        bits(p.as_slice()),
+        kf.steps_since_update(),
+    )
 }
 
 /// Ticks between the sweep's packed state writes (a protocol resync).
