@@ -27,9 +27,9 @@ echo "==> bench_smoke (allocation gate)"
 cargo run --release -q -p kalstream-bench --bin bench_smoke -- \
     --metrics-out "$ART/bench_smoke.metrics.json"
 
-echo "==> bench_kernels --quick (canary fleet still full scale; batch fleet shortened)"
+echo "==> bench_kernels (full scale: canary fleet and batch identity, under a second)"
 cargo run --release -q -p kalstream-bench --bin bench_kernels -- \
-    --quick --out "$ART/bench_kernels.json" --metrics-out "$ART/bench_kernels.metrics.json"
+    --out "$ART/bench_kernels.json" --metrics-out "$ART/bench_kernels.metrics.json"
 
 echo "==> check_regression BENCH_kernels.json"
 cargo run --release -q -p kalstream-bench --bin check_regression -- \

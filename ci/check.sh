@@ -4,7 +4,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> what nothing ran stays deleted: no async runtime, no serde or parking_lot stand-in, no EKF/UKF/RTS smoother, text query parser, sliding quantile, filter stats or log-normal"
+echo "==> what nothing ran stays deleted: no async runtime, no serde or parking_lot stand-in, no EKF/UKF/RTS smoother, text query parser, sliding quantile, filter stats or log-normal, no elastic rebalancer or salted route, no timed kernel check"
 for stub in tokio parking_lot serde serde_derive; do
     if [[ -e "vendor/$stub" ]]; then
         echo "vendor/$stub exists" >&2
@@ -18,6 +18,19 @@ fi
 if grep -rnwE 'ExtendedKalmanFilter|UnscentedKalmanFilter|NonlinearModel|rts_smooth|parse_query|ParsedQuery|SlidingQuantile|RunningStats|LogNormal' \
     crates src tests examples; then
     echo "a deleted item is back: bring it back with its first caller, not ahead of one" >&2
+    exit 1
+fi
+# The elastic controller grows and shrinks on offered load; a shard
+# assignment is a shard count. No caller ran the rebalancer, its salted
+# route or the controller knobs and inputs nothing set.
+if grep -rnwE 'Rebalance|rebalance_imbalance|salted|salt_epoch|busy_frac|queue_capacity|ShardAssignment|exp_fleet_scaling' \
+    crates src tests examples; then
+    echo "a deleted elastic or bench item is back: bring it back with its first caller, not ahead of one" >&2
+    exit 1
+fi
+# bench_kernels times nothing; only the `cargo bench` micro-benchmarks use criterion.
+if sed -n '/^\[dependencies\]/,/^\[/p' crates/bench/Cargo.toml | grep -n '^criterion'; then
+    echo "crates/bench/Cargo.toml makes criterion a regular dependency again; it is a dev-dependency of the benches" >&2
     exit 1
 fi
 

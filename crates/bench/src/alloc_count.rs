@@ -1,8 +1,7 @@
 //! Counting global allocator shim for the bench harness.
 //!
-//! Wraps the system allocator and counts every allocation (and the bytes
-//! requested), so bench binaries can assert "this loop performed zero heap
-//! allocations". The counter is only active in binaries that install it:
+//! Wraps the system allocator and counts every allocation, so bench
+//! binaries can assert "this loop performed zero heap allocations". The counter is only active in binaries that install it:
 //!
 //! ```ignore
 //! #[global_allocator]
@@ -15,14 +14,13 @@
 //!
 //! This is the one module in the crate allowed to use `unsafe`: a
 //! `GlobalAlloc` impl cannot be written without it, and the impl is a pure
-//! pass-through to `std::alloc::System` plus two relaxed atomic increments.
+//! pass-through to `std::alloc::System` plus a relaxed atomic increment.
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// A `GlobalAlloc` that forwards to [`System`] and counts calls.
 pub struct CountingAllocator;
@@ -30,7 +28,6 @@ pub struct CountingAllocator;
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
@@ -41,7 +38,6 @@ unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A grow counts as an allocation event: it can hit the allocator.
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -51,15 +47,10 @@ pub fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
-/// Total bytes requested since process start.
-pub fn bytes_allocated() -> u64 {
-    BYTES.load(Ordering::Relaxed)
-}
-
 /// Runs `f` and returns `(allocation events, result)` attributed to it.
 ///
 /// Only meaningful in a binary that installed [`CountingAllocator`];
-/// otherwise both counters stay zero and this reports 0.
+/// otherwise the counter stays zero and this reports 0.
 pub fn count_allocs<T>(f: impl FnOnce() -> T) -> (u64, T) {
     let before = allocations();
     let out = f();

@@ -24,7 +24,7 @@
 use kalstream_bench::table::Table;
 use kalstream_bench::MetricsOut;
 use kalstream_core::{
-    IngestPipeline, ProtocolConfig, SequentialIngest, ServerEndpoint, SessionSpec, ShardAssignment,
+    IngestPipeline, ProtocolConfig, SequentialIngest, ServerEndpoint, SessionSpec,
 };
 use kalstream_durable::{Durability, DurableStore};
 use kalstream_net::workload::{self, fleet_bits};
@@ -103,11 +103,7 @@ fn crash_cycle(
     // Phase 1: durable pipeline, killed after `kill` ticks —
     // dropped mid-flight, no checkpoint.
     let store = DurableStore::open(&dir).expect("open store");
-    let mut pipeline = IngestPipeline::start_with(
-        ShardAssignment::modulo(SEED_SHARDS),
-        workload::server_endpoints(STREAMS),
-        None,
-    );
+    let mut pipeline = IngestPipeline::start(SEED_SHARDS, workload::server_endpoints(STREAMS));
     let mut durable =
         Durability::start(store, SNAPSHOT_EVERY, 0, &pipeline.snapshot_states()).expect("genesis");
     for wire in &traffic[..kill as usize] {

@@ -150,7 +150,7 @@ fn elastic_run(
     let timeline = elastic
         .events()
         .iter()
-        .map(|e| (e.tick, e.kind, e.from.shards, e.to.shards))
+        .map(|e| (e.tick, e.kind, e.from, e.to))
         .collect();
     let resizes = elastic.events().len() as u64;
     let max_stall_ms = elastic.max_stall_ms();
@@ -173,7 +173,6 @@ fn kind_name(kind: ResizeKind) -> &'static str {
     match kind {
         ResizeKind::Grow => "grow",
         ResizeKind::Shrink => "shrink",
-        ResizeKind::Rebalance => "rebalance",
     }
 }
 

@@ -665,11 +665,7 @@ mod tests {
             });
         }
         let (tx, rx) = crossbeam::channel::unbounded();
-        let pipeline = crate::IngestPipeline::start_with(
-            crate::ShardAssignment::modulo(2),
-            servers.clone(),
-            Some(tx),
-        );
+        let pipeline = crate::IngestPipeline::start_with(2, servers.clone(), Some(tx));
         let recording = Recording {
             inner: pipeline,
             log: Vec::new(),

@@ -27,7 +27,7 @@
 //!
 //! Each worker **owns** its endpoints — no locks on the hot path, in the
 //! spirit of share-nothing per-core stream engines. Determinism falls out of
-//! three facts: the [`ShardAssignment`] route is stable between barriers,
+//! three facts: the `id % shards` route is stable between barriers,
 //! each shard's queue is FIFO so a stream's ticks arrive in order, and
 //! endpoints are independent so cross-endpoint interleaving cannot change
 //! any filter's arithmetic. The sharded pipeline is therefore bit-identical
@@ -63,61 +63,22 @@ use crate::wire::{SyncRef, WireRef};
 
 /// Per-shard job queue depth. Deep enough that the router can run ahead of
 /// a momentarily slow shard, small enough to bound memory and exert
-/// backpressure.
-const QUEUE_DEPTH: usize = 64;
+/// backpressure. The elastic controller reads a queue depth as a fraction
+/// of it.
+pub const QUEUE_DEPTH: usize = 64;
 
-/// The stream→shard routing function, made explicit so a resize can change
-/// it atomically at a tick barrier.
-///
-/// `salt == 0` is exactly the historical `stream_id % shards` route — every
-/// pre-elastic pipeline uses it, and it stays byte-for-byte stable. A
-/// non-zero salt mixes the id through SplitMix64 first, so a *rebalance*
-/// (same shard count, new salt) genuinely reshuffles placement instead of
-/// reproducing the old partition.
-///
-/// Routing never touches filter arithmetic: endpoints are independent and
-/// each stream's ticks stay FIFO within whichever shard owns it, so *any*
-/// assignment — and any sequence of reassignments at tick barriers — is
-/// bit-identical to the sequential reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardAssignment {
-    /// Number of shards routed across. Always ≥ 1.
-    pub shards: usize,
-    /// Hash salt; `0` selects the plain `id % shards` route.
-    pub salt: u64,
-}
-
-impl ShardAssignment {
-    /// The historical modulo route over `shards` shards.
-    ///
-    /// # Panics
-    /// Panics when `shards` is 0.
-    pub fn modulo(shards: usize) -> Self {
-        ShardAssignment::salted(shards, 0)
-    }
-
-    /// A salted-hash route: same shard count, different placement per salt.
-    ///
-    /// # Panics
-    /// Panics when `shards` is 0.
-    pub fn salted(shards: usize, salt: u64) -> Self {
-        assert!(shards > 0, "assignment needs at least one shard");
-        ShardAssignment { shards, salt }
-    }
-
-    /// Shard owning `stream_id` under this assignment.
-    pub fn route(&self, stream_id: u32) -> usize {
-        if self.salt == 0 {
-            stream_id as usize % self.shards
-        } else {
-            (splitmix64(stream_id as u64 ^ self.salt) % self.shards as u64) as usize
-        }
-    }
+/// The shard owning `stream_id` over `shards` shards: `stream_id % shards`,
+/// the one route of the pipeline. A resize changes `shards` at a tick
+/// barrier; routing never touches filter arithmetic, because endpoints are
+/// independent and each stream's ticks stay FIFO within whichever shard
+/// owns it, so any shard count — and any sequence of resizes at tick
+/// barriers — is bit-identical to the sequential reference.
+fn route(stream_id: u32, shards: usize) -> usize {
+    stream_id as usize % shards
 }
 
 /// SplitMix64 finalizer — a cheap, well-mixed 64-bit permutation (public
-/// domain constants from Steele et al.), used to spread consecutive stream
-/// ids across shards under salted assignments.
+/// domain constants from Steele et al.), the step of [`IdHasher`].
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -148,14 +109,14 @@ impl Hasher for IdHasher {
     }
 }
 
-/// What one [`IngestPipeline::reassign`] did: the assignment it moved
+/// What one [`IngestPipeline::reassign`] did: the shard counts it moved
 /// from/to and how long ingest was stalled at the drain barrier.
 #[derive(Debug, Clone, Copy)]
 pub struct ResizeTransition {
-    /// Assignment before the resize.
-    pub from: ShardAssignment,
-    /// Assignment after the resize.
-    pub to: ShardAssignment,
+    /// Shard count before the resize.
+    pub from: usize,
+    /// Shard count after the resize.
+    pub to: usize,
     /// Wall-clock time the ingest path was quiesced (drain + respawn).
     /// Wall-clock, so reported in artifacts but never in deterministic
     /// experiment tables.
@@ -222,9 +183,8 @@ pub struct ShardReport {
     pub feedback_drops: u64,
     /// Deepest this shard's job queue ever got, in jobs, *including* the
     /// one being processed (0 for inline shards, which have no queue).
-    /// Exported per shard so the elastic controller — and a dashboard — can
-    /// see the imbalance a rebalance fixes rather than just "some shard was
-    /// busy".
+    /// Exported per shard so a dashboard can see which shard's queue backed
+    /// up rather than just "some shard was busy".
     pub queue_high_water: u64,
     /// Per-tick processing span (decode + endpoint advance) in log₂-
     /// bucketed nanoseconds. Wall-clock, so reported in snapshots but never
@@ -595,8 +555,6 @@ pub struct IngestPipeline {
     recycle_rx: Receiver<BytesMut>,
     /// Cloned into every worker of the live generation.
     recycle_tx: Sender<BytesMut>,
-    /// The live stream→shard route, shared by the router and worker spawn.
-    assignment: ShardAssignment,
     /// Feedback channel handed to every worker generation, when enabled.
     feedback: Option<Sender<(u32, Bytes)>>,
     /// Reports from worker generations retired by earlier resizes; folded
@@ -604,11 +562,10 @@ pub struct IngestPipeline {
     /// sequential reference across any resize history.
     retired: Vec<ShardReport>,
     router: FrameDecoder,
-    /// Frames routed to each live shard since the last
-    /// [`IngestPipeline::take_offered`] — the elastic controller's
-    /// deterministic load signal, counted where every frame is routed
-    /// anyway.
-    offered: Vec<u64>,
+    /// Frames routed since the last [`IngestPipeline::take_offered`] — the
+    /// elastic controller's deterministic load signal, counted where every
+    /// frame is routed anyway.
+    offered: u64,
     /// Largest batch (wire bytes) sent to any shard so far. Every buffer is
     /// reserved to this size when it comes back and — free ones — when the
     /// mark rises, so none grows later on the hot path.
@@ -622,15 +579,13 @@ impl IngestPipeline {
     /// # Panics
     /// Panics when `shards` is 0.
     pub fn start(shards: usize, endpoints: Vec<(u32, ServerEndpoint)>) -> Self {
-        IngestPipeline::start_with(ShardAssignment::modulo(shards), endpoints, None)
+        IngestPipeline::start_with(shards, endpoints, None)
     }
 
     /// The fully specified constructor.
     ///
-    /// * `assignment` — shard count *and* placement salt. This is how a
-    ///   restarted process re-enters the shape an elastic run resized into:
-    ///   recovery hands it the assignment the crashed run last held, and
-    ///   routing resumes byte-for-byte.
+    /// * `shards` — the shard count; stream `id` lives on shard
+    ///   `id % shards`.
     /// * `feedback` — when set, each shard polls its endpoints' feedback
     ///   (acks, bound directives) after every tick's advance and sends
     ///   `(stream_id, payload)` pairs into it — the hook a network server
@@ -642,27 +597,27 @@ impl IngestPipeline {
     ///   (streams never span shards, so no consumer can observe it).
     ///   [`IngestPipeline::flush`] guarantees all feedback for flushed
     ///   ticks is in the channel when it returns.
+    ///
+    /// # Panics
+    /// Panics when `shards` is 0.
     pub fn start_with(
-        assignment: ShardAssignment,
+        shards: usize,
         endpoints: Vec<(u32, ServerEndpoint)>,
         feedback: Option<Sender<(u32, Bytes)>>,
     ) -> Self {
-        let population = IngestPipeline::buffer_cap(assignment.shards);
+        assert!(shards > 0, "a pipeline needs at least one shard");
+        let population = IngestPipeline::buffer_cap(shards);
         let (recycle_tx, recycle_rx) = bounded(population);
-        let shards = spawn_workers(assignment, endpoints, &feedback, &recycle_tx);
         IngestPipeline {
-            shards,
-            batches: (0..assignment.shards).map(|_| FrameBatch::new()).collect(),
-            free: (assignment.shards..population)
-                .map(|_| BytesMut::new())
-                .collect(),
+            shards: spawn_workers(shards, endpoints, &feedback, &recycle_tx),
+            batches: (0..shards).map(|_| FrameBatch::new()).collect(),
+            free: (shards..population).map(|_| BytesMut::new()).collect(),
             recycle_rx,
             recycle_tx,
-            assignment,
             feedback,
             retired: Vec::new(),
             router: FrameDecoder::new(),
-            offered: vec![0; assignment.shards],
+            offered: 0,
             high_water: 0,
         }
     }
@@ -711,30 +666,24 @@ impl IngestPipeline {
         self.shards.len()
     }
 
-    /// The live stream→shard assignment.
-    pub fn assignment(&self) -> ShardAssignment {
-        self.assignment
-    }
-
     /// Jobs currently queued per shard (the job being processed excluded) —
-    /// the instantaneous imbalance signal the elastic controller's
-    /// rebalancer reads. Snapshot semantics: values can be stale by the time
-    /// the caller looks at them.
+    /// the elastic controller's queue-pressure signal. Snapshot semantics:
+    /// values can be stale by the time the caller looks at them.
     pub fn queue_depths(&self) -> Vec<usize> {
         self.shards.iter().map(|shard| shard.tx.len()).collect()
     }
 
-    /// Frames routed to each live shard since the previous call (or the
-    /// last [`IngestPipeline::reassign`]), resetting the counts — a pure
-    /// function of the traffic and the live assignment, no clocks.
-    pub fn take_offered(&mut self) -> Vec<u64> {
-        std::mem::replace(&mut self.offered, vec![0; self.assignment.shards])
+    /// Frames routed since the previous call (or the last resize by
+    /// [`IngestPipeline::reassign`]), resetting the count — a pure function
+    /// of the traffic, no clocks.
+    pub fn take_offered(&mut self) -> u64 {
+        std::mem::take(&mut self.offered)
     }
 
-    /// Moves the pipeline to a new stream→shard assignment at a drain
-    /// barrier: closes every shard's queue (each worker applies all
-    /// in-flight ticks, then hands back its endpoints — the quiesce point),
-    /// regroups the endpoints under `to`, and restarts workers. Retired
+    /// Moves the pipeline to `to` shards at a drain barrier: closes every
+    /// shard's queue (each worker applies all in-flight ticks, then hands
+    /// back its endpoints — the quiesce point), regroups the endpoints over
+    /// `to` shards, and restarts workers. Retired
     /// workers' reports are folded into the final [`IngestResult`], so
     /// totals stay comparable to the sequential reference across any resize
     /// history.
@@ -742,12 +691,13 @@ impl IngestPipeline {
     /// Bit-identity is preserved by construction: reassignment happens at a
     /// tick boundary, every stream's ticks stay FIFO within whichever shard
     /// owns it, and endpoints are independent — so no filter's arithmetic
-    /// can observe the move. A same-assignment call is a no-op.
+    /// can observe the move. A same-count call is a no-op.
     ///
     /// # Panics
-    /// Panics when a worker panicked.
-    pub fn reassign(&mut self, to: ShardAssignment) -> ResizeTransition {
-        let from = self.assignment;
+    /// Panics when `to` is 0 or a worker panicked.
+    pub fn reassign(&mut self, to: usize) -> ResizeTransition {
+        assert!(to > 0, "a pipeline needs at least one shard");
+        let from = self.shards();
         if to == from {
             return ResizeTransition {
                 from,
@@ -764,20 +714,18 @@ impl IngestPipeline {
         // to the new population, reserved to the high-water mark, and
         // size a new recycle channel for it.
         self.reclaim();
-        while self.batches.len() > to.shards {
+        while self.batches.len() > to {
             let batch = self.batches.pop().expect("length checked above");
             self.free.push(batch.into_buffer());
         }
-        self.batches.resize_with(to.shards, FrameBatch::new);
-        let population = (self.free.len() + to.shards).max(IngestPipeline::buffer_cap(to.shards));
+        self.batches.resize_with(to, FrameBatch::new);
+        let population = (self.free.len() + to).max(IngestPipeline::buffer_cap(to));
         let high_water = self.high_water;
-        self.free.resize_with(population - to.shards, || {
-            BytesMut::with_capacity(high_water)
-        });
+        self.free
+            .resize_with(population - to, || BytesMut::with_capacity(high_water));
         (self.recycle_tx, self.recycle_rx) = bounded(population);
         self.shards = spawn_workers(to, endpoints, &self.feedback, &self.recycle_tx);
-        self.assignment = to;
-        self.offered = vec![0; to.shards];
+        self.offered = 0;
         ResizeTransition {
             from,
             to,
@@ -806,11 +754,9 @@ impl IngestPipeline {
         let shards = self.shards.len();
         let batches = &mut self.batches;
         let offered = &mut self.offered;
-        let assignment = self.assignment;
         self.router.for_each_frame(wire, |frame| {
-            let shard = assignment.route(frame.stream_id);
-            offered[shard] += 1;
-            batches[shard].push_raw(frame.stream_id, frame.body);
+            *offered += 1;
+            batches[route(frame.stream_id, shards)].push_raw(frame.stream_id, frame.body);
         });
         for shard in 0..shards {
             let fresh = FrameBatch::from_buffer(self.next_buffer());
@@ -893,19 +839,18 @@ impl IngestPipeline {
     }
 }
 
-/// Groups `endpoints` under `assignment` and spawns one worker per shard.
+/// Groups `endpoints` over `shards` shards and spawns one worker per shard.
 /// Shared by pipeline start and [`IngestPipeline::reassign`] so both
 /// generations are built by exactly the same code path.
 fn spawn_workers(
-    assignment: ShardAssignment,
+    shards: usize,
     endpoints: Vec<(u32, ServerEndpoint)>,
     feedback: &Option<Sender<(u32, Bytes)>>,
     recycle_tx: &Sender<BytesMut>,
 ) -> Vec<ShardHandle> {
-    let mut groups: Vec<Vec<(u32, ServerEndpoint)>> =
-        (0..assignment.shards).map(|_| Vec::new()).collect();
+    let mut groups: Vec<Vec<(u32, ServerEndpoint)>> = (0..shards).map(|_| Vec::new()).collect();
     for (id, ep) in endpoints {
-        groups[assignment.route(id)].push((id, ep));
+        groups[route(id, shards)].push((id, ep));
     }
     groups
         .into_iter()
@@ -1193,7 +1138,7 @@ mod tests {
         let (servers, _) = record_log(0, 8, 0);
         let mut pipe = IngestPipeline::start(2, servers);
         for (phase, shards) in [2, 4, 1].into_iter().enumerate() {
-            pipe.reassign(ShardAssignment::modulo(shards));
+            pipe.reassign(shards);
             let reserved = pipe.free.capacity();
             for n in 1..=20 {
                 let frames = if n < 20 { n } else { 60 + 20 * phase };
@@ -1217,55 +1162,25 @@ mod tests {
     }
 
     #[test]
-    fn salted_route_spreads_and_modulo_route_is_stable() {
-        let modulo = ShardAssignment::modulo(4);
-        for id in 0..64u32 {
-            assert_eq!(modulo.route(id), id as usize % 4);
-        }
-        let salted = ShardAssignment::salted(4, 7);
-        let mut touched = [false; 4];
-        for id in 0..64u32 {
-            let shard = salted.route(id);
-            assert!(shard < 4);
-            touched[shard] = true;
-        }
-        assert!(
-            touched.iter().all(|&t| t),
-            "salted route left a shard empty"
-        );
-        // Different salts must produce different placements (that is what
-        // makes a same-count rebalance a real reshuffle).
-        let other = ShardAssignment::salted(4, 8);
-        assert!((0..64u32).any(|id| salted.route(id) != other.route(id)));
-    }
-
-    #[test]
     fn resizes_at_tick_barriers_are_bit_identical_to_unresized() {
         let (servers, log) = record_log(0, 12, 60);
         let want = oracle(servers.clone(), &log);
         let servers_again = servers.clone();
-        // Grow, rebalance (same count, new salt), shrink, and shrink to
-        // one — mid-run, at tick barriers. None of it may be visible in
-        // the final filter state.
-        let schedule = [
-            (15usize, ShardAssignment::modulo(4)),
-            (30, ShardAssignment::salted(4, 3)),
-            (40, ShardAssignment::salted(2, 3)),
-            (50, ShardAssignment::modulo(1)),
-        ];
+        // Grow, shrink, and shrink to one — mid-run, at tick barriers.
+        // None of it may be visible in the final filter state.
+        let schedule = [(15usize, 4usize), (40, 2), (50, 1)];
         let mut pipe = IngestPipeline::start(1, servers);
         for (t, tick) in log.iter().enumerate() {
-            if let Some((_, to)) = schedule.iter().find(|(at, _)| *at == t) {
-                let transition = pipe.reassign(*to);
-                assert_eq!(transition.to, *to);
-                assert_eq!(pipe.assignment(), *to);
-                assert_eq!(pipe.shards(), to.shards);
+            if let Some(&(_, to)) = schedule.iter().find(|(at, _)| *at == t) {
+                let transition = pipe.reassign(to);
+                assert_eq!(transition.to, to);
+                assert_eq!(pipe.shards(), to);
             }
             pipe.ingest_tick(tick);
         }
         let result = pipe.finish();
-        // One report per worker lifetime: 1 + 4 + 4 + 2 + 1.
-        assert_eq!(result.shards.len(), 12);
+        // One report per worker lifetime: 1 + 4 + 2 + 1.
+        assert_eq!(result.shards.len(), 8);
         // Every frame is counted by exactly one shard across the resizes.
         let mut seq = SequentialIngest::new(servers_again);
         for tick in &log {
@@ -1275,24 +1190,59 @@ mod tests {
         assert!(seq_messages > 0, "log recorded no syncs");
         assert_eq!(result.total_messages(), seq_messages);
         let ticks: u64 = result.shards.iter().map(|s| s.ticks).sum();
-        // Phase ticks × worker count per phase: 15·1 + 15·4 + 10·4 + 10·2 + 10·1.
-        let expected_ticks: u64 = 15 + 15 * 4 + 10 * 4 + 10 * 2 + 10;
+        // Phase ticks × worker count per phase: 15·1 + 25·4 + 10·2 + 10·1.
+        let expected_ticks: u64 = 15 + 25 * 4 + 10 * 2 + 10;
         assert_eq!(ticks, expected_ticks);
         assert_same_endpoints(&result.endpoints, &want, "across resizes");
     }
 
     #[test]
-    fn same_assignment_reassign_is_a_noop() {
+    fn same_count_reassign_is_a_noop() {
         let (servers, log) = record_log(0, 4, 10);
         let mut pipe = IngestPipeline::start(2, servers);
         for tick in &log {
             pipe.ingest_tick(tick);
         }
-        let transition = pipe.reassign(ShardAssignment::modulo(2));
+        let transition = pipe.reassign(2);
         assert_eq!(transition.from, transition.to);
         assert_eq!(transition.stall, std::time::Duration::ZERO);
         let result = pipe.finish();
         assert_eq!(result.shards.len(), 2, "no retired generation");
+    }
+
+    #[test]
+    fn take_offered_counts_the_frames_routed_since_the_last_call() {
+        let (servers, _) = record_log(0, 8, 0);
+        let tick = |frames: u32| {
+            let mut batch = FrameBatch::new();
+            for i in 0..frames {
+                batch.push(
+                    i % 8,
+                    &SyncMessage::Measurement {
+                        z: kalstream_linalg::Vector::from_slice(&[f64::from(i)]),
+                    },
+                );
+            }
+            batch.as_bytes().to_vec()
+        };
+        let mut pipe = IngestPipeline::start(2, servers);
+        assert_eq!(pipe.take_offered(), 0);
+        for frames in [3, 0, 5] {
+            pipe.ingest_tick(&tick(frames));
+        }
+        assert_eq!(pipe.take_offered(), 8);
+        assert_eq!(pipe.take_offered(), 0, "taking resets the count");
+        pipe.ingest_tick(&tick(4));
+        pipe.reassign(3);
+        assert_eq!(pipe.take_offered(), 0, "a resize opens a new window");
+        pipe.ingest_tick(&tick(7));
+        pipe.reassign(3);
+        assert_eq!(
+            pipe.take_offered(),
+            7,
+            "a same-count reassign moves nothing"
+        );
+        pipe.finish();
     }
 
     #[test]
@@ -1447,7 +1397,7 @@ mod tests {
         poll_dry(&mut want);
 
         let (fb_tx, fb_rx) = unbounded();
-        let mut pipe = IngestPipeline::start_with(ShardAssignment::modulo(3), servers, Some(fb_tx));
+        let mut pipe = IngestPipeline::start_with(3, servers, Some(fb_tx));
         for tick in &log {
             pipe.ingest_tick(tick);
         }
@@ -1481,7 +1431,7 @@ mod tests {
         let (mut servers, _) = record_log(0, 3, 0);
         servers[1].1.push_bound_directive(0.5);
         let (fb_tx, fb_rx) = unbounded();
-        let mut pipe = IngestPipeline::start_with(ShardAssignment::modulo(2), servers, Some(fb_tx));
+        let mut pipe = IngestPipeline::start_with(2, servers, Some(fb_tx));
         let quiet = FrameBatch::new();
         for _ in 0..3 {
             pipe.ingest_tick(quiet.as_bytes());
@@ -1500,7 +1450,7 @@ mod tests {
         use crate::wire::WireMessage;
         let (servers, _) = record_log(0, 2, 0);
         let (fb_tx, fb_rx) = unbounded();
-        let mut pipe = IngestPipeline::start_with(ShardAssignment::modulo(2), servers, Some(fb_tx));
+        let mut pipe = IngestPipeline::start_with(2, servers, Some(fb_tx));
         drop(fb_rx); // consumer gone mid-drain: sheds must still be counted
         let mut batch = FrameBatch::new();
         batch.push_raw(

@@ -82,8 +82,8 @@ pub use frame::{
     MAX_FRAME_BYTES,
 };
 pub use ingest::{
-    FramingSink, IngestPipeline, IngestResult, ResizeTransition, SequentialIngest, ShardAssignment,
-    ShardReport, TickIngest,
+    FramingSink, IngestPipeline, IngestResult, ResizeTransition, SequentialIngest, ShardReport,
+    TickIngest, QUEUE_DEPTH,
 };
 pub use protocol::{pin_to_measurement, AckTracker};
 pub use rate::RateEstimator;

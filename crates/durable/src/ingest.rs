@@ -10,7 +10,7 @@
 
 use std::io;
 
-use kalstream_core::{EndpointState, IngestPipeline, ResizeTransition, ShardAssignment};
+use kalstream_core::{EndpointState, IngestPipeline, ResizeTransition};
 
 use crate::store::DurableStore;
 
@@ -115,9 +115,9 @@ impl Durability {
         Ok(())
     }
 
-    /// Checkpoints at the resize barrier, then moves `pipeline` to `to` —
-    /// the *shape-change checkpoint reuse* that makes elastic resizing
-    /// safe: snapshots are pipeline-shape-independent (sorted
+    /// Checkpoints at the resize barrier, then moves `pipeline` to `to`
+    /// shards — the *shape-change checkpoint reuse* that makes elastic
+    /// resizing safe: snapshots are pipeline-shape-independent (sorted
     /// `(stream_id, state)` pairs), so the checkpoint written here recovers
     /// into **any** shard count. A crash at any point around the resize
     /// replays from this barrier (or an earlier one) into the post-resize
@@ -129,7 +129,7 @@ impl Durability {
     pub fn reassign(
         &mut self,
         pipeline: &mut IngestPipeline,
-        to: ShardAssignment,
+        to: usize,
     ) -> io::Result<ResizeTransition> {
         self.checkpoint(|| pipeline.snapshot_states())?;
         Ok(pipeline.reassign(to))

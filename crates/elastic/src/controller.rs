@@ -1,17 +1,23 @@
 //! The elastic scaling decision function: target-utilization band,
-//! hysteresis, cooldown, and an imbalance-triggered rebalancer.
+//! hysteresis and cooldown.
 
+use kalstream_core::QUEUE_DEPTH;
 use kalstream_obs::{Instrument, Scope};
+
+/// Shrink watermark: utilization below this arms the shrink run.
+const LOW_UTILIZATION: f64 = 0.5;
+/// Grow watermark: utilization above this arms the grow run.
+const HIGH_UTILIZATION: f64 = 0.85;
 
 /// Tuning for [`ElasticController`].
 ///
 /// Utilization is *offered load over capacity*: with `per_tick` frames
 /// arriving per tick across the fleet, utilization is
 /// `per_tick / (shards × capacity_per_shard)`. The controller holds it
-/// inside `[low_utilization, high_utilization]` by resizing toward the
-/// band's midpoint, and only acts after a watermark has been breached for
-/// a configured run of consecutive samples (hysteresis), never during the
-/// post-action cooldown (anti-thrash).
+/// inside the band `[0.5, 0.85]` by resizing toward the band's midpoint,
+/// and only acts after a watermark has been breached for a configured run
+/// of consecutive samples (hysteresis), never during the post-action
+/// cooldown (anti-thrash).
 #[derive(Debug, Clone)]
 pub struct ControllerConfig {
     /// Smallest fleet the controller will shrink to. Always ≥ 1.
@@ -21,30 +27,18 @@ pub struct ControllerConfig {
     /// Frames per tick one shard absorbs at utilization 1.0 — the
     /// operator's capacity model, and the only unit the controller needs.
     pub capacity_per_shard: f64,
-    /// Shrink watermark: utilization below this arms the shrink run.
-    pub low_utilization: f64,
-    /// Grow watermark: utilization above this arms the grow run.
-    pub high_utilization: f64,
     /// Consecutive over-watermark samples before a grow fires.
     pub grow_after: u32,
     /// Consecutive under-watermark samples before a shrink fires.
     pub shrink_after: u32,
     /// Samples to hold after any action, regardless of signals.
     pub cooldown: u32,
-    /// Max-shard/mean-shard offered-load ratio that arms the rebalancer;
-    /// `0.0` disables rebalancing.
-    pub rebalance_imbalance: f64,
-    /// Consecutive imbalanced samples before a rebalance fires.
-    pub rebalance_after: u32,
-    /// Job-queue capacity per shard, for turning live queue depths into a
-    /// pressure fraction (the sharded pipeline's bound is 64).
-    pub queue_capacity: usize,
 }
 
 impl ControllerConfig {
-    /// A conservative default band over `[min_shards, max_shards]` with the
+    /// A conservative default over `[min_shards, max_shards]` with the
     /// given capacity model: grow above 0.85 after 2 samples, shrink below
-    /// 0.5 after 3, cooldown 2, rebalancer disabled.
+    /// 0.5 after 3, cooldown 2.
     ///
     /// # Panics
     /// Panics when `min_shards` is 0, `max_shards < min_shards`, or
@@ -60,14 +54,9 @@ impl ControllerConfig {
             min_shards,
             max_shards,
             capacity_per_shard,
-            low_utilization: 0.5,
-            high_utilization: 0.85,
             grow_after: 2,
             shrink_after: 3,
             cooldown: 2,
-            rebalance_imbalance: 0.0,
-            rebalance_after: 0,
-            queue_capacity: 64,
         }
     }
 }
@@ -75,17 +64,14 @@ impl ControllerConfig {
 /// One observation window handed to [`ElasticController::observe`].
 #[derive(Debug, Clone, Copy)]
 pub struct LoadSample<'a> {
-    /// Frames offered to each live shard over the window — the
-    /// deterministic load signal (a pure function of traffic + routing).
-    pub per_shard_offered: &'a [u64],
+    /// Frames offered to the pipeline over the window — the deterministic
+    /// load signal (a pure function of the traffic).
+    pub offered: u64,
     /// Window length in ticks. Must be ≥ 1.
     pub ticks: u64,
     /// Live job-queue depths per shard, when the driver has them; empty
     /// when unavailable. Timing-dependent — see the crate docs.
     pub queue_depths: &'a [usize],
-    /// Fraction of the window the busiest shard spent on CPU, when the
-    /// driver can measure it (wall-clock derived; `None` otherwise).
-    pub busy_frac: Option<f64>,
 }
 
 /// What the controller wants done after a sample.
@@ -103,8 +89,6 @@ pub enum Decision {
         /// Target shard count.
         to: usize,
     },
-    /// Keep the shard count but reshuffle stream placement (new salt).
-    Rebalance,
 }
 
 /// Decision counters and last-seen signal gauges, exported through obs so
@@ -117,16 +101,12 @@ pub struct ControllerStats {
     pub grows: u64,
     /// Shrink decisions emitted.
     pub shrinks: u64,
-    /// Rebalance decisions emitted.
-    pub rebalances: u64,
     /// Holds because signals were in band (or runs not yet satisfied).
     pub holds: u64,
     /// Holds forced by the post-action cooldown.
     pub cooldown_holds: u64,
     /// Utilization seen at the last sample.
     pub last_utilization: f64,
-    /// Max/mean offered-load imbalance seen at the last sample.
-    pub last_imbalance: f64,
     /// Shard count the controller currently believes is live.
     pub shards: usize,
 }
@@ -136,11 +116,9 @@ impl Instrument for ControllerStats {
         scope.counter("samples", self.samples);
         scope.counter("grows", self.grows);
         scope.counter("shrinks", self.shrinks);
-        scope.counter("rebalances", self.rebalances);
         scope.counter("holds", self.holds);
         scope.counter("cooldown_holds", self.cooldown_holds);
         scope.gauge("last_utilization", self.last_utilization);
-        scope.gauge("last_imbalance", self.last_imbalance);
         scope.gauge("shards", self.shards as f64);
     }
 }
@@ -153,7 +131,6 @@ pub struct ElasticController {
     shards: usize,
     high_run: u32,
     low_run: u32,
-    imbalance_run: u32,
     cooldown_left: u32,
     stats: ControllerStats,
 }
@@ -175,10 +152,6 @@ impl ElasticController {
             "capacity_per_shard must be positive"
         );
         assert!(
-            config.low_utilization <= config.high_utilization,
-            "utilization band inverted"
-        );
-        assert!(
             (config.min_shards..=config.max_shards).contains(&initial_shards),
             "initial_shards outside [min_shards, max_shards]"
         );
@@ -191,7 +164,6 @@ impl ElasticController {
             shards: initial_shards,
             high_run: 0,
             low_run: 0,
-            imbalance_run: 0,
             cooldown_left: 0,
             stats,
         }
@@ -223,7 +195,7 @@ impl ElasticController {
     /// Shard count that would put the offered load at the middle of the
     /// utilization band.
     fn target_for(&self, per_tick: f64) -> usize {
-        let mid = (self.config.low_utilization + self.config.high_utilization) / 2.0;
+        let mid = (LOW_UTILIZATION + HIGH_UTILIZATION) / 2.0;
         let denominator = (self.config.capacity_per_shard * mid).max(f64::MIN_POSITIVE);
         let ideal = (per_tick / denominator).ceil();
         let ideal = if ideal.is_finite() && ideal >= 1.0 {
@@ -247,28 +219,17 @@ impl ElasticController {
         );
         self.stats.samples += 1;
 
-        let total: u64 = sample.per_shard_offered.iter().sum();
-        let per_tick = total as f64 / sample.ticks as f64;
+        let per_tick = sample.offered as f64 / sample.ticks as f64;
         let offered_util = per_tick / (self.shards as f64 * self.config.capacity_per_shard);
         let queue_pressure = sample
             .queue_depths
             .iter()
             .copied()
             .max()
-            .map(|d| d as f64 / self.config.queue_capacity.max(1) as f64)
+            .map(|d| d as f64 / QUEUE_DEPTH as f64)
             .unwrap_or(0.0);
-        let utilization = offered_util
-            .max(queue_pressure)
-            .max(sample.busy_frac.unwrap_or(0.0));
-        let max_shard = sample.per_shard_offered.iter().copied().max().unwrap_or(0);
-        let mean_shard = total as f64 / sample.per_shard_offered.len().max(1) as f64;
-        let imbalance = if total == 0 {
-            1.0
-        } else {
-            max_shard as f64 / mean_shard
-        };
+        let utilization = offered_util.max(queue_pressure);
         self.stats.last_utilization = utilization;
-        self.stats.last_imbalance = imbalance;
 
         if self.cooldown_left > 0 {
             self.cooldown_left -= 1;
@@ -276,21 +237,15 @@ impl ElasticController {
             return Decision::Hold;
         }
 
-        if utilization > self.config.high_utilization {
+        if utilization > HIGH_UTILIZATION {
             self.high_run = self.high_run.saturating_add(1);
             self.low_run = 0;
-        } else if utilization < self.config.low_utilization {
+        } else if utilization < LOW_UTILIZATION {
             self.low_run = self.low_run.saturating_add(1);
             self.high_run = 0;
         } else {
             self.high_run = 0;
             self.low_run = 0;
-        }
-        let rebalancing = self.config.rebalance_imbalance > 0.0 && self.shards > 1;
-        if rebalancing && imbalance > self.config.rebalance_imbalance {
-            self.imbalance_run = self.imbalance_run.saturating_add(1);
-        } else {
-            self.imbalance_run = 0;
         }
 
         if self.high_run >= self.config.grow_after && self.shards < self.config.max_shards {
@@ -315,11 +270,6 @@ impl ElasticController {
             self.stats.shrinks += 1;
             return Decision::Shrink { to };
         }
-        if rebalancing && self.imbalance_run >= self.config.rebalance_after.max(1) {
-            self.act();
-            self.stats.rebalances += 1;
-            return Decision::Rebalance;
-        }
         self.stats.holds += 1;
         Decision::Hold
     }
@@ -330,7 +280,6 @@ impl ElasticController {
         self.cooldown_left = self.config.cooldown;
         self.high_run = 0;
         self.low_run = 0;
-        self.imbalance_run = 0;
     }
 }
 
@@ -344,12 +293,11 @@ mod tests {
         ControllerConfig::new(1, 4, 10.0)
     }
 
-    fn observe(ctl: &mut ElasticController, per_shard: &[u64], ticks: u64) -> Decision {
+    fn observe(ctl: &mut ElasticController, offered: u64, ticks: u64) -> Decision {
         ctl.observe(&LoadSample {
-            per_shard_offered: per_shard,
+            offered,
             ticks,
             queue_depths: &[],
-            busy_frac: None,
         })
     }
 
@@ -357,10 +305,10 @@ mod tests {
     fn grow_needs_a_sustained_run_then_fires_at_target() {
         let mut ctl = ElasticController::new(config(), 1);
         // 30 frames/tick at capacity 10 → utilization 3.0, way over band.
-        assert_eq!(observe(&mut ctl, &[30], 1), Decision::Hold, "run of 1");
+        assert_eq!(observe(&mut ctl, 30, 1), Decision::Hold, "run of 1");
         // Second consecutive high sample: fire, sized to the band midpoint
         // (30 / (10 × 0.675) = 4.4 → ceil 5 → clamped to max 4).
-        assert_eq!(observe(&mut ctl, &[30], 1), Decision::Grow { to: 4 });
+        assert_eq!(observe(&mut ctl, 30, 1), Decision::Grow { to: 4 });
         assert_eq!(ctl.shards(), 4);
         assert_eq!(ctl.stats().grows, 1);
     }
@@ -371,8 +319,8 @@ mod tests {
         // Alternating over/under the band every sample: neither run ever
         // reaches its threshold, so hysteresis holds the shape.
         for _ in 0..20 {
-            assert_eq!(observe(&mut ctl, &[20, 20], 1), Decision::Hold);
-            assert_eq!(observe(&mut ctl, &[1, 1], 1), Decision::Hold);
+            assert_eq!(observe(&mut ctl, 40, 1), Decision::Hold);
+            assert_eq!(observe(&mut ctl, 2, 1), Decision::Hold);
         }
         assert_eq!(ctl.shards(), 2);
         assert_eq!(ctl.stats().grows + ctl.stats().shrinks, 0);
@@ -381,15 +329,15 @@ mod tests {
     #[test]
     fn cooldown_blocks_back_to_back_actions() {
         let mut ctl = ElasticController::new(config(), 1);
-        assert_eq!(observe(&mut ctl, &[12], 1), Decision::Hold);
-        assert!(matches!(observe(&mut ctl, &[12], 1), Decision::Grow { .. }));
+        assert_eq!(observe(&mut ctl, 12, 1), Decision::Hold);
+        assert!(matches!(observe(&mut ctl, 12, 1), Decision::Grow { .. }));
         // Still hot, but the next `cooldown` samples must hold.
-        assert_eq!(observe(&mut ctl, &[40], 1), Decision::Hold);
-        assert_eq!(observe(&mut ctl, &[40], 1), Decision::Hold);
+        assert_eq!(observe(&mut ctl, 40, 1), Decision::Hold);
+        assert_eq!(observe(&mut ctl, 40, 1), Decision::Hold);
         assert_eq!(ctl.stats().cooldown_holds, 2);
         // After cooldown the grow run restarts from zero.
-        assert_eq!(observe(&mut ctl, &[40], 1), Decision::Hold);
-        assert!(matches!(observe(&mut ctl, &[40], 1), Decision::Grow { .. }));
+        assert_eq!(observe(&mut ctl, 40, 1), Decision::Hold);
+        assert!(matches!(observe(&mut ctl, 40, 1), Decision::Grow { .. }));
     }
 
     #[test]
@@ -397,35 +345,16 @@ mod tests {
         let mut ctl = ElasticController::new(config(), 2);
         // 2 frames/tick over 2 shards at capacity 10 → utilization 0.1.
         for _ in 0..2 {
-            assert_eq!(observe(&mut ctl, &[1, 1], 1), Decision::Hold);
+            assert_eq!(observe(&mut ctl, 2, 1), Decision::Hold);
         }
-        assert_eq!(observe(&mut ctl, &[1, 1], 1), Decision::Shrink { to: 1 });
+        assert_eq!(observe(&mut ctl, 2, 1), Decision::Shrink { to: 1 });
         assert_eq!(ctl.shards(), 1);
         // At min there is nothing left to shrink; quiet samples hold.
         for _ in 0..10 {
-            assert_eq!(observe(&mut ctl, &[0], 1), Decision::Hold);
+            assert_eq!(observe(&mut ctl, 0, 1), Decision::Hold);
         }
         assert_eq!(ctl.shards(), 1);
         assert_eq!(ctl.stats().shrinks, 1);
-    }
-
-    #[test]
-    fn rebalance_fires_only_when_enabled_and_sustained() {
-        let mut skewed = config();
-        skewed.rebalance_imbalance = 1.5;
-        skewed.rebalance_after = 2;
-        let mut ctl = ElasticController::new(skewed, 2);
-        // All load on one shard (imbalance 2.0) but utilization in band:
-        // 12/tick over 2 shards at capacity 10 → 0.6.
-        assert_eq!(observe(&mut ctl, &[12, 0], 1), Decision::Hold);
-        assert_eq!(observe(&mut ctl, &[12, 0], 1), Decision::Rebalance);
-        assert_eq!(ctl.stats().rebalances, 1);
-
-        // Disabled by default: the same skew never fires.
-        let mut ctl = ElasticController::new(config(), 2);
-        for _ in 0..10 {
-            assert_eq!(observe(&mut ctl, &[12, 0], 1), Decision::Hold);
-        }
     }
 
     #[test]
@@ -434,10 +363,9 @@ mod tests {
         // Offered load is tiny, but the live queue is nearly full — the
         // queue-depth signal must be able to demand capacity on its own.
         let pressured = LoadSample {
-            per_shard_offered: &[1],
+            offered: 1,
             ticks: 1,
             queue_depths: &[60],
-            busy_frac: None,
         };
         assert_eq!(ctl.observe(&pressured), Decision::Hold);
         assert_eq!(ctl.observe(&pressured), Decision::Grow { to: 2 });
@@ -446,8 +374,8 @@ mod tests {
     #[test]
     fn sync_shards_overrides_belief_after_refused_resize() {
         let mut ctl = ElasticController::new(config(), 1);
-        observe(&mut ctl, &[30], 1);
-        assert!(matches!(observe(&mut ctl, &[30], 1), Decision::Grow { .. }));
+        observe(&mut ctl, 30, 1);
+        assert!(matches!(observe(&mut ctl, 30, 1), Decision::Grow { .. }));
         // Executor could not grow (e.g. sequential reference): belief must
         // track reality, clamped into the configured range.
         ctl.sync_shards(1);

@@ -3,8 +3,8 @@
 //!
 //! The driver is handed the pipeline by reference after each tick. Every
 //! `sample_every` ticks it takes the frames the pipeline's router offered
-//! each shard over the window (a pure function of the traffic and the live
-//! assignment — no clocks) and hands the controller a [`LoadSample`].
+//! over the window (a pure function of the traffic — no clocks) and hands
+//! the controller a [`LoadSample`].
 //! Non-hold decisions are executed immediately through the caller's
 //! `reassign` — [`IngestPipeline::reassign`], behind a checkpoint when the
 //! run is durable — which quiesces at the tick barrier, so a resize can only
@@ -13,7 +13,7 @@
 
 use std::io;
 
-use kalstream_core::{IngestPipeline, ResizeTransition, ShardAssignment};
+use kalstream_core::{IngestPipeline, ResizeTransition};
 use kalstream_obs::{Instrument, Scope};
 
 use crate::controller::{ControllerConfig, Decision, ElasticController, LoadSample};
@@ -54,8 +54,6 @@ pub enum ResizeKind {
     Grow,
     /// Fewer shards.
     Shrink,
-    /// Same count, new placement salt.
-    Rebalance,
 }
 
 /// One executed resize, for experiment tables and artifacts.
@@ -63,12 +61,12 @@ pub enum ResizeKind {
 pub struct ResizeEvent {
     /// Tick at whose barrier the resize executed.
     pub tick: u64,
-    /// Grow, shrink, or rebalance.
+    /// Grow or shrink.
     pub kind: ResizeKind,
-    /// Assignment before.
-    pub from: ShardAssignment,
-    /// Assignment after.
-    pub to: ShardAssignment,
+    /// Shard count before.
+    pub from: usize,
+    /// Shard count after.
+    pub to: usize,
     /// Wall-clock ingest stall paid at the drain barrier. Reported in
     /// artifacts only, never in deterministic tables.
     pub stall: std::time::Duration,
@@ -81,8 +79,6 @@ pub struct ElasticDriver {
     use_queue_signal: bool,
     window_ticks: u64,
     ticks: u64,
-    /// Last salt handed out for a rebalance, so each reshuffle is new.
-    salt_epoch: u64,
     events: Vec<ResizeEvent>,
 }
 
@@ -100,15 +96,13 @@ impl ElasticDriver {
             config.sample_every >= 1,
             "sample window must cover at least 1 tick"
         );
-        let assignment = pipeline.assignment();
         pipeline.take_offered();
         ElasticDriver {
-            controller: ElasticController::new(config.controller, assignment.shards),
+            controller: ElasticController::new(config.controller, pipeline.shards()),
             sample_every: config.sample_every,
             use_queue_signal: config.use_queue_signal,
             window_ticks: 0,
             ticks: 0,
-            salt_epoch: assignment.salt,
             events: Vec::new(),
         }
     }
@@ -144,7 +138,7 @@ impl ElasticDriver {
     pub fn after_tick(
         &mut self,
         pipeline: &mut IngestPipeline,
-        reassign: impl FnOnce(&mut IngestPipeline, ShardAssignment) -> io::Result<ResizeTransition>,
+        reassign: impl FnOnce(&mut IngestPipeline, usize) -> io::Result<ResizeTransition>,
     ) -> io::Result<()> {
         self.ticks += 1;
         self.window_ticks += 1;
@@ -157,27 +151,20 @@ impl ElasticDriver {
             Vec::new()
         };
         let decision = self.controller.observe(&LoadSample {
-            per_shard_offered: &pipeline.take_offered(),
+            offered: pipeline.take_offered(),
             ticks: self.window_ticks,
             queue_depths: &depths,
-            busy_frac: None,
         });
         self.window_ticks = 0;
-        let from = pipeline.assignment();
         let (kind, to) = match decision {
             Decision::Hold => return Ok(()),
-            Decision::Grow { to } => (ResizeKind::Grow, ShardAssignment::salted(to, from.salt)),
-            Decision::Shrink { to } => (ResizeKind::Shrink, ShardAssignment::salted(to, from.salt)),
-            Decision::Rebalance => {
-                self.salt_epoch += 1;
-                let to = ShardAssignment::salted(from.shards, self.salt_epoch);
-                (ResizeKind::Rebalance, to)
-            }
+            Decision::Grow { to } => (ResizeKind::Grow, to),
+            Decision::Shrink { to } => (ResizeKind::Shrink, to),
         };
         let result = reassign(pipeline, to);
         // Believe what actually happened: a failed checkpoint leaves the
         // pipeline in its old shape.
-        self.controller.sync_shards(pipeline.assignment().shards);
+        self.controller.sync_shards(pipeline.shards());
         let transition = result?;
         self.events.push(ResizeEvent {
             tick: self.ticks,
@@ -327,7 +314,7 @@ mod tests {
             elastic
                 .events()
                 .iter()
-                .map(|e| (e.tick, e.from.shards, e.to.shards))
+                .map(|e| (e.tick, e.from, e.to))
                 .collect::<Vec<(u64, usize, usize)>>()
         };
         let first = run();

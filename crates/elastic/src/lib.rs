@@ -7,15 +7,14 @@
 //! Two layers:
 //!
 //! * [`ElasticController`] — the pure decision function. It consumes
-//!   [`LoadSample`]s (offered frames per shard per window, plus live queue
-//!   depth / busy-fraction signals when available) and emits
-//!   [`Decision`]s: grow, shrink, rebalance, or hold. A target-utilization
-//!   band with hysteresis (consecutive-sample runs) and a post-action
-//!   cooldown keeps it from thrashing under sawtooth load.
+//!   [`LoadSample`]s (frames offered per window, plus live queue depths
+//!   when available) and emits [`Decision`]s: grow, shrink, or hold. A
+//!   target-utilization band with hysteresis (consecutive-sample runs) and
+//!   a post-action cooldown keeps it from thrashing under sawtooth load.
 //! * [`ElasticDriver`] — the barrier hook that closes the loop: lent the
 //!   [`kalstream_core::IngestPipeline`] after each tick, it reads the
-//!   frames the pipeline's router offered each shard, samples the
-//!   controller on a cadence, and executes its decisions through
+//!   frames the pipeline's router offered, samples the controller on a
+//!   cadence, and executes its decisions through
 //!   the caller's `reassign` (behind a `kalstream_durable::Durability`
 //!   checkpoint when the run is durable) — which quiesces at a tick barrier, so every
 //!   resize is provably invisible to filter arithmetic.

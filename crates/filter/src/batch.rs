@@ -584,13 +584,6 @@ impl<const N: usize, const M: usize> FleetBatch<N, M> {
         Ok(())
     }
 
-    /// Lane `lane`'s predicted measurement `H x` (scalar
-    /// `predicted_measurement` order).
-    pub fn predicted_measurement(&self, lane: usize) -> Vector {
-        let x = self.lane(lane).0;
-        Vector::from_slice(&self.kernel.predicted_measurement(&x))
-    }
-
     /// Suppression verdicts for the whole batch: `out[s]` is `true` when
     /// lane `s`'s predicted measurement is within `delta` of its observation
     /// in max-norm — exactly the scalar protocol's

@@ -214,11 +214,6 @@ impl DynFleetBatch {
         delegate!(self, b => b.lane_is_finite(lane))
     }
 
-    /// A lane's predicted measurement `H x`.
-    pub fn predicted_measurement(&self, lane: usize) -> Vector {
-        delegate!(self, b => b.predicted_measurement(lane))
-    }
-
     /// Batch suppression verdicts; see
     /// [`FleetBatch::suppression_verdicts_into`].
     ///
@@ -302,9 +297,5 @@ mod tests {
         assert_eq!(lane_kf.covariance(), kf.covariance());
         assert_eq!(lane_kf.steps_since_update(), kf.steps_since_update());
         assert!(batch.lane_is_finite(lane));
-        assert_eq!(
-            batch.predicted_measurement(lane),
-            kf.predicted_measurement()
-        );
     }
 }

@@ -48,9 +48,7 @@ use std::thread;
 
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, Sender};
-use kalstream_core::{
-    IngestPipeline, IngestResult, ServerEndpoint, ShardAssignment, StreamDecoder,
-};
+use kalstream_core::{IngestPipeline, IngestResult, ServerEndpoint, StreamDecoder};
 use kalstream_durable::{Durability, DurableConfig, DurableStats, DurableStore};
 use kalstream_elastic::{ElasticConfig, ElasticDriver, ResizeKind};
 use kalstream_obs::{Instrument, Registry, Scope, Snapshot};
@@ -164,14 +162,12 @@ impl Instrument for ConnReport {
 /// ran with an [`ElasticConfig`].
 #[derive(Debug, Clone)]
 pub struct ElasticNetStats {
-    /// Resizes executed (grows + shrinks + rebalances).
+    /// Resizes executed (grows + shrinks).
     pub resizes: u64,
     /// Resizes that added shards.
     pub grows: u64,
     /// Resizes that removed shards.
     pub shrinks: u64,
-    /// Same-count placement reshuffles.
-    pub rebalances: u64,
     /// Shard count at teardown.
     pub final_shards: usize,
     /// Worst ingest stall paid at any resize barrier, in milliseconds
@@ -184,7 +180,6 @@ impl Instrument for ElasticNetStats {
         scope.counter("resizes", self.resizes);
         scope.counter("grows", self.grows);
         scope.counter("shrinks", self.shrinks);
-        scope.counter("rebalances", self.rebalances);
         scope.gauge("final_shards", self.final_shards as f64);
         scope.gauge("max_stall_ms", self.max_stall_ms);
     }
@@ -400,11 +395,7 @@ impl Engine {
         };
         let streams = initial.len();
         let (feedback_tx, feedback) = crossbeam::channel::unbounded();
-        let mut pipeline = IngestPipeline::start_with(
-            ShardAssignment::modulo(config.shards),
-            initial,
-            Some(feedback_tx),
-        );
+        let mut pipeline = IngestPipeline::start_with(config.shards, initial, Some(feedback_tx));
         let mut replay_feedback_discarded = 0;
         if let Some(rec) = &recovery {
             rec.replay_into(&mut pipeline);
@@ -473,7 +464,6 @@ impl Engine {
                 resizes: elastic.events().len() as u64,
                 grows: count(ResizeKind::Grow),
                 shrinks: count(ResizeKind::Shrink),
-                rebalances: count(ResizeKind::Rebalance),
                 final_shards: self.pipeline.shards(),
                 max_stall_ms: elastic.max_stall_ms(),
             }

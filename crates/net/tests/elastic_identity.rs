@@ -7,6 +7,7 @@
 //! recovers into it bit-identically.
 
 use std::io::{Read as _, Write as _};
+use std::net::{Shutdown, TcpStream};
 
 use kalstream_core::{FramingSink, IngestResult, SequentialIngest, TickIngest};
 use kalstream_durable::DurableConfig;
@@ -183,9 +184,12 @@ impl TickIngest for Recorder {
 }
 
 /// Dials `server`, claims the whole fleet, checks the hello status, and
-/// writes `ticks` (marker-delimited) until done or the server dies.
-fn replay(server: &NetServer, want_status: HelloStatus, ticks: &[Vec<u8>]) {
-    let mut conn = std::net::TcpStream::connect(server.addr()).expect("dial");
+/// writes `ticks` (marker-delimited) until done or the server dies. Returns
+/// the open connection: dropping it while the server's return markers sit
+/// unread resets it, and a reset discards the ticks still in the send
+/// queue, so the caller decides when it closes.
+fn replay(server: &NetServer, want_status: HelloStatus, ticks: &[Vec<u8>]) -> TcpStream {
+    let mut conn = TcpStream::connect(server.addr()).expect("dial");
     conn.write_all(&encode_hello(&(0..STREAMS).collect::<Vec<_>>()))
         .expect("hello");
     let mut status = [0u8; STATUS_BYTES];
@@ -198,6 +202,7 @@ fn replay(server: &NetServer, want_status: HelloStatus, ticks: &[Vec<u8>]) {
             break; // the server aborted mid-run
         }
     }
+    conn
 }
 
 /// Crash the durable + elastic server mid-serve, after it has resized;
@@ -238,16 +243,22 @@ fn durable_elastic_server_crash_recovers_bit_identically() {
         crash_after_ticks: Some(kill),
         ..config.clone()
     });
-    replay(&server, HelloStatus::Ready, &traffic);
+    let conn = replay(&server, HelloStatus::Ready, &traffic);
+    // Leave the connection open until the server aborts it.
     let err = server.join().expect_err("injected crash must surface");
     assert_eq!(err.kind(), std::io::ErrorKind::ConnectionAborted);
+    drop(conn);
 
     let server = start(config);
-    replay(
+    let mut conn = replay(
         &server,
         HelloStatus::Recovering { next_tick: kill },
         &traffic[kill as usize..],
     );
+    // Close the write half and read the return markers to EOF, so every
+    // tick reaches the server before the socket closes.
+    conn.shutdown(Shutdown::Write).expect("shutdown");
+    conn.read_to_end(&mut Vec::new()).expect("drain");
     let report = server.join().expect("recovered serve");
     assert_eq!(report.ticks, TICKS - kill);
     assert!(report.replayed_ticks > 0, "recovery replayed the WAL");

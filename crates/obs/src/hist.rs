@@ -1,7 +1,5 @@
 //! Fixed-bucket log₂ histogram.
 
-use core::time::Duration;
-
 /// Number of buckets in a [`Histogram`]. Fixed so recording never
 /// allocates and two histograms always merge bucket-for-bucket.
 pub const HISTOGRAM_BUCKETS: usize = 64;
@@ -75,11 +73,6 @@ impl Histogram {
         self.sum = self.sum.saturating_add(value);
         self.max = self.max.max(value);
         self.buckets[Self::bucket_index(value)] += 1;
-    }
-
-    /// Records a duration as whole nanoseconds.
-    pub fn record_duration(&mut self, d: Duration) {
-        self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
     }
 
     /// Number of samples recorded.
@@ -233,12 +226,5 @@ mod tests {
             direct.record(v);
         }
         assert_eq!(a, direct, "merge must equal recording the union");
-    }
-
-    #[test]
-    fn record_duration_uses_nanos() {
-        let mut h = Histogram::new();
-        h.record_duration(Duration::from_micros(1));
-        assert_eq!(h.sum(), 1000);
     }
 }

@@ -534,7 +534,10 @@ fn assert_shape_matches_textbook(seed: u64, n: usize, m: usize) -> Result<bool, 
             lane.predict_all();
             prop_assert_eq!(lane.lane_is_finite(0), want.is_ok());
             let outcome = if got.is_ok() {
-                prop_assert_eq!(lane.predicted_measurement(0), kf.predicted_measurement());
+                prop_assert_eq!(
+                    lane.lane_filter(0, "lane").predicted_measurement(),
+                    kf.predicted_measurement()
+                );
                 let (got, want) = (kf.update(&z), reference.update(&z));
                 let lane_got = lane.update_lane(0, z.as_slice());
                 match (&got, &want) {

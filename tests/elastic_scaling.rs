@@ -7,8 +7,7 @@
 use bytes::Bytes;
 use kalstream::core::frame::FrameBatch;
 use kalstream::core::{
-    IngestPipeline, ProtocolConfig, SequentialIngest, ServerEndpoint, SessionSpec, ShardAssignment,
-    StreamSession,
+    IngestPipeline, ProtocolConfig, SequentialIngest, ServerEndpoint, SessionSpec, StreamSession,
 };
 use kalstream::durable::{Durability, DurableStore};
 use kalstream::elastic::{ControllerConfig, ElasticConfig, ElasticDriver, ResizeKind};
@@ -150,9 +149,9 @@ fn resize_with_ticks_in_flight_waits_for_the_drain_barrier() {
         pipeline.ingest_tick(wire);
     }
     // No flush: the handoff ticks may still sit in the workers' queues.
-    let transition = pipeline.reassign(ShardAssignment::modulo(2));
-    assert_eq!(transition.from.shards, 3);
-    assert_eq!(transition.to.shards, 2);
+    let transition = pipeline.reassign(2);
+    assert_eq!(transition.from, 3);
+    assert_eq!(transition.to, 2);
     for wire in &traffic[handoff..] {
         pipeline.ingest_tick(wire);
     }
@@ -242,10 +241,8 @@ fn resize_racing_a_crash_recovers_into_the_post_resize_shape() {
     for wire in &traffic[..resize_at] {
         durable.ingest_tick(&mut pipeline, wire).unwrap();
     }
-    let transition = durable
-        .reassign(&mut pipeline, ShardAssignment::salted(3, 7))
-        .unwrap();
-    assert_eq!(transition.to.shards, 3);
+    let transition = durable.reassign(&mut pipeline, 3).unwrap();
+    assert_eq!(transition.to, 3);
     for wire in &traffic[resize_at..kill] {
         durable.ingest_tick(&mut pipeline, wire).unwrap();
     }
@@ -258,11 +255,7 @@ fn resize_racing_a_crash_recovers_into_the_post_resize_shape() {
     let recovery = store.recover().unwrap().expect("resize checkpoint exists");
     assert_eq!(recovery.next_tick(), kill as u64);
     assert_eq!(recovery.wal.len(), kill - resize_at);
-    let mut recovered = IngestPipeline::start_with(
-        ShardAssignment::salted(3, 7),
-        recovery.endpoints().unwrap(),
-        None,
-    );
+    let mut recovered = IngestPipeline::start(3, recovery.endpoints().unwrap());
     recovery.replay_into(&mut recovered);
     let mut resumed =
         Durability::start(store, 1000, kill as u64, &recovered.snapshot_states()).unwrap();
