@@ -57,27 +57,24 @@ if sed '/#\[cfg(test)\]/,$d' crates/filter/src/adaptive.rs |
 fi
 
 echo "==> a sync travels as a view: no owned message, allocating pin or cloned P on the endpoint paths"
-# Non-test code of the two endpoints only. The two lines let through are the
-# snapshot value type (`EndpointState`, captured at durability barriers): its
-# `pending` field and the `P` it copies out of the filter.
+# Non-test code of the two endpoints only. The one line let through is the
+# `P` the snapshot value type (`EndpointState`, captured at durability
+# barriers) copies out of the filter.
 for endpoint in source server; do
     if sed '/#\[cfg(test)\]/,$d' "crates/core/src/$endpoint.rs" |
         grep -nE 'pin_to_measurement\(|\.covariance\(\)\.clone\(\)|Vec<SyncMessage>' |
-        grep -vE '^[0-9]+: +(pub pending: Vec<SyncMessage>|p: filter\.covariance\(\)\.clone\(\)),$'; then
+        grep -vE '^[0-9]+: +p: filter\.covariance\(\)\.clone\(\),$'; then
         echo "crates/core/src/$endpoint.rs builds owned syncs on the hot path again" >&2
         exit 1
     fi
 done
 
-echo "==> the shard applies in place: no sync queued or drained on the ingest tick"
-# Non-test code only. `Shard::tick` admits each sync and applies it where it
-# lies in the tick buffer; the endpoint's byte queue is the simulator's.
-if sed '/#\[cfg(test)\]/,$d' crates/core/src/ingest.rs | grep -n 'enqueue_view'; then
-    echo "crates/core/src/ingest.rs queues syncs on the shard path again (enqueue_view)" >&2
-    exit 1
-fi
-if sed '/#\[cfg(test)\]/,$d' crates/core/src/batch_ingest.rs | grep -n 'drain_pending'; then
-    echo "crates/core/src/batch_ingest.rs drains a queue onto the lanes again (drain_pending)" >&2
+echo "==> a sync applies when it arrives: no pending queue, no cap, no shard copy of its shedding"
+# The endpoint applies each admitted sync on delivery and the shard where it
+# lies in the tick buffer, so neither queues, caps or sheds syncs.
+if grep -rnwE 'PENDING_CAP|plan_shed|drain_pending|push_pending|shed_at_cap|pending_len' \
+    crates src tests examples; then
+    echo "a pending-queue item is back: a sync applies when it arrives" >&2
     exit 1
 fi
 

@@ -123,7 +123,7 @@ pub struct Frame<'a> {
 /// iteration ends at the end of the batch or at the first malformed header
 /// (a truncated header or a length prefix overrunning the buffer), which
 /// it leaves unconsumed in `.0`.
-pub(crate) struct Frames<'a>(pub(crate) &'a [u8]);
+struct Frames<'a>(&'a [u8]);
 
 impl<'a> Iterator for Frames<'a> {
     type Item = Frame<'a>;

@@ -36,11 +36,10 @@
 //!
 //! Tick semantics match the simulator exactly: one `ingest_tick` call takes
 //! **every** endpoint one predict step, then applies that tick's syncs in
-//! arrival order — the transition [`ServerEndpoint::advance`] and
-//! [`kalstream_sim::Consumer::estimate`] make from their queue, made here
-//! with each sync applied where it lies in the tick buffer, parsed once.
-//! Per stream the newest `PENDING_CAP` syncs of a tick apply and older ones
-//! are shed, as the queue would. [`IngestPipeline::flush`] is
+//! arrival order — the transition a [`ServerEndpoint`] makes as syncs are
+//! delivered to it and [`ServerEndpoint::advance`] closes the tick, made
+//! here with each sync applied where it lies in the tick buffer, parsed
+//! once. Every admitted sync applies. [`IngestPipeline::flush`] is
 //! the barrier that makes "all ticks sent so far are applied" observable;
 //! durability and elasticity are hooks that act at that barrier
 //! (`kalstream-durable`'s `Durability`, `kalstream-elastic`'s
@@ -57,9 +56,8 @@ use crossbeam::channel::{bounded, Receiver, Sender};
 use kalstream_obs::{Histogram, Instrument, Scope, SpanTimer};
 
 use crate::batch_ingest::BatchLanes;
-use crate::frame::{FrameBatch, FrameDecoder, Frames};
-use crate::server::{is_fresh, EndpointState, ProtocolHalf, ServerEndpoint, PENDING_CAP};
-use crate::wire::{SyncRef, WireRef};
+use crate::frame::{FrameBatch, FrameDecoder};
+use crate::server::{EndpointState, ProtocolHalf, ServerEndpoint};
 
 /// Per-shard job queue depth. Deep enough that the router can run ahead of
 /// a momentarily slow shard, small enough to bound memory and exert
@@ -269,15 +267,6 @@ pub(crate) struct Shard {
     index: HashMap<u32, usize, BuildHasherDefault<IdHasher>>,
     /// Every stream's filter, one lane per slot.
     lanes: BatchLanes,
-    /// Per stream, how many of the current tick's oldest syncs are still
-    /// to be shed so that only its newest [`PENDING_CAP`] apply. All zero
-    /// except on a tick `plan_shed` found overflowing a stream.
-    shed: Vec<usize>,
-    /// Whether some stream arrived with syncs already queued (restored
-    /// from a mid-tick snapshot, or fed through `enqueue` before the
-    /// hand-over). The first tick applies them ahead of its own frames, as
-    /// the oldest syncs of that tick; after it, no queue is ever filled.
-    carried: bool,
     /// One bit per stream that may have feedback to poll after this
     /// tick: every stream on the first tick (one can arrive with an ack
     /// or a bound armed), then those a frame was addressed to. So a tick
@@ -300,6 +289,13 @@ fn mark(due: &mut [u64], slot: usize) {
 }
 
 impl Shard {
+    /// Takes `endpoints` over: each one's filter onto a lane, its protocol
+    /// half kept here.
+    ///
+    /// # Panics
+    /// Panics when an endpoint is handed over mid-tick (a sync applied
+    /// since its last [`ServerEndpoint::advance`]): a shard takes streams
+    /// over at a tick boundary.
     pub(crate) fn new(
         shard: usize,
         mut endpoints: Vec<(u32, ServerEndpoint)>,
@@ -311,14 +307,13 @@ impl Shard {
         let mut index = HashMap::with_capacity_and_hasher(n, BuildHasherDefault::default());
         // Taken apart in place: moving each ≈ 2.9 KB endpoint out costs set-up.
         for (id, ep) in &mut endpoints {
+            assert!(!ep.predicted, "stream {id} handed to a shard mid-tick");
             index.insert(*id, streams.len());
             lanes.push(&ep.filter);
             streams.push((*id, std::mem::take(&mut ep.protocol)));
         }
         Shard {
             lanes,
-            shed: vec![0; streams.len()],
-            carried: streams.iter().any(|(_, half)| half.pending_len > 0),
             due: {
                 let mut due = vec![0; streams.len().div_ceil(64)];
                 (0..streams.len()).for_each(|slot| mark(&mut due, slot));
@@ -352,13 +347,10 @@ impl Shard {
         recycle: impl FnOnce(B) -> bool,
     ) {
         let span = SpanTimer::start();
-        let carried = std::mem::take(&mut self.carried);
-        self.plan_shed(&buf, carried);
         let Shard {
             streams,
             index,
             lanes,
-            shed,
             due,
             decoder,
             report,
@@ -366,18 +358,13 @@ impl Shard {
         } = self;
         lanes.predict(|slot| streams[slot].1.predict_failures += 1);
         report.bytes_in += buf.len() as u64;
-        if carried {
-            for (slot, (_, half)) in streams.iter_mut().enumerate() {
-                half.drain_pending(|half, msg| deliver(lanes, shed, slot, half, msg));
-            }
-        }
         decoder.for_each_wire_message(&buf, |id, msg| match index.get(&id) {
             Some(&slot) => {
                 report.messages += 1;
                 mark(due, slot);
                 let half = &mut streams[slot].1;
                 if let Some(sync) = half.admit_view(msg) {
-                    deliver(lanes, shed, slot, half, Some(sync));
+                    half.syncs_applied += u64::from(lanes.apply(slot, sync));
                 }
             }
             None => report.unknown_streams += 1,
@@ -412,68 +399,6 @@ impl Shard {
         span.stop(&mut report.tick_ns);
     }
 
-    /// Fills `shed` for a tick that could overflow some stream's cap. Per
-    /// stream, the newest [`PENDING_CAP`] of a tick's syncs apply — those
-    /// `carried` in first, then the admitted ones in arrival order — and
-    /// the older ones are shed: what the endpoint's queue would keep and
-    /// shed. A tick of at most `PENDING_CAP` frames cannot overflow any
-    /// stream and costs a header-only count; a larger one counts frames per
-    /// stream, and only a stream with more than `PENDING_CAP` frames has its
-    /// bodies parsed ahead of the walk, to count the ones admission will let
-    /// through.
-    fn plan_shed(&mut self, wire: &[u8], carried: bool) {
-        let Shard {
-            streams,
-            index,
-            shed,
-            ..
-        } = self;
-        let queued = |half: &ProtocolHalf| if carried { half.pending_len } else { 0 };
-        let carried_syncs: usize = if carried {
-            streams.iter().map(|(_, half)| queued(half)).sum()
-        } else {
-            0
-        };
-        if carried_syncs + Frames(wire).take(PENDING_CAP + 1).count() <= PENDING_CAP {
-            return;
-        }
-        for (n, (_, half)) in shed.iter_mut().zip(streams.iter()) {
-            *n = queued(half);
-        }
-        for frame in Frames(wire) {
-            if let Some(&slot) = index.get(&frame.stream_id) {
-                shed[slot] += 1;
-            }
-        }
-        // Every stream over the cap, with its running highest sequence.
-        let mut over: Vec<(usize, u64)> = Vec::new();
-        for (slot, n) in shed.iter_mut().enumerate() {
-            if *n > PENDING_CAP {
-                over.push((slot, streams[slot].1.last_seq));
-                *n = queued(&streams[slot].1);
-            } else {
-                *n = 0;
-            }
-        }
-        for frame in Frames(wire) {
-            let Some(&slot) = index.get(&frame.stream_id) else {
-                continue;
-            };
-            let Some((_, last_seq)) = over.iter_mut().find(|(s, _)| *s == slot) else {
-                continue;
-            };
-            if let Ok(WireRef::Sync { seq, .. }) = WireRef::parse(frame.body) {
-                if is_fresh(seq, *last_seq) {
-                    *last_seq = seq.unwrap_or(*last_seq);
-                    shed[slot] += 1;
-                }
-            }
-        }
-        for (slot, _) in over {
-            shed[slot] -= PENDING_CAP.min(shed[slot]);
-        }
-    }
-
     /// Captures every stream's [`EndpointState`], sorted by stream id,
     /// without consuming the shard: its protocol half with the filter
     /// assembled from its lane — the endpoint [`Shard::finish`] would hand
@@ -499,32 +424,13 @@ impl Shard {
         let streams = self.streams.into_iter().enumerate();
         let endpoints = streams.map(|(slot, (id, protocol))| {
             let filter = self.lanes.filter(slot);
-            (id, ServerEndpoint { filter, protocol })
+            (id, ServerEndpoint::from_halves(filter, protocol))
         });
         IngestResult {
             shards: vec![report],
             endpoints: endpoints.collect(),
             router_decode_failures: 0,
         }
-    }
-}
-
-/// Hands one admitted sync to stream `slot` (`half`; `msg` is `None` for
-/// a carried queue entry that does not parse): shed and counted while the
-/// stream still has tick-old syncs over the cap to shed, otherwise applied
-/// to its lane and counted if accepted.
-fn deliver(
-    lanes: &mut BatchLanes,
-    shed: &mut [usize],
-    slot: usize,
-    half: &mut ProtocolHalf,
-    msg: Option<SyncRef<'_>>,
-) {
-    if shed[slot] > 0 {
-        shed[slot] -= 1;
-        half.delivery.shed += 1;
-    } else if let Some(msg) = msg {
-        half.syncs_applied += u64::from(lanes.apply(slot, msg));
     }
 }
 
@@ -577,7 +483,8 @@ impl IngestPipeline {
     /// `stream_id % shards`, without a feedback channel.
     ///
     /// # Panics
-    /// Panics when `shards` is 0.
+    /// Panics when `shards` is 0, or when an endpoint is handed over
+    /// mid-tick (a sync applied since its last [`ServerEndpoint::advance`]).
     pub fn start(shards: usize, endpoints: Vec<(u32, ServerEndpoint)>) -> Self {
         IngestPipeline::start_with(shards, endpoints, None)
     }
@@ -599,7 +506,8 @@ impl IngestPipeline {
     ///   ticks is in the channel when it returns.
     ///
     /// # Panics
-    /// Panics when `shards` is 0.
+    /// Panics when `shards` is 0, or when an endpoint is handed over
+    /// mid-tick (a sync applied since its last [`ServerEndpoint::advance`]).
     pub fn start_with(
         shards: usize,
         endpoints: Vec<(u32, ServerEndpoint)>,
@@ -666,11 +574,12 @@ impl IngestPipeline {
         self.shards.len()
     }
 
-    /// Jobs currently queued per shard (the job being processed excluded) —
-    /// the elastic controller's queue-pressure signal. Snapshot semantics:
-    /// values can be stale by the time the caller looks at them.
-    pub fn queue_depths(&self) -> Vec<usize> {
-        self.shards.iter().map(|shard| shard.tx.len()).collect()
+    /// Jobs queued on the most backed-up shard (the job being processed
+    /// excluded) — the elastic controller's queue-pressure signal. Snapshot
+    /// semantics: the value can be stale by the time the caller looks at it.
+    pub fn max_queue_depth(&self) -> usize {
+        let depths = self.shards.iter().map(|shard| shard.tx.len());
+        depths.max().unwrap_or(0)
     }
 
     /// Frames routed since the previous call (or the last resize by
@@ -916,6 +825,10 @@ pub struct SequentialIngest(Shard);
 
 impl SequentialIngest {
     /// Builds the ingester over `endpoints`, every one on a lane.
+    ///
+    /// # Panics
+    /// Panics when an endpoint is handed over mid-tick (a sync applied
+    /// since its last [`ServerEndpoint::advance`]).
     pub fn new(endpoints: Vec<(u32, ServerEndpoint)>) -> Self {
         SequentialIngest(Shard::new(0, endpoints, None))
     }
@@ -1249,11 +1162,12 @@ mod tests {
     fn queue_depths_and_high_water_are_reported() {
         let (servers, log) = record_log(0, 6, 30);
         let mut pipe = IngestPipeline::start(3, servers);
-        assert_eq!(pipe.queue_depths().len(), 3);
+        assert_eq!(pipe.shards(), 3);
+        assert_eq!(pipe.max_queue_depth(), 0, "no job sent yet");
         for tick in &log {
             pipe.ingest_tick(tick);
         }
-        assert!(pipe.queue_depths().iter().all(|&d| d <= QUEUE_DEPTH));
+        assert!(pipe.max_queue_depth() <= QUEUE_DEPTH);
         let result = pipe.finish();
         for shard in &result.shards {
             assert!(
@@ -1540,58 +1454,41 @@ mod tests {
     }
 
     /// Runs `log` through both shard engines — sequential and a 2-shard
-    /// pipeline — and through each endpoint's own queue (`enqueue_view` per
-    /// frame, then `advance`), and asserts all three end identical: filter
-    /// bits, applied syncs, delivery counters and decode failures. Returns
-    /// the queue-fed endpoints.
-    fn assert_shards_match_the_queue(
+    /// pipeline —, through each endpoint on its own (`enqueue_view` per
+    /// frame, then `advance`) and through the oracle, and asserts all four
+    /// end bit-identical in everything `state()` captures. Returns the
+    /// endpoints fed on their own.
+    fn assert_engines_match_the_endpoints(
         servers: Vec<(u32, ServerEndpoint)>,
         log: &[Vec<u8>],
     ) -> Vec<(u32, ServerEndpoint)> {
-        let mut queued = servers.clone();
+        let mut delivered = servers.clone();
         for tick in log {
             FrameDecoder::new()
-                .for_each_wire_message(tick, |id, msg| queued[id as usize].1.enqueue_view(msg));
-            queued.iter_mut().for_each(|(_, ep)| ep.advance());
+                .for_each_wire_message(tick, |id, msg| delivered[id as usize].1.enqueue_view(msg));
+            delivered.iter_mut().for_each(|(_, ep)| ep.advance());
         }
+        assert_same_endpoints(&oracle(servers.clone(), log), &delivered, "oracle");
         let mut sequential = SequentialIngest::new(servers.clone());
         let mut pipeline = IngestPipeline::start(2, servers);
         for tick in log {
             sequential.ingest_tick(tick);
             pipeline.ingest_tick(tick);
         }
-        let delivery = |ep: &ServerEndpoint| {
-            let d = ep.delivery();
-            (d.stale_drops, d.seq_gaps, d.shed)
-        };
         for (engine, result) in [
             ("sequential", sequential.finish()),
             ("pipeline", pipeline.finish()),
         ] {
             assert_eq!(result.total_decode_failures(), 0, "{engine}");
-            for ((id, a), (_, b)) in result.endpoints.iter().zip(&queued) {
-                assert_eq!(filter_bits(a), filter_bits(b), "{engine}: stream {id}");
-                assert_eq!(a.syncs_applied(), b.syncs_applied(), "{engine}: {id}");
-                assert_eq!(delivery(a), delivery(b), "{engine}: {id}");
-                assert_eq!(a.decode_failures(), b.decode_failures(), "{engine}: {id}");
-                assert_eq!(a.pending_len(), 0, "{engine}: {id}");
-            }
+            assert_same_endpoints(&result.endpoints, &delivered, engine);
         }
-        queued
+        delivered
     }
 
     /// A sequenced 1-state sync: every third a State, the rest Measurements
     /// (so how many apply shows in the filter bits, not just the counters).
     fn scalar_sync(seq: u64, i: usize) -> Bytes {
-        crate::wire::WireMessage::Sync {
-            seq: Some(seq),
-            msg: scalar_msg(i),
-        }
-        .encode()
-    }
-
-    fn scalar_msg(i: usize) -> SyncMessage {
-        if i.is_multiple_of(3) {
+        let msg = if i.is_multiple_of(3) {
             SyncMessage::State {
                 x: kalstream_linalg::Vector::from_slice(&[i as f64 * 0.01]),
                 p: kalstream_linalg::Matrix::scalar(1, 0.5),
@@ -1600,20 +1497,21 @@ mod tests {
             SyncMessage::Measurement {
                 z: kalstream_linalg::Vector::from_slice(&[(i as f64 * 0.37).sin()]),
             }
-        }
+        };
+        let seq = Some(seq);
+        crate::wire::WireMessage::Sync { seq, msg }.encode()
     }
 
     #[test]
-    fn a_tick_over_the_cap_sheds_exactly_what_the_endpoint_queue_sheds() {
-        use crate::server::PENDING_CAP;
+    fn a_tick_of_300_syncs_to_one_stream_applies_every_one_on_every_engine() {
         use crate::wire::WireMessage;
-        // Stream 1 gets PENDING_CAP + 10 fresh syncs in one tick, with a
-        // stale duplicate and a forward-channel ack among them (frames over
-        // the cap that admission does not let through); streams 0 and 2 get
-        // one sync each. The next tick is ordinary.
+        // Stream 1 gets 300 fresh syncs in one tick, with a stale duplicate
+        // and a forward-channel ack among them; streams 0 and 2 get one
+        // sync each. The next tick is ordinary. No count caps a tick: every
+        // admitted sync applies, in arrival order.
         let mut first = FrameBatch::new();
         first.push_raw(0, &scalar_sync(1, 1));
-        for i in 1..=PENDING_CAP + 10 {
+        for i in 1..=300 {
             first.push_raw(1, &scalar_sync(i as u64, i));
             if i == 40 {
                 first.push_raw(1, &scalar_sync(5, 999));
@@ -1623,46 +1521,29 @@ mod tests {
         first.push_raw(2, &scalar_sync(1, 2));
         let mut second = FrameBatch::new();
         for id in 0..3u32 {
-            second.push_raw(id, &scalar_sync(PENDING_CAP as u64 + 11, 7 + id as usize));
+            second.push_raw(id, &scalar_sync(301, 7 + id as usize));
         }
         let (servers, _) = record_log(0, 3, 0);
-        let queued = assert_shards_match_the_queue(
+        let delivered = assert_engines_match_the_endpoints(
             servers,
             &[first.as_bytes().to_vec(), second.as_bytes().to_vec()],
         );
-        let (_, hot) = &queued[1];
-        let d = hot.delivery();
-        assert_eq!((d.stale_drops, d.shed), (1, 10), "the oldest 10 are shed");
+        let (_, hot) = &delivered[1];
+        assert_eq!(hot.delivery().stale_drops, 1, "the duplicate of seq 5");
         assert_eq!(hot.decode_failures(), 1, "the forward-channel ack");
-        assert_eq!(hot.syncs_applied(), PENDING_CAP as u64 + 1);
+        assert_eq!(
+            hot.syncs_applied(),
+            300 + 1,
+            "all 300, then the next tick's"
+        );
     }
 
     #[test]
-    fn syncs_queued_before_the_hand_over_apply_first_and_count_toward_the_cap() {
-        use crate::server::PENDING_CAP;
-        // Stream 0 reaches the shard with PENDING_CAP - 4 syncs already
-        // queued; its first tick brings 10 more, so the 6 oldest queued
-        // ones are shed. Stream 1 carries a few and gets one.
-        let (mut servers, _) = record_log(0, 2, 0);
-        for i in 0..PENDING_CAP - 4 {
-            servers[0].1.enqueue(scalar_msg(i));
-        }
-        for i in 0..3 {
-            servers[1].1.enqueue(scalar_msg(i + 1));
-        }
-        let mut tick = FrameBatch::new();
-        for i in 0..10 {
-            tick.push_raw(0, &scalar_sync(i as u64 + 1, i + 1));
-        }
-        tick.push_raw(1, &scalar_sync(1, 4));
-        let quiet = FrameBatch::new();
-        let queued = assert_shards_match_the_queue(
-            servers,
-            &[tick.as_bytes().to_vec(), quiet.as_bytes().to_vec()],
-        );
-        assert_eq!(queued[0].1.delivery().shed, 6);
-        assert_eq!(queued[1].1.delivery().shed, 0);
-        assert_eq!(queued[1].1.syncs_applied(), 4);
+    #[should_panic(expected = "mid-tick")]
+    fn a_stream_handed_over_mid_tick_is_refused() {
+        let (mut servers, _) = record_log(0, 1, 0);
+        servers[0].1.receive(0, &scalar_sync(1, 1));
+        SequentialIngest::new(servers);
     }
 
     #[test]

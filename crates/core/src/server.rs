@@ -1,4 +1,12 @@
 //! The server endpoint: prediction-based query answering.
+//!
+//! A sync is applied when it is delivered. The tick's first applied sync
+//! runs the tick's predict, and [`ServerEndpoint::advance`] predicts only
+//! on a tick nothing arrived: predict, then the tick's syncs in arrival
+//! order — the order the source's shadow uses, and the one an ingest shard
+//! makes with its lanes. Nothing is queued, so nothing is held back or
+//! shed: each sync carries the full corrected state, and the newest one
+//! subsumes the older ones.
 
 use bytes::Bytes;
 use kalstream_filter::{CovarianceUpdate, FilterError, KalmanFilter, StateModel};
@@ -6,15 +14,7 @@ use kalstream_linalg::{Matrix, Vector, DIM_CAP};
 use kalstream_obs::{Counter, Instrument, Scope};
 use kalstream_sim::{Consumer, DeliveryStats, Tick};
 
-use crate::wire::{self, ModelRef, SyncMessage, SyncRef, WireMessage, WireRef};
-
-/// Per stream, the most syncs one tick applies: the newest `PENDING_CAP`
-/// apply and the older ones are shed, counted in `delivery.shed`. In the
-/// queue this bounds memory when `receive` outpaces `estimate` (a stalled
-/// or missing drain); the ingest shard, which has no queue, sheds the same
-/// syncs. Under full-state sync semantics that loses nothing once a newer
-/// sync lands.
-pub(crate) const PENDING_CAP: usize = 256;
+use crate::wire::{self, ModelRef, SyncRef, WireMessage, WireRef};
 
 /// The server side of the suppression protocol.
 ///
@@ -26,33 +26,24 @@ pub(crate) const PENDING_CAP: usize = 256;
 /// clients' involvement".
 ///
 /// It is two halves: the filter, and the protocol half that admits,
-/// queues, counts and acknowledges syncs. An ingest shard takes the two
-/// apart for as long as it owns the stream: it keeps the protocol half,
-/// and the filter lives on one of its lanes (`crate::batch_ingest`).
+/// counts and acknowledges syncs. An ingest shard takes the two apart for
+/// as long as it owns the stream: it keeps the protocol half, and the
+/// filter lives on one of its lanes (`crate::batch_ingest`).
 #[derive(Debug, Clone)]
 pub struct ServerEndpoint {
     pub(crate) filter: KalmanFilter,
     pub(crate) protocol: ProtocolHalf,
+    /// Whether this tick's predict has run: set by the tick's first
+    /// applied sync, cleared by [`ServerEndpoint::advance`]. Set means a
+    /// tick is in progress.
+    pub(crate) predicted: bool,
 }
 
 /// Everything a server endpoint keeps about its stream but the filter:
-/// sequence admission, the pending queue, the feedback due and the
-/// counters — the one copy of those rules, for the endpoint and for the
-/// ingest shard alike.
+/// sequence admission, the feedback due and the counters — the one copy
+/// of those rules, for the endpoint and for the ingest shard alike.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ProtocolHalf {
-    /// Syncs delivered this tick, applied inside [`Consumer::estimate`]
-    /// *after* the predict step so server and shadow stay in lock-step.
-    /// Filled by [`Consumer::receive`] (the simulator's receive → estimate
-    /// split), by `enqueue`/`enqueue_wire`, and by snapshot restore; the
-    /// ingest shard predicts first and applies each sync where it lies in
-    /// the tick buffer, so it never queues. The queue is bytes — each entry
-    /// `len:u32` then the validated wire body, oldest first, the framing a
-    /// durability snapshot writes for it — so a queued sync costs its wire
-    /// size, and a drained queue keeps its capacity.
-    pending: Vec<u8>,
-    /// Entries in `pending`.
-    pub(crate) pending_len: usize,
     pub(crate) syncs_applied: Counter,
     decode_failures: Counter,
     pub(crate) predict_failures: Counter,
@@ -71,29 +62,6 @@ pub(crate) struct ProtocolHalf {
 }
 
 impl ProtocolHalf {
-    /// Makes room for one more entry: at [`PENDING_CAP`] the oldest is
-    /// dropped and counted.
-    fn shed_at_cap(&mut self) {
-        if self.pending_len >= PENDING_CAP {
-            if let Some((oldest, _)) = split_entry(&self.pending) {
-                let entry = ENTRY_PREFIX_BYTES + oldest.len();
-                self.pending.drain(..entry);
-                self.pending_len -= 1;
-            }
-            self.delivery.shed += 1;
-        }
-    }
-
-    /// Appends one entry whose body `write_body` appends to the queue.
-    fn push_pending(&mut self, write_body: impl FnOnce(&mut Vec<u8>)) {
-        let at = self.pending.len();
-        self.pending.extend_from_slice(&[0; ENTRY_PREFIX_BYTES]);
-        write_body(&mut self.pending);
-        let len = (self.pending.len() - at - ENTRY_PREFIX_BYTES) as u32;
-        self.pending[at..at + ENTRY_PREFIX_BYTES].copy_from_slice(&len.to_le_bytes());
-        self.pending_len += 1;
-    }
-
     /// Sequence bookkeeping for one arriving sync; `true` when it is to be
     /// applied.
     ///
@@ -108,7 +76,7 @@ impl ProtocolHalf {
             return true;
         };
         self.ack_due = true;
-        if !is_fresh(Some(seq), self.last_seq) {
+        if seq <= self.last_seq {
             self.delivery.stale_drops += 1;
             false
         } else {
@@ -120,12 +88,11 @@ impl ProtocolHalf {
 
     /// Runs one validated v3 wire message through sequence bookkeeping
     /// (stale and duplicate drops, gap counting, ack re-arming) and returns
-    /// the sync to apply, if any — the admission both the queue
-    /// ([`ServerEndpoint::enqueue_view`]) and the ingest shard's in-place
-    /// apply go through.
+    /// the sync to apply, if any — the admission both the endpoint
+    /// ([`ServerEndpoint::enqueue_view`]) and the ingest shard go through.
     pub(crate) fn admit_view<'a>(&mut self, msg: WireRef<'a>) -> Option<SyncRef<'a>> {
         match msg {
-            WireRef::Sync { seq, msg, .. } => self.admit(seq).then_some(msg),
+            WireRef::Sync { seq, msg } => self.admit(seq).then_some(msg),
             // An ack or bound directive on the forward channel is a protocol
             // violation by the peer; drop and count like any unusable message.
             WireRef::Ack { .. } | WireRef::Bound { .. } => {
@@ -156,27 +123,6 @@ impl ProtocolHalf {
         }
     }
 
-    /// Hands every queued entry, oldest first, to `apply` (with the half
-    /// itself, for its counters) and leaves the queue empty with its
-    /// capacity kept — steady-state ticks must not allocate. Bodies
-    /// arriving as views were validated on the way in; an owned message
-    /// that does not parse back is handed over as `None`, to be dropped
-    /// uncounted. [`ServerEndpoint::advance`] applies the entries to the
-    /// endpoint's filter; an ingest shard drains once, on its first tick,
-    /// what an endpoint brought queued into it.
-    pub(crate) fn drain_pending(&mut self, mut apply: impl FnMut(&mut Self, Option<SyncRef<'_>>)) {
-        if self.pending_len == 0 {
-            return;
-        }
-        let mut queue = std::mem::take(&mut self.pending);
-        for body in entries(&queue) {
-            apply(self, SyncRef::parse(body).ok());
-        }
-        queue.clear();
-        self.pending = queue;
-        self.pending_len = 0;
-    }
-
     /// Captures this half and `filter` as one [`EndpointState`]: see
     /// [`ServerEndpoint::state`].
     pub(crate) fn state(&self, filter: &KalmanFilter) -> EndpointState {
@@ -186,10 +132,6 @@ impl ProtocolHalf {
             p: filter.covariance().clone(),
             steps_since_update: filter.steps_since_update(),
             cov_update: filter.covariance_update(),
-            pending: entries(&self.pending)
-                .filter_map(|body| SyncRef::parse(body).ok())
-                .map(|msg| msg.to_owned())
-                .collect(),
             syncs_applied: self.syncs_applied.get(),
             decode_failures: self.decode_failures.get(),
             predict_failures: self.predict_failures.get(),
@@ -206,9 +148,16 @@ impl ServerEndpoint {
     /// Creates the server side from its initial filter (identical to the
     /// source's shadow — [`crate::StreamSession`] guarantees the pairing).
     pub(crate) fn new(filter: KalmanFilter) -> Self {
+        ServerEndpoint::from_halves(filter, ProtocolHalf::default())
+    }
+
+    /// Puts an endpoint together from its two halves, between ticks — how
+    /// an ingest shard hands a stream back.
+    pub(crate) fn from_halves(filter: KalmanFilter, protocol: ProtocolHalf) -> Self {
         ServerEndpoint {
             filter,
-            protocol: ProtocolHalf::default(),
+            protocol,
+            predicted: false,
         }
     }
 
@@ -251,17 +200,6 @@ impl ServerEndpoint {
         self.filter.predicted_measurement_var(0)
     }
 
-    /// Applies one owned sync message immediately (test/query-layer hook;
-    /// the simulator path goes through [`Consumer::receive`], the ingest
-    /// shard admits and applies views in place).
-    pub fn apply(&mut self, msg: SyncMessage) {
-        // A hand-built message whose parts disagree does not parse back;
-        // like any sync the filter refuses, it is dropped uncounted.
-        if let Ok(view) = SyncRef::parse(&msg.encode()) {
-            self.apply_view(view);
-        }
-    }
-
     /// Applies one sync view to the endpoint's own filter; returns whether
     /// the filter accepted it (and counts it when it did).
     pub(crate) fn apply_view(&mut self, msg: SyncRef<'_>) -> bool {
@@ -270,37 +208,28 @@ impl ServerEndpoint {
         applied
     }
 
-    /// Queues one owned sync message for the next
-    /// [`ServerEndpoint::advance`] — the value-type twin of the view path,
-    /// for tests and snapshot restore. At the cap the **oldest** queued sync
-    /// is shed (and counted): under full-state semantics a newer sync
-    /// subsumes older ones, so dropping from the front preserves the
-    /// freshest state.
-    pub fn enqueue(&mut self, msg: SyncMessage) {
-        self.protocol.shed_at_cap();
-        self.protocol.push_pending(|queue| msg.encode_into(queue));
-    }
-
-    /// Queues one validated v3 wire message for the next
-    /// [`ServerEndpoint::advance`], after sequence bookkeeping (stale and
-    /// duplicate drops, gap counting, ack re-arming) — the simulator path's
-    /// entry ([`Consumer::receive`]). What is queued is the viewed body
-    /// itself: no owned message exists between the socket and the filter.
+    /// Delivers one validated v3 wire message within the current tick:
+    /// sequence bookkeeping (stale and duplicate drops, gap counting, ack
+    /// re-arming), then the admitted sync applied to the filter — after the
+    /// tick's predict, which the tick's first applied sync runs. The
+    /// simulator path's entry ([`Consumer::receive`]); the sync is applied
+    /// from the viewed bytes, so no owned message exists between the socket
+    /// and the filter. [`ServerEndpoint::advance`] closes the tick.
     pub fn enqueue_view(&mut self, msg: WireRef<'_>) {
-        if let (Some(_), WireRef::Sync { body, .. }) = (self.protocol.admit_view(msg), msg) {
-            self.protocol.shed_at_cap();
-            self.protocol
-                .push_pending(|queue| queue.extend_from_slice(body));
+        if let Some(sync) = self.protocol.admit_view(msg) {
+            self.deliver(sync);
         }
     }
 
     /// [`ServerEndpoint::enqueue_view`] for an owned message — same
-    /// bookkeeping, the body encoded into the queue.
+    /// bookkeeping, the sync applied from a view of its encoding. A
+    /// hand-built sync whose parts disagree does not parse back; like any
+    /// sync the filter refuses, it is dropped uncounted.
     pub fn enqueue_wire(&mut self, msg: WireMessage) {
         match msg {
             WireMessage::Sync { seq, msg } => {
                 if self.protocol.admit(seq) {
-                    self.enqueue(msg);
+                    msg.with_view(|sync| self.deliver(sync));
                 }
             }
             WireMessage::Ack { .. } | WireMessage::Bound { .. } => {
@@ -314,14 +243,9 @@ impl ServerEndpoint {
         self.protocol.last_seq
     }
 
-    /// Receiver-side delivery accounting (stale drops, gaps, shed).
+    /// Receiver-side delivery accounting (stale drops, gaps).
     pub fn delivery(&self) -> DeliveryStats {
         self.protocol.delivery
-    }
-
-    /// Syncs currently queued for the next advance.
-    pub fn pending_len(&self) -> usize {
-        self.protocol.pending_len
     }
 
     /// Queues a precision-bound directive for the paired source; it rides
@@ -347,10 +271,19 @@ impl ServerEndpoint {
     /// value — the unit the durability layer snapshots. Everything that
     /// influences future behaviour is included: the filter triplet (model,
     /// state, covariance) **and** its staleness/covariance-update mode, the
-    /// undrained pending queue, the seq/ack tracker, the queued bound
-    /// directive, and every counter. [`ServerEndpoint::from_state`] must
-    /// rebuild an endpoint that is bit-identical going forward.
+    /// seq/ack tracker, the queued bound directive, and every counter.
+    /// [`ServerEndpoint::from_state`] must rebuild an endpoint that is
+    /// bit-identical going forward.
+    ///
+    /// # Panics
+    /// Panics when a tick is in progress: a sync was applied since the last
+    /// [`ServerEndpoint::advance`] (or [`Consumer::estimate`]). A capture is
+    /// taken at a tick boundary.
     pub fn state(&self) -> EndpointState {
+        assert!(
+            !self.predicted,
+            "ServerEndpoint::state captures at a tick boundary, not mid-tick"
+        );
         self.protocol.state(&self.filter)
     }
 
@@ -370,7 +303,6 @@ impl ServerEndpoint {
             p,
             steps_since_update,
             cov_update,
-            pending,
             syncs_applied,
             decode_failures,
             predict_failures,
@@ -383,7 +315,7 @@ impl ServerEndpoint {
         let mut filter = KalmanFilter::with_covariance(model, x.clone(), p.clone())?;
         filter.set_covariance_update(cov_update);
         filter.restore(x, p, steps_since_update)?;
-        let mut protocol = ProtocolHalf {
+        let protocol = ProtocolHalf {
             syncs_applied: Counter::from(syncs_applied),
             decode_failures: Counter::from(decode_failures),
             predict_failures: Counter::from(predict_failures),
@@ -392,31 +324,33 @@ impl ServerEndpoint {
             bound_due,
             bounds_sent: Counter::from(bounds_sent),
             delivery,
-            ..ProtocolHalf::default()
         };
-        // Straight into the queue: a restore sheds nothing.
-        for msg in &pending {
-            protocol.push_pending(|queue| msg.encode_into(queue));
-        }
-        Ok(ServerEndpoint { filter, protocol })
+        Ok(ServerEndpoint::from_halves(filter, protocol))
     }
 
-    /// Advances one tick: predict, then apply every queued sync — exactly
-    /// [`Consumer::estimate`]'s transition without serving a value. An
-    /// ingest shard makes the same transition without the queue: it
-    /// predicts every lane, then applies the tick's syncs in arrival
-    /// order, so ingest stays bit-compatible with the simulator path.
+    /// Closes one tick: predicts when no sync arrived this tick (the
+    /// tick's first sync ran the predict already) — [`Consumer::estimate`]'s
+    /// transition without serving a value. With the deliveries before it,
+    /// a tick is predict, then the tick's syncs in arrival order: the
+    /// transition an ingest shard makes with its lanes, so ingest stays
+    /// bit-compatible with the simulator path.
     pub fn advance(&mut self) {
-        self.predict();
-        let filter = &mut self.filter;
-        self.protocol.drain_pending(|protocol, msg| {
-            let applied = msg.is_some_and(|msg| apply_sync(filter, msg));
-            protocol.syncs_applied += u64::from(applied);
-        });
+        if !std::mem::take(&mut self.predicted) {
+            self.predict();
+        }
     }
 
-    /// The predict half of [`ServerEndpoint::advance`]: one filter predict
-    /// step, a failure counted.
+    /// Applies one admitted sync within the current tick, running the
+    /// tick's predict first if no sync has yet.
+    fn deliver(&mut self, msg: SyncRef<'_>) {
+        if !self.predicted {
+            self.predict();
+            self.predicted = true;
+        }
+        self.apply_view(msg);
+    }
+
+    /// The predict step of a tick: one filter predict, a failure counted.
     pub(crate) fn predict(&mut self) {
         if self.filter.predict().is_err() {
             self.protocol.predict_failures += 1;
@@ -440,10 +374,6 @@ pub struct EndpointState {
     pub steps_since_update: u64,
     /// Covariance update mode (Joseph vs. simple form — changes bits).
     pub cov_update: CovarianceUpdate,
-    /// Delivered-but-unapplied syncs (mid-tick queue; empty at a barrier
-    /// taken after `advance`, but captured anyway so the snapshot point is
-    /// not restricted to post-advance instants).
-    pub pending: Vec<SyncMessage>,
     /// Sync messages successfully applied.
     pub syncs_applied: u64,
     /// Wire messages that failed to decode.
@@ -458,34 +388,8 @@ pub struct EndpointState {
     pub bound_due: Option<f64>,
     /// Bound directives sent over the feedback link.
     pub bounds_sent: u64,
-    /// Receiver-side delivery accounting (stale drops, gaps, shed).
+    /// Receiver-side delivery accounting (stale drops, gaps).
     pub delivery: DeliveryStats,
-}
-
-/// Whether sequence admission lets a sync carrying `seq` through behind the
-/// highest accepted sequence `last_seq`: unsequenced syncs always pass,
-/// sequenced ones only above it.
-pub(crate) fn is_fresh(seq: Option<u64>, last_seq: u64) -> bool {
-    seq.is_none_or(|seq| seq > last_seq)
-}
-
-/// Bytes of the `len:u32` in front of each pending-queue entry.
-const ENTRY_PREFIX_BYTES: usize = 4;
-
-/// Splits the first `len:u32 body` entry off a pending queue.
-fn split_entry(queue: &[u8]) -> Option<(&[u8], &[u8])> {
-    let (len, rest) = queue.split_first_chunk::<ENTRY_PREFIX_BYTES>()?;
-    rest.split_at_checked(u32::from_le_bytes(*len) as usize)
-}
-
-/// The bodies queued in `queue`, oldest first.
-fn entries(queue: &[u8]) -> impl Iterator<Item = &[u8]> {
-    let mut rest = queue;
-    std::iter::from_fn(move || {
-        let (body, tail) = split_entry(rest)?;
-        rest = tail;
-        Some(body)
-    })
 }
 
 /// Applies a sync to a filter, returning whether it was accepted — the one
@@ -527,6 +431,7 @@ impl Consumer for ServerEndpoint {
     fn estimate(&mut self, _now: Tick, out: &mut [f64]) {
         // Predict first, then apply corrections — the exact order the
         // source's shadow uses, which is what makes the two bit-identical.
+        // The tick's syncs were applied on delivery, after its predict.
         self.advance();
         let z_hat = self.filter.predicted_measurement();
         out[..z_hat.dim()].copy_from_slice(z_hat.as_slice());
@@ -560,6 +465,7 @@ impl Instrument for ServerEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::SyncMessage;
     use kalstream_filter::models;
 
     fn server() -> ServerEndpoint {
@@ -643,7 +549,7 @@ mod tests {
             x: Vector::zeros(2),
             p: Matrix::scalar(2, 1.0),
         };
-        s.apply(msg);
+        s.enqueue_wire(WireMessage::Sync { seq: None, msg });
         assert_eq!(s.syncs_applied(), 0);
     }
 
@@ -761,22 +667,6 @@ mod tests {
     }
 
     #[test]
-    fn pending_queue_is_capped_with_drop_oldest() {
-        // Pre-fix regression: `receive` without `estimate` grew `pending`
-        // without bound.
-        let mut s = server();
-        for i in 0..(PENDING_CAP + 10) {
-            s.receive(0, &state(i as f64).encode());
-        }
-        assert_eq!(s.pending_len(), PENDING_CAP);
-        assert_eq!(s.delivery().shed, 10);
-        let mut out = [0.0];
-        s.estimate(0, &mut out);
-        // The newest sync survives the shedding.
-        assert_eq!(out[0], (PENDING_CAP + 9) as f64);
-    }
-
-    #[test]
     fn sequenced_sync_applies_via_receive_wire_bytes() {
         let mut s = server();
         s.receive(0, &seq_sync(1, 7.5).encode());
@@ -873,7 +763,8 @@ mod tests {
         s.enqueue_wire(seq_sync(4, 9.0)); // stale duplicate, re-arms ack
         s.push_bound_directive(0.25);
         s.receive(1, &Bytes::from_static(b"\xFFgarbage"));
-        s.enqueue(state(7.0)); // left pending: mid-tick snapshot point
+        s.receive(1, &state(7.0).encode());
+        s.estimate(1, &mut out);
 
         // ...then roundtrip and compare the frozen state.
         let snap = s.state();
@@ -881,8 +772,8 @@ mod tests {
         assert_eq!(bits(s.filter()), bits(r.filter()));
         assert_eq!(r.state(), snap, "re-capture reproduces the snapshot");
 
-        // The two must stay bit-identical through future traffic: advance,
-        // drain pending, poll feedback.
+        // The two must stay bit-identical through future traffic: deliver,
+        // advance, poll feedback.
         for tick in 2..6 {
             s.enqueue_wire(seq_sync(5 + tick, tick as f64));
             r.enqueue_wire(seq_sync(5 + tick, tick as f64));
@@ -915,7 +806,7 @@ mod tests {
         // Footprint guard: the one record an ingest shard keeps per stream
         // besides its lane, walked on every admit.
         assert!(
-            std::mem::size_of::<ProtocolHalf>() <= 160,
+            std::mem::size_of::<ProtocolHalf>() <= 80,
             "ProtocolHalf grew to {} bytes",
             std::mem::size_of::<ProtocolHalf>()
         );
@@ -958,8 +849,11 @@ mod tests {
                 ServerEndpoint::new(KalmanFilter::new(model, Vector::zeros(n), 0.9).unwrap());
             for t in 0..6u64 {
                 if t % 3 == 1 {
-                    s.enqueue(SyncMessage::Measurement {
-                        z: Vector::filled(m, t as f64),
+                    s.enqueue_wire(WireMessage::Sync {
+                        seq: None,
+                        msg: SyncMessage::Measurement {
+                            z: Vector::filled(m, t as f64),
+                        },
                     });
                 }
                 s.advance();
@@ -991,9 +885,10 @@ mod tests {
         }
     }
 
-    /// Four ticks of traffic covering every queue behaviour: mixed kinds in
-    /// one tick, stale/duplicate/gapped sequence numbers, more than
-    /// `PENDING_CAP` arrivals in one tick, and syncs the filter refuses.
+    /// Five ticks of traffic covering every delivery behaviour: mixed kinds
+    /// in one tick, stale/duplicate/gapped sequence numbers, 301 arrivals
+    /// in one tick, syncs the filter refuses, and a Model sync too wide to
+    /// encode on the stack (an 8-state AR model, `F` alone 512 bytes).
     fn scripted_traffic() -> Vec<Vec<WireMessage>> {
         let sync = |seq, msg| WireMessage::Sync { seq, msg };
         let state2 = |a: f64, b: f64| SyncMessage::State {
@@ -1027,7 +922,7 @@ mod tests {
                 sync(None, measurement(3.1)),
                 WireMessage::Ack { seq: 9 }, // protocol violation
             ],
-            (0..PENDING_CAP + 44)
+            (0..300)
                 .map(|i| sync(None, state3(i as f64 * 0.01)))
                 .chain([sync(Some(10), measurement(3.3))])
                 .collect(),
@@ -1041,6 +936,17 @@ mod tests {
                 ),
                 sync(Some(13), state3(4.0)),
             ],
+            vec![sync(
+                Some(14),
+                SyncMessage::Model {
+                    model: Box::new(
+                        models::ar(&[0.3, 0.2, 0.1, 0.05, 0.05, 0.04, 0.03, 0.02], 0.02, 0.1)
+                            .unwrap(),
+                    ),
+                    x: Vector::filled(8, 0.5),
+                    p: Matrix::scalar(8, 1.0),
+                },
+            )],
         ]
     }
 
@@ -1051,16 +957,15 @@ mod tests {
 
     #[test]
     fn view_path_matches_owned_application_in_bits_and_counters() {
-        let mut viewed = cv_server(); // wire bytes in, applied from the queue
+        let mut viewed = cv_server(); // wire bytes in, applied on delivery
         let mut owned = cv_server(); // owned messages through `enqueue_wire`
-        let mut applied = cv_server(); // accepted messages through `apply`
         let mut reference = cv_server().filter().clone(); // owned values, no endpoint
-        let (mut last_seq, mut stale, mut gaps, mut shed, mut failures, mut syncs) =
-            (0u64, 0u64, 0u64, 0u64, 0u64, 0u64);
+        let (mut last_seq, mut stale, mut gaps, mut failures, mut syncs) =
+            (0u64, 0u64, 0u64, 0u64, 0u64);
         let mut out = [0.0];
         for (t, tick) in scripted_traffic().into_iter().enumerate() {
             let t = t as u64;
-            // What the sequence layer and the cap let through, by hand.
+            // What the sequence layer lets through, by hand.
             let mut accepted = Vec::new();
             for wire in &tick {
                 match wire {
@@ -1080,79 +985,68 @@ mod tests {
                     _ => failures += 1,
                 }
             }
-            if accepted.len() > PENDING_CAP {
-                shed += (accepted.len() - PENDING_CAP) as u64;
-                accepted.drain(..accepted.len() - PENDING_CAP);
-            }
             for wire in tick {
                 viewed.receive(t, &wire.encode());
                 owned.enqueue_wire(wire);
             }
             if t == 2 {
-                // A payload that does not parse is counted, not queued.
+                // A payload that does not parse is counted, not applied.
                 viewed.receive(t, &Bytes::from_static(b"\x01\x02garbage"));
                 owned.protocol.decode_failures += 1;
                 failures += 1;
             }
-            assert_eq!(viewed.pending_len(), accepted.len());
-            assert_eq!(viewed.state(), owned.state(), "tick {t}, queued");
+            let _ = reference.predict();
+            for msg in accepted {
+                syncs += u64::from(apply_owned(&mut reference, msg));
+            }
+            assert_eq!(
+                bits(viewed.filter()),
+                bits(owned.filter()),
+                "tick {t}, delivered"
+            );
+            assert_eq!(
+                bits(viewed.filter()),
+                bits(&reference),
+                "tick {t}, delivered"
+            );
 
             viewed.estimate(t, &mut out);
             owned.advance();
-            applied.advance();
-            let _ = reference.predict();
-            for msg in accepted {
-                applied.apply(msg.clone());
-                syncs += u64::from(apply_owned(&mut reference, msg));
-            }
             assert_eq!(viewed.state(), owned.state(), "tick {t}, advanced");
             assert_eq!(bits(viewed.filter()), bits(&reference), "tick {t}");
-            assert_eq!(bits(viewed.filter()), bits(applied.filter()), "tick {t}");
             assert_eq!(viewed.filter().model(), reference.model());
             assert_eq!(viewed.staleness(), reference.steps_since_update());
             assert_eq!(viewed.syncs_applied(), syncs);
-            assert_eq!(applied.syncs_applied(), syncs);
             assert_eq!(viewed.poll_feedback(t), owned.poll_feedback(t));
         }
         assert_eq!(viewed.last_seq(), last_seq);
         assert_eq!(viewed.decode_failures(), failures);
         let delivery = viewed.delivery();
-        assert_eq!(
-            (delivery.stale_drops, delivery.seq_gaps, delivery.shed),
-            (stale, gaps, shed)
-        );
+        assert_eq!((delivery.stale_drops, delivery.seq_gaps), (stale, gaps));
         // The script really did exercise each behaviour.
-        assert!(stale == 2 && gaps == 3 && shed == 45 && failures == 2);
-        assert_eq!(viewed.filter().model().name(), "constant_acceleration");
-        assert!(
-            syncs < 5 + 2 + PENDING_CAP as u64 + 3,
-            "refused syncs counted"
-        );
+        assert!(stale == 2 && gaps == 3 && failures == 2);
+        assert_eq!(viewed.filter().model().name(), "ar");
+        assert!(syncs < 5 + 2 + 301 + 3 + 1, "refused syncs counted");
     }
 
     #[test]
-    fn mid_tick_snapshot_of_a_view_fed_queue_resumes_bit_identically() {
+    fn barrier_snapshot_of_a_view_fed_endpoint_resumes_bit_identically() {
         let traffic = scripted_traffic();
         let mut live = cv_server();
+        let mut out = [[0.0]; 2];
         for wire in &traffic[0] {
             live.receive(0, &wire.encode());
         }
-        // Five syncs of three kinds queued, none applied: snapshot here.
+        live.estimate(0, &mut out[0]);
+        // Five syncs of three kinds applied, the tick closed: snapshot here.
         let snap = live.state();
-        assert_eq!(snap.pending.len(), 5);
+        assert_eq!(snap.syncs_applied, 5);
         let mut restored = ServerEndpoint::from_state(snap.clone()).expect("rebuild");
         assert_eq!(restored.state(), snap, "re-capture reproduces the snapshot");
-        assert_eq!(
-            restored.protocol.pending, live.protocol.pending,
-            "same queue bytes"
-        );
-        let mut out = [[0.0]; 2];
-        for (t, tick) in traffic.iter().enumerate() {
-            if t > 0 {
-                for wire in tick {
-                    live.receive(t as u64, &wire.encode());
-                    restored.receive(t as u64, &wire.encode());
-                }
+        for (t, tick) in traffic.iter().enumerate().skip(1) {
+            for wire in tick {
+                live.receive(t as u64, &wire.encode());
+                restored.receive(t as u64, &wire.encode());
             }
             live.estimate(t as u64, &mut out[0]);
             restored.estimate(t as u64, &mut out[1]);
@@ -1162,21 +1056,28 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "tick boundary")]
+    fn state_panics_mid_tick() {
+        let mut s = server();
+        s.receive(0, &state(1.0).encode());
+        let _ = s.state();
+    }
+
+    #[test]
     fn disagreeing_owned_message_is_dropped_uncounted() {
         // Hand-built: a 2-state `x` with a 3×3 `P` encodes to bytes no
         // decoder accepts. Like any sync the filter would refuse, it is not
-        // applied — through `apply` or through the queue.
-        let bad = || SyncMessage::State {
+        // applied.
+        let unsequenced = |msg| WireMessage::Sync { seq: None, msg };
+        let mut s = cv_server();
+        s.enqueue_wire(unsequenced(SyncMessage::State {
             x: Vector::zeros(2),
             p: Matrix::scalar(3, 1.0),
-        };
-        let mut s = cv_server();
-        s.apply(bad());
-        s.enqueue(bad());
-        s.enqueue(state(1.0)); // 1-state: refused by the 2-state filter
-        assert_eq!(s.pending_len(), 2);
+        }));
+        s.enqueue_wire(unsequenced(state(1.0))); // 1-state: refused by the 2-state filter
         s.advance();
         assert_eq!(s.syncs_applied(), 0);
-        assert_eq!(s.pending_len(), 0);
+        assert_eq!(s.decode_failures(), 0, "dropped uncounted");
+        assert_eq!(s.staleness(), 1, "the tick predicted once");
     }
 }

@@ -75,9 +75,7 @@ pub(crate) fn filter_bits(ep: &ServerEndpoint) -> Vec<u64> {
 /// The oracle every ingest engine is held to: each endpoint on its own
 /// filter. Per tick, `ServerEndpoint::predict` on every endpoint, then each
 /// frame admitted (`admit_view`) and applied (`apply_view`) where it lies.
-/// No lanes, no queue and no shedding: a tick here carries fewer than
-/// `PENDING_CAP` syncs per stream (the shed cases use the endpoint's own
-/// queue as their oracle). Endpoints come back sorted by id.
+/// No lanes and no tick flag. Endpoints come back sorted by id.
 pub(crate) fn oracle(
     mut endpoints: Vec<(u32, ServerEndpoint)>,
     log: &[Vec<u8>],
@@ -115,8 +113,8 @@ pub(crate) fn assert_same_endpoints(
 
 /// Asserts two captured state sets are identical, bit for bit: ids, the
 /// model's name and `F`, `Q`, `H`, `R`, the filter's `x`, `P`, staleness
-/// and covariance form, the pending queue (as wire bytes), and the
-/// protocol half's sequence, feedback due and counters.
+/// and covariance form, and the protocol half's sequence, feedback due and
+/// counters.
 pub(crate) fn assert_same_states(
     a: &[(u32, EndpointState)],
     b: &[(u32, EndpointState)],
@@ -138,7 +136,6 @@ fn state_bits(s: &EndpointState) -> impl PartialEq + std::fmt::Debug {
         .chain(s.x.as_slice())
         .map(|v| v.to_bits())
         .collect();
-    let pending: Vec<_> = s.pending.iter().map(|msg| msg.encode()).collect();
     (
         (
             m.name().to_owned(),
@@ -146,7 +143,6 @@ fn state_bits(s: &EndpointState) -> impl PartialEq + std::fmt::Debug {
             s.steps_since_update,
             s.cov_update,
         ),
-        pending,
         (s.syncs_applied, s.decode_failures, s.predict_failures),
         (s.last_seq, s.ack_due, s.bound_due.map(f64::to_bits)),
         (s.bounds_sent, s.delivery),

@@ -118,23 +118,27 @@ fn is_upper_triangular(m: &Matrix) -> bool {
     (1..m.rows()).all(|r| (0..r).all(|c| m.get(r, c).to_bits() == zero))
 }
 
-/// Builds the one `Bytes` a message leaves as: bodies up to
-/// [`STACK_ENCODE_BYTES`] are written on the stack and copied once into
-/// their allocation (`BytesMut::freeze` costs a second allocation, a copy
-/// and a free); larger ones — model syncs of wide models — go through a
-/// `Vec`.
-fn encode_once(len: usize, write: impl FnOnce(&mut dyn BufMut)) -> Bytes {
+/// Writes a message of `len` bytes through `write` and hands the bytes to
+/// `read`: up to [`STACK_ENCODE_BYTES`] on the stack, larger ones — model
+/// syncs of wide models — in a `Vec`. An encoded message leaves as one
+/// `Bytes` copied from them (`BytesMut::freeze` costs a second
+/// allocation, a copy and a free); an owned sync is viewed in place.
+fn with_encoding<R>(
+    len: usize,
+    write: impl FnOnce(&mut dyn BufMut),
+    read: impl FnOnce(&[u8]) -> R,
+) -> R {
     if len <= STACK_ENCODE_BYTES {
         let mut buf = StackBuf {
             len: 0,
             bytes: [0; STACK_ENCODE_BYTES],
         };
         write(&mut buf);
-        Bytes::copy_from_slice(&buf.bytes[..buf.len])
+        read(&buf.bytes[..buf.len])
     } else {
         let mut buf = Vec::with_capacity(len);
         write(&mut buf);
-        Bytes::from(buf)
+        read(&buf)
     }
 }
 
@@ -221,7 +225,23 @@ impl SyncMessage {
     /// Encodes to a freshly allocated wire buffer (one allocation for
     /// anything but a wide model sync).
     pub fn encode(&self) -> Bytes {
-        encode_once(self.encoded_len(), |buf| self.encode_into(buf))
+        with_encoding(
+            self.encoded_len(),
+            |buf| self.encode_into(buf),
+            Bytes::copy_from_slice,
+        )
+    }
+
+    /// Hands `apply` a view of this message's own encoding: how an owned
+    /// sync reaches code that takes views, with no `Bytes` made. `None`
+    /// when the encoding does not parse back — a hand-built message whose
+    /// parts disagree.
+    pub(crate) fn with_view<R>(&self, apply: impl FnOnce(SyncRef<'_>) -> R) -> Option<R> {
+        with_encoding(
+            self.encoded_len(),
+            |buf| self.encode_into(buf),
+            |bytes| SyncRef::parse(bytes).ok().map(apply),
+        )
     }
 
     /// Appends the wire encoding to `buf` — the allocation-free kernel the
@@ -566,7 +586,11 @@ pub enum WireMessage {
 impl WireMessage {
     /// Encodes to a freshly allocated wire buffer.
     pub fn encode(&self) -> Bytes {
-        encode_once(self.encoded_len(), |buf| self.encode_into(buf))
+        with_encoding(
+            self.encoded_len(),
+            |buf| self.encode_into(buf),
+            Bytes::copy_from_slice,
+        )
     }
 
     /// Appends the wire encoding to `buf`. Exactly
@@ -613,9 +637,7 @@ pub enum WireRef<'a> {
     Sync {
         /// The delivery sequence number, when the source assigns them.
         seq: Option<u64>,
-        /// The validated sync body (what a pending queue stores).
-        body: &'a [u8],
-        /// The view of `body`.
+        /// A view of the validated sync body.
         msg: SyncRef<'a>,
     },
     /// Cumulative acknowledgement.
@@ -639,7 +661,7 @@ impl<'a> WireRef<'a> {
     /// or non-finite bound, or a malformed inner sync body
     /// ([`SyncRef::parse`]).
     pub fn parse(buf: &'a [u8]) -> Result<Self> {
-        let sync = |seq, body| SyncRef::parse(body).map(|msg| WireRef::Sync { seq, body, msg });
+        let sync = |seq, body| SyncRef::parse(body).map(|msg| WireRef::Sync { seq, msg });
         match buf.first() {
             Some(&TAG_SEQ) => {
                 let mut rest = &buf[1..];
@@ -672,7 +694,7 @@ impl<'a> WireRef<'a> {
     /// The message as an owned value.
     pub fn to_owned(&self) -> WireMessage {
         match *self {
-            WireRef::Sync { seq, msg, .. } => WireMessage::Sync {
+            WireRef::Sync { seq, msg } => WireMessage::Sync {
                 seq,
                 msg: msg.to_owned(),
             },
@@ -1242,16 +1264,15 @@ pub(crate) mod tests {
             }
             other => panic!("expected Model view, got {other:?}"),
         }
-        // A sequenced view remembers the body a pending queue stores.
+        // A sequenced view carries its sequence number and the sync.
         let wire = WireMessage::Sync {
             seq: Some(7),
             msg: state_msg(),
         }
         .encode();
         match WireRef::parse(&wire).unwrap() {
-            WireRef::Sync { seq, body, msg } => {
+            WireRef::Sync { seq, msg } => {
                 assert_eq!(seq, Some(7));
-                assert_eq!(body, &state_msg().encode()[..]);
                 assert_eq!(msg.to_owned(), state_msg());
             }
             other => panic!("expected Sync view, got {other:?}"),

@@ -10,8 +10,8 @@
 //!
 //! * **Snapshots** ([`snapshot`]): a versioned, CRC-checked capture of
 //!   every endpoint's complete protocol state ([`kalstream_core::EndpointState`])
-//!   at a tick barrier — filter triplet, staleness, pending queue, seq/ack
-//!   tracker, counters. Floats travel as raw bits; the filter triplet
+//!   at a tick barrier — filter triplet, staleness, seq/ack tracker,
+//!   counters. Floats travel as raw bits; the filter triplet
 //!   reuses the wire-v3 `Model` sync encoding, so no second matrix codec.
 //! * **WAL** ([`wal`]): one record per tick holding the exact framed batch
 //!   `ingest_tick` consumed, appended *before* apply. Tick barriers

@@ -18,8 +18,14 @@
 //! bound_flag:u8 | bound_bits:u64           (f64 bits; zero when flag = 0)
 //! syncs_applied:u64 | decode_failures:u64 | predict_failures:u64 | bounds_sent:u64
 //! stale_drops:u64 | seq_gaps:u64 | shed:u64
-//! pending_count:u32 | pending_count × ( len:u32 | sync_message )
+//! pending_count:u32
 //! ```
+//!
+//! `shed` and `pending_count` are reserved: written as 0, `shed` ignored on
+//! decode and a non-zero `pending_count` refused as
+//! [`SnapshotError::BadEntry`]. A server applies each sync when it arrives
+//! and snapshots at tick barriers, so it has no queued syncs and sheds
+//! none; the slots stay so that snapshot bytes keep their layout.
 //!
 //! All integers little-endian, floats carried as raw bits — the decoder
 //! reconstructs every f64 with `from_bits`, which is what lets a recovered
@@ -210,13 +216,8 @@ fn push_endpoint_state(buf: &mut Vec<u8>, state: &EndpointState) {
     buf.put_u64_le(state.bounds_sent);
     buf.put_u64_le(state.delivery.stale_drops);
     buf.put_u64_le(state.delivery.seq_gaps);
-    buf.put_u64_le(state.delivery.shed);
-    buf.put_u32_le(state.pending.len() as u32);
-    for msg in &state.pending {
-        let wire = msg.encode();
-        buf.put_u32_le(wire.len() as u32);
-        buf.put_slice(&wire);
-    }
+    buf.put_u64_le(0); // shed, reserved
+    buf.put_u32_le(0); // pending_count, reserved
 }
 
 /// Encodes one snapshot: the fleet's states as captured at a tick barrier
@@ -317,14 +318,10 @@ fn read_endpoint_state(cur: &mut Cursor<'_>) -> Result<EndpointState, SnapshotEr
     let delivery = DeliveryStats {
         stale_drops: cur.u64()?,
         seq_gaps: cur.u64()?,
-        shed: cur.u64()?,
     };
-    let pending_count = cur.u32()? as usize;
-    let mut pending = Vec::with_capacity(pending_count.min(1024));
-    for _ in 0..pending_count {
-        let len = cur.u32()? as usize;
-        let wire = cur.take(len)?;
-        pending.push(SyncMessage::decode(wire).map_err(|_| SnapshotError::BadEntry)?);
+    let _shed = cur.u64()?;
+    if cur.u32()? != 0 {
+        return Err(SnapshotError::BadEntry); // pending_count: no queued syncs
     }
     Ok(EndpointState {
         model,
@@ -332,7 +329,6 @@ fn read_endpoint_state(cur: &mut Cursor<'_>) -> Result<EndpointState, SnapshotEr
         p,
         steps_since_update,
         cov_update,
-        pending,
         syncs_applied,
         decode_failures,
         predict_failures,
@@ -416,10 +412,6 @@ pub(crate) mod tests {
             server.estimate(tick, &mut out);
         }
         server.push_bound_directive(0.125);
-        // Leave one sync pending: snapshots must capture mid-tick queues.
-        server.enqueue(SyncMessage::Measurement {
-            z: Vector::from_slice(&[1.5]),
-        });
         server
     }
 
@@ -434,11 +426,11 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn mid_tick_queue_fed_from_wire_bytes_survives_the_snapshot_file() {
-        // Syncs of all three kinds arrive as wire bytes and sit in the
-        // endpoint's byte queue (nothing applied yet) when the snapshot is
-        // cut. The endpoint rebuilt from the *file* must drain the same
-        // queue into the same bits, and keep matching afterwards.
+    fn syncs_fed_from_wire_bytes_survive_the_snapshot_file() {
+        // Syncs of all three kinds arrive as wire bytes and are applied on
+        // arrival; the snapshot is cut at the tick barrier after them. The
+        // endpoint rebuilt from the *file* must hold the same bits, and
+        // keep matching afterwards.
         use kalstream_core::wire::WireMessage;
         use kalstream_filter::models;
         use kalstream_linalg::Matrix;
@@ -448,7 +440,7 @@ pub(crate) mod tests {
             seq: Some(seq),
             msg,
         };
-        let mid_tick = [
+        let tick_five = [
             sync(
                 6,
                 SyncMessage::State {
@@ -471,23 +463,19 @@ pub(crate) mod tests {
                 },
             ),
         ];
-        for wire in &mid_tick {
+        for wire in &tick_five {
             live.receive(5, &wire.encode());
         }
+        let mut out = [[0.0]; 2];
+        live.estimate(5, &mut out[0]);
         let captured = live.state();
-        assert_eq!(captured.pending.len(), 4, "one owned + three viewed");
-        let file = encode_snapshot(5, &[(0, captured.clone())]);
+        assert_eq!(captured.syncs_applied, 5 + 3, "applied on arrival");
+        let file = encode_snapshot(6, &[(0, captured.clone())]);
         let (_, mut decoded) = decode_snapshot(&file).expect("decode");
         let (_, state) = decoded.pop().expect("one endpoint");
         assert_eq!(state, captured);
         let mut restored = ServerEndpoint::from_state(state).expect("rebuild");
-        let mut out = [[0.0]; 2];
-        for tick in 5..9u64 {
-            live.estimate(tick, &mut out[0]);
-            restored.estimate(tick, &mut out[1]);
-            assert_eq!(out[0][0].to_bits(), out[1][0].to_bits(), "tick {tick}");
-            assert_eq!(live.state(), restored.state(), "tick {tick}");
-            assert_eq!(live.poll_feedback(tick), restored.poll_feedback(tick));
+        for tick in 6..10u64 {
             let next = sync(
                 10 + tick,
                 SyncMessage::Measurement {
@@ -497,9 +485,70 @@ pub(crate) mod tests {
             .encode();
             live.receive(tick, &next);
             restored.receive(tick, &next);
+            live.estimate(tick, &mut out[0]);
+            restored.estimate(tick, &mut out[1]);
+            assert_eq!(out[0][0].to_bits(), out[1][0].to_bits(), "tick {tick}");
+            assert_eq!(live.state(), restored.state(), "tick {tick}");
+            assert_eq!(live.poll_feedback(tick), restored.poll_feedback(tick));
         }
         assert_eq!(live.filter().model().name(), "constant_velocity");
-        assert_eq!(live.syncs_applied(), 5 + 4 + 3);
+        assert_eq!(live.syncs_applied(), 5 + 3 + 4);
+    }
+
+    #[test]
+    fn barrier_snapshot_bytes_match_the_documented_layout() {
+        // The fixture endpoint's snapshot, laid out field by field from the
+        // format in the module docs: the bytes on disk must not move.
+        let state = endpoint().state();
+        let filter = SyncMessage::Model {
+            model: Box::new(state.model.clone()),
+            x: state.x.clone(),
+            p: state.p.clone(),
+        }
+        .encode();
+        let mut body = Vec::new();
+        body.put_u32_le(filter.len() as u32);
+        body.put_slice(&filter);
+        body.put_u64_le(0); // steps_since_update: a sync applied last tick
+        body.put_u8(0); // Joseph
+        body.put_u64_le(5); // last_seq
+        body.put_u8(1); // ack_due
+        body.put_u8(1); // bound_flag
+        body.put_u64_le(0.125f64.to_bits());
+        body.put_u64_le(5); // syncs_applied
+        body.put_u64_le(0); // decode_failures
+        body.put_u64_le(0); // predict_failures
+        body.put_u64_le(0); // bounds_sent
+        body.put_u64_le(0); // stale_drops
+        body.put_u64_le(0); // seq_gaps
+        body.put_u64_le(0); // shed
+        body.put_u32_le(0); // pending_count
+        let mut want = Vec::new();
+        want.put_slice(b"KSD1");
+        want.put_u16_le(1);
+        want.put_u16_le(0);
+        want.put_u64_le(42);
+        want.put_u32_le(2);
+        for id in [3u32, 9] {
+            want.put_u32_le(id);
+            want.put_u32_le(body.len() as u32);
+            want.put_slice(&body);
+        }
+        want.put_u32_le(crc32_bytewise(&want));
+        let got = encode_snapshot(42, &[(3, state.clone()), (9, state)]);
+        assert!(got == want, "snapshot bytes moved");
+    }
+
+    #[test]
+    fn a_snapshot_with_queued_syncs_is_refused() {
+        // The entry's last field is `pending_count`; set it to 1 and fix
+        // the CRC, so only the count can be refused.
+        let mut wire = encode_snapshot(7, &[(0u32, endpoint().state())]);
+        let n = wire.len();
+        wire[n - 8..n - 4].copy_from_slice(&1u32.to_le_bytes());
+        let fixed = crc32(&wire[..n - 4]).to_le_bytes();
+        wire[n - 4..].copy_from_slice(&fixed);
+        assert_eq!(decode_snapshot(&wire), Err(SnapshotError::BadEntry));
     }
 
     #[test]

@@ -63,15 +63,16 @@ impl ControllerConfig {
 
 /// One observation window handed to [`ElasticController::observe`].
 #[derive(Debug, Clone, Copy)]
-pub struct LoadSample<'a> {
+pub struct LoadSample {
     /// Frames offered to the pipeline over the window — the deterministic
     /// load signal (a pure function of the traffic).
     pub offered: u64,
     /// Window length in ticks. Must be ≥ 1.
     pub ticks: u64,
-    /// Live job-queue depths per shard, when the driver has them; empty
-    /// when unavailable. Timing-dependent — see the crate docs.
-    pub queue_depths: &'a [usize],
+    /// Jobs queued on the most backed-up shard when the `ElasticDriver`
+    /// reads queue depths, 0 when it does not. Timing-dependent — see the
+    /// crate docs.
+    pub max_queue_depth: usize,
 }
 
 /// What the controller wants done after a sample.
@@ -212,7 +213,7 @@ impl ElasticController {
     ///
     /// # Panics
     /// Panics when the sample's `ticks` is 0.
-    pub fn observe(&mut self, sample: &LoadSample<'_>) -> Decision {
+    pub fn observe(&mut self, sample: &LoadSample) -> Decision {
         assert!(
             sample.ticks >= 1,
             "sample window must cover at least 1 tick"
@@ -221,13 +222,7 @@ impl ElasticController {
 
         let per_tick = sample.offered as f64 / sample.ticks as f64;
         let offered_util = per_tick / (self.shards as f64 * self.config.capacity_per_shard);
-        let queue_pressure = sample
-            .queue_depths
-            .iter()
-            .copied()
-            .max()
-            .map(|d| d as f64 / QUEUE_DEPTH as f64)
-            .unwrap_or(0.0);
+        let queue_pressure = sample.max_queue_depth as f64 / QUEUE_DEPTH as f64;
         let utilization = offered_util.max(queue_pressure);
         self.stats.last_utilization = utilization;
 
@@ -297,7 +292,7 @@ mod tests {
         ctl.observe(&LoadSample {
             offered,
             ticks,
-            queue_depths: &[],
+            max_queue_depth: 0,
         })
     }
 
@@ -365,7 +360,7 @@ mod tests {
         let pressured = LoadSample {
             offered: 1,
             ticks: 1,
-            queue_depths: &[60],
+            max_queue_depth: 60,
         };
         assert_eq!(ctl.observe(&pressured), Decision::Hold);
         assert_eq!(ctl.observe(&pressured), Decision::Grow { to: 2 });

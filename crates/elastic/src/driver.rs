@@ -145,15 +145,14 @@ impl ElasticDriver {
         if self.window_ticks < self.sample_every {
             return Ok(());
         }
-        let depths = if self.use_queue_signal {
-            pipeline.queue_depths()
-        } else {
-            Vec::new()
-        };
         let decision = self.controller.observe(&LoadSample {
             offered: pipeline.take_offered(),
             ticks: self.window_ticks,
-            queue_depths: &depths,
+            max_queue_depth: if self.use_queue_signal {
+                pipeline.max_queue_depth()
+            } else {
+                0
+            },
         });
         self.window_ticks = 0;
         let (kind, to) = match decision {

@@ -7,10 +7,11 @@
 //! Two layers:
 //!
 //! * [`ElasticController`] — the pure decision function. It consumes
-//!   [`LoadSample`]s (frames offered per window, plus live queue depths
-//!   when available) and emits [`Decision`]s: grow, shrink, or hold. A
-//!   target-utilization band with hysteresis (consecutive-sample runs) and
-//!   a post-action cooldown keeps it from thrashing under sawtooth load.
+//!   [`LoadSample`]s (frames offered per window, plus the deepest live
+//!   shard queue when available) and emits [`Decision`]s: grow, shrink, or
+//!   hold. A target-utilization band with hysteresis (consecutive-sample
+//!   runs) and a post-action cooldown keeps it from thrashing under
+//!   sawtooth load.
 //! * [`ElasticDriver`] — the barrier hook that closes the loop: lent the
 //!   [`kalstream_core::IngestPipeline`] after each tick, it reads the
 //!   frames the pipeline's router offered, samples the controller on a

@@ -162,8 +162,6 @@ impl Instrument for ConnReport {
 /// ran with an [`ElasticConfig`].
 #[derive(Debug, Clone)]
 pub struct ElasticNetStats {
-    /// Resizes executed (grows + shrinks).
-    pub resizes: u64,
     /// Resizes that added shards.
     pub grows: u64,
     /// Resizes that removed shards.
@@ -177,7 +175,6 @@ pub struct ElasticNetStats {
 
 impl Instrument for ElasticNetStats {
     fn export(&self, scope: &mut Scope<'_>) {
-        scope.counter("resizes", self.resizes);
         scope.counter("grows", self.grows);
         scope.counter("shrinks", self.shrinks);
         scope.gauge("final_shards", self.final_shards as f64);
@@ -461,7 +458,6 @@ impl Engine {
                 elastic.events().iter().filter(|e| e.kind == kind).count() as u64
             };
             ElasticNetStats {
-                resizes: elastic.events().len() as u64,
                 grows: count(ResizeKind::Grow),
                 shrinks: count(ResizeKind::Shrink),
                 final_shards: self.pipeline.shards(),

@@ -112,8 +112,8 @@ impl Scope<'_> {
 ///
 /// The component writes each instrument into the provided [`Scope`]; the
 /// caller decides the name prefix (which is how the same struct exports
-/// cleanly as `stream.3.delivery.shed` in a fleet and `delivery.shed`
-/// standalone).
+/// cleanly as `stream.3.delivery.stale_drops` in a fleet and
+/// `delivery.stale_drops` standalone).
 pub trait Instrument {
     /// Exports this component's metrics into `scope`.
     ///

@@ -76,7 +76,8 @@ impl Instrument for FaultCounters {
 }
 
 /// Receiver-side delivery accounting for the sequenced (v3) protocol: what
-/// the server detected and did about imperfect delivery.
+/// the server detected about imperfect delivery. The server applies every
+/// sync it admits, so nothing past admission is counted here.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeliveryStats {
     /// Sequenced syncs dropped as stale or duplicate (sequence number at or
@@ -86,8 +87,6 @@ pub struct DeliveryStats {
     /// syncs); counts messages that were lost *or* merely delayed past a
     /// newer one.
     pub seq_gaps: u64,
-    /// Queued syncs shed by the server's bounded pending queue.
-    pub shed: u64,
 }
 
 impl DeliveryStats {
@@ -95,7 +94,6 @@ impl DeliveryStats {
     pub fn merge(&mut self, other: &DeliveryStats) {
         self.stale_drops += other.stale_drops;
         self.seq_gaps += other.seq_gaps;
-        self.shed += other.shed;
     }
 }
 
@@ -103,7 +101,6 @@ impl Instrument for DeliveryStats {
     fn export(&self, scope: &mut Scope<'_>) {
         scope.counter("stale_drops", self.stale_drops);
         scope.counter("seq_gaps", self.seq_gaps);
-        scope.counter("shed", self.shed);
     }
 }
 
@@ -220,7 +217,7 @@ pub struct SessionReport {
     pub error_vs_truth: ErrorMetrics,
     /// Faults the forward link injected (loss/duplication/reordering).
     pub faults: FaultCounters,
-    /// Receiver-side delivery accounting (stale drops, gaps, queue shed).
+    /// Receiver-side delivery accounting (stale drops, gaps).
     pub delivery: DeliveryStats,
     /// Traffic on the reverse (server→source) ack link; zero when the
     /// consumer generates no feedback.
@@ -298,19 +295,16 @@ mod tests {
         let mut d = DeliveryStats {
             stale_drops: 1,
             seq_gaps: 2,
-            shed: 3,
         };
         d.merge(&DeliveryStats {
             stale_drops: 4,
             seq_gaps: 5,
-            shed: 6,
         });
         assert_eq!(
             d,
             DeliveryStats {
                 stale_drops: 5,
                 seq_gaps: 7,
-                shed: 9
             }
         );
     }
