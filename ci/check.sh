@@ -4,7 +4,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> what nothing ran stays deleted: no async runtime, no serde or parking_lot stand-in, no EKF/UKF/RTS smoother, text query parser, sliding quantile, filter stats or log-normal, no elastic rebalancer or salted route, no timed kernel check"
+echo "==> what nothing ran stays deleted: no async runtime, no serde or parking_lot stand-in, no EKF/UKF/RTS smoother, text query parser, sliding quantile, filter stats or log-normal, no elastic rebalancer, salted route, queue signal or controller tuning, no timed kernel check"
 for stub in tokio parking_lot serde serde_derive; do
     if [[ -e "vendor/$stub" ]]; then
         echo "vendor/$stub exists" >&2
@@ -26,6 +26,14 @@ fi
 if grep -rnwE 'Rebalance|rebalance_imbalance|salted|salt_epoch|busy_frac|queue_capacity|ShardAssignment|exp_fleet_scaling' \
     crates src tests examples; then
     echo "a deleted elastic or bench item is back: bring it back with its first caller, not ahead of one" >&2
+    exit 1
+fi
+# Both control loops read only the traffic they are fed: no queue-depth
+# signal, no tuning one caller set, no stream weights in the fleet
+# controller and no second copy of its control round.
+if grep -rnwE 'use_queue_signal|max_queue_depth|ElasticConfig|grow_after|shrink_after|tick_demands|with_weights' \
+    crates src tests examples; then
+    echo "a deleted controller setting, input or round is back: the control loops read the traffic and nothing else" >&2
     exit 1
 fi
 # bench_kernels times nothing; only the `cargo bench` micro-benchmarks use criterion.

@@ -17,8 +17,8 @@
 //! tick (the swing the controller must track); every elastic run grows to
 //! the max during the hot phase and shrinks back to the floor on the quiet
 //! tail; `identical` is true on every row. Decision counts are exact
-//! run-to-run (the experiment disables the timing-dependent queue signal)
-//! and gate as determinism canaries in `check_regression`.
+//! run-to-run (the controller reads only the offered frames, a function of
+//! the traffic) and gate as determinism canaries in `check_regression`.
 //! Resize stall is wall clock, so it goes to the `--out` artifact only,
 //! never stdout (the recorded table must be byte-stable).
 
@@ -28,14 +28,13 @@ use kalstream_core::frame::FrameBatch;
 use kalstream_core::{
     IngestPipeline, ProtocolConfig, SequentialIngest, ServerEndpoint, SessionSpec, StreamSession,
 };
-use kalstream_elastic::{ControllerConfig, ElasticConfig, ElasticDriver, ResizeKind};
+use kalstream_elastic::{ControllerConfig, ElasticDriver, ResizeKind, SAMPLE_EVERY};
 use kalstream_net::workload::fleet_bits;
 use kalstream_sim::{run_lockstep, LoadPhase, LoadSwing, LockstepStream, Producer, SessionConfig};
 
 const STREAMS: u32 = 16;
 const TICKS: u64 = 240;
 const DELTA: f64 = 0.2;
-const SAMPLE_EVERY: u64 = 5;
 const MIN_SHARDS: usize = 1;
 const MAX_SHARDS: usize = 4;
 const CAPACITY_PER_SHARD: f64 = 6.0;
@@ -104,18 +103,6 @@ fn frames_per_tick(frames: &[u64], from: u64, to: u64) -> f64 {
     window.iter().sum::<u64>() as f64 / window.len().max(1) as f64
 }
 
-fn elastic_config() -> ElasticConfig {
-    let mut controller = ControllerConfig::new(MIN_SHARDS, MAX_SHARDS, CAPACITY_PER_SHARD);
-    controller.grow_after = 2;
-    controller.shrink_after = 2;
-    controller.cooldown = 1;
-    let mut config = ElasticConfig::new(controller, SAMPLE_EVERY);
-    // Queue depths are timing-dependent; the decision canaries gate exact
-    // counts, so the experiment runs on the offered-load signal alone.
-    config.use_queue_signal = false;
-    config
-}
-
 /// One elastic run's outcome.
 struct Run {
     start_shards: usize,
@@ -138,7 +125,10 @@ fn elastic_run(
     metrics: &mut MetricsOut,
 ) -> Run {
     let mut pipeline = IngestPipeline::start(start_shards, servers.to_vec());
-    let mut elastic = ElasticDriver::new(elastic_config(), &mut pipeline);
+    let mut elastic = ElasticDriver::new(
+        ControllerConfig::new(MIN_SHARDS, MAX_SHARDS, CAPACITY_PER_SHARD),
+        &mut pipeline,
+    );
     for tick in log {
         pipeline.ingest_tick(tick);
         elastic

@@ -102,25 +102,23 @@ fn run_arm(epsilon: f64, realloc: bool) -> ArmResult {
     let mut max_answer_bound = 0.0f64;
     let mut directives = 0u64;
     let config = SessionConfig::instant(MEASURE_TICKS, epsilon);
-    let report = drive_graph(&config, &mut streams, &mut graph, |now, graph, streams| {
+    let report = drive_graph(&config, &mut streams, &mut graph, |_now, graph, streams| {
         if let Some(answer) = graph.answer("fleet_avg") {
             max_answer_bound = max_answer_bound.max(answer.bound);
         }
         let Some(controller) = controller.as_mut() else {
             return;
         };
-        // The controller counts its own ticks, so it must be fed every
-        // tick; the (cheap) sample harvest only matters on epoch
-        // boundaries, where the allocator actually fires.
-        let samples: Vec<Vec<f64>> = if (now + 1).is_multiple_of(EPOCH) {
-            streams
-                .iter()
-                .map(|s| s.producer.rate_estimator().samples())
-                .collect()
-        } else {
-            vec![Vec::new(); STREAMS]
-        };
-        let Some(allocated) = controller.tick_demands(&samples) else {
+        // The controller counts its own ticks: harvest the samples only
+        // when a round is due, at each epoch boundary.
+        if !controller.due() {
+            return;
+        }
+        let samples: Vec<Vec<f64>> = streams
+            .iter()
+            .map(|s| s.producer.rate_estimator().samples())
+            .collect();
+        let Some(allocated) = controller.allocate(&samples) else {
             return;
         };
         // Clamp by the query's caps: split its budget cost-optimally against

@@ -3,28 +3,31 @@
 //!
 //! [`crate::BudgetAllocator`] solves one allocation from demand curves; this
 //! controller runs that solve *continuously*: every `period` ticks it reads
-//! each source's live [`crate::RateEstimator`], recomputes the allocation
-//! for the fleet budget, and pushes the new bounds into the sources via
-//! [`crate::SourceEndpoint::set_delta`]. Streams whose volatility changes
-//! mid-flight (regime switches, bursts) automatically trade precision with
-//! the rest of the fleet at the next control round — the "dynamic query
-//! optimization" flavour of the paper's resource-management claim.
+//! each stream's recent error magnitudes, recomputes the allocation for the
+//! fleet budget, and hands back the new bounds — applied to the sources via
+//! [`crate::SourceEndpoint::set_delta`] by [`FleetController::tick`], or
+//! shipped as bound directives by a caller whose sources sit across a link.
+//! Streams whose volatility changes mid-flight (regime switches, bursts)
+//! automatically trade precision with the rest of the fleet at the next
+//! control round — the "dynamic query optimization" flavour of the paper's
+//! resource-management claim.
 
 use kalstream_obs::{Counter, Instrument, Scope};
 
 use crate::{BudgetAllocator, CoreError, Result, SourceEndpoint, StreamDemand};
 
+/// Floor applied to allocated bounds (a protocol δ must be positive).
+const DELTA_FLOOR: f64 = 1e-4;
+
 /// Periodic fleet-wide δ re-allocation.
 #[derive(Debug, Clone)]
 pub struct FleetController {
+    /// Streams in the fleet.
+    n_streams: usize,
     /// Control period in ticks.
     period: u64,
     /// Fleet message budget (messages per tick, summed over streams).
     budget_rate: f64,
-    /// Per-stream importance weights (1.0 = equal).
-    weights: Vec<f64>,
-    /// Floor applied to allocated bounds (a protocol δ must be positive).
-    delta_floor: f64,
     ticks: u64,
     rounds: Counter,
     failed_rounds: Counter,
@@ -57,10 +60,9 @@ impl FleetController {
             });
         }
         Ok(FleetController {
+            n_streams,
             period,
             budget_rate,
-            weights: vec![1.0; n_streams],
-            delta_floor: 1e-4,
             ticks: 0,
             rounds: Counter::new(),
             failed_rounds: Counter::new(),
@@ -73,32 +75,6 @@ impl FleetController {
     /// rather than panicking the control loop.
     pub fn set_budget_rate(&mut self, rate: f64) {
         self.budget_rate = rate;
-    }
-
-    /// Sets per-stream importance weights (higher = keep tighter).
-    ///
-    /// # Errors
-    /// [`CoreError::BadConfig`] when the length disagrees with the stream
-    /// count or any weight is non-positive.
-    pub fn with_weights(mut self, weights: Vec<f64>) -> Result<Self> {
-        if weights.len() != self.weights.len() {
-            return Err(CoreError::BadConfig {
-                what: "weights",
-                reason: format!(
-                    "expected {} weights, got {}",
-                    self.weights.len(),
-                    weights.len()
-                ),
-            });
-        }
-        if weights.iter().any(|w| !(w.is_finite() && *w > 0.0)) {
-            return Err(CoreError::BadConfig {
-                what: "weights",
-                reason: "weights must be positive and finite".into(),
-            });
-        }
-        self.weights = weights;
-        Ok(self)
     }
 
     /// Control rounds executed so far.
@@ -114,74 +90,39 @@ impl FleetController {
         self.failed_rounds.get()
     }
 
-    /// Advances the controller one tick; on period boundaries, re-allocates
-    /// and retunes the sources. Returns the fresh per-stream bounds when a
-    /// control round ran.
-    ///
-    /// Sources whose rate estimator is still empty (cold start) keep their
-    /// current bound; the allocation runs over the warm ones only.
-    ///
-    /// # Panics
-    /// Panics when `sources.len()` disagrees with the configured stream
-    /// count.
-    pub fn tick(&mut self, sources: &mut [SourceEndpoint]) -> Option<Vec<f64>> {
-        assert_eq!(sources.len(), self.weights.len(), "stream count mismatch");
+    /// Advances the controller one tick; `true` when a control round is
+    /// due (every `period`-th tick), and the caller should run
+    /// [`FleetController::allocate`].
+    pub fn due(&mut self) -> bool {
         self.ticks += 1;
-        if !self.ticks.is_multiple_of(self.period) {
-            return None;
-        }
-        // Collect demands from warm sources.
-        let mut warm_index = Vec::new();
-        let mut demands = Vec::new();
-        for (i, source) in sources.iter().enumerate() {
-            let samples = source.rate_estimator().samples();
-            if let Ok(demand) = StreamDemand::new(samples, self.weights[i]) {
-                warm_index.push(i);
-                demands.push(demand);
-            }
-        }
-        if demands.is_empty() {
-            // Cold start (no warm estimator yet) — not a failure.
-            return None;
-        }
-        let floored = self.solve(&demands)?;
-        let mut new_deltas: Vec<f64> = sources.iter().map(SourceEndpoint::delta).collect();
-        for (slot, &i) in warm_index.iter().enumerate() {
-            sources[i].set_delta(floored[slot]);
-            new_deltas[i] = floored[slot];
-        }
-        self.rounds += 1;
-        Some(new_deltas)
+        self.ticks.is_multiple_of(self.period)
     }
 
-    /// The consumer-side control round: advances one tick and, on period
-    /// boundaries, re-allocates from caller-supplied per-stream error
-    /// samples **without touching any source** — the bounds come back as a
-    /// vector for the caller to deliver as [`crate::wire::WireMessage::Bound`]
-    /// directives over the feedback link (via
-    /// [`crate::ServerEndpoint::push_bound_directive`]).
+    /// One control round: re-allocates the fleet budget from per-stream
+    /// error samples and returns each stream's new bound, **without
+    /// touching any source**. `samples[i]` is the recent error-magnitude
+    /// window for stream `i` (any origin — live rate estimators, server
+    /// residuals); a stream whose window is empty or invalid is cold and
+    /// gets `None` (keep the current bound), and the allocation runs over
+    /// the warm ones only.
     ///
-    /// This is the path budget re-allocation under a standing query uses
+    /// Returns `None` when every stream is cold (not a failure) or the
+    /// allocator fails (counted in [`FleetController::failed_rounds`]).
+    ///
+    /// This is the round budget re-allocation under a standing query uses
     /// (experiment Q2): the sources live on the far side of a lossy link,
-    /// so the controller cannot call
-    /// [`crate::SourceEndpoint::set_delta`] directly. `samples[i]` is the
-    /// recent error-magnitude window for stream `i` (any origin — server
-    /// residuals, mirrored rate estimates); a stream with too few samples is
-    /// cold and gets `None` (keep the current bound).
+    /// so the bounds travel as [`crate::wire::WireMessage::Bound`]
+    /// directives (via [`crate::ServerEndpoint::push_bound_directive`]).
     ///
     /// # Panics
     /// Panics when `samples.len()` disagrees with the configured stream
     /// count.
-    pub fn tick_demands(&mut self, samples: &[Vec<f64>]) -> Option<Vec<Option<f64>>> {
-        assert_eq!(samples.len(), self.weights.len(), "stream count mismatch");
-        self.ticks += 1;
-        if !self.ticks.is_multiple_of(self.period) {
-            return None;
-        }
+    pub fn allocate(&mut self, samples: &[Vec<f64>]) -> Option<Vec<Option<f64>>> {
+        assert_eq!(samples.len(), self.n_streams, "stream count mismatch");
         let mut warm_index = Vec::new();
         let mut demands = Vec::new();
         for (i, window) in samples.iter().enumerate() {
-            if let Ok(demand) = StreamDemand::new(window.clone(), self.weights[i]) {
+            if let Ok(demand) = StreamDemand::new(window.clone(), 1.0) {
                 warm_index.push(i);
                 demands.push(demand);
             }
@@ -189,28 +130,52 @@ impl FleetController {
         if demands.is_empty() {
             return None;
         }
-        let floored = self.solve(&demands)?;
-        let mut directives = vec![None; samples.len()];
-        for (slot, &i) in warm_index.iter().enumerate() {
-            directives[i] = Some(floored[slot]);
-        }
-        self.rounds += 1;
-        Some(directives)
-    }
-
-    /// One allocator solve with the bound floor applied; failures are
-    /// counted, not propagated (shared by both control paths).
-    fn solve(&mut self, demands: &[StreamDemand]) -> Option<Vec<f64>> {
-        match BudgetAllocator::allocate(demands, self.budget_rate) {
-            Ok(a) => Some(a.deltas.iter().map(|d| d.max(self.delta_floor)).collect()),
+        let allocation = match BudgetAllocator::allocate(&demands, self.budget_rate) {
+            Ok(allocation) => allocation,
             Err(_) => {
                 // Pre-fix this was `.ok()?`: a persistently failing solve
                 // silently froze re-allocation forever. Count it so a frozen
                 // fleet is diagnosable.
                 self.failed_rounds += 1;
-                None
+                return None;
+            }
+        };
+        let mut bounds = vec![None; samples.len()];
+        for (&i, delta) in warm_index.iter().zip(&allocation.deltas) {
+            bounds[i] = Some(delta.max(DELTA_FLOOR));
+        }
+        self.rounds += 1;
+        Some(bounds)
+    }
+
+    /// Advances the controller one tick; on period boundaries, re-allocates
+    /// from the sources' live rate estimators and retunes them. Returns
+    /// every source's bound when a control round ran.
+    ///
+    /// Sources whose rate estimator is still empty (cold start) keep their
+    /// current bound.
+    ///
+    /// # Panics
+    /// Panics when `sources.len()` disagrees with the configured stream
+    /// count.
+    pub fn tick(&mut self, sources: &mut [SourceEndpoint]) -> Option<Vec<f64>> {
+        assert_eq!(sources.len(), self.n_streams, "stream count mismatch");
+        if !self.due() {
+            return None;
+        }
+        let samples: Vec<Vec<f64>> = sources
+            .iter()
+            .map(|source| source.rate_estimator().samples())
+            .collect();
+        let bounds = self.allocate(&samples)?;
+        let mut new_deltas: Vec<f64> = sources.iter().map(SourceEndpoint::delta).collect();
+        for ((source, new_delta), bound) in sources.iter_mut().zip(&mut new_deltas).zip(bounds) {
+            if let Some(delta) = bound {
+                source.set_delta(delta);
+                *new_delta = delta;
             }
         }
+        Some(new_deltas)
     }
 }
 
@@ -246,14 +211,6 @@ mod tests {
         assert!(FleetController::new(0, 10, 1.0).is_err());
         assert!(FleetController::new(2, 10, 0.0).is_err());
         assert!(FleetController::new(2, 10, 1.0).is_ok());
-        assert!(FleetController::new(2, 10, 1.0)
-            .unwrap()
-            .with_weights(vec![1.0])
-            .is_err());
-        assert!(FleetController::new(2, 10, 1.0)
-            .unwrap()
-            .with_weights(vec![1.0, -1.0])
-            .is_err());
     }
 
     #[test]
@@ -353,10 +310,10 @@ mod tests {
     }
 
     #[test]
-    fn tick_demands_mirrors_tick_without_touching_sources() {
+    fn allocate_mirrors_tick_without_touching_sources() {
         // The same demand windows must yield the same bounds through both
-        // control paths — the server-side path just returns them instead of
-        // applying them.
+        // control paths — `allocate` just returns them instead of applying
+        // them.
         let windows: Vec<Vec<f64>> = vec![
             (0..100)
                 .map(|t| ((t as f64 * 0.001).sin() * 0.01).abs())
@@ -377,7 +334,8 @@ mod tests {
 
         let mut via_demands = FleetController::new(2, 1, 0.2).unwrap();
         let samples: Vec<Vec<f64>> = srcs.iter().map(|s| s.rate_estimator().samples()).collect();
-        let directives = via_demands.tick_demands(&samples).expect("control round");
+        assert!(via_demands.due());
+        let directives = via_demands.allocate(&samples).expect("control round");
         for (a, d) in applied.iter().zip(&directives) {
             assert_eq!(Some(*a), *d);
         }
@@ -385,47 +343,25 @@ mod tests {
     }
 
     #[test]
-    fn tick_demands_skips_cold_streams_and_fires_on_period() {
+    fn allocate_skips_cold_streams_and_due_fires_on_period() {
         let mut ctrl = FleetController::new(2, 2, 1.0).unwrap();
         let warm: Vec<f64> = (0..50).map(|t| (t as f64 * 0.3).sin().abs()).collect();
         let samples = vec![warm, Vec::new()];
-        assert!(
-            ctrl.tick_demands(&samples).is_none(),
-            "off-period tick fired"
-        );
-        let directives = ctrl.tick_demands(&samples).expect("period boundary");
+        assert!(!ctrl.due(), "off-period tick fired");
+        assert!(ctrl.due(), "period boundary");
+        let directives = ctrl.allocate(&samples).expect("warm stream allocated");
         assert!(directives[0].is_some());
         assert_eq!(directives[1], None, "cold stream keeps its bound");
     }
 
     #[test]
-    fn tick_demands_counts_failed_rounds() {
+    fn allocate_counts_failed_rounds() {
         let mut ctrl = FleetController::new(1, 1, 1.0).unwrap();
         ctrl.set_budget_rate(f64::NAN);
         let samples = vec![vec![0.5, 0.7, 0.2]];
-        assert!(ctrl.tick_demands(&samples).is_none());
+        assert!(ctrl.due());
+        assert!(ctrl.allocate(&samples).is_none());
         assert_eq!(ctrl.failed_rounds(), 1);
         assert_eq!(ctrl.rounds(), 0);
-    }
-
-    #[test]
-    fn weights_tighten_important_streams_live() {
-        let mut ctrl = FleetController::new(2, 100, 0.5)
-            .unwrap()
-            .with_weights(vec![10.0, 1.0])
-            .unwrap();
-        let mut srcs = sources(2);
-        let mut last = None;
-        for t in 0..200u64 {
-            // Identical streams; only the weight differs.
-            let v = (t as f64 * 0.3).sin();
-            srcs[0].decide(&[v]);
-            srcs[1].decide(&[v]);
-            if let Some(d) = ctrl.tick(&mut srcs) {
-                last = Some(d);
-            }
-        }
-        let deltas = last.expect("control round ran");
-        assert!(deltas[0] <= deltas[1], "weighted stream looser: {deltas:?}");
     }
 }

@@ -61,9 +61,8 @@ use crate::server::{EndpointState, ProtocolHalf, ServerEndpoint};
 
 /// Per-shard job queue depth. Deep enough that the router can run ahead of
 /// a momentarily slow shard, small enough to bound memory and exert
-/// backpressure. The elastic controller reads a queue depth as a fraction
-/// of it.
-pub const QUEUE_DEPTH: usize = 64;
+/// backpressure.
+const QUEUE_DEPTH: usize = 64;
 
 /// The shard owning `stream_id` over `shards` shards: `stream_id % shards`,
 /// the one route of the pipeline. A resize changes `shards` at a tick
@@ -572,14 +571,6 @@ impl IngestPipeline {
     /// Number of shards.
     pub fn shards(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Jobs queued on the most backed-up shard (the job being processed
-    /// excluded) — the elastic controller's queue-pressure signal. Snapshot
-    /// semantics: the value can be stale by the time the caller looks at it.
-    pub fn max_queue_depth(&self) -> usize {
-        let depths = self.shards.iter().map(|shard| shard.tx.len());
-        depths.max().unwrap_or(0)
     }
 
     /// Frames routed since the previous call (or the last resize by
@@ -1163,11 +1154,9 @@ mod tests {
         let (servers, log) = record_log(0, 6, 30);
         let mut pipe = IngestPipeline::start(3, servers);
         assert_eq!(pipe.shards(), 3);
-        assert_eq!(pipe.max_queue_depth(), 0, "no job sent yet");
         for tick in &log {
             pipe.ingest_tick(tick);
         }
-        assert!(pipe.max_queue_depth() <= QUEUE_DEPTH);
         let result = pipe.finish();
         for shard in &result.shards {
             assert!(

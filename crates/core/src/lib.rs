@@ -83,7 +83,7 @@ pub use frame::{
 };
 pub use ingest::{
     FramingSink, IngestPipeline, IngestResult, ResizeTransition, SequentialIngest, ShardReport,
-    TickIngest, QUEUE_DEPTH,
+    TickIngest,
 };
 pub use protocol::{pin_to_measurement, AckTracker};
 pub use rate::RateEstimator;

@@ -2,7 +2,7 @@
 //! precision norm, and the delivery ack tracker.
 
 use kalstream_filter::FilterError;
-use kalstream_linalg::{LinalgError, Matrix, Vector};
+use kalstream_linalg::{cholesky_factor, cholesky_solve_in_place, LinalgError, Matrix, Vector};
 
 use crate::Result;
 
@@ -156,9 +156,6 @@ fn linalg_err(e: LinalgError) -> crate::CoreError {
     FilterError::from(e).into()
 }
 
-// Index loops, as in `Cholesky::new` / `solve_in_place`: the two
-// are meant to be read side by side.
-#[allow(clippy::needless_range_loop)]
 fn pin_static<const M: usize>(x: &[f64], h: &Matrix, z: &[f64], out: &mut [f64]) -> Result<()> {
     // Residual z − H x (`mul_vec`, then the elementwise difference).
     let mut w = [0.0; M];
@@ -182,50 +179,9 @@ fn pin_static<const M: usize>(x: &[f64], h: &Matrix, z: &[f64], out: &mut [f64])
             }
         }
     }
-    // `Cholesky::new`.
-    let tol = 1e-13
-        * hht
-            .as_flattened()
-            .iter()
-            .fold(0.0_f64, |m, v| m.max(v.abs()))
-            .max(1.0);
-    let mut l = [[0.0; M]; M];
-    for j in 0..M {
-        let mut d = hht[j][j];
-        for k in 0..j {
-            d -= l[j][k] * l[j][k];
-        }
-        if d <= tol {
-            return Err(linalg_err(LinalgError::NotPositiveDefinite {
-                pivot: j,
-                value: d,
-            }));
-        }
-        let dsqrt = d.sqrt();
-        l[j][j] = dsqrt;
-        for i in (j + 1)..M {
-            let mut v = hht[i][j];
-            for k in 0..j {
-                v -= l[i][k] * l[j][k];
-            }
-            l[i][j] = v / dsqrt;
-        }
-    }
-    // `Cholesky::solve_in_place`: L y = residual, then Lᵀ w = y.
-    for i in 0..M {
-        let mut v = w[i];
-        for k in 0..i {
-            v -= l[i][k] * w[k];
-        }
-        w[i] = v / l[i][i];
-    }
-    for i in (0..M).rev() {
-        let mut v = w[i];
-        for k in (i + 1)..M {
-            v -= l[k][i] * w[k];
-        }
-        w[i] = v / l[i][i];
-    }
+    // `Cholesky::new`, then `Cholesky::solve_in_place`: L Lᵀ w = residual.
+    let l = cholesky_factor(&hht).map_err(linalg_err)?;
+    cholesky_solve_in_place(&l, &mut w);
     // x' = x + Hᵀ w.
     for (r, (o, x_r)) in out.iter_mut().zip(x).enumerate() {
         let mut acc = 0.0;

@@ -1,23 +1,27 @@
 //! The elastic scaling decision function: target-utilization band,
 //! hysteresis and cooldown.
 
-use kalstream_core::QUEUE_DEPTH;
 use kalstream_obs::{Instrument, Scope};
 
 /// Shrink watermark: utilization below this arms the shrink run.
 const LOW_UTILIZATION: f64 = 0.5;
 /// Grow watermark: utilization above this arms the grow run.
 const HIGH_UTILIZATION: f64 = 0.85;
+/// Consecutive over-watermark samples before a grow fires.
+const GROW_AFTER: u32 = 2;
+/// Consecutive under-watermark samples before a shrink fires.
+const SHRINK_AFTER: u32 = 2;
+/// Samples held after any action, whatever the load.
+const COOLDOWN: u32 = 1;
 
-/// Tuning for [`ElasticController`].
+/// The host's shard range and capacity model for [`ElasticController`].
 ///
 /// Utilization is *offered load over capacity*: with `per_tick` frames
 /// arriving per tick across the fleet, utilization is
 /// `per_tick / (shards × capacity_per_shard)`. The controller holds it
 /// inside the band `[0.5, 0.85]` by resizing toward the band's midpoint,
-/// and only acts after a watermark has been breached for a configured run
-/// of consecutive samples (hysteresis), never during the post-action
-/// cooldown (anti-thrash).
+/// acts only after a watermark has been breached for 2 consecutive samples
+/// (hysteresis), and holds for 1 sample after each action (anti-thrash).
 #[derive(Debug, Clone)]
 pub struct ControllerConfig {
     /// Smallest fleet the controller will shrink to. Always ≥ 1.
@@ -27,18 +31,11 @@ pub struct ControllerConfig {
     /// Frames per tick one shard absorbs at utilization 1.0 — the
     /// operator's capacity model, and the only unit the controller needs.
     pub capacity_per_shard: f64,
-    /// Consecutive over-watermark samples before a grow fires.
-    pub grow_after: u32,
-    /// Consecutive under-watermark samples before a shrink fires.
-    pub shrink_after: u32,
-    /// Samples to hold after any action, regardless of signals.
-    pub cooldown: u32,
 }
 
 impl ControllerConfig {
-    /// A conservative default over `[min_shards, max_shards]` with the
-    /// given capacity model: grow above 0.85 after 2 samples, shrink below
-    /// 0.5 after 3, cooldown 2.
+    /// The shard range `[min_shards, max_shards]` with the given capacity
+    /// model.
     ///
     /// # Panics
     /// Panics when `min_shards` is 0, `max_shards < min_shards`, or
@@ -54,9 +51,6 @@ impl ControllerConfig {
             min_shards,
             max_shards,
             capacity_per_shard,
-            grow_after: 2,
-            shrink_after: 3,
-            cooldown: 2,
         }
     }
 }
@@ -69,10 +63,6 @@ pub struct LoadSample {
     pub offered: u64,
     /// Window length in ticks. Must be ≥ 1.
     pub ticks: u64,
-    /// Jobs queued on the most backed-up shard when the `ElasticDriver`
-    /// reads queue depths, 0 when it does not. Timing-dependent — see the
-    /// crate docs.
-    pub max_queue_depth: usize,
 }
 
 /// What the controller wants done after a sample.
@@ -221,9 +211,7 @@ impl ElasticController {
         self.stats.samples += 1;
 
         let per_tick = sample.offered as f64 / sample.ticks as f64;
-        let offered_util = per_tick / (self.shards as f64 * self.config.capacity_per_shard);
-        let queue_pressure = sample.max_queue_depth as f64 / QUEUE_DEPTH as f64;
-        let utilization = offered_util.max(queue_pressure);
+        let utilization = per_tick / (self.shards as f64 * self.config.capacity_per_shard);
         self.stats.last_utilization = utilization;
 
         if self.cooldown_left > 0 {
@@ -243,7 +231,7 @@ impl ElasticController {
             self.low_run = 0;
         }
 
-        if self.high_run >= self.config.grow_after && self.shards < self.config.max_shards {
+        if self.high_run >= GROW_AFTER && self.shards < self.config.max_shards {
             let to = self
                 .target_for(per_tick)
                 .max(self.shards + 1)
@@ -254,7 +242,7 @@ impl ElasticController {
             self.stats.grows += 1;
             return Decision::Grow { to };
         }
-        if self.low_run >= self.config.shrink_after && self.shards > self.config.min_shards {
+        if self.low_run >= SHRINK_AFTER && self.shards > self.config.min_shards {
             let to = self
                 .target_for(per_tick)
                 .min(self.shards - 1)
@@ -272,7 +260,7 @@ impl ElasticController {
     /// Common bookkeeping for any non-hold decision: start the cooldown and
     /// restart every hysteresis run.
     fn act(&mut self) {
-        self.cooldown_left = self.config.cooldown;
+        self.cooldown_left = COOLDOWN;
         self.high_run = 0;
         self.low_run = 0;
     }
@@ -284,16 +272,12 @@ mod tests {
 
     fn config() -> ControllerConfig {
         // capacity 10 frames/tick/shard, band [0.5, 0.85], grow after 2,
-        // shrink after 3, cooldown 2.
+        // shrink after 2, cooldown 1.
         ControllerConfig::new(1, 4, 10.0)
     }
 
     fn observe(ctl: &mut ElasticController, offered: u64, ticks: u64) -> Decision {
-        ctl.observe(&LoadSample {
-            offered,
-            ticks,
-            max_queue_depth: 0,
-        })
+        ctl.observe(&LoadSample { offered, ticks })
     }
 
     #[test]
@@ -326,10 +310,9 @@ mod tests {
         let mut ctl = ElasticController::new(config(), 1);
         assert_eq!(observe(&mut ctl, 12, 1), Decision::Hold);
         assert!(matches!(observe(&mut ctl, 12, 1), Decision::Grow { .. }));
-        // Still hot, but the next `cooldown` samples must hold.
+        // Still hot, but the next sample is the cooldown and must hold.
         assert_eq!(observe(&mut ctl, 40, 1), Decision::Hold);
-        assert_eq!(observe(&mut ctl, 40, 1), Decision::Hold);
-        assert_eq!(ctl.stats().cooldown_holds, 2);
+        assert_eq!(ctl.stats().cooldown_holds, 1);
         // After cooldown the grow run restarts from zero.
         assert_eq!(observe(&mut ctl, 40, 1), Decision::Hold);
         assert!(matches!(observe(&mut ctl, 40, 1), Decision::Grow { .. }));
@@ -339,9 +322,7 @@ mod tests {
     fn shrinks_step_down_to_min_one_shard() {
         let mut ctl = ElasticController::new(config(), 2);
         // 2 frames/tick over 2 shards at capacity 10 → utilization 0.1.
-        for _ in 0..2 {
-            assert_eq!(observe(&mut ctl, 2, 1), Decision::Hold);
-        }
+        assert_eq!(observe(&mut ctl, 2, 1), Decision::Hold, "run of 1");
         assert_eq!(observe(&mut ctl, 2, 1), Decision::Shrink { to: 1 });
         assert_eq!(ctl.shards(), 1);
         // At min there is nothing left to shrink; quiet samples hold.
@@ -350,20 +331,6 @@ mod tests {
         }
         assert_eq!(ctl.shards(), 1);
         assert_eq!(ctl.stats().shrinks, 1);
-    }
-
-    #[test]
-    fn queue_pressure_alone_can_trigger_growth() {
-        let mut ctl = ElasticController::new(config(), 1);
-        // Offered load is tiny, but the live queue is nearly full — the
-        // queue-depth signal must be able to demand capacity on its own.
-        let pressured = LoadSample {
-            offered: 1,
-            ticks: 1,
-            max_queue_depth: 60,
-        };
-        assert_eq!(ctl.observe(&pressured), Decision::Hold);
-        assert_eq!(ctl.observe(&pressured), Decision::Grow { to: 2 });
     }
 
     #[test]

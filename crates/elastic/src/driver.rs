@@ -2,7 +2,7 @@
 //! ingest pipeline, as a barrier hook.
 //!
 //! The driver is handed the pipeline by reference after each tick. Every
-//! `sample_every` ticks it takes the frames the pipeline's router offered
+//! [`SAMPLE_EVERY`] ticks it takes the frames the pipeline's router offered
 //! over the window (a pure function of the traffic — no clocks) and hands
 //! the controller a [`LoadSample`].
 //! Non-hold decisions are executed immediately through the caller's
@@ -18,34 +18,9 @@ use kalstream_obs::{Instrument, Scope};
 
 use crate::controller::{ControllerConfig, Decision, ElasticController, LoadSample};
 
-/// Tuning for [`ElasticDriver`].
-#[derive(Debug, Clone)]
-pub struct ElasticConfig {
-    /// The controller policy.
-    pub controller: ControllerConfig,
-    /// Ticks per observation window. Must be ≥ 1.
-    pub sample_every: u64,
-    /// Feed live queue depths into the controller. Depths are
-    /// timing-dependent, so experiments that gate exact decision counts
-    /// turn this off; servers under real load leave it on.
-    pub use_queue_signal: bool,
-}
-
-impl ElasticConfig {
-    /// A config sampling every `sample_every` ticks with the queue signal
-    /// enabled.
-    pub fn new(controller: ControllerConfig, sample_every: u64) -> Self {
-        assert!(
-            sample_every >= 1,
-            "sample window must cover at least 1 tick"
-        );
-        ElasticConfig {
-            controller,
-            sample_every,
-            use_queue_signal: true,
-        }
-    }
-}
+/// Ticks per observation window: the driver samples the controller at
+/// every `SAMPLE_EVERY`-th tick barrier.
+pub const SAMPLE_EVERY: u64 = 5;
 
 /// Which way a resize went.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,8 +50,6 @@ pub struct ResizeEvent {
 /// The controller loop, closed around a pipeline it is lent after each tick.
 pub struct ElasticDriver {
     controller: ElasticController,
-    sample_every: u64,
-    use_queue_signal: bool,
     window_ticks: u64,
     ticks: u64,
     events: Vec<ResizeEvent>,
@@ -89,18 +62,12 @@ impl ElasticDriver {
     /// discarded.
     ///
     /// # Panics
-    /// Panics when `config.sample_every` is 0 or the pipeline's shard count
-    /// lies outside the controller's `[min_shards, max_shards]` range.
-    pub fn new(config: ElasticConfig, pipeline: &mut IngestPipeline) -> Self {
-        assert!(
-            config.sample_every >= 1,
-            "sample window must cover at least 1 tick"
-        );
+    /// Panics when the pipeline's shard count lies outside the controller's
+    /// `[min_shards, max_shards]` range.
+    pub fn new(config: ControllerConfig, pipeline: &mut IngestPipeline) -> Self {
         pipeline.take_offered();
         ElasticDriver {
-            controller: ElasticController::new(config.controller, pipeline.shards()),
-            sample_every: config.sample_every,
-            use_queue_signal: config.use_queue_signal,
+            controller: ElasticController::new(config, pipeline.shards()),
             window_ticks: 0,
             ticks: 0,
             events: Vec::new(),
@@ -142,17 +109,12 @@ impl ElasticDriver {
     ) -> io::Result<()> {
         self.ticks += 1;
         self.window_ticks += 1;
-        if self.window_ticks < self.sample_every {
+        if self.window_ticks < SAMPLE_EVERY {
             return Ok(());
         }
         let decision = self.controller.observe(&LoadSample {
             offered: pipeline.take_offered(),
             ticks: self.window_ticks,
-            max_queue_depth: if self.use_queue_signal {
-                pipeline.max_queue_depth()
-            } else {
-                0
-            },
         });
         self.window_ticks = 0;
         let (kind, to) = match decision {
@@ -240,16 +202,6 @@ mod tests {
             .collect()
     }
 
-    fn elastic_config() -> ElasticConfig {
-        let mut controller = ControllerConfig::new(1, 4, 3.0);
-        controller.grow_after = 2;
-        controller.shrink_after = 2;
-        controller.cooldown = 1;
-        let mut config = ElasticConfig::new(controller, 5);
-        config.use_queue_signal = false; // deterministic decisions
-        config
-    }
-
     /// A one-shard pipeline driven through `log` with the driver hooked in
     /// after every tick.
     fn run_elastic(
@@ -257,7 +209,7 @@ mod tests {
         log: &[Vec<u8>],
     ) -> (IngestPipeline, ElasticDriver) {
         let mut pipe = IngestPipeline::start(1, servers);
-        let mut elastic = ElasticDriver::new(elastic_config(), &mut pipe);
+        let mut elastic = ElasticDriver::new(ControllerConfig::new(1, 4, 3.0), &mut pipe);
         for tick in log {
             pipe.ingest_tick(tick);
             elastic

@@ -7,23 +7,24 @@
 //! Two layers:
 //!
 //! * [`ElasticController`] — the pure decision function. It consumes
-//!   [`LoadSample`]s (frames offered per window, plus the deepest live
-//!   shard queue when available) and emits [`Decision`]s: grow, shrink, or
-//!   hold. A target-utilization band with hysteresis (consecutive-sample
-//!   runs) and a post-action cooldown keeps it from thrashing under
-//!   sawtooth load.
+//!   [`LoadSample`]s (frames offered over a window) and emits
+//!   [`Decision`]s: grow, shrink, or hold. A target-utilization band with
+//!   hysteresis (2 consecutive samples past a watermark) and a 1-sample
+//!   post-action cooldown keeps it from thrashing under sawtooth load. Its
+//!   [`ControllerConfig`] is the host's shard range and capacity model;
+//!   the band, runs and cooldown are constants.
 //! * [`ElasticDriver`] — the barrier hook that closes the loop: lent the
 //!   [`kalstream_core::IngestPipeline`] after each tick, it reads the
-//!   frames the pipeline's router offered, samples the controller on a
-//!   cadence, and executes its decisions through
+//!   frames the pipeline's router offered, samples the controller every
+//!   [`SAMPLE_EVERY`] ticks, and executes its decisions through
 //!   the caller's `reassign` (behind a `kalstream_durable::Durability`
 //!   checkpoint when the run is durable) — which quiesces at a tick barrier, so every
 //!   resize is provably invisible to filter arithmetic.
 //!
-//! Determinism: decisions driven purely by offered load are a function of
-//! the traffic, so experiment canaries can gate exact decision counts.
-//! The queue-depth signal is timing-dependent; drivers that need exact
-//! reproducibility disable it via [`ElasticConfig::use_queue_signal`].
+//! Determinism: the controller reads nothing but the frames offered per
+//! window, so its decisions are a function of the traffic alone — a
+//! recorded log replays to the same grows and shrinks, and experiment
+//! canaries gate exact decision counts.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -32,4 +33,4 @@ mod controller;
 mod driver;
 
 pub use controller::{ControllerConfig, ControllerStats, Decision, ElasticController, LoadSample};
-pub use driver::{ElasticConfig, ElasticDriver, ResizeEvent, ResizeKind};
+pub use driver::{ElasticDriver, ResizeEvent, ResizeKind, SAMPLE_EVERY};

@@ -59,7 +59,8 @@ pub use decomp::{Cholesky, Lu};
 pub use error::LinalgError;
 pub use matrix::Matrix;
 pub use static_kernel::{
-    CovarianceUpdate, Innovation, Lane, Pack, StaticKernel, StaticUpdateOutcome,
+    cholesky_factor, cholesky_solve_in_place, CovarianceUpdate, Innovation, Lane, Pack,
+    StaticKernel, StaticUpdateOutcome,
 };
 pub use vector::Vector;
 

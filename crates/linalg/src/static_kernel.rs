@@ -639,9 +639,13 @@ fn symmetrize<L: Lane, const N: usize>(p: &mut [[L; N]; N]) {
 }
 
 /// Cholesky factor `L` of `a`, replicating [`crate::Cholesky::new`]
-/// including its relative pivot tolerance.
+/// including its relative pivot tolerance, `1e-13 · max(max |aᵢⱼ|, 1)`.
+///
+/// # Errors
+/// [`LinalgError::NotPositiveDefinite`] at the first pivot `d <= tol`, with
+/// the pivot's value (the first failing filter's, for a pack).
 #[inline(always)]
-fn cholesky_factor<L: Lane, const M: usize>(a: &[[L; M]; M]) -> Result<[[L; M]; M]> {
+pub fn cholesky_factor<L: Lane, const M: usize>(a: &[[L; M]; M]) -> Result<[[L; M]; M]> {
     let mut norm = L::splat(0.0);
     for row in a.iter() {
         for v in row.iter() {
@@ -672,9 +676,10 @@ fn cholesky_factor<L: Lane, const M: usize>(a: &[[L; M]; M]) -> Result<[[L; M]; 
     Ok(l)
 }
 
-/// Forward/back substitution, replicating [`crate::Cholesky::solve_in_place`].
+/// Forward/back substitution, replicating [`crate::Cholesky::solve_in_place`]:
+/// solves `L Lᵀ x = b` in place for a factor from [`cholesky_factor`].
 #[inline(always)]
-fn cholesky_solve_in_place<L: Lane, const M: usize>(l: &[[L; M]; M], x: &mut [L; M]) {
+pub fn cholesky_solve_in_place<L: Lane, const M: usize>(l: &[[L; M]; M], x: &mut [L; M]) {
     for i in 0..M {
         let mut v = x[i];
         for k in 0..i {

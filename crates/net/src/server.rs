@@ -29,8 +29,9 @@
 //! per-connection bounded queues. The router never blocks on a slow
 //! client: a full or closed queue sheds the payload and *counts it* —
 //! including during connection drain, where a `let _` would silently eat
-//! acks. Per-connection shed counts and queue high-water marks surface in
-//! the [`NetReport`] obs snapshot.
+//! acks. A payload for a stream no connection claims is shed and counted
+//! too (`unrouted_feedback`). Per-connection shed counts and queue
+//! high-water marks surface in the [`NetReport`] obs snapshot.
 //!
 //! **Lifecycle.** A connection drains by shutting down its write side;
 //! the reader sees EOF, the router stops requiring its markers, and once
@@ -50,7 +51,7 @@ use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use kalstream_core::{IngestPipeline, IngestResult, ServerEndpoint, StreamDecoder};
 use kalstream_durable::{Durability, DurableConfig, DurableStats, DurableStore};
-use kalstream_elastic::{ElasticConfig, ElasticDriver, ResizeKind};
+use kalstream_elastic::{ControllerConfig, ElasticDriver, ResizeKind};
 use kalstream_obs::{Instrument, Registry, Scope, Snapshot};
 
 use crate::codec::{
@@ -98,15 +99,15 @@ pub struct NetServerConfig {
     /// directory must recover everything the aborted run applied.
     pub crash_after_ticks: Option<u64>,
     /// Elasticity: when set, the closed-loop [`ElasticDriver`] is hooked in
-    /// after every tick and grows/shrinks the shard fleet from observed
-    /// load. Resizes execute on the router's
+    /// after every tick and grows/shrinks the shard fleet from the frames
+    /// offered, within this shard range and capacity model. Resizes execute on the router's
     /// thread between global ticks — readers, writers, and their sockets
     /// are untouched, so no connection ever drops across a resize. `shards`
     /// becomes the *initial* count and must lie inside the controller's
     /// `[min_shards, max_shards]` range. Composes with `durable`: each
     /// resize then checkpoints at its barrier first (shape-change
     /// checkpoint reuse).
-    pub elastic: Option<ElasticConfig>,
+    pub elastic: Option<ControllerConfig>,
 }
 
 #[allow(deprecated)] // fills in the deprecated field
@@ -159,7 +160,7 @@ impl Instrument for ConnReport {
 }
 
 /// Elastic-controller outcome of a served fleet, reported when the server
-/// ran with an [`ElasticConfig`].
+/// ran with a [`ControllerConfig`].
 #[derive(Debug, Clone)]
 pub struct ElasticNetStats {
     /// Resizes that added shards.
@@ -201,6 +202,9 @@ pub struct NetReport {
     /// Socket shutdowns that returned an error in the per-connection
     /// writer threads (formerly a silent `let _`).
     pub shutdown_errors: u64,
+    /// Feedback payloads for a stream no admitted connection claims, shed
+    /// by the router.
+    pub unrouted_feedback: u64,
     /// Ticks re-applied from the WAL during startup recovery.
     pub replayed_ticks: u64,
     /// Feedback payloads produced by WAL replay and discarded (their
@@ -208,8 +212,8 @@ pub struct NetReport {
     pub replay_feedback_discarded: u64,
     /// Durability counters, when the server ran with a [`DurableConfig`].
     pub durable: Option<DurableStats>,
-    /// Elastic-controller counters, when the server ran with an
-    /// [`ElasticConfig`].
+    /// Elastic-controller counters, when the server ran with a
+    /// [`ControllerConfig`].
     pub elastic: Option<ElasticNetStats>,
 }
 
@@ -231,6 +235,7 @@ impl NetReport {
         net.counter("shed", self.total_shed());
         net.counter("dropped_router_msgs", self.dropped_router_msgs);
         net.counter("shutdown_errors", self.shutdown_errors);
+        net.counter("unrouted_feedback", self.unrouted_feedback);
         net.counter("replayed_ticks", self.replayed_ticks);
         net.counter("replay_feedback_discarded", self.replay_feedback_discarded);
         if let Some(durable) = &self.durable {
@@ -313,9 +318,11 @@ impl NetServer {
         {
             return invalid("durable.snapshot_every must be at least 1");
         }
-        if config.elastic.as_ref().is_some_and(|e| {
-            !(e.controller.min_shards..=e.controller.max_shards).contains(&config.shards)
-        }) {
+        if config
+            .elastic
+            .as_ref()
+            .is_some_and(|e| !(e.min_shards..=e.max_shards).contains(&config.shards))
+        {
             return invalid("shards lies outside elastic [min_shards, max_shards]");
         }
         let listener = TcpListener::bind(addr)?;
@@ -542,35 +549,37 @@ fn serve(
     let mut rejected_hellos = 0u64;
     let mut admitted = 0usize;
     let mut tick_wire: Vec<u8> = Vec::new();
+    let mut unrouted_feedback = 0u64;
 
     // Drains every feedback payload currently in the channel onto its
-    // owning connection's queue. `route` maps stream → conn.
-    let route_feedback =
-        |conns: &mut [ConnState],
-         route: &HashMap<u32, usize>,
-         fb_rx: &crossbeam::channel::Receiver<(u32, Bytes)>| {
-            while let Ok((stream_id, payload)) = fb_rx.try_recv() {
-                let Some(&conn) = route.get(&stream_id) else {
-                    continue; // stream not owned by any connection (local fleet)
-                };
-                let ConnState { writer, report, .. } = &mut conns[conn];
-                let mut frame = Vec::with_capacity(payload.len() + MARKER_BYTES);
-                push_frame(&mut frame, stream_id, &payload);
-                match writer {
-                    Some(writer) => match writer.try_send(Bytes::from(frame)) {
-                        Ok(()) => {
-                            report.feedback_sent += 1;
-                            report.queue_high_water =
-                                report.queue_high_water.max(writer.len() as u64);
-                        }
-                        Err(_) => report.shed += 1, // full or closed: count, don't block
-                    },
-                    // Writer already torn down (connection drained): the ack
-                    // is lost — count it instead of `let _`-dropping it.
-                    None => report.shed += 1,
-                }
+    // owning connection's queue. `route` maps stream → conn; a payload for
+    // a stream no connection claims is shed and counted in `unrouted`.
+    let route_feedback = |conns: &mut [ConnState],
+                          route: &HashMap<u32, usize>,
+                          fb_rx: &crossbeam::channel::Receiver<(u32, Bytes)>,
+                          unrouted: &mut u64| {
+        while let Ok((stream_id, payload)) = fb_rx.try_recv() {
+            let Some(&conn) = route.get(&stream_id) else {
+                *unrouted += 1;
+                continue;
+            };
+            let ConnState { writer, report, .. } = &mut conns[conn];
+            let mut frame = Vec::with_capacity(payload.len() + MARKER_BYTES);
+            push_frame(&mut frame, stream_id, &payload);
+            match writer {
+                Some(writer) => match writer.try_send(Bytes::from(frame)) {
+                    Ok(()) => {
+                        report.feedback_sent += 1;
+                        report.queue_high_water = report.queue_high_water.max(writer.len() as u64);
+                    }
+                    Err(_) => report.shed += 1, // full or closed: count, don't block
+                },
+                // Writer already torn down (connection drained): the ack
+                // is lost — count it instead of `let _`-dropping it.
+                None => report.shed += 1,
             }
-        };
+        }
+    };
 
     let mut route: HashMap<u32, usize> = HashMap::new();
     loop {
@@ -600,7 +609,7 @@ fn serve(
                 // Applied-before-acknowledged: flush, route *all* feedback
                 // for this tick, then send every live conn its marker.
                 engine.pipeline.flush();
-                route_feedback(&mut conns, &route, &engine.feedback);
+                route_feedback(&mut conns, &route, &engine.feedback, &mut unrouted_feedback);
                 for state in conns.iter_mut() {
                     let Some(writer) = &state.writer else {
                         continue;
@@ -615,7 +624,7 @@ fn serve(
                     }
                 }
             } else {
-                route_feedback(&mut conns, &route, &engine.feedback);
+                route_feedback(&mut conns, &route, &engine.feedback, &mut unrouted_feedback);
             }
             ticks += 1;
             if config.crash_after_ticks == Some(ticks) {
@@ -690,7 +699,7 @@ fn serve(
 
     // ---- drain ----------------------------------------------------------
     engine.pipeline.flush();
-    route_feedback(&mut conns, &route, &engine.feedback);
+    route_feedback(&mut conns, &route, &engine.feedback, &mut unrouted_feedback);
     // Dropping each writer sender closes its queue; the writer thread
     // drains remaining payloads and shuts the socket's write side down.
     for state in conns.iter_mut() {
@@ -702,7 +711,7 @@ fn serve(
     let _ = accept_thread.join();
     // Late feedback (none expected after the final flush, but a shard
     // worker could still be mid-poll): count as shed, never drop silently.
-    route_feedback(&mut conns, &route, &engine.feedback);
+    route_feedback(&mut conns, &route, &engine.feedback, &mut unrouted_feedback);
 
     let (replayed_ticks, replay_feedback_discarded) =
         (engine.replayed_ticks, engine.replay_feedback_discarded);
@@ -714,6 +723,7 @@ fn serve(
         rejected_hellos,
         dropped_router_msgs: dropped_router_msgs.load(Ordering::Relaxed),
         shutdown_errors: shutdown_errors.load(Ordering::Relaxed),
+        unrouted_feedback,
         replayed_ticks,
         replay_feedback_discarded,
         durable,
@@ -835,10 +845,10 @@ fn writer_thread(mut write: &TcpStream, rx: Receiver<Bytes>, shutdown_errors: Ar
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::encode_hello;
     use crate::workload;
-    use kalstream_core::wire::SyncMessage;
-    use kalstream_core::FrameBatch;
-    use kalstream_elastic::ControllerConfig;
+    use kalstream_core::wire::{SyncMessage, WireMessage};
+    use kalstream_core::{FrameBatch, SequentialIngest};
 
     fn tmp_dir(tag: &str) -> std::path::PathBuf {
         let dir =
@@ -871,7 +881,7 @@ mod tests {
                 "shards above the elastic range",
                 NetServerConfig {
                     shards: 5,
-                    elastic: Some(ElasticConfig::new(ControllerConfig::new(1, 4, 1.0), 5)),
+                    elastic: Some(ControllerConfig::new(1, 4, 1.0)),
                     ..NetServerConfig::default()
                 },
             ),
@@ -896,12 +906,13 @@ mod tests {
             let z = kalstream_linalg::Vector::from_slice(&[1.0]);
             hot.push(id, &SyncMessage::Measurement { z });
         }
-        // Four frames a tick against capacity 1: grows at the first sample.
-        let mut controller = ControllerConfig::new(1, 4, 1.0);
-        controller.grow_after = 1;
-        for (snapshot_every, elastic) in
-            [(2, None), (1000, Some(ElasticConfig::new(controller, 2)))]
-        {
+        // Four frames a tick against capacity 1 is over the band at every
+        // sample, so the controller grows at its second sample.
+        let first_grow = 2 * kalstream_elastic::SAMPLE_EVERY;
+        for (snapshot_every, elastic, failing_tick) in [
+            (2, None, 2),
+            (1000, Some(ControllerConfig::new(1, 4, 1.0)), first_grow),
+        ] {
             let dir = tmp_dir("store-failure");
             let config = NetServerConfig {
                 durable: Some(DurableConfig {
@@ -914,9 +925,62 @@ mod tests {
             let mut engine = Engine::start(workload::server_endpoints(4), &config).unwrap();
             engine.ingest_tick(hot.as_bytes()).expect("WAL append");
             std::fs::remove_dir_all(&dir).unwrap();
+            for tick in 2..failing_tick {
+                engine
+                    .ingest_tick(hot.as_bytes())
+                    .unwrap_or_else(|err| panic!("tick {tick} needs no snapshot: {err}"));
+            }
             let err = engine.ingest_tick(hot.as_bytes()).expect_err("snapshot");
             assert_eq!(err.kind(), io::ErrorKind::NotFound);
             assert_eq!(engine.pipeline.shards(), 1, "failed resize not executed");
         }
+    }
+
+    /// Feedback for a stream no connection claims is shed and counted: a
+    /// client that claims stream 0 of two sends a sequenced sync for
+    /// stream 1, whose ack has nowhere to go.
+    #[test]
+    fn feedback_for_an_unclaimed_stream_is_counted() {
+        let server = NetServer::start(
+            "127.0.0.1:0",
+            workload::server_endpoints(2),
+            NetServerConfig::default(),
+        )
+        .expect("bind");
+        let mut batch = FrameBatch::new();
+        let sync = WireMessage::Sync {
+            seq: Some(1),
+            msg: SyncMessage::Measurement {
+                z: kalstream_linalg::Vector::from_slice(&[1.0]),
+            },
+        };
+        batch.push_raw(1, &sync.encode());
+        let mut conn = TcpStream::connect(server.addr()).expect("dial");
+        let mut wire = encode_hello(&[0]);
+        wire.extend_from_slice(batch.as_bytes());
+        push_marker(&mut wire);
+        conn.write_all(&wire).expect("hello and one tick");
+        conn.shutdown(Shutdown::Write).expect("shutdown");
+        conn.read_to_end(&mut Vec::new()).expect("drain");
+        let report = server.join().expect("serve");
+
+        assert_eq!(report.ticks, 1);
+        assert_eq!(report.unrouted_feedback, 1, "the ack is counted once");
+        assert_eq!(report.snapshot().counter("net.unrouted_feedback"), Some(1));
+        assert_eq!(report.conns[0].feedback_sent, 0);
+        assert_eq!(report.conns[0].shed, 0);
+        // Stream 0 saw only the tick's predict, exactly as a sequential
+        // ingest of the same tick leaves it.
+        let mut reference = SequentialIngest::new(workload::server_endpoints(2));
+        reference.ingest_tick(batch.as_bytes());
+        let reference = reference.finish();
+        let (id, served) = &report.ingest.endpoints[0];
+        assert_eq!(*id, 0);
+        assert_eq!(served.syncs_applied(), 0);
+        assert_eq!(
+            workload::endpoint_bits(served),
+            workload::endpoint_bits(&reference.endpoints[0].1)
+        );
+        assert_eq!(report.ingest.endpoints[1].1.syncs_applied(), 1);
     }
 }

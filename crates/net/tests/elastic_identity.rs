@@ -4,14 +4,16 @@
 //! converges to exactly the filter state the simulator's sequential
 //! reference produces — growth is invisible to the protocol. With
 //! durability hooked in as well, the same holds, and a crash mid-serve
-//! recovers into it bit-identically.
+//! recovers into it bit-identically. The controller reads only the frames
+//! offered, so the served decisions are exactly those of a replay of the
+//! recorded traffic.
 
 use std::io::{Read as _, Write as _};
 use std::net::{Shutdown, TcpStream};
 
-use kalstream_core::{FramingSink, IngestResult, SequentialIngest, TickIngest};
+use kalstream_core::{FramingSink, IngestPipeline, IngestResult, SequentialIngest, TickIngest};
 use kalstream_durable::DurableConfig;
-use kalstream_elastic::{ControllerConfig, ElasticConfig};
+use kalstream_elastic::{ControllerConfig, ElasticDriver, ResizeEvent, ResizeKind};
 use kalstream_net::codec::{decode_status, encode_hello, push_marker, STATUS_BYTES};
 use kalstream_net::{workload, ClientConfig, HelloStatus, NetReport, NetServer, NetServerConfig};
 use kalstream_sim::{run_fleet_ingest, LinkFaults};
@@ -38,11 +40,50 @@ fn reference() -> IngestResult {
 /// An eager controller: one frame per tick saturates a shard, so the
 /// canonical workload's offered load forces growth off the single initial
 /// shard within a couple of sample windows.
-fn eager_elastic() -> ElasticConfig {
-    let mut controller = ControllerConfig::new(1, 4, 1.0);
-    controller.grow_after = 2;
-    controller.cooldown = 1;
-    ElasticConfig::new(controller, 5)
+fn eager_elastic() -> ControllerConfig {
+    ControllerConfig::new(1, 4, 1.0)
+}
+
+/// Keeps each tick's framed batch as the sim's ingest mode emits it.
+struct Recorder(Vec<Vec<u8>>);
+
+impl TickIngest for Recorder {
+    fn ingest_tick(&mut self, wire: &[u8]) {
+        self.0.push(wire.to_vec());
+    }
+}
+
+/// The canonical fleet's framed per-tick log, recorded in sim ingest mode.
+fn traffic() -> Vec<Vec<u8>> {
+    let ids: Vec<u32> = (0..STREAMS).collect();
+    let mut recorder = FramingSink::new(Recorder(Vec::new()));
+    run_fleet_ingest(
+        &mut workload::source_streams(&ids),
+        TICKS,
+        OVERHEAD,
+        LinkFaults::default(),
+        &mut recorder,
+    );
+    recorder.into_inner().0
+}
+
+/// The recorded traffic replayed through a one-shard pipeline with
+/// [`eager_elastic`] hooked in after every tick: the resizes it executed
+/// and the shard count it ended on.
+fn replayed_resizes() -> (Vec<ResizeEvent>, usize) {
+    let log = traffic();
+    assert_eq!(log.len() as u64, TICKS);
+    let mut pipeline = IngestPipeline::start(1, workload::server_endpoints(STREAMS));
+    let mut driver = ElasticDriver::new(eager_elastic(), &mut pipeline);
+    for tick in &log {
+        pipeline.ingest_tick(tick);
+        driver
+            .after_tick(&mut pipeline, |pipeline, to| Ok(pipeline.reassign(to)))
+            .expect("volatile resize");
+    }
+    let shards = pipeline.shards();
+    pipeline.finish();
+    (driver.events().to_vec(), shards)
 }
 
 /// Serves the canonical fleet over `CONNS` lockstep connections under
@@ -126,6 +167,27 @@ fn elastic_tcp_fleet_grows_without_dropping_connections_and_stays_bit_identical(
     assert!(snap.gauge("net.elastic.final_shards").is_some());
 }
 
+/// Elastic decisions follow the traffic and nothing else: the fleet
+/// served over sockets grows and shrinks exactly as its recorded log does
+/// replayed through a pipeline and a driver with the same config.
+#[test]
+fn served_elastic_decisions_match_a_replay_of_the_traffic() {
+    let report = serve_fleet(NetServerConfig::default());
+    let served = report.elastic.as_ref().expect("elastic stats reported");
+    let (events, final_shards) = replayed_resizes();
+    let count = |kind: ResizeKind| events.iter().filter(|e| e.kind == kind).count() as u64;
+    assert!(count(ResizeKind::Grow) >= 1, "the replay grows: {events:?}");
+    assert_eq!(
+        (served.grows, served.shrinks, served.final_shards),
+        (
+            count(ResizeKind::Grow),
+            count(ResizeKind::Shrink),
+            final_shards
+        ),
+        "served decisions differ from the replay's {events:?}"
+    );
+}
+
 fn tmp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("kalstream-elastic-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -153,35 +215,24 @@ fn durable_elastic_tcp_fleet_resizes_and_stays_bit_identical() {
     let durable = report.durable.as_ref().expect("durable stats reported");
     // One snapshot per distinct barrier: genesis, every cadence barrier, the
     // final one (TICKS is not a multiple of 7) and every resize barrier. A
-    // resize on a barrier that already has its snapshot reuses it, and
-    // resizes run only at sample barriers, so those that can share one are
-    // the sample barriers that are cadence or final barriers too (35 and 60
-    // here); which samples resize depends on live queue depths.
-    let sample_every = eager_elastic().sample_every;
-    let shareable = (sample_every..=TICKS)
-        .step_by(sample_every as usize)
-        .filter(|&t| t % 7 == 0 || t == TICKS)
+    // resize on a barrier that already has its snapshot reuses it. The
+    // resizes are those of a replay of the traffic.
+    let (events, _) = replayed_resizes();
+    assert_eq!(resizes, events.len() as u64);
+    let own_barrier = events
+        .iter()
+        .filter(|e| e.tick % 7 != 0 && e.tick != TICKS)
         .count() as u64;
-    let base = 2 + TICKS / 7;
-    assert!(
-        (base + resizes.saturating_sub(shareable)..=base + resizes)
-            .contains(&durable.snapshots_written.get()),
-        "every resize barrier has a snapshot: {durable:?} vs {elastic:?}"
+    assert_eq!(
+        durable.snapshots_written.get(),
+        2 + TICKS / 7 + own_barrier,
+        "every resize barrier has a snapshot: {durable:?} vs {events:?}"
     );
     assert!(
         workload::ingest_identical(&report.ingest, &reference()),
         "durable elastic TCP fleet diverged from the sequential sim reference"
     );
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Keeps each tick's framed batch as the sim's ingest mode emits it.
-struct Recorder(Vec<Vec<u8>>);
-
-impl TickIngest for Recorder {
-    fn ingest_tick(&mut self, wire: &[u8]) {
-        self.0.push(wire.to_vec());
-    }
 }
 
 /// Dials `server`, claims the whole fleet, checks the hello status, and
@@ -213,16 +264,7 @@ fn replay(server: &NetServer, want_status: HelloStatus, ticks: &[Vec<u8>]) -> Tc
 #[test]
 fn durable_elastic_server_crash_recovers_bit_identically() {
     let kill = 23u64;
-    let ids: Vec<u32> = (0..STREAMS).collect();
-    let mut recorder = FramingSink::new(Recorder(Vec::new()));
-    run_fleet_ingest(
-        &mut workload::source_streams(&ids),
-        TICKS,
-        OVERHEAD,
-        LinkFaults::default(),
-        &mut recorder,
-    );
-    let traffic = recorder.into_inner().0;
+    let traffic = traffic();
 
     let dir = tmp_dir("durable-crash");
     let config = NetServerConfig {

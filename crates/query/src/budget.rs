@@ -21,7 +21,7 @@ pub fn split_budget_uniform(k: usize, total: f64, cap: Option<f64>) -> Vec<f64> 
 
 /// Weighted split: divides the budget in *inverse* proportion to stream
 /// weights, so important streams (higher weight, matching the
-/// [`kalstream_core::FleetController`] convention "higher = keep tighter")
+/// [`kalstream_core::StreamDemand`] weight convention "higher = keep tighter")
 /// get the tighter bounds: `δᵢ = total · (1/wᵢ) / Σⱼ (1/wⱼ)`, capped at
 /// `cap` if the aggregate imposes one. With equal weights this is exactly
 /// [`split_budget_uniform`].

@@ -10,7 +10,7 @@ use kalstream::core::{
     IngestPipeline, ProtocolConfig, SequentialIngest, ServerEndpoint, SessionSpec, StreamSession,
 };
 use kalstream::durable::{Durability, DurableStore};
-use kalstream::elastic::{ControllerConfig, ElasticConfig, ElasticDriver, ResizeKind};
+use kalstream::elastic::{ControllerConfig, ElasticDriver, ResizeKind, SAMPLE_EVERY};
 use kalstream::net::workload;
 use kalstream::sim::{run_fleet_ingest, IngestSink, LinkFaults};
 
@@ -104,16 +104,6 @@ fn sequential_bits(endpoints: Vec<(u32, ServerEndpoint)>, log: &[Vec<u8>]) -> Ve
     fleet_bits(&seq.finish())
 }
 
-fn elastic_config(min: usize, max: usize) -> ElasticConfig {
-    let mut controller = ControllerConfig::new(min, max, 3.0);
-    controller.grow_after = 2;
-    controller.shrink_after = 2;
-    controller.cooldown = 1;
-    let mut config = ElasticConfig::new(controller, 5);
-    config.use_queue_signal = false; // deterministic decisions
-    config
-}
-
 /// A `shards`-shard pipeline driven through `log` with the `[1, 4]`
 /// controller hooked in after every tick.
 fn run_elastic(
@@ -122,7 +112,7 @@ fn run_elastic(
     log: &[Vec<u8>],
 ) -> (IngestPipeline, ElasticDriver) {
     let mut pipeline = IngestPipeline::start(shards, servers);
-    let mut elastic = ElasticDriver::new(elastic_config(1, 4), &mut pipeline);
+    let mut elastic = ElasticDriver::new(ControllerConfig::new(1, 4, 3.0), &mut pipeline);
     for tick in log {
         pipeline.ingest_tick(tick);
         elastic
@@ -196,9 +186,8 @@ fn controller_shrinks_to_the_single_shard_floor_on_quiet_load() {
 /// the thrash guard, observed end to end.
 #[test]
 fn sawtooth_load_never_resizes_through_the_driver() {
-    let sample_every = 5u64;
     let active = move |t: u64| -> u32 {
-        if (t / sample_every).is_multiple_of(2) {
+        if (t / SAMPLE_EVERY).is_multiple_of(2) {
             12
         } else {
             1
