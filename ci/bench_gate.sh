@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Bench-regression lane: run the allocation smoke gate plus the kernel and
-# ingest checks in CI-sized configurations, then hold every fresh artifact
+# Bench-regression lane: run the allocation smoke gate plus the ingest
+# check in a CI-sized configuration, then hold every fresh artifact
 # to the committed baseline with check_regression (exact canaries, zero
 # counters, identities, absolute floors — no tolerance, no wall clock; the
 # gate table is picked by the artifacts' own "schema"). Throughput and
@@ -26,15 +26,6 @@ json_num() {
 echo "==> bench_smoke (allocation gate)"
 cargo run --release -q -p kalstream-bench --bin bench_smoke -- \
     --metrics-out "$ART/bench_smoke.metrics.json"
-
-echo "==> bench_kernels (full scale: canary fleet and batch identity, under a second)"
-cargo run --release -q -p kalstream-bench --bin bench_kernels -- \
-    --out "$ART/bench_kernels.json" --metrics-out "$ART/bench_kernels.metrics.json"
-
-echo "==> check_regression BENCH_kernels.json"
-cargo run --release -q -p kalstream-bench --bin check_regression -- \
-    --baseline BENCH_kernels.json --current "$ART/bench_kernels.json" \
-    ${SUMMARY[@]+"${SUMMARY[@]}"}
 
 echo "==> bench_ingest --quick (reduced scale, full gates)"
 cargo run --release -q -p kalstream-bench --bin bench_ingest -- \
@@ -70,7 +61,6 @@ if [[ -n "${GITHUB_STEP_SUMMARY:-}" ]]; then
         echo ""
         echo "| metric | value |"
         echo "|---|---:|"
-        echo "| fleet_total_messages | $(json_num "$ART/bench_kernels.json" fleet_total_messages) |"
         echo "| ingest messages (quick shape) | $(json_num "$ART/bench_ingest.json" messages) |"
         echo "| ingest packed_bytes (quick shape) | $(json_num "$ART/bench_ingest.json" packed_bytes) |"
         echo "| q3 savings_fraction | $(json_num "$ART/exp_q3_query_graph.metrics.json" gate.savings_fraction) |"

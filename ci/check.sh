@@ -36,9 +36,19 @@ if grep -rnwE 'use_queue_signal|max_queue_depth|ElasticConfig|grow_after|shrink_
     echo "a deleted controller setting, input or round is back: the control loops read the traffic and nothing else" >&2
     exit 1
 fi
-# bench_kernels times nothing; only the `cargo bench` micro-benchmarks use criterion.
+# Only the `cargo bench` micro-benchmarks use criterion.
 if sed -n '/^\[dependencies\]/,/^\[/p' crates/bench/Cargo.toml | grep -n '^criterion'; then
     echo "crates/bench/Cargo.toml makes criterion a regular dependency again; it is a dev-dependency of the benches" >&2
+    exit 1
+fi
+
+echo "==> one gate per fact: no kernel check beside bench_smoke, tables_gate and batch_equivalence"
+# Allocation-free hot paths are bench_smoke's, fleet determinism is the F7
+# table's and batch lanes = scalar filter is batch_equivalence's. This file
+# is the one place the deleted names may appear.
+if grep -rnE 'bench_kernels|bench-kernels|fleet_batch|run_fleet_batch|BENCH_kernels' \
+    crates src tests examples ci .cargo .github --exclude=check.sh; then
+    echo "a deleted kernel-check item is back: each fact has one gate" >&2
     exit 1
 fi
 

@@ -153,28 +153,7 @@ pub fn run_method_observed<O: TickObserver + ?Sized>(
     seed: u64,
     observer: &mut O,
 ) -> MethodRun {
-    let mut stream = make_stream(family, seed);
-    let dim = stream.dim();
-    // Prime with the first sample so model-based policies start near the
-    // signal instead of paying artificial lock-in messages.
-    let first = stream.next_sample();
-    let (mut producer, mut consumer) = build_policy(policy, dim, delta, &first.observed);
-    let config = SessionConfig::instant(ticks, delta);
-    let mut first_pending = Some(first);
-    let report = Session::run(
-        &config,
-        move |obs, tru| {
-            if let Some(f) = first_pending.take() {
-                obs[..dim].copy_from_slice(&f.observed);
-                tru[..dim].copy_from_slice(&f.truth);
-            } else {
-                stream.next_into(obs, tru);
-            }
-        },
-        producer.as_mut(),
-        consumer.as_mut(),
-        observer,
-    );
+    let report = run_on_stream(policy, make_stream(family, seed), delta, ticks, observer);
     MethodRun {
         policy,
         family,
@@ -194,6 +173,8 @@ pub fn run_on_stream<O: TickObserver + ?Sized>(
     observer: &mut O,
 ) -> SessionReport {
     let dim = stream.dim();
+    // Prime with the first sample so model-based policies start near the
+    // signal instead of paying artificial lock-in messages.
     let first = stream.next_sample();
     let (mut producer, mut consumer) = build_policy(policy, dim, delta, &first.observed);
     let config = SessionConfig::instant(ticks, delta);

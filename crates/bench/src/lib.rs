@@ -28,7 +28,6 @@
 #![deny(unsafe_code)]
 
 pub mod alloc_count;
-pub mod fleet_batch;
 pub mod harness;
 pub mod metrics_out;
 pub mod query_drive;

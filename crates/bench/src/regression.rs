@@ -53,14 +53,6 @@ pub enum Rule {
 /// an optional one only one side carries) fails on a missing key.
 pub type Row = (&'static str, Rule);
 
-const KERNELS_FLEET: &[&str] = &["fleet_streams", "fleet_ticks"];
-const KERNELS: &[Row] = &[
-    ("allocs_per_tick", Rule::Exact(&[])),
-    ("allocs_per_filter_step", Rule::Exact(&[])),
-    ("fleet_total_messages", Rule::Exact(KERNELS_FLEET)),
-    ("batch_matches_scalar", Rule::AllTrue),
-];
-
 const INGEST_LOG: &[&str] = &["streams", "log_ticks"];
 const INGEST: &[Row] = &[
     ("bit_identical", Rule::AllTrue),
@@ -89,8 +81,8 @@ const DURABLE: &[Row] = &[
     ("syncs_final", Rule::Exact(DURABLE_SWEEP)),
 ];
 
-// The experiment disables the timing-dependent queue signal precisely so
-// that its decisions are exact.
+// The controller reads only the offered traffic, so its decisions on a
+// seeded sweep are exact.
 const ELASTIC_SWEEP: &[&str] = &[
     "streams",
     "ticks",
@@ -126,10 +118,9 @@ const QUERY: &[Row] = &[
 ];
 
 /// The gate table of every artifact schema, by `"schema"` string:
-/// `bench_kernels`, `bench_ingest`, `bench_net`, `exp_crash_recovery --out`,
+/// `bench_ingest`, `bench_net`, `exp_crash_recovery --out`,
 /// `exp_elastic_scaling --out`, and the `exp_q* --metrics-out` snapshots.
 pub const SCHEMAS: &[(&str, &[Row])] = &[
-    ("bench_kernels/v1", KERNELS),
     ("bench_ingest/v1", INGEST),
     ("bench_net/v1", NET),
     ("durable/v1", DURABLE),
@@ -386,9 +377,8 @@ pub fn evaluate(baseline_doc: &str, current_doc: &str) -> Result<GateReport, Str
 mod tests {
     use super::*;
 
-    /// The committed baselines: the five structured ones, then Q1–Q3.
-    const BASELINES: [&str; 8] = [
-        include_str!("../../../BENCH_kernels.json"),
+    /// The committed baselines: the four structured ones, then Q1–Q3.
+    const BASELINES: [&str; 7] = [
         include_str!("../../../BENCH_ingest.json"),
         include_str!("../../../BENCH_net.json"),
         include_str!("../../../BENCH_durable.json"),
@@ -478,19 +468,15 @@ mod tests {
     #[test]
     fn a_shape_change_is_a_notice_and_fails_when_it_leaves_no_exact_row_armed() {
         for doc in BASELINES {
-            let rows = rows_of(doc);
-            let unguarded = rows.iter().any(|(_, rule, _)| *rule == Rule::Exact(&[]));
-            for (key, rule, _) in &rows {
+            for (key, rule, _) in rows_of(doc) {
                 let Rule::Exact(shape) = rule else { continue };
-                for shape_key in *shape {
+                for shape_key in shape {
                     let reshaped = set_numbers(doc, shape_key, number(doc, shape_key) + 1.0);
                     let report = evaluate(doc, &reshaped).expect("same schema");
-                    let row = report.checks.iter().find(|c| c.name == *key);
+                    let row = report.checks.iter().find(|c| c.name == key);
                     assert!(row.is_some_and(|c| c.ok && c.rule.starts_with("NOTICE")));
-                    // Fails unless an unguarded Exact row (kernels) stays armed.
-                    let vacuous = ["exact rows armed"];
-                    let expected = &vacuous[usize::from(unguarded)..];
-                    assert_eq!(failing(doc, &reshaped), expected, "{shape_key}");
+                    // Every guarded Exact row of a table shares its shape.
+                    assert_eq!(failing(doc, &reshaped), ["exact rows armed"], "{shape_key}");
                 }
             }
         }
@@ -498,7 +484,7 @@ mod tests {
 
     #[test]
     fn a_quick_run_is_held_to_the_quick_shape_record() {
-        for doc in &BASELINES[1..3] {
+        for doc in &BASELINES[..2] {
             let quick = json_section(doc, "quick_shape").expect("ingest and net record one");
             let mut current = doc.replacen('{', "{\n  \"quick\": true,", 1);
             for key in json_keys_with_suffix(quick, "") {
@@ -521,16 +507,16 @@ mod tests {
 
     #[test]
     fn incomparable_documents_are_an_error_not_a_verdict() {
-        let kernels = BASELINES[0];
-        assert!(evaluate(kernels, BASELINES[1]).is_err(), "schemas differ");
-        assert!(evaluate("{}", kernels).is_err() && evaluate(kernels, "{}").is_err());
-        let unknown = kernels.replace("bench_kernels/v1", "bench_kernels/v9");
+        let ingest = BASELINES[0];
+        assert!(evaluate(ingest, BASELINES[1]).is_err(), "schemas differ");
+        assert!(evaluate("{}", ingest).is_err() && evaluate(ingest, "{}").is_err());
+        let unknown = ingest.replace("bench_ingest/v1", "bench_ingest/v9");
         assert!(evaluate(&unknown, &unknown).is_err(), "no table for it");
     }
 
     #[test]
     fn structured_baselines_carry_no_line_the_gate_does_not_read() {
-        for doc in &BASELINES[..5] {
+        for doc in &BASELINES[..4] {
             let rows = rows_of(doc);
             let mut read: Vec<&str> = rows.iter().map(|(key, _, _)| key.as_str()).collect();
             for (_, rule, _) in &rows {
@@ -551,7 +537,7 @@ mod tests {
 
     #[test]
     fn text_and_markdown_renderings_carry_every_row_and_the_verdict() {
-        let elastic = BASELINES[4];
+        let elastic = BASELINES[3];
         let report = evaluate(elastic, elastic).expect("same schema");
         assert!(report.render().contains("check-regression: PASS"));
         let md = report.render_markdown("check-regression BENCH_elastic.json");
@@ -567,10 +553,9 @@ mod tests {
 
     #[test]
     fn extractors_read_first_numbers_all_bools_sections_and_suffixes() {
-        let [kernels, ingest, _, _, _, _, q2, _] = BASELINES;
-        assert_eq!(json_number(kernels, "schema"), None); // a string, not a number
-        assert_eq!(json_string(kernels, "schema"), Some("bench_kernels/v1"));
-        assert_eq!(json_number(kernels, "fleet_total_messages"), Some(73977.0));
+        let [ingest, _, _, _, _, q2, _] = BASELINES;
+        assert_eq!(json_number(ingest, "schema"), None); // a string, not a number
+        assert_eq!(json_string(ingest, "schema"), Some("bench_ingest/v1"));
         assert_eq!(json_bools(ingest, "bit_identical"), vec![true; 4]);
         let quick = json_section(ingest, "quick_shape").expect("quick record");
         assert_eq!(json_number(quick, "messages"), Some(7978.0));

@@ -40,10 +40,10 @@
 //! (truncation, trailing bytes, unknown tag, reserved flags, the dimension
 //! limit); the source encodes into a buffer it owns and hands out views of
 //! it, the frame layer hands views of the tick buffer to the endpoints, the
-//! endpoints queue the viewed bytes and apply them from the queue — nothing
-//! in between builds a `Vector` or a `Matrix`. The owned [`SyncMessage`] /
-//! [`WireMessage`] are the value types tests, snapshots and diagnostics
-//! hold; [`SyncMessage::decode`] is `SyncRef::parse(..)?.to_owned()`.
+//! endpoints apply each view as it arrives — nothing in between builds a
+//! `Vector` or a `Matrix`. The owned [`SyncMessage`] / [`WireMessage`] are
+//! the value types tests, snapshots and diagnostics hold;
+//! [`SyncMessage::decode`] is `SyncRef::parse(..)?.to_owned()`.
 //!
 //! **The dimension limit.** No `Vector` or `Matrix` is wider than
 //! [`DIM_CAP`], and `parse` is where bytes from a peer or a snapshot file

@@ -257,9 +257,9 @@ impl DurableStore {
     /// snapshot (a store that never reached its first barrier).
     ///
     /// Corrupt snapshot files are skipped (counted) and recovery falls
-    /// back to the next older one; WAL records before the chosen barrier
-    /// are ignored, and the first gap, CRC failure, or torn tail ends the
-    /// replayable suffix (counted).
+    /// back to the next older one; only WAL segments starting at or after
+    /// the chosen barrier are read, and the first gap, CRC failure, or torn
+    /// tail among them ends the replayable suffix (counted).
     pub fn recover(&mut self) -> io::Result<Option<Recovery>> {
         let started = Instant::now();
         let snaps = list_numbered(&self.dir, "snap-", ".ks")?;
@@ -287,33 +287,32 @@ impl DurableStore {
                 .set(started.elapsed().as_secs_f64() * 1e3);
             return Ok(None);
         };
-        // Roll the WAL forward from the barrier: all segments in order,
-        // skipping records below it, demanding contiguity above it.
+        // Roll the WAL forward from the barrier, demanding contiguity. Every
+        // snapshot rotates the WAL, so the ticks after the barrier live only
+        // in segments starting at or after it; an older segment retention
+        // keeps belongs to the predecessor, and its tail (torn or not) is
+        // not this suffix's.
         let mut wal: Vec<(u64, Vec<u8>)> = Vec::new();
         let mut next = snapshot_ticks;
-        let mut broken = false;
-        for (start, path) in list_numbered(&self.dir, "wal-", ".log")? {
-            if broken {
-                break;
-            }
-            let read = read_segment(&path)?;
+        let segments = list_numbered(&self.dir, "wal-", ".log")?;
+        'segments: for (_, path) in segments
+            .iter()
+            .filter(|(start, _)| *start >= snapshot_ticks)
+        {
+            let read = read_segment(path)?;
             for (tick, payload) in read.records {
-                if tick < next {
-                    continue; // before the barrier (an unpruned older segment)
-                }
                 if tick != next {
-                    broken = true; // gap: nothing after it is trustworthy
+                    // A gap: nothing after it is trustworthy.
                     self.stats.torn_records += 1;
-                    break;
+                    break 'segments;
                 }
                 wal.push((tick, payload));
                 next += 1;
             }
             if read.torn > 0 {
                 self.stats.torn_records += read.torn;
-                broken = true;
+                break;
             }
-            let _ = start;
         }
         self.stats.replay_ticks += wal.len() as u64;
         self.stats

@@ -192,6 +192,20 @@ fn double_crash_recovers_bit_identically() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Tears the open segment's tail: chops bytes off its last record, as a
+/// crash mid-write would.
+fn tear_open_segment(dir: &std::path::Path) {
+    let mut segments: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.file_name().unwrap().to_str().unwrap().starts_with("wal-"))
+        .collect();
+    segments.sort();
+    let tail = segments.last().expect("open segment exists");
+    let bytes = std::fs::read(tail).unwrap();
+    std::fs::write(tail, &bytes[..bytes.len() - 3]).unwrap();
+}
+
 #[test]
 fn torn_wal_tail_is_discarded_and_refed_ticks_reconverge() {
     let ticks = traffic();
@@ -205,18 +219,7 @@ fn torn_wal_tail_is_discarded_and_refed_ticks_reconverge() {
     run_durable(&mut durable, &mut inner, &ticks[..13]);
     drop((durable, inner));
 
-    // Tear the open segment's tail: chop bytes off the last record, as a
-    // crash mid-write would.
-    let mut segments: Vec<_> = std::fs::read_dir(&dir)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.file_name().unwrap().to_str().unwrap().starts_with("wal-"))
-        .collect();
-    segments.sort();
-    let tail = segments.last().expect("open segment exists");
-    let bytes = std::fs::read(tail).unwrap();
-    std::fs::write(tail, &bytes[..bytes.len() - 3]).unwrap();
-
+    tear_open_segment(&dir);
     let mut store = DurableStore::open(&dir).expect("reopen");
     let rec = store.recover().expect("io").expect("snapshot");
     // The torn record is tick 12 (never "applied" as far as disk knows):
@@ -228,6 +231,56 @@ fn torn_wal_tail_is_discarded_and_refed_ticks_reconverge() {
     let mut durable = durable_at(store, &inner, rec.next_tick());
     // The client re-sends from tick 12 (ack/timeout recovery): re-feed it.
     run_durable(&mut durable, &mut inner, &ticks[12..]);
+    assert_eq!(fleet_bits(&inner.finish().endpoints), reference);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_crash_after_a_torn_recovery_keeps_the_ticks_applied_since() {
+    // Tear tick 12 and recover: the compaction snapshot lands at 12, and
+    // retention keeps the torn segment (it starts at barrier 10, the
+    // predecessor's). Ticks 12 and 13 go into a fresh segment; a second
+    // crash before the next cadence barrier must not lose them to the
+    // old tear below the barrier.
+    let ticks = traffic();
+    let reference = reference_bits(&ticks);
+    let dir = tmp_dir("torn-twice");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let store = DurableStore::open(&dir).expect("open");
+    let mut inner = SequentialIngest::new(endpoints());
+    let mut durable = durable_at(store, &inner, 0);
+    run_durable(&mut durable, &mut inner, &ticks[..13]);
+    drop((durable, inner));
+    tear_open_segment(&dir);
+
+    let mut store = DurableStore::open(&dir).expect("reopen");
+    let rec = store.recover().expect("io").expect("snapshot");
+    assert_eq!(rec.next_tick(), 12);
+    let mut inner = SequentialIngest::new(rec.endpoints().expect("rebuild"));
+    rec.replay_into(&mut inner);
+    let mut durable = durable_at(store, &inner, rec.next_tick());
+    run_durable(&mut durable, &mut inner, &ticks[12..14]);
+    drop((durable, inner)); // second crash, off the cadence
+
+    let mut store = DurableStore::open(&dir).expect("reopen 2");
+    let rec = store.recover().expect("io").expect("snapshot");
+    assert_eq!(rec.snapshot_ticks, 12, "the compaction barrier");
+    assert_eq!(
+        rec.next_tick(),
+        14,
+        "ticks 12 and 13 were applied and acked"
+    );
+    assert_eq!(
+        store.stats().torn_records.get(),
+        0,
+        "the old tear is below the barrier"
+    );
+    let mut inner = SequentialIngest::new(rec.endpoints().expect("rebuild"));
+    rec.replay_into(&mut inner);
+    for wire in &ticks[14..] {
+        inner.ingest_tick(wire);
+    }
     assert_eq!(fleet_bits(&inner.finish().endpoints), reference);
     let _ = std::fs::remove_dir_all(&dir);
 }

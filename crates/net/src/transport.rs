@@ -247,8 +247,7 @@ impl Transport for TcpTransport {
             // connection died: drain and discard, then reconnect. Frames
             // scheduled for later ticks are still in the sender's queue
             // and survive, like any buffered-but-unsent data would.
-            let lost: usize = self.forward.deliver(now).count();
-            let _ = lost;
+            self.forward.deliver(now).for_each(drop);
             let fresh = establish(&self.listener).expect("reconnect failed");
             // The old pair drops here: both sockets close, and unread
             // bytes are gone for good.

@@ -191,9 +191,9 @@ fn lockstep_crash_with_snapshot_roundtrip_is_invisible_and_violation_free() {
         if [17, 63, 64, 155].contains(&now) {
             for stream in streams {
                 // A crash is a snapshot round-trip: capture the full
-                // protocol state (filter triplet, pending queue, seq/ack
-                // tracker) and rebuild the endpoint from it — exactly what
-                // the durable store does across a real process death.
+                // protocol state (filter triplet, seq/ack tracker) and
+                // rebuild the endpoint from it — exactly what the durable
+                // store does across a real process death.
                 stream.consumer = ServerEndpoint::from_state(stream.consumer.state()).unwrap();
                 rebuilds += 1;
             }
