@@ -52,6 +52,27 @@ if grep -rnE 'bench_kernels|bench-kernels|fleet_batch|run_fleet_batch|BENCH_kern
     exit 1
 fi
 
+echo "==> one update per filter; the filter tunings no caller varies are constants"
+# `KalmanFilter`, `AdaptiveKalmanFilter` and `ModelBank` each have one
+# update, returning `UpdateStats`; nu and S stay with the crate-internal
+# `update_with` reader. `AdaptiveConfig` holds the window and `adapt_q`;
+# the R floor, Q step, NIS band and Q-scale clamp (adaptive.rs) and the
+# bank's decay, margin, dwell and penalty (bank.rs) are constants. The
+# field names are caught as a struct field (`name:`) or a field read
+# (`.name` not followed by `(`), so the proptest oracle's `fn adapt_r`
+# method passes.
+if grep -rnwE 'UpdateOutcome|update_lean|update_lean_slice|step_lean|BankConfig' \
+    crates src tests examples --exclude=check.sh; then
+    echo "a lean update twin, UpdateOutcome or BankConfig is back: each filter has one update and the bank has no config" >&2
+    exit 1
+fi
+tunings='adapt_r|r_floor|q_step|nis_band|q_scale_bounds|min_dwell|switch_margin|complexity_penalty'
+if grep -rnE "\b($tunings)[[:space:]]*:([^:]|\$)|\.($tunings)([^(_[:alnum:]]|\$)" \
+    crates src tests examples --exclude=check.sh; then
+    echo "a filter tuning no caller varies is a setting again: it is a constant in adaptive.rs or bank.rs" >&2
+    exit 1
+fi
+
 echo "==> one representation of Matrix and Vector: inline, capped at DIM_CAP, checked once at the wire"
 if grep -rnwE 'SmallBuf|heap_fallbacks|MATRIX_INLINE_CAP|VECTOR_INLINE_CAP|MAX_ELEMS' \
     crates src tests examples; then

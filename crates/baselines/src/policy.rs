@@ -134,9 +134,8 @@ fn kalman_spec(kind: PolicyKind, dim: usize, x0: &[f64], config: ProtocolConfig)
                 Vector::from_slice(&[x0[0], 0.0, x0[1], 0.0]),
                 10.0,
                 AdaptiveConfig {
-                    adapt_q: false,
                     window: 128,
-                    ..Default::default()
+                    adapt_q: false,
                 },
                 config,
             )
@@ -165,9 +164,8 @@ fn kalman_spec(kind: PolicyKind, dim: usize, x0: &[f64], config: ProtocolConfig)
             Vector::from_slice(&[x0[0], 0.0, x0[1], 0.0]),
             10.0,
             AdaptiveConfig {
-                adapt_q: false,
                 window: 128,
-                ..Default::default()
+                adapt_q: false,
             },
             config,
         )

@@ -19,7 +19,7 @@ use kalstream_bench::table::{fmt_f, Table};
 use kalstream_bench::MetricsOut;
 use kalstream_core::{ProtocolConfig, SessionSpec};
 use kalstream_filter::fit::fit_scalar_model;
-use kalstream_filter::{models, BankConfig, KalmanFilter};
+use kalstream_filter::{models, KalmanFilter};
 use kalstream_linalg::Vector;
 use kalstream_sim::SessionConfig;
 
@@ -84,7 +84,6 @@ fn main() {
         .unwrap();
         let bank_msgs = run(SessionSpec::bank(
             vec![walk_kf, fitted_kf],
-            BankConfig::default(),
             ProtocolConfig::new(delta).unwrap(),
         )
         .unwrap());

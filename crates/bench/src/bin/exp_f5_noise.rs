@@ -50,9 +50,8 @@ fn run_kalman_cv(sigma_v: f64, adaptive: bool) -> kalstream_sim::SessionReport {
             Vector::zeros(2),
             1.0,
             AdaptiveConfig {
-                adapt_q: false,
                 window: 64,
-                ..Default::default()
+                adapt_q: false,
             },
             config,
         )

@@ -32,10 +32,10 @@ impl Estimator {
     pub fn step(&mut self, z: &Vector) -> Result<()> {
         match self {
             Estimator::Fixed(kf) => {
-                kf.step_lean(z)?;
+                kf.step(z)?;
             }
             Estimator::Adaptive(akf) => {
-                akf.step_lean(z)?;
+                akf.step(z)?;
             }
             Estimator::Bank(bank) => {
                 bank.step(z)?;
@@ -100,7 +100,7 @@ impl Estimator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kalstream_filter::{models, AdaptiveConfig, BankConfig};
+    use kalstream_filter::{models, AdaptiveConfig};
 
     fn z(v: f64) -> Vector {
         Vector::from_slice(&[v])
@@ -138,7 +138,7 @@ mod tests {
             1.0,
         )
         .unwrap();
-        let mut e = Estimator::Bank(ModelBank::new(vec![walk, cv], BankConfig::default()).unwrap());
+        let mut e = Estimator::Bank(ModelBank::new(vec![walk, cv]).unwrap());
         assert_eq!(e.active_model().name(), "random_walk");
         for t in 0..300 {
             e.step(&z(t as f64)).unwrap();
@@ -162,7 +162,7 @@ mod tests {
                 kf.clone(),
                 AdaptiveConfig::default(),
             )),
-            Estimator::Bank(ModelBank::new(vec![kf.clone()], BankConfig::default()).unwrap()),
+            Estimator::Bank(ModelBank::new(vec![kf.clone()]).unwrap()),
         ] {
             e.predict().unwrap();
             assert_eq!(e.active().state(), want.state());

@@ -153,7 +153,8 @@ pub struct ShardReport {
     /// Frames addressed to a stream this shard has never heard of.
     pub unknown_streams: u64,
     /// Sequenced syncs dropped as stale/duplicate across this shard's
-    /// endpoints (the v3 delivery layer's gap/duplicate detection).
+    /// endpoints during this worker lifetime (the v3 delivery layer's
+    /// gap/duplicate detection; each endpoint keeps its whole count).
     pub stale_drops: u64,
     /// Seconds this shard spent *on CPU* (decoding + advancing endpoints),
     /// excluding time blocked on its queue — per-thread CPU time from
@@ -279,6 +280,10 @@ pub(crate) struct Shard {
     due: Vec<u64>,
     decoder: FrameDecoder,
     feedback: Option<Sender<(u32, Bytes)>>,
+    /// The streams' summed stale drops when the shard took them over: a
+    /// protocol half carries its count across hand-overs, and the report
+    /// counts this worker lifetime's drops only.
+    stale_at_start: u64,
     report: ShardReport,
 }
 
@@ -311,6 +316,7 @@ impl Shard {
             lanes.push(&ep.filter);
             streams.push((*id, std::mem::take(&mut ep.protocol)));
         }
+        let stale_at_start = streams.iter().map(|(_, h)| h.delivery.stale_drops).sum();
         Shard {
             lanes,
             due: {
@@ -327,6 +333,7 @@ impl Shard {
             index,
             decoder: FrameDecoder::new(),
             feedback,
+            stale_at_start,
         }
     }
 
@@ -418,7 +425,8 @@ impl Shard {
         let mut report = self.report;
         report.decode_failures = self.decoder.decode_failures();
         let streams = self.streams.iter();
-        report.stale_drops = streams.map(|(_, half)| half.delivery.stale_drops).sum();
+        let stale: u64 = streams.map(|(_, half)| half.delivery.stale_drops).sum();
+        report.stale_drops = stale - self.stale_at_start;
         report.busy_secs = cpu_secs.unwrap_or(report.tick_ns.sum() as f64 / 1e9);
         let streams = self.streams.into_iter().enumerate();
         let endpoints = streams.map(|(slot, (id, protocol))| {
@@ -1582,5 +1590,56 @@ mod tests {
             );
             assert_eq!(ep0.delivery().stale_drops, 2);
         }
+    }
+
+    #[test]
+    fn a_resize_counts_each_stale_drop_once() {
+        // Stream 0 re-sends seq 1 every tick: five stale drops in six
+        // ticks. A worker generation reports the drops of its own
+        // lifetime, so the generations a resize makes sum to the same five
+        // as one sequential shard (the endpoints carry the whole count).
+        let config = ProtocolConfig::new(0.25)
+            .unwrap()
+            .with_ack_timeout(4)
+            .unwrap();
+        let servers: Vec<(u32, ServerEndpoint)> = (0..4)
+            .map(|id| {
+                let spec = SessionSpec::default_scalar(0.0, config.clone()).unwrap();
+                (id, spec.build().server)
+            })
+            .collect();
+        let ticks: Vec<Vec<u8>> = (1..=6u64)
+            .map(|t| {
+                let mut batch = FrameBatch::new();
+                for id in 0..4u32 {
+                    let seq = if id == 0 { 1 } else { t };
+                    let body = crate::wire::WireMessage::Sync {
+                        seq: Some(seq),
+                        msg: SyncMessage::Measurement {
+                            z: kalstream_linalg::Vector::from_slice(&[t as f64]),
+                        },
+                    }
+                    .encode();
+                    batch.push_raw(id, &body);
+                }
+                batch.into_buffer().to_vec()
+            })
+            .collect();
+        let mut seq = SequentialIngest::new(servers.clone());
+        let mut pipe = IngestPipeline::start(2, servers);
+        for (t, wire) in ticks.iter().enumerate() {
+            if t == 3 {
+                pipe.reassign(1);
+            }
+            seq.ingest_tick(wire);
+            pipe.ingest_tick(wire);
+        }
+        let (seq, pipe) = (seq.finish(), pipe.finish());
+        let stale = |r: &IngestResult| r.shards.iter().map(|s| s.stale_drops).sum::<u64>();
+        assert_eq!((seq.total_messages(), pipe.total_messages()), (24, 24));
+        assert_eq!(stale(&seq), 5);
+        assert_eq!(stale(&pipe), stale(&seq), "a resize re-counted drops");
+        assert_eq!(pipe.endpoints[0].1.delivery().stale_drops, 5);
+        assert_same_endpoints(&pipe.endpoints, &seq.endpoints, "resized");
     }
 }

@@ -10,7 +10,7 @@
 
 use bytes::Bytes;
 use kalstream_filter::{CovarianceUpdate, FilterError, KalmanFilter, StateModel};
-use kalstream_linalg::{Matrix, Vector, DIM_CAP};
+use kalstream_linalg::{Matrix, Vector};
 use kalstream_obs::{Counter, Instrument, Scope};
 use kalstream_sim::{Consumer, DeliveryStats, Tick};
 
@@ -394,16 +394,15 @@ pub struct EndpointState {
 
 /// Applies a sync to a filter, returning whether it was accepted — the one
 /// definition of what a sync *does*, shared by the server's filter and the
-/// source's shadow of it (which is what keeps the two bit-identical). State
-/// and Measurement syncs go from the viewed bytes into the filter's own
-/// storage; only a Model sync, which replaces the filter, builds values.
+/// source's shadow of it (which is what keeps the two bit-identical). A
+/// State sync goes from the viewed bytes into the filter's own storage, a
+/// Measurement sync through an inline `Vector` on the stack; only a Model
+/// sync, which replaces the filter, builds values.
 pub(crate) fn apply_sync(filter: &mut KalmanFilter, msg: SyncRef<'_>) -> bool {
     match msg {
         SyncRef::State { x, p } => filter.set_state_packed(x.iter(), p.iter()).is_ok(),
         SyncRef::Model(model) => model_filter(model).map(|kf| *filter = kf).is_some(),
-        SyncRef::Measurement { z } => filter
-            .update_lean_slice(z.read_into(&mut [0.0; DIM_CAP]))
-            .is_ok(),
+        SyncRef::Measurement { z } => filter.update(&z.to_vector()).is_ok(),
     }
 }
 
@@ -881,7 +880,7 @@ mod tests {
                     Err(_) => false,
                 }
             }
-            SyncMessage::Measurement { z } => filter.update_lean(&z).is_ok(),
+            SyncMessage::Measurement { z } => filter.update(&z).is_ok(),
         }
     }
 

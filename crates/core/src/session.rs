@@ -1,7 +1,7 @@
 //! Session construction: installing the dynamic procedure at both ends.
 
 use kalstream_filter::{
-    models, AdaptiveConfig, AdaptiveKalmanFilter, BankConfig, KalmanFilter, ModelBank, StateModel,
+    models, AdaptiveConfig, AdaptiveKalmanFilter, KalmanFilter, ModelBank, StateModel,
 };
 use kalstream_linalg::Vector;
 
@@ -59,13 +59,9 @@ impl SessionSpec {
     ///
     /// # Errors
     /// Propagates bank-construction errors (empty bank, mixed dims).
-    pub fn bank(
-        filters: Vec<KalmanFilter>,
-        bank: BankConfig,
-        config: ProtocolConfig,
-    ) -> Result<Self> {
+    pub fn bank(filters: Vec<KalmanFilter>, config: ProtocolConfig) -> Result<Self> {
         Ok(SessionSpec {
-            estimator: Estimator::Bank(ModelBank::new(filters, bank)?),
+            estimator: Estimator::Bank(ModelBank::new(filters)?),
             config,
         })
     }
@@ -102,7 +98,7 @@ impl SessionSpec {
             Vector::from_slice(&[x0, 0.0, 0.0]),
             1.0,
         )?;
-        SessionSpec::bank(vec![walk, cv, ca], BankConfig::default(), config)
+        SessionSpec::bank(vec![walk, cv, ca], config)
     }
 
     /// Builds the matched endpoint pair.
@@ -204,6 +200,6 @@ mod tests {
 
     #[test]
     fn bank_spec_rejects_empty() {
-        assert!(SessionSpec::bank(vec![], BankConfig::default(), config(1.0)).is_err());
+        assert!(SessionSpec::bank(vec![], config(1.0)).is_err());
     }
 }

@@ -555,7 +555,7 @@ mod tests {
 
     #[test]
     fn model_change_ships_model_sync() {
-        use kalstream_filter::{BankConfig, ModelBank};
+        use kalstream_filter::ModelBank;
         let walk =
             KalmanFilter::new(models::random_walk(0.01, 0.05), Vector::zeros(1), 1.0).unwrap();
         let cv = KalmanFilter::new(
@@ -564,7 +564,7 @@ mod tests {
             1.0,
         )
         .unwrap();
-        let bank = ModelBank::new(vec![walk.clone(), cv], BankConfig::default()).unwrap();
+        let bank = ModelBank::new(vec![walk.clone(), cv]).unwrap();
         let mut s = SourceEndpoint::new(
             Estimator::Bank(bank),
             walk,

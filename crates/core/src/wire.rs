@@ -327,7 +327,8 @@ impl<'a> F64s<'a> {
         buf
     }
 
-    fn to_vector(self) -> Vector {
+    /// The values as an inline [`Vector`] (on the caller's stack).
+    pub(crate) fn to_vector(self) -> Vector {
         let mut v = Vector::zeros(self.len());
         for (dst, src) in v.as_mut_slice().iter_mut().zip(self.iter()) {
             *dst = src;

@@ -258,8 +258,9 @@ impl DurableStore {
     ///
     /// Corrupt snapshot files are skipped (counted) and recovery falls
     /// back to the next older one; only WAL segments starting at or after
-    /// the chosen barrier are read, and the first gap, CRC failure, or torn
-    /// tail among them ends the replayable suffix (counted).
+    /// the chosen barrier are read. The first gap or CRC failure among
+    /// them ends the replayable suffix; a torn tail ends its own segment
+    /// (both counted).
     pub fn recover(&mut self) -> io::Result<Option<Recovery>> {
         let started = Instant::now();
         let snaps = list_numbered(&self.dir, "snap-", ".ks")?;
@@ -295,10 +296,18 @@ impl DurableStore {
         let mut wal: Vec<(u64, Vec<u8>)> = Vec::new();
         let mut next = snapshot_ticks;
         let segments = list_numbered(&self.dir, "wal-", ".log")?;
-        'segments: for (_, path) in segments
+        let mut torn = false;
+        'segments: for (start, path) in segments
             .iter()
             .filter(|(start, _)| *start >= snapshot_ticks)
         {
+            // A torn tail ends its own segment only: the next one is read
+            // when it starts where the tear left off (the compaction
+            // snapshot a recovery writes there rotates the WAL). Any other
+            // start is the gap the tear already counted.
+            if torn && *start != next {
+                break;
+            }
             let read = read_segment(path)?;
             for (tick, payload) in read.records {
                 if tick != next {
@@ -309,10 +318,8 @@ impl DurableStore {
                 wal.push((tick, payload));
                 next += 1;
             }
-            if read.torn > 0 {
-                self.stats.torn_records += read.torn;
-                break;
-            }
+            torn = read.torn > 0;
+            self.stats.torn_records += read.torn;
         }
         self.stats.replay_ticks += wal.len() as u64;
         self.stats

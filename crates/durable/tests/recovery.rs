@@ -286,6 +286,55 @@ fn a_crash_after_a_torn_recovery_keeps_the_ticks_applied_since() {
 }
 
 #[test]
+fn a_torn_tail_ends_only_its_own_segment() {
+    // Tear tick 12, recover (compaction snapshot at 12, the torn segment
+    // kept for barrier 10), apply ticks 12 and 13 into a fresh segment,
+    // crash, and corrupt snapshot 12. Recovery falls back to 10, reads
+    // 10 and 11 up to the tear, and goes on into the segment that starts
+    // at 12.
+    let ticks = traffic();
+    let reference = reference_bits(&ticks);
+    let dir = tmp_dir("torn-fallback");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let store = DurableStore::open(&dir).expect("open");
+    let mut inner = SequentialIngest::new(endpoints());
+    let mut durable = durable_at(store, &inner, 0);
+    run_durable(&mut durable, &mut inner, &ticks[..13]);
+    drop((durable, inner));
+    tear_open_segment(&dir);
+
+    let mut store = DurableStore::open(&dir).expect("reopen");
+    let rec = store.recover().expect("io").expect("snapshot");
+    assert_eq!(rec.next_tick(), 12);
+    let mut inner = SequentialIngest::new(rec.endpoints().expect("rebuild"));
+    rec.replay_into(&mut inner);
+    let mut durable = durable_at(store, &inner, rec.next_tick());
+    run_durable(&mut durable, &mut inner, &ticks[12..14]);
+    drop((durable, inner)); // second crash, off the cadence
+
+    let snap = dir.join(format!("snap-{:020}.ks", 12));
+    let mut bytes = std::fs::read(&snap).expect("compaction snapshot at 12");
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0xFF;
+    std::fs::write(&snap, &bytes).unwrap();
+
+    let mut store = DurableStore::open(&dir).expect("reopen 2");
+    let rec = store.recover().expect("io").expect("fallback snapshot");
+    assert_eq!(rec.snapshot_ticks, 10, "fell back past the corrupt 12");
+    assert_eq!(rec.next_tick(), 14, "the segment after the tear is read");
+    assert_eq!(store.stats().corrupt_snapshots.get(), 1);
+    assert_eq!(store.stats().torn_records.get(), 1, "the old tear");
+    let mut inner = SequentialIngest::new(rec.endpoints().expect("rebuild"));
+    rec.replay_into(&mut inner);
+    for wire in &ticks[14..] {
+        inner.ingest_tick(wire);
+    }
+    assert_eq!(fleet_bits(&inner.finish().endpoints), reference);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn corrupt_snapshot_falls_back_to_the_previous_barrier() {
     let ticks = traffic();
     let reference = reference_bits(&ticks);

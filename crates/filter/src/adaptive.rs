@@ -12,14 +12,14 @@
 //! 2. **Q scaling.** The windowed mean NIS of a consistent filter is ≈ `m`
 //!    (the measurement dimension). Persistent NIS above/below band limits
 //!    means the filter trusts its model too much/too little, so the base `Q`
-//!    is scaled up/down multiplicatively within configured bounds.
+//!    is scaled up/down multiplicatively within fixed bounds.
 
 use kalstream_linalg::{Matrix, Vector};
 
-use crate::kalman::Innovation;
-use crate::{KalmanFilter, Result, UpdateOutcome, UpdateStats};
+use crate::{KalmanFilter, Result, UpdateStats};
 
-/// Tuning knobs for [`AdaptiveKalmanFilter`].
+/// The settings an [`AdaptiveKalmanFilter`] is built with: the two its
+/// callers vary. The rest of its tuning is this module's constants.
 #[derive(Debug, Clone)]
 pub struct AdaptiveConfig {
     /// Sliding-window length (number of updates) for both estimators.
@@ -27,38 +27,35 @@ pub struct AdaptiveConfig {
     /// then runs with its initial `Q`/`R` forever
     /// (`SessionSpec::adaptive` in `kalstream-core` rejects it outright).
     pub window: usize,
-    /// Enable measurement-noise (`R`) estimation.
-    pub adapt_r: bool,
-    /// Enable process-noise (`Q`) scaling.
+    /// Enable process-noise (`Q`) scaling. `R` is always re-estimated.
     pub adapt_q: bool,
-    /// Lower bound applied to every diagonal entry of the estimated `R`.
-    pub r_floor: f64,
-    /// Multiplicative step for `Q` scaling (e.g. `1.5`).
-    pub q_step: f64,
-    /// Mean-NIS band `(low, high)`, in units of the measurement dimension,
-    /// outside which `Q` is rescaled. Typical: `(0.5, 1.5)`.
-    pub nis_band: (f64, f64),
-    /// Cumulative `Q`-scale clamp relative to the base model, `(min, max)`.
-    pub q_scale_bounds: (f64, f64),
 }
 
 impl Default for AdaptiveConfig {
     fn default() -> Self {
         AdaptiveConfig {
             window: 32,
-            adapt_r: true,
             adapt_q: true,
-            r_floor: 1e-9,
-            q_step: 1.5,
-            nis_band: (0.5, 1.5),
-            // Deflating Q too far freezes the filter's gain: it stops
-            // tracking and the suppression layer pays a sync storm at the
-            // next regime change. Inflation may range much further than
-            // deflation for exactly that reason.
-            q_scale_bounds: (0.25, 1e3),
         }
     }
 }
+
+/// Lower bound applied to every diagonal entry of the estimated `R`.
+const R_FLOOR: f64 = 1e-9;
+
+/// Multiplicative step of one `Q` rescale.
+const Q_STEP: f64 = 1.5;
+
+/// Mean-NIS band `(low, high)`, in units of the measurement dimension,
+/// outside which `Q` is rescaled.
+const NIS_BAND: (f64, f64) = (0.5, 1.5);
+
+/// Cumulative `Q`-scale clamp relative to the base model, `(min, max)`.
+/// Deflating `Q` too far freezes the filter's gain: it stops tracking and
+/// the suppression layer pays a sync storm at the next regime change.
+/// Inflation may range much further than deflation for exactly that
+/// reason.
+const Q_SCALE_BOUNDS: (f64, f64) = (0.25, 1e3);
 
 /// Values summed side by side: a ring entry is padded to a whole number of
 /// these blocks so that one block's sums can live in registers.
@@ -272,52 +269,29 @@ impl AdaptiveKalmanFilter {
     /// # Errors
     /// Propagates [`KalmanFilter::update`] errors; adaptation itself never
     /// fails (a non-PD `R` estimate is skipped, not applied).
-    pub fn update(&mut self, z: &Vector) -> Result<UpdateOutcome> {
-        self.update_with(z, UpdateOutcome::copied_from)
-    }
-
-    /// [`AdaptiveKalmanFilter::update`] without copying `ν` and `S` out
-    /// (see [`KalmanFilter::update_lean`]).
-    ///
-    /// # Errors
-    /// As [`AdaptiveKalmanFilter::update`].
-    pub fn update_lean(&mut self, z: &Vector) -> Result<UpdateStats> {
-        self.update_with(z, |seen| seen.stats)
-    }
-
-    fn update_with<T>(&mut self, z: &Vector, read: impl FnOnce(Innovation<'_>) -> T) -> Result<T> {
+    pub fn update(&mut self, z: &Vector) -> Result<UpdateStats> {
         let windows = &mut self.windows;
-        let out = self.inner.update_with(z.as_slice(), |seen| {
+        let stats = self.inner.update_with(z.as_slice(), |seen| {
             windows.push(seen.nu, seen.cov, seen.r, seen.stats.nis);
-            read(seen)
+            seen.stats
         })?;
-        if self.windows.is_full() && (self.config.adapt_r || self.config.adapt_q) {
+        if self.windows.is_full() {
             self.adapt();
         }
-        Ok(out)
+        Ok(stats)
     }
 
     /// Convenience: predict then update.
     ///
     /// # Errors
     /// Propagates stepping errors.
-    pub fn step(&mut self, z: &Vector) -> Result<UpdateOutcome> {
+    pub fn step(&mut self, z: &Vector) -> Result<UpdateStats> {
         self.predict()?;
         self.update(z)
     }
 
-    /// [`AdaptiveKalmanFilter::step`] over
-    /// [`AdaptiveKalmanFilter::update_lean`].
-    ///
-    /// # Errors
-    /// Propagates stepping errors.
-    pub fn step_lean(&mut self, z: &Vector) -> Result<UpdateStats> {
-        self.predict()?;
-        self.update_lean(z)
-    }
-
-    /// Re-estimates `R` and rescales `Q`, as configured, from one pass over
-    /// the full windows.
+    /// Re-estimates `R` and, when configured, rescales `Q`, from one pass
+    /// over the full windows.
     fn adapt(&mut self) {
         let m = self.inner.model().measurement_dim();
         let mm = self.windows.mm;
@@ -325,36 +299,34 @@ impl AdaptiveKalmanFilter {
         let sums = self.windows.sums();
         // Per measurement dimension, as the NIS band is stated.
         let mean_nis = sums[2 * mm] / count / m as f64;
-        if self.config.adapt_r {
-            // R̂ = mean(ν νᵀ) − mean(H P⁻ Hᵀ), floored on the diagonal.
-            let inv_count = 1.0 / count;
-            let mut r_hat = Matrix::zeros(m, m);
-            let (outer, hph) = sums[..2 * mm].split_at(mm);
-            for ((r, c), h) in r_hat.as_mut_slice().iter_mut().zip(outer).zip(hph) {
-                *r = c * inv_count - h * inv_count;
-            }
-            for i in 0..m {
-                let d = r_hat.get(i, i).max(self.config.r_floor);
-                r_hat.set(i, i, d);
-            }
-            r_hat.symmetrize_mut();
-            // Only adopt estimates that are positive definite; otherwise
-            // keep the current R (a window straddling a regime change can
-            // go indefinite transiently).
-            if r_hat.cholesky().is_ok() {
-                let _ = self.inner.set_measurement_noise(&r_hat);
-            }
+        // R̂ = mean(ν νᵀ) − mean(H P⁻ Hᵀ), floored on the diagonal.
+        let inv_count = 1.0 / count;
+        let mut r_hat = Matrix::zeros(m, m);
+        let (outer, hph) = sums[..2 * mm].split_at(mm);
+        for ((r, c), h) in r_hat.as_mut_slice().iter_mut().zip(outer).zip(hph) {
+            *r = c * inv_count - h * inv_count;
+        }
+        for i in 0..m {
+            let d = r_hat.get(i, i).max(R_FLOOR);
+            r_hat.set(i, i, d);
+        }
+        r_hat.symmetrize_mut();
+        // Only adopt estimates that are positive definite; otherwise keep
+        // the current R (a window straddling a regime change can go
+        // indefinite transiently).
+        if r_hat.cholesky().is_ok() {
+            let _ = self.inner.set_measurement_noise(&r_hat);
         }
         if !self.config.adapt_q {
             return;
         }
-        let (lo, hi) = self.config.nis_band;
-        let (smin, smax) = self.config.q_scale_bounds;
+        let (lo, hi) = NIS_BAND;
+        let (smin, smax) = Q_SCALE_BOUNDS;
         let mut new_scale = self.q_scale;
         if mean_nis > hi {
-            new_scale = (self.q_scale * self.config.q_step).min(smax);
+            new_scale = (self.q_scale * Q_STEP).min(smax);
         } else if mean_nis < lo {
-            new_scale = (self.q_scale / self.config.q_step).max(smin);
+            new_scale = (self.q_scale / Q_STEP).max(smin);
         }
         if new_scale != self.q_scale {
             self.q_scale = new_scale;
@@ -444,7 +416,6 @@ mod tests {
         // Stream is a fast ramp but the model expects a nearly-static walk
         // with tiny Q: NIS explodes, the adapter should inflate Q.
         let config = AdaptiveConfig {
-            adapt_r: false,
             window: 16,
             ..Default::default()
         };
@@ -459,21 +430,24 @@ mod tests {
     }
 
     #[test]
-    fn q_scale_respects_bounds() {
+    fn q_scale_stops_at_its_floor() {
+        // A flat line: innovations collapse, mean NIS falls below the band
+        // and Q deflates by `Q_STEP` per full window. The powers of 1/1.5
+        // step over 0.25 (0.296 → 0.198), so landing on it exactly is the
+        // clamp, and Q is the base Q at that scale.
         let config = AdaptiveConfig {
-            adapt_r: false,
             window: 8,
-            q_scale_bounds: (0.1, 10.0),
             ..Default::default()
         };
-        let model = models::random_walk(1e-8, 0.01);
-        let kf = KalmanFilter::new(model, Vector::zeros(1), 0.01).unwrap();
-        let mut akf = AdaptiveKalmanFilter::new(kf, config);
-        for t in 0..2000 {
-            let z = Vector::from_slice(&[t as f64]);
-            akf.step(&z).unwrap();
+        let mut akf = adaptive_walk(1.0, config);
+        for _ in 0..400 {
+            akf.step(&Vector::from_slice(&[1.0])).unwrap();
         }
-        assert!(akf.q_scale() <= 10.0);
+        assert_eq!(akf.q_scale(), Q_SCALE_BOUNDS.0);
+        assert_eq!(
+            akf.inner().model().q(),
+            &akf.base_q.scaled(Q_SCALE_BOUNDS.0)
+        );
     }
 
     #[test]
@@ -615,7 +589,7 @@ mod tests {
     #[test]
     fn zero_window_never_adapts() {
         // Before the guard, `len() >= 0` armed adaptation on the first
-        // update, `1/0 = ∞` made R̂ NaN, `NaN.max(r_floor)` rewrote R to the
+        // update, `1/0 = ∞` made R̂ NaN, `NaN.max(R_FLOOR)` rewrote R to the
         // floor every tick, and `mean_nis() = 0` deflated Q to its bound.
         let mut akf = adaptive_walk(
             0.5,

@@ -10,40 +10,30 @@
 
 use kalstream_linalg::Vector;
 
-use crate::{FilterError, KalmanFilter, Result, UpdateOutcome};
+use crate::{FilterError, KalmanFilter, Result, UpdateStats};
 
-/// Tuning knobs for [`ModelBank`].
-#[derive(Debug, Clone)]
-pub struct BankConfig {
-    /// Exponential forgetting factor applied to accumulated log-likelihood
-    /// each step (`0 < decay ≤ 1`; smaller = faster forgetting).
-    pub decay: f64,
-    /// A challenger must lead the incumbent by this much accumulated
-    /// log-likelihood to take over.
-    pub switch_margin: f64,
-    /// Minimum steps between switches.
-    pub min_dwell: u64,
-    /// Per-step log-likelihood penalty per state dimension (AIC-style).
-    /// Richer models nest simpler ones and win in-sample likelihood
-    /// spuriously on streams the simple model explains; the penalty makes a
-    /// challenger's lead reflect real predictive gain.
-    pub complexity_penalty: f64,
-}
+// Conservative switching: on memoryless streams the candidate models'
+// likelihoods are nearly tied, and eager switching makes the suppression
+// layer ship noisy trend states. A challenger must earn a solid lead over
+// a real dwell period.
 
-impl Default for BankConfig {
-    fn default() -> Self {
-        // Conservative switching: on memoryless streams the candidate
-        // models' likelihoods are nearly tied, and eager switching makes
-        // the suppression layer ship noisy trend states. A challenger must
-        // earn a solid lead over a real dwell period.
-        BankConfig {
-            decay: 0.98,
-            switch_margin: 6.0,
-            min_dwell: 50,
-            complexity_penalty: 0.05,
-        }
-    }
-}
+/// Exponential forgetting factor applied to each accumulated
+/// log-likelihood every step (`0 < DECAY ≤ 1`; smaller = faster
+/// forgetting).
+const DECAY: f64 = 0.98;
+
+/// A challenger must lead the incumbent by this much accumulated
+/// log-likelihood to take over.
+const SWITCH_MARGIN: f64 = 6.0;
+
+/// Minimum steps between switches.
+const MIN_DWELL: u64 = 50;
+
+/// Per-step log-likelihood penalty per state dimension (AIC-style). Richer
+/// models nest simpler ones and win in-sample likelihood spuriously on
+/// streams the simple model explains; the penalty makes a challenger's
+/// lead reflect real predictive gain.
+const COMPLEXITY_PENALTY: f64 = 0.05;
 
 /// A bank of candidate Kalman filters with soft scoring and hard switching.
 #[derive(Debug, Clone)]
@@ -53,7 +43,6 @@ pub struct ModelBank {
     active: usize,
     steps_since_switch: u64,
     switches: u64,
-    config: BankConfig,
 }
 
 impl ModelBank {
@@ -64,7 +53,7 @@ impl ModelBank {
     /// * [`FilterError::EmptyBank`] with no candidates.
     /// * [`FilterError::BankShapeMismatch`] when candidates disagree on
     ///   measurement dimension (they may freely disagree on state dimension).
-    pub fn new(filters: Vec<KalmanFilter>, config: BankConfig) -> Result<Self> {
+    pub fn new(filters: Vec<KalmanFilter>) -> Result<Self> {
         let first = filters.first().ok_or(FilterError::EmptyBank)?;
         let m = first.model().measurement_dim();
         for f in &filters {
@@ -83,7 +72,6 @@ impl ModelBank {
             active: 0,
             steps_since_switch: 0,
             switches: 0,
-            config,
         })
     }
 
@@ -129,7 +117,7 @@ impl ModelBank {
 
     /// Advances every model one step with measurement `z`, rescoring and
     /// possibly switching the active model. Returns the active model's
-    /// update outcome.
+    /// update diagnostics.
     ///
     /// A candidate that fails numerically (diverged state, non-PD `S`) is
     /// penalised heavily instead of aborting the bank, so a fragile model
@@ -137,21 +125,16 @@ impl ModelBank {
     ///
     /// # Errors
     /// Returns an error only when the *active* model itself fails.
-    pub fn step(&mut self, z: &Vector) -> Result<UpdateOutcome> {
+    pub fn step(&mut self, z: &Vector) -> Result<UpdateStats> {
         const FAILURE_PENALTY: f64 = -1e3;
-        let mut active_outcome: Option<Result<UpdateOutcome>> = None;
+        let mut active_outcome: Option<Result<UpdateStats>> = None;
         for (i, f) in self.filters.iter_mut().enumerate() {
-            let result = f.predict().and_then(|()| f.update(z));
-            let dim_penalty = self.config.complexity_penalty * f.model().state_dim() as f64;
-            match &result {
-                Ok(out) => {
-                    self.scores[i] =
-                        self.config.decay * self.scores[i] + out.log_likelihood - dim_penalty;
-                }
-                Err(_) => {
-                    self.scores[i] = self.config.decay * self.scores[i] + FAILURE_PENALTY;
-                }
-            }
+            let result = f.step(z);
+            let dim_penalty = COMPLEXITY_PENALTY * f.model().state_dim() as f64;
+            self.scores[i] = match &result {
+                Ok(out) => DECAY * self.scores[i] + out.log_likelihood - dim_penalty,
+                Err(_) => DECAY * self.scores[i] + FAILURE_PENALTY,
+            };
             if i == self.active {
                 active_outcome = Some(result);
             }
@@ -180,7 +163,7 @@ impl ModelBank {
     }
 
     fn maybe_switch(&mut self) {
-        if self.steps_since_switch < self.config.min_dwell {
+        if self.steps_since_switch < MIN_DWELL {
             return;
         }
         let (best, best_score) = self
@@ -190,8 +173,7 @@ impl ModelBank {
             .enumerate()
             .max_by(|a, b| a.1.total_cmp(&b.1))
             .expect("bank is non-empty");
-        if best != self.active && best_score > self.scores[self.active] + self.config.switch_margin
-        {
+        if best != self.active && best_score > self.scores[self.active] + SWITCH_MARGIN {
             self.active = best;
             self.steps_since_switch = 0;
             self.switches += 1;
@@ -214,13 +196,13 @@ mod tests {
             1.0,
         )
         .unwrap();
-        ModelBank::new(vec![walk, cv], BankConfig::default()).unwrap()
+        ModelBank::new(vec![walk, cv]).unwrap()
     }
 
     #[test]
     fn empty_bank_rejected() {
         assert!(matches!(
-            ModelBank::new(vec![], BankConfig::default()),
+            ModelBank::new(vec![]),
             Err(FilterError::EmptyBank)
         ));
     }
@@ -236,7 +218,7 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(
-            ModelBank::new(vec![scalar, planar], BankConfig::default()),
+            ModelBank::new(vec![scalar, planar]),
             Err(FilterError::BankShapeMismatch {
                 first: 1,
                 offending: 2
@@ -268,23 +250,23 @@ mod tests {
 
     #[test]
     fn dwell_prevents_immediate_switching() {
-        let config = BankConfig {
-            min_dwell: 1_000_000,
-            ..Default::default()
-        };
-        let walk =
-            KalmanFilter::new(models::random_walk(0.01, 0.05), Vector::zeros(1), 1.0).unwrap();
-        let cv = KalmanFilter::new(
-            models::constant_velocity(1.0, 0.01, 0.05),
-            Vector::zeros(2),
-            1.0,
-        )
-        .unwrap();
-        let mut bank = ModelBank::new(vec![walk, cv], config).unwrap();
-        for t in 0..200 {
+        // On a trend the velocity model leads by the margin well before
+        // the dwell is up; the bank waits out `MIN_DWELL` steps, then
+        // switches on the first step it may.
+        let mut bank = bank_walk_cv();
+        for t in 0..MIN_DWELL - 1 {
             bank.step(&Vector::from_slice(&[t as f64])).unwrap();
         }
         assert_eq!(bank.switches(), 0);
+        assert!(
+            bank.scores()[1] > bank.scores()[0] + SWITCH_MARGIN,
+            "the challenger already leads: {:?}",
+            bank.scores()
+        );
+        bank.step(&Vector::from_slice(&[(MIN_DWELL - 1) as f64]))
+            .unwrap();
+        assert_eq!(bank.switches(), 1);
+        assert_eq!(bank.active_name(), "constant_velocity");
     }
 
     #[test]

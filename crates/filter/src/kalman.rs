@@ -39,31 +39,15 @@ macro_rules! call_static {
     };
 }
 
-/// Result of a measurement update, exposing the diagnostics that the
-/// adaptive layer and the model bank consume.
-#[derive(Debug, Clone)]
-pub struct UpdateOutcome {
-    /// Innovation `ν = z − H x⁻` (measurement-space prediction error).
-    pub innovation: Vector,
-    /// Innovation covariance `S = H P⁻ Hᵀ + R`.
-    pub innovation_cov: Matrix,
+/// What a measurement update reports: the diagnostics the adaptive layer,
+/// the model bank and every other caller read.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct UpdateStats {
     /// Normalised innovation squared `νᵀ S⁻¹ ν` — chi-square distributed
     /// with `m` degrees of freedom when the model is consistent.
     pub nis: f64,
     /// Gaussian log-likelihood of the measurement under the predictive
     /// distribution `N(Hx⁻, S)` — the model bank's scoring signal.
-    pub log_likelihood: f64,
-}
-
-/// The scalar half of an [`UpdateOutcome`] — what
-/// [`KalmanFilter::update_lean`] returns to callers that do not read `ν`
-/// and `S` (the source's per-tick estimator step, the server's measurement
-/// syncs), so those are not copied out for them.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct UpdateStats {
-    /// Normalised innovation squared `νᵀ S⁻¹ ν`.
-    pub nis: f64,
-    /// Gaussian log-likelihood of the measurement under `N(Hx⁻, S)`.
     pub log_likelihood: f64,
 }
 
@@ -80,20 +64,6 @@ pub(crate) struct Innovation<'a> {
     pub r: &'a [f64],
     /// NIS and log-likelihood.
     pub stats: UpdateStats,
-}
-
-impl UpdateOutcome {
-    pub(crate) fn copied_from(seen: Innovation<'_>) -> Self {
-        let m = seen.nu.len();
-        let mut innovation_cov = Matrix::zeros(m, m);
-        innovation_cov.as_mut_slice().copy_from_slice(seen.cov);
-        UpdateOutcome {
-            innovation: Vector::from_slice(seen.nu),
-            innovation_cov,
-            nis: seen.stats.nis,
-            log_likelihood: seen.stats.log_likelihood,
-        }
-    }
 }
 
 /// The discrete linear Kalman filter over a [`StateModel`].
@@ -466,26 +436,11 @@ impl KalmanFilter {
     /// * [`FilterError::BadMeasurement`] on dimension mismatch.
     /// * [`FilterError::Linalg`] when `S` is not positive definite.
     /// * [`FilterError::Diverged`] when the posterior is non-finite.
-    pub fn update(&mut self, z: &Vector) -> Result<UpdateOutcome> {
-        self.update_with(z.as_slice(), UpdateOutcome::copied_from)
-    }
-
-    /// [`KalmanFilter::update`] for callers that read at most the scalar
-    /// diagnostics: the same update, without copying `ν` and `S` out.
     ///
-    /// # Errors
-    /// As [`KalmanFilter::update`].
-    pub fn update_lean(&mut self, z: &Vector) -> Result<UpdateStats> {
-        self.update_lean_slice(z.as_slice())
-    }
-
-    /// [`KalmanFilter::update_lean`] on a borrowed measurement — what a
-    /// Measurement sync applies, without a `Vector` in between.
-    ///
-    /// # Errors
-    /// As [`KalmanFilter::update`].
-    pub fn update_lean_slice(&mut self, z: &[f64]) -> Result<UpdateStats> {
-        self.update_with(z, |seen| seen.stats)
+    /// Returns the update's NIS and log-likelihood; `ν` and `S` are not
+    /// copied out.
+    pub fn update(&mut self, z: &Vector) -> Result<UpdateStats> {
+        self.update_with(z.as_slice(), |seen| seen.stats)
     }
 
     /// The measurement update; `read` sees `ν`, `S` and the diagnostics of
@@ -543,18 +498,9 @@ impl KalmanFilter {
     /// # Errors
     /// Propagates errors from [`KalmanFilter::predict`] and
     /// [`KalmanFilter::update`].
-    pub fn step(&mut self, z: &Vector) -> Result<UpdateOutcome> {
+    pub fn step(&mut self, z: &Vector) -> Result<UpdateStats> {
         self.predict()?;
         self.update(z)
-    }
-
-    /// [`KalmanFilter::step`] over [`KalmanFilter::update_lean`].
-    ///
-    /// # Errors
-    /// As [`KalmanFilter::step`].
-    pub fn step_lean(&mut self, z: &Vector) -> Result<UpdateStats> {
-        self.predict()?;
-        self.update_lean(z)
     }
 
     /// Non-destructively predicts the measurement `k` steps ahead of the
@@ -687,7 +633,6 @@ mod tests {
         let out = kf.update(&Vector::from_slice(&[2.0])).unwrap();
         assert!(kf.covariance().get(0, 0) < p_prior);
         assert!(kf.state()[0] > 0.0 && kf.state()[0] < 2.0);
-        assert_eq!(out.innovation.dim(), 1);
         assert!(out.nis > 0.0);
         assert_eq!(kf.steps_since_update(), 0);
     }
@@ -878,36 +823,40 @@ mod tests {
         assert_eq!(padded.covariance(), replica.covariance());
     }
 
+    /// An `n × m` model with a dense, upper-triangular `F` and a dense `H`
+    /// (zeros included, so the zero-skips are exercised).
+    fn dense_model(n: usize, m: usize) -> StateModel {
+        let mut f = Matrix::identity(n);
+        let mut h = Matrix::zeros(m, n);
+        for r in 0..n {
+            for c in (r + 1)..n {
+                f.set(r, c, 0.03 * (1 + r + c) as f64);
+            }
+        }
+        for j in 0..m {
+            for k in 0..n {
+                if (j + k) % 3 != 2 {
+                    h.set(j, k, 1.0 / (1 + j + 2 * k) as f64 - 0.4);
+                }
+            }
+            h.set(j, j, 1.0);
+        }
+        StateModel::new(
+            "dense",
+            f,
+            Matrix::scalar(n, 0.013),
+            h,
+            Matrix::scalar(m, 0.37),
+        )
+        .unwrap()
+    }
+
     #[test]
     fn predicted_measurement_var_equals_the_cov_diagonal_bit_for_bit() {
-        // Every table shape plus one off it, with a dense H (zeros included,
-        // so the zero-skips are exercised) and a filter a few steps in.
+        // Every table shape plus one off it, a few steps in.
         let shapes = (1..=8usize).flat_map(|n| (1..=n.min(4)).map(move |m| (n, m)));
         for (n, m) in shapes {
-            let mut f = Matrix::identity(n);
-            let mut h = Matrix::zeros(m, n);
-            for r in 0..n {
-                for c in (r + 1)..n {
-                    f.set(r, c, 0.03 * (1 + r + c) as f64);
-                }
-            }
-            for j in 0..m {
-                for k in 0..n {
-                    if (j + k) % 3 != 2 {
-                        h.set(j, k, 1.0 / (1 + j + 2 * k) as f64 - 0.4);
-                    }
-                }
-                h.set(j, j, 1.0);
-            }
-            let model = StateModel::new(
-                "dense",
-                f,
-                Matrix::scalar(n, 0.013),
-                h,
-                Matrix::scalar(m, 0.37),
-            )
-            .unwrap();
-            let mut kf = KalmanFilter::new(model, Vector::filled(n, 0.3), 0.7).unwrap();
+            let mut kf = KalmanFilter::new(dense_model(n, m), Vector::filled(n, 0.3), 0.7).unwrap();
             for t in 0..5 {
                 kf.predict().unwrap();
                 if t % 2 == 0 {
@@ -920,6 +869,48 @@ mod tests {
                         cov.get(j, j).to_bits(),
                         "{n}x{m} component {j} tick {t}"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn update_with_shows_the_textbook_innovation_and_covariance() {
+        // What `update_with` hands its reader, bit for bit against the
+        // allocating route: `ν = z − H x⁻`, `S = H P⁻ Hᵀ + R` (symmetrised)
+        // and the model's `R`. Every row of the shape table runs at its
+        // exact width, and 3×2 runs zero-padded on the 4×2 row; both
+        // covariance forms, so `P` differs between the runs.
+        macro_rules! rows {
+            ([] $(($variant:ident, $n:literal, $m:literal)),+) => {
+                [$(($n, $m)),+]
+            };
+        }
+        let rows: Vec<(usize, usize)> = for_each_shape!(rows).into();
+        assert_eq!(rows.len(), 11);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (n, m) in rows.into_iter().chain([(3, 2)]) {
+            for form in [CovarianceUpdate::Joseph, CovarianceUpdate::Simple] {
+                let mut kf =
+                    KalmanFilter::new(dense_model(n, m), Vector::filled(n, 0.3), 0.7).unwrap();
+                kf.set_covariance_update(form);
+                for t in 0..20 {
+                    kf.predict().unwrap();
+                    let z = Vector::from_vec(
+                        (0..m)
+                            .map(|j| (0.7 * t as f64 + j as f64).sin() * 2.0)
+                            .collect(),
+                    );
+                    let nu = &z - &kf.predicted_measurement();
+                    let s = kf.predicted_measurement_cov();
+                    let r = kf.model().r().clone();
+                    let seen = kf
+                        .update_with(z.as_slice(), |seen| {
+                            (bits(seen.nu), bits(seen.cov), bits(seen.r))
+                        })
+                        .unwrap();
+                    let want = (bits(nu.as_slice()), bits(s.as_slice()), bits(r.as_slice()));
+                    assert_eq!(seen, want, "{n}x{m} {form:?} tick {t}");
                 }
             }
         }

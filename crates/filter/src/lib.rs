@@ -55,11 +55,11 @@ mod model;
 pub mod models;
 
 pub use adaptive::{AdaptiveConfig, AdaptiveKalmanFilter};
-pub use bank::{BankConfig, ModelBank};
+pub use bank::ModelBank;
 pub use batch::FleetBatch;
 pub use dispatch::DynFleetBatch;
 pub use error::FilterError;
-pub use kalman::{CovarianceUpdate, KalmanFilter, UpdateOutcome, UpdateStats};
+pub use kalman::{CovarianceUpdate, KalmanFilter, UpdateStats};
 pub use model::StateModel;
 
 /// Convenience alias for results in this crate.

@@ -5,8 +5,7 @@
 use std::collections::VecDeque;
 
 use kalstream_filter::{
-    models, AdaptiveConfig, AdaptiveKalmanFilter, KalmanFilter, ModelBank, StateModel,
-    UpdateOutcome,
+    models, AdaptiveConfig, AdaptiveKalmanFilter, KalmanFilter, ModelBank, StateModel, UpdateStats,
 };
 use kalstream_linalg::{Matrix, Vector};
 use proptest::prelude::*;
@@ -60,7 +59,6 @@ proptest! {
             let out = kf.step(&Vector::from_slice(&[z])).unwrap();
             prop_assert!(out.nis >= 0.0, "negative NIS");
             prop_assert!(out.log_likelihood.is_finite());
-            prop_assert!(out.innovation_cov.get(0, 0) > 0.0);
         }
     }
 
@@ -139,8 +137,7 @@ proptest! {
             1.0,
         )
         .unwrap();
-        let mut bank =
-            ModelBank::new(vec![walk, cv], kalstream_filter::BankConfig::default()).unwrap();
+        let mut bank = ModelBank::new(vec![walk, cv]).unwrap();
         for &z in &zs {
             bank.step(&Vector::from_slice(&[z])).unwrap();
             prop_assert!(bank.active_index() < bank.len());
@@ -150,11 +147,18 @@ proptest! {
 
 }
 
+/// The adaptive filter's tuning, spelled out again for the oracle.
+const R_FLOOR: f64 = 1e-9;
+const Q_STEP: f64 = 1.5;
+const NIS_BAND: (f64, f64) = (0.5, 1.5);
+const Q_SCALE_BOUNDS: (f64, f64) = (0.25, 1e3);
+
 /// The adaptive filter as it was first written, kept as the oracle the
 /// flat-ring implementation is held against: one heap `Matrix` per window
-/// entry in three `VecDeque`s, `H P⁻ Hᵀ` through
-/// `predicted_measurement_cov() − R`, and a whole validated `StateModel`
-/// rebuilt for every adopted `R̂` and every `Q` rescale.
+/// entry in three `VecDeque`s, `ν` as `z − H x⁻` and `H P⁻ Hᵀ` as
+/// `predicted_measurement_cov() − R` before the update, and a whole
+/// validated `StateModel` rebuilt for every adopted `R̂` and every `Q`
+/// rescale.
 struct OracleAdaptive {
     inner: KalmanFilter,
     config: AdaptiveConfig,
@@ -163,6 +167,8 @@ struct OracleAdaptive {
     innov_outer: VecDeque<Matrix>,
     prior_cov: VecDeque<Matrix>,
     nis: VecDeque<f64>,
+    /// `R̂` estimates with a diagonal entry raised to the floor.
+    floored_r: u32,
     /// `R̂` estimates refused by the positive-definiteness test.
     rejected_r: u32,
     /// `Q` rescales (each clears every window).
@@ -179,6 +185,7 @@ impl OracleAdaptive {
             innov_outer: VecDeque::new(),
             prior_cov: VecDeque::new(),
             nis: VecDeque::new(),
+            floored_r: 0,
             rejected_r: 0,
             rescales: 0,
         }
@@ -192,33 +199,32 @@ impl OracleAdaptive {
         }
     }
 
-    fn step(&mut self, z: &Vector) -> UpdateOutcome {
+    fn step(&mut self, z: &Vector) -> UpdateStats {
         self.inner.predict().expect("oracle predict");
+        let innovation = z - &self.inner.predicted_measurement();
         let prior_s = self.inner.predicted_measurement_cov();
         let prior_hph = &prior_s - self.inner.model().r();
-        let outcome = self.inner.update(z).expect("oracle update");
+        let stats = self.inner.update(z).expect("oracle update");
 
-        let m = outcome.innovation.dim();
+        let m = innovation.dim();
         let mut outer = Matrix::zeros(m, m);
         for i in 0..m {
             for j in 0..m {
-                outer.set(i, j, outcome.innovation[i] * outcome.innovation[j]);
+                outer.set(i, j, innovation[i] * innovation[j]);
             }
         }
         let cap = self.config.window;
         push_window(&mut self.innov_outer, outer, cap);
         push_window(&mut self.prior_cov, prior_hph, cap);
-        push_window(&mut self.nis, outcome.nis, cap);
+        push_window(&mut self.nis, stats.nis, cap);
 
         if self.innov_outer.len() >= cap {
-            if self.config.adapt_r {
-                self.adapt_r();
-            }
+            self.adapt_r();
             if self.config.adapt_q {
                 self.adapt_q(m);
             }
         }
-        outcome
+        stats
     }
 
     fn adapt_r(&mut self) {
@@ -235,8 +241,11 @@ impl OracleAdaptive {
         }
         hph.scale_mut(1.0 / count);
         let mut r_hat = &c - &hph;
+        if (0..m).any(|i| r_hat.get(i, i) < R_FLOOR) {
+            self.floored_r += 1;
+        }
         for i in 0..m {
-            let d = r_hat.get(i, i).max(self.config.r_floor);
+            let d = r_hat.get(i, i).max(R_FLOOR);
             r_hat.set(i, i, d);
         }
         r_hat.symmetrize_mut();
@@ -254,13 +263,13 @@ impl OracleAdaptive {
 
     fn adapt_q(&mut self, m: usize) {
         let mean_nis = self.mean_nis() / m as f64;
-        let (lo, hi) = self.config.nis_band;
-        let (smin, smax) = self.config.q_scale_bounds;
+        let (lo, hi) = NIS_BAND;
+        let (smin, smax) = Q_SCALE_BOUNDS;
         let mut new_scale = self.q_scale;
         if mean_nis > hi {
-            new_scale = (self.q_scale * self.config.q_step).min(smax);
+            new_scale = (self.q_scale * Q_STEP).min(smax);
         } else if mean_nis < lo {
-            new_scale = (self.q_scale / self.config.q_step).max(smin);
+            new_scale = (self.q_scale / Q_STEP).max(smin);
         }
         if new_scale != self.q_scale {
             self.q_scale = new_scale;
@@ -300,32 +309,24 @@ fn next_unit(state: &mut u64) -> f64 {
 
 /// Steps the real adaptive filter and the oracle through a three-regime
 /// stream and requires bit-equality of everything observable at every
-/// step, with both estimators on and with each one alone (the recorded
-/// F4/F5 runs and the 2-D policies adapt `R` only). The regimes are chosen
-/// so that every case crosses the bookkeeping events that could plausibly
-/// break equivalence, wherever the estimator behind them is on:
+/// step, with `Q` scaling on and off (the recorded F4/F5 runs and the 2-D
+/// policies adapt `R` only). The regimes are chosen so that every case
+/// crosses the bookkeeping events that could plausibly break equivalence:
 ///
 /// 1. noise far above the modelled `R`, `Q` — mean NIS leaves the band and
 ///    `Q` is rescaled, clearing all three windows mid-run;
 /// 2. a flat line — innovations collapse under `P`, so
-///    `mean(ν νᵀ) − mean(H P⁻ Hᵀ)` goes negative, the diagonal is floored
-///    to `r_floor` and the estimate fails the PD test (for `m = 1` the
-///    floor is 0 here; for `m ≥ 2` the surviving off-diagonals do it);
-/// 3. noise again, so adoption resumes after the rejections.
+///    `mean(ν νᵀ) − mean(H P⁻ Hᵀ)` goes negative and the diagonal is
+///    floored to `R_FLOOR`; for `m ≥ 2` the surviving off-diagonals then
+///    fail the PD test (for `m = 1` the floored estimate is adopted);
+/// 3. noise again, so adoption resumes after the floor.
 fn assert_adaptive_matches_oracle(
     model: StateModel,
     window: usize,
-    r_floor: f64,
     seed: u64,
 ) -> Result<(), TestCaseError> {
-    for (adapt_r, adapt_q) in [(true, true), (true, false), (false, true)] {
-        let config = AdaptiveConfig {
-            window,
-            r_floor,
-            adapt_r,
-            adapt_q,
-            ..Default::default()
-        };
+    for adapt_q in [true, false] {
+        let config = AdaptiveConfig { window, adapt_q };
         assert_config_matches_oracle(model.clone(), config, seed)?;
     }
     Ok(())
@@ -338,7 +339,7 @@ fn assert_config_matches_oracle(
 ) -> Result<(), TestCaseError> {
     const STEPS: usize = 600;
     let (n, m) = (model.state_dim(), model.measurement_dim());
-    let (adapt_r, adapt_q) = (config.adapt_r, config.adapt_q);
+    let adapt_q = config.adapt_q;
     let kf = KalmanFilter::new(model, Vector::zeros(n), 1.0).unwrap();
     let mut real = AdaptiveKalmanFilter::new(kf.clone(), config.clone());
     let mut oracle = OracleAdaptive::new(kf, config);
@@ -392,19 +393,6 @@ fn assert_config_matches_oracle(
             "mean NIS, step {}",
             t
         );
-        prop_assert_eq!(
-            bits(got.innovation.as_slice()),
-            bits(want.innovation.as_slice()),
-            "innovation, step {}",
-            t
-        );
-        prop_assert_eq!(
-            bits(got.innovation_cov.as_slice()),
-            bits(want.innovation_cov.as_slice()),
-            "S, step {}",
-            t
-        );
-        prop_assert_eq!(got.innovation_cov.shape(), want.innovation_cov.shape());
         prop_assert_eq!(got.nis.to_bits(), want.nis.to_bits(), "NIS, step {}", t);
         prop_assert_eq!(
             got.log_likelihood.to_bits(),
@@ -418,7 +406,11 @@ fn assert_config_matches_oracle(
         "no Q rescale (window clear) in the run"
     );
     prop_assert!(
-        !adapt_r || oracle.rejected_r >= 1,
+        m > 1 || oracle.floored_r >= 1,
+        "no floored R̂ adopted in the run"
+    );
+    prop_assert!(
+        m == 1 || oracle.rejected_r >= 1,
         "no non-PD R̂ rejected in the run"
     );
     Ok(())
@@ -457,7 +449,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         // The benchmark fleet's shape (1×1).
-        assert_adaptive_matches_oracle(models::random_walk(q, r), window, 0.0, seed)?;
+        assert_adaptive_matches_oracle(models::random_walk(q, r), window, seed)?;
     }
 
     #[test]
@@ -468,12 +460,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         // m = 2: matrix-valued windows, R̂ with off-diagonals (4×2).
-        assert_adaptive_matches_oracle(
-            models::constant_velocity_2d(1.0, q, r),
-            window,
-            1e-9,
-            seed,
-        )?;
+        assert_adaptive_matches_oracle(models::constant_velocity_2d(1.0, q, r), window, seed)?;
     }
 
     #[test]
@@ -486,6 +473,6 @@ proptest! {
     ) {
         // m = 3, 4: entries of 19 and 33 values padded to 20 and 36, so
         // the lane blocks end in padding (4×3, 4×4).
-        assert_adaptive_matches_oracle(dense_model(4, m, q, r), window, 1e-9, seed)?;
+        assert_adaptive_matches_oracle(dense_model(4, m, q, r), window, seed)?;
     }
 }

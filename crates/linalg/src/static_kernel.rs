@@ -206,8 +206,9 @@ pub enum CovarianceUpdate {
     Simple,
 }
 
-/// Diagnostics of one static-kernel measurement update — the same numbers
-/// `KalmanFilter::update` reports in its `UpdateOutcome`.
+/// Diagnostics of one static-kernel measurement update — what
+/// `KalmanFilter::update` shows its adaptive reader, and whose NIS and
+/// log-likelihood it returns as `UpdateStats`.
 #[derive(Debug, Clone, Copy)]
 pub struct StaticUpdateOutcome<const M: usize> {
     /// Innovation `ν = z − H x⁻`.

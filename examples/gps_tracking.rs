@@ -27,9 +27,8 @@ fn main() {
         Vector::from_slice(&[first.observed[0], 0.0, first.observed[1], 0.0]),
         10.0,
         AdaptiveConfig {
-            adapt_q: false,
             window: 128,
-            ..Default::default()
+            adapt_q: false,
         },
         ProtocolConfig::new(delta).expect("positive bound"),
     )

@@ -133,8 +133,6 @@ struct Textbook {
 
 /// What a [`Textbook`] update reports.
 struct Diagnostics {
-    innovation: Vector,
-    s: Matrix,
     nis: f64,
     log_likelihood: f64,
 }
@@ -208,27 +206,19 @@ impl Textbook {
         let log_likelihood =
             -0.5 * (nis + chol.log_det() + (z.dim() as f64) * std::f64::consts::TAU.ln());
         Ok(Diagnostics {
-            innovation,
-            s,
             nis,
             log_likelihood,
         })
     }
 }
 
-/// An update's diagnostics, dispatched vs textbook, bit for bit.
+/// An update's diagnostics, dispatched vs textbook, bit for bit. (`ν` and
+/// `S` stay inside the filter; `kalman.rs`'s unit tests hold them to the
+/// textbook route on every shape.)
 fn assert_same_diagnostics(
-    out: &kalstream_filter::UpdateOutcome,
+    out: &kalstream_filter::UpdateStats,
     reference: &Diagnostics,
 ) -> Result<(), TestCaseError> {
-    prop_assert_eq!(
-        bits(out.innovation.as_slice()),
-        bits(reference.innovation.as_slice())
-    );
-    prop_assert_eq!(
-        bits(out.innovation_cov.as_slice()),
-        bits(reference.s.as_slice())
-    );
     prop_assert_eq!(out.nis.to_bits(), reference.nis.to_bits());
     prop_assert_eq!(
         out.log_likelihood.to_bits(),
@@ -314,7 +304,6 @@ fn assert_all_paths<const N: usize, const M: usize>(
                 lane,
                 t
             );
-            prop_assert_eq!(out.innovation_cov.shape(), (M, M));
             assert_same_diagnostics(&out, &ref_out)?;
 
             // Static-kernel path.

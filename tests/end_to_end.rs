@@ -2,8 +2,8 @@
 //! encoding on every hop, model syncs from bank switches, heartbeats,
 //! latency, and the server/shadow lock-step invariant.
 
-use kalstream::core::{ProtocolConfig, ResyncPayload, SessionSpec};
-use kalstream::filter::{models, BankConfig, KalmanFilter};
+use kalstream::core::{Estimator, ProtocolConfig, ResyncPayload, SessionSpec};
+use kalstream::filter::{models, KalmanFilter};
 use kalstream::gen::{synthetic::Ramp, synthetic::RandomWalk, Stream};
 use kalstream::linalg::Vector;
 use kalstream::sim::{Consumer, Producer, Session, SessionConfig};
@@ -175,15 +175,7 @@ fn mixed_bank_session_never_panics_across_model_dims() {
         1.0,
     )
     .unwrap();
-    let spec = SessionSpec::bank(
-        vec![walk, ca],
-        BankConfig {
-            min_dwell: 20,
-            ..Default::default()
-        },
-        ProtocolConfig::new(0.4).unwrap(),
-    )
-    .unwrap();
+    let spec = SessionSpec::bank(vec![walk, ca], ProtocolConfig::new(0.4).unwrap()).unwrap();
     let (mut source, mut server) = spec.build().split();
     let mut t = 0.0f64;
     let config = SessionConfig::instant(4_000, 0.4);
@@ -201,4 +193,9 @@ fn mixed_bank_session_never_panics_across_model_dims() {
         &mut (),
     );
     assert_eq!(report.error_vs_observed.violations(), 0);
+    // Quadratic → acceleration model, flat → walk: both flips happen.
+    let Estimator::Bank(bank) = source.estimator() else {
+        panic!("a bank session runs a bank");
+    };
+    assert_eq!(bank.switches(), 2);
 }
