@@ -283,6 +283,9 @@ if sed '/#\[cfg(test)\]/,$d' crates/net/src/client.rs | grep -nE 'for now in 0\.
     exit 1
 fi
 
+echo "==> ci/pairs.sh parses (the paired parent-vs-change benchmark runner; nothing in CI runs it)"
+bash -n ci/pairs.sh
+
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 

@@ -194,22 +194,15 @@ struct NodeOut {
     staleness: u64,
 }
 
-/// What a slot computes. The value operators are held inline; a sink names
-/// its entry in the state array of its kind.
+/// What a slot is, and where its kind keeps it. Registration and the
+/// accessors read this; a tick walks the kinds' own arrays instead.
 #[derive(Debug, Clone, Copy)]
 enum Op {
-    /// Alias for a raw stream: reads [`StreamView`]s pushed by the harness.
-    Raw { stream: StreamId },
-    /// AVG / SUM / MIN / MAX over value nodes (raw or derived), optionally
-    /// carrying its own precision contract. `prefix` is the plan's link:
-    /// an earlier aggregate of the same kind reading exactly these inputs
-    /// but the last, whose running fold this one resumes ([`UNSHARED`]
-    /// when there is none; see [`QueryGraph::link`]).
-    Aggregate {
-        kind: AggKind,
-        contract: Option<f64>,
-        prefix: u32,
-    },
+    /// Alias for a raw stream: reads [`StreamView`]s pushed by the harness
+    /// (one of `raws`).
+    Raw,
+    /// AVG / SUM / MIN / MAX over value nodes (raw or derived): `plans[plan]`.
+    Aggregate { plan: u32 },
     /// Tumbling-window average over one value node: `panes[pane]`.
     Tumbling { pane: u32 },
     /// Tri-state threshold alert over one value node: `alerts[alert]`.
@@ -222,25 +215,54 @@ impl Op {
     /// Raw aliases and aggregates publish a value other nodes can read;
     /// the rest are sinks.
     fn is_value(self) -> bool {
-        matches!(self, Op::Raw { .. } | Op::Aggregate { .. })
+        matches!(self, Op::Raw | Op::Aggregate { .. })
     }
 }
 
-/// One node as a tick sees it — 32 bytes, stored in evaluation order, so
-/// the forward and reverse walks read memory front to back and back to
-/// front. The id, which a tick does not touch, lives in [`QueryGraph`]'s
-/// `ids`, at the same index.
+/// An aggregate as a tick runs it — 32 bytes, in registration order, so a
+/// prefix's plan sits before every plan extending it.
 #[derive(Debug, Clone, Copy)]
-struct Slot {
-    op: Op,
-    /// `inputs[lo..hi]` are the slots this one reads, in registered order:
-    /// none for a raw alias, exactly one for a sink.
-    lo: u32,
+struct Plan {
+    /// Where the aggregate publishes, and is granted.
+    slot: u32,
+    /// The plan whose running fold this one resumes: an earlier aggregate
+    /// of the same kind reading exactly these inputs but the last
+    /// ([`UNSHARED`] when there is none; see [`QueryGraph::link`]).
+    prefix: u32,
+    /// `inputs[own..hi]` are the inputs this aggregate folds itself: all of
+    /// them, or — when it extends a prefix — the last, the one the prefix
+    /// lacks.
+    own: u32,
     hi: u32,
+    /// How many inputs the aggregate reads: `inputs[hi - members..hi]`.
+    members: u32,
+    kind: AggKind,
+    /// The registered precision contract; `∞` when there is none.
+    contract: f64,
 }
 
-// The aggregate's `prefix` fits in `Op`'s padding; a tick walks the slots.
-const _: () = assert!(std::mem::size_of::<Slot>() == 32);
+const _: () = assert!(std::mem::size_of::<Plan>() == 32);
+
+impl Plan {
+    /// The aggregate's whole input range.
+    fn all(&self) -> std::ops::Range<usize> {
+        (self.hi - self.members) as usize..self.hi as usize
+    }
+
+    /// The inputs the aggregate folds itself.
+    fn own(&self) -> std::ops::Range<usize> {
+        self.own as usize..self.hi as usize
+    }
+}
+
+/// A sink's state with its wiring: the slot it tallies (and a pane
+/// publishes) under, and the one value slot it reads.
+#[derive(Debug)]
+struct Sink<T> {
+    slot: u32,
+    input: u32,
+    op: T,
+}
 
 /// Slots and input edges are addressed with `u32` (half the index traffic
 /// of `usize`); a graph past 2³² of either could not be held in memory.
@@ -250,16 +272,6 @@ fn index(n: usize) -> u32 {
 
 /// The prefix of an aggregate that extends no other one.
 const UNSHARED: u32 = u32::MAX;
-
-/// Where an aggregate's own fold starts in `inputs`: at its first input, or
-/// — when it extends a prefix — at its last, the one input the prefix lacks.
-fn own_inputs(prefix: u32, lo: u32, hi: u32) -> usize {
-    if prefix == UNSHARED {
-        lo as usize
-    } else {
-        hi as usize - 1
-    }
-}
 
 /// One step of the rolling hash over an aggregate's input slots.
 fn mix(h: u64, input: u32) -> u64 {
@@ -276,10 +288,13 @@ fn input_hashes(kind: AggKind, ins: &[u32]) -> (u64, u64) {
     (head, mix(head, last))
 }
 
-/// A [`Hasher`] for keys that are hashes already: it passes the `u64`
-/// through.
+/// A [`Hasher`] for keys that are hashes already: it passes a `u64` (a
+/// prefix key) through, and multiplies a `usize` (a stream index) by the
+/// odd constant of [`mix`], which over consecutive indices leaves the low
+/// bits (the table's bucket) a permutation and fills the high bits (the
+/// table's tag) from all of them.
 #[derive(Debug, Default)]
-struct Premixed(u64);
+pub struct Premixed(u64);
 
 impl Hasher for Premixed {
     fn finish(&self) -> u64 {
@@ -287,21 +302,49 @@ impl Hasher for Premixed {
     }
 
     fn write(&mut self, _: &[u8]) {
-        unreachable!("prefix keys are u64 hashes")
+        unreachable!("keys are u64 hashes or StreamId indices")
     }
 
     fn write_u64(&mut self, h: u64) {
         self.0 = h;
     }
+
+    fn write_usize(&mut self, stream: usize) {
+        self.0 = (stream as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
 }
 
-/// Aggregates by the rolling hash of their kind and full input list.
+/// Plans by the rolling hash of their kind and full input list.
 type PrefixMap = HashMap<u64, u32, BuildHasherDefault<Premixed>>;
 
-/// Files a sink's state in the array of its kind.
+/// The per-stream grants [`QueryGraph::required_deltas`] returns, hashed by
+/// stream index.
+pub type Grants = HashMap<StreamId, f64, BuildHasherDefault<Premixed>>;
+
+/// Files a state in the array of its kind.
 fn file<T>(states: &mut Vec<T>, state: T) -> u32 {
     states.push(state);
     index(states.len() - 1)
+}
+
+/// Takes a consumer's grant into the tightest one so far.
+fn tighten(granted: &mut f64, grant: f64) {
+    *granted = granted.min(grant);
+}
+
+/// The `z` of a two-sided coverage level.
+///
+/// # Panics
+/// Panics unless `level` lies in (0, 1) with a finite `z`: outside, `z` is
+/// `NaN` or not positive, and a `NaN` `z` would count every check as
+/// covered.
+fn z_of(level: f64) -> f64 {
+    let z = z_quantile(level);
+    assert!(
+        level > 0.0 && z.is_finite(),
+        "coverage level must lie in (0, 1), got {level}"
+    );
+    z
 }
 
 /// Per-node verification counters.
@@ -312,6 +355,29 @@ struct Tally {
     checked: u64,
     /// Largest served-bound / contract ratio observed (contract nodes).
     max_ratio: f64,
+}
+
+impl Tally {
+    /// Checks a served answer against its truth — the worst-case bound and
+    /// the distributional interval `z·σ` — and returns the violations it
+    /// counted (0 or 1).
+    fn check(&mut self, pair: Option<(NodeOut, f64)>, z: f64) -> u64 {
+        let Some((out, t)) = pair else {
+            return 0;
+        };
+        let err = (out.value - t).abs();
+        self.checked += 1;
+        if !violates(err, z * out.variance.max(0.0).sqrt()) {
+            self.covered += 1;
+        }
+        self.broken(violates(err, out.bound))
+    }
+
+    /// Counts an alert verdict or a window answer the truth contradicts.
+    fn broken(&mut self, broken: bool) -> u64 {
+        self.violations += u64::from(broken);
+        u64::from(broken)
+    }
 }
 
 /// A tumbling pane: accumulates `len` ticks, publishes the pane average at
@@ -522,40 +588,47 @@ struct Window {
 /// 3. [`QueryGraph::required_deltas`] → push the grants to the sources
 ///    (e.g. `ServerEndpoint::push_bound_directive`).
 ///
-/// Everything a tick reads or writes is a flat array the graph owns,
-/// indexed by *slot* — a node's position in evaluation order — so a tick
-/// allocates nothing and walks memory sequentially. The graph is
+/// Everything a tick reads or writes is a flat array the graph owns, so a
+/// tick allocates nothing and walks memory sequentially. The graph is
 /// append-only: a node's inputs must already exist when it registers, so
-/// registration order is evaluation order and a node's slot is its
-/// registration index.
+/// registration order is evaluation order and a node's *slot* — the index
+/// of its published output, its tally and its scratch — is its
+/// registration index. A tick walks each node kind in its own array: the
+/// raw aliases, the aggregate plans in registration order, then (in
+/// `required_deltas`, first) the alerts, panes and windows. No node reads
+/// a sink, so a sink's place in that order is free.
 #[derive(Debug)]
 pub struct QueryGraph {
     /// Node ids by slot (the order `export` reports them in).
     ids: Vec<String>,
     /// Slot of each id.
     by_id: HashMap<String, usize>,
-    /// The nodes in evaluation order: every slot after all of its inputs.
-    slots: Vec<Slot>,
-    /// Every slot's input slots, back to back ([`Slot::lo`], [`Slot::hi`]).
+    /// What each slot is.
+    ops: Vec<Op>,
+    /// The raw aliases, `(slot, stream)`, in registration order.
+    raws: Vec<(u32, StreamId)>,
+    /// The aggregates, in registration order.
+    plans: Vec<Plan>,
+    /// Every aggregate's input slots, back to back ([`Plan::all`]).
     inputs: Vec<u32>,
+    panes: Vec<Sink<Pane>>,
+    alerts: Vec<Sink<Alert>>,
+    windows: Vec<Sink<Window>>,
     /// Latest published output per slot — the only copy (value nodes and
     /// closed panes; `None` for alerts, windows and never-evaluated nodes).
     outs: Vec<Option<NodeOut>>,
     tallies: Vec<Tally>,
-    panes: Vec<Pane>,
-    alerts: Vec<Alert>,
-    windows: Vec<Window>,
-    /// Aggregates by the hash of their kind and inputs: the registration-
-    /// time index [`QueryGraph::link`] finds prefixes in.
+    /// Plans by the hash of their kind and inputs: the registration-time
+    /// index [`QueryGraph::link`] finds prefixes in.
     prefixes: PrefixMap,
-    /// [`QueryGraph::observe_tick`]'s scratch: this tick's accumulator of
-    /// each aggregate slot, before the AVG division (`None`: an input has
-    /// published nothing). A prefix sits earlier than its sharers, so it
-    /// is written before any of them reads it, and nothing carries over
-    /// between ticks — as in the next two arrays.
+    /// [`QueryGraph::observe_tick`]'s scratch, per plan: this tick's
+    /// accumulator of each aggregate, before the AVG division (`None`: an
+    /// input has published nothing). A prefix's plan comes before its
+    /// sharers', so it is written before any of them reads it, and nothing
+    /// carries over between ticks — as in the next two arrays.
     folds: Vec<Option<NodeOut>>,
     /// [`QueryGraph::verify_tick`]'s scratch: the same accumulator over the
-    /// truth (`None`: an input's truth is unknown) …
+    /// truth, per plan (`None`: an input's truth is unknown) …
     truth_folds: Vec<Option<f64>>,
     /// … and this tick's ground truth per value slot (`None`: unknown or
     /// not finite).
@@ -563,12 +636,10 @@ pub struct QueryGraph {
     /// [`QueryGraph::required_deltas`]' scratch: the tightest grant any
     /// consumer has issued to each slot …
     granted: Vec<f64>,
-    /// … and the tightest any sharer has issued to the inputs it shares
-    /// with each prefix, which the prefix hands on. Both all `∞` between
-    /// calls.
+    /// … and, per plan, the tightest any sharer has issued to the inputs it
+    /// shares with the plan's aggregate, which that one hands on. Both all
+    /// `∞` between calls.
     pass: Vec<f64>,
-    /// Number of raw aliases: sizes the map `required_deltas` returns.
-    raws: usize,
     /// Punctuation feedback on/off; off reproduces static propagation.
     feedback: bool,
     /// `z` used for coverage accounting in [`QueryGraph::verify_tick`].
@@ -592,20 +663,21 @@ impl QueryGraph {
         QueryGraph {
             ids: Vec::new(),
             by_id: HashMap::new(),
-            slots: Vec::new(),
+            ops: Vec::new(),
+            raws: Vec::new(),
+            plans: Vec::new(),
             inputs: Vec::new(),
-            outs: Vec::new(),
-            tallies: Vec::new(),
             panes: Vec::new(),
             alerts: Vec::new(),
             windows: Vec::new(),
+            outs: Vec::new(),
+            tallies: Vec::new(),
             prefixes: PrefixMap::default(),
             folds: Vec::new(),
             truth_folds: Vec::new(),
             mirror: Vec::new(),
             granted: Vec::new(),
             pass: Vec::new(),
-            raws: 0,
             feedback: false,
             z: z_quantile(0.95),
             level: 0.95,
@@ -624,9 +696,14 @@ impl QueryGraph {
 
     /// Sets the nominal coverage level used for the distributional-interval
     /// accounting in [`QueryGraph::verify_tick`] (default 0.95).
+    ///
+    /// # Panics
+    /// Panics unless `level` lies in (0, 1), and not so close to 1 that
+    /// `0.5 + level / 2` rounds to 1: at any other level `z` is `NaN` or
+    /// not positive, and a `NaN` `z` would count every check as covered.
     pub fn set_level(&mut self, level: f64) {
+        self.z = z_of(level);
         self.level = level;
-        self.z = z_quantile(level);
     }
 
     /// `true` when a node with this id exists (raw alias or derived).
@@ -636,12 +713,12 @@ impl QueryGraph {
 
     /// Number of registered nodes.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.ops.len()
     }
 
     /// `true` when no node is registered.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.ops.is_empty()
     }
 
     /// The slot of the node registered under `id`.
@@ -675,7 +752,7 @@ impl QueryGraph {
                 let slot = self.slot(input).ok_or_else(|| QueryError::UnknownNode {
                     id: input.to_string(),
                 })?;
-                if !self.slots[slot].op.is_value() {
+                if !self.ops[slot].is_value() {
                     return Err(QueryError::Invalid {
                         reason: format!("input {input:?} of {of:?} is not a value node"),
                     });
@@ -685,70 +762,69 @@ impl QueryGraph {
             .collect()
     }
 
-    /// Appends a node under an id [`QueryGraph::check_fresh`] accepted. Its
-    /// inputs are registered already, so the last slot is a valid place.
-    fn push_node(&mut self, id: &str, op: Op, inputs: &[u32]) {
-        let slot = self.slots.len();
-        self.by_id.insert(id.to_string(), slot);
-        self.ids.push(id.to_string());
-        let lo = index(self.inputs.len());
-        self.inputs.extend_from_slice(inputs);
-        self.slots.push(Slot {
-            op,
-            lo,
-            hi: index(self.inputs.len()),
-        });
-        self.outs.push(None);
-        self.tallies.push(Tally::default());
-        self.folds.push(None);
-        self.truth_folds.push(None);
-        self.mirror.push(None);
-        self.granted.push(f64::INFINITY);
-        self.pass.push(f64::INFINITY);
-        self.link(slot);
+    /// The slot the next registration takes.
+    fn next_slot(&self) -> u32 {
+        index(self.ops.len())
     }
 
-    /// The plan for the aggregate in `slot` (a no-op for other nodes),
-    /// given every slot before it is planned: links it to its prefix — an
-    /// earlier aggregate of the same kind whose inputs are exactly its own
-    /// but the last — if there is one, and files it as a prefix for the
-    /// aggregates after it. A hash hit is confirmed on the input lists, so
-    /// a collision only costs a missed link.
-    fn link(&mut self, slot: usize) {
-        let Slot {
-            op: Op::Aggregate { kind, .. },
-            lo,
-            hi,
-        } = self.slots[slot]
-        else {
-            return;
-        };
-        let ins = &self.inputs[lo as usize..hi as usize];
+    /// Appends a node under an id [`QueryGraph::check_fresh`] accepted, in
+    /// the slot [`QueryGraph::next_slot`] named. Its inputs are registered
+    /// already, so the last slot is a valid place.
+    fn push_node(&mut self, id: &str, op: Op) {
+        self.by_id.insert(id.to_string(), self.ops.len());
+        self.ids.push(id.to_string());
+        self.ops.push(op);
+        self.outs.push(None);
+        self.tallies.push(Tally::default());
+        self.mirror.push(None);
+        self.granted.push(f64::INFINITY);
+    }
+
+    /// Files the plan of an aggregate registering in `slot`, given every
+    /// aggregate before it is planned: links it to its prefix — an earlier
+    /// aggregate of the same kind whose inputs are exactly its own but the
+    /// last — if there is one, and files it as a prefix for the aggregates
+    /// after it. A hash hit is confirmed on the input lists, so a collision
+    /// only costs a missed link. Returns the plan's index.
+    fn link(&mut self, slot: u32, kind: AggKind, contract: Option<f64>, ins: &[u32]) -> u32 {
+        let plan = index(self.plans.len());
         let (head, all) = input_hashes(kind, ins);
-        let found = self.prefixes.get(&head).copied().filter(|&p| {
-            let Slot { op, lo, hi } = self.slots[p as usize];
-            matches!(op, Op::Aggregate { kind: k, .. } if k == kind)
-                && self.inputs[lo as usize..hi as usize] == ins[..ins.len() - 1]
+        let prefix = self.prefixes.get(&head).copied().filter(|&p| {
+            let p = &self.plans[p as usize];
+            p.kind == kind && self.inputs[p.all()] == ins[..ins.len() - 1]
         });
-        self.prefixes.entry(all).or_insert(index(slot));
-        if let Op::Aggregate { prefix, .. } = &mut self.slots[slot].op {
-            *prefix = found.unwrap_or(UNSHARED);
-        }
+        self.prefixes.entry(all).or_insert(plan);
+        let lo = index(self.inputs.len());
+        self.inputs.extend_from_slice(ins);
+        let hi = index(self.inputs.len());
+        self.plans.push(Plan {
+            slot,
+            prefix: prefix.unwrap_or(UNSHARED),
+            own: if prefix.is_some() { hi - 1 } else { lo },
+            hi,
+            members: hi - lo,
+            kind,
+            contract: contract.unwrap_or(f64::INFINITY),
+        });
+        self.folds.push(None);
+        self.truth_folds.push(None);
+        self.pass.push(f64::INFINITY);
+        plan
     }
 
     /// Registers a derived node: fresh id, every input an existing value
-    /// node, then whatever `op` files for it. A failed registration claims
-    /// nothing.
+    /// node, then whatever `op` files for it given its slot and input
+    /// slots. A failed registration claims nothing.
     fn add_derived(
         &mut self,
         id: &str,
         inputs: &[&str],
-        op: impl FnOnce(&mut Self) -> Op,
+        op: impl FnOnce(&mut Self, u32, &[u32]) -> Op,
     ) -> Result<(), QueryError> {
         self.check_fresh(id)?;
         let inputs = self.resolve_inputs(id, inputs)?;
-        let op = op(self);
-        self.push_node(id, op, &inputs);
+        let op = op(self, self.next_slot(), &inputs);
+        self.push_node(id, op);
         Ok(())
     }
 
@@ -759,8 +835,8 @@ impl QueryGraph {
     /// alias or a derived stream; the namespace is shared.
     pub fn add_raw(&mut self, id: &str, stream: StreamId) -> Result<(), QueryError> {
         self.check_fresh(id)?;
-        self.push_node(id, Op::Raw { stream }, &[]);
-        self.raws += 1;
+        self.raws.push((self.next_slot(), stream));
+        self.push_node(id, Op::Raw);
         Ok(())
     }
 
@@ -785,10 +861,8 @@ impl QueryGraph {
         if let Some(c) = contract {
             check_positive("contract", c)?;
         }
-        self.add_derived(id, inputs, |_| Op::Aggregate {
-            kind,
-            contract,
-            prefix: UNSHARED,
+        self.add_derived(id, inputs, |g, slot, ins| Op::Aggregate {
+            plan: g.link(slot, kind, contract, ins),
         })
     }
 
@@ -823,8 +897,15 @@ impl QueryGraph {
             });
         }
         check_positive("contract", contract)?;
-        self.add_derived(id, &[input], |g| Op::Tumbling {
-            pane: file(&mut g.panes, Pane::new(pane, contract)),
+        self.add_derived(id, &[input], |g, slot, ins| Op::Tumbling {
+            pane: file(
+                &mut g.panes,
+                Sink {
+                    slot,
+                    input: ins[0],
+                    op: Pane::new(pane, contract),
+                },
+            ),
         })
     }
 
@@ -856,15 +937,19 @@ impl QueryGraph {
         | WindowSpec::Min { window: span }
         | WindowSpec::Max { window: span }
         | WindowSpec::CountAbove { window: span, .. }) = spec;
-        self.add_derived(id, &[input], |g| Op::Sliding {
+        self.add_derived(id, &[input], |g, slot, ins| Op::Sliding {
             window: file(
                 &mut g.windows,
-                Window {
-                    contract,
-                    served,
-                    mirror,
-                    span,
-                    blind: 0,
+                Sink {
+                    slot,
+                    input: ins[0],
+                    op: Window {
+                        contract,
+                        served,
+                        mirror,
+                        span,
+                        blind: 0,
+                    },
                 },
             ),
         })
@@ -892,14 +977,18 @@ impl QueryGraph {
                 reason: format!("threshold must be finite, got {threshold}"),
             });
         }
-        self.add_derived(id, &[input], |g| Op::Alert {
+        self.add_derived(id, &[input], |g, slot, ins| Op::Alert {
             alert: file(
                 &mut g.alerts,
-                Alert {
-                    threshold,
-                    margin,
-                    state: AlertState::Uncertain,
-                    transitions: 0,
+                Sink {
+                    slot,
+                    input: ins[0],
+                    op: Alert {
+                        threshold,
+                        margin,
+                        state: AlertState::Uncertain,
+                        transitions: 0,
+                    },
                 },
             ),
         })
@@ -916,67 +1005,56 @@ impl QueryGraph {
     /// in `views`.
     pub fn observe_tick(&mut self, views: &[StreamView], variances: &[f64]) {
         self.ticks += 1;
-        for slot in 0..self.slots.len() {
-            let Slot { op, lo, hi } = self.slots[slot];
-            let ins = &self.inputs[lo as usize..hi as usize];
-            match op {
-                Op::Raw { stream } => {
-                    let Some(v) = views.get(stream.0) else {
-                        unfed_alias(&self.ids[slot], stream, views.len(), "views");
-                    };
-                    self.outs[slot] = Some(NodeOut {
-                        value: v.value,
-                        bound: v.delta,
-                        variance: variances.get(stream.0).copied().unwrap_or(0.0),
-                        staleness: v.staleness,
-                    });
+        for &(slot, stream) in &self.raws {
+            let Some(v) = views.get(stream.0) else {
+                unfed_alias(&self.ids[slot as usize], stream, views.len(), "views");
+            };
+            self.outs[slot as usize] = Some(NodeOut {
+                value: v.value,
+                bound: v.delta,
+                variance: variances.get(stream.0).copied().unwrap_or(0.0),
+                staleness: v.staleness,
+            });
+        }
+        for (p, plan) in self.plans.iter().enumerate() {
+            // A sharer resumes from the fold its prefix left this tick: the
+            // same additions in the same order.
+            let start = if plan.prefix == UNSHARED {
+                Some(fold_start(plan.kind))
+            } else {
+                self.folds[plan.prefix as usize]
+            };
+            let own = &self.inputs[plan.own()];
+            let fold = start.and_then(|acc| fold_outs(plan.kind, acc, own, &self.outs));
+            self.folds[p] = fold;
+            // An unpublished input leaves the last output standing.
+            if let Some(fold) = fold {
+                let out = finish(plan.kind, fold, plan.members);
+                if plan.contract.is_finite() {
+                    let tally = &mut self.tallies[plan.slot as usize];
+                    tally.max_ratio = tally.max_ratio.max(out.bound / plan.contract);
                 }
-                Op::Aggregate {
-                    kind,
-                    contract,
-                    prefix,
-                } => {
-                    // A sharer resumes from the fold its prefix left this
-                    // tick: the same additions in the same order.
-                    let start = if prefix == UNSHARED {
-                        Some(fold_start(kind))
-                    } else {
-                        self.folds[prefix as usize]
-                    };
-                    let own = &self.inputs[own_inputs(prefix, lo, hi)..hi as usize];
-                    let fold = start.and_then(|acc| fold_outs(kind, acc, own, &self.outs));
-                    self.folds[slot] = fold;
-                    // An unpublished input leaves the last output standing.
-                    if let Some(fold) = fold {
-                        let out = finish(kind, fold, hi - lo);
-                        if let Some(c) = contract {
-                            let tally = &mut self.tallies[slot];
-                            tally.max_ratio = tally.max_ratio.max(out.bound / c);
-                        }
-                        self.outs[slot] = Some(out);
-                    }
-                }
-                Op::Tumbling { pane } => {
-                    let pane = &mut self.panes[pane as usize];
-                    let closed = self.outs[ins[0] as usize].and_then(|v| pane.observe(v));
-                    if let Some(closed) = closed {
-                        let tally = &mut self.tallies[slot];
-                        tally.max_ratio = tally.max_ratio.max(closed.bound / pane.contract);
-                        self.outs[slot] = Some(closed);
-                    }
-                }
-                // Alerts and sliding windows publish no `NodeOut`: theirs
-                // stays `None`, which keeps them out of `answer()`.
-                Op::Alert { alert } => {
-                    if let Some(v) = self.outs[ins[0] as usize] {
-                        self.alerts[alert as usize].observe(v);
-                    }
-                }
-                Op::Sliding { window } => {
-                    if let Some(v) = self.outs[ins[0] as usize] {
-                        self.windows[window as usize].served.push(v.value, v.bound);
-                    }
-                }
+                self.outs[plan.slot as usize] = Some(out);
+            }
+        }
+        // Every value is final now; the sinks read nothing else.
+        for pane in &mut self.panes {
+            if let Some(closed) = self.outs[pane.input as usize].and_then(|v| pane.op.observe(v)) {
+                let tally = &mut self.tallies[pane.slot as usize];
+                tally.max_ratio = tally.max_ratio.max(closed.bound / pane.op.contract);
+                self.outs[pane.slot as usize] = Some(closed);
+            }
+        }
+        // Alerts and sliding windows publish no `NodeOut`: theirs stays
+        // `None`, which keeps them out of `answer()`.
+        for alert in &mut self.alerts {
+            if let Some(v) = self.outs[alert.input as usize] {
+                alert.op.observe(v);
+            }
+        }
+        for window in &mut self.windows {
+            if let Some(v) = self.outs[window.input as usize] {
+                window.op.served.push(v.value, v.bound);
             }
         }
     }
@@ -998,68 +1076,44 @@ impl QueryGraph {
     pub fn verify_tick(&mut self, truth: &[f64]) -> u64 {
         let z = self.z;
         let mut new_violations = 0u64;
-        for slot in 0..self.slots.len() {
-            let Slot { op, lo, hi } = self.slots[slot];
-            let ins = &self.inputs[lo as usize..hi as usize];
-            // Served-vs-truth pair to check against the worst-case bound
-            // and the distributional interval.
-            let mut check: Option<(NodeOut, f64)> = None;
-            // An alert verdict or a window answer the truth contradicts.
-            let mut broken = false;
-            match op {
-                Op::Raw { stream } => {
-                    let Some(&t) = truth.get(stream.0) else {
-                        unfed_alias(&self.ids[slot], stream, truth.len(), "truths");
-                    };
-                    self.mirror[slot] = t.is_finite().then_some(t);
-                }
-                Op::Aggregate { kind, prefix, .. } => {
-                    let start = if prefix == UNSHARED {
-                        Some(fold_start(kind).value)
-                    } else {
-                        self.truth_folds[prefix as usize]
-                    };
-                    let own = &self.inputs[own_inputs(prefix, lo, hi)..hi as usize];
-                    let fold = start.and_then(|acc| fold_values(kind, acc, own, &self.mirror));
-                    self.truth_folds[slot] = fold;
-                    self.mirror[slot] = fold
-                        .map(|t| finish_value(kind, t, hi - lo))
-                        .filter(|t| t.is_finite());
-                }
-                Op::Tumbling { pane } => {
-                    check = self.panes[pane as usize]
-                        .verify(self.mirror[ins[0] as usize], self.outs[slot]);
-                }
-                Op::Alert { alert } => {
-                    let alert = &self.alerts[alert as usize];
-                    broken = self.mirror[ins[0] as usize].is_some_and(|t| alert.contradicted_by(t));
-                }
-                Op::Sliding { window } => {
-                    broken = window_contradicts(
-                        &mut self.windows[window as usize],
-                        self.mirror[ins[0] as usize],
-                    );
-                }
-            }
-            if op.is_value() {
-                check = self.outs[slot].zip(self.mirror[slot]);
-            }
-            let tally = &mut self.tallies[slot];
-            if let Some((out, t)) = check {
-                let err = (out.value - t).abs();
-                if violates(err, out.bound) {
-                    tally.violations += 1;
-                    new_violations += 1;
-                }
-                tally.checked += 1;
-                if !violates(err, z * out.variance.max(0.0).sqrt()) {
-                    tally.covered += 1;
-                }
-            }
-            if broken {
-                tally.violations += 1;
-                new_violations += 1;
-            }
+        for &(slot, stream) in &self.raws {
+            let Some(&t) = truth.get(stream.0) else {
+                unfed_alias(&self.ids[slot as usize], stream, truth.len(), "truths");
+            };
+            let slot = slot as usize;
+            self.mirror[slot] = t.is_finite().then_some(t);
+            new_violations += self.tallies[slot].check(self.outs[slot].zip(self.mirror[slot]), z);
+        }
+        for (p, plan) in self.plans.iter().enumerate() {
+            let start = if plan.prefix == UNSHARED {
+                Some(fold_start(plan.kind).value)
+            } else {
+                self.truth_folds[plan.prefix as usize]
+            };
+            let own = &self.inputs[plan.own()];
+            let fold = start.and_then(|acc| fold_values(plan.kind, acc, own, &self.mirror));
+            self.truth_folds[p] = fold;
+            let slot = plan.slot as usize;
+            self.mirror[slot] = fold
+                .map(|t| finish_value(plan.kind, t, plan.members))
+                .filter(|t| t.is_finite());
+            new_violations += self.tallies[slot].check(self.outs[slot].zip(self.mirror[slot]), z);
+        }
+        for pane in &mut self.panes {
+            let slot = pane.slot as usize;
+            let pair = pane
+                .op
+                .verify(self.mirror[pane.input as usize], self.outs[slot]);
+            new_violations += self.tallies[slot].check(pair, z);
+        }
+        for alert in &self.alerts {
+            let lie =
+                self.mirror[alert.input as usize].is_some_and(|t| alert.op.contradicted_by(t));
+            new_violations += self.tallies[alert.slot as usize].broken(lie);
+        }
+        for window in &mut self.windows {
+            let broken = window_contradicts(&mut window.op, self.mirror[window.input as usize]);
+            new_violations += self.tallies[window.slot as usize].broken(broken);
         }
         self.violations += new_violations;
         new_violations
@@ -1087,72 +1141,59 @@ impl QueryGraph {
     /// Call once per tick, after [`QueryGraph::observe_tick`]. Streams no
     /// registered query constrains are absent from the result. With
     /// feedback off the result is tick-invariant (the static propagation).
-    pub fn required_deltas(&mut self) -> HashMap<StreamId, f64> {
-        // Sized once: at most one entry per raw alias.
-        let mut required: HashMap<StreamId, f64> = HashMap::with_capacity(self.raws);
+    pub fn required_deltas(&mut self) -> Grants {
         let feedback = self.feedback;
         let mut relaxations = 0u64;
-        for slot in (0..self.slots.len()).rev() {
-            let Slot { op, lo, hi } = self.slots[slot];
-            let ins = &self.inputs[lo as usize..hi as usize];
+        // The sinks first: nothing consumes them, and a grant is a minimum,
+        // so where among its input's consumers a sink grants is free.
+        for pane in &mut self.panes {
+            let g = pane.op.grant(feedback);
+            if g > pane.op.contract * (1.0 + 1e-9) {
+                relaxations += 1;
+            }
+            tighten(&mut self.granted[pane.input as usize], g);
+        }
+        for alert in &self.alerts {
+            let g = alert.op.grant(feedback, self.outs[alert.input as usize]);
+            if g > alert.op.margin * (1.0 + 1e-9) {
+                relaxations += 1;
+            }
+            tighten(&mut self.granted[alert.input as usize], g);
+        }
+        for window in &self.windows {
+            tighten(&mut self.granted[window.input as usize], window.op.contract);
+        }
+        for (p, plan) in self.plans.iter().enumerate().rev() {
             // Every consumer sits later in the order and has been walked,
-            // so this slot's grant is final; taking it leaves the scratch
-            // all-∞ for the next call.
-            let granted = std::mem::replace(&mut self.granted[slot], f64::INFINITY);
-            // What this slot grants each of its inputs (∞: nothing), and
-            // from which input on it grants it itself.
-            let (per, own) = match op {
-                Op::Raw { stream } => {
-                    if granted.is_finite() {
-                        required
-                            .entry(stream)
-                            .and_modify(|d| *d = d.min(granted))
-                            .or_insert(granted);
-                    }
-                    continue;
-                }
-                Op::Aggregate {
-                    kind,
-                    contract,
-                    prefix,
-                } => {
-                    let eff = contract.unwrap_or(f64::INFINITY).min(granted);
-                    let per = match kind {
-                        AggKind::Avg | AggKind::Min | AggKind::Max => eff,
-                        AggKind::Sum => eff / ins.len() as f64,
-                    };
-                    // Every sharer extending this slot sits later and has
-                    // passed down what it grants the inputs shared with it;
-                    // this slot grants its own inputs that too, and passes
-                    // the lot on to its own prefix for the rest.
-                    let per = per.min(std::mem::replace(&mut self.pass[slot], f64::INFINITY));
-                    if prefix != UNSHARED {
-                        let pass = &mut self.pass[prefix as usize];
-                        *pass = pass.min(per);
-                    }
-                    (per, own_inputs(prefix, lo, hi))
-                }
-                Op::Tumbling { pane } => {
-                    let pane = &mut self.panes[pane as usize];
-                    let g = pane.grant(feedback);
-                    if g > pane.contract * (1.0 + 1e-9) {
-                        relaxations += 1;
-                    }
-                    (g, lo as usize)
-                }
-                Op::Alert { alert } => {
-                    let alert = &self.alerts[alert as usize];
-                    let g = alert.grant(feedback, self.outs[ins[0] as usize]);
-                    if g > alert.margin * (1.0 + 1e-9) {
-                        relaxations += 1;
-                    }
-                    (g, lo as usize)
-                }
-                Op::Sliding { window } => (self.windows[window as usize].contract, lo as usize),
+            // so this aggregate's grant is final; taking it leaves the
+            // scratch all-∞ for the next call.
+            let granted = std::mem::replace(&mut self.granted[plan.slot as usize], f64::INFINITY);
+            let eff = plan.contract.min(granted);
+            let per = match plan.kind {
+                AggKind::Avg | AggKind::Min | AggKind::Max => eff,
+                AggKind::Sum => eff / f64::from(plan.members),
             };
-            for &j in &self.inputs[own..hi as usize] {
-                let g = &mut self.granted[j as usize];
-                *g = g.min(per);
+            // Every sharer extending this aggregate comes later and has
+            // passed down what it grants the inputs shared with it; this
+            // one grants its own inputs that too, and passes the lot on to
+            // its own prefix for the rest.
+            let per = per.min(std::mem::replace(&mut self.pass[p], f64::INFINITY));
+            if plan.prefix != UNSHARED {
+                tighten(&mut self.pass[plan.prefix as usize], per);
+            }
+            for &j in &self.inputs[plan.own()] {
+                tighten(&mut self.granted[j as usize], per);
+            }
+        }
+        // Sized once: at most one entry per raw alias.
+        let mut required = Grants::with_capacity_and_hasher(self.raws.len(), Default::default());
+        for &(slot, stream) in &self.raws {
+            let granted = std::mem::replace(&mut self.granted[slot as usize], f64::INFINITY);
+            if granted.is_finite() {
+                required
+                    .entry(stream)
+                    .and_modify(|d| *d = d.min(granted))
+                    .or_insert(granted);
             }
         }
         self.relaxations += relaxations;
@@ -1174,13 +1215,17 @@ impl QueryGraph {
     /// The latest answer of a value node with both uncertainty
     /// vocabularies: the worst-case δ bound and a calibrated `± z·σ`
     /// interval at two-sided coverage `level`.
+    ///
+    /// # Panics
+    /// Panics unless `level` lies in (0, 1), as [`QueryGraph::set_level`].
     pub fn distributional(&self, id: &str, level: f64) -> Option<DistributionalAnswer> {
+        let z = z_of(level);
         self.outs[self.slot(id)?].map(|o| {
             let stddev = o.variance.max(0.0).sqrt();
             DistributionalAnswer {
                 value: o.value,
                 stddev,
-                interval: z_quantile(level) * stddev,
+                interval: z * stddev,
                 worst_case: o.bound,
                 level,
             }
@@ -1190,8 +1235,8 @@ impl QueryGraph {
     /// The latest answer of a sliding-window node. `None` before its first
     /// tick, for every other node kind, and for unknown ids.
     pub fn window_answer(&self, id: &str) -> Option<WindowAnswer> {
-        match self.slots[self.slot(id)?].op {
-            Op::Sliding { window } => self.windows[window as usize].served.answer(),
+        match self.ops[self.slot(id)?] {
+            Op::Sliding { window } => self.windows[window as usize].op.served.answer(),
             _ => None,
         }
     }
@@ -1201,16 +1246,17 @@ impl QueryGraph {
     /// last, found when `id` registered. `None` when it extends none, for
     /// every other node kind, and for unknown ids.
     pub fn prefix_of(&self, id: &str) -> Option<&str> {
-        match self.slots[self.slot(id)?].op {
-            Op::Aggregate { prefix, .. } if prefix != UNSHARED => Some(&self.ids[prefix as usize]),
-            _ => None,
-        }
+        let Op::Aggregate { plan } = self.ops[self.slot(id)?] else {
+            return None;
+        };
+        let prefix = self.plans[plan as usize].prefix;
+        (prefix != UNSHARED).then(|| self.ids[self.plans[prefix as usize].slot as usize].as_str())
     }
 
     /// Current verdict of an alert node.
     pub fn alert_state(&self, id: &str) -> Option<AlertState> {
-        match self.slots[self.slot(id)?].op {
-            Op::Alert { alert } => Some(self.alerts[alert as usize].state),
+        match self.ops[self.slot(id)?] {
+            Op::Alert { alert } => Some(self.alerts[alert as usize].op.state),
             _ => None,
         }
     }
@@ -1380,7 +1426,7 @@ impl Instrument for QueryGraph {
         scope.counter("ticks", self.ticks);
         scope.counter("violations", self.violations);
         scope.counter("relaxations", self.relaxations);
-        scope.counter("nodes", self.slots.len() as u64);
+        scope.counter("nodes", self.ops.len() as u64);
         if let Some(c) = self.coverage() {
             scope.gauge("coverage", c);
         }
@@ -1393,12 +1439,12 @@ impl Instrument for QueryGraph {
             if tally.checked > 0 {
                 s.gauge("coverage", tally.covered as f64 / tally.checked as f64);
             }
-            match self.slots[slot].op {
+            match self.ops[slot] {
                 Op::Tumbling { pane } => {
-                    s.counter("panes_closed", self.panes[pane as usize].closed);
+                    s.counter("panes_closed", self.panes[pane as usize].op.closed);
                 }
                 Op::Alert { alert } => {
-                    s.counter("transitions", self.alerts[alert as usize].transitions);
+                    s.counter("transitions", self.alerts[alert as usize].op.transitions);
                 }
                 _ => {}
             }
@@ -1868,5 +1914,179 @@ mod tests {
         assert!(d50.interval < d95.interval);
         assert!((d50.stddev - 0.1).abs() < 1e-12);
         assert_eq!(d95.worst_case, 0.5);
+    }
+
+    #[test]
+    fn a_coverage_level_outside_the_unit_interval_is_refused() {
+        // A raw stream served 30 σ from its truth is never covered. At a
+        // level of 1.0, 1.5 or NaN `z` would be NaN, which counts every
+        // check as covered, so such a level is refused where it is given.
+        let mut g = QueryGraph::new();
+        g.add_raw("s0", StreamId(0)).unwrap();
+        g.set_level(0.95);
+        g.observe_tick(&[view(0.0, 0.5)], &[0.01]);
+        g.verify_tick(&[3.0]);
+        assert_eq!(g.node_coverage("s0"), Some((0, 1)));
+        // The largest level below 1 is refused too: 0.5 + level / 2 rounds
+        // to 1, where the quantile is NaN.
+        for level in [1.0, 1.5, f64::NAN, 0.0, -0.5, 1.0 - f64::EPSILON / 2.0] {
+            let set = std::panic::catch_unwind(|| QueryGraph::new().set_level(level));
+            assert!(set.is_err(), "set_level({level}) was accepted");
+            let asked = std::panic::catch_unwind(|| {
+                QueryGraph::new().distributional("s0", level);
+            });
+            assert!(asked.is_err(), "distributional(_, {level}) was accepted");
+        }
+    }
+
+    /// Every answer, verdict and counter of `g`, to the bit, by id.
+    fn state_bits(g: &QueryGraph) -> Vec<String> {
+        let mut ids = g.ids.clone();
+        ids.sort();
+        let window = |a: Option<WindowAnswer>| {
+            a.map(|a| match a {
+                WindowAnswer::Value { value, bound } => (value.to_bits(), bound.to_bits()),
+                WindowAnswer::Count { lo, hi } => (lo, hi),
+            })
+        };
+        let mut bits: Vec<String> = ids
+            .iter()
+            .map(|id| {
+                let answer = g
+                    .answer(id)
+                    .map(|a| (a.value.to_bits(), a.bound.to_bits(), a.max_staleness));
+                let d = g
+                    .distributional(id, 0.9)
+                    .map(|d| (d.stddev.to_bits(), d.interval.to_bits()));
+                format!(
+                    "{id}: {answer:?} {d:?} {:?} {:?} {:?}",
+                    g.alert_state(id),
+                    window(g.window_answer(id)),
+                    g.node_coverage(id)
+                )
+            })
+            .collect();
+        bits.push(format!(
+            "violations {} relaxations {} ratio {:x} coverage {:?}",
+            g.violations(),
+            g.relaxations(),
+            g.max_contract_ratio().to_bits(),
+            g.coverage().map(f64::to_bits)
+        ));
+        bits
+    }
+
+    /// The same graph registered with each sink right after its input (as
+    /// the `query_graph` benchmark registers), or with every sink after
+    /// every value node.
+    fn sinks_placed(interleaved: bool, feedback: bool) -> QueryGraph {
+        let mut g = QueryGraph::new();
+        g.set_feedback(feedback);
+        let mut sinks: Vec<&str> = Vec::new();
+        let mut value = |g: &mut QueryGraph, id: &'static str| {
+            if interleaved {
+                add_sinks(g, id);
+            } else {
+                sinks.push(id);
+            }
+        };
+        for (s, id) in ["s0", "s1", "s2", "s3"].into_iter().enumerate() {
+            g.add_raw(id, StreamId(s)).unwrap();
+            value(&mut g, id);
+        }
+        let aggregates: [(&str, AggKind, &[&str], Option<f64>); 5] = [
+            ("a", AggKind::Avg, &["s0", "s1"], Some(0.5)),
+            ("b", AggKind::Avg, &["s0", "s1", "s2"], Some(0.6)),
+            ("c", AggKind::Sum, &["s2", "s3"], Some(0.8)),
+            ("d", AggKind::Max, &["a", "c"], None),
+            ("e", AggKind::Min, &["b", "d", "s3"], Some(0.9)),
+        ];
+        for (id, kind, inputs, contract) in aggregates {
+            g.add_aggregate(id, kind, inputs, contract).unwrap();
+            value(&mut g, id);
+        }
+        for id in sinks {
+            add_sinks(&mut g, id);
+        }
+        assert_eq!(g.prefix_of("b"), Some("a"));
+        g
+    }
+
+    /// An alert, a tumbling pane and a sliding window over `input`.
+    fn add_sinks(g: &mut QueryGraph, input: &str) {
+        let n: usize = input.bytes().map(usize::from).sum();
+        g.add_alert(&format!("{input}_alert"), input, 0.2, 0.04)
+            .unwrap();
+        g.add_tumbling_avg(&format!("{input}_pane"), input, 2 + n % 4, 0.3)
+            .unwrap();
+        let window = 1 + n % 5;
+        let spec = match n % 4 {
+            0 => WindowSpec::Avg { window },
+            1 => WindowSpec::Min { window },
+            2 => WindowSpec::Max { window },
+            _ => WindowSpec::CountAbove {
+                window,
+                threshold: 0.1,
+            },
+        };
+        g.add_sliding(&format!("{input}_window"), input, spec, 0.4)
+            .unwrap();
+    }
+
+    #[test]
+    fn a_sinks_place_in_the_registration_order_changes_no_bit() {
+        for feedback in [false, true] {
+            let mut interleaved = sinks_placed(true, feedback);
+            let mut after = sinks_placed(false, feedback);
+            assert_eq!(interleaved.len(), after.len());
+            let mut verdicts = 0;
+            for t in 0..60u64 {
+                let views: Vec<StreamView> = (0..4u64)
+                    .map(|s| StreamView {
+                        value: ((t * 7 + s * 3) % 11) as f64 * 0.3 - 1.2,
+                        delta: 0.02 + 0.01 * ((t + s) % 5) as f64,
+                        staleness: (t + s) % 3,
+                    })
+                    .collect();
+                let variances: Vec<f64> =
+                    (0..4).map(|s| 0.001 * (1 + (t + s) % 4) as f64).collect();
+                // Mostly inside the bound, now and then past it, and one
+                // unknown truth.
+                let truth: Vec<f64> = views
+                    .iter()
+                    .enumerate()
+                    .map(|(s, v)| {
+                        let k = ((t * 13 + s as u64 * 5) % 9) as f64 / 4.0 - 1.0;
+                        if t == 17 && s == 2 {
+                            f64::NAN
+                        } else {
+                            v.value + 1.1 * k * v.delta
+                        }
+                    })
+                    .collect();
+                interleaved.observe_tick(&views, &variances);
+                after.observe_tick(&views, &variances);
+                assert_eq!(interleaved.verify_tick(&truth), after.verify_tick(&truth));
+                let grants = |g: &mut QueryGraph| {
+                    let mut bits: Vec<_> = g
+                        .required_deltas()
+                        .into_iter()
+                        .map(|(s, d)| (s, d.to_bits()))
+                        .collect();
+                    bits.sort();
+                    bits
+                };
+                assert_eq!(grants(&mut interleaved), grants(&mut after), "tick {t}");
+                assert_eq!(state_bits(&interleaved), state_bits(&after), "tick {t}");
+                verdicts +=
+                    usize::from(interleaved.alert_state("a_alert") != Some(AlertState::Uncertain));
+            }
+            // The drive reaches every path: violations, resolved verdicts,
+            // closed panes, and relaxations under feedback.
+            assert!(interleaved.violations() > 0);
+            assert!(verdicts > 0);
+            assert!(interleaved.answer("e_pane").is_some());
+            assert_eq!(interleaved.relaxations() > 0, feedback);
+        }
     }
 }

@@ -44,7 +44,7 @@ pub mod window;
 
 pub use budget::{split_budget, split_budget_uniform, split_budget_weighted};
 pub use eval::{answer_aggregate, answer_point, evaluate_threshold, AlertState, Answer};
-pub use graph::{z_quantile, DistributionalAnswer, QueryGraph};
+pub use graph::{z_quantile, DistributionalAnswer, Grants, QueryGraph};
 pub use registry::{QueryRegistry, StreamView};
 pub use spec::{AggKind, AggregateQuery, PointQuery, QueryError, StreamId};
 pub use window::{WindowAnswer, WindowSpec};

@@ -30,7 +30,7 @@ use std::collections::{HashMap, VecDeque};
 use kalstream_query::window::{SlidingAvg, SlidingCountAbove, SlidingExtremum};
 use kalstream_query::{
     answer_aggregate, evaluate_threshold, z_quantile, AggKind, AggregateQuery, AlertState, Answer,
-    PointQuery, QueryGraph, QueryRegistry, StreamId, StreamView, WindowAnswer, WindowSpec,
+    Grants, PointQuery, QueryGraph, QueryRegistry, StreamId, StreamView, WindowAnswer, WindowSpec,
 };
 use proptest::prelude::*;
 use proptest::test_runner::{TestCaseError, TestCaseResult};
@@ -552,10 +552,10 @@ mod reference {
             new_violations
         }
 
-        pub fn required_deltas(&mut self) -> HashMap<StreamId, f64> {
+        pub fn required_deltas(&mut self) -> Grants {
             let outs: Vec<Option<Out>> = self.nodes.iter().map(|n| n.out).collect();
             let mut granted = vec![f64::INFINITY; self.nodes.len()];
-            let mut required: HashMap<StreamId, f64> = HashMap::new();
+            let mut required = Grants::default();
             let feedback = self.feedback;
             for i in (0..self.nodes.len()).rev() {
                 match &mut self.nodes[i].kind {
@@ -897,14 +897,14 @@ impl Twin {
         views: &[StreamView],
         variances: &[f64],
         truth: &[f64],
-    ) -> Result<HashMap<StreamId, f64>, TestCaseError> {
+    ) -> Result<Grants, TestCaseError> {
         self.engine.observe_tick(views, variances);
         self.oracle.observe_tick(views, variances);
         prop_assert_eq!(
             self.engine.verify_tick(truth),
             self.oracle.verify_tick(truth)
         );
-        let bits = |m: &HashMap<StreamId, f64>| -> Vec<(StreamId, u64)> {
+        let bits = |m: &Grants| -> Vec<(StreamId, u64)> {
             let mut v: Vec<_> = m.iter().map(|(&s, d)| (s, d.to_bits())).collect();
             v.sort();
             v
