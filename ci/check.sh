@@ -292,6 +292,13 @@ cargo build --release --workspace
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+# vendor/* is excluded from the workspace, so the run above skips the
+# stand-ins' own tests; every tick runs through crossbeam's and bytes'.
+echo "==> the vendored stand-ins' own tests"
+for stub in vendor/*/; do
+    cargo test -q --offline --manifest-path "${stub}Cargo.toml"
+done
+
 echo "==> every example runs once in release and asserts its own claims"
 for example in examples/*.rs; do
     cargo run --release -q --example "$(basename "$example" .rs)" >/dev/null

@@ -614,8 +614,7 @@ impl IngestPipeline {
             };
         }
         let start = std::time::Instant::now();
-        let mut endpoints = Vec::new();
-        self.join_workers(&mut endpoints);
+        let endpoints = self.join_workers();
         // Every worker is gone and every buffer back. Match the router-side
         // batch set to the new shard count (a shrink frees the spare
         // buffers, a grow's new batches start empty), top the free list up
@@ -642,14 +641,17 @@ impl IngestPipeline {
     }
 
     /// Closes every live shard's queue (the worker drains, then exits),
-    /// joins it, retires its report and collects its endpoints.
-    fn join_workers(&mut self, endpoints: &mut Vec<(u32, ServerEndpoint)>) {
+    /// joins it, retires its report and returns every shard's endpoints,
+    /// sorted by stream id.
+    fn join_workers(&mut self) -> Vec<(u32, ServerEndpoint)> {
+        let mut runs = Vec::with_capacity(self.shards.len());
         for shard in self.shards.drain(..) {
             drop(shard.tx);
             let result = shard.handle.join().expect("ingest shard worker panicked");
             self.retired.extend(result.shards);
-            endpoints.extend(result.endpoints);
+            runs.push(result.endpoints);
         }
+        merge_by_id(runs)
     }
 
     /// Routes one tick's framed traffic to the shards and advances every
@@ -717,12 +719,11 @@ impl IngestPipeline {
                 rx
             })
             .collect();
-        let mut states: Vec<(u32, EndpointState)> = replies
+        let runs = replies
             .into_iter()
-            .flat_map(|rx| rx.recv().expect("ingest shard worker died"))
+            .map(|rx| rx.recv().expect("ingest shard worker died"))
             .collect();
-        states.sort_by_key(|(id, _)| *id);
-        states
+        merge_by_id(runs)
     }
 
     /// Flushes, shuts the workers down, and collects their reports and
@@ -732,18 +733,33 @@ impl IngestPipeline {
     /// unique.
     pub fn finish(mut self) -> IngestResult {
         self.flush();
-        let mut endpoints = Vec::new();
-        self.join_workers(&mut endpoints);
+        let endpoints = self.join_workers();
         let mut shards = std::mem::take(&mut self.retired);
         for (i, report) in shards.iter_mut().enumerate() {
             report.shard = i;
         }
-        endpoints.sort_by_key(|(id, _)| *id);
         IngestResult {
             shards,
             endpoints,
             router_decode_failures: self.router.decode_failures(),
         }
+    }
+}
+
+/// Merges the shards' id-sorted `runs` into one id-sorted `Vec`, sized
+/// once: each element is taken from the head of its run and pushed, where
+/// appending the runs and sorting moved ≈ 2.9 KB endpoints again. Streams
+/// never span shards, so ids are unique across runs.
+fn merge_by_id<T>(runs: Vec<Vec<(u32, T)>>) -> Vec<(u32, T)> {
+    let mut merged = Vec::with_capacity(runs.iter().map(Vec::len).sum());
+    let mut runs: Vec<_> = runs.into_iter().map(Vec::into_iter).collect();
+    loop {
+        let heads = runs.iter().enumerate();
+        let next = heads.filter_map(|(run, rest)| Some((rest.as_slice().first()?.0, run)));
+        let Some((_, run)) = next.min() else {
+            return merged;
+        };
+        merged.push(runs[run].next().expect("the run has a head"));
     }
 }
 
@@ -949,7 +965,9 @@ impl SequentialIngest {
 mod tests {
     use super::*;
     use crate::frame::FrameBatch;
-    use crate::test_support::{assert_same_endpoints, filter_bits, oracle, poll_dry, record_log};
+    use crate::test_support::{
+        assert_same_endpoints, assert_same_states, filter_bits, oracle, poll_dry, record_log,
+    };
     use crate::wire::SyncMessage;
     use crate::{ProtocolConfig, SessionSpec, StreamSession};
     use crossbeam::channel::unbounded;
@@ -1106,6 +1124,66 @@ mod tests {
         let expected_ticks: u64 = 15 + 25 * 4 + 10 * 2 + 10;
         assert_eq!(ticks, expected_ticks);
         assert_same_endpoints(&result.endpoints, &want, "across resizes");
+    }
+
+    #[test]
+    fn scattered_ids_come_back_merged_in_id_order_at_every_shard_count() {
+        // Ids out of order and far apart, so every shard count splits them
+        // unevenly and a merge that drops, repeats or misorders a run's
+        // head shows.
+        const IDS: [u32; 7] = [41, 7, 1000, 3, 12, 99, 64];
+        let (servers, log) = record_log(0, IDS.len() as u32, 40);
+        let servers: Vec<_> = servers
+            .into_iter()
+            .map(|(i, ep)| (IDS[i as usize], ep))
+            .collect();
+        let log: Vec<Vec<u8>> = log
+            .iter()
+            .map(|tick| {
+                let mut batch = FrameBatch::new();
+                FrameDecoder::new().for_each_frame(tick, |frame| {
+                    batch.push_raw(IDS[frame.stream_id as usize], frame.body)
+                });
+                batch.as_bytes().to_vec()
+            })
+            .collect();
+        fn increasing<T>(items: &[(u32, T)], what: &str) {
+            let ids: Vec<u32> = items.iter().map(|(id, _)| *id).collect();
+            assert_eq!(ids.len(), IDS.len(), "{what}");
+            assert!(ids.windows(2).all(|w| w[0] < w[1]), "{what}: {ids:?}");
+        }
+        let mut seq = SequentialIngest::new(servers.clone());
+        let mut seq_states = Vec::new();
+        for (t, tick) in log.iter().enumerate() {
+            seq.ingest_tick(tick);
+            if t % 10 == 9 {
+                seq_states.push(seq.snapshot_states());
+            }
+        }
+        let seq_result = seq.finish();
+        assert!(seq_result.total_messages() > 0, "log recorded no syncs");
+        // Each start count alone, then resized to 2 and to 5 mid-run.
+        for (start, resizes) in [(1, vec![]), (2, vec![]), (3, vec![]), (5, vec![])]
+            .into_iter()
+            .chain([1, 3].map(|start| (start, vec![(15, 2), (25, 5)])))
+        {
+            let what = format!("{start} shards, resized {resizes:?}");
+            let mut pipe = IngestPipeline::start(start, servers.clone());
+            for (t, tick) in log.iter().enumerate() {
+                if let Some(&(_, to)) = resizes.iter().find(|(at, _)| *at == t) {
+                    pipe.reassign(to);
+                }
+                pipe.ingest_tick(tick);
+                if t % 10 == 9 {
+                    let states = pipe.snapshot_states();
+                    increasing(&states, &what);
+                    assert_same_states(&states, &seq_states[t / 10], &what);
+                }
+            }
+            let result = pipe.finish();
+            increasing(&result.endpoints, &what);
+            assert_same_endpoints(&result.endpoints, &seq_result.endpoints, &what);
+        }
     }
 
     #[test]

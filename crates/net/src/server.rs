@@ -581,6 +581,12 @@ fn serve(
         }
     };
 
+    // The lockstep return marker, built once: every send is a clone of it.
+    let marker = {
+        let mut marker = Vec::with_capacity(MARKER_BYTES);
+        push_marker(&mut marker);
+        Bytes::from(marker)
+    };
     let mut route: HashMap<u32, usize> = HashMap::new();
     loop {
         // Barrier check: every admitted conn is drained and idle → done.
@@ -617,9 +623,7 @@ fn serve(
                     if state.eof {
                         continue;
                     }
-                    let mut marker = Vec::with_capacity(MARKER_BYTES);
-                    push_marker(&mut marker);
-                    if writer.try_send(Bytes::from(marker)).is_err() {
+                    if writer.try_send(marker.clone()).is_err() {
                         state.report.shed += 1;
                     }
                 }
@@ -800,17 +804,17 @@ fn reader_thread(
     let mut decoder = StreamDecoder::new();
     let mut tick_buf: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 16 * 1024];
+    let mut ticks: Vec<Vec<u8>> = Vec::new();
     loop {
         let n = match read.read(&mut chunk) {
             Ok(0) | Err(_) => break,
             Ok(n) => n,
         };
-        let mut ticks: Vec<Vec<u8>> = Vec::new();
         match feed_ticks(&mut decoder, &chunk[..n], &mut tick_buf, |t| ticks.push(t)) {
             Ok(_) => {}
             Err(_) => break, // oversized frame: poison-close the connection
         }
-        for frames in ticks {
+        for frames in ticks.drain(..) {
             let bytes_in = frames.len() as u64 + MARKER_BYTES as u64;
             if router
                 .send(RouterMsg::Tick {
