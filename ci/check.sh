@@ -283,6 +283,16 @@ if sed '/#\[cfg(test)\]/,$d' crates/net/src/client.rs | grep -nE 'for now in 0\.
     exit 1
 fi
 
+echo "==> the router reads the sockets: no reader thread, no tick message"
+if grep -rnE 'net-reader|reader_thread|RouterMsg::(Tick|Eof)|conn_slot' crates src tests examples; then
+    echo "the per-connection reader thread is back: the router reads each connection into its TickCutter" >&2
+    exit 1
+fi
+if sed '/#\[cfg(test)\]/,$d' crates/net/src/server.rs | grep -nw feed_ticks; then
+    echo "crates/net/src/server.rs cuts ticks with feed_ticks again; it cuts in place with TickCutter" >&2
+    exit 1
+fi
+
 echo "==> ci/pairs.sh parses (the paired parent-vs-change benchmark runner; nothing in CI runs it)"
 bash -n ci/pairs.sh
 

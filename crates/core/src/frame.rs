@@ -227,6 +227,31 @@ impl std::fmt::Display for OversizedFrame {
 
 impl std::error::Error for OversizedFrame {}
 
+/// The frame walk of a byte stream, shared by [`StreamDecoder`] and the
+/// net layer's tick cutter: hands each complete frame at the front of
+/// `bytes` to `f` as `(stream_id, offset, body)`, `offset` being where the
+/// frame's header starts, and returns the bytes walked. The walk stops at
+/// the first incomplete frame, or fails at a header whose length is over
+/// [`MAX_FRAME_BYTES`] once every frame before it has been handed out.
+#[inline]
+pub fn walk_stream_frames(
+    bytes: &[u8],
+    mut f: impl FnMut(u32, usize, &[u8]),
+) -> Result<usize, OversizedFrame> {
+    let mut at = 0;
+    while let Some((header, rest)) = bytes[at..].split_first_chunk::<FRAME_HEADER_BYTES>() {
+        let stream_id = u32::from_le_bytes(header[0..4].try_into().unwrap());
+        let len = u32::from_le_bytes(header[4..8].try_into().unwrap()) as usize;
+        if len > MAX_FRAME_BYTES {
+            return Err(OversizedFrame { stream_id, len });
+        }
+        let Some(body) = rest.get(..len) else { break };
+        f(stream_id, at, body);
+        at += FRAME_HEADER_BYTES + len;
+    }
+    Ok(at)
+}
+
 /// Incremental frame decoder for a continuous byte stream (a socket).
 ///
 /// [`FrameDecoder`] assumes it sees whole batches; a socket delivers
@@ -275,29 +300,20 @@ impl StreamDecoder {
             return Err(err);
         }
         self.buf.extend_from_slice(bytes);
-        loop {
-            let avail = &self.buf[self.pos..];
-            if avail.len() < FRAME_HEADER_BYTES {
-                break;
-            }
-            let stream_id = u32::from_le_bytes(avail[0..4].try_into().unwrap());
-            let len = u32::from_le_bytes(avail[4..8].try_into().unwrap()) as usize;
-            if len > MAX_FRAME_BYTES {
-                let err = OversizedFrame { stream_id, len };
+        let mut frames = 0;
+        let walked = walk_stream_frames(&self.buf[self.pos..], |stream_id, _, body| {
+            f(stream_id, body);
+            frames += 1;
+        });
+        self.frames += frames;
+        match walked {
+            Ok(walked) => self.pos += walked,
+            Err(err) => {
                 self.poisoned = Some(err);
                 self.buf = Vec::new();
                 self.pos = 0;
                 return Err(err);
             }
-            if avail.len() < FRAME_HEADER_BYTES + len {
-                break;
-            }
-            f(
-                stream_id,
-                &avail[FRAME_HEADER_BYTES..FRAME_HEADER_BYTES + len],
-            );
-            self.frames += 1;
-            self.pos += FRAME_HEADER_BYTES + len;
         }
         if self.pos == self.buf.len() {
             self.buf.clear();

@@ -78,8 +78,8 @@ pub use controller::FleetController;
 pub use error::CoreError;
 pub use estimator::Estimator;
 pub use frame::{
-    Frame, FrameBatch, FrameDecoder, OversizedFrame, StreamDecoder, FRAME_HEADER_BYTES,
-    MAX_FRAME_BYTES,
+    walk_stream_frames, Frame, FrameBatch, FrameDecoder, OversizedFrame, StreamDecoder,
+    FRAME_HEADER_BYTES, MAX_FRAME_BYTES,
 };
 pub use ingest::{
     FramingSink, IngestPipeline, IngestResult, ResizeTransition, SequentialIngest, ShardReport,

@@ -17,8 +17,12 @@
 //! to one tick, so the server can preserve the simulator's
 //! "deliver-then-advance" order exactly and stay bit-identical to it.
 
+use std::collections::VecDeque;
+use std::io::{self, Read};
+use std::ops::Range;
+
 use bytes::BufMut;
-use kalstream_core::{OversizedFrame, StreamDecoder, FRAME_HEADER_BYTES};
+use kalstream_core::{walk_stream_frames, OversizedFrame, StreamDecoder, FRAME_HEADER_BYTES};
 
 /// First bytes of every connection, little protection against port scans
 /// and crossed wires ("KalStream Net v1").
@@ -212,6 +216,11 @@ pub const MARKER_BYTES: usize = FRAME_HEADER_BYTES;
 ///
 /// Returns the number of markers seen, or the decoder's poison error
 /// (oversized frame — the caller closes the connection).
+///
+/// Each tick handed out is a fresh `Vec`, one allocation and one more
+/// copy of its bytes: [`crate::TcpTransport`] reads ticks this way. The
+/// server does not; it cuts segments in place in each connection's own
+/// buffer, the same bytes without the `Vec`.
 pub fn feed_ticks(
     decoder: &mut StreamDecoder,
     chunk: &[u8],
@@ -229,6 +238,119 @@ pub fn feed_ticks(
         }
     })?;
     Ok(markers)
+}
+
+/// The most bytes one [`TickCutter::read_from`] takes off a socket.
+pub(crate) const READ_BYTES: usize = 16 * 1024;
+
+/// One connection's input buffer, cut at tick markers in place: the
+/// server's side of the data stream. Reads land straight in the buffer, one
+/// walk over the frame headers ([`walk_stream_frames`], [`StreamDecoder`]'s
+/// walk) finds the markers, and each complete segment — a tick's frames,
+/// marker stripped, the bytes [`feed_ticks`] would hand out — stays a range
+/// of the buffer until [`TickCutter::pop_segment`] lends it out.
+///
+/// A caller that reads only while no segment is complete holds at most one
+/// segment, one read ([`READ_BYTES`]) and one partial frame: the peer's
+/// further ticks wait in its socket, under TCP flow control.
+#[derive(Debug, Default)]
+pub(crate) struct TickCutter {
+    /// `buf[..end]` is data read; the rest is zeroed room for the next read.
+    buf: Vec<u8>,
+    end: usize,
+    /// Start of the first frame the walk has not passed.
+    scan: usize,
+    /// Start of the segment still open (after the last marker).
+    open: usize,
+    /// Complete segments, oldest first.
+    segments: VecDeque<Range<usize>>,
+}
+
+impl TickCutter {
+    /// An empty cutter.
+    pub(crate) fn new() -> Self {
+        TickCutter::default()
+    }
+
+    /// Whether a complete segment waits to be popped.
+    pub(crate) fn has_segment(&self) -> bool {
+        !self.segments.is_empty()
+    }
+
+    /// Bytes held: complete segments, their markers and the open tail.
+    #[cfg(test)]
+    fn buffered(&self) -> usize {
+        self.end
+            - self
+                .segments
+                .front()
+                .map_or(self.open, |frames| frames.start)
+    }
+
+    /// Reads once from `read` (at most [`READ_BYTES`]) into the buffer and
+    /// cuts what arrived. Called only while no complete segment is held. `Ok(0)` is end of stream; a frame whose length is
+    /// over the limit is an [`io::ErrorKind::InvalidData`] error, after
+    /// every segment before it was cut.
+    fn read_from(&mut self, mut read: impl Read) -> io::Result<usize> {
+        self.make_room();
+        let n = read.read(&mut self.buf[self.end..self.end + READ_BYTES])?;
+        self.end += n;
+        self.cut()
+            .map_err(|err| io::Error::new(io::ErrorKind::InvalidData, err))?;
+        Ok(n)
+    }
+
+    /// Reads until a complete segment is held: `Ok(true)` once one is (at
+    /// once when one already was), `Ok(false)` at end of stream. Never
+    /// reading ahead of need is the connection's backpressure.
+    pub(crate) fn fill(&mut self, mut read: impl Read) -> io::Result<bool> {
+        while !self.has_segment() {
+            if self.read_from(&mut read)? == 0 {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    /// Takes the oldest complete segment out and lends its frame bytes.
+    pub(crate) fn pop_segment(&mut self) -> Option<&[u8]> {
+        let frames = self.segments.pop_front()?;
+        Some(&self.buf[frames])
+    }
+
+    /// Walks the frames read since the last walk, closing a segment at each
+    /// marker.
+    fn cut(&mut self) -> Result<(), OversizedFrame> {
+        let (scan, segments, open) = (self.scan, &mut self.segments, &mut self.open);
+        let mut walked = 0;
+        let result = walk_stream_frames(&self.buf[scan..self.end], |stream_id, at, body| {
+            walked = at + FRAME_HEADER_BYTES + body.len();
+            if stream_id == TICK_MARKER_STREAM {
+                segments.push_back(*open..scan + at);
+                *open = scan + walked;
+            }
+        });
+        self.scan += walked;
+        result.map(drop)
+    }
+
+    /// Leaves [`READ_BYTES`] of room after `end`: starts over at the front
+    /// when nothing is held, moves the open segment's bytes there when the
+    /// room ran out, and grows the buffer only if that is still short. No
+    /// complete segment is held, so nothing else points into the buffer.
+    fn make_room(&mut self) {
+        debug_assert!(self.segments.is_empty(), "read with a segment held");
+        let live = self.open;
+        if live == self.end || (live > 0 && self.buf.len() - self.end < READ_BYTES) {
+            self.buf.copy_within(live..self.end, 0);
+            self.end -= live;
+            self.scan -= live;
+            self.open = 0;
+        }
+        if self.buf.len() < self.end + READ_BYTES {
+            self.buf.resize(self.end + READ_BYTES, 0);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -389,5 +511,169 @@ mod tests {
                 pair[0].len()
             );
         }
+    }
+
+    /// What the old path cut from `wire`: [`feed_ticks`] over one feed.
+    fn fed_ticks(wire: &[u8]) -> Vec<Vec<u8>> {
+        let mut ticks = Vec::new();
+        feed_ticks(&mut StreamDecoder::new(), wire, &mut Vec::new(), |t| {
+            ticks.push(t)
+        })
+        .unwrap();
+        ticks
+    }
+
+    /// A reader that hands out `wire` in reads of the given sizes, cycled.
+    struct Trickle<'a> {
+        rest: &'a [u8],
+        sizes: std::iter::Cycle<std::slice::Iter<'a, usize>>,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = (*self.sizes.next().unwrap()).min(buf.len());
+            (&mut self.rest).take(n as u64).read(buf)
+        }
+    }
+
+    /// Segments a cutter reads out of `read` to its end, popped one at a
+    /// time as the server pops them.
+    fn cut_all(mut read: impl Read) -> Vec<Vec<u8>> {
+        let mut cutter = TickCutter::new();
+        let mut segments = Vec::new();
+        while cutter.fill(&mut read).unwrap() {
+            segments.push(cutter.pop_segment().unwrap().to_vec());
+        }
+        assert_eq!(cutter.buffered(), 0, "a partial segment was left");
+        segments
+    }
+
+    /// Ticks with empty ticks between them (back-to-back markers), a
+    /// zero-length body and a body long enough to span reads.
+    fn awkward_ticks() -> Vec<u8> {
+        [
+            encode_tick(&[]),
+            encode_tick(&[
+                (3, Bytes::from_static(b"abc")),
+                (9, Bytes::from_static(b"")),
+                (4, Bytes::from(vec![5u8; 40])),
+            ]),
+            encode_tick(&[]),
+            encode_tick(&[]),
+            encode_tick(&[(1, Bytes::from_static(b"zz"))]),
+            encode_tick(&[]),
+        ]
+        .concat()
+    }
+
+    #[test]
+    fn the_cutter_cuts_what_feed_ticks_cuts_at_every_split() {
+        let wire = awkward_ticks();
+        let expected = fed_ticks(&wire);
+        assert_eq!(expected.len(), 6);
+        // Every split point: a header, a body and a marker each end up cut
+        // across two reads somewhere in this sweep.
+        for split in 0..=wire.len() {
+            let read = (&wire[..split]).chain(&wire[split..]);
+            assert_eq!(cut_all(read), expected, "split {split}");
+        }
+        // One byte per read.
+        let read = Trickle {
+            rest: &wire,
+            sizes: [1].iter().cycle(),
+        };
+        assert_eq!(cut_all(read), expected);
+    }
+
+    #[test]
+    fn the_cutter_matches_feed_ticks_over_many_reads_of_full_size() {
+        // Ticks of every size from empty to past one read, fed in reads
+        // that end anywhere, full [`READ_BYTES`] ones included.
+        let ticks: Vec<Vec<u8>> = (0..200u32)
+            .map(|t| {
+                let frames: Vec<(u32, Bytes)> = (0..t % 23)
+                    .map(|id| (id, Bytes::from(vec![t as u8; (t * 7 + id) as usize % 300])))
+                    .collect();
+                encode_tick(&frames)
+            })
+            .chain([encode_tick(&[(7, Bytes::from(vec![1u8; 2 * READ_BYTES]))])])
+            .collect();
+        let wire = ticks.concat();
+        assert!(wire.len() > 8 * READ_BYTES);
+        let expected = fed_ticks(&wire);
+        for sizes in [
+            &[READ_BYTES][..],
+            &[1, 4095, 17, READ_BYTES, 9],
+            &[3 * READ_BYTES],
+        ] {
+            let read = Trickle {
+                rest: &wire,
+                sizes: sizes.iter().cycle(),
+            };
+            assert_eq!(cut_all(read), expected, "reads {sizes:?}");
+        }
+    }
+
+    #[test]
+    fn an_oversized_length_is_an_error_after_the_segments_before_it() {
+        let mut wire = awkward_ticks();
+        wire.extend_from_slice(&2u32.to_le_bytes());
+        wire.extend_from_slice(&(kalstream_core::MAX_FRAME_BYTES as u32 + 1).to_le_bytes());
+        let mut cutter = TickCutter::new();
+        let err = cutter.read_from(&wire[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let mut segments = Vec::new();
+        while let Some(frames) = cutter.pop_segment() {
+            segments.push(frames.to_vec());
+        }
+        assert_eq!(segments, fed_ticks(&awkward_ticks()));
+        // Sticky: reading on finds the same header again, cuts nothing.
+        let err = cutter.read_from(&encode_tick(&[])[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(!cutter.has_segment());
+    }
+
+    /// A peer that writes 1 000 ticks ahead: a reader that reads only while
+    /// it has no complete segment holds at most that segment, its marker
+    /// and one read, in a buffer no larger. The rest waits in the socket.
+    #[test]
+    fn a_peer_far_ahead_leaves_at_most_one_read_past_the_segment() {
+        crate::within_a_minute(|| {
+            use std::io::Write;
+            use std::net::{TcpListener, TcpStream};
+
+            let tick = encode_tick(&[
+                (1, Bytes::from(vec![1u8; 700])),
+                (2, Bytes::from(vec![2u8; 90])),
+            ]);
+            let segment = tick.len() - MARKER_BYTES;
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            let (socket, _) = listener.accept().unwrap();
+            let wire = tick.repeat(1000);
+            let writer = std::thread::spawn(move || {
+                peer.write_all(&wire).unwrap();
+                peer.shutdown(std::net::Shutdown::Write).unwrap();
+            });
+
+            let mut cutter = TickCutter::new();
+            let mut ticks = 0;
+            while cutter.fill(&socket).unwrap() {
+                assert!(
+                    cutter.buffered() <= segment + MARKER_BYTES + READ_BYTES,
+                    "{} bytes held at tick {ticks}",
+                    cutter.buffered()
+                );
+                assert!(
+                    cutter.buf.len() <= segment + MARKER_BYTES + READ_BYTES,
+                    "a {}-byte buffer at tick {ticks}",
+                    cutter.buf.len()
+                );
+                assert_eq!(cutter.pop_segment().unwrap(), &tick[..segment]);
+                ticks += 1;
+            }
+            assert_eq!(ticks, 1000);
+            writer.join().unwrap();
+        });
     }
 }

@@ -18,8 +18,8 @@
 //!   [`TcpTransport::kill_at`]) connection death — without perturbing the
 //!   deterministic schedule the proptests compare against.
 //! * [`NetServer`] / [`drive_connection`] — the fleet path: an
-//!   accept/read/route server (a reader and a writer thread per
-//!   connection) feeding the sharded [`kalstream_core::IngestPipeline`],
+//!   accept/route server (the router reads every connection itself; a
+//!   hello thread, then a writer thread, per connection) feeding the sharded [`kalstream_core::IngestPipeline`],
 //!   and the matching source-side connection driver (a blocking call on
 //!   the caller's thread that frames the simulator's own source half and,
 //!   in lockstep, hands feedback to the producers). Per-connection
@@ -48,3 +48,18 @@ pub use server::{
     ConnReport, ElasticNetStats, NetReport, NetServer, NetServerConfig, FEEDBACK_QUEUE_DEPTH,
 };
 pub use transport::TcpTransport;
+
+/// Runs `f` on its own thread and fails the test if it has not returned
+/// within a minute: a socket test that hangs must read as a failure.
+#[cfg(test)]
+fn within_a_minute(f: impl FnOnce() + Send + 'static) {
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        f();
+        let _ = done_tx.send(());
+    });
+    match done_rx.recv_timeout(std::time::Duration::from_secs(60)) {
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => panic!("hung for a minute"),
+        _ => worker.join().expect("test body panicked"),
+    }
+}

@@ -2,20 +2,34 @@
 //! [`IngestPipeline`].
 //!
 //! ```text
-//!  conn 0 ──reader thread──┐                       ┌─▶ shard 0
-//!  conn 1 ──reader thread──┼──▶ router ─ ingest ───┼─▶ shard 1
-//!  conn N ──reader thread──┘      │      pipeline  └─▶ …
-//!            ▲                    └─ feedback ──▶ per-conn writer threads
-//!            └───────────── bounded send queues ◀─────────┘
+//!  conn 0 ──┐                                      ┌─▶ shard 0
+//!  conn 1 ──┼──▶ router (reads, cuts) ─ ingest ────┼─▶ shard 1
+//!  conn N ──┘          │                pipeline   └─▶ …
+//!    ▲                 └─ feedback ──▶ per-conn writer threads
+//!    └───────────── bounded send queues ◀──────────────┘
 //! ```
 //!
 //! **Thread model.** Plain OS threads on blocking `std::net` sockets,
 //! joined by bounded [`crossbeam::channel`] queues: the router
-//! (`net-server`, which also runs the ingest barrier hooks), one accept
-//! loop (`net-accept`), a reader and a writer per connection
-//! (`net-reader-<n>` / `net-writer-<n>`, `n` in accept order), and the
-//! pipeline's shard workers — `2 + 2·conns + shards` in all. That is the
-//! benchmark's `host.threads` minus the benchmark's own client threads.
+//! (`net-server`, which reads every admitted connection and runs the
+//! ingest barrier hooks), one accept loop (`net-accept`), a writer per
+//! connection (`net-writer-<n>`, `n` in accept order), and the pipeline's
+//! shard workers — `2 + conns + shards` in all. That is the benchmark's
+//! `host.threads` minus the benchmark's own client threads. Each dial also
+//! gets a hello thread (`net-hello-<n>`) that reads and checks the hello,
+//! spawns the writer, hands the socket to the router and exits.
+//!
+//! **Reading.** Each connection's bytes land in its own input buffer
+//! ([`TickCutter`]), which one walk over the frame headers cuts at the
+//! markers; a tick's segment is copied once, into the tick's wire bytes.
+//! Before closing a tick the router reads, in admission order, each live
+//! connection that holds no complete segment, and blocks there until it
+//! does: the tick waits for that segment anyway. It never reads a
+//! connection that holds one, so TCP flow control holds a peer that runs
+//! ahead to one segment plus one read, and a connected but silent peer
+//! stops the tick in `read`, as it always stopped the tick. Hellos are
+//! taken without waiting between ticks, and waited for until the fleet is
+//! present.
 //!
 //! **Tick discipline.** Clients delimit ticks with marker frames
 //! ([`crate::codec::TICK_MARKER_STREAM`]). The router advances the global
@@ -33,12 +47,15 @@
 //! too (`unrouted_feedback`). Per-connection shed counts and queue
 //! high-water marks surface in the [`NetReport`] obs snapshot.
 //!
-//! **Lifecycle.** A connection drains by shutting down its write side;
-//! the reader sees EOF, the router stops requiring its markers, and once
-//! its queued ticks are applied the writer flushes and closes. When every
-//! expected connection has drained, the router flushes the pipeline,
-//! routes the final feedback, and tears down. The accept loop is unblocked
-//! by a sentinel connection to the server's own port.
+//! **Lifecycle.** A connection drains by shutting down its write side:
+//! the router reads EOF and stops requiring its markers (a read error or a
+//! frame length over the limit ends a connection the same way; complete
+//! segments it left are still applied). When every expected connection
+//! has ended and its segments are applied, the router flushes the
+//! pipeline, routes the final feedback, closes the writer queues (each
+//! writer flushes and shuts its socket's write side down) and tears down.
+//! The accept loop is unblocked by a sentinel connection to the server's
+//! own port.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -49,14 +66,14 @@ use std::thread;
 
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, Sender};
-use kalstream_core::{IngestPipeline, IngestResult, ServerEndpoint, StreamDecoder};
+use kalstream_core::{IngestPipeline, IngestResult, ServerEndpoint};
 use kalstream_durable::{Durability, DurableConfig, DurableStats, DurableStore};
 use kalstream_elastic::{ControllerConfig, ElasticDriver, ResizeKind};
 use kalstream_obs::{Instrument, Registry, Scope, Snapshot};
 
 use crate::codec::{
-    decode_hello_ids, decode_hello_prefix, encode_status, feed_ticks, push_frame, push_marker,
-    HelloStatus, MARKER_BYTES,
+    decode_hello_ids, decode_hello_prefix, encode_status, push_frame, push_marker, HelloStatus,
+    TickCutter, MARKER_BYTES,
 };
 
 /// Per-connection feedback queue depth. Small enough to bound server
@@ -101,7 +118,7 @@ pub struct NetServerConfig {
     /// Elasticity: when set, the closed-loop [`ElasticDriver`] is hooked in
     /// after every tick and grows/shrinks the shard fleet from the frames
     /// offered, within this shard range and capacity model. Resizes execute on the router's
-    /// thread between global ticks — readers, writers, and their sockets
+    /// thread between global ticks — writers, sockets and their buffers
     /// are untouched, so no connection ever drops across a resize. `shards`
     /// becomes the *initial* count and must lie inside the controller's
     /// `[min_shards, max_shards]` range. Composes with `durable`: each
@@ -195,9 +212,10 @@ pub struct NetReport {
     pub ticks: u64,
     /// Hellos rejected (bad magic, reserved ids, oversized claims).
     pub rejected_hellos: u64,
-    /// Reader/router messages that could not be delivered because the
-    /// other side was already gone (either direction). Formerly silent
-    /// `let _` drops; now every one is accounted.
+    /// Hello-thread/router messages that could not be delivered: a hello
+    /// or a refusal sent after the router was gone, or a durable status
+    /// reply whose writer was already gone. Only hellos travel between
+    /// threads; every lost one is counted.
     pub dropped_router_msgs: u64,
     /// Socket shutdowns that returned an error in the per-connection
     /// writer threads (formerly a silent `let _`).
@@ -257,33 +275,40 @@ impl NetReport {
     }
 }
 
-/// Reader → router messages.
+/// Hello thread → router messages.
 enum RouterMsg {
     Hello {
         streams: Vec<u32>,
         writer: Sender<Bytes>,
-        /// Resolved by the router with the admission index.
-        conn_slot: Sender<usize>,
+        /// The connection's read side, read by the router from now on.
+        socket: Arc<TcpStream>,
     },
     HelloRejected,
-    Tick {
-        conn: usize,
-        /// Raw frame bytes (headers + bodies, marker stripped).
-        frames: Vec<u8>,
-        bytes_in: u64,
-    },
-    Eof {
-        conn: usize,
-    },
 }
 
 /// Router-side connection state.
 struct ConnState {
     writer: Option<Sender<Bytes>>,
-    pending: std::collections::VecDeque<Vec<u8>>,
-    eof: bool,
+    /// The read side; `None` once the connection ended (end of stream, a
+    /// read error or an oversized frame).
+    socket: Option<Arc<TcpStream>>,
+    /// What was read and not yet applied, cut into tick segments.
+    input: TickCutter,
     /// The connection's counters, updated in place and handed out as is.
     report: ConnReport,
+}
+
+impl ConnState {
+    /// Reads until a complete segment is buffered or the connection ends.
+    /// A live connection with no segment blocks the tick anyway, so the
+    /// router waits here, in `read`, and nowhere else.
+    fn fill(&mut self) {
+        if let Some(socket) = &self.socket {
+            if !matches!(self.input.fill(&**socket), Ok(true)) {
+                self.socket = None;
+            }
+        }
+    }
 }
 
 /// A running TCP ingest server. [`NetServer::start`] binds and serves on a
@@ -366,7 +391,7 @@ struct Engine {
     replayed_ticks: u64,
     replay_feedback_discarded: u64,
     /// Streams the fleet serves, counted after recovery: the most ids a
-    /// hello may claim (the claim sizes a reader's buffer).
+    /// hello may claim (the claim sizes a hello thread's buffer).
     streams: usize,
 }
 
@@ -525,14 +550,14 @@ fn serve(
                 let tx = accept_tx.clone();
                 let dropped = accept_dropped.clone();
                 let shutdown_errs = accept_shutdown_errors.clone();
-                // Detached on purpose: a reader may sit in `read` on a peer
-                // that never speaks, and teardown must not wait for it.
-                // Everything a reader has to report travels through the
-                // router queue and the shared counters.
+                // Detached on purpose: a hello thread may sit in `read` on a
+                // peer that never speaks, and teardown must not wait for it.
+                // What it has to report travels through the router queue
+                // and the shared counters.
                 let spawned = thread::Builder::new()
-                    .name(format!("net-reader-{seq}"))
+                    .name(format!("net-hello-{seq}"))
                     .spawn(move || {
-                        reader_thread(seq, stream, tx, hello_cap, dropped, shutdown_errs)
+                        hello_thread(seq, stream, tx, hello_cap, dropped, shutdown_errs)
                     });
                 // Out of threads: the socket closed with the unspawned
                 // closure, so the peer sees EOF; count it as a refusal.
@@ -547,36 +572,39 @@ fn serve(
     let mut conns: Vec<ConnState> = Vec::new();
     let mut ticks = 0u64;
     let mut rejected_hellos = 0u64;
-    let mut admitted = 0usize;
     let mut tick_wire: Vec<u8> = Vec::new();
     let mut unrouted_feedback = 0u64;
+    // One feedback frame at a time is built here, then copied once into
+    // the `Bytes` the writer queue carries.
+    let mut frame: Vec<u8> = Vec::new();
 
     // Drains every feedback payload currently in the channel onto its
     // owning connection's queue. `route` maps stream → conn; a payload for
     // a stream no connection claims is shed and counted in `unrouted`.
-    let route_feedback = |conns: &mut [ConnState],
-                          route: &HashMap<u32, usize>,
-                          fb_rx: &crossbeam::channel::Receiver<(u32, Bytes)>,
-                          unrouted: &mut u64| {
+    let mut route_feedback = |conns: &mut [ConnState],
+                              route: &HashMap<u32, usize>,
+                              fb_rx: &crossbeam::channel::Receiver<(u32, Bytes)>,
+                              unrouted: &mut u64| {
         while let Ok((stream_id, payload)) = fb_rx.try_recv() {
             let Some(&conn) = route.get(&stream_id) else {
                 *unrouted += 1;
                 continue;
             };
             let ConnState { writer, report, .. } = &mut conns[conn];
-            let mut frame = Vec::with_capacity(payload.len() + MARKER_BYTES);
-            push_frame(&mut frame, stream_id, &payload);
-            match writer {
-                Some(writer) => match writer.try_send(Bytes::from(frame)) {
-                    Ok(()) => {
-                        report.feedback_sent += 1;
-                        report.queue_high_water = report.queue_high_water.max(writer.len() as u64);
-                    }
-                    Err(_) => report.shed += 1, // full or closed: count, don't block
-                },
+            let Some(writer) = writer else {
                 // Writer already torn down (connection drained): the ack
                 // is lost — count it instead of `let _`-dropping it.
-                None => report.shed += 1,
+                report.shed += 1;
+                continue;
+            };
+            frame.clear();
+            push_frame(&mut frame, stream_id, &payload);
+            match writer.try_send(Bytes::copy_from_slice(&frame)) {
+                Ok(()) => {
+                    report.feedback_sent += 1;
+                    report.queue_high_water = report.queue_high_water.max(writer.len() as u64);
+                }
+                Err(_) => report.shed += 1, // full or closed: count, don't block
             }
         }
     };
@@ -588,116 +616,98 @@ fn serve(
         Bytes::from(marker)
     };
     let mut route: HashMap<u32, usize> = HashMap::new();
-    loop {
-        // Barrier check: every admitted conn is drained and idle → done.
-        let fleet_present = admitted >= config.expected_conns;
-        let all_drained = fleet_present && conns.iter().all(|c| c.eof && c.pending.is_empty());
-        if all_drained {
-            break;
+    let mut admit = |conns: &mut Vec<ConnState>, route: &mut HashMap<u32, usize>, msg| {
+        let RouterMsg::Hello {
+            streams,
+            writer,
+            socket,
+        } = msg
+        else {
+            rejected_hellos += 1;
+            return;
+        };
+        let conn = conns.len();
+        for &id in &streams {
+            route.insert(id, conn);
         }
-
-        // Tick-ready: the full fleet is admitted and every live conn has
-        // a pending segment (drained conns contribute whatever is queued).
-        let tick_ready = fleet_present
-            && !conns.is_empty()
-            && conns.iter().all(|c| c.eof || !c.pending.is_empty())
-            && conns.iter().any(|c| !c.pending.is_empty());
-        if tick_ready {
-            tick_wire.clear();
-            for state in conns.iter_mut() {
-                if let Some(frames) = state.pending.pop_front() {
-                    tick_wire.extend_from_slice(&frames);
-                    state.report.ticks += 1;
-                }
+        if let Some(frame) = &status_frame {
+            // The queue is empty at admission, so this only fails if the
+            // writer died between hello and here.
+            if writer.try_send(frame.clone()).is_err() {
+                dropped_router_msgs.fetch_add(1, Ordering::Relaxed);
             }
-            engine.ingest_tick(&tick_wire)?;
-            if config.lockstep {
-                // Applied-before-acknowledged: flush, route *all* feedback
-                // for this tick, then send every live conn its marker.
-                engine.pipeline.flush();
-                route_feedback(&mut conns, &route, &engine.feedback, &mut unrouted_feedback);
-                for state in conns.iter_mut() {
-                    let Some(writer) = &state.writer else {
-                        continue;
-                    };
-                    if state.eof {
-                        continue;
-                    }
-                    if writer.try_send(marker.clone()).is_err() {
-                        state.report.shed += 1;
-                    }
-                }
-            } else {
-                route_feedback(&mut conns, &route, &engine.feedback, &mut unrouted_feedback);
-            }
-            ticks += 1;
-            if config.crash_after_ticks == Some(ticks) {
-                // Injected crash: abort with no drain, no checkpoint —
-                // `engine` drops mid-flight exactly as a killed process
-                // would lose it. The WAL already holds this tick (appended
-                // before apply), which is what recovery tests rely on.
-                return Err(io::Error::new(
-                    io::ErrorKind::ConnectionAborted,
-                    format!("injected crash after {ticks} ticks"),
-                ));
-            }
+        }
+        conns.push(ConnState {
+            writer: Some(writer),
+            socket: Some(socket),
+            input: TickCutter::new(),
+            report: ConnReport {
+                conn,
+                streams: streams.len(),
+                ..ConnReport::default()
+            },
+        });
+    };
+    loop {
+        // Admission: wait for hellos until the fleet is present, then take
+        // whichever have arrived between ticks without waiting.
+        if conns.len() < config.expected_conns {
+            let Ok(msg) = router_rx.recv() else {
+                break; // accept loop and all hello threads gone
+            };
+            admit(&mut conns, &mut route, msg);
             continue;
         }
+        while let Ok(msg) = router_rx.try_recv() {
+            admit(&mut conns, &mut route, msg);
+        }
 
-        // Not tick-ready: wait for reader traffic.
-        let Ok(msg) = router_rx.recv() else {
-            break; // accept loop and all readers gone
-        };
-        match msg {
-            RouterMsg::Hello {
-                streams,
-                writer,
-                conn_slot,
-            } => {
-                let conn = admitted;
-                admitted += 1;
-                for &id in &streams {
-                    route.insert(id, conn);
+        // Every live conn reads until it holds its next segment; a conn
+        // that ended contributes whatever complete segments it left.
+        for state in conns.iter_mut() {
+            state.fill();
+        }
+        if !conns.iter().any(|c| c.input.has_segment()) {
+            break; // every conn ended and every segment is applied
+        }
+        tick_wire.clear();
+        for state in conns.iter_mut() {
+            if let Some(frames) = state.input.pop_segment() {
+                tick_wire.extend_from_slice(frames);
+                state.report.ticks += 1;
+                state.report.bytes_in += (frames.len() + MARKER_BYTES) as u64;
+            }
+        }
+        engine.ingest_tick(&tick_wire)?;
+        if config.lockstep {
+            // Applied-before-acknowledged: flush, route *all* feedback for
+            // this tick, then send every live conn its marker.
+            engine.pipeline.flush();
+            route_feedback(&mut conns, &route, &engine.feedback, &mut unrouted_feedback);
+            for state in conns.iter_mut() {
+                let Some(writer) = &state.writer else {
+                    continue;
+                };
+                if state.socket.is_none() {
+                    continue;
                 }
-                if let Some(frame) = &status_frame {
-                    // The queue is empty at admission, so this only fails
-                    // if the reader died between hello and here.
-                    if writer.try_send(frame.clone()).is_err() {
-                        dropped_router_msgs.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                conns.push(ConnState {
-                    writer: Some(writer),
-                    pending: Default::default(),
-                    eof: false,
-                    report: ConnReport {
-                        conn,
-                        streams: streams.len(),
-                        ..ConnReport::default()
-                    },
-                });
-                if conn_slot.send(conn).is_err() {
-                    // Reader died before learning its slot: the connection
-                    // is gone, but the admission stands (eof arrives never)
-                    // — count the dropped reply rather than eat it.
-                    dropped_router_msgs.fetch_add(1, Ordering::Relaxed);
-                    conns[conn].eof = true;
-                    conns[conn].writer = None;
+                if writer.try_send(marker.clone()).is_err() {
+                    state.report.shed += 1;
                 }
             }
-            RouterMsg::HelloRejected => rejected_hellos += 1,
-            RouterMsg::Tick {
-                conn,
-                frames,
-                bytes_in,
-            } => {
-                let state = &mut conns[conn];
-                state.report.bytes_in += bytes_in;
-                state.pending.push_back(frames);
-            }
-            RouterMsg::Eof { conn } => {
-                conns[conn].eof = true;
-            }
+        } else {
+            route_feedback(&mut conns, &route, &engine.feedback, &mut unrouted_feedback);
+        }
+        ticks += 1;
+        if config.crash_after_ticks == Some(ticks) {
+            // Injected crash: abort with no drain, no checkpoint — `engine`
+            // drops mid-flight exactly as a killed process would lose it.
+            // The WAL already holds this tick (appended before apply),
+            // which is what recovery tests rely on.
+            return Err(io::Error::new(
+                io::ErrorKind::ConnectionAborted,
+                format!("injected crash after {ticks} ticks"),
+            ));
         }
     }
 
@@ -735,10 +745,10 @@ fn serve(
     })
 }
 
-/// Per-connection reader: hello, then marker-delimited tick segments.
-/// Spawns the connection's writer thread once the hello is admitted.
-/// `seq` is the accept order, used only to name the two threads.
-fn reader_thread(
+/// Per-connection hello thread: reads and checks the hello, spawns the
+/// connection's writer, hands the socket to the router, and exits. `seq`
+/// is the accept order, used only to name the threads.
+fn hello_thread(
     seq: usize,
     stream: TcpStream,
     router: Sender<RouterMsg>,
@@ -747,7 +757,7 @@ fn reader_thread(
     shutdown_errors: Arc<AtomicU64>,
 ) {
     let _ = stream.set_nodelay(true);
-    // One socket, two directions: the reader reads and the writer writes
+    // One socket, two directions: the router reads and the writer writes
     // through `&TcpStream`, so neither needs its own descriptor.
     let stream = Arc::new(stream);
     let mut read = &*stream;
@@ -759,7 +769,6 @@ fn reader_thread(
         }
     };
 
-    // Hello.
     let mut prefix = [0u8; 8];
     if read.read_exact(&mut prefix).is_err() {
         return; // sentinel or portscan: vanish quietly
@@ -780,57 +789,22 @@ fn reader_thread(
     };
 
     let (writer_tx, writer_rx) = bounded::<Bytes>(FEEDBACK_QUEUE_DEPTH);
-    let (slot_tx, slot_rx) = bounded(1);
-    report_or_count(RouterMsg::Hello {
-        streams,
-        writer: writer_tx,
-        conn_slot: slot_tx,
-    });
-    // Also fails when the hello could not be sent: its slot sender is gone.
-    let Ok(conn) = slot_rx.recv() else { return };
     let write = Arc::clone(&stream);
-    // Detached like the reader; it exits when the router drops the queue.
+    // Detached; it exits when the router drops the queue.
     let spawned = thread::Builder::new()
         .name(format!("net-writer-{seq}"))
         .spawn(move || writer_thread(&write, writer_rx, shutdown_errors));
     if spawned.is_err() {
-        // Out of threads: close the admitted connection rather than serve
-        // it with no feedback direction.
-        report_or_count(RouterMsg::Eof { conn });
+        // Out of threads: close the connection rather than serve it with
+        // no feedback direction; count it as a refusal.
+        report_or_count(RouterMsg::HelloRejected);
         return;
     }
-
-    // Data: accumulate frames, cut at markers.
-    let mut decoder = StreamDecoder::new();
-    let mut tick_buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 16 * 1024];
-    let mut ticks: Vec<Vec<u8>> = Vec::new();
-    loop {
-        let n = match read.read(&mut chunk) {
-            Ok(0) | Err(_) => break,
-            Ok(n) => n,
-        };
-        match feed_ticks(&mut decoder, &chunk[..n], &mut tick_buf, |t| ticks.push(t)) {
-            Ok(_) => {}
-            Err(_) => break, // oversized frame: poison-close the connection
-        }
-        for frames in ticks.drain(..) {
-            let bytes_in = frames.len() as u64 + MARKER_BYTES as u64;
-            if router
-                .send(RouterMsg::Tick {
-                    conn,
-                    frames,
-                    bytes_in,
-                })
-                .is_err()
-            {
-                return;
-            }
-        }
-    }
-    // An undeliverable EOF means the router tore down first; its barrier
-    // no longer waits on this conn, but the loss is still counted.
-    report_or_count(RouterMsg::Eof { conn });
+    report_or_count(RouterMsg::Hello {
+        streams,
+        writer: writer_tx,
+        socket: stream,
+    });
 }
 
 /// Per-connection writer: drains the bounded feedback queue onto the
@@ -986,5 +960,104 @@ mod tests {
             workload::endpoint_bits(&reference.endpoints[0].1)
         );
         assert_eq!(report.ingest.endpoints[1].1.syncs_applied(), 1);
+    }
+
+    /// One of three connections sends an oversized frame length mid-run:
+    /// the router ends that connection alone, keeps the segments it cut
+    /// before the bad header, and closes every tick the other two send.
+    #[test]
+    fn an_oversized_frame_ends_its_connection_and_the_fleet_goes_on() {
+        crate::within_a_minute(|| {
+            const TICKS: u32 = 12;
+            const BAD_AFTER: u32 = 5;
+            // Connection c owns streams 2c and 2c + 1; each tick carries one
+            // measurement per stream.
+            let segment = |c: u32, t: u32| {
+                let mut batch = FrameBatch::new();
+                for id in [2 * c, 2 * c + 1] {
+                    let z = kalstream_linalg::Vector::from_slice(&[t as f64 * 0.1 - id as f64]);
+                    batch.push(id, &SyncMessage::Measurement { z });
+                }
+                batch.as_bytes().to_vec()
+            };
+            let server = NetServer::start(
+                "127.0.0.1:0",
+                workload::server_endpoints(6),
+                NetServerConfig {
+                    shards: 2,
+                    expected_conns: 3,
+                    lockstep: false,
+                    ..NetServerConfig::default()
+                },
+            )
+            .expect("bind");
+            let mut socks: Vec<TcpStream> = (0..3)
+                .map(|c| {
+                    let mut sock = TcpStream::connect(server.addr()).expect("dial");
+                    sock.write_all(&encode_hello(&[2 * c, 2 * c + 1]))
+                        .expect("hello");
+                    sock
+                })
+                .collect();
+            for t in 0..TICKS {
+                for (c, sock) in socks.iter_mut().enumerate() {
+                    let c = c as u32;
+                    if c == 2 && t >= BAD_AFTER {
+                        continue;
+                    }
+                    let mut wire = segment(c, t);
+                    push_marker(&mut wire);
+                    if c == 2 && t + 1 == BAD_AFTER {
+                        wire.extend_from_slice(&4u32.to_le_bytes());
+                        wire.extend_from_slice(&u32::MAX.to_le_bytes());
+                    }
+                    sock.write_all(&wire).expect("tick");
+                }
+            }
+            // Every write side is shut before any is drained: the server
+            // closes a connection only once all of them ended.
+            for sock in &socks {
+                sock.shutdown(Shutdown::Write).expect("shutdown");
+            }
+            for sock in &mut socks {
+                sock.read_to_end(&mut Vec::new()).expect("drain");
+            }
+            let report = server.join().expect("serve");
+
+            assert_eq!(report.ticks, TICKS as u64);
+            // Reports come in admission order, which the hello threads race
+            // for.
+            let mut ticks: Vec<u64> = report.conns.iter().map(|c| c.ticks).collect();
+            ticks.sort_unstable();
+            assert_eq!(ticks, [BAD_AFTER as u64, TICKS as u64, TICKS as u64]);
+            let mut reference = SequentialIngest::new(workload::server_endpoints(6));
+            let mut good_only = SequentialIngest::new(workload::server_endpoints(6));
+            for t in 0..TICKS {
+                let good = [segment(0, t), segment(1, t)].concat();
+                good_only.ingest_tick(&good);
+                if t < BAD_AFTER {
+                    reference.ingest_tick(&[good, segment(2, t)].concat());
+                } else {
+                    reference.ingest_tick(&good);
+                }
+            }
+            let good_only = good_only.finish();
+            for (served, expected) in report.ingest.endpoints[..4]
+                .iter()
+                .zip(&good_only.endpoints)
+            {
+                assert_eq!(served.0, expected.0);
+                assert_eq!(
+                    workload::endpoint_bits(&served.1),
+                    workload::endpoint_bits(&expected.1),
+                    "stream {}",
+                    served.0
+                );
+            }
+            assert!(
+                workload::ingest_identical(&report.ingest, &reference.finish()),
+                "the closed connection's segments before its bad frame were not applied once"
+            );
+        });
     }
 }

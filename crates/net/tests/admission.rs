@@ -40,10 +40,10 @@ fn silent_bad_magic_and_over_claiming_connections_do_not_disturb_the_fleet() {
     .expect("bind");
 
     // (a) Dials and closes without a byte: not a hello, so not a rejected
-    // one either — the reader vanishes quietly.
+    // one either — the hello thread vanishes quietly.
     drop(TcpStream::connect(server.addr()).expect("dial"));
 
-    // (b) Eight bytes that are not a KSN1 hello. The reader reports the
+    // (b) Eight bytes that are not a KSN1 hello. The hello thread reports the
     // rejection to the router *before* it closes the socket, so once this
     // read ends the rejection is queued ahead of the good hello below.
     let mut bad = TcpStream::connect(server.addr()).expect("dial");
