@@ -293,6 +293,15 @@ if sed '/#\[cfg(test)\]/,$d' crates/net/src/server.rs | grep -nw feed_ticks; the
     exit 1
 fi
 
+echo "==> a flush waits for the buffers: no flush job, no ack channel"
+# A worker hands each tick's buffer back as the tick's last act, so
+# IngestPipeline::flush is every buffer back on recycle_rx, with no job sent
+# and no reply awaited.
+if grep -nwE 'ShardJob::Flush|ack_tx|ack_rx' crates/core/src/ingest.rs; then
+    echo "crates/core/src/ingest.rs has a flush job or an ack channel again; flush waits on recycle_rx until every buffer is back" >&2
+    exit 1
+fi
+
 echo "==> ci/pairs.sh parses (the paired parent-vs-change benchmark runner; nothing in CI runs it)"
 bash -n ci/pairs.sh
 

@@ -218,12 +218,13 @@ pub type BatchedIngest = SequentialIngest;
 mod tests {
     use super::*;
     use crate::frame::FrameBatch;
-    use crate::ingest::{IngestResult, TickIngest};
+    use crate::ingest::IngestResult;
     use crate::test_support::{
-        assert_same_endpoints, assert_same_states, oracle, poll_dry, record_log, record_log_of,
+        acked_fleet, assert_same_endpoints, assert_same_states, oracle, poll_dry, record_log,
+        record_log_of, Recording,
     };
     use crate::wire::{SyncMessage, WireMessage};
-    use crate::{ServerEndpoint, SessionSpec, StreamSession};
+    use crate::ServerEndpoint;
     use kalstream_filter::{models, CovarianceUpdate, StateModel};
     use kalstream_linalg::{Matrix, Vector};
 
@@ -615,22 +616,6 @@ mod tests {
         }
     }
 
-    /// A [`TickIngest`] that keeps every tick it forwards.
-    struct Recording<I> {
-        inner: I,
-        log: Vec<Vec<u8>>,
-    }
-
-    impl<I: TickIngest> TickIngest for Recording<I> {
-        fn ingest_tick(&mut self, wire: &[u8]) {
-            self.log.push(wire.to_vec());
-            self.inner.ingest_tick(wire);
-        }
-        fn flush(&mut self) {
-            self.inner.flush();
-        }
-    }
-
     #[test]
     fn lossy_acked_adaptive_fleet_stays_in_one_group_without_a_move() {
         // 48 adaptive default-scalar sources with acks, 10 % loss both
@@ -638,32 +623,9 @@ mod tests {
         // carrying the source's own adapted noise. Recorded through a
         // feedback pipeline, then replayed: the lanes end in one group,
         // no stream ever leaves its lane, and the bits are the oracle's.
-        use kalstream_sim::{run_fleet_ingest, IngestStream, LinkFaults};
+        use kalstream_sim::{run_fleet_ingest, LinkFaults};
         let (streams, ticks) = (48u32, 300u64);
-        let config = || {
-            crate::ProtocolConfig::new(0.3)
-                .unwrap()
-                .with_ack_timeout(6)
-                .unwrap()
-        };
-        let mut sources = Vec::new();
-        let mut servers = Vec::new();
-        for id in 0..streams {
-            let StreamSession { source, server } =
-                SessionSpec::default_scalar(0.0, config()).unwrap().build();
-            servers.push((id, server));
-            let mut v = 0.0f64;
-            let sampler = move |obs: &mut [f64], tru: &mut [f64]| {
-                v += ((v * 12.9898 + id as f64).sin() * 43758.5453).fract() * 0.4 - 0.2;
-                obs[0] = v;
-                tru[0] = v;
-            };
-            sources.push(IngestStream {
-                stream_id: id,
-                producer: Box::new(source),
-                sampler: Box::new(sampler),
-            });
-        }
+        let (mut sources, servers) = acked_fleet(streams);
         let (tx, rx) = crossbeam::channel::unbounded();
         let pipeline = crate::IngestPipeline::start_with(2, servers.clone(), Some(tx));
         let recording = Recording {

@@ -1,5 +1,5 @@
-//! Multi-stream ingest: one tick loop (the private `Shard`), run inline or on
-//! per-shard worker threads.
+//! Multi-stream ingest: one tick loop (the private `Shard`), run inline, or
+//! inline for shard 0 and on a worker thread for each other shard.
 //!
 //! The paper's server is one loop — predict every cached per-stream filter
 //! one step, then apply this tick's syncs to them. That loop exists once,
@@ -13,22 +13,22 @@
 //!                             ▶ poll feedback
 //!                 on the caller's thread; no routing, no queues
 //!
-//!  worker shards — IngestPipeline
+//!  shard 0 on the router, shards 1.. on workers — IngestPipeline
 //!
-//!                 ┌── bounded queue ──▶ worker 0: Shard::tick  {route(id) == 0}
-//!  tick batch ────┤── bounded queue ──▶ worker 1: Shard::tick  {route(id) == 1}
-//!  (router)       └── …                 each owns its endpoints
-//!                        ◀──────────── recycled buffers ─────────────
+//!                 ┌── bounded queue ──▶ worker 1: Shard::tick  {route(id) == 1}
+//!  tick batch ────┤── bounded queue ──▶ worker 2: …   each owns its endpoints
+//!  (router)       └── then, in place ─▶ shard 0:  Shard::tick  {route(id) == 0}
+//!                        ◀──── buffers, each back once its tick is done ────
 //! ```
 //!
 //! Every shard keeps each stream's protocol half, and its filter only as a
 //! structure-of-arrays lane (`crate::batch_ingest`): one engine,
 //! bit-identical to stepping each endpoint's own filter.
 //!
-//! Each worker **owns** its endpoints — no locks on the hot path, in the
+//! Each shard **owns** its endpoints — no locks on the hot path, in the
 //! spirit of share-nothing per-core stream engines. Determinism falls out of
-//! three facts: the `id % shards` route is stable between barriers,
-//! each shard's queue is FIFO so a stream's ticks arrive in order, and
+//! three facts: the `id % shards` route is stable between barriers, each
+//! shard takes its ticks in order (a worker's queue is FIFO), and
 //! endpoints are independent so cross-endpoint interleaving cannot change
 //! any filter's arithmetic. The sharded pipeline is therefore bit-identical
 //! to [`SequentialIngest`] for any shard count — a property the proptests
@@ -124,8 +124,6 @@ enum ShardJob {
     /// One tick's frames for this shard (possibly empty — every endpoint
     /// still takes its predict step).
     Tick(BytesMut),
-    /// Barrier: acknowledge once every prior job has been applied.
-    Flush,
     /// Capture every endpoint's [`EndpointState`] and send it back. Because
     /// each worker drains its queue in order, the capture lands exactly at
     /// the tick boundary where the job was enqueued — the durability
@@ -339,14 +337,14 @@ impl Shard {
 
     /// One tick: predict every lane; walk `buf`'s frames once, each sync
     /// parsed, admitted (`ProtocolHalf::admit_view`) and applied where it
-    /// lies to its stream's lane; hand `buf` to `recycle`; then poll
-    /// feedback (acks before bounds per stream, streams in ascending id
-    /// order — the ingest-mode twin of the session loop's
-    /// `while let Some(fb) = consumer.poll_feedback(now)`).
+    /// lies to its stream's lane; poll feedback (acks before bounds per
+    /// stream, streams in ascending id order — the ingest-mode twin of the
+    /// session loop's `while let Some(fb) = consumer.poll_feedback(now)`);
+    /// then hand `buf` to `recycle`.
     ///
-    /// The apply walk reads the syncs out of `buf` itself, so the buffer is
-    /// held through it and recycled right after, before feedback is polled;
-    /// `recycle` returns whether the hand-back succeeded.
+    /// The hand-back is the tick's last act, so a buffer back at the router
+    /// means its tick is done, feedback sent: [`IngestPipeline::flush`]
+    /// waits for nothing else. `recycle` returns whether it succeeded.
     pub(crate) fn tick<B: Deref<Target = [u8]>>(
         &mut self,
         buf: B,
@@ -375,11 +373,6 @@ impl Shard {
             }
             None => report.unknown_streams += 1,
         });
-        // A failed hand-back (router gone) must be counted, not swallowed:
-        // in steady state it means the pool is leaking capacity.
-        if !recycle(buf) {
-            report.recycle_drops += 1;
-        }
         if let Some(tx) = &self.feedback {
             for (word, bits) in due.iter_mut().enumerate() {
                 let mut bits = std::mem::take(bits);
@@ -400,6 +393,11 @@ impl Shard {
                 streams.iter().all(|(_, half)| !half.feedback_due()),
                 "a stream outside `due` holds feedback"
             );
+        }
+        // A failed hand-back (router gone) must be counted, not swallowed:
+        // in steady state it means the pool is leaking capacity.
+        if !recycle(buf) {
+            report.recycle_drops += 1;
         }
         report.ticks += 1;
         span.stop(&mut report.tick_ns);
@@ -441,16 +439,22 @@ impl Shard {
     }
 }
 
-struct ShardHandle {
+/// A worker thread's end of the pipeline: its job queue and its handle.
+struct Worker {
     tx: Sender<ShardJob>,
-    ack_rx: Receiver<()>,
     handle: JoinHandle<IngestResult>,
 }
 
-/// The sharded ingest pipeline: spawns one worker thread per shard, routes
-/// framed tick batches to them, and joins them back into an [`IngestResult`].
+/// The sharded ingest pipeline: steps shard 0 on the caller's thread,
+/// spawns one worker thread for each other shard, routes framed tick
+/// batches to the shards, and joins them back into an [`IngestResult`].
 pub struct IngestPipeline {
-    shards: Vec<ShardHandle>,
+    /// Shard 0, stepped by [`IngestPipeline::ingest_tick`] itself.
+    inline: Shard,
+    /// Shards 1.., one worker thread each.
+    workers: Vec<Worker>,
+    /// Each shard's batch being filled. Shard 0's never leaves the router:
+    /// it is cleared once its tick is done.
     batches: Vec<FrameBatch>,
     /// Buffers not in a batch or in flight, each cleared and reserved to
     /// `high_water`. The whole population is made up front
@@ -460,17 +464,16 @@ pub struct IngestPipeline {
     /// reach the workload's high-water capacity during warm-up — the
     /// property that makes steady-state ticks allocation-free.
     free: Vec<BytesMut>,
-    /// Buffers the workers hand back after their apply walk. Bounded by
-    /// every buffer the pipeline can hold, so a hand-back never blocks
-    /// (while the router waits on that worker's queue) and the queue never
-    /// grows; re-made at each [`IngestPipeline::reassign`], which respawns
-    /// the workers anyway.
+    /// Every buffer the pipeline owns: free, in a batch or in flight.
+    population: usize,
+    /// Buffers the workers hand back once their tick is done. Bounded by
+    /// the population, so a hand-back never blocks (while the router waits
+    /// on that worker's queue) and the queue never grows; re-made at each
+    /// [`IngestPipeline::reassign`], which respawns the workers anyway.
     recycle_rx: Receiver<BytesMut>,
-    /// Cloned into every worker of the live generation.
-    recycle_tx: Sender<BytesMut>,
-    /// Feedback channel handed to every worker generation, when enabled.
+    /// Feedback channel handed to every shard generation, when enabled.
     feedback: Option<Sender<(u32, Bytes)>>,
-    /// Reports from worker generations retired by earlier resizes; folded
+    /// Reports from shard generations retired by earlier resizes; folded
     /// into the final [`IngestResult`] so totals stay comparable to the
     /// sequential reference across any resize history.
     retired: Vec<ShardReport>,
@@ -479,14 +482,15 @@ pub struct IngestPipeline {
     /// elastic controller's deterministic load signal, counted where every
     /// frame is routed anyway.
     offered: u64,
-    /// Largest batch (wire bytes) sent to any shard so far. Every buffer is
-    /// reserved to this size when it comes back and — free ones — when the
-    /// mark rises, so none grows later on the hot path.
+    /// Largest batch (wire bytes) sent to any worker so far. Every buffer
+    /// is reserved to this size when it comes back and — free ones — when
+    /// the mark rises, so none grows later on the hot path.
     high_water: usize,
 }
 
 impl IngestPipeline {
-    /// Spawns `shards` workers and distributes `endpoints` among them by
+    /// Starts `shards` shards — shard 0 inline, a worker thread for each
+    /// other — and distributes `endpoints` among them by
     /// `stream_id % shards`, without a feedback channel.
     ///
     /// # Panics
@@ -499,7 +503,8 @@ impl IngestPipeline {
     /// The fully specified constructor.
     ///
     /// * `shards` — the shard count; stream `id` lives on shard
-    ///   `id % shards`.
+    ///   `id % shards`. Shard 0 steps on the caller's thread, so one shard
+    ///   starts no thread.
     /// * `feedback` — when set, each shard polls its endpoints' feedback
     ///   (acks, bound directives) after every tick's advance and sends
     ///   `(stream_id, payload)` pairs into it — the hook a network server
@@ -523,12 +528,14 @@ impl IngestPipeline {
         assert!(shards > 0, "a pipeline needs at least one shard");
         let population = IngestPipeline::buffer_cap(shards);
         let (recycle_tx, recycle_rx) = bounded(population);
+        let (inline, workers) = start_shards(shards, endpoints, &feedback, recycle_tx);
         IngestPipeline {
-            shards: spawn_workers(shards, endpoints, &feedback, &recycle_tx),
+            inline,
+            workers,
             batches: (0..shards).map(|_| FrameBatch::new()).collect(),
             free: (shards..population).map(|_| BytesMut::new()).collect(),
+            population,
             recycle_rx,
-            recycle_tx,
             feedback,
             retired: Vec::new(),
             router: FrameDecoder::new(),
@@ -563,8 +570,8 @@ impl IngestPipeline {
 
     /// A cleared buffer for the next batch: a free one if there is one,
     /// otherwise recycled — blocking until a worker hands one back
-    /// (bounded, since a worker recycles each tick buffer as soon as its
-    /// apply walk is done).
+    /// (bounded, since a worker hands each tick buffer back as soon as its
+    /// tick is done).
     fn next_buffer(&mut self) -> BytesMut {
         self.reclaim();
         match self.free.pop() {
@@ -578,7 +585,7 @@ impl IngestPipeline {
 
     /// Number of shards.
     pub fn shards(&self) -> usize {
-        self.shards.len()
+        self.batches.len()
     }
 
     /// Frames routed since the previous call (or the last resize by
@@ -588,13 +595,13 @@ impl IngestPipeline {
         std::mem::take(&mut self.offered)
     }
 
-    /// Moves the pipeline to `to` shards at a drain barrier: closes every
-    /// shard's queue (each worker applies all in-flight ticks, then hands
-    /// back its endpoints — the quiesce point), regroups the endpoints over
-    /// `to` shards, and restarts workers. Retired
-    /// workers' reports are folded into the final [`IngestResult`], so
-    /// totals stay comparable to the sequential reference across any resize
-    /// history.
+    /// Moves the pipeline to `to` shards at a drain barrier: hands the
+    /// inline shard's endpoints back and closes every worker's queue (each
+    /// worker applies all in-flight ticks, then hands back its endpoints —
+    /// the quiesce point), regroups the endpoints over `to` shards, and
+    /// restarts the shards. Retired shards' reports are folded into the
+    /// final [`IngestResult`], so totals stay comparable to the sequential
+    /// reference across any resize history.
     ///
     /// Bit-identity is preserved by construction: reassignment happens at a
     /// tick boundary, every stream's ticks stay FIFO within whichever shard
@@ -626,12 +633,13 @@ impl IngestPipeline {
             self.free.push(batch.into_buffer());
         }
         self.batches.resize_with(to, FrameBatch::new);
-        let population = (self.free.len() + to).max(IngestPipeline::buffer_cap(to));
+        self.population = (self.free.len() + to).max(IngestPipeline::buffer_cap(to));
         let high_water = self.high_water;
         self.free
-            .resize_with(population - to, || BytesMut::with_capacity(high_water));
-        (self.recycle_tx, self.recycle_rx) = bounded(population);
-        self.shards = spawn_workers(to, endpoints, &self.feedback, &self.recycle_tx);
+            .resize_with(self.population - to, || BytesMut::with_capacity(high_water));
+        let (recycle_tx, recycle_rx) = bounded(self.population);
+        self.recycle_rx = recycle_rx;
+        (self.inline, self.workers) = start_shards(to, endpoints, &self.feedback, recycle_tx);
         self.offered = 0;
         ResizeTransition {
             from,
@@ -640,14 +648,17 @@ impl IngestPipeline {
         }
     }
 
-    /// Closes every live shard's queue (the worker drains, then exits),
-    /// joins it, retires its report and returns every shard's endpoints,
-    /// sorted by stream id.
+    /// Tears shard 0 down, closes each worker's queue (it drains, then
+    /// exits) and joins it, retires every report — shard 0's first — and
+    /// returns every shard's endpoints, sorted by stream id.
     fn join_workers(&mut self) -> Vec<(u32, ServerEndpoint)> {
-        let mut runs = Vec::with_capacity(self.shards.len());
-        for shard in self.shards.drain(..) {
-            drop(shard.tx);
-            let result = shard.handle.join().expect("ingest shard worker panicked");
+        let inline = std::mem::replace(&mut self.inline, Shard::new(0, Vec::new(), None));
+        let joined = self.workers.drain(..).map(|worker| {
+            drop(worker.tx);
+            worker.handle.join().expect("ingest shard worker panicked")
+        });
+        let mut runs = Vec::with_capacity(self.batches.len());
+        for result in std::iter::once(inline.finish(None)).chain(joined) {
             self.retired.extend(result.shards);
             runs.push(result.endpoints);
         }
@@ -655,20 +666,22 @@ impl IngestPipeline {
     }
 
     /// Routes one tick's framed traffic to the shards and advances every
-    /// endpoint one tick. `wire` is a batch as assembled by
+    /// endpoint one tick, shard 0's here once the workers' batches are sent
+    /// (so on more cores they overlap). `wire` is a batch as assembled by
     /// [`FrameBatch`]; it may be empty (a quiet tick still predicts).
     ///
-    /// Returns after *enqueueing* — shards apply asynchronously; call
-    /// [`IngestPipeline::flush`] when "applied" must be observable.
+    /// Returns with the workers' batches only *enqueued* — workers apply
+    /// asynchronously; call [`IngestPipeline::flush`] when "applied" must
+    /// be observable.
     pub fn ingest_tick(&mut self, wire: &[u8]) {
-        let shards = self.shards.len();
+        let shards = self.batches.len();
         let batches = &mut self.batches;
         let offered = &mut self.offered;
         self.router.for_each_frame(wire, |frame| {
             *offered += 1;
             batches[route(frame.stream_id, shards)].push_raw(frame.stream_id, frame.body);
         });
-        for shard in 0..shards {
+        for shard in 1..shards {
             let fresh = FrameBatch::from_buffer(self.next_buffer());
             let batch = std::mem::replace(&mut self.batches[shard], fresh);
             if batch.wire_len() > self.high_water {
@@ -677,62 +690,55 @@ impl IngestPipeline {
                     buf.reserve(self.high_water);
                 }
             }
-            self.shards[shard]
+            self.workers[shard - 1]
                 .tx
                 .send(ShardJob::Tick(batch.into_buffer()))
                 .expect("ingest shard worker died");
         }
+        let batch = &mut self.batches[0];
+        self.inline.tick(batch.as_bytes(), |_| true);
+        batch.clear();
     }
 
     /// Barrier: blocks until every shard has applied all previously
-    /// ingested ticks. Every tick buffer is back by then, and is freed
-    /// here rather than on the next tick.
+    /// ingested ticks and sent their feedback — until every buffer is back,
+    /// free or in a batch, since a worker hands a tick's buffer back as the
+    /// tick's last act. No job is sent and no reply awaited.
     pub fn flush(&mut self) {
-        for shard in &self.shards {
-            shard
-                .tx
-                .send(ShardJob::Flush)
-                .expect("ingest shard worker died");
+        while self.free.len() + self.batches.len() < self.population {
+            let buf = self.recycle_rx.recv().expect("ingest shard worker died");
+            let buf = self.ready(buf);
+            self.free.push(buf);
         }
-        for shard in &self.shards {
-            shard.ack_rx.recv().expect("ingest shard worker died");
-        }
-        self.reclaim();
     }
 
     /// Captures every endpoint's [`EndpointState`] at the current tick
     /// boundary, sorted by stream id — the durability layer's snapshot
-    /// hook. The snapshot job rides each shard's ordered queue, so the
+    /// hook. The snapshot job rides each worker's ordered queue, so the
     /// capture observes exactly the ticks ingested before this call and
-    /// none after; the call blocks until every shard has replied (it is a
-    /// flush barrier as a side effect).
+    /// none after; the call blocks until every worker has replied (it is a
+    /// flush barrier as a side effect). Shard 0 is captured in place.
     pub fn snapshot_states(&mut self) -> Vec<(u32, EndpointState)> {
-        let replies: Vec<Receiver<Vec<(u32, EndpointState)>>> = self
-            .shards
-            .iter()
-            .map(|shard| {
-                let (tx, rx) = bounded(1);
-                shard
-                    .tx
-                    .send(ShardJob::Snapshot(tx))
-                    .expect("ingest shard worker died");
-                rx
-            })
-            .collect();
-        let runs = replies
-            .into_iter()
-            .map(|rx| rx.recv().expect("ingest shard worker died"))
-            .collect();
+        let mut replies = Vec::with_capacity(self.workers.len());
+        for worker in &self.workers {
+            let (tx, rx) = bounded(1);
+            let job = ShardJob::Snapshot(tx);
+            worker.tx.send(job).expect("ingest shard worker died");
+            replies.push(rx);
+        }
+        let mut runs = vec![self.inline.snapshot_states()];
+        for rx in replies {
+            runs.push(rx.recv().expect("ingest shard worker died"));
+        }
         merge_by_id(runs)
     }
 
-    /// Flushes, shuts the workers down, and collects their reports and
-    /// endpoints (sorted by stream id). After resizes the result carries one
-    /// report per worker *lifetime* — retired generations first, then the
-    /// final one — renumbered sequentially so scoped metric names stay
-    /// unique.
+    /// Shuts the shards down and collects their reports and endpoints
+    /// (sorted by stream id); each worker applies its queued ticks first.
+    /// After resizes the result carries one report per shard *lifetime* —
+    /// retired generations first, then the final one — renumbered
+    /// sequentially so scoped metric names stay unique.
     pub fn finish(mut self) -> IngestResult {
-        self.flush();
         let endpoints = self.join_workers();
         let mut shards = std::mem::take(&mut self.retired);
         for (i, report) in shards.iter_mut().enumerate() {
@@ -763,34 +769,32 @@ fn merge_by_id<T>(runs: Vec<Vec<(u32, T)>>) -> Vec<(u32, T)> {
     }
 }
 
-/// Groups `endpoints` over `shards` shards and spawns one worker per shard.
-/// Shared by pipeline start and [`IngestPipeline::reassign`] so both
-/// generations are built by exactly the same code path.
-fn spawn_workers(
+/// Groups `endpoints` over `shards` shards: shard 0 to step inline, and a
+/// worker thread spawned for each other, handing its tick buffers back on
+/// `recycle`. Shared by pipeline start and [`IngestPipeline::reassign`] so
+/// both generations are built by exactly the same code path.
+fn start_shards(
     shards: usize,
     endpoints: Vec<(u32, ServerEndpoint)>,
     feedback: &Option<Sender<(u32, Bytes)>>,
-    recycle_tx: &Sender<BytesMut>,
-) -> Vec<ShardHandle> {
+    recycle: Sender<BytesMut>,
+) -> (Shard, Vec<Worker>) {
     let mut groups: Vec<Vec<(u32, ServerEndpoint)>> = (0..shards).map(|_| Vec::new()).collect();
     for (id, ep) in endpoints {
         groups[route(id, shards)].push((id, ep));
     }
-    groups
-        .into_iter()
-        .enumerate()
-        .map(|(i, group)| {
-            let shard = Shard::new(i, group, feedback.clone());
-            let (tx, rx) = bounded(QUEUE_DEPTH);
-            let (ack_tx, ack_rx) = bounded(1);
-            let recycle = recycle_tx.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("ingest-shard-{i}"))
-                .spawn(move || shard_worker(shard, rx, ack_tx, recycle))
-                .expect("failed to spawn shard worker");
-            ShardHandle { tx, ack_rx, handle }
-        })
-        .collect()
+    let inline = Shard::new(0, groups.remove(0), feedback.clone());
+    let workers = groups.into_iter().zip(1..).map(|(group, i)| {
+        let shard = Shard::new(i, group, feedback.clone());
+        let (tx, rx) = bounded(QUEUE_DEPTH);
+        let recycle = recycle.clone();
+        let handle = std::thread::Builder::new()
+            .name(format!("ingest-shard-{i}"))
+            .spawn(move || shard_worker(shard, rx, recycle))
+            .expect("failed to spawn shard worker");
+        Worker { tx, handle }
+    });
+    (inline, workers.collect())
 }
 
 /// On-CPU nanoseconds of the calling thread so far — field 1 of
@@ -808,7 +812,6 @@ fn thread_cpu_ns() -> Option<u64> {
 fn shard_worker(
     mut shard: Shard,
     rx: Receiver<ShardJob>,
-    ack_tx: Sender<()>,
     recycle: Sender<BytesMut>,
 ) -> IngestResult {
     let cpu_start = thread_cpu_ns();
@@ -818,9 +821,6 @@ fn shard_worker(
         shard.report.queue_high_water = shard.report.queue_high_water.max(rx.len() as u64 + 1);
         match job {
             ShardJob::Tick(buf) => shard.tick(buf, |buf| recycle.send(buf).is_ok()),
-            ShardJob::Flush => ack_tx
-                .send(())
-                .expect("ingest pipeline dropped its ack receiver"),
             ShardJob::Snapshot(reply) => reply
                 .send(shard.snapshot_states())
                 .expect("ingest pipeline dropped its snapshot receiver"),
@@ -978,14 +978,13 @@ mod tests {
         // Pre-fix, a dead recycle channel made `let _ = recycle.send(buf)`
         // silently drop every pooled buffer; the worker must count it.
         let (tx, rx) = bounded(4);
-        let (ack_tx, _ack_rx) = unbounded();
         let (recycle_tx, recycle_rx) = unbounded();
         drop(recycle_rx); // router gone: every hand-back fails
         tx.send(ShardJob::Tick(BytesMut::new())).unwrap();
         tx.send(ShardJob::Tick(BytesMut::new())).unwrap();
         drop(tx);
         let shard = Shard::new(0, Vec::new(), None);
-        let report = &shard_worker(shard, rx, ack_tx, recycle_tx).shards[0];
+        let report = &shard_worker(shard, rx, recycle_tx).shards[0];
         assert_eq!(report.recycle_drops, 2);
         assert_eq!(report.ticks, 2);
         assert_eq!(report.tick_ns.count(), 2, "every tick span recorded");
@@ -1244,7 +1243,10 @@ mod tests {
             pipe.ingest_tick(tick);
         }
         let result = pipe.finish();
-        for shard in &result.shards {
+        let (inline, workers) = result.shards.split_first().unwrap();
+        assert_eq!(inline.queue_high_water, 0, "shard 0 steps inline, unqueued");
+        assert_eq!(workers.len(), 2);
+        for shard in workers {
             assert!(
                 shard.queue_high_water >= 1,
                 "every worker saw at least one job"
@@ -1409,6 +1411,57 @@ mod tests {
         assert_eq!(drops, 0);
         // Feedback polling must not perturb filter arithmetic.
         assert_same_endpoints(&result.endpoints, &want, "with feedback");
+    }
+
+    #[test]
+    fn flush_returns_with_every_flushed_ticks_feedback_in_the_channel() {
+        // A lossy acked fleet recorded through a 1-shard pipeline, then
+        // replayed with `ingest_tick` + `flush` per tick through 1 shard
+        // (inline) and through 3 (two workers). A worker hands its buffer
+        // back only after its feedback poll, so each tick's drained
+        // feedback must be that tick's whole feedback, whatever the shard
+        // count: a hand-back before the poll lets `flush` return early and
+        // a tick's acks slide into the next tick's drain.
+        use kalstream_sim::{run_fleet_ingest, LinkFaults};
+        let (mut sources, servers) = crate::test_support::acked_fleet(48);
+        let (tx, rx) = unbounded();
+        let inner = IngestPipeline::start_with(1, servers.clone(), Some(tx));
+        let recording = crate::test_support::Recording {
+            inner,
+            log: Vec::new(),
+        };
+        let mut sink = FramingSink::with_feedback(recording, rx);
+        let faults = LinkFaults {
+            loss: 0.1,
+            seed: 5,
+            ..LinkFaults::default()
+        };
+        let report = run_fleet_ingest(&mut sources, 200, 0, faults, &mut sink);
+        assert!(report.faults.dropped > 0, "no message lost");
+        let log = sink.into_inner().log;
+        let per_tick = |shards: usize| -> Vec<Vec<(u32, Vec<u8>)>> {
+            let (tx, rx) = unbounded();
+            let mut pipe = IngestPipeline::start_with(shards, servers.clone(), Some(tx));
+            let ticks = log.iter().map(|wire| {
+                pipe.ingest_tick(wire);
+                pipe.flush();
+                let feedback = std::iter::from_fn(|| rx.try_recv().ok());
+                let mut feedback: Vec<_> = feedback.map(|(id, fb)| (id, fb.to_vec())).collect();
+                feedback.sort();
+                feedback
+            });
+            let ticks = ticks.collect();
+            pipe.finish();
+            ticks
+        };
+        let want = per_tick(1);
+        assert!(
+            want.iter().all(|tick| !tick.is_empty()),
+            "a tick acked nothing"
+        );
+        for (t, (got, want)) in per_tick(3).iter().zip(&want).enumerate() {
+            assert_eq!(got, want, "tick {t}");
+        }
     }
 
     #[test]

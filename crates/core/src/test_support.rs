@@ -2,9 +2,10 @@
 
 use kalstream_filter::models;
 use kalstream_linalg::Vector;
-use kalstream_sim::{Consumer, Producer};
+use kalstream_sim::{Consumer, IngestStream, Producer};
 
 use crate::frame::{FrameBatch, FrameDecoder};
+use crate::ingest::TickIngest;
 use crate::{EndpointState, ProtocolConfig, ServerEndpoint, SessionSpec, StreamSession};
 
 /// `n_cv` constant-velocity sessions (2-state) followed by `n_scalar`
@@ -60,6 +61,56 @@ pub(crate) fn record_log_of(
         log.push(batch.as_bytes().to_vec());
     }
     (servers, log)
+}
+
+/// `streams` adaptive default-scalar sessions with acks and
+/// `ack_timeout = 6`, each source an [`IngestStream`] on its own
+/// pseudo-random walk, and the servers. Under loss, every timeout resync
+/// is a Model sync carrying the source's own adapted noise.
+pub(crate) fn acked_fleet(
+    streams: u32,
+) -> (Vec<IngestStream<'static>>, Vec<(u32, ServerEndpoint)>) {
+    let config = || {
+        ProtocolConfig::new(0.3)
+            .unwrap()
+            .with_ack_timeout(6)
+            .unwrap()
+    };
+    let mut sources = Vec::new();
+    let mut servers = Vec::new();
+    for id in 0..streams {
+        let StreamSession { source, server } =
+            SessionSpec::default_scalar(0.0, config()).unwrap().build();
+        servers.push((id, server));
+        let mut v = 0.0f64;
+        let sampler = move |obs: &mut [f64], tru: &mut [f64]| {
+            v += ((v * 12.9898 + id as f64).sin() * 43758.5453).fract() * 0.4 - 0.2;
+            obs[0] = v;
+            tru[0] = v;
+        };
+        sources.push(IngestStream {
+            stream_id: id,
+            producer: Box::new(source),
+            sampler: Box::new(sampler),
+        });
+    }
+    (sources, servers)
+}
+
+/// A [`TickIngest`] that keeps every tick it forwards.
+pub(crate) struct Recording<I> {
+    pub(crate) inner: I,
+    pub(crate) log: Vec<Vec<u8>>,
+}
+
+impl<I: TickIngest> TickIngest for Recording<I> {
+    fn ingest_tick(&mut self, wire: &[u8]) {
+        self.log.push(wire.to_vec());
+        self.inner.ingest_tick(wire);
+    }
+    fn flush(&mut self) {
+        self.inner.flush();
+    }
 }
 
 /// A filter's state and covariance as raw bits, for exact comparison.

@@ -218,9 +218,9 @@ pub const MARKER_BYTES: usize = FRAME_HEADER_BYTES;
 /// (oversized frame — the caller closes the connection).
 ///
 /// Each tick handed out is a fresh `Vec`, one allocation and one more
-/// copy of its bytes: [`crate::TcpTransport`] reads ticks this way. The
-/// server does not; it cuts segments in place in each connection's own
-/// buffer, the same bytes without the `Vec`.
+/// copy of its bytes. Neither the server nor [`crate::TcpTransport`] reads
+/// ticks this way: both cut segments in place in a `TickCutter`, the same
+/// bytes without the `Vec`.
 pub fn feed_ticks(
     decoder: &mut StreamDecoder,
     chunk: &[u8],
@@ -244,7 +244,8 @@ pub fn feed_ticks(
 pub(crate) const READ_BYTES: usize = 16 * 1024;
 
 /// One connection's input buffer, cut at tick markers in place: the
-/// server's side of the data stream. Reads land straight in the buffer, one
+/// server's side of the data stream, and each direction of a
+/// [`crate::TcpTransport`]. Reads land straight in the buffer, one
 /// walk over the frame headers ([`walk_stream_frames`], [`StreamDecoder`]'s
 /// walk) finds the markers, and each complete segment — a tick's frames,
 /// marker stripped, the bytes [`feed_ticks`] would hand out — stays a range

@@ -2,8 +2,8 @@
 //! [`IngestPipeline`].
 //!
 //! ```text
-//!  conn 0 ──┐                                      ┌─▶ shard 0
-//!  conn 1 ──┼──▶ router (reads, cuts) ─ ingest ────┼─▶ shard 1
+//!  conn 0 ──┐                                      ┌─▶ shard 0, on the router
+//!  conn 1 ──┼──▶ router (reads, cuts) ─ ingest ────┼─▶ shard 1 worker
 //!  conn N ──┘          │                pipeline   └─▶ …
 //!    ▲                 └─ feedback ──▶ per-conn writer threads
 //!    └───────────── bounded send queues ◀──────────────┘
@@ -11,11 +11,12 @@
 //!
 //! **Thread model.** Plain OS threads on blocking `std::net` sockets,
 //! joined by bounded [`crossbeam::channel`] queues: the router
-//! (`net-server`, which reads every admitted connection and runs the
-//! ingest barrier hooks), one accept loop (`net-accept`), a writer per
-//! connection (`net-writer-<n>`, `n` in accept order), and the pipeline's
-//! shard workers — `2 + conns + shards` in all. That is the benchmark's
-//! `host.threads` minus the benchmark's own client threads. Each dial also
+//! (`net-server`, which reads every admitted connection, steps the
+//! pipeline's shard 0 and runs the ingest barrier hooks), one accept loop
+//! (`net-accept`), a writer per connection (`net-writer-<n>`, `n` in
+//! accept order), and a worker for each other shard — `1 + conns + shards`
+//! in all. That is the benchmark's `host.threads` minus the benchmark's
+//! own client threads. Each dial also
 //! gets a hello thread (`net-hello-<n>`) that reads and checks the hello,
 //! spawns the writer, hands the socket to the router and exits.
 //!
@@ -84,7 +85,8 @@ pub const FEEDBACK_QUEUE_DEPTH: usize = 256;
 /// How the server ingests and feeds back.
 #[derive(Debug, Clone)]
 pub struct NetServerConfig {
-    /// Shard workers for the ingest pipeline.
+    /// Shards of the ingest pipeline: the router steps shard 0, and each
+    /// other shard has a worker thread.
     pub shards: usize,
     /// Does nothing: every shard steps its endpoints as fleet-batch lanes.
     /// Kept so configurations that still name it compile.
@@ -723,8 +725,8 @@ fn serve(
     closing.store(true, Ordering::SeqCst);
     let _ = TcpStream::connect(addr);
     let _ = accept_thread.join();
-    // Late feedback (none expected after the final flush, but a shard
-    // worker could still be mid-poll): count as shed, never drop silently.
+    // Late feedback (none expected: the final flush waited for every
+    // shard's last poll): count as shed, never drop silently.
     route_feedback(&mut conns, &route, &engine.feedback, &mut unrouted_feedback);
 
     let (replayed_ticks, replay_feedback_discarded) =

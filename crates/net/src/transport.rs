@@ -5,9 +5,9 @@
 //! frames into one loopback socket, the consumer reads them back out of
 //! the accepted peer — so the simulator's one fleet tick loop
 //! ([`kalstream_sim::run_lockstep_over`]) drives real kernel sockets, real
-//! framing, and real byte-stream reassembly ([`StreamDecoder`]) while
-//! keeping the deterministic tick clock the protocol's precision contract
-//! is stated in.
+//! framing, and real byte-stream reassembly (a [`TickCutter`] per
+//! direction, the server's own) while keeping the deterministic tick clock
+//! the protocol's precision contract is stated in.
 //!
 //! Determinism under faults: TCP never loses or reorders bytes, so fault
 //! injection happens *before* the socket, in the exact [`Link`] machinery
@@ -24,14 +24,14 @@
 //! transparently reconnects. The seq/ack layer above must then detect the
 //! gap and resync, which `tests/loss_recovery.rs` (root package) asserts.
 
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 
 use bytes::Bytes;
-use kalstream_core::StreamDecoder;
+use kalstream_core::walk_stream_frames;
 use kalstream_sim::{Link, LinkFaults, Tick, Transport, TransportStats};
 
-use crate::codec::{feed_ticks, push_frame, push_marker, TICK_MARKER_STREAM};
+use crate::codec::{push_frame, push_marker, TickCutter};
 
 /// The two ends of one established producer↔consumer connection.
 struct Pair {
@@ -48,8 +48,10 @@ pub struct TcpTransport {
     pair: Pair,
     forward: Link,
     feedback: Link,
-    fwd_decoder: StreamDecoder,
-    fb_decoder: StreamDecoder,
+    /// Each direction's input, cut at tick markers; lives as long as the
+    /// connection, so bytes read past a marker wait for the next tick.
+    fwd_cutter: TickCutter,
+    fb_cutter: TickCutter,
     /// Ticks at which the connection dies mid-tick (ascending; consumed
     /// front to back).
     kill_at: Vec<Tick>,
@@ -83,8 +85,8 @@ impl TcpTransport {
             pair,
             forward: Link::with_faults(latency, overhead_bytes, faults.forward(0)),
             feedback: Link::with_faults(latency, overhead_bytes, faults.reverse(0)),
-            fwd_decoder: StreamDecoder::new(),
-            fb_decoder: StreamDecoder::new(),
+            fwd_cutter: TickCutter::new(),
+            fb_cutter: TickCutter::new(),
             kill_at: Vec::new(),
             reconnects: 0,
             shutdown_errors: 0,
@@ -133,43 +135,29 @@ impl TcpTransport {
         self.socket_bytes_in
     }
 
-    /// Reads one marker-delimited tick segment from `read`, sinking every
-    /// non-marker frame. EOF before the marker means the connection died
-    /// mid-tick: whatever arrived is delivered, the rest is lost.
+    /// Reads until `cutter` holds one marker-delimited tick segment, then
+    /// sinks its frames in order. Bytes read past the marker stay in
+    /// `cutter` for the next tick. End of stream or a read error before
+    /// the marker means the connection died mid-tick: the partial tick is
+    /// lost, as on the server.
     fn read_tick(
-        mut read: &TcpStream,
-        decoder: &mut StreamDecoder,
+        read: &TcpStream,
+        cutter: &mut TickCutter,
         bytes_in: &mut u64,
         sink: &mut dyn FnMut(u32, Bytes),
     ) {
-        let mut chunk = [0u8; 4096];
-        let mut tick_buf: Vec<u8> = Vec::new();
-        loop {
-            let n = match read.read(&mut chunk) {
-                Ok(0) | Err(_) => break, // dead connection: lose the tail
-                Ok(n) => n,
-            };
-            *bytes_in += n as u64;
-            let mut done = false;
-            // Frames were already re-framed once by `decoder`; re-parsing
-            // the accumulated tick bytes is what `StreamDecoder`'s
-            // split-invariance proptest licences.
-            let markers = feed_ticks(decoder, &chunk[..n], &mut tick_buf, |tick| {
-                let mut one_shot = StreamDecoder::new();
-                one_shot
-                    .feed(&tick, |id, body| {
-                        debug_assert_ne!(id, TICK_MARKER_STREAM);
-                        sink(id, Bytes::copy_from_slice(body));
-                    })
-                    .expect("tick re-parse of already-validated frames");
-                done = true;
-            })
-            .expect("peer sent an oversized frame");
-            debug_assert!(markers <= 1, "one marker per tick read");
-            if done {
-                break;
+        match cutter.fill(Counted { read, bytes_in }) {
+            Ok(true) => {}
+            Err(err) if err.kind() == io::ErrorKind::InvalidData => {
+                panic!("peer sent an oversized frame: {err}")
             }
+            Ok(false) | Err(_) => return,
         }
+        let segment = cutter.pop_segment().expect("fill left a segment");
+        walk_stream_frames(segment, |id, _, body| {
+            sink(id, Bytes::copy_from_slice(body))
+        })
+        .expect("the cutter already walked these frames");
     }
 
     /// Writes every frame due at `now` on `link` plus the tick marker.
@@ -196,6 +184,20 @@ impl TcpTransport {
     }
 }
 
+/// A socket read side that counts the bytes it reads into `bytes_in`.
+struct Counted<'a> {
+    read: &'a TcpStream,
+    bytes_in: &'a mut u64,
+}
+
+impl Read for Counted<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.read.read(buf)?;
+        *self.bytes_in += n as u64;
+        Ok(n)
+    }
+}
+
 /// Dials the listener and accepts the peer — one established pair.
 fn establish(listener: &TcpListener) -> std::io::Result<Pair> {
     let addr = listener.local_addr()?;
@@ -217,7 +219,7 @@ impl Transport for TcpTransport {
         let _ = now;
         TcpTransport::read_tick(
             &self.pair.server,
-            &mut self.fwd_decoder,
+            &mut self.fwd_cutter,
             &mut self.socket_bytes_in,
             &mut sink,
         );
@@ -234,7 +236,7 @@ impl Transport for TcpTransport {
         self.write_due(now, false);
         TcpTransport::read_tick(
             &self.pair.client,
-            &mut self.fb_decoder,
+            &mut self.fb_cutter,
             &mut self.socket_bytes_in,
             &mut sink,
         );
@@ -252,8 +254,8 @@ impl Transport for TcpTransport {
             // The old pair drops here: both sockets close, and unread
             // bytes are gone for good.
             self.pair = fresh;
-            self.fwd_decoder = StreamDecoder::new();
-            self.fb_decoder = StreamDecoder::new();
+            self.fwd_cutter = TickCutter::new();
+            self.fb_cutter = TickCutter::new();
             self.reconnects += 1;
         }
         self.write_due(now, true);
@@ -352,6 +354,38 @@ mod tests {
         assert_eq!(tcp.reconnects(), 1);
         // Tick 5's frame died with the connection; everything else landed.
         assert_eq!(got, vec![0, 1, 2, 3, 4, 6, 7, 8, 9]);
+    }
+
+    #[test]
+    fn two_ticks_in_one_write_come_out_of_two_reads_in_order() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let Pair { mut client, server } = establish(&listener).unwrap();
+        // A tick the reader lost would otherwise block the second read for
+        // good: time it out, so the test fails instead.
+        let timeout = std::time::Duration::from_secs(2);
+        server.set_read_timeout(Some(timeout)).unwrap();
+        let mut wire = Vec::new();
+        push_frame(&mut wire, 1, b"a");
+        push_marker(&mut wire);
+        push_frame(&mut wire, 2, b"bb");
+        push_frame(&mut wire, 3, b"c");
+        push_marker(&mut wire);
+        client.write_all(&wire).unwrap();
+        let (mut cutter, mut bytes_in) = (TickCutter::new(), 0);
+        let ticks: Vec<Vec<(u32, Bytes)>> = (0..2)
+            .map(|_| {
+                let mut tick = Vec::new();
+                let mut sink = |id, body| tick.push((id, body));
+                TcpTransport::read_tick(&server, &mut cutter, &mut bytes_in, &mut sink);
+                tick
+            })
+            .collect();
+        let want = vec![
+            vec![(1, payload(b"a"))],
+            vec![(2, payload(b"bb")), (3, payload(b"c"))],
+        ];
+        assert_eq!(ticks, want);
+        assert_eq!(bytes_in, wire.len() as u64);
     }
 
     #[test]
