@@ -4,7 +4,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> what nothing ran stays deleted: no async runtime, no serde or parking_lot stand-in, no EKF/UKF/RTS smoother, text query parser, sliding quantile, filter stats or log-normal, no elastic rebalancer, salted route, queue signal or controller tuning, no timed kernel check"
+echo "==> what nothing ran stays deleted: no async runtime, no serde or parking_lot stand-in, no EKF/UKF/RTS smoother, text query parser, sliding quantile, filter stats or log-normal, no elastic rebalancer, salted route, queue signal or controller tuning, no timed kernel check, no cargo bench target or criterion stand-in"
 for stub in tokio parking_lot serde serde_derive; do
     if [[ -e "vendor/$stub" ]]; then
         echo "vendor/$stub exists" >&2
@@ -36,11 +36,38 @@ if grep -rnwE 'use_queue_signal|max_queue_depth|ElasticConfig|grow_after|shrink_
     echo "a deleted controller setting, input or round is back: the control loops read the traffic and nothing else" >&2
     exit 1
 fi
-# Only the `cargo bench` micro-benchmarks use criterion.
-if sed -n '/^\[dependencies\]/,/^\[/p' crates/bench/Cargo.toml | grep -n '^criterion'; then
-    echo "crates/bench/Cargo.toml makes criterion a regular dependency again; it is a dev-dependency of the benches" >&2
+# One timing system: per-operation cost is the benchmark/ ledger's, so no
+# crate has a `cargo bench` target and criterion has no stand-in. Manifests
+# are searched, not sources: crates/filter/src/fit.rs speaks of an
+# out-of-sample criterion.
+if [[ -e vendor/criterion ]]; then
+    echo "vendor/criterion exists" >&2
     exit 1
 fi
+if grep -rnw criterion --include=Cargo.toml --include=Cargo.lock . --exclude-dir=benchmark --exclude-dir=target; then
+    echo "a Cargo.toml or Cargo.lock outside benchmark/ names criterion" >&2
+    exit 1
+fi
+benches=$(find . \( -name target -o -name .git \) -prune -o -type d -name benches -print)
+if [[ -n "$benches" ]] || grep -rnF '[[bench]]' --include=Cargo.toml . --exclude-dir=target; then
+    echo "a crate has a benches/ directory or a [[bench]] target: ${benches:-see above}; time it as a span of the benchmark/ ledger" >&2
+    exit 1
+fi
+
+echo "==> every T4 row cites a metric the benchmark's ledger makes"
+# Each backticked dotted name in EXPERIMENTS.md's T4 table must be a string
+# literal in benchmark/src, so a row cannot quote a metric nothing measures.
+t4_metrics=$(sed -n '/^## T4 /,/^## /p' EXPERIMENTS.md | grep '^|' | grep -oE '`[a-z0-9_]+(\.[a-z0-9_]+)+`' | tr -d '`' | sort -u || true)
+if [[ -z "$t4_metrics" ]]; then
+    echo "EXPERIMENTS.md's T4 table cites no ledger metric" >&2
+    exit 1
+fi
+for metric in $t4_metrics; do
+    if ! grep -qF "\"$metric\"" benchmark/src/*.rs; then
+        echo "EXPERIMENTS.md's T4 table cites $metric, which no string literal in benchmark/src/*.rs names" >&2
+        exit 1
+    fi
+done
 
 echo "==> one gate per fact: no kernel check beside bench_smoke, tables_gate and batch_equivalence"
 # Allocation-free hot paths are bench_smoke's, fleet determinism is the F7

@@ -2,8 +2,8 @@
 //!
 //! * **abl_joseph** — Joseph-form vs. textbook covariance update: maximum
 //!   covariance asymmetry accumulated over a long filtering run (the
-//!   numerical-robustness argument; the *speed* side lives in the criterion
-//!   bench `ablations`).
+//!   numerical-robustness argument). The two forms' speed is not measured:
+//!   no span of the `benchmark/` ledger times the simple form.
 //! * **abl_resync** — full-state vs. measurement-only sync payloads:
 //!   messages, bytes, and precision violations on a fast ramp. Measurement
 //!   syncs are ~6× smaller but the server's posterior lags the signal, so

@@ -1,6 +1,8 @@
 //! # kalstream-bench
 //!
-//! The experiment harness behind every figure and table in EXPERIMENTS.md.
+//! The experiment harness behind every figure and table in EXPERIMENTS.md
+//! except T4, whose per-operation costs come from the `benchmark/` crate's
+//! traced ledger. Nothing in this crate times anything.
 //!
 //! * [`harness`] — canonical workload presets (one per stream family in the
 //!   evaluation), method runners, and δ-sweep drivers. Every experiment
@@ -20,7 +22,6 @@
 //!            t1_reduction t2_precision t3_bytes ablations; do
 //!     cargo run --release -p kalstream-bench --bin exp_$exp
 //! done
-//! cargo bench   # T4 micro-benchmarks
 //! ```
 
 #![warn(missing_docs)]

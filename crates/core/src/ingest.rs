@@ -160,9 +160,9 @@ pub struct ShardReport {
     /// inside ticks otherwise, and for inline shards, which over-counts when
     /// the thread is preempted). The maximum across shards is the pipeline's
     /// critical path: on a machine with one core per shard, wall time
-    /// converges to it, so `total_messages / max(busy_secs)` is the capacity
-    /// throughput `bench_ingest` reports next to measured wall-clock
-    /// throughput.
+    /// converges to it. The benchmark's traced TCP runs read the shards'
+    /// mean of it over the pipeline's wall time as
+    /// `core.ingest.shard_busy_frac`.
     pub busy_secs: f64,
     /// Recycled-buffer hand-backs that failed because the router side of
     /// the recycle channel was already gone. Pre-fix this was a silent

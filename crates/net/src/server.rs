@@ -101,8 +101,8 @@ pub struct NetServerConfig {
     /// return marker). Deterministic — the mode the bit-identity tests
     /// and the loss-recovery protocol run in. When `false` the server
     /// never blocks on feedback: it routes whatever the shard workers
-    /// have polled so far and clients read acks asynchronously — the
-    /// throughput mode `bench_net` measures.
+    /// have polled so far and clients read acks asynchronously — the mode
+    /// the benchmark's TCP stream phases (`obs_per_s`) run in.
     pub lockstep: bool,
     /// Durability: when set, every tick batch is WAL-appended before it is
     /// applied and the fleet is snapshotted at the configured cadence, so
